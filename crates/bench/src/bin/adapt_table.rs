@@ -12,8 +12,8 @@
 //! cargo run -p bench --release --bin adapt-table
 //! ```
 
-use atomic_lock_inference::adapt::adapt;
 use atomic_lock_inference::replay::RunConfig;
+use atomic_lock_inference::Pipeline;
 use bench::cli::delta_pct;
 use bench::harness::ops;
 use interp::ExecMode;
@@ -50,7 +50,7 @@ fn main() -> ExitCode {
     let mut improved = 0usize;
     for (k, spec) in specs() {
         let cfg = RunConfig::from_spec(&spec, k, ExecMode::MultiGrain, threads);
-        let run = match adapt(&cfg, &policy, 0) {
+        let run = match Pipeline::new(cfg).adapt(&policy) {
             Ok(r) => r,
             Err(e) => {
                 println!("{:<18} ERROR: {e}", spec.name);

@@ -2,7 +2,7 @@
 //! (DESIGN.md §5.7) vs the legacy sequential candidate loop.
 //!
 //! For each generated `workloads::scale` program the bench runs the
-//! same adaptation loop four ways:
+//! same adaptation loop three ways:
 //!
 //! * **seq** — the pre-harness shape: invariant hoisting off (program
 //!   compiled and points-to analyzed once per candidate), one eval
@@ -12,7 +12,6 @@
 //!   family-diversity guard).
 //! * an exact parallel run (hoist on, no pruning) whose report must be
 //!   **byte-identical** to seq's — the harness's determinism claim.
-//! * a beam-search run (same pruned pipeline) reported per row.
 //!
 //! The table reports wall-clock of the *candidate loop* (total minus
 //! the baseline recording both paths share) and asserts, over the
@@ -26,16 +25,17 @@
 //!
 //! `--smoke` swaps the table for the CI gate: one smaller scale twin,
 //! byte-identical reports at eval thread counts 1/2/7 (adapt, with
-//! pruning and beam search on, and sched), estimator soundness, and a
+//! pruning on, and sched), estimator soundness, and a
 //! relaxed 2× speedup floor. `--check` is accepted for CI symmetry
 //! with the other gates (the smoke assertions are always on).
 
-use atomic_lock_inference::adapt::{adapt_with, AdaptRun};
+use atomic_lock_inference::adapt::AdaptRun;
 use atomic_lock_inference::eval::EvalOptions;
 use atomic_lock_inference::replay::{record, RunConfig};
-use atomic_lock_inference::sched::{evaluate_with, ConvoyPolicy};
+use atomic_lock_inference::sched::ConvoyPolicy;
+use atomic_lock_inference::Pipeline;
 use interp::ExecMode;
-use lockinfer::adapt::{AdaptPolicy, BeamPolicy};
+use lockinfer::adapt::AdaptPolicy;
 use std::process::ExitCode;
 use std::time::Instant;
 use workloads::scale::{self, ScaleParams};
@@ -59,6 +59,10 @@ fn harness_opts(threads: usize) -> EvalOptions {
         prune: Some(TOP_K),
         ..EvalOptions::default()
     }
+}
+
+fn adapt(cfg: &RunConfig, policy: &AdaptPolicy, opts: EvalOptions) -> Result<AdaptRun, String> {
+    Pipeline::new(cfg.clone()).options(opts).adapt(policy)
 }
 
 fn specs() -> Vec<RunSpec> {
@@ -112,11 +116,9 @@ struct Row {
     har_ms: f64,
     sound: bool,
     winner: String,
-    beam: String,
 }
 
-/// Runs one workload through every mode; `None` on harness error.
-#[allow(clippy::too_many_lines)]
+/// Runs one workload through every mode.
 fn run_row(cfg: &RunConfig, policy: &AdaptPolicy) -> Result<Row, String> {
     // Baseline recording cost, shared by every mode: subtracted so the
     // table speaks about the candidate loop itself.
@@ -125,15 +127,15 @@ fn run_row(cfg: &RunConfig, policy: &AdaptPolicy) -> Result<Row, String> {
     let base_ms = t.elapsed().as_secs_f64() * 1e3;
 
     let t = Instant::now();
-    let seq = adapt_with(cfg, policy, &seq_opts())?;
+    let seq = adapt(cfg, policy, seq_opts())?;
     let seq_ms = (t.elapsed().as_secs_f64() * 1e3 - base_ms).max(0.1);
 
     // Determinism: the exact parallel harness must reproduce the
     // legacy report byte for byte.
-    let exact_par = adapt_with(
+    let exact_par = adapt(
         cfg,
         policy,
-        &EvalOptions {
+        EvalOptions {
             eval_threads: 8,
             ..EvalOptions::default()
         },
@@ -143,7 +145,7 @@ fn run_row(cfg: &RunConfig, policy: &AdaptPolicy) -> Result<Row, String> {
     }
 
     let t = Instant::now();
-    let pruned = adapt_with(cfg, policy, &harness_opts(8))?;
+    let pruned = adapt(cfg, policy, harness_opts(8))?;
     let har_ms = (t.elapsed().as_secs_f64() * 1e3 - base_ms).max(0.1);
 
     // Estimator soundness: the pruned run must keep and select the
@@ -153,28 +155,6 @@ fn run_row(cfg: &RunConfig, policy: &AdaptPolicy) -> Result<Row, String> {
             pruned.report.candidates[i].status.is_replayed() && pruned.report.selected == Some(i)
         }
         None => pruned.report.selected.is_none(),
-    };
-
-    // Beam search over compound maps, through the same pruned pipeline.
-    let beam_run = adapt_with(
-        cfg,
-        policy,
-        &EvalOptions {
-            beam: Some(BeamPolicy::default()),
-            ..harness_opts(8)
-        },
-    )?;
-    let beam = match &beam_run.beam {
-        Some(b) => match b.winner() {
-            Some(d) => format!(
-                "{}/{} {}",
-                b.evaluated.len(),
-                b.selected.unwrap() + 1,
-                d.candidate.tag()
-            ),
-            None => format!("{}/- singles stand", b.evaluated.len()),
-        },
-        None => "-".into(),
     };
 
     Ok(Row {
@@ -194,12 +174,11 @@ fn run_row(cfg: &RunConfig, policy: &AdaptPolicy) -> Result<Row, String> {
             .winner()
             .map(|d| d.candidate.adjustment.tag())
             .unwrap_or_else(|| "-".into()),
-        beam,
     })
 }
 
 /// The CI smoke gate: one smaller scale twin; byte-identical adapt
-/// reports (pruning and beam on) and sched reports at eval thread
+/// reports (pruning on) and sched reports at eval thread
 /// counts 1/2/7; estimator soundness; a relaxed 2× candidate-loop
 /// speedup floor.
 fn smoke() -> ExitCode {
@@ -217,15 +196,11 @@ fn smoke() -> ExitCode {
     let cfg = RunConfig::from_spec(&spec, 9, ExecMode::MultiGrain, 8);
     let policy = AdaptPolicy::default();
 
-    // Byte-identical adapt runs across eval thread counts, with the
-    // whole feature surface on.
+    // Byte-identical adapt runs across eval thread counts, with
+    // pruning on.
     let mut runs: Vec<AdaptRun> = Vec::new();
     for eval_threads in [1usize, 2, 7] {
-        let o = EvalOptions {
-            beam: Some(BeamPolicy::default()),
-            ..harness_opts(eval_threads)
-        };
-        match adapt_with(&cfg, &policy, &o) {
+        match adapt(&cfg, &policy, harness_opts(eval_threads)) {
             Ok(r) => runs.push(r),
             Err(e) => {
                 println!("EVAL SMOKE: FAIL ({eval_threads} eval threads: {e})");
@@ -241,7 +216,6 @@ fn smoke() -> ExitCode {
             _ => false,
         };
         if r.report.to_json() != first.report.to_json()
-            || r.beam.as_ref().map(|b| b.to_json()) != first.beam.as_ref().map(|b| b.to_json())
             || r.baseline.trace.digest() != first.baseline.trace.digest()
             || !same_adapted
         {
@@ -254,11 +228,10 @@ fn smoke() -> ExitCode {
     let convoy = ConvoyPolicy::default();
     let mut sruns = Vec::new();
     for eval_threads in [1usize, 7] {
-        let o = EvalOptions {
-            eval_threads,
-            ..EvalOptions::default()
-        };
-        match evaluate_with(&cfg, &convoy, &o) {
+        match Pipeline::new(cfg.clone())
+            .eval_threads(eval_threads)
+            .sched(&convoy)
+        {
             Ok(r) => sruns.push(r),
             Err(e) => {
                 println!("EVAL SMOKE: FAIL (sched, {eval_threads} eval threads: {e})");
@@ -272,7 +245,7 @@ fn smoke() -> ExitCode {
     }
 
     // Estimator soundness against the exact evaluation.
-    let exact = match adapt_with(&cfg, &policy, &EvalOptions::default()) {
+    let exact = match adapt(&cfg, &policy, EvalOptions::default()) {
         Ok(r) => r,
         Err(e) => {
             println!("EVAL SMOKE: FAIL (exact run: {e})");
@@ -298,10 +271,10 @@ fn smoke() -> ExitCode {
         let _ = record(&cfg)?;
         let base_ms = t.elapsed().as_secs_f64() * 1e3;
         let t = Instant::now();
-        let _ = adapt_with(&cfg, &policy, &seq_opts())?;
+        let _ = adapt(&cfg, &policy, seq_opts())?;
         let seq_ms = (t.elapsed().as_secs_f64() * 1e3 - base_ms).max(0.1);
         let t = Instant::now();
-        let _ = adapt_with(&cfg, &policy, &harness_opts(8))?;
+        let _ = adapt(&cfg, &policy, harness_opts(8))?;
         let har_ms = (t.elapsed().as_secs_f64() * 1e3 - base_ms).max(0.1);
         Ok((base_ms, seq_ms, har_ms))
     })() {
@@ -356,12 +329,11 @@ fn main() -> ExitCode {
     println!("hoisting off, 1 eval worker, exact; har8 = invariants hoisted, 8 eval");
     println!("workers, top-{TOP_K} pruning + family guard. `replay` counts candidates whose");
     println!("cost was measured (deduped configurations share one run); `sound` checks the");
-    println!("pruned run kept and selected the exact winner; `beam` shows compound");
-    println!("candidates evaluated/selected by the beam search.");
+    println!("pruned run kept and selected the exact winner.");
     println!();
     println!(
-        "{:<16} {:>5} {:>6} {:>9} {:>9} {:>8} {:>6}  {:<14} beam",
-        "Program", "cand", "replay", "seq-ms", "har8-ms", "speedup", "sound", "winner"
+        "{:<16} {:>5} {:>6} {:>9} {:>9} {:>8} {:>6}  winner",
+        "Program", "cand", "replay", "seq-ms", "har8-ms", "speedup", "sound"
     );
     let mut rows = Vec::new();
     for spec in specs() {
@@ -377,7 +349,7 @@ fn main() -> ExitCode {
     let mut failed = false;
     for r in &rows {
         println!(
-            "{:<16} {:>5} {:>6} {:>9.1} {:>9.1} {:>7.2}x {:>6}  {:<14} {}",
+            "{:<16} {:>5} {:>6} {:>9.1} {:>9.1} {:>7.2}x {:>6}  {}",
             r.name,
             r.cands,
             r.replayed,
@@ -385,8 +357,7 @@ fn main() -> ExitCode {
             r.har_ms,
             r.seq_ms / r.har_ms,
             if r.sound { "yes" } else { "NO" },
-            r.winner,
-            r.beam
+            r.winner
         );
         if !r.sound {
             failed = true;
@@ -401,24 +372,16 @@ fn main() -> ExitCode {
     );
     println!("exact parallel reports matched the sequential bytes on every row; pruning");
     println!("is advisory (replayed costs exact, estimates recorded per pruned candidate).");
-    // Thread-count determinism, shown on the artifact: the pruned,
-    // beam-searching harness byte-for-byte agrees with itself at eval
-    // thread counts 1, 2, and 7.
+    // Thread-count determinism, shown on the artifact: the pruned
+    // harness byte-for-byte agrees with itself at eval thread counts
+    // 1, 2, and 7.
     {
         let spec = &specs()[0];
         let cfg = RunConfig::from_spec(spec, 9, ExecMode::MultiGrain, 8);
         let mut jsons = Vec::new();
         for eval_threads in [1usize, 2, 7] {
-            let o = EvalOptions {
-                beam: Some(BeamPolicy::default()),
-                ..harness_opts(eval_threads)
-            };
-            match adapt_with(&cfg, &policy, &o) {
-                Ok(r) => jsons.push((
-                    r.report.to_json(),
-                    r.beam.map(|b| b.to_json()),
-                    r.baseline.trace.digest(),
-                )),
+            match adapt(&cfg, &policy, harness_opts(eval_threads)) {
+                Ok(r) => jsons.push((r.report.to_json(), r.baseline.trace.digest())),
                 Err(e) => {
                     println!("EVAL TABLE: FAIL ({eval_threads} eval threads: {e})");
                     return ExitCode::FAILURE;
@@ -427,7 +390,7 @@ fn main() -> ExitCode {
         }
         if jsons[1..].iter().all(|j| *j == jsons[0]) {
             println!(
-                "reports byte-identical at eval threads 1/2/7 ({}, pruning + beam on).",
+                "reports byte-identical at eval threads 1/2/7 ({}, pruning on).",
                 cfg.name
             );
         } else {

@@ -18,7 +18,7 @@
 //! than its FIFO baseline.
 
 use atomic_lock_inference::replay::RunConfig;
-use atomic_lock_inference::sched::evaluate;
+use atomic_lock_inference::Pipeline;
 use bench::cli::delta_pct;
 use bench::harness::ops;
 use interp::ExecMode;
@@ -68,7 +68,10 @@ fn smoke() -> ExitCode {
     let convoy = ConvoyPolicy::default();
     let mut runs = Vec::new();
     for analysis_threads in [1usize, 7] {
-        match evaluate(&cfg, &convoy, analysis_threads) {
+        match Pipeline::new(cfg.clone())
+            .analysis_threads(analysis_threads)
+            .sched(&convoy)
+        {
             Ok(r) => runs.push(r),
             Err(e) => {
                 println!("SCHED SMOKE: FAIL ({analysis_threads} analysis threads: {e})");
@@ -137,7 +140,7 @@ fn main() -> ExitCode {
     let mut improved = 0usize;
     for (k, spec) in specs() {
         let cfg = RunConfig::from_spec(&spec, k, ExecMode::MultiGrain, threads);
-        let run = match evaluate(&cfg, &convoy, 0) {
+        let run = match Pipeline::new(cfg).sched(&convoy) {
             Ok(r) => r,
             Err(e) => {
                 println!("{:<18} ERROR: {e}", spec.name);

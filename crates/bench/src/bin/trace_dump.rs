@@ -74,7 +74,7 @@
 //! Exit status is nonzero on a validation failure or digest mismatch,
 //! so all subcommands double as CI checks.
 
-use atomic_lock_inference::{adapt, reinfer, replay, Pipeline};
+use atomic_lock_inference::{replay, Pipeline};
 use bench::cli::{self, Flags, RunArgs};
 use interp::{FaultPlan, SentinelConfig};
 use lockinfer::adapt::AdaptPolicy;
@@ -282,7 +282,7 @@ fn cmd_adapt(args: &[String]) -> Result<ExitCode, String> {
         }
     }
     let cfg = ra.config("adapt", name)?;
-    let run = adapt::adapt(&cfg, &AdaptPolicy::default(), 0)?;
+    let run = Pipeline::new(cfg).adapt(&AdaptPolicy::default())?;
     let b = run.report.baseline;
     println!(
         "{name} mode={:?} k={} threads={} ops={}",
@@ -354,11 +354,7 @@ fn cmd_sched(args: &[String]) -> Result<ExitCode, String> {
         }
     }
     let cfg = ra.config("sched", name)?;
-    let run = atomic_lock_inference::sched::evaluate(
-        &cfg,
-        &atomic_lock_inference::sched::ConvoyPolicy::default(),
-        0,
-    )?;
+    let run = Pipeline::new(cfg).sched(&atomic_lock_inference::sched::ConvoyPolicy::default())?;
     let b = run.report.baseline;
     println!(
         "{name} mode={:?} k={} threads={} ops={}",
@@ -435,7 +431,7 @@ fn cmd_reinfer(args: &[String]) -> Result<ExitCode, String> {
     let mut cfg = ra.config("reinfer", name)?;
     cfg.sentinel = Some(SentinelConfig::default());
     cfg.weaken = weaken;
-    let run = reinfer::reinfer(&cfg, 0)?;
+    let run = Pipeline::new(cfg).reinfer()?;
     let b = run.report.baseline;
     println!(
         "{name} mode={:?} k={} threads={} ops={}",
@@ -443,7 +439,7 @@ fn cmd_reinfer(args: &[String]) -> Result<ExitCode, String> {
     );
     println!(
         "baseline (armed{}): wait={} hold={} makespan={}",
-        match &cfg.weaken {
+        match &weaken {
             Some(w) => format!(", weakened {}:{}", w.section, w.drop_index),
             None => String::new(),
         },
@@ -488,7 +484,7 @@ fn cmd_reinfer(args: &[String]) -> Result<ExitCode, String> {
     if let Some(path) = json {
         cli::write_text(&path, &run.report.to_json())?;
     }
-    let ok = match (&cfg.weaken, &run.healed) {
+    let ok = match (&weaken, &run.healed) {
         // No fault seeded: a quiet ledger is the expected outcome.
         (None, _) => {
             if run.report.sections.is_empty() {

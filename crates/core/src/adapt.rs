@@ -80,14 +80,6 @@ pub enum Adjustment {
     Globalize,
     /// Raise the expression bound to the given `k` (finer locks).
     RaiseK(usize),
-    /// Pin the expression bound to the given `k` — the beam search's
-    /// k-sweep around a winning [`Adjustment::RaiseK`], which may move
-    /// in either direction.
-    SetK(usize),
-    /// Drop the dynamic `[]` pseudo-field from the section's
-    /// expression locks (per-section elem-field choice): element
-    /// accesses coarsen to their container's lock.
-    ElemOff,
     /// Keep the lock plan, change the wake order: run the section's
     /// workload under the given contention-aware wake policy. The
     /// scheme configuration is untouched, so candidate evaluation
@@ -102,8 +94,6 @@ impl Adjustment {
             Adjustment::Coarsen => "coarsen".into(),
             Adjustment::Globalize => "globalize".into(),
             Adjustment::RaiseK(k) => format!("raise-k:{k}"),
-            Adjustment::SetK(k) => format!("set-k:{k}"),
-            Adjustment::ElemOff => "elem-off".into(),
             Adjustment::WakePolicy(kind) => format!("wake:{}", kind.tag()),
         }
     }
@@ -404,278 +394,6 @@ impl DecisionReport {
     }
 }
 
-/// A compound candidate: several per-section scheme overrides plus at
-/// most one wake policy, applied together — the beam search's unit of
-/// evaluation over multi-override [`ConfigMap`]s.
-#[derive(Clone, PartialEq, Debug)]
-pub struct MultiCandidate {
-    /// Scheme-changing members, sorted by section id, at most one per
-    /// section. None is a [`Adjustment::WakePolicy`].
-    pub overrides: Vec<Candidate>,
-    /// The wake-policy member, if any.
-    pub wake: Option<Candidate>,
-}
-
-/// A compound's effective configuration: the override set plus the
-/// wake policy.
-type CompoundKey = (Vec<(u32, SchemeConfig)>, Option<PolicyKind>);
-
-impl MultiCandidate {
-    /// The compound consisting of one single-override candidate.
-    pub fn single(c: &Candidate) -> MultiCandidate {
-        match c.adjustment {
-            Adjustment::WakePolicy(_) => MultiCandidate {
-                overrides: Vec::new(),
-                wake: Some(*c),
-            },
-            _ => MultiCandidate {
-                overrides: vec![*c],
-                wake: None,
-            },
-        }
-    }
-
-    /// Every member, scheme overrides first, wake policy last.
-    pub fn members(&self) -> impl Iterator<Item = &Candidate> {
-        self.overrides.iter().chain(self.wake.iter())
-    }
-
-    /// Extends this compound with one more single-override candidate.
-    /// Returns `None` when the extension conflicts (a second override
-    /// on the same section, a second wake policy) or is a no-op
-    /// relative to `base`.
-    pub fn merge(&self, c: &Candidate, base: &ConfigMap) -> Option<MultiCandidate> {
-        let mut next = self.clone();
-        if let Adjustment::WakePolicy(_) = c.adjustment {
-            if next.wake.is_some() {
-                return None;
-            }
-            next.wake = Some(*c);
-            return Some(next);
-        }
-        if c.config == base.for_section(c.section) {
-            return None;
-        }
-        match next
-            .overrides
-            .binary_search_by_key(&c.section, |o| o.section)
-        {
-            Ok(_) => None,
-            Err(i) => {
-                next.overrides.insert(i, *c);
-                Some(next)
-            }
-        }
-    }
-
-    /// The compound's full configuration map: `base` plus every
-    /// override.
-    pub fn config_map(&self, base: &ConfigMap) -> ConfigMap {
-        let mut m = base.clone();
-        for o in &self.overrides {
-            m.set_override(o.section, o.config);
-        }
-        m
-    }
-
-    /// The compound's wake policy, if it carries one.
-    pub fn wake_policy(&self) -> Option<PolicyKind> {
-        self.wake.as_ref().and_then(|c| match c.adjustment {
-            Adjustment::WakePolicy(kind) => Some(kind),
-            _ => None,
-        })
-    }
-
-    /// Identity for deduplication: the effective overrides plus the
-    /// wake policy — two compounds assembled along different paths but
-    /// naming the same configuration compare equal.
-    fn key(&self) -> CompoundKey {
-        (
-            self.overrides
-                .iter()
-                .map(|o| (o.section, o.config))
-                .collect(),
-            self.wake_policy(),
-        )
-    }
-
-    /// Stable machine-readable tag, members joined by `+`:
-    /// `s3:coarsen+s7:set-k:4+wake:seh`.
-    pub fn tag(&self) -> String {
-        self.members()
-            .map(|c| match c.adjustment {
-                Adjustment::WakePolicy(_) => c.adjustment.tag(),
-                _ => format!("s{}:{}", c.section, c.adjustment.tag()),
-            })
-            .collect::<Vec<_>>()
-            .join("+")
-    }
-}
-
-/// Shape of the beam search over compound candidates.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct BeamPolicy {
-    /// Beam width: improving candidates carried into the next round.
-    pub width: usize,
-    /// Extension rounds after the single-override seeds.
-    pub rounds: usize,
-    /// Upper bound for the k-sweep.
-    pub max_k: usize,
-}
-
-impl Default for BeamPolicy {
-    fn default() -> BeamPolicy {
-        BeamPolicy {
-            width: 3,
-            rounds: 2,
-            max_k: 9,
-        }
-    }
-}
-
-/// Generates the next round of compound candidates: every beam member
-/// extended by every compatible seed, plus the structural sweeps the
-/// ROADMAP asks for — a k-sweep around each expression-bound override
-/// and a per-section elem-field drop. Deterministic: members and seeds
-/// are processed in their given order and duplicates (by effective
-/// configuration) are emitted once, first occurrence wins.
-pub fn extend_beam(
-    beam: &[MultiCandidate],
-    seeds: &[Candidate],
-    base: &ConfigMap,
-    max_k: usize,
-) -> Vec<MultiCandidate> {
-    let mut seen: Vec<CompoundKey> = beam.iter().map(MultiCandidate::key).collect();
-    let mut out = Vec::new();
-    let mut push = |m: MultiCandidate, out: &mut Vec<MultiCandidate>| {
-        let key = m.key();
-        if !seen.contains(&key) {
-            seen.push(key);
-            out.push(m);
-        }
-    };
-    for member in beam {
-        for seed in seeds {
-            if let Some(merged) = member.merge(seed, base) {
-                push(merged, &mut out);
-            }
-        }
-        // k-sweep: move each expression bound one step either way.
-        for (i, o) in member.overrides.iter().enumerate() {
-            let k = match o.adjustment {
-                Adjustment::RaiseK(k) | Adjustment::SetK(k) => k,
-                _ => continue,
-            };
-            for k2 in [k.saturating_sub(1), k + 1] {
-                if k2 == k || k2 > max_k || k2 == base.for_section(o.section).k {
-                    continue;
-                }
-                let mut swept = member.clone();
-                swept.overrides[i] = Candidate {
-                    config: SchemeConfig { k: k2, ..o.config },
-                    adjustment: Adjustment::SetK(k2),
-                    ..*o
-                };
-                push(swept, &mut out);
-            }
-        }
-        // Per-section elem-field choice: drop the `[]` pseudo-field
-        // from overrides that still use expression locks.
-        for (i, o) in member.overrides.iter().enumerate() {
-            if !o.config.use_expr || o.config.elem_field.is_none() {
-                continue;
-            }
-            let mut dropped = member.clone();
-            dropped.overrides[i] = Candidate {
-                config: SchemeConfig {
-                    elem_field: None,
-                    ..o.config
-                },
-                adjustment: Adjustment::ElemOff,
-                ..*o
-            };
-            push(dropped, &mut out);
-        }
-    }
-    out
-}
-
-/// One evaluated compound candidate.
-#[derive(Clone, PartialEq, Debug)]
-pub struct MultiDecision {
-    pub candidate: MultiCandidate,
-    pub cost: PlanCost,
-    pub status: EvalStatus,
-    /// Beam round the compound was generated in (1-based; round 0 is
-    /// the single-override evaluation the seeds came from).
-    pub round: usize,
-}
-
-/// The machine-readable outcome of one beam search over compound
-/// candidates, appended to an adaptation run when beam search is on.
-#[derive(Clone, PartialEq, Debug)]
-pub struct BeamReport {
-    /// The policy the search ran under.
-    pub width: usize,
-    pub rounds: usize,
-    /// Cost of the recorded baseline execution.
-    pub baseline: PlanCost,
-    /// Every compound evaluated, in generation order across rounds.
-    pub evaluated: Vec<MultiDecision>,
-    /// Index into `evaluated` of the best compound, if one beat every
-    /// single-override candidate.
-    pub selected: Option<usize>,
-}
-
-impl BeamReport {
-    /// The selected compound decision, if any.
-    pub fn winner(&self) -> Option<&MultiDecision> {
-        self.selected.map(|i| &self.evaluated[i])
-    }
-
-    /// Canonical JSON encoding (fixed key order, no whitespace).
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"width\":{},\"rounds\":{},\"baseline\":{{\"wait\":{},\"hold\":{},\"revalidations\":{},\"makespan\":{}}},\"evaluated\":[",
-            self.width,
-            self.rounds,
-            self.baseline.total_wait,
-            self.baseline.total_hold,
-            self.baseline.total_revalidations,
-            self.baseline.makespan
-        );
-        for (i, d) in self.evaluated.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"tag\":\"{}\",\"round\":{},\"cost\":{{\"wait\":{},\"hold\":{},\"revalidations\":{},\"makespan\":{}}},",
-                d.candidate.tag(),
-                d.round,
-                d.cost.total_wait,
-                d.cost.total_hold,
-                d.cost.total_revalidations,
-                d.cost.makespan
-            );
-            d.status.push_json(&mut out);
-            out.push('}');
-        }
-        out.push_str("],\"selected\":");
-        match self.selected {
-            Some(i) => {
-                let _ = write!(out, "{i}");
-            }
-            None => out.push_str("null"),
-        }
-        out.push('}');
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -838,101 +556,5 @@ mod tests {
              \"selected\":0}"
         );
         assert_eq!(r.to_json(), j);
-    }
-
-    #[test]
-    fn multi_candidates_merge_canonically_and_tag_stably() {
-        let base = base();
-        let coarsen = Candidate {
-            section: 7,
-            config: SchemeConfig {
-                use_expr: false,
-                ..SchemeConfig::full(3, None)
-            },
-            adjustment: Adjustment::Coarsen,
-            trigger: Trigger::Contention,
-        };
-        let raise = Candidate {
-            section: 2,
-            config: SchemeConfig::full(6, None),
-            adjustment: Adjustment::RaiseK(6),
-            trigger: Trigger::NoContention,
-        };
-        let wake = Candidate {
-            section: 7,
-            config: SchemeConfig::full(3, None),
-            adjustment: Adjustment::WakePolicy(PolicyKind::ShortestExpectedHold),
-            trigger: Trigger::Convoy,
-        };
-        let m = MultiCandidate::single(&coarsen)
-            .merge(&raise, &base)
-            .unwrap()
-            .merge(&wake, &base)
-            .unwrap();
-        // Overrides stay sorted by section regardless of merge order.
-        assert_eq!(m.overrides[0].section, 2);
-        assert_eq!(m.overrides[1].section, 7);
-        assert_eq!(m.tag(), "s2:raise-k:6+s7:coarsen+wake:seh");
-        assert_eq!(m.wake_policy(), Some(PolicyKind::ShortestExpectedHold));
-        let map = m.config_map(&base);
-        assert_eq!(map.overrides().len(), 2);
-        // A second override on an occupied section, or a second wake
-        // policy, refuses to merge.
-        assert!(m.merge(&coarsen, &base).is_none());
-        assert!(m.merge(&wake, &base).is_none());
-        // A no-op override (config equal to base) refuses too.
-        let noop = Candidate {
-            config: base.for_section(9),
-            section: 9,
-            adjustment: Adjustment::Coarsen,
-            trigger: Trigger::Contention,
-        };
-        assert!(MultiCandidate::single(&coarsen)
-            .merge(&noop, &base)
-            .is_none());
-    }
-
-    #[test]
-    fn extend_beam_sweeps_k_and_elem_and_dedupes() {
-        let elem = lir::compile("global a; fn f() { atomic { a[0] = 1; } }")
-            .unwrap()
-            .elem_field_opt();
-        assert!(elem.is_some(), "program with [] has an elem field");
-        let base = ConfigMap::uniform(SchemeConfig::full(3, elem));
-        let raise = Candidate {
-            section: 1,
-            config: SchemeConfig::full(6, elem),
-            adjustment: Adjustment::RaiseK(6),
-            trigger: Trigger::NoContention,
-        };
-        let coarsen = Candidate {
-            section: 4,
-            config: SchemeConfig {
-                use_expr: false,
-                ..SchemeConfig::full(3, elem)
-            },
-            adjustment: Adjustment::Coarsen,
-            trigger: Trigger::Contention,
-        };
-        let beam = vec![MultiCandidate::single(&raise)];
-        let seeds = vec![raise, coarsen];
-        let exts = extend_beam(&beam, &seeds, &base, 9);
-        let tags: Vec<String> = exts.iter().map(MultiCandidate::tag).collect();
-        // The merge with itself is rejected; the coarsen seed merges;
-        // the k-sweep emits 5 and 7; elem-off emits once.
-        assert!(
-            tags.contains(&"s1:raise-k:6+s4:coarsen".to_string()),
-            "{tags:?}"
-        );
-        assert!(tags.contains(&"s1:set-k:5".to_string()), "{tags:?}");
-        assert!(tags.contains(&"s1:set-k:7".to_string()), "{tags:?}");
-        assert!(tags.contains(&"s1:elem-off".to_string()), "{tags:?}");
-        // Deterministic and duplicate-free.
-        let again = extend_beam(&beam, &seeds, &base, 9);
-        assert_eq!(exts, again);
-        let mut dedup = tags.clone();
-        dedup.sort();
-        dedup.dedup();
-        assert_eq!(dedup.len(), tags.len(), "duplicates emitted: {tags:?}");
     }
 }

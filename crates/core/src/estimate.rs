@@ -17,9 +17,8 @@
 //! * **Coarsen** — the expression locks go, the points-to locks stay:
 //!   `W/2`, plus a drift bonus `min(W/4, 100·R)` because every retry
 //!   re-ran the acquire protocol the coarse plan does not have.
-//! * **RaiseK / SetK / ElemOff** — finer (or re-shaped) expression
-//!   locks shave residual interference on an *uncontended* section:
-//!   `W/8`.
+//! * **RaiseK** — finer expression locks shave residual interference
+//!   on an *uncontended* section: `W/8`.
 //! * **WakePolicy** — wake candidates only exist for convoy-flagged
 //!   sections, where the queue never drains and most recorded wait is
 //!   queueing behind an unfortunate wake order: `W/2`.
@@ -43,7 +42,7 @@
 //! clocks — so identical profiles produce identical scores on any
 //! machine, at any parallelism.
 
-use crate::adapt::{Adjustment, Candidate, MultiCandidate, PlanCost};
+use crate::adapt::{Adjustment, Candidate, PlanCost};
 use trace::SectionProfile;
 
 /// Recorded wait/revalidation totals of one section, the estimator's
@@ -62,7 +61,7 @@ fn recoverable(adjustment: Adjustment, wait: u64, reval: u64) -> u64 {
     let r = match adjustment {
         Adjustment::Globalize => wait / 4 * 3,
         Adjustment::Coarsen => wait / 2 + (wait / 4).min(reval.saturating_mul(100)),
-        Adjustment::RaiseK(_) | Adjustment::SetK(_) | Adjustment::ElemOff => wait / 8,
+        Adjustment::RaiseK(_) => wait / 8,
         Adjustment::WakePolicy(_) => wait / 2,
     };
     r.min(wait)
@@ -74,19 +73,6 @@ pub fn estimate(c: &Candidate, profiles: &[SectionProfile], base: PlanCost) -> u
     let (wait, reval) = section_totals(profiles, c.section);
     base.total_wait
         .saturating_sub(recoverable(c.adjustment, wait, reval))
-}
-
-/// Estimated total wait after applying a compound candidate: the
-/// per-member recoverable shares summed, each capped at its own
-/// section's recorded wait (members touch distinct sections by
-/// construction, so the caps are independent).
-pub fn estimate_multi(m: &MultiCandidate, profiles: &[SectionProfile], base: PlanCost) -> u64 {
-    let mut recovered = 0u64;
-    for c in m.members() {
-        let (wait, reval) = section_totals(profiles, c.section);
-        recovered = recovered.saturating_add(recoverable(c.adjustment, wait, reval));
-    }
-    base.total_wait.saturating_sub(recovered)
 }
 
 /// The candidate indices worth replaying: the `top_k` lowest estimated
@@ -128,29 +114,10 @@ pub fn prune(
     keep
 }
 
-/// [`prune`] for compound candidates (the beam rounds).
-pub fn prune_multi(
-    cands: &[MultiCandidate],
-    profiles: &[SectionProfile],
-    base: PlanCost,
-    top_k: usize,
-) -> Vec<usize> {
-    let mut ranked: Vec<(u64, usize)> = cands
-        .iter()
-        .enumerate()
-        .map(|(i, m)| (estimate_multi(m, profiles, base), i))
-        .collect();
-    ranked.sort_unstable();
-    ranked.truncate(top_k);
-    let mut keep: Vec<usize> = ranked.into_iter().map(|(_, i)| i).collect();
-    keep.sort_unstable();
-    keep
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lockscheme::{ConfigMap, SchemeConfig};
+    use lockscheme::SchemeConfig;
     use trace::Histogram;
 
     fn hist(samples: &[u64]) -> Histogram {
@@ -269,26 +236,5 @@ mod tests {
             ),
         ];
         assert_eq!(prune(&wakes, &profiles, base, 1), vec![0, 1]);
-    }
-
-    #[test]
-    fn multi_estimates_sum_member_recoveries() {
-        let profiles = vec![prof(1, &[400, 400], &[0, 0]), prof(2, &[100, 100], &[0, 0])];
-        let base = PlanCost {
-            total_wait: 1000,
-            ..PlanCost::default()
-        };
-        let base_map = ConfigMap::uniform(SchemeConfig::full(3, None));
-        let mut a = cand(1, Adjustment::Globalize);
-        a.config.use_pts = false;
-        a.config.use_expr = false;
-        let mut b = cand(2, Adjustment::Coarsen);
-        b.config.use_expr = false;
-        let m = MultiCandidate::single(&a)
-            .merge(&b, &base_map)
-            .expect("distinct sections merge");
-        let e = estimate_multi(&m, &profiles, base);
-        assert_eq!(e, 1000 - 600 - 100);
-        assert!(e < estimate(&a, &profiles, base));
     }
 }

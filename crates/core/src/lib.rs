@@ -44,8 +44,7 @@ pub mod transfer;
 pub mod transform;
 
 pub use adapt::{
-    candidates, extend_beam, select, AdaptPolicy, BeamPolicy, BeamReport, Candidate, Decision,
-    DecisionReport, EvalStatus, MultiCandidate, MultiDecision, PlanCost,
+    candidates, select, AdaptPolicy, Candidate, Decision, DecisionReport, EvalStatus, PlanCost,
 };
 pub use dataflow::{
     analyze_program, analyze_program_with_configs, analyze_program_with_opts, AnalysisStats,

@@ -5,10 +5,10 @@
 //! trace's total event order — so equal inputs export to equal bytes
 //! (the golden-file tests pin both formats).
 
-use crate::json::push_escaped;
 use crate::{HistData, Key, Snapshot};
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use trace::json::push_escaped;
 use trace::{EventKind, Trace};
 
 fn push_series_name(out: &mut String, key: &Key, suffix: &str, extra: Option<(&str, String)>) {

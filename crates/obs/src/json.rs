@@ -5,27 +5,9 @@
 //! equality of two encodings is equality of the snapshots.
 
 use crate::{HistData, Key, Snapshot};
+use trace::json::push_escaped;
 
 pub(crate) const FORMAT: &str = "ali-metrics-v1";
-
-/// Appends `s` as a JSON string literal.
-pub(crate) fn push_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
 
 fn push_key(out: &mut String, key: &Key) {
     push_escaped(out, &key.name);

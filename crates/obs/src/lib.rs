@@ -100,7 +100,7 @@ impl Hist {
     /// `trace::Histogram::add`).
     #[inline]
     pub fn observe(&self, v: u64) {
-        let idx = (63 - v.saturating_add(1).leading_zeros().min(63)) as usize;
+        let idx = trace::Histogram::bucket_of(v);
         self.0.buckets[idx].fetch_add(1, Ordering::Relaxed);
         self.0.count.fetch_add(1, Ordering::Relaxed);
         // `sum` may saturate conceptually; wrapping is acceptable for a

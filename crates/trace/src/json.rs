@@ -39,7 +39,10 @@ const FORMAT: &str = "ali-trace-v1";
 // ----------------------------------------------------------------------
 // Encoding
 
-fn push_escaped(out: &mut String, s: &str) {
+/// Appends `s` as a JSON string literal — the one escaper behind
+/// every canonical encoding in the workspace (traces here, metric
+/// snapshots and flamegraphs in `obs`).
+pub fn push_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

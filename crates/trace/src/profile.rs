@@ -45,10 +45,18 @@ pub struct Histogram {
 }
 
 impl Histogram {
+    /// The bucket a sample lands in: `⌊log₂(v+1)⌋`, with `u64::MAX`
+    /// saturating into the top bucket. Shared with the live `obs`
+    /// histogram so the two can never disagree on a boundary.
+    #[inline]
+    pub fn bucket_of(v: u64) -> usize {
+        (63 - v.saturating_add(1).leading_zeros().min(63)) as usize
+    }
+
     /// Adds one sample. Saturates rather than overflows: `u64::MAX`
     /// lands in the top bucket and `sum` clamps at `u64::MAX`.
     pub fn add(&mut self, v: u64) {
-        let idx = (63 - v.saturating_add(1).leading_zeros().min(63)) as usize;
+        let idx = Histogram::bucket_of(v);
         if self.buckets.len() <= idx {
             self.buckets.resize(idx + 1, 0);
         }

@@ -5,7 +5,7 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-cargo build --release -q
+cargo build --release -q --workspace
 
 ./target/release/table1   > results_table1.txt
 ./target/release/table2   > results_table2.txt
@@ -23,9 +23,10 @@ cargo build --release -q
 # workload improves or a steered run waits longer than its baseline.
 ./target/release/sched-table > results_sched.txt
 
-# Shared candidate-evaluation harness (DESIGN.md §5.7): legacy
-# sequential candidate loop vs the hoisted, parallel, pruned harness
-# on generated scale programs. The binary exits nonzero when the
+# Shared candidate-evaluation harness (DESIGN.md §5.7): the
+# `hoist: false` emulation of the pre-harness sequential candidate
+# loop vs the hoisted, parallel, pruned harness on generated scale
+# programs. The binary exits nonzero when the
 # aggregate candidate-loop speedup drops below 3x, an exact parallel
 # report diverges from the sequential bytes, or pruning discards an
 # exact winner.

@@ -2,9 +2,10 @@
 //! the adaptive loop (DESIGN.md §5.4).
 //!
 //! [`lockinfer::adapt`] is the pure policy: corrected wait/hold
-//! profiles in, candidate per-section [`ConfigMap`] overrides out. This
-//! module closes the loop against the deterministic interpreter,
-//! driving the shared evaluation harness ([`crate::eval`]):
+//! profiles in, candidate per-section [`lockscheme::ConfigMap`] overrides out. This
+//! module documents the loop [`crate::Pipeline::adapt`] closes against the
+//! deterministic interpreter through the shared evaluation harness
+//! ([`crate::eval`]), and owns its result type:
 //!
 //! 1. **Record** the baseline under the uniform configuration and
 //!    profile its trace — wait split from hold at the first
@@ -14,27 +15,24 @@
 //! 2. **Propose** candidate overrides from those profiles.
 //! 3. **Prune** (optionally) by the trace-analytic estimator
 //!    ([`lockinfer::estimate`]): only the estimated top-k candidates
-//!    are replayed, the rest carry [`EvalStatus::Pruned`].
+//!    are replayed, the rest carry [`lockinfer::EvalStatus::Pruned`].
 //! 4. **Replay** the identical `RunConfig` (same seed, same virtual
 //!    scheduler, same fault plan) under each kept candidate's locks —
 //!    **concurrently**, on the harness's eval-thread pool — and
-//!    measure the replayed [`PlanCost`]. Candidate recordings are
+//!    measure the replayed [`lockinfer::PlanCost`]. Candidate recordings are
 //!    dropped after profiling (O(1) memory in candidate count); a
 //!    candidate whose trace overflowed its ring is surfaced as
-//!    [`EvalStatus::Skipped`], not a silently bogus cost.
+//!    [`lockinfer::EvalStatus::Skipped`], not a silently bogus cost.
 //! 5. **Select** the candidate with the lowest total virtual-time wait,
 //!    strictly below the baseline, and emit a machine-readable
-//!    [`DecisionReport`]. With [`EvalOptions::beam`] set, a beam search
-//!    over compound multi-override maps runs afterwards, seeded from
-//!    the improving singles. The winning configuration (compound
-//!    beating singles beating baseline) is re-executed once for the
-//!    returned recording.
+//!    [`DecisionReport`]. The winning configuration is re-executed
+//!    once for the returned recording.
 //!
 //! Everything downstream of the recorded trace is deterministic: the
 //! policy is pure, inference is byte-identical at any analysis thread
 //! count, each replay is an exact virtual-time re-execution, and the
-//! harness merges results in candidate order — so two `adapt` runs
-//! over the same config produce byte-identical reports and
+//! harness merges results in candidate order — so two runs over the
+//! same config produce byte-identical reports and
 //! adapted-trace digests **at every eval thread count**.
 //!
 //! An adapted trace is deliberately **not** stamped with `run.*`
@@ -42,11 +40,8 @@
 //! configuration and silently diverge. It carries `adapt.*` keys
 //! describing the applied overrides instead.
 
-use crate::eval::EvalOptions;
-use crate::replay::{Recording, RunConfig};
-use crate::Pipeline;
-use lockinfer::adapt::{AdaptPolicy, BeamReport, DecisionReport};
-use trace::Trace;
+use crate::replay::Recording;
+use lockinfer::adapt::DecisionReport;
 
 /// The full result of one adaptation loop.
 #[derive(Clone, Debug)]
@@ -56,83 +51,17 @@ pub struct AdaptRun {
     /// The baseline recording the profiles came from.
     pub baseline: Recording,
     /// The winning configuration's recording, when one beat the
-    /// baseline (the beam winner when the search found a compound that
-    /// beat every single).
+    /// baseline.
     pub adapted: Option<Recording>,
-    /// The beam-search record, when [`EvalOptions::beam`] was set.
-    pub beam: Option<BeamReport>,
-}
-
-/// Records `cfg`, profiles it, evaluates policy candidates by replay,
-/// and selects the best per-section configuration.
-///
-/// `analysis_threads` is the Phase B worker count for lock inference
-/// (`0` = one per core); the outcome is identical for every value.
-/// Candidates are evaluated with default [`EvalOptions`]: exact (no
-/// pruning, no beam search), concurrently on one eval worker per core
-/// — the report is byte-identical at every worker count.
-///
-/// # Errors
-///
-/// Returns a message on compile failure or when the recorded trace is
-/// unusable (ring overflow).
-pub fn adapt(
-    cfg: &RunConfig,
-    policy: &AdaptPolicy,
-    analysis_threads: usize,
-) -> Result<AdaptRun, String> {
-    adapt_with(
-        cfg,
-        policy,
-        &EvalOptions {
-            analysis_threads,
-            ..EvalOptions::default()
-        },
-    )
-}
-
-/// [`adapt`] with full control over the evaluation harness: eval
-/// parallelism, trace-analytic pruning, beam search over compound
-/// candidates, and invariant hoisting.
-///
-/// A thin wrapper over [`Pipeline::adapt`] — the loop body lives
-/// there, so this function is byte-identical to the builder form.
-///
-/// # Errors
-///
-/// Returns a message on compile failure or when the recorded baseline
-/// trace is unusable (ring overflow). A *candidate* trace overflowing
-/// is not an error — the candidate is marked [`EvalStatus::Skipped`]
-/// in the report and excluded from selection.
-pub fn adapt_with(
-    cfg: &RunConfig,
-    policy: &AdaptPolicy,
-    opts: &EvalOptions,
-) -> Result<AdaptRun, String> {
-    Pipeline::new(cfg.clone()).options(*opts).adapt(policy)
-}
-
-/// Like [`adapt`], but starting from an existing self-describing trace
-/// (one produced by [`crate::replay::record`]): the embedded
-/// [`RunConfig`] is re-executed as the baseline.
-///
-/// # Errors
-///
-/// Returns a message when the trace lacks `run.*` metadata or the
-/// embedded source no longer compiles.
-pub fn adapt_trace(
-    t: &Trace,
-    policy: &AdaptPolicy,
-    analysis_threads: usize,
-) -> Result<AdaptRun, String> {
-    adapt(&RunConfig::from_trace(t)?, policy, analysis_threads)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replay::RunConfig;
+    use crate::Pipeline;
     use interp::ExecMode;
-    use lockinfer::adapt::{BeamPolicy, EvalStatus};
+    use lockinfer::adapt::{AdaptPolicy, EvalStatus};
 
     /// Two sections with opposite temperaments: `hot` hammers one
     /// global under long critical sections (wait ≫ hold per entry once
@@ -177,9 +106,16 @@ mod tests {
         }
     }
 
+    fn adapt(analysis_threads: usize) -> AdaptRun {
+        Pipeline::new(cfg())
+            .analysis_threads(analysis_threads)
+            .adapt(&AdaptPolicy::default())
+            .unwrap()
+    }
+
     #[test]
     fn adapt_produces_candidates_and_a_report() {
-        let run = adapt(&cfg(), &AdaptPolicy::default(), 1).unwrap();
+        let run = adapt(1);
         assert!(
             !run.report.candidates.is_empty(),
             "the hot section must trigger at least one proposal"
@@ -195,10 +131,7 @@ mod tests {
 
     #[test]
     fn adapt_is_deterministic_across_analysis_thread_counts() {
-        let runs: Vec<AdaptRun> = [1usize, 2, 8]
-            .iter()
-            .map(|&t| adapt(&cfg(), &AdaptPolicy::default(), t).unwrap())
-            .collect();
+        let runs: Vec<AdaptRun> = [1usize, 2, 8].iter().map(|&t| adapt(t)).collect();
         for r in &runs[1..] {
             assert_eq!(r.report.to_json(), runs[0].report.to_json());
             assert_eq!(r.baseline.trace.digest(), runs[0].baseline.trace.digest());
@@ -212,7 +145,7 @@ mod tests {
 
     #[test]
     fn adapted_traces_are_not_replayable_but_carry_adapt_meta() {
-        let run = adapt(&cfg(), &AdaptPolicy::default(), 1).unwrap();
+        let run = adapt(1);
         if let Some(adapted) = &run.adapted {
             assert!(crate::replay::replay(&adapted.trace).is_err());
             assert_eq!(
@@ -226,28 +159,26 @@ mod tests {
     }
 
     #[test]
-    fn adapt_trace_round_trips_through_recorded_metadata() {
+    fn a_pipeline_from_a_recorded_trace_reports_the_same_bytes() {
         let rec = crate::replay::record(&cfg()).unwrap();
-        let from_trace = adapt_trace(&rec.trace, &AdaptPolicy::default(), 1).unwrap();
-        let direct = adapt(&cfg(), &AdaptPolicy::default(), 1).unwrap();
-        assert_eq!(from_trace.report.to_json(), direct.report.to_json());
+        let from_trace = Pipeline::from_trace(&rec.trace)
+            .unwrap()
+            .analysis_threads(1)
+            .adapt(&AdaptPolicy::default())
+            .unwrap();
+        assert_eq!(from_trace.report.to_json(), adapt(1).report.to_json());
     }
 
     #[test]
     fn pruned_adaptation_marks_unreplayed_candidates() {
-        let exact = adapt(&cfg(), &AdaptPolicy::default(), 1).unwrap();
+        let exact = adapt(1);
         let n = exact.report.candidates.len();
         assert!(n >= 2, "need at least two candidates to prune");
-        let pruned = adapt_with(
-            &cfg(),
-            &AdaptPolicy::default(),
-            &EvalOptions {
-                analysis_threads: 1,
-                prune: Some(1),
-                ..EvalOptions::default()
-            },
-        )
-        .unwrap();
+        let pruned = Pipeline::new(cfg())
+            .analysis_threads(1)
+            .prune(1)
+            .adapt(&AdaptPolicy::default())
+            .unwrap();
         let replayed = pruned
             .report
             .candidates
@@ -276,31 +207,6 @@ mod tests {
             if p.status.is_replayed() {
                 assert_eq!(p.cost, e.cost);
             }
-        }
-    }
-
-    #[test]
-    fn beam_search_reports_compound_candidates() {
-        let run = adapt_with(
-            &cfg(),
-            &AdaptPolicy::default(),
-            &EvalOptions {
-                analysis_threads: 1,
-                beam: Some(BeamPolicy::default()),
-                ..EvalOptions::default()
-            },
-        )
-        .unwrap();
-        let beam = run.beam.expect("beam requested");
-        assert_eq!(beam.baseline, run.report.baseline);
-        let json = beam.to_json();
-        assert!(json.starts_with("{\"width\":"), "{json}");
-        // A selected compound must strictly beat the baseline and be
-        // replayed, and the returned recording must exist.
-        if let Some(d) = beam.winner() {
-            assert!(d.status.is_replayed());
-            assert!(d.cost.total_wait < beam.baseline.total_wait);
-            assert!(run.adapted.is_some());
         }
     }
 }

@@ -5,7 +5,7 @@
 //! derive candidates from its profiles, re-run the identical
 //! deterministic schedule once per candidate, select by strict
 //! measured wait reduction. This module is that shape, factored out
-//! and made fast, in four layers:
+//! and made fast, in three layers:
 //!
 //! 1. **Hoisted invariants.** The program is compiled and the
 //!    points-to analysis run **once per evaluation**, shared as
@@ -28,11 +28,6 @@
 //!    [`EvalStatus::Pruned`] in the report. `prune: None` keeps exact
 //!    behavior, and the `eval-bench` gate asserts the pruned set
 //!    always contains the replay-selected winner.
-//! 4. **Beam search over multi-override [`ConfigMap`]s.** Compound
-//!    candidates — several per-section overrides plus a wake policy,
-//!    k-sweeps, elem-field drops — are generated from the
-//!    single-override winners ([`lockinfer::extend_beam`]) and
-//!    evaluated through the same parallel, pruned pipeline.
 //!
 //! Candidate recordings are **not retained**: each worker profiles its
 //! recording, keeps the [`PlanCost`], and drops the events, so memory
@@ -47,7 +42,7 @@
 
 use crate::replay::{execute, options_for, stamp_outcome, Recording, RunConfig};
 use interp::Machine;
-use lockinfer::adapt::{Adjustment, BeamPolicy, BeamReport, MultiCandidate, MultiDecision};
+use lockinfer::adapt::Adjustment;
 use lockinfer::estimate;
 use lockinfer::library::LibrarySpec;
 use lockinfer::{Candidate, EvalStatus, PlanCost, SummaryStore};
@@ -71,9 +66,6 @@ pub struct EvalOptions {
     /// Replay only the estimator's `top_k` candidates (`None` = exact:
     /// replay everything).
     pub prune: Option<usize>,
-    /// Run a beam search over compound candidates after the
-    /// single-override round.
-    pub beam: Option<BeamPolicy>,
     /// Share one compiled program / points-to result / summary store
     /// across all candidates and deduplicate candidates naming the
     /// same effective run configuration. `false` re-derives everything
@@ -90,21 +82,7 @@ impl Default for EvalOptions {
             analysis_threads: 0,
             eval_threads: 0,
             prune: None,
-            beam: None,
             hoist: true,
-        }
-    }
-}
-
-impl EvalOptions {
-    /// The exact sequential configuration with the given analysis
-    /// parallelism — what the pre-harness loops did, minus the
-    /// per-candidate recompiles.
-    pub fn sequential(analysis_threads: usize) -> EvalOptions {
-        EvalOptions {
-            analysis_threads,
-            eval_threads: 1,
-            ..EvalOptions::default()
         }
     }
 }
@@ -189,9 +167,14 @@ impl EvalContext {
     }
 
     /// Executes `cfg` with locks inferred under `map` — the one
-    /// recording primitive behind baselines, adapt candidates, and
-    /// steered sched runs (formerly the near-identical
-    /// `record_with_map` / `record_with_threads` twins).
+    /// recording primitive behind [`crate::replay::record`], baselines,
+    /// adapt candidates, steered sched runs and repaired re-runs.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message on compile failure (legacy-emulation mode
+    /// recompiles per run) or when `cfg.heap_cells` cannot hold the
+    /// program's globals.
     pub(crate) fn run_one(
         &self,
         cfg: &RunConfig,
@@ -220,6 +203,16 @@ impl EvalContext {
             let pt = pointsto::PointsTo::analyze(&p);
             (Arc::new(p), Arc::new(pt))
         };
+        // `Machine::new` gives every global its own cell after the
+        // null cell and panics when they do not fit; `heap_cells` can
+        // come from trace metadata, so refuse it here instead.
+        if cfg.heap_cells <= program.globals.len() {
+            return Err(format!(
+                "run: heap_cells = {} cannot hold the program's {} globals",
+                cfg.heap_cells,
+                program.globals.len()
+            ));
+        }
         let store = if self.hoist { Some(&self.store) } else { None };
         let analysis = lockinfer::analyze_program_with_configs(
             &program,
@@ -303,11 +296,11 @@ impl EvalContext {
     /// scheduler.
     pub(crate) fn candidate_cfg(
         cfg: &RunConfig,
-        wake: Option<interp::PolicyKind>,
+        cand: &Candidate,
         profiles: &[SectionProfile],
     ) -> RunConfig {
         let mut c = cfg.clone();
-        if let Some(kind) = wake {
+        if let Some(kind) = wake_of(cand) {
             c.sched = Some(interp::SchedConfig::from_profiles(kind, profiles));
         }
         c
@@ -465,7 +458,7 @@ pub(crate) fn eval_singles(
     };
     let runs: Vec<Result<CandidateRun, String>> = par_map(keep.len(), opts.eval_threads, |j| {
         let rep = &reps[keep[j]];
-        let cand_cfg = EvalContext::candidate_cfg(cfg, wake_of(rep), profiles);
+        let cand_cfg = EvalContext::candidate_cfg(cfg, rep, profiles);
         ctx.eval_candidate(&cand_cfg, &rep.config_map(base_map), opts.analysis_threads)
     });
     ctx.count("ali_eval_candidates_evaluated_total", keep.len() as u64);
@@ -494,155 +487,6 @@ pub(crate) fn eval_singles(
         }
     }
     Ok(out)
-}
-
-/// Beam search over compound candidates, seeded from the improving
-/// single-override decisions. Each round extends the beam with every
-/// compatible seed plus the k-sweep / elem-field variants, prunes by
-/// the analytic estimate, replays the survivors in parallel, and
-/// carries the `width` best forward. Returns the full evaluation
-/// record; `selected` names the best compound that strictly beats both
-/// the baseline **and** the best single-override cost.
-pub(crate) fn run_beam(
-    scope: &EvalScope<'_>,
-    cands: &[Candidate],
-    singles: &[(PlanCost, EvalStatus)],
-    bp: BeamPolicy,
-) -> Result<BeamReport, String> {
-    let &EvalScope {
-        ctx,
-        cfg,
-        base_map,
-        profiles,
-        base_cost,
-        opts,
-    } = scope;
-    // Improving singles, best first — the seeds and the round-0 beam.
-    let mut improving: Vec<(PlanCost, usize)> = singles
-        .iter()
-        .enumerate()
-        .filter(|(_, (cost, status))| {
-            status.is_replayed() && cost.total_wait < base_cost.total_wait
-        })
-        .map(|(i, (cost, _))| (*cost, i))
-        .collect();
-    improving.sort_by_key(|(c, i)| (c.total_wait, c.makespan, *i));
-    let seeds: Vec<Candidate> = improving.iter().map(|&(_, i)| cands[i]).collect();
-    let single_floor = improving
-        .first()
-        .map(|(c, _)| c.total_wait)
-        .unwrap_or(base_cost.total_wait);
-    let mut beam: Vec<MultiCandidate> = seeds
-        .iter()
-        .take(bp.width)
-        .map(MultiCandidate::single)
-        .collect();
-    let mut evaluated: Vec<MultiDecision> = Vec::new();
-    // Cross-round dedup by effective configuration (extend_beam only
-    // dedupes within one round).
-    type SeenKey = (Vec<(u32, SchemeConfig)>, Option<String>);
-    let mut seen: Vec<SeenKey> = Vec::new();
-    let key = |m: &MultiCandidate| {
-        (
-            m.config_map(base_map).overrides().to_vec(),
-            m.wake_policy().map(|k| k.tag().to_owned()),
-        )
-    };
-    for round in 1..=bp.rounds {
-        let gen: Vec<MultiCandidate> = lockinfer::extend_beam(&beam, &seeds, base_map, bp.max_k)
-            .into_iter()
-            .filter(|m| {
-                let k = key(m);
-                if seen.contains(&k) {
-                    false
-                } else {
-                    seen.push(k);
-                    true
-                }
-            })
-            .collect();
-        if gen.is_empty() {
-            break;
-        }
-        let keep: Vec<usize> = match opts.prune {
-            Some(top_k) => estimate::prune_multi(&gen, profiles, base_cost, top_k),
-            None => (0..gen.len()).collect(),
-        };
-        let runs: Vec<Result<CandidateRun, String>> = par_map(keep.len(), opts.eval_threads, |j| {
-            let m = &gen[keep[j]];
-            let cand_cfg = EvalContext::candidate_cfg(cfg, m.wake_policy(), profiles);
-            ctx.eval_candidate(&cand_cfg, &m.config_map(base_map), opts.analysis_threads)
-        });
-        ctx.count("ali_eval_candidates_evaluated_total", keep.len() as u64);
-        ctx.count(
-            "ali_eval_candidates_pruned_total",
-            (gen.len() - keep.len()) as u64,
-        );
-        ctx.count(
-            "ali_eval_candidates_skipped_total",
-            runs.iter()
-                .filter(|r| matches!(r, Ok(CandidateRun::Skipped(_))))
-                .count() as u64,
-        );
-        let mut round_costs: Vec<(PlanCost, usize)> = Vec::new();
-        let mut statuses: Vec<(PlanCost, EvalStatus)> = gen
-            .iter()
-            .map(|m| {
-                (
-                    PlanCost::default(),
-                    EvalStatus::Pruned {
-                        est: estimate::estimate_multi(m, profiles, base_cost),
-                    },
-                )
-            })
-            .collect();
-        for (j, run) in runs.into_iter().enumerate() {
-            statuses[keep[j]] = match run? {
-                CandidateRun::Done(cost) => (cost, EvalStatus::Replayed),
-                CandidateRun::Skipped(reason) => {
-                    (PlanCost::default(), EvalStatus::Skipped { reason })
-                }
-            };
-        }
-        for (m, (cost, status)) in gen.into_iter().zip(statuses) {
-            if status.is_replayed() && cost.total_wait < base_cost.total_wait {
-                round_costs.push((cost, evaluated.len()));
-            }
-            evaluated.push(MultiDecision {
-                candidate: m,
-                cost,
-                status,
-                round,
-            });
-        }
-        // Next beam: this round's `width` best improving compounds.
-        round_costs.sort_by_key(|(c, i)| (c.total_wait, c.makespan, *i));
-        if round_costs.is_empty() {
-            break;
-        }
-        beam = round_costs
-            .iter()
-            .take(bp.width)
-            .map(|&(_, i)| evaluated[i].candidate.clone())
-            .collect();
-    }
-    let selected = evaluated
-        .iter()
-        .enumerate()
-        .filter(|(_, d)| {
-            d.status.is_replayed()
-                && d.cost.total_wait < base_cost.total_wait
-                && d.cost.total_wait < single_floor
-        })
-        .min_by_key(|(i, d)| (d.cost.total_wait, d.cost.makespan, *i))
-        .map(|(i, _)| i);
-    Ok(BeamReport {
-        width: bp.width,
-        rounds: bp.rounds,
-        baseline: base_cost,
-        evaluated,
-        selected,
-    })
 }
 
 #[cfg(test)]

@@ -25,9 +25,9 @@
 //! plus [`replay`], this crate's own deterministic record/replay layer
 //! over traced executions, [`obs`], the unified observability layer
 //! (live metrics registry + trace-derived snapshots and exporters),
-//! and [`Pipeline`], the builder-style entry point to every
-//! measurement loop (baseline → profile → propose → evaluate →
-//! select).
+//! and [`Pipeline`], the builder whose four terminals are the only
+//! entry points to the measurement loops (baseline → profile →
+//! propose → evaluate → select).
 //!
 //! ## Quickstart
 //!

@@ -7,9 +7,8 @@
 //! **propose** (pure policy: candidates from evidence) → **evaluate**
 //! (replay each candidate on the identical schedule, via
 //! [`crate::eval`]) → **select** (strict measured improvement).
-//! Historically each loop exposed its own free function with its own
-//! parameter list; [`Pipeline`] is the builder that names the shared
-//! knobs once and offers each loop as a terminal:
+//! [`Pipeline`] is the builder that names the shared knobs once and
+//! offers each loop as a terminal — the only way into them:
 //!
 //! ```no_run
 //! use atomic_lock_inference as ali;
@@ -21,11 +20,6 @@
 //! # Ok::<(), String>(())
 //! ```
 //!
-//! The legacy free functions ([`crate::adapt::adapt_with`],
-//! [`crate::sched::evaluate_with`], [`crate::reinfer::reinfer_with`])
-//! are thin wrappers over these terminals and produce byte-identical
-//! reports — the loop bodies live here and only here.
-//!
 //! A pipeline can also be armed with an [`obs::Registry`]
 //! ([`Pipeline::metrics`]): every run it executes then publishes
 //! live `ali_run_*` counters/histograms and the harness counts
@@ -34,7 +28,7 @@
 //! the deterministic schedule or any recorded trace.
 
 use crate::adapt::AdaptRun;
-use crate::eval::{eval_singles, par_map, run_beam, EvalContext, EvalOptions, EvalScope, Stamp};
+use crate::eval::{eval_singles, par_map, EvalContext, EvalOptions, EvalScope, Stamp};
 use crate::reinfer::ReinferRun;
 use crate::replay::{Recording, RunConfig};
 use crate::sched::SchedRun;
@@ -44,8 +38,7 @@ use ::sched::report::{
 };
 use ::sched::{PolicyKind, SchedConfig};
 use lockinfer::adapt::{
-    candidates as adapt_candidates, select as adapt_select, AdaptPolicy, Adjustment, BeamPolicy,
-    Decision, DecisionReport,
+    candidates as adapt_candidates, select as adapt_select, AdaptPolicy, Decision, DecisionReport,
 };
 use lockinfer::reinfer::{
     admit, candidates as repair_candidates, RepairDecision, RepairOutcome, RepairReport,
@@ -68,8 +61,8 @@ pub struct Pipeline {
 
 impl Pipeline {
     /// A pipeline over `cfg` with default [`EvalOptions`]: exact (no
-    /// pruning, no beam), one eval worker and one analysis worker per
-    /// core, invariants hoisted, metrics off.
+    /// pruning), one eval worker and one analysis worker per core,
+    /// invariants hoisted, metrics off.
     pub fn new(cfg: RunConfig) -> Pipeline {
         Pipeline {
             cfg,
@@ -114,13 +107,6 @@ impl Pipeline {
         self
     }
 
-    /// Run a beam search over compound candidates after the
-    /// single-override round ([`Pipeline::adapt`] only).
-    pub fn beam(mut self, bp: BeamPolicy) -> Pipeline {
-        self.opts.beam = Some(bp);
-        self
-    }
-
     /// Arms every run this pipeline executes with a live metrics
     /// registry: `ali_run_*` series from the interpreter and runtimes,
     /// `ali_eval_*` candidate totals from the harness. Metrics never
@@ -152,13 +138,12 @@ impl Pipeline {
     // Terminals
 
     /// **Baseline only**: records the configuration once, stamped with
-    /// full `run.*` metadata — byte-identical to
-    /// [`crate::replay::record`], but metrics-armed when the pipeline
-    /// is.
+    /// full `run.*` metadata — [`crate::replay::record`], but
+    /// metrics-armed when the pipeline is.
     ///
     /// # Errors
     ///
-    /// Returns a message on compile failure.
+    /// See [`crate::replay::record`].
     pub fn record(&self) -> Result<Recording, String> {
         let ctx = self.context(&self.cfg)?;
         let base_map = ctx.base_map(&self.cfg);
@@ -167,8 +152,8 @@ impl Pipeline {
 
     /// Profile-guided per-section adaptation: baseline → wait/hold
     /// profiles → policy candidates → replayed evaluation (optionally
-    /// pruned, optionally beam-extended) → strict-improvement
-    /// selection. See [`crate::adapt`] for the loop's full contract.
+    /// pruned) → strict-improvement selection. See [`crate::adapt`]
+    /// for the loop's full contract.
     ///
     /// # Errors
     ///
@@ -233,45 +218,24 @@ impl Pipeline {
             selected,
         };
 
-        let beam = match opts.beam {
-            Some(bp) => Some(run_beam(&scope, &cands, &singles, bp)?),
-            None => None,
-        };
-
         // Candidate recordings were dropped after profiling; the
-        // overall winner — the beam compound when it beat every
-        // single, else the selected single — is re-executed once,
-        // deterministically identical to its evaluation run.
-        let adapted = if let Some((bi, b)) = beam.as_ref().and_then(|b| b.selected.zip(Some(b))) {
-            let m = &b.evaluated[bi].candidate;
-            let ccfg = EvalContext::candidate_cfg(cfg, m.wake_policy(), &profiles);
-            Some(ctx.run_one(
-                &ccfg,
-                &m.config_map(&base_map),
-                Stamp::Adapt,
-                opts.analysis_threads,
-            )?)
-        } else if let Some(i) = selected {
-            let cand = &cands[i];
-            let wake = match cand.adjustment {
-                Adjustment::WakePolicy(kind) => Some(kind),
-                _ => None,
-            };
-            let ccfg = EvalContext::candidate_cfg(cfg, wake, &profiles);
-            Some(ctx.run_one(
-                &ccfg,
-                &cand.config_map(&base_map),
-                Stamp::Adapt,
-                opts.analysis_threads,
-            )?)
-        } else {
-            None
-        };
+        // winner is re-executed once, deterministically identical to
+        // its evaluation run.
+        let adapted = selected
+            .map(|i| {
+                let cand = &cands[i];
+                ctx.run_one(
+                    &EvalContext::candidate_cfg(cfg, cand, &profiles),
+                    &cand.config_map(&base_map),
+                    Stamp::Adapt,
+                    opts.analysis_threads,
+                )
+            })
+            .transpose()?;
         Ok(AdaptRun {
             report,
             baseline,
             adapted,
-            beam,
         })
     }
 
@@ -545,7 +509,7 @@ impl Pipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use interp::{ExecMode, SentinelConfig, WeakenPlan};
+    use interp::ExecMode;
 
     const SRC: &str = r#"
         global shared;
@@ -593,64 +557,6 @@ mod tests {
         assert_eq!(a.trace.digest(), b.trace.digest());
         assert_eq!(a.trace.to_json(), b.trace.to_json());
         assert_eq!(a.outcome, b.outcome);
-    }
-
-    #[test]
-    fn adapt_terminal_matches_the_legacy_wrapper_bytes() {
-        let policy = AdaptPolicy::default();
-        let via_pipeline = Pipeline::new(cfg())
-            .analysis_threads(1)
-            .adapt(&policy)
-            .unwrap();
-        let via_legacy = crate::adapt::adapt(&cfg(), &policy, 1).unwrap();
-        assert_eq!(
-            via_pipeline.report.to_json(),
-            via_legacy.report.to_json(),
-            "the wrapper and the terminal are the same loop"
-        );
-        assert_eq!(
-            via_pipeline.baseline.trace.digest(),
-            via_legacy.baseline.trace.digest()
-        );
-    }
-
-    #[test]
-    fn sched_terminal_matches_the_legacy_wrapper_bytes() {
-        let convoy = ConvoyPolicy::default();
-        let via_pipeline = Pipeline::new(cfg())
-            .analysis_threads(1)
-            .sched(&convoy)
-            .unwrap();
-        let via_legacy = crate::sched::evaluate(&cfg(), &convoy, 1).unwrap();
-        assert_eq!(via_pipeline.report.to_json(), via_legacy.report.to_json());
-        assert_eq!(
-            via_pipeline.baseline.trace.digest(),
-            via_legacy.baseline.trace.digest()
-        );
-    }
-
-    #[test]
-    fn reinfer_terminal_matches_the_legacy_wrapper_bytes() {
-        let mut c = cfg();
-        c.sentinel = Some(SentinelConfig {
-            sample_every: 1,
-            ..SentinelConfig::default()
-        });
-        c.weaken = Some(WeakenPlan {
-            section: 0,
-            drop_index: 0,
-        });
-        let via_pipeline = Pipeline::new(c.clone())
-            .analysis_threads(1)
-            .reinfer()
-            .unwrap();
-        let via_legacy = crate::reinfer::reinfer(&c, 1).unwrap();
-        assert_eq!(via_pipeline.report.to_json(), via_legacy.report.to_json());
-        match (&via_pipeline.healed, &via_legacy.healed) {
-            (Some(a), Some(b)) => assert_eq!(a.trace.digest(), b.trace.digest()),
-            (None, None) => {}
-            other => panic!("healing diverged between wrapper and terminal: {other:?}"),
-        }
     }
 
     #[test]

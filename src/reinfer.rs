@@ -3,8 +3,9 @@
 //!
 //! [`lockinfer::reinfer`] is the pure policy: a canonical violation
 //! ledger in, diagnosed repair candidates and an acceptance rule out.
-//! This module closes the loop against the deterministic interpreter,
-//! driving the shared evaluation harness ([`crate::eval`]):
+//! This module documents the loop [`crate::Pipeline::reinfer`] closes against
+//! the deterministic interpreter through the shared evaluation harness
+//! ([`crate::eval`]), and owns its result type:
 //!
 //! 1. **Record** the armed run (sentinel on, typically with a seeded
 //!    [`interp::WeakenPlan`] fault) and snapshot the sentinel's
@@ -12,7 +13,7 @@
 //!    every downstream decision is thread-count independent.
 //! 2. **Resolve** each violation address through the trace's
 //!    allocation-table snapshot into its points-to class
-//!    ([`trace::Trace::alloc_of`]), producing the [`Witness`]es the
+//!    ([`trace::Trace::alloc_of`]), producing the [`lockinfer::Witness`]es the
 //!    policy diagnoses.
 //! 3. **Reference**: for every offending section, measure the cost of
 //!    the quarantine ladder's *status quo* — the run with that section
@@ -27,7 +28,7 @@
 //!    cheapest clean candidate strictly below the demotion reference's
 //!    total wait, or nothing (the demotion stands — sound, just slow).
 //! 6. **Heal**: re-run the original armed configuration with the
-//!    admitted repairs installed dormant ([`RunConfig::repairs`]). The
+//!    admitted repairs installed dormant ([`crate::replay::RunConfig::repairs`]). The
 //!    section offends, demotes, serves its probation, and heals *onto
 //!    the repaired scheme*, ledgered as `["ri",section,candidate,1]`
 //!    in the trace. The healed recording is stamped with full `run.*`
@@ -38,11 +39,8 @@
 //! [`RepairReport`] JSON and healed-trace digests **at every analysis
 //! and eval thread count**.
 
-use crate::eval::EvalOptions;
-use crate::replay::{Recording, RunConfig};
-use crate::Pipeline;
+use crate::replay::Recording;
 use lockinfer::reinfer::RepairReport;
-use trace::Trace;
 
 /// The full result of one re-inference pass.
 #[derive(Clone, Debug)]
@@ -57,57 +55,11 @@ pub struct ReinferRun {
     pub healed: Option<Recording>,
 }
 
-/// Records the armed run, diagnoses its violation ledger, evaluates
-/// repair candidates by replay, and re-records with the admitted
-/// repairs installed.
-///
-/// `analysis_threads` is the Phase B worker count for lock inference
-/// (`0` = one per core); the outcome is identical for every value.
-///
-/// # Errors
-///
-/// Returns a message when the run is not sentinel-armed, on compile
-/// failure, or when the baseline/reference traces are unusable (ring
-/// overflow). A *candidate* trace overflowing is not an error — the
-/// candidate is marked [`EvalStatus::Skipped`] and never admitted.
-pub fn reinfer(cfg: &RunConfig, analysis_threads: usize) -> Result<ReinferRun, String> {
-    reinfer_with(
-        cfg,
-        &EvalOptions {
-            analysis_threads,
-            ..EvalOptions::default()
-        },
-    )
-}
-
-/// [`reinfer`] with full control over the evaluation harness.
-///
-/// A thin wrapper over [`Pipeline::reinfer`] — the loop body lives
-/// there, so this function is byte-identical to the builder form.
-///
-/// # Errors
-///
-/// See [`reinfer`].
-pub fn reinfer_with(cfg: &RunConfig, opts: &EvalOptions) -> Result<ReinferRun, String> {
-    Pipeline::new(cfg.clone()).options(*opts).reinfer()
-}
-
-/// Like [`reinfer`], but starting from an existing self-describing
-/// trace (one produced by [`crate::replay::record`] with the sentinel
-/// armed): the embedded [`RunConfig`] is re-executed as the armed
-/// baseline.
-///
-/// # Errors
-///
-/// Returns a message when the trace lacks `run.*` metadata, is not
-/// sentinel-armed, or the embedded source no longer compiles.
-pub fn reinfer_trace(t: &Trace, analysis_threads: usize) -> Result<ReinferRun, String> {
-    reinfer(&RunConfig::from_trace(t)?, analysis_threads)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replay::RunConfig;
+    use crate::Pipeline;
     use interp::{ExecMode, SentinelConfig, WeakenPlan};
     use trace::EventKind;
 
@@ -165,7 +117,7 @@ mod tests {
 
     #[test]
     fn a_weakened_section_heals_onto_an_admitted_nonglobal_repair() {
-        let run = reinfer(&cfg(), 1).unwrap();
+        let run = Pipeline::new(cfg()).analysis_threads(1).reinfer().unwrap();
         // The seeded fault produced violations and the ledger reached
         // the diagnosis.
         let sec = run
@@ -226,15 +178,11 @@ mod tests {
         let runs: Vec<ReinferRun> = [1usize, 2, 7]
             .iter()
             .map(|&t| {
-                reinfer_with(
-                    &cfg(),
-                    &EvalOptions {
-                        analysis_threads: 1,
-                        eval_threads: t,
-                        ..EvalOptions::default()
-                    },
-                )
-                .unwrap()
+                Pipeline::new(cfg())
+                    .analysis_threads(1)
+                    .eval_threads(t)
+                    .reinfer()
+                    .unwrap()
             })
             .collect();
         for r in &runs[1..] {
@@ -252,7 +200,7 @@ mod tests {
     fn clean_armed_runs_are_left_untouched() {
         let mut c = cfg();
         c.weaken = None;
-        let run = reinfer(&c, 1).unwrap();
+        let run = Pipeline::new(c).analysis_threads(1).reinfer().unwrap();
         assert!(run.report.sections.is_empty());
         assert!(run.healed.is_none());
         // And the baseline stays fully replayable.
@@ -264,6 +212,7 @@ mod tests {
     fn unarmed_runs_are_rejected() {
         let mut c = cfg();
         c.sentinel = None;
-        assert!(reinfer(&c, 1).unwrap_err().contains("sentinel-armed"));
+        let err = Pipeline::new(c).reinfer().unwrap_err();
+        assert!(err.contains("sentinel-armed"), "{err}");
     }
 }

@@ -25,9 +25,9 @@
 //! Replay re-runs with the *default* cost model; runs recorded under a
 //! custom [`interp::CostModel`] replay with different clock values.
 
+use crate::eval::{EvalContext, Stamp};
 use interp::{ExecMode, FaultPlan, Options, RepairSpec, SchedConfig, SentinelConfig, WeakenPlan};
 use lockscheme::{ConfigMap, SchemeConfig};
-use std::sync::Arc;
 use trace::Trace;
 
 /// One installed repair, at configuration level: `(section, candidate
@@ -125,43 +125,33 @@ impl RunConfig {
     /// missing or malformed — e.g. a trace that was not produced by
     /// [`record`].
     pub fn from_trace(t: &Trace) -> Result<RunConfig, String> {
-        let get = |k: &str| {
-            t.meta_get(k)
-                .map(str::to_owned)
-                .ok_or_else(|| format!("replay: trace metadata missing `{k}`"))
-        };
-        let int = |k: &str| {
-            get(k)?
-                .parse::<u64>()
-                .map_err(|e| format!("replay: bad `{k}`: {e}"))
-        };
         let faults = match t.meta_get("run.fault_seed") {
             None => None,
             Some(_) => Some(FaultPlan {
-                seed: int("run.fault_seed")?,
-                panic_per_mille: int("run.fault_panic_pm")? as u16,
-                max_panics: int("run.fault_max_panics")? as u32,
-                stm_abort_per_mille: int("run.fault_abort_pm")? as u16,
-                wakeup_delay_per_mille: int("run.fault_wakeup_pm")? as u16,
-                wakeup_delay_ticks: int("run.fault_wakeup_ticks")?,
-                stall_per_mille: int("run.fault_stall_pm")? as u16,
-                stall_ticks: int("run.fault_stall_ticks")?,
+                seed: meta_int(t, "run.fault_seed")?,
+                panic_per_mille: meta_int(t, "run.fault_panic_pm")?,
+                max_panics: meta_int(t, "run.fault_max_panics")?,
+                stm_abort_per_mille: meta_int(t, "run.fault_abort_pm")?,
+                wakeup_delay_per_mille: meta_int(t, "run.fault_wakeup_pm")?,
+                wakeup_delay_ticks: meta_int(t, "run.fault_wakeup_ticks")?,
+                stall_per_mille: meta_int(t, "run.fault_stall_pm")?,
+                stall_ticks: meta_int(t, "run.fault_stall_ticks")?,
             }),
         };
         let sentinel = match t.meta_get("run.sentinel_sample") {
             None => None,
             Some(_) => Some(SentinelConfig {
-                sample_every: int("run.sentinel_sample")? as u32,
-                probation: int("run.sentinel_probation")? as u32,
-                flap_multiplier: int("run.sentinel_flap")? as u32,
-                max_probation: int("run.sentinel_max")? as u32,
+                sample_every: meta_int(t, "run.sentinel_sample")?,
+                probation: meta_int(t, "run.sentinel_probation")?,
+                flap_multiplier: meta_int(t, "run.sentinel_flap")?,
+                max_probation: meta_int(t, "run.sentinel_max")?,
             }),
         };
         let weaken = match t.meta_get("run.weaken_section") {
             None => None,
             Some(_) => Some(WeakenPlan {
-                section: int("run.weaken_section")? as u32,
-                drop_index: int("run.weaken_drop")? as usize,
+                section: meta_int(t, "run.weaken_section")?,
+                drop_index: meta_int(t, "run.weaken_drop")?,
             }),
         };
         let sched = match t.meta_get("run.sched_policy") {
@@ -176,7 +166,7 @@ impl RunConfig {
                 // existed: those ran with aging off.
                 let aging = match t.meta_get("run.sched_aging") {
                     None => 0,
-                    Some(_) => int("run.sched_aging")?,
+                    Some(_) => meta_int(t, "run.sched_aging")?,
                 };
                 Some(SchedConfig {
                     policy,
@@ -198,36 +188,51 @@ impl RunConfig {
         let repairs = repair_keys
             .into_iter()
             .map(|s| {
-                let v = get(&format!("run.repair.{s}"))?;
+                let v = meta(t, &format!("run.repair.{s}"))?;
                 parse_repair(s, &v)
             })
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(RunConfig {
-            name: get("run.name")?,
-            source: get("run.source")?,
-            k: int("run.k")? as usize,
-            mode: parse_mode(&get("run.mode")?)?,
-            threads: int("run.threads")? as usize,
-            heap_cells: int("run.heap_cells")? as usize,
-            seed: int("run.seed")?,
-            quantum: int("run.quantum")?,
-            stm_abort_budget: int("run.stm_abort_budget")?,
+        let cfg = RunConfig {
+            name: meta(t, "run.name")?,
+            source: meta(t, "run.source")?,
+            k: meta_int(t, "run.k")?,
+            mode: parse_mode(&meta(t, "run.mode")?)?,
+            threads: meta_int(t, "run.threads")?,
+            heap_cells: meta_int(t, "run.heap_cells")?,
+            seed: meta_int(t, "run.seed")?,
+            quantum: meta_int(t, "run.quantum")?,
+            stm_abort_budget: meta_int(t, "run.stm_abort_budget")?,
             faults,
             sentinel,
             weaken,
             sched,
             repairs,
-            trace_capacity: int("run.capacity")? as usize,
-            init: (get("run.init")?, parse_args(&get("run.init_args")?)?),
-            worker: (get("run.worker")?, parse_args(&get("run.worker_args")?)?),
+            trace_capacity: meta_int(t, "run.capacity")?,
+            init: (
+                meta(t, "run.init")?,
+                parse_args(&meta(t, "run.init_args")?)?,
+            ),
+            worker: (
+                meta(t, "run.worker")?,
+                parse_args(&meta(t, "run.worker_args")?)?,
+            ),
             check: t.meta_get("run.check").map(str::to_owned),
-        })
+        };
+        for (key, value, limit) in [
+            ("run.threads", cfg.threads, MAX_REPLAY_THREADS),
+            ("run.heap_cells", cfg.heap_cells, MAX_REPLAY_HEAP_CELLS),
+        ] {
+            if value > limit {
+                return Err(format!(
+                    "replay: bad `{key}`: {value} exceeds the limit of {limit}"
+                ));
+            }
+        }
+        Ok(cfg)
     }
 
     /// Stamps this config into a trace's metadata (the inverse of
-    /// [`RunConfig::from_trace`]). Crate-visible for the policy
-    /// evaluation harness (`crate::sched`), whose steered recordings
-    /// stay fully replayable.
+    /// [`RunConfig::from_trace`]).
     pub(crate) fn stamp(&self, t: &mut Trace) {
         t.meta_set("run.name", self.name.clone());
         t.meta_set("run.source", self.source.clone());
@@ -292,6 +297,34 @@ impl RunConfig {
             );
         }
     }
+}
+
+/// Every virtual thread is an OS thread while it runs, so a replayed
+/// `run.threads` is bounded before anything is spawned for it. The
+/// paper and every committed workload stay at or below 16.
+const MAX_REPLAY_THREADS: usize = 1024;
+
+/// The heap is allocated up front, 16 bytes a cell, so a replayed
+/// `run.heap_cells` is bounded before the allocation: 1 GiB, 16× the
+/// largest committed workload.
+const MAX_REPLAY_HEAP_CELLS: usize = 1 << 26;
+
+fn meta(t: &Trace, k: &str) -> Result<String, String> {
+    t.meta_get(k)
+        .map(str::to_owned)
+        .ok_or_else(|| format!("replay: trace metadata missing `{k}`"))
+}
+
+/// A required integer key, parsed at its field's own width so an
+/// out-of-range value is an error rather than a truncation.
+fn meta_int<T>(t: &Trace, k: &str) -> Result<T, String>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    meta(t, k)?
+        .parse()
+        .map_err(|e| format!("replay: bad `{k}`: {e}"))
 }
 
 /// Parses one `run.repair.<section>` value back into a [`RepairEntry`]
@@ -380,38 +413,11 @@ pub struct Recording {
 ///
 /// # Errors
 ///
-/// Returns a message on compile failure or when the trace was dropped
-/// (per-thread ring overflow — raise [`RunConfig::trace_capacity`]).
+/// Returns a message on compile failure or when
+/// [`RunConfig::heap_cells`] cannot hold the program's globals.
 pub fn record(cfg: &RunConfig) -> Result<Recording, String> {
-    let m = machine(cfg)?;
-    let (outcome, mut trace) = execute(&m, cfg);
-    cfg.stamp(&mut trace);
-    stamp_outcome(&outcome, &mut trace);
-    Ok(Recording { outcome, trace })
-}
-
-/// Builds the machine a [`RunConfig`] prescribes. Without repairs this
-/// is [`interp::machine_for`]; with repairs the program is compiled
-/// once and each repair's specs are derived before construction, so
-/// `replay()` of a healed trace reproduces the repaired plans exactly.
-fn machine(cfg: &RunConfig) -> Result<interp::Machine, String> {
-    if cfg.repairs.is_empty() {
-        return interp::machine_for(&cfg.source, cfg.k, cfg.mode, options_for(cfg));
-    }
-    let program = lir::compile(&cfg.source).map_err(|e| e.to_string())?;
-    let pt = Arc::new(pointsto::PointsTo::analyze(&program));
-    let base = ConfigMap::uniform(SchemeConfig::full(cfg.k, program.elem_field_opt()));
-    let lib = lockinfer::library::LibrarySpec::new();
-    let analysis = lockinfer::analyze_program_with_configs(&program, &pt, &base, &lib, 0, None);
-    let transformed = lockinfer::transform(&program, &analysis);
-    let mut opts = options_for(cfg);
-    opts.repairs = repair_specs(&cfg.repairs, &program, &pt, &base, &lib, 0, None);
-    Ok(interp::Machine::new(
-        Arc::new(transformed),
-        pt,
-        cfg.mode,
-        opts,
-    ))
+    let ctx = EvalContext::new(cfg, true)?;
+    ctx.run_one(cfg, &ctx.base_map(cfg), Stamp::Run, 0)
 }
 
 /// Derives the concrete lock specs each [`RepairEntry`] installs:
@@ -476,9 +482,7 @@ pub(crate) fn options_for(cfg: &RunConfig) -> Options {
 }
 
 /// Runs `cfg`'s init/worker/check phases on an already-built machine
-/// and takes the (unstamped) trace. Shared between [`record`] and the
-/// adaptation loop in `crate::adapt`, which builds its machines from a
-/// per-section [`lockscheme::ConfigMap`] instead of the uniform `k`.
+/// and takes the (unstamped) trace.
 pub(crate) fn execute(m: &interp::Machine, cfg: &RunConfig) -> (RunOutcome, trace::Trace) {
     let mut outcome = RunOutcome::default();
     if let Err(e) = m.run_named(&cfg.init.0, &cfg.init.1) {
@@ -654,6 +658,48 @@ mod tests {
             let v = trace::validate(&rec.trace).unwrap();
             assert!(v.passed(), "{mode:?}: {:?}", v.violations);
             assert!(v.checked > 0, "{mode:?}");
+        }
+    }
+
+    /// Trace files come from outside the program: one doctored `run.*`
+    /// value must surface as `Err` naming the key — never a panic, a
+    /// silently truncated field, or a machine built for it.
+    #[test]
+    fn hostile_replay_metadata_is_rejected_with_a_typed_error() {
+        let mut c = cfg(ExecMode::MultiGrain);
+        c.faults = Some(FaultPlan::new(9).with_stm_aborts(40));
+        c.sentinel = Some(SentinelConfig::default());
+        c.weaken = Some(WeakenPlan {
+            section: 0,
+            drop_index: 0,
+        });
+        let good = record(&c).unwrap().trace;
+        assert!(replay(&good).is_ok(), "the undoctored trace replays");
+        // Past each field's own width: u16, u32, usize.
+        let (u16_max, u32_max) = (u64::from(u16::MAX), u64::from(u32::MAX));
+        let cases: &[(&str, String)] = &[
+            ("run.threads", "100000".into()),
+            ("run.threads", "-1".into()),
+            ("run.heap_cells", "1".into()),
+            ("run.heap_cells", u64::MAX.to_string()),
+            ("run.fault_panic_pm", (u16_max + 1).to_string()),
+            ("run.fault_abort_pm", (u16_max + 1).to_string()),
+            ("run.fault_wakeup_pm", (u16_max + 1).to_string()),
+            ("run.fault_stall_pm", (u16_max + 1).to_string()),
+            ("run.fault_max_panics", (u32_max + 1).to_string()),
+            ("run.sentinel_sample", (u32_max + 1).to_string()),
+            ("run.sentinel_probation", (u32_max + 1).to_string()),
+            ("run.sentinel_flap", (u32_max + 1).to_string()),
+            ("run.sentinel_max", (u32_max + 1).to_string()),
+            ("run.weaken_section", (u32_max + 1).to_string()),
+            ("run.weaken_drop", "18446744073709551616".into()),
+        ];
+        for (key, value) in cases {
+            let mut t = good.clone();
+            assert!(t.meta_get(key).is_some(), "{key} is stamped");
+            t.meta_set(key, value.clone());
+            let err = replay(&t).expect_err(&format!("{key}={value} must be rejected"));
+            assert!(err.contains(key.trim_start_matches("run.")), "{key}: {err}");
         }
     }
 

@@ -2,9 +2,12 @@
 //! the contention-aware scheduling subsystem (DESIGN.md §5.6).
 //!
 //! The `sched` crate is the pure policy engine: [`WakePolicy`] ranking
-//! functions in, wake order out. This module closes the loop against
-//! the deterministic interpreter through the shared evaluation harness
-//! ([`crate::eval`]), mirroring [`crate::adapt`]:
+//! functions in, wake order out. This module documents the loop
+//! [`crate::Pipeline::sched`] closes against the deterministic interpreter
+//! through the shared evaluation harness ([`crate::eval`]), mirroring
+//! [`crate::adapt`], and owns its result type. `cfg.sched` is ignored —
+//! the baseline is always the FIFO order, so the evaluation answers
+//! "what would each policy have bought *this* run":
 //!
 //! 1. **Record** the baseline under the historical FIFO order
 //!    (`sched: None`) and profile its trace. The program is compiled
@@ -31,7 +34,7 @@
 //! policies are pure functions of recorded state, inference is
 //! byte-identical at any analysis thread count, each replay is an
 //! exact virtual-time re-execution, and the harness merges results in
-//! policy order — so two `evaluate` runs over the same config produce
+//! policy order — so two runs over the same config produce
 //! byte-identical reports and steered trace digests **at every eval
 //! thread count**.
 //!
@@ -42,10 +45,7 @@
 //! [`crate::replay::replay`] reproduces the steered schedule
 //! bit-for-bit from the trace alone.
 
-use crate::eval::EvalOptions;
-use crate::replay::{Recording, RunConfig};
-use crate::Pipeline;
-use trace::Trace;
+use crate::replay::Recording;
 
 pub use ::sched::convoy::{ConvoyFlag, ConvoyPolicy};
 pub use ::sched::report::{PolicyCost, PolicyOutcome, SchedReport, SkippedPolicy};
@@ -63,78 +63,13 @@ pub struct SchedRun {
     pub steered: Option<Recording>,
 }
 
-/// Records `cfg` under FIFO, profiles it, re-runs each alternative
-/// wake policy on the identical schedule, and selects the best by
-/// strict measured wait reduction.
-///
-/// `cfg.sched` is ignored — the baseline is always the FIFO order, so
-/// the evaluation answers "what would each policy have bought *this*
-/// run". `analysis_threads` is the Phase B worker count for lock
-/// inference (`0` = one per core); the outcome is identical for every
-/// value. Policies are evaluated with default [`EvalOptions`]:
-/// concurrently on one eval worker per core — the report is
-/// byte-identical at every worker count.
-///
-/// # Errors
-///
-/// Returns a message on compile failure or when the recorded baseline
-/// trace is unusable (ring overflow).
-pub fn evaluate(
-    cfg: &RunConfig,
-    convoy: &ConvoyPolicy,
-    analysis_threads: usize,
-) -> Result<SchedRun, String> {
-    evaluate_with(
-        cfg,
-        convoy,
-        &EvalOptions {
-            analysis_threads,
-            ..EvalOptions::default()
-        },
-    )
-}
-
-/// [`evaluate`] with full control over the evaluation harness (eval
-/// parallelism, invariant hoisting; pruning and beam search do not
-/// apply to the fixed policy set).
-///
-/// A thin wrapper over [`Pipeline::sched`] — the loop body lives
-/// there, so this function is byte-identical to the builder form.
-///
-/// # Errors
-///
-/// Returns a message on compile failure or when the recorded baseline
-/// trace is unusable (ring overflow). A *steered* trace overflowing is
-/// not an error — the policy lands in [`SchedReport::skipped`] and is
-/// excluded from selection.
-pub fn evaluate_with(
-    cfg: &RunConfig,
-    convoy: &ConvoyPolicy,
-    opts: &EvalOptions,
-) -> Result<SchedRun, String> {
-    Pipeline::new(cfg.clone()).options(*opts).sched(convoy)
-}
-
-/// Like [`evaluate`], but starting from an existing self-describing
-/// trace (one produced by [`crate::replay::record`]): the embedded
-/// [`RunConfig`] is re-executed as the baseline.
-///
-/// # Errors
-///
-/// Returns a message when the trace lacks `run.*` metadata or the
-/// embedded source no longer compiles.
-pub fn evaluate_trace(
-    t: &Trace,
-    convoy: &ConvoyPolicy,
-    analysis_threads: usize,
-) -> Result<SchedRun, String> {
-    evaluate(&RunConfig::from_trace(t)?, convoy, analysis_threads)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replay::RunConfig;
+    use crate::Pipeline;
     use interp::ExecMode;
+    use trace::Trace;
 
     /// A convoy factory: every thread hammers one global under a long
     /// critical section (`hot`, expensive) or a short one (`quick`,
@@ -179,9 +114,16 @@ mod tests {
         }
     }
 
+    fn evaluate(analysis_threads: usize) -> SchedRun {
+        Pipeline::new(cfg())
+            .analysis_threads(analysis_threads)
+            .sched(&ConvoyPolicy::default())
+            .unwrap()
+    }
+
     #[test]
     fn evaluate_reports_convoys_and_all_policies() {
-        let run = evaluate(&cfg(), &ConvoyPolicy::default(), 1).unwrap();
+        let run = evaluate(1);
         assert_eq!(run.report.evaluated.len(), PolicyKind::ALL.len() - 1);
         assert!(run.report.skipped.is_empty(), "nothing overflows here");
         assert!(
@@ -199,10 +141,7 @@ mod tests {
 
     #[test]
     fn evaluate_is_deterministic_across_analysis_thread_counts() {
-        let runs: Vec<SchedRun> = [1usize, 2, 7]
-            .iter()
-            .map(|&t| evaluate(&cfg(), &ConvoyPolicy::default(), t).unwrap())
-            .collect();
+        let runs: Vec<SchedRun> = [1usize, 2, 7].iter().map(|&t| evaluate(t)).collect();
         for r in &runs[1..] {
             assert_eq!(r.report.to_json(), runs[0].report.to_json());
             assert_eq!(r.baseline.trace.digest(), runs[0].baseline.trace.digest());
@@ -216,7 +155,7 @@ mod tests {
 
     #[test]
     fn steered_recordings_replay_bit_for_bit() {
-        let run = evaluate(&cfg(), &ConvoyPolicy::default(), 1).unwrap();
+        let run = evaluate(1);
         // The baseline replays, and so does every steered recording:
         // the frozen policy travels in `run.sched_*` metadata.
         let again = crate::replay::replay(&run.baseline.trace).unwrap();
@@ -234,7 +173,7 @@ mod tests {
 
     #[test]
     fn steered_traces_record_wake_decisions_fifo_records_none() {
-        let run = evaluate(&cfg(), &ConvoyPolicy::default(), 1).unwrap();
+        let run = evaluate(1);
         let wk = |t: &Trace| {
             t.events
                 .iter()

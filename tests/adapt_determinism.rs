@@ -5,8 +5,8 @@
 //! thread count, on every run. A selected override must also strictly
 //! reduce total replayed wait.
 
-use atomic_lock_inference::adapt::adapt;
 use atomic_lock_inference::replay::RunConfig;
+use atomic_lock_inference::Pipeline;
 use interp::ExecMode;
 use lockinfer::adapt::{candidates, AdaptPolicy, Adjustment, PlanCost};
 use lockscheme::{ConfigMap, SchemeConfig};
@@ -39,7 +39,12 @@ proptest! {
         cfg.seed = seed;
         let runs: Vec<_> = [1usize, 2, 7]
             .iter()
-            .map(|&t| adapt(&cfg, &AdaptPolicy::default(), t).unwrap())
+            .map(|&t| {
+                Pipeline::new(cfg.clone())
+                    .analysis_threads(t)
+                    .adapt(&AdaptPolicy::default())
+                    .unwrap()
+            })
             .collect();
         let first = &runs[0];
         for r in &runs[1..] {
@@ -99,7 +104,8 @@ proptest! {
 fn selected_candidate_strictly_reduces_wait() {
     let spec = micro::list(Contention::High, 120, 20);
     let cfg = RunConfig::from_spec(&spec, 9, ExecMode::MultiGrain, 8);
-    let run = adapt(&cfg, &AdaptPolicy::default(), 0).unwrap();
+    let pipeline = Pipeline::new(cfg);
+    let run = pipeline.adapt(&AdaptPolicy::default()).unwrap();
     let base: PlanCost = run.report.baseline;
     if let Some(w) = run.report.winner() {
         assert!(
@@ -110,6 +116,6 @@ fn selected_candidate_strictly_reduces_wait() {
         );
     }
     // And repeated runs agree byte for byte.
-    let again = adapt(&cfg, &AdaptPolicy::default(), 0).unwrap();
+    let again = pipeline.adapt(&AdaptPolicy::default()).unwrap();
     assert_eq!(run.report.to_json(), again.report.to_json());
 }

@@ -1,10 +1,10 @@
 //! Determinism and soundness properties of the shared candidate-
 //! evaluation harness (DESIGN.md §5.7):
 //!
-//! * **Parallel determinism** — `adapt_with` / `evaluate_with` produce
-//!   byte-identical reports and identical winner digests at every eval
-//!   thread count (1, 2, 7): results merge in candidate order, so the
-//!   worker pool never leaks into the outcome.
+//! * **Parallel determinism** — `Pipeline::adapt` / `Pipeline::sched`
+//!   produce byte-identical reports and identical winner digests at
+//!   every eval thread count (1, 2, 7): results merge in candidate
+//!   order, so the worker pool never leaks into the outcome.
 //! * **Estimator soundness (empirical)** — pruning is advisory: on the
 //!   micro workloads, the estimator's kept set contains the winner the
 //!   exact (unpruned) evaluation selects, and the pruned run selects
@@ -14,12 +14,11 @@
 //!   `SkippedPolicy` entry (sched), never an error and never a bogus
 //!   cost.
 
-use atomic_lock_inference::adapt::{adapt_with, AdaptRun};
-use atomic_lock_inference::eval::EvalOptions;
+use atomic_lock_inference::adapt::AdaptRun;
 use atomic_lock_inference::replay::RunConfig;
-use atomic_lock_inference::sched::evaluate_with;
+use atomic_lock_inference::Pipeline;
 use interp::ExecMode;
-use lockinfer::adapt::{AdaptPolicy, BeamPolicy, EvalStatus};
+use lockinfer::adapt::{AdaptPolicy, EvalStatus};
 use proptest::prelude::*;
 use workloads::{micro, Contention, RunSpec};
 
@@ -31,12 +30,10 @@ fn spec_for(which: usize, ops: i64) -> RunSpec {
     }
 }
 
-fn opts(eval_threads: usize) -> EvalOptions {
-    EvalOptions {
-        analysis_threads: 1,
-        eval_threads,
-        ..EvalOptions::default()
-    }
+fn pipeline(cfg: &RunConfig, eval_threads: usize) -> Pipeline {
+    Pipeline::new(cfg.clone())
+        .analysis_threads(1)
+        .eval_threads(eval_threads)
 }
 
 proptest! {
@@ -45,7 +42,7 @@ proptest! {
     /// The adaptation loop is a pure function of the run configuration:
     /// eval parallelism must never leak into the report bytes, the
     /// baseline digest, or the winner's re-executed digest — even with
-    /// pruning and beam search on.
+    /// pruning on.
     #[test]
     fn adapt_report_is_byte_identical_at_every_eval_thread_count(
         which in 0usize..3,
@@ -58,22 +55,11 @@ proptest! {
         cfg.seed = seed;
         let runs: Vec<AdaptRun> = [1usize, 2, 7]
             .iter()
-            .map(|&t| {
-                let o = EvalOptions {
-                    prune: Some(4),
-                    beam: Some(BeamPolicy::default()),
-                    ..opts(t)
-                };
-                adapt_with(&cfg, &AdaptPolicy::default(), &o).unwrap()
-            })
+            .map(|&t| pipeline(&cfg, t).prune(4).adapt(&AdaptPolicy::default()).unwrap())
             .collect();
         let first = &runs[0];
         for r in &runs[1..] {
             prop_assert_eq!(r.report.to_json(), first.report.to_json());
-            prop_assert_eq!(
-                r.beam.as_ref().unwrap().to_json(),
-                first.beam.as_ref().unwrap().to_json()
-            );
             prop_assert_eq!(r.baseline.trace.digest(), first.baseline.trace.digest());
             match (&r.adapted, &first.adapted) {
                 (Some(a), Some(b)) => prop_assert_eq!(a.trace.digest(), b.trace.digest()),
@@ -97,7 +83,7 @@ proptest! {
         let convoy = atomic_lock_inference::sched::ConvoyPolicy::default();
         let runs: Vec<_> = [1usize, 2, 7]
             .iter()
-            .map(|&t| evaluate_with(&cfg, &convoy, &opts(t)).unwrap())
+            .map(|&t| pipeline(&cfg, t).sched(&convoy).unwrap())
             .collect();
         let first = &runs[0];
         for r in &runs[1..] {
@@ -124,13 +110,8 @@ proptest! {
         let spec = spec_for(which, ops);
         let mut cfg = RunConfig::from_spec(&spec, 9, ExecMode::MultiGrain, 4);
         cfg.seed = seed;
-        let exact = adapt_with(&cfg, &AdaptPolicy::default(), &opts(0)).unwrap();
-        let pruned = adapt_with(
-            &cfg,
-            &AdaptPolicy::default(),
-            &EvalOptions { prune: Some(4), ..opts(0) },
-        )
-        .unwrap();
+        let exact = pipeline(&cfg, 0).adapt(&AdaptPolicy::default()).unwrap();
+        let pruned = pipeline(&cfg, 0).prune(4).adapt(&AdaptPolicy::default()).unwrap();
         if let Some(i) = exact.report.selected {
             let kept = &pruned.report.candidates[i];
             prop_assert!(
@@ -170,7 +151,7 @@ fn overflowing_candidate_traces_surface_as_skips() {
     let max_ring = per_thread.values().copied().max().unwrap_or(0);
     cfg.trace_capacity = max_ring;
     let convoy = atomic_lock_inference::sched::ConvoyPolicy::default();
-    match evaluate_with(&cfg, &convoy, &opts(1)) {
+    match pipeline(&cfg, 1).sched(&convoy) {
         Ok(run) => {
             // Every skip carries a reason and is excluded from the
             // evaluated set.
@@ -194,15 +175,10 @@ fn overflowing_candidate_traces_surface_as_skips() {
 fn decision_json_carries_statuses() {
     let spec = micro::list(Contention::High, 80, 10);
     let cfg = RunConfig::from_spec(&spec, 9, ExecMode::MultiGrain, 4);
-    let run = adapt_with(
-        &cfg,
-        &AdaptPolicy::default(),
-        &EvalOptions {
-            prune: Some(1),
-            ..opts(0)
-        },
-    )
-    .unwrap();
+    let run = pipeline(&cfg, 0)
+        .prune(1)
+        .adapt(&AdaptPolicy::default())
+        .unwrap();
     let json = run.report.to_json();
     assert!(json.contains("\"status\":\"replayed\""), "{json}");
     // Whenever the harness pruned anything, the estimate travels in

@@ -12,7 +12,7 @@ use atomic_lock_inference as ali;
 
 use ali::interp::{ExecMode, SchedConfig};
 use ali::replay::{record, RunConfig};
-use ali::sched::{evaluate, ConvoyPolicy};
+use ali::sched::ConvoyPolicy;
 use ali::trace::EventKind;
 use proptest::prelude::*;
 
@@ -76,7 +76,12 @@ proptest! {
         let c = cfg(seed, threads, iters);
         let runs: Vec<_> = [1usize, 2, 7]
             .iter()
-            .map(|&t| evaluate(&c, &ConvoyPolicy::default(), t).expect("evaluation succeeds"))
+            .map(|&t| {
+                ali::Pipeline::new(c.clone())
+                    .analysis_threads(t)
+                    .sched(&ConvoyPolicy::default())
+                    .expect("evaluation succeeds")
+            })
             .collect();
         let first = &runs[0];
         for r in &runs[1..] {
