@@ -121,9 +121,9 @@ pub mod harness {
             .run_named(init_fn, init_args)
             .unwrap_or_else(|e| panic!("{} init: {e}", spec.name));
         let (worker_fn, worker_args) = &spec.worker;
-        // Virtual time: this host has a single CPU, so the paper's
-        // 8-core measurements are reproduced under the deterministic
-        // virtual-time scheduler; "seconds" is the makespan at 1 ns per
+        // Virtual time: the paper's 8-core measurements are reproduced
+        // under the deterministic virtual-time scheduler, whatever
+        // cores this host has; "seconds" is the makespan at 1 ns per
         // interpreted instruction. See interp::sim and DESIGN.md.
         let (_, makespan) = machine
             .run_threads_virtual(worker_fn, threads, |_| worker_args.clone())

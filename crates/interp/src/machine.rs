@@ -172,6 +172,10 @@ pub struct Machine {
     pub(crate) faults: Option<crate::fault::FaultPlan>,
     pub(crate) stm_abort_budget: u64,
     pub(crate) fault_stats: crate::fault::FaultStats,
+    /// Scheduling points and turn hand-offs of every virtual run so
+    /// far (see [`crate::sim`]), added when each run returns.
+    pub(crate) sim_yield_points: AtomicU64,
+    pub(crate) sim_handoffs: AtomicU64,
     pub(crate) tracer: Option<Arc<trace::Recorder>>,
     pub(crate) sentinel: Option<Arc<sentinel::Sentinel>>,
     pub(crate) weaken: Option<crate::fault::WeakenPlan>,
@@ -281,6 +285,8 @@ impl Machine {
             faults: opts.faults,
             stm_abort_budget: opts.stm_abort_budget,
             fault_stats: crate::fault::FaultStats::default(),
+            sim_yield_points: AtomicU64::new(0),
+            sim_handoffs: AtomicU64::new(0),
             tracer,
             sentinel: opts
                 .sentinel

@@ -76,8 +76,9 @@ impl Metrics {
 
 impl crate::Machine {
     /// Scrapes the end-of-run totals — multi-grain lock runtime, STM
-    /// space, sentinel ladder — into `ali_run_*` gauges on the
-    /// registry this machine was built with. A no-op without one.
+    /// space, sentinel ladder, virtual-time scheduler — into
+    /// `ali_run_*` gauges on the registry this machine was built with.
+    /// A no-op without one.
     /// Idempotent: gauges are set, not accumulated, so calling after
     /// each phase of a run is safe.
     pub fn publish_metrics(&self) {
@@ -114,5 +115,13 @@ impl crate::Machine {
         set("ali_run_sections_quarantined", quarantined);
         set("ali_run_sections_healed", healed);
         set("ali_run_heap_used", self.heap_used());
+        set(
+            "ali_run_sim_yield_points",
+            self.sim_yield_points.load(Ordering::Relaxed),
+        );
+        set(
+            "ali_run_sim_handoffs",
+            self.sim_handoffs.load(Ordering::Relaxed),
+        );
     }
 }

@@ -40,6 +40,9 @@ pub(crate) struct Worker<'m> {
     cur_pc: usize,
     /// Virtual-time scheduler (None = real-time execution).
     sim: Option<Arc<Sim>>,
+    /// The clock this thread last published to the scheduler (what
+    /// its last scheduling point returned; 0 in real time).
+    vclock: u64,
     /// Ticks accumulated since the last scheduling point.
     vticks: u64,
     /// Fault injection stream (None = no plan configured).
@@ -90,6 +93,7 @@ impl<'m> Worker<'m> {
             cur_fn: FnId(0),
             cur_pc: 0,
             sim: None,
+            vclock: 0,
             vticks: 0,
             injector: m.faults.map(|plan| Injector::new(plan, tid)),
             section_aborts: 0,
@@ -103,8 +107,11 @@ impl<'m> Worker<'m> {
         }
     }
 
+    /// A worker under the virtual-time scheduler. Blocks until the
+    /// thread holds the turn.
     pub(crate) fn with_sim(m: &'m Machine, tid: u32, sim: Arc<Sim>) -> Worker<'m> {
         let mut w = Worker::new(m, tid);
+        w.vclock = sim.enter(tid as usize);
         w.sim = Some(sim);
         w
     }
@@ -117,7 +124,7 @@ impl<'m> Worker<'m> {
             self.vticks += n;
             if self.vticks >= sim.quantum {
                 let t = std::mem::take(&mut self.vticks);
-                sim.advance(self.tid as usize, t);
+                self.vclock = sim.advance(self.tid as usize, t);
             }
         }
     }
@@ -127,16 +134,18 @@ impl<'m> Worker<'m> {
     fn flush_ticks(&mut self) {
         if let Some(sim) = &self.sim {
             let t = std::mem::take(&mut self.vticks);
-            sim.advance(self.tid as usize, t);
+            self.vclock = sim.advance(self.tid as usize, t);
         }
     }
 
     /// Announces a lock release to the virtual scheduler, tracing the
-    /// wake policy's `["wk", …]` decisions (none on the legacy path),
-    /// then re-enters the schedule before executing anything further —
-    /// a promoted waiter with a smaller `(clock, rank, tid)` must
-    /// record its grants first, or the epoch order of the merged trace
-    /// would depend on physical thread timing. No-op in real time.
+    /// wake policy's `["wk", …]` decisions (none on the legacy path).
+    /// A traced releaser then re-enters the schedule before executing
+    /// anything further: a promoted waiter with a smaller
+    /// `(clock, rank, tid)` records its grants ahead of the releaser's
+    /// next events — the epoch order of every recorded trace. An
+    /// untraced one keeps the turn until its next scheduling point.
+    /// No-op in real time.
     fn sim_release(&mut self) {
         let Some(sim) = self.sim.clone() else { return };
         // The decision callback runs inside the scheduler's release
@@ -169,10 +178,7 @@ impl<'m> Worker<'m> {
 
     /// The thread's current virtual clock (0 in real-time runs).
     fn now(&self) -> u64 {
-        match &self.sim {
-            Some(sim) => sim.clock_of(self.tid as usize) + self.vticks,
-            None => 0,
-        }
+        self.vclock + self.vticks
     }
 
     /// Publishes the current clock to the recorder so runtime-side
@@ -1157,8 +1163,13 @@ impl<'m> Worker<'m> {
                                     age: 0,
                                 });
                             sim.begin_wait_with(self.tid as usize, waiter);
-                            if !sim.await_release(self.tid as usize) {
-                                return Err(InterpError::SchedulerStalled { tid: self.tid }.into());
+                            match sim.await_release(self.tid as usize) {
+                                Some(clock) => self.vclock = clock,
+                                None => {
+                                    return Err(
+                                        InterpError::SchedulerStalled { tid: self.tid }.into()
+                                    )
+                                }
                             }
                             self.injected_wakeup_delay();
                         }
@@ -1492,8 +1503,8 @@ impl Machine {
     /// Like [`Machine::run_threads`], but under the deterministic
     /// virtual-time scheduler: returns the per-thread results plus the
     /// virtual makespan in ticks (1 tick ≈ 1 ns of reported time).
-    /// Designed for single-core hosts, where it stands in for the
-    /// paper's 8-core machine — see `crate::sim`.
+    /// It stands in for the paper's 8-core machine on any host,
+    /// whatever its core count — see `crate::sim`.
     ///
     /// # Errors
     ///
@@ -1520,7 +1531,6 @@ impl Machine {
                 let sim = Arc::clone(&sim);
                 handles.push(scope.spawn(move || {
                     let mut w = Worker::with_sim(self, tid, Arc::clone(&sim));
-                    sim.advance(tid as usize, 0);
                     match catch_unwind(AssertUnwindSafe(|| w.call(f, &argv))) {
                         Ok(Ok(v)) => {
                             w.flush_ticks();
@@ -1531,7 +1541,8 @@ impl Machine {
                             // Unclean exit: release this worker's locks
                             // (session/transaction drop), promote any
                             // waiters they unblocked, then leave the
-                            // schedule so the rest can finish.
+                            // schedule — `finish` hands the turn on —
+                            // so the rest can finish.
                             drop(w);
                             sim.on_release(tid as usize);
                             sim.finish(tid as usize);
@@ -1551,8 +1562,12 @@ impl Machine {
                 .enumerate()
                 .map(|(tid, h)| h.join().unwrap_or_else(|p| Err(panic_error(tid as u32, p))))
                 .collect::<Result<Vec<i64>, InterpError>>()
-        })?;
-        Ok((results, sim.makespan()))
+        });
+        let (yield_points, handoffs) = sim.yield_counts();
+        self.sim_yield_points
+            .fetch_add(yield_points, Ordering::Relaxed);
+        self.sim_handoffs.fetch_add(handoffs, Ordering::Relaxed);
+        Ok((results?, sim.makespan()))
     }
 
     /// Spawns `n` OS threads all running `name(args(tid))`, joining them

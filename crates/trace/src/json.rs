@@ -222,8 +222,10 @@ enum Value {
     Obj(Vec<(String, Value)>),
 }
 
+/// A cursor over the input. `pos` is always a character boundary of
+/// `src`: every step consumes whole ASCII bytes or one whole character.
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
 }
 
@@ -235,7 +237,7 @@ impl<'a> Parser<'a> {
     }
 
     fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
+        while let Some(b) = self.peek() {
             if b.is_ascii_whitespace() {
                 self.pos += 1;
             } else {
@@ -245,7 +247,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, c: u8) -> PResult<()> {
@@ -277,10 +279,9 @@ impl<'a> Parser<'a> {
         if self.pos == start {
             return self.err("expected a number");
         }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| format!("trace json: bad number at byte {start}"))
+        self.src[start..self.pos]
+            .parse()
+            .map_err(|_| format!("trace json: bad number at byte {start}"))
     }
 
     fn string(&mut self) -> PResult<String> {
@@ -306,11 +307,13 @@ impl<'a> Parser<'a> {
                         b'r' => out.push('\r'),
                         b't' => out.push('\t'),
                         b'u' => {
-                            if self.pos + 4 > self.bytes.len() {
+                            if self.pos + 4 > self.src.len() {
                                 return self.err("truncated \\u escape");
                             }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-                                .map_err(|_| "trace json: bad \\u escape".to_owned())?;
+                            let hex = self
+                                .src
+                                .get(self.pos..self.pos + 4)
+                                .ok_or_else(|| "trace json: bad \\u escape".to_owned())?;
                             let cp = u32::from_str_radix(hex, 16)
                                 .map_err(|_| "trace json: bad \\u escape".to_owned())?;
                             self.pos += 4;
@@ -323,11 +326,10 @@ impl<'a> Parser<'a> {
                     }
                 }
                 _ => {
-                    // Re-scan as UTF-8 from the byte we consumed.
+                    // `b` leads the character at the boundary we
+                    // stepped over: copy that one character.
                     let start = self.pos - 1;
-                    let s = std::str::from_utf8(&self.bytes[start..])
-                        .map_err(|_| "trace json: invalid utf-8".to_owned())?;
-                    let c = s.chars().next().expect("non-empty");
+                    let c = self.src[start..].chars().next().expect("non-empty");
                     out.push(c);
                     self.pos = start + c.len_utf8();
                 }
@@ -491,13 +493,10 @@ fn kind_from(v: &Value) -> PResult<EventKind> {
 
 /// Parses a trace from its canonical JSON encoding.
 pub fn decode(s: &str) -> Result<Trace, String> {
-    let mut p = Parser {
-        bytes: s.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Parser { src: s, pos: 0 };
     let root = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.src.len() {
         return Err("trace json: trailing content".into());
     }
     let Value::Obj(fields) = root else {
@@ -663,5 +662,76 @@ mod tests {
         ] {
             assert!(decode(bad).is_err(), "accepted: {bad}");
         }
+    }
+
+    fn meta_only(meta: Vec<(String, String)>) -> Trace {
+        Trace {
+            meta,
+            allocs: Vec::new(),
+            events: Vec::new(),
+            dropped: 0,
+        }
+    }
+
+    #[test]
+    fn multibyte_characters_roundtrip_next_to_every_escape() {
+        // 2-, 3- and 4-byte characters, each flanking each escape the
+        // encoder emits, in a key and in a value.
+        let wide = ["é", "€", "𝄞"];
+        let escapes = ["\"", "\\", "\n", "\r", "\t", "\u{1}", "/"];
+        let mut text = String::new();
+        for w in wide {
+            for e in escapes {
+                text.push_str(w);
+                text.push_str(e);
+                text.push_str(w);
+            }
+        }
+        let t = meta_only(vec![
+            (format!("key {text}"), "plain".into()),
+            ("source".into(), text.clone()),
+            ("ends wide €".into(), "𝄞".into()),
+        ]);
+        let json = encode(&t);
+        let back = decode(&json).expect("decode");
+        assert_eq!(t, back);
+        assert_eq!(json, encode(&back), "canonical encoding is stable");
+        // Escapes the encoder never emits still decode beside them.
+        let foreign = decode(&json.replace("plain", "é\\/€\\u00e9𝄞")).expect("decode");
+        assert_eq!(foreign.meta[0].1, "é/€é𝄞");
+    }
+
+    #[test]
+    fn an_unterminated_string_ending_in_a_multibyte_character_is_typed() {
+        for cut in ["{\"format\":\"é", "{\"format\":\"€", "{\"format\":\"a𝄞"] {
+            let err = decode(cut).unwrap_err();
+            assert!(err.contains("unterminated string"), "{cut}: {err}");
+        }
+        // A `\u` escape cut short by a wide character is typed too.
+        let err = decode("{\"format\":\"\\u00€\"}").unwrap_err();
+        assert!(err.contains("\\u escape"), "{err}");
+    }
+
+    #[test]
+    fn a_mebibyte_string_decodes_in_linear_time() {
+        // Quadratic string decoding (re-validating the remaining input
+        // per character) took hours here; the bound is generous for a
+        // loaded debug build and hopeless for a quadratic one.
+        let source: String = "fn main() { return \"é€𝄞\"; }\n"
+            .chars()
+            .cycle()
+            .take(1 << 20)
+            .collect();
+        let t = meta_only(vec![("source".into(), source)]);
+        let json = encode(&t);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(decode(&json));
+        });
+        let back = rx
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .expect("decode of a 1 MiB string finishes within 5 s")
+            .expect("decode");
+        assert_eq!(t, back);
     }
 }

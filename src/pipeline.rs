@@ -601,6 +601,37 @@ mod tests {
             .gauges
             .iter()
             .any(|(k, v)| k.name == "ali_run_mg_batches" && *v > 0));
+        // The scheduler's hand-offs are a lookup: a lone virtual
+        // thread never gives the turn away, and eight give it away at
+        // some — not more than all — of their scheduling points.
+        let sim_gauges = |threads: usize| {
+            let reg = Arc::new(obs::Registry::new());
+            Pipeline::new(RunConfig { threads, ..cfg() })
+                .analysis_threads(1)
+                .metrics(Arc::clone(&reg))
+                .record()
+                .unwrap();
+            let snap = reg.snapshot();
+            let gauge = |name: &str| {
+                snap.gauges
+                    .iter()
+                    .find(|(k, _)| k.name == name)
+                    .map(|(_, v)| *v)
+                    .unwrap_or_else(|| panic!("{name} missing from snapshot"))
+            };
+            (
+                gauge("ali_run_sim_yield_points"),
+                gauge("ali_run_sim_handoffs"),
+            )
+        };
+        let (yield_points, handoffs) = sim_gauges(1);
+        assert!(yield_points > 0);
+        assert_eq!(handoffs, 0, "one thread has nobody to hand the turn to");
+        let (yield_points, handoffs) = sim_gauges(8);
+        assert!(
+            0 < handoffs && handoffs <= yield_points,
+            "{handoffs} hand-offs at {yield_points} scheduling points"
+        );
     }
 
     #[test]
