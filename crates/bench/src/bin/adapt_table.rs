@@ -7,6 +7,9 @@
 //! profiles, replays the identical deterministic schedule under each
 //! candidate's inferred locks, and keeps the override with the lowest
 //! total virtual-time wait (only if strictly below the baseline).
+//! Convoy-flagged sections also get wake-policy candidates (DESIGN.md
+//! §5.6) in the same loop; the `wake` column holds them to their
+//! results next to the lock-plan candidates.
 //!
 //! ```text
 //! cargo run -p bench --release --bin adapt-table
@@ -17,16 +20,19 @@ use atomic_lock_inference::Pipeline;
 use bench::cli::delta_pct;
 use bench::harness::ops;
 use interp::ExecMode;
-use lockinfer::adapt::AdaptPolicy;
+use lockinfer::adapt::{select, AdaptPolicy, Adjustment, Decision, DecisionReport, PlanCost};
 use std::process::ExitCode;
 use workloads::{micro, stamp, Contention, RunSpec};
 
 fn specs() -> Vec<(usize, RunSpec)> {
     // (k, spec): fine expression locks where the workload has them, so
     // the adaptation loop has room to coarsen; `th`'s rehash drift and
-    // the high-contention micros are the interesting rows.
+    // the high-contention micros are the interesting rows. The
+    // read-heavy low-contention rows are ReaderBatch's turf:
+    // shared-mode waiters batch behind occasional writers.
     vec![
         (9, micro::list(Contention::High, ops(300), 20)),
+        (9, micro::list(Contention::Low, ops(300), 20)),
         (9, micro::hashtable(Contention::High, ops(300), 20)),
         (9, micro::hashtable2(Contention::High, ops(300), 20)),
         (9, micro::rbtree(Contention::Low, ops(300), 20)),
@@ -35,16 +41,39 @@ fn specs() -> Vec<(usize, RunSpec)> {
     ]
 }
 
+/// The `wake` cell: the best replayed wake-policy candidate's tag and
+/// Δwait % against the baseline, `-` when none waits strictly less.
+fn wake_cell(report: &DecisionReport) -> String {
+    let wake: Vec<&Decision> = report
+        .candidates
+        .iter()
+        .filter(|d| {
+            matches!(d.candidate.adjustment, Adjustment::WakePolicy(_)) && d.status.is_replayed()
+        })
+        .collect();
+    let costs: Vec<PlanCost> = wake.iter().map(|d| d.cost).collect();
+    match select(report.baseline, &costs) {
+        Some(i) => format!(
+            "{} {:+.1}",
+            wake[i].candidate.adjustment.tag(),
+            delta_pct(report.baseline.total_wait, costs[i].total_wait)
+        ),
+        None => "-".to_string(),
+    }
+}
+
 fn main() -> ExitCode {
     let threads = 8;
     let policy = AdaptPolicy::default();
     println!("Per-section adaptive granularity: baseline vs adapted (8 threads, MultiGrain)");
     println!("wait/hold/reval are totals in virtual ticks across all outermost sections;");
-    println!("`decision` names the selected override (- = uniform configuration stands).");
+    println!("`wake` is the best replayed wake-policy candidate and its Δwait% (- = none waits");
+    println!("less than the baseline); `decision` names the selected override (- = uniform");
+    println!("configuration stands).");
     println!();
     println!(
-        "{:<18} {:>2} {:>10} {:>10} {:>7} {:>9} {:>9} {:>6}  decision",
-        "Program", "k", "base-wait", "ad-wait", "Δwait%", "base-span", "ad-span", "reval"
+        "{:<18} {:>2} {:>10} {:>10} {:>7} {:>9} {:>9} {:>6} {:>17}  decision",
+        "Program", "k", "base-wait", "ad-wait", "Δwait%", "base-span", "ad-span", "reval", "wake"
     );
     let mut failed = false;
     let mut improved = 0usize;
@@ -79,7 +108,7 @@ fn main() -> ExitCode {
         }
         let delta = delta_pct(b.total_wait, ad.total_wait);
         println!(
-            "{:<18} {:>2} {:>10} {:>10} {:>+7.1} {:>9} {:>9} {:>6}  {}",
+            "{:<18} {:>2} {:>10} {:>10} {:>+7.1} {:>9} {:>9} {:>6} {:>17}  {}",
             spec.name,
             k,
             b.total_wait,
@@ -88,6 +117,7 @@ fn main() -> ExitCode {
             b.makespan,
             ad.makespan,
             b.total_revalidations,
+            wake_cell(&run.report),
             decision
         );
     }

@@ -24,15 +24,13 @@
 //! ```
 //!
 //! `--smoke` swaps the table for the CI gate: one smaller scale twin,
-//! byte-identical reports at eval thread counts 1/2/7 (adapt, with
-//! pruning on, and sched), estimator soundness, and a
-//! relaxed 2× speedup floor. `--check` is accepted for CI symmetry
+//! byte-identical adapt reports at eval thread counts 1/2/7 (pruning
+//! on), estimator soundness, and a relaxed 2× speedup floor. `--check` is accepted for CI symmetry
 //! with the other gates (the smoke assertions are always on).
 
 use atomic_lock_inference::adapt::AdaptRun;
 use atomic_lock_inference::eval::EvalOptions;
 use atomic_lock_inference::replay::{record, RunConfig};
-use atomic_lock_inference::sched::ConvoyPolicy;
 use atomic_lock_inference::Pipeline;
 use interp::ExecMode;
 use lockinfer::adapt::AdaptPolicy;
@@ -178,9 +176,8 @@ fn run_row(cfg: &RunConfig, policy: &AdaptPolicy) -> Result<Row, String> {
 }
 
 /// The CI smoke gate: one smaller scale twin; byte-identical adapt
-/// reports (pruning on) and sched reports at eval thread
-/// counts 1/2/7; estimator soundness; a relaxed 2× candidate-loop
-/// speedup floor.
+/// reports (pruning on) at eval thread counts 1/2/7; estimator
+/// soundness; a relaxed 2× candidate-loop speedup floor.
 fn smoke() -> ExitCode {
     let spec = scale::smoke(
         "eval-smoke",
@@ -222,26 +219,6 @@ fn smoke() -> ExitCode {
             println!("EVAL SMOKE: FAIL (adapt outcome diverged across eval thread counts)");
             return ExitCode::FAILURE;
         }
-    }
-
-    // Sched harness: same determinism claim.
-    let convoy = ConvoyPolicy::default();
-    let mut sruns = Vec::new();
-    for eval_threads in [1usize, 7] {
-        match Pipeline::new(cfg.clone())
-            .eval_threads(eval_threads)
-            .sched(&convoy)
-        {
-            Ok(r) => sruns.push(r),
-            Err(e) => {
-                println!("EVAL SMOKE: FAIL (sched, {eval_threads} eval threads: {e})");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if sruns[0].report.to_json() != sruns[1].report.to_json() {
-        println!("EVAL SMOKE: FAIL (sched report diverged across eval thread counts)");
-        return ExitCode::FAILURE;
     }
 
     // Estimator soundness against the exact evaluation.

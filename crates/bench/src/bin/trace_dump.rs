@@ -15,8 +15,6 @@
 //!                                 [--out FILE]
 //! trace-dump adapt   <workload> [--mode M] [--k N] [--threads N] [--ops N]
 //!                               [--contention low|high] [--json FILE]
-//! trace-dump sched   <workload> [--mode M] [--k N] [--threads N] [--ops N]
-//!                               [--contention low|high] [--json FILE]
 //! trace-dump reinfer <workload> [--mode M] [--k N] [--threads N] [--ops N]
 //!                               [--contention low|high] [--weaken S:I]
 //!                               [--json FILE]
@@ -49,16 +47,12 @@
 //!   exposition, or a speedscope flamegraph of per-section wait/hold.
 //! * `adapt` runs the profile-guided adaptation loop (DESIGN.md §5.4):
 //!   record a baseline, derive per-section configuration candidates
-//!   from the corrected wait/hold profiles, replay each candidate on
-//!   the same deterministic schedule, and report whether any override
-//!   reduces total virtual-time wait. Exits nonzero if the selected
-//!   candidate fails the `adapted wait <= baseline wait` invariant.
-//! * `sched` runs the wake-policy evaluation loop (DESIGN.md §5.6):
-//!   record a FIFO baseline, flag convoy-prone sections from the
-//!   wait/hold profiles, re-run every contention-aware wake policy on
-//!   the same deterministic schedule, and report whether any policy
-//!   reduces total virtual-time wait. Exits nonzero if a selected
-//!   policy fails the `steered wait <= baseline wait` invariant.
+//!   from the corrected wait/hold profiles — plus `wake:*` wake-policy
+//!   candidates (DESIGN.md §5.6) for every convoy-flagged section,
+//!   printed as `convoy:` lines — replay each candidate on the same
+//!   deterministic schedule, and report whether any of them reduces
+//!   total virtual-time wait. Exits nonzero if the selected candidate
+//!   fails the `adapted wait <= baseline wait` invariant.
 //! * `reinfer` runs quarantine-aware re-inference (DESIGN.md §5.8):
 //!   record a sentinel-armed baseline (with `--weaken S:I` seeding the
 //!   modeled inference bug), diagnose the canonical violation ledger,
@@ -95,8 +89,6 @@ fn usage() -> ExitCode {
          \x20      trace-dump metrics  <trace.json> [--format json|prometheus|speedscope] \
          [--out FILE]\n\
          \x20      trace-dump adapt    <workload> [--mode M] [--k N] [--threads N] \
-         [--ops N] [--contention low|high] [--json FILE]\n\
-         \x20      trace-dump sched    <workload> [--mode M] [--k N] [--threads N] \
          [--ops N] [--contention low|high] [--json FILE]\n\
          \x20      trace-dump reinfer  <workload> [--mode M] [--k N] [--threads N] \
          [--ops N] [--contention low|high] [--weaken S:I] [--json FILE]\n\
@@ -282,7 +274,8 @@ fn cmd_adapt(args: &[String]) -> Result<ExitCode, String> {
         }
     }
     let cfg = ra.config("adapt", name)?;
-    let run = Pipeline::new(cfg).adapt(&AdaptPolicy::default())?;
+    let policy = AdaptPolicy::default();
+    let run = Pipeline::new(cfg).adapt(&policy)?;
     let b = run.report.baseline;
     println!(
         "{name} mode={:?} k={} threads={} ops={}",
@@ -292,6 +285,13 @@ fn cmd_adapt(args: &[String]) -> Result<ExitCode, String> {
         "baseline:    wait={} hold={} reval={} makespan={}",
         b.total_wait, b.total_hold, b.total_revalidations, b.makespan
     );
+    // The evidence behind the `wake:*` candidates below.
+    for c in sched::detect(&trace::profile(&run.baseline.trace), &policy.convoy) {
+        println!(
+            "convoy: section={} depth={:.1} hold={:.1} pressure={:.1}",
+            c.section, c.depth, c.mean_hold, c.pressure
+        );
+    }
     for (i, d) in run.report.candidates.iter().enumerate() {
         let c = d.cost;
         println!(
@@ -329,79 +329,6 @@ fn cmd_adapt(args: &[String]) -> Result<ExitCode, String> {
     let ok = adapted_wait <= b.total_wait;
     println!(
         "adapt check: adapted wait {adapted_wait} <= baseline wait {}: {}",
-        b.total_wait,
-        if ok { "OK" } else { "FAIL" }
-    );
-    Ok(if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
-}
-
-fn cmd_sched(args: &[String]) -> Result<ExitCode, String> {
-    let name = args.first().ok_or("sched: missing workload name")?;
-    let mut ra = RunArgs::new(8, Contention::High);
-    let mut json = None;
-    let mut f = Flags::new("sched", &args[1..]);
-    while let Some(flag) = f.next() {
-        if ra.apply(flag, &mut f)? {
-            continue;
-        }
-        match flag {
-            "--json" => json = Some(f.value(flag, "a path")?.to_string()),
-            other => return Err(f.unknown(other)),
-        }
-    }
-    let cfg = ra.config("sched", name)?;
-    let run = Pipeline::new(cfg).sched(&atomic_lock_inference::sched::ConvoyPolicy::default())?;
-    let b = run.report.baseline;
-    println!(
-        "{name} mode={:?} k={} threads={} ops={}",
-        ra.mode, ra.k, ra.threads, ra.ops
-    );
-    println!(
-        "baseline (fifo): wait={} hold={} makespan={}",
-        b.total_wait, b.total_hold, b.makespan
-    );
-    for f in &run.report.convoys {
-        println!(
-            "convoy: section={} depth={:.1} hold={:.1} pressure={:.1}",
-            f.section, f.depth, f.mean_hold, f.pressure
-        );
-    }
-    for o in &run.report.evaluated {
-        println!(
-            "policy {:<6}: wait={} hold={} makespan={}",
-            o.policy.tag(),
-            o.cost.total_wait,
-            o.cost.total_hold,
-            o.cost.makespan
-        );
-    }
-    let best_wait = match run.report.winner() {
-        Some(w) => {
-            let saved = b.total_wait - w.cost.total_wait;
-            println!(
-                "selected: {} — wait {} vs fifo {} (-{:.1}%)",
-                w.policy.tag(),
-                w.cost.total_wait,
-                b.total_wait,
-                100.0 * saved as f64 / (b.total_wait as f64).max(1.0)
-            );
-            w.cost.total_wait
-        }
-        None => {
-            println!("selected: none (fifo order stands)");
-            b.total_wait
-        }
-    };
-    if let Some(path) = json {
-        cli::write_text(&path, &run.report.to_json())?;
-    }
-    let ok = best_wait <= b.total_wait;
-    println!(
-        "sched check: steered wait {best_wait} <= baseline wait {}: {}",
         b.total_wait,
         if ok { "OK" } else { "FAIL" }
     );
@@ -592,7 +519,6 @@ fn main() -> ExitCode {
             }),
             ("metrics", rest) => cmd_metrics(rest),
             ("adapt", rest) => cmd_adapt(rest),
-            ("sched", rest) => cmd_sched(rest),
             ("reinfer", rest) => cmd_reinfer(rest),
             _ => return usage(),
         },

@@ -227,13 +227,13 @@ mod tests {
             "record: --k needs a depth"
         );
         let args = strings(&["--mode", "fast"]);
-        let mut f = Flags::new("sched", &args);
+        let mut f = Flags::new("adapt", &args);
         let flag = f.next().unwrap();
         assert_eq!(
             ra.apply(flag, &mut f).unwrap_err(),
-            "sched: bad mode `fast`"
+            "adapt: bad mode `fast`"
         );
-        assert_eq!(f.unknown("--bogus"), "sched: unknown flag `--bogus`");
+        assert_eq!(f.unknown("--bogus"), "adapt: unknown flag `--bogus`");
     }
 
     #[test]

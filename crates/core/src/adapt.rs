@@ -19,6 +19,8 @@
 use lockscheme::{ConfigMap, SchemeConfig};
 use sched::convoy::ConvoyPolicy;
 use sched::PolicyKind;
+use std::fmt::Write as _;
+use trace::json::push_escaped;
 use trace::SectionProfile;
 
 /// Thresholds steering candidate generation. All comparisons are pure
@@ -295,17 +297,45 @@ impl EvalStatus {
     }
 
     pub(crate) fn push_json(&self, out: &mut String) {
-        use std::fmt::Write as _;
         match self {
             EvalStatus::Replayed => out.push_str("\"status\":\"replayed\""),
             EvalStatus::Pruned { est } => {
                 let _ = write!(out, "\"status\":\"pruned\",\"est\":{est}");
             }
             EvalStatus::Skipped { reason } => {
-                let _ = write!(out, "\"status\":\"skipped\",\"note\":\"{reason}\"");
+                out.push_str("\"status\":\"skipped\",\"note\":");
+                push_escaped(out, reason);
             }
         }
     }
+}
+
+/// Opens a decision report: `{"name":…,"mode":…,"baseline":{…}`. The
+/// name arrives from outside (`run.name` trace metadata), so the
+/// strings go through the workspace's one JSON escaper.
+pub(crate) fn push_header(out: &mut String, name: &str, mode: &str, baseline: PlanCost) {
+    out.push_str("{\"name\":");
+    push_escaped(out, name);
+    out.push_str(",\"mode\":");
+    push_escaped(out, mode);
+    out.push_str(",\"baseline\":");
+    push_cost(out, baseline);
+}
+
+pub(crate) fn push_cost(out: &mut String, c: PlanCost) {
+    let _ = write!(
+        out,
+        "{{\"wait\":{},\"hold\":{},\"revalidations\":{},\"makespan\":{}}}",
+        c.total_wait, c.total_hold, c.total_revalidations, c.makespan
+    );
+}
+
+pub(crate) fn push_config(out: &mut String, c: SchemeConfig) {
+    let _ = write!(
+        out,
+        "{{\"k\":{},\"expr\":{},\"pts\":{},\"eff\":{}}}",
+        c.k, c.use_expr, c.use_pts, c.use_eff
+    );
 }
 
 /// One evaluated candidate: the proposal plus its measured replay cost
@@ -341,28 +371,8 @@ impl DecisionReport {
     /// Canonical JSON encoding (hand-rolled — the build environment
     /// has no serde; fixed key order, no whitespace).
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        fn push_cost(out: &mut String, c: PlanCost) {
-            let _ = write!(
-                out,
-                "{{\"wait\":{},\"hold\":{},\"revalidations\":{},\"makespan\":{}}}",
-                c.total_wait, c.total_hold, c.total_revalidations, c.makespan
-            );
-        }
-        fn push_config(out: &mut String, c: SchemeConfig) {
-            let _ = write!(
-                out,
-                "{{\"k\":{},\"expr\":{},\"pts\":{},\"eff\":{}}}",
-                c.k, c.use_expr, c.use_pts, c.use_eff
-            );
-        }
         let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}\",\"mode\":\"{}\",\"baseline\":",
-            self.name, self.mode
-        );
-        push_cost(&mut out, self.baseline);
+        push_header(&mut out, &self.name, &self.mode, self.baseline);
         out.push_str(",\"candidates\":[");
         for (i, d) in self.candidates.iter().enumerate() {
             if i > 0 {

@@ -33,6 +33,7 @@ use pointsto::{PointsTo, PtsClass};
 use sentinel::Violation;
 use trace::lockset::mode_grants;
 
+use crate::adapt::{push_config, push_cost, push_header};
 pub use crate::adapt::{EvalStatus, PlanCost};
 
 /// One violation plus the accessed cell's allocation extent, resolved
@@ -400,27 +401,8 @@ impl RepairReport {
     /// has no serde; fixed key order, no whitespace).
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;
-        fn push_cost(out: &mut String, c: PlanCost) {
-            let _ = write!(
-                out,
-                "{{\"wait\":{},\"hold\":{},\"revalidations\":{},\"makespan\":{}}}",
-                c.total_wait, c.total_hold, c.total_revalidations, c.makespan
-            );
-        }
-        fn push_config(out: &mut String, c: SchemeConfig) {
-            let _ = write!(
-                out,
-                "{{\"k\":{},\"expr\":{},\"pts\":{},\"eff\":{}}}",
-                c.k, c.use_expr, c.use_pts, c.use_eff
-            );
-        }
         let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}\",\"mode\":\"{}\",\"baseline\":",
-            self.name, self.mode
-        );
-        push_cost(&mut out, self.baseline);
+        push_header(&mut out, &self.name, &self.mode, self.baseline);
         out.push_str(",\"sections\":[");
         for (i, s) in self.sections.iter().enumerate() {
             if i > 0 {
@@ -785,5 +767,72 @@ mod tests {
         assert_eq!(r.to_json(), j);
         assert_eq!(r.admitted(), vec![(4, 0)]);
         assert_eq!(r.sections[0].winner().unwrap().candidate.section, 4);
+    }
+
+    /// `name` comes from `run.name` trace metadata and a skip reason
+    /// from the harness: neither may forge a key or break the JSON.
+    #[test]
+    fn outside_strings_are_escaped_in_both_reports() {
+        use crate::adapt::{Adjustment, Candidate, Decision, DecisionReport, Trigger};
+        let name = "a\"b\\c\n\",\"selected\":7,\"z\":\"";
+        let skipped = EvalStatus::Skipped {
+            reason: "ring \"full\"".into(),
+        };
+        let mut escaped = String::new();
+        trace::json::push_escaped(&mut escaped, name);
+
+        let decisions = DecisionReport {
+            name: name.into(),
+            mode: "MultiGrain".into(),
+            baseline: PlanCost::default(),
+            candidates: vec![Decision {
+                candidate: Candidate {
+                    section: 1,
+                    config: SchemeConfig::full(3, None),
+                    adjustment: Adjustment::Coarsen,
+                    trigger: Trigger::Contention,
+                },
+                cost: PlanCost::default(),
+                status: skipped.clone(),
+            }],
+            selected: None,
+        }
+        .to_json();
+        assert!(decisions.contains(&escaped), "{decisions}");
+        assert!(!decisions.contains('\n'), "{decisions}");
+        assert!(
+            decisions.contains("\"note\":\"ring \\\"full\\\"\""),
+            "{decisions}"
+        );
+        assert_eq!(decisions.matches("\"selected\":").count(), 1, "{decisions}");
+
+        let section = |section| SectionReport {
+            section,
+            violations: 1,
+            demoted: PlanCost::default(),
+            candidates: vec![RepairDecision {
+                candidate: RepairCandidate {
+                    section,
+                    config: SchemeConfig::full(3, None),
+                    repair: Repair::Widen,
+                    diagnosis: Diagnosis::WrongMode,
+                },
+                clean: false,
+                cost: PlanCost::default(),
+                status: skipped.clone(),
+            }],
+            admitted: None,
+        };
+        let repairs = RepairReport {
+            name: name.into(),
+            mode: "MultiGrain".into(),
+            baseline: PlanCost::default(),
+            sections: vec![section(2), section(5)],
+        }
+        .to_json();
+        assert!(repairs.contains(&escaped), "{repairs}");
+        assert!(!repairs.contains('\n'), "{repairs}");
+        assert_eq!(repairs.matches("\"selected\":").count(), 0, "{repairs}");
+        assert_eq!(repairs.matches("\"admitted\":").count(), 2, "{repairs}");
     }
 }

@@ -15,9 +15,8 @@
 //!
 //! Policy-steered traces additionally record measured per-lock queue
 //! depths ([`crate::queue_profiles`]); the estimator here is the
-//! *trigger* side used on baseline recordings, feeding both the
-//! `ali::sched` evaluation harness and the policy-aware adapt
-//! candidates (`lockinfer::adapt`).
+//! *trigger* side used on baseline recordings: flagged sections get
+//! `lockinfer::adapt`'s wake-policy candidates.
 
 use trace::SectionProfile;
 

@@ -25,9 +25,6 @@
 //!   time exceeds a threshold, and [`queue_profiles`] builds per-lock
 //!   waiter-queue-depth histograms from recorded `["wk", …]` wake
 //!   decisions.
-//! * [`report`] — the machine-readable outcome of a replay-driven
-//!   policy evaluation (`ali::sched`), mirroring
-//!   `lockinfer::adapt::DecisionReport`.
 //!
 //! The scheduler integration contract: at every lock release the
 //! scheduler collects the current waiter queue (ordered by thread id —
@@ -41,14 +38,12 @@
 //! the historical traces — byte-identically.
 
 pub mod convoy;
-pub mod report;
 
 use mglock::{Mode, NodeKey};
 use std::collections::BTreeMap;
 use trace::{EventKind, Histogram, SectionProfile, Trace};
 
 pub use convoy::{detect, ConvoyFlag, ConvoyPolicy};
-pub use report::{select, PolicyCost, PolicyOutcome, SchedReport, SkippedPolicy};
 
 /// Snapshot of one blocked thread, recorded when it parks on a lock.
 /// Everything a policy may consult; all fields come from recorded

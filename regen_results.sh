@@ -14,14 +14,10 @@ cargo build --release -q --workspace
 ./target/release/figure8  > results_figure8.txt
 
 # Profile-guided per-section adaptation (DESIGN.md §5.4): baseline vs
-# adapted wait/hold per workload. The binary exits nonzero when no
+# adapted wait/hold per workload, with the best wake-policy candidate
+# (DESIGN.md §5.6) in the `wake` column. The binary exits nonzero when no
 # workload improves or an adapted run waits longer than its baseline.
 ./target/release/adapt-table > results_adapt.txt
-
-# Contention-aware wake policies (DESIGN.md §5.6): FIFO baseline vs
-# steered replay per workload. The binary exits nonzero when no
-# workload improves or a steered run waits longer than its baseline.
-./target/release/sched-table > results_sched.txt
 
 # Shared candidate-evaluation harness (DESIGN.md §5.7): the
 # `hoist: false` emulation of the pre-harness sequential candidate

@@ -12,7 +12,9 @@
 //!    `PlanComplete` marker, revalidation retries tallied separately.
 //!    The program is compiled and points-to analyzed **once**, shared
 //!    with every candidate.
-//! 2. **Propose** candidate overrides from those profiles.
+//! 2. **Propose** candidate overrides from those profiles — and, for
+//!    convoy-flagged sections, wake-policy candidates that keep the
+//!    lock plan and steer the scheduler (DESIGN.md §5.6).
 //! 3. **Prune** (optionally) by the trace-analytic estimator
 //!    ([`lockinfer::estimate`]): only the estimated top-k candidates
 //!    are replayed, the rest carry [`lockinfer::EvalStatus::Pruned`].

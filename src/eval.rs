@@ -1,11 +1,11 @@
 //! Shared what-if candidate-evaluation harness (DESIGN.md §5.7).
 //!
-//! The adaptive loop ([`crate::adapt`]) and the wake-policy loop
-//! ([`crate::sched`]) share one measurement shape: record a baseline,
-//! derive candidates from its profiles, re-run the identical
-//! deterministic schedule once per candidate, select by strict
-//! measured wait reduction. This module is that shape, factored out
-//! and made fast, in three layers:
+//! The adaptive loop ([`crate::adapt`]) measures every candidate —
+//! lock-plan overrides and wake policies alike — the same way: record
+//! a baseline, derive candidates from its profiles, re-run the
+//! identical deterministic schedule once per candidate, select by
+//! strict measured wait reduction. This module is that shape, factored
+//! out and made fast, in three layers:
 //!
 //! 1. **Hoisted invariants.** The program is compiled and the
 //!    points-to analysis run **once per evaluation**, shared as
@@ -35,10 +35,9 @@
 //! at the end — deterministically identical to its evaluation run.
 //!
 //! A candidate whose trace overflowed its ring (`dropped > 0`) is
-//! surfaced as [`EvalStatus::Skipped`] (or [`sched::SkippedPolicy`](::sched::SkippedPolicy))
-//! instead of silently contributing a bogus profile; the baseline
-//! overflowing is still a hard error, since every candidate's
-//! evidence derives from it.
+//! surfaced as [`EvalStatus::Skipped`] instead of silently
+//! contributing a bogus profile; the baseline overflowing is still a
+//! hard error, since every candidate's evidence derives from it.
 
 use crate::replay::{execute, options_for, stamp_outcome, Recording, RunConfig};
 use interp::Machine;
@@ -168,7 +167,7 @@ impl EvalContext {
 
     /// Executes `cfg` with locks inferred under `map` — the one
     /// recording primitive behind [`crate::replay::record`], baselines,
-    /// adapt candidates, steered sched runs and repaired re-runs.
+    /// adapt candidates and repaired re-runs.
     ///
     /// # Errors
     ///

@@ -18,14 +18,14 @@
 //! | [`interp`] | concurrent interpreter: Global/MultiGrain/Stm/Validate + virtual time |
 //! | [`trace`] | event tracing, Eraser-style lockset validation, profiles |
 //! | [`sentinel`] | online lockset sentinel: inline licensing checks, per-section quarantine |
-//! | `sched` | pluggable deterministic wake policies + convoy detection (see [`sched`](crate::sched) for the evaluation harness) |
+//! | [`sched`] | pluggable deterministic wake policies + convoy detection |
 //! | `reinfer` | quarantine-aware re-inference: diagnose sentinel violations, repair demoted sections (see [`reinfer`](crate::reinfer)) |
 //! | [`workloads`] | the evaluation programs (micro, STAMP-like, SPEC-like) |
 //!
 //! plus [`replay`], this crate's own deterministic record/replay layer
 //! over traced executions, [`obs`], the unified observability layer
 //! (live metrics registry + trace-derived snapshots and exporters),
-//! and [`Pipeline`], the builder whose four terminals are the only
+//! and [`Pipeline`], the builder whose three terminals are the only
 //! entry points to the measurement loops (baseline → profile →
 //! propose → evaluate → select).
 //!
@@ -55,7 +55,6 @@ pub mod eval;
 pub mod pipeline;
 pub mod reinfer;
 pub mod replay;
-pub mod sched;
 
 pub use pipeline::Pipeline;
 
@@ -66,6 +65,7 @@ pub use lockscheme;
 pub use mglock;
 pub use obs;
 pub use pointsto;
+pub use sched;
 pub use sentinel;
 pub use tl2;
 pub use trace;

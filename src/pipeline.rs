@@ -31,12 +31,6 @@ use crate::adapt::AdaptRun;
 use crate::eval::{eval_singles, par_map, EvalContext, EvalOptions, EvalScope, Stamp};
 use crate::reinfer::ReinferRun;
 use crate::replay::{Recording, RunConfig};
-use crate::sched::SchedRun;
-use ::sched::convoy::{detect, ConvoyPolicy};
-use ::sched::report::{
-    select as sched_select, PolicyCost, PolicyOutcome, SchedReport, SkippedPolicy,
-};
-use ::sched::{PolicyKind, SchedConfig};
 use lockinfer::adapt::{
     candidates as adapt_candidates, select as adapt_select, AdaptPolicy, Decision, DecisionReport,
 };
@@ -236,96 +230,6 @@ impl Pipeline {
             report,
             baseline,
             adapted,
-        })
-    }
-
-    /// Replay-driven wake-policy evaluation: FIFO baseline → convoy
-    /// detection → one steered re-run per policy → strict-improvement
-    /// selection. See [`crate::sched`] for the loop's full contract.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message on compile failure or when the recorded
-    /// baseline trace is unusable (ring overflow).
-    pub fn sched(&self, convoy: &ConvoyPolicy) -> Result<SchedRun, String> {
-        let opts = &self.opts;
-        let mut base_cfg = self.cfg.clone();
-        base_cfg.sched = None;
-        let ctx = self.context(&base_cfg)?;
-        let base_map = ctx.base_map(&base_cfg);
-        let baseline = ctx.run_one(&base_cfg, &base_map, Stamp::Run, opts.analysis_threads)?;
-        if baseline.trace.dropped > 0 {
-            return Err(format!(
-                "sched: baseline trace dropped {} events — raise trace_capacity",
-                baseline.trace.dropped
-            ));
-        }
-        let profiles = trace::profile(&baseline.trace);
-        let convoys = detect(&profiles, convoy);
-        let base_cost = PolicyCost::from_profiles(&profiles, baseline.outcome.makespan);
-
-        let kinds: Vec<PolicyKind> = PolicyKind::ALL
-            .into_iter()
-            .filter(|&k| k != PolicyKind::Fifo)
-            .collect();
-        // One steered re-run per policy, concurrently; recordings are
-        // profiled and dropped inside the worker (O(1) memory),
-        // results merged in policy order.
-        let runs: Vec<Result<Result<PolicyCost, String>, String>> =
-            par_map(kinds.len(), opts.eval_threads, |i| {
-                let mut steered_cfg = base_cfg.clone();
-                steered_cfg.sched = Some(SchedConfig::from_profiles(kinds[i], &profiles));
-                let rec =
-                    ctx.run_one(&steered_cfg, &base_map, Stamp::Run, opts.analysis_threads)?;
-                if rec.trace.dropped > 0 {
-                    return Ok(Err(format!(
-                        "steered trace dropped {} events - raise trace_capacity",
-                        rec.trace.dropped
-                    )));
-                }
-                let prof = trace::profile(&rec.trace);
-                Ok(Ok(PolicyCost::from_profiles(&prof, rec.outcome.makespan)))
-            });
-        ctx.count("ali_eval_candidates_evaluated_total", kinds.len() as u64);
-        let mut evaluated = Vec::new();
-        let mut skipped = Vec::new();
-        for (kind, run) in kinds.iter().zip(runs) {
-            match run? {
-                Ok(cost) => evaluated.push(PolicyOutcome {
-                    policy: *kind,
-                    cost,
-                }),
-                Err(reason) => skipped.push(SkippedPolicy {
-                    policy: *kind,
-                    reason,
-                }),
-            }
-        }
-        ctx.count("ali_eval_candidates_skipped_total", skipped.len() as u64);
-        let selected = sched_select(base_cost, &evaluated);
-        let report = SchedReport {
-            name: self.cfg.name.clone(),
-            mode: format!("{:?}", self.cfg.mode),
-            baseline: base_cost,
-            evaluated,
-            selected,
-            convoys,
-            skipped,
-        };
-        // Re-execute the winner once for the returned recording —
-        // deterministically identical to its evaluation run.
-        let steered = match report.winner() {
-            Some(w) => {
-                let mut steered_cfg = base_cfg.clone();
-                steered_cfg.sched = Some(SchedConfig::from_profiles(w.policy, &profiles));
-                Some(ctx.run_one(&steered_cfg, &base_map, Stamp::Run, opts.analysis_threads)?)
-            }
-            None => None,
-        };
-        Ok(SchedRun {
-            report,
-            baseline,
-            steered,
         })
     }
 

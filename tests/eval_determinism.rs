@@ -1,24 +1,23 @@
 //! Determinism and soundness properties of the shared candidate-
 //! evaluation harness (DESIGN.md §5.7):
 //!
-//! * **Parallel determinism** — `Pipeline::adapt` / `Pipeline::sched`
-//!   produce byte-identical reports and identical winner digests at
-//!   every eval thread count (1, 2, 7): results merge in candidate
-//!   order, so the worker pool never leaks into the outcome.
+//! * **Parallel determinism** — `Pipeline::adapt` produces
+//!   byte-identical reports and identical winner digests at every
+//!   eval thread count (1, 2, 7): results merge in candidate order, so
+//!   the worker pool never leaks into the outcome.
 //! * **Estimator soundness (empirical)** — pruning is advisory: on the
 //!   micro workloads, the estimator's kept set contains the winner the
 //!   exact (unpruned) evaluation selects, and the pruned run selects
 //!   that same winner.
 //! * **Skip surfacing** — a candidate trace that overflows its ring
-//!   becomes a per-candidate `Skipped` marker (adapt) or a
-//!   `SkippedPolicy` entry (sched), never an error and never a bogus
-//!   cost.
+//!   becomes a per-candidate `Skipped` marker, never an error and
+//!   never a bogus cost.
 
 use atomic_lock_inference::adapt::AdaptRun;
 use atomic_lock_inference::replay::RunConfig;
 use atomic_lock_inference::Pipeline;
 use interp::ExecMode;
-use lockinfer::adapt::{AdaptPolicy, EvalStatus};
+use lockinfer::adapt::{AdaptPolicy, Adjustment, Decision, EvalStatus, PlanCost};
 use proptest::prelude::*;
 use workloads::{micro, Contention, RunSpec};
 
@@ -69,34 +68,6 @@ proptest! {
         }
     }
 
-    /// Same property for the wake-policy harness.
-    #[test]
-    fn sched_report_is_byte_identical_at_every_eval_thread_count(
-        which in 0usize..3,
-        seed in any::<u64>(),
-        threads in 2usize..5,
-        ops in 20i64..50,
-    ) {
-        let spec = spec_for(which, ops);
-        let mut cfg = RunConfig::from_spec(&spec, 9, ExecMode::MultiGrain, threads);
-        cfg.seed = seed;
-        let convoy = atomic_lock_inference::sched::ConvoyPolicy::default();
-        let runs: Vec<_> = [1usize, 2, 7]
-            .iter()
-            .map(|&t| pipeline(&cfg, t).sched(&convoy).unwrap())
-            .collect();
-        let first = &runs[0];
-        for r in &runs[1..] {
-            prop_assert_eq!(r.report.to_json(), first.report.to_json());
-            prop_assert_eq!(r.baseline.trace.digest(), first.baseline.trace.digest());
-            match (&r.steered, &first.steered) {
-                (Some(a), Some(b)) => prop_assert_eq!(a.trace.digest(), b.trace.digest()),
-                (None, None) => {}
-                _ => prop_assert!(false, "selection diverged across eval thread counts"),
-            }
-        }
-    }
-
     /// Empirical estimator soundness on the micro workloads: the
     /// trace-analytic top-k always contains the candidate the exact
     /// evaluation selects, and the pruned run selects the same winner
@@ -132,13 +103,37 @@ proptest! {
 /// A candidate whose steered trace overflows its ring is surfaced as a
 /// skip, not an error — and never contributes a cost to selection. A
 /// tiny capacity overflows the baseline first, which *is* an error;
-/// here the baseline fits (FIFO, no wake-decision events) while every
-/// steered run overflows (each wake decision adds an event).
+/// here the baseline fits exactly (every worker does the same work, so
+/// every ring holds the same number of events, and FIFO records no
+/// wake decisions) while every steered run overflows (each wake
+/// decision adds an event).
 #[test]
 fn overflowing_candidate_traces_surface_as_skips() {
-    let spec = micro::list(Contention::High, 120, 20);
-    let mut cfg = RunConfig::from_spec(&spec, 9, ExecMode::MultiGrain, 8);
-    // Find a capacity where the FIFO baseline fits exactly.
+    let spec = RunSpec {
+        name: "convoy-factory".into(),
+        source: r#"
+            global shared;
+            global tally;
+            fn setup(n) { shared = 0; tally = 0; }
+            fn work(iters) {
+                let i = 0;
+                while (i < iters) {
+                    atomic { shared = shared + 1; nops(300); }
+                    atomic { tally = tally + 1; }
+                    i = i + 1;
+                }
+                return 0;
+            }
+            fn total() { return shared + tally; }
+        "#
+        .into(),
+        heap_cells: 1 << 12,
+        init: ("setup", vec![0]),
+        worker: ("work", vec![25]),
+        check: Some("total"),
+    };
+    let mut cfg = RunConfig::from_spec(&spec, 3, ExecMode::MultiGrain, 8);
+    // The capacity where the FIFO baseline fits exactly.
     let base = atomic_lock_inference::replay::record(&cfg).unwrap();
     let per_thread = base
         .trace
@@ -148,26 +143,26 @@ fn overflowing_candidate_traces_surface_as_skips() {
             *m.entry(e.tid).or_insert(0usize) += 1;
             m
         });
-    let max_ring = per_thread.values().copied().max().unwrap_or(0);
-    cfg.trace_capacity = max_ring;
-    let convoy = atomic_lock_inference::sched::ConvoyPolicy::default();
-    match pipeline(&cfg, 1).sched(&convoy) {
-        Ok(run) => {
-            // Every skip carries a reason and is excluded from the
-            // evaluated set.
-            for s in &run.report.skipped {
-                assert!(s.reason.contains("dropped"), "{}", s.reason);
-                assert!(run.report.evaluated.iter().all(|o| o.policy != s.policy));
-            }
-            let json = run.report.to_json();
-            assert!(json.contains("\"skipped\":["), "{json}");
+    cfg.trace_capacity = per_thread.values().copied().max().unwrap_or(0);
+    let run = pipeline(&cfg, 1).adapt(&AdaptPolicy::default()).unwrap();
+    let wake: Vec<(usize, &Decision)> = run
+        .report
+        .candidates
+        .iter()
+        .enumerate()
+        .filter(|(_, d)| matches!(d.candidate.adjustment, Adjustment::WakePolicy(_)))
+        .collect();
+    assert!(!wake.is_empty(), "the convoy must propose wake policies");
+    for (i, d) in wake {
+        match &d.status {
+            EvalStatus::Skipped { reason } => assert!(reason.contains("dropped"), "{reason}"),
+            other => panic!("candidate {i} should have overflowed: {other:?}"),
         }
-        Err(e) => {
-            // Acceptable only if the baseline itself overflowed at
-            // this capacity (ring bookkeeping differs per mode).
-            assert!(e.contains("baseline"), "{e}");
-        }
+        assert_eq!(d.cost, PlanCost::default(), "a skip carries no cost");
+        assert_ne!(run.report.selected, Some(i), "a skip is never selected");
     }
+    let json = run.report.to_json();
+    assert!(json.contains("\"status\":\"skipped\""), "{json}");
 }
 
 /// The adapt-side skip marker: statuses land in the decision JSON.
