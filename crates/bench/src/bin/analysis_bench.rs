@@ -6,7 +6,7 @@
 //!
 //! * `reference` — the retained naive per-section engine
 //!   ([`lockinfer::reference`]), the "before" baseline;
-//! * `optimized` — the hash-consed/bitset/summary-cached engine,
+//! * `optimized` — the hash-consed/small-list/summary-cached engine,
 //!   single-threaded;
 //! * `parallel` — the same engine with one worker per core.
 //!
@@ -14,22 +14,30 @@
 //! every run), and the optimized engine's work counters are recorded
 //! alongside the wall times.
 //!
+//! The tiers are many small sections. Table 1's shape is the opposite —
+//! one section over the whole program at k=9, where the width bound
+//! fires — so a last row, `spec-2k`, times the optimized engine alone
+//! on `spec_like::generate(_, 2.0, 10)` and reports its work counters
+//! and the process's peak RSS. There is no naive column: under widening
+//! the reference legitimately disagrees (`tests/spec_like_pinned.rs`)
+//! and takes seconds.
+//!
 //! ```text
 //! cargo run -p bench --release --bin analysis-bench -- [--smoke]
 //!     [--out FILE] [--check FILE]
 //! ```
 //!
-//! `--smoke` runs only the smallest tier (for CI). `--out` writes the
-//! JSON report (default `BENCH_analysis.json` when omitted along with
-//! `--check`). `--check FILE` compares against a committed report and
-//! exits non-zero if any measured tier's optimized wall time regressed
+//! `--smoke` runs only the smallest tier and `spec-2k` (for CI).
+//! `--out` writes the JSON report (default `BENCH_analysis.json` when
+//! omitted along with `--check`). `--check FILE` compares against a committed report and
+//! exits non-zero if any measured row's optimized wall time regressed
 //! more than 2× — a coarse gate that survives machine-to-machine noise
 //! but catches real algorithmic regressions.
 
 use lockscheme::SchemeConfig;
 use std::fmt::Write as _;
 use std::time::Instant;
-use workloads::scale;
+use workloads::{scale, spec_like};
 
 /// Allowed slowdown versus the committed baseline before `--check`
 /// fails.
@@ -45,6 +53,17 @@ struct TierReport {
     parallel_ms: f64,
     stats: lockinfer::AnalysisStats,
 }
+
+/// The one-section k=9 row.
+struct SpecReport {
+    kloc: f64,
+    functions: usize,
+    optimized_ms: f64,
+    stats: lockinfer::AnalysisStats,
+    peak_rss_mb: f64,
+}
+
+const SPEC_ROW: &str = "spec-2k";
 
 fn best_of<F: FnMut() -> f64>(iters: usize, mut f: F) -> f64 {
     (0..iters).map(|_| f()).fold(f64::INFINITY, f64::min)
@@ -112,7 +131,43 @@ fn run_tier(name: &str, p: scale::ScaleParams, iters: usize) -> TierReport {
     }
 }
 
-fn encode(tiers: &[TierReport]) -> String {
+fn run_spec(iters: usize) -> SpecReport {
+    let spec = spec_like::generate(SPEC_ROW, 2.0, 10);
+    let program = lir::compile(&spec.source).unwrap_or_else(|e| panic!("{SPEC_ROW}: {e}"));
+    let pt = pointsto::PointsTo::analyze(&program);
+    let cfg = SchemeConfig::full(9, program.elem_field_opt());
+    let lib = lockinfer::library::LibrarySpec::new();
+    let mut stats = lockinfer::AnalysisStats::default();
+    let optimized_ms = best_of(iters, || {
+        let t = Instant::now();
+        let analysis = lockinfer::analyze_program_with_opts(&program, &pt, cfg, &lib, 1);
+        let ms = t.elapsed().as_secs_f64() * 1e3;
+        assert_eq!(analysis.sections.len(), 1, "{SPEC_ROW}: one section");
+        stats = analysis.stats;
+        ms
+    });
+    SpecReport {
+        kloc: spec.kloc(),
+        functions: program.functions.len(),
+        optimized_ms,
+        stats,
+        peak_rss_mb: peak_rss_mb(),
+    }
+}
+
+/// The process's high-water resident set (`VmHWM`), or 0 where
+/// `/proc` does not say.
+fn peak_rss_mb() -> f64 {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|s| {
+            let line = s.lines().find(|l| l.starts_with("VmHWM:"))?;
+            line.split_whitespace().nth(1)?.parse::<f64>().ok()
+        })
+        .map_or(0.0, |kb| kb / 1024.0)
+}
+
+fn encode(tiers: &[TierReport], spec: &SpecReport) -> String {
     let mut out = String::new();
     out.push_str("{\"format\":\"ali-analysis-bench-v1\",\"tiers\":[");
     for (i, t) in tiers.iter().enumerate() {
@@ -128,6 +183,7 @@ fn encode(tiers: &[TierReport]) -> String {
              \"worklist_pops\":{},\"facts_inserted\":{},\"peak_point_locks\":{},\
              \"summary_cache_hits\":{},\"summary_cache_misses\":{},\
              \"summary_functions\":{},\"summary_queries\":{},\
+             \"contexts\":{},\"state_points\":{},\"transfer_memo_hits\":{},\
              \"interner_locks\":{},\"interner_paths\":{},\"threads\":{}}}",
             t.name,
             t.kloc,
@@ -145,12 +201,31 @@ fn encode(tiers: &[TierReport]) -> String {
             s.summary_cache_misses,
             s.summary_functions,
             s.summary_queries,
+            s.contexts,
+            s.state_points,
+            s.transfer_memo_hits,
             s.interner_locks,
             s.interner_paths,
             s.threads,
         );
     }
-    out.push_str("]}\n");
+    let s = &spec.stats;
+    let _ = writeln!(
+        out,
+        "],\"spec\":{{\"name\":\"{SPEC_ROW}\",\"kloc\":{:.1},\"k\":9,\"sections\":1,\
+         \"functions\":{},\"optimized_ms\":{:.3},\"worklist_pops\":{},\"widenings\":{},\
+         \"contexts\":{},\"state_points\":{},\"transfer_memo_hits\":{},\
+         \"peak_rss_mb\":{:.1}}}}}",
+        spec.kloc,
+        spec.functions,
+        spec.optimized_ms,
+        s.worklist_pops,
+        s.widenings,
+        s.contexts,
+        s.state_points,
+        s.transfer_memo_hits,
+        spec.peak_rss_mb,
+    );
     out
 }
 
@@ -226,26 +301,43 @@ fn main() {
         last.reference_ms / last.parallel_ms,
     );
 
+    let spec = run_spec(iters);
+    println!(
+        "{SPEC_ROW} (k=9, 1 section, {:.1} KLOC): {:.2} ms optimized, {} pops, {} widenings, \
+         {} contexts, {} state points, peak RSS {:.1} MB",
+        spec.kloc,
+        spec.optimized_ms,
+        spec.stats.worklist_pops,
+        spec.stats.widenings,
+        spec.stats.contexts,
+        spec.stats.state_points,
+        spec.peak_rss_mb,
+    );
+
     if let Some(path) = &check_path {
         let committed =
             std::fs::read_to_string(path).unwrap_or_else(|e| panic!("--check {path}: {e}"));
         let baseline = extract_baseline(&committed);
         let mut failed = false;
-        for r in &reports {
-            let Some((_, base_ms)) = baseline.iter().find(|(n, _)| *n == r.name) else {
-                println!("check: tier {} absent from {path}, skipping", r.name);
+        let measured = reports
+            .iter()
+            .map(|r| (r.name.as_str(), r.optimized_ms))
+            .chain([(SPEC_ROW, spec.optimized_ms)]);
+        for (name, optimized_ms) in measured {
+            let Some((_, base_ms)) = baseline.iter().find(|(n, _)| n == name) else {
+                println!("check: row {name} absent from {path}, skipping");
                 continue;
             };
             let limit = base_ms * CHECK_FACTOR;
-            let verdict = if r.optimized_ms > limit {
+            let verdict = if optimized_ms > limit {
                 failed = true;
                 "REGRESSED"
             } else {
                 "ok"
             };
             println!(
-                "check: {} optimized {:.2} ms vs committed {:.2} ms (limit {:.2}) — {verdict}",
-                r.name, r.optimized_ms, base_ms, limit
+                "check: {name} optimized {optimized_ms:.2} ms vs committed {base_ms:.2} ms \
+                 (limit {limit:.2}) — {verdict}"
             );
         }
         if failed {
@@ -262,7 +354,8 @@ fn main() {
         }
     });
     if let Some(path) = write_to {
-        std::fs::write(&path, encode(&reports)).unwrap_or_else(|e| panic!("write {path}: {e}"));
+        std::fs::write(&path, encode(&reports, &spec))
+            .unwrap_or_else(|e| panic!("write {path}: {e}"));
         println!("wrote {path}");
     }
 }

@@ -31,14 +31,27 @@
 //!   engine additionally keeps a *local* dense id space (first-seen
 //!   order) so that all of its ordering decisions are independent of
 //!   the global id assignment — which may race across threads.
-//! * **Bitset state.** Per `(context, point)` the lock set and its
-//!   pending (not yet propagated) subset are dense
-//!   [`BitSet`](crate::bits::BitSet)s over local ids; the worklist
-//!   holds each *point* at most once (a `queued` flag dedups), and a
-//!   pop drains every pending lock of that point. No `Vec` clones, no
-//!   linear membership scans. A lock removed by subsumption keeps its
-//!   pending bit: like the triple worklist it replaces, a subsumed
-//!   fact that was already scheduled still propagates.
+//! * **Facts-sized state.** Per `(context, point)` the state is one
+//!   small list of local ids in arrival order ([`PointState`]): the
+//!   untagged entries are the lock antichain — at most [`WIDTH_LIMIT`]
+//!   of them — and the tail past a cursor is the frontier not yet
+//!   propagated. A context gets a table of its function's points on
+//!   its first fact and a point gets a state on its own, so memory is
+//!   proportional to facts, not to `contexts × points × lock universe`.
+//!   The worklist holds each *point* at most once, and a pop propagates
+//!   the whole frontier of that point. A lock removed by subsumption is
+//!   tagged, not dropped, until it has propagated: like the triple
+//!   worklist this replaces, a subsumed fact that was already scheduled
+//!   still propagates.
+//! * **Id-level transfer.** Pushing lock `lid` across instruction
+//!   `(func, q)` — and unmapping entry lock `e` at a call site — is a
+//!   pure function of those ids, and Phase A asks the same question
+//!   from thousands of query contexts of one function. Most answers are
+//!   the identity and are read off the instruction
+//!   ([`leaves_untouched`]); the rest go once through
+//!   `transfer_lock` → `normalize` → intern and are replayed as ids from
+//!   a per-engine memo. Flow-insensitive locks are invariant under both
+//!   operations and never enter a memo.
 //! * **Shared summaries (Phase A / Phase B).** Function summaries are
 //!   computed *once per program*, not once per section: a sequential
 //!   pre-pass (Phase A) solves the `Gen` context of every function any
@@ -54,8 +67,19 @@
 //!   and merged by section id — the output is byte-identical to the
 //!   sequential order for every thread count.
 //!
-//! The pre-rewrite engine is retained verbatim in [`crate::reference`]
-//! as the differential-testing oracle and benchmark baseline.
+//! Widening is order-sensitive, so three invariants are part of the
+//! engine's contract, and `tests/spec_like_pinned.rs` pins the results
+//! they produce where widening fires: local ids are minted in
+//! first-seen order (a memo miss interns and adds its results one at a
+//! time, because an add can reach a terminal and mint further ids); a
+//! pop propagates its frontier in ascending local id; and widening
+//! counts the antichain of one `(context, point)`. The memos belong to
+//! one engine and die with it, so warm, store-backed and parallel
+//! analyses remain pure functions of `(program, pt, lib, config)`.
+//!
+//! The original per-section engine is kept in [`crate::reference`] as
+//! the differential-testing oracle and benchmark baseline; the two
+//! agree exactly below the widening bound (`tests/differential.rs`).
 //!
 //! ## Performance notes (§4.3's observations, made concrete)
 //!
@@ -70,15 +94,15 @@
 //!   width bound the lock falls back to its coarse points-to lock (the
 //!   paper's §3.3 notes widening as the alternative to a bounded `L`).
 
-use crate::bits::BitSet;
 use crate::library::LibrarySpec;
-use crate::transfer::{TransferCtx, Transferred};
+use crate::transfer::{leaves_untouched, TransferCtx, Transferred};
 use lir::cfg::{atomic_regions, predecessors, AtomicRegion};
-use lir::{Eff, FnId, Instr, Program, Rvalue, SectionId, VarId, VarKind};
+use lir::{Eff, FnId, Instr, PathOp, Program, Rvalue, SectionId, VarId, VarKind};
 use lockscheme::abslock::prune_redundant;
 use lockscheme::{intern, AbsLock, ConfigMap, LockId, LockRec, SchemeConfig};
 use pointsto::{PointsTo, PtsClass};
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -116,6 +140,14 @@ pub struct AnalysisStats {
     pub summary_functions: usize,
     /// Summary queries solved by the pre-pass.
     pub summary_queries: usize,
+    /// Analysis contexts interned (`Root` / `Gen` / `Query`), summed
+    /// over every engine.
+    pub contexts: u64,
+    /// `(context, point)` states ever materialised.
+    pub state_points: u64,
+    /// Transfers and unmappings replayed from an engine's id-level memo
+    /// instead of being recomputed on lock terms.
+    pub transfer_memo_hits: u64,
     /// Distinct locks in the global interner after the analysis.
     pub interner_locks: usize,
     /// Distinct lock paths in the global interner after the analysis.
@@ -132,6 +164,9 @@ impl AnalysisStats {
         self.widenings += es.widenings;
         self.summary_cache_hits += es.cache_hits;
         self.summary_cache_misses += es.cache_misses;
+        self.contexts += es.contexts;
+        self.state_points += es.state_points;
+        self.transfer_memo_hits += es.memo_hits;
     }
 }
 
@@ -484,7 +519,7 @@ pub(crate) fn compute_modsets(program: &Program, pt: &PointsTo, lib: &LibrarySpe
                 Instr::Store(x, _) => {
                     let path = lir::PathExpr {
                         base: *x,
-                        ops: vec![lir::PathOp::Deref],
+                        ops: vec![PathOp::Deref],
                     };
                     if let Some(c) = pt.class_of_path(&path) {
                         sets[i].classes.insert(c);
@@ -560,15 +595,15 @@ pub(crate) fn must_route(
     let mut class = Some(pt.class_of_var(path.base));
     for op in &path.ops {
         match op {
-            lir::PathOp::Deref => {
+            PathOp::Deref => {
                 let Some(c) = class else { return false };
                 if ms.classes.contains(&c) {
                     return true;
                 }
                 class = pt.deref(c);
             }
-            lir::PathOp::Field(_) => {}
-            lir::PathOp::Index(z) => {
+            PathOp::Field(_) => {}
+            PathOp::Index(z) => {
                 if owned(*z) {
                     return true;
                 }
@@ -658,7 +693,34 @@ struct EngineStats {
     widenings: u64,
     cache_hits: u64,
     cache_misses: u64,
+    contexts: u64,
+    state_points: u64,
+    memo_hits: u64,
 }
+
+/// Multiplicative hasher for the engine-local maps. Their keys are ids
+/// and lock terms minted by this process, hashed millions of times per
+/// analysis; SipHash's protection against crafted keys buys nothing
+/// here.
+#[derive(Clone, Copy, Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            let v = u64::from_le_bytes(word);
+            self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
+        }
+    }
+}
+
+type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
 
 /// Engine-local mirror of the global interner.
 ///
@@ -668,11 +730,14 @@ struct EngineStats {
 /// `recs`/`arcs` give O(1) record and term access with no locking.
 #[derive(Default)]
 struct LockCache {
-    by_term: HashMap<AbsLock, u32>,
-    by_global: HashMap<u32, u32>,
+    by_term: IdMap<AbsLock, u32>,
+    by_global: IdMap<u32, u32>,
     global: Vec<LockId>,
     recs: Vec<LockRec>,
     arcs: Vec<Arc<AbsLock>>,
+    /// Coarse locks and bare variable locks `x̄`: invariant under every
+    /// transfer function, so they never enter a point's state.
+    flow_insensitive: Vec<bool>,
 }
 
 impl LockCache {
@@ -697,17 +762,15 @@ impl LockCache {
 
     fn add(&mut self, gid: LockId, rec: LockRec, arc: Arc<AbsLock>) -> u32 {
         let i = self.global.len() as u32;
+        assert!(i < DEAD, "local lock ids must leave the DEAD bit free");
         self.by_term.insert((*arc).clone(), i);
         self.by_global.insert(gid.0, i);
         self.global.push(gid);
         self.recs.push(rec);
+        self.flow_insensitive
+            .push(arc.path.as_ref().is_none_or(|p| p.ops.is_empty()));
         self.arcs.push(arc);
         i
-    }
-
-    #[inline]
-    fn rec(&self, i: u32) -> LockRec {
-        self.recs[i as usize]
     }
 }
 
@@ -728,14 +791,27 @@ enum Ctx {
 /// A call site awaiting summary results.
 type Site = (u32, u32);
 
-/// Dataflow state of one `(context, point)`: the current lock antichain
-/// and the subset not yet propagated. `queued` dedups worklist entries.
+/// Tag on a [`PointState`] entry that was subsumed by a later arrival.
+const DEAD: u32 = 1 << 31;
+
+/// "No state yet" in a context's point table.
+const NO_STATE: u32 = u32::MAX;
+
+/// Dataflow state of one `(context, point)`: every local lock id that
+/// was inserted here, in arrival order. The entries without the `DEAD`
+/// tag are the current antichain; `facts[drained..]` is the frontier
+/// not yet propagated. An antichain member is only ever removed by a
+/// larger arrival, which keeps covering it, so no id is inserted twice
+/// and the frontier needs no dedup. Dead entries are dropped once
+/// propagated, which bounds the list by twice `WIDTH_LIMIT`.
 #[derive(Default)]
 struct PointState {
-    set: BitSet,
-    pending: BitSet,
-    queued: bool,
+    facts: Vec<u32>,
+    drained: u32,
 }
+
+/// Where a memoised result lives in [`Engine::memo_ids`].
+type MemoRange = (u32, u32);
 
 /// One worklist solver. With `root == None` it is the Phase A summary
 /// pre-pass (Gen + Query contexts only); with a root region and a
@@ -752,15 +828,27 @@ struct Engine<'a> {
     root: Option<(FnId, AtomicRegion)>,
     locks: LockCache,
     ctxdb: Vec<Ctx>,
-    ctx_ids: HashMap<Ctx, u32>,
-    state: HashMap<(u32, u32), PointState>,
+    ctx_ids: IdMap<Ctx, u32>,
+    /// Per context, the index into `states` of each program point of
+    /// its function (`NO_STATE` until a fact arrives). A context's
+    /// table is sized on its first fact, a state on its own.
+    points: Vec<Vec<u32>>,
+    states: Vec<PointState>,
     queue: Vec<(u32, u32)>,
-    scratch: Vec<u32>,
-    gen_entry: HashMap<FnId, Vec<u32>>,
-    query_entry: HashMap<(FnId, u32), Vec<u32>>,
-    gen_dependents: HashMap<FnId, Vec<Site>>,
-    query_dependents: HashMap<(FnId, u32), Vec<(Site, Eff)>>,
-    started_queries: HashSet<(FnId, u32)>,
+    /// Results of pushing lock `lid` backward across instruction
+    /// `(func, q)`, as local ids in `memo_ids`. A pure function of the
+    /// key, so every context of `func` replays it. Call instructions
+    /// and flow-insensitive locks never get an entry.
+    transfer_memo: IdMap<(FnId, u32, u32), MemoRange>,
+    /// Results of unmapping entry lock `e` (effect rewritten to `eff`)
+    /// at call site `(func, call_idx)`; fine entry locks only.
+    unmap_memo: IdMap<(FnId, u32, u32, Option<Eff>), MemoRange>,
+    memo_ids: Vec<u32>,
+    gen_entry: IdMap<FnId, Vec<u32>>,
+    query_entry: IdMap<(FnId, u32), Vec<u32>>,
+    gen_dependents: IdMap<FnId, Vec<Site>>,
+    query_dependents: IdMap<(FnId, u32), Vec<(Site, Eff)>>,
+    started_queries: IdSet<(FnId, u32)>,
     result: Vec<u32>,
     stats: EngineStats,
 }
@@ -788,15 +876,18 @@ impl<'a> Engine<'a> {
             root,
             locks: LockCache::default(),
             ctxdb: Vec::new(),
-            ctx_ids: HashMap::new(),
-            state: HashMap::new(),
+            ctx_ids: IdMap::default(),
+            points: Vec::new(),
+            states: Vec::new(),
             queue: Vec::new(),
-            scratch: Vec::new(),
-            gen_entry: HashMap::new(),
-            query_entry: HashMap::new(),
-            gen_dependents: HashMap::new(),
-            query_dependents: HashMap::new(),
-            started_queries: HashSet::new(),
+            transfer_memo: IdMap::default(),
+            unmap_memo: IdMap::default(),
+            memo_ids: Vec::new(),
+            gen_entry: IdMap::default(),
+            query_entry: IdMap::default(),
+            gen_dependents: IdMap::default(),
+            query_dependents: IdMap::default(),
+            started_queries: IdSet::default(),
             result: Vec::new(),
             stats: EngineStats::default(),
         }
@@ -870,6 +961,8 @@ impl<'a> Engine<'a> {
         let id = self.ctxdb.len() as u32;
         self.ctxdb.push(ctx);
         self.ctx_ids.insert(ctx, id);
+        self.points.push(Vec::new());
+        self.stats.contexts += 1;
         id
     }
 
@@ -916,18 +1009,18 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Pops points LIFO; each pop drains and propagates every pending
-    /// lock of that point.
+    /// Pops points LIFO; each pop propagates the point's whole frontier
+    /// in ascending local id.
     fn drain(&mut self) {
         let mut ids: Vec<u32> = Vec::new();
         while let Some((ctx, idx)) = self.queue.pop() {
-            let st = self
-                .state
-                .get_mut(&(ctx, idx))
-                .expect("queued point has state");
-            st.queued = false;
+            let slot = self.points[ctx as usize][idx as usize];
+            let st = &mut self.states[slot as usize];
             ids.clear();
-            st.pending.drain_into(&mut ids);
+            ids.extend(st.facts[st.drained as usize..].iter().map(|e| e & !DEAD));
+            ids.sort_unstable();
+            st.facts.retain(|e| e & DEAD == 0);
+            st.drained = st.facts.len() as u32;
             for &lid in &ids {
                 self.stats.pops += 1;
                 self.process(ctx, idx, lid);
@@ -936,37 +1029,48 @@ impl<'a> Engine<'a> {
     }
 
     fn add_fact(&mut self, ctx: u32, idx: u32, lock: AbsLock) {
-        let Some(lock) = self.config.normalize(lock, self.pt) else {
-            return;
-        };
-        // Flow-insensitive locks — coarse locks and bare variable locks
-        // `x̄` — are invariant under every transfer function: they jump
-        // straight to the context's terminal.
-        let flow_insensitive = match &lock.path {
-            None => true,
-            Some(p) => p.ops.is_empty(),
-        };
-        let id = self.locks.intern(&lock);
-        if flow_insensitive {
-            self.record_terminal(ctx, id);
-            return;
+        if let Some(lock) = self.config.normalize(lock, self.pt) {
+            let id = self.locks.intern(&lock);
+            self.add_id(ctx, idx, id);
         }
-        self.add_fact_id(ctx, idx, id);
+    }
+
+    /// Adds an interned (hence normalized) lock before point `idx`.
+    /// Flow-insensitive locks jump straight to the context's terminal.
+    fn add_id(&mut self, ctx: u32, idx: u32, id: u32) {
+        if self.locks.flow_insensitive[id as usize] {
+            self.record_terminal(ctx, id);
+        } else {
+            self.add_fact_id(ctx, idx, id);
+        }
     }
 
     fn add_fact_id(&mut self, ctx: u32, idx: u32, id: u32) {
-        let rec = self.locks.rec(id);
-        let st = self.state.entry((ctx, idx)).or_default();
-        if st.set.contains(id) {
-            return;
+        if self.points[ctx as usize].is_empty() {
+            let n_points = self.program.func(self.ctx_fn(ctx)).body.len() + 1;
+            self.points[ctx as usize].resize(n_points, NO_STATE);
         }
+        let slot = &mut self.points[ctx as usize][idx as usize];
+        if *slot == NO_STATE {
+            *slot = self.states.len() as u32;
+            self.states.push(PointState::default());
+            self.stats.state_points += 1;
+        }
+        let st = &mut self.states[*slot as usize];
         let recs = &self.locks.recs;
-        if st.set.iter().any(|l| rec.leq(recs[l as usize])) {
-            return;
+        let rec = recs[id as usize];
+        let mut live = 0;
+        for &e in &st.facts {
+            if e & DEAD == 0 {
+                if rec.leq(recs[e as usize]) {
+                    return;
+                }
+                live += 1;
+            }
         }
         // Widening: past the width bound, fall back to the coarse
         // points-to lock (sent straight to the terminal).
-        if st.set.len() >= WIDTH_LIMIT {
+        if live >= WIDTH_LIMIT {
             self.stats.widenings += 1;
             if rec.pts != intern::NONE {
                 let coarse = AbsLock {
@@ -979,32 +1083,30 @@ impl<'a> Engine<'a> {
             }
             return;
         }
-        // Subsumed locks leave the set but keep any pending bit: if
-        // they were scheduled, they still propagate (the triple
-        // worklist of the reference engine behaves the same way).
-        let dead = &mut self.scratch;
-        dead.clear();
-        for l in st.set.iter() {
-            if recs[l as usize].leq(rec) {
-                dead.push(l);
+        // Subsumed locks leave the antichain but keep their place in
+        // the frontier: if they were scheduled, they still propagate
+        // (the triple worklist of the reference engine behaves the same
+        // way).
+        for e in &mut st.facts {
+            if *e & DEAD == 0 && recs[*e as usize].leq(rec) {
+                *e |= DEAD;
+                live -= 1;
             }
         }
-        for &l in dead.iter() {
-            st.set.remove(l);
-        }
-        st.set.insert(id);
-        st.pending.insert(id);
-        if !st.queued {
-            st.queued = true;
+        if st.drained as usize == st.facts.len() {
             self.queue.push((ctx, idx));
         }
+        debug_assert!(
+            st.facts.iter().all(|&e| e & !DEAD != id),
+            "a lock is inserted at most once per (context, point)"
+        );
+        st.facts.push(id);
         self.stats.facts += 1;
-        if st.set.len() > self.stats.peak {
-            self.stats.peak = st.set.len();
-        }
+        self.stats.peak = self.stats.peak.max(live + 1);
     }
 
     fn process(&mut self, ctx: u32, idx: u32, lid: u32) {
+        debug_assert!(!self.locks.flow_insensitive[lid as usize]);
         if idx == 0 {
             self.record_terminal(ctx, lid);
             return;
@@ -1016,7 +1118,6 @@ impl<'a> Engine<'a> {
         let body = &program.func(func).body;
         let is_root = matches!(self.ctxdb[ctx as usize], Ctx::Root);
         let region = self.root.map(|(_, r)| r);
-        let lock = Arc::clone(&self.locks.arcs[lid as usize]);
         for &q in &fpreds[idx as usize] {
             let ins = &body[q as usize];
             // Stop at (and record) the section's own entry.
@@ -1028,11 +1129,30 @@ impl<'a> Engine<'a> {
                     continue;
                 }
             }
+            // Most instructions cannot touch most locks: an assignment
+            // to a variable the lock neither starts at nor indexes by,
+            // or a statement that writes nothing. The lock is already
+            // normalized, so the transfer is the identity on its id.
+            let lock = &self.locks.arcs[lid as usize];
+            if leaves_untouched(ins, lock) {
+                debug_assert!(matches!(
+                    self.tctx.transfer_lock(ins, lock),
+                    Transferred::Through(out)
+                        if out.len() == 1 && out[0].path == lock.path && out[0].eff == lock.eff
+                ));
+                self.add_fact_id(ctx, q, lid);
+                continue;
+            }
+            let key = (func, q, lid);
+            if let Some(&range) = self.transfer_memo.get(&key) {
+                self.replay(ctx, q, range);
+                continue;
+            }
+            let lock = Arc::clone(lock);
             match self.tctx.transfer_lock(ins, &lock) {
                 Transferred::Through(locks) => {
-                    for l in locks {
-                        self.add_fact(ctx, q, l);
-                    }
+                    let range = self.add_memoised(ctx, q, locks);
+                    self.transfer_memo.insert(key, range);
                 }
                 Transferred::Call { callee, dest } => {
                     if self.lib.is_external(callee) {
@@ -1042,6 +1162,34 @@ impl<'a> Engine<'a> {
                     }
                 }
             }
+        }
+    }
+
+    /// Normalizes, interns and adds each lock *in turn* — an add can
+    /// reach a terminal and mint further local ids, and first-seen id
+    /// order is part of the engine's contract — then records the ids in
+    /// the memo arena. The adds may memoise results of their own, so
+    /// the ids are appended only once all have returned.
+    fn add_memoised(&mut self, ctx: u32, idx: u32, locks: Vec<AbsLock>) -> MemoRange {
+        let mut ids = Vec::with_capacity(locks.len());
+        for lock in locks {
+            if let Some(lock) = self.config.normalize(lock, self.pt) {
+                let id = self.locks.intern(&lock);
+                ids.push(id);
+                self.add_id(ctx, idx, id);
+            }
+        }
+        let start = self.memo_ids.len() as u32;
+        self.memo_ids.extend_from_slice(&ids);
+        (start, ids.len() as u32)
+    }
+
+    /// Adds a memoised result before point `idx`.
+    fn replay(&mut self, ctx: u32, idx: u32, (start, len): MemoRange) {
+        self.stats.memo_hits += 1;
+        for i in start..start + len {
+            let id = self.memo_ids[i as usize];
+            self.add_id(ctx, idx, id);
         }
     }
 
@@ -1220,18 +1368,42 @@ impl<'a> Engine<'a> {
     ) {
         let (ctx, call_idx) = site;
         let program = self.program;
-        let func = self.ctx_fn(ctx);
-        let body = &program.func(func).body;
+        let site_fn = self.ctx_fn(ctx);
+        // At a recursive call site caller and callee frames share
+        // variable ids; nothing is callee-only then.
+        let callee_only = |v: VarId| {
+            let info = program.var(v);
+            info.owner == Some(callee) && callee != site_fn && info.kind != VarKind::Global
+        };
+        let entry_term = |this: &Self| {
+            let mut entry = (*this.locks.arcs[entry_lock as usize]).clone();
+            if let Some(eff) = eff_override {
+                entry.eff = eff;
+            }
+            entry
+        };
+        if self.locks.flow_insensitive[entry_lock as usize] {
+            // The prologue's copies leave coarse and `x̄` locks alone:
+            // at most the effect changes, and no memo is needed.
+            let entry = entry_term(self);
+            if !entry.path.as_ref().is_some_and(|p| callee_only(p.base)) {
+                let id = self.locks.intern(&entry);
+                self.record_terminal(ctx, id);
+            }
+            return;
+        }
+        let key = (site_fn, call_idx, entry_lock, eff_override);
+        if let Some(&range) = self.unmap_memo.get(&key) {
+            self.replay(ctx, call_idx, range);
+            return;
+        }
+        let body = &program.func(site_fn).body;
         let Instr::Assign(_, Rvalue::Call(f, args)) = &body[call_idx as usize] else {
             unreachable!("dependent site is a call instruction");
         };
         debug_assert_eq!(*f, callee);
         let params = &program.func(callee).params;
-        let mut entry = (*self.locks.arcs[entry_lock as usize]).clone();
-        if let Some(eff) = eff_override {
-            entry.eff = eff;
-        }
-        let mut locks = vec![entry];
+        let mut locks = vec![entry_term(self)];
         for (p, a) in params.iter().zip(args).rev() {
             let assign = Instr::Assign(*p, Rvalue::Copy(*a));
             let mut next = Vec::new();
@@ -1243,38 +1415,23 @@ impl<'a> Engine<'a> {
             }
             locks = next;
         }
-        let site_fn = func;
-        for mut l in locks {
-            if let Some(p) = &mut l.path {
-                for op in &mut p.ops {
-                    if let lir::PathOp::Index(z) = op {
-                        let info = program.var(*z);
-                        if info.owner == Some(callee)
-                            && callee != site_fn
-                            && info.kind != VarKind::Global
-                        {
-                            *op = lir::PathOp::Field(
-                                self.config
-                                    .elem_field
-                                    .expect("dyn indices imply a [] field"),
-                            );
-                        }
+        locks.retain_mut(|l| {
+            let Some(p) = &mut l.path else { return true };
+            for op in &mut p.ops {
+                if let PathOp::Index(z) = op {
+                    if callee_only(*z) {
+                        *op = PathOp::Field(
+                            self.config
+                                .elem_field
+                                .expect("dyn indices imply a [] field"),
+                        );
                     }
                 }
             }
-            let owned_by_callee = match &l.path {
-                Some(p) => {
-                    let info = program.var(p.base);
-                    // At a recursive call site caller and callee frames
-                    // share variable ids; keep the lock then.
-                    info.owner == Some(callee) && callee != site_fn && info.kind != VarKind::Global
-                }
-                None => false,
-            };
-            if !owned_by_callee {
-                self.add_fact(ctx, call_idx, l);
-            }
-        }
+            !callee_only(p.base)
+        });
+        let range = self.add_memoised(ctx, call_idx, locks);
+        self.unmap_memo.insert(key, range);
     }
 
     fn record_result(&mut self, id: u32) {

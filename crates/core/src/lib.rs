@@ -33,7 +33,6 @@
 //! ```
 
 pub mod adapt;
-pub mod bits;
 pub mod dataflow;
 pub mod estimate;
 pub mod library;

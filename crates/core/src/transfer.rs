@@ -44,6 +44,22 @@ pub enum Transferred {
     Call { callee: lir::FnId, dest: VarId },
 }
 
+/// True when pushing the fine lock `lock` backward across `instr` is
+/// provably the identity, read off the instruction alone: it writes no
+/// cell, or assigns a variable the lock neither starts at nor indexes
+/// by. Calls and stores depend on mod-ref and alias facts and always
+/// answer `false`.
+pub fn leaves_untouched(instr: &Instr, lock: &AbsLock) -> bool {
+    match instr {
+        Instr::Assign(_, Rvalue::Call(..)) | Instr::Store(..) => false,
+        Instr::Assign(x, _) => lock
+            .path
+            .as_ref()
+            .is_some_and(|p| p.base != *x && !p.ops.contains(&PathOp::Index(*x))),
+        _ => true,
+    }
+}
+
 impl TransferCtx<'_> {
     /// Pushes `lock` backward across `instr`: the locks at the point
     /// before the instruction that protect everything `lock` protected
@@ -551,6 +567,47 @@ mod tests {
                 .transfer_lock(&Instr::Assign(x, Rvalue::DynAddr(a, i)), &deref(x, &[])),
         );
         assert_eq!(out, vec![deref(a, &[PathOp::Index(i)])]);
+    }
+
+    #[test]
+    fn leaves_untouched_only_claims_identities() {
+        let fx = Fixture::new(
+            "fn f(p) { return p; }
+             fn main(a, b, k, x, y) { b = k; x = a[b]; y = *x; *x = y; y = f(x); }",
+        );
+        let (a, b, x, y) = (fx.v("a"), fx.v("b"), fx.v("x"), fx.v("y"));
+        let locks = [
+            deref(a, &[PathOp::Index(b)]),
+            deref(x, &[]),
+            deref(y, &[PathOp::Deref]),
+        ];
+        let main = fx.program.functions.last().unwrap();
+        let mut claimed = 0;
+        for ins in &main.body {
+            for lock in &locks {
+                if leaves_untouched(ins, lock) {
+                    claimed += 1;
+                    assert_eq!(
+                        through(fx.ctx().transfer_lock(ins, lock)),
+                        vec![lock.clone()],
+                        "{ins:?} on {lock}"
+                    );
+                }
+            }
+        }
+        assert!(claimed > 0);
+        // Assigning the base or an index variable, a store, and a call
+        // are never claimed.
+        let copy_b = Instr::Assign(b, Rvalue::Copy(y));
+        assert!(!leaves_untouched(&copy_b, &locks[0]));
+        assert!(leaves_untouched(&copy_b, &locks[1]));
+        assert!(!leaves_untouched(
+            &Instr::Assign(x, Rvalue::Null),
+            &locks[1]
+        ));
+        assert!(!leaves_untouched(&Instr::Store(a, b), &locks[1]));
+        let call = Instr::Assign(b, Rvalue::Call(lir::FnId(0), vec![a]));
+        assert!(!leaves_untouched(&call, &locks[1]));
     }
 
     #[test]

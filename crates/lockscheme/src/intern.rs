@@ -10,7 +10,7 @@
 //!   interned components (path id, points-to class, effect) — no path
 //!   walk, because syntactically equal paths share one id,
 //! * the join `+`/`*` ops are memoized on id pairs,
-//! * dataflow state can be a dense bitset over the lock universe.
+//! * dataflow state can be a short list of ids per program point.
 //!
 //! The table only grows (ids are never reused), so a [`LockRec`] copied
 //! out of the interner stays valid forever; engines cache records and

@@ -52,9 +52,11 @@ pub fn generate(name: &str, target_kloc: f64, seed: u64) -> RunSpec {
     let target_lines = (target_kloc * 1000.0) as usize;
     let mut fns: Vec<String> = Vec::new();
     let mut gen = FnGen { rng: &mut rng };
-    while src.lines().count() + 40 < target_lines {
+    let mut lines = src.lines().count();
+    while lines + 40 < target_lines {
         let id = fns.len();
         let body = gen.function(id, &fns);
+        lines += body.lines().count();
         src.push_str(&body);
         fns.push(format!("fn_{id}"));
     }
@@ -261,4 +263,25 @@ pub fn table1_programs() -> Vec<(&'static str, f64)> {
         ("syn-gap", 71.4),
         ("syn-vortex", 71.5),
     ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn fnv(text: &str) -> u64 {
+        text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// The benchmark's inputs come from this generator: its output for
+    /// a given `(kloc, seed)` must never drift.
+    #[test]
+    fn output_is_pinned() {
+        let big = generate("x", 2.0, 10).source;
+        assert_eq!((big.len(), fnv(&big)), (41_718, 0xc2f7_b70d_456a_ce79));
+        let small = generate("x", 0.3, 2).source;
+        assert_eq!((small.len(), fnv(&small)), (6_363, 0x1d46_b678_574f_d7e3));
+    }
 }
