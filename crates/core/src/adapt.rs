@@ -217,9 +217,6 @@ pub fn candidates(
     // these by steering the scheduler, not by re-planning locks.
     for flag in sched::convoy::detect(profiles, &policy.convoy) {
         for kind in PolicyKind::ALL {
-            if kind == PolicyKind::Fifo {
-                continue;
-            }
             out.push(Candidate {
                 section: flag.section,
                 config: base.for_section(flag.section),

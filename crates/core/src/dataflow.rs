@@ -103,7 +103,6 @@ use lockscheme::{intern, AbsLock, ConfigMap, LockId, LockRec, SchemeConfig};
 use pointsto::{PointsTo, PtsClass};
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Locks inferred for one atomic section.
@@ -401,70 +400,20 @@ pub fn analyze_program_with_configs(
 
     // Phase B: solve each section's root region against its config's
     // frozen cache, in parallel, and merge deterministically.
-    let n_threads = if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        threads
+    let n_threads = crate::worker_count(threads, secs.len());
+    let solved = crate::par_map(secs.len(), n_threads, |i| {
+        let (f, region) = secs[i];
+        let env = EngineEnv {
+            config: sec_cfgs[i],
+            ..base_env
+        };
+        solve_one_section(env, &caches[cfg_idx[i]], f, region)
+    });
+    let mut sections = Vec::with_capacity(solved.len());
+    for (sr, es) in solved {
+        stats.absorb(&es);
+        sections.push(sr);
     }
-    .clamp(1, secs.len());
-    let mut slots: Vec<Option<SectionResult>> = (0..secs.len()).map(|_| None).collect();
-    if n_threads <= 1 {
-        for (i, &(f, region)) in secs.iter().enumerate() {
-            let env = EngineEnv {
-                config: sec_cfgs[i],
-                ..base_env
-            };
-            let (sr, es) = solve_one_section(env, &caches[cfg_idx[i]], f, region);
-            stats.absorb(&es);
-            slots[i] = Some(sr);
-        }
-    } else {
-        let next = AtomicUsize::new(0);
-        let secs_ref = &secs;
-        let caches_ref = &caches;
-        let sec_cfgs_ref = &sec_cfgs;
-        let cfg_idx_ref = &cfg_idx;
-        let parts: Vec<Vec<(usize, SectionResult, EngineStats)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..n_threads)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut out = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= secs_ref.len() {
-                                break;
-                            }
-                            let (f, region) = secs_ref[i];
-                            let env = EngineEnv {
-                                config: sec_cfgs_ref[i],
-                                ..base_env
-                            };
-                            let (sr, es) =
-                                solve_one_section(env, &caches_ref[cfg_idx_ref[i]], f, region);
-                            out.push((i, sr, es));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("section solver panicked"))
-                .collect()
-        });
-        for part in parts {
-            for (i, sr, es) in part {
-                stats.absorb(&es);
-                slots[i] = Some(sr);
-            }
-        }
-    }
-    let mut sections: Vec<SectionResult> = slots
-        .into_iter()
-        .map(|s| s.expect("every section solved"))
-        .collect();
     sections.sort_by_key(|s| s.id);
     stats.threads = n_threads;
     stats.interner_locks = intern::global().len();

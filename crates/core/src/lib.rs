@@ -36,6 +36,7 @@ pub mod adapt;
 pub mod dataflow;
 pub mod estimate;
 pub mod library;
+mod par;
 pub mod reference;
 pub mod reinfer;
 pub mod report;
@@ -49,6 +50,7 @@ pub use dataflow::{
     analyze_program, analyze_program_with_configs, analyze_program_with_opts, AnalysisStats,
     ProgramAnalysis, SectionResult, SummaryStore,
 };
+pub use par::{par_map, worker_count};
 pub use reference::{analyze_program_reference, analyze_program_reference_with_configs};
 pub use reinfer::{
     admit, alias_merge_collapse, diagnose, Diagnosis, Repair, RepairCandidate, RepairDecision,

@@ -194,7 +194,10 @@ impl Injector {
     }
 }
 
-fn splitmix(mut x: u64) -> u64 {
+/// One step of the splitmix64 generator — every per-thread stream in
+/// the interpreter (fault injection here, the `rand` intrinsic in the
+/// worker) is a chain of these.
+pub(crate) fn splitmix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = x;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -697,6 +697,32 @@ mod tests {
     "#;
 
     #[test]
+    fn real_threads_honour_the_checked_acquisition_policy() {
+        // Real-time workers always acquire through the checked walk; a
+        // conforming program under a timeout and the wait-for graph
+        // must finish with the right count and trip neither.
+        for mode in [ExecMode::Global, ExecMode::MultiGrain, ExecMode::Validate] {
+            let opts = Options {
+                mg_config: mglock::RuntimeConfig {
+                    acquire_timeout: Some(std::time::Duration::from_secs(5)),
+                    detect_deadlocks: true,
+                },
+                ..Options::default()
+            };
+            let m = machine_for(COUNTER_SRC, 3, mode, opts).unwrap();
+            m.run_threads("work", 4, |_| vec![250]).unwrap();
+            assert_eq!(m.run_named("main", &[]).unwrap(), 1000, "{mode:?}");
+            let report = m.degradation_report();
+            assert_eq!(
+                (report.deadlocks_detected, report.lock_timeouts),
+                (0, 0),
+                "{mode:?}"
+            );
+            assert!(m.locks_quiescent(), "{mode:?}");
+        }
+    }
+
+    #[test]
     fn injected_panic_is_contained_and_releases_locks() {
         for mode in [ExecMode::Global, ExecMode::MultiGrain, ExecMode::Validate] {
             let opts = Options {

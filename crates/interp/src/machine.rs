@@ -63,7 +63,8 @@ pub struct Options {
     /// by default that healthy workloads never escalate.
     pub stm_abort_budget: u64,
     /// Degradation policy for the multi-grain lock runtime (timeouts,
-    /// deadlock detection). The default is off: zero overhead.
+    /// deadlock detection), honoured by every real-time acquisition.
+    /// The default is off: plain blocking, zero overhead.
     pub mg_config: mglock::RuntimeConfig,
     /// Event-trace recording (`None` = no tracing, zero overhead).
     /// When set, every worker registers a per-thread recorder and the

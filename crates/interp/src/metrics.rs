@@ -22,7 +22,7 @@ pub(crate) struct Metrics {
     pub section_entries: obs::Counter,
     /// STM abort-driven section retries.
     pub section_retries: obs::Counter,
-    /// Injected faults, indexed like [`FAULT_CLASSES`].
+    /// Injected faults, indexed like [`FaultClass::ALL`].
     pub faults: [obs::Counter; 4],
     /// Individual lock-node grants taken by `acquire_all`.
     pub lock_acquisitions: obs::Counter,
@@ -37,20 +37,12 @@ pub(crate) struct Metrics {
     pub hold_ticks: obs::Hist,
 }
 
-/// Index order of [`Metrics::faults`].
-const FAULT_CLASSES: [(&str, FaultClass); 4] = [
-    ("panic", FaultClass::Panic),
-    ("abort", FaultClass::SpuriousAbort),
-    ("stall", FaultClass::Stall),
-    ("delay", FaultClass::WakeupDelay),
-];
-
 impl Metrics {
     pub fn new(registry: Arc<Registry>) -> Metrics {
         // Live series are label-free (`Registry::snapshot`); the class
         // is part of the name instead.
-        let faults =
-            FAULT_CLASSES.map(|(tag, _)| registry.counter(&format!("ali_run_faults_{tag}_total")));
+        let faults = FaultClass::ALL
+            .map(|class| registry.counter(&format!("ali_run_faults_{}_total", class.tag())));
         Metrics {
             section_entries: registry.counter("ali_run_section_entries_total"),
             section_retries: registry.counter("ali_run_section_retries_total"),
@@ -66,9 +58,9 @@ impl Metrics {
     }
 
     pub fn fault(&self, class: FaultClass) {
-        let i = FAULT_CLASSES
+        let i = FaultClass::ALL
             .iter()
-            .position(|&(_, c)| c == class)
+            .position(|&c| c == class)
             .expect("every fault class is indexed");
         self.faults[i].inc();
     }

@@ -62,9 +62,9 @@
 //! promotes it, and the scheduling order compares `(clock, rank, tid)`.
 //! Ranks never touch clocks — only the acquisition order among waiters
 //! promoted at the same release time changes — and every thread's rank
-//! resets to 0 at its next scheduling point. With no policy (or the
-//! FIFO policy, which ranks everything 0) the order degenerates to the
-//! historical `(clock, tid)`, reproducing legacy traces byte-for-byte.
+//! resets to 0 at its next scheduling point. With no policy no ranking
+//! pass runs, every rank stays 0, and the order is the historical
+//! `(clock, tid)` — the one way to get it; there is no FIFO policy.
 
 use parking_lot::{Mutex, MutexGuard};
 use sched::{rank_batch, Waiter, WakeGrant, WakePolicy};
@@ -148,7 +148,6 @@ struct SimInner {
     /// has sat through ([`sched::Waiter::age`]); cleared by
     /// [`Sim::end_wait`] when the acquisition finally succeeds.
     wait_epoch: Vec<Option<u64>>,
-    last_release_clock: u64,
     release_epoch: u64,
     /// The turn holder: the one thread allowed to execute and to
     /// mutate the schedule. Written at every hand-off, before the new
@@ -202,7 +201,6 @@ impl Sim {
                 ranks: vec![0; n],
                 waiters: vec![None; n],
                 wait_epoch: vec![None; n],
-                last_release_clock: 0,
                 release_epoch: 0,
                 running: 0,
                 yield_points: 0,
@@ -386,7 +384,6 @@ impl Sim {
         let mut g = self.inner.lock();
         debug_assert!(self.holds_turn(&g, tid), "thread {tid} ran out of turn");
         let now = g.clocks[tid];
-        g.last_release_clock = g.last_release_clock.max(now);
         let epoch = g.release_epoch;
         g.release_epoch += 1;
         let grants = match &self.policy {

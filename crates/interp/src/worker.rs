@@ -2,7 +2,7 @@
 //! disciplines, and the thread harness.
 
 use crate::error::{Exc, InterpError};
-use crate::fault::{FaultPanic, Injector};
+use crate::fault::{splitmix, FaultPanic, Injector};
 use crate::machine::{ExecMode, Machine, Storage};
 use crate::sim::Sim;
 use lir::{ArithOp, CmpOp, FnId, Instr, Intrinsic, LockSpec, PathOp, Rvalue, SectionId, VarId};
@@ -13,6 +13,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use tl2::Backoff;
+use trace::FaultClass;
 
 const MAX_CALL_DEPTH: u32 = 4000;
 
@@ -135,6 +136,20 @@ impl<'m> Worker<'m> {
         if let Some(sim) = &self.sim {
             let t = std::mem::take(&mut self.vticks);
             self.vclock = sim.advance(self.tid as usize, t);
+        }
+    }
+
+    /// Lets `spins` units of time pass: virtual ticks under the
+    /// scheduler — plus `cost`, the modelled price of what led to the
+    /// wait, charged in the same step so the scheduling point does not
+    /// move — and a busy-wait of `spins` in real time.
+    fn idle(&mut self, cost: u64, spins: u64) {
+        if self.sim.is_some() {
+            self.tick(cost + spins);
+        } else {
+            for _ in 0..spins {
+                std::hint::spin_loop();
+            }
         }
     }
 
@@ -428,14 +443,7 @@ impl<'m> Worker<'m> {
                             // irrevocably (see `section_enter`).
                             self.escalate = true;
                         }
-                        let spins = backoff.spins();
-                        if self.sim.is_some() {
-                            self.tick(m.costs.stm_abort + spins as u64);
-                        } else {
-                            for _ in 0..spins {
-                                std::hint::spin_loop();
-                            }
-                        }
+                        self.idle(m.costs.stm_abort, backoff.spins() as u64);
                     }
                     None => return Err(Exc::Abort),
                 },
@@ -585,14 +593,7 @@ impl<'m> Worker<'m> {
     fn intrinsic(&mut self, i: Intrinsic, vals: &[i64], f: FnId, pc: usize) -> Result<i64, Exc> {
         match i {
             Intrinsic::Nops => {
-                let n = vals[0].max(0) as u64;
-                if self.sim.is_some() {
-                    self.tick(n);
-                } else {
-                    for _ in 0..n {
-                        std::hint::spin_loop();
-                    }
-                }
+                self.idle(0, vals[0].max(0) as u64);
                 Ok(0)
             }
             Intrinsic::Rand => {
@@ -706,9 +707,7 @@ impl<'m> Worker<'m> {
         match self.txn.as_mut() {
             Some(txn) => {
                 let v = txn.read(a as usize).map_err(|_| Exc::Abort);
-                if self.sim.is_some() {
-                    self.tick(self.m.costs.stm_read);
-                }
+                self.tick(self.m.costs.stm_read);
                 v
             }
             None => Ok(self.m.space.read_direct(a as usize)),
@@ -720,9 +719,7 @@ impl<'m> Worker<'m> {
         match self.txn.as_mut() {
             Some(txn) => {
                 txn.write(a as usize, val);
-                if self.sim.is_some() {
-                    self.tick(self.m.costs.stm_write);
-                }
+                self.tick(self.m.costs.stm_write);
                 Ok(())
             }
             None => {
@@ -734,13 +731,6 @@ impl<'m> Worker<'m> {
 
     // ------------------------------------------------------------------
     // Live metrics (all no-ops when the machine has no registry)
-
-    /// Counts an injected fault on the live registry.
-    fn metric_fault(&self, class: trace::FaultClass) {
-        if let Some(mx) = &self.m.metrics {
-            mx.fault(class);
-        }
-    }
 
     /// Marks the outermost acquisition point: wait ends here, hold
     /// begins. Lock modes only — STM has no plan to complete.
@@ -766,6 +756,24 @@ impl<'m> Worker<'m> {
     // ------------------------------------------------------------------
     // Fault injection points (all no-ops without a plan)
 
+    /// Accounts for one injected fault everywhere it is counted: the
+    /// machine's [`FaultStats`](crate::FaultStats), the trace, the live
+    /// registry.
+    fn note_fault(&self, class: FaultClass) {
+        let stats = &self.m.fault_stats;
+        let fired = match class {
+            FaultClass::Panic => &stats.injected_panics,
+            FaultClass::SpuriousAbort => &stats.injected_aborts,
+            FaultClass::Stall => &stats.injected_stalls,
+            FaultClass::WakeupDelay => &stats.injected_delays,
+        };
+        fired.fetch_add(1, Ordering::Relaxed);
+        self.trace_event(trace::EventKind::Fault { class });
+        if let Some(mx) = &self.m.metrics {
+            mx.fault(class);
+        }
+    }
+
     /// Injected mid-section panic: fires only inside an atomic section
     /// (any discipline), via `resume_unwind` so drop glue runs — the
     /// session and transaction release on the way out — without
@@ -780,14 +788,7 @@ impl<'m> Worker<'m> {
             None => false,
         };
         if fire {
-            self.m
-                .fault_stats
-                .injected_panics
-                .fetch_add(1, Ordering::Relaxed);
-            self.trace_event(trace::EventKind::Fault {
-                class: trace::FaultClass::Panic,
-            });
-            self.metric_fault(trace::FaultClass::Panic);
+            self.note_fault(FaultClass::Panic);
             std::panic::resume_unwind(Box::new(FaultPanic { tid: self.tid }));
         }
     }
@@ -804,14 +805,7 @@ impl<'m> Worker<'m> {
             None => false,
         };
         if fire {
-            self.m
-                .fault_stats
-                .injected_aborts
-                .fetch_add(1, Ordering::Relaxed);
-            self.trace_event(trace::EventKind::Fault {
-                class: trace::FaultClass::SpuriousAbort,
-            });
-            self.metric_fault(trace::FaultClass::SpuriousAbort);
+            self.note_fault(FaultClass::SpuriousAbort);
             return Err(Exc::Abort);
         }
         Ok(())
@@ -827,21 +821,8 @@ impl<'m> Worker<'m> {
             None => None,
         };
         if let Some(t) = delay {
-            self.m
-                .fault_stats
-                .injected_delays
-                .fetch_add(1, Ordering::Relaxed);
-            self.trace_event(trace::EventKind::Fault {
-                class: trace::FaultClass::WakeupDelay,
-            });
-            self.metric_fault(trace::FaultClass::WakeupDelay);
-            if self.sim.is_some() {
-                self.tick(t);
-            } else {
-                for _ in 0..t {
-                    std::hint::spin_loop();
-                }
-            }
+            self.note_fault(FaultClass::WakeupDelay);
+            self.idle(0, t);
         }
     }
 
@@ -936,14 +917,7 @@ impl<'m> Worker<'m> {
                     self.section_violated = false;
                     self.sect_enter_clock = self.now();
                 }
-                self.session.to_acquire(Descriptor::Global {
-                    access: Access::Write,
-                });
-                self.acquire_session(1)?;
-                if outermost {
-                    self.trace_event(trace::EventKind::PlanComplete);
-                    self.metric_plan_complete();
-                }
+                self.acquire_global(outermost)?;
                 Ok(false)
             }
             ExecMode::MultiGrain | ExecMode::Validate => {
@@ -971,12 +945,7 @@ impl<'m> Worker<'m> {
                     if m.mode == ExecMode::Validate {
                         self.held_concrete.push(ConcreteLock::Global);
                     }
-                    self.session.to_acquire(Descriptor::Global {
-                        access: Access::Write,
-                    });
-                    self.acquire_session(1)?;
-                    self.trace_event(trace::EventKind::PlanComplete);
-                    self.metric_plan_complete();
+                    self.acquire_global(true)?;
                     return Ok(false);
                 }
                 // A healed section with an active repair plans the
@@ -1045,12 +1014,10 @@ impl<'m> Worker<'m> {
                 if self.sec_depth == 1 {
                     self.current_section = sid;
                     self.section_violated = false;
-                    if self.sim.is_some() {
-                        self.tick(m.costs.txn_start);
-                        // Make the transaction window visible at exact
-                        // virtual time.
-                        self.flush_ticks();
-                    }
+                    self.tick(m.costs.txn_start);
+                    // Make the transaction window visible at exact
+                    // virtual time.
+                    self.flush_ticks();
                     // A quarantined section runs irrevocably — the
                     // commit gate serializes it, the STM counterpart of
                     // the lock modes' global-scheme demotion.
@@ -1068,28 +1035,34 @@ impl<'m> Worker<'m> {
         }
     }
 
+    /// The one-lock plan — `⊤` in `X` — that every Global-mode section
+    /// and every quarantined section runs under; at the outermost level
+    /// its grant is the section's acquisition point.
+    fn acquire_global(&mut self, outermost: bool) -> Result<(), Exc> {
+        self.session.to_acquire(Descriptor::Global {
+            access: Access::Write,
+        });
+        self.acquire_session(1)?;
+        if outermost {
+            self.trace_event(trace::EventKind::PlanComplete);
+            self.metric_plan_complete();
+        }
+        Ok(())
+    }
+
     /// STM starvation fallback: begins an irrevocable transaction,
     /// waiting for the commit gate. Under the scheduler the wait is
     /// cooperative — we charge our own clock until the gate holder
     /// (whose clock then becomes the minimum) runs and releases it.
     fn begin_irrevocable(&mut self) -> tl2::Txn<'m> {
-        if self.sim.is_some() {
-            self.tick(self.m.costs.stm_fallback);
-        }
+        self.tick(self.m.costs.stm_fallback);
         let mut backoff = Backoff::new();
         loop {
             self.sync_trace_clock();
             if let Some(txn) = self.m.space.try_begin_irrevocable_by(self.tid as u64) {
                 return txn;
             }
-            let spins = backoff.spins();
-            if self.sim.is_some() {
-                self.tick(spins as u64);
-            } else {
-                for _ in 0..spins {
-                    std::hint::spin_loop();
-                }
-            }
+            self.idle(0, backoff.spins() as u64);
         }
     }
 
@@ -1107,37 +1080,21 @@ impl<'m> Worker<'m> {
             None => None,
         };
         if let Some(t) = stall {
-            self.m
-                .fault_stats
-                .injected_stalls
-                .fetch_add(1, Ordering::Relaxed);
-            self.trace_event(trace::EventKind::Fault {
-                class: trace::FaultClass::Stall,
-            });
-            self.metric_fault(trace::FaultClass::Stall);
-            if self.sim.is_some() {
-                self.tick(t);
-            } else {
-                for _ in 0..t {
-                    std::hint::spin_loop();
-                }
-            }
+            self.note_fault(FaultClass::Stall);
+            self.idle(0, t);
         }
         let held_before = self.session.held_count();
         match self.sim.clone() {
             None => {
                 self.sync_trace_clock();
-                let cfg = self.m.mg.config();
-                if cfg.acquire_timeout.is_some() || cfg.detect_deadlocks {
-                    self.session
-                        .acquire_all_checked()
-                        .map_err(|source| InterpError::Lock {
-                            tid: self.tid,
-                            source,
-                        })?;
-                } else {
-                    self.session.acquire_all();
-                }
+                // Honours whatever degradation policy the runtime was
+                // built with; under the default one it blocks for real.
+                self.session
+                    .acquire_all_checked()
+                    .map_err(|source| InterpError::Lock {
+                        tid: self.tid,
+                        source,
+                    })?;
             }
             Some(sim) => {
                 self.tick(self.m.costs.lock_desc * n_descriptors);
@@ -1200,13 +1157,11 @@ impl<'m> Worker<'m> {
         match m.mode {
             ExecMode::Global | ExecMode::MultiGrain | ExecMode::Validate => {
                 let will_close = self.session.nesting_level() == 1;
-                if self.sim.is_some() {
-                    self.tick(m.costs.lock_release);
-                    if will_close {
-                        // Publish the exact release time before waking
-                        // waiters.
-                        self.flush_ticks();
-                    }
+                self.tick(m.costs.lock_release);
+                if will_close {
+                    // Publish the exact release time before waking
+                    // waiters.
+                    self.flush_ticks();
                 }
                 // Exit before the releases: the validator checks every
                 // access while the grants are still held, and release
@@ -1239,17 +1194,15 @@ impl<'m> Worker<'m> {
                 })?;
                 let writes = txn.write_set_len() as u64;
                 let reads = txn.read_set_len() as u64;
-                if self.sim.is_some() {
-                    // Read-only transactions skip commit-time
-                    // validation entirely (the TL2 fast path).
-                    let vreads = if writes > 0 { reads } else { 0 };
-                    self.tick(
-                        m.costs.stm_commit_base
-                            + m.costs.stm_commit_per_write * writes
-                            + m.costs.stm_commit_per_read * vreads,
-                    );
-                    self.flush_ticks();
-                }
+                // Read-only transactions skip commit-time validation
+                // entirely (the TL2 fast path).
+                let vreads = if writes > 0 { reads } else { 0 };
+                self.tick(
+                    m.costs.stm_commit_base
+                        + m.costs.stm_commit_per_write * writes
+                        + m.costs.stm_commit_per_read * vreads,
+                );
+                self.flush_ticks();
                 self.sync_trace_clock();
                 match txn.commit() {
                     Ok(()) => {
@@ -1399,14 +1352,6 @@ impl<'m> Worker<'m> {
             None => Ok(out),
         }
     }
-}
-
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 // ----------------------------------------------------------------------

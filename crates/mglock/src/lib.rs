@@ -7,6 +7,12 @@
 //! *acquire-all*, *release-all*, plus the `nlevel` nesting support of
 //! §5.3.
 //!
+//! Each piece of §5 is stated once, here: Fig. 6(b) is
+//! [`Mode::compatible`], acquire-all is one resumable walk in
+//! [`Session`] behind its three entry points, and the mode / node-class
+//! spellings that traces and metrics carry are [`Mode`]'s
+//! `Display`/`FromStr` and [`NodeKey::class`].
+//!
 //! ```
 //! use mglock::{Access, Descriptor, FineAddr, Runtime, Session};
 //! use std::sync::Arc;
@@ -42,6 +48,7 @@ pub use runtime::{
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
     use std::time::Duration;
@@ -459,6 +466,97 @@ mod tests {
         s.to_acquire(fine(0, 11, Access::Write));
         s.acquire_all();
         s.release_all();
+    }
+
+    /// Records the grant lifecycle as the runtime reports it: `true`
+    /// for a grant, `false` for a release.
+    #[derive(Default)]
+    struct Log(std::sync::Mutex<Vec<(bool, NodeKey, Mode)>>);
+
+    impl Log {
+        fn take(&self) -> Vec<(bool, NodeKey, Mode)> {
+            std::mem::take(&mut self.0.lock().unwrap())
+        }
+    }
+
+    impl LockObserver for Log {
+        fn lock_acquired(&self, node: NodeKey, mode: Mode) {
+            self.0.lock().unwrap().push((true, node, mode));
+        }
+        fn lock_released(&self, node: NodeKey, mode: Mode) {
+            self.0.lock().unwrap().push((false, node, mode));
+        }
+    }
+
+    fn descriptor() -> impl Strategy<Value = Descriptor> {
+        (0u32..3, 0u64..3, any::<bool>(), 0u8..4).prop_map(|(pts, at, write, kind)| {
+            let access = if write { Access::Write } else { Access::Read };
+            let fine = |addr| Descriptor::Fine { pts, addr, access };
+            match kind {
+                0 => Descriptor::Global { access },
+                1 => Descriptor::Coarse { pts, access },
+                2 => fine(FineAddr::Cell(at)),
+                _ => fine(FineAddr::Range(at)),
+            }
+        })
+    }
+
+    proptest! {
+        /// Blocking, checked (under a live policy) and step-wise
+        /// acquisition are one walk: uncontended, they grant the same
+        /// nodes in the same modes in the same order, account for them
+        /// identically, and release in exact reverse.
+        #[test]
+        fn the_three_entry_points_walk_one_plan(
+            plan in proptest::collection::vec(descriptor(), 0..7),
+        ) {
+            let policy = RuntimeConfig {
+                acquire_timeout: Some(Duration::from_secs(5)),
+                detect_deadlocks: true,
+            };
+            let mut walks = Vec::new();
+            for entry in ["blocking", "checked", "stepwise"] {
+                let rt = Arc::new(match entry {
+                    "checked" => Runtime::with_config(policy),
+                    _ => Runtime::new(),
+                });
+                let log = Arc::new(Log::default());
+                let mut s = Session::new(Arc::clone(&rt));
+                s.set_observer(Some(Arc::clone(&log) as Arc<dyn LockObserver>));
+                for &d in &plan {
+                    s.to_acquire(d);
+                }
+                match entry {
+                    "blocking" => s.acquire_all(),
+                    "checked" => s.acquire_all_checked().expect("uncontended"),
+                    _ => prop_assert_eq!(s.acquire_all_step(), StepResult::Done),
+                }
+                let held: Vec<(NodeKey, Mode)> = s.held_modes().collect();
+                let grants = log.take();
+                prop_assert_eq!(
+                    &grants,
+                    &held.iter().map(|&(k, m)| (true, k, m)).collect::<Vec<_>>(),
+                    "{}: grants are reported in held order", entry
+                );
+                prop_assert!(held.windows(2).all(|w| w[0].0 < w[1].0), "{}: top-down", entry);
+                prop_assert_eq!(s.nesting_level(), 1);
+                prop_assert_eq!(rt.stats().batches.load(Ordering::Relaxed), 1);
+                prop_assert_eq!(
+                    rt.stats().node_acquisitions.load(Ordering::Relaxed),
+                    held.len() as u64
+                );
+                s.release_all();
+                prop_assert_eq!(
+                    log.take(),
+                    held.iter().rev().map(|&(k, m)| (false, k, m)).collect::<Vec<_>>(),
+                    "{}: released in exact reverse", entry
+                );
+                prop_assert!(rt.quiescent() && s.held_count() == 0);
+                walks.push(held);
+            }
+            prop_assert_eq!(&walks[0], &walks[1], "blocking vs checked");
+            prop_assert_eq!(&walks[0], &walks[2], "blocking vs stepwise");
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! A blocking lock node supporting the five access modes.
 //!
 //! Each node counts how many threads hold it in each mode; a request is
-//! granted when it is compatible with everything currently granted.
+//! granted when [`Mode::compatible`] — the one transcription of
+//! Fig. 6(b) — admits it beside everything currently granted.
 //! Shared-flavoured requests (`S`/`IS`) additionally yield to queued
 //! exclusive requests (writer preference), which prevents writer
 //! starvation under read-heavy load. Yielding more conservatively than
@@ -9,8 +10,9 @@
 //! protocol orders all nodes globally and acquires them two-phase, so
 //! waits never form a cycle.
 
-use crate::modes::Mode;
+use crate::modes::{Mode, ALL_MODES};
 use parking_lot::{Condvar, Mutex};
+use std::time::Instant;
 
 #[derive(Default)]
 struct State {
@@ -22,20 +24,14 @@ struct State {
 
 impl State {
     fn admits(&self, mode: Mode) -> bool {
-        use Mode::*;
-        let g = &self.granted;
-        let held = |m: Mode| g[m as usize] > 0;
-        let ok = match mode {
-            Is => !held(X),
-            Ix => !held(S) && !held(Six) && !held(X),
-            S => !held(Ix) && !held(Six) && !held(X),
-            Six => !held(Ix) && !held(S) && !held(Six) && !held(X),
-            X => g.iter().all(|&c| c == 0),
-        };
         // Writer preference: purely shared requests queue behind
-        // blocked exclusive requests.
-        let defer = matches!(mode, Is | S) && self.waiting_excl > 0;
-        ok && !defer
+        // blocked exclusive requests. (A queued exclusive request is
+        // never one of these, so it cannot defer to itself.)
+        let defer = matches!(mode, Mode::Is | Mode::S) && self.waiting_excl > 0;
+        !defer
+            && ALL_MODES
+                .into_iter()
+                .all(|held| self.granted[held as usize] == 0 || held.compatible(mode))
     }
 }
 
@@ -54,49 +50,40 @@ impl ModeLock {
 
     /// Blocks until `mode` can be granted, then records the grant.
     pub fn acquire(&self, mode: Mode) {
+        let granted = self.acquire_until(mode, None);
+        debug_assert!(granted, "a wait without a deadline only ends in a grant");
+    }
+
+    /// The one wait loop: blocks until `mode` is granted (true) or
+    /// `deadline`, if any, passes (false). Used with a deadline by the
+    /// runtime's degradation ladder, to turn indefinite blocking into a
+    /// typed error.
+    pub fn acquire_until(&self, mode: Mode, deadline: Option<Instant>) -> bool {
         let mut st = self.state.lock();
-        if !st.admits(mode) {
+        let mut granted = st.admits(mode);
+        if !granted {
             let excl = matches!(mode, Mode::X | Mode::Six);
             if excl {
                 st.waiting_excl += 1;
             }
-            while !st.admits_ignoring_preference(mode, excl) {
-                self.cond.wait(&mut st);
-            }
+            granted = loop {
+                match deadline {
+                    None => self.cond.wait(&mut st),
+                    Some(d) => {
+                        let now = Instant::now();
+                        if now >= d {
+                            break false;
+                        }
+                        self.cond.wait_for(&mut st, d - now);
+                    }
+                }
+                if st.admits(mode) {
+                    break true;
+                }
+            };
             if excl {
                 st.waiting_excl -= 1;
             }
-        }
-        st.granted[mode as usize] += 1;
-    }
-
-    /// Like [`ModeLock::acquire`], but gives up after `timeout` and
-    /// returns whether the grant was obtained. Used by the runtime's
-    /// degradation ladder to turn indefinite blocking into a typed
-    /// error.
-    pub fn acquire_timed(&self, mode: Mode, timeout: std::time::Duration) -> bool {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut st = self.state.lock();
-        if st.admits(mode) {
-            st.granted[mode as usize] += 1;
-            return true;
-        }
-        let excl = matches!(mode, Mode::X | Mode::Six);
-        if excl {
-            st.waiting_excl += 1;
-        }
-        let granted = loop {
-            if st.admits_ignoring_preference(mode, excl) {
-                break true;
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                break false;
-            }
-            self.cond.wait_for(&mut st, deadline - now);
-        };
-        if excl {
-            st.waiting_excl -= 1;
         }
         if granted {
             st.granted[mode as usize] += 1;
@@ -139,25 +126,6 @@ impl ModeLock {
     /// Snapshot of granted counts (diagnostics/tests).
     pub fn granted(&self) -> [u32; 5] {
         self.state.lock().granted
-    }
-}
-
-impl State {
-    /// While *already queued* as an exclusive waiter, a request ignores
-    /// its own contribution to the writer-preference rule.
-    fn admits_ignoring_preference(&self, mode: Mode, self_excl: bool) -> bool {
-        use Mode::*;
-        let g = &self.granted;
-        let held = |m: Mode| g[m as usize] > 0;
-        let ok = match mode {
-            Is => !held(X),
-            Ix => !held(S) && !held(Six) && !held(X),
-            S => !held(Ix) && !held(Six) && !held(X),
-            Six => !held(Ix) && !held(S) && !held(Six) && !held(X),
-            X => g.iter().all(|&c| c == 0),
-        };
-        let defer = matches!(mode, Is | S) && self.waiting_excl > 0 && !self_excl;
-        ok && !defer
     }
 }
 

@@ -6,6 +6,7 @@
 //! intention to write below).
 
 use std::fmt;
+use std::str::FromStr;
 
 /// A lock access mode.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -76,18 +77,34 @@ impl Mode {
     pub fn allows_write(self) -> bool {
         matches!(self, Mode::X)
     }
-}
 
-impl fmt::Display for Mode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+    /// The mode's one spelling: what [`fmt::Display`] prints, what
+    /// [`FromStr`] accepts, and the `MODE` tag of the trace format.
+    pub fn tag(self) -> &'static str {
+        match self {
             Mode::Is => "IS",
             Mode::Ix => "IX",
             Mode::S => "S",
             Mode::Six => "SIX",
             Mode::X => "X",
-        };
-        write!(f, "{s}")
+        }
+    }
+}
+
+impl fmt::Display for Mode {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.tag())
+    }
+}
+
+impl FromStr for Mode {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Mode, String> {
+        ALL_MODES
+            .into_iter()
+            .find(|m| m.tag() == s)
+            .ok_or_else(|| format!("unknown lock mode `{s}`"))
     }
 }
 
@@ -145,6 +162,15 @@ mod tests {
     fn s_plus_ix_is_six() {
         assert_eq!(S.combine(Ix), Six);
         assert_eq!(Ix.combine(S), Six);
+    }
+
+    #[test]
+    fn display_and_from_str_round_trip() {
+        for m in ALL_MODES {
+            assert_eq!(m.to_string().parse(), Ok(m));
+        }
+        assert!("is".parse::<Mode>().is_err(), "tags are case-sensitive");
+        assert!("XS".parse::<Mode>().is_err());
     }
 
     #[test]

@@ -12,12 +12,21 @@
 //! │   └── …
 //! ```
 //!
-//! `acquire_all` turns the pending descriptor list into per-node modes
+//! Acquire-all turns the pending descriptor list into per-node modes
 //! (combining a node's own mode with the intention modes required by its
 //! descendants), then acquires the nodes top-down in one global order —
 //! root, partitions ascending, fine nodes by (partition, address). All
 //! threads use the same order, locks are two-phase (held to
 //! `release_all`), so the protocol is deadlock free.
+//!
+//! That walk exists once, as a resumable cursor; its entry points
+//! differ only in how they wait for one node. [`Session::acquire_all`]
+//! blocks, [`Session::acquire_all_checked`] blocks under the runtime's
+//! [`RuntimeConfig`], [`Session::acquire_all_step`] never blocks and
+//! reports [`StepResult::WouldBlock`] to a cooperative scheduler — so
+//! real threads, checked mode and virtual time run one plan in one
+//! order. One release loop serves `release_all`, a failed checked
+//! batch and the unwind in `Drop`.
 
 use crate::error::MgLockError;
 use crate::modelock::ModeLock;
@@ -27,7 +36,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Effect requested by a descriptor: read-only maps to shared modes,
 /// read-write to exclusive ones. (Mirror of `lir::Eff`, kept local so
@@ -82,6 +91,22 @@ pub enum NodeKey {
     Root,
     Pts(u32),
     Fine(u32, FineAddr),
+}
+
+impl NodeKey {
+    /// Every node class, in tree order (the `NODE` tags of the trace
+    /// format, the `node` label of the wake-decision metrics).
+    pub const CLASSES: [&'static str; 4] = ["root", "pts", "cell", "range"];
+
+    /// Which of [`NodeKey::CLASSES`] this node belongs to.
+    pub fn class(self) -> &'static str {
+        Self::CLASSES[match self {
+            NodeKey::Root => 0,
+            NodeKey::Pts(_) => 1,
+            NodeKey::Fine(_, FineAddr::Cell(_)) => 2,
+            NodeKey::Fine(_, FineAddr::Range(_)) => 3,
+        }]
+    }
 }
 
 /// Observer of a [`Session`]'s grant lifecycle. Implemented by tracing
@@ -254,11 +279,6 @@ impl Runtime {
         }
     }
 
-    /// The active degradation policy.
-    pub fn config(&self) -> RuntimeConfig {
-        self.config
-    }
-
     /// Acquisition statistics.
     pub fn stats(&self) -> &Stats {
         &self.stats
@@ -284,6 +304,51 @@ impl Runtime {
         };
         let mut map = self.shards[shard].lock();
         Arc::clone(map.entry(key).or_insert_with(|| Arc::new(ModeLock::new())))
+    }
+
+    /// One node of a checked batch: non-blocking fast path, then a
+    /// wait bounded by the timeout that, with detection on, re-examines
+    /// the wait-for graph every [`DETECT_RECHECK`] (a cycle may only
+    /// close after we block). With neither it blocks for real.
+    fn acquire_node_checked(
+        &self,
+        key: NodeKey,
+        node: &ModeLock,
+        mode: Mode,
+    ) -> Result<(), MgLockError> {
+        if node.try_acquire(mode) {
+            return Ok(());
+        }
+        let cfg = self.config;
+        let deadline = cfg.acquire_timeout.map(|t| Instant::now() + t);
+        if cfg.detect_deadlocks {
+            self.graph.lock().waiting.insert(graph_tid(), (key, mode));
+        }
+        let result = loop {
+            if cfg.detect_deadlocks {
+                let cycle = self.graph.lock().find_cycle(graph_tid(), key, mode);
+                if let Some(cycle) = cycle {
+                    self.stats
+                        .deadlocks_detected
+                        .fetch_add(1, Ordering::Relaxed);
+                    break Err(MgLockError::DeadlockDetected { cycle });
+                }
+            }
+            let now = Instant::now();
+            if deadline.is_some_and(|d| now >= d) {
+                self.stats.timeouts.fetch_add(1, Ordering::Relaxed);
+                break Err(MgLockError::AcquireTimeout);
+            }
+            // Whichever comes first; with neither, block for real.
+            let recheck = cfg.detect_deadlocks.then(|| now + DETECT_RECHECK);
+            if node.acquire_until(mode, deadline.into_iter().chain(recheck).min()) {
+                break Ok(());
+            }
+        };
+        if cfg.detect_deadlocks {
+            self.graph.lock().waiting.remove(&graph_tid());
+        }
+        result
     }
 
     fn note_granted(&self, key: NodeKey, mode: Mode) {
@@ -327,11 +392,10 @@ pub struct Session {
     pending: Vec<Descriptor>,
     held: Vec<(NodeKey, Arc<ModeLock>, Mode)>,
     nlevel: u32,
-    /// In-progress step-wise acquisition: remaining (node, mode) pairs
-    /// in *descending* order (popped from the back).
+    /// The acquire-all walk's cursor: the plan's remaining (node, mode)
+    /// pairs in *descending* order (popped from the back). Non-empty
+    /// exactly while a walk is in flight.
     cursor: Vec<(NodeKey, Mode)>,
-    /// Whether a step-wise acquisition is in flight.
-    stepping: bool,
     /// Grant-lifecycle observer (tracing); `None` costs nothing.
     observer: Option<Arc<dyn LockObserver>>,
 }
@@ -355,7 +419,6 @@ impl Session {
             held: Vec::new(),
             nlevel: 0,
             cursor: Vec::new(),
-            stepping: false,
             observer: None,
         }
     }
@@ -364,12 +427,6 @@ impl Session {
     /// held are not replayed to a newly installed observer.
     pub fn set_observer(&mut self, observer: Option<Arc<dyn LockObserver>>) {
         self.observer = observer;
-    }
-
-    fn notify_acquired(&self, key: NodeKey, mode: Mode) {
-        if let Some(obs) = &self.observer {
-            obs.lock_acquired(key, mode);
-        }
     }
 
     /// Computes the per-node modes for the pending descriptors, in the
@@ -412,35 +469,80 @@ impl Session {
         }
     }
 
-    /// *acquire-all*: acquire every pending lock using the hierarchical
-    /// protocol, then enter the (possibly nested) section.
-    pub fn acquire_all(&mut self) {
-        if self.nlevel > 0 {
-            self.nlevel += 1;
-            return;
+    /// The one acquire-all walk (§5.2), resumable: enter a nested
+    /// section, or plan the pending descriptors into the cursor and
+    /// take its nodes top-down in `NodeKey` order — the one global
+    /// order every thread shares. `take` waits for one node, each entry
+    /// point in its own way: `Ok(false)` leaves the cursor in place for
+    /// the next call, an error abandons the batch and releases it.
+    fn advance(
+        &mut self,
+        mut take: impl FnMut(&Runtime, NodeKey, &ModeLock, Mode) -> Result<bool, MgLockError>,
+    ) -> Result<StepResult, MgLockError> {
+        if self.cursor.is_empty() {
+            if self.nlevel > 0 {
+                self.nlevel += 1;
+                return Ok(StepResult::Done);
+            }
+            self.cursor = self.plan();
+            self.cursor.reverse(); // pop() from the back = ascending order
         }
-        // The plan follows NodeKey's Ord: root, partitions, fine nodes —
-        // top-down, one global sibling order.
-        for (key, mode) in self.plan() {
+        while let Some(&(key, mode)) = self.cursor.last() {
             let node = self.rt.node(key);
-            node.acquire(mode);
+            match take(&self.rt, key, &node, mode) {
+                Ok(true) => {}
+                Ok(false) => return Ok(StepResult::WouldBlock),
+                Err(e) => {
+                    self.cursor.clear();
+                    self.release_held();
+                    return Err(e);
+                }
+            }
             self.rt
                 .stats
                 .node_acquisitions
                 .fetch_add(1, Ordering::Relaxed);
             self.rt.note_granted(key, mode);
-            self.notify_acquired(key, mode);
+            if let Some(obs) = &self.observer {
+                obs.lock_acquired(key, mode);
+            }
             self.held.push((key, node, mode));
+            self.cursor.pop();
         }
         self.rt.stats.batches.fetch_add(1, Ordering::Relaxed);
         self.nlevel = 1;
+        Ok(StepResult::Done)
+    }
+
+    /// Releases every held node, children before ancestors.
+    fn release_held(&mut self) {
+        for (key, node, mode) in self.held.drain(..).rev() {
+            node.release(mode);
+            self.rt.note_released(key, mode);
+            if let Some(obs) = &self.observer {
+                obs.lock_released(key, mode);
+            }
+        }
+    }
+
+    /// *acquire-all*: acquire every pending lock using the hierarchical
+    /// protocol, then enter the (possibly nested) section. Blocks on
+    /// each node for as long as it takes.
+    pub fn acquire_all(&mut self) {
+        let done = self.advance(|_, _, node, mode| {
+            node.acquire(mode);
+            Ok(true)
+        });
+        debug_assert_eq!(done, Ok(StepResult::Done));
     }
 
     /// Like [`Session::acquire_all`], but honours the runtime's
     /// [`RuntimeConfig`]: acquisitions observe the configured timeout,
     /// and (when detection is enabled) a wait-for cycle is reported as
-    /// a typed error instead of hanging. On error the partial batch is
-    /// released and the pending list is empty — the session is reusable.
+    /// a typed error instead of hanging; with the default configuration
+    /// it blocks exactly like `acquire_all`. On error the partial batch
+    /// is released and the pending list is empty — the session is
+    /// reusable.
     ///
     /// # Errors
     ///
@@ -448,96 +550,8 @@ impl Session {
     /// [`MgLockError::DeadlockDetected`] when this acquisition would
     /// close a wait-for cycle (a locking-protocol violation).
     pub fn acquire_all_checked(&mut self) -> Result<(), MgLockError> {
-        if self.nlevel > 0 {
-            self.nlevel += 1;
-            return Ok(());
-        }
-        for (key, mode) in self.plan() {
-            let node = self.rt.node(key);
-            if let Err(e) = self.acquire_node_checked(key, &node, mode) {
-                let obs = self.observer.clone();
-                for (k, n, m) in self.held.drain(..).rev() {
-                    n.release(m);
-                    self.rt.note_released(k, m);
-                    if let Some(obs) = &obs {
-                        obs.lock_released(k, m);
-                    }
-                }
-                return Err(e);
-            }
-            self.rt
-                .stats
-                .node_acquisitions
-                .fetch_add(1, Ordering::Relaxed);
-            self.rt.note_granted(key, mode);
-            self.notify_acquired(key, mode);
-            self.held.push((key, node, mode));
-        }
-        self.rt.stats.batches.fetch_add(1, Ordering::Relaxed);
-        self.nlevel = 1;
-        Ok(())
-    }
-
-    /// One node of a checked batch: non-blocking fast path, then a
-    /// bounded wait that re-examines the wait-for graph every
-    /// [`DETECT_RECHECK`] (a cycle may only close after we block).
-    fn acquire_node_checked(
-        &self,
-        key: NodeKey,
-        node: &ModeLock,
-        mode: Mode,
-    ) -> Result<(), MgLockError> {
-        if node.try_acquire(mode) {
-            return Ok(());
-        }
-        let cfg = self.rt.config;
-        let deadline = cfg.acquire_timeout.map(|t| std::time::Instant::now() + t);
-        if cfg.detect_deadlocks {
-            self.rt
-                .graph
-                .lock()
-                .waiting
-                .insert(graph_tid(), (key, mode));
-        }
-        let result = loop {
-            if cfg.detect_deadlocks {
-                let cycle = self.rt.graph.lock().find_cycle(graph_tid(), key, mode);
-                if let Some(cycle) = cycle {
-                    self.rt
-                        .stats
-                        .deadlocks_detected
-                        .fetch_add(1, Ordering::Relaxed);
-                    break Err(MgLockError::DeadlockDetected { cycle });
-                }
-            }
-            let slice = match deadline {
-                Some(d) => {
-                    let now = std::time::Instant::now();
-                    if now >= d {
-                        self.rt.stats.timeouts.fetch_add(1, Ordering::Relaxed);
-                        break Err(MgLockError::AcquireTimeout);
-                    }
-                    if cfg.detect_deadlocks {
-                        DETECT_RECHECK.min(d - now)
-                    } else {
-                        d - now
-                    }
-                }
-                None if cfg.detect_deadlocks => DETECT_RECHECK,
-                None => {
-                    // No policy bounds this wait: block for real.
-                    node.acquire(mode);
-                    break Ok(());
-                }
-            };
-            if node.acquire_timed(mode, slice) {
-                break Ok(());
-            }
-        };
-        if cfg.detect_deadlocks {
-            self.rt.graph.lock().waiting.remove(&graph_tid());
-        }
-        result
+        self.advance(|rt, key, node, mode| rt.acquire_node_checked(key, node, mode).map(|()| true))
+            .map(|_| ())
     }
 
     /// Non-blocking variant of [`Session::acquire_all`] for cooperative
@@ -546,34 +560,8 @@ impl Session {
     /// unavailable. Call again after any lock release; already-acquired
     /// nodes stay held (safe under the global acquisition order).
     pub fn acquire_all_step(&mut self) -> StepResult {
-        if !self.stepping {
-            if self.nlevel > 0 {
-                self.nlevel += 1;
-                return StepResult::Done;
-            }
-            let mut plan = self.plan();
-            plan.reverse(); // pop() from the back = ascending order
-            self.cursor = plan;
-            self.stepping = true;
-        }
-        while let Some(&(key, mode)) = self.cursor.last() {
-            let node = self.rt.node(key);
-            if !node.try_acquire(mode) {
-                return StepResult::WouldBlock;
-            }
-            self.rt
-                .stats
-                .node_acquisitions
-                .fetch_add(1, Ordering::Relaxed);
-            self.rt.note_granted(key, mode);
-            self.notify_acquired(key, mode);
-            self.held.push((key, node, mode));
-            self.cursor.pop();
-        }
-        self.rt.stats.batches.fetch_add(1, Ordering::Relaxed);
-        self.nlevel = 1;
-        self.stepping = false;
-        StepResult::Done
+        self.advance(|_, _, node, mode| Ok(node.try_acquire(mode)))
+            .expect("a non-blocking take has no error to report")
     }
 
     /// *release-all*: leave the section; at nesting level zero, release
@@ -581,16 +569,8 @@ impl Session {
     pub fn release_all(&mut self) {
         assert!(self.nlevel > 0, "release_all without acquire_all");
         self.nlevel -= 1;
-        if self.nlevel > 0 {
-            return;
-        }
-        let obs = self.observer.clone();
-        for (key, node, mode) in self.held.drain(..).rev() {
-            node.release(mode);
-            self.rt.note_released(key, mode);
-            if let Some(obs) = &obs {
-                obs.lock_released(key, mode);
-            }
+        if self.nlevel == 0 {
+            self.release_held();
         }
     }
 
@@ -619,37 +599,26 @@ impl Session {
     /// policies snapshot this into the scheduler's waiter queue when a
     /// step returns [`StepResult::WouldBlock`].
     pub fn blocked_on(&self) -> Option<(NodeKey, Mode)> {
-        if self.stepping {
-            self.cursor.last().copied()
-        } else {
-            None
-        }
+        self.cursor.last().copied()
     }
 }
 
 impl Drop for Session {
     fn drop(&mut self) {
         // Sessions abandoned mid-section (e.g. on panic) must not wedge
-        // other threads: release everything, children before ancestors,
-        // and account for the poisoning so harnesses can report it.
-        if self.nlevel > 0 || self.stepping || !self.held.is_empty() {
+        // other threads: release everything and account for the
+        // poisoning so harnesses can report it.
+        if self.nlevel > 0 || !self.cursor.is_empty() || !self.held.is_empty() {
             self.rt
                 .stats
                 .poisoned_sessions
                 .fetch_add(1, Ordering::Relaxed);
         }
-        let obs = self.observer.clone();
-        for (key, node, mode) in self.held.drain(..).rev() {
-            node.release(mode);
-            self.rt.note_released(key, mode);
-            if let Some(obs) = &obs {
-                obs.lock_released(key, mode);
-            }
-            self.rt
-                .stats
-                .unwind_releases
-                .fetch_add(1, Ordering::Relaxed);
-        }
+        self.rt
+            .stats
+            .unwind_releases
+            .fetch_add(self.held.len() as u64, Ordering::Relaxed);
+        self.release_held();
     }
 }
 

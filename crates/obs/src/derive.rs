@@ -9,7 +9,8 @@
 //! per-section series follow the `trace::profile` section set.
 
 use crate::{HistData, Key, Snapshot};
-use mglock::{FineAddr, Mode, NodeKey};
+use mglock::modes::ALL_MODES;
+use mglock::NodeKey;
 use trace::{EventKind, FaultClass, Trace};
 
 /// All event kinds, in the canonical `Trace::counts` vocabulary.
@@ -31,45 +32,6 @@ const EVENT_KINDS: [&str; 15] = [
     "write",
 ];
 
-const MODES: [Mode; 5] = [Mode::Is, Mode::Ix, Mode::S, Mode::Six, Mode::X];
-const NODE_CLASSES: [&str; 4] = ["root", "pts", "cell", "range"];
-const FAULT_CLASSES: [FaultClass; 4] = [
-    FaultClass::Panic,
-    FaultClass::SpuriousAbort,
-    FaultClass::Stall,
-    FaultClass::WakeupDelay,
-];
-
-/// The trace JSON tag of a lock mode.
-pub fn mode_tag(mode: Mode) -> &'static str {
-    match mode {
-        Mode::Is => "IS",
-        Mode::Ix => "IX",
-        Mode::S => "S",
-        Mode::Six => "SIX",
-        Mode::X => "X",
-    }
-}
-
-/// The trace JSON class of a lock-tree node.
-pub fn node_class(node: NodeKey) -> &'static str {
-    match node {
-        NodeKey::Root => "root",
-        NodeKey::Pts(_) => "pts",
-        NodeKey::Fine(_, FineAddr::Cell(_)) => "cell",
-        NodeKey::Fine(_, FineAddr::Range(_)) => "range",
-    }
-}
-
-fn fault_tag(class: FaultClass) -> &'static str {
-    match class {
-        FaultClass::Panic => "panic",
-        FaultClass::SpuriousAbort => "abort",
-        FaultClass::Stall => "stall",
-        FaultClass::WakeupDelay => "delay",
-    }
-}
-
 /// Derives the canonical metrics snapshot of a recorded trace.
 pub fn from_trace(t: &Trace) -> Snapshot {
     let mut snap = Snapshot::default();
@@ -82,9 +44,9 @@ pub fn from_trace(t: &Trace) -> Snapshot {
         ));
     }
 
-    let mut acquires = [0u64; MODES.len()];
-    let mut wake_by_class = [0u64; NODE_CLASSES.len()];
-    let mut faults = [0u64; FAULT_CLASSES.len()];
+    let mut acquires = [0u64; ALL_MODES.len()];
+    let mut wake_by_class = [0u64; NodeKey::CLASSES.len()];
+    let mut faults = [0u64; FaultClass::ALL.len()];
     let mut woken = 0u64;
     let (mut commit_reads, mut commit_writes) = (0u64, 0u64);
     let (mut demotions, mut heals) = (0u64, 0u64);
@@ -98,16 +60,16 @@ pub fn from_trace(t: &Trace) -> Snapshot {
         makespan = makespan.max(e.clock);
         match e.kind {
             EventKind::LockAcquire { mode, .. } => {
-                acquires[MODES.iter().position(|&m| m == mode).unwrap()] += 1;
+                acquires[ALL_MODES.iter().position(|&m| m == mode).unwrap()] += 1;
             }
             EventKind::Fault { class } => {
-                faults[FAULT_CLASSES.iter().position(|&c| c == class).unwrap()] += 1;
+                faults[FaultClass::ALL.iter().position(|&c| c == class).unwrap()] += 1;
             }
             EventKind::WakeDecision {
                 node, woken: batch, ..
             } => {
-                let class = node_class(node);
-                wake_by_class[NODE_CLASSES.iter().position(|&c| c == class).unwrap()] += 1;
+                let class = node.class();
+                wake_by_class[NodeKey::CLASSES.iter().position(|&c| c == class).unwrap()] += 1;
                 woken += batch as u64;
             }
             EventKind::StmCommit { reads, writes } => {
@@ -131,23 +93,17 @@ pub fn from_trace(t: &Trace) -> Snapshot {
             _ => {}
         }
     }
-    for (i, mode) in MODES.iter().enumerate() {
-        snap.counters.push((
-            Key::labelled("ali_lock_acquires_total", "mode", mode_tag(*mode)),
-            acquires[i],
-        ));
+    for (mode, n) in ALL_MODES.iter().zip(acquires) {
+        snap.counters
+            .push((Key::labelled("ali_lock_acquires_total", "mode", mode), n));
     }
-    for (i, class) in NODE_CLASSES.iter().enumerate() {
-        snap.counters.push((
-            Key::labelled("ali_wake_decisions_total", "node", class),
-            wake_by_class[i],
-        ));
+    for (class, n) in NodeKey::CLASSES.iter().zip(wake_by_class) {
+        snap.counters
+            .push((Key::labelled("ali_wake_decisions_total", "node", class), n));
     }
-    for (i, class) in FAULT_CLASSES.iter().enumerate() {
-        snap.counters.push((
-            Key::labelled("ali_faults_total", "class", fault_tag(*class)),
-            faults[i],
-        ));
+    for (class, n) in FaultClass::ALL.iter().zip(faults) {
+        snap.counters
+            .push((Key::labelled("ali_faults_total", "class", class.tag()), n));
     }
     snap.counters
         .push((Key::plain("ali_wake_woken_total"), woken));

@@ -15,12 +15,12 @@
 //!   randomness, no thread-count dependence — identical release
 //!   batches rank identically on any machine, at any parallelism,
 //!   which is what keeps policy-steered runs replayable.
-//! * Built-in policies: [`Fifo`] (the historical `(clock, tid)` order,
-//!   extracted verbatim — every waiter ranks 0), [`ShortestExpectedHold`]
-//!   (waiters whose section's hold histogram predicts the shortest
-//!   occupancy go first), and [`ReaderBatch`] (all shared-mode waiters
-//!   rank ahead of writers, so one grant wakes the whole read batch
-//!   and breaks writer-preference convoys).
+//! * Built-in policies: [`ShortestExpectedHold`] (waiters whose
+//!   section's hold histogram predicts the shortest occupancy go
+//!   first) and [`ReaderBatch`] (all shared-mode waiters rank ahead of
+//!   writers, so one grant wakes the whole read batch and breaks
+//!   writer-preference convoys). There is no FIFO policy: running the
+//!   scheduler with *no* policy is the historical `(clock, tid)` order.
 //! * [`convoy`] — flags sections whose estimated queue depth × hold
 //!   time exceeds a threshold, and [`queue_profiles`] builds per-lock
 //!   waiter-queue-depth histograms from recorded `["wk", …]` wake
@@ -33,9 +33,9 @@
 //! `(clock, rank, tid)` instead of `(clock, tid)`. Clocks are never
 //! altered by the policy — only the acquisition order among waiters
 //! promoted at the same release changes, which is exactly the degree
-//! of freedom that affects measured wait. Under [`Fifo`] every rank is
-//! 0, so `(clock, 0, tid)` reproduces the historical schedule — and
-//! the historical traces — byte-identically.
+//! of freedom that affects measured wait. Without a policy no ranking
+//! pass runs and every rank stays 0, so `(clock, 0, tid)` is the
+//! historical schedule — and the historical traces — byte for byte.
 
 pub mod convoy;
 
@@ -73,8 +73,6 @@ pub struct Waiter {
 /// through `run.sched_policy` trace metadata.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum PolicyKind {
-    /// Historical `(clock, tid)` order: every waiter ranks 0.
-    Fifo,
     /// Waiters whose section's recorded hold histogram predicts the
     /// shortest occupancy are woken first.
     ShortestExpectedHold,
@@ -83,18 +81,12 @@ pub enum PolicyKind {
 }
 
 impl PolicyKind {
-    /// Every built-in policy, in evaluation order ([`Fifo`] first —
-    /// it is the baseline).
-    pub const ALL: [PolicyKind; 3] = [
-        PolicyKind::Fifo,
-        PolicyKind::ShortestExpectedHold,
-        PolicyKind::ReaderBatch,
-    ];
+    /// Every built-in policy, in evaluation order.
+    pub const ALL: [PolicyKind; 2] = [PolicyKind::ShortestExpectedHold, PolicyKind::ReaderBatch];
 
     /// Stable machine-readable tag (trace metadata, reports).
     pub fn tag(self) -> &'static str {
         match self {
-            PolicyKind::Fifo => "fifo",
             PolicyKind::ShortestExpectedHold => "seh",
             PolicyKind::ReaderBatch => "rbatch",
         }
@@ -102,7 +94,6 @@ impl PolicyKind {
 
     pub fn from_tag(s: &str) -> Option<PolicyKind> {
         Some(match s {
-            "fifo" => PolicyKind::Fifo,
             "seh" => PolicyKind::ShortestExpectedHold,
             "rbatch" => PolicyKind::ReaderBatch,
             _ => return None,
@@ -131,15 +122,6 @@ pub struct SchedConfig {
 }
 
 impl SchedConfig {
-    /// The baseline configuration: historical FIFO order, no profile.
-    pub fn fifo() -> SchedConfig {
-        SchedConfig {
-            policy: PolicyKind::Fifo,
-            expected_hold: Vec::new(),
-            aging: 0,
-        }
-    }
-
     /// Builds the configuration for `policy` from a prior run's
     /// per-section profiles (the record → profile → re-run loop).
     /// [`PolicyKind::ReaderBatch`] gets the default aging bound so
@@ -156,7 +138,7 @@ impl SchedConfig {
             expected_hold,
             aging: match policy {
                 PolicyKind::ReaderBatch => ReaderBatch::DEFAULT_AGING,
-                _ => 0,
+                PolicyKind::ShortestExpectedHold => 0,
             },
         }
     }
@@ -164,7 +146,6 @@ impl SchedConfig {
     /// Instantiates the ranking function.
     pub fn build(&self) -> Box<dyn WakePolicy> {
         match self.policy {
-            PolicyKind::Fifo => Box::new(Fifo),
             PolicyKind::ShortestExpectedHold => {
                 Box::new(ShortestExpectedHold::new(&self.expected_hold))
             }
@@ -212,20 +193,6 @@ pub trait WakePolicy: Send + Sync {
     /// ordered by thread id). Must be a pure function of its
     /// arguments.
     fn rank(&self, waiter: &Waiter, queue: &[Waiter]) -> u64;
-}
-
-/// The historical `(clock, tid)` order, extracted verbatim: every
-/// waiter ranks 0, so ties still break by thread id alone.
-pub struct Fifo;
-
-impl WakePolicy for Fifo {
-    fn name(&self) -> &'static str {
-        "fifo"
-    }
-
-    fn rank(&self, _waiter: &Waiter, _queue: &[Waiter]) -> u64 {
-        0
-    }
 }
 
 /// Wake the waiter whose section is expected to get out of the way
@@ -374,20 +341,7 @@ mod tests {
             assert_eq!(PolicyKind::from_tag(k.tag()), Some(k));
         }
         assert_eq!(PolicyKind::from_tag("lifo"), None);
-    }
-
-    #[test]
-    fn fifo_ranks_everyone_zero() {
-        let q = vec![
-            w(0, 1, NodeKey::Root, Mode::X),
-            w(3, 2, NodeKey::Pts(4), Mode::S),
-        ];
-        let (ranks, grants) = rank_batch(&Fifo, &q);
-        assert_eq!(ranks, vec![0, 0]);
-        // One grant per distinct node; under FIFO the whole queue is
-        // the preferred batch.
-        assert_eq!(grants.len(), 2);
-        assert!(grants.iter().all(|g| g.depth == 1 && g.woken == 1));
+        assert_eq!(PolicyKind::from_tag("fifo"), None, "no policy is FIFO");
     }
 
     #[test]
@@ -441,6 +395,7 @@ mod tests {
         ];
         let (ranks, grants) = rank_batch(&ReaderBatch { aging: 0 }, &q);
         assert_eq!(ranks, vec![1, 0, 0, 0]);
+        assert_eq!(grants.len(), 2, "one grant per distinct node");
         // Pts(0): three waiters, the two readers form the batch.
         let pts = grants.iter().find(|g| g.node == NodeKey::Pts(0)).unwrap();
         assert_eq!((pts.depth, pts.woken, pts.mode), (3, 2, Mode::S));
@@ -467,7 +422,7 @@ mod tests {
         // from_profiles arms the default bound for ReaderBatch only.
         let cfg = SchedConfig::from_profiles(PolicyKind::ReaderBatch, &[]);
         assert_eq!(cfg.aging, ReaderBatch::DEFAULT_AGING);
-        let cfg = SchedConfig::from_profiles(PolicyKind::Fifo, &[]);
+        let cfg = SchedConfig::from_profiles(PolicyKind::ShortestExpectedHold, &[]);
         assert_eq!(cfg.aging, 0);
     }
 

@@ -22,7 +22,18 @@ pub enum FaultClass {
 }
 
 impl FaultClass {
-    pub(crate) fn tag(self) -> &'static str {
+    /// Every class, in the order metric series and fixed-shape
+    /// snapshots list them.
+    pub const ALL: [FaultClass; 4] = [
+        FaultClass::Panic,
+        FaultClass::SpuriousAbort,
+        FaultClass::Stall,
+        FaultClass::WakeupDelay,
+    ];
+
+    /// The class's one spelling: the `CLASS` tag of the trace format
+    /// and the `class` label / name infix of the fault metrics.
+    pub fn tag(self) -> &'static str {
         match self {
             FaultClass::Panic => "panic",
             FaultClass::SpuriousAbort => "abort",
@@ -32,13 +43,7 @@ impl FaultClass {
     }
 
     pub(crate) fn from_tag(s: &str) -> Option<FaultClass> {
-        Some(match s {
-            "panic" => FaultClass::Panic,
-            "abort" => FaultClass::SpuriousAbort,
-            "stall" => FaultClass::Stall,
-            "delay" => FaultClass::WakeupDelay,
-            _ => return None,
-        })
+        FaultClass::ALL.into_iter().find(|c| c.tag() == s)
     }
 }
 

@@ -60,40 +60,27 @@ pub fn push_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
-fn mode_tag(m: Mode) -> &'static str {
-    match m {
-        Mode::Is => "IS",
-        Mode::Ix => "IX",
-        Mode::S => "S",
-        Mode::Six => "SIX",
-        Mode::X => "X",
-    }
-}
-
-fn mode_from_tag(s: &str) -> Option<Mode> {
-    Some(match s {
-        "IS" => Mode::Is,
-        "IX" => Mode::Ix,
-        "S" => Mode::S,
-        "SIX" => Mode::Six,
-        "X" => Mode::X,
-        _ => return None,
-    })
+/// A lock mode as its JSON string (the tags need no escaping).
+fn push_mode(out: &mut String, m: Mode) {
+    out.push('"');
+    out.push_str(m.tag());
+    out.push('"');
 }
 
 fn push_node(out: &mut String, n: NodeKey) {
+    out.push_str("[\"");
+    out.push_str(n.class());
+    out.push('"');
     match n {
-        NodeKey::Root => out.push_str("[\"root\"]"),
+        NodeKey::Root => {}
         NodeKey::Pts(p) => {
-            let _ = write!(out, "[\"pts\",{p}]");
+            let _ = write!(out, ",{p}");
         }
-        NodeKey::Fine(p, FineAddr::Cell(a)) => {
-            let _ = write!(out, "[\"cell\",{p},{a}]");
-        }
-        NodeKey::Fine(p, FineAddr::Range(b)) => {
-            let _ = write!(out, "[\"range\",{p},{b}]");
+        NodeKey::Fine(p, FineAddr::Cell(a) | FineAddr::Range(a)) => {
+            let _ = write!(out, ",{p},{a}");
         }
     }
+    out.push(']');
 }
 
 fn push_kind(out: &mut String, k: EventKind) {
@@ -108,14 +95,14 @@ fn push_kind(out: &mut String, k: EventKind) {
             out.push_str("[\"acq\",");
             push_node(out, node);
             out.push(',');
-            push_escaped(out, mode_tag(mode));
+            push_mode(out, mode);
             out.push(']');
         }
         EventKind::LockRelease { node, mode } => {
             out.push_str("[\"rel\",");
             push_node(out, node);
             out.push(',');
-            push_escaped(out, mode_tag(mode));
+            push_mode(out, mode);
             out.push(']');
         }
         EventKind::PlanComplete => out.push_str("[\"pc\"]"),
@@ -156,7 +143,7 @@ fn push_kind(out: &mut String, k: EventKind) {
             out.push_str("[\"wk\",");
             push_node(out, node);
             out.push(',');
-            push_escaped(out, mode_tag(mode));
+            push_mode(out, mode);
             let _ = write!(out, ",{depth},{woken}]");
         }
         EventKind::Reinfer {
@@ -227,7 +214,14 @@ enum Value {
 struct Parser<'a> {
     src: &'a str,
     pos: usize,
+    /// Containers currently open around `pos`.
+    depth: usize,
 }
+
+/// The deepest nesting the format uses: object → `events` array →
+/// event → kind → node. [`Parser::value`] recurses once per level, so
+/// the bound is also what keeps hostile input off the call stack.
+const MAX_DEPTH: usize = 5;
 
 type PResult<T> = Result<T, String>;
 
@@ -263,8 +257,17 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> PResult<Value> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => self.err("nesting too deep"),
+            Some(open @ (b'{' | b'[')) => {
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b) if b.is_ascii_digit() => Ok(Value::Num(self.number()?)),
             _ => self.err("expected a value"),
@@ -392,6 +395,19 @@ fn as_num(v: &Value, what: &str) -> PResult<u64> {
     }
 }
 
+/// A field the trace model stores in 32 bits: a wider number is
+/// refused, not truncated onto some other thread or section.
+fn as_u32(v: &Value, what: &str) -> PResult<u32> {
+    u32::try_from(as_num(v, what)?)
+        .map_err(|_| format!("trace json: {what} does not fit in 32 bits"))
+}
+
+fn as_mode(v: &Value) -> PResult<Mode> {
+    as_str(v, "mode")?
+        .parse()
+        .map_err(|e| format!("trace json: {e}"))
+}
+
 fn as_str<'v>(v: &'v Value, what: &str) -> PResult<&'v str> {
     match v {
         Value::Str(s) => Ok(s),
@@ -409,36 +425,35 @@ fn as_arr<'v>(v: &'v Value, what: &str) -> PResult<&'v [Value]> {
 fn node_from(v: &Value) -> PResult<NodeKey> {
     let items = as_arr(v, "node")?;
     let tag = as_str(items.first().ok_or("trace json: empty node")?, "node tag")?;
-    Ok(match (tag, items.len()) {
-        ("root", 1) => NodeKey::Root,
-        ("pts", 2) => NodeKey::Pts(as_num(&items[1], "pts")? as u32),
-        ("cell", 3) => NodeKey::Fine(
-            as_num(&items[1], "pts")? as u32,
-            FineAddr::Cell(as_num(&items[2], "addr")?),
-        ),
-        ("range", 3) => NodeKey::Fine(
-            as_num(&items[1], "pts")? as u32,
-            FineAddr::Range(as_num(&items[2], "base")?),
-        ),
-        _ => return Err(format!("trace json: unknown node `{tag}`")),
-    })
+    // The class names are `mglock`'s: build the nodes of this shape and
+    // keep the one whose class is the tag.
+    let shaped = match items.len() {
+        1 => [Some(NodeKey::Root), None],
+        2 => [Some(NodeKey::Pts(as_u32(&items[1], "pts")?)), None],
+        3 => {
+            let (pts, at) = (as_u32(&items[1], "pts")?, as_num(&items[2], "addr")?);
+            [FineAddr::Cell(at), FineAddr::Range(at)].map(|a| Some(NodeKey::Fine(pts, a)))
+        }
+        _ => [None, None],
+    };
+    shaped
+        .into_iter()
+        .flatten()
+        .find(|n| n.class() == tag)
+        .ok_or_else(|| format!("trace json: unknown node `{tag}`"))
 }
 
 fn kind_from(v: &Value) -> PResult<EventKind> {
     let items = as_arr(v, "event kind")?;
     let tag = as_str(items.first().ok_or("trace json: empty kind")?, "kind tag")?;
     let num = |i: usize| as_num(&items[i], tag);
+    let num32 = |i: usize| as_u32(&items[i], tag);
     Ok(match (tag, items.len()) {
-        ("enter", 2) => EventKind::SectionEnter {
-            section: num(1)? as u32,
-        },
-        ("exit", 2) => EventKind::SectionExit {
-            section: num(1)? as u32,
-        },
+        ("enter", 2) => EventKind::SectionEnter { section: num32(1)? },
+        ("exit", 2) => EventKind::SectionExit { section: num32(1)? },
         ("acq", 3) | ("rel", 3) => {
             let node = node_from(&items[1])?;
-            let mode = mode_from_tag(as_str(&items[2], "mode")?)
-                .ok_or_else(|| "trace json: unknown mode".to_owned())?;
+            let mode = as_mode(&items[2])?;
             if tag == "acq" {
                 EventKind::LockAcquire { node, mode }
             } else {
@@ -463,24 +478,23 @@ fn kind_from(v: &Value) -> PResult<EventKind> {
                 .ok_or_else(|| "trace json: unknown fault class".to_owned())?,
         },
         ("qr", 4) => EventKind::Quarantine {
-            section: num(1)? as u32,
+            section: num32(1)?,
             healed: match num(2)? {
                 0 => false,
                 1 => true,
                 _ => return Err("trace json: qr healed flag must be 0 or 1".into()),
             },
-            probation: num(3)? as u32,
+            probation: num32(3)?,
         },
         ("wk", 5) => EventKind::WakeDecision {
             node: node_from(&items[1])?,
-            mode: mode_from_tag(as_str(&items[2], "mode")?)
-                .ok_or_else(|| "trace json: unknown mode".to_owned())?,
-            depth: num(3)? as u32,
-            woken: num(4)? as u32,
+            mode: as_mode(&items[2])?,
+            depth: num32(3)?,
+            woken: num32(4)?,
         },
         ("ri", 4) => EventKind::Reinfer {
-            section: num(1)? as u32,
-            candidate: num(2)? as u32,
+            section: num32(1)?,
+            candidate: num32(2)?,
             accepted: match num(3)? {
                 0 => false,
                 1 => true,
@@ -493,7 +507,11 @@ fn kind_from(v: &Value) -> PResult<EventKind> {
 
 /// Parses a trace from its canonical JSON encoding.
 pub fn decode(s: &str) -> Result<Trace, String> {
-    let mut p = Parser { src: s, pos: 0 };
+    let mut p = Parser {
+        src: s,
+        pos: 0,
+        depth: 0,
+    };
     let root = p.value()?;
     p.skip_ws();
     if p.pos != p.src.len() {
@@ -535,7 +553,7 @@ pub fn decode(s: &str) -> Result<Trace, String> {
         t.allocs.push(AllocRecord {
             base: as_num(&a[0], "base")?,
             len: as_num(&a[1], "len")?,
-            class: as_num(&a[2], "class")? as u32,
+            class: as_u32(&a[2], "class")?,
         });
     }
     for rec in as_arr(field("events")?, "events")? {
@@ -545,7 +563,7 @@ pub fn decode(s: &str) -> Result<Trace, String> {
         }
         t.events.push(Event {
             epoch: as_num(&e[0], "epoch")?,
-            tid: as_num(&e[1], "tid")? as u32,
+            tid: as_u32(&e[1], "tid")?,
             clock: as_num(&e[2], "clock")?,
             kind: kind_from(&e[3])?,
         });
@@ -662,6 +680,56 @@ mod tests {
         ] {
             assert!(decode(bad).is_err(), "accepted: {bad}");
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_refused_not_recursed_into() {
+        // One parser frame per bracket used to overflow the stack (and
+        // abort the process) long before 200 000 of them.
+        for open in ["[", "{\"k\":"] {
+            let err = decode(&open.repeat(200_000)).unwrap_err();
+            assert!(err.contains("nesting too deep at byte"), "{err}");
+        }
+        // The deepest value the format itself uses still decodes.
+        let deepest = "{\"format\":\"ali-trace-v1\",\"dropped\":0,\"meta\":[],\"allocs\":[],\
+            \"events\":[[0,0,0,[\"acq\",[\"cell\",1,2],\"X\"]]]}";
+        assert_eq!(decode(deepest).expect("decode").events.len(), 1);
+    }
+
+    #[test]
+    fn numbers_wider_than_their_field_are_refused_not_truncated() {
+        let doc = |allocs: &str, events: &str| {
+            format!(
+                "{{\"format\":\"ali-trace-v1\",\"dropped\":0,\"meta\":[],\
+                 \"allocs\":[{allocs}],\"events\":[{events}]}}"
+            )
+        };
+        // 2^32 + 1 used to decode as 1 — some other thread or section.
+        const WIDE: u64 = (1 << 32) + 1;
+        let mut hostile = vec![doc(&format!("[1,2,{WIDE}]"), "")];
+        for kind in [
+            format!("[\"enter\",{WIDE}]"),
+            format!("[\"exit\",{WIDE}]"),
+            format!("[\"acq\",[\"pts\",{WIDE}],\"X\"]"),
+            format!("[\"rel\",[\"cell\",{WIDE},3],\"X\"]"),
+            format!("[\"rel\",[\"range\",{WIDE},3],\"X\"]"),
+            format!("[\"qr\",{WIDE},0,4]"),
+            format!("[\"qr\",1,0,{WIDE}]"),
+            format!("[\"wk\",[\"root\"],\"S\",{WIDE},1]"),
+            format!("[\"wk\",[\"root\"],\"S\",1,{WIDE}]"),
+            format!("[\"ri\",{WIDE},1,1]"),
+            format!("[\"ri\",1,{WIDE},1]"),
+        ] {
+            hostile.push(doc("", &format!("[0,0,7,{kind}]")));
+        }
+        hostile.push(doc("", &format!("[0,{WIDE},7,[\"pc\"]]")));
+        for json in hostile {
+            let err = decode(&json).unwrap_err();
+            assert!(err.contains("does not fit in 32 bits"), "{json}: {err}");
+        }
+        // The 64-bit fields keep their width.
+        let t = decode(&doc("", &format!("[{WIDE},0,{WIDE},[\"rd\",{WIDE}]]"))).expect("decode");
+        assert_eq!(t.events[0].kind, EventKind::Read { addr: WIDE });
     }
 
     fn meta_only(meta: Vec<(String, String)>) -> Trace {

@@ -21,10 +21,9 @@
 //! acquisition point (as this module originally did) silently
 //! reclassifies hold time as wait time on drift-heavy workloads — and
 //! an adaptive policy fed those numbers would coarsen exactly the
-//! sections that were already making progress. Traces recorded before
-//! `PlanComplete` markers existed carry none; for those the profiler
-//! falls back to the last grant, the best split the legacy vocabulary
-//! can express.
+//! sections that were already making progress. An execution with no
+//! marker at all — every STM section, and a lock section cut short by
+//! trace truncation — counts as acquired at its entry.
 //!
 //! All three intervals are accumulated into log₂-bucketed
 //! [`Histogram`]s per static section id.
@@ -120,9 +119,6 @@ struct OpenSection {
     enter_clock: u64,
     /// Clock of the first plan completion — the acquisition point.
     acq_clock: Option<u64>,
-    /// Clock of the last lock grant: the legacy acquisition point for
-    /// traces recorded before `PlanComplete` markers existed.
-    last_grant: Option<u64>,
     /// Plan completions beyond the first.
     revalidations: u64,
 }
@@ -160,7 +156,6 @@ pub fn profile(trace: &Trace) -> Vec<SectionProfile> {
                         section,
                         enter_clock: e.clock,
                         acq_clock: None,
-                        last_grant: None,
                         revalidations: 0,
                     });
                     st.retry_section = None;
@@ -174,11 +169,6 @@ pub fn profile(trace: &Trace) -> Vec<SectionProfile> {
                     }
                 }
             }
-            EventKind::LockAcquire { .. } => {
-                if let Some(o) = st.open.as_mut() {
-                    o.last_grant = Some(e.clock);
-                }
-            }
             EventKind::SectionExit { section } => {
                 if st.depth == 1 {
                     if let Some(o) = st.open.take() {
@@ -188,7 +178,7 @@ pub fn profile(trace: &Trace) -> Vec<SectionProfile> {
                                 ..SectionProfile::default()
                             });
                             p.entries += 1;
-                            let acq = o.acq_clock.or(o.last_grant).unwrap_or(o.enter_clock);
+                            let acq = o.acq_clock.unwrap_or(o.enter_clock);
                             p.wait.add(acq.saturating_sub(o.enter_clock));
                             p.hold.add(e.clock.saturating_sub(acq));
                             p.revalidations.add(o.revalidations);
@@ -305,22 +295,6 @@ mod tests {
         assert_eq!(ps[0].wait.sum, 10);
         assert_eq!(ps[0].hold.sum, 20);
         assert_eq!(ps[0].revalidations.sum, 0);
-    }
-
-    #[test]
-    fn legacy_traces_without_markers_fall_back_to_the_last_grant() {
-        let t = Trace {
-            events: vec![
-                ev(0, 0, 100, EventKind::SectionEnter { section: 3 }),
-                ev(1, 0, 104, acq(NodeKey::Root, Mode::Ix)),
-                ev(2, 0, 110, acq(NodeKey::Pts(1), Mode::X)),
-                ev(3, 0, 130, EventKind::SectionExit { section: 3 }),
-            ],
-            ..Trace::default()
-        };
-        let ps = profile(&t);
-        assert_eq!(ps[0].wait.sum, 10);
-        assert_eq!(ps[0].hold.sum, 20);
     }
 
     #[test]

@@ -16,12 +16,11 @@
 //!    pre-harness behavior — re-deriving all three per candidate, no
 //!    dedup — is kept reachable (`hoist: false`) so `eval-bench` can
 //!    measure exactly what the harness buys.
-//! 2. **Parallel evaluation.** Candidates replay concurrently on a
-//!    [`std::thread::scope`] pool of `eval_threads` workers pulling
-//!    from an atomic work queue, and results are merged **by candidate
-//!    index** — so every report is byte-identical at every eval thread
-//!    count, the same guarantee (and the same mechanism) as the
-//!    analysis engine's Phase B.
+//! 2. **Parallel evaluation.** Candidates replay concurrently through
+//!    [`lockinfer::par_map`] on `eval_threads` workers, and results are
+//!    merged **by candidate index** — so every report is byte-identical
+//!    at every eval thread count, the same guarantee (and the same
+//!    function) as the analysis engine's Phase B.
 //! 3. **Trace-analytic pruning.** [`lockinfer::estimate`] scores every
 //!    candidate from the baseline profiles alone; only the estimated
 //!    `top_k` are replayed, the rest are marked
@@ -44,9 +43,8 @@ use interp::Machine;
 use lockinfer::adapt::Adjustment;
 use lockinfer::estimate;
 use lockinfer::library::LibrarySpec;
-use lockinfer::{Candidate, EvalStatus, PlanCost, SummaryStore};
+use lockinfer::{par_map, Candidate, EvalStatus, PlanCost, SummaryStore};
 use lockscheme::{ConfigMap, SchemeConfig};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use trace::SectionProfile;
 
@@ -306,62 +304,6 @@ impl EvalContext {
     }
 }
 
-/// Runs `f(0..n)` on `eval_threads` scoped workers (0 = one per core)
-/// pulling indices from an atomic queue, and merges the results **in
-/// index order** — the canonical merge that keeps every downstream
-/// report byte-identical at every thread count. `eval_threads <= 1`
-/// (or a single item) degenerates to a plain sequential loop.
-pub(crate) fn par_map<T, F>(n: usize, eval_threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let n_threads = if eval_threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        eval_threads
-    }
-    .clamp(1, n.max(1));
-    if n_threads <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let f = &f;
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let parts: Vec<Vec<(usize, T)>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..n_threads)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut out = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        out.push((i, f(i)));
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("eval worker panicked"))
-            .collect()
-    });
-    for part in parts {
-        for (i, v) in part {
-            slots[i] = Some(v);
-        }
-    }
-    slots
-        .into_iter()
-        .map(|o| o.expect("every index evaluated exactly once"))
-        .collect()
-}
-
 /// The wake policy a single-override candidate steers, if any.
 fn wake_of(c: &Candidate) -> Option<interp::PolicyKind> {
     match c.adjustment {
@@ -486,26 +428,4 @@ pub(crate) fn eval_singles(
         }
     }
     Ok(out)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn par_map_merges_in_index_order_at_any_thread_count() {
-        for threads in [0usize, 1, 2, 7, 16] {
-            let out = par_map(23, threads, |i| i * i);
-            assert_eq!(out, (0..23).map(|i| i * i).collect::<Vec<_>>(), "{threads}");
-        }
-        assert!(par_map(0, 4, |i| i).is_empty());
-    }
-
-    #[test]
-    fn par_map_runs_every_index_exactly_once() {
-        use std::sync::atomic::AtomicU64;
-        let hits: Vec<AtomicU64> = (0..50).map(|_| AtomicU64::new(0)).collect();
-        par_map(50, 7, |i| hits[i].fetch_add(1, Ordering::Relaxed));
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
 }

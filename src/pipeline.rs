@@ -28,7 +28,7 @@
 //! the deterministic schedule or any recorded trace.
 
 use crate::adapt::AdaptRun;
-use crate::eval::{eval_singles, par_map, EvalContext, EvalOptions, EvalScope, Stamp};
+use crate::eval::{eval_singles, EvalContext, EvalOptions, EvalScope, Stamp};
 use crate::reinfer::ReinferRun;
 use crate::replay::{Recording, RunConfig};
 use lockinfer::adapt::{
@@ -38,7 +38,7 @@ use lockinfer::reinfer::{
     admit, candidates as repair_candidates, RepairDecision, RepairOutcome, RepairReport,
     SectionReport, Witness,
 };
-use lockinfer::{EvalStatus, PlanCost};
+use lockinfer::{par_map, EvalStatus, PlanCost};
 use lockscheme::ConfigMap;
 use sentinel::Violation;
 use std::sync::Arc;

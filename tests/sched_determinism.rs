@@ -1,12 +1,12 @@
 //! Determinism of the contention-aware scheduling subsystem (DESIGN.md
-//! §5.6). The [`Fifo`] policy must be a faithful extraction of the
-//! historical `(clock, tid)` order: steering with it reproduces the
-//! legacy schedule event for event. And a steered recording — `record`
-//! of a configuration whose `sched` is frozen from a baseline's
-//! profiles — carries its policy in `run.sched_*` metadata, traces its
-//! wake decisions, and replays bit-for-bit from the trace alone. (That
-//! the decision loop proposing wake policies is itself deterministic is
-//! `tests/adapt_determinism.rs` and `tests/eval_determinism.rs`.)
+//! §5.6). A run without a wake policy is the historical `(clock, tid)`
+//! FIFO order and records no wake decisions. A steered recording —
+//! `record` of a configuration whose `sched` is frozen from a
+//! baseline's profiles — carries its policy in `run.sched_*` metadata,
+//! traces its wake decisions, and replays bit-for-bit from the trace
+//! alone. (That the decision loop proposing wake policies is itself
+//! deterministic is `tests/adapt_determinism.rs` and
+//! `tests/eval_determinism.rs`.)
 
 use atomic_lock_inference as ali;
 
@@ -16,52 +16,6 @@ use ali::replay::{record, replay, Recording, RunConfig};
 use ali::sched::{queue_profiles, PolicyKind};
 use ali::trace::{EventKind, Trace};
 use ali::workloads::scale::{self, ScaleParams};
-use proptest::prelude::*;
-
-/// Three temperaments sharing one program: a long-hold writer section
-/// (the convoy factory), a read-only section (shared-mode locks —
-/// ReaderBatch's target), and a short writer (ShortestExpectedHold's
-/// favourite).
-const SRC: &str = r#"
-    global shared;
-    global total;
-    fn setup(n) { shared = n; total = 0; }
-    fn work(iters) {
-        let i = 0;
-        let acc = 0;
-        while (i < iters) {
-            atomic { shared = shared + 1; nops(80); }
-            atomic { acc = acc + shared; nops(5); }
-            atomic { total = total + 1; }
-            i = i + 1;
-        }
-        return acc;
-    }
-    fn probe() { return shared + total; }
-"#;
-
-fn cfg(seed: u64, threads: usize, iters: i64) -> RunConfig {
-    RunConfig {
-        name: "sched-determinism".into(),
-        source: SRC.into(),
-        k: 3,
-        mode: ExecMode::MultiGrain,
-        threads,
-        heap_cells: 1 << 12,
-        seed,
-        quantum: 64,
-        stm_abort_budget: 16,
-        faults: None,
-        sentinel: None,
-        weaken: None,
-        sched: None,
-        repairs: Vec::new(),
-        trace_capacity: 1 << 16,
-        init: ("setup".into(), vec![0]),
-        worker: ("work".into(), vec![iters]),
-        check: Some("probe".into()),
-    }
-}
 
 /// A convoy factory: every thread hammers one global under a long
 /// critical section (expensive) or a short one (cheap), so FIFO wake
@@ -82,24 +36,35 @@ const CONVOY_SRC: &str = r#"
     fn total() { return shared + tally; }
 "#;
 
-/// The convoy factory's FIFO baseline, and one steered recording per
-/// non-FIFO policy with its configuration frozen from the baseline's
-/// profiles.
+/// The convoy factory's policy-free (FIFO) baseline, and one steered
+/// recording per wake policy with its configuration frozen from the
+/// baseline's profiles.
 fn convoy_recordings() -> (Recording, Vec<(PolicyKind, Recording)>) {
     let base_cfg = RunConfig {
         name: "convoy-factory".into(),
         source: CONVOY_SRC.into(),
+        k: 3,
+        mode: ExecMode::MultiGrain,
+        threads: 8,
         heap_cells: 1 << 16,
+        seed: 11,
+        quantum: 64,
+        stm_abort_budget: 16,
+        faults: None,
+        sentinel: None,
+        weaken: None,
+        sched: None,
+        repairs: Vec::new(),
         trace_capacity: 1 << 18,
+        init: ("setup".into(), vec![0]),
+        worker: ("work".into(), vec![25]),
         check: Some("total".into()),
-        ..cfg(11, 8, 25)
     };
     let baseline = record(&base_cfg).expect("fifo baseline");
     assert_eq!(baseline.outcome.check, Some(2 * 8 * 25));
     let profiles = ali::trace::profile(&baseline.trace);
     let steered = PolicyKind::ALL
         .into_iter()
-        .filter(|&kind| kind != PolicyKind::Fifo)
         .map(|kind| {
             let steered_cfg = RunConfig {
                 sched: Some(SchedConfig::from_profiles(kind, &profiles)),
@@ -217,49 +182,4 @@ fn a_wake_policy_wins_the_adapt_loop_and_matches_its_steered_recording() {
     })
     .expect("steered run");
     assert_eq!(cost_of(&steered), winner.cost);
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// Steering with [`PolicyKind::Fifo`] is the identity: the same
-    /// interleaving as the legacy policy-free scheduler — same results,
-    /// same makespan, same per-event schedule — with only the `["wk",…]`
-    /// decision events added to the trace.
-    #[test]
-    fn fifo_policy_reproduces_the_legacy_schedule(
-        seed in any::<u64>(),
-        threads in 2usize..5,
-        iters in 4i64..10,
-    ) {
-        let legacy = record(&cfg(seed, threads, iters)).expect("legacy run");
-        let mut fifo_cfg = cfg(seed, threads, iters);
-        fifo_cfg.sched = Some(SchedConfig::fifo());
-        let fifo = record(&fifo_cfg).expect("fifo-steered run");
-
-        prop_assert_eq!(&legacy.outcome, &fifo.outcome, "outcomes diverged");
-        // The legacy path must stay byte-for-byte silent about wakes…
-        prop_assert!(
-            !legacy
-                .trace
-                .events
-                .iter()
-                .any(|e| matches!(e.kind, EventKind::WakeDecision { .. })),
-            "the policy-free scheduler must record no wake decisions"
-        );
-        // …and modulo those decision events, the schedules are equal:
-        // same (tid, clock, kind) sequence in epoch order.
-        let schedule = |t: &ali::trace::Trace| {
-            t.events
-                .iter()
-                .filter(|e| !matches!(e.kind, EventKind::WakeDecision { .. }))
-                .map(|e| (e.tid, e.clock, e.kind))
-                .collect::<Vec<_>>()
-        };
-        prop_assert_eq!(
-            schedule(&legacy.trace),
-            schedule(&fifo.trace),
-            "FIFO steering changed the schedule"
-        );
-    }
 }
