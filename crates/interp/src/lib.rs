@@ -680,6 +680,38 @@ mod tests {
         ));
     }
 
+    #[test]
+    fn a_refused_allocation_leaves_the_heap_usable() {
+        use lockscheme::LocationModel;
+        let src = r#"
+            fn big(n) { let a = new(n); return a; }
+            fn small() { let a = new(4); return a; }
+        "#;
+        let opts = Options {
+            heap_cells: 64,
+            ..Options::default()
+        };
+        let m = machine_for(src, 0, ExecMode::Global, opts).unwrap();
+        let first = m.run_named("small", &[]).unwrap();
+        // Twice: the first refusal used to poison the bump pointer, the
+        // second to wrap it back into range and "succeed".
+        for _ in 0..2 {
+            let refused = m.run_named("big", &[i64::MAX]);
+            assert!(
+                matches!(refused, Err(InterpError::OutOfMemory)),
+                "{refused:?}"
+            );
+            assert!(m.heap_used() <= 64, "brk moved to {}", m.heap_used());
+        }
+        let second = m.run_named("small", &[]).unwrap();
+        assert_eq!(second, first + 4, "the next fresh base");
+        assert!(m.heap_used() <= 64);
+        // The extent table is still searchable by base.
+        for base in [first as u64, second as u64] {
+            assert_eq!(m.extent_of(base + 3), Some((base, 4)));
+        }
+    }
+
     // ------------------------------------------------------------------
     // Fault injection and graceful degradation
 

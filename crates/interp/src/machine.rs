@@ -48,7 +48,9 @@ pub struct RepairSpec {
 /// policy carries a frozen expected-hold table.)
 #[derive(Clone, Debug)]
 pub struct Options {
-    /// Heap capacity in cells.
+    /// Heap capacity in cells: the bound allocation is refused at, not
+    /// a commitment — cells cost memory (16 bytes each, by the page)
+    /// only once a run touches them, so a generous bound is free.
     pub heap_cells: usize,
     /// Base PRNG seed (each thread derives its own stream).
     pub seed: u64,
@@ -316,14 +318,23 @@ impl Machine {
     }
 
     /// Bump-allocates `n` cells (fresh cells are zero) and records the
-    /// extent for concrete-denotation queries.
+    /// extent for concrete-denotation queries. A request that does not
+    /// fit is refused without moving the bump pointer: `n` comes from
+    /// the interpreted program, and a refused `new(huge)` must neither
+    /// fail every later allocation nor wrap `brk` back into range.
     pub(crate) fn alloc(&self, n: usize, class: PtsClass) -> Result<u64, Exc> {
         let n = n.max(1) as u64;
-        let base = self.brk.fetch_add(n, Ordering::Relaxed);
-        if base + n > self.space.len() as u64 {
-            return Err(InterpError::OutOfMemory.into());
-        }
-        self.allocs.write().push(AllocMeta {
+        let limit = self.space.len() as u64;
+        // The table lock spans the reservation so extents are pushed in
+        // base order, which `alloc_meta_of` binary-searches.
+        let mut allocs = self.allocs.write();
+        let base = self
+            .brk
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |brk| {
+                brk.checked_add(n).filter(|&end| end <= limit)
+            })
+            .map_err(|_| InterpError::OutOfMemory)?;
+        allocs.push(AllocMeta {
             base,
             len: n,
             class,

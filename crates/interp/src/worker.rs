@@ -32,6 +32,10 @@ pub(crate) struct Worker<'m> {
     /// STM section nesting depth (lock modes use the session's level).
     sec_depth: u32,
     depth: u32,
+    /// The descriptors the current outermost multi-grain plan queued,
+    /// in spec order — what post-acquisition revalidation compares
+    /// against. Reused from section to section.
+    planned: Vec<Descriptor>,
     held_concrete: Vec<ConcreteLock>,
     my_allocs: Vec<(u64, u64)>,
     /// Section currently open (Validate diagnostics).
@@ -40,7 +44,7 @@ pub(crate) struct Worker<'m> {
     cur_fn: FnId,
     cur_pc: usize,
     /// Virtual-time scheduler (None = real-time execution).
-    sim: Option<Arc<Sim>>,
+    sim: Option<&'m Sim>,
     /// The clock this thread last published to the scheduler (what
     /// its last scheduling point returned; 0 in real time).
     vclock: u64,
@@ -88,6 +92,7 @@ impl<'m> Worker<'m> {
             txn: None,
             sec_depth: 0,
             depth: 0,
+            planned: Vec::new(),
             held_concrete: Vec::new(),
             my_allocs: Vec::new(),
             current_section: SectionId(0),
@@ -110,7 +115,7 @@ impl<'m> Worker<'m> {
 
     /// A worker under the virtual-time scheduler. Blocks until the
     /// thread holds the turn.
-    pub(crate) fn with_sim(m: &'m Machine, tid: u32, sim: Arc<Sim>) -> Worker<'m> {
+    pub(crate) fn with_sim(m: &'m Machine, tid: u32, sim: &'m Sim) -> Worker<'m> {
         let mut w = Worker::new(m, tid);
         w.vclock = sim.enter(tid as usize);
         w.sim = Some(sim);
@@ -121,7 +126,7 @@ impl<'m> Worker<'m> {
     /// boundaries. A no-op in real-time mode.
     #[inline]
     fn tick(&mut self, n: u64) {
-        if let Some(sim) = &self.sim {
+        if let Some(sim) = self.sim {
             self.vticks += n;
             if self.vticks >= sim.quantum {
                 let t = std::mem::take(&mut self.vticks);
@@ -133,7 +138,7 @@ impl<'m> Worker<'m> {
     /// Publishes all pending ticks to the scheduler immediately (used
     /// at synchronization points so lock ordering sees exact clocks).
     fn flush_ticks(&mut self) {
-        if let Some(sim) = &self.sim {
+        if let Some(sim) = self.sim {
             let t = std::mem::take(&mut self.vticks);
             self.vclock = sim.advance(self.tid as usize, t);
         }
@@ -162,19 +167,17 @@ impl<'m> Worker<'m> {
     /// untraced one keeps the turn until its next scheduling point.
     /// No-op in real time.
     fn sim_release(&mut self) {
-        let Some(sim) = self.sim.clone() else { return };
+        let Some(sim) = self.sim else { return };
         // The decision callback runs inside the scheduler's release
         // critical section, so `record` must not re-enter the
         // scheduler: pre-stamp the clock and append directly.
         self.sync_trace_clock();
-        let tracer = self.tracer.clone();
-        let mx = self.m.metrics.clone();
         sim.on_release_with(self.tid as usize, |g| {
-            if let Some(mx) = &mx {
+            if let Some(mx) = &self.m.metrics {
                 mx.wake_decisions.inc();
                 mx.wake_woken.add(g.woken as u64);
             }
-            if let Some(t) = &tracer {
+            if let Some(t) = &self.tracer {
                 t.record(trace::EventKind::WakeDecision {
                     node: g.node,
                     mode: g.mode,
@@ -366,9 +369,8 @@ impl<'m> Worker<'m> {
         for &(slot, class) in &layout.heapified {
             frame[slot as usize] = self.alloc_cells(1, class)? as i64;
         }
-        let params = m.program.func(f).params.clone();
-        for (p, &a) in params.iter().zip(args) {
-            self.write_var(&mut frame, *p, a)?;
+        for (&p, &a) in m.program.func(f).params.iter().zip(args) {
+            self.write_var(&mut frame, p, a)?;
         }
         let r = self.exec(f, &mut frame);
         self.depth -= 1;
@@ -377,8 +379,7 @@ impl<'m> Worker<'m> {
 
     fn exec(&mut self, f: FnId, frame: &mut Vec<i64>) -> Result<i64, Exc> {
         let m = self.m;
-        let program = Arc::clone(&m.program);
-        let body = &program.func(f).body;
+        let body = &m.program.func(f).body;
         let mut pc: usize = 0;
         // Set when *this frame* owns an open STM transaction: the pc of
         // the section-entry instruction and the frame snapshot.
@@ -965,20 +966,20 @@ impl<'m> Worker<'m> {
                 };
                 loop {
                     self.held_concrete.clear();
-                    let mut planned = Vec::new();
+                    self.planned.clear();
                     for (i, spec) in specs.iter().enumerate() {
                         if filter_dropped && self.spec_dropped(sid.0, i) {
                             continue;
                         }
                         if let Some((d, c)) = self.eval_spec(spec, frame, f)? {
                             self.session.to_acquire(d);
-                            planned.push(d);
+                            self.planned.push(d);
                             if m.mode == ExecMode::Validate {
                                 self.held_concrete.push(c);
                             }
                         }
                     }
-                    self.acquire_session(planned.len() as u64)?;
+                    self.acquire_session(self.planned.len() as u64)?;
                     // The plan is fully granted at this clock. The
                     // first marker after the section entry is its
                     // acquisition point (wait ends, hold begins);
@@ -995,7 +996,7 @@ impl<'m> Worker<'m> {
                     // retry on drift; every retry implies some other
                     // section committed in between, so the loop makes
                     // system-wide progress.
-                    if self.eval_specs_quiet(specs, frame, f, filter_dropped)? == planned {
+                    if self.plan_still_current(specs, frame, f, filter_dropped)? {
                         break;
                     }
                     m.fault_stats
@@ -1084,7 +1085,7 @@ impl<'m> Worker<'m> {
             self.idle(0, t);
         }
         let held_before = self.session.held_count();
-        match self.sim.clone() {
+        match self.sim {
             None => {
                 self.sync_trace_clock();
                 // Honours whatever degradation policy the runtime was
@@ -1318,19 +1319,23 @@ impl<'m> Worker<'m> {
         }
     }
 
-    /// Re-evaluates the section's lock specs with access checks and
-    /// tracing muted (the reads belong to the acquisition protocol, not
-    /// the section body). Used for post-acquisition drift detection;
-    /// side-effect free, charges no virtual time.
-    fn eval_specs_quiet(
+    /// Post-acquisition drift detection: re-evaluates the section's
+    /// lock specs with access checks and tracing muted (the reads
+    /// belong to the acquisition protocol, not the section body) and
+    /// reports whether they still name exactly the descriptors in
+    /// [`Worker::planned`]. Side-effect free, charges no virtual time.
+    /// Every spec is evaluated even past a mismatch, so an evaluation
+    /// error surfaces whether or not the plan also drifted.
+    fn plan_still_current(
         &mut self,
         specs: &[LockSpec],
         frame: &[i64],
         f: FnId,
         filter_dropped: bool,
-    ) -> Result<Vec<Descriptor>, Exc> {
+    ) -> Result<bool, Exc> {
         self.revalidating = true;
-        let mut out = Vec::new();
+        let mut current = true;
+        let mut seen = 0;
         let mut err = None;
         let section = self.current_section.0;
         for (i, spec) in specs.iter().enumerate() {
@@ -1338,7 +1343,10 @@ impl<'m> Worker<'m> {
                 continue;
             }
             match self.eval_spec(spec, frame, f) {
-                Ok(Some((d, _))) => out.push(d),
+                Ok(Some((d, _))) => {
+                    current &= self.planned.get(seen) == Some(&d);
+                    seen += 1;
+                }
                 Ok(None) => {}
                 Err(e) => {
                     err = Some(e);
@@ -1349,7 +1357,7 @@ impl<'m> Worker<'m> {
         self.revalidating = false;
         match err {
             Some(e) => Err(e),
-            None => Ok(out),
+            None => Ok(current && seen == self.planned.len()),
         }
     }
 }
@@ -1464,18 +1472,14 @@ impl Machine {
             .program
             .function_named(name)
             .ok_or_else(|| InterpError::NoSuchFunction(name.to_owned()))?;
-        let sim = Arc::new(Sim::with_policy(
-            n,
-            self.quantum,
-            self.sched.as_ref().map(|c| c.build()),
-        ));
+        let sim = Sim::with_policy(n, self.quantum, self.sched.as_ref().map(|c| c.build()));
+        let sim = &sim;
         let results = std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for tid in 0..n as u32 {
                 let argv = args(tid);
-                let sim = Arc::clone(&sim);
                 handles.push(scope.spawn(move || {
-                    let mut w = Worker::with_sim(self, tid, Arc::clone(&sim));
+                    let mut w = Worker::with_sim(self, tid, sim);
                     match catch_unwind(AssertUnwindSafe(|| w.call(f, &argv))) {
                         Ok(Ok(v)) => {
                             w.flush_ticks();

@@ -49,6 +49,7 @@ pub use runtime::{
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
     use std::time::Duration;
@@ -501,7 +502,62 @@ mod tests {
         })
     }
 
+    /// The plan by definition: every node a descriptor names, with its
+    /// ancestors, in the join of every mode the batch wants it in, in
+    /// `NodeKey` order.
+    fn reference_plan(pending: &[Descriptor]) -> Vec<(NodeKey, Mode)> {
+        let mut modes: BTreeMap<NodeKey, Mode> = BTreeMap::new();
+        let mut want = |k: NodeKey, m: Mode| {
+            modes
+                .entry(k)
+                .and_modify(|cur| *cur = cur.combine(m))
+                .or_insert(m);
+        };
+        let own_mode = |access| match access {
+            Access::Read => Mode::S,
+            Access::Write => Mode::X,
+        };
+        for &d in pending {
+            match d {
+                Descriptor::Global { access } => want(NodeKey::Root, own_mode(access)),
+                Descriptor::Coarse { pts, access } => {
+                    let own = own_mode(access);
+                    want(NodeKey::Pts(pts), own);
+                    want(NodeKey::Root, own.ancestor_intention());
+                }
+                Descriptor::Fine { pts, addr, access } => {
+                    let own = own_mode(access);
+                    want(NodeKey::Fine(pts, addr), own);
+                    want(NodeKey::Pts(pts), own.ancestor_intention());
+                    want(NodeKey::Root, own.ancestor_intention());
+                }
+            }
+        }
+        modes.into_iter().collect()
+    }
+
     proptest! {
+        /// What a batch is granted is the reference plan, duplicates
+        /// and all: the sort-and-join over the session's buffer agrees
+        /// with the per-node map it replaced.
+        #[test]
+        fn the_walk_takes_the_reference_plan(
+            pending in proptest::collection::vec(descriptor(), 0..12),
+        ) {
+            let mut s = Session::new(Arc::new(Runtime::new()));
+            for &d in &pending {
+                s.to_acquire(d);
+            }
+            prop_assert_eq!(s.acquire_all_step(), StepResult::Done);
+            prop_assert_eq!(s.held_modes().collect::<Vec<_>>(), reference_plan(&pending));
+            s.release_all();
+            // The buffer is reused: a second batch plans from empty.
+            s.to_acquire(Descriptor::Global { access: Access::Read });
+            prop_assert_eq!(s.acquire_all_step(), StepResult::Done);
+            prop_assert_eq!(s.held_modes().collect::<Vec<_>>(), vec![(NodeKey::Root, Mode::S)]);
+            s.release_all();
+        }
+
         /// Blocking, checked (under a live policy) and step-wise
         /// acquisition are one walk: uncontended, they grant the same
         /// nodes in the same modes in the same order, account for them

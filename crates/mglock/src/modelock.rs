@@ -11,7 +11,7 @@
 //! waits never form a cycle.
 
 use crate::modes::{Mode, ALL_MODES};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 #[derive(Default)]
@@ -20,6 +20,11 @@ struct State {
     granted: [u32; 5],
     /// Number of threads blocked on an `X`/`SIX` request.
     waiting_excl: u32,
+    /// Number of threads blocked on this node in any mode. Read and
+    /// written only under the node's mutex — the one that guards the
+    /// grant predicate — so a releaser that reads zero knows nobody can
+    /// be between "saw the old state" and "asleep on the condvar".
+    waiting: u32,
 }
 
 impl State {
@@ -63,6 +68,7 @@ impl ModeLock {
         let mut granted = st.admits(mode);
         if !granted {
             let excl = matches!(mode, Mode::X | Mode::Six);
+            st.waiting += 1;
             if excl {
                 st.waiting_excl += 1;
             }
@@ -81,6 +87,7 @@ impl ModeLock {
                     break true;
                 }
             };
+            st.waiting -= 1;
             if excl {
                 st.waiting_excl -= 1;
             }
@@ -90,10 +97,22 @@ impl ModeLock {
         } else {
             // Our queued-writer marker may have deferred readers; let
             // them re-evaluate now that we are gone.
-            drop(st);
-            self.cond.notify_all();
+            self.wake(st);
         }
         granted
+    }
+
+    /// Ends a critical section that may have made a blocked request
+    /// grantable. The wake-up (a futex call even on an empty queue) is
+    /// skipped when nobody is blocked: a waiter raises `waiting` under
+    /// this mutex before it sleeps and `wait` gives the mutex up only
+    /// once it is queued, so a zero read here cannot miss one.
+    fn wake(&self, st: MutexGuard<'_, State>) {
+        let waiting = st.waiting;
+        drop(st);
+        if waiting > 0 {
+            self.cond.notify_all();
+        }
     }
 
     /// Attempts a non-blocking grant.
@@ -119,8 +138,7 @@ impl ModeLock {
             "release of unheld mode {mode}"
         );
         st.granted[mode as usize] -= 1;
-        drop(st);
-        self.cond.notify_all();
+        self.wake(st);
     }
 
     /// Snapshot of granted counts (diagnostics/tests).
@@ -194,6 +212,48 @@ mod tests {
         wh.join().unwrap();
         // After the writer finished, readers are admitted again.
         assert!(l.try_acquire(Mode::S));
+    }
+
+    /// The one wake-up that is not a release: a queued writer that
+    /// gives up takes its marker with it, and the readers the marker
+    /// deferred must be told — nothing else will ever wake them.
+    #[test]
+    fn timed_out_writer_wakes_the_readers_it_deferred() {
+        let l = Arc::new(ModeLock::new());
+        l.acquire(Mode::S);
+        let until = |what: &str, pred: &dyn Fn(&State) -> bool| {
+            let give_up = Instant::now() + Duration::from_secs(10);
+            while !pred(&l.state.lock()) {
+                assert!(Instant::now() < give_up, "never saw {what}");
+                std::thread::yield_now();
+            }
+        };
+        let deadline = Instant::now() + Duration::from_millis(400);
+        let writer = {
+            let l = Arc::clone(&l);
+            std::thread::spawn(move || l.acquire_until(Mode::X, Some(deadline)))
+        };
+        until("the writer queue", &|st| st.waiting_excl == 1);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let reader = {
+            let l = Arc::clone(&l);
+            std::thread::spawn(move || {
+                l.acquire(Mode::S);
+                let _ = tx.send(Instant::now());
+            })
+        };
+        // S∥S, so only the writer's marker can have parked the reader.
+        until("the reader park behind the writer", &|st| st.waiting == 2);
+        assert!(
+            !writer.join().unwrap(),
+            "nobody released: the writer times out"
+        );
+        let granted_at = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the deferred reader was never woken");
+        assert!(granted_at >= deadline, "the reader waited out the writer");
+        reader.join().unwrap();
+        assert_eq!(l.granted()[Mode::S as usize], 2);
     }
 
     #[test]

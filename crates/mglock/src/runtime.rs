@@ -32,8 +32,9 @@ use crate::error::MgLockError;
 use crate::modelock::ModeLock;
 use crate::modes::Mode;
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -222,10 +223,34 @@ impl WaitGraph {
     }
 }
 
+/// Multiplicative hasher for the node table: one rotate-xor-multiply
+/// per key word picks both the shard and the bucket within it. Node
+/// keys are partition numbers and heap addresses below the machine's
+/// own bound, looked up once per node per batch — SipHash's defence
+/// against crafted keys costs more here than the lock it finds.
+#[derive(Clone, Copy, Default)]
+struct NodeHasher(u64);
+
+impl Hasher for NodeHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            let v = u64::from_le_bytes(word);
+            self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
+        }
+    }
+}
+
+type NodeTable = HashMap<NodeKey, Arc<ModeLock>, BuildHasherDefault<NodeHasher>>;
+
 /// The shared lock-table runtime. Clone the [`Arc`] into every thread
 /// and create one [`Session`] per thread.
 pub struct Runtime {
-    shards: Vec<Mutex<HashMap<NodeKey, Arc<ModeLock>>>>,
+    shards: Vec<Mutex<NodeTable>>,
     stats: Stats,
     config: RuntimeConfig,
     graph: Mutex<WaitGraph>,
@@ -272,7 +297,9 @@ impl Runtime {
     /// Creates an empty lock table with an explicit degradation policy.
     pub fn with_config(config: RuntimeConfig) -> Self {
         Runtime {
-            shards: (0..N_SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..N_SHARDS)
+                .map(|_| Mutex::new(NodeTable::default()))
+                .collect(),
             stats: Stats::default(),
             config,
             graph: Mutex::new(WaitGraph::default()),
@@ -296,13 +323,10 @@ impl Runtime {
     }
 
     fn node(&self, key: NodeKey) -> Arc<ModeLock> {
-        let shard = {
-            use std::hash::{Hash, Hasher};
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            key.hash(&mut h);
-            (h.finish() as usize) % N_SHARDS
-        };
-        let mut map = self.shards[shard].lock();
+        // The table indexes buckets by the hash's low bits and tags
+        // them by its top seven; the shard takes bits from between.
+        let hash = BuildHasherDefault::<NodeHasher>::default().hash_one(key);
+        let mut map = self.shards[(hash >> 32) as usize % N_SHARDS].lock();
         Arc::clone(map.entry(key).or_insert_with(|| Arc::new(ModeLock::new())))
     }
 
@@ -429,35 +453,39 @@ impl Session {
         self.observer = observer;
     }
 
-    /// Computes the per-node modes for the pending descriptors, in the
-    /// global acquisition order.
-    fn plan(&mut self) -> Vec<(NodeKey, Mode)> {
-        let mut modes: BTreeMap<NodeKey, Mode> = BTreeMap::new();
-        let want = |k: NodeKey, m: Mode, modes: &mut BTreeMap<NodeKey, Mode>| {
-            modes
-                .entry(k)
-                .and_modify(|cur| *cur = cur.combine(m))
-                .or_insert(m);
-        };
+    /// Turns the pending descriptors into the walk's cursor: one
+    /// `(node, mode)` pair per node, the mode the join of every
+    /// capacity the batch wants the node in, in *descending* `NodeKey`
+    /// order (the walk pops from the back). `combine` is a commutative,
+    /// idempotent join, so the order of one node's pairs is immaterial
+    /// and an unstable sort of the reused buffer serves.
+    fn plan(&mut self) {
+        debug_assert!(self.cursor.is_empty(), "a walk is still in flight");
+        let want = &mut self.cursor;
         for d in self.pending.drain(..) {
             match d {
-                Descriptor::Global { access } => {
-                    want(NodeKey::Root, access.own_mode(), &mut modes);
-                }
+                Descriptor::Global { access } => want.push((NodeKey::Root, access.own_mode())),
                 Descriptor::Coarse { pts, access } => {
                     let own = access.own_mode();
-                    want(NodeKey::Pts(pts), own, &mut modes);
-                    want(NodeKey::Root, own.ancestor_intention(), &mut modes);
+                    want.push((NodeKey::Pts(pts), own));
+                    want.push((NodeKey::Root, own.ancestor_intention()));
                 }
                 Descriptor::Fine { pts, addr, access } => {
                     let own = access.own_mode();
-                    want(NodeKey::Fine(pts, addr), own, &mut modes);
-                    want(NodeKey::Pts(pts), own.ancestor_intention(), &mut modes);
-                    want(NodeKey::Root, own.ancestor_intention(), &mut modes);
+                    want.push((NodeKey::Fine(pts, addr), own));
+                    want.push((NodeKey::Pts(pts), own.ancestor_intention()));
+                    want.push((NodeKey::Root, own.ancestor_intention()));
                 }
             }
         }
-        modes.into_iter().collect()
+        want.sort_unstable_by_key(|&(key, _)| std::cmp::Reverse(key));
+        want.dedup_by(|next, kept| {
+            let same = next.0 == kept.0;
+            if same {
+                kept.1 = kept.1.combine(next.1);
+            }
+            same
+        });
     }
 
     /// *to-acquire*: queue a descriptor for the next [`Session::acquire_all`].
@@ -484,8 +512,7 @@ impl Session {
                 self.nlevel += 1;
                 return Ok(StepResult::Done);
             }
-            self.cursor = self.plan();
-            self.cursor.reverse(); // pop() from the back = ascending order
+            self.plan();
         }
         while let Some(&(key, mode)) = self.cursor.last() {
             let node = self.rt.node(key);

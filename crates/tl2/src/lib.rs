@@ -28,6 +28,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// A transactional conflict; propagate it out of the closure passed to
 /// [`Space::atomically`] (the `?` operator does this) so the runtime can
@@ -131,9 +132,17 @@ struct Cell {
     vlock: AtomicU64,
 }
 
-/// A flat transactional word space.
+/// Cells per page of a [`Space`] (64 KiB of cells).
+const PAGE_CELLS: usize = 1 << 12;
+
+/// A flat transactional word space. Its length is a bound, not a
+/// commitment: cells live in fixed-size pages, each allocated (zeroed)
+/// the first time one of its cells is touched, so a space costs memory
+/// and construction time in proportion to what a run touches.
 pub struct Space {
-    cells: Vec<Cell>,
+    len: usize,
+    /// Page `p` holds cells `p * PAGE_CELLS ..`; the last may be short.
+    pages: Box<[OnceLock<Box<[Cell]>>]>,
     clock: AtomicU64,
     commits: AtomicU64,
     aborts: AtomicU64,
@@ -151,7 +160,7 @@ pub struct Space {
 impl std::fmt::Debug for Space {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Space")
-            .field("len", &self.cells.len())
+            .field("len", &self.len)
             .field("clock", &self.clock.load(Ordering::Relaxed))
             .finish()
     }
@@ -161,11 +170,9 @@ impl Space {
     /// Creates a space of `n` cells, all zero.
     pub fn new(n: usize) -> Space {
         Space {
-            cells: (0..n)
-                .map(|_| Cell {
-                    value: AtomicI64::new(0),
-                    vlock: AtomicU64::new(0),
-                })
+            len: n,
+            pages: (0..n.div_ceil(PAGE_CELLS))
+                .map(|_| OnceLock::new())
                 .collect(),
             clock: AtomicU64::new(0),
             commits: AtomicU64::new(0),
@@ -197,22 +204,53 @@ impl Space {
 
     /// Number of cells.
     pub fn len(&self) -> usize {
-        self.cells.len()
+        self.len
     }
 
     /// True when the space has no cells.
     pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
+        self.len == 0
+    }
+
+    /// Cells in pages committed so far (diagnostics/tests): what the
+    /// space occupies, as opposed to the [`Space::len`] it may address.
+    pub fn resident_cells(&self) -> usize {
+        self.pages
+            .iter()
+            .filter_map(|p| p.get())
+            .map(|p| p.len())
+            .sum()
+    }
+
+    /// Cell `i`, committing its page on first touch. Racing first
+    /// touches agree on one page: `OnceLock` runs one initialiser and
+    /// hands every caller the same cells.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not below [`Space::len`].
+    fn cell(&self, i: usize) -> &Cell {
+        assert!(i < self.len, "cell {i} out of range");
+        let page = self.pages[i / PAGE_CELLS].get_or_init(|| {
+            let start = i - i % PAGE_CELLS;
+            (start..self.len.min(start + PAGE_CELLS))
+                .map(|_| Cell {
+                    value: AtomicI64::new(0),
+                    vlock: AtomicU64::new(0),
+                })
+                .collect()
+        });
+        &page[i % PAGE_CELLS]
     }
 
     /// Non-transactional read (for use outside transactions only).
     pub fn read_direct(&self, i: usize) -> i64 {
-        self.cells[i].value.load(Ordering::Acquire)
+        self.cell(i).value.load(Ordering::Acquire)
     }
 
     /// Non-transactional write (for use outside transactions only).
     pub fn write_direct(&self, i: usize, v: i64) {
-        self.cells[i].value.store(v, Ordering::Release);
+        self.cell(i).value.store(v, Ordering::Release);
     }
 
     /// Global abort/commit/fallback counters since construction.
@@ -402,9 +440,9 @@ impl Txn<'_> {
             // No optimistic commit can run while we hold the gate, and
             // our own writes go straight to the cells, so a direct load
             // is always consistent.
-            return Ok(self.space.cells[i].value.load(Ordering::Acquire));
+            return Ok(self.space.cell(i).value.load(Ordering::Acquire));
         }
-        let cell = &self.space.cells[i];
+        let cell = self.space.cell(i);
         let pre = cell.vlock.load(Ordering::Acquire);
         let value = cell.value.load(Ordering::Acquire);
         let post = cell.vlock.load(Ordering::Acquire);
@@ -445,7 +483,7 @@ impl Txn<'_> {
     /// atomically under the lock-bit protocol, or concurrent optimistic
     /// readers could see a torn multi-cell snapshot).
     pub fn write(&mut self, i: usize, v: i64) {
-        assert!(i < self.space.cells.len(), "cell {i} out of range");
+        assert!(i < self.space.len, "cell {i} out of range");
         self.writes.insert(i, v);
     }
 
@@ -471,14 +509,14 @@ impl Txn<'_> {
             // matters so optimistic readers see lock bits or a too-new
             // version instead of a partial write-back.
             for &i in self.writes.keys() {
-                let cell = &space.cells[i];
+                let cell = space.cell(i);
                 let cur = cell.vlock.load(Ordering::Acquire);
                 debug_assert_eq!(cur & LOCK_BIT, 0, "no other writer while the gate is held");
                 cell.vlock.store(cur | LOCK_BIT, Ordering::Release);
             }
             let wv = space.clock.fetch_add(1, Ordering::AcqRel) + 1;
             for (&i, &val) in &self.writes {
-                let cell = &space.cells[i];
+                let cell = space.cell(i);
                 cell.value.store(val, Ordering::Release);
                 cell.vlock.store(wv << 1, Ordering::Release);
             }
@@ -499,11 +537,11 @@ impl Txn<'_> {
         let mut held: Vec<(usize, u64)> = Vec::with_capacity(addrs.len());
         let unlock_held = |held: &[(usize, u64)]| {
             for &(j, old) in held {
-                space.cells[j].vlock.store(old, Ordering::Release);
+                space.cell(j).vlock.store(old, Ordering::Release);
             }
         };
         for &i in &addrs {
-            let cell = &space.cells[i];
+            let cell = space.cell(i);
             let mut ok = false;
             for _ in 0..64 {
                 let cur = cell.vlock.load(Ordering::Acquire);
@@ -531,7 +569,7 @@ impl Txn<'_> {
         // else committed in between — the TL2 fast path).
         if wv != self.rv + 1 {
             for &i in &self.reads {
-                let v = space.cells[i].vlock.load(Ordering::Acquire);
+                let v = space.cell(i).vlock.load(Ordering::Acquire);
                 let locked_by_other = v & LOCK_BIT != 0 && !self.writes.contains_key(&i);
                 if locked_by_other || (v >> 1) > self.rv {
                     unlock_held(&held);
@@ -541,7 +579,7 @@ impl Txn<'_> {
         }
         // Write back and release with the new version.
         for (&i, &val) in &self.writes {
-            let cell = &space.cells[i];
+            let cell = space.cell(i);
             cell.value.store(val, Ordering::Release);
             cell.vlock.store(wv << 1, Ordering::Release);
         }
@@ -794,6 +832,86 @@ mod tests {
         assert_eq!(t.read(2).unwrap(), 9);
         t.commit().unwrap();
         assert_eq!(s.read_direct(2), 9);
+    }
+
+    #[test]
+    fn untouched_cells_are_not_committed() {
+        let len = 1 << 26;
+        let s = Space::new(len);
+        assert_eq!((s.len(), s.resident_cells()), (len, 0));
+        // Never-written cells read as zero, directly and in a
+        // transaction.
+        assert_eq!(s.read_direct(len / 2), 0);
+        assert_eq!(s.atomically(|t| t.read(len / 3)).0, 0);
+        // First and last cell, and both sides of a page boundary.
+        let edge = 5 * PAGE_CELLS;
+        for (i, v) in [(0, 11), (len - 1, 12), (edge - 1, 13), (edge, 14)] {
+            s.write_direct(i, v);
+            assert_eq!(s.read_direct(i), v);
+        }
+        // One committed transaction across another boundary.
+        let edge = 9 * PAGE_CELLS;
+        s.atomically(|t| {
+            let below = t.read(edge - 1)?;
+            t.write(edge - 1, below + 21);
+            t.write(edge, 22);
+            Ok(())
+        });
+        assert_eq!((s.read_direct(edge - 1), s.read_direct(edge)), (21, 22));
+        // Eight pages were touched, of 16 384.
+        assert_eq!(s.resident_cells(), 8 * PAGE_CELLS);
+        // A short last page commits only the cells the space has.
+        let short = Space::new(PAGE_CELLS + 3);
+        short.write_direct(PAGE_CELLS + 2, 1);
+        assert_eq!(short.resident_cells(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn indexing_the_length_panics() {
+        // Inside the last page's capacity, outside the space.
+        Space::new(PAGE_CELLS + 3).read_direct(PAGE_CELLS + 3);
+    }
+
+    #[test]
+    fn racing_first_touches_commit_one_page() {
+        use std::sync::Barrier;
+        const THREADS: usize = 8;
+        const PER_THREAD: usize = 64;
+        let s = Space::new(4 * PAGE_CELLS);
+        let start = Barrier::new(THREADS);
+        // Page 1 is first touched by racing direct writes, page 3 by
+        // racing transactions; every thread owns distinct cells of both.
+        let cells = |page: usize, tid: usize| {
+            (0..PER_THREAD).map(move |k| page * PAGE_CELLS + k * THREADS + tid)
+        };
+        std::thread::scope(|scope| {
+            for tid in 0..THREADS {
+                let (s, start) = (&s, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in cells(1, tid) {
+                        s.write_direct(i, i as i64);
+                        assert_eq!(s.read_direct(i), i as i64);
+                    }
+                    s.atomically(|t| {
+                        for i in cells(3, tid) {
+                            t.write(i, -(i as i64));
+                        }
+                        Ok(())
+                    });
+                });
+            }
+        });
+        for tid in 0..THREADS {
+            for i in cells(1, tid) {
+                assert_eq!(s.read_direct(i), i as i64, "cell {i} lost its value");
+            }
+            for i in cells(3, tid) {
+                assert_eq!(s.read_direct(i), -(i as i64), "cell {i} lost its value");
+            }
+        }
+        assert_eq!(s.resident_cells(), 2 * PAGE_CELLS, "each page once");
     }
 
     #[test]

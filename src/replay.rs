@@ -304,9 +304,10 @@ impl RunConfig {
 /// paper and every committed workload stay at or below 16.
 const MAX_REPLAY_THREADS: usize = 1024;
 
-/// The heap is allocated up front, 16 bytes a cell, so a replayed
-/// `run.heap_cells` is bounded before the allocation: 1 GiB, 16× the
-/// largest committed workload.
+/// The heap commits a page the first time one of its cells is touched,
+/// 16 bytes a cell, so `run.heap_cells` is what a replayed program may
+/// come to occupy, not what a machine costs to build. It is bounded all
+/// the same: 1 GiB, 16× the largest committed workload.
 const MAX_REPLAY_HEAP_CELLS: usize = 1 << 26;
 
 fn meta(t: &Trace, k: &str) -> Result<String, String> {
