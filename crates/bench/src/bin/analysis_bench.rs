@@ -12,7 +12,11 @@
 //!
 //! All three must agree exactly on every section's lock set (checked on
 //! every run), and the optimized engine's work counters are recorded
-//! alongside the wall times.
+//! alongside the wall times. Each row's `interner_locks` /
+//! `interner_paths` are that tier's own: the distinct lock terms and
+//! paths in the tables of the engines that analysed it (they were
+//! cumulative over the rows while lock terms lived in a process-wide
+//! table).
 //!
 //! The tiers are many small sections. Table 1's shape is the opposite —
 //! one section over the whole program at k=9, where the width bound

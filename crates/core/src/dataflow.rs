@@ -25,12 +25,14 @@
 //!
 //! The engine is built for SPECint-sized inputs:
 //!
-//! * **Hash-consed locks.** Every `AbsLock` is interned once in the
-//!   process-wide table of [`lockscheme::intern`]; the lattice order
-//!   `≤` becomes a handful of integer compares on [`LockRec`]s. Each
-//!   engine additionally keeps a *local* dense id space (first-seen
-//!   order) so that all of its ordering decisions are independent of
-//!   the global id assignment — which may race across threads.
+//! * **Hash-consed locks.** Each engine owns a table of the lock terms
+//!   it has met ([`LockCache`]): a term is stored once, named by a
+//!   dense local id in first-seen order, and shadowed by a [`LockRec`]
+//!   on which the lattice order `≤` is a handful of integer compares.
+//!   There is no table outside an engine: Phase A's is frozen into its
+//!   [`SummaryCache`], a Phase B engine imports the entries it is
+//!   handed (sharing the term, not copying it), and everything is
+//!   freed with the analysis or the [`SummaryStore`] holding it.
 //! * **Facts-sized state.** Per `(context, point)` the state is one
 //!   small list of local ids in arrival order ([`PointState`]): the
 //!   untagged entries are the lock antichain — at most [`WIDTH_LIMIT`]
@@ -73,9 +75,10 @@
 //! first-seen order (a memo miss interns and adds its results one at a
 //! time, because an add can reach a terminal and mint further ids); a
 //! pop propagates its frontier in ascending local id; and widening
-//! counts the antichain of one `(context, point)`. The memos belong to
-//! one engine and die with it, so warm, store-backed and parallel
-//! analyses remain pure functions of `(program, pt, lib, config)`.
+//! counts the antichain of one `(context, point)`. Tables and memos
+//! belong to one engine and die with it, so cold, store-backed and
+//! parallel analyses are pure functions of `(program, pt, lib,
+//! config)` — [`AnalysisStats`] included.
 //!
 //! The original per-section engine is kept in [`crate::reference`] as
 //! the differential-testing oracle and benchmark baseline; the two
@@ -91,15 +94,17 @@
 //! * Summary queries are canonicalized to the `rw` effect (transfer
 //!   functions never change an effect), halving the query space.
 //! * Per program point, expression-lock variants are *widened*: past a
-//!   width bound the lock falls back to its coarse points-to lock (the
-//!   paper's §3.3 notes widening as the alternative to a bounded `L`).
+//!   width bound the lock falls back to [`AbsLock::coarsen`] of itself
+//!   (the paper's §3.3 notes widening as the alternative to a bounded
+//!   `L`) — a coarser lock under every scheme configuration, never no
+//!   lock.
 
 use crate::library::LibrarySpec;
 use crate::transfer::{leaves_untouched, TransferCtx, Transferred};
 use lir::cfg::{atomic_regions, predecessors, AtomicRegion};
-use lir::{Eff, FnId, Instr, PathOp, Program, Rvalue, SectionId, VarId, VarKind};
+use lir::{Eff, FnId, Instr, PathExpr, PathOp, Program, Rvalue, SectionId, VarId, VarKind};
 use lockscheme::abslock::prune_redundant;
-use lockscheme::{intern, AbsLock, ConfigMap, LockId, LockRec, SchemeConfig};
+use lockscheme::{AbsLock, ConfigMap, LockRec, SchemeConfig};
 use pointsto::{PointsTo, PtsClass};
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -118,10 +123,13 @@ pub struct SectionResult {
     pub locks: Vec<AbsLock>,
 }
 
-/// Counters describing how much work the analysis did. Deterministic
-/// for a fixed input and thread count, except the `interner_*` fields,
-/// which report the process-wide table (shared across analyses).
-#[derive(Clone, Debug, Default)]
+/// Counters describing how much work the analysis did. Every field
+/// but `threads` is a function of `(program, pt, lib, configs)` and of
+/// which Phase A passes `store` already held — their work is counted
+/// by the analysis that ran them, their tables by every analysis that
+/// used them. Nothing else the process has analysed, and no thread
+/// count, changes any of them.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct AnalysisStats {
     /// Facts taken off worklists (summary pre-pass + all sections).
     pub worklist_pops: u64,
@@ -147,9 +155,10 @@ pub struct AnalysisStats {
     /// Transfers and unmappings replayed from an engine's id-level memo
     /// instead of being recomputed on lock terms.
     pub transfer_memo_hits: u64,
-    /// Distinct locks in the global interner after the analysis.
+    /// Distinct lock terms over the tables of every engine of this
+    /// analysis, the frozen Phase A tables it used included.
     pub interner_locks: usize,
-    /// Distinct lock paths in the global interner after the analysis.
+    /// Distinct lock paths among those terms.
     pub interner_paths: usize,
     /// Worker threads used for the per-section phase.
     pub threads: usize,
@@ -333,17 +342,6 @@ pub fn analyze_program_with_configs(
         modsets: &modsets,
         preds: &preds,
     };
-    if secs.is_empty() {
-        stats.threads = 1;
-        stats.interner_locks = intern::global().len();
-        stats.interner_paths = intern::global().n_paths();
-        return ProgramAnalysis {
-            sections: Vec::new(),
-            config: configs.clone(),
-            stats,
-        };
-    }
-
     // Phase A: one sequential pass per distinct section configuration
     // over the union of all sections' callee scopes computes every Gen
     // summary and every query the gen flow demands, then freezes them.
@@ -409,15 +407,18 @@ pub fn analyze_program_with_configs(
         };
         solve_one_section(env, &caches[cfg_idx[i]], f, region)
     });
+    let tables = caches
+        .iter()
+        .map(|c| &c.locks.arcs)
+        .chain(solved.iter().map(|(_, _, terms)| terms));
+    (stats.interner_locks, stats.interner_paths) = count_distinct(tables.flatten());
     let mut sections = Vec::with_capacity(solved.len());
-    for (sr, es) in solved {
+    for (sr, es, _) in solved {
         stats.absorb(&es);
         sections.push(sr);
     }
     sections.sort_by_key(|s| s.id);
     stats.threads = n_threads;
-    stats.interner_locks = intern::global().len();
-    stats.interner_paths = intern::global().n_paths();
     ProgramAnalysis {
         sections,
         config: configs.clone(),
@@ -425,13 +426,15 @@ pub fn analyze_program_with_configs(
     }
 }
 
+/// Solves one section; also hands back the terms its engine met, for
+/// [`AnalysisStats::interner_locks`].
 fn solve_one_section(
     env: EngineEnv<'_>,
     cache: &SummaryCache,
     func: FnId,
     region: AtomicRegion,
-) -> (SectionResult, EngineStats) {
-    let (locks, es) = Engine::new(env, Some((func, region)), Some(cache)).solve_section();
+) -> (SectionResult, EngineStats, Vec<Arc<AbsLock>>) {
+    let (locks, es, terms) = Engine::new(env, Some((func, region)), Some(cache)).solve_section();
     (
         SectionResult {
             id: region.id,
@@ -441,7 +444,20 @@ fn solve_one_section(
             locks,
         },
         es,
+        terms,
     )
+}
+
+/// Distinct terms, and distinct paths among them.
+fn count_distinct<'a>(terms: impl Iterator<Item = &'a Arc<AbsLock>>) -> (usize, usize) {
+    let mut locks: IdSet<&AbsLock> = IdSet::default();
+    let mut paths: IdSet<&PathExpr> = IdSet::default();
+    for l in terms {
+        if locks.insert(l) {
+            paths.extend(&l.path);
+        }
+    }
+    (locks.len(), paths.len())
 }
 
 /// Transitive side-effect summary of a function: the points-to classes
@@ -604,21 +620,24 @@ fn section_scope(
 }
 
 /// Maximum number of expression-lock variants tracked per program point
-/// before widening to the coarse points-to lock.
+/// before widening ([`AbsLock::coarsen`]).
 pub(crate) const WIDTH_LIMIT: usize = 24;
 
-/// The frozen output of the Phase A summary pre-pass. Entry vectors are
-/// structurally sorted so that injection order — and hence widening
-/// behavior downstream — does not depend on interner id assignment.
-#[derive(Debug, Default)]
+/// The frozen output of the Phase A summary pre-pass: its lock table,
+/// and the summaries in that table's ids. Entry vectors are sorted
+/// structurally, not by id, so that injection order — and hence
+/// widening behavior downstream — is a property of the summaries
+/// rather than of the order Phase A happened to meet their locks in.
 struct SummaryCache {
+    /// Every term Phase A met; `gen` and `query` speak its ids.
+    locks: LockCache,
     /// Own-access (`Gen`) entry locks per function; present (possibly
     /// empty) for every function in any section's callee scope.
-    gen: HashMap<FnId, Vec<LockId>>,
+    gen: HashMap<FnId, Vec<u32>>,
     /// Entry locks per solved summary query, keyed by the rw-canonical
     /// exit lock; present (possibly empty) for every query Phase A
     /// started.
-    query: HashMap<(FnId, LockId), Vec<LockId>>,
+    query: HashMap<(FnId, u32), Vec<u32>>,
 }
 
 /// Read-only inputs shared by every engine of one analysis.
@@ -671,53 +690,63 @@ impl Hasher for IdHasher {
 type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
 
-/// Engine-local mirror of the global interner.
+/// One engine's lock table: the only place its terms live.
 ///
-/// Local ids are dense and minted in first-seen order, so every
-/// ordering decision the (sequential) engine makes is reproducible
-/// regardless of how global ids were numbered by concurrent engines.
-/// `recs`/`arcs` give O(1) record and term access with no locking.
+/// Ids are dense and minted in first-seen order, so every ordering
+/// decision the (sequential) engine makes on them is reproducible.
+/// `recs`/`arcs` give O(1) record and term access; the map key and the
+/// vector entry of a term are one allocation.
 #[derive(Default)]
 struct LockCache {
-    by_term: IdMap<AbsLock, u32>,
-    by_global: IdMap<u32, u32>,
-    global: Vec<LockId>,
+    by_term: IdMap<Arc<AbsLock>, u32>,
+    /// Local id of each entry imported from the frozen Phase A table.
+    by_cache: IdMap<u32, u32>,
+    /// Names paths for [`LockRec`]: equal paths, equal ids.
+    path_ids: IdMap<PathExpr, u32>,
     recs: Vec<LockRec>,
     arcs: Vec<Arc<AbsLock>>,
-    /// Coarse locks and bare variable locks `x̄`: invariant under every
-    /// transfer function, so they never enter a point's state.
+    /// [`AbsLock::is_flow_insensitive`] per id: such locks never enter
+    /// a point's state.
     flow_insensitive: Vec<bool>,
 }
 
 impl LockCache {
     fn intern(&mut self, lock: &AbsLock) -> u32 {
-        if let Some(&i) = self.by_term.get(lock) {
-            return i;
+        match self.by_term.get(lock) {
+            Some(&i) => i,
+            None => self.add(Arc::new(lock.clone())),
         }
-        let (gid, rec) = intern::global().intern(lock);
-        let arc = intern::global().resolve(gid);
-        self.add(gid, rec, arc)
     }
 
-    /// Local id for a lock already interned globally (a cache entry).
-    fn import(&mut self, gid: LockId) -> u32 {
-        if let Some(&i) = self.by_global.get(&gid.0) {
+    /// Local id for entry `cid` of the frozen table `cache`.
+    fn import(&mut self, cache: &LockCache, cid: u32) -> u32 {
+        if let Some(&i) = self.by_cache.get(&cid) {
             return i;
         }
-        let rec = intern::global().rec(gid);
-        let arc = intern::global().resolve(gid);
-        self.add(gid, rec, arc)
+        let arc = &cache.arcs[cid as usize];
+        let i = match self.by_term.get(arc) {
+            Some(&i) => i,
+            None => self.add(Arc::clone(arc)),
+        };
+        self.by_cache.insert(cid, i);
+        i
     }
 
-    fn add(&mut self, gid: LockId, rec: LockRec, arc: Arc<AbsLock>) -> u32 {
-        let i = self.global.len() as u32;
+    fn add(&mut self, arc: Arc<AbsLock>) -> u32 {
+        let i = self.arcs.len() as u32;
         assert!(i < DEAD, "local lock ids must leave the DEAD bit free");
-        self.by_term.insert((*arc).clone(), i);
-        self.by_global.insert(gid.0, i);
-        self.global.push(gid);
+        let path_ids = &mut self.path_ids;
+        let rec = LockRec::new(&arc, |p| match path_ids.get(p) {
+            Some(&pid) => pid,
+            None => {
+                let pid = path_ids.len() as u32;
+                path_ids.insert(p.clone(), pid);
+                pid
+            }
+        });
         self.recs.push(rec);
-        self.flow_insensitive
-            .push(arc.path.as_ref().is_none_or(|p| p.ops.is_empty()));
+        self.flow_insensitive.push(arc.is_flow_insensitive());
+        self.by_term.insert(Arc::clone(&arc), i);
         self.arcs.push(arc);
         i
     }
@@ -860,32 +889,31 @@ impl<'a> Engine<'a> {
     /// function and every *started* query gets an entry, so Phase B can
     /// distinguish "solved, empty" from "never solved".
     fn freeze(self, gen_fns: &[FnId]) -> (SummaryCache, EngineStats) {
-        let mut cache = SummaryCache::default();
-        for &f in gen_fns {
-            let ids = self.gen_entry.get(&f).cloned().unwrap_or_default();
-            cache.gen.insert(f, self.sorted_globals(ids));
-        }
-        for &(f, q) in &self.started_queries {
-            let ids = self.query_entry.get(&(f, q)).cloned().unwrap_or_default();
-            cache
-                .query
-                .insert((f, self.locks.global[q as usize]), self.sorted_globals(ids));
-        }
+        let arcs = &self.locks.arcs;
+        let sorted = |ids: Option<&Vec<u32>>| {
+            let mut ids = ids.cloned().unwrap_or_default();
+            ids.sort_by(|&a, &b| arcs[a as usize].cmp(&arcs[b as usize]));
+            ids
+        };
+        let gen = gen_fns
+            .iter()
+            .map(|&f| (f, sorted(self.gen_entry.get(&f))))
+            .collect();
+        let query = self
+            .started_queries
+            .iter()
+            .map(|&key| (key, sorted(self.query_entry.get(&key))))
+            .collect();
+        let cache = SummaryCache {
+            locks: self.locks,
+            gen,
+            query,
+        };
         (cache, self.stats)
     }
 
-    /// Orders local lock ids structurally and maps them to global ids —
-    /// the canonical, id-assignment-independent form of a summary.
-    fn sorted_globals(&self, mut ids: Vec<u32>) -> Vec<LockId> {
-        let arcs = &self.locks.arcs;
-        ids.sort_by(|&a, &b| arcs[a as usize].cmp(&arcs[b as usize]));
-        ids.into_iter()
-            .map(|l| self.locks.global[l as usize])
-            .collect()
-    }
-
     /// Phase B: seed the root region, run to fixpoint, prune.
-    fn solve_section(mut self) -> (Vec<AbsLock>, EngineStats) {
+    fn solve_section(mut self) -> (Vec<AbsLock>, EngineStats, Vec<Arc<AbsLock>>) {
         let (root_fn, region) = self.root.expect("solve_section requires a root region");
         let root_ctx = self.intern_ctx(Ctx::Root);
         let program = self.program;
@@ -900,7 +928,7 @@ impl<'a> Engine<'a> {
             .map(|&l| (*self.locks.arcs[l as usize]).clone())
             .collect();
         prune_redundant(&mut result);
-        (result, self.stats)
+        (result, self.stats, self.locks.arcs)
     }
 
     fn intern_ctx(&mut self, ctx: Ctx) -> u32 {
@@ -948,8 +976,8 @@ impl<'a> Engine<'a> {
                     .get(callee)
                     .expect("summary pre-pass covers every in-scope callee");
                 self.stats.cache_hits += 1;
-                for &gid in entries {
-                    let le = self.locks.import(gid);
+                for &cid in entries {
+                    let le = self.locks.import(&c.locks, cid);
                     self.inject_unmapped((ctx, idx), *callee, le, None);
                 }
             } else {
@@ -1017,20 +1045,13 @@ impl<'a> Engine<'a> {
                 live += 1;
             }
         }
-        // Widening: past the width bound, fall back to the coarse
-        // points-to lock (sent straight to the terminal).
+        // Widening: past the width bound, fall back to the lock's own
+        // class (sent straight to the terminal).
         if live >= WIDTH_LIMIT {
             self.stats.widenings += 1;
-            if rec.pts != intern::NONE {
-                let coarse = AbsLock {
-                    path: None,
-                    pts: Some(PtsClass(rec.pts)),
-                    eff: rec.eff,
-                };
-                let cid = self.locks.intern(&coarse);
-                self.record_terminal(ctx, cid);
-            }
-            return;
+            let coarse = self.locks.arcs[id as usize].coarsen();
+            let cid = self.locks.intern(&coarse);
+            return self.record_terminal(ctx, cid);
         }
         // Subsumed locks leave the antichain but keep their place in
         // the frontier: if they were scheduled, they still propagate
@@ -1204,11 +1225,10 @@ impl<'a> Engine<'a> {
             };
             // Demoted locks and locks untouched by the callee (mod-ref
             // filtering) bypass the summary machinery.
-            let needs_summary = match &m.path {
-                None => false,
-                Some(p) if p.ops.is_empty() => false,
-                Some(p) => must_route(program, self.pt, self.modsets, callee, p),
-            };
+            let needs_summary = !m.is_flow_insensitive()
+                && m.path
+                    .as_ref()
+                    .is_some_and(|p| must_route(program, self.pt, self.modsets, callee, p));
             if !needs_summary {
                 self.add_fact(ctx, call_idx, m);
                 continue;
@@ -1221,11 +1241,11 @@ impl<'a> Engine<'a> {
             let mid = self.locks.intern(&canonical);
             let site = (ctx, call_idx);
             if let Some(c) = cache {
-                let gid = self.locks.global[mid as usize];
-                if let Some(entries) = c.query.get(&(callee, gid)) {
+                let solved = c.locks.by_term.get(&canonical);
+                if let Some(entries) = solved.and_then(|&q| c.query.get(&(callee, q))) {
                     self.stats.cache_hits += 1;
-                    for &egid in entries {
-                        let le = self.locks.import(egid);
+                    for &cid in entries {
+                        let le = self.locks.import(&c.locks, cid);
                         self.inject_unmapped(site, callee, le, Some(want_eff));
                     }
                     continue;
@@ -1400,4 +1420,50 @@ fn add_summary_lock(recs: &[LockRec], set: &mut Vec<u32>, id: u32) -> bool {
     set.retain(|&l| !recs[l as usize].leq(rec));
     set.push(id);
     true
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn fine(base: u32, ops: Vec<PathOp>, pts: u32, eff: Eff) -> AbsLock {
+        AbsLock {
+            path: Some(PathExpr {
+                base: VarId(base),
+                ops,
+            }),
+            pts: Some(PtsClass(pts)),
+            eff,
+        }
+    }
+
+    #[test]
+    fn interning_is_idempotent_and_distinguishes() {
+        let mut table = LockCache::default();
+        let a = fine(1, vec![PathOp::Deref], 3, Eff::Rw);
+        let b = fine(1, vec![PathOp::Deref], 3, Eff::Ro);
+        let ia = table.intern(&a);
+        let ib = table.intern(&b);
+        assert_eq!(ia, table.intern(&a));
+        assert_ne!(ia, ib);
+        assert_eq!(*table.arcs[ia as usize], a);
+        assert_eq!(*table.arcs[ib as usize], b);
+        // Same path, different effect: one path entry, two locks.
+        assert_eq!(table.path_ids.len(), 1);
+        assert_eq!(table.arcs.len(), 2);
+        assert!(table.recs[ib as usize].leq(table.recs[ia as usize]));
+
+        // Importing from a frozen table finds a term the engine already
+        // met, and otherwise shares the frozen one.
+        let mut local = LockCache::default();
+        let lb = local.intern(&b);
+        assert_eq!(local.import(&table, ib), lb);
+        let la = local.import(&table, ia);
+        assert_eq!(la, local.import(&table, ia));
+        assert!(Arc::ptr_eq(
+            &local.arcs[la as usize],
+            &table.arcs[ia as usize]
+        ));
+        assert_eq!(count_distinct(table.arcs.iter().chain(&local.arcs)), (2, 1));
+    }
 }

@@ -51,11 +51,12 @@ impl LibrarySpec {
         self.specs.contains_key(&f)
     }
 
-    /// Transfers a fine lock backward across a call to opaque `f`:
-    /// if any dereference step of the lock's expression reads a cell the
-    /// function may modify, the expression is no longer meaningful
-    /// before the call and the lock is demoted to its coarse points-to
-    /// lock; otherwise it passes through unchanged.
+    /// Transfers a (normalised) fine lock backward across a call to
+    /// opaque `f`: if any dereference step of the lock's expression
+    /// reads a cell the function may modify, the expression is no longer
+    /// meaningful before the call and the lock is
+    /// [coarsened](AbsLock::coarsen) to its own class; otherwise it
+    /// passes through unchanged.
     pub fn transfer_across(&self, f: FnId, lock: &AbsLock, pt: &PointsTo) -> AbsLock {
         let Some(summary) = self.get(f) else {
             return lock.clone();
@@ -73,11 +74,7 @@ impl LibrarySpec {
             };
             if let Some(c) = pt.class_of_path(&prefix) {
                 if summary.modifies.contains(&c) {
-                    return AbsLock {
-                        path: None,
-                        pts: lock.pts.or(pt.class_of_path(path)),
-                        eff: lock.eff,
-                    };
+                    return lock.coarsen();
                 }
             }
         }

@@ -281,14 +281,9 @@ impl<'a> RefEngine<'a> {
         let Some(lock) = self.config.normalize(lock, self.pt) else {
             return;
         };
-        // Flow-insensitive locks — coarse locks and bare variable locks
-        // `x̄` — are invariant under every transfer function: they jump
-        // straight to the context's terminal.
-        let flow_insensitive = match &lock.path {
-            None => true,
-            Some(p) => p.ops.is_empty(),
-        };
-        if flow_insensitive {
+        // Flow-insensitive locks jump straight to the context's
+        // terminal.
+        if lock.is_flow_insensitive() {
             self.record_terminal(ctx, lock);
             return;
         }
@@ -306,19 +301,11 @@ impl<'a> RefEngine<'a> {
         {
             return;
         }
-        // Widening: past the width bound, fall back to the coarse
-        // points-to lock (sent straight to the terminal).
+        // Widening: past the width bound, fall back to the lock's own
+        // class (sent straight to the terminal).
         if set.len() >= WIDTH_LIMIT {
-            if let Some(pts) = lock.pts {
-                let eff = lock.eff;
-                let coarse = AbsLock {
-                    path: None,
-                    pts: Some(pts),
-                    eff,
-                };
-                self.record_terminal(ctx, coarse);
-            }
-            return;
+            let coarse = lock.coarsen();
+            return self.record_terminal(ctx, coarse);
         }
         set.retain(|&l| !lockdb[l as usize].leq(lock));
         set.push(id);
@@ -417,13 +404,10 @@ impl<'a> RefEngine<'a> {
             };
             // Demoted locks and locks untouched by the callee (mod-ref
             // filtering) bypass the summary machinery.
-            let needs_summary = match &m.path {
-                None => false,
-                Some(p) if p.ops.is_empty() => false,
-                Some(p) => {
+            let needs_summary = !m.is_flow_insensitive()
+                && m.path.as_ref().is_some_and(|p| {
                     crate::dataflow::must_route(self.program, self.pt, self.modsets, callee, p)
-                }
-            };
+                });
             if !needs_summary {
                 self.add_fact(ctx, call_idx, m);
                 continue;

@@ -68,6 +68,30 @@ impl AbsLock {
         self.path.is_some()
     }
 
+    /// True for coarse locks and bare variable locks `x̄`: no statement
+    /// assigns to what they name, so every transfer function of §4.1
+    /// leaves them unchanged and the analysis may move them straight to
+    /// the entry of their context.
+    pub fn is_flow_insensitive(&self) -> bool {
+        self.path.as_ref().is_none_or(|p| p.ops.is_empty())
+    }
+
+    /// §3.3's coarsening of a lock to its own class,
+    /// `(e, P, ε) ↦ (⊤, P, ε)` — what the analysis falls back to when it
+    /// gives up on an expression (widening, an opaque callee overwriting
+    /// a cell the expression reads). Total and never finer: a lock
+    /// [normalised](SchemeConfig::normalize) under a scheme with `Σ≡`
+    /// always carries its class, and under a scheme without it `P` is
+    /// `⊤`, so the result is the global lock at the same effect — a
+    /// coarser lock, never no lock.
+    pub fn coarsen(&self) -> AbsLock {
+        AbsLock {
+            path: None,
+            pts: self.pts,
+            eff: self.eff,
+        }
+    }
+
     /// The partial order `≤` of the scheme: componentwise, with `None`
     /// as the top of the `Σ_k` and `Σ≡` components.
     pub fn leq(&self, other: &AbsLock) -> bool {
@@ -118,6 +142,43 @@ impl AbsLock {
             },
             (Some(_), None) => unreachable!("fine locks always carry a points-to class"),
         }
+    }
+}
+
+/// Compact, `Copy` shadow of one [`AbsLock`]: enough to decide the
+/// lattice order with three integer compares instead of a path walk.
+///
+/// The path component is an id handed out by whichever table owns the
+/// term (the dataflow engine's lock table): within one table equal
+/// paths share an id and distinct paths never do, which is all `≤`
+/// needs. Records minted against different tables are not comparable.
+#[derive(Clone, Copy, Debug)]
+pub struct LockRec {
+    path: u32,
+    pts: u32,
+    eff: Eff,
+}
+
+impl LockRec {
+    /// `⊤` in the path and points-to components.
+    const TOP: u32 = u32::MAX;
+
+    /// The record of `lock`; `path_id` names its path, if it has one.
+    pub fn new(lock: &AbsLock, path_id: impl FnOnce(&PathExpr) -> u32) -> LockRec {
+        LockRec {
+            path: lock.path.as_ref().map_or(Self::TOP, path_id),
+            pts: lock.pts.map_or(Self::TOP, |c| c.0),
+            eff: lock.eff,
+        }
+    }
+
+    /// The scheme order `≤` on records. Agrees with [`AbsLock::leq`]
+    /// on the locks the records were made from.
+    #[inline]
+    pub fn leq(self, other: LockRec) -> bool {
+        (other.path == Self::TOP || self.path == other.path)
+            && (other.pts == Self::TOP || self.pts == other.pts)
+            && self.eff.leq(other.eff)
     }
 }
 
@@ -172,6 +233,15 @@ impl SchemeConfig {
         !self.use_expr && !self.use_pts && !self.use_eff
     }
 
+    /// Whether locks inferred under this configuration can be acquired
+    /// by the runtime. §5's lock tree hangs a fine node under its
+    /// points-to partition, so `Σ_k` without `Σ≡` — fine locks `(e, ⊤)`
+    /// — is a point the analysis can be asked about (the ablation
+    /// table) but no machine can run.
+    pub fn is_executable(&self) -> bool {
+        self.use_pts || !self.use_expr
+    }
+
     /// Applies component toggles and representation invariants.
     /// Returns `None` when the lock provably protects no location.
     pub fn normalize(&self, mut lock: AbsLock, pt: &PointsTo) -> Option<AbsLock> {
@@ -218,20 +288,16 @@ impl SchemeConfig {
         // base included; the paper's "many expressions with 3 heap
         // dereferences may have length k = 6" counts ops only, so we
         // charge the base at 1 but keep ops as the dominant term.
-        let length = path.ops.len().max(1);
-        if length > self.k || !evaluable {
-            Some(AbsLock {
-                path: None,
-                pts: Some(class),
-                eff: lock.eff,
-            })
+        let too_long = path.ops.len().max(1) > self.k;
+        let lock = AbsLock {
+            pts: Some(class),
+            ..lock
+        };
+        Some(if too_long || !evaluable {
+            lock.coarsen()
         } else {
-            Some(AbsLock {
-                path: lock.path,
-                pts: Some(class),
-                eff: lock.eff,
-            })
-        }
+            lock
+        })
     }
 }
 
@@ -567,6 +633,88 @@ mod tests {
         let mut set2 = vec![fine_ro.clone(), fine_ro.clone()];
         prune_redundant(&mut set2);
         assert_eq!(set2.len(), 1);
+    }
+
+    #[test]
+    fn coarsening_is_total_and_never_finer() {
+        let fine = |pts| AbsLock {
+            path: Some(path(VarId(1), vec![PathOp::Deref])),
+            pts,
+            eff: Eff::Rw,
+        };
+        let with_class = fine(Some(PtsClass(3)));
+        assert_eq!(with_class.coarsen(), AbsLock::coarse(PtsClass(3), Eff::Rw));
+        // Without Σ≡ the class is ⊤: the fallback is the global lock at
+        // the same effect — in particular still a write lock.
+        let without = fine(None);
+        assert_eq!(without.coarsen(), AbsLock::global());
+        assert_eq!(
+            AbsLock {
+                eff: Eff::Ro,
+                ..without.clone()
+            }
+            .coarsen()
+            .eff,
+            Eff::Ro
+        );
+        for l in [with_class, without, AbsLock::global()] {
+            assert!(l.leq(&l.coarsen()), "{l} ≤ its coarsening");
+            assert!(l.coarsen().is_flow_insensitive());
+        }
+    }
+
+    #[test]
+    fn rec_leq_agrees_with_structural_leq() {
+        let fine = |base, ops, pts, eff| AbsLock {
+            path: Some(path(VarId(base), ops)),
+            pts: Some(PtsClass(pts)),
+            eff,
+        };
+        let samples = [
+            AbsLock::global(),
+            AbsLock::coarse(PtsClass(3), Eff::Rw),
+            AbsLock::coarse(PtsClass(3), Eff::Ro),
+            AbsLock::coarse(PtsClass(4), Eff::Rw),
+            fine(1, vec![PathOp::Deref], 3, Eff::Rw),
+            fine(1, vec![PathOp::Deref], 3, Eff::Ro),
+            fine(2, vec![], 3, Eff::Rw),
+            fine(1, vec![PathOp::Deref, PathOp::Deref], 4, Eff::Rw),
+        ];
+        let mut paths: Vec<PathExpr> = Vec::new();
+        let recs: Vec<LockRec> = samples
+            .iter()
+            .map(|l| {
+                LockRec::new(l, |p| {
+                    let known = paths.iter().position(|q| q == p);
+                    known.unwrap_or_else(|| {
+                        paths.push(p.clone());
+                        paths.len() - 1
+                    }) as u32
+                })
+            })
+            .collect();
+        for (x, rx) in samples.iter().zip(&recs) {
+            for (y, ry) in samples.iter().zip(&recs) {
+                assert_eq!(rx.leq(*ry), x.leq(y), "leq mismatch between {x} and {y}");
+            }
+        }
+    }
+
+    #[test]
+    fn only_schemes_with_a_partition_under_their_fine_locks_are_executable() {
+        let full = SchemeConfig::full(9, None);
+        assert!(full.is_executable());
+        assert!(SchemeConfig::trivially_sound(None).is_executable());
+        let no_expr = SchemeConfig {
+            use_expr: false,
+            ..full
+        };
+        assert!(no_expr.is_executable());
+        let no_pts = SchemeConfig {
+            use_pts: false,
+            ..full
+        };
+        assert!(!no_pts.is_executable());
     }
 
     #[test]

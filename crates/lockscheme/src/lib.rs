@@ -13,17 +13,20 @@
 //!   the analysis implementation (§4.3), in the specialized tree-shaped
 //!   representation the paper describes: a root `(⊤, ⊤)`, coarse
 //!   points-to locks `(⊤, P)` below it, and fine expression locks
-//!   `(e, P)` as leaves.
-//! * [`intern`] — process-wide hash-consing of [`AbsLock`] terms: lock
-//!   identity as a `u32`, `O(1)` lattice order on interned records, and
-//!   memoized joins. The scalability substrate of the dataflow engine.
+//!   `(e, P)` as leaves. What the analysis relies on about that
+//!   lattice is stated here, once: which locks are flow-insensitive,
+//!   how a lock coarsens to its own class, which scheme points a
+//!   machine can execute, and [`LockRec`], the integer form of `≤`.
+//!
+//! [`scheme`] is the oracle for [`abslock`]: a property test holds
+//! `AbsLock`'s order and join, and `LockRec`'s order, to the generic
+//! product's. There is no lock *table* in this crate — whoever runs an
+//! analysis owns its terms (`lockinfer::dataflow`).
 
 pub mod abslock;
 pub mod concrete;
-pub mod intern;
 pub mod scheme;
 
-pub use abslock::{AbsLock, ConfigMap, SchemeConfig};
+pub use abslock::{AbsLock, ConfigMap, LockRec, SchemeConfig};
 pub use concrete::{ConcreteLock, LocationModel};
-pub use intern::{LockId, LockInterner, LockRec};
 pub use scheme::{EffScheme, FieldScheme, KExprScheme, Product, PtsScheme, Scheme};

@@ -13,8 +13,9 @@
 //! all instances here (like all instances in the paper) are
 //! point-independent. The analysis in `lockinfer` is specialized to the
 //! product `Σ_k × Σ≡ × Σ_ε` (see [`crate::abslock`]); this module is the
-//! general framework it instantiates, used directly by tests and the
-//! scheme-playground example.
+//! general framework it instantiates, used directly by the
+//! scheme-playground example and as the oracle `AbsLock` and `LockRec`
+//! are tested against (`abslock_is_the_product_scheme` below).
 
 use lir::{Eff, FieldId, PathExpr, PathOp, VarId};
 use pointsto::{PointsTo, PtsClass};
@@ -293,6 +294,8 @@ impl<A: Scheme, B: Scheme> Scheme for Product<A, B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{AbsLock, LockRec};
+    use proptest::prelude::*;
 
     fn sample_locks<S: Scheme>(s: &S, paths: &[PathExpr]) -> Vec<S::Lock> {
         let mut out = vec![s.top()];
@@ -433,6 +436,57 @@ mod tests {
         assert!(l.0.is_some(), "expression component survives k=3");
         assert!(l.1 .0.is_some(), "pts component tracks the class");
         assert_eq!(l.1 .1, Eff::Ro);
+    }
+
+    /// Any element of the product's carrier, `⊤` components included:
+    /// ≤ 3 bases × ≤ 4 ops, 3 classes, 2 effects.
+    fn abslock_strategy() -> impl Strategy<Value = AbsLock> {
+        let op = prop_oneof![
+            Just(PathOp::Deref),
+            (0u32..2).prop_map(|f| PathOp::Field(FieldId(f))),
+            (0u32..2).prop_map(|z| PathOp::Index(VarId(z))),
+        ];
+        let path =
+            (0u32..3, proptest::collection::vec(op, 0..5)).prop_map(|(base, ops)| PathExpr {
+                base: VarId(base),
+                ops,
+            });
+        (
+            proptest::option::of(path),
+            proptest::option::of((0u32..3).prop_map(PtsClass)),
+            prop_oneof![Just(Eff::Ro), Just(Eff::Rw)],
+        )
+            .prop_map(|(path, pts, eff)| AbsLock { path, pts, eff })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The specialised representation the analysis runs on *is*
+        /// `Σ_k × Σ≡ × Σ_ε`: `AbsLock`'s order and join are the generic
+        /// product's on the corresponding elements, and `LockRec`'s
+        /// integer order agrees with both.
+        #[test]
+        fn abslock_is_the_product_scheme(
+            a in abslock_strategy(),
+            b in abslock_strategy(),
+            same_path in any::<bool>(),
+        ) {
+            // Two random paths rarely coincide; the order's interesting
+            // half is where they do.
+            let b = if same_path { AbsLock { path: a.path.clone(), ..b } } else { b };
+            let (_, pt, _) = fixtures();
+            // Neither `≤` nor `⊔` of a factor looks at `k` or `pt`.
+            let product = Product(Product(KExprScheme { k: 9 }, PtsScheme { pt: &pt }), EffScheme);
+            let elem = |l: &AbsLock| ((l.path.clone(), l.pts), l.eff);
+            prop_assert_eq!(a.leq(&b), product.leq(&elem(&a), &elem(&b)));
+            prop_assert_eq!(elem(&a.join(&b)), product.join(&elem(&a), &elem(&b)));
+            // One table for both records: equal paths, equal ids.
+            let id = |p: &PathExpr| u32::from(b.path.as_ref() != Some(p));
+            let (ra, rb) = (LockRec::new(&a, id), LockRec::new(&b, id));
+            prop_assert_eq!(ra.leq(rb), a.leq(&b));
+            prop_assert_eq!(rb.leq(ra), b.leq(&a));
+        }
     }
 
     #[test]

@@ -38,7 +38,10 @@
 //! contributing a bogus profile; the baseline overflowing is still a
 //! hard error, since every candidate's evidence derives from it.
 
-use crate::replay::{execute, options_for, stamp_outcome, Recording, RunConfig};
+use crate::replay::{
+    execute, options_for, stamp_outcome, Recording, RunConfig, MAX_REPLAY_HEAP_CELLS,
+    MAX_REPLAY_THREADS,
+};
 use interp::Machine;
 use lockinfer::adapt::Adjustment;
 use lockinfer::estimate;
@@ -170,8 +173,8 @@ impl EvalContext {
     /// # Errors
     ///
     /// Returns a message on compile failure (legacy-emulation mode
-    /// recompiles per run) or when `cfg.heap_cells` cannot hold the
-    /// program's globals.
+    /// recompiles per run) and for every run no machine can be built
+    /// for: see [`Self::run_one_ledger`].
     pub(crate) fn run_one(
         &self,
         cfg: &RunConfig,
@@ -186,6 +189,13 @@ impl EvalContext {
     /// ledger, snapshotted before the machine is dropped — the
     /// evidence the re-inference pass (`crate::reinfer`) diagnoses.
     /// Empty for machines built without a sentinel.
+    ///
+    /// Every recording goes through here, and `cfg` can come from a
+    /// trace file or a command line, so this is where a run nothing
+    /// should be spawned or allocated for is refused: a thread count or
+    /// heap bound over the limits, a heap that cannot hold the
+    /// program's globals, and a section configuration — base, override
+    /// or repair — that is not [`SchemeConfig::is_executable`].
     pub(crate) fn run_one_ledger(
         &self,
         cfg: &RunConfig,
@@ -193,6 +203,29 @@ impl EvalContext {
         stamp: Stamp,
         analysis_threads: usize,
     ) -> Result<(Recording, Vec<sentinel::Violation>), String> {
+        for (key, value, limit) in [
+            ("threads", cfg.threads, MAX_REPLAY_THREADS),
+            ("heap_cells", cfg.heap_cells, MAX_REPLAY_HEAP_CELLS),
+        ] {
+            if value > limit {
+                return Err(format!(
+                    "run: bad `{key}`: {value} exceeds the limit of {limit}"
+                ));
+            }
+        }
+        let overrides = map.overrides().iter().map(|&(_, c)| c);
+        let repairs = cfg.repairs.iter().map(|&(_, _, c)| c);
+        if let Some(c) = std::iter::once(map.default)
+            .chain(overrides)
+            .chain(repairs)
+            .find(|c| !c.is_executable())
+        {
+            return Err(format!(
+                "run: a scheme with expression locks (k={}) but no points-to component \
+                 cannot be executed: fine locks need their points-to partition",
+                c.k
+            ));
+        }
         let (program, pt) = if self.hoist {
             (Arc::clone(&self.program), Arc::clone(&self.pt))
         } else {

@@ -123,7 +123,8 @@ impl RunConfig {
     ///
     /// Returns a message when a required `run.*` metadata key is
     /// missing or malformed — e.g. a trace that was not produced by
-    /// [`record`].
+    /// [`record`]. Whether the values describe a run a machine can be
+    /// built for is decided where every run starts, in [`record`].
     pub fn from_trace(t: &Trace) -> Result<RunConfig, String> {
         let faults = match t.meta_get("run.fault_seed") {
             None => None,
@@ -192,7 +193,7 @@ impl RunConfig {
                 parse_repair(s, &v)
             })
             .collect::<Result<Vec<_>, _>>()?;
-        let cfg = RunConfig {
+        Ok(RunConfig {
             name: meta(t, "run.name")?,
             source: meta(t, "run.source")?,
             k: meta_int(t, "run.k")?,
@@ -217,18 +218,7 @@ impl RunConfig {
                 parse_args(&meta(t, "run.worker_args")?)?,
             ),
             check: t.meta_get("run.check").map(str::to_owned),
-        };
-        for (key, value, limit) in [
-            ("run.threads", cfg.threads, MAX_REPLAY_THREADS),
-            ("run.heap_cells", cfg.heap_cells, MAX_REPLAY_HEAP_CELLS),
-        ] {
-            if value > limit {
-                return Err(format!(
-                    "replay: bad `{key}`: {value} exceeds the limit of {limit}"
-                ));
-            }
-        }
-        Ok(cfg)
+        })
     }
 
     /// Stamps this config into a trace's metadata (the inverse of
@@ -299,16 +289,17 @@ impl RunConfig {
     }
 }
 
-/// Every virtual thread is an OS thread while it runs, so a replayed
-/// `run.threads` is bounded before anything is spawned for it. The
-/// paper and every committed workload stay at or below 16.
-const MAX_REPLAY_THREADS: usize = 1024;
+/// Every virtual thread is an OS thread while it runs, so a recorded
+/// or replayed thread count is bounded before anything is spawned for
+/// it (`EvalContext::run_one_ledger`). The paper and every committed
+/// workload stay at or below 16.
+pub(crate) const MAX_REPLAY_THREADS: usize = 1024;
 
 /// The heap commits a page the first time one of its cells is touched,
-/// 16 bytes a cell, so `run.heap_cells` is what a replayed program may
-/// come to occupy, not what a machine costs to build. It is bounded all
-/// the same: 1 GiB, 16× the largest committed workload.
-const MAX_REPLAY_HEAP_CELLS: usize = 1 << 26;
+/// 16 bytes a cell, so `heap_cells` is what a program may come to
+/// occupy, not what a machine costs to build. It is bounded all the
+/// same: 1 GiB, 16× the largest committed workload.
+pub(crate) const MAX_REPLAY_HEAP_CELLS: usize = 1 << 26;
 
 fn meta(t: &Trace, k: &str) -> Result<String, String> {
     t.meta_get(k)
@@ -414,8 +405,10 @@ pub struct Recording {
 ///
 /// # Errors
 ///
-/// Returns a message on compile failure or when
-/// [`RunConfig::heap_cells`] cannot hold the program's globals.
+/// Returns a message on compile failure, when [`RunConfig::threads`] or
+/// [`RunConfig::heap_cells`] exceeds its limit, when the heap cannot
+/// hold the program's globals, and when a repair names a scheme
+/// configuration the runtime cannot execute.
 pub fn record(cfg: &RunConfig) -> Result<Recording, String> {
     let ctx = EvalContext::new(cfg, true)?;
     ctx.run_one(cfg, &ctx.base_map(cfg), Stamp::Run, 0)
@@ -702,6 +695,32 @@ mod tests {
             let err = replay(&t).expect_err(&format!("{key}={value} must be rejected"));
             assert!(err.contains(key.trim_start_matches("run.")), "{key}: {err}");
         }
+    }
+
+    /// `Σ_k` without `Σ≡` is an analysis-only point of the scheme: a
+    /// trace asking a machine to install it is refused, not unwound
+    /// through `to_spec`.
+    #[test]
+    fn an_unexecutable_repair_is_rejected_with_a_typed_error() {
+        let mut t = record(&cfg(ExecMode::MultiGrain)).unwrap().trace;
+        t.meta_set(
+            "run.repair.0",
+            "0:k=9,expr=true,pts=false,eff=true,elem=none",
+        );
+        let err = replay(&t).expect_err("fine locks without a partition cannot run");
+        assert!(err.contains("cannot be executed"), "{err}");
+    }
+
+    /// The bounds guard the door every run enters by, not only the
+    /// trace-metadata parser.
+    #[test]
+    fn record_refuses_thread_and_heap_counts_over_the_limits() {
+        let mut c = cfg(ExecMode::MultiGrain);
+        c.threads = MAX_REPLAY_THREADS + 1;
+        assert!(record(&c).unwrap_err().contains("threads"));
+        let mut c = cfg(ExecMode::MultiGrain);
+        c.heap_cells = MAX_REPLAY_HEAP_CELLS + 1;
+        assert!(record(&c).unwrap_err().contains("heap_cells"));
     }
 
     #[test]

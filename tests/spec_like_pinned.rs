@@ -89,8 +89,8 @@ fn spec_like_k9_results_are_pinned() {
         let program = lir::compile(&spec.source).unwrap_or_else(|e| panic!("{name}: {e}"));
         let pt = pointsto::PointsTo::analyze(&program);
         let cfg = lockscheme::SchemeConfig::full(9, program.elem_field_opt());
-        // Sequential, one worker per core, and a second sequential run
-        // against the interner the first two warmed.
+        // Sequential, one worker per core, and sequential again: what
+        // an earlier analysis did must not show in a later one.
         for threads in [1, 0, 1] {
             let got = lockinfer::analyze_program_with_opts(&program, &pt, cfg, &lib, threads);
             let s = &got.stats;
