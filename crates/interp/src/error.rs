@@ -124,12 +124,15 @@ impl fmt::Display for InterpError {
 
 impl std::error::Error for InterpError {}
 
-/// Internal non-local control flow: either a real error or an STM
-/// conflict that unwinds to the owning section for retry.
+/// Internal non-local control flow: a real error, an STM conflict
+/// that unwinds to the owning section for retry, or a scheduling point
+/// that made another virtual thread the runner — which unwinds to
+/// `Worker::resume`, leaving behind where to continue.
 #[derive(Debug)]
 pub(crate) enum Exc {
     Err(InterpError),
     Abort,
+    Yield,
 }
 
 impl From<InterpError> for Exc {

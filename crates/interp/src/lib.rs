@@ -844,6 +844,26 @@ mod tests {
     }
 
     #[test]
+    fn a_wedged_virtual_run_fails_instead_of_hanging() {
+        // A grant nobody in the run holds — leaked from outside it —
+        // blocks every worker: the driver finds only waiters, and each
+        // fails with the typed error.
+        let m = machine_for(COUNTER_SRC, 3, ExecMode::Global, Options::default()).unwrap();
+        let mut outsider = mglock::Session::new(Arc::clone(&m.mg));
+        outsider.to_acquire(mglock::Descriptor::Global {
+            access: mglock::Access::Write,
+        });
+        outsider.acquire_all();
+        let err = m.run_threads_virtual("work", 3, |_| vec![5]).unwrap_err();
+        assert_eq!(err, InterpError::SchedulerStalled { tid: 0 });
+        // Once the grant is back the machine runs as usual.
+        outsider.release_all();
+        m.run_threads_virtual("work", 3, |_| vec![5]).unwrap();
+        assert_eq!(m.run_named("main", &[]).unwrap(), 15);
+        assert!(m.locks_quiescent());
+    }
+
+    #[test]
     fn fault_injected_survivors_pass_validate_coverage() {
         // The acceptance bar: runs that survive injection still satisfy
         // Theorem 1 — Validate mode re-checks every in-section access.

@@ -175,8 +175,9 @@ pub struct Machine {
     pub(crate) faults: Option<crate::fault::FaultPlan>,
     pub(crate) stm_abort_budget: u64,
     pub(crate) fault_stats: crate::fault::FaultStats,
-    /// Scheduling points and turn hand-offs of every virtual run so
-    /// far (see [`crate::sim`]), added when each run returns.
+    /// Scheduling points of every virtual run so far, and how many of
+    /// them made another thread the runner (see [`crate::sim`]), added
+    /// when each run returns.
     pub(crate) sim_yield_points: AtomicU64,
     pub(crate) sim_handoffs: AtomicU64,
     pub(crate) tracer: Option<Arc<trace::Recorder>>,

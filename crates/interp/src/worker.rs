@@ -1,5 +1,30 @@
-//! Per-thread execution: the instruction loop, the four section
-//! disciplines, and the thread harness.
+//! Per-thread execution: the resumable instruction loop, the four
+//! section disciplines, and the thread harness.
+//!
+//! A [`Worker`] is a machine that [`Worker::resume`] steps: it runs
+//! until its call returns, fails, or a scheduling point of the
+//! virtual-time scheduler makes another thread the runner. Nothing of
+//! an interpreted call lives on the host stack — frames are entries of
+//! [`Worker::frames`] over one slot vector — so a yield unwinds (as
+//! [`Exc::Yield`]) to `resume` from wherever it happened, and three
+//! small records say where the next `resume` continues:
+//!
+//! * [`Cont`]: how far the instruction at the top frame's `pc` got —
+//!   not started, head tick paid, in its body, storing a call's
+//!   parameters, storing an effectful right-hand side's value;
+//! * [`Enter`] / [`Exit`] / [`Acquire`]: the stage of a section-entry
+//!   or -exit instruction, whose protocol has a scheduling point
+//!   between most of its steps — each stage names its successor
+//!   *before* the call that may yield;
+//! * the access journal: under STM every transactional read and write
+//!   is followed by a tick, so an instruction body can yield after any
+//!   of its accesses. The body is then re-executed with the accesses
+//!   it already made answered from the journal — frame-slot operands
+//!   are recomputed, which is idempotent because the destination store
+//!   comes last.
+//!
+//! In real time no scheduling point yields, and the same loop runs to
+//! completion in one `resume`.
 
 use crate::error::{Exc, InterpError};
 use crate::fault::{splitmix, FaultPanic, Injector};
@@ -9,18 +34,131 @@ use lir::{ArithOp, CmpOp, FnId, Instr, Intrinsic, LockSpec, PathOp, Rvalue, Sect
 use lockscheme::ConcreteLock;
 use mglock::{Access, Descriptor, FineAddr, Session};
 use pointsto::PtsClass;
+use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use tl2::Backoff;
 use trace::FaultClass;
 
-const MAX_CALL_DEPTH: u32 = 4000;
+/// Frames a worker may stack. They live on the heap, so this bounds an
+/// interpreted program's memory, not the host stack.
+const MAX_CALL_DEPTH: usize = 4000;
 
+/// Where an instruction sends control.
 enum Flow {
     Next,
     Jump(usize),
+    /// Call the function with the arguments in [`Worker::argv`].
+    Call(FnId),
     Return(i64),
+}
+
+/// What one [`Worker::resume`] came to.
+pub(crate) enum Step {
+    /// Another virtual thread is the runner now; resume this one when
+    /// the scheduler names it again.
+    Yield,
+    /// The entry call returned.
+    Done(i64),
+}
+
+/// One interpreted call: its function, the instruction it is at (kept
+/// in a local while the frame runs; written back when control leaves
+/// it) and where its slots start in the worker's slot vector.
+#[derive(Clone, Copy)]
+struct Frame {
+    f: FnId,
+    pc: usize,
+    base: usize,
+}
+
+/// Source position of the executing instruction, for diagnostics.
+#[derive(Clone, Copy)]
+struct At {
+    f: FnId,
+    pc: usize,
+}
+
+/// How far the instruction at the top frame's `pc` has got: where
+/// `resume` picks it up.
+#[derive(Clone, Copy)]
+enum Cont {
+    /// Not started: its head tick comes first.
+    Fetch,
+    /// The head tick is paid (it was the scheduling point).
+    Ticked,
+    /// In its body: re-execute it, the journal answering for the
+    /// accesses already made, the stage records for a section's.
+    Body,
+    /// The arguments of a call are in `argv`; the callee's frame is
+    /// not pushed yet. (How the entry call starts, too.)
+    Call(FnId),
+    /// The callee's frame is on top; parameters from this index on are
+    /// still to be stored.
+    Params(usize),
+    /// The right-hand side of this `Assign` took effect — a call
+    /// returned, an intrinsic ran, cells were allocated — and produced
+    /// this value; only the store into the destination is left.
+    Dest(i64),
+    /// The entry call returned this value (the exit flush may have
+    /// been the scheduling point).
+    Finished(i64),
+}
+
+/// Stage of a section-entry instruction.
+#[derive(Clone, Copy)]
+enum Enter {
+    Start,
+    /// `⊤` in `X` is queued; acquire it. Its grant is the acquisition
+    /// point of an outermost section.
+    Global {
+        outermost: bool,
+    },
+    /// A nested lock section: the outer level's grants cover it.
+    Nested,
+    /// Evaluate the section's lock specs into a plan.
+    Plan,
+    /// The plan is queued: acquire it, then check it did not drift.
+    Planned,
+    /// STM: `txn_start` is charged; publish the clock.
+    TxnCharged,
+    /// STM: begin the transaction at this exact virtual time.
+    TxnFlushed,
+    /// STM: retrying for the commit gate (irrevocable fallback).
+    Gate,
+}
+
+/// Stage of a section-exit instruction.
+#[derive(Clone, Copy)]
+enum Exit {
+    Start,
+    /// `lock_release` is charged; publish the release time.
+    Charged,
+    /// Release, and (outermost) tell the scheduler.
+    Closing,
+    /// The outermost level closed; tidy up.
+    Released,
+    /// STM: the commit cost is charged; publish the clock.
+    CommitCharged,
+    /// STM: commit at this exact virtual time.
+    Commit,
+}
+
+/// Stage of one acquisition batch ([`Worker::acquire_session`]).
+#[derive(Clone, Copy)]
+enum Acquire {
+    Start,
+    /// Any injected stall is served.
+    Stalled,
+    /// The descriptors' cost is charged; publish the clock.
+    Charged,
+    /// Take the plan's next nodes.
+    Step,
+    /// Blocked on a node; resumed by a release (or the wedge).
+    Woken,
+    /// Every node is held.
+    Granted,
 }
 
 pub(crate) struct Worker<'m> {
@@ -31,7 +169,41 @@ pub(crate) struct Worker<'m> {
     txn: Option<tl2::Txn<'m>>,
     /// STM section nesting depth (lock modes use the session's level).
     sec_depth: u32,
-    depth: u32,
+    /// The call stack, innermost last.
+    frames: Vec<Frame>,
+    /// Every frame's slots, contiguous; a frame's are the tail from
+    /// its `base`. Taken out of the worker while `resume` runs.
+    slots: Vec<i64>,
+    /// Argument values between a call instruction and the callee's
+    /// parameter stores.
+    argv: Vec<i64>,
+    cont: Cont,
+    enter: Enter,
+    exit: Exit,
+    acquire: Acquire,
+    /// Outcome of the current instruction's transactional accesses by
+    /// ordinal (`None`: the read aborted), written as they happen.
+    journal: Vec<Option<i64>>,
+    /// Accesses the instruction being re-executed made before it
+    /// yielded — the yield was the tick after the last of them. 0
+    /// whenever no instruction is half done.
+    done: usize,
+    /// The frame (as a stack depth) and section-entry `pc` that own the
+    /// open STM transaction, with that frame's slots at entry in
+    /// `snapshot`: where an abort rolls back to.
+    retry: Option<(usize, usize)>,
+    snapshot: Vec<i64>,
+    /// Contention back-off of the retrying STM section, and of the
+    /// irrevocable fallback's wait for the commit gate.
+    backoff: Backoff,
+    gate_backoff: Backoff,
+    /// The section being entered plans its staged repair, not the
+    /// seed specs (decided once per entry).
+    repaired: bool,
+    /// Nodes held when the current acquisition batch began, and
+    /// whether it has had to wait.
+    held_before: usize,
+    waited: bool,
     /// The descriptors the current outermost multi-grain plan queued,
     /// in spec order — what post-acquisition revalidation compares
     /// against. Reused from section to section.
@@ -40,11 +212,13 @@ pub(crate) struct Worker<'m> {
     my_allocs: Vec<(u64, u64)>,
     /// Section currently open (Validate diagnostics).
     current_section: SectionId,
-    /// Location of the instruction being executed (diagnostics).
-    cur_fn: FnId,
-    cur_pc: usize,
-    /// Virtual-time scheduler (None = real-time execution).
-    sim: Option<&'m Sim>,
+    /// Virtual-time scheduler (None = real-time execution), shared with
+    /// the driver and the run's other workers — one of which runs at a
+    /// time.
+    sim: Option<&'m RefCell<Sim>>,
+    /// Ticks between scheduling points (the machine's, kept at hand
+    /// for the per-instruction test).
+    quantum: u64,
     /// The clock this thread last published to the scheduler (what
     /// its last scheduling point returned; 0 in real time).
     vclock: u64,
@@ -80,7 +254,15 @@ pub(crate) struct Worker<'m> {
 }
 
 impl<'m> Worker<'m> {
-    pub(crate) fn new(m: &'m Machine, tid: u32) -> Worker<'m> {
+    /// A worker about to call `f(args)` as thread `tid` — under the
+    /// virtual-time scheduler when `sim` is given.
+    pub(crate) fn new(
+        m: &'m Machine,
+        tid: u32,
+        sim: Option<&'m RefCell<Sim>>,
+        f: FnId,
+        args: &[i64],
+    ) -> Worker<'m> {
         let tracer = m.tracer.as_ref().map(|r| r.register(tid));
         let mut session = Session::new(Arc::clone(&m.mg));
         session.set_observer(tracer.clone().map(|t| t as Arc<dyn mglock::LockObserver>));
@@ -91,14 +273,28 @@ impl<'m> Worker<'m> {
             session,
             txn: None,
             sec_depth: 0,
-            depth: 0,
+            frames: Vec::new(),
+            slots: Vec::new(),
+            argv: args.to_vec(),
+            cont: Cont::Call(f),
+            enter: Enter::Start,
+            exit: Exit::Start,
+            acquire: Acquire::Start,
+            journal: Vec::new(),
+            done: 0,
+            retry: None,
+            snapshot: Vec::new(),
+            backoff: Backoff::new(),
+            gate_backoff: Backoff::new(),
+            repaired: false,
+            held_before: 0,
+            waited: false,
             planned: Vec::new(),
             held_concrete: Vec::new(),
             my_allocs: Vec::new(),
             current_section: SectionId(0),
-            cur_fn: FnId(0),
-            cur_pc: 0,
-            sim: None,
+            sim,
+            quantum: m.quantum,
             vclock: 0,
             vticks: 0,
             injector: m.faults.map(|plan| Injector::new(plan, tid)),
@@ -113,34 +309,33 @@ impl<'m> Worker<'m> {
         }
     }
 
-    /// A worker under the virtual-time scheduler. Blocks until the
-    /// thread holds the turn.
-    pub(crate) fn with_sim(m: &'m Machine, tid: u32, sim: &'m Sim) -> Worker<'m> {
-        let mut w = Worker::new(m, tid);
-        w.vclock = sim.enter(tid as usize);
-        w.sim = Some(sim);
-        w
-    }
-
-    /// Charges virtual time; yields to the scheduler at quantum
-    /// boundaries. A no-op in real-time mode.
+    /// Charges virtual time; a scheduling point at quantum boundaries.
+    /// A no-op in real-time mode.
     #[inline]
-    fn tick(&mut self, n: u64) {
-        if let Some(sim) = self.sim {
+    fn tick(&mut self, n: u64) -> Result<(), Exc> {
+        if self.sim.is_some() {
             self.vticks += n;
-            if self.vticks >= sim.quantum {
-                let t = std::mem::take(&mut self.vticks);
-                self.vclock = sim.advance(self.tid as usize, t);
+            if self.vticks >= self.quantum {
+                return self.flush_ticks();
             }
         }
+        Ok(())
     }
 
     /// Publishes all pending ticks to the scheduler immediately (used
-    /// at synchronization points so lock ordering sees exact clocks).
-    fn flush_ticks(&mut self) {
-        if let Some(sim) = self.sim {
-            let t = std::mem::take(&mut self.vticks);
-            self.vclock = sim.advance(self.tid as usize, t);
+    /// at synchronization points so lock ordering sees exact clocks) —
+    /// a scheduling point: [`Exc::Yield`] when another thread runs
+    /// next, the caller having already recorded where to continue.
+    fn flush_ticks(&mut self) -> Result<(), Exc> {
+        let Some(sim) = self.sim else { return Ok(()) };
+        let tid = self.tid as usize;
+        let mut sim = sim.borrow_mut();
+        let next = sim.advance(tid, std::mem::take(&mut self.vticks));
+        self.vclock = sim.clock(tid);
+        if next == tid {
+            Ok(())
+        } else {
+            Err(Exc::Yield)
         }
     }
 
@@ -148,14 +343,14 @@ impl<'m> Worker<'m> {
     /// scheduler — plus `cost`, the modelled price of what led to the
     /// wait, charged in the same step so the scheduling point does not
     /// move — and a busy-wait of `spins` in real time.
-    fn idle(&mut self, cost: u64, spins: u64) {
+    fn idle(&mut self, cost: u64, spins: u64) -> Result<(), Exc> {
         if self.sim.is_some() {
-            self.tick(cost + spins);
-        } else {
-            for _ in 0..spins {
-                std::hint::spin_loop();
-            }
+            return self.tick(cost + spins);
         }
+        for _ in 0..spins {
+            std::hint::spin_loop();
+        }
+        Ok(())
     }
 
     /// Announces a lock release to the virtual scheduler, tracing the
@@ -164,15 +359,12 @@ impl<'m> Worker<'m> {
     /// anything further: a promoted waiter with a smaller
     /// `(clock, rank, tid)` records its grants ahead of the releaser's
     /// next events — the epoch order of every recorded trace. An
-    /// untraced one keeps the turn until its next scheduling point.
+    /// untraced one runs on until its next scheduling point.
     /// No-op in real time.
-    fn sim_release(&mut self) {
-        let Some(sim) = self.sim else { return };
-        // The decision callback runs inside the scheduler's release
-        // critical section, so `record` must not re-enter the
-        // scheduler: pre-stamp the clock and append directly.
+    fn sim_release(&mut self) -> Result<(), Exc> {
+        let Some(sim) = self.sim else { return Ok(()) };
         self.sync_trace_clock();
-        sim.on_release_with(self.tid as usize, |g| {
+        sim.borrow_mut().on_release_with(self.tid as usize, |g| {
             if let Some(mx) = &self.m.metrics {
                 mx.wake_decisions.inc();
                 mx.wake_woken.add(g.woken as u64);
@@ -187,8 +379,574 @@ impl<'m> Worker<'m> {
             }
         });
         if self.tracer.is_some() {
-            self.flush_ticks();
+            self.flush_ticks()?;
         }
+        Ok(())
+    }
+
+    /// When `r` is a yield, the next `resume` continues at `cont`.
+    fn resuming_at<T>(&mut self, cont: Cont, r: Result<T, Exc>) -> Result<T, Exc> {
+        if let Err(Exc::Yield) = r {
+            self.cont = cont;
+        }
+        r
+    }
+
+    // ------------------------------------------------------------------
+    // The instruction loop
+
+    /// Runs until the entry call returns, fails, or a scheduling point
+    /// makes another virtual thread the runner (never, in real time).
+    pub(crate) fn resume(&mut self) -> Result<Step, Exc> {
+        // The slots leave `self` while instructions run, so the running
+        // frame stays borrowed across `&mut self` calls.
+        let mut slots = std::mem::take(&mut self.slots);
+        let step = self.run(&mut slots);
+        self.slots = slots;
+        match step {
+            Err(Exc::Yield) => Ok(Step::Yield),
+            step => step,
+        }
+    }
+
+    fn run(&mut self, slots: &mut Vec<i64>) -> Result<Step, Exc> {
+        loop {
+            match self.cont {
+                Cont::Call(g) => self.push_frame(g, slots)?,
+                Cont::Finished(v) => return Ok(Step::Done(v)),
+                _ => {}
+            }
+            let Frame { f, pc, base } = *self.frames.last().expect("a live worker has a frame");
+            let (pc, left) = self.run_frame(f, pc, &mut slots[base..]);
+            self.frames.last_mut().expect("still there").pc = pc;
+            match left {
+                Ok(Flow::Call(g)) => self.cont = Cont::Call(g),
+                Ok(Flow::Return(v)) => {
+                    self.frames.pop();
+                    slots.truncate(base);
+                    if self.frames.is_empty() {
+                        // Thread exit publishes the final clock.
+                        self.cont = Cont::Finished(v);
+                        self.flush_ticks()?;
+                    } else {
+                        self.cont = Cont::Dest(v);
+                    }
+                }
+                Ok(Flow::Next | Flow::Jump(_)) => unreachable!("run_frame follows these itself"),
+                Err(Exc::Abort) => {
+                    self.roll_back(slots)?;
+                    let spins = self.backoff.spins() as u64;
+                    self.idle(self.m.costs.stm_abort, spins)?;
+                }
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// Executes the top frame from `pc` until control leaves it — a
+    /// call, a return, a yield, an error — and reports where it stood.
+    /// `pc` and the frame live in locals here; the hot path pays for
+    /// resumability only in `tick`'s quantum test.
+    fn run_frame(
+        &mut self,
+        f: FnId,
+        mut pc: usize,
+        frame: &mut [i64],
+    ) -> (usize, Result<Flow, Exc>) {
+        let m = self.m;
+        let body = &m.program.func(f).body;
+        let mut flow = self.reenter(At { f, pc }, &body[pc], frame);
+        loop {
+            match flow {
+                Ok(Flow::Next) => pc += 1,
+                Ok(Flow::Jump(t)) => pc = t,
+                Err(Exc::Yield) => {
+                    if let Cont::Fetch = self.cont {
+                        self.cont = Cont::Body;
+                    }
+                    return (pc, flow);
+                }
+                _ => return (pc, flow),
+            }
+            if let Err(e) = self.head() {
+                return (pc, Err(e));
+            }
+            flow = self.step(At { f, pc }, &body[pc], frame);
+        }
+    }
+
+    /// What precedes every instruction: its tick — the loop's one
+    /// scheduling point — and the panic-injection point.
+    #[inline]
+    fn head(&mut self) -> Result<(), Exc> {
+        let ticked = self.tick(1);
+        self.resuming_at(Cont::Ticked, ticked)?;
+        self.maybe_inject_panic();
+        Ok(())
+    }
+
+    /// Executes the instruction at `at` from wherever the last `resume`
+    /// left it.
+    #[inline(never)]
+    fn reenter(&mut self, at: At, ins: &'m Instr, frame: &mut [i64]) -> Result<Flow, Exc> {
+        let flow = self.finish_instr(at, ins, frame);
+        if !matches!(flow, Err(Exc::Yield)) {
+            // Whatever was half done is done: nothing left to replay.
+            self.done = 0;
+        }
+        flow
+    }
+
+    fn finish_instr(&mut self, at: At, ins: &'m Instr, frame: &mut [i64]) -> Result<Flow, Exc> {
+        match std::mem::replace(&mut self.cont, Cont::Fetch) {
+            Cont::Dest(val) => {
+                return match ins {
+                    Instr::Assign(x, _) => self.finish_assign(frame, *x, val, at),
+                    _ => Err(InterpError::Internal {
+                        detail: "a value came back to an instruction that assigns nothing".into(),
+                    }
+                    .into()),
+                }
+            }
+            Cont::Params(first) => {
+                self.store_params(at.f, first, frame)?;
+                self.head()?;
+            }
+            Cont::Ticked => self.maybe_inject_panic(),
+            Cont::Body => {}
+            Cont::Fetch | Cont::Call(_) | Cont::Finished(_) => self.head()?,
+        }
+        self.step(at, ins, frame)
+    }
+
+    /// Pushes `g`'s frame — slots zeroed, address-taken locals given
+    /// their cells — for the arguments waiting in `argv`.
+    fn push_frame(&mut self, g: FnId, slots: &mut Vec<i64>) -> Result<(), Exc> {
+        let m = self.m;
+        if self.frames.len() >= MAX_CALL_DEPTH {
+            return Err(self.fault(At { f: g, pc: 0 }, "call stack overflow"));
+        }
+        let layout = &m.layouts[g.0 as usize];
+        let base = slots.len();
+        slots.resize(base + layout.n_slots as usize, 0);
+        self.frames.push(Frame { f: g, pc: 0, base });
+        for &(slot, class) in &layout.heapified {
+            slots[base + slot as usize] = self.alloc_cells(1, class)? as i64;
+        }
+        self.done = 0;
+        self.cont = Cont::Params(0);
+        Ok(())
+    }
+
+    /// Stores `argv[first..]` into the fresh top frame's parameters.
+    fn store_params(&mut self, f: FnId, first: usize, frame: &mut [i64]) -> Result<(), Exc> {
+        let params = &self.m.program.func(f).params;
+        for (i, &param) in params.iter().enumerate().skip(first) {
+            let Some(&val) = self.argv.get(i) else { break };
+            let stored = self.write_var(frame, param, val, 0, At { f, pc: 0 });
+            self.resuming_at(Cont::Params(i), stored)?;
+            self.done = 0;
+        }
+        Ok(())
+    }
+
+    /// Stores the value of an `Assign` whose right-hand side has taken
+    /// effect, so that a yield in the store does not repeat the effect.
+    fn finish_assign(
+        &mut self,
+        frame: &mut [i64],
+        x: VarId,
+        val: i64,
+        at: At,
+    ) -> Result<Flow, Exc> {
+        let stored = self.write_var(frame, x, val, 0, at);
+        self.resuming_at(Cont::Dest(val), stored)?;
+        Ok(Flow::Next)
+    }
+
+    /// An STM conflict unwound to here: pops back to the frame that
+    /// owns the transaction, restores its slots and points it at the
+    /// section entry again.
+    fn roll_back(&mut self, slots: &mut Vec<i64>) -> Result<(), Exc> {
+        let m = self.m;
+        let Some((depth, pc)) = self.retry else {
+            return Err(Exc::Abort);
+        };
+        self.frames.truncate(depth);
+        let owner = self.frames.last_mut().expect("the owning frame is live");
+        owner.pc = pc;
+        slots.truncate(owner.base);
+        slots.extend_from_slice(&self.snapshot);
+        self.cont = Cont::Fetch;
+        self.done = 0;
+        self.txn = None;
+        self.sec_depth = 0;
+        // The aborted attempt's private allocations are unreachable
+        // (the allocator never reuses addresses); drop their Lemma 2
+        // exemptions.
+        self.my_allocs.clear();
+        self.sync_trace_clock();
+        m.space.note_abort_by(self.tid as u64);
+        self.section_aborts += 1;
+        if let Some(mx) = &m.metrics {
+            mx.section_retries.inc();
+        }
+        if self.section_aborts >= m.stm_abort_budget {
+            // Starving: the next attempt runs irrevocably (see
+            // `section_enter`).
+            self.escalate = true;
+        }
+        Ok(())
+    }
+
+    /// One instruction's body. Shared-cell accesses carry their ordinal
+    /// within the instruction (see [`Worker::txn_tick`]); the store
+    /// into the destination comes last, so re-execution after a yield
+    /// recomputes frame-slot operands unchanged.
+    #[inline(always)]
+    fn step(&mut self, at: At, ins: &'m Instr, frame: &mut [i64]) -> Result<Flow, Exc> {
+        let m = self.m;
+        match ins {
+            Instr::Assign(x, rv) => {
+                let val = match rv {
+                    Rvalue::Copy(y) => self.read_var(frame, *y, 0, at)?,
+                    Rvalue::AddrOf(y) => match m.storage[y.0 as usize] {
+                        Storage::Indirect(s) => frame[s as usize],
+                        Storage::Global(a) => a as i64,
+                        Storage::Direct(_) => {
+                            return Err(self.fault(at, "address of unheapified local"))
+                        }
+                    },
+                    Rvalue::Load(y) => {
+                        let a = self.read_var(frame, *y, 0, at)?;
+                        self.heap_read(a, 1, at)?
+                    }
+                    Rvalue::FieldAddr(y, fd) => {
+                        let a = self.read_var(frame, *y, 0, at)?;
+                        if a <= 0 {
+                            return Err(self.fault(at, "field of null"));
+                        }
+                        a + m.field_offset[fd.0 as usize] as i64
+                    }
+                    Rvalue::DynAddr(y, z) => {
+                        let a = self.read_var(frame, *y, 0, at)?;
+                        let i = self.read_var(frame, *z, 1, at)?;
+                        if a <= 0 {
+                            return Err(self.fault(at, "index of null"));
+                        }
+                        if i < 0 {
+                            return Err(self.fault(at, "negative index"));
+                        }
+                        a + i
+                    }
+                    Rvalue::Null => 0,
+                    Rvalue::ConstInt(c) => *c,
+                    Rvalue::Arith(op, a, b) => {
+                        let a = self.read_var(frame, *a, 0, at)?;
+                        let b = self.read_var(frame, *b, 1, at)?;
+                        self.arith(*op, a, b, at)?
+                    }
+                    Rvalue::Cmp(op, a, b) => {
+                        let a = self.read_var(frame, *a, 0, at)?;
+                        let b = self.read_var(frame, *b, 1, at)?;
+                        i64::from(match op {
+                            CmpOp::Eq => a == b,
+                            CmpOp::Ne => a != b,
+                            CmpOp::Lt => a < b,
+                            CmpOp::Le => a <= b,
+                            CmpOp::Gt => a > b,
+                            CmpOp::Ge => a >= b,
+                        })
+                    }
+                    // The rest take effect once: what follows the
+                    // effect is `finish_assign`'s, not a re-execution's.
+                    Rvalue::Alloc(n) => {
+                        let class = self.class_of_site(at)?;
+                        let a = self.alloc_cells(*n, class)? as i64;
+                        return self.finish_assign(frame, *x, a, at);
+                    }
+                    Rvalue::AllocDyn(z) => {
+                        let n = self.read_var(frame, *z, 0, at)?;
+                        if n < 0 {
+                            return Err(self.fault(at, "negative allocation size"));
+                        }
+                        let class = self.class_of_site(at)?;
+                        let a = self.alloc_cells(n as usize, class)? as i64;
+                        // The operand read is behind the effect: the
+                        // store starts its own count of accesses.
+                        self.done = 0;
+                        return self.finish_assign(frame, *x, a, at);
+                    }
+                    Rvalue::Call(g, args) => {
+                        self.argv.clear();
+                        for (k, a) in args.iter().enumerate() {
+                            let v = self.read_var(frame, *a, k, at)?;
+                            self.argv.push(v);
+                        }
+                        return Ok(Flow::Call(*g));
+                    }
+                    Rvalue::Intrinsic(i, args) => {
+                        let arg = match args.first() {
+                            Some(a) => self.read_var(frame, *a, 0, at)?,
+                            None => 0,
+                        };
+                        // As above — and `nops` may yield before the store.
+                        self.done = 0;
+                        let val = self.intrinsic(*i, arg, at)?;
+                        return self.finish_assign(frame, *x, val, at);
+                    }
+                };
+                self.write_var(frame, *x, val, 2, at)?;
+                Ok(Flow::Next)
+            }
+            Instr::Store(x, y) => {
+                let v = self.read_var(frame, *y, 0, at)?;
+                let a = self.read_var(frame, *x, 1, at)?;
+                self.heap_write(a, v, 2, at)?;
+                Ok(Flow::Next)
+            }
+            Instr::Jump(t) => Ok(Flow::Jump(*t as usize)),
+            Instr::Branch(v, t, e) => {
+                let c = self.read_var(frame, *v, 0, at)?;
+                Ok(Flow::Jump(if c != 0 { *t as usize } else { *e as usize }))
+            }
+            Instr::Ret => {
+                let ret = m.program.func(at.f).ret;
+                Ok(Flow::Return(self.read_var(frame, ret, 0, at)?))
+            }
+            Instr::Nop => Ok(Flow::Next),
+            Instr::EnterAtomic(_) | Instr::AcquireAll(..) => {
+                if self.section_enter(ins, frame, at)? {
+                    // This frame now owns a fresh transaction.
+                    self.retry = Some((self.frames.len(), at.pc));
+                    self.snapshot.clear();
+                    self.snapshot.extend_from_slice(frame);
+                }
+                Ok(Flow::Next)
+            }
+            Instr::ExitAtomic(_) | Instr::ReleaseAll(_) => {
+                if self.section_exit(ins)? {
+                    // The section is over: its abort budget and
+                    // contention backoff start fresh.
+                    self.retry = None;
+                    self.section_aborts = 0;
+                    self.escalate = false;
+                    self.backoff.reset();
+                }
+                Ok(Flow::Next)
+            }
+        }
+    }
+
+    fn arith(&mut self, op: ArithOp, a: i64, b: i64, at: At) -> Result<i64, Exc> {
+        Ok(match op {
+            ArithOp::Add => a.wrapping_add(b),
+            ArithOp::Sub => a.wrapping_sub(b),
+            ArithOp::Mul => a.wrapping_mul(b),
+            ArithOp::Div | ArithOp::Rem if b == 0 => {
+                return Err(InterpError::DivByZero {
+                    func: self.m.program.fn_name(at.f).to_owned(),
+                    pc: at.pc,
+                }
+                .into());
+            }
+            ArithOp::Div => a.wrapping_div(b),
+            ArithOp::Rem => a.wrapping_rem(b),
+            ArithOp::And => a & b,
+            ArithOp::Or => a | b,
+            ArithOp::Xor => a ^ b,
+            ArithOp::Shl => a.wrapping_shl(b as u32),
+            ArithOp::Shr => a.wrapping_shr(b as u32),
+        })
+    }
+
+    /// An intrinsic's effect and value. `nops` is a scheduling point:
+    /// the time is spent, only the store of its 0 is left.
+    fn intrinsic(&mut self, i: Intrinsic, arg: i64, at: At) -> Result<i64, Exc> {
+        match i {
+            Intrinsic::Nops => {
+                let idled = self.idle(0, arg.max(0) as u64);
+                self.resuming_at(Cont::Dest(0), idled)?;
+                Ok(0)
+            }
+            Intrinsic::Rand => {
+                self.rng = splitmix(self.rng);
+                Ok(if arg > 0 {
+                    ((self.rng >> 11) % arg as u64) as i64
+                } else {
+                    0
+                })
+            }
+            Intrinsic::Tid => Ok(self.tid as i64),
+            Intrinsic::Print => {
+                self.m.out.lock().push(arg.to_string());
+                Ok(0)
+            }
+            Intrinsic::Assert => {
+                if arg == 0 {
+                    return Err(InterpError::AssertFailed {
+                        func: self.m.program.fn_name(at.f).to_owned(),
+                        pc: at.pc,
+                    }
+                    .into());
+                }
+                Ok(0)
+            }
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Variables and memory
+
+    /// Reads variable `v` — access `k` of its instruction when it lives
+    /// in a shared cell.
+    #[inline]
+    fn read_var(&mut self, frame: &[i64], v: VarId, k: usize, at: At) -> Result<i64, Exc> {
+        let a = match self.m.storage[v.0 as usize] {
+            Storage::Direct(s) => return Ok(frame[s as usize]),
+            Storage::Indirect(s) => frame[s as usize] as u64,
+            Storage::Global(a) => a,
+        };
+        self.check_var_access(a, false, at)?;
+        self.cell_read(a, k)
+    }
+
+    #[inline]
+    fn write_var(
+        &mut self,
+        frame: &mut [i64],
+        v: VarId,
+        val: i64,
+        k: usize,
+        at: At,
+    ) -> Result<(), Exc> {
+        let a = match self.m.storage[v.0 as usize] {
+            Storage::Direct(s) => {
+                frame[s as usize] = val;
+                return Ok(());
+            }
+            Storage::Indirect(s) => frame[s as usize] as u64,
+            Storage::Global(a) => a,
+        };
+        self.check_var_access(a, true, at)?;
+        self.cell_write(a, val, k)
+    }
+
+    /// Validate-mode coverage check for variable cells (globals and
+    /// heapified locals).
+    fn check_var_access(&self, a: u64, write: bool, at: At) -> Result<(), Exc> {
+        // Lock-spec evaluation happens before `acquire_all`, while the
+        // nesting level is still 0, so it is naturally exempt here;
+        // post-acquisition revalidation runs at level 1 and is exempted
+        // explicitly.
+        if self.m.mode == ExecMode::Validate
+            && !self.revalidating
+            && self.session.nesting_level() > 0
+        {
+            self.check_protected(a, write, at)?;
+        }
+        Ok(())
+    }
+
+    fn check_addr(&self, addr: i64, at: At) -> Result<u64, Exc> {
+        if addr <= 0 || addr as usize >= self.m.space.len() {
+            return Err(self.fault(at, format!("bad address {addr}")));
+        }
+        Ok(addr as u64)
+    }
+
+    fn heap_read(&mut self, addr: i64, k: usize, at: At) -> Result<i64, Exc> {
+        let a = self.check_addr(addr, at)?;
+        if self.m.mode == ExecMode::Validate && self.session.nesting_level() > 0 {
+            self.check_protected(a, false, at)?;
+        }
+        self.cell_read(a, k)
+    }
+
+    fn heap_write(&mut self, addr: i64, val: i64, k: usize, at: At) -> Result<(), Exc> {
+        let a = self.check_addr(addr, at)?;
+        if self.m.mode == ExecMode::Validate && self.session.nesting_level() > 0 {
+            self.check_protected(a, true, at)?;
+        }
+        self.cell_write(a, val, k)
+    }
+
+    /// Access `k` of the executing instruction: a traced, sentinel-
+    /// checked read of a shared cell. When the instruction is being
+    /// re-executed after a yield, an access it already made is answered
+    /// from the journal; the last of them yielded at its tick, so what
+    /// follows that tick — the sentinel check — is still to do.
+    fn cell_read(&mut self, a: u64, k: usize) -> Result<i64, Exc> {
+        let val = if k < self.done {
+            let logged = self.journal[k].ok_or(Exc::Abort)?;
+            if k + 1 < self.done {
+                return Ok(logged);
+            }
+            logged
+        } else {
+            self.trace_access(a, false);
+            self.heap_read_raw(a, k)?
+        };
+        self.sentinel_check(a, false);
+        Ok(val)
+    }
+
+    /// [`Worker::cell_read`]'s counterpart for a write.
+    fn cell_write(&mut self, a: u64, val: i64, k: usize) -> Result<(), Exc> {
+        if k + 1 < self.done {
+            return Ok(());
+        }
+        if k >= self.done {
+            self.trace_access(a, true);
+            self.heap_write_raw(a, val, k)?;
+        }
+        self.sentinel_check(a, true);
+        Ok(())
+    }
+
+    /// Raw cell read: transactional inside an STM section, direct
+    /// otherwise.
+    fn heap_read_raw(&mut self, a: u64, k: usize) -> Result<i64, Exc> {
+        self.maybe_inject_stm_abort()?;
+        match self.txn.as_mut() {
+            Some(txn) => {
+                let v = txn.read(a as usize).ok();
+                self.txn_tick(k, v, self.m.costs.stm_read)?;
+                v.ok_or(Exc::Abort)
+            }
+            None => Ok(self.m.space.read_direct(a as usize)),
+        }
+    }
+
+    fn heap_write_raw(&mut self, a: u64, val: i64, k: usize) -> Result<(), Exc> {
+        self.maybe_inject_stm_abort()?;
+        match self.txn.as_mut() {
+            Some(txn) => {
+                txn.write(a as usize, val);
+                self.txn_tick(k, Some(val), self.m.costs.stm_write)
+            }
+            None => {
+                self.m.space.write_direct(a as usize, val);
+                Ok(())
+            }
+        }
+    }
+
+    /// Charges transactional access `k` of the executing instruction —
+    /// a scheduling point in the middle of that instruction. The
+    /// outcome goes into the journal first; should the tick yield, the
+    /// re-execution finds accesses `0..=k` there instead of making
+    /// them again.
+    fn txn_tick(&mut self, k: usize, outcome: Option<i64>, cost: u64) -> Result<(), Exc> {
+        if self.journal.len() <= k {
+            self.journal.resize(k + 1, None);
+        }
+        self.journal[k] = outcome;
+        let ticked = self.tick(cost);
+        if let Err(Exc::Yield) = ticked {
+            self.done = k + 1;
+        }
+        ticked
     }
 
     // ------------------------------------------------------------------
@@ -353,383 +1111,6 @@ impl<'m> Worker<'m> {
         });
     }
 
-    pub(crate) fn call(&mut self, f: FnId, args: &[i64]) -> Result<i64, Exc> {
-        let m = self.m;
-        self.depth += 1;
-        if self.depth > MAX_CALL_DEPTH {
-            return Err(InterpError::Fault {
-                func: m.program.fn_name(f).to_owned(),
-                pc: 0,
-                detail: "call stack overflow".into(),
-            }
-            .into());
-        }
-        let layout = &m.layouts[f.0 as usize];
-        let mut frame = vec![0i64; layout.n_slots as usize];
-        for &(slot, class) in &layout.heapified {
-            frame[slot as usize] = self.alloc_cells(1, class)? as i64;
-        }
-        for (&p, &a) in m.program.func(f).params.iter().zip(args) {
-            self.write_var(&mut frame, p, a)?;
-        }
-        let r = self.exec(f, &mut frame);
-        self.depth -= 1;
-        r
-    }
-
-    fn exec(&mut self, f: FnId, frame: &mut Vec<i64>) -> Result<i64, Exc> {
-        let m = self.m;
-        let body = &m.program.func(f).body;
-        let mut pc: usize = 0;
-        // Set when *this frame* owns an open STM transaction: the pc of
-        // the section-entry instruction and the frame snapshot.
-        let mut retry: Option<(usize, Vec<i64>)> = None;
-        let mut backoff = Backoff::new();
-        loop {
-            let ins = &body[pc];
-            self.cur_fn = f;
-            self.cur_pc = pc;
-            self.tick(1);
-            self.maybe_inject_panic();
-            let result: Result<Flow, Exc> = match ins {
-                Instr::EnterAtomic(_) | Instr::AcquireAll(..) => {
-                    match self.section_enter(ins, frame, f) {
-                        Ok(owns_txn) => {
-                            if owns_txn {
-                                retry = Some((pc, frame.clone()));
-                            }
-                            Ok(Flow::Next)
-                        }
-                        Err(e) => Err(e),
-                    }
-                }
-                Instr::ExitAtomic(_) | Instr::ReleaseAll(_) => match self.section_exit(ins) {
-                    Ok(closed_all) => {
-                        if closed_all {
-                            retry = None;
-                            // The section is over: its abort budget and
-                            // contention backoff start fresh.
-                            self.section_aborts = 0;
-                            self.escalate = false;
-                            backoff.reset();
-                        }
-                        Ok(Flow::Next)
-                    }
-                    Err(e) => Err(e),
-                },
-                _ => self.step(f, ins, frame, pc),
-            };
-            match result {
-                Ok(Flow::Next) => pc += 1,
-                Ok(Flow::Jump(t)) => pc = t,
-                Ok(Flow::Return(v)) => return Ok(v),
-                Err(Exc::Abort) => match &retry {
-                    Some((rpc, snapshot)) => {
-                        self.txn = None;
-                        self.sec_depth = 0;
-                        // The aborted attempt's private allocations are
-                        // unreachable (the allocator never reuses
-                        // addresses); drop their Lemma 2 exemptions.
-                        self.my_allocs.clear();
-                        frame.clone_from(snapshot);
-                        pc = *rpc;
-                        self.sync_trace_clock();
-                        m.space.note_abort_by(self.tid as u64);
-                        self.section_aborts += 1;
-                        if let Some(mx) = &m.metrics {
-                            mx.section_retries.inc();
-                        }
-                        if self.section_aborts >= m.stm_abort_budget {
-                            // Starving: the next attempt runs
-                            // irrevocably (see `section_enter`).
-                            self.escalate = true;
-                        }
-                        self.idle(m.costs.stm_abort, backoff.spins() as u64);
-                    }
-                    None => return Err(Exc::Abort),
-                },
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    fn step(&mut self, f: FnId, ins: &Instr, frame: &mut [i64], pc: usize) -> Result<Flow, Exc> {
-        let m = self.m;
-        match ins {
-            Instr::Assign(x, rv) => {
-                let val = match rv {
-                    Rvalue::Copy(y) => self.read_var(frame, *y)?,
-                    Rvalue::AddrOf(y) => match m.storage[y.0 as usize] {
-                        Storage::Indirect(s) => frame[s as usize],
-                        Storage::Global(a) => a as i64,
-                        Storage::Direct(_) => {
-                            return Err(self.fault(f, pc, "address of unheapified local"))
-                        }
-                    },
-                    Rvalue::Load(y) => {
-                        let a = self.read_var(frame, *y)?;
-                        self.heap_read(a, f, pc)?
-                    }
-                    Rvalue::FieldAddr(y, fd) => {
-                        let a = self.read_var(frame, *y)?;
-                        if a <= 0 {
-                            return Err(self.fault(f, pc, "field of null"));
-                        }
-                        a + m.field_offset[fd.0 as usize] as i64
-                    }
-                    Rvalue::DynAddr(y, z) => {
-                        let a = self.read_var(frame, *y)?;
-                        let i = self.read_var(frame, *z)?;
-                        if a <= 0 {
-                            return Err(self.fault(f, pc, "index of null"));
-                        }
-                        if i < 0 {
-                            return Err(self.fault(f, pc, "negative index"));
-                        }
-                        a + i
-                    }
-                    Rvalue::Alloc(n) => {
-                        let class = self.class_of_site(f, pc)?;
-                        self.alloc_cells(*n, class)? as i64
-                    }
-                    Rvalue::AllocDyn(z) => {
-                        let n = self.read_var(frame, *z)?;
-                        if n < 0 {
-                            return Err(self.fault(f, pc, "negative allocation size"));
-                        }
-                        let class = self.class_of_site(f, pc)?;
-                        self.alloc_cells(n as usize, class)? as i64
-                    }
-                    Rvalue::Null => 0,
-                    Rvalue::ConstInt(c) => *c,
-                    Rvalue::Arith(op, a, b) => {
-                        let (a, b) = (self.read_var(frame, *a)?, self.read_var(frame, *b)?);
-                        self.arith(*op, a, b, f, pc)?
-                    }
-                    Rvalue::Cmp(op, a, b) => {
-                        let (a, b) = (self.read_var(frame, *a)?, self.read_var(frame, *b)?);
-                        i64::from(match op {
-                            CmpOp::Eq => a == b,
-                            CmpOp::Ne => a != b,
-                            CmpOp::Lt => a < b,
-                            CmpOp::Le => a <= b,
-                            CmpOp::Gt => a > b,
-                            CmpOp::Ge => a >= b,
-                        })
-                    }
-                    Rvalue::Call(g, args) => {
-                        let mut vals = Vec::with_capacity(args.len());
-                        for a in args {
-                            vals.push(self.read_var(frame, *a)?);
-                        }
-                        self.call(*g, &vals)?
-                    }
-                    Rvalue::Intrinsic(i, args) => {
-                        let mut vals = Vec::with_capacity(args.len());
-                        for a in args {
-                            vals.push(self.read_var(frame, *a)?);
-                        }
-                        self.intrinsic(*i, &vals, f, pc)?
-                    }
-                };
-                self.write_var(frame, *x, val)?;
-                Ok(Flow::Next)
-            }
-            Instr::Store(x, y) => {
-                let v = self.read_var(frame, *y)?;
-                let a = self.read_var(frame, *x)?;
-                self.heap_write(a, v, f, pc)?;
-                Ok(Flow::Next)
-            }
-            Instr::Jump(t) => Ok(Flow::Jump(*t as usize)),
-            Instr::Branch(v, t, e) => {
-                let c = self.read_var(frame, *v)?;
-                Ok(Flow::Jump(if c != 0 { *t as usize } else { *e as usize }))
-            }
-            Instr::Ret => {
-                let ret = m.program.func(f).ret;
-                Ok(Flow::Return(self.read_var(frame, ret)?))
-            }
-            Instr::Nop => Ok(Flow::Next),
-            Instr::EnterAtomic(_)
-            | Instr::ExitAtomic(_)
-            | Instr::AcquireAll(..)
-            | Instr::ReleaseAll(_) => unreachable!("section markers handled by exec"),
-        }
-    }
-
-    fn arith(&mut self, op: ArithOp, a: i64, b: i64, f: FnId, pc: usize) -> Result<i64, Exc> {
-        Ok(match op {
-            ArithOp::Add => a.wrapping_add(b),
-            ArithOp::Sub => a.wrapping_sub(b),
-            ArithOp::Mul => a.wrapping_mul(b),
-            ArithOp::Div => {
-                if b == 0 {
-                    return Err(InterpError::DivByZero {
-                        func: self.m.program.fn_name(f).to_owned(),
-                        pc,
-                    }
-                    .into());
-                }
-                a.wrapping_div(b)
-            }
-            ArithOp::Rem => {
-                if b == 0 {
-                    return Err(InterpError::DivByZero {
-                        func: self.m.program.fn_name(f).to_owned(),
-                        pc,
-                    }
-                    .into());
-                }
-                a.wrapping_rem(b)
-            }
-            ArithOp::And => a & b,
-            ArithOp::Or => a | b,
-            ArithOp::Xor => a ^ b,
-            ArithOp::Shl => a.wrapping_shl(b as u32),
-            ArithOp::Shr => a.wrapping_shr(b as u32),
-        })
-    }
-
-    fn intrinsic(&mut self, i: Intrinsic, vals: &[i64], f: FnId, pc: usize) -> Result<i64, Exc> {
-        match i {
-            Intrinsic::Nops => {
-                self.idle(0, vals[0].max(0) as u64);
-                Ok(0)
-            }
-            Intrinsic::Rand => {
-                self.rng = splitmix(self.rng);
-                let n = vals[0];
-                Ok(if n > 0 {
-                    ((self.rng >> 11) % n as u64) as i64
-                } else {
-                    0
-                })
-            }
-            Intrinsic::Tid => Ok(self.tid as i64),
-            Intrinsic::Print => {
-                self.m.out.lock().push(vals[0].to_string());
-                Ok(0)
-            }
-            Intrinsic::Assert => {
-                if vals[0] == 0 {
-                    return Err(InterpError::AssertFailed {
-                        func: self.m.program.fn_name(f).to_owned(),
-                        pc,
-                    }
-                    .into());
-                }
-                Ok(0)
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Variables and memory
-
-    fn read_var(&mut self, frame: &[i64], v: VarId) -> Result<i64, Exc> {
-        let a = match self.m.storage[v.0 as usize] {
-            Storage::Direct(s) => return Ok(frame[s as usize]),
-            Storage::Indirect(s) => frame[s as usize] as u64,
-            Storage::Global(a) => a,
-        };
-        self.check_var_access(a, false)?;
-        self.trace_access(a, false);
-        let val = self.heap_read_raw(a)?;
-        self.sentinel_check(a, false);
-        Ok(val)
-    }
-
-    fn write_var(&mut self, frame: &mut [i64], v: VarId, val: i64) -> Result<(), Exc> {
-        let a = match self.m.storage[v.0 as usize] {
-            Storage::Direct(s) => {
-                frame[s as usize] = val;
-                return Ok(());
-            }
-            Storage::Indirect(s) => frame[s as usize] as u64,
-            Storage::Global(a) => a,
-        };
-        self.check_var_access(a, true)?;
-        self.trace_access(a, true);
-        self.heap_write_raw(a, val, true)?;
-        self.sentinel_check(a, true);
-        Ok(())
-    }
-
-    /// Validate-mode coverage check for variable cells (globals and
-    /// heapified locals).
-    fn check_var_access(&self, a: u64, write: bool) -> Result<(), Exc> {
-        // Lock-spec evaluation happens before `acquire_all`, while the
-        // nesting level is still 0, so it is naturally exempt here;
-        // post-acquisition revalidation runs at level 1 and is exempted
-        // explicitly.
-        if self.m.mode == ExecMode::Validate
-            && !self.revalidating
-            && self.session.nesting_level() > 0
-        {
-            self.check_protected(a, write, self.cur_fn, self.cur_pc)?;
-        }
-        Ok(())
-    }
-
-    fn check_addr(&self, addr: i64, f: FnId, pc: usize) -> Result<u64, Exc> {
-        if addr <= 0 || addr as usize >= self.m.space.len() {
-            return Err(self.fault(f, pc, format!("bad address {addr}")));
-        }
-        Ok(addr as u64)
-    }
-
-    fn heap_read(&mut self, addr: i64, f: FnId, pc: usize) -> Result<i64, Exc> {
-        let a = self.check_addr(addr, f, pc)?;
-        if self.m.mode == ExecMode::Validate && self.session.nesting_level() > 0 {
-            self.check_protected(a, false, f, pc)?;
-        }
-        self.trace_access(a, false);
-        let val = self.heap_read_raw(a)?;
-        self.sentinel_check(a, false);
-        Ok(val)
-    }
-
-    fn heap_write(&mut self, addr: i64, val: i64, f: FnId, pc: usize) -> Result<(), Exc> {
-        let a = self.check_addr(addr, f, pc)?;
-        if self.m.mode == ExecMode::Validate && self.session.nesting_level() > 0 {
-            self.check_protected(a, true, f, pc)?;
-        }
-        self.trace_access(a, true);
-        self.heap_write_raw(a, val, false)?;
-        self.sentinel_check(a, true);
-        Ok(())
-    }
-
-    /// Raw cell read: transactional inside an STM section, direct
-    /// otherwise.
-    fn heap_read_raw(&mut self, a: u64) -> Result<i64, Exc> {
-        self.maybe_inject_stm_abort()?;
-        match self.txn.as_mut() {
-            Some(txn) => {
-                let v = txn.read(a as usize).map_err(|_| Exc::Abort);
-                self.tick(self.m.costs.stm_read);
-                v
-            }
-            None => Ok(self.m.space.read_direct(a as usize)),
-        }
-    }
-
-    fn heap_write_raw(&mut self, a: u64, val: i64, _var_cell: bool) -> Result<(), Exc> {
-        self.maybe_inject_stm_abort()?;
-        match self.txn.as_mut() {
-            Some(txn) => {
-                txn.write(a as usize, val);
-                self.tick(self.m.costs.stm_write);
-                Ok(())
-            }
-            None => {
-                self.m.space.write_direct(a as usize, val);
-                Ok(())
-            }
-        }
-    }
-
     // ------------------------------------------------------------------
     // Live metrics (all no-ops when the machine has no registry)
 
@@ -779,16 +1160,13 @@ impl<'m> Worker<'m> {
     /// (any discipline), via `resume_unwind` so drop glue runs — the
     /// session and transaction release on the way out — without
     /// tripping the global panic hook.
+    #[inline]
     fn maybe_inject_panic(&mut self) {
-        let in_section = self.sec_depth > 0 || self.session.nesting_level() > 0;
-        if !in_section {
+        let Some(inj) = self.injector.as_mut() else {
             return;
-        }
-        let fire = match self.injector.as_mut() {
-            Some(inj) => inj.take_panic(),
-            None => false,
         };
-        if fire {
+        let in_section = self.sec_depth > 0 || self.session.nesting_level() > 0;
+        if in_section && inj.take_panic() {
             self.note_fault(FaultClass::Panic);
             std::panic::resume_unwind(Box::new(FaultPanic { tid: self.tid }));
         }
@@ -816,15 +1194,16 @@ impl<'m> Worker<'m> {
     /// route through this one helper (rather than consulting the
     /// injector inline) so new wait paths cannot diverge from the
     /// fault plan's delay stream or its accounting.
-    fn injected_wakeup_delay(&mut self) {
+    fn injected_wakeup_delay(&mut self) -> Result<(), Exc> {
         let delay = match self.injector.as_mut() {
             Some(inj) => inj.take_wakeup_delay(),
             None => None,
         };
         if let Some(t) = delay {
             self.note_fault(FaultClass::WakeupDelay);
-            self.idle(0, t);
+            self.idle(0, t)?;
         }
+        Ok(())
     }
 
     fn alloc_cells(&mut self, n: usize, class: PtsClass) -> Result<u64, Exc> {
@@ -846,22 +1225,23 @@ impl<'m> Worker<'m> {
         Ok(base)
     }
 
-    fn class_of_site(&self, f: FnId, pc: usize) -> Result<PtsClass, Exc> {
+    fn class_of_site(&self, at: At) -> Result<PtsClass, Exc> {
         self.m
             .site_class
-            .get(&(f, pc as u32))
+            .get(&(at.f, at.pc as u32))
             .copied()
             .ok_or_else(|| {
                 Exc::Err(InterpError::Internal {
                     detail: format!(
-                        "allocation site {}:{pc} was not pre-registered",
-                        self.m.program.fn_name(f)
+                        "allocation site {}:{} was not pre-registered",
+                        self.m.program.fn_name(at.f),
+                        at.pc
                     ),
                 })
             })
     }
 
-    fn check_protected(&self, a: u64, write: bool, f: FnId, pc: usize) -> Result<(), Exc> {
+    fn check_protected(&self, a: u64, write: bool, at: At) -> Result<(), Exc> {
         if self.my_allocs.iter().any(|&(b, l)| a >= b && a < b + l) {
             return Ok(());
         }
@@ -874,8 +1254,8 @@ impl<'m> Worker<'m> {
             return Ok(());
         }
         Err(InterpError::Unprotected {
-            func: self.m.program.fn_name(f).to_owned(),
-            pc,
+            func: self.m.program.fn_name(at.f).to_owned(),
+            pc: at.pc,
             addr: a,
             write,
             section: self.current_section,
@@ -883,95 +1263,89 @@ impl<'m> Worker<'m> {
         .into())
     }
 
-    fn fault(&self, f: FnId, pc: usize, detail: impl Into<String>) -> Exc {
+    fn fault(&self, at: At, detail: impl Into<String>) -> Exc {
         Exc::Err(InterpError::Fault {
-            func: self.m.program.fn_name(f).to_owned(),
-            pc,
+            func: self.m.program.fn_name(at.f).to_owned(),
+            pc: at.pc,
             detail: detail.into(),
         })
     }
 
     // ------------------------------------------------------------------
     // Atomic sections
+    //
+    // Entry and exit are protocols with a scheduling point between most
+    // of their steps. Each is a loop over its stage record; a stage
+    // names its successor *before* the call that may yield, so a
+    // re-executed instruction continues exactly after that call.
 
     /// Enters a section; returns true when this frame now owns a fresh
     /// STM transaction (and must snapshot for retry).
-    fn section_enter(&mut self, ins: &Instr, frame: &mut [i64], f: FnId) -> Result<bool, Exc> {
+    fn section_enter(&mut self, ins: &'m Instr, frame: &[i64], at: At) -> Result<bool, Exc> {
         let m = self.m;
         let sid = match ins {
             Instr::AcquireAll(s, _) | Instr::EnterAtomic(s) => *s,
-            _ => unreachable!("section markers handled by exec"),
+            _ => unreachable!("only section entries get here"),
         };
-        if self.tracer.is_some() {
-            // Every nesting level (and every STM retry) records an
-            // entry; lock grants follow at the outermost level only.
-            self.trace_event(trace::EventKind::SectionEnter { section: sid.0 });
-        }
-        if let Some(mx) = &m.metrics {
-            mx.section_entries.inc();
-        }
-        match m.mode {
-            ExecMode::Global => {
-                let outermost = self.session.nesting_level() == 0;
-                if outermost {
-                    self.current_section = sid;
-                    self.section_violated = false;
-                    self.sect_enter_clock = self.now();
-                }
-                self.acquire_global(outermost)?;
-                Ok(false)
-            }
-            ExecMode::MultiGrain | ExecMode::Validate => {
-                let specs = match ins {
-                    Instr::AcquireAll(_, specs) => specs,
-                    Instr::EnterAtomic(s) => {
-                        return Err(InterpError::NeedsTransformedProgram { section: *s }.into())
+        loop {
+            match self.enter {
+                Enter::Start => {
+                    // Every nesting level (and every STM retry) records
+                    // an entry; lock grants follow at the outermost
+                    // level only.
+                    self.trace_event(trace::EventKind::SectionEnter { section: sid.0 });
+                    if let Some(mx) = &m.metrics {
+                        mx.section_entries.inc();
                     }
-                    _ => unreachable!(),
-                };
-                if self.session.nesting_level() > 0 {
-                    // Nested entry: the outer level's grants cover it.
+                    match m.mode {
+                        ExecMode::Global => {
+                            let outermost = self.session.nesting_level() == 0;
+                            if outermost {
+                                self.open_section(sid);
+                            }
+                            self.queue_global();
+                            self.enter = Enter::Global { outermost };
+                        }
+                        ExecMode::MultiGrain | ExecMode::Validate => {
+                            if let Instr::EnterAtomic(s) = ins {
+                                return Err(
+                                    InterpError::NeedsTransformedProgram { section: *s }.into()
+                                );
+                            }
+                            self.enter = self.plan_kind(sid);
+                        }
+                        ExecMode::Stm => {
+                            self.sec_depth += 1;
+                            if self.sec_depth > 1 {
+                                return Ok(false);
+                            }
+                            self.current_section = sid;
+                            self.section_violated = false;
+                            self.enter = Enter::TxnCharged;
+                            self.tick(m.costs.txn_start)?;
+                        }
+                    }
+                }
+                Enter::Global { outermost } => {
+                    self.acquire_session(1)?;
+                    if outermost {
+                        self.plan_complete();
+                    }
+                    return self.entered(false);
+                }
+                Enter::Nested => {
                     self.acquire_session(0)?;
-                    return Ok(false);
+                    return self.entered(false);
                 }
-                self.current_section = sid;
-                self.section_violated = false;
-                self.sect_enter_clock = self.now();
-                if m.sentinel.as_ref().is_some_and(|s| s.is_quarantined(sid.0)) {
-                    // Quarantined: the section serves its probation
-                    // under the trivially sound global scheme — one
-                    // Root/X grant, no fine plan, and (since the grant
-                    // covers every address) no revalidation loop.
-                    self.held_concrete.clear();
-                    if m.mode == ExecMode::Validate {
-                        self.held_concrete.push(ConcreteLock::Global);
-                    }
-                    self.acquire_global(true)?;
-                    return Ok(false);
-                }
-                // A healed section with an active repair plans the
-                // repaired specs instead of the seed scheme. The
-                // repaired plan is a fresh inference artifact, so the
-                // weakened-seed fault does not apply to it — planning
-                // and quiet revalidation skip the drop filter together
-                // (they must agree, or revalidation retries forever).
-                let repair = m
-                    .sentinel
-                    .as_ref()
-                    .and_then(|s| s.active_repair(sid.0))
-                    .and_then(|_| m.repairs.get(&sid.0));
-                let (specs, filter_dropped) = match repair {
-                    Some(r) => (r.as_slice(), false),
-                    None => (specs.as_slice(), true),
-                };
-                loop {
+                Enter::Plan => {
+                    let (specs, filter_dropped) = self.specs_to_plan(ins, sid);
                     self.held_concrete.clear();
                     self.planned.clear();
                     for (i, spec) in specs.iter().enumerate() {
                         if filter_dropped && self.spec_dropped(sid.0, i) {
                             continue;
                         }
-                        if let Some((d, c)) = self.eval_spec(spec, frame, f)? {
+                        if let Some((d, c)) = self.eval_spec(spec, frame, at)? {
                             self.session.to_acquire(d);
                             self.planned.push(d);
                             if m.mode == ExecMode::Validate {
@@ -979,15 +1353,17 @@ impl<'m> Worker<'m> {
                             }
                         }
                     }
+                    self.enter = Enter::Planned;
+                }
+                Enter::Planned => {
                     self.acquire_session(self.planned.len() as u64)?;
                     // The plan is fully granted at this clock. The
                     // first marker after the section entry is its
                     // acquisition point (wait ends, hold begins);
-                    // markers from later loop iterations mark
-                    // revalidation retries — `trace::profile` counts
-                    // them apart instead of moving the split point.
-                    self.trace_event(trace::EventKind::PlanComplete);
-                    self.metric_plan_complete();
+                    // markers from later retries mark revalidation —
+                    // `trace::profile` counts them apart instead of
+                    // moving the split point.
+                    self.plan_complete();
                     // Fine descriptors were evaluated *before* blocking.
                     // If the guarded structure moved while this thread
                     // waited (e.g. a concurrent section resized the
@@ -996,8 +1372,9 @@ impl<'m> Worker<'m> {
                     // retry on drift; every retry implies some other
                     // section committed in between, so the loop makes
                     // system-wide progress.
-                    if self.plan_still_current(specs, frame, f, filter_dropped)? {
-                        break;
+                    let (specs, filter_dropped) = self.specs_to_plan(ins, sid);
+                    if self.plan_still_current(specs, frame, at, filter_dropped)? {
+                        return self.entered(false);
                     }
                     m.fault_stats
                         .lock_revalidations
@@ -1006,64 +1383,114 @@ impl<'m> Worker<'m> {
                         mx.revalidations.inc();
                     }
                     self.session.release_all();
-                    self.sim_release();
+                    self.enter = Enter::Plan;
+                    self.sim_release()?;
                 }
-                Ok(false)
-            }
-            ExecMode::Stm => {
-                self.sec_depth += 1;
-                if self.sec_depth == 1 {
-                    self.current_section = sid;
-                    self.section_violated = false;
-                    self.tick(m.costs.txn_start);
+                Enter::TxnCharged => {
                     // Make the transaction window visible at exact
                     // virtual time.
-                    self.flush_ticks();
+                    self.enter = Enter::TxnFlushed;
+                    self.flush_ticks()?;
+                }
+                Enter::TxnFlushed => {
                     // A quarantined section runs irrevocably — the
                     // commit gate serializes it, the STM counterpart of
-                    // the lock modes' global-scheme demotion.
+                    // the lock modes' global-scheme demotion. So does
+                    // one that starved (see `roll_back`).
                     let quarantined = m.sentinel.as_ref().is_some_and(|s| s.is_quarantined(sid.0));
-                    self.txn = Some(if self.escalate || quarantined {
-                        self.begin_irrevocable()
-                    } else {
-                        m.space.begin()
-                    });
-                    Ok(true)
-                } else {
-                    Ok(false)
+                    if !(self.escalate || quarantined) {
+                        self.txn = Some(m.space.begin());
+                        return self.entered(true);
+                    }
+                    self.gate_backoff = Backoff::new();
+                    self.enter = Enter::Gate;
+                    self.tick(m.costs.stm_fallback)?;
+                }
+                Enter::Gate => {
+                    // Waiting for the commit gate is cooperative under
+                    // the scheduler: this thread charges its own clock
+                    // until the gate holder (whose clock then becomes
+                    // the minimum) runs and releases it.
+                    self.sync_trace_clock();
+                    if let Some(txn) = m.space.try_begin_irrevocable_by(self.tid as u64) {
+                        self.txn = Some(txn);
+                        return self.entered(true);
+                    }
+                    let spins = self.gate_backoff.spins() as u64;
+                    self.idle(0, spins)?;
                 }
             }
         }
     }
 
-    /// The one-lock plan — `⊤` in `X` — that every Global-mode section
-    /// and every quarantined section runs under; at the outermost level
-    /// its grant is the section's acquisition point.
-    fn acquire_global(&mut self, outermost: bool) -> Result<(), Exc> {
+    fn entered(&mut self, owns_txn: bool) -> Result<bool, Exc> {
+        self.enter = Enter::Start;
+        Ok(owns_txn)
+    }
+
+    /// Book-keeping at the entry of an outermost lock section.
+    fn open_section(&mut self, sid: SectionId) {
+        self.current_section = sid;
+        self.section_violated = false;
+        self.sect_enter_clock = self.now();
+    }
+
+    /// Queues the one-lock plan — `⊤` in `X` — that every Global-mode
+    /// section and every quarantined section runs under.
+    fn queue_global(&mut self) {
         self.session.to_acquire(Descriptor::Global {
             access: Access::Write,
         });
-        self.acquire_session(1)?;
-        if outermost {
-            self.trace_event(trace::EventKind::PlanComplete);
-            self.metric_plan_complete();
-        }
-        Ok(())
     }
 
-    /// STM starvation fallback: begins an irrevocable transaction,
-    /// waiting for the commit gate. Under the scheduler the wait is
-    /// cooperative — we charge our own clock until the gate holder
-    /// (whose clock then becomes the minimum) runs and releases it.
-    fn begin_irrevocable(&mut self) -> tl2::Txn<'m> {
-        self.tick(self.m.costs.stm_fallback);
-        let mut backoff = Backoff::new();
-        loop {
-            self.sync_trace_clock();
-            if let Some(txn) = self.m.space.try_begin_irrevocable_by(self.tid as u64) {
-                return txn;
+    /// Marks the outermost acquisition point: the plan is granted.
+    fn plan_complete(&mut self) {
+        self.trace_event(trace::EventKind::PlanComplete);
+        self.metric_plan_complete();
+    }
+
+    /// How a multi-grain section entry acquires: covered by the outer
+    /// level, demoted to the global lock, or by planning its specs.
+    fn plan_kind(&mut self, sid: SectionId) -> Enter {
+        let m = self.m;
+        if self.session.nesting_level() > 0 {
+            return Enter::Nested;
+        }
+        self.open_section(sid);
+        if m.sentinel.as_ref().is_some_and(|s| s.is_quarantined(sid.0)) {
+            // Quarantined: the section serves its probation under the
+            // trivially sound global scheme — one Root/X grant, no fine
+            // plan, and (since the grant covers every address) no
+            // revalidation loop.
+            self.held_concrete.clear();
+            if m.mode == ExecMode::Validate {
+                self.held_concrete.push(ConcreteLock::Global);
             }
-            self.idle(0, backoff.spins() as u64);
+            self.queue_global();
+            return Enter::Global { outermost: true };
+        }
+        // A healed section with an active repair plans the repaired
+        // specs instead of the seed scheme — decided here, once: a
+        // repair activated while this entry waits is the next entry's.
+        self.repaired = m
+            .sentinel
+            .as_ref()
+            .and_then(|s| s.active_repair(sid.0))
+            .is_some_and(|_| m.repairs.contains_key(&sid.0));
+        Enter::Plan
+    }
+
+    /// The specs this entry plans and whether the weakened-seed fault
+    /// filters them. The repaired plan is a fresh inference artifact,
+    /// so the fault does not apply to it — planning and quiet
+    /// revalidation skip the drop filter together (they must agree, or
+    /// revalidation retries forever).
+    fn specs_to_plan(&self, ins: &'m Instr, sid: SectionId) -> (&'m [LockSpec], bool) {
+        let m = self.m;
+        match (ins, m.repairs.get(&sid.0)) {
+            (_, Some(repair)) if self.repaired => (repair, false),
+            (Instr::AcquireAll(_, specs), _) => (specs, true),
+            _ => (&[], true),
         }
     }
 
@@ -1076,41 +1503,62 @@ impl<'m> Worker<'m> {
     /// virtual time. Partially-acquired nodes are released by the
     /// session's drop (counted as an unwind release).
     fn acquire_session(&mut self, n_descriptors: u64) -> Result<(), Exc> {
-        let stall = match self.injector.as_mut() {
-            Some(inj) => inj.take_stall(),
-            None => None,
-        };
-        if let Some(t) = stall {
-            self.note_fault(FaultClass::Stall);
-            self.idle(0, t);
-        }
-        let held_before = self.session.held_count();
-        match self.sim {
-            None => {
-                self.sync_trace_clock();
-                // Honours whatever degradation policy the runtime was
-                // built with; under the default one it blocks for real.
-                self.session
-                    .acquire_all_checked()
-                    .map_err(|source| InterpError::Lock {
-                        tid: self.tid,
-                        source,
-                    })?;
-            }
-            Some(sim) => {
-                self.tick(self.m.costs.lock_desc * n_descriptors);
-                self.flush_ticks();
-                let mut parked = false;
-                loop {
+        let m = self.m;
+        loop {
+            match self.acquire {
+                Acquire::Start => {
+                    self.acquire = Acquire::Stalled;
+                    let stall = match self.injector.as_mut() {
+                        Some(inj) => inj.take_stall(),
+                        None => None,
+                    };
+                    if let Some(t) = stall {
+                        self.note_fault(FaultClass::Stall);
+                        self.idle(0, t)?;
+                    }
+                }
+                Acquire::Stalled => {
+                    self.held_before = self.session.held_count();
+                    self.waited = false;
+                    if self.sim.is_some() {
+                        self.acquire = Acquire::Charged;
+                        self.tick(m.costs.lock_desc * n_descriptors)?;
+                    } else {
+                        self.sync_trace_clock();
+                        // Honours whatever degradation policy the
+                        // runtime was built with; under the default one
+                        // it blocks for real.
+                        self.session
+                            .acquire_all_checked()
+                            .map_err(|source| InterpError::Lock {
+                                tid: self.tid,
+                                source,
+                            })?;
+                        self.acquire = Acquire::Granted;
+                    }
+                }
+                Acquire::Charged => {
+                    self.acquire = Acquire::Step;
+                    self.flush_ticks()?;
+                }
+                Acquire::Step => {
+                    let sim = self.sim.expect("stepping is the scheduler's way");
                     self.sync_trace_clock();
                     match self.session.acquire_all_step() {
-                        mglock::StepResult::Done => break,
+                        mglock::StepResult::Done => {
+                            if self.waited {
+                                sim.borrow_mut().end_wait(self.tid as usize);
+                            }
+                            let acquired = (self.session.held_count() - self.held_before) as u64;
+                            self.acquire = Acquire::Granted;
+                            self.tick(m.costs.lock_node * acquired)?;
+                        }
                         mglock::StepResult::WouldBlock => {
-                            parked = true;
+                            self.waited = true;
                             // Snapshot what we are blocked on for the
                             // wake policy (ignored on the legacy path).
                             // Age is filled in by the scheduler at each
-                            // release from the streak's park epoch.
+                            // release from the streak's first wait.
                             let waiter =
                                 self.session.blocked_on().map(|(node, mode)| sched::Waiter {
                                     tid: self.tid,
@@ -1120,31 +1568,36 @@ impl<'m> Worker<'m> {
                                     mode,
                                     age: 0,
                                 });
-                            sim.begin_wait_with(self.tid as usize, waiter);
-                            match sim.await_release(self.tid as usize) {
-                                Some(clock) => self.vclock = clock,
-                                None => {
-                                    return Err(
-                                        InterpError::SchedulerStalled { tid: self.tid }.into()
-                                    )
-                                }
-                            }
-                            self.injected_wakeup_delay();
+                            self.acquire = Acquire::Woken;
+                            sim.borrow_mut().begin_wait(self.tid as usize, waiter);
+                            return Err(Exc::Yield);
                         }
                     }
                 }
-                if parked {
-                    sim.end_wait(self.tid as usize);
+                Acquire::Woken => {
+                    let sim = self
+                        .sim
+                        .expect("only the scheduler makes a worker wait")
+                        .borrow();
+                    if sim.wedged() {
+                        return Err(InterpError::SchedulerStalled { tid: self.tid }.into());
+                    }
+                    // A release promoted this waiter to its own time.
+                    self.vclock = sim.clock(self.tid as usize);
+                    drop(sim);
+                    self.acquire = Acquire::Step;
+                    self.injected_wakeup_delay()?;
                 }
-                let acquired = (self.session.held_count() - held_before) as u64;
-                self.tick(self.m.costs.lock_node * acquired);
+                Acquire::Granted => {
+                    if let Some(mx) = &m.metrics {
+                        mx.lock_acquisitions
+                            .add((self.session.held_count() - self.held_before) as u64);
+                    }
+                    self.acquire = Acquire::Start;
+                    return Ok(());
+                }
             }
         }
-        if let Some(mx) = &self.m.metrics {
-            mx.lock_acquisitions
-                .add((self.session.held_count() - held_before) as u64);
-        }
-        Ok(())
     }
 
     /// Leaves a section; returns true when the outermost level closed
@@ -1153,69 +1606,99 @@ impl<'m> Worker<'m> {
         let m = self.m;
         let sid = match ins {
             Instr::ExitAtomic(s) | Instr::ReleaseAll(s) => *s,
-            _ => unreachable!("section markers handled by exec"),
+            _ => unreachable!("only section exits get here"),
         };
-        match m.mode {
-            ExecMode::Global | ExecMode::MultiGrain | ExecMode::Validate => {
-                let will_close = self.session.nesting_level() == 1;
-                self.tick(m.costs.lock_release);
-                if will_close {
-                    // Publish the exact release time before waking
-                    // waiters.
-                    self.flush_ticks();
+        loop {
+            match (self.exit, m.mode) {
+                (Exit::Start, ExecMode::Stm) => {
+                    self.sec_depth -= 1;
+                    if self.sec_depth > 0 {
+                        // Inner exits always survive; the outermost one
+                        // is recorded only after a successful commit
+                        // (an aborted attempt ends in `StmAbort`).
+                        self.trace_event(trace::EventKind::SectionExit { section: sid.0 });
+                        return Ok(false);
+                    }
+                    let (reads, writes) = self.txn_sizes()?;
+                    // Read-only transactions skip commit-time
+                    // validation entirely (the TL2 fast path).
+                    let vreads = if writes > 0 { reads } else { 0 };
+                    self.exit = Exit::CommitCharged;
+                    self.tick(
+                        m.costs.stm_commit_base
+                            + m.costs.stm_commit_per_write * writes
+                            + m.costs.stm_commit_per_read * vreads,
+                    )?;
                 }
-                // Exit before the releases: the validator checks every
-                // access while the grants are still held, and release
-                // events trail the section like the runtime's own order.
-                self.trace_event(trace::EventKind::SectionExit { section: sid.0 });
-                self.session.release_all();
-                let closed = self.session.nesting_level() == 0;
-                if closed {
+                (Exit::Start, _) => {
+                    self.exit = Exit::Charged;
+                    self.tick(m.costs.lock_release)?;
+                }
+                (Exit::Charged, _) => {
+                    self.exit = Exit::Closing;
+                    if self.session.nesting_level() == 1 {
+                        // Publish the exact release time before waking
+                        // waiters.
+                        self.flush_ticks()?;
+                    }
+                }
+                (Exit::Closing, _) => {
+                    // Exit before the releases: the validator checks
+                    // every access while the grants are still held, and
+                    // release events trail the section like the
+                    // runtime's own order.
+                    self.trace_event(trace::EventKind::SectionExit { section: sid.0 });
+                    self.session.release_all();
+                    if self.session.nesting_level() > 0 {
+                        return self.left(false);
+                    }
                     self.metric_section_closed();
-                    self.sim_release();
+                    self.exit = Exit::Released;
+                    self.sim_release()?;
+                }
+                (Exit::Released, _) => {
                     self.held_concrete.clear();
                     self.my_allocs.clear();
                     self.note_section_closed(sid.0);
+                    return self.left(true);
                 }
-                Ok(closed)
-            }
-            ExecMode::Stm => {
-                self.sec_depth -= 1;
-                if self.sec_depth > 0 {
-                    // Inner exits always survive; the outermost one is
-                    // recorded only after a successful commit (an
-                    // aborted attempt ends in `StmAbort` instead).
-                    self.trace_event(trace::EventKind::SectionExit { section: sid.0 });
-                    return Ok(false);
+                (Exit::CommitCharged, _) => {
+                    self.exit = Exit::Commit;
+                    self.flush_ticks()?;
                 }
-                let txn = self.txn.take().ok_or_else(|| {
-                    Exc::Err(InterpError::Internal {
-                        detail: "no open transaction at STM section exit".into(),
-                    })
-                })?;
-                let writes = txn.write_set_len() as u64;
-                let reads = txn.read_set_len() as u64;
-                // Read-only transactions skip commit-time validation
-                // entirely (the TL2 fast path).
-                let vreads = if writes > 0 { reads } else { 0 };
-                self.tick(
-                    m.costs.stm_commit_base
-                        + m.costs.stm_commit_per_write * writes
-                        + m.costs.stm_commit_per_read * vreads,
-                );
-                self.flush_ticks();
-                self.sync_trace_clock();
-                match txn.commit() {
-                    Ok(()) => {
-                        m.space.note_commit_by(self.tid as u64, reads, writes);
-                        self.trace_event(trace::EventKind::SectionExit { section: sid.0 });
-                        self.my_allocs.clear();
-                        self.note_section_closed(sid.0);
-                        Ok(true)
-                    }
-                    Err(_) => Err(Exc::Abort),
+                (Exit::Commit, _) => {
+                    self.exit = Exit::Start;
+                    self.sync_trace_clock();
+                    let (reads, writes) = self.txn_sizes()?;
+                    let txn = self.txn.take().expect("sized just above");
+                    return match txn.commit() {
+                        Ok(()) => {
+                            m.space.note_commit_by(self.tid as u64, reads, writes);
+                            self.trace_event(trace::EventKind::SectionExit { section: sid.0 });
+                            self.my_allocs.clear();
+                            self.note_section_closed(sid.0);
+                            Ok(true)
+                        }
+                        Err(_) => Err(Exc::Abort),
+                    };
                 }
             }
+        }
+    }
+
+    fn left(&mut self, closed: bool) -> Result<bool, Exc> {
+        self.exit = Exit::Start;
+        Ok(closed)
+    }
+
+    /// `(reads, writes)` of the open transaction.
+    fn txn_sizes(&self) -> Result<(u64, u64), Exc> {
+        match &self.txn {
+            Some(txn) => Ok((txn.read_set_len() as u64, txn.write_set_len() as u64)),
+            None => Err(InterpError::Internal {
+                detail: "no open transaction at STM section exit".into(),
+            }
+            .into()),
         }
     }
 
@@ -1227,7 +1710,7 @@ impl<'m> Worker<'m> {
         &mut self,
         spec: &LockSpec,
         frame: &[i64],
-        f: FnId,
+        at: At,
     ) -> Result<Option<(Descriptor, ConcreteLock)>, Exc> {
         let m = self.m;
         let access = |e: lir::Eff| match e {
@@ -1263,7 +1746,7 @@ impl<'m> Worker<'m> {
                     };
                 } else {
                     debug_assert_eq!(ops[0], PathOp::Deref, "lock paths start at the value");
-                    cur = self.read_var(frame, path.base)?;
+                    cur = self.read_var(frame, path.base, 0, at)?;
                     ops = &ops[1..];
                 }
                 for (i, op) in ops.iter().enumerate() {
@@ -1272,8 +1755,8 @@ impl<'m> Worker<'m> {
                     }
                     match op {
                         PathOp::Deref => {
-                            let a = self.check_addr(cur, f, 0)?;
-                            cur = self.heap_read_raw(a)?;
+                            let a = self.check_addr(cur, At { pc: 0, ..at })?;
+                            cur = self.heap_read_raw(a, 0)?;
                         }
                         PathOp::Field(fd) if Some(*fd) == m.elem_field => {
                             debug_assert_eq!(i + 1, ops.len(), "[] only in final position");
@@ -1293,7 +1776,7 @@ impl<'m> Worker<'m> {
                             cur += m.field_offset[fd.0 as usize] as i64;
                         }
                         PathOp::Index(v) => {
-                            let i = self.read_var(frame, *v)?;
+                            let i = self.read_var(frame, *v, 0, at)?;
                             if i < 0 {
                                 return Ok(None);
                             }
@@ -1330,7 +1813,7 @@ impl<'m> Worker<'m> {
         &mut self,
         specs: &[LockSpec],
         frame: &[i64],
-        f: FnId,
+        at: At,
         filter_dropped: bool,
     ) -> Result<bool, Exc> {
         self.revalidating = true;
@@ -1342,7 +1825,7 @@ impl<'m> Worker<'m> {
             if filter_dropped && self.spec_dropped(section, i) {
                 continue;
             }
-            match self.eval_spec(spec, frame, f) {
+            match self.eval_spec(spec, frame, at) {
                 Ok(Some((d, _))) => {
                     current &= self.planned.get(seen) == Some(&d);
                     seen += 1;
@@ -1389,14 +1872,28 @@ fn panic_error(tid: u32, payload: Box<dyn std::any::Any + Send>) -> InterpError 
     }
 }
 
-/// Converts a worker exit to the public result; `Abort` must have been
-/// consumed by its owning section.
+/// Converts a worker exit to the public result; `Abort` and `Yield`
+/// must have been consumed by the section and the `resume` that own
+/// them.
 fn exit_error(e: Exc) -> InterpError {
     match e {
         Exc::Err(e) => e,
         Exc::Abort => InterpError::Internal {
             detail: "transaction abort escaped its owning section".into(),
         },
+        Exc::Yield => InterpError::Internal {
+            detail: "a yield escaped `resume`".into(),
+        },
+    }
+}
+
+/// One `resume` of thread `tid`'s worker, with a panic in it contained
+/// and every failure typed.
+fn resume_contained(tid: u32, w: &mut Worker<'_>) -> Result<Step, InterpError> {
+    match catch_unwind(AssertUnwindSafe(|| w.resume())) {
+        Ok(Ok(step)) => Ok(step),
+        Ok(Err(e)) => Err(exit_error(e)),
+        Err(payload) => Err(panic_error(tid, payload)),
     }
 }
 
@@ -1440,16 +1937,17 @@ impl Machine {
                 got: args.len(),
             });
         }
-        let mut w = Worker::new(self, tid);
-        let r = catch_unwind(AssertUnwindSafe(|| w.call(f, args)));
+        let mut w = Worker::new(self, tid, None, f, args);
+        let step = resume_contained(tid, &mut w);
         // Drop the worker before reporting: a panicking or erroring
         // worker may still hold locks or an open transaction, and the
         // drop glue (session unwind-release, gate guard) frees them.
         drop(w);
-        match r {
-            Ok(Ok(v)) => Ok(v),
-            Ok(Err(e)) => Err(exit_error(e)),
-            Err(payload) => Err(panic_error(tid, payload)),
+        match step? {
+            Step::Done(v) => Ok(v),
+            Step::Yield => Err(InterpError::Internal {
+                detail: "a real-time worker yielded".into(),
+            }),
         }
     }
 
@@ -1457,7 +1955,9 @@ impl Machine {
     /// virtual-time scheduler: returns the per-thread results plus the
     /// virtual makespan in ticks (1 tick ≈ 1 ns of reported time).
     /// It stands in for the paper's 8-core machine on any host,
-    /// whatever its core count — see `crate::sim`.
+    /// whatever its core count — see `crate::sim`. The `n` virtual
+    /// threads are workers this call resumes, one at a time, on the
+    /// calling thread; it spawns none.
     ///
     /// # Errors
     ///
@@ -1472,51 +1972,44 @@ impl Machine {
             .program
             .function_named(name)
             .ok_or_else(|| InterpError::NoSuchFunction(name.to_owned()))?;
-        let sim = Sim::with_policy(n, self.quantum, self.sched.as_ref().map(|c| c.build()));
-        let sim = &sim;
-        let results = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for tid in 0..n as u32 {
-                let argv = args(tid);
-                handles.push(scope.spawn(move || {
-                    let mut w = Worker::with_sim(self, tid, sim);
-                    match catch_unwind(AssertUnwindSafe(|| w.call(f, &argv))) {
-                        Ok(Ok(v)) => {
-                            w.flush_ticks();
-                            sim.finish(tid as usize);
-                            Ok(v)
-                        }
-                        Ok(Err(e)) => {
-                            // Unclean exit: release this worker's locks
-                            // (session/transaction drop), promote any
-                            // waiters they unblocked, then leave the
-                            // schedule — `finish` hands the turn on —
-                            // so the rest can finish.
-                            drop(w);
-                            sim.on_release(tid as usize);
-                            sim.finish(tid as usize);
-                            Err(exit_error(e))
-                        }
-                        Err(payload) => {
-                            drop(w);
-                            sim.on_release(tid as usize);
-                            sim.finish(tid as usize);
-                            Err(panic_error(tid, payload))
-                        }
-                    }
-                }));
+        let sim = RefCell::new(Sim::with_policy(n, self.sched.as_ref().map(|c| c.build())));
+        let mut workers: Vec<Option<Worker<'_>>> = (0..n as u32)
+            .map(|tid| Some(Worker::new(self, tid, Some(&sim), f, &args(tid))))
+            .collect();
+        let mut results: Vec<Option<Result<i64, InterpError>>> = vec![None; n];
+        loop {
+            let next = sim.borrow_mut().next_runner();
+            let Some(tid) = next else { break };
+            let w = workers[tid]
+                .as_mut()
+                .expect("a thread that exited is never the next runner");
+            let result = match resume_contained(tid as u32, w) {
+                Ok(Step::Yield) => continue,
+                Ok(Step::Done(v)) => Ok(v),
+                Err(e) => Err(e),
+            };
+            // The worker goes first: one that failed may still hold
+            // locks or an open transaction, and its drop (session
+            // unwind-release, gate guard) frees them. The waiters that
+            // unblocks are promoted before the thread leaves the
+            // schedule, so the rest can finish.
+            workers[tid] = None;
+            if result.is_err() {
+                sim.borrow_mut().on_release(tid);
             }
-            handles
-                .into_iter()
-                .enumerate()
-                .map(|(tid, h)| h.join().unwrap_or_else(|p| Err(panic_error(tid as u32, p))))
-                .collect::<Result<Vec<i64>, InterpError>>()
-        });
+            sim.borrow_mut().finish(tid);
+            results[tid] = Some(result);
+        }
+        let sim = sim.borrow();
         let (yield_points, handoffs) = sim.yield_counts();
         self.sim_yield_points
             .fetch_add(yield_points, Ordering::Relaxed);
         self.sim_handoffs.fetch_add(handoffs, Ordering::Relaxed);
-        Ok((results?, sim.makespan()))
+        let results = results
+            .into_iter()
+            .map(|r| r.expect("the schedule drains only when every thread has exited"))
+            .collect::<Result<Vec<i64>, InterpError>>()?;
+        Ok((results, sim.makespan()))
     }
 
     /// Spawns `n` OS threads all running `name(args(tid))`, joining them

@@ -1,28 +1,24 @@
-//! The one-runner invariant of `interp::sim`, observed from outside:
-//! if exactly one virtual thread executes between two hand-offs, then
-//! how the host schedules the OS threads cannot leak into a run. Eight
+//! One virtual thread executes at a time, observed from outside: a
+//! virtual run is a function of its inputs and nothing else. Eight
 //! virtual threads fight over one reader/writer-contended pair of
 //! cells, under every wake policy, with and without delayed-wakeup
-//! faults; every one of [`RUNS`] unpinned repetitions must return the
-//! same per-thread results and makespan — and, traced, the same digest.
+//! faults; every one of [`RUNS`] repetitions must return the same
+//! per-thread results and makespan — and, traced, the same digest.
 //!
-//! Meaningful in `--release` on ≥ 2 cores (CI runs it that way, with
-//! `--test-threads=1` so the repetitions are not serialized by other
-//! tests): a second runner needs a second core to run beside the first.
-//! Every run sits under a watchdog — a lost wake-up fails, never hangs.
+//! The workers are resumed by one loop on the calling thread, so the
+//! host's scheduling cannot reach a run; what repetition inside one
+//! process can still catch is state that leaks from a run into the
+//! next — a static, an address or a hash order in a result.
 
 use interp::{ExecMode, FaultPlan, InterpError, Options, PolicyKind, SchedConfig};
-use std::sync::mpsc;
-use std::time::Duration;
 
 const THREADS: usize = 8;
 const RUNS: usize = 200;
-const WATCHDOG: Duration = Duration::from_secs(60);
 
 /// Writers bump both cells with a long hold; readers return what they
 /// saw, so any reordering of section grants changes a result. `r` is
 /// updated *outside* any section, right after a release — a data race
-/// on real threads, deterministic only if the releaser and the waiter
+/// on real threads, deterministic because the releaser and the waiter
 /// it just promoted never run side by side.
 const SRC: &str = r#"
     global a, b, r;
@@ -44,23 +40,6 @@ const SRC: &str = r#"
     }
 "#;
 
-/// Fails the test instead of hanging it when `f` blocks.
-fn watchdogged<T: Send + 'static>(label: String, f: impl FnOnce() -> T + Send + 'static) -> T {
-    let (tx, rx) = mpsc::channel();
-    let handle = std::thread::spawn(move || {
-        let _ = tx.send(f());
-    });
-    match rx.recv_timeout(WATCHDOG) {
-        Ok(v) => v,
-        Err(mpsc::RecvTimeoutError::Timeout) => {
-            panic!("{label}: still running after {WATCHDOG:?} — a lost wake-up")
-        }
-        Err(mpsc::RecvTimeoutError::Disconnected) => {
-            std::panic::resume_unwind(handle.join().expect_err("sender dropped by a panic"))
-        }
-    }
-}
-
 type Outcome = (Result<(Vec<i64>, u64), InterpError>, Option<String>);
 
 fn run(policy: Option<PolicyKind>, faults: Option<FaultPlan>, traced: bool) -> Outcome {
@@ -81,7 +60,7 @@ fn run(policy: Option<PolicyKind>, faults: Option<FaultPlan>, traced: bool) -> O
 }
 
 #[test]
-fn unpinned_runs_are_identical_under_every_policy_and_delayed_wakeups() {
+fn repeated_runs_are_identical_under_every_policy_and_delayed_wakeups() {
     let policies = [
         None,
         Some(PolicyKind::ShortestExpectedHold),
@@ -95,13 +74,10 @@ fn unpinned_runs_are_identical_under_every_policy_and_delayed_wakeups() {
         for plan in plans {
             for traced in [false, true] {
                 let label = format!("{policy:?} / {plan:?} / traced={traced}");
-                let (first, distinct) = watchdogged(label.clone(), move || {
-                    let first = run(policy, plan, traced);
-                    let distinct = (1..RUNS)
-                        .filter(|_| run(policy, plan, traced) != first)
-                        .count();
-                    (first, distinct)
-                });
+                let first = run(policy, plan, traced);
+                let distinct = (1..RUNS)
+                    .filter(|_| run(policy, plan, traced) != first)
+                    .count();
                 let (outcome, digest) = first;
                 let (results, makespan) = outcome.unwrap_or_else(|e| panic!("{label}: {e}"));
                 assert_eq!(digest.is_some(), traced);
@@ -118,40 +94,30 @@ fn unpinned_runs_are_identical_under_every_policy_and_delayed_wakeups() {
     }
 }
 
-/// Workers that die holding the turn — mid-section, holding the
-/// contended lock — hand it on: the run returns the typed error
-/// instead of hanging, every lock is released, the survivors complete
-/// all their sections, and the last clock anyone reaches is the one
-/// the broadcast scheduler produced for this seed.
+/// Workers that die mid-section, holding the contended lock, leave the
+/// schedule running: the run returns the typed error, every lock is
+/// released, the survivors complete all their sections, and the last
+/// clock anyone reaches is the one the OS-thread scheduler produced
+/// for this seed.
 #[test]
-fn an_injected_panic_under_virtual_time_hands_the_turn_on() {
+fn an_injected_panic_under_virtual_time_leaves_the_rest_running() {
     const ITERS: u64 = 12;
-    let (err, quiescent, last_clock, exits, panics) =
-        watchdogged("panic under virtual time".into(), || {
-            let opts = Options {
-                heap_cells: 1 << 10,
-                faults: Some(FaultPlan::new(0xBAD).with_panics(3, 1)),
-                trace: Some(trace::TraceConfig::default()),
-                ..Options::default()
-            };
-            let m =
-                interp::machine_for(SRC, 3, ExecMode::MultiGrain, opts).expect("fixture compiles");
-            let err = m
-                .run_threads_virtual("work", THREADS, |tid| vec![ITERS as i64, tid as i64])
-                .unwrap_err();
-            let trace = m.take_trace().expect("tracing was enabled");
-            let last_clock = trace.events.iter().map(|e| e.clock).max();
-            let count = |kind| trace.counts().get(kind).copied().unwrap_or(0);
-            (
-                err,
-                m.locks_quiescent(),
-                last_clock,
-                count("section_exit"),
-                count("fault"),
-            )
-        });
+    let opts = Options {
+        heap_cells: 1 << 10,
+        faults: Some(FaultPlan::new(0xBAD).with_panics(3, 1)),
+        trace: Some(trace::TraceConfig::default()),
+        ..Options::default()
+    };
+    let m = interp::machine_for(SRC, 3, ExecMode::MultiGrain, opts).expect("fixture compiles");
+    let err = m
+        .run_threads_virtual("work", THREADS, |tid| vec![ITERS as i64, tid as i64])
+        .unwrap_err();
+    let trace = m.take_trace().expect("tracing was enabled");
+    let last_clock = trace.events.iter().map(|e| e.clock).max();
+    let count = |kind| trace.counts().get(kind).copied().unwrap_or(0);
+    let (exits, panics) = (count("section_exit"), count("fault"));
     assert!(matches!(err, InterpError::InjectedPanic { .. }), "{err}");
-    assert!(quiescent, "locks leaked past the panic");
+    assert!(m.locks_quiescent(), "locks leaked past the panic");
     assert!(
         (1..THREADS as u64).contains(&panics),
         "{panics} of {THREADS} workers died: the fixture needs both kinds"
@@ -163,6 +129,6 @@ fn an_injected_panic_under_virtual_time_hands_the_turn_on() {
     assert_eq!((last_clock, exits, panics), PARENT_RUN);
 }
 
-/// `(max event clock, section exits, deaths)` of the run above at the
-/// parent commit (broadcast scheduler).
+/// `(max event clock, section exits, deaths)` of the run above when
+/// virtual threads were OS threads.
 const PARENT_RUN: (Option<u64>, u64, u64) = (Some(9228), 75, 2);

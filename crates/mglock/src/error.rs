@@ -13,15 +13,16 @@ pub enum MgLockError {
     /// The acquisition exceeded [`crate::RuntimeConfig::acquire_timeout`].
     /// Locks acquired earlier in the batch have been released.
     AcquireTimeout,
-    /// The wait-for graph contains a cycle through this thread — a
+    /// The wait-for graph contains a cycle through this session — a
     /// locking-protocol violation (the protocol's global order makes
     /// cycles impossible for conforming callers). The cycle lists the
-    /// runtime-assigned thread ids involved, in canonical form: rotated
-    /// so the smallest tid comes first, making reports byte-identical
-    /// regardless of which thread on the cycle detected it.
+    /// runtime-assigned ids of the sessions involved, in canonical
+    /// form: rotated so the smallest id comes first, making reports
+    /// byte-identical regardless of which session on the cycle
+    /// detected it.
     DeadlockDetected {
-        /// Thread ids (see [`crate::Runtime`]'s wait-graph ids) forming
-        /// the cycle.
+        /// Session ids (in [`crate::Session::new`] order per runtime)
+        /// forming the cycle.
         cycle: Vec<u64>,
     },
 }
@@ -35,7 +36,7 @@ impl std::fmt::Display for MgLockError {
             MgLockError::DeadlockDetected { cycle } => {
                 write!(
                     f,
-                    "deadlock detected: wait-for cycle through threads {cycle:?}"
+                    "deadlock detected: wait-for cycle through sessions {cycle:?}"
                 )
             }
         }

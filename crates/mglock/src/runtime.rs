@@ -150,7 +150,7 @@ pub struct RuntimeConfig {
     /// block on a single node before failing with
     /// [`MgLockError::AcquireTimeout`].
     pub acquire_timeout: Option<Duration>,
-    /// Maintain a thread-keyed wait-for graph and fail acquisitions
+    /// Maintain a wait-for graph over sessions and fail acquisitions
     /// that would close a cycle with
     /// [`MgLockError::DeadlockDetected`]. Cycles cannot arise from
     /// conforming use of the protocol; this catches misuse such as
@@ -159,27 +159,48 @@ pub struct RuntimeConfig {
 }
 
 /// Wait-for bookkeeping, maintained only when
-/// [`RuntimeConfig::detect_deadlocks`] is set. Keyed by per-thread ids
-/// (not sessions): a thread blocked through one session while holding
-/// locks through another is exactly the misuse worth catching.
+/// [`RuntimeConfig::detect_deadlocks`] is set. Holders and waiters are
+/// [`Session`]s, by the id each takes at [`Session::new`] — not OS
+/// threads: a virtual-time run steps many sessions on one. A session
+/// that blocks takes its OS thread with it, though, so a waiter is
+/// filed with the thread it blocked ([`Blocker`]) and stands for every
+/// session that thread was granted locks through: a thread blocked
+/// through one session while holding locks through another is exactly
+/// the misuse worth catching.
 #[derive(Default)]
 struct WaitGraph {
-    holders: HashMap<NodeKey, Vec<(u64, Mode)>>,
-    waiting: HashMap<u64, (NodeKey, Mode)>,
+    holders: HashMap<NodeKey, Vec<(Blocker, Mode)>>,
+    waiting: HashMap<u64, (Blocker, NodeKey, Mode)>,
+}
+
+/// Who holds or awaits a grant: the session, and the OS thread that
+/// drove it there.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+struct Blocker {
+    session: u64,
+    thread: u64,
+}
+
+impl Blocker {
+    /// Whether `self` blocking leaves `other` stuck: the same session,
+    /// or one driven by the same (blocked) thread.
+    fn stalls(self, other: Blocker) -> bool {
+        self.session == other.session || self.thread == other.thread
+    }
 }
 
 impl WaitGraph {
-    /// Looks for a conflict cycle starting from `tid` requesting
+    /// Looks for a conflict cycle starting from `who` requesting
     /// `mode` on `key`. Edges: requester → conflicting holder → the
-    /// node that holder's thread is blocked on → … Returns the thread
-    /// ids on the cycle in canonical form: rotated so the smallest tid
-    /// comes first, keeping error reports (and the chaos-suite digests
-    /// built from them) byte-identical no matter which thread on the
-    /// cycle happened to detect it.
-    fn find_cycle(&self, tid: u64, key: NodeKey, mode: Mode) -> Option<Vec<u64>> {
-        let mut path = vec![tid];
-        let mut visited = vec![tid];
-        let mut cycle = self.dfs(tid, key, mode, &mut path, &mut visited)?;
+    /// node that holder (or its thread) is blocked on → … Returns the
+    /// session ids on the cycle in canonical form: rotated so the
+    /// smallest id comes first, keeping error reports (and the
+    /// chaos-suite digests built from them) byte-identical no matter
+    /// which session on the cycle happened to detect it.
+    fn find_cycle(&self, who: Blocker, key: NodeKey, mode: Mode) -> Option<Vec<u64>> {
+        let mut path = vec![who.session];
+        let mut visited = vec![who.session];
+        let mut cycle = self.dfs(who, key, mode, &mut path, &mut visited)?;
         let min = cycle
             .iter()
             .enumerate()
@@ -192,7 +213,7 @@ impl WaitGraph {
 
     fn dfs(
         &self,
-        origin: u64,
+        origin: Blocker,
         key: NodeKey,
         mode: Mode,
         path: &mut Vec<u64>,
@@ -202,17 +223,19 @@ impl WaitGraph {
             if held.compatible(mode) {
                 continue;
             }
-            if holder == origin {
-                // A conflicting grant held by the requester itself — the
-                // degenerate self-deadlock (e.g. an S→X upgrade attempt).
+            if origin.stalls(holder) {
+                // A conflicting grant the blocked requester would have
+                // to release itself — the degenerate self-deadlock
+                // (e.g. an S→X upgrade attempt).
                 return Some(path.clone());
             }
-            if visited.contains(&holder) {
+            if visited.contains(&holder.session) {
                 continue;
             }
-            visited.push(holder);
-            if let Some(&(next_key, next_mode)) = self.waiting.get(&holder) {
-                path.push(holder);
+            visited.push(holder.session);
+            let blocked = self.waiting.values().find(|(w, ..)| w.stalls(holder));
+            if let Some(&(waiter, next_key, next_mode)) = blocked {
+                path.push(waiter.session);
                 if let Some(cycle) = self.dfs(origin, next_key, next_mode, path, visited) {
                     return Some(cycle);
                 }
@@ -254,6 +277,8 @@ pub struct Runtime {
     stats: Stats,
     config: RuntimeConfig,
     graph: Mutex<WaitGraph>,
+    /// The id the next [`Session`] takes.
+    next_session: AtomicU64,
 }
 
 impl fmt::Debug for Runtime {
@@ -277,8 +302,9 @@ const N_SHARDS: usize = 64;
 /// wait-for graph (a cycle may only close after we start waiting).
 const DETECT_RECHECK: Duration = Duration::from_millis(10);
 
-/// Runtime-assigned id of the calling thread, used as the wait-graph
-/// key (stable, small, and printable — unlike `std::thread::ThreadId`).
+/// Runtime-assigned id of the calling thread, for the wait graph's
+/// "which thread does this block" (stable, small, and printable —
+/// unlike `std::thread::ThreadId`).
 fn graph_tid() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(1);
     thread_local! {
@@ -303,6 +329,7 @@ impl Runtime {
             stats: Stats::default(),
             config,
             graph: Mutex::new(WaitGraph::default()),
+            next_session: AtomicU64::new(1),
         }
     }
 
@@ -336,6 +363,7 @@ impl Runtime {
     /// close after we block). With neither it blocks for real.
     fn acquire_node_checked(
         &self,
+        session: u64,
         key: NodeKey,
         node: &ModeLock,
         mode: Mode,
@@ -345,12 +373,16 @@ impl Runtime {
         }
         let cfg = self.config;
         let deadline = cfg.acquire_timeout.map(|t| Instant::now() + t);
+        let who = Blocker {
+            session,
+            thread: graph_tid(),
+        };
         if cfg.detect_deadlocks {
-            self.graph.lock().waiting.insert(graph_tid(), (key, mode));
+            self.graph.lock().waiting.insert(session, (who, key, mode));
         }
         let result = loop {
             if cfg.detect_deadlocks {
-                let cycle = self.graph.lock().find_cycle(graph_tid(), key, mode);
+                let cycle = self.graph.lock().find_cycle(who, key, mode);
                 if let Some(cycle) = cycle {
                     self.stats
                         .deadlocks_detected
@@ -370,27 +402,33 @@ impl Runtime {
             }
         };
         if cfg.detect_deadlocks {
-            self.graph.lock().waiting.remove(&graph_tid());
+            self.graph.lock().waiting.remove(&session);
         }
         result
     }
 
-    fn note_granted(&self, key: NodeKey, mode: Mode) {
+    fn note_granted(&self, session: u64, key: NodeKey, mode: Mode) {
         if self.config.detect_deadlocks {
+            let who = Blocker {
+                session,
+                thread: graph_tid(),
+            };
             self.graph
                 .lock()
                 .holders
                 .entry(key)
                 .or_default()
-                .push((graph_tid(), mode));
+                .push((who, mode));
         }
     }
 
-    fn note_released(&self, key: NodeKey, mode: Mode) {
+    fn note_released(&self, session: u64, key: NodeKey, mode: Mode) {
         if self.config.detect_deadlocks {
-            let tid = graph_tid();
             if let Some(hs) = self.graph.lock().holders.get_mut(&key) {
-                if let Some(i) = hs.iter().position(|&(t, m)| t == tid && m == mode) {
+                let granted = hs
+                    .iter()
+                    .position(|&(h, m)| h.session == session && m == mode);
+                if let Some(i) = granted {
                     hs.swap_remove(i);
                 }
             }
@@ -413,6 +451,8 @@ pub enum StepResult {
 /// level of §5.3.
 pub struct Session {
     rt: Arc<Runtime>,
+    /// This session's name in the runtime's wait-for graph.
+    id: u64,
     pending: Vec<Descriptor>,
     held: Vec<(NodeKey, Arc<ModeLock>, Mode)>,
     nlevel: u32,
@@ -437,8 +477,10 @@ impl fmt::Debug for Session {
 impl Session {
     /// Creates a session bound to a shared runtime.
     pub fn new(rt: Arc<Runtime>) -> Self {
+        let id = rt.next_session.fetch_add(1, Ordering::Relaxed);
         Session {
             rt,
+            id,
             pending: Vec::new(),
             held: Vec::new(),
             nlevel: 0,
@@ -529,7 +571,7 @@ impl Session {
                 .stats
                 .node_acquisitions
                 .fetch_add(1, Ordering::Relaxed);
-            self.rt.note_granted(key, mode);
+            self.rt.note_granted(self.id, key, mode);
             if let Some(obs) = &self.observer {
                 obs.lock_acquired(key, mode);
             }
@@ -545,7 +587,7 @@ impl Session {
     fn release_held(&mut self) {
         for (key, node, mode) in self.held.drain(..).rev() {
             node.release(mode);
-            self.rt.note_released(key, mode);
+            self.rt.note_released(self.id, key, mode);
             if let Some(obs) = &self.observer {
                 obs.lock_released(key, mode);
             }
@@ -577,8 +619,11 @@ impl Session {
     /// [`MgLockError::DeadlockDetected`] when this acquisition would
     /// close a wait-for cycle (a locking-protocol violation).
     pub fn acquire_all_checked(&mut self) -> Result<(), MgLockError> {
-        self.advance(|rt, key, node, mode| rt.acquire_node_checked(key, node, mode).map(|()| true))
-            .map(|_| ())
+        let id = self.id;
+        self.advance(|rt, key, node, mode| {
+            rt.acquire_node_checked(id, key, node, mode).map(|()| true)
+        })
+        .map(|_| ())
     }
 
     /// Non-blocking variant of [`Session::acquire_all`] for cooperative
@@ -660,24 +705,63 @@ mod graph_tests {
         let mut g = WaitGraph::default();
         let k1 = NodeKey::Fine(0, FineAddr::Cell(1));
         let k2 = NodeKey::Fine(0, FineAddr::Cell(2));
-        g.holders.insert(k1, vec![(1, Mode::S)]);
-        g.holders.insert(k2, vec![(2, Mode::X)]);
-        g.waiting.insert(1, (k2, Mode::X));
+        let (s1, s2) = (on_own_thread(1), on_own_thread(2));
+        g.holders.insert(k1, vec![(s1, Mode::S)]);
+        g.holders.insert(k2, vec![(s2, Mode::X)]);
+        g.waiting.insert(1, (s1, k2, Mode::X));
         // Canonical rotation: the cycle 2 → 1 reports as [1, 2].
-        assert_eq!(g.find_cycle(2, k1, Mode::X), Some(vec![1, 2]));
+        assert_eq!(g.find_cycle(s2, k1, Mode::X), Some(vec![1, 2]));
         // A compatible holder does not form an edge: IS coexists with
         // the S grant, so there is nothing to wait for.
-        assert_eq!(g.find_cycle(2, k1, Mode::Is), None);
+        assert_eq!(g.find_cycle(s2, k1, Mode::Is), None);
         // Without the wait edge there is no cycle.
         g.waiting.clear();
-        assert_eq!(g.find_cycle(2, k1, Mode::X), None);
+        assert_eq!(g.find_cycle(s2, k1, Mode::X), None);
     }
 
     #[test]
     fn self_upgrade_is_a_degenerate_cycle() {
         let mut g = WaitGraph::default();
         let k = NodeKey::Pts(3);
-        g.holders.insert(k, vec![(7, Mode::S)]);
-        assert_eq!(g.find_cycle(7, k, Mode::X), Some(vec![7]));
+        g.holders.insert(k, vec![(on_own_thread(7), Mode::S)]);
+        assert_eq!(g.find_cycle(on_own_thread(7), k, Mode::X), Some(vec![7]));
+    }
+
+    #[test]
+    fn sessions_sharing_a_thread_are_told_apart() {
+        // Two sessions stepped by one OS thread — two virtual threads —
+        // hold `S` on one node. Releasing one must strike that one's
+        // grant, not "this thread's".
+        let rt = Arc::new(Runtime::with_config(RuntimeConfig {
+            acquire_timeout: None,
+            detect_deadlocks: true,
+        }));
+        let read_root = Descriptor::Global {
+            access: Access::Read,
+        };
+        let mut a = Session::new(Arc::clone(&rt));
+        let mut b = Session::new(Arc::clone(&rt));
+        for s in [&mut a, &mut b] {
+            s.to_acquire(read_root);
+            assert_eq!(s.acquire_all_step(), StepResult::Done);
+        }
+        let holders = |rt: &Runtime| -> Vec<(u64, Mode)> {
+            let g = rt.graph.lock();
+            let hs = g.holders.get(&NodeKey::Root).cloned().unwrap_or_default();
+            hs.into_iter().map(|(h, m)| (h.session, m)).collect()
+        };
+        assert_eq!(holders(&rt), vec![(a.id, Mode::S), (b.id, Mode::S)]);
+        a.release_all();
+        assert_eq!(holders(&rt), vec![(b.id, Mode::S)]);
+        b.release_all();
+        assert_eq!(holders(&rt), vec![]);
+    }
+
+    /// A session alone on a thread of its own.
+    fn on_own_thread(id: u64) -> Blocker {
+        Blocker {
+            session: id,
+            thread: id,
+        }
     }
 }
