@@ -25,10 +25,12 @@
 //!   deterministic virtual-time scheduler with event tracing on, prints
 //!   the lockset-validation verdict and per-section profiles, and —
 //!   with `--out` — writes the self-describing trace as canonical JSON.
-//!   `--metrics FILE` arms the run with a live [`obs::Registry`]
-//!   (through [`atomic_lock_inference::Pipeline`]) and writes its
-//!   snapshot as canonical metrics JSON; the recorded trace is
-//!   byte-identical either way.
+//!   `--metrics FILE` writes the run's whole metric snapshot as
+//!   canonical metrics JSON: everything `metrics` below derives from
+//!   the trace just recorded, merged with the `ali_run_*` end-of-run
+//!   gauges only the live machine knows (scraped into an
+//!   [`obs::Registry`] by [`atomic_lock_inference::Pipeline`]); the
+//!   recorded trace is byte-identical either way.
 //! * `validate` re-checks a trace file against the Eraser-style
 //!   lockset discipline (every in-section access licensed by a held
 //!   lock at the right mode).
@@ -187,9 +189,9 @@ fn cmd_record(args: &[String]) -> Result<ExitCode, String> {
     cfg.faults = faults;
     cfg.sentinel = sentinel.then_some(preset);
     cfg.weaken = weaken;
-    // A metrics-armed run goes through the Pipeline so the live
-    // registry rides along; the recorded trace is byte-identical to
-    // the plain path either way.
+    // A metrics-armed run goes through the Pipeline so a registry
+    // collects the machine's end-of-run gauges; the recorded trace is
+    // byte-identical to the plain path either way.
     let registry = metrics.as_ref().map(|_| Arc::new(obs::Registry::new()));
     let rec = match &registry {
         Some(reg) => Pipeline::new(cfg)
@@ -212,7 +214,9 @@ fn cmd_record(args: &[String]) -> Result<ExitCode, String> {
     );
     let ok = report(&rec.trace);
     if let (Some(path), Some(reg)) = (&metrics, &registry) {
-        cli::write_text(path, &reg.snapshot().to_json())?;
+        let mut snap = reg.snapshot();
+        snap.merge(obs::from_trace(&rec.trace));
+        cli::write_text(path, &snap.to_json())?;
     }
     if let Some(path) = out {
         cli::write_text(&path, &rec.trace.to_json())?;

@@ -28,7 +28,6 @@
 mod error;
 pub mod fault;
 mod machine;
-mod metrics;
 pub mod sim;
 mod worker;
 
@@ -37,7 +36,6 @@ pub use fault::{FaultPlan, FaultStats, WeakenPlan};
 pub use machine::{ExecMode, Machine, Options, RepairSpec};
 pub use sched::{PolicyKind, ReaderBatch, SchedConfig};
 pub use sentinel::SentinelConfig;
-pub use sim::CostModel;
 
 use std::sync::Arc;
 

@@ -56,8 +56,6 @@ pub struct Options {
     pub seed: u64,
     /// Virtual-time scheduling quantum, in ticks (see [`crate::sim`]).
     pub quantum: u64,
-    /// Virtual-time costs of runtime operations.
-    pub costs: crate::sim::CostModel,
     /// Deterministic fault-injection plan (`None` = no injection).
     pub faults: Option<crate::fault::FaultPlan>,
     /// STM degradation: aborts one section may suffer before its next
@@ -92,12 +90,6 @@ pub struct Options {
     /// (empty = none). Installed dormant into the sentinel at
     /// construction; inert without one.
     pub repairs: Vec<RepairSpec>,
-    /// Live metrics registry (`None` = off, zero overhead). When set,
-    /// the run publishes `ali_run_*` counters/histograms from
-    /// pre-resolved lock-free handles plus end-of-run gauges via
-    /// [`Machine::publish_metrics`]. Metrics never influence the
-    /// deterministic schedule or the recorded trace.
-    pub metrics: Option<Arc<obs::Registry>>,
 }
 
 impl Default for Options {
@@ -106,7 +98,6 @@ impl Default for Options {
             heap_cells: 1 << 22,
             seed: 0x5EED_0001,
             quantum: 128,
-            costs: crate::sim::CostModel::default(),
             faults: None,
             stm_abort_budget: 1024,
             mg_config: mglock::RuntimeConfig::default(),
@@ -115,7 +106,6 @@ impl Default for Options {
             weaken: None,
             sched: None,
             repairs: Vec::new(),
-            metrics: None,
         }
     }
 }
@@ -188,8 +178,6 @@ pub struct Machine {
     /// consults these only while the sentinel reports the section's
     /// repair as active.
     pub(crate) repairs: std::collections::BTreeMap<u32, Vec<lir::LockSpec>>,
-    /// Pre-resolved live-metric handles (see [`Options::metrics`]).
-    pub(crate) metrics: Option<Arc<crate::metrics::Metrics>>,
 }
 
 impl std::fmt::Debug for Machine {
@@ -285,7 +273,7 @@ impl Machine {
             out: Mutex::new(Vec::new()),
             seed: opts.seed,
             quantum: opts.quantum,
-            costs: opts.costs,
+            costs: crate::sim::CostModel::default(),
             faults: opts.faults,
             stm_abort_budget: opts.stm_abort_budget,
             fault_stats: crate::fault::FaultStats::default(),
@@ -298,9 +286,6 @@ impl Machine {
             weaken: opts.weaken,
             sched: opts.sched,
             repairs: std::collections::BTreeMap::new(),
-            metrics: opts
-                .metrics
-                .map(|reg| Arc::new(crate::metrics::Metrics::new(reg))),
         };
         for r in opts.repairs {
             if let Some(s) = &m.sentinel {
@@ -361,6 +346,16 @@ impl Machine {
     /// Multi-grain lock runtime statistics.
     pub fn mg_stats(&self) -> &mglock::Stats {
         self.mg.stats()
+    }
+
+    /// `(scheduling points, hand-offs)` of every virtual run so far:
+    /// how often a worker re-entered the schedule, and how many of
+    /// those made another thread the runner.
+    pub fn sim_counts(&self) -> (u64, u64) {
+        (
+            self.sim_yield_points.load(Ordering::Relaxed),
+            self.sim_handoffs.load(Ordering::Relaxed),
+        )
     }
 
     /// Counters of faults actually injected (all zero without a plan).

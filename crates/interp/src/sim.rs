@@ -6,7 +6,7 @@
 //! CPU or several, loaded or idle — so nothing here depends on how
 //! many it has. Each logical thread carries a *virtual clock* (1 tick
 //! per interpreted instruction; nop loops cost their count; locking
-//! and STM operations are charged via [`CostModel`]), and exactly one
+//! and STM operations are charged via `CostModel`), and exactly one
 //! thread executes at a time — always the `Ready` one with the
 //! smallest `(clock, rank, tid)` — so interleavings are deterministic,
 //! and:
@@ -60,7 +60,7 @@ use sched::{rank_batch, Waiter, WakeGrant, WakePolicy};
 /// Virtual-time costs of runtime operations, in ticks (one tick ≈ one
 /// interpreted instruction ≈ 1 ns of the reported time).
 #[derive(Clone, Copy, Debug)]
-pub struct CostModel {
+pub(crate) struct CostModel {
     /// Per lock-tree node acquired at `acquire_all`.
     pub lock_node: u64,
     /// Per lock descriptor evaluated at section entry.

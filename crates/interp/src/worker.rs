@@ -246,11 +246,6 @@ pub(crate) struct Worker<'m> {
     /// section execution; consumed at close — dirty executions do not
     /// count toward a quarantined section's probation.
     section_violated: bool,
-    /// Outermost lock-section enter / plan-acquisition clocks feeding
-    /// the live `ali_run_section_{wait,hold}_ticks` histograms
-    /// (meaningful only while [`Machine::metrics`] is armed).
-    sect_enter_clock: u64,
-    sect_plan_clock: u64,
 }
 
 impl<'m> Worker<'m> {
@@ -304,8 +299,6 @@ impl<'m> Worker<'m> {
             revalidating: false,
             accesses: 0,
             section_violated: false,
-            sect_enter_clock: 0,
-            sect_plan_clock: 0,
         }
     }
 
@@ -365,10 +358,6 @@ impl<'m> Worker<'m> {
         let Some(sim) = self.sim else { return Ok(()) };
         self.sync_trace_clock();
         sim.borrow_mut().on_release_with(self.tid as usize, |g| {
-            if let Some(mx) = &self.m.metrics {
-                mx.wake_decisions.inc();
-                mx.wake_woken.add(g.woken as u64);
-            }
             if let Some(t) = &self.tracer {
                 t.record(trace::EventKind::WakeDecision {
                     node: g.node,
@@ -588,9 +577,6 @@ impl<'m> Worker<'m> {
         self.sync_trace_clock();
         m.space.note_abort_by(self.tid as u64);
         self.section_aborts += 1;
-        if let Some(mx) = &m.metrics {
-            mx.section_retries.inc();
-        }
         if self.section_aborts >= m.stm_abort_budget {
             // Starving: the next attempt runs irrevocably (see
             // `section_enter`).
@@ -1112,35 +1098,10 @@ impl<'m> Worker<'m> {
     }
 
     // ------------------------------------------------------------------
-    // Live metrics (all no-ops when the machine has no registry)
-
-    /// Marks the outermost acquisition point: wait ends here, hold
-    /// begins. Lock modes only — STM has no plan to complete.
-    fn metric_plan_complete(&mut self) {
-        let m = self.m;
-        if let Some(mx) = &m.metrics {
-            let now = self.now();
-            mx.wait_ticks
-                .observe(now.saturating_sub(self.sect_enter_clock));
-            self.sect_plan_clock = now;
-        }
-    }
-
-    /// Closes the outermost lock section's hold interval.
-    fn metric_section_closed(&mut self) {
-        let m = self.m;
-        if let Some(mx) = &m.metrics {
-            mx.hold_ticks
-                .observe(self.now().saturating_sub(self.sect_plan_clock));
-        }
-    }
-
-    // ------------------------------------------------------------------
     // Fault injection points (all no-ops without a plan)
 
     /// Accounts for one injected fault everywhere it is counted: the
-    /// machine's [`FaultStats`](crate::FaultStats), the trace, the live
-    /// registry.
+    /// machine's [`FaultStats`](crate::FaultStats) and the trace.
     fn note_fault(&self, class: FaultClass) {
         let stats = &self.m.fault_stats;
         let fired = match class {
@@ -1151,9 +1112,6 @@ impl<'m> Worker<'m> {
         };
         fired.fetch_add(1, Ordering::Relaxed);
         self.trace_event(trace::EventKind::Fault { class });
-        if let Some(mx) = &self.m.metrics {
-            mx.fault(class);
-        }
     }
 
     /// Injected mid-section panic: fires only inside an atomic section
@@ -1294,9 +1252,6 @@ impl<'m> Worker<'m> {
                     // an entry; lock grants follow at the outermost
                     // level only.
                     self.trace_event(trace::EventKind::SectionEnter { section: sid.0 });
-                    if let Some(mx) = &m.metrics {
-                        mx.section_entries.inc();
-                    }
                     match m.mode {
                         ExecMode::Global => {
                             let outermost = self.session.nesting_level() == 0;
@@ -1329,7 +1284,8 @@ impl<'m> Worker<'m> {
                 Enter::Global { outermost } => {
                     self.acquire_session(1)?;
                     if outermost {
-                        self.plan_complete();
+                        // The acquisition point: the plan is granted.
+                        self.trace_event(trace::EventKind::PlanComplete);
                     }
                     return self.entered(false);
                 }
@@ -1363,7 +1319,7 @@ impl<'m> Worker<'m> {
                     // markers from later retries mark revalidation —
                     // `trace::profile` counts them apart instead of
                     // moving the split point.
-                    self.plan_complete();
+                    self.trace_event(trace::EventKind::PlanComplete);
                     // Fine descriptors were evaluated *before* blocking.
                     // If the guarded structure moved while this thread
                     // waited (e.g. a concurrent section resized the
@@ -1379,9 +1335,6 @@ impl<'m> Worker<'m> {
                     m.fault_stats
                         .lock_revalidations
                         .fetch_add(1, Ordering::Relaxed);
-                    if let Some(mx) = &m.metrics {
-                        mx.revalidations.inc();
-                    }
                     self.session.release_all();
                     self.enter = Enter::Plan;
                     self.sim_release()?;
@@ -1432,7 +1385,6 @@ impl<'m> Worker<'m> {
     fn open_section(&mut self, sid: SectionId) {
         self.current_section = sid;
         self.section_violated = false;
-        self.sect_enter_clock = self.now();
     }
 
     /// Queues the one-lock plan — `⊤` in `X` — that every Global-mode
@@ -1441,12 +1393,6 @@ impl<'m> Worker<'m> {
         self.session.to_acquire(Descriptor::Global {
             access: Access::Write,
         });
-    }
-
-    /// Marks the outermost acquisition point: the plan is granted.
-    fn plan_complete(&mut self) {
-        self.trace_event(trace::EventKind::PlanComplete);
-        self.metric_plan_complete();
     }
 
     /// How a multi-grain section entry acquires: covered by the outer
@@ -1589,10 +1535,6 @@ impl<'m> Worker<'m> {
                     self.injected_wakeup_delay()?;
                 }
                 Acquire::Granted => {
-                    if let Some(mx) = &m.metrics {
-                        mx.lock_acquisitions
-                            .add((self.session.held_count() - self.held_before) as u64);
-                    }
                     self.acquire = Acquire::Start;
                     return Ok(());
                 }
@@ -1652,7 +1594,6 @@ impl<'m> Worker<'m> {
                     if self.session.nesting_level() > 0 {
                         return self.left(false);
                     }
-                    self.metric_section_closed();
                     self.exit = Exit::Released;
                     self.sim_release()?;
                 }

@@ -1,49 +1,24 @@
 //! Trace-derived metric snapshots.
 //!
-//! [`from_trace`] maps a recorded `ali-trace-v1` trace onto the same
-//! metric vocabulary the live [`Registry`](crate::Registry) speaks —
-//! a pure function of the trace bytes, so two snapshots derived from
-//! the same recording are byte-identical no matter how many analysis
-//! or eval threads produced it. The shape is fixed: every kind/mode/
-//! class series is always present (zero-valued when unseen), and
-//! per-section series follow the `trace::profile` section set.
+//! [`from_trace`] maps a recorded `ali-trace-v1` trace onto the `ali_*`
+//! metric vocabulary — its one implementation, and a pure function of
+//! the trace bytes, so two snapshots derived from the same recording
+//! are byte-identical no matter how many analysis or eval threads
+//! produced it. The shape is fixed: every kind/mode/class series is
+//! always present (zero-valued when unseen), and per-section series
+//! follow the `trace::profile` section set.
 
-use crate::{HistData, Key, Snapshot};
+use crate::{Key, Snapshot};
 use mglock::modes::ALL_MODES;
 use mglock::NodeKey;
 use trace::{EventKind, FaultClass, Trace};
 
-/// All event kinds, in the canonical `Trace::counts` vocabulary.
-const EVENT_KINDS: [&str; 15] = [
-    "alloc",
-    "fault",
-    "lock_acquire",
-    "lock_release",
-    "plan_complete",
-    "quarantine",
-    "read",
-    "reinfer",
-    "section_enter",
-    "section_exit",
-    "stm_abort",
-    "stm_commit",
-    "stm_fallback",
-    "wake_decision",
-    "write",
-];
-
-/// Derives the canonical metrics snapshot of a recorded trace.
+/// Derives the canonical metrics snapshot of a recorded trace, in one
+/// walk over its events.
 pub fn from_trace(t: &Trace) -> Snapshot {
     let mut snap = Snapshot::default();
 
-    let counts = t.counts();
-    for kind in EVENT_KINDS {
-        snap.counters.push((
-            Key::labelled("ali_trace_events_total", "kind", kind),
-            counts.get(kind).copied().unwrap_or(0),
-        ));
-    }
-
+    let mut kinds = [0u64; EventKind::NAMES.len()];
     let mut acquires = [0u64; ALL_MODES.len()];
     let mut wake_by_class = [0u64; NodeKey::CLASSES.len()];
     let mut faults = [0u64; FaultClass::ALL.len()];
@@ -53,11 +28,14 @@ pub fn from_trace(t: &Trace) -> Snapshot {
     let (mut repairs_on, mut repairs_off) = (0u64, 0u64);
     let mut threads: Vec<u32> = Vec::new();
     let mut makespan = 0u64;
+    let mut profiler = trace::profile::Profiler::default();
     for e in &t.events {
         if let Err(i) = threads.binary_search(&e.tid) {
             threads.insert(i, e.tid);
         }
         makespan = makespan.max(e.clock);
+        kinds[e.kind.index()] += 1;
+        profiler.step(e);
         match e.kind {
             EventKind::LockAcquire { mode, .. } => {
                 acquires[ALL_MODES.iter().position(|&m| m == mode).unwrap()] += 1;
@@ -93,6 +71,10 @@ pub fn from_trace(t: &Trace) -> Snapshot {
             _ => {}
         }
     }
+    for (kind, n) in EventKind::NAMES.iter().zip(kinds) {
+        snap.counters
+            .push((Key::labelled("ali_trace_events_total", "kind", kind), n));
+    }
     for (mode, n) in ALL_MODES.iter().zip(acquires) {
         snap.counters
             .push((Key::labelled("ali_lock_acquires_total", "mode", mode), n));
@@ -127,7 +109,7 @@ pub fn from_trace(t: &Trace) -> Snapshot {
     snap.gauges
         .push((Key::plain("ali_trace_makespan_ticks"), makespan));
 
-    for p in trace::profile(t) {
+    for p in profiler.finish() {
         snap.counters.push((
             Key::labelled("ali_section_entries_total", "section", p.section),
             p.entries,
@@ -138,15 +120,15 @@ pub fn from_trace(t: &Trace) -> Snapshot {
         ));
         snap.hists.push((
             Key::labelled("ali_section_wait_ticks", "section", p.section),
-            HistData::from_trace_hist(&p.wait),
+            p.wait,
         ));
         snap.hists.push((
             Key::labelled("ali_section_hold_ticks", "section", p.section),
-            HistData::from_trace_hist(&p.hold),
+            p.hold,
         ));
         snap.hists.push((
             Key::labelled("ali_section_revalidations", "section", p.section),
-            HistData::from_trace_hist(&p.revalidations),
+            p.revalidations,
         ));
     }
 
@@ -161,9 +143,16 @@ mod tests {
     #[test]
     fn empty_trace_yields_the_full_zero_shape() {
         let snap = from_trace(&Trace::default());
-        // 15 kinds + 5 modes + 4 node classes + 4 fault classes + 7
-        // plain counters, zero sections.
-        assert_eq!(snap.counters.len(), 35);
+        // One series per kind, mode, node class and fault class, plus
+        // 7 plain counters; zero sections.
+        assert_eq!(
+            snap.counters.len(),
+            EventKind::NAMES.len()
+                + ALL_MODES.len()
+                + NodeKey::CLASSES.len()
+                + FaultClass::ALL.len()
+                + 7
+        );
         assert!(snap.counters.iter().all(|(_, v)| *v == 0));
         assert_eq!(snap.gauges.len(), 3);
         assert!(snap.hists.is_empty());

@@ -5,11 +5,12 @@
 //! trace's total event order — so equal inputs export to equal bytes
 //! (the golden-file tests pin both formats).
 
-use crate::{HistData, Key, Snapshot};
+use crate::{Key, Snapshot};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use trace::json::push_escaped;
-use trace::{EventKind, Trace};
+use trace::sections::{Cursor, Step};
+use trace::{EventKind, Histogram, Trace};
 
 fn push_series_name(out: &mut String, key: &Key, suffix: &str, extra: Option<(&str, String)>) {
     out.push_str(&key.name);
@@ -62,7 +63,7 @@ fn bucket_le(i: usize) -> String {
     ((1u128 << (i + 1)) - 2).to_string()
 }
 
-fn push_hist(out: &mut String, key: &Key, h: &HistData) {
+fn push_hist(out: &mut String, key: &Key, h: &Histogram) {
     let mut cum = 0u64;
     for (i, b) in h.buckets.iter().enumerate() {
         cum += b;
@@ -96,15 +97,13 @@ pub fn prometheus(snap: &Snapshot) -> String {
 
 #[derive(Default)]
 struct ThreadProf {
+    sections: Cursor,
     /// Open frame indices, innermost last.
     stack: Vec<usize>,
     /// `(open?, frame, at)` events in thread order.
     events: Vec<(bool, usize, u64)>,
     start: Option<u64>,
     last: u64,
-    /// The top of `stack` is an outermost-section wait frame, closed
-    /// by the section's first `PlanComplete` (its acquisition point).
-    wait_open: bool,
 }
 
 impl ThreadProf {
@@ -141,38 +140,32 @@ pub fn speedscope(t: &Trace) -> String {
         let th = threads.entry(e.tid).or_default();
         th.start.get_or_insert(e.clock);
         th.last = th.last.max(e.clock);
-        match e.kind {
-            EventKind::SectionEnter { section } => {
-                let outermost = th.stack.is_empty();
+        match th.sections.step(e) {
+            step @ (Step::EnteredOutermost { section } | Step::EnteredNested { section }) => {
                 let f = frame_of(format!("section {section}"));
                 th.open(f, e.clock);
-                if outermost && has_plans {
+                if has_plans && matches!(step, Step::EnteredOutermost { .. }) {
                     let w = frame_of(format!("section {section} wait"));
                     th.open(w, e.clock);
-                    th.wait_open = true;
                 }
             }
             // Only the first completion ends the wait; revalidation
             // retries happen inside the hold interval.
-            EventKind::PlanComplete if th.wait_open => {
-                th.close_top(e.clock);
-                th.wait_open = false;
-            }
-            EventKind::SectionExit { .. } => {
-                if th.wait_open {
+            Step::Acquired { first: true } | Step::ExitedNested => th.close_top(e.clock),
+            Step::ExitedOutermost(x) => {
+                // No completion seen (truncation): the wait ends here too.
+                if has_plans && x.acquired.is_none() {
                     th.close_top(e.clock);
-                    th.wait_open = false;
                 }
                 th.close_top(e.clock);
             }
-            EventKind::StmAbort => {
+            Step::Aborted { .. } => {
                 // The attempt unwound: every open frame ends here.
                 while !th.stack.is_empty() {
                     th.close_top(e.clock);
                 }
-                th.wait_open = false;
             }
-            _ => {}
+            Step::Acquired { first: false } | Step::Other => {}
         }
     }
 
@@ -242,7 +235,7 @@ mod tests {
         snap.counters.push((Key::plain("c_total"), 2));
         snap.hists.push((
             Key::labelled("h_ticks", "section", 1),
-            HistData {
+            Histogram {
                 buckets: vec![1, 2],
                 count: 3,
                 sum: 4,

@@ -4,7 +4,7 @@
 //! `(name, labels)`, integers as plain `u64`s, no whitespace — so byte
 //! equality of two encodings is equality of the snapshots.
 
-use crate::{HistData, Key, Snapshot};
+use crate::{Key, Snapshot};
 use trace::json::push_escaped;
 
 pub(crate) const FORMAT: &str = "ali-metrics-v1";
@@ -38,7 +38,7 @@ fn push_scalars(out: &mut String, series: &[(Key, u64)]) {
     out.push(']');
 }
 
-fn push_hist(out: &mut String, h: &HistData) {
+fn push_hist(out: &mut String, h: &trace::Histogram) {
     out.push('[');
     for (i, b) in h.buckets.iter().enumerate() {
         if i > 0 {
@@ -50,7 +50,8 @@ fn push_hist(out: &mut String, h: &HistData) {
 }
 
 /// Encodes a snapshot; the caller is expected to have [`Snapshot::sort`]ed
-/// it (the [`crate::Registry`] and [`crate::from_trace`] paths both do).
+/// it (the [`crate::Registry`], [`crate::from_trace`] and
+/// [`Snapshot::merge`] paths all do).
 pub(crate) fn encode(snap: &Snapshot) -> String {
     let mut out = String::new();
     out.push_str("{\"format\":\"");

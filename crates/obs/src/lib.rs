@@ -1,13 +1,13 @@
 //! Unified observability layer (DESIGN.md §5.9).
 //!
-//! The runtime crates emit evidence two ways: *live*, through a
-//! [`Registry`] of relaxed-atomic counters, gauges, and log₂
-//! [histograms](Hist) whose handles are resolved once (at worker or
-//! machine construction) and incremented lock-free on the hot path;
-//! and *post-hoc*, by deriving the same metric vocabulary from a
-//! recorded trace ([`from_trace`]) — the latter is a pure function of
-//! the trace bytes, so snapshots are byte-identical at every analysis
-//! and eval thread count.
+//! A run's section, lock, fault, wake and STM metrics have one
+//! implementation: [`from_trace`], a pure function of the recorded
+//! trace bytes, so snapshots are byte-identical at every analysis and
+//! eval thread count. The interpreter emits events and nothing else.
+//! What no trace carries — the end-of-run totals only a live machine
+//! knows (`ali_run_*` gauges) and the harness's candidate counts
+//! (`ali_eval_*`) — goes through a [`Registry`] of named counters and
+//! gauges, written once per run, off every hot path.
 //!
 //! A [`Snapshot`] is the deterministic export surface: metrics sorted
 //! by `(name, labels)`, rendered as canonical JSON ([`Snapshot::to_json`],
@@ -26,9 +26,6 @@ pub use derive::from_trace;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// Log₂ histograms cover the full `u64` sample range.
-const HIST_BUCKETS: usize = 64;
 
 /// A monotone event counter. Cheap to clone (shares the cell).
 #[derive(Clone)]
@@ -70,77 +67,13 @@ impl Gauge {
     }
 }
 
-/// Shared storage of a live log₂ histogram (the atomic twin of
-/// `trace::Histogram`: bucket `i` counts samples `v` with
-/// `⌊log₂(v+1)⌋ == i`, so bucket 0 is exactly the zero samples).
-struct HistCell {
-    buckets: Vec<AtomicU64>,
-    count: AtomicU64,
-    sum: AtomicU64,
-    max: AtomicU64,
-}
-
-impl HistCell {
-    fn new() -> HistCell {
-        HistCell {
-            buckets: (0..HIST_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-        }
-    }
-}
-
-/// A log₂ histogram of `u64` samples, observable concurrently.
-#[derive(Clone)]
-pub struct Hist(Arc<HistCell>);
-
-impl Hist {
-    /// Records one sample (relaxed; saturating like
-    /// `trace::Histogram::add`).
-    #[inline]
-    pub fn observe(&self, v: u64) {
-        let idx = trace::Histogram::bucket_of(v);
-        self.0.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.0.count.fetch_add(1, Ordering::Relaxed);
-        // `sum` may saturate conceptually; wrapping is acceptable for a
-        // diagnostic aggregate, but stay faithful to the trace twin.
-        let _ = self
-            .0
-            .sum
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {
-                Some(s.saturating_add(v))
-            });
-        self.0.max.fetch_max(v, Ordering::Relaxed);
-    }
-
-    fn data(&self) -> HistData {
-        let mut buckets: Vec<u64> = self
-            .0
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
-        while buckets.last() == Some(&0) {
-            buckets.pop();
-        }
-        HistData {
-            buckets,
-            count: self.0.count.load(Ordering::Relaxed),
-            sum: self.0.sum.load(Ordering::Relaxed),
-            max: self.0.max.load(Ordering::Relaxed),
-        }
-    }
-}
-
 enum Slot {
     Counter(Counter),
     Gauge(Gauge),
-    Hist(Hist),
 }
 
-/// A named set of metrics. Handle resolution takes a mutex
-/// (registration time only); the handles themselves are lock-free.
+/// A named set of counters and gauges. Handle resolution takes a
+/// mutex; the handles themselves are relaxed atomics.
 #[derive(Default)]
 pub struct Registry {
     slots: Mutex<BTreeMap<String, Slot>>,
@@ -191,25 +124,9 @@ impl Registry {
         }
     }
 
-    /// The histogram named `name`, created on first use.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `name` is already registered as a different kind.
-    pub fn histogram(&self, name: &str) -> Hist {
-        let mut slots = self.slots.lock().unwrap();
-        match slots
-            .entry(name.to_owned())
-            .or_insert_with(|| Slot::Hist(Hist(Arc::new(HistCell::new()))))
-        {
-            Slot::Hist(h) => h.clone(),
-            _ => panic!("metric `{name}` is not a histogram"),
-        }
-    }
-
     /// A deterministic snapshot: metrics sorted by name (the registry
-    /// map is ordered), labels empty (live metrics are label-free;
-    /// labelled series come from [`from_trace`]).
+    /// map is ordered), labels empty (labelled series and histograms
+    /// come from [`from_trace`]).
     pub fn snapshot(&self) -> Snapshot {
         let slots = self.slots.lock().unwrap();
         let mut snap = Snapshot::default();
@@ -218,7 +135,6 @@ impl Registry {
             match slot {
                 Slot::Counter(c) => snap.counters.push((key, c.get())),
                 Slot::Gauge(g) => snap.gauges.push((key, g.get())),
-                Slot::Hist(h) => snap.hists.push((key, h.data())),
             }
         }
         snap
@@ -250,35 +166,13 @@ impl Key {
     }
 }
 
-/// Exported histogram state (the non-atomic view of [`Hist`]).
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub struct HistData {
-    /// Trailing zero buckets trimmed.
-    pub buckets: Vec<u64>,
-    pub count: u64,
-    pub sum: u64,
-    pub max: u64,
-}
-
-impl HistData {
-    /// Converts from the trace profiler's histogram.
-    pub fn from_trace_hist(h: &trace::Histogram) -> HistData {
-        HistData {
-            buckets: h.buckets.clone(),
-            count: h.count,
-            sum: h.sum,
-            max: h.max,
-        }
-    }
-}
-
 /// A point-in-time view of every metric, sorted by `(name, labels)` so
 /// equal metric state renders to equal bytes.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct Snapshot {
     pub counters: Vec<(Key, u64)>,
     pub gauges: Vec<(Key, u64)>,
-    pub hists: Vec<(Key, HistData)>,
+    pub hists: Vec<(Key, trace::Histogram)>,
 }
 
 impl Snapshot {
@@ -287,6 +181,16 @@ impl Snapshot {
         self.counters.sort_by(|a, b| a.0.cmp(&b.0));
         self.gauges.sort_by(|a, b| a.0.cmp(&b.0));
         self.hists.sort_by(|a, b| a.0.cmp(&b.0));
+    }
+
+    /// Adds every series of `other` and restores the canonical order.
+    /// The two sides are expected to name disjoint series — a
+    /// registry's `ali_run_*` / `ali_eval_*` and [`from_trace`]'s.
+    pub fn merge(&mut self, other: Snapshot) {
+        self.counters.extend(other.counters);
+        self.gauges.extend(other.gauges);
+        self.hists.extend(other.hists);
+        self.sort();
     }
 
     /// Canonical JSON (`ali-metrics-v1`): fixed key order, sorted
@@ -313,19 +217,6 @@ mod tests {
         assert_eq!(names, ["aaa", "bbb"]);
         assert_eq!(snap.counters[0].1, 2);
         assert_eq!(snap.counters[1].1, 3);
-    }
-
-    #[test]
-    fn histogram_buckets_match_the_trace_profiler() {
-        let reg = Registry::new();
-        let h = reg.histogram("h");
-        let mut t = trace::Histogram::default();
-        for v in [0u64, 1, 2, 3, 7, 8, 1000, u64::MAX] {
-            h.observe(v);
-            t.add(v);
-        }
-        let data = reg.snapshot().hists[0].1.clone();
-        assert_eq!(data, HistData::from_trace_hist(&t));
     }
 
     #[test]

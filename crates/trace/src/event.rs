@@ -129,6 +129,54 @@ pub enum EventKind {
     },
 }
 
+impl EventKind {
+    /// Every kind's one spelling, sorted: the `kind` label of the
+    /// event-count metrics and the keys of [`crate::Trace::counts`].
+    pub const NAMES: [&'static str; 15] = [
+        "alloc",
+        "fault",
+        "lock_acquire",
+        "lock_release",
+        "plan_complete",
+        "quarantine",
+        "read",
+        "reinfer",
+        "section_enter",
+        "section_exit",
+        "stm_abort",
+        "stm_commit",
+        "stm_fallback",
+        "wake_decision",
+        "write",
+    ];
+
+    /// This kind's position in [`EventKind::NAMES`].
+    pub fn index(self) -> usize {
+        match self {
+            EventKind::Alloc { .. } => 0,
+            EventKind::Fault { .. } => 1,
+            EventKind::LockAcquire { .. } => 2,
+            EventKind::LockRelease { .. } => 3,
+            EventKind::PlanComplete => 4,
+            EventKind::Quarantine { .. } => 5,
+            EventKind::Read { .. } => 6,
+            EventKind::Reinfer { .. } => 7,
+            EventKind::SectionEnter { .. } => 8,
+            EventKind::SectionExit { .. } => 9,
+            EventKind::StmAbort => 10,
+            EventKind::StmCommit { .. } => 11,
+            EventKind::StmFallback => 12,
+            EventKind::WakeDecision { .. } => 13,
+            EventKind::Write { .. } => 14,
+        }
+    }
+
+    /// Which of [`EventKind::NAMES`] this event is.
+    pub fn name(self) -> &'static str {
+        Self::NAMES[self.index()]
+    }
+}
+
 /// One recorded event.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Event {

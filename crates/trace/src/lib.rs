@@ -18,6 +18,8 @@
 //! * [`recorder`] — per-thread ring buffers with a shared epoch
 //!   counter; [`Recorder::take`] merges them into one totally-ordered
 //!   [`Trace`];
+//! * [`sections`] — the per-thread enter / exit / plan-completion /
+//!   abort nesting protocol, read by everything below;
 //! * [`lockset`] — the validator;
 //! * [`profile`] — per-section contention/hold-time histograms derived
 //!   from a trace;
@@ -41,6 +43,7 @@ pub mod lockset;
 pub mod profile;
 pub mod quarantine;
 pub mod recorder;
+pub mod sections;
 
 pub use event::{Event, EventKind, FaultClass};
 pub use lockset::{validate, Validation, ValidationError, Violation};
@@ -129,28 +132,11 @@ impl Trace {
         format!("{h:016x}")
     }
 
-    /// Event counts by kind, for summaries.
+    /// Event counts by kind ([`EventKind::name`]), for summaries.
     pub fn counts(&self) -> std::collections::BTreeMap<&'static str, u64> {
         let mut m = std::collections::BTreeMap::new();
         for e in &self.events {
-            let k = match e.kind {
-                EventKind::SectionEnter { .. } => "section_enter",
-                EventKind::SectionExit { .. } => "section_exit",
-                EventKind::LockAcquire { .. } => "lock_acquire",
-                EventKind::LockRelease { .. } => "lock_release",
-                EventKind::PlanComplete => "plan_complete",
-                EventKind::Read { .. } => "read",
-                EventKind::Write { .. } => "write",
-                EventKind::Alloc { .. } => "alloc",
-                EventKind::StmCommit { .. } => "stm_commit",
-                EventKind::StmAbort => "stm_abort",
-                EventKind::StmFallback => "stm_fallback",
-                EventKind::Fault { .. } => "fault",
-                EventKind::Quarantine { .. } => "quarantine",
-                EventKind::WakeDecision { .. } => "wake_decision",
-                EventKind::Reinfer { .. } => "reinfer",
-            };
-            *m.entry(k).or_insert(0) += 1;
+            *m.entry(e.kind.name()).or_insert(0) += 1;
         }
         m
     }

@@ -1,10 +1,10 @@
 //! Eraser-style lockset validation of a merged trace.
 //!
 //! The dynamic counterpart of Theorem 1: replay the totally-ordered
-//! event stream, tracking per thread the section depth, the set of
-//! held lock-tree nodes with their granted modes, and the section's
-//! private allocations. Every in-section shared access must be
-//! *licensed* by some held node:
+//! event stream, tracking per thread the set of held lock-tree nodes
+//! with their granted modes and the open section's private allocations
+//! (which section is open is [`crate::sections::Cursor`]'s to say).
+//! Every in-section shared access must be *licensed* by some held node:
 //!
 //! * the node must **cover** the location — `Root` covers everything,
 //!   `Pts(p)` covers every cell whose allocation site has points-to
@@ -25,6 +25,7 @@
 //! inside an open section attempt — and reports coverage vacuously.
 
 use crate::event::EventKind;
+use crate::sections::{Cursor, Step};
 use crate::Trace;
 use mglock::{FineAddr, Mode, NodeKey};
 use std::collections::HashMap;
@@ -37,7 +38,9 @@ pub struct Violation {
     pub clock: u64,
     pub addr: u64,
     pub write: bool,
-    /// The innermost section open on the thread (0 if unknown).
+    /// The outermost section open on the thread — the one whose
+    /// `acquireAll` plan holds the locks, and the one the sentinel and
+    /// the profiler name (0 if none is open).
     pub section: u32,
 }
 
@@ -102,8 +105,7 @@ impl std::error::Error for ValidationError {}
 
 #[derive(Default)]
 struct ThreadState {
-    depth: u32,
-    section: u32,
+    sections: Cursor,
     held: Vec<(NodeKey, Mode)>,
     allocs: Vec<(u64, u64)>,
 }
@@ -165,16 +167,6 @@ pub fn validate(trace: &Trace) -> Result<Validation, ValidationError> {
     for e in &trace.events {
         let st = threads.entry(e.tid).or_default();
         match e.kind {
-            EventKind::SectionEnter { section } => {
-                st.depth += 1;
-                st.section = section;
-            }
-            EventKind::SectionExit { .. } => {
-                st.depth = st.depth.saturating_sub(1);
-                if st.depth == 0 {
-                    st.allocs.clear();
-                }
-            }
             EventKind::LockAcquire { node, mode } => st.held.push((node, mode)),
             EventKind::LockRelease { node, mode } => {
                 if let Some(i) = st.held.iter().position(|&(n, m)| n == node && m == mode) {
@@ -182,7 +174,7 @@ pub fn validate(trace: &Trace) -> Result<Validation, ValidationError> {
                 }
             }
             EventKind::Alloc { base, len } => {
-                if st.depth > 0 {
+                if st.sections.open_section().is_some() {
                     st.allocs.push((base, len));
                 }
             }
@@ -193,12 +185,13 @@ pub fn validate(trace: &Trace) -> Result<Validation, ValidationError> {
                     continue;
                 }
                 v.checked += 1;
+                let open = st.sections.open_section();
                 let covered = if stm {
                     // The access is covered by the open transaction.
-                    st.depth > 0
+                    open.is_some()
                 } else {
                     let extent = trace.alloc_of(addr).map(|a| (a.base, a.class));
-                    st.depth > 0
+                    open.is_some()
                         && st
                             .held
                             .iter()
@@ -211,28 +204,23 @@ pub fn validate(trace: &Trace) -> Result<Validation, ValidationError> {
                         clock: e.clock,
                         addr,
                         write,
-                        section: st.section,
+                        section: open.unwrap_or(0),
                     });
                 }
             }
-            EventKind::StmAbort => {
-                // The worker resets its section depth and re-runs the
-                // attempt from the snapshot.
-                st.depth = 0;
-                st.allocs.clear();
+            _ => {
+                // Private allocations live as long as the outermost
+                // execution: a commit publishes them, an aborted
+                // attempt's are unreachable.
+                if let Step::ExitedOutermost(_) | Step::Aborted { .. } = st.sections.step(e) {
+                    st.allocs.clear();
+                }
             }
-            EventKind::PlanComplete
-            | EventKind::StmCommit { .. }
-            | EventKind::StmFallback
-            | EventKind::Fault { .. }
-            | EventKind::Quarantine { .. }
-            | EventKind::WakeDecision { .. }
-            | EventKind::Reinfer { .. } => {}
         }
     }
     let mut crashed: Vec<u32> = threads
         .iter()
-        .filter(|(_, st)| st.depth > 0)
+        .filter(|(_, st)| st.sections.crashed())
         .map(|(&tid, _)| tid)
         .collect();
     crashed.sort_unstable();
@@ -439,6 +427,24 @@ mod tests {
         let v = validate(&t).unwrap();
         assert!(v.passed());
         assert_eq!(v.crashed, vec![1]);
+    }
+
+    #[test]
+    fn a_violation_after_a_nested_exit_is_blamed_on_the_outermost_section() {
+        // Section 1's plan holds the locks for everything nested in it;
+        // once section 2 has closed, an uncovered access is section 1's
+        // gap, not section 2's.
+        let t = lock_trace(vec![
+            ev(0, 0, EventKind::SectionEnter { section: 1 }),
+            ev(1, 0, EventKind::SectionEnter { section: 2 }),
+            ev(2, 0, EventKind::SectionExit { section: 2 }),
+            ev(3, 0, EventKind::Write { addr: 11 }),
+            ev(4, 0, EventKind::SectionExit { section: 1 }),
+        ]);
+        let v = validate(&t).unwrap();
+        assert_eq!(v.violations.len(), 1);
+        assert_eq!(v.violations[0].section, 1);
+        assert!(v.crashed.is_empty());
     }
 
     #[test]

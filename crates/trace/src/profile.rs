@@ -28,7 +28,8 @@
 //! All three intervals are accumulated into log₂-bucketed
 //! [`Histogram`]s per static section id.
 
-use crate::event::EventKind;
+use crate::event::{Event, EventKind};
+use crate::sections::{Cursor, Step};
 use crate::Trace;
 use std::collections::{BTreeMap, HashMap};
 
@@ -45,10 +46,9 @@ pub struct Histogram {
 
 impl Histogram {
     /// The bucket a sample lands in: `⌊log₂(v+1)⌋`, with `u64::MAX`
-    /// saturating into the top bucket. Shared with the live `obs`
-    /// histogram so the two can never disagree on a boundary.
+    /// saturating into the top bucket.
     #[inline]
-    pub fn bucket_of(v: u64) -> usize {
+    fn bucket_of(v: u64) -> usize {
         (63 - v.saturating_add(1).leading_zeros().min(63)) as usize
     }
 
@@ -113,98 +113,87 @@ pub struct SectionProfile {
     pub revalidations: Histogram,
 }
 
-/// The profiler's view of one open outermost section execution.
-struct OpenSection {
-    section: u32,
-    enter_clock: u64,
-    /// Clock of the first plan completion — the acquisition point.
-    acq_clock: Option<u64>,
-    /// Plan completions beyond the first.
-    revalidations: u64,
-}
-
 #[derive(Default)]
 struct ThreadState {
-    depth: u32,
-    /// Baseline for the open outermost execution. `None` while the
-    /// thread is (or appears to be) outside any section, and after a
-    /// desync is detected in a truncated trace — then the depth
-    /// bookkeeping keeps running but no sample is recorded for the
-    /// suspect execution.
-    open: Option<OpenSection>,
+    sections: Cursor,
+    /// The open outermost execution is profiled. Cleared for one whose
+    /// entry looks like a desync in a truncated trace (below): the
+    /// cursor keeps following it, but it contributes no sample.
+    trusted: bool,
     /// After an `StmAbort`: the outermost section the retry must
     /// re-enter. A *different* section id on the next outermost enter
     /// means the re-enter event was lost (truncated crash trace) and
     /// what we are seeing is a nested enter — profiling it from this
-    /// state would fabricate a sample, so the baseline is skipped.
+    /// state would fabricate a sample, so the execution is skipped.
     retry_section: Option<u32>,
+}
+
+/// The profile fold, one event at a time — for a caller that is
+/// walking the events anyway (`obs::from_trace`); [`profile`] is the
+/// whole-trace form.
+#[derive(Default)]
+pub struct Profiler {
+    sections: BTreeMap<u32, SectionProfile>,
+    threads: HashMap<u32, ThreadState>,
+}
+
+impl Profiler {
+    fn section(&mut self, section: u32) -> &mut SectionProfile {
+        self.sections
+            .entry(section)
+            .or_insert_with(|| SectionProfile {
+                section,
+                ..SectionProfile::default()
+            })
+    }
+
+    /// Folds in the next event of the merged trace.
+    pub fn step(&mut self, e: &Event) {
+        let st = self.threads.entry(e.tid).or_default();
+        match st.sections.step(e) {
+            Step::EnteredOutermost { section } => {
+                st.trusted = st.retry_section.is_none_or(|s| s == section);
+                st.retry_section = None;
+            }
+            Step::ExitedOutermost(x) => {
+                // An exit naming another section than the one entered
+                // is the same desync seen from the other end.
+                if st.trusted && e.kind == (EventKind::SectionExit { section: x.section }) {
+                    let acq = x.acquired.unwrap_or(x.enter);
+                    let p = self.section(x.section);
+                    p.entries += 1;
+                    p.wait.add(acq.saturating_sub(x.enter));
+                    p.hold.add(e.clock.saturating_sub(acq));
+                    p.revalidations.add(x.revalidations);
+                }
+            }
+            Step::Aborted { section } => {
+                if st.trusted {
+                    st.retry_section = Some(section);
+                    self.section(section).aborts += 1;
+                }
+            }
+            Step::EnteredNested { .. }
+            | Step::Acquired { .. }
+            | Step::ExitedNested
+            | Step::Other => {}
+        }
+    }
+
+    /// The profiles, sorted by section id.
+    pub fn finish(self) -> Vec<SectionProfile> {
+        self.sections.into_values().collect()
+    }
 }
 
 /// Derives per-section profiles from a merged trace, sorted by section
 /// id.
 pub fn profile(trace: &Trace) -> Vec<SectionProfile> {
-    let mut sections: BTreeMap<u32, SectionProfile> = BTreeMap::new();
-    let mut threads: HashMap<u32, ThreadState> = HashMap::new();
+    let mut p = Profiler::default();
     for e in &trace.events {
-        let st = threads.entry(e.tid).or_default();
-        match e.kind {
-            EventKind::SectionEnter { section } => {
-                st.depth += 1;
-                if st.depth == 1 {
-                    let trusted = st.retry_section.is_none_or(|s| s == section);
-                    st.open = trusted.then_some(OpenSection {
-                        section,
-                        enter_clock: e.clock,
-                        acq_clock: None,
-                        revalidations: 0,
-                    });
-                    st.retry_section = None;
-                }
-            }
-            EventKind::PlanComplete => {
-                if let Some(o) = st.open.as_mut() {
-                    match o.acq_clock {
-                        None => o.acq_clock = Some(e.clock),
-                        Some(_) => o.revalidations += 1,
-                    }
-                }
-            }
-            EventKind::SectionExit { section } => {
-                if st.depth == 1 {
-                    if let Some(o) = st.open.take() {
-                        if o.section == section {
-                            let p = sections.entry(o.section).or_insert_with(|| SectionProfile {
-                                section: o.section,
-                                ..SectionProfile::default()
-                            });
-                            p.entries += 1;
-                            let acq = o.acq_clock.unwrap_or(o.enter_clock);
-                            p.wait.add(acq.saturating_sub(o.enter_clock));
-                            p.hold.add(e.clock.saturating_sub(acq));
-                            p.revalidations.add(o.revalidations);
-                        }
-                    }
-                }
-                st.depth = st.depth.saturating_sub(1);
-            }
-            EventKind::StmAbort => {
-                if let Some(o) = &st.open {
-                    sections
-                        .entry(o.section)
-                        .or_insert_with(|| SectionProfile {
-                            section: o.section,
-                            ..SectionProfile::default()
-                        })
-                        .aborts += 1;
-                    st.retry_section = Some(o.section);
-                }
-                st.depth = 0;
-                st.open = None;
-            }
-            _ => {}
-        }
+        p.step(e);
     }
-    sections.into_values().collect()
+    p.finish()
 }
 
 /// Renders profiles as an aligned text report (the `trace-dump`

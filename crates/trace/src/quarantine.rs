@@ -25,6 +25,7 @@
 //! transition pair.
 
 use crate::event::EventKind;
+use crate::sections::Cursor;
 use crate::Trace;
 
 /// One ladder transition, in trace order.
@@ -111,24 +112,13 @@ impl QuarantineHistory {
 pub fn quarantine_history(trace: &Trace) -> QuarantineHistory {
     let mut h = QuarantineHistory::default();
     let mut open: Vec<u32> = Vec::new();
-    // Per-thread section depth, to detect crash truncation: a thread
-    // whose depth never returns to zero died mid-section (injected
-    // panic, wedge), so the trace ends inside whatever quarantine or
-    // probation was serving at that point.
-    let mut depth: std::collections::BTreeMap<u32, u64> = std::collections::BTreeMap::new();
+    // Crash truncation: a thread whose events stop mid-section died
+    // there (injected panic, wedge), so the trace ends inside whatever
+    // quarantine or probation was serving at that point. An aborted
+    // STM attempt that retried to completion is not one.
+    let mut threads: std::collections::BTreeMap<u32, Cursor> = std::collections::BTreeMap::new();
     for e in &trace.events {
         match e.kind {
-            EventKind::SectionEnter { .. } => {
-                *depth.entry(e.tid).or_insert(0) += 1;
-            }
-            EventKind::SectionExit { .. } => {
-                let d = depth.entry(e.tid).or_insert(0);
-                *d = d.saturating_sub(1);
-            }
-            // An aborted STM attempt abandons every open level at once.
-            EventKind::StmAbort => {
-                depth.insert(e.tid, 0);
-            }
             EventKind::Quarantine {
                 section,
                 healed,
@@ -155,12 +145,14 @@ pub fn quarantine_history(trace: &Trace) -> QuarantineHistory {
                     probation,
                 });
             }
-            _ => {}
+            _ => {
+                threads.entry(e.tid).or_default().step(e);
+            }
         }
     }
     open.sort_unstable();
     open.dedup();
-    let crashed = depth.values().any(|&d| d > 0);
+    let crashed = threads.values().any(Cursor::crashed);
     if trace.dropped > 0 || crashed {
         h.suppressed = open.len() as u64;
     } else {

@@ -117,9 +117,9 @@ pub struct EvalContext {
     store: SummaryStore,
     lib: LibrarySpec,
     hoist: bool,
-    /// Live metrics registry ([`crate::pipeline::Pipeline::metrics`]):
-    /// armed runs publish `ali_run_*` series and the harness counts
-    /// `ali_eval_*` candidate totals. `None` = off, zero overhead.
+    /// Metrics registry ([`crate::pipeline::Pipeline::metrics`]): each
+    /// run's end-of-run totals land in `ali_run_*` gauges and the
+    /// harness counts `ali_eval_*` candidate totals. `None` = off.
     metrics: Option<Arc<obs::Registry>>,
 }
 
@@ -142,7 +142,7 @@ impl EvalContext {
         })
     }
 
-    /// Arms every run this context executes with a live registry.
+    /// Arms every run this context executes with a registry.
     pub(crate) fn arm_metrics(&mut self, reg: Arc<obs::Registry>) {
         self.metrics = Some(reg);
     }
@@ -254,7 +254,6 @@ impl EvalContext {
         );
         let transformed = lockinfer::transform(&program, &analysis);
         let mut opts = options_for(cfg);
-        opts.metrics = self.metrics.clone();
         if !cfg.repairs.is_empty() {
             opts.repairs = crate::replay::repair_specs(
                 &cfg.repairs,
@@ -270,7 +269,9 @@ impl EvalContext {
         let (outcome, mut trace) = execute(&m, cfg);
         // Counters accumulate across the evaluation; gauges reflect
         // the most recent run's end-of-run totals.
-        m.publish_metrics();
+        if let Some(reg) = &self.metrics {
+            publish_run_gauges(reg, &m);
+        }
         let ledger = m
             .sentinel()
             .map(sentinel::Sentinel::violations)
@@ -335,6 +336,48 @@ impl EvalContext {
         }
         c
     }
+}
+
+/// Scrapes what only the live machine knows at the end of a run —
+/// multi-grain lock runtime, STM space, sentinel ladder, heap,
+/// virtual-time scheduler — into `ali_run_*` gauges. Everything a
+/// trace carries (sections, grants, faults, wake decisions, commits)
+/// is [`obs::from_trace`]'s instead. Gauges are set, not accumulated.
+fn publish_run_gauges(reg: &obs::Registry, m: &Machine) {
+    use std::sync::atomic::Ordering::Relaxed;
+    let set = |name: &str, v: u64| reg.gauge(name).set(v);
+    let mg = m.mg_stats();
+    set("ali_run_mg_batches", mg.batches.load(Relaxed));
+    set(
+        "ali_run_mg_node_acquisitions",
+        mg.node_acquisitions.load(Relaxed),
+    );
+    set(
+        "ali_run_mg_poisoned_sessions",
+        mg.poisoned_sessions.load(Relaxed),
+    );
+    set(
+        "ali_run_mg_unwind_releases",
+        mg.unwind_releases.load(Relaxed),
+    );
+    let stm = m.stm_stats();
+    set("ali_run_stm_commits", stm.commits);
+    set("ali_run_stm_aborts", stm.aborts);
+    set("ali_run_stm_fallbacks", stm.fallbacks);
+    let (violations, quarantined, healed) = m.sentinel().map_or((0, 0, 0), |s| {
+        (
+            s.sentinel_violations(),
+            s.sections_quarantined(),
+            s.sections_healed(),
+        )
+    });
+    set("ali_run_sentinel_violations", violations);
+    set("ali_run_sections_quarantined", quarantined);
+    set("ali_run_sections_healed", healed);
+    set("ali_run_heap_used", m.heap_used());
+    let (yield_points, handoffs) = m.sim_counts();
+    set("ali_run_sim_yield_points", yield_points);
+    set("ali_run_sim_handoffs", handoffs);
 }
 
 /// The wake policy a single-override candidate steers, if any.

@@ -24,7 +24,7 @@
 //!
 //! plus [`replay`], this crate's own deterministic record/replay layer
 //! over traced executions, [`obs`], the unified observability layer
-//! (live metrics registry + trace-derived snapshots and exporters),
+//! (trace-derived metric snapshots, a counter/gauge registry, exporters),
 //! and [`Pipeline`], the builder whose three terminals are the only
 //! entry points to the measurement loops (baseline → profile →
 //! propose → evaluate → select).

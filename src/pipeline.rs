@@ -21,11 +21,12 @@
 //! ```
 //!
 //! A pipeline can also be armed with an [`obs::Registry`]
-//! ([`Pipeline::metrics`]): every run it executes then publishes
-//! live `ali_run_*` counters/histograms and the harness counts
-//! `ali_eval_*` candidate totals, at demonstrably negligible cost
-//! (the `metrics-overhead` bench gates it) and with zero effect on
-//! the deterministic schedule or any recorded trace.
+//! ([`Pipeline::metrics`]) for the numbers no trace carries: every run
+//! it executes then leaves its end-of-run totals in `ali_run_*` gauges
+//! and the harness counts `ali_eval_*` candidate totals. Both are
+//! written after a run returns, so arming cannot touch the schedule or
+//! a recorded trace; a run's section, lock, fault, wake and STM
+//! metrics are [`obs::from_trace`] of its recording.
 
 use crate::adapt::AdaptRun;
 use crate::eval::{eval_singles, EvalContext, EvalOptions, EvalScope, Stamp};
@@ -101,10 +102,9 @@ impl Pipeline {
         self
     }
 
-    /// Arms every run this pipeline executes with a live metrics
-    /// registry: `ali_run_*` series from the interpreter and runtimes,
-    /// `ali_eval_*` candidate totals from the harness. Metrics never
-    /// influence the deterministic schedule or any recorded trace.
+    /// Arms every run this pipeline executes with a metrics registry:
+    /// `ali_run_*` end-of-run gauges scraped from each machine,
+    /// `ali_eval_*` candidate totals from the harness.
     pub fn metrics(mut self, reg: Arc<obs::Registry>) -> Pipeline {
         self.metrics = Some(reg);
         self
@@ -483,24 +483,23 @@ mod tests {
             unarmed.trace.digest(),
             "metrics must not perturb the deterministic schedule"
         );
-        let snap = reg.snapshot();
-        let counter = |name: &str| {
-            snap.counters
+        // Sections and grants are counted from the recording.
+        let derived = obs::from_trace(&armed.trace);
+        let counter = |name: &str, label: &str| {
+            derived
+                .counters
                 .iter()
-                .find(|(k, _)| k.name == name)
+                .find(|(k, _)| k.name == name && k.labels[0].1 == label)
                 .map(|(_, v)| *v)
-                .unwrap_or_else(|| panic!("{name} missing from snapshot"))
+                .unwrap_or_else(|| panic!("{name}{{{label}}} missing from snapshot"))
         };
-        let entries = counter("ali_run_section_entries_total");
-        let trace_entries = armed
-            .trace
-            .counts()
-            .get("section_enter")
-            .copied()
-            .unwrap_or(0);
-        assert_eq!(entries, trace_entries, "live counter mirrors the trace");
-        assert!(counter("ali_run_lock_acquisitions_total") > 0);
+        // 6 threads × 20 iterations × 2 sections, none nested.
+        assert_eq!(counter("ali_trace_events_total", "section_enter"), 240);
+        assert_eq!(counter("ali_section_entries_total", "1"), 120);
+        assert!(counter("ali_lock_acquires_total", "X") > 0);
         // End-of-run gauges were published.
+        let snap = reg.snapshot();
+        assert!(snap.counters.is_empty() && snap.hists.is_empty());
         assert!(snap
             .gauges
             .iter()

@@ -21,9 +21,6 @@
 //! assert_eq!(rec.trace.digest(), again.trace.digest());
 //! # Ok::<(), String>(())
 //! ```
-//!
-//! Replay re-runs with the *default* cost model; runs recorded under a
-//! custom [`interp::CostModel`] replay with different clock values.
 
 use crate::eval::{EvalContext, Stamp};
 use interp::{ExecMode, FaultPlan, Options, RepairSpec, SchedConfig, SentinelConfig, WeakenPlan};

@@ -89,8 +89,8 @@ proptest! {
         );
     }
 
-    /// A live metrics registry riding the run never perturbs the
-    /// recorded trace: armed and unarmed recordings are byte-identical.
+    /// A metrics registry riding the run never perturbs the recorded
+    /// trace: armed and unarmed recordings are byte-identical.
     #[test]
     fn live_metrics_never_perturb_the_trace(
         seed in any::<u64>(),
@@ -110,15 +110,21 @@ proptest! {
             .expect("plain recording succeeds");
         prop_assert_eq!(armed.trace.to_json(), plain.trace.to_json());
         prop_assert_eq!(&armed.outcome, &plain.outcome);
-        // And the registry really was live.
-        let entries = reg
-            .snapshot()
-            .counters
-            .iter()
-            .find(|(k, _)| k.name == "ali_run_section_entries_total")
-            .map(|(_, v)| *v)
-            .unwrap_or(0);
-        prop_assert!(entries > 0, "armed run must count section entries");
+        // And the registry really was armed: the machine's end-of-run
+        // totals were scraped into it.
+        let snap = reg.snapshot();
+        let gauge = |name: &str| {
+            snap.gauges
+                .iter()
+                .find(|(k, _)| k.name == name)
+                .map(|(_, v)| *v)
+        };
+        prop_assert!(
+            gauge("ali_run_mg_batches") > Some(0),
+            "armed run must publish its batches"
+        );
+        prop_assert!(gauge("ali_run_sim_yield_points") > Some(0));
+        prop_assert!(gauge("ali_run_sim_handoffs") <= gauge("ali_run_sim_yield_points"));
     }
 }
 
