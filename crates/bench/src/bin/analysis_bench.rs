@@ -27,7 +27,11 @@
 //! `spec70k-k0`, where Phase A's summary sets are the whole analysis
 //! and an insert that scans the set again is quadratic). There is no
 //! naive column: under widening the reference legitimately disagrees
-//! (`tests/spec_like_pinned.rs`) and takes seconds.
+//! (`tests/spec_like_pinned.rs`) and takes seconds. Beside the engine,
+//! those rows time the two layers in front of it on the same source:
+//! `frontend_ms` (`lir::compile`: lex, parse, lower, drop the AST) and
+//! `pointsto_ms` (`PointsTo::analyze`), since at k=0 on 71.6 kloc they
+//! take as long as the analysis does.
 //!
 //! ```text
 //! cargo run -p bench --release --bin analysis-bench -- [--smoke]
@@ -38,7 +42,8 @@
 //! (for CI).
 //! `--out` writes the JSON report (default `BENCH_analysis.json` when
 //! omitted along with `--check`). `--check FILE` compares against a committed report and
-//! exits non-zero if any measured row's optimized wall time regressed
+//! exits non-zero if any measured wall time (every row's `optimized_ms`,
+//! and the SPEC-like rows' `frontend_ms` and `pointsto_ms`) regressed
 //! more than 2× — a coarse gate that survives machine-to-machine noise
 //! but catches real algorithmic regressions.
 
@@ -90,6 +95,8 @@ struct SpecReport {
     row: &'static SpecRow,
     kloc: f64,
     functions: usize,
+    frontend_ms: f64,
+    pointsto_ms: f64,
     optimized_ms: f64,
     stats: lockinfer::AnalysisStats,
     peak_rss_mb: f64,
@@ -161,11 +168,19 @@ fn run_tier(name: &str, p: scale::ScaleParams, iters: usize) -> TierReport {
     }
 }
 
+fn time_ms<T>(f: impl FnOnce() -> T) -> f64 {
+    let t = Instant::now();
+    std::hint::black_box(f());
+    t.elapsed().as_secs_f64() * 1e3
+}
+
 fn run_spec(row: &'static SpecRow, iters: usize) -> SpecReport {
     let name = row.name;
     let spec = spec_like::generate(name, row.kloc, row.seed);
     let program = lir::compile(&spec.source).unwrap_or_else(|e| panic!("{name}: {e}"));
+    let frontend_ms = best_of(iters, || time_ms(|| lir::compile(&spec.source)));
     let pt = pointsto::PointsTo::analyze(&program);
+    let pointsto_ms = best_of(iters, || time_ms(|| pointsto::PointsTo::analyze(&program)));
     let cfg = SchemeConfig::full(row.k, program.elem_field_opt());
     let lib = lockinfer::library::LibrarySpec::new();
     let mut stats = lockinfer::AnalysisStats::default();
@@ -181,6 +196,8 @@ fn run_spec(row: &'static SpecRow, iters: usize) -> SpecReport {
         row,
         kloc: spec.kloc(),
         functions: program.functions.len(),
+        frontend_ms,
+        pointsto_ms,
         optimized_ms,
         stats,
         peak_rss_mb: peak_rss_mb(),
@@ -250,13 +267,16 @@ fn encode(tiers: &[TierReport], specs: &[SpecReport]) -> String {
         let _ = write!(
             out,
             "{{\"name\":\"{}\",\"kloc\":{:.1},\"k\":{},\"sections\":1,\
-             \"functions\":{},\"optimized_ms\":{:.3},\"worklist_pops\":{},\"widenings\":{},\
+             \"functions\":{},\"frontend_ms\":{:.3},\"pointsto_ms\":{:.3},\
+             \"optimized_ms\":{:.3},\"worklist_pops\":{},\"widenings\":{},\
              \"contexts\":{},\"state_points\":{},\"transfer_memo_hits\":{},\
              \"peak_rss_mb\":{:.1}}}",
             spec.row.name,
             spec.kloc,
             spec.row.k,
             spec.functions,
+            spec.frontend_ms,
+            spec.pointsto_ms,
             spec.optimized_ms,
             s.worklist_pops,
             s.widenings,
@@ -270,25 +290,25 @@ fn encode(tiers: &[TierReport], specs: &[SpecReport]) -> String {
     out
 }
 
-/// Pulls `(name, optimized_ms)` pairs out of a committed report with a
-/// plain scan — the encoding is canonical, so this stays trivial.
-fn extract_baseline(json: &str) -> Vec<(String, f64)> {
+/// Pulls `(row name, key, ms)` for every `*_ms` key out of a committed
+/// report with a plain scan — the encoding is canonical and its rows
+/// are flat objects, so this stays trivial.
+fn extract_baseline(json: &str) -> Vec<(String, String, f64)> {
     let mut out = Vec::new();
     let mut rest = json;
     while let Some(i) = rest.find("\"name\":\"") {
         rest = &rest[i + 8..];
         let Some(end) = rest.find('"') else { break };
-        let name = rest[..end].to_owned();
-        let Some(j) = rest.find("\"optimized_ms\":") else {
-            break;
-        };
-        rest = &rest[j + 15..];
-        let val: String = rest
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.')
-            .collect();
-        if let Ok(ms) = val.parse::<f64>() {
-            out.push((name, ms));
+        let name = &rest[..end];
+        let row = &rest[..rest.find('}').unwrap_or(rest.len())];
+        for field in row.split(',') {
+            let Some((key, val)) = field.split_once(':') else {
+                continue;
+            };
+            let key = key.trim_matches('"');
+            if let (true, Ok(ms)) = (key.ends_with("_ms"), val.parse::<f64>()) {
+                out.push((name.to_owned(), key.to_owned(), ms));
+            }
         }
     }
     out
@@ -347,11 +367,14 @@ fn main() {
         .map(|row| {
             let spec = run_spec(row, iters);
             println!(
-                "{} (k={}, 1 section, {:.1} KLOC): {:.2} ms optimized, {} pops, {} widenings, \
+                "{} (k={}, 1 section, {:.1} KLOC): frontend {:.2} ms, points-to {:.2} ms, \
+                 {:.2} ms optimized, {} pops, {} widenings, \
                  {} contexts, {} state points, peak RSS {:.1} MB",
                 row.name,
                 row.k,
                 spec.kloc,
+                spec.frontend_ms,
+                spec.pointsto_ms,
                 spec.optimized_ms,
                 spec.stats.worklist_pops,
                 spec.stats.widenings,
@@ -370,22 +393,29 @@ fn main() {
         let mut failed = false;
         let measured = reports
             .iter()
-            .map(|r| (r.name.as_str(), r.optimized_ms))
-            .chain(specs.iter().map(|s| (s.row.name, s.optimized_ms)));
-        for (name, optimized_ms) in measured {
-            let Some((_, base_ms)) = baseline.iter().find(|(n, _)| n == name) else {
-                println!("check: row {name} absent from {path}, skipping");
+            .map(|r| (r.name.as_str(), "optimized_ms", r.optimized_ms))
+            .chain(specs.iter().flat_map(|s| {
+                [
+                    (s.row.name, "frontend_ms", s.frontend_ms),
+                    (s.row.name, "pointsto_ms", s.pointsto_ms),
+                    (s.row.name, "optimized_ms", s.optimized_ms),
+                ]
+            }));
+        for (name, key, ms) in measured {
+            let Some((_, _, base_ms)) = baseline.iter().find(|(n, k, _)| n == name && k == key)
+            else {
+                println!("check: {name} {key} absent from {path}, skipping");
                 continue;
             };
             let limit = base_ms * CHECK_FACTOR;
-            let verdict = if optimized_ms > limit {
+            let verdict = if ms > limit {
                 failed = true;
                 "REGRESSED"
             } else {
                 "ok"
             };
             println!(
-                "check: {name} optimized {optimized_ms:.2} ms vs committed {base_ms:.2} ms \
+                "check: {name} {key} {ms:.2} vs committed {base_ms:.2} \
                  (limit {limit:.2}) — {verdict}"
             );
         }

@@ -2,7 +2,10 @@
 //!
 //! The surface language is a small C-like language with nested
 //! expressions; [`crate::lower`] flattens it into the canonical
-//! three-address IR the analysis consumes.
+//! three-address IR the analysis consumes. Names are [`Symbol`]s of the
+//! module's own [`Interner`] ([`SModule::names`]).
+
+use crate::intern::{Interner, Symbol};
 
 /// Binary operators of the surface language.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -28,7 +31,7 @@ pub enum BinKind {
 #[derive(Clone, PartialEq, Debug)]
 pub enum SExpr {
     /// A variable reference.
-    Var(String),
+    Var(Symbol),
     /// An integer literal.
     Int(i64),
     /// The null location.
@@ -38,15 +41,15 @@ pub enum SExpr {
     /// `&lv`
     AddrOf(Box<SExpr>),
     /// `e->f` — field of the struct `e` points to.
-    Arrow(Box<SExpr>, String),
+    Arrow(Box<SExpr>, Symbol),
     /// `e[i]` — dynamic element of the array `e` points to.
     Index(Box<SExpr>, Box<SExpr>),
     /// `new S` — allocate a struct named `S`.
-    NewStruct(String),
+    NewStruct(Symbol),
     /// `new(n)` — allocate an array of `n` cells.
     NewArray(Box<SExpr>),
     /// `f(a, ..)` — direct call (functions or intrinsics).
-    Call(String, Vec<SExpr>),
+    Call(Symbol, Vec<SExpr>),
     /// `a <op> b`
     Binop(BinKind, Box<SExpr>, Box<SExpr>),
     /// `!e`
@@ -59,7 +62,7 @@ pub enum SExpr {
 #[derive(Clone, PartialEq, Debug)]
 pub enum SStmt {
     /// `let x;` or `let x = e;`
-    Let(String, Option<SExpr>),
+    Let(Symbol, Option<SExpr>),
     /// `lv = e;`
     Assign(SExpr, SExpr),
     /// An expression evaluated for effect (a call).
@@ -83,25 +86,27 @@ pub enum SStmt {
 /// A struct declaration: an ordered list of field names.
 #[derive(Clone, PartialEq, Debug)]
 pub struct SStruct {
-    pub name: String,
-    pub fields: Vec<String>,
+    pub name: Symbol,
+    pub fields: Vec<Symbol>,
 }
 
 /// A function declaration.
 #[derive(Clone, PartialEq, Debug)]
 pub struct SFunc {
-    pub name: String,
-    pub params: Vec<String>,
+    pub name: Symbol,
+    pub params: Vec<Symbol>,
     pub body: Vec<SStmt>,
     /// Source line of the `fn` keyword (diagnostics).
     pub line: u32,
 }
 
-/// A parsed module: structs, globals, and functions.
-#[derive(Clone, PartialEq, Debug, Default)]
+/// A parsed module: structs, globals, and functions, plus the interner
+/// every [`Symbol`] in them resolves through.
+#[derive(Clone, Debug, Default)]
 pub struct SModule {
+    pub names: Interner,
     pub structs: Vec<SStruct>,
-    pub globals: Vec<String>,
+    pub globals: Vec<Symbol>,
     pub funcs: Vec<SFunc>,
 }
 
@@ -110,18 +115,29 @@ impl SModule {
     /// refactoring tools and by the parser round-trip property test).
     pub fn to_source(&self) -> String {
         use std::fmt::Write as _;
+        let names = &self.names;
+        let list = |syms: &[Symbol], sep: &str| {
+            let texts: Vec<&str> = syms.iter().map(|s| names.resolve(*s)).collect();
+            texts.join(sep)
+        };
         let mut out = String::new();
         for s in &self.structs {
-            let fields: Vec<String> = s.fields.iter().map(|f| format!("{f};")).collect();
-            let _ = writeln!(out, "struct {} {{ {} }}", s.name, fields.join(" "));
+            let fields: Vec<String> = s
+                .fields
+                .iter()
+                .map(|f| format!("{};", names.resolve(*f)))
+                .collect();
+            let name = names.resolve(s.name);
+            let _ = writeln!(out, "struct {name} {{ {} }}", fields.join(" "));
         }
         if !self.globals.is_empty() {
-            let _ = writeln!(out, "global {};", self.globals.join(", "));
+            let _ = writeln!(out, "global {};", list(&self.globals, ", "));
         }
         for f in &self.funcs {
-            let _ = writeln!(out, "fn {}({}) {{", f.name, f.params.join(", "));
+            let name = names.resolve(f.name);
+            let _ = writeln!(out, "fn {name}({}) {{", list(&f.params, ", "));
             for st in &f.body {
-                emit_stmt(&mut out, st, 1);
+                emit_stmt(&mut out, names, st, 1);
             }
             let _ = writeln!(out, "}}");
         }
@@ -129,56 +145,54 @@ impl SModule {
     }
 }
 
-fn emit_stmt(out: &mut String, st: &SStmt, depth: usize) {
+fn emit_stmt(out: &mut String, names: &Interner, st: &SStmt, depth: usize) {
     use std::fmt::Write as _;
     let pad = "    ".repeat(depth);
+    let expr = |e| emit_expr(names, e);
+    let body = |out: &mut String, stmts: &[SStmt]| {
+        for s in stmts {
+            emit_stmt(out, names, s, depth + 1);
+        }
+    };
     match st {
         SStmt::Let(name, None) => {
-            let _ = writeln!(out, "{pad}let {name};");
+            let _ = writeln!(out, "{pad}let {};", names.resolve(*name));
         }
         SStmt::Let(name, Some(e)) => {
-            let _ = writeln!(out, "{pad}let {name} = {};", emit_expr(e));
+            let _ = writeln!(out, "{pad}let {} = {};", names.resolve(*name), expr(e));
         }
         SStmt::Assign(lv, e) => {
-            let _ = writeln!(out, "{pad}{} = {};", emit_expr(lv), emit_expr(e));
+            let _ = writeln!(out, "{pad}{} = {};", expr(lv), expr(e));
         }
         SStmt::Expr(e) => {
-            let _ = writeln!(out, "{pad}{};", emit_expr(e));
+            let _ = writeln!(out, "{pad}{};", expr(e));
         }
-        SStmt::Atomic(body) => {
+        SStmt::Atomic(stmts) => {
             let _ = writeln!(out, "{pad}atomic {{");
-            for s in body {
-                emit_stmt(out, s, depth + 1);
-            }
+            body(out, stmts);
             let _ = writeln!(out, "{pad}}}");
         }
         SStmt::If(c, then, els) => {
-            let _ = writeln!(out, "{pad}if ({}) {{", emit_expr(c));
-            for s in then {
-                emit_stmt(out, s, depth + 1);
-            }
+            let _ = writeln!(out, "{pad}if ({}) {{", expr(c));
+            body(out, then);
             if els.is_empty() {
                 let _ = writeln!(out, "{pad}}}");
             } else {
                 let _ = writeln!(out, "{pad}}} else {{");
-                for s in els {
-                    emit_stmt(out, s, depth + 1);
-                }
+                body(out, els);
                 let _ = writeln!(out, "{pad}}}");
             }
         }
-        SStmt::While(c, body) => {
-            let _ = writeln!(out, "{pad}while ({}) {{", emit_expr(c));
-            for s in body {
-                emit_stmt(out, s, depth + 1);
-            }
+        SStmt::While(c, stmts) => {
+            let _ = writeln!(out, "{pad}while ({}) {{", expr(c));
+            body(out, stmts);
             let _ = writeln!(out, "{pad}}}");
         }
         SStmt::Return(None) => {
             let _ = writeln!(out, "{pad}return;");
         }
         SStmt::Return(Some(e)) => {
-            let _ = writeln!(out, "{pad}return {};", emit_expr(e));
+            let _ = writeln!(out, "{pad}return {};", expr(e));
         }
         SStmt::Break => {
             let _ = writeln!(out, "{pad}break;");
@@ -186,11 +200,9 @@ fn emit_stmt(out: &mut String, st: &SStmt, depth: usize) {
         SStmt::Continue => {
             let _ = writeln!(out, "{pad}continue;");
         }
-        SStmt::Block(body) => {
+        SStmt::Block(stmts) => {
             let _ = writeln!(out, "{pad}{{");
-            for s in body {
-                emit_stmt(out, s, depth + 1);
-            }
+            body(out, stmts);
             let _ = writeln!(out, "{pad}}}");
         }
     }
@@ -198,9 +210,10 @@ fn emit_stmt(out: &mut String, st: &SStmt, depth: usize) {
 
 /// Fully parenthesized expression rendering — precedence-safe by
 /// construction.
-fn emit_expr(e: &SExpr) -> String {
+fn emit_expr(names: &Interner, e: &SExpr) -> String {
+    let emit_expr = |e| emit_expr(names, e);
     match e {
-        SExpr::Var(x) => x.clone(),
+        SExpr::Var(x) => names.resolve(*x).to_owned(),
         SExpr::Int(n) => {
             if *n < 0 {
                 format!("(0 - {})", n.unsigned_abs())
@@ -211,13 +224,13 @@ fn emit_expr(e: &SExpr) -> String {
         SExpr::Null => "null".into(),
         SExpr::Deref(inner) => format!("(*{})", emit_expr(inner)),
         SExpr::AddrOf(inner) => format!("(&{})", emit_expr(inner)),
-        SExpr::Arrow(base, f) => format!("({})->{f}", emit_expr(base)),
+        SExpr::Arrow(base, f) => format!("({})->{}", emit_expr(base), names.resolve(*f)),
         SExpr::Index(base, i) => format!("({})[{}]", emit_expr(base), emit_expr(i)),
-        SExpr::NewStruct(s) => format!("(new {s})"),
+        SExpr::NewStruct(s) => format!("(new {})", names.resolve(*s)),
         SExpr::NewArray(n) => format!("(new({}))", emit_expr(n)),
         SExpr::Call(f, args) => {
             let args: Vec<String> = args.iter().map(emit_expr).collect();
-            format!("{f}({})", args.join(", "))
+            format!("{}({})", names.resolve(*f), args.join(", "))
         }
         SExpr::Binop(op, a, b) => {
             let sym = match op {

@@ -430,11 +430,7 @@ impl Program {
 
     /// Finds a function by source name.
     pub fn function_named(&self, name: &str) -> Option<FnId> {
-        let sym = self
-            .interner
-            .names_iter()
-            .position(|n| n == name)
-            .map(|i| Symbol(i as u32))?;
+        let sym = self.interner.get(name)?;
         self.fn_by_name.get(&sym).copied()
     }
 
@@ -484,14 +480,6 @@ impl Program {
         let id = SectionId(self.n_sections);
         self.n_sections += 1;
         id
-    }
-}
-
-impl Interner {
-    /// Iterates over interned names in id order (helper for
-    /// [`Program::function_named`]).
-    pub fn names_iter(&self) -> impl Iterator<Item = &str> {
-        (0..self.len()).map(move |i| self.resolve(Symbol(i as u32)))
     }
 }
 

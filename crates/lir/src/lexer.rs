@@ -1,11 +1,13 @@
 //! Lexer for the C-like surface syntax.
 
+use crate::intern::{Interner, Symbol};
 use std::fmt;
 
-/// A lexical token.
-#[derive(Clone, PartialEq, Eq, Debug)]
+/// A lexical token. Identifiers are interned as they are scanned, so a
+/// token is two words and copies freely.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Tok {
-    Ident(String),
+    Ident(Symbol),
     Int(i64),
     // keywords
     Fn,
@@ -51,17 +53,17 @@ pub enum Tok {
     Eof,
 }
 
-impl fmt::Display for Tok {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl Tok {
+    /// How diagnostics name this token; identifiers resolve through
+    /// `names`, the interner the lexer filled.
+    pub fn describe(self, names: &Interner) -> String {
         match self {
-            Tok::Ident(s) => write!(f, "identifier `{s}`"),
-            Tok::Int(n) => write!(f, "integer `{n}`"),
-            other => write!(f, "`{}`", other.text()),
+            Tok::Ident(s) => format!("identifier `{}`", names.resolve(s)),
+            Tok::Int(n) => format!("integer `{n}`"),
+            other => format!("`{}`", other.text()),
         }
     }
-}
 
-impl Tok {
     fn text(&self) -> &'static str {
         match self {
             Tok::Ident(_) => "<ident>",
@@ -111,7 +113,7 @@ impl Tok {
 }
 
 /// A token plus its source line (1-based), for diagnostics.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct Spanned {
     pub tok: Tok,
     pub line: u32,
@@ -132,7 +134,7 @@ impl fmt::Display for LexError {
 
 impl std::error::Error for LexError {}
 
-/// Tokenizes `src`.
+/// Tokenizes `src`, interning every identifier into `names`.
 ///
 /// Line comments (`// ...`) and block comments (`/* ... */`) are skipped.
 ///
@@ -140,7 +142,7 @@ impl std::error::Error for LexError {}
 ///
 /// Returns a [`LexError`] on unknown characters, malformed integers, or
 /// unterminated block comments.
-pub fn lex(src: &str) -> Result<Vec<Spanned>, LexError> {
+pub fn lex(src: &str, names: &mut Interner) -> Result<Vec<Spanned>, LexError> {
     let bytes = src.as_bytes();
     let mut toks = Vec::new();
     let mut i = 0usize;
@@ -334,7 +336,7 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, LexError> {
                     "continue" => Tok::Continue,
                     "null" => Tok::Null,
                     "new" => Tok::New,
-                    _ => Tok::Ident(word.to_owned()),
+                    _ => Tok::Ident(names.intern(word)),
                 };
                 push!(tok);
             }
@@ -357,33 +359,26 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, LexError> {
 mod tests {
     use super::*;
 
-    fn toks(src: &str) -> Vec<Tok> {
-        lex(src).unwrap().into_iter().map(|s| s.tok).collect()
+    /// The tokens of `src`, space-separated, identifiers by name.
+    fn toks(src: &str) -> String {
+        let mut names = Interner::new();
+        let toks = lex(src, &mut names).unwrap();
+        let words: Vec<String> = toks
+            .iter()
+            .map(|s| match s.tok {
+                Tok::Ident(sym) => names.resolve(sym).to_owned(),
+                Tok::Int(n) => n.to_string(),
+                other => other.text().to_owned(),
+            })
+            .collect();
+        words.join(" ")
     }
 
     #[test]
     fn lexes_operators() {
         assert_eq!(
             toks("a -> b == c != d <= e >= f && g || !h"),
-            vec![
-                Tok::Ident("a".into()),
-                Tok::Arrow,
-                Tok::Ident("b".into()),
-                Tok::EqEq,
-                Tok::Ident("c".into()),
-                Tok::NotEq,
-                Tok::Ident("d".into()),
-                Tok::Le,
-                Tok::Ident("e".into()),
-                Tok::Ge,
-                Tok::Ident("f".into()),
-                Tok::AmpAmp,
-                Tok::Ident("g".into()),
-                Tok::PipePipe,
-                Tok::Bang,
-                Tok::Ident("h".into()),
-                Tok::Eof
-            ]
+            "a -> b == c != d <= e >= f && g || ! h <eof>"
         );
     }
 
@@ -391,51 +386,42 @@ mod tests {
     fn lexes_keywords_and_ints() {
         assert_eq!(
             toks("fn f() { let x = 42; }"),
-            vec![
-                Tok::Fn,
-                Tok::Ident("f".into()),
-                Tok::LParen,
-                Tok::RParen,
-                Tok::LBrace,
-                Tok::Let,
-                Tok::Ident("x".into()),
-                Tok::Assign,
-                Tok::Int(42),
-                Tok::Semi,
-                Tok::RBrace,
-                Tok::Eof
-            ]
+            "fn f ( ) { let x = 42 ; } <eof>"
         );
     }
 
     #[test]
+    fn interns_each_name_once() {
+        let mut names = Interner::new();
+        let ts = lex("x y x fn x", &mut names).unwrap();
+        assert_eq!(names.len(), 2, "keywords are not interned");
+        assert_eq!(ts[0].tok, ts[2].tok);
+        assert_eq!(ts[0].tok, ts[4].tok);
+        assert_ne!(ts[0].tok, ts[1].tok);
+        assert_eq!(ts[1].tok.describe(&names), "identifier `y`");
+        assert_eq!(ts[3].tok.describe(&names), "`fn`");
+    }
+
+    #[test]
     fn skips_comments_and_tracks_lines() {
-        let ts = lex("// c1\nx /* multi\nline */ y").unwrap();
-        assert_eq!(ts[0].tok, Tok::Ident("x".into()));
+        let mut names = Interner::new();
+        let ts = lex("// c1\nx /* multi\nline */ y", &mut names).unwrap();
+        assert_eq!(ts[0].tok, Tok::Ident(names.get("x").unwrap()));
         assert_eq!(ts[0].line, 2);
-        assert_eq!(ts[1].tok, Tok::Ident("y".into()));
+        assert_eq!(ts[1].tok, Tok::Ident(names.get("y").unwrap()));
         assert_eq!(ts[1].line, 3);
     }
 
     #[test]
     fn rejects_unknown_chars() {
-        assert!(lex("x $ y").is_err());
-        assert!(lex("/* open").is_err());
-        assert!(lex("a | b").is_err());
+        let mut names = Interner::new();
+        assert!(lex("x $ y", &mut names).is_err());
+        assert!(lex("/* open", &mut names).is_err());
+        assert!(lex("a | b", &mut names).is_err());
     }
 
     #[test]
     fn arrow_vs_minus() {
-        assert_eq!(
-            toks("a - b -> c"),
-            vec![
-                Tok::Ident("a".into()),
-                Tok::Minus,
-                Tok::Ident("b".into()),
-                Tok::Arrow,
-                Tok::Ident("c".into()),
-                Tok::Eof
-            ]
-        );
+        assert_eq!(toks("a - b -> c"), "a - b -> c <eof>");
     }
 }

@@ -8,10 +8,15 @@
 //!
 //! The pipeline is:
 //!
-//! 1. [`parser::parse`] — C-like surface syntax → [`ast::SModule`];
+//! 1. [`parser::parse`] — C-like surface syntax → [`ast::SModule`]. The
+//!    lexer ([`lexer::lex`]) interns every identifier into the module's
+//!    [`Interner`] as it scans, so tokens and AST names are [`Symbol`]s,
+//!    and the parser bounds nesting at [`parser::MAX_DEPTH`] levels;
 //! 2. [`lower::lower`] — AST → canonical three-address [`ir::Program`]
 //!    (exactly the statement forms the paper's transfer functions
-//!    consume);
+//!    consume). The program's interner starts as the module's, and
+//!    names resolve through tables indexed by symbol, so each distinct
+//!    name is hashed once per program;
 //! 3. [`mod@cfg`] — successors/predecessors and atomic-region extraction.
 //!
 //! Use [`compile`] for steps 1–2 in one call:

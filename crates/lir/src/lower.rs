@@ -7,8 +7,8 @@
 //! flow. Atomic sections become `EnterAtomic`/`ExitAtomic` brackets.
 
 use crate::ast::*;
+use crate::intern::{Interner, Symbol};
 use crate::ir::*;
-use std::collections::HashMap;
 use std::fmt;
 
 /// An error produced during lowering (name resolution, arity, etc.).
@@ -63,6 +63,10 @@ pub fn compile(src: &str) -> Result<Program, FrontendError> {
 
 /// Lowers a parsed module to canonical IR.
 ///
+/// The program's interner starts as a copy of the module's, so every
+/// source name keeps its [`crate::Symbol`] and names resolve through
+/// tables indexed by symbol.
+///
 /// # Errors
 ///
 /// Reports unresolved names, arity mismatches, conflicting field
@@ -70,163 +74,115 @@ pub fn compile(src: &str) -> Result<Program, FrontendError> {
 /// loops.
 pub fn lower(module: &SModule) -> Result<Program, LowerError> {
     let mut program = Program::new();
-    let mut structs: HashMap<String, usize> = HashMap::new();
-    let mut field_ids: HashMap<String, FieldId> = HashMap::new();
-
+    program.interner = module.names.clone();
     // Reserve the dynamic pseudo-field first so tests get stable ids.
     program.elem_field();
-
-    for s in &module.structs {
-        if structs.contains_key(&s.name) {
-            return err(format!("struct `{}` declared twice", s.name));
-        }
-        let name_sym = program.interner.intern(&s.name);
-        let mut fids = Vec::new();
-        for (offset, fname) in s.fields.iter().enumerate() {
-            if let Some(&existing) = field_ids.get(fname) {
-                let info = program.field(existing);
-                if info.offset != offset {
-                    return err(format!(
-                        "field `{fname}` declared at conflicting offsets {} and {offset}; \
-                         field names must resolve to a single offset in this untyped language",
-                        info.offset
-                    ));
-                }
-                fids.push(existing);
-            } else {
-                let sym = program.interner.intern(fname);
-                let id = FieldId(program.fields.len() as u32);
-                program.fields.push(FieldInfo {
-                    name: sym,
-                    offset,
-                    dynamic: false,
-                });
-                field_ids.insert(fname.clone(), id);
-                fids.push(id);
-            }
-        }
-        structs.insert(s.name.clone(), program.structs.len());
-        program.structs.push(StructInfo {
-            name: name_sym,
-            fields: fids,
-        });
-    }
-
-    let mut globals: HashMap<String, VarId> = HashMap::new();
-    for g in &module.globals {
-        if globals.contains_key(g) {
-            return err(format!("global `{g}` declared twice"));
-        }
-        let sym = program.interner.intern(g);
-        let id = program.add_var(VarInfo {
-            name: sym,
-            owner: None,
-            kind: VarKind::Global,
-            addr_taken: false,
-        });
-        globals.insert(g.clone(), id);
-    }
-
-    // Collect function signatures first so calls can be forward.
-    let mut fn_ids: HashMap<String, FnId> = HashMap::new();
+    let mut lw = Lowerer {
+        tables: Tables::new(&module.names),
+        bindings: vec![UNBOUND; module.names.len()],
+        program,
+        undo: Vec::new(),
+        scope: 0,
+        temp_names: Vec::new(),
+        func: FnId(0),
+        ret: VarId(0),
+        fn_name: Symbol(0),
+        locals: Vec::new(),
+        instrs: Vec::new(),
+        loops: Vec::new(),
+        atomic_depth: 0,
+        n_temps: 0,
+    };
+    lw.declarations(module)?;
     for (i, f) in module.funcs.iter().enumerate() {
-        if fn_ids.contains_key(&f.name) {
-            return err(format!("function `{}` declared twice", f.name));
-        }
-        if is_intrinsic(&f.name).is_some() {
-            return err(format!("function `{}` shadows an intrinsic", f.name));
-        }
-        fn_ids.insert(f.name.clone(), FnId(i as u32));
+        lw.function(FnId(i as u32), f)?;
     }
-    let arity: HashMap<FnId, usize> = module
-        .funcs
-        .iter()
-        .enumerate()
-        .map(|(i, f)| (FnId(i as u32), f.params.len()))
-        .collect();
-
-    for (i, f) in module.funcs.iter().enumerate() {
-        let id = FnId(i as u32);
-        let name_sym = program.interner.intern(&f.name);
-        let ret_sym = program.interner.intern(&format!("ret${}", f.name));
-        let ret = program.add_var(VarInfo {
-            name: ret_sym,
-            owner: Some(id),
-            kind: VarKind::Ret,
-            addr_taken: false,
-        });
-        let mut ctx = FnCtx {
-            program: &mut program,
-            structs: &structs,
-            field_ids: &field_ids,
-            globals: &globals,
-            fn_ids: &fn_ids,
-            arity: &arity,
-            func: id,
-            ret,
-            fn_name: &f.name,
-            scopes: vec![HashMap::new()],
-            locals: Vec::new(),
-            instrs: Vec::new(),
-            loops: Vec::new(),
-            atomic_depth: 0,
-            n_temps: 0,
-        };
-        let mut params = Vec::new();
-        for p in &f.params {
-            let v = ctx.declare(p, VarKind::Param)?;
-            params.push(v);
-        }
-        ctx.stmts(&f.body)?;
-        ctx.instrs.push(Instr::Ret);
-        let FnCtx {
-            instrs, mut locals, ..
-        } = ctx;
-        locals.push(ret);
-        program.add_function(Function {
-            id,
-            name: name_sym,
-            params,
-            locals,
-            ret,
-            body: instrs,
-        });
-    }
-
-    Ok(program)
+    Ok(lw.program)
 }
 
 fn err<T>(message: String) -> Result<T, LowerError> {
     Err(LowerError { message })
 }
 
-fn is_intrinsic(name: &str) -> Option<(Intrinsic, usize)> {
-    match name {
-        "nops" => Some((Intrinsic::Nops, 1)),
-        "rand" => Some((Intrinsic::Rand, 1)),
-        "tid" => Some((Intrinsic::Tid, 0)),
-        "print" => Some((Intrinsic::Print, 1)),
-        "assert" => Some((Intrinsic::Assert, 1)),
-        _ => None,
+/// "No entry" in a symbol-indexed table.
+const NONE: u32 = u32::MAX;
+
+/// What each source name means at module level, indexed by [`Symbol`].
+struct Tables {
+    /// Index into [`Program::structs`].
+    structs: Vec<u32>,
+    fields: Vec<u32>,
+    globals: Vec<u32>,
+    fns: Vec<u32>,
+    intrinsics: Vec<Option<(Intrinsic, usize)>>,
+    /// Parameter count, indexed by [`FnId`].
+    arity: Vec<usize>,
+}
+
+impl Tables {
+    fn new(names: &Interner) -> Self {
+        let n = names.len();
+        let mut intrinsics = vec![None; n];
+        for (name, intr, arity) in [
+            ("nops", Intrinsic::Nops, 1),
+            ("rand", Intrinsic::Rand, 1),
+            ("tid", Intrinsic::Tid, 0),
+            ("print", Intrinsic::Print, 1),
+            ("assert", Intrinsic::Assert, 1),
+        ] {
+            if let Some(s) = names.get(name) {
+                intrinsics[s.0 as usize] = Some((intr, arity));
+            }
+        }
+        Tables {
+            structs: vec![NONE; n],
+            fields: vec![NONE; n],
+            globals: vec![NONE; n],
+            fns: vec![NONE; n],
+            intrinsics,
+            arity: Vec::new(),
+        }
     }
 }
+
+fn lookup(table: &[u32], name: Symbol) -> Option<u32> {
+    let v = table[name.0 as usize];
+    (v != NONE).then_some(v)
+}
+
+/// The local a name is bound to, and the scope that bound it.
+#[derive(Clone, Copy)]
+struct Binding {
+    var: u32,
+    scope: u32,
+}
+
+const UNBOUND: Binding = Binding {
+    var: NONE,
+    scope: 0,
+};
 
 struct LoopCtx {
     continue_target: u32,
     break_patches: Vec<usize>,
 }
 
-struct FnCtx<'a> {
-    program: &'a mut Program,
-    structs: &'a HashMap<String, usize>,
-    field_ids: &'a HashMap<String, FieldId>,
-    globals: &'a HashMap<String, VarId>,
-    fn_ids: &'a HashMap<String, FnId>,
-    arity: &'a HashMap<FnId, usize>,
+struct Lowerer {
+    program: Program,
+    tables: Tables,
+    /// The innermost local each source name is bound to. Scopes are
+    /// this one table plus `undo`: a declaration logs the binding it
+    /// hides, and leaving a scope restores what its declarations hid.
+    bindings: Vec<Binding>,
+    undo: Vec<(Symbol, Binding)>,
+    /// Nesting depth of the current scope (the function's is 0).
+    scope: u32,
+    /// `t$N` interned once per `N` for the whole program.
+    temp_names: Vec<Symbol>,
+    // The function being lowered.
     func: FnId,
     ret: VarId,
-    fn_name: &'a str,
-    scopes: Vec<HashMap<String, VarId>>,
+    fn_name: Symbol,
     locals: Vec<VarId>,
     instrs: Vec<Instr>,
     loops: Vec<LoopCtx>,
@@ -234,7 +190,111 @@ struct FnCtx<'a> {
     n_temps: u32,
 }
 
-impl FnCtx<'_> {
+impl Lowerer {
+    fn text(&self, name: Symbol) -> &str {
+        self.program.interner.resolve(name)
+    }
+
+    /// Structs, their fields, globals and function names, in the order
+    /// the errors about them are reported.
+    fn declarations(&mut self, module: &SModule) -> Result<(), LowerError> {
+        for s in &module.structs {
+            if lookup(&self.tables.structs, s.name).is_some() {
+                return err(format!("struct `{}` declared twice", self.text(s.name)));
+            }
+            let mut fids = Vec::new();
+            for (offset, &fname) in s.fields.iter().enumerate() {
+                if let Some(existing) = lookup(&self.tables.fields, fname) {
+                    let info = self.program.field(FieldId(existing));
+                    if info.offset != offset {
+                        return err(format!(
+                            "field `{}` declared at conflicting offsets {} and {offset}; \
+                             field names must resolve to a single offset in this untyped language",
+                            self.text(fname),
+                            info.offset
+                        ));
+                    }
+                    fids.push(FieldId(existing));
+                } else {
+                    let id = FieldId(self.program.fields.len() as u32);
+                    self.program.fields.push(FieldInfo {
+                        name: fname,
+                        offset,
+                        dynamic: false,
+                    });
+                    self.tables.fields[fname.0 as usize] = id.0;
+                    fids.push(id);
+                }
+            }
+            self.tables.structs[s.name.0 as usize] = self.program.structs.len() as u32;
+            self.program.structs.push(StructInfo {
+                name: s.name,
+                fields: fids,
+            });
+        }
+        for &g in &module.globals {
+            if lookup(&self.tables.globals, g).is_some() {
+                return err(format!("global `{}` declared twice", self.text(g)));
+            }
+            let id = self.program.add_var(VarInfo {
+                name: g,
+                owner: None,
+                kind: VarKind::Global,
+                addr_taken: false,
+            });
+            self.tables.globals[g.0 as usize] = id.0;
+        }
+        // Collect function names first so calls can be forward.
+        for (i, f) in module.funcs.iter().enumerate() {
+            if lookup(&self.tables.fns, f.name).is_some() {
+                return err(format!("function `{}` declared twice", self.text(f.name)));
+            }
+            if self.tables.intrinsics[f.name.0 as usize].is_some() {
+                return err(format!(
+                    "function `{}` shadows an intrinsic",
+                    self.text(f.name)
+                ));
+            }
+            self.tables.fns[f.name.0 as usize] = i as u32;
+            self.tables.arity.push(f.params.len());
+        }
+        Ok(())
+    }
+
+    fn function(&mut self, id: FnId, f: &SFunc) -> Result<(), LowerError> {
+        let ret_name = format!("ret${}", self.text(f.name));
+        let ret_sym = self.program.interner.intern(&ret_name);
+        let ret = self.program.add_var(VarInfo {
+            name: ret_sym,
+            owner: Some(id),
+            kind: VarKind::Ret,
+            addr_taken: false,
+        });
+        self.func = id;
+        self.ret = ret;
+        self.fn_name = f.name;
+        self.n_temps = 0;
+        let mut params = Vec::with_capacity(f.params.len());
+        for &p in &f.params {
+            params.push(self.declare(p, VarKind::Param)?);
+        }
+        self.stmts(&f.body)?;
+        self.instrs.push(Instr::Ret);
+        self.unbind_to(0);
+        let mut locals = std::mem::take(&mut self.locals);
+        locals.push(ret);
+        let body = std::mem::take(&mut self.instrs);
+        self.program.add_function(Function {
+            id,
+            name: f.name,
+            params,
+            locals,
+            ret,
+            body,
+        });
+        Ok(())
+    }
+
     fn emit(&mut self, i: Instr) -> usize {
         self.instrs.push(i);
         self.instrs.len() - 1
@@ -244,31 +304,46 @@ impl FnCtx<'_> {
         self.instrs.len() as u32
     }
 
-    fn declare(&mut self, name: &str, kind: VarKind) -> Result<VarId, LowerError> {
-        if self.scopes.last().unwrap().contains_key(name) {
+    fn declare(&mut self, name: Symbol, kind: VarKind) -> Result<VarId, LowerError> {
+        let hidden = self.bindings[name.0 as usize];
+        if hidden.var != NONE && hidden.scope == self.scope {
             return err(format!(
-                "`{name}` declared twice in the same scope of `{}`",
-                self.fn_name
+                "`{}` declared twice in the same scope of `{}`",
+                self.text(name),
+                self.text(self.fn_name)
             ));
         }
-        let sym = self.program.interner.intern(name);
         let v = self.program.add_var(VarInfo {
-            name: sym,
+            name,
             owner: Some(self.func),
             kind,
             addr_taken: false,
         });
-        self.scopes.last_mut().unwrap().insert(name.to_owned(), v);
+        self.undo.push((name, hidden));
+        self.bindings[name.0 as usize] = Binding {
+            var: v.0,
+            scope: self.scope,
+        };
         self.locals.push(v);
         Ok(v)
     }
 
+    /// Restores every binding declared since `mark`.
+    fn unbind_to(&mut self, mark: usize) {
+        for (name, hidden) in self.undo.drain(mark..).rev() {
+            self.bindings[name.0 as usize] = hidden;
+        }
+    }
+
     fn temp(&mut self) -> VarId {
-        let name = format!("t${}", self.n_temps);
+        let n = self.n_temps as usize;
         self.n_temps += 1;
-        let sym = self.program.interner.intern(&name);
+        if n == self.temp_names.len() {
+            let sym = self.program.interner.intern(&format!("t${n}"));
+            self.temp_names.push(sym);
+        }
         let v = self.program.add_var(VarInfo {
-            name: sym,
+            name: self.temp_names[n],
             owner: Some(self.func),
             kind: VarKind::Temp,
             addr_taken: false,
@@ -277,16 +352,19 @@ impl FnCtx<'_> {
         v
     }
 
-    fn resolve(&self, name: &str) -> Result<VarId, LowerError> {
-        for scope in self.scopes.iter().rev() {
-            if let Some(&v) = scope.get(name) {
-                return Ok(v);
-            }
+    fn resolve(&self, name: Symbol) -> Result<VarId, LowerError> {
+        let b = self.bindings[name.0 as usize];
+        if b.var != NONE {
+            return Ok(VarId(b.var));
         }
-        if let Some(&v) = self.globals.get(name) {
-            return Ok(v);
+        match lookup(&self.tables.globals, name) {
+            Some(v) => Ok(VarId(v)),
+            None => err(format!(
+                "unresolved name `{}` in `{}`",
+                self.text(name),
+                self.text(self.fn_name)
+            )),
         }
-        err(format!("unresolved name `{name}` in `{}`", self.fn_name))
     }
 
     fn stmts(&mut self, body: &[SStmt]) -> Result<(), LowerError> {
@@ -297,16 +375,17 @@ impl FnCtx<'_> {
     }
 
     fn scoped(&mut self, body: &[SStmt]) -> Result<(), LowerError> {
-        self.scopes.push(HashMap::new());
+        let mark = self.undo.len();
+        self.scope += 1;
         let r = self.stmts(body);
-        self.scopes.pop();
+        self.scope -= 1;
+        self.unbind_to(mark);
         r
     }
-
     fn stmt(&mut self, s: &SStmt) -> Result<(), LowerError> {
         match s {
             SStmt::Let(name, init) => {
-                let v = self.declare(name, VarKind::Local)?;
+                let v = self.declare(*name, VarKind::Local)?;
                 match init {
                     Some(e) => self.lower_into(e, v)?,
                     None => {
@@ -317,7 +396,7 @@ impl FnCtx<'_> {
             }
             SStmt::Assign(lv, e) => match lv {
                 SExpr::Var(name) => {
-                    let v = self.resolve(name)?;
+                    let v = self.resolve(*name)?;
                     self.lower_into(e, v)
                 }
                 _ => {
@@ -381,7 +460,7 @@ impl FnCtx<'_> {
                 if self.atomic_depth > 0 {
                     return err(format!(
                         "`return` inside `atomic` is not supported (function `{}`)",
-                        self.fn_name
+                        self.text(self.fn_name)
                     ));
                 }
                 let ret = self.ret;
@@ -398,7 +477,7 @@ impl FnCtx<'_> {
                 if self.atomic_depth > 0 && !self.loop_inside_atomic() {
                     return err(format!(
                         "`break` crossing an `atomic` boundary in `{}`",
-                        self.fn_name
+                        self.text(self.fn_name)
                     ));
                 }
                 match self.loops.last_mut() {
@@ -407,7 +486,10 @@ impl FnCtx<'_> {
                         self.loops.last_mut().unwrap().break_patches.push(site);
                         Ok(())
                     }
-                    None => err(format!("`break` outside a loop in `{}`", self.fn_name)),
+                    None => err(format!(
+                        "`break` outside a loop in `{}`",
+                        self.text(self.fn_name)
+                    )),
                 }
             }
             SStmt::Continue => match self.loops.last() {
@@ -416,7 +498,10 @@ impl FnCtx<'_> {
                     self.emit(Instr::Jump(target));
                     Ok(())
                 }
-                None => err(format!("`continue` outside a loop in `{}`", self.fn_name)),
+                None => err(format!(
+                    "`continue` outside a loop in `{}`",
+                    self.text(self.fn_name)
+                )),
             },
             SStmt::Block(body) => self.scoped(body),
         }
@@ -457,7 +542,7 @@ impl FnCtx<'_> {
     fn lower_into(&mut self, e: &SExpr, dest: VarId) -> Result<(), LowerError> {
         match e {
             SExpr::Var(name) => {
-                let v = self.resolve(name)?;
+                let v = self.resolve(*name)?;
                 self.emit(Instr::Assign(dest, Rvalue::Copy(v)));
             }
             SExpr::Int(n) => {
@@ -479,10 +564,10 @@ impl FnCtx<'_> {
                 self.emit(Instr::Assign(dest, rv));
             }
             SExpr::NewStruct(name) => {
-                let &si = self.structs.get(name).ok_or_else(|| LowerError {
-                    message: format!("unknown struct `{name}`"),
-                })?;
-                let size = self.program.structs[si].fields.len().max(1);
+                let Some(si) = lookup(&self.tables.structs, *name) else {
+                    return err(format!("unknown struct `{}`", self.text(*name)));
+                };
+                let size = self.program.structs[si as usize].fields.len().max(1);
                 self.emit(Instr::Assign(dest, Rvalue::Alloc(size)));
             }
             SExpr::NewArray(n) => match **n {
@@ -495,7 +580,7 @@ impl FnCtx<'_> {
                 }
             },
             SExpr::Call(name, args) => {
-                let rv = self.call_rvalue(name, args)?;
+                let rv = self.call_rvalue(*name, args)?;
                 self.emit(Instr::Assign(dest, rv));
             }
             SExpr::Binop(kind, a, b) => match binop_class(*kind) {
@@ -531,7 +616,7 @@ impl FnCtx<'_> {
     /// Lowers `e` to a variable holding its value.
     fn lower_val(&mut self, e: &SExpr) -> Result<VarId, LowerError> {
         if let SExpr::Var(name) = e {
-            return self.resolve(name);
+            return self.resolve(*name);
         }
         let t = self.temp();
         self.lower_into(e, t)?;
@@ -554,7 +639,7 @@ impl FnCtx<'_> {
     fn addr_rvalue(&mut self, lv: &SExpr) -> Result<Rvalue, LowerError> {
         match lv {
             SExpr::Var(name) => {
-                let v = self.resolve(name)?;
+                let v = self.resolve(*name)?;
                 self.program.vars[v.0 as usize].addr_taken = true;
                 Ok(Rvalue::AddrOf(v))
             }
@@ -564,45 +649,51 @@ impl FnCtx<'_> {
             }
             SExpr::Arrow(base, fname) => {
                 let b = self.lower_val(base)?;
-                let f = *self.field_ids.get(fname).ok_or_else(|| LowerError {
-                    message: format!("unknown field `{fname}` in `{}`", self.fn_name),
-                })?;
-                Ok(Rvalue::FieldAddr(b, f))
+                let Some(f) = lookup(&self.tables.fields, *fname) else {
+                    return err(format!(
+                        "unknown field `{}` in `{}`",
+                        self.text(*fname),
+                        self.text(self.fn_name)
+                    ));
+                };
+                Ok(Rvalue::FieldAddr(b, FieldId(f)))
             }
             SExpr::Index(base, idx) => {
                 let b = self.lower_val(base)?;
                 let i = self.lower_val(idx)?;
                 Ok(Rvalue::DynAddr(b, i))
             }
-            _ => err(format!("not an lvalue in `{}`", self.fn_name)),
+            _ => err(format!("not an lvalue in `{}`", self.text(self.fn_name))),
         }
     }
 
-    fn call_rvalue(&mut self, name: &str, args: &[SExpr]) -> Result<Rvalue, LowerError> {
+    fn call_rvalue(&mut self, name: Symbol, args: &[SExpr]) -> Result<Rvalue, LowerError> {
         let mut vals = Vec::with_capacity(args.len());
         for a in args {
             vals.push(self.lower_val(a)?);
         }
-        if let Some((intr, n)) = is_intrinsic(name) {
+        if let Some((intr, n)) = self.tables.intrinsics[name.0 as usize] {
             if vals.len() != n {
                 return err(format!(
-                    "intrinsic `{name}` expects {n} argument(s), got {}",
+                    "intrinsic `{}` expects {n} argument(s), got {}",
+                    self.text(name),
                     vals.len()
                 ));
             }
             return Ok(Rvalue::Intrinsic(intr, vals));
         }
-        let &fid = self.fn_ids.get(name).ok_or_else(|| LowerError {
-            message: format!("unknown function `{name}`"),
-        })?;
-        let want = self.arity[&fid];
+        let Some(fid) = lookup(&self.tables.fns, name) else {
+            return err(format!("unknown function `{}`", self.text(name)));
+        };
+        let want = self.tables.arity[fid as usize];
         if vals.len() != want {
             return err(format!(
-                "function `{name}` expects {want} argument(s), got {}",
+                "function `{}` expects {want} argument(s), got {}",
+                self.text(name),
                 vals.len()
             ));
         }
-        Ok(Rvalue::Call(fid, vals))
+        Ok(Rvalue::Call(FnId(fid), vals))
     }
 
     /// Short-circuit `&&` (is_and) / `||`, producing 0/1 into `dest`.

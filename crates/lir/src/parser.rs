@@ -18,10 +18,24 @@
 //! Expression precedence (low to high): `||`, `&&`, `==`/`!=`,
 //! `<`/`<=`/`>`/`>=`, `+`/`-`, `*`/`/`/`%`, unary (`!` `-` `*` `&`),
 //! postfix (`->f`, `[e]`, `(args)`).
+//!
+//! Nesting is bounded by [`MAX_DEPTH`]: every pass over the tree
+//! (parsing, lowering, printing, dropping) recurses once per level, so
+//! the bound is what keeps a hostile source from overflowing the stack.
 
 use crate::ast::*;
+use crate::intern::{Interner, Symbol};
 use crate::lexer::{lex, LexError, Spanned, Tok};
 use std::fmt;
+
+/// The deepest a module may nest. The levels on a path from a function
+/// down to a leaf are its blocks (the function's own, `if`, `else`,
+/// `while`, `atomic` and bare `{ }`), each `else if`, each pair of
+/// parentheses and each expression node (operators, `->f`, `[e]`,
+/// calls, `new(n)`, and the leaf itself); parsing rejects a module with
+/// a longer path. A left-deep chain like `a + b + c` is one level per
+/// operator.
+pub const MAX_DEPTH: u32 = 256;
 
 /// A parse error with a source line.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -51,7 +65,8 @@ impl From<LexError> for ParseError {
 ///
 /// # Errors
 ///
-/// Returns the first lexical or syntactic error encountered.
+/// Returns the first lexical or syntactic error encountered, or a
+/// nesting error past [`MAX_DEPTH`].
 ///
 /// # Examples
 ///
@@ -59,37 +74,48 @@ impl From<LexError> for ParseError {
 /// let src = "fn main() { let x = 1; return x; }";
 /// let module = lir::parser::parse(src)?;
 /// assert_eq!(module.funcs.len(), 1);
+/// assert_eq!(module.names.resolve(module.funcs[0].name), "main");
 /// # Ok::<(), lir::parser::ParseError>(())
 /// ```
 pub fn parse(src: &str) -> Result<SModule, ParseError> {
-    let toks = lex(src)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut names = Interner::new();
+    let toks = lex(src, &mut names)?;
+    let mut p = Parser {
+        toks,
+        pos: 0,
+        names,
+        depth: 0,
+    };
     p.module()
 }
+
+/// An expression and its height: the levels from it down to its
+/// deepest leaf, counted as [`MAX_DEPTH`] counts them.
+type Expr = (SExpr, u32);
 
 struct Parser {
     toks: Vec<Spanned>,
     pos: usize,
+    names: Interner,
+    /// Levels open above the current token.
+    depth: u32,
 }
 
 impl Parser {
-    fn peek(&self) -> &Tok {
-        &self.toks[self.pos].tok
+    fn peek(&self) -> Tok {
+        self.toks[self.pos].tok
     }
 
     fn line(&self) -> u32 {
         self.toks[self.pos].line
     }
 
-    /// Moves the current token out and advances. The parser never looks
-    /// back, so the slot is left as `Eof` — which the last token, where
-    /// the cursor stays, already is.
-    fn bump(&mut self) -> Tok {
-        let t = std::mem::replace(&mut self.toks[self.pos].tok, Tok::Eof);
+    /// Advances past the current token; the cursor stays on the final
+    /// `Eof`.
+    fn bump(&mut self) {
         if self.pos + 1 < self.toks.len() {
             self.pos += 1;
         }
-        t
     }
 
     fn err<T>(&self, msg: impl Into<String>) -> Result<T, ParseError> {
@@ -99,16 +125,21 @@ impl Parser {
         })
     }
 
+    fn found(&self) -> String {
+        self.peek().describe(&self.names)
+    }
+
     fn expect(&mut self, t: Tok) -> Result<(), ParseError> {
-        if *self.peek() == t {
+        if self.peek() == t {
             self.bump();
             Ok(())
         } else {
-            self.err(format!("expected {t}, found {}", self.peek()))
+            let want = t.describe(&self.names);
+            self.err(format!("expected {want}, found {}", self.found()))
         }
     }
 
-    fn eat(&mut self, t: &Tok) -> bool {
+    fn eat(&mut self, t: Tok) -> bool {
         if self.peek() == t {
             self.bump();
             true
@@ -117,21 +148,42 @@ impl Parser {
         }
     }
 
-    fn ident(&mut self) -> Result<String, ParseError> {
-        match self.eat_ident() {
-            Some(s) => Ok(s),
-            None => self.err(format!("expected identifier, found {}", self.peek())),
+    fn ident(&mut self) -> Result<Symbol, ParseError> {
+        match self.peek() {
+            Tok::Ident(s) => {
+                self.bump();
+                Ok(s)
+            }
+            _ => self.err(format!("expected identifier, found {}", self.found())),
         }
     }
 
-    /// The current token's name, consumed, if it is an identifier.
-    fn eat_ident(&mut self) -> Option<String> {
-        let Tok::Ident(s) = &mut self.toks[self.pos].tok else {
-            return None;
-        };
-        let s = std::mem::take(s);
-        self.bump();
-        Some(s)
+    fn too_deep<T>(&self) -> Result<T, ParseError> {
+        self.err(format!("nesting deeper than {MAX_DEPTH} levels"))
+    }
+
+    /// Runs `f` one level further down.
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return self.too_deep();
+        }
+        self.depth += 1;
+        let r = f(self);
+        self.depth -= 1;
+        r
+    }
+
+    /// Admits an expression node of height `h` built at this level.
+    /// Checking every node, not only each statement's root, keeps the
+    /// tree a failed parse drops as shallow as an accepted one.
+    fn node(&self, h: u32) -> Result<u32, ParseError> {
+        if self.depth + h > MAX_DEPTH {
+            return self.too_deep();
+        }
+        Ok(h)
     }
 
     fn module(&mut self) -> Result<SModule, ParseError> {
@@ -144,7 +196,7 @@ impl Parser {
                     let name = self.ident()?;
                     self.expect(Tok::LBrace)?;
                     let mut fields = Vec::new();
-                    while !self.eat(&Tok::RBrace) {
+                    while !self.eat(Tok::RBrace) {
                         fields.push(self.ident()?);
                         self.expect(Tok::Semi)?;
                     }
@@ -154,7 +206,7 @@ impl Parser {
                     self.bump();
                     loop {
                         m.globals.push(self.ident()?);
-                        if !self.eat(&Tok::Comma) {
+                        if !self.eat(Tok::Comma) {
                             break;
                         }
                     }
@@ -166,10 +218,10 @@ impl Parser {
                     let name = self.ident()?;
                     self.expect(Tok::LParen)?;
                     let mut params = Vec::new();
-                    if !self.eat(&Tok::RParen) {
+                    if !self.eat(Tok::RParen) {
                         loop {
                             params.push(self.ident()?);
-                            if self.eat(&Tok::RParen) {
+                            if self.eat(Tok::RParen) {
                                 break;
                             }
                             self.expect(Tok::Comma)?;
@@ -183,19 +235,22 @@ impl Parser {
                         line,
                     });
                 }
-                other => return self.err(format!("expected item, found {other}")),
+                _ => return self.err(format!("expected item, found {}", self.found())),
             }
         }
+        m.names = std::mem::take(&mut self.names);
         Ok(m)
     }
 
     fn block(&mut self) -> Result<Vec<SStmt>, ParseError> {
         self.expect(Tok::LBrace)?;
-        let mut stmts = Vec::new();
-        while !self.eat(&Tok::RBrace) {
-            stmts.push(self.stmt()?);
-        }
-        Ok(stmts)
+        self.nested(|p| {
+            let mut stmts = Vec::new();
+            while !p.eat(Tok::RBrace) {
+                stmts.push(p.stmt()?);
+            }
+            Ok(stmts)
+        })
     }
 
     fn stmt(&mut self) -> Result<SStmt, ParseError> {
@@ -203,7 +258,7 @@ impl Parser {
             Tok::Let => {
                 self.bump();
                 let name = self.ident()?;
-                let init = if self.eat(&Tok::Assign) {
+                let init = if self.eat(Tok::Assign) {
                     Some(self.expr()?)
                 } else {
                     None
@@ -225,7 +280,7 @@ impl Parser {
             }
             Tok::Return => {
                 self.bump();
-                let val = if *self.peek() == Tok::Semi {
+                let val = if self.peek() == Tok::Semi {
                     None
                 } else {
                     Some(self.expr()?)
@@ -246,7 +301,7 @@ impl Parser {
             Tok::LBrace => Ok(SStmt::Block(self.block()?)),
             _ => {
                 let e = self.expr()?;
-                if self.eat(&Tok::Assign) {
+                if self.eat(Tok::Assign) {
                     let rhs = self.expr()?;
                     self.expect(Tok::Semi)?;
                     if !is_lvalue(&e) {
@@ -270,9 +325,9 @@ impl Parser {
         let cond = self.expr()?;
         self.expect(Tok::RParen)?;
         let then = self.block()?;
-        let els = if self.eat(&Tok::Else) {
-            if *self.peek() == Tok::If {
-                vec![self.if_stmt()?]
+        let els = if self.eat(Tok::Else) {
+            if self.peek() == Tok::If {
+                vec![self.nested(Self::if_stmt)?]
             } else {
                 self.block()?
             }
@@ -282,130 +337,65 @@ impl Parser {
         Ok(SStmt::If(cond, then, els))
     }
 
+    /// A statement-level expression.
     fn expr(&mut self) -> Result<SExpr, ParseError> {
-        self.or_expr()
+        Ok(self.binary(0)?.0)
     }
 
-    fn or_expr(&mut self) -> Result<SExpr, ParseError> {
-        let mut lhs = self.and_expr()?;
-        while self.eat(&Tok::PipePipe) {
-            let rhs = self.and_expr()?;
-            lhs = SExpr::Binop(BinKind::Or, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
+    /// An operand one level down: a parenthesised expression, an index,
+    /// an argument, an array size.
+    fn sub_expr(&mut self) -> Result<Expr, ParseError> {
+        self.nested(|p| p.binary(0))
     }
 
-    fn and_expr(&mut self) -> Result<SExpr, ParseError> {
-        let mut lhs = self.eq_expr()?;
-        while self.eat(&Tok::AmpAmp) {
-            let rhs = self.eq_expr()?;
-            lhs = SExpr::Binop(BinKind::And, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn eq_expr(&mut self) -> Result<SExpr, ParseError> {
-        let mut lhs = self.rel_expr()?;
-        loop {
-            let op = match self.peek() {
-                Tok::EqEq => BinKind::Eq,
-                Tok::NotEq => BinKind::Ne,
-                _ => break,
-            };
+    /// Binary operators of precedence `min` and up, left-associative
+    /// (precedence climbing).
+    fn binary(&mut self, min: u8) -> Result<Expr, ParseError> {
+        let (mut lhs, mut h) = self.unary()?;
+        while let Some((op, prec)) = binop(self.peek()) {
+            if prec < min {
+                break;
+            }
             self.bump();
-            let rhs = self.rel_expr()?;
+            let (rhs, rh) = self.nested(|p| p.binary(prec + 1))?;
+            h = self.node(1 + h.max(rh))?;
             lhs = SExpr::Binop(op, Box::new(lhs), Box::new(rhs));
         }
-        Ok(lhs)
+        Ok((lhs, h))
     }
 
-    fn rel_expr(&mut self) -> Result<SExpr, ParseError> {
-        let mut lhs = self.add_expr()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Lt => BinKind::Lt,
-                Tok::Le => BinKind::Le,
-                Tok::Gt => BinKind::Gt,
-                Tok::Ge => BinKind::Ge,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.add_expr()?;
-            lhs = SExpr::Binop(op, Box::new(lhs), Box::new(rhs));
+    fn unary(&mut self) -> Result<Expr, ParseError> {
+        let wrap: fn(Box<SExpr>) -> SExpr = match self.peek() {
+            Tok::Bang => SExpr::Not,
+            Tok::Minus => SExpr::Neg,
+            Tok::Star => SExpr::Deref,
+            Tok::Amp => SExpr::AddrOf,
+            _ => return self.postfix(),
+        };
+        let addr_of = self.peek() == Tok::Amp;
+        self.bump();
+        let (inner, h) = self.nested(Self::unary)?;
+        if addr_of && !is_lvalue(&inner) {
+            return self.err("`&` requires an lvalue operand");
         }
-        Ok(lhs)
+        Ok((wrap(Box::new(inner)), self.node(h + 1)?))
     }
 
-    fn add_expr(&mut self) -> Result<SExpr, ParseError> {
-        let mut lhs = self.mul_expr()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Plus => BinKind::Add,
-                Tok::Minus => BinKind::Sub,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.mul_expr()?;
-            lhs = SExpr::Binop(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn mul_expr(&mut self) -> Result<SExpr, ParseError> {
-        let mut lhs = self.unary_expr()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Star => BinKind::Mul,
-                Tok::Slash => BinKind::Div,
-                Tok::Percent => BinKind::Rem,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.unary_expr()?;
-            lhs = SExpr::Binop(op, Box::new(lhs), Box::new(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn unary_expr(&mut self) -> Result<SExpr, ParseError> {
-        match self.peek() {
-            Tok::Bang => {
-                self.bump();
-                Ok(SExpr::Not(Box::new(self.unary_expr()?)))
-            }
-            Tok::Minus => {
-                self.bump();
-                Ok(SExpr::Neg(Box::new(self.unary_expr()?)))
-            }
-            Tok::Star => {
-                self.bump();
-                Ok(SExpr::Deref(Box::new(self.unary_expr()?)))
-            }
-            Tok::Amp => {
-                self.bump();
-                let inner = self.unary_expr()?;
-                if !is_lvalue(&inner) {
-                    return self.err("`&` requires an lvalue operand");
-                }
-                Ok(SExpr::AddrOf(Box::new(inner)))
-            }
-            _ => self.postfix_expr(),
-        }
-    }
-
-    fn postfix_expr(&mut self) -> Result<SExpr, ParseError> {
-        let mut e = self.primary_expr()?;
+    fn postfix(&mut self) -> Result<Expr, ParseError> {
+        let (mut e, mut h) = self.primary()?;
         loop {
             match self.peek() {
                 Tok::Arrow => {
                     self.bump();
                     let f = self.ident()?;
+                    h = self.node(h + 1)?;
                     e = SExpr::Arrow(Box::new(e), f);
                 }
                 Tok::LBracket => {
                     self.bump();
-                    let idx = self.expr()?;
+                    let (idx, ih) = self.sub_expr()?;
                     self.expect(Tok::RBracket)?;
+                    h = self.node(1 + h.max(ih))?;
                     e = SExpr::Index(Box::new(e), Box::new(idx));
                 }
                 Tok::LParen => {
@@ -414,62 +404,83 @@ impl Parser {
                     };
                     self.bump();
                     let mut args = Vec::new();
-                    if !self.eat(&Tok::RParen) {
+                    let mut ah = 0;
+                    if !self.eat(Tok::RParen) {
                         loop {
-                            args.push(self.expr()?);
-                            if self.eat(&Tok::RParen) {
+                            let (arg, h) = self.sub_expr()?;
+                            args.push(arg);
+                            ah = ah.max(h);
+                            if self.eat(Tok::RParen) {
                                 break;
                             }
                             self.expect(Tok::Comma)?;
                         }
                     }
+                    h = self.node(1 + ah)?;
                     e = SExpr::Call(name, args);
                 }
                 _ => break,
             }
         }
-        Ok(e)
+        Ok((e, h))
     }
 
-    fn primary_expr(&mut self) -> Result<SExpr, ParseError> {
-        if let Some(s) = self.eat_ident() {
-            return Ok(SExpr::Var(s));
-        }
-        match *self.peek() {
-            Tok::Int(n) => {
-                self.bump();
-                Ok(SExpr::Int(n))
-            }
-            Tok::Null => {
-                self.bump();
-                Ok(SExpr::Null)
-            }
+    fn primary(&mut self) -> Result<Expr, ParseError> {
+        let leaf = match self.peek() {
+            Tok::Ident(s) => SExpr::Var(s),
+            Tok::Int(n) => SExpr::Int(n),
+            Tok::Null => SExpr::Null,
             Tok::New => {
                 self.bump();
-                if let Some(s) = self.eat_ident() {
-                    return Ok(SExpr::NewStruct(s));
-                }
-                match self.peek() {
+                return match self.peek() {
+                    Tok::Ident(s) => {
+                        self.bump();
+                        Ok((SExpr::NewStruct(s), self.node(1)?))
+                    }
                     Tok::LParen => {
                         self.bump();
-                        let n = self.expr()?;
+                        let (n, h) = self.sub_expr()?;
                         self.expect(Tok::RParen)?;
-                        Ok(SExpr::NewArray(Box::new(n)))
+                        Ok((SExpr::NewArray(Box::new(n)), self.node(h + 1)?))
                     }
-                    other => self.err(format!(
-                        "expected struct name or `(` after `new`, found {other}"
+                    _ => self.err(format!(
+                        "expected struct name or `(` after `new`, found {}",
+                        self.found()
                     )),
-                }
+                };
             }
             Tok::LParen => {
                 self.bump();
-                let e = self.expr()?;
+                let (e, h) = self.sub_expr()?;
                 self.expect(Tok::RParen)?;
-                Ok(e)
+                return Ok((e, self.node(h + 1)?));
             }
-            ref other => self.err(format!("expected expression, found {other}")),
-        }
+            _ => return self.err(format!("expected expression, found {}", self.found())),
+        };
+        self.bump();
+        Ok((leaf, self.node(1)?))
     }
+}
+
+/// A binary operator token's kind and precedence (higher binds
+/// tighter).
+fn binop(t: Tok) -> Option<(BinKind, u8)> {
+    Some(match t {
+        Tok::PipePipe => (BinKind::Or, 0),
+        Tok::AmpAmp => (BinKind::And, 1),
+        Tok::EqEq => (BinKind::Eq, 2),
+        Tok::NotEq => (BinKind::Ne, 2),
+        Tok::Lt => (BinKind::Lt, 3),
+        Tok::Le => (BinKind::Le, 3),
+        Tok::Gt => (BinKind::Gt, 3),
+        Tok::Ge => (BinKind::Ge, 3),
+        Tok::Plus => (BinKind::Add, 4),
+        Tok::Minus => (BinKind::Sub, 4),
+        Tok::Star => (BinKind::Mul, 5),
+        Tok::Slash => (BinKind::Div, 5),
+        Tok::Percent => (BinKind::Rem, 5),
+        _ => return None,
+    })
 }
 
 /// Whether a surface expression can appear on the left of `=` or under `&`.
@@ -507,7 +518,12 @@ mod tests {
         let m = parse(src).unwrap();
         assert_eq!(m.structs.len(), 2);
         assert_eq!(m.funcs.len(), 1);
-        assert_eq!(m.funcs[0].params, vec!["from", "to"]);
+        let params: Vec<&str> = m.funcs[0]
+            .params
+            .iter()
+            .map(|p| m.names.resolve(*p))
+            .collect();
+        assert_eq!(params, ["from", "to"]);
         assert!(matches!(m.funcs[0].body[0], SStmt::Atomic(_)));
     }
 
@@ -533,7 +549,8 @@ mod tests {
     #[test]
     fn parses_globals_and_new() {
         let m = parse("global g, h; struct s { f; } fn f() { g = new s; h = new(10); }").unwrap();
-        assert_eq!(m.globals, vec!["g", "h"]);
+        let globals: Vec<&str> = m.globals.iter().map(|g| m.names.resolve(*g)).collect();
+        assert_eq!(globals, ["g", "h"]);
         assert_eq!(m.funcs[0].body.len(), 2);
     }
 
@@ -551,6 +568,16 @@ mod tests {
             panic!()
         };
         assert!(matches!(els[0], SStmt::If(..)));
+    }
+
+    #[test]
+    fn operators_associate_left_by_precedence() {
+        let m = parse("fn f(a, b, c) { let x = a - b - c * a || b && c; }").unwrap();
+        let src = m.to_source();
+        assert!(
+            src.contains("let x = (((a - b) - (c * a)) || (b && c));"),
+            "{src}"
+        );
     }
 
     #[test]

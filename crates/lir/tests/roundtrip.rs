@@ -1,19 +1,33 @@
 //! Property test: `parse(module.to_source()) == module` for randomly
 //! generated surface ASTs — the parser and the emitter agree on the
-//! whole grammar.
+//! whole grammar. Modules compare by resolved names: the parser's
+//! interner numbers names in source order, the generator's does not.
 
 use lir::ast::*;
+use lir::{Interner, Symbol};
 use proptest::prelude::*;
+use std::fmt::Write as _;
 
-fn ident() -> impl Strategy<Value = String> {
-    prop::sample::select(vec![
-        "a", "b", "c", "foo", "bar", "baz_1", "cur", "prev", "x9", "tmp",
-    ])
-    .prop_map(str::to_owned)
+const IDENTS: [&str; 10] = [
+    "a", "b", "c", "foo", "bar", "baz_1", "cur", "prev", "x9", "tmp",
+];
+const FIELDS: [&str; 5] = ["f0", "f1", "next", "data", "head"];
+
+/// The generator's interner: `IDENTS`, then `FIELDS`, in order.
+fn names() -> Interner {
+    let mut names = Interner::new();
+    for n in IDENTS.iter().chain(&FIELDS) {
+        names.intern(n);
+    }
+    names
 }
 
-fn field_name() -> impl Strategy<Value = String> {
-    prop::sample::select(vec!["f0", "f1", "next", "data", "head"]).prop_map(str::to_owned)
+fn ident() -> impl Strategy<Value = Symbol> {
+    (0..IDENTS.len() as u32).prop_map(Symbol)
+}
+
+fn field_name() -> impl Strategy<Value = Symbol> {
+    (0..FIELDS.len() as u32).prop_map(|i| Symbol(IDENTS.len() as u32 + i))
 }
 
 fn binop() -> impl Strategy<Value = BinKind> {
@@ -125,6 +139,7 @@ fn module() -> impl Strategy<Value = SModule> {
         .prop_map(|(structs, mut globals, funcs)| {
             globals.dedup();
             SModule {
+                names: names(),
                 structs,
                 globals,
                 funcs,
@@ -132,12 +147,28 @@ fn module() -> impl Strategy<Value = SModule> {
         })
 }
 
-/// Erase source-position metadata before comparing.
-fn strip_lines(mut m: SModule) -> SModule {
-    for f in &mut m.funcs {
+/// The whole module, source lines erased, with every symbol shown as
+/// its name.
+fn by_name(m: &SModule) -> String {
+    let mut funcs = m.funcs.clone();
+    for f in &mut funcs {
         f.line = 0;
     }
-    m
+    let debug = format!("{:?} {:?} {:?}", m.structs, m.globals, funcs);
+    let mut out = String::new();
+    let mut rest = debug.as_str();
+    while let Some(i) = rest.find("sym#") {
+        out.push_str(&rest[..i]);
+        rest = &rest[i + 4..];
+        let end = rest
+            .find(|c: char| !c.is_ascii_digit())
+            .unwrap_or(rest.len());
+        let sym = Symbol(rest[..end].parse().unwrap());
+        let _ = write!(out, "`{}`", m.names.resolve(sym));
+        rest = &rest[end..];
+    }
+    out.push_str(rest);
+    out
 }
 
 proptest! {
@@ -148,6 +179,7 @@ proptest! {
         let src = m.to_source();
         let reparsed = lir::parser::parse(&src)
             .unwrap_or_else(|e| panic!("emitted source failed to parse: {e}\n{src}"));
-        prop_assert_eq!(strip_lines(reparsed), m, "round-trip mismatch for\n{}", src);
+        prop_assert_eq!(by_name(&reparsed), by_name(&m), "round-trip mismatch for\n{}", src);
+        prop_assert_eq!(reparsed.to_source(), src);
     }
 }

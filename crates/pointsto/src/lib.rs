@@ -25,7 +25,6 @@
 //! ```
 
 use lir::{FnId, Instr, PathExpr, PathOp, Program, Rvalue, VarId};
-use std::collections::HashMap;
 use std::fmt;
 
 /// A points-to equivalence class (a *points-to set* in the paper's
@@ -41,8 +40,9 @@ impl fmt::Debug for PtsClass {
 }
 
 /// An allocation site: the instruction `Assign(_, Alloc|AllocDyn)` at
-/// index `idx` of function `func`.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+/// index `idx` of function `func`. Sites order by function, then
+/// instruction — the order [`PointsTo::analyze`] discovers them in.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct AllocSite {
     pub func: FnId,
     pub idx: u32,
@@ -50,7 +50,8 @@ pub struct AllocSite {
 
 /// Result of the points-to analysis.
 ///
-/// All queries are O(α) after construction.
+/// All queries are O(α) after construction, except
+/// [`PointsTo::class_of_site`], a binary search over the sites.
 #[derive(Debug)]
 pub struct PointsTo {
     /// Union-find parents (frozen after `analyze`; queries use the
@@ -60,20 +61,23 @@ pub struct PointsTo {
     succ: Vec<Option<u32>>,
     /// First cell index of the allocation-site block.
     n_vars: usize,
-    /// Allocation sites in discovery order; cell of site `i` is
-    /// `n_vars + i`.
+    /// Allocation sites in discovery order, which is sorted; cell of
+    /// site `i` is `n_vars + i`.
     sites: Vec<AllocSite>,
-    site_index: HashMap<AllocSite, usize>,
     /// Dense class numbering: raw canonical cell → class id.
     class_of_cell: Vec<u32>,
     n_classes: u32,
-    /// Members per class (for diagnostics and concrete denotations).
-    members: Vec<Vec<u32>>,
+    /// The cells of class `k`, ascending, are
+    /// `members[member_start[k]..member_start[k + 1]]`.
+    member_start: Vec<u32>,
+    members: Vec<u32>,
 }
 
 struct Builder {
     parent: Vec<u32>,
     succ: Vec<Option<u32>>,
+    /// `unify`'s pending pairs, kept between calls for its capacity.
+    work: Vec<(u32, u32)>,
 }
 
 impl Builder {
@@ -81,6 +85,7 @@ impl Builder {
         Builder {
             parent: (0..n as u32).collect(),
             succ: vec![None; n],
+            work: Vec::new(),
         }
     }
 
@@ -103,15 +108,15 @@ impl Builder {
     /// Steensgaard's conditional join: union two classes and recursively
     /// merge their successors (iteratively, with a worklist).
     fn unify(&mut self, a: u32, b: u32) {
-        let mut work = vec![(a, b)];
-        while let Some((a, b)) = work.pop() {
+        self.work.push((a, b));
+        while let Some((a, b)) = self.work.pop() {
             let (ra, rb) = (self.find(a), self.find(b));
             if ra == rb {
                 continue;
             }
             self.parent[rb as usize] = ra;
             match (self.succ[ra as usize], self.succ[rb as usize]) {
-                (Some(sa), Some(sb)) => work.push((sa, sb)),
+                (Some(sa), Some(sb)) => self.work.push((sa, sb)),
                 (None, Some(sb)) => self.succ[ra as usize] = Some(sb),
                 _ => {}
             }
@@ -140,7 +145,6 @@ impl PointsTo {
     /// one abstract location, exactly as the paper collapses array and
     /// struct offsets).
     pub fn analyze(program: &Program) -> PointsTo {
-        let n_vars = program.vars.len();
         // Type filter: a C front end would never unify through `int`
         // assignments (non-pointer values carry Steensgaard's ⊥ type).
         // Our cells are untyped, so we first compute which variables may
@@ -148,29 +152,31 @@ impl PointsTo {
         // otherwise integer stores (keys, counters) into object fields
         // would merge every structure's class through the shared
         // "integer" contents.
-        let maybe_ptr = maybe_pointer_vars(program);
+        PointsTo::analyze_filtered(program, &maybe_pointer_vars(program))
+    }
+
+    fn analyze_filtered(program: &Program, maybe_ptr: &[bool]) -> PointsTo {
+        let n_vars = program.vars.len();
         // Discover allocation sites first so their cells are contiguous.
         let mut sites = Vec::new();
-        let mut site_index = HashMap::new();
         for func in &program.functions {
             for (i, ins) in func.body.iter().enumerate() {
                 if let Instr::Assign(_, Rvalue::Alloc(_) | Rvalue::AllocDyn(_)) = ins {
-                    let site = AllocSite {
+                    sites.push(AllocSite {
                         func: func.id,
                         idx: i as u32,
-                    };
-                    site_index.insert(site, sites.len());
-                    sites.push(site);
+                    });
                 }
             }
         }
+        debug_assert!(sites.windows(2).all(|w| w[0] < w[1]), "sites are sorted");
         let mut b = Builder::new(n_vars + sites.len());
         let cell_of_var = |v: VarId| v.0;
-        let cell_of_site =
-            |site_index: &HashMap<AllocSite, usize>, s: AllocSite| (n_vars + site_index[&s]) as u32;
+        // The walk below meets the sites in discovery order.
+        let mut next_site = n_vars as u32;
 
         for func in &program.functions {
-            for (i, ins) in func.body.iter().enumerate() {
+            for ins in &func.body {
                 match ins {
                     Instr::Assign(x, rv) => {
                         let cx = cell_of_var(*x);
@@ -195,12 +201,9 @@ impl PointsTo {
                                 b.unify(px, py);
                             }
                             Rvalue::Alloc(_) | Rvalue::AllocDyn(_) => {
-                                let site = AllocSite {
-                                    func: func.id,
-                                    idx: i as u32,
-                                };
                                 let px = b.deref(cx);
-                                b.unify(px, cell_of_site(&site_index, site));
+                                b.unify(px, next_site);
+                                next_site += 1;
                             }
                             Rvalue::Call(f, args) => {
                                 let callee = program.func(*f);
@@ -234,40 +237,40 @@ impl PointsTo {
                 }
             }
         }
+        debug_assert_eq!(next_site as usize, n_vars + sites.len());
 
-        PointsTo::freeze(b, n_vars, sites, site_index)
+        PointsTo::freeze(b, n_vars, sites)
     }
 
     /// Freezes a builder: canonicalize every cell, densely number the
     /// classes (by first cell, so the numbering is deterministic), and
     /// rewrite successors to canonical representatives.
-    fn freeze(
-        mut b: Builder,
-        n_vars: usize,
-        sites: Vec<AllocSite>,
-        site_index: HashMap<AllocSite, usize>,
-    ) -> PointsTo {
+    fn freeze(mut b: Builder, n_vars: usize, sites: Vec<AllocSite>) -> PointsTo {
         let total = b.parent.len();
         let mut canon = vec![0u32; total];
         let mut class_of_cell = vec![u32::MAX; total];
         let mut n_classes = 0u32;
-        let mut members: Vec<Vec<u32>> = Vec::new();
         for c in 0..total as u32 {
             let r = b.find(c);
             canon[c as usize] = r;
             if class_of_cell[r as usize] == u32::MAX {
                 class_of_cell[r as usize] = n_classes;
-                members.push(Vec::new());
                 n_classes += 1;
             }
-            members[class_of_cell[r as usize] as usize].push(c);
         }
+        let (member_start, members) = group(
+            n_classes as usize,
+            total,
+            |c| class_of_cell[canon[c] as usize] as usize,
+            |c| c as u32,
+        );
         // Rewrite succ to canonical representatives.
         let mut succ = vec![None; total];
-        for c in 0..total as u32 {
-            let r = canon[c as usize];
-            if let Some(s) = b.succ[r as usize] {
-                succ[r as usize] = Some(b.find(s));
+        for r in 0..total as u32 {
+            if canon[r as usize] == r {
+                if let Some(s) = b.succ[r as usize] {
+                    succ[r as usize] = Some(b.find(s));
+                }
             }
         }
         PointsTo {
@@ -275,11 +278,17 @@ impl PointsTo {
             succ,
             n_vars,
             sites,
-            site_index,
             class_of_cell,
             n_classes,
+            member_start,
             members,
         }
+    }
+
+    /// The cells of class `s`, ascending.
+    fn members(&self, s: PtsClass) -> &[u32] {
+        let k = s.0 as usize;
+        &self.members[self.member_start[k] as usize..self.member_start[k + 1] as usize]
     }
 
     /// Incremental refinement: a new analysis result identical to this
@@ -295,23 +304,18 @@ impl PointsTo {
     /// Class ids are renumbered by the same first-cell rule
     /// [`PointsTo::analyze`] uses, so the result is deterministic.
     pub fn merged(&self, a: PtsClass, b: PtsClass) -> PointsTo {
-        let builder = Builder {
+        let mut builder = Builder {
             // `canon` is fully path-compressed (roots map to
             // themselves) and `succ` holds canonical representatives —
             // a resumable union-find state.
             parent: self.canon.clone(),
             succ: self.succ.clone(),
+            work: Vec::new(),
         };
-        let mut builder = builder;
-        let ra = self.canon[self.members[a.0 as usize][0] as usize];
-        let rb = self.canon[self.members[b.0 as usize][0] as usize];
+        let ra = self.canon[self.members(a)[0] as usize];
+        let rb = self.canon[self.members(b)[0] as usize];
         builder.unify(ra, rb);
-        PointsTo::freeze(
-            builder,
-            self.n_vars,
-            self.sites.clone(),
-            self.site_index.clone(),
-        )
+        PointsTo::freeze(builder, self.n_vars, self.sites.clone())
     }
 
     /// Number of points-to classes.
@@ -333,9 +337,8 @@ impl PointsTo {
 
     /// The class of the cells allocated at `site`, if the site exists.
     pub fn class_of_site(&self, site: AllocSite) -> Option<PtsClass> {
-        self.site_index
-            .get(&site)
-            .map(|&i| self.class_of_raw((self.n_vars + i) as u32))
+        let i = self.sites.binary_search(&site).ok()?;
+        Some(self.class_of_raw((self.n_vars + i) as u32))
     }
 
     /// The points-to successor `s → s'`, if any pointer was ever stored
@@ -343,7 +346,7 @@ impl PointsTo {
     #[inline]
     pub fn deref(&self, s: PtsClass) -> Option<PtsClass> {
         // Find a representative cell of the class.
-        let rep = self.members[s.0 as usize][0];
+        let rep = self.members(s)[0];
         let r = self.canon[rep as usize];
         self.succ[r as usize].map(|t| self.class_of_raw(t))
     }
@@ -378,7 +381,7 @@ impl PointsTo {
     /// soundness checker to compute concrete denotations of coarse
     /// locks).
     pub fn sites_in_class(&self, s: PtsClass) -> Vec<AllocSite> {
-        self.members[s.0 as usize]
+        self.members(s)
             .iter()
             .filter(|&&c| {
                 c as usize >= self.n_vars && (c as usize) < self.n_vars + self.sites.len()
@@ -389,7 +392,7 @@ impl PointsTo {
 
     /// All variables whose cells fall in class `s`.
     pub fn vars_in_class(&self, s: PtsClass) -> Vec<VarId> {
-        self.members[s.0 as usize]
+        self.members(s)
             .iter()
             .filter(|&&c| (c as usize) < self.n_vars)
             .map(|&c| VarId(c))
@@ -399,17 +402,111 @@ impl PointsTo {
     /// Number of memory cells (variables + allocation sites) in class
     /// `s`; a size proxy for how coarse the corresponding lock is.
     pub fn class_size(&self, s: PtsClass) -> usize {
-        self.members[s.0 as usize].len()
+        self.members(s).len()
     }
 }
 
-/// Computes which variables may ever hold a memory location: a forward
-/// fixpoint over value-producing statements. Conservative — anything
-/// read from the heap counts as a possible pointer.
+/// Computes which variables may ever hold a memory location: the least
+/// set closed under value flow that contains every variable assigned a
+/// location. One pass over the program collects the seeds and the flow
+/// edges (`x = y`, actual → formal, `ret_f` → call result); a worklist
+/// then closes the seeds over the edges. Conservative — anything read
+/// from the heap counts as a possible pointer.
 fn maybe_pointer_vars(program: &Program) -> Vec<bool> {
-    let mut maybe = vec![false; program.vars.len()];
+    let n = program.vars.len();
+    let mut seeds = Vec::new();
+    // (from, to): a location in `from` may flow into `to`.
+    let mut edges: Vec<(u32, u32)> = Vec::new();
+    let mut called = vec![false; program.functions.len()];
+    for func in &program.functions {
+        for ins in &func.body {
+            let Instr::Assign(x, rv) = ins else { continue };
+            match rv {
+                Rvalue::AddrOf(_)
+                | Rvalue::Load(_)
+                | Rvalue::FieldAddr(..)
+                | Rvalue::DynAddr(..)
+                | Rvalue::Alloc(_)
+                | Rvalue::AllocDyn(_) => seeds.push(x.0),
+                Rvalue::Copy(y) => edges.push((y.0, x.0)),
+                Rvalue::Call(f, args) => {
+                    called[f.0 as usize] = true;
+                    let callee = program.func(*f);
+                    for (formal, actual) in callee.params.iter().zip(args) {
+                        edges.push((actual.0, formal.0));
+                    }
+                    edges.push((callee.ret.0, x.0));
+                }
+                Rvalue::Null
+                | Rvalue::ConstInt(_)
+                | Rvalue::Arith(..)
+                | Rvalue::Cmp(..)
+                | Rvalue::Intrinsic(..) => {}
+            }
+        }
+    }
     // Parameters of entry functions (never called from inside the
     // program) receive values from the outside world: assume pointers.
+    for func in &program.functions {
+        if !called[func.id.0 as usize] {
+            seeds.extend(func.params.iter().map(|p| p.0));
+        }
+    }
+    let (start, to) = group(n, edges.len(), |i| edges[i].0 as usize, |i| edges[i].1);
+    let mut maybe = vec![false; n];
+    let mut work = Vec::new();
+    for v in seeds {
+        if !maybe[v as usize] {
+            maybe[v as usize] = true;
+            work.push(v);
+        }
+    }
+    while let Some(v) = work.pop() {
+        let (lo, hi) = (start[v as usize], start[v as usize + 1]);
+        for &w in &to[lo as usize..hi as usize] {
+            if !maybe[w as usize] {
+                maybe[w as usize] = true;
+                work.push(w);
+            }
+        }
+    }
+    maybe
+}
+
+/// Groups items `0..n` by `key(i) < n_keys` into one array: the
+/// `value(i)` of key `k`'s items, in item order, are
+/// `values[start[k]..start[k + 1]]`.
+fn group(
+    n_keys: usize,
+    n: usize,
+    key: impl Fn(usize) -> usize,
+    value: impl Fn(usize) -> u32,
+) -> (Vec<u32>, Vec<u32>) {
+    // Counts, then where each key's run ends; filling from the last
+    // item moves each end back to its run's start.
+    let mut start = vec![0u32; n_keys + 1];
+    for i in 0..n {
+        start[key(i)] += 1;
+    }
+    let mut end = 0;
+    for slot in &mut start {
+        end += *slot;
+        *slot = end;
+    }
+    let mut values = vec![0u32; n];
+    for i in (0..n).rev() {
+        let slot = &mut start[key(i)];
+        *slot -= 1;
+        values[*slot as usize] = value(i);
+    }
+    (start, values)
+}
+
+/// The round-robin fixpoint [`maybe_pointer_vars`] replaced (whole-
+/// program passes until nothing changes), kept as its oracle.
+#[cfg(test)]
+fn reference_maybe_pointer_vars(program: &Program) -> Vec<bool> {
+    let mut maybe = vec![false; program.vars.len()];
     let mut called = vec![false; program.functions.len()];
     for func in &program.functions {
         for ins in &func.body {
@@ -471,6 +568,88 @@ fn maybe_pointer_vars(program: &Program) -> Vec<bool> {
 mod tests {
     use super::*;
     use lir::compile;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
+
+    /// Checks `program`'s points-to result against what the parts that
+    /// were replaced would have said: the round-robin filter's flags, a
+    /// site → class map built from the allocating instructions, the
+    /// classes the reference flags produce, and a membership table
+    /// rebuilt from the per-cell queries.
+    fn check_against_reference(program: &Program) {
+        let reference_flags = reference_maybe_pointer_vars(program);
+        assert_eq!(maybe_pointer_vars(program), reference_flags, "filter flags");
+        let pt = PointsTo::analyze(program);
+        let reference = PointsTo::analyze_filtered(program, &reference_flags);
+        assert_eq!(pt.n_classes(), reference.n_classes());
+        for v in 0..program.vars.len() as u32 {
+            let v = VarId(v);
+            assert_eq!(pt.class_of_var(v), reference.class_of_var(v));
+        }
+        // A site's cells are where its destination points.
+        let mut sites: HashMap<AllocSite, PtsClass> = HashMap::new();
+        for func in &program.functions {
+            for (i, ins) in func.body.iter().enumerate() {
+                if let Instr::Assign(x, Rvalue::Alloc(_) | Rvalue::AllocDyn(_)) = ins {
+                    let site = AllocSite {
+                        func: func.id,
+                        idx: i as u32,
+                    };
+                    sites.insert(site, pt.deref(pt.class_of_var(*x)).unwrap());
+                }
+            }
+        }
+        for func in &program.functions {
+            for idx in 0..=func.body.len() as u32 + 1 {
+                let site = AllocSite { func: func.id, idx };
+                assert_eq!(
+                    pt.class_of_site(site),
+                    sites.get(&site).copied(),
+                    "{site:?}"
+                );
+            }
+        }
+        // Every variable and site is listed exactly once, in its class.
+        let mut vars_seen = vec![false; program.vars.len()];
+        let mut sites_seen = 0;
+        for c in 0..pt.n_classes() {
+            let class = PtsClass(c);
+            for v in pt.vars_in_class(class) {
+                assert_eq!(pt.class_of_var(v), class);
+                assert!(!std::mem::replace(&mut vars_seen[v.0 as usize], true));
+            }
+            for site in pt.sites_in_class(class) {
+                assert_eq!(sites[&site], class);
+                sites_seen += 1;
+            }
+            assert!(pt.members(class).windows(2).all(|w| w[0] < w[1]));
+        }
+        assert!(vars_seen.iter().all(|&seen| seen));
+        assert_eq!(sites_seen, sites.len());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn matches_the_replaced_parts_on_random_programs(
+            seed in 0u64..5000,
+            stmts in 10usize..80,
+        ) {
+            let spec = workloads::fuzz::runnable(seed, stmts);
+            check_against_reference(&compile(&spec.source).unwrap());
+        }
+    }
+
+    #[test]
+    fn matches_the_replaced_parts_on_the_benchmarks() {
+        let kernels = workloads::micro::all(workloads::Contention::High, 100, 10)
+            .into_iter()
+            .chain(workloads::stamp::all(100, 10));
+        for spec in kernels {
+            check_against_reference(&compile(&spec.source).unwrap());
+        }
+    }
 
     fn var(p: &Program, f: usize, name: &str) -> VarId {
         let func = &p.functions[f];
