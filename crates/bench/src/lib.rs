@@ -87,8 +87,8 @@ pub mod harness {
         /// after exhausting the abort budget (0 for lock configs).
         pub fallbacks: u64,
         /// Every degradation-ladder counter for the run (poisoning,
-        /// deadlocks, timeouts, injections — all zero in healthy
-        /// benchmark runs).
+        /// unwind releases, injections — all zero in healthy benchmark
+        /// runs).
         pub degradation: lockinfer::DegradationReport,
     }
 

@@ -55,8 +55,7 @@ impl fmt::Display for LockCounts {
 ///
 /// "Degradation" covers everything on the graceful-degradation ladder:
 /// STM starvation fallbacks to irrevocable mode, lock sessions poisoned
-/// by unwinding workers, lock-protocol errors surfaced as timeouts or
-/// detected deadlocks, and deliberately injected faults.
+/// by unwinding workers, and deliberately injected faults.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DegradationReport {
     /// STM: committed transactions.
@@ -69,10 +68,6 @@ pub struct DegradationReport {
     pub poisoned_sessions: u64,
     /// Lock modes released by unwind (drop) instead of protocol order.
     pub unwind_releases: u64,
-    /// Acquisitions refused because a wait-for cycle was found.
-    pub deadlocks_detected: u64,
-    /// Acquisitions refused by the configured timeout.
-    pub lock_timeouts: u64,
     /// Lock batches released and re-acquired because a fine-grained
     /// descriptor drifted while the session waited (the guarded
     /// structure moved between evaluation and grant). Informational —
@@ -101,7 +96,7 @@ pub struct DegradationReport {
 
 impl DegradationReport {
     /// True when nothing degraded: no fallbacks, no poisoning, no
-    /// protocol errors, no injections — the run stayed on the happy
+    /// sentinel violations, no injections — the run stayed on the happy
     /// path end to end.
     pub fn is_clean(&self) -> bool {
         let DegradationReport {
@@ -113,8 +108,6 @@ impl DegradationReport {
             stm_fallbacks,
             poisoned_sessions,
             unwind_releases,
-            deadlocks_detected,
-            lock_timeouts,
             injected_panics,
             injected_aborts,
             injected_delays,
@@ -124,8 +117,6 @@ impl DegradationReport {
         stm_fallbacks == 0
             && poisoned_sessions == 0
             && unwind_releases == 0
-            && deadlocks_detected == 0
-            && lock_timeouts == 0
             && injected_panics == 0
             && injected_aborts == 0
             && injected_delays == 0
@@ -138,15 +129,13 @@ impl fmt::Display for DegradationReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "stm {}c/{}a/{}f  poisoned {}  unwound {}  deadlocks {}  timeouts {}  \
-             revalidated {}  injected p{}/a{}/d{}/s{}  sentinel {}v/{}q/{}h",
+            "stm {}c/{}a/{}f  poisoned {}  unwound {}  revalidated {}  \
+             injected p{}/a{}/d{}/s{}  sentinel {}v/{}q/{}h",
             self.stm_commits,
             self.stm_aborts,
             self.stm_fallbacks,
             self.poisoned_sessions,
             self.unwind_releases,
-            self.deadlocks_detected,
-            self.lock_timeouts,
             self.lock_revalidations,
             self.injected_panics,
             self.injected_aborts,

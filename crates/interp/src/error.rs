@@ -49,12 +49,6 @@ pub enum InterpError {
     /// waiting for a lock release that can no longer happen. Reported
     /// instead of hanging.
     SchedulerStalled { tid: u32 },
-    /// The lock runtime refused an acquisition (timeout or detected
-    /// deadlock — see [`mglock::MgLockError`]).
-    Lock {
-        tid: u32,
-        source: mglock::MgLockError,
-    },
     /// An internal invariant failed; always a bug in the interpreter,
     /// reported as data instead of a panic so harnesses stay up.
     Internal { detail: String },
@@ -111,9 +105,6 @@ impl fmt::Display for InterpError {
                     "scheduler stalled: every live thread (incl. {tid}) is \
                      waiting on a release that cannot happen"
                 )
-            }
-            InterpError::Lock { tid, source } => {
-                write!(f, "lock acquisition failed on thread {tid}: {source}")
             }
             InterpError::Internal { detail } => {
                 write!(f, "internal interpreter invariant violated: {detail}")

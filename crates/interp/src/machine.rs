@@ -62,10 +62,6 @@ pub struct Options {
     /// retry runs irrevocably in global mode (see `tl2`). High enough
     /// by default that healthy workloads never escalate.
     pub stm_abort_budget: u64,
-    /// Degradation policy for the multi-grain lock runtime (timeouts,
-    /// deadlock detection), honoured by every real-time acquisition.
-    /// The default is off: plain blocking, zero overhead.
-    pub mg_config: mglock::RuntimeConfig,
     /// Event-trace recording (`None` = no tracing, zero overhead).
     /// When set, every worker registers a per-thread recorder and the
     /// merged trace is available from [`Machine::take_trace`].
@@ -100,7 +96,6 @@ impl Default for Options {
             quantum: 128,
             faults: None,
             stm_abort_budget: 1024,
-            mg_config: mglock::RuntimeConfig::default(),
             trace: None,
             sentinel: None,
             weaken: None,
@@ -264,7 +259,7 @@ impl Machine {
             // Address 0 is null; start allocating at 1.
             brk: AtomicU64::new(1),
             allocs: RwLock::new(Vec::new()),
-            mg: Arc::new(mglock::Runtime::with_config(opts.mg_config)),
+            mg: Arc::new(mglock::Runtime::new()),
             storage,
             layouts,
             site_class,
@@ -371,8 +366,7 @@ impl Machine {
 
     /// Snapshot of every degradation-ladder counter: STM
     /// commits/aborts/irrevocable fallbacks, lock-session poisoning and
-    /// unwind releases, detected deadlocks and timeouts, and injected
-    /// faults by class.
+    /// unwind releases, and injected faults by class.
     pub fn degradation_report(&self) -> lockinfer::DegradationReport {
         let stm = self.space.global_stats();
         let mg = self.mg.stats();
@@ -392,8 +386,6 @@ impl Machine {
             stm_fallbacks: stm.fallbacks,
             poisoned_sessions: ld(&mg.poisoned_sessions),
             unwind_releases: ld(&mg.unwind_releases),
-            deadlocks_detected: ld(&mg.deadlocks_detected),
-            lock_timeouts: ld(&mg.timeouts),
             injected_panics: ld(&fs.injected_panics),
             injected_aborts: ld(&fs.injected_aborts),
             injected_delays: ld(&fs.injected_delays),

@@ -1444,10 +1444,11 @@ impl<'m> Worker<'m> {
     /// try/wait under the virtual scheduler (waiters inherit the
     /// releaser's clock). Charges the protocol's virtual cost.
     ///
-    /// Errors when the degradation policy trips: an acquisition timeout
-    /// or detected deadlock in real time, a wedged scheduler under
-    /// virtual time. Partially-acquired nodes are released by the
-    /// session's drop (counted as an unwind release).
+    /// A real-time acquisition always ends in a grant: the protocol's
+    /// global order admits no wait-for cycle. Under virtual time it
+    /// errors when the scheduler wedges; partially-acquired nodes are
+    /// then released by the session's drop (counted as an unwind
+    /// release).
     fn acquire_session(&mut self, n_descriptors: u64) -> Result<(), Exc> {
         let m = self.m;
         loop {
@@ -1471,15 +1472,7 @@ impl<'m> Worker<'m> {
                         self.tick(m.costs.lock_desc * n_descriptors)?;
                     } else {
                         self.sync_trace_clock();
-                        // Honours whatever degradation policy the
-                        // runtime was built with; under the default one
-                        // it blocks for real.
-                        self.session
-                            .acquire_all_checked()
-                            .map_err(|source| InterpError::Lock {
-                                tid: self.tid,
-                                source,
-                            })?;
+                        self.session.acquire_all();
                         self.acquire = Acquire::Granted;
                     }
                 }

@@ -9,7 +9,8 @@
 //!
 //! Each piece of §5 is stated once, here: Fig. 6(b) is
 //! [`Mode::compatible`], acquire-all is one resumable walk in
-//! [`Session`] behind its three entry points, and the mode / node-class
+//! [`Session`] behind its two entry points — blocking for real threads,
+//! step-wise for virtual time — and the mode / node-class
 //! spellings that traces and metrics carry are [`Mode`]'s
 //! `Display`/`FromStr` and [`NodeKey::class`].
 //!
@@ -32,17 +33,14 @@
 //! session.release_all();
 //! ```
 
-pub mod error;
 pub mod modelock;
 pub mod modes;
 pub mod runtime;
 
-pub use error::MgLockError;
 pub use modelock::ModeLock;
 pub use modes::Mode;
 pub use runtime::{
-    Access, Descriptor, FineAddr, LockObserver, NodeKey, Runtime, RuntimeConfig, Session, Stats,
-    StepResult,
+    Access, Descriptor, FineAddr, LockObserver, NodeKey, Runtime, Session, Stats, StepResult,
 };
 
 #[cfg(test)]
@@ -351,101 +349,6 @@ mod tests {
     }
 
     #[test]
-    fn checked_acquisition_times_out_and_releases_partial() {
-        let rt = Arc::new(Runtime::with_config(RuntimeConfig {
-            acquire_timeout: Some(Duration::from_millis(40)),
-            detect_deadlocks: false,
-        }));
-        let mut holder = Session::new(Arc::clone(&rt));
-        holder.to_acquire(fine(1, 5, Access::Write));
-        holder.acquire_all();
-
-        let mut s = Session::new(Arc::clone(&rt));
-        s.to_acquire(fine(0, 9, Access::Write)); // free — acquired first
-        s.to_acquire(fine(1, 5, Access::Write)); // held — will time out
-        assert_eq!(s.acquire_all_checked(), Err(MgLockError::AcquireTimeout));
-        assert_eq!(s.held_count(), 0, "partial batch released on error");
-        assert_eq!(s.nesting_level(), 0);
-        assert_eq!(rt.stats().timeouts.load(Ordering::Relaxed), 1);
-        holder.release_all();
-        // The session is reusable after the error.
-        s.to_acquire(fine(1, 5, Access::Write));
-        assert_eq!(s.acquire_all_checked(), Ok(()));
-        s.release_all();
-    }
-
-    #[test]
-    fn checked_acquisition_detects_cross_thread_deadlock() {
-        // Protocol misuse: each thread interleaves two sessions, holding
-        // one batch while acquiring another — the two-phase discipline
-        // the global order depends on is broken, and a genuine wait-for
-        // cycle forms. With detection enabled at least one thread must
-        // get a typed error instead of hanging.
-        let rt = Arc::new(Runtime::with_config(RuntimeConfig {
-            acquire_timeout: None,
-            detect_deadlocks: true,
-        }));
-        let barrier = Arc::new(std::sync::Barrier::new(2));
-        let mut handles = Vec::new();
-        for (own, other) in [(1u64, 2u64), (2, 1)] {
-            let rt = Arc::clone(&rt);
-            let barrier = Arc::clone(&barrier);
-            handles.push(std::thread::spawn(move || {
-                let mut first = Session::new(Arc::clone(&rt));
-                first.to_acquire(fine(0, own, Access::Write));
-                first.acquire_all_checked().unwrap();
-                barrier.wait();
-                let mut second = Session::new(Arc::clone(&rt));
-                second.to_acquire(fine(0, other, Access::Write));
-                let r = second.acquire_all_checked();
-                if r.is_ok() {
-                    second.release_all();
-                }
-                first.release_all();
-                r
-            }));
-        }
-        let results: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        let cycles = results
-            .iter()
-            .filter(|r| matches!(r, Err(MgLockError::DeadlockDetected { .. })))
-            .count();
-        assert!(cycles >= 1, "the cycle must be reported, got {results:?}");
-        assert!(rt.stats().deadlocks_detected.load(Ordering::Relaxed) >= 1);
-        assert!(rt.quiescent(), "all grants released after recovery");
-    }
-
-    #[test]
-    fn checked_acquisition_with_detection_passes_clean_workloads() {
-        // Figure 1(b) symmetric contention again, now through the
-        // checked path with detection on: conforming use must never be
-        // reported as a deadlock.
-        let rt = Arc::new(Runtime::with_config(RuntimeConfig {
-            acquire_timeout: None,
-            detect_deadlocks: true,
-        }));
-        let mut handles = Vec::new();
-        for flip in [false, true] {
-            let rt = Arc::clone(&rt);
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..200 {
-                    let mut s = Session::new(Arc::clone(&rt));
-                    let (a, b) = if flip { (7, 3) } else { (3, 7) };
-                    s.to_acquire(fine(0, a, Access::Write));
-                    s.to_acquire(fine(0, b, Access::Write));
-                    s.acquire_all_checked().expect("no false deadlock");
-                    s.release_all();
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(rt.stats().deadlocks_detected.load(Ordering::Relaxed), 0);
-        assert!(rt.quiescent());
-    }
-
-    #[test]
     fn panicking_holder_poisons_but_releases() {
         let rt = Arc::new(Runtime::new());
         let rt2 = Arc::clone(&rt);
@@ -558,24 +461,17 @@ mod tests {
             s.release_all();
         }
 
-        /// Blocking, checked (under a live policy) and step-wise
-        /// acquisition are one walk: uncontended, they grant the same
-        /// nodes in the same modes in the same order, account for them
-        /// identically, and release in exact reverse.
+        /// Blocking and step-wise acquisition are one walk:
+        /// uncontended, they grant the same nodes in the same modes in
+        /// the same order, account for them identically, and release in
+        /// exact reverse.
         #[test]
-        fn the_three_entry_points_walk_one_plan(
+        fn the_two_entry_points_walk_one_plan(
             plan in proptest::collection::vec(descriptor(), 0..7),
         ) {
-            let policy = RuntimeConfig {
-                acquire_timeout: Some(Duration::from_secs(5)),
-                detect_deadlocks: true,
-            };
             let mut walks = Vec::new();
-            for entry in ["blocking", "checked", "stepwise"] {
-                let rt = Arc::new(match entry {
-                    "checked" => Runtime::with_config(policy),
-                    _ => Runtime::new(),
-                });
+            for entry in ["blocking", "stepwise"] {
+                let rt = Arc::new(Runtime::new());
                 let log = Arc::new(Log::default());
                 let mut s = Session::new(Arc::clone(&rt));
                 s.set_observer(Some(Arc::clone(&log) as Arc<dyn LockObserver>));
@@ -584,7 +480,6 @@ mod tests {
                 }
                 match entry {
                     "blocking" => s.acquire_all(),
-                    "checked" => s.acquire_all_checked().expect("uncontended"),
                     _ => prop_assert_eq!(s.acquire_all_step(), StepResult::Done),
                 }
                 let held: Vec<(NodeKey, Mode)> = s.held_modes().collect();
@@ -610,8 +505,7 @@ mod tests {
                 prop_assert!(rt.quiescent() && s.held_count() == 0);
                 walks.push(held);
             }
-            prop_assert_eq!(&walks[0], &walks[1], "blocking vs checked");
-            prop_assert_eq!(&walks[0], &walks[2], "blocking vs stepwise");
+            prop_assert_eq!(&walks[0], &walks[1], "blocking vs stepwise");
         }
     }
 

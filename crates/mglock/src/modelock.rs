@@ -11,8 +11,7 @@
 //! waits never form a cycle.
 
 use crate::modes::{Mode, ALL_MODES};
-use parking_lot::{Condvar, Mutex, MutexGuard};
-use std::time::Instant;
+use parking_lot::{Condvar, Mutex};
 
 #[derive(Default)]
 struct State {
@@ -53,66 +52,28 @@ impl ModeLock {
         Self::default()
     }
 
-    /// Blocks until `mode` can be granted, then records the grant.
+    /// The one wait loop: blocks until `mode` can be granted, then
+    /// records the grant. Only [`ModeLock::release`] ends a wait.
     pub fn acquire(&self, mode: Mode) {
-        let granted = self.acquire_until(mode, None);
-        debug_assert!(granted, "a wait without a deadline only ends in a grant");
-    }
-
-    /// The one wait loop: blocks until `mode` is granted (true) or
-    /// `deadline`, if any, passes (false). Used with a deadline by the
-    /// runtime's degradation ladder, to turn indefinite blocking into a
-    /// typed error.
-    pub fn acquire_until(&self, mode: Mode, deadline: Option<Instant>) -> bool {
         let mut st = self.state.lock();
-        let mut granted = st.admits(mode);
-        if !granted {
+        if !st.admits(mode) {
             let excl = matches!(mode, Mode::X | Mode::Six);
             st.waiting += 1;
             if excl {
                 st.waiting_excl += 1;
             }
-            granted = loop {
-                match deadline {
-                    None => self.cond.wait(&mut st),
-                    Some(d) => {
-                        let now = Instant::now();
-                        if now >= d {
-                            break false;
-                        }
-                        self.cond.wait_for(&mut st, d - now);
-                    }
-                }
+            loop {
+                self.cond.wait(&mut st);
                 if st.admits(mode) {
-                    break true;
+                    break;
                 }
-            };
+            }
             st.waiting -= 1;
             if excl {
                 st.waiting_excl -= 1;
             }
         }
-        if granted {
-            st.granted[mode as usize] += 1;
-        } else {
-            // Our queued-writer marker may have deferred readers; let
-            // them re-evaluate now that we are gone.
-            self.wake(st);
-        }
-        granted
-    }
-
-    /// Ends a critical section that may have made a blocked request
-    /// grantable. The wake-up (a futex call even on an empty queue) is
-    /// skipped when nobody is blocked: a waiter raises `waiting` under
-    /// this mutex before it sleeps and `wait` gives the mutex up only
-    /// once it is queued, so a zero read here cannot miss one.
-    fn wake(&self, st: MutexGuard<'_, State>) {
-        let waiting = st.waiting;
-        drop(st);
-        if waiting > 0 {
-            self.cond.notify_all();
-        }
+        st.granted[mode as usize] += 1;
     }
 
     /// Attempts a non-blocking grant.
@@ -126,7 +87,12 @@ impl ModeLock {
         }
     }
 
-    /// Releases one grant of `mode`.
+    /// Releases one grant of `mode` — the one place that can make a
+    /// blocked request grantable. The wake-up (a futex call even on an
+    /// empty queue) is skipped when nobody is blocked: a waiter raises
+    /// `waiting` under this mutex before it sleeps and `wait` gives the
+    /// mutex up only once it is queued, so a zero read here cannot miss
+    /// one.
     ///
     /// # Panics
     ///
@@ -138,7 +104,11 @@ impl ModeLock {
             "release of unheld mode {mode}"
         );
         st.granted[mode as usize] -= 1;
-        self.wake(st);
+        let waiting = st.waiting;
+        drop(st);
+        if waiting > 0 {
+            self.cond.notify_all();
+        }
     }
 
     /// Snapshot of granted counts (diagnostics/tests).
@@ -212,48 +182,6 @@ mod tests {
         wh.join().unwrap();
         // After the writer finished, readers are admitted again.
         assert!(l.try_acquire(Mode::S));
-    }
-
-    /// The one wake-up that is not a release: a queued writer that
-    /// gives up takes its marker with it, and the readers the marker
-    /// deferred must be told — nothing else will ever wake them.
-    #[test]
-    fn timed_out_writer_wakes_the_readers_it_deferred() {
-        let l = Arc::new(ModeLock::new());
-        l.acquire(Mode::S);
-        let until = |what: &str, pred: &dyn Fn(&State) -> bool| {
-            let give_up = Instant::now() + Duration::from_secs(10);
-            while !pred(&l.state.lock()) {
-                assert!(Instant::now() < give_up, "never saw {what}");
-                std::thread::yield_now();
-            }
-        };
-        let deadline = Instant::now() + Duration::from_millis(400);
-        let writer = {
-            let l = Arc::clone(&l);
-            std::thread::spawn(move || l.acquire_until(Mode::X, Some(deadline)))
-        };
-        until("the writer queue", &|st| st.waiting_excl == 1);
-        let (tx, rx) = std::sync::mpsc::channel();
-        let reader = {
-            let l = Arc::clone(&l);
-            std::thread::spawn(move || {
-                l.acquire(Mode::S);
-                let _ = tx.send(Instant::now());
-            })
-        };
-        // S∥S, so only the writer's marker can have parked the reader.
-        until("the reader park behind the writer", &|st| st.waiting == 2);
-        assert!(
-            !writer.join().unwrap(),
-            "nobody released: the writer times out"
-        );
-        let granted_at = rx
-            .recv_timeout(Duration::from_secs(10))
-            .expect("the deferred reader was never woken");
-        assert!(granted_at >= deadline, "the reader waited out the writer");
-        reader.join().unwrap();
-        assert_eq!(l.granted()[Mode::S as usize], 2);
     }
 
     #[test]

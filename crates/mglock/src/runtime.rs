@@ -19,16 +19,13 @@
 //! threads use the same order, locks are two-phase (held to
 //! `release_all`), so the protocol is deadlock free.
 //!
-//! That walk exists once, as a resumable cursor; its entry points
+//! That walk exists once, as a resumable cursor; its two entry points
 //! differ only in how they wait for one node. [`Session::acquire_all`]
-//! blocks, [`Session::acquire_all_checked`] blocks under the runtime's
-//! [`RuntimeConfig`], [`Session::acquire_all_step`] never blocks and
-//! reports [`StepResult::WouldBlock`] to a cooperative scheduler — so
-//! real threads, checked mode and virtual time run one plan in one
-//! order. One release loop serves `release_all`, a failed checked
-//! batch and the unwind in `Drop`.
+//! blocks, [`Session::acquire_all_step`] never blocks and reports
+//! [`StepResult::WouldBlock`] to a cooperative scheduler — so real
+//! threads and virtual time run one plan in one order. One release
+//! loop serves `release_all` and the unwind in `Drop`.
 
-use crate::error::MgLockError;
 use crate::modelock::ModeLock;
 use crate::modes::Mode;
 use parking_lot::Mutex;
@@ -37,7 +34,6 @@ use std::fmt;
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Effect requested by a descriptor: read-only maps to shared modes,
 /// read-write to exclusive ones. (Mirror of `lir::Eff`, kept local so
@@ -135,115 +131,6 @@ pub struct Stats {
     /// `release_all` — each one is a lock a crashed thread would
     /// otherwise have wedged.
     pub unwind_releases: AtomicU64,
-    /// Wait-for cycles reported by [`Session::acquire_all_checked`].
-    pub deadlocks_detected: AtomicU64,
-    /// Acquisitions abandoned at [`RuntimeConfig::acquire_timeout`].
-    pub timeouts: AtomicU64,
-}
-
-/// Degradation-ladder policy for a [`Runtime`]. The default (no
-/// timeout, no detection) adds zero overhead to the hot path; both
-/// features only matter to [`Session::acquire_all_checked`] callers.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RuntimeConfig {
-    /// Upper bound on how long one `acquire_all_checked` batch may
-    /// block on a single node before failing with
-    /// [`MgLockError::AcquireTimeout`].
-    pub acquire_timeout: Option<Duration>,
-    /// Maintain a wait-for graph over sessions and fail acquisitions
-    /// that would close a cycle with
-    /// [`MgLockError::DeadlockDetected`]. Cycles cannot arise from
-    /// conforming use of the protocol; this catches misuse such as
-    /// interleaving two sessions on one thread.
-    pub detect_deadlocks: bool,
-}
-
-/// Wait-for bookkeeping, maintained only when
-/// [`RuntimeConfig::detect_deadlocks`] is set. Holders and waiters are
-/// [`Session`]s, by the id each takes at [`Session::new`] — not OS
-/// threads: a virtual-time run steps many sessions on one. A session
-/// that blocks takes its OS thread with it, though, so a waiter is
-/// filed with the thread it blocked ([`Blocker`]) and stands for every
-/// session that thread was granted locks through: a thread blocked
-/// through one session while holding locks through another is exactly
-/// the misuse worth catching.
-#[derive(Default)]
-struct WaitGraph {
-    holders: HashMap<NodeKey, Vec<(Blocker, Mode)>>,
-    waiting: HashMap<u64, (Blocker, NodeKey, Mode)>,
-}
-
-/// Who holds or awaits a grant: the session, and the OS thread that
-/// drove it there.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-struct Blocker {
-    session: u64,
-    thread: u64,
-}
-
-impl Blocker {
-    /// Whether `self` blocking leaves `other` stuck: the same session,
-    /// or one driven by the same (blocked) thread.
-    fn stalls(self, other: Blocker) -> bool {
-        self.session == other.session || self.thread == other.thread
-    }
-}
-
-impl WaitGraph {
-    /// Looks for a conflict cycle starting from `who` requesting
-    /// `mode` on `key`. Edges: requester → conflicting holder → the
-    /// node that holder (or its thread) is blocked on → … Returns the
-    /// session ids on the cycle in canonical form: rotated so the
-    /// smallest id comes first, keeping error reports (and the
-    /// chaos-suite digests built from them) byte-identical no matter
-    /// which session on the cycle happened to detect it.
-    fn find_cycle(&self, who: Blocker, key: NodeKey, mode: Mode) -> Option<Vec<u64>> {
-        let mut path = vec![who.session];
-        let mut visited = vec![who.session];
-        let mut cycle = self.dfs(who, key, mode, &mut path, &mut visited)?;
-        let min = cycle
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, &t)| t)
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        cycle.rotate_left(min);
-        Some(cycle)
-    }
-
-    fn dfs(
-        &self,
-        origin: Blocker,
-        key: NodeKey,
-        mode: Mode,
-        path: &mut Vec<u64>,
-        visited: &mut Vec<u64>,
-    ) -> Option<Vec<u64>> {
-        for &(holder, held) in self.holders.get(&key)?.iter() {
-            if held.compatible(mode) {
-                continue;
-            }
-            if origin.stalls(holder) {
-                // A conflicting grant the blocked requester would have
-                // to release itself — the degenerate self-deadlock
-                // (e.g. an S→X upgrade attempt).
-                return Some(path.clone());
-            }
-            if visited.contains(&holder.session) {
-                continue;
-            }
-            visited.push(holder.session);
-            let blocked = self.waiting.values().find(|(w, ..)| w.stalls(holder));
-            if let Some(&(waiter, next_key, next_mode)) = blocked {
-                path.push(waiter.session);
-                if let Some(cycle) = self.dfs(origin, next_key, next_mode, path, visited) {
-                    return Some(cycle);
-                }
-                path.pop();
-            }
-        }
-        None
-    }
 }
 
 /// Multiplicative hasher for the node table: one rotate-xor-multiply
@@ -275,17 +162,12 @@ type NodeTable = HashMap<NodeKey, Arc<ModeLock>, BuildHasherDefault<NodeHasher>>
 pub struct Runtime {
     shards: Vec<Mutex<NodeTable>>,
     stats: Stats,
-    config: RuntimeConfig,
-    graph: Mutex<WaitGraph>,
-    /// The id the next [`Session`] takes.
-    next_session: AtomicU64,
 }
 
 impl fmt::Debug for Runtime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Runtime")
             .field("stats", &self.stats)
-            .field("config", &self.config)
             .finish()
     }
 }
@@ -298,38 +180,14 @@ impl Default for Runtime {
 
 const N_SHARDS: usize = 64;
 
-/// How often a detection-enabled blocked acquisition re-examines the
-/// wait-for graph (a cycle may only close after we start waiting).
-const DETECT_RECHECK: Duration = Duration::from_millis(10);
-
-/// Runtime-assigned id of the calling thread, for the wait graph's
-/// "which thread does this block" (stable, small, and printable —
-/// unlike `std::thread::ThreadId`).
-fn graph_tid() -> u64 {
-    static NEXT: AtomicU64 = AtomicU64::new(1);
-    thread_local! {
-        static TID: u64 = NEXT.fetch_add(1, Ordering::Relaxed);
-    }
-    TID.with(|t| *t)
-}
-
 impl Runtime {
-    /// Creates an empty lock table with the default (zero-overhead)
-    /// configuration.
+    /// Creates an empty lock table.
     pub fn new() -> Self {
-        Self::with_config(RuntimeConfig::default())
-    }
-
-    /// Creates an empty lock table with an explicit degradation policy.
-    pub fn with_config(config: RuntimeConfig) -> Self {
         Runtime {
             shards: (0..N_SHARDS)
                 .map(|_| Mutex::new(NodeTable::default()))
                 .collect(),
             stats: Stats::default(),
-            config,
-            graph: Mutex::new(WaitGraph::default()),
-            next_session: AtomicU64::new(1),
         }
     }
 
@@ -356,84 +214,6 @@ impl Runtime {
         let mut map = self.shards[(hash >> 32) as usize % N_SHARDS].lock();
         Arc::clone(map.entry(key).or_insert_with(|| Arc::new(ModeLock::new())))
     }
-
-    /// One node of a checked batch: non-blocking fast path, then a
-    /// wait bounded by the timeout that, with detection on, re-examines
-    /// the wait-for graph every [`DETECT_RECHECK`] (a cycle may only
-    /// close after we block). With neither it blocks for real.
-    fn acquire_node_checked(
-        &self,
-        session: u64,
-        key: NodeKey,
-        node: &ModeLock,
-        mode: Mode,
-    ) -> Result<(), MgLockError> {
-        if node.try_acquire(mode) {
-            return Ok(());
-        }
-        let cfg = self.config;
-        let deadline = cfg.acquire_timeout.map(|t| Instant::now() + t);
-        let who = Blocker {
-            session,
-            thread: graph_tid(),
-        };
-        if cfg.detect_deadlocks {
-            self.graph.lock().waiting.insert(session, (who, key, mode));
-        }
-        let result = loop {
-            if cfg.detect_deadlocks {
-                let cycle = self.graph.lock().find_cycle(who, key, mode);
-                if let Some(cycle) = cycle {
-                    self.stats
-                        .deadlocks_detected
-                        .fetch_add(1, Ordering::Relaxed);
-                    break Err(MgLockError::DeadlockDetected { cycle });
-                }
-            }
-            let now = Instant::now();
-            if deadline.is_some_and(|d| now >= d) {
-                self.stats.timeouts.fetch_add(1, Ordering::Relaxed);
-                break Err(MgLockError::AcquireTimeout);
-            }
-            // Whichever comes first; with neither, block for real.
-            let recheck = cfg.detect_deadlocks.then(|| now + DETECT_RECHECK);
-            if node.acquire_until(mode, deadline.into_iter().chain(recheck).min()) {
-                break Ok(());
-            }
-        };
-        if cfg.detect_deadlocks {
-            self.graph.lock().waiting.remove(&session);
-        }
-        result
-    }
-
-    fn note_granted(&self, session: u64, key: NodeKey, mode: Mode) {
-        if self.config.detect_deadlocks {
-            let who = Blocker {
-                session,
-                thread: graph_tid(),
-            };
-            self.graph
-                .lock()
-                .holders
-                .entry(key)
-                .or_default()
-                .push((who, mode));
-        }
-    }
-
-    fn note_released(&self, session: u64, key: NodeKey, mode: Mode) {
-        if self.config.detect_deadlocks {
-            if let Some(hs) = self.graph.lock().holders.get_mut(&key) {
-                let granted = hs
-                    .iter()
-                    .position(|&(h, m)| h.session == session && m == mode);
-                if let Some(i) = granted {
-                    hs.swap_remove(i);
-                }
-            }
-        }
-    }
 }
 
 /// Outcome of one [`Session::acquire_all_step`] call.
@@ -451,8 +231,6 @@ pub enum StepResult {
 /// level of §5.3.
 pub struct Session {
     rt: Arc<Runtime>,
-    /// This session's name in the runtime's wait-for graph.
-    id: u64,
     pending: Vec<Descriptor>,
     held: Vec<(NodeKey, Arc<ModeLock>, Mode)>,
     nlevel: u32,
@@ -477,10 +255,8 @@ impl fmt::Debug for Session {
 impl Session {
     /// Creates a session bound to a shared runtime.
     pub fn new(rt: Arc<Runtime>) -> Self {
-        let id = rt.next_session.fetch_add(1, Ordering::Relaxed);
         Session {
             rt,
-            id,
             pending: Vec::new(),
             held: Vec::new(),
             nlevel: 0,
@@ -543,35 +319,25 @@ impl Session {
     /// section, or plan the pending descriptors into the cursor and
     /// take its nodes top-down in `NodeKey` order — the one global
     /// order every thread shares. `take` waits for one node, each entry
-    /// point in its own way: `Ok(false)` leaves the cursor in place for
-    /// the next call, an error abandons the batch and releases it.
-    fn advance(
-        &mut self,
-        mut take: impl FnMut(&Runtime, NodeKey, &ModeLock, Mode) -> Result<bool, MgLockError>,
-    ) -> Result<StepResult, MgLockError> {
+    /// point in its own way: `false` leaves the cursor in place for the
+    /// next call.
+    fn advance(&mut self, mut take: impl FnMut(&ModeLock, Mode) -> bool) -> StepResult {
         if self.cursor.is_empty() {
             if self.nlevel > 0 {
                 self.nlevel += 1;
-                return Ok(StepResult::Done);
+                return StepResult::Done;
             }
             self.plan();
         }
         while let Some(&(key, mode)) = self.cursor.last() {
             let node = self.rt.node(key);
-            match take(&self.rt, key, &node, mode) {
-                Ok(true) => {}
-                Ok(false) => return Ok(StepResult::WouldBlock),
-                Err(e) => {
-                    self.cursor.clear();
-                    self.release_held();
-                    return Err(e);
-                }
+            if !take(&node, mode) {
+                return StepResult::WouldBlock;
             }
             self.rt
                 .stats
                 .node_acquisitions
                 .fetch_add(1, Ordering::Relaxed);
-            self.rt.note_granted(self.id, key, mode);
             if let Some(obs) = &self.observer {
                 obs.lock_acquired(key, mode);
             }
@@ -580,14 +346,13 @@ impl Session {
         }
         self.rt.stats.batches.fetch_add(1, Ordering::Relaxed);
         self.nlevel = 1;
-        Ok(StepResult::Done)
+        StepResult::Done
     }
 
     /// Releases every held node, children before ancestors.
     fn release_held(&mut self) {
         for (key, node, mode) in self.held.drain(..).rev() {
             node.release(mode);
-            self.rt.note_released(self.id, key, mode);
             if let Some(obs) = &self.observer {
                 obs.lock_released(key, mode);
             }
@@ -598,32 +363,11 @@ impl Session {
     /// protocol, then enter the (possibly nested) section. Blocks on
     /// each node for as long as it takes.
     pub fn acquire_all(&mut self) {
-        let done = self.advance(|_, _, node, mode| {
+        let done = self.advance(|node, mode| {
             node.acquire(mode);
-            Ok(true)
+            true
         });
-        debug_assert_eq!(done, Ok(StepResult::Done));
-    }
-
-    /// Like [`Session::acquire_all`], but honours the runtime's
-    /// [`RuntimeConfig`]: acquisitions observe the configured timeout,
-    /// and (when detection is enabled) a wait-for cycle is reported as
-    /// a typed error instead of hanging; with the default configuration
-    /// it blocks exactly like `acquire_all`. On error the partial batch
-    /// is released and the pending list is empty — the session is
-    /// reusable.
-    ///
-    /// # Errors
-    ///
-    /// [`MgLockError::AcquireTimeout`] past the configured bound;
-    /// [`MgLockError::DeadlockDetected`] when this acquisition would
-    /// close a wait-for cycle (a locking-protocol violation).
-    pub fn acquire_all_checked(&mut self) -> Result<(), MgLockError> {
-        let id = self.id;
-        self.advance(|rt, key, node, mode| {
-            rt.acquire_node_checked(id, key, node, mode).map(|()| true)
-        })
-        .map(|_| ())
+        debug_assert_eq!(done, StepResult::Done);
     }
 
     /// Non-blocking variant of [`Session::acquire_all`] for cooperative
@@ -632,8 +376,7 @@ impl Session {
     /// unavailable. Call again after any lock release; already-acquired
     /// nodes stay held (safe under the global acquisition order).
     pub fn acquire_all_step(&mut self) -> StepResult {
-        self.advance(|_, _, node, mode| Ok(node.try_acquire(mode)))
-            .expect("a non-blocking take has no error to report")
+        self.advance(|node, mode| node.try_acquire(mode))
     }
 
     /// *release-all*: leave the section; at nesting level zero, release
@@ -691,77 +434,5 @@ impl Drop for Session {
             .unwind_releases
             .fetch_add(self.held.len() as u64, Ordering::Relaxed);
         self.release_held();
-    }
-}
-
-#[cfg(test)]
-mod graph_tests {
-    use super::*;
-
-    #[test]
-    fn crafted_wait_cycle_is_found() {
-        // t1 holds cell 1 (X) and waits for cell 2; t2 holds cell 2 (X).
-        // When t2 asks for cell 1 the graph has a 2-cycle.
-        let mut g = WaitGraph::default();
-        let k1 = NodeKey::Fine(0, FineAddr::Cell(1));
-        let k2 = NodeKey::Fine(0, FineAddr::Cell(2));
-        let (s1, s2) = (on_own_thread(1), on_own_thread(2));
-        g.holders.insert(k1, vec![(s1, Mode::S)]);
-        g.holders.insert(k2, vec![(s2, Mode::X)]);
-        g.waiting.insert(1, (s1, k2, Mode::X));
-        // Canonical rotation: the cycle 2 → 1 reports as [1, 2].
-        assert_eq!(g.find_cycle(s2, k1, Mode::X), Some(vec![1, 2]));
-        // A compatible holder does not form an edge: IS coexists with
-        // the S grant, so there is nothing to wait for.
-        assert_eq!(g.find_cycle(s2, k1, Mode::Is), None);
-        // Without the wait edge there is no cycle.
-        g.waiting.clear();
-        assert_eq!(g.find_cycle(s2, k1, Mode::X), None);
-    }
-
-    #[test]
-    fn self_upgrade_is_a_degenerate_cycle() {
-        let mut g = WaitGraph::default();
-        let k = NodeKey::Pts(3);
-        g.holders.insert(k, vec![(on_own_thread(7), Mode::S)]);
-        assert_eq!(g.find_cycle(on_own_thread(7), k, Mode::X), Some(vec![7]));
-    }
-
-    #[test]
-    fn sessions_sharing_a_thread_are_told_apart() {
-        // Two sessions stepped by one OS thread — two virtual threads —
-        // hold `S` on one node. Releasing one must strike that one's
-        // grant, not "this thread's".
-        let rt = Arc::new(Runtime::with_config(RuntimeConfig {
-            acquire_timeout: None,
-            detect_deadlocks: true,
-        }));
-        let read_root = Descriptor::Global {
-            access: Access::Read,
-        };
-        let mut a = Session::new(Arc::clone(&rt));
-        let mut b = Session::new(Arc::clone(&rt));
-        for s in [&mut a, &mut b] {
-            s.to_acquire(read_root);
-            assert_eq!(s.acquire_all_step(), StepResult::Done);
-        }
-        let holders = |rt: &Runtime| -> Vec<(u64, Mode)> {
-            let g = rt.graph.lock();
-            let hs = g.holders.get(&NodeKey::Root).cloned().unwrap_or_default();
-            hs.into_iter().map(|(h, m)| (h.session, m)).collect()
-        };
-        assert_eq!(holders(&rt), vec![(a.id, Mode::S), (b.id, Mode::S)]);
-        a.release_all();
-        assert_eq!(holders(&rt), vec![(b.id, Mode::S)]);
-        b.release_all();
-        assert_eq!(holders(&rt), vec![]);
-    }
-
-    /// A session alone on a thread of its own.
-    fn on_own_thread(id: u64) -> Blocker {
-        Blocker {
-            session: id,
-            thread: id,
-        }
     }
 }

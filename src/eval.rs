@@ -191,8 +191,8 @@ impl EvalContext {
     /// Empty for machines built without a sentinel.
     ///
     /// Every recording goes through here, and `cfg` can come from a
-    /// trace file or a command line, so this is where a run nothing
-    /// should be spawned or allocated for is refused: a thread count or
+    /// trace file or a command line, so this is where a run no machine
+    /// or worker state should be built for is refused: a thread count or
     /// heap bound over the limits, a heap that cannot hold the
     /// program's globals, and a section configuration — base, override
     /// or repair — that is not [`SchemeConfig::is_executable`].

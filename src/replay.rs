@@ -286,10 +286,12 @@ impl RunConfig {
     }
 }
 
-/// Every virtual thread is an OS thread while it runs, so a recorded
-/// or replayed thread count is bounded before anything is spawned for
-/// it (`EvalContext::run_one_ledger`). The paper and every committed
-/// workload stay at or below 16.
+/// A virtual thread is per-worker state that one scheduler loop resumes
+/// on the calling thread: frames, a lock session, a fault stream and,
+/// when tracing, a recorder ring buffer. A recorded or replayed thread
+/// count caps how many of those one run builds, and is checked before
+/// any is (`EvalContext::run_one_ledger`). The paper and every
+/// committed workload stay at or below 16.
 pub(crate) const MAX_REPLAY_THREADS: usize = 1024;
 
 /// The heap commits a page the first time one of its cells is touched,

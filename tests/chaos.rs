@@ -156,9 +156,7 @@ fn assert_typed(label: &str, e: &InterpError) {
     assert!(
         matches!(
             e,
-            InterpError::InjectedPanic { .. }
-                | InterpError::SchedulerStalled { .. }
-                | InterpError::Lock { .. }
+            InterpError::InjectedPanic { .. } | InterpError::SchedulerStalled { .. }
         ),
         "{label}: untyped or impossible chaos error: {e}"
     );
