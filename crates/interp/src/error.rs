@@ -119,15 +119,31 @@ impl std::error::Error for InterpError {}
 /// that unwinds to the owning section for retry, or a scheduling point
 /// that made another virtual thread the runner — which unwinds to
 /// `Worker::resume`, leaving behind where to continue.
+///
+/// The error is boxed: every instruction returns a `Result<_, Exc>`,
+/// and two words come back in registers where an inline
+/// [`InterpError`] (two `String`s wide) would go through memory.
 #[derive(Debug)]
 pub(crate) enum Exc {
-    Err(InterpError),
+    Err(Box<InterpError>),
     Abort,
     Yield,
 }
 
 impl From<InterpError> for Exc {
     fn from(e: InterpError) -> Exc {
-        Exc::Err(e)
+        Exc::Err(Box::new(e))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_instruction_result_is_two_words() {
+        let word = std::mem::size_of::<usize>();
+        assert_eq!(std::mem::size_of::<Exc>(), 2 * word);
+        assert_eq!(std::mem::size_of::<Result<(), Exc>>(), 2 * word);
     }
 }

@@ -208,6 +208,12 @@ pub(crate) struct Worker<'m> {
     /// in spec order — what post-acquisition revalidation compares
     /// against. Reused from section to section.
     planned: Vec<Descriptor>,
+    /// Calls of [`Worker::resume`] so far, and the call in which the
+    /// current plan was evaluated: under the virtual-time scheduler no
+    /// other thread runs inside one call, so a plan granted in the call
+    /// that evaluated it cannot have drifted.
+    resumes: u64,
+    planned_in: u64,
     held_concrete: Vec<ConcreteLock>,
     my_allocs: Vec<(u64, u64)>,
     /// Section currently open (Validate diagnostics).
@@ -285,6 +291,8 @@ impl<'m> Worker<'m> {
             held_before: 0,
             waited: false,
             planned: Vec::new(),
+            resumes: 0,
+            planned_in: 0,
             held_concrete: Vec::new(),
             my_allocs: Vec::new(),
             current_section: SectionId(0),
@@ -387,6 +395,7 @@ impl<'m> Worker<'m> {
     /// Runs until the entry call returns, fails, or a scheduling point
     /// makes another virtual thread the runner (never, in real time).
     pub(crate) fn resume(&mut self) -> Result<Step, Exc> {
+        self.resumes += 1;
         // The slots leave `self` while instructions run, so the running
         // frame stays borrowed across `&mut self` calls.
         let mut slots = std::mem::take(&mut self.slots);
@@ -1189,13 +1198,14 @@ impl<'m> Worker<'m> {
             .get(&(at.f, at.pc as u32))
             .copied()
             .ok_or_else(|| {
-                Exc::Err(InterpError::Internal {
+                InterpError::Internal {
                     detail: format!(
                         "allocation site {}:{} was not pre-registered",
                         self.m.program.fn_name(at.f),
                         at.pc
                     ),
-                })
+                }
+                .into()
             })
     }
 
@@ -1222,11 +1232,12 @@ impl<'m> Worker<'m> {
     }
 
     fn fault(&self, at: At, detail: impl Into<String>) -> Exc {
-        Exc::Err(InterpError::Fault {
+        InterpError::Fault {
             func: self.m.program.fn_name(at.f).to_owned(),
             pc: at.pc,
             detail: detail.into(),
-        })
+        }
+        .into()
     }
 
     // ------------------------------------------------------------------
@@ -1297,6 +1308,7 @@ impl<'m> Worker<'m> {
                     let (specs, filter_dropped) = self.specs_to_plan(ins, sid);
                     self.held_concrete.clear();
                     self.planned.clear();
+                    self.planned_in = self.resumes;
                     for (i, spec) in specs.iter().enumerate() {
                         if filter_dropped && self.spec_dropped(sid.0, i) {
                             continue;
@@ -1327,7 +1339,13 @@ impl<'m> Worker<'m> {
                     // stale footprint. Re-evaluate under the grants and
                     // retry on drift; every retry implies some other
                     // section committed in between, so the loop makes
-                    // system-wide progress.
+                    // system-wide progress. Under virtual time, a plan
+                    // granted without a yield since it was evaluated
+                    // saw nobody else run: the same evaluation would
+                    // read the same cells, so it is skipped.
+                    if self.sim.is_some() && self.planned_in == self.resumes {
+                        return self.entered(false);
+                    }
                     let (specs, filter_dropped) = self.specs_to_plan(ins, sid);
                     if self.plan_still_current(specs, frame, at, filter_dropped)? {
                         return self.entered(false);
@@ -1811,7 +1829,7 @@ fn panic_error(tid: u32, payload: Box<dyn std::any::Any + Send>) -> InterpError 
 /// them.
 fn exit_error(e: Exc) -> InterpError {
     match e {
-        Exc::Err(e) => e,
+        Exc::Err(e) => *e,
         Exc::Abort => InterpError::Internal {
             detail: "transaction abort escaped its owning section".into(),
         },

@@ -28,7 +28,7 @@ pub const ALL_MODES: [Mode; 5] = [Mode::Is, Mode::Ix, Mode::S, Mode::Six, Mode::
 impl Mode {
     /// The compatibility matrix of Figure 6(b): can two *different*
     /// threads hold these modes on the same node concurrently?
-    pub fn compatible(self, other: Mode) -> bool {
+    pub const fn compatible(self, other: Mode) -> bool {
         use Mode::*;
         match (self, other) {
             (Is, X) | (X, Is) => false,

@@ -31,9 +31,9 @@ use crate::modes::Mode;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Effect requested by a descriptor: read-only maps to shared modes,
 /// read-write to exclusive ones. (Mirror of `lir::Eff`, kept local so
@@ -133,34 +133,65 @@ pub struct Stats {
     pub unwind_releases: AtomicU64,
 }
 
-/// Multiplicative hasher for the node table: one rotate-xor-multiply
-/// per key word picks both the shard and the bucket within it. Node
-/// keys are partition numbers and heap addresses below the machine's
-/// own bound, looked up once per node per batch — SipHash's defence
-/// against crafted keys costs more here than the lock it finds.
-#[derive(Clone, Copy, Default)]
-struct NodeHasher(u64);
-
-impl Hasher for NodeHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            let v = u64::from_le_bytes(word);
-            self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
-        }
+/// A key as the two words the id map stores and hashes: the node kind
+/// and partition, then the fine address.
+fn key_words(key: NodeKey) -> (u64, u64) {
+    match key {
+        NodeKey::Root => (0, 0),
+        NodeKey::Pts(p) => (1 << 32 | p as u64, 0),
+        NodeKey::Fine(p, FineAddr::Cell(a)) => (2 << 32 | p as u64, a),
+        NodeKey::Fine(p, FineAddr::Range(a)) => (3 << 32 | p as u64, a),
     }
 }
 
-type NodeTable = HashMap<NodeKey, Arc<ModeLock>, BuildHasherDefault<NodeHasher>>;
+/// Hashes [`key_words`]: multiply, rotate, xor in the second word,
+/// multiply — then fold, so the low bits that pick the bucket see the
+/// high ones. Node keys are partition numbers and heap addresses below
+/// the machine's own bound, looked up once per node per batch —
+/// SipHash's defence against crafted keys would cost more here than
+/// the lock it finds.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("node keys hash as two u64 words")
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        const K: u64 = 0x517c_c1b7_2722_0a95;
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(K);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0 ^ self.0 >> 29
+    }
+}
+
+/// Nodes in the arena's first segment; segment `s` holds `FIRST << s`.
+const FIRST: usize = 64;
+/// Enough segments for every `u32` id.
+const SEGMENTS: usize = 27;
+
+/// The segment and offset of node `id`.
+fn arena_slot(id: u32) -> (usize, usize) {
+    let s = (id as usize / FIRST + 1).ilog2() as usize;
+    (s, id as usize - FIRST * ((1 << s) - 1))
+}
 
 /// The shared lock-table runtime. Clone the [`Arc`] into every thread
 /// and create one [`Session`] per thread.
+///
+/// Node locks live in an append-only arena of doubling segments and are
+/// named by dense `u32` ids; one mutex-guarded map turns keys into ids.
+/// A session names a whole batch under one lock of the map before its
+/// walk, then takes and releases nodes by id: past that one lock per
+/// batch, a grant's only atomic read-modify-write is the node's own.
+/// The map is never locked while a node is waited for.
 pub struct Runtime {
-    shards: Vec<Mutex<NodeTable>>,
+    arena: [OnceLock<Box<[ModeLock]>>; SEGMENTS],
+    /// Node ids by [`key_words`]; its length is the number of nodes.
+    ids: Mutex<HashMap<(u64, u64), u32, BuildHasherDefault<KeyHasher>>>,
     stats: Stats,
 }
 
@@ -178,15 +209,12 @@ impl Default for Runtime {
     }
 }
 
-const N_SHARDS: usize = 64;
-
 impl Runtime {
     /// Creates an empty lock table.
     pub fn new() -> Self {
         Runtime {
-            shards: (0..N_SHARDS)
-                .map(|_| Mutex::new(NodeTable::default()))
-                .collect(),
+            arena: [const { OnceLock::new() }; SEGMENTS],
+            ids: Mutex::new(HashMap::default()),
             stats: Stats::default(),
         }
     }
@@ -200,19 +228,31 @@ impl Runtime {
     /// released (or been unwound). The fault-injection suites assert
     /// this after crashing workers to prove panics cannot leak locks.
     pub fn quiescent(&self) -> bool {
-        self.shards.iter().all(|s| {
-            s.lock()
-                .values()
-                .all(|n| n.granted().iter().all(|&c| c == 0))
-        })
+        let len = self.ids.lock().len() as u32;
+        (0..len).all(|id| self.lock(id).granted() == [0; 5])
     }
 
-    fn node(&self, key: NodeKey) -> Arc<ModeLock> {
-        // The table indexes buckets by the hash's low bits and tags
-        // them by its top seven; the shard takes bits from between.
-        let hash = BuildHasherDefault::<NodeHasher>::default().hash_one(key);
-        let mut map = self.shards[(hash >> 32) as usize % N_SHARDS].lock();
-        Arc::clone(map.entry(key).or_insert_with(|| Arc::new(ModeLock::new())))
+    /// The lock of node `id`.
+    fn lock(&self, id: u32) -> &ModeLock {
+        let (s, off) = arena_slot(id);
+        &self.arena[s]
+            .get()
+            .expect("an id is handed out after its segment exists")[off]
+    }
+
+    /// Fills in the id of every step's node under one lock of the map,
+    /// appending a node for each key touched for the first time.
+    fn name(&self, steps: &mut [(NodeKey, u32, Mode)]) {
+        let mut ids = self.ids.lock();
+        for (key, id, _) in steps {
+            let next = u32::try_from(ids.len()).expect("lock table full");
+            *id = *ids.entry(key_words(*key)).or_insert(next);
+            if *id == next {
+                let s = arena_slot(next).0;
+                self.arena[s]
+                    .get_or_init(|| (0..FIRST << s).map(|_| ModeLock::default()).collect());
+            }
+        }
     }
 }
 
@@ -232,12 +272,14 @@ pub enum StepResult {
 pub struct Session {
     rt: Arc<Runtime>,
     pending: Vec<Descriptor>,
-    held: Vec<(NodeKey, Arc<ModeLock>, Mode)>,
+    /// Granted nodes in acquisition order, by key and runtime id.
+    held: Vec<(NodeKey, u32, Mode)>,
     nlevel: u32,
-    /// The acquire-all walk's cursor: the plan's remaining (node, mode)
-    /// pairs in *descending* order (popped from the back). Non-empty
-    /// exactly while a walk is in flight.
-    cursor: Vec<(NodeKey, Mode)>,
+    /// The acquire-all walk's cursor: the plan's remaining nodes, by
+    /// key and runtime id, with their modes, in *descending* order
+    /// (popped from the back). Non-empty exactly while a walk is in
+    /// flight.
+    cursor: Vec<(NodeKey, u32, Mode)>,
     /// Grant-lifecycle observer (tracing); `None` costs nothing.
     observer: Option<Arc<dyn LockObserver>>,
 }
@@ -271,39 +313,43 @@ impl Session {
         self.observer = observer;
     }
 
-    /// Turns the pending descriptors into the walk's cursor: one
-    /// `(node, mode)` pair per node, the mode the join of every
-    /// capacity the batch wants the node in, in *descending* `NodeKey`
-    /// order (the walk pops from the back). `combine` is a commutative,
-    /// idempotent join, so the order of one node's pairs is immaterial
-    /// and an unstable sort of the reused buffer serves.
+    /// Turns the pending descriptors into the walk's cursor: one step
+    /// per node, the mode the join of every capacity the batch wants
+    /// the node in, in *descending* `NodeKey` order (the walk pops from
+    /// the back), then names the nodes in one call to the runtime.
+    /// `combine` is a commutative, idempotent join, so the order of one
+    /// node's pairs is immaterial and an unstable sort of the reused
+    /// buffer serves.
     fn plan(&mut self) {
         debug_assert!(self.cursor.is_empty(), "a walk is still in flight");
-        let want = &mut self.cursor;
+        let cursor = &mut self.cursor;
+        // The id is filled in by `Runtime::name` once the steps are known.
+        let mut want = |key, mode| cursor.push((key, 0, mode));
         for d in self.pending.drain(..) {
             match d {
-                Descriptor::Global { access } => want.push((NodeKey::Root, access.own_mode())),
+                Descriptor::Global { access } => want(NodeKey::Root, access.own_mode()),
                 Descriptor::Coarse { pts, access } => {
                     let own = access.own_mode();
-                    want.push((NodeKey::Pts(pts), own));
-                    want.push((NodeKey::Root, own.ancestor_intention()));
+                    want(NodeKey::Pts(pts), own);
+                    want(NodeKey::Root, own.ancestor_intention());
                 }
                 Descriptor::Fine { pts, addr, access } => {
                     let own = access.own_mode();
-                    want.push((NodeKey::Fine(pts, addr), own));
-                    want.push((NodeKey::Pts(pts), own.ancestor_intention()));
-                    want.push((NodeKey::Root, own.ancestor_intention()));
+                    want(NodeKey::Fine(pts, addr), own);
+                    want(NodeKey::Pts(pts), own.ancestor_intention());
+                    want(NodeKey::Root, own.ancestor_intention());
                 }
             }
         }
-        want.sort_unstable_by_key(|&(key, _)| std::cmp::Reverse(key));
-        want.dedup_by(|next, kept| {
+        cursor.sort_unstable_by_key(|&(key, ..)| std::cmp::Reverse(key));
+        cursor.dedup_by(|next, kept| {
             let same = next.0 == kept.0;
             if same {
-                kept.1 = kept.1.combine(next.1);
+                kept.2 = kept.2.combine(next.2);
             }
             same
         });
+        self.rt.name(cursor);
     }
 
     /// *to-acquire*: queue a descriptor for the next [`Session::acquire_all`].
@@ -329,30 +375,39 @@ impl Session {
             }
             self.plan();
         }
-        while let Some(&(key, mode)) = self.cursor.last() {
-            let node = self.rt.node(key);
-            if !take(&node, mode) {
-                return StepResult::WouldBlock;
+        let rt = &*self.rt;
+        let mut taken = 0;
+        let blocked = loop {
+            let Some(&(key, id, mode)) = self.cursor.last() else {
+                break false;
+            };
+            if !take(rt.lock(id), mode) {
+                break true;
             }
-            self.rt
-                .stats
-                .node_acquisitions
-                .fetch_add(1, Ordering::Relaxed);
             if let Some(obs) = &self.observer {
                 obs.lock_acquired(key, mode);
             }
-            self.held.push((key, node, mode));
+            self.held.push((key, id, mode));
             self.cursor.pop();
+            taken += 1;
+        };
+        if taken > 0 {
+            rt.stats
+                .node_acquisitions
+                .fetch_add(taken, Ordering::Relaxed);
         }
-        self.rt.stats.batches.fetch_add(1, Ordering::Relaxed);
+        if blocked {
+            return StepResult::WouldBlock;
+        }
+        rt.stats.batches.fetch_add(1, Ordering::Relaxed);
         self.nlevel = 1;
         StepResult::Done
     }
 
     /// Releases every held node, children before ancestors.
     fn release_held(&mut self) {
-        for (key, node, mode) in self.held.drain(..).rev() {
-            node.release(mode);
+        for (key, id, mode) in self.held.drain(..).rev() {
+            self.rt.lock(id).release(mode);
             if let Some(obs) = &self.observer {
                 obs.lock_released(key, mode);
             }
@@ -414,7 +469,7 @@ impl Session {
     /// policies snapshot this into the scheduler's waiter queue when a
     /// step returns [`StepResult::WouldBlock`].
     pub fn blocked_on(&self) -> Option<(NodeKey, Mode)> {
-        self.cursor.last().copied()
+        self.cursor.last().map(|&(key, _, mode)| (key, mode))
     }
 }
 
@@ -434,5 +489,94 @@ impl Drop for Session {
             .unwind_releases
             .fetch_add(self.held.len() as u64, Ordering::Relaxed);
         self.release_held();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Keys of every kind, distinct for distinct `i`.
+    fn key(i: u64) -> NodeKey {
+        let pts = (i % 7) as u32;
+        match i % 4 {
+            0 if i == 0 => NodeKey::Root,
+            0 | 1 => NodeKey::Pts(i as u32),
+            2 => NodeKey::Fine(pts, FineAddr::Cell(i)),
+            _ => NodeKey::Fine(pts, FineAddr::Range(i)),
+        }
+    }
+
+    /// The id `name` gives `key`, looked up alone.
+    fn id_of(rt: &Runtime, key: NodeKey) -> u32 {
+        let mut step = [(key, 0, Mode::Is)];
+        rt.name(&mut step);
+        step[0].1
+    }
+
+    #[test]
+    fn ids_are_dense_and_stable_across_arena_growth() {
+        let rt = Runtime::new();
+        let n = 20_000;
+        for i in 0..n {
+            assert_eq!(id_of(&rt, key(i)), i as u32, "first touch appends");
+        }
+        let mut batch: Vec<_> = (0..n).rev().map(|i| (key(i), 0, Mode::X)).collect();
+        rt.name(&mut batch);
+        assert!(batch.iter().all(|&(k, id, _)| k == key(id as u64)));
+        assert_eq!(rt.ids.lock().len(), n as usize);
+        assert_eq!(rt.lock(n as u32 - 1).granted(), [0; 5]);
+        assert_eq!(arena_slot(FIRST as u32 - 1), (0, FIRST - 1));
+        assert_eq!(arena_slot(FIRST as u32), (1, 0));
+        assert_eq!(arena_slot(u32::MAX).0, SEGMENTS - 1);
+    }
+
+    #[test]
+    fn node_kinds_sharing_a_partition_and_address_are_distinct() {
+        let rt = Runtime::new();
+        let kinds = [
+            NodeKey::Root,
+            NodeKey::Pts(0),
+            NodeKey::Fine(0, FineAddr::Cell(0)),
+            NodeKey::Fine(0, FineAddr::Range(0)),
+        ];
+        let ids: Vec<u32> = kinds.iter().map(|&k| id_of(&rt, k)).collect();
+        assert_eq!(ids, [0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn racing_first_touches_agree_on_one_node() {
+        const THREADS: u64 = 8;
+        const KEYS: u64 = 3_000;
+        let rt = Runtime::new();
+        let start = std::sync::Barrier::new(THREADS as usize);
+        let seen: Vec<Vec<u32>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let (rt, start) = (&rt, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        // Each thread walks the keys from its own
+                        // offset, so first touches collide everywhere.
+                        let mut ids = vec![0; KEYS as usize];
+                        for j in 0..KEYS {
+                            let i = (j + t * KEYS / THREADS) % KEYS;
+                            ids[i as usize] = id_of(rt, key(i));
+                        }
+                        ids
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(seen.windows(2).all(|w| w[0] == w[1]), "one id per key");
+        let mut ids = seen[0].clone();
+        ids.sort_unstable();
+        assert_eq!(
+            ids,
+            (0..KEYS as u32).collect::<Vec<_>>(),
+            "one node per key"
+        );
+        assert!(rt.quiescent());
     }
 }

@@ -1,6 +1,7 @@
 //! `ModeLock` wake-ups under real contention. A releaser skips the
-//! condvar when the node's waiter count reads zero; if that skip could
-//! ever miss a sleeper, some thread here would park forever. Eight OS
+//! queue mutex and the condvar when the word it swapped out had no
+//! "blocked" bit; if that skip could ever miss a sleeper, some thread
+//! here would park forever. Eight OS
 //! threads run blocking `acquire_all` / `release_all` batches over two
 //! cells and their partition — fine and coarse, shared and exclusive,
 //! so every node sees readers, writers, intention holders and
