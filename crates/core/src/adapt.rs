@@ -258,17 +258,30 @@ impl PlanCost {
     }
 }
 
-/// Picks the winning candidate: strictly lower total replayed wait
-/// than the baseline, ties broken by lower makespan, then by candidate
-/// order. Returns `None` when no candidate improves on the baseline
-/// (the global configuration stands).
+/// A candidate's place in the selection order, lowest first: total
+/// replayed wait, then makespan, then candidate index.
+pub type Rank = (u64, u64, usize);
+
+/// Where candidate `index` with measured `cost` ranks, or `None` when
+/// it does not wait strictly less than the baseline and so can never
+/// be selected. The one comparator of the decision loop: [`select`]
+/// ranks a finished cost vector with it, and the candidate loop keeps
+/// the best-ranked recording with it as the candidates finish.
+pub fn rank(baseline: PlanCost, cost: PlanCost, index: usize) -> Option<Rank> {
+    (cost.total_wait < baseline.total_wait).then_some((cost.total_wait, cost.makespan, index))
+}
+
+/// Picks the winning candidate: the lowest [`rank`] — strictly lower
+/// total replayed wait than the baseline, ties broken by lower
+/// makespan, then by candidate order. Returns `None` when no candidate
+/// improves on the baseline (the global configuration stands).
 pub fn select(baseline: PlanCost, outcomes: &[PlanCost]) -> Option<usize> {
     outcomes
         .iter()
         .enumerate()
-        .filter(|(_, c)| c.total_wait < baseline.total_wait)
-        .min_by_key(|(i, c)| (c.total_wait, c.makespan, *i))
-        .map(|(i, _)| i)
+        .filter_map(|(i, &c)| rank(baseline, c, i))
+        .min()
+        .map(|(_, _, i)| i)
 }
 
 /// How (whether) one candidate's cost was obtained.
@@ -282,7 +295,7 @@ pub enum EvalStatus {
     /// that ranked it.
     Pruned { est: u64 },
     /// Scheduled for replay but the recording was unusable (e.g. the
-    /// candidate trace overflowed its ring); the cost is zeroed and
+    /// candidate trace overflowed its capacity); the cost is zeroed and
     /// the reason is surfaced instead of a silently bogus profile.
     Skipped { reason: String },
 }

@@ -63,8 +63,8 @@ pub struct Options {
     /// by default that healthy workloads never escalate.
     pub stm_abort_budget: u64,
     /// Event-trace recording (`None` = no tracing, zero overhead).
-    /// When set, every worker registers a per-thread recorder and the
-    /// merged trace is available from [`Machine::take_trace`].
+    /// When set, every worker registers with the machine's one event
+    /// log, and the trace is available from [`Machine::take_trace`].
     pub trace: Option<trace::TraceConfig>,
     /// Online lockset sentinel (`None` = off, zero overhead): inline
     /// Fig. 6 licensing checks on in-section accesses, with a
@@ -414,7 +414,7 @@ impl Machine {
         self.tracer.is_some()
     }
 
-    /// Drains the recorded events into a merged, epoch-ordered trace
+    /// Hands over the recorded events as one epoch-ordered trace
     /// stamped with this machine's mode/seed metadata and the current
     /// allocation-table snapshot (the bump allocator never reuses
     /// addresses, so the final table is valid for every recorded

@@ -3,7 +3,7 @@
 //! The dynamic counterpart of the paper's Theorem 1: every execution
 //! under any of the three runtimes (multi-grain locks, TL2 STM, the
 //! global-lock baseline) can record a structured event trace, and the
-//! [`lockset`] validator replays the merged trace checking the
+//! [`lockset`] validator replays the trace checking the
 //! Eraser-style discipline — *every shared access inside an atomic
 //! section must be covered by a held lock whose Fig. 6 mode licenses
 //! the access effect*. Full modes license (X → read+write, S/SIX →
@@ -15,9 +15,9 @@
 //! * [`event`] — the event vocabulary (section boundaries, lock
 //!   grants/releases with modes, shared reads/writes, STM lifecycle,
 //!   injected faults);
-//! * [`recorder`] — per-thread ring buffers with a shared epoch
-//!   counter; [`Recorder::take`] merges them into one totally-ordered
-//!   [`Trace`];
+//! * [`recorder`] — one event log per machine, written in epoch order
+//!   under one lock; [`Recorder::take`] hands it over as the
+//!   totally-ordered [`Trace`], with no merge;
 //! * [`sections`] — the per-thread enter / exit / plan-completion /
 //!   abort nesting protocol, read by everything below;
 //! * [`lockset`] — the validator;
@@ -62,7 +62,7 @@ pub struct AllocRecord {
     pub class: u32,
 }
 
-/// A merged, totally-ordered execution trace.
+/// A totally-ordered execution trace: one log, in epoch order.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct Trace {
     /// Ordered key/value metadata. The validator reads `mode`; the
@@ -72,9 +72,11 @@ pub struct Trace {
     pub meta: Vec<(String, String)>,
     /// Allocation table snapshot (sorted by base).
     pub allocs: Vec<AllocRecord>,
-    /// Events sorted by epoch.
+    /// Events in epoch order, as they were recorded.
     pub events: Vec<Event>,
-    /// Events discarded because a per-thread buffer hit its capacity.
+    /// Events discarded because their thread registration had already
+    /// kept [`TraceConfig::capacity`] events. Each still used up an
+    /// epoch, so a truncated trace shows gaps in the sequence.
     pub dropped: u64,
 }
 
@@ -173,7 +175,7 @@ mod tests {
     }
 
     #[test]
-    fn epochs_are_monotone_and_merge_orders_by_them() {
+    fn epochs_are_monotone_in_the_log() {
         let t = sample();
         assert!(t.events.windows(2).all(|w| w[0].epoch < w[1].epoch));
         assert_eq!(t.dropped, 0);

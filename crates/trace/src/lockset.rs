@@ -85,7 +85,7 @@ impl Validation {
 /// validation).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum ValidationError {
-    /// The recorder dropped events (a ring buffer overflowed); a
+    /// The recorder dropped events (a thread hit its capacity); a
     /// truncated trace could be missing lock grants, so checking it
     /// would report false violations.
     DroppedEvents { dropped: u64 },

@@ -29,7 +29,7 @@
 //! [`Histogram`]s per static section id.
 
 use crate::event::{Event, EventKind};
-use crate::sections::{Cursor, Step};
+use crate::sections::{moves_boundary, Cursor, Step};
 use crate::Trace;
 use std::collections::{BTreeMap, HashMap};
 
@@ -147,8 +147,13 @@ impl Profiler {
             })
     }
 
-    /// Folds in the next event of the merged trace.
+    /// Folds in the next event of the trace.
     pub fn step(&mut self, e: &Event) {
+        // Only a boundary can change a profile: skip the rest before
+        // the thread lookup.
+        if !moves_boundary(&e.kind) {
+            return;
+        }
         let st = self.threads.entry(e.tid).or_default();
         match st.sections.step(e) {
             Step::EnteredOutermost { section } => {

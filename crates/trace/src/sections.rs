@@ -16,9 +16,24 @@
 //! an exit or an abort with nothing open, a plan completion outside
 //! any section, every other kind — are [`Step::Other`]: readers of a
 //! truncated or hand-made trace see no transition rather than a
-//! fabricated one.
+//! fabricated one. [`moves_boundary`] names the kinds that can, so a
+//! reader with nothing to do on `Other` skips the rest unread.
 
 use crate::event::{Event, EventKind};
+
+/// True for the event kinds the protocol is made of — section enter
+/// and exit, plan completion, STM abort. For every other kind
+/// [`Cursor::step`] is [`Step::Other`] and leaves the cursor as it was.
+#[inline]
+pub fn moves_boundary(kind: &EventKind) -> bool {
+    matches!(
+        kind,
+        EventKind::SectionEnter { .. }
+            | EventKind::SectionExit { .. }
+            | EventKind::PlanComplete
+            | EventKind::StmAbort
+    )
+}
 
 /// One outermost section execution, as far as the cursor has seen it.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -209,5 +224,63 @@ mod tests {
         assert_eq!(got, [Step::Other; 3]);
         assert_eq!(c.open_section(), None);
         assert!(!c.crashed());
+    }
+
+    #[test]
+    fn only_boundary_kinds_move_an_open_cursor() {
+        use mglock::{Mode, NodeKey};
+        let others = [
+            EventKind::LockAcquire {
+                node: NodeKey::Root,
+                mode: Mode::X,
+            },
+            EventKind::LockRelease {
+                node: NodeKey::Root,
+                mode: Mode::X,
+            },
+            EventKind::Read { addr: 1 },
+            EventKind::Write { addr: 1 },
+            EventKind::Alloc { base: 1, len: 2 },
+            EventKind::StmCommit {
+                reads: 1,
+                writes: 1,
+            },
+            EventKind::StmFallback,
+            EventKind::Fault {
+                class: crate::FaultClass::Stall,
+            },
+            EventKind::Quarantine {
+                section: 1,
+                healed: false,
+                probation: 2,
+            },
+            EventKind::WakeDecision {
+                node: NodeKey::Root,
+                mode: Mode::S,
+                depth: 2,
+                woken: 1,
+            },
+            EventKind::Reinfer {
+                section: 1,
+                candidate: 0,
+                accepted: true,
+            },
+        ];
+        let mut c = Cursor::default();
+        steps(&mut c, &[(1, EventKind::SectionEnter { section: 4 })]);
+        for kind in others {
+            assert!(!moves_boundary(&kind), "{kind:?}");
+            assert_eq!(steps(&mut c, &[(2, kind)]), [Step::Other], "{kind:?}");
+            assert_eq!(c.open_section(), Some(4));
+        }
+        for kind in [
+            EventKind::PlanComplete,
+            EventKind::SectionExit { section: 4 },
+            EventKind::SectionEnter { section: 4 },
+            EventKind::StmAbort,
+        ] {
+            assert!(moves_boundary(&kind), "{kind:?}");
+            assert_ne!(steps(&mut c, &[(3, kind)]), [Step::Other], "{kind:?}");
+        }
     }
 }

@@ -8,14 +8,13 @@
 //! is exactly the behaviour the fault-injection harness exercises.
 //!
 //! Semantic differences from the real crate (none observable here):
-//! no eventual fairness, no `const fn` constructors beyond what std
-//! provides, and `Condvar::wait_for` is implemented with
-//! `std::sync::Condvar::wait_timeout`.
+//! no eventual fairness, and no `const fn` constructors beyond what std
+//! provides. There is no timed wait and no `try_lock`: nothing here
+//! uses them.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::PoisonError;
-use std::time::Duration;
 
 /// A mutual-exclusion lock with parking_lot's panic-transparent API:
 /// `lock()` returns the guard directly and never observes poisoning.
@@ -38,15 +37,6 @@ impl<T: ?Sized> Mutex<T> {
     /// Acquires the mutex, blocking until it is available.
     pub fn lock(&self) -> MutexGuard<'_, T> {
         MutexGuard(Some(self.0.lock().unwrap_or_else(PoisonError::into_inner)))
-    }
-
-    /// Attempts to acquire the mutex without blocking.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.0.try_lock() {
-            Ok(g) => Some(MutexGuard(Some(g))),
-            Err(std::sync::TryLockError::Poisoned(e)) => Some(MutexGuard(Some(e.into_inner()))),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
     }
 
     /// Mutable access without locking (requires `&mut self`).
@@ -96,40 +86,9 @@ impl Condvar {
         guard.0 = Some(inner);
     }
 
-    /// Blocks until notified or `timeout` elapses; reports which.
-    pub fn wait_for<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: Duration,
-    ) -> WaitTimeoutResult {
-        let inner = guard.0.take().expect("guard taken during wait");
-        let (inner, res) = self
-            .0
-            .wait_timeout(inner, timeout)
-            .unwrap_or_else(PoisonError::into_inner);
-        guard.0 = Some(inner);
-        WaitTimeoutResult(res.timed_out())
-    }
-
-    /// Wakes one waiter.
-    pub fn notify_one(&self) {
-        self.0.notify_one();
-    }
-
     /// Wakes all waiters.
     pub fn notify_all(&self) {
         self.0.notify_all();
-    }
-}
-
-/// Result of [`Condvar::wait_for`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WaitTimeoutResult(bool);
-
-impl WaitTimeoutResult {
-    /// True when the wait ended by timeout rather than notification.
-    pub fn timed_out(&self) -> bool {
-        self.0
     }
 }
 
@@ -215,15 +174,6 @@ mod tests {
         }
         drop(g);
         h.join().unwrap();
-    }
-
-    #[test]
-    fn wait_for_times_out() {
-        let m = Mutex::new(());
-        let cv = Condvar::new();
-        let mut g = m.lock();
-        let r = cv.wait_for(&mut g, Duration::from_millis(10));
-        assert!(r.timed_out());
     }
 
     #[test]

@@ -21,14 +21,16 @@
 //! 4. **Replay** the identical `RunConfig` (same seed, same virtual
 //!    scheduler, same fault plan) under each kept candidate's locks —
 //!    **concurrently**, on the harness's eval-thread pool — and
-//!    measure the replayed [`lockinfer::PlanCost`]. Candidate recordings are
-//!    dropped after profiling (O(1) memory in candidate count); a
-//!    candidate whose trace overflowed its ring is surfaced as
-//!    [`lockinfer::EvalStatus::Skipped`], not a silently bogus cost.
+//!    measure the replayed [`lockinfer::PlanCost`]. Of the candidate
+//!    recordings only the best ranked so far is kept (O(1) memory in
+//!    candidate count); a candidate whose trace overflowed its
+//!    capacity is surfaced as [`lockinfer::EvalStatus::Skipped`], not a
+//!    silently bogus cost.
 //! 5. **Select** the candidate with the lowest total virtual-time wait,
 //!    strictly below the baseline, and emit a machine-readable
-//!    [`DecisionReport`]. The winning configuration is re-executed
-//!    once for the returned recording.
+//!    [`DecisionReport`]. The winner was recorded once, by its
+//!    evaluation run: that kept recording is the one returned, and
+//!    nothing is re-executed.
 //!
 //! Everything downstream of the recorded trace is deterministic: the
 //! policy is pure, inference is byte-identical at any analysis thread
@@ -208,6 +210,61 @@ mod tests {
         {
             if p.status.is_replayed() {
                 assert_eq!(p.cost, e.cost);
+            }
+        }
+    }
+
+    /// The benchmark's `adapt-scale-d4w6s12` configuration, where a
+    /// wake policy wins.
+    fn scale_cfg() -> RunConfig {
+        use workloads::scale::{self, ScaleParams};
+        let spec = scale::smoke(
+            "scale-d4w6s12",
+            ScaleParams {
+                depth: 4,
+                width: 6,
+                sections: 12,
+                stmts_per_fn: 10,
+                seed: 7,
+            },
+            3,
+        );
+        RunConfig {
+            seed: 42,
+            trace_capacity: 1 << 20,
+            ..RunConfig::from_spec(&spec, 9, ExecMode::MultiGrain, 8)
+        }
+    }
+
+    /// `adapt` returns the winner's recording from its candidate run;
+    /// a fresh run of the selected candidate is the oracle it must
+    /// equal, at every eval thread count.
+    #[test]
+    fn the_kept_recording_equals_a_rerun_of_the_selected_candidate() {
+        use crate::eval::{EvalContext, Stamp};
+        for cfg in [cfg(), scale_cfg()] {
+            let ctx = EvalContext::new(&cfg, true).unwrap();
+            let base_map = ctx.base_map(&cfg);
+            for eval_threads in [1, 2, 7] {
+                let run = Pipeline::new(cfg.clone())
+                    .analysis_threads(1)
+                    .eval_threads(eval_threads)
+                    .adapt(&AdaptPolicy::default())
+                    .unwrap();
+                let label = format!("{} at {eval_threads} eval threads", cfg.name);
+                let winner = run.report.winner().expect("a candidate wins");
+                let profiles = trace::profile(&run.baseline.trace);
+                let again = ctx
+                    .run_one(
+                        &EvalContext::candidate_cfg(&cfg, &winner.candidate, &profiles),
+                        &winner.candidate.config_map(&base_map),
+                        Stamp::Adapt,
+                        1,
+                    )
+                    .unwrap();
+                let kept = run.adapted.expect("the winner's recording is kept");
+                assert_eq!(kept.trace.digest(), again.trace.digest(), "{label}");
+                assert_eq!(kept.outcome, again.outcome, "{label}");
             }
         }
     }

@@ -28,12 +28,13 @@
 //!    behavior, and the `eval-bench` gate asserts the pruned set
 //!    always contains the replay-selected winner.
 //!
-//! Candidate recordings are **not retained**: each worker profiles its
-//! recording, keeps the [`PlanCost`], and drops the events, so memory
-//! is O(1) in candidate count. The winner (if any) is re-executed once
-//! at the end — deterministically identical to its evaluation run.
+//! Memory is O(1) in candidate count: each worker profiles its
+//! recording and keeps the [`PlanCost`]; of the recordings, only the
+//! best-ranked one so far ([`lockinfer::adapt::rank`], the comparator
+//! selection uses) is retained. That one is the winner's, so the winner
+//! is recorded once — by its evaluation run — and never re-executed.
 //!
-//! A candidate whose trace overflowed its ring (`dropped > 0`) is
+//! A candidate whose trace overflowed its capacity (`dropped > 0`) is
 //! surfaced as [`EvalStatus::Skipped`] instead of silently
 //! contributing a bogus profile; the baseline overflowing is still a
 //! hard error, since every candidate's evidence derives from it.
@@ -43,12 +44,12 @@ use crate::replay::{
     MAX_REPLAY_THREADS,
 };
 use interp::Machine;
-use lockinfer::adapt::Adjustment;
+use lockinfer::adapt::{rank, Adjustment, Rank};
 use lockinfer::estimate;
 use lockinfer::library::LibrarySpec;
 use lockinfer::{par_map, Candidate, EvalStatus, PlanCost, SummaryStore};
 use lockscheme::{ConfigMap, SchemeConfig};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use trace::SectionProfile;
 
 /// Knobs of one harness evaluation. [`Default`] is the exact,
@@ -99,12 +100,12 @@ pub(crate) enum Stamp {
     Adapt,
 }
 
-/// What one candidate evaluation produced (the recording itself is
-/// dropped — memory stays O(1) in candidate count).
-#[derive(Clone, PartialEq, Eq, Debug)]
+/// What one candidate evaluation produced.
+#[derive(Debug)]
 pub(crate) enum CandidateRun {
-    /// Replayed clean; the measured cost.
-    Done(PlanCost),
+    /// Replayed clean; the measured cost and the recording it came
+    /// from.
+    Done(PlanCost, Recording),
     /// The recording was unusable; the reason to surface.
     Skipped(String),
 }
@@ -299,9 +300,9 @@ impl EvalContext {
         Ok((Recording { outcome, trace }, ledger))
     }
 
-    /// [`Self::run_one`] for a candidate: profiles the recording,
-    /// keeps the cost, drops the events. A trace that overflowed its
-    /// ring is a skip, not a silently bogus cost.
+    /// [`Self::run_one`] for a candidate: profiles the recording into
+    /// its cost. A trace that overflowed its capacity is a skip, not a
+    /// silently bogus cost.
     pub(crate) fn eval_candidate(
         &self,
         cfg: &RunConfig,
@@ -316,10 +317,8 @@ impl EvalContext {
             )));
         }
         let prof = trace::profile(&rec.trace);
-        Ok(CandidateRun::Done(PlanCost::from_profiles(
-            &prof,
-            rec.outcome.makespan,
-        )))
+        let cost = PlanCost::from_profiles(&prof, rec.outcome.makespan);
+        Ok(CandidateRun::Done(cost, rec))
     }
 
     /// The [`RunConfig`] a candidate runs under: `cfg` plus the frozen
@@ -400,9 +399,44 @@ pub(crate) struct EvalScope<'a> {
     pub opts: &'a EvalOptions,
 }
 
+/// The best-ranked item offered so far, whatever order the offers
+/// arrive in: the candidate loop's one retained recording.
+struct Best<T>(Mutex<Option<(Rank, T)>>);
+
+impl<T> Best<T> {
+    fn new() -> Best<T> {
+        Best(Mutex::new(None))
+    }
+
+    /// Keeps `item` when it ranks below everything offered before.
+    fn offer(&self, rank: Rank, item: T) {
+        let mut slot = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        if slot.as_ref().is_none_or(|(best, _)| rank < *best) {
+            *slot = Some((rank, item));
+        }
+    }
+
+    fn into_inner(self) -> Option<(Rank, T)> {
+        self.0.into_inner().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// What [`eval_singles`] measured.
+pub(crate) struct Singles {
+    /// One `(cost, status)` per candidate, **in candidate order**.
+    pub costs: Vec<(PlanCost, EvalStatus)>,
+    /// The recording of the candidate [`lockinfer::adapt::select`]
+    /// picks from `costs`, if any, with its rank.
+    pub kept: Option<(Rank, Recording)>,
+}
+
 /// Evaluates one set of single-override candidates through the pruned,
-/// parallel pipeline and returns one `(cost, status)` per candidate
-/// **in candidate order**.
+/// parallel pipeline, keeping the winner's recording ([`Singles`]).
+///
+/// Each group's recording ranks at its first member's index, the one
+/// selection names: the group's members describe one run, so ties
+/// between groups break exactly as [`lockinfer::adapt::select`] breaks
+/// them over the expanded per-candidate costs.
 ///
 /// Candidates naming the same *effective run configuration* — the same
 /// override set and wake policy, e.g. one wake policy proposed for two
@@ -421,10 +455,7 @@ pub(crate) struct EvalScope<'a> {
 /// Propagates the first candidate whose execution failed outright
 /// (compile failure — impossible for candidates of a compiled
 /// baseline, but surfaced rather than swallowed).
-pub(crate) fn eval_singles(
-    scope: &EvalScope<'_>,
-    cands: &[Candidate],
-) -> Result<Vec<(PlanCost, EvalStatus)>, String> {
+pub(crate) fn eval_singles(scope: &EvalScope<'_>, cands: &[Candidate]) -> Result<Singles, String> {
     let &EvalScope {
         ctx,
         cfg,
@@ -473,11 +504,25 @@ pub(crate) fn eval_singles(
         Some(top_k) => estimate::prune(&reps, profiles, base_cost, top_k),
         None => (0..reps.len()).collect(),
     };
-    let runs: Vec<Result<CandidateRun, String>> = par_map(keep.len(), opts.eval_threads, |j| {
-        let rep = &reps[keep[j]];
-        let cand_cfg = EvalContext::candidate_cfg(cfg, rep, profiles);
-        ctx.eval_candidate(&cand_cfg, &rep.config_map(base_map), opts.analysis_threads)
-    });
+    let best = Best::new();
+    let runs: Vec<Result<(PlanCost, EvalStatus), String>> =
+        par_map(keep.len(), opts.eval_threads, |j| {
+            let rep = &reps[keep[j]];
+            let cand_cfg = EvalContext::candidate_cfg(cfg, rep, profiles);
+            let run =
+                ctx.eval_candidate(&cand_cfg, &rep.config_map(base_map), opts.analysis_threads)?;
+            Ok(match run {
+                CandidateRun::Done(cost, rec) => {
+                    if let Some(r) = rank(base_cost, cost, groups[keep[j]][0]) {
+                        best.offer(r, rec);
+                    }
+                    (cost, EvalStatus::Replayed)
+                }
+                CandidateRun::Skipped(reason) => {
+                    (PlanCost::default(), EvalStatus::Skipped { reason })
+                }
+            })
+        });
     ctx.count("ali_eval_candidates_evaluated_total", keep.len() as u64);
     ctx.count(
         "ali_eval_candidates_pruned_total",
@@ -486,7 +531,7 @@ pub(crate) fn eval_singles(
     ctx.count(
         "ali_eval_candidates_skipped_total",
         runs.iter()
-            .filter(|r| matches!(r, Ok(CandidateRun::Skipped(_))))
+            .filter(|r| matches!(r, Ok((_, EvalStatus::Skipped { .. }))))
             .count() as u64,
     );
     let mut out: Vec<(PlanCost, EvalStatus)> = cands
@@ -495,13 +540,63 @@ pub(crate) fn eval_singles(
         .map(|(_, &est)| (PlanCost::default(), EvalStatus::Pruned { est }))
         .collect();
     for (j, run) in runs.into_iter().enumerate() {
-        let shared = match run? {
-            CandidateRun::Done(cost) => (cost, EvalStatus::Replayed),
-            CandidateRun::Skipped(reason) => (PlanCost::default(), EvalStatus::Skipped { reason }),
-        };
+        let shared = run?;
         for &i in &groups[keep[j]] {
             out[i] = shared.clone();
         }
     }
-    Ok(out)
+    Ok(Singles {
+        costs: out,
+        kept: best.into_inner(),
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lockinfer::adapt::select;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Offering the costs one by one, in any order, keeps the
+        /// candidate `select` picks from all of them at once. Small
+        /// value ranges make ties on wait and makespan common.
+        #[test]
+        fn the_best_so_far_is_the_selected_candidate(
+            costs in prop::collection::vec((0u64..6, 0u64..4), 0..10),
+            base_wait in 0u64..7,
+            shuffle in any::<u64>(),
+        ) {
+            let costs: Vec<PlanCost> = costs
+                .iter()
+                .map(|&(total_wait, makespan)| PlanCost {
+                    total_wait,
+                    makespan,
+                    ..PlanCost::default()
+                })
+                .collect();
+            let baseline = PlanCost {
+                total_wait: base_wait,
+                ..PlanCost::default()
+            };
+            // A Fisher-Yates arrival order driven by a 64-bit LCG.
+            let mut order: Vec<usize> = (0..costs.len()).collect();
+            let mut x = shuffle;
+            for i in (1..order.len()).rev() {
+                x = x
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                order.swap(i, (x >> 33) as usize % (i + 1));
+            }
+            let best = Best::new();
+            for &i in &order {
+                if let Some(r) = rank(baseline, costs[i], i) {
+                    best.offer(r, i);
+                }
+            }
+            prop_assert_eq!(best.into_inner().map(|(_, i)| i), select(baseline, &costs));
+        }
+    }
 }

@@ -29,7 +29,7 @@
 //! metrics are [`obs::from_trace`] of its recording.
 
 use crate::adapt::AdaptRun;
-use crate::eval::{eval_singles, EvalContext, EvalOptions, EvalScope, Stamp};
+use crate::eval::{eval_singles, EvalContext, EvalOptions, EvalScope, Singles, Stamp};
 use crate::reinfer::ReinferRun;
 use crate::replay::{Recording, RunConfig};
 use lockinfer::adapt::{
@@ -152,7 +152,7 @@ impl Pipeline {
     /// # Errors
     ///
     /// Returns a message on compile failure or when the recorded
-    /// baseline trace is unusable (ring overflow).
+    /// baseline trace is unusable (capacity overflow).
     pub fn adapt(&self, policy: &AdaptPolicy) -> Result<AdaptRun, String> {
         let cfg = &self.cfg;
         let opts = &self.opts;
@@ -177,10 +177,10 @@ impl Pipeline {
             base_cost,
             opts,
         };
-        let singles = eval_singles(&scope, &cands)?;
+        let Singles { costs, kept } = eval_singles(&scope, &cands)?;
         let decisions: Vec<Decision> = cands
             .iter()
-            .zip(&singles)
+            .zip(&costs)
             .map(|(cand, (cost, status))| Decision {
                 candidate: *cand,
                 cost: *cost,
@@ -212,20 +212,11 @@ impl Pipeline {
             selected,
         };
 
-        // Candidate recordings were dropped after profiling; the
-        // winner is re-executed once, deterministically identical to
-        // its evaluation run.
-        let adapted = selected
-            .map(|i| {
-                let cand = &cands[i];
-                ctx.run_one(
-                    &EvalContext::candidate_cfg(cfg, cand, &profiles),
-                    &cand.config_map(&base_map),
-                    Stamp::Adapt,
-                    opts.analysis_threads,
-                )
-            })
-            .transpose()?;
+        // The candidate loop kept the best-ranked recording as the
+        // candidates finished: the winner's, recorded once by its
+        // evaluation run.
+        debug_assert_eq!(selected, kept.as_ref().map(|&((_, _, i), _)| i));
+        let adapted = kept.map(|(_, rec)| rec);
         Ok(AdaptRun {
             report,
             baseline,
@@ -242,7 +233,7 @@ impl Pipeline {
     ///
     /// Returns a message when the run is not sentinel-armed, on
     /// compile failure, or when the baseline/reference traces are
-    /// unusable (ring overflow).
+    /// unusable (capacity overflow).
     pub fn reinfer(&self) -> Result<ReinferRun, String> {
         let cfg = &self.cfg;
         let opts = &self.opts;

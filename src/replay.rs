@@ -72,7 +72,7 @@ pub struct RunConfig {
     /// configuration instead of the seed scheme. Stamped into
     /// `run.repair.<section>` so healed runs replay exactly.
     pub repairs: Vec<RepairEntry>,
-    /// Per-thread event ring capacity.
+    /// Events each thread registration may record (`TraceConfig::capacity`).
     pub trace_capacity: usize,
     /// Single-threaded setup entry `(function, args)`.
     pub init: (String, Vec<i64>),
@@ -288,7 +288,7 @@ impl RunConfig {
 
 /// A virtual thread is per-worker state that one scheduler loop resumes
 /// on the calling thread: frames, a lock session, a fault stream and,
-/// when tracing, a recorder ring buffer. A recorded or replayed thread
+/// when tracing, a recorder handle. A recorded or replayed thread
 /// count caps how many of those one run builds, and is checked before
 /// any is (`EvalContext::run_one_ledger`). The paper and every
 /// committed workload stay at or below 16.

@@ -9,7 +9,7 @@
 //!   micro workloads, the estimator's kept set contains the winner the
 //!   exact (unpruned) evaluation selects, and the pruned run selects
 //!   that same winner.
-//! * **Skip surfacing** — a candidate trace that overflows its ring
+//! * **Skip surfacing** — a candidate trace that overflows its capacity
 //!   becomes a per-candidate `Skipped` marker, never an error and
 //!   never a bogus cost.
 
@@ -100,11 +100,11 @@ proptest! {
     }
 }
 
-/// A candidate whose steered trace overflows its ring is surfaced as a
+/// A candidate whose steered trace overflows its capacity is surfaced as a
 /// skip, not an error — and never contributes a cost to selection. A
 /// tiny capacity overflows the baseline first, which *is* an error;
 /// here the baseline fits exactly (every worker does the same work, so
-/// every ring holds the same number of events, and FIFO records no
+/// every thread records the same number of events, and FIFO records no
 /// wake decisions) while every steered run overflows (each wake
 /// decision adds an event).
 #[test]

@@ -231,3 +231,71 @@ fn trace_file_replays_to_the_same_digest_twice() {
     assert_eq!(once.outcome, twice.outcome);
     let _ = std::fs::remove_file(&path);
 }
+
+/// Real OS threads, traced: no scheduler takes turns, so the recorder's
+/// log is the only total order the events get. It must still be one
+/// strictly increasing epoch sequence that keeps every thread's events
+/// in program order, and the lockset validator must accept it.
+#[test]
+fn traced_real_threads_record_one_ordered_log() {
+    use ali::trace::sections::{Cursor, Step};
+    use std::collections::BTreeMap;
+
+    const ITERS: usize = 40;
+    let src = r#"
+        global a, b;
+        fn work(iters) {
+            let i = 0;
+            while (i < iters) {
+                atomic { a = a + 1; nops(5); }
+                atomic { b = b + a; }
+                i = i + 1;
+            }
+            return 0;
+        }
+    "#;
+    for mode in [ExecMode::MultiGrain, ExecMode::Stm] {
+        let program = lir::compile(src).expect("fixture compiles");
+        let pt = Arc::new(PointsTo::analyze(&program));
+        let cfg = ali::lockscheme::SchemeConfig::full(3, program.elem_field_opt());
+        let analysis = ali::lockinfer::analyze_program(&program, &pt, cfg);
+        let transformed = ali::lockinfer::transform(&program, &analysis);
+        let opts = Options {
+            heap_cells: 1 << 12,
+            trace: Some(ali::trace::TraceConfig::default()),
+            ..Options::default()
+        };
+        let m = Machine::new(Arc::new(transformed), pt, mode, opts);
+        m.run_threads("work", THREADS, |_| vec![ITERS as i64])
+            .unwrap_or_else(|e| panic!("{mode:?}: {e}"));
+        let t = m.take_trace().expect("tracing on");
+        assert_eq!(t.dropped, 0, "{mode:?}");
+        assert!(
+            t.events.windows(2).all(|w| w[0].epoch < w[1].epoch),
+            "{mode:?}: epochs must strictly increase"
+        );
+        // Each thread completes its two sections alternately, `ITERS`
+        // times: its events came out in the order it ran them.
+        let mut threads: BTreeMap<u32, (Cursor, Vec<u32>)> = BTreeMap::new();
+        for e in &t.events {
+            let (cursor, done) = threads.entry(e.tid).or_default();
+            if let Step::ExitedOutermost(x) = cursor.step(e) {
+                done.push(x.section);
+            }
+        }
+        assert_eq!(threads.len(), THREADS, "{mode:?}");
+        let first = &threads[&0].1;
+        let pair = [first[0], first[1]];
+        assert_ne!(pair[0], pair[1], "{mode:?}");
+        for (tid, (cursor, done)) in &threads {
+            assert!(
+                !cursor.crashed(),
+                "{mode:?}: thread {tid} ends inside a section"
+            );
+            assert_eq!(*done, pair.repeat(ITERS), "{mode:?}: thread {tid}");
+        }
+        let v = ali::trace::validate(&t).unwrap_or_else(|e| panic!("{mode:?}: {e:?}"));
+        assert!(v.passed(), "{mode:?}: {:?}", v.violations);
+        assert!(v.checked > 0, "{mode:?}");
+    }
+}
