@@ -33,7 +33,7 @@ use pointsto::{PointsTo, PtsClass};
 use sentinel::Violation;
 use trace::lockset::mode_grants;
 
-use crate::adapt::{push_config, push_cost, push_header};
+use crate::adapt::{self, push_config, push_cost, push_header};
 pub use crate::adapt::{EvalStatus, PlanCost};
 
 /// One violation plus the accessed cell's allocation extent, resolved
@@ -326,16 +326,18 @@ pub struct RepairOutcome {
 /// The acceptance rule: a repair is admitted only if its replay is
 /// lockset-clean **and** strictly cheaper (total virtual-time wait)
 /// than `demoted` — the measured cost of leaving the section on the
-/// quarantine ladder's global demotion. Ties break by lower makespan,
-/// then generation order. `None` means the demotion stands (always
-/// sound, never wrong — just slow).
+/// quarantine ladder's global demotion. Among those, the lowest
+/// [`adapt::rank`] wins: ties break by lower makespan, then generation
+/// order. `None` means the demotion stands (always sound, never wrong
+/// — just slow).
 pub fn admit(demoted: PlanCost, outcomes: &[RepairOutcome]) -> Option<usize> {
     outcomes
         .iter()
         .enumerate()
-        .filter(|(_, o)| o.clean && o.cost.total_wait < demoted.total_wait)
-        .min_by_key(|(i, o)| (o.cost.total_wait, o.cost.makespan, *i))
-        .map(|(i, _)| i)
+        .filter(|(_, o)| o.clean)
+        .filter_map(|(i, o)| adapt::rank(demoted, o.cost, i))
+        .min()
+        .map(|(_, _, i)| i)
 }
 
 /// One evaluated repair candidate: the proposal plus its measured

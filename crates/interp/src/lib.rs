@@ -10,8 +10,10 @@
 //! * [`ExecMode::Stm`] — sections run as TL2 transactions with local
 //!   rollback and retry (the optimistic baseline);
 //! * [`ExecMode::Validate`] — MultiGrain plus an empirical check of
-//!   Theorem 1: every heap access inside a section must be covered, at
-//!   the right effect, by the concrete denotation of some held lock.
+//!   Theorem 1: every heap access inside a section must be licensed,
+//!   under Fig. 6, by a lock grant the section holds — the predicate
+//!   the online sentinel and the offline trace validator evaluate too
+//!   (`trace::lockset::licenses`), here a hard error on a miss.
 //!
 //! ```
 //! use interp::{ExecMode, Machine, Options};
@@ -306,6 +308,43 @@ mod tests {
             matches!(err, InterpError::Unprotected { write: true, .. }),
             "{err}"
         );
+    }
+
+    #[test]
+    fn validate_mode_catches_a_read_lock_guarding_a_write() {
+        // The inferred locks with every effect narrowed to `ro`: the
+        // read of g is still licensed (S), the write is not — only X
+        // licenses writes.
+        let src = "global g; fn main() { atomic { g = g + 1; } return g; }";
+        for k in [0, 9] {
+            let (program, _, mut narrowed) = lockinfer::compile_with_locks(src, k).unwrap();
+            let pt = Arc::new(pointsto::PointsTo::analyze(&program));
+            let mut specs = 0;
+            for ins in narrowed.functions.iter_mut().flat_map(|f| &mut f.body) {
+                if let lir::Instr::AcquireAll(_, locks) = ins {
+                    for spec in locks {
+                        if let lir::LockSpec::Coarse { eff, .. } | lir::LockSpec::Fine { eff, .. } =
+                            spec
+                        {
+                            *eff = lir::Eff::Ro;
+                            specs += 1;
+                        }
+                    }
+                }
+            }
+            assert!(specs > 0, "k={k}: no lock to narrow");
+            let m = Machine::new(
+                Arc::new(narrowed),
+                pt,
+                ExecMode::Validate,
+                Options::default(),
+            );
+            let err = m.run_named("main", &[]).unwrap_err();
+            assert!(
+                matches!(err, InterpError::Unprotected { write: true, .. }),
+                "k={k}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -680,7 +719,6 @@ mod tests {
 
     #[test]
     fn a_refused_allocation_leaves_the_heap_usable() {
-        use lockscheme::LocationModel;
         let src = r#"
             fn big(n) { let a = new(n); return a; }
             fn small() { let a = new(4); return a; }
@@ -706,8 +744,11 @@ mod tests {
         assert!(m.heap_used() <= 64);
         // The extent table is still searchable by base.
         for base in [first as u64, second as u64] {
-            assert_eq!(m.extent_of(base + 3), Some((base, 4)));
+            for cell in base..base + 4 {
+                assert_eq!(m.extent_class(cell).map(|(b, _)| b), Some(base));
+            }
         }
+        assert_eq!(m.extent_class(second as u64 + 4), None);
     }
 
     // ------------------------------------------------------------------

@@ -3,7 +3,6 @@
 
 use crate::error::{Exc, InterpError};
 use lir::{FnId, Instr, Program, Rvalue, VarId};
-use lockscheme::LocationModel;
 use parking_lot::{Mutex, RwLock};
 use pointsto::{AllocSite, PointsTo, PtsClass};
 use std::collections::HashMap;
@@ -22,8 +21,8 @@ pub enum ExecMode {
     /// baseline).
     Stm,
     /// MultiGrain plus the Theorem-1 coverage checker: every access
-    /// inside a section must be covered by a held lock's concrete
-    /// denotation.
+    /// inside a section must be licensed, under Fig. 6, by a lock grant
+    /// the section holds.
     Validate,
 }
 
@@ -299,10 +298,11 @@ impl Machine {
     }
 
     /// Bump-allocates `n` cells (fresh cells are zero) and records the
-    /// extent for concrete-denotation queries. A request that does not
-    /// fit is refused without moving the bump pointer: `n` comes from
-    /// the interpreted program, and a refused `new(huge)` must neither
-    /// fail every later allocation nor wrap `brk` back into range.
+    /// extent for coverage queries ([`Machine::extent_class`]). A
+    /// request that does not fit is refused without moving the bump
+    /// pointer: `n` comes from the interpreted program, and a refused
+    /// `new(huge)` must neither fail every later allocation nor wrap
+    /// `brk` back into range.
     pub(crate) fn alloc(&self, n: usize, class: PtsClass) -> Result<u64, Exc> {
         let n = n.max(1) as u64;
         let limit = self.space.len() as u64;
@@ -455,15 +455,5 @@ impl Machine {
         }
         let meta = allocs[idx - 1];
         (loc < meta.base + meta.len).then_some(meta)
-    }
-}
-
-impl LocationModel for Machine {
-    fn class_of(&self, loc: u64) -> Option<PtsClass> {
-        self.alloc_meta_of(loc).map(|m| m.class)
-    }
-
-    fn extent_of(&self, loc: u64) -> Option<(u64, u64)> {
-        self.alloc_meta_of(loc).map(|m| (m.base, m.len))
     }
 }

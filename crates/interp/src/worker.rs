@@ -31,7 +31,6 @@ use crate::fault::{splitmix, FaultPanic, Injector};
 use crate::machine::{ExecMode, Machine, Storage};
 use crate::sim::Sim;
 use lir::{ArithOp, CmpOp, FnId, Instr, Intrinsic, LockSpec, PathOp, Rvalue, SectionId, VarId};
-use lockscheme::ConcreteLock;
 use mglock::{Access, Descriptor, FineAddr, Session};
 use pointsto::PtsClass;
 use std::cell::RefCell;
@@ -214,9 +213,13 @@ pub(crate) struct Worker<'m> {
     /// that evaluated it cannot have drifted.
     resumes: u64,
     planned_in: u64,
-    held_concrete: Vec<ConcreteLock>,
+    /// `(base, len)` of the cells this thread allocated inside the open
+    /// section, in allocation order: private until published, so exempt
+    /// from coverage (Lemma 2). Kept when Validate mode or a sentinel
+    /// checks coverage.
     my_allocs: Vec<(u64, u64)>,
-    /// Section currently open (Validate diagnostics).
+    /// The outermost section open on this thread: what a coverage miss,
+    /// a sentinel violation and a lock waiter are reported against.
     current_section: SectionId,
     /// Virtual-time scheduler (None = real-time execution), shared with
     /// the driver and the run's other workers — one of which runs at a
@@ -242,7 +245,8 @@ pub(crate) struct Worker<'m> {
     /// Set while lock descriptors are re-evaluated *under* the freshly
     /// acquired grants (drift detection): those path reads are part of
     /// the acquisition protocol, not of the section body, so they are
-    /// exempt from both Validate-mode coverage checks and the trace.
+    /// exempt from the coverage check (Validate mode's and the
+    /// sentinel's) and from the trace.
     revalidating: bool,
     /// In-section accesses seen so far, driving the sentinel's sampling
     /// schedule (a per-worker monotone counter, so the schedule is
@@ -293,7 +297,6 @@ impl<'m> Worker<'m> {
             planned: Vec::new(),
             resumes: 0,
             planned_in: 0,
-            held_concrete: Vec::new(),
             my_allocs: Vec::new(),
             current_section: SectionId(0),
             sim,
@@ -827,7 +830,7 @@ impl<'m> Worker<'m> {
         self.cell_write(a, val, k)
     }
 
-    /// Validate-mode coverage check for variable cells (globals and
+    /// Validate mode's coverage check for variable cells (globals and
     /// heapified locals).
     fn check_var_access(&self, a: u64, write: bool, at: At) -> Result<(), Exc> {
         // Lock-spec evaluation happens before `acquire_all`, while the
@@ -838,7 +841,7 @@ impl<'m> Worker<'m> {
             && !self.revalidating
             && self.session.nesting_level() > 0
         {
-            self.check_protected(a, write, at)?;
+            self.check_licensed(a, write, at)?;
         }
         Ok(())
     }
@@ -853,7 +856,7 @@ impl<'m> Worker<'m> {
     fn heap_read(&mut self, addr: i64, k: usize, at: At) -> Result<i64, Exc> {
         let a = self.check_addr(addr, at)?;
         if self.m.mode == ExecMode::Validate && self.session.nesting_level() > 0 {
-            self.check_protected(a, false, at)?;
+            self.check_licensed(a, false, at)?;
         }
         self.cell_read(a, k)
     }
@@ -861,7 +864,7 @@ impl<'m> Worker<'m> {
     fn heap_write(&mut self, addr: i64, val: i64, k: usize, at: At) -> Result<(), Exc> {
         let a = self.check_addr(addr, at)?;
         if self.m.mode == ExecMode::Validate && self.session.nesting_level() > 0 {
-            self.check_protected(a, true, at)?;
+            self.check_licensed(a, true, at)?;
         }
         self.cell_write(a, val, k)
     }
@@ -988,14 +991,59 @@ impl<'m> Worker<'m> {
     }
 
     // ------------------------------------------------------------------
-    // Online lockset sentinel (all no-ops when the machine has none)
+    // Coverage: Validate mode and the online lockset sentinel
 
-    /// Inline Fig. 6 licensing check against the live held-mode set.
-    /// Runs *after* the access completed, so an STM footprint already
-    /// contains the cell it just touched. Exempt, like the post-hoc
-    /// validator: protocol reads (descriptor revalidation), accesses
-    /// outside any section, this thread's section-private allocations
-    /// (Lemma 2) — plus whatever the sampling schedule skips.
+    /// Is this in-section access covered? The one coverage predicate,
+    /// asked by Validate mode and by the sentinel: a cell this thread
+    /// allocated inside the open section is exempt (Lemma 2); otherwise,
+    /// under locks, a live grant must license the access under Fig. 6
+    /// (`trace::lockset::licenses`, which the offline validator asks of
+    /// a recorded trace); under STM, the transaction must track the cell
+    /// (or run irrevocably under the commit gate).
+    fn licensed(&self, addr: u64, write: bool) -> bool {
+        // `my_allocs` bases are monotone (allocation order), so the
+        // Lemma 2 exemption is a binary search — sections that allocate
+        // heavily would otherwise pay a linear scan per access.
+        let i = self.my_allocs.partition_point(|&(b, _)| b <= addr);
+        if i > 0 {
+            let (b, l) = self.my_allocs[i - 1];
+            if addr < b + l {
+                return true;
+            }
+        }
+        match self.m.mode {
+            ExecMode::Stm => self
+                .txn
+                .as_ref()
+                .is_some_and(|t| t.is_tracked(addr as usize)),
+            _ => sentinel::licensed(self.session.held_modes(), addr, write, || {
+                self.m.extent_class(addr)
+            }),
+        }
+    }
+
+    /// Validate mode's check of an in-section access, made before the
+    /// access and its trace event: a miss of [`Worker::licensed`] is a
+    /// hard error naming the access.
+    fn check_licensed(&self, a: u64, write: bool, at: At) -> Result<(), Exc> {
+        if self.licensed(a, write) {
+            return Ok(());
+        }
+        Err(InterpError::Unprotected {
+            func: self.m.program.fn_name(at.f).to_owned(),
+            pc: at.pc,
+            addr: a,
+            write,
+            section: self.current_section,
+        }
+        .into())
+    }
+
+    /// The sentinel's check of an in-section access, [`Worker::licensed`]
+    /// on the sampling schedule. Runs *after* the access completed, so
+    /// an STM footprint already contains the cell it just touched.
+    /// Exempt, like the post-hoc validator: protocol reads (descriptor
+    /// revalidation) and accesses outside any section.
     ///
     /// A violation is recorded, never fatal: the section completes, and
     /// a first offense demotes it on the quarantine ladder (traced as a
@@ -1007,33 +1055,7 @@ impl<'m> Worker<'m> {
         }
         let n = self.accesses;
         self.accesses += 1;
-        if !sent.config().should_check(n) {
-            return;
-        }
-        // `my_allocs` bases are monotone (allocation order), so the
-        // Lemma 2 exemption is a binary search — sections that allocate
-        // heavily would otherwise pay a linear scan per access.
-        let i = self.my_allocs.partition_point(|&(b, _)| b <= addr);
-        if i > 0 {
-            let (b, l) = self.my_allocs[i - 1];
-            if addr < b + l {
-                return;
-            }
-        }
-        let licensed = match self.m.mode {
-            // Transactional discipline: the access is sound iff the
-            // transaction tracks the cell (or runs irrevocably under
-            // the commit gate). A miss means the access bypassed the
-            // transaction.
-            ExecMode::Stm => self
-                .txn
-                .as_ref()
-                .is_some_and(|t| t.is_tracked(addr as usize)),
-            _ => sentinel::licensed(self.session.held_modes(), addr, write, || {
-                self.m.extent_class(addr)
-            }),
-        };
-        if licensed {
+        if !sent.config().should_check(n) || self.licensed(addr, write) {
             return;
         }
         self.section_violated = true;
@@ -1185,8 +1207,7 @@ impl<'m> Worker<'m> {
         if in_section && (self.m.mode == ExecMode::Validate || self.m.sentinel.is_some()) {
             // Cells allocated by this thread during the section are
             // private until it publishes them: exempt from coverage
-            // (Lemma 2's reachability proviso). Both the Validate-mode
-            // checker and the online sentinel consult this list.
+            // (Lemma 2's reachability proviso) in `licensed`.
             self.my_allocs.push((base, n.max(1) as u64));
         }
         Ok(base)
@@ -1207,28 +1228,6 @@ impl<'m> Worker<'m> {
                 }
                 .into()
             })
-    }
-
-    fn check_protected(&self, a: u64, write: bool, at: At) -> Result<(), Exc> {
-        if self.my_allocs.iter().any(|&(b, l)| a >= b && a < b + l) {
-            return Ok(());
-        }
-        let eff = if write { lir::Eff::Rw } else { lir::Eff::Ro };
-        if self
-            .held_concrete
-            .iter()
-            .any(|l| l.protects(a, eff, self.m))
-        {
-            return Ok(());
-        }
-        Err(InterpError::Unprotected {
-            func: self.m.program.fn_name(at.f).to_owned(),
-            pc: at.pc,
-            addr: a,
-            write,
-            section: self.current_section,
-        }
-        .into())
     }
 
     fn fault(&self, at: At, detail: impl Into<String>) -> Exc {
@@ -1306,19 +1305,15 @@ impl<'m> Worker<'m> {
                 }
                 Enter::Plan => {
                     let (specs, filter_dropped) = self.specs_to_plan(ins, sid);
-                    self.held_concrete.clear();
                     self.planned.clear();
                     self.planned_in = self.resumes;
                     for (i, spec) in specs.iter().enumerate() {
                         if filter_dropped && self.spec_dropped(sid.0, i) {
                             continue;
                         }
-                        if let Some((d, c)) = self.eval_spec(spec, frame, at)? {
+                        if let Some(d) = self.eval_spec(spec, frame, at)? {
                             self.session.to_acquire(d);
                             self.planned.push(d);
-                            if m.mode == ExecMode::Validate {
-                                self.held_concrete.push(c);
-                            }
                         }
                     }
                     self.enter = Enter::Planned;
@@ -1426,10 +1421,6 @@ impl<'m> Worker<'m> {
             // trivially sound global scheme — one Root/X grant, no fine
             // plan, and (since the grant covers every address) no
             // revalidation loop.
-            self.held_concrete.clear();
-            if m.mode == ExecMode::Validate {
-                self.held_concrete.push(ConcreteLock::Global);
-            }
             self.queue_global();
             return Enter::Global { outermost: true };
         }
@@ -1609,7 +1600,6 @@ impl<'m> Worker<'m> {
                     self.sim_release()?;
                 }
                 (Exit::Released, _) => {
-                    self.held_concrete.clear();
                     self.my_allocs.clear();
                     self.note_section_closed(sid.0);
                     return self.left(true);
@@ -1654,38 +1644,29 @@ impl<'m> Worker<'m> {
         }
     }
 
-    /// Evaluates a lock spec at section entry into a runtime descriptor
-    /// plus its concrete denotation. Returns `None` when a fine
-    /// expression evaluates through null (no location to protect —
-    /// the access it would have protected faults first).
+    /// Evaluates a lock spec at section entry into a runtime descriptor.
+    /// Returns `None` when a fine expression evaluates through null (no
+    /// location to protect — the access it would have protected faults
+    /// first).
     fn eval_spec(
         &mut self,
         spec: &LockSpec,
         frame: &[i64],
         at: At,
-    ) -> Result<Option<(Descriptor, ConcreteLock)>, Exc> {
+    ) -> Result<Option<Descriptor>, Exc> {
         let m = self.m;
         let access = |e: lir::Eff| match e {
             lir::Eff::Ro => Access::Read,
             lir::Eff::Rw => Access::Write,
         };
         match spec {
-            LockSpec::Global => Ok(Some((
-                Descriptor::Global {
-                    access: Access::Write,
-                },
-                ConcreteLock::Global,
-            ))),
-            LockSpec::Coarse { pts, eff } => Ok(Some((
-                Descriptor::Coarse {
-                    pts: *pts,
-                    access: access(*eff),
-                },
-                ConcreteLock::Coarse {
-                    pts: PtsClass(*pts),
-                    eff: *eff,
-                },
-            ))),
+            LockSpec::Global => Ok(Some(Descriptor::Global {
+                access: Access::Write,
+            })),
+            LockSpec::Coarse { pts, eff } => Ok(Some(Descriptor::Coarse {
+                pts: *pts,
+                access: access(*eff),
+            })),
             LockSpec::Fine { path, pts, eff } => {
                 let mut cur: i64;
                 let mut ops = path.ops.as_slice();
@@ -1712,17 +1693,11 @@ impl<'m> Worker<'m> {
                         }
                         PathOp::Field(fd) if Some(*fd) == m.elem_field => {
                             debug_assert_eq!(i + 1, ops.len(), "[] only in final position");
-                            return Ok(Some((
-                                Descriptor::Fine {
-                                    pts: *pts,
-                                    addr: FineAddr::Range(cur as u64),
-                                    access: access(*eff),
-                                },
-                                ConcreteLock::Range {
-                                    base: cur as u64,
-                                    eff: *eff,
-                                },
-                            )));
+                            return Ok(Some(Descriptor::Fine {
+                                pts: *pts,
+                                addr: FineAddr::Range(cur as u64),
+                                access: access(*eff),
+                            }));
                         }
                         PathOp::Field(fd) => {
                             cur += m.field_offset[fd.0 as usize] as i64;
@@ -1739,17 +1714,11 @@ impl<'m> Worker<'m> {
                 if cur <= 0 {
                     return Ok(None);
                 }
-                Ok(Some((
-                    Descriptor::Fine {
-                        pts: *pts,
-                        addr: FineAddr::Cell(cur as u64),
-                        access: access(*eff),
-                    },
-                    ConcreteLock::Cell {
-                        addr: cur as u64,
-                        eff: *eff,
-                    },
-                )))
+                Ok(Some(Descriptor::Fine {
+                    pts: *pts,
+                    addr: FineAddr::Cell(cur as u64),
+                    access: access(*eff),
+                }))
             }
         }
     }
@@ -1778,7 +1747,7 @@ impl<'m> Worker<'m> {
                 continue;
             }
             match self.eval_spec(spec, frame, at) {
-                Ok(Some((d, _))) => {
+                Ok(Some(d)) => {
                     current &= self.planned.get(seen) == Some(&d);
                     seen += 1;
                 }

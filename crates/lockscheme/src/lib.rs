@@ -2,9 +2,6 @@
 //!
 //! This crate gives the paper's lock definitions executable form:
 //!
-//! * [`concrete`] — *concrete lock semantics* `[[l]] = (P, ε)`: which
-//!   locations a lock protects, for which accesses. The interpreter's
-//!   Validate mode uses this to check Theorem 1 empirically.
 //! * [`scheme`] — *abstract lock schemes* `Σ = (L, ≤, ⊤, ·̄, +, *)` as a
 //!   trait, with the paper's example instances: k-limited expression
 //!   locks `Σ_k`, Steensgaard points-to locks `Σ≡`, read/write effect
@@ -22,11 +19,14 @@
 //! `AbsLock`'s order and join, and `LockRec`'s order, to the generic
 //! product's. There is no lock *table* in this crate — whoever runs an
 //! analysis owns its terms (`lockinfer::dataflow`).
+//!
+//! What a lock protects *at run time* — §3.2's concrete semantics — is
+//! not restated here: it is what the lock's grant licenses under
+//! Fig. 6, one predicate (`trace::lockset::licenses`) that Validate
+//! mode, the online sentinel and the offline trace validator share.
 
 pub mod abslock;
-pub mod concrete;
 pub mod scheme;
 
 pub use abslock::{AbsLock, ConfigMap, LockRec, SchemeConfig};
-pub use concrete::{ConcreteLock, LocationModel};
 pub use scheme::{EffScheme, FieldScheme, KExprScheme, Product, PtsScheme, Scheme};

@@ -377,9 +377,8 @@ impl PointsTo {
         }
     }
 
-    /// All allocation sites whose cells fall in class `s` (used by the
-    /// soundness checker to compute concrete denotations of coarse
-    /// locks).
+    /// All allocation sites whose cells fall in class `s` — the sites
+    /// a coarse lock on `s` covers (listed by `lockc --emit pointsto`).
     pub fn sites_in_class(&self, s: PtsClass) -> Vec<AllocSite> {
         self.members(s)
             .iter()

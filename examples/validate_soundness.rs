@@ -1,6 +1,6 @@
 //! Theorem 1, empirically: run a workload in Validate mode — every
-//! heap access inside an atomic section is checked against the
-//! concrete denotations of the locks held — then sabotage the
+//! heap access inside an atomic section must be licensed, under
+//! Fig. 6, by a lock grant the section holds — then sabotage the
 //! transformation and watch the checker flag the hole.
 //!
 //! ```text

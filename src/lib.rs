@@ -11,7 +11,7 @@
 //! |---|---|
 //! | [`lir`] | input language, parser, canonical IR, CFG |
 //! | [`pointsto`] | Steensgaard points-to analysis + `mayAlias` |
-//! | [`lockscheme`] | lock formalism: concrete semantics, abstract schemes |
+//! | [`lockscheme`] | lock formalism: abstract lock schemes and the instantiated scheme |
 //! | [`lockinfer`] | **the paper's contribution**: backward lock inference + transformation |
 //! | [`mglock`] | multi-granularity lock runtime (IS/IX/S/SIX/X) |
 //! | [`tl2`] | TL2-style STM (the optimistic baseline) |

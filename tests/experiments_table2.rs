@@ -1,45 +1,75 @@
-//! EXPERIMENTS.md's Table 2 "ours" column is transcribed from
-//! `results_table2.txt`; this holds each program's four cells
-//! (Global / Coarse / Fine+Coarse / STM) to the results file at the
-//! three decimals the report quotes, so a regenerated table cannot
-//! leave the report behind.
+//! EXPERIMENTS.md transcribes three results files; this holds each
+//! transcription to its file, so a regenerated table cannot leave the
+//! report behind:
+//!
+//! * Table 2's "ours" column — each program's four cells (Global /
+//!   Coarse / Fine+Coarse / STM) — to `results_table2.txt` at the three
+//!   decimals the report quotes;
+//! * Table 1's "ours" side — each synthetic program's KLOC (one
+//!   decimal), k=0 seconds (three) and k=9 seconds (one) — to
+//!   `results_table1.txt`;
+//! * Figure 7's concurrent-benchmark rows — the five lock counts at
+//!   each k, a `3–9` row standing for every k it spans — to
+//!   `results_figure7.txt`.
 
 const EXPERIMENTS: &str = include_str!("../EXPERIMENTS.md");
 const RESULTS: &str = include_str!("../results_table2.txt");
+const TABLE1: &str = include_str!("../results_table1.txt");
+const FIGURE7: &str = include_str!("../results_figure7.txt");
 
-/// A quoted time (`.007`, `**.007**`, `0.042`) in thousandths.
-fn millis(cell: &str) -> u64 {
-    let v: f64 = cell
-        .trim()
-        .trim_matches('*')
-        .parse()
-        .unwrap_or_else(|e| panic!("`{cell}` is not a time: {e}"));
-    (v * 1000.0).round() as u64
+/// The body of the report section whose heading starts with `title`.
+fn report_section(title: &str) -> &'static str {
+    EXPERIMENTS
+        .split("\n## ")
+        .find(|s| s.starts_with(title))
+        .unwrap_or_else(|| panic!("EXPERIMENTS.md has a {title} section"))
 }
 
-/// `(program, [G, C, F, STM])` for every row of the report's Table 2.
-fn report_rows() -> Vec<(String, [u64; 4])> {
-    let table = EXPERIMENTS
-        .split("\n## ")
-        .find(|s| s.starts_with("Table 2"))
-        .expect("EXPERIMENTS.md has a Table 2 section");
-    table
+/// The cells of every body row of the first Markdown table in
+/// `section` (header and rule skipped), outer pipes dropped.
+fn table_rows(section: &str) -> Vec<Vec<&str>> {
+    section
         .lines()
-        .filter(|l| l.starts_with("| ") && !l.starts_with("| program"))
+        .skip_while(|l| !l.starts_with("|---"))
+        .skip(1)
+        .take_while(|l| l.starts_with('|'))
         .map(|l| {
             let cols: Vec<&str> = l.split('|').map(str::trim).collect();
-            // ["", program, paper, ours, shape, ""]
-            let ours: Vec<u64> = cols[3].split('/').map(millis).collect();
-            let ours: [u64; 4] = ours
-                .try_into()
-                .unwrap_or_else(|v| panic!("{}: four cells, got {v:?}", cols[1]));
-            (cols[1].to_owned(), ours)
+            cols[1..cols.len() - 1].to_vec()
         })
         .collect()
 }
 
-/// `(program, [G, C, F, STM])` for every program row of the results.
-fn results_rows() -> Vec<(String, [u64; 4])> {
+/// A quoted number (`.007`, `**.007**`, `1.9`) in units of
+/// `10^-decimals`, rounded.
+fn fixed(cell: &str, decimals: i32) -> i64 {
+    let v: f64 = cell
+        .trim()
+        .trim_matches('*')
+        .parse()
+        .unwrap_or_else(|e| panic!("`{cell}` is not a number: {e}"));
+    (v * 10f64.powi(decimals)).round() as i64
+}
+
+/// `(program, [G, C, F, STM])` in thousandths for every row of the
+/// report's Table 2.
+fn report_rows() -> Vec<(String, [i64; 4])> {
+    table_rows(report_section("Table 2"))
+        .into_iter()
+        .map(|cols| {
+            // [program, paper, ours, shape]
+            let ours: Vec<i64> = cols[2].split('/').map(|c| fixed(c, 3)).collect();
+            let ours: [i64; 4] = ours
+                .try_into()
+                .unwrap_or_else(|v| panic!("{}: four cells, got {v:?}", cols[0]));
+            (cols[0].to_owned(), ours)
+        })
+        .collect()
+}
+
+/// `(program, [G, C, F, STM])` in thousandths for every program row of
+/// the results.
+fn results_rows() -> Vec<(String, [i64; 4])> {
     RESULTS
         .lines()
         .skip_while(|l| !l.starts_with("---"))
@@ -47,7 +77,7 @@ fn results_rows() -> Vec<(String, [u64; 4])> {
         .take_while(|l| !l.trim().is_empty() && !l.starts_with(' '))
         .map(|l| {
             let cols: Vec<&str> = l.split_whitespace().collect();
-            let cells = [1, 2, 3, 4].map(|i| millis(cols[i]));
+            let cells = [1, 2, 3, 4].map(|i| fixed(cols[i], 3));
             (cols[0].to_owned(), cells)
         })
         .collect()
@@ -70,4 +100,94 @@ fn table2_report_cells_match_the_results_file() {
             "{program}: EXPERIMENTS.md quotes {cells:?} ms, results_table2.txt reads {measured:?} ms"
         );
     }
+}
+
+/// The "ours" side of a `paper → ours` cell.
+fn ours(cell: &str) -> &str {
+    cell.rsplit('→')
+        .next()
+        .expect("split yields a piece")
+        .trim()
+}
+
+#[test]
+fn table1_report_cells_match_the_results_file() {
+    // Program rows of the results file: `name kloc sections k0 k9`.
+    let results: Vec<Vec<&str>> = TABLE1
+        .lines()
+        .filter(|l| l.starts_with("syn-"))
+        .map(|l| l.split_whitespace().collect())
+        .collect();
+    let report = table_rows(report_section("Table 1"));
+    assert_eq!(
+        results.len(),
+        7,
+        "the results file has 7 synthetic programs"
+    );
+    assert_eq!(report.len(), results.len(), "the report quotes every one");
+    for row in &report {
+        // [program, KLOC, k=0, k=9], each `paper → ours`.
+        let program = ours(row[0]);
+        let measured = results
+            .iter()
+            .find(|r| r[0] == program)
+            .unwrap_or_else(|| panic!("{program}: not in results_table1.txt"));
+        for (col, name, at, decimals) in [(1, "KLOC", 1, 1), (2, "k=0", 3, 3), (3, "k=9", 4, 1)] {
+            assert_eq!(
+                fixed(ours(row[col]), decimals),
+                fixed(measured[at], decimals),
+                "{program} {name}: EXPERIMENTS.md quotes {}, results_table1.txt reads {}",
+                ours(row[col]),
+                measured[at]
+            );
+        }
+    }
+}
+
+#[test]
+fn figure7_report_rows_match_the_results_file() {
+    // The first block of the results file: `k fine-ro fine-rw coarse-ro
+    // coarse-rw total`, one line per k.
+    let results: Vec<[u64; 6]> = FIGURE7
+        .split("\n\n")
+        .find(|b| b.starts_with("Concurrent benchmarks"))
+        .expect("results_figure7.txt has a concurrent-benchmarks block")
+        .lines()
+        .skip(2)
+        .map(|l| {
+            let cols: Vec<u64> = l.split_whitespace().map(|c| c.parse().unwrap()).collect();
+            cols.try_into()
+                .unwrap_or_else(|c| panic!("six columns, got {c:?}"))
+        })
+        .collect();
+    assert_eq!(
+        results.iter().map(|r| r[0]).collect::<Vec<_>>(),
+        (0..=9).collect::<Vec<u64>>(),
+        "the results file has one row per k = 0..9"
+    );
+    let mut quoted = Vec::new();
+    for row in table_rows(report_section("Figure 7")) {
+        // `k` or a `lo–hi` range, then the five counts.
+        let (lo, hi) = match row[0].split_once('–') {
+            Some((lo, hi)) => (lo.parse::<u64>().unwrap(), hi.parse::<u64>().unwrap()),
+            None => {
+                let k = row[0].parse::<u64>().unwrap();
+                (k, k)
+            }
+        };
+        let counts: Vec<u64> = row[1..].iter().map(|c| c.parse().unwrap()).collect();
+        for k in lo..=hi {
+            let measured = &results[k as usize][1..];
+            assert_eq!(
+                counts, measured,
+                "k={k}: EXPERIMENTS.md quotes {counts:?}, results_figure7.txt reads {measured:?}"
+            );
+            quoted.push(k);
+        }
+    }
+    assert_eq!(
+        quoted,
+        (0..=9).collect::<Vec<u64>>(),
+        "the report quotes every k once"
+    );
 }
