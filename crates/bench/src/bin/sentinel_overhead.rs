@@ -94,10 +94,7 @@ fn main() -> ExitCode {
         seconds
     };
 
-    let armed_cfg = SentinelConfig {
-        sample_every: 1,
-        ..SentinelConfig::default()
-    };
+    let armed_cfg = SentinelConfig::default();
     let sampled_cfg = SentinelConfig::sampled_production();
     let (mut off, mut on, mut sampled) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
     for _ in 0..REPS {

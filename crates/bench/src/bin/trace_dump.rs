@@ -43,6 +43,9 @@
 //!   end, and half-open transitions dropped by the truncation guard.
 //!   `record --sentinel` arms the sentinel for the run; `--weaken S:I`
 //!   drops inferred lock `I` from section `S` to provoke it.
+//!   `--mode validate` is MultiGrain under the Theorem-1 checker, which
+//!   is the run's sentinel: it takes no `--sentinel` or
+//!   `--sentinel-preset`.
 //! * `metrics` derives the full `ali_*` metric vocabulary from a trace
 //!   file (DESIGN.md §5.9) — a pure function of the trace bytes — and
 //!   renders it as canonical JSON (default), Prometheus text
@@ -148,8 +151,6 @@ fn cmd_record(args: &[String]) -> Result<ExitCode, String> {
     let name = args.first().ok_or("record: missing workload name")?;
     let mut ra = RunArgs::new(4, Contention::Low);
     let mut faults = None;
-    let mut sentinel = false;
-    let mut preset = SentinelConfig::default();
     let mut weaken = None;
     let mut metrics = None;
     let mut out = None;
@@ -167,19 +168,19 @@ fn cmd_record(args: &[String]) -> Result<ExitCode, String> {
                         .with_wakeup_delays(100, 200),
                 );
             }
-            "--sentinel" => sentinel = true,
+            "--sentinel" => {
+                let cfg = ra.sentinel.unwrap_or_default();
+                ra.arm_sentinel("record", cfg)?;
+            }
             "--sentinel-preset" => {
-                preset = match f.value(flag, "default|sampled-production")? {
+                let cfg = match f.value(flag, "default|sampled-production")? {
                     "default" => SentinelConfig::default(),
                     "sampled-production" => SentinelConfig::sampled_production(),
                     other => return Err(format!("record: unknown sentinel preset `{other}`")),
                 };
-                sentinel = true;
+                ra.arm_sentinel("record", cfg)?;
             }
-            "--weaken" => {
-                weaken = Some(cli::parse_weaken(f.value(flag, "SECTION:INDEX")?)?);
-                sentinel = true;
-            }
+            "--weaken" => weaken = Some(cli::parse_weaken(f.value(flag, "SECTION:INDEX")?)?),
             "--metrics" => metrics = Some(f.value(flag, "a path")?.to_string()),
             "--out" => out = Some(f.value(flag, "a path")?.to_string()),
             other => return Err(f.unknown(other)),
@@ -187,7 +188,11 @@ fn cmd_record(args: &[String]) -> Result<ExitCode, String> {
     }
     let mut cfg = ra.config("record", name)?;
     cfg.faults = faults;
-    cfg.sentinel = sentinel.then_some(preset);
+    // A weakened run is sentinel-armed: the checker if `--mode
+    // validate` armed it, else the default quarantine sentinel.
+    if weaken.is_some() {
+        cfg.sentinel.get_or_insert_with(SentinelConfig::default);
+    }
     cfg.weaken = weaken;
     // A metrics-armed run goes through the Pipeline so a registry
     // collects the machine's end-of-run gauges; the recorded trace is
@@ -360,7 +365,7 @@ fn cmd_reinfer(args: &[String]) -> Result<ExitCode, String> {
         }
     }
     let mut cfg = ra.config("reinfer", name)?;
-    cfg.sentinel = Some(SentinelConfig::default());
+    cfg.sentinel.get_or_insert_with(SentinelConfig::default);
     cfg.weaken = weaken;
     let run = Pipeline::new(cfg).reinfer()?;
     let b = run.report.baseline;

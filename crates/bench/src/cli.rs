@@ -9,7 +9,7 @@
 //! — so scripts grepping stderr keep working across bins.
 
 use atomic_lock_inference::replay::RunConfig;
-use interp::{ExecMode, WeakenPlan};
+use interp::{ExecMode, Response, SentinelConfig, WeakenPlan};
 use workloads::{micro, stamp, Contention, RunSpec};
 
 /// Every workload name the binaries accept, for usage strings.
@@ -43,13 +43,14 @@ pub fn workload(name: &str, ops: i64, c: Contention) -> Option<RunSpec> {
 }
 
 /// Parses an execution-mode name (`global`, `multigrain`/`mg`, `stm`,
-/// `validate`).
-pub fn parse_exec_mode(s: &str) -> Option<ExecMode> {
+/// `validate`) into a discipline and the sentinel it is checked by:
+/// `validate` is MultiGrain under [`SentinelConfig::validate`].
+pub fn parse_exec_mode(s: &str) -> Option<(ExecMode, Option<SentinelConfig>)> {
     Some(match s {
-        "global" => ExecMode::Global,
-        "multigrain" | "mg" => ExecMode::MultiGrain,
-        "stm" => ExecMode::Stm,
-        "validate" => ExecMode::Validate,
+        "global" => (ExecMode::Global, None),
+        "multigrain" | "mg" => (ExecMode::MultiGrain, None),
+        "stm" => (ExecMode::Stm, None),
+        "validate" => (ExecMode::MultiGrain, Some(SentinelConfig::validate())),
         _ => return None,
     })
 }
@@ -136,6 +137,10 @@ impl<'a> Flags<'a> {
 /// `--mode`, `--k`, `--threads`, `--ops`, `--contention`.
 pub struct RunArgs {
     pub mode: ExecMode,
+    /// The run's one sentinel: `--mode validate` arms the Theorem-1
+    /// checker, or a subcommand flag arms a quarantine sentinel through
+    /// [`RunArgs::arm_sentinel`] — never both.
+    pub sentinel: Option<SentinelConfig>,
     pub k: usize,
     pub threads: usize,
     pub ops: i64,
@@ -148,6 +153,7 @@ impl RunArgs {
     pub fn new(threads: usize, contention: Contention) -> RunArgs {
         RunArgs {
             mode: ExecMode::MultiGrain,
+            sentinel: None,
             k: 9,
             threads,
             ops: 200,
@@ -161,8 +167,17 @@ impl RunArgs {
         match flag {
             "--mode" => {
                 let v = f.value(flag, "a mode")?;
-                self.mode =
+                let (mode, checker) =
                     parse_exec_mode(v).ok_or_else(|| format!("{}: bad mode `{v}`", f.cmd))?;
+                if checker.is_some() && self.sentinel.is_some() && !self.checking() {
+                    return Err(one_sentinel(f.cmd));
+                }
+                // The checker comes and goes with `validate`; a
+                // quarantine sentinel a subcommand flag armed stays.
+                if checker.is_some() || self.checking() {
+                    self.sentinel = checker;
+                }
+                self.mode = mode;
             }
             "--k" => self.k = f.parsed(flag, "a depth")?,
             "--threads" => self.threads = f.parsed(flag, "a count")?,
@@ -179,13 +194,37 @@ impl RunArgs {
         Ok(true)
     }
 
+    /// Arms `cfg` as the run's quarantine sentinel. Under `--mode
+    /// validate` the run already has its sentinel, the checker, and
+    /// swapping it would silently stop the check, so that is an error.
+    pub fn arm_sentinel(&mut self, cmd: &str, cfg: SentinelConfig) -> Result<(), String> {
+        if self.checking() {
+            return Err(one_sentinel(cmd));
+        }
+        self.sentinel = Some(cfg);
+        Ok(())
+    }
+
+    /// True when `--mode validate` armed the checker.
+    fn checking(&self) -> bool {
+        self.sentinel.is_some_and(|s| s.response == Response::Fail)
+    }
+
     /// Resolves workload `name` under these flags into a ready
     /// [`RunConfig`].
     pub fn config(&self, cmd: &str, name: &str) -> Result<RunConfig, String> {
         let spec = workload(name, self.ops, self.contention)
             .ok_or_else(|| format!("{cmd}: unknown workload `{name}`"))?;
-        Ok(RunConfig::from_spec(&spec, self.k, self.mode, self.threads))
+        let mut cfg = RunConfig::from_spec(&spec, self.k, self.mode, self.threads);
+        cfg.sentinel = self.sentinel;
+        Ok(cfg)
     }
+}
+
+fn one_sentinel(cmd: &str) -> String {
+    format!(
+        "{cmd}: --mode validate checks every access; it takes no --sentinel or --sentinel-preset"
+    )
 }
 
 #[cfg(test)]
@@ -210,6 +249,7 @@ mod tests {
             f.value(flag, "a path").unwrap();
         }
         assert_eq!(ra.mode, ExecMode::Stm);
+        assert_eq!(ra.sentinel, None);
         assert_eq!(ra.k, 4);
         assert_eq!(ra.threads, 6);
         assert_eq!(ra.ops, 200, "untouched flags keep their defaults");
@@ -234,6 +274,48 @@ mod tests {
             "adapt: bad mode `fast`"
         );
         assert_eq!(f.unknown("--bogus"), "adapt: unknown flag `--bogus`");
+    }
+
+    #[test]
+    fn validate_is_multigrain_under_the_checker() {
+        let args = strings(&["--mode", "validate"]);
+        let mut ra = RunArgs::new(4, Contention::Low);
+        let mut f = Flags::new("record", &args);
+        let flag = f.next().unwrap();
+        assert!(ra.apply(flag, &mut f).unwrap());
+        assert_eq!(ra.mode, ExecMode::MultiGrain);
+        assert_eq!(ra.sentinel, Some(SentinelConfig::validate()));
+        let cfg = ra.config("record", "list").unwrap();
+        assert_eq!(cfg.sentinel, Some(SentinelConfig::validate()));
+    }
+
+    #[test]
+    fn validate_takes_no_second_sentinel() {
+        let apply = |ra: &mut RunArgs, args: &[&str]| {
+            let args = strings(args);
+            let mut f = Flags::new("record", &args);
+            let flag = f.next().unwrap();
+            ra.apply(flag, &mut f)
+        };
+        let refusal = one_sentinel("record");
+        // Either order is refused, so the checker is never swapped out.
+        let mut ra = RunArgs::new(4, Contention::Low);
+        apply(&mut ra, &["--mode", "validate"]).unwrap();
+        let sampled = SentinelConfig::sampled_production();
+        assert_eq!(ra.arm_sentinel("record", sampled), Err(refusal.clone()));
+        assert_eq!(ra.sentinel, Some(SentinelConfig::validate()));
+        let mut ra = RunArgs::new(4, Contention::Low);
+        ra.arm_sentinel("record", sampled).unwrap();
+        assert_eq!(apply(&mut ra, &["--mode", "validate"]), Err(refusal));
+        assert_eq!(ra.sentinel, Some(sampled));
+        // Another mode keeps an armed quarantine sentinel…
+        apply(&mut ra, &["--mode", "stm"]).unwrap();
+        assert_eq!((ra.mode, ra.sentinel), (ExecMode::Stm, Some(sampled)));
+        // …and disarms the checker.
+        let mut ra = RunArgs::new(4, Contention::Low);
+        apply(&mut ra, &["--mode", "validate"]).unwrap();
+        apply(&mut ra, &["--mode", "mg"]).unwrap();
+        assert_eq!((ra.mode, ra.sentinel), (ExecMode::MultiGrain, None));
     }
 
     #[test]

@@ -29,8 +29,9 @@ pub enum InterpError {
     /// A mode needed the transformed program but got atomic markers
     /// (or vice versa).
     NeedsTransformedProgram { section: SectionId },
-    /// Theorem-1 violation found by Validate mode: an access inside an
-    /// atomic section not covered by any held lock.
+    /// Theorem-1 violation found by the checker sentinel
+    /// (`SentinelConfig::validate`): an in-section access no held lock
+    /// licenses. The access was made and traced; nothing was recorded.
     Unprotected {
         func: String,
         pc: usize,

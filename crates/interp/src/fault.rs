@@ -4,7 +4,7 @@
 //! and *how often*; each worker derives its own splitmix stream from
 //! `(plan.seed, tid)`, so a given (plan, program, thread count) always
 //! injects the same faults at the same points — chaos runs are exactly
-//! reproducible and can be re-checked under Validate mode.
+//! reproducible and can be re-checked under `SentinelConfig::validate`.
 //!
 //! Four fault classes, matching the degradation ladder:
 //!

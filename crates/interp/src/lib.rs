@@ -1,19 +1,19 @@
 //! # interp — a concurrent interpreter for transformed programs
 //!
 //! Executes programs produced by the `lockinfer` pipeline over a shared
-//! heap, with four disciplines for atomic sections:
+//! heap, with three disciplines for atomic sections:
 //!
 //! * [`ExecMode::Global`] — every section takes one global lock (the
 //!   evaluation's baseline column);
 //! * [`ExecMode::MultiGrain`] — sections acquire the locks the compiler
 //!   inferred, through the `mglock` multi-granularity runtime;
 //! * [`ExecMode::Stm`] — sections run as TL2 transactions with local
-//!   rollback and retry (the optimistic baseline);
-//! * [`ExecMode::Validate`] — MultiGrain plus an empirical check of
-//!   Theorem 1: every heap access inside a section must be licensed,
-//!   under Fig. 6, by a lock grant the section holds — the predicate
-//!   the online sentinel and the offline trace validator evaluate too
-//!   (`trace::lockset::licenses`), here a hard error on a miss.
+//!   rollback and retry (the optimistic baseline).
+//!
+//! Checking is a policy, not a fourth discipline: MultiGrain with the
+//! sentinel armed as [`SentinelConfig::validate`] fails on the first
+//! in-section access no held grant licenses under Fig. 6 — the
+//! empirical check of Theorem 1.
 //!
 //! ```
 //! use interp::{ExecMode, Machine, Options};
@@ -37,7 +37,7 @@ pub use error::InterpError;
 pub use fault::{FaultPlan, FaultStats, WeakenPlan};
 pub use machine::{ExecMode, Machine, Options, RepairSpec};
 pub use sched::{PolicyKind, ReaderBatch, SchedConfig};
-pub use sentinel::SentinelConfig;
+pub use sentinel::{Response, SentinelConfig};
 
 use std::sync::Arc;
 
@@ -59,17 +59,33 @@ pub fn machine_for(src: &str, k: usize, mode: ExecMode, opts: Options) -> Result
 mod tests {
     use super::*;
 
-    fn run(src: &str, mode: ExecMode) -> i64 {
-        let m = machine_for(src, 3, mode, Options::default()).unwrap();
-        m.run_named("main", &[]).unwrap()
+    /// A discipline, and the sentinel policy a run of it is checked by.
+    type Run = (ExecMode, Option<SentinelConfig>);
+
+    /// The three disciplines, and MultiGrain under the Theorem-1 checker.
+    const ALL_RUNS: [Run; 4] = [
+        (ExecMode::Global, None),
+        (ExecMode::MultiGrain, None),
+        (ExecMode::Stm, None),
+        (ExecMode::MultiGrain, Some(SentinelConfig::validate())),
+    ];
+
+    /// Default options with `sentinel` armed.
+    fn armed(sentinel: Option<SentinelConfig>) -> Options {
+        Options {
+            sentinel,
+            ..Options::default()
+        }
     }
 
-    const ALL_MODES: [ExecMode; 4] = [
-        ExecMode::Global,
-        ExecMode::MultiGrain,
-        ExecMode::Stm,
-        ExecMode::Validate,
-    ];
+    fn run(src: &str, mode: ExecMode) -> i64 {
+        run_armed(src, (mode, None))
+    }
+
+    fn run_armed(src: &str, (mode, sentinel): Run) -> i64 {
+        let m = machine_for(src, 3, mode, armed(sentinel)).unwrap();
+        m.run_named("main", &[]).unwrap()
+    }
 
     #[test]
     fn arithmetic_and_control_flow() {
@@ -131,8 +147,8 @@ mod tests {
                 return g;
             }
         "#;
-        for mode in ALL_MODES {
-            assert_eq!(run(src, mode), 42, "{mode:?}");
+        for r in ALL_RUNS {
+            assert_eq!(run_armed(src, r), 42, "{r:?}");
         }
     }
 
@@ -149,8 +165,8 @@ mod tests {
                 return g * 10 + h;
             }
         "#;
-        for mode in ALL_MODES {
-            assert_eq!(run(src, mode), 32, "{mode:?}");
+        for r in ALL_RUNS {
+            assert_eq!(run_armed(src, r), 32, "{r:?}");
         }
     }
 
@@ -182,10 +198,14 @@ mod tests {
             }
             fn main() { return counter; }
         "#;
-        for mode in ALL_MODES {
-            let m = machine_for(src, 3, mode, Options::default()).unwrap();
+        for (mode, sentinel) in ALL_RUNS {
+            let m = machine_for(src, 3, mode, armed(sentinel)).unwrap();
             m.run_threads("work", 8, |_| vec![250]).unwrap();
-            assert_eq!(m.run_named("main", &[]).unwrap(), 2000, "{mode:?}");
+            assert_eq!(
+                m.run_named("main", &[]).unwrap(),
+                2000,
+                "{mode:?} {sentinel:?}"
+            );
         }
     }
 
@@ -238,14 +258,14 @@ mod tests {
             }
             fn total() { return count(l1) + count(l2); }
         "#;
-        for mode in ALL_MODES {
-            let m = machine_for(src, 3, mode, Options::default()).unwrap();
+        for (mode, sentinel) in ALL_RUNS {
+            let m = machine_for(src, 3, mode, armed(sentinel)).unwrap();
             m.run_named("setup", &[30]).unwrap();
             m.run_threads("mover", 4, |_| vec![25]).unwrap();
             assert_eq!(
                 m.run_named("total", &[]).unwrap(),
                 30,
-                "elements conserved in {mode:?}"
+                "elements conserved in {mode:?} {sentinel:?}"
             );
         }
     }
@@ -280,7 +300,8 @@ mod tests {
             }
         "#;
         for k in [0, 2, 9] {
-            let m = machine_for(src, k, ExecMode::Validate, Options::default()).unwrap();
+            let checked = armed(Some(SentinelConfig::validate()));
+            let m = machine_for(src, k, ExecMode::MultiGrain, checked).unwrap();
             assert_eq!(m.run_named("main", &[]).unwrap(), 3, "k={k}");
         }
     }
@@ -302,7 +323,8 @@ mod tests {
                 }
             }
         }
-        let m = Machine::new(Arc::new(broken), pt, ExecMode::Validate, Options::default());
+        let checked = armed(Some(SentinelConfig::validate()));
+        let m = Machine::new(Arc::new(broken), pt, ExecMode::MultiGrain, checked);
         let err = m.run_named("main", &[]).unwrap_err();
         assert!(
             matches!(err, InterpError::Unprotected { write: true, .. }),
@@ -336,8 +358,8 @@ mod tests {
             let m = Machine::new(
                 Arc::new(narrowed),
                 pt,
-                ExecMode::Validate,
-                Options::default(),
+                ExecMode::MultiGrain,
+                armed(Some(SentinelConfig::validate())),
             );
             let err = m.run_named("main", &[]).unwrap_err();
             assert!(
@@ -601,8 +623,8 @@ mod tests {
                 return x;
             }
         "#;
-        for mode in ALL_MODES {
-            assert_eq!(run(src, mode), 11, "{mode:?}");
+        for r in ALL_RUNS {
+            assert_eq!(run_armed(src, r), 11, "{r:?}");
         }
     }
 
@@ -767,35 +789,49 @@ mod tests {
         fn main() { return c; }
     "#;
 
+    /// The lock disciplines, and MultiGrain under the Theorem-1 checker.
+    const LOCK_RUNS: [Run; 3] = [
+        (ExecMode::Global, None),
+        (ExecMode::MultiGrain, None),
+        (ExecMode::MultiGrain, Some(SentinelConfig::validate())),
+    ];
+
     #[test]
     fn real_threads_run_the_blocking_walk() {
         // Real-time workers block in `acquire_all`: four OS threads
         // contending on one counter finish with the right count, a
         // clean report and every lock released.
-        for mode in [ExecMode::Global, ExecMode::MultiGrain, ExecMode::Validate] {
-            let m = machine_for(COUNTER_SRC, 3, mode, Options::default()).unwrap();
+        for (mode, sentinel) in LOCK_RUNS {
+            let m = machine_for(COUNTER_SRC, 3, mode, armed(sentinel)).unwrap();
             m.run_threads("work", 4, |_| vec![250]).unwrap();
-            assert_eq!(m.run_named("main", &[]).unwrap(), 1000, "{mode:?}");
+            assert_eq!(
+                m.run_named("main", &[]).unwrap(),
+                1000,
+                "{mode:?} {sentinel:?}"
+            );
             let report = m.degradation_report();
-            assert!(report.is_clean(), "{mode:?}: {report}");
-            assert!(m.locks_quiescent(), "{mode:?}");
+            assert!(report.is_clean(), "{mode:?} {sentinel:?}: {report}");
+            assert!(m.locks_quiescent(), "{mode:?} {sentinel:?}");
         }
     }
 
     #[test]
     fn injected_panic_is_contained_and_releases_locks() {
-        for mode in [ExecMode::Global, ExecMode::MultiGrain, ExecMode::Validate] {
+        for (mode, sentinel) in LOCK_RUNS {
             let opts = Options {
                 faults: Some(FaultPlan::new(0xBAD).with_panics(200, 1)),
-                ..Options::default()
+                ..armed(sentinel)
             };
             let m = machine_for(COUNTER_SRC, 3, mode, opts).unwrap();
             let err = m.run_threads("work", 4, |_| vec![200]).unwrap_err();
             assert!(
                 matches!(err, InterpError::InjectedPanic { .. }),
-                "{mode:?}: {err}"
+                "{mode:?} {sentinel:?}: {err}"
             );
-            assert!(m.locks_quiescent(), "{mode:?}: locks leaked past a panic");
+            assert!(
+                m.locks_quiescent(),
+                "{mode:?} {sentinel:?}: locks leaked past a panic"
+            );
             assert!(
                 m.mg_stats()
                     .poisoned_sessions
@@ -803,7 +839,10 @@ mod tests {
                     > 0
             );
             // The machine stays usable after the contained panics.
-            assert!(m.run_named("main", &[]).unwrap() >= 0, "{mode:?}");
+            assert!(
+                m.run_named("main", &[]).unwrap() >= 0,
+                "{mode:?} {sentinel:?}"
+            );
         }
     }
 
@@ -894,12 +933,12 @@ mod tests {
     #[test]
     fn fault_injected_survivors_pass_validate_coverage() {
         // The acceptance bar: runs that survive injection still satisfy
-        // Theorem 1 — Validate mode re-checks every in-section access.
+        // Theorem 1 — the checker re-checks every in-section access.
         let opts = Options {
             faults: Some(FaultPlan::new(0xC07E).with_stalls(150, 400)),
-            ..Options::default()
+            ..armed(Some(SentinelConfig::validate()))
         };
-        let m = machine_for(COUNTER_SRC, 3, ExecMode::Validate, opts).unwrap();
+        let m = machine_for(COUNTER_SRC, 3, ExecMode::MultiGrain, opts).unwrap();
         m.run_threads("work", 4, |_| vec![50]).unwrap();
         assert_eq!(m.run_named("main", &[]).unwrap(), 200);
     }

@@ -20,10 +20,6 @@ pub enum ExecMode {
     /// Sections as TL2 transactions with local rollback (the optimistic
     /// baseline).
     Stm,
-    /// MultiGrain plus the Theorem-1 coverage checker: every access
-    /// inside a section must be licensed, under Fig. 6, by a lock grant
-    /// the section holds.
-    Validate,
 }
 
 /// A staged repaired lock plan for one section, produced by
@@ -66,9 +62,9 @@ pub struct Options {
     /// log, and the trace is available from [`Machine::take_trace`].
     pub trace: Option<trace::TraceConfig>,
     /// Online lockset sentinel (`None` = off, zero overhead): inline
-    /// Fig. 6 licensing checks on in-section accesses, with a
-    /// per-section quarantine ladder that demotes offending sections
-    /// to the global scheme and re-admits them after probation.
+    /// Fig. 6 licensing checks on in-section accesses; a miss demotes
+    /// the section to the global scheme until it serves probation, or
+    /// is a hard [`InterpError::Unprotected`] (`Response::Fail`).
     pub sentinel: Option<sentinel::SentinelConfig>,
     /// Fault-injected weakened inference (`None` = sound plans): drops
     /// one lock spec from one section so the sentinel has a real

@@ -1,4 +1,4 @@
-//! Per-thread execution: the resumable instruction loop, the four
+//! Per-thread execution: the resumable instruction loop, the three
 //! section disciplines, and the thread harness.
 //!
 //! A [`Worker`] is a machine that [`Worker::resume`] steps: it runs
@@ -215,8 +215,7 @@ pub(crate) struct Worker<'m> {
     planned_in: u64,
     /// `(base, len)` of the cells this thread allocated inside the open
     /// section, in allocation order: private until published, so exempt
-    /// from coverage (Lemma 2). Kept when Validate mode or a sentinel
-    /// checks coverage.
+    /// from coverage (Lemma 2). Kept when a sentinel checks coverage.
     my_allocs: Vec<(u64, u64)>,
     /// The outermost section open on this thread: what a coverage miss,
     /// a sentinel violation and a lock waiter are reported against.
@@ -245,8 +244,7 @@ pub(crate) struct Worker<'m> {
     /// Set while lock descriptors are re-evaluated *under* the freshly
     /// acquired grants (drift detection): those path reads are part of
     /// the acquisition protocol, not of the section body, so they are
-    /// exempt from the coverage check (Validate mode's and the
-    /// sentinel's) and from the trace.
+    /// exempt from the sentinel's coverage check and from the trace.
     revalidating: bool,
     /// In-section accesses seen so far, driving the sentinel's sampling
     /// schedule (a per-worker monotone counter, so the schedule is
@@ -805,8 +803,7 @@ impl<'m> Worker<'m> {
             Storage::Indirect(s) => frame[s as usize] as u64,
             Storage::Global(a) => a,
         };
-        self.check_var_access(a, false, at)?;
-        self.cell_read(a, k)
+        self.cell_read(a, k, at)
     }
 
     #[inline]
@@ -826,24 +823,7 @@ impl<'m> Worker<'m> {
             Storage::Indirect(s) => frame[s as usize] as u64,
             Storage::Global(a) => a,
         };
-        self.check_var_access(a, true, at)?;
-        self.cell_write(a, val, k)
-    }
-
-    /// Validate mode's coverage check for variable cells (globals and
-    /// heapified locals).
-    fn check_var_access(&self, a: u64, write: bool, at: At) -> Result<(), Exc> {
-        // Lock-spec evaluation happens before `acquire_all`, while the
-        // nesting level is still 0, so it is naturally exempt here;
-        // post-acquisition revalidation runs at level 1 and is exempted
-        // explicitly.
-        if self.m.mode == ExecMode::Validate
-            && !self.revalidating
-            && self.session.nesting_level() > 0
-        {
-            self.check_licensed(a, write, at)?;
-        }
-        Ok(())
+        self.cell_write(a, val, k, at)
     }
 
     fn check_addr(&self, addr: i64, at: At) -> Result<u64, Exc> {
@@ -855,26 +835,20 @@ impl<'m> Worker<'m> {
 
     fn heap_read(&mut self, addr: i64, k: usize, at: At) -> Result<i64, Exc> {
         let a = self.check_addr(addr, at)?;
-        if self.m.mode == ExecMode::Validate && self.session.nesting_level() > 0 {
-            self.check_licensed(a, false, at)?;
-        }
-        self.cell_read(a, k)
+        self.cell_read(a, k, at)
     }
 
     fn heap_write(&mut self, addr: i64, val: i64, k: usize, at: At) -> Result<(), Exc> {
         let a = self.check_addr(addr, at)?;
-        if self.m.mode == ExecMode::Validate && self.session.nesting_level() > 0 {
-            self.check_licensed(a, true, at)?;
-        }
-        self.cell_write(a, val, k)
+        self.cell_write(a, val, k, at)
     }
 
-    /// Access `k` of the executing instruction: a traced, sentinel-
-    /// checked read of a shared cell. When the instruction is being
-    /// re-executed after a yield, an access it already made is answered
-    /// from the journal; the last of them yielded at its tick, so what
-    /// follows that tick — the sentinel check — is still to do.
-    fn cell_read(&mut self, a: u64, k: usize) -> Result<i64, Exc> {
+    /// Access `k` of the executing instruction at `at`: a traced,
+    /// sentinel-checked read of a shared cell. When the instruction is
+    /// being re-executed after a yield, an access it already made is
+    /// answered from the journal; the last of them yielded at its tick,
+    /// so what follows that tick — the sentinel check — is still to do.
+    fn cell_read(&mut self, a: u64, k: usize, at: At) -> Result<i64, Exc> {
         let val = if k < self.done {
             let logged = self.journal[k].ok_or(Exc::Abort)?;
             if k + 1 < self.done {
@@ -885,12 +859,12 @@ impl<'m> Worker<'m> {
             self.trace_access(a, false);
             self.heap_read_raw(a, k)?
         };
-        self.sentinel_check(a, false);
+        self.sentinel_check(a, false, at)?;
         Ok(val)
     }
 
     /// [`Worker::cell_read`]'s counterpart for a write.
-    fn cell_write(&mut self, a: u64, val: i64, k: usize) -> Result<(), Exc> {
+    fn cell_write(&mut self, a: u64, val: i64, k: usize, at: At) -> Result<(), Exc> {
         if k + 1 < self.done {
             return Ok(());
         }
@@ -898,8 +872,7 @@ impl<'m> Worker<'m> {
             self.trace_access(a, true);
             self.heap_write_raw(a, val, k)?;
         }
-        self.sentinel_check(a, true);
-        Ok(())
+        self.sentinel_check(a, true, at)
     }
 
     /// Raw cell read: transactional inside an STM section, direct
@@ -991,10 +964,10 @@ impl<'m> Worker<'m> {
     }
 
     // ------------------------------------------------------------------
-    // Coverage: Validate mode and the online lockset sentinel
+    // Coverage: the online lockset sentinel
 
     /// Is this in-section access covered? The one coverage predicate,
-    /// asked by Validate mode and by the sentinel: a cell this thread
+    /// the sentinel's, whatever its policy: a cell this thread
     /// allocated inside the open section is exempt (Lemma 2); otherwise,
     /// under locks, a live grant must license the access under Fig. 6
     /// (`trace::lockset::licenses`, which the offline validator asks of
@@ -1022,41 +995,40 @@ impl<'m> Worker<'m> {
         }
     }
 
-    /// Validate mode's check of an in-section access, made before the
-    /// access and its trace event: a miss of [`Worker::licensed`] is a
-    /// hard error naming the access.
-    fn check_licensed(&self, a: u64, write: bool, at: At) -> Result<(), Exc> {
-        if self.licensed(a, write) {
-            return Ok(());
-        }
-        Err(InterpError::Unprotected {
-            func: self.m.program.fn_name(at.f).to_owned(),
-            pc: at.pc,
-            addr: a,
-            write,
-            section: self.current_section,
-        }
-        .into())
-    }
-
-    /// The sentinel's check of an in-section access, [`Worker::licensed`]
-    /// on the sampling schedule. Runs *after* the access completed, so
-    /// an STM footprint already contains the cell it just touched.
-    /// Exempt, like the post-hoc validator: protocol reads (descriptor
-    /// revalidation) and accesses outside any section.
+    /// The one coverage check: [`Worker::licensed`] of the in-section
+    /// access at `at`, on the sampling schedule. Runs *after* the access
+    /// completed and was traced, so an STM footprint already contains
+    /// the cell it just touched. Exempt, like the post-hoc validator:
+    /// protocol reads (descriptor revalidation) and accesses outside
+    /// any section.
     ///
-    /// A violation is recorded, never fatal: the section completes, and
-    /// a first offense demotes it on the quarantine ladder (traced as a
-    /// `["qr", …]` event so replay sees the transition).
-    fn sentinel_check(&mut self, addr: u64, write: bool) {
-        let Some(sent) = &self.m.sentinel else { return };
+    /// A miss under `Response::Fail` ends the thread with
+    /// [`InterpError::Unprotected`], recording nothing. Under
+    /// `Quarantine` it is recorded, never fatal: the section completes,
+    /// and a first offense demotes it on the quarantine ladder (traced
+    /// as a `["qr", …]` event so replay sees the transition).
+    fn sentinel_check(&mut self, addr: u64, write: bool, at: At) -> Result<(), Exc> {
+        let Some(sent) = &self.m.sentinel else {
+            return Ok(());
+        };
         if self.revalidating || (self.sec_depth == 0 && self.session.nesting_level() == 0) {
-            return;
+            return Ok(());
         }
         let n = self.accesses;
         self.accesses += 1;
-        if !sent.config().should_check(n) || self.licensed(addr, write) {
-            return;
+        let cfg = sent.config();
+        if !cfg.should_check(n) || self.licensed(addr, write) {
+            return Ok(());
+        }
+        if cfg.response == sentinel::Response::Fail {
+            return Err(InterpError::Unprotected {
+                func: self.m.program.fn_name(at.f).to_owned(),
+                pc: at.pc,
+                addr,
+                write,
+                section: self.current_section,
+            }
+            .into());
         }
         self.section_violated = true;
         let held = self.session.held_modes().collect();
@@ -1086,6 +1058,7 @@ impl<'m> Worker<'m> {
                 });
             }
         }
+        Ok(())
     }
 
     /// Is this lock spec dropped by the weakened-inference fault plan?
@@ -1204,7 +1177,7 @@ impl<'m> Worker<'m> {
                 len: n.max(1) as u64,
             });
         }
-        if in_section && (self.m.mode == ExecMode::Validate || self.m.sentinel.is_some()) {
+        if in_section && self.m.sentinel.is_some() {
             // Cells allocated by this thread during the section are
             // private until it publishes them: exempt from coverage
             // (Lemma 2's reachability proviso) in `licensed`.
@@ -1271,7 +1244,7 @@ impl<'m> Worker<'m> {
                             self.queue_global();
                             self.enter = Enter::Global { outermost };
                         }
-                        ExecMode::MultiGrain | ExecMode::Validate => {
+                        ExecMode::MultiGrain => {
                             if let Instr::EnterAtomic(s) = ins {
                                 return Err(
                                     InterpError::NeedsTransformedProgram { section: *s }.into()
@@ -1882,7 +1855,9 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Returns the first thread error encountered.
+    /// Returns the earliest thread error — the first one the
+    /// `(clock, rank, tid)` resume loop meets, not the lowest failing
+    /// thread id: a run is one total order.
     pub fn run_threads_virtual(
         &self,
         name: &str,
@@ -1897,7 +1872,8 @@ impl Machine {
         let mut workers: Vec<Option<Worker<'_>>> = (0..n as u32)
             .map(|tid| Some(Worker::new(self, tid, Some(&sim), f, &args(tid))))
             .collect();
-        let mut results: Vec<Option<Result<i64, InterpError>>> = vec![None; n];
+        let mut results: Vec<Option<i64>> = vec![None; n];
+        let mut first_err = None;
         loop {
             let next = sim.borrow_mut().next_runner();
             let Some(tid) = next else { break };
@@ -1919,17 +1895,23 @@ impl Machine {
                 sim.borrow_mut().on_release(tid);
             }
             sim.borrow_mut().finish(tid);
-            results[tid] = Some(result);
+            match result {
+                Ok(v) => results[tid] = Some(v),
+                Err(e) => _ = first_err.get_or_insert(e),
+            }
         }
         let sim = sim.borrow();
         let (yield_points, handoffs) = sim.yield_counts();
         self.sim_yield_points
             .fetch_add(yield_points, Ordering::Relaxed);
         self.sim_handoffs.fetch_add(handoffs, Ordering::Relaxed);
+        if let Some(e) = first_err {
+            return Err(e);
+        }
         let results = results
             .into_iter()
             .map(|r| r.expect("the schedule drains only when every thread has exited"))
-            .collect::<Result<Vec<i64>, InterpError>>()?;
+            .collect();
         Ok((results, sim.makespan()))
     }
 
@@ -1938,7 +1920,8 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Returns the first thread error encountered.
+    /// Returns the error of the lowest failing thread id: OS threads
+    /// share no clock to order their failures by.
     pub fn run_threads(
         &self,
         name: &str,

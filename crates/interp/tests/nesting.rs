@@ -3,7 +3,7 @@
 //! or unwinds with all lock modes released — never a leaked mode, never
 //! a hang, never an untyped crash.
 
-use interp::{machine_for, ExecMode, FaultPlan, InterpError, Options};
+use interp::{machine_for, ExecMode, FaultPlan, InterpError, Options, SentinelConfig};
 use proptest::prelude::*;
 use std::sync::atomic::Ordering;
 
@@ -37,11 +37,12 @@ const SRC: &str = r#"
     fn diff() { return g1 - g2; }
 "#;
 
-const ALL_MODES: [ExecMode; 4] = [
-    ExecMode::Global,
-    ExecMode::MultiGrain,
-    ExecMode::Stm,
-    ExecMode::Validate,
+/// The three disciplines, and MultiGrain under the Theorem-1 checker.
+const ALL_RUNS: [(ExecMode, Option<SentinelConfig>); 4] = [
+    (ExecMode::Global, None),
+    (ExecMode::MultiGrain, None),
+    (ExecMode::Stm, None),
+    (ExecMode::MultiGrain, Some(SentinelConfig::validate())),
 ];
 
 proptest! {
@@ -53,13 +54,14 @@ proptest! {
         abort_pm in 0u16..150,
         panics in any::<bool>(),
     ) {
-        for mode in ALL_MODES {
+        for (mode, sentinel) in ALL_RUNS {
             let plan = FaultPlan::new(seed)
                 .with_stm_aborts(abort_pm)
                 .with_panics(if panics { 25 } else { 0 }, 1);
             let opts = Options {
                 faults: Some(plan),
                 stm_abort_budget: 8,
+                sentinel,
                 ..Options::default()
             };
             let m = machine_for(SRC, 3, mode, opts).unwrap();
@@ -69,27 +71,27 @@ proptest! {
                 if let Err(e) = r {
                     assert!(
                         matches!(e, InterpError::InjectedPanic { .. }),
-                        "{mode:?}: only injected panics may surface, got {e}"
+                        "{mode:?} {sentinel:?}: only injected panics may surface, got {e}"
                     );
                 }
             }
             // The ladder's core guarantee: whatever happened, no lock
             // mode outlives its session.
-            assert!(m.locks_quiescent(), "{mode:?}: lock mode leaked past a fault");
+            assert!(m.locks_quiescent(), "{mode:?} {sentinel:?}: lock mode leaked past a fault");
             let injected_panics =
                 m.fault_stats().injected_panics.load(Ordering::Relaxed);
             if injected_panics == 0 {
                 // Spurious aborts alone must be invisible: retries (or
                 // the irrevocable fallback) land every increment.
-                assert!(nested.is_ok() && outermost.is_ok(), "{mode:?}");
+                assert!(nested.is_ok() && outermost.is_ok(), "{mode:?} {sentinel:?}");
                 let expected = 4 * 10 * (2 * 5) + 2 * 10 * 2;
-                assert_eq!(m.run_named("sum", &[]).unwrap(), expected, "{mode:?}");
+                assert_eq!(m.run_named("sum", &[]).unwrap(), expected, "{mode:?} {sentinel:?}");
             }
             // STM rolls back a panicking transaction wholesale, so the
             // paired writes stay balanced even across injected panics;
             // lock runtimes promise that only for panic-free runs.
             if mode == ExecMode::Stm || injected_panics == 0 {
-                assert_eq!(m.run_named("diff", &[]).unwrap(), 0, "{mode:?}");
+                assert_eq!(m.run_named("diff", &[]).unwrap(), 0, "{mode:?} {sentinel:?}");
             }
         }
     }

@@ -244,7 +244,11 @@ fn every_resumption_point_reproduces_the_os_thread_schedule() {
     }
 }
 
-/// Captured at commit d13f521 (virtual threads as OS threads).
+/// Captured at commit d13f521 (virtual threads as OS threads). The two
+/// `panic=true` lines whose error names thread 6 — `kmeans` and
+/// `calls-stm` — named thread 0 there: that build reported the lowest
+/// failing thread id, and a virtual run now reports its earliest error.
+/// Their digests, makespans and STM counts are the captured ones.
 const PARENT: &str = "\
     th q=1: [0, 0, 0, 0, 0, 0, 0, 0] 120686 check=Some(Ok(305)) stm=0/0/0 38b0ce9ba450acc7
     th q=7: [0, 0, 0, 0, 0, 0, 0, 0] 120686 check=Some(Ok(305)) stm=0/0/0 a59a843a5fce1179
@@ -254,7 +258,7 @@ const PARENT: &str = "\
     kmeans q=7: [0, 0, 0, 0, 0, 0, 0, 0] 258177 check=Some(Ok(320)) stm=320/457/0 ae695527337beb42
     kmeans q=128: [0, 0, 0, 0, 0, 0, 0, 0] 246068 check=Some(Ok(320)) stm=320/527/0 3cd1b9c3a36bc637
     kmeans chaos panic=false: [0, 0, 0, 0, 0, 0, 0, 0] 376682 check=Some(Ok(320)) stm=320/1854/0 0e0c93ec6abe4fdd
-    kmeans chaos panic=true: injected panic on thread 0 (fault plan) @59640 check=Some(Ok(34)) stm=34/146/0 75c41b5e37c31845
+    kmeans chaos panic=true: injected panic on thread 6 (fault plan) @59640 check=Some(Ok(34)) stm=34/146/0 75c41b5e37c31845
     src q=1: [3792, 3807, 5050, 1785, -16, 1974, -680, 1754] 9156 check=None stm=0/0/0 c12888a1acf2caea
     src q=7: [6428, 5355, 4006, 3861, 714, 4558, 3648, 4625] 9156 check=None stm=0/0/0 9adbd7ad65142880
     src q=128: [6428, 5355, 4006, 3861, 714, 4558, 3648, 4625] 9156 check=None stm=0/0/0 c9e80cdaa27b6558
@@ -294,4 +298,4 @@ const PARENT: &str = "\
     calls-stm q=7: [2681, 10712, 11412, 9284, 9024, 11791, 11670, 8399] 62645 check=None stm=160/132/0 e55fad12ed186d67
     calls-stm q=128: [4732, 11372, 9265, 13846, 12749, 12533, 6910, 17885] 68385 check=None stm=160/118/0 5453bc927b2c7377
     calls-stm chaos panic=false: [8876, 13226, 13061, 5502, 11553, 8066, 15650, 11379] 66466 check=None stm=160/339/0 626b43caeca4a676
-    calls-stm chaos panic=true: injected panic on thread 0 (fault plan) @39764 check=None stm=82/203/0 f1bb16406533f943";
+    calls-stm chaos panic=true: injected panic on thread 6 (fault plan) @39764 check=None stm=82/203/0 f1bb16406533f943";

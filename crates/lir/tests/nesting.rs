@@ -34,9 +34,12 @@ fn else_ifs(n: usize) -> String {
     format!("fn f(x) {{ if (x) {{ }}{} }}", " else if (x) { }".repeat(n))
 }
 
+/// A named source generator and the largest `n` it may be given.
+type Shape = (&'static str, fn(usize) -> String, usize);
+
 /// Each shape with the largest `n` whose module nests exactly
 /// `MAX_DEPTH` levels.
-fn shapes() -> [(&'static str, fn(usize) -> String, usize); 5] {
+fn shapes() -> [Shape; 5] {
     let max = MAX_DEPTH as usize;
     [
         ("parentheses", parens, max - 2),

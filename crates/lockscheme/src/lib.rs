@@ -22,8 +22,9 @@
 //!
 //! What a lock protects *at run time* — §3.2's concrete semantics — is
 //! not restated here: it is what the lock's grant licenses under
-//! Fig. 6, one predicate (`trace::lockset::licenses`) that Validate
-//! mode, the online sentinel and the offline trace validator share.
+//! Fig. 6, one predicate (`trace::lockset::licenses`) that the online
+//! sentinel — the Theorem-1 checker among its policies — and the
+//! offline trace validator share.
 
 pub mod abslock;
 pub mod scheme;

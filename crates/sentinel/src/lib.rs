@@ -8,10 +8,11 @@
 //! each in-section access — sampling-capable, so production runs can
 //! trade coverage for overhead.
 //!
-//! A violation does not abort the run. The sentinel records a
-//! structured [`Violation`] (section, access, missing mode, held
-//! set), lets the section complete, and feeds a **per-section
-//! quarantine ladder**:
+//! Under [`Response::Fail`] ([`SentinelConfig::validate`], the
+//! Theorem-1 checker) a miss is a hard error. Under
+//! [`Response::Quarantine`] the sentinel records a structured
+//! [`Violation`] (section, access, missing mode, held set), lets the
+//! section complete, and feeds a **per-section quarantine ladder**:
 //!
 //! * first offense demotes the section to the trivially sound global
 //!   scheme (`lockscheme::SchemeConfig::trivially_sound` — at
@@ -32,7 +33,23 @@ use mglock::{FineAddr, Mode, NodeKey};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 
-/// Tuning of one [`Sentinel`].
+/// Clean executions a first-offense quarantine lasts; each re-offense
+/// multiplies the next term by [`FLAP_MULTIPLIER`] (flap damping), up
+/// to [`MAX_PROBATION`].
+const PROBATION: u32 = 4;
+const FLAP_MULTIPLIER: u32 = 2;
+const MAX_PROBATION: u32 = 64;
+
+/// What a [`Sentinel`] does about an access it finds unlicensed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Response {
+    /// Record it and demote the section on the quarantine ladder.
+    Quarantine,
+    /// Fail the accessing thread, recording nothing.
+    Fail,
+}
+
+/// The policy of one [`Sentinel`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SentinelConfig {
     /// Check every `sample_every`-th in-section access per worker
@@ -40,23 +57,15 @@ pub struct SentinelConfig {
     /// sample; 0 disables the access checks entirely while keeping
     /// the quarantine bookkeeping live).
     pub sample_every: u32,
-    /// Consecutive clean executions a quarantined section must serve
-    /// before it is re-admitted.
-    pub probation: u32,
-    /// Probation growth factor when a healed section re-offends
-    /// (flap damping).
-    pub flap_multiplier: u32,
-    /// Upper bound the damped probation saturates at.
-    pub max_probation: u32,
+    /// What a miss does.
+    pub response: Response,
 }
 
 impl Default for SentinelConfig {
     fn default() -> SentinelConfig {
         SentinelConfig {
             sample_every: 1,
-            probation: 4,
-            flap_multiplier: 2,
-            max_probation: 64,
+            response: Response::Quarantine,
         }
     }
 }
@@ -80,6 +89,15 @@ impl SentinelConfig {
         SentinelConfig {
             sample_every: 8,
             ..SentinelConfig::default()
+        }
+    }
+
+    /// The Theorem-1 checker: every in-section access checked, and the
+    /// first unlicensed one fails its thread.
+    pub const fn validate() -> SentinelConfig {
+        SentinelConfig {
+            sample_every: 1,
+            response: Response::Fail,
         }
     }
 }
@@ -179,8 +197,8 @@ enum Health {
 #[derive(Debug)]
 struct SectionState {
     health: Health,
-    /// The term the *next* demotion will impose. Starts at the
-    /// configured probation and grows by the flap multiplier on every
+    /// The term the *next* demotion will impose. Starts at
+    /// [`PROBATION`] and grows by [`FLAP_MULTIPLIER`] on every
     /// demotion, so a section that heals and re-offends serves an
     /// exponentially longer sentence (saturating at the cap).
     next_probation: u32,
@@ -266,7 +284,7 @@ pub fn licensed(
 }
 
 impl Sentinel {
-    /// Creates a monitor with the given tuning.
+    /// Creates a monitor with the given policy.
     pub fn new(cfg: SentinelConfig) -> Sentinel {
         Sentinel {
             cfg,
@@ -274,7 +292,7 @@ impl Sentinel {
         }
     }
 
-    /// The active tuning.
+    /// The active policy.
     pub fn config(&self) -> SentinelConfig {
         self.cfg
     }
@@ -297,10 +315,9 @@ impl Sentinel {
         st.violations += 1;
         let section = v.section;
         st.log.push(v);
-        let cfg = self.cfg;
-        let sec = st.sections.entry(section).or_insert_with(|| SectionState {
+        let sec = st.sections.entry(section).or_insert(SectionState {
             health: Health::Healthy,
-            next_probation: cfg.probation.max(1),
+            next_probation: PROBATION,
         });
         match sec.health {
             Health::Quarantined { probation, .. } => {
@@ -322,9 +339,7 @@ impl Sentinel {
                     remaining: probation,
                     probation,
                 };
-                sec.next_probation = probation
-                    .saturating_mul(cfg.flap_multiplier.max(1))
-                    .min(cfg.max_probation.max(probation));
+                sec.next_probation = probation.saturating_mul(FLAP_MULTIPLIER).min(MAX_PROBATION);
                 st.quarantined += 1;
                 let ev = LadderEvent {
                     section,
@@ -571,10 +586,7 @@ mod tests {
 
     #[test]
     fn first_offense_quarantines_then_probation_heals() {
-        let s = Sentinel::new(SentinelConfig {
-            probation: 3,
-            ..SentinelConfig::default()
-        });
+        let s = Sentinel::new(SentinelConfig::default());
         assert!(!s.is_quarantined(5));
         let ev = s.report_violation(violation(5)).expect("demotes");
         assert_eq!(
@@ -582,7 +594,7 @@ mod tests {
             LadderEvent {
                 section: 5,
                 healed: false,
-                probation: 3
+                probation: PROBATION
             }
         );
         assert!(s.is_quarantined(5));
@@ -590,18 +602,19 @@ mod tests {
         assert!(s.report_violation(violation(5)).is_none());
         assert_eq!(s.sentinel_violations(), 2);
         assert_eq!(s.sections_quarantined(), 1);
-        // Two clean executions: still serving.
-        assert!(s.section_closed(5, true).is_none());
-        assert!(s.section_closed(5, true).is_none());
+        // One clean execution short of the term: still serving.
+        for _ in 1..PROBATION {
+            assert!(s.section_closed(5, true).is_none());
+        }
         assert!(s.is_quarantined(5));
-        // The third completes the term.
+        // The last completes it.
         let heal = s.section_closed(5, true).expect("heals");
         assert_eq!(
             heal,
             LadderEvent {
                 section: 5,
                 healed: true,
-                probation: 3
+                probation: PROBATION
             }
         );
         assert!(!s.is_quarantined(5));
@@ -610,13 +623,8 @@ mod tests {
 
     #[test]
     fn flap_damping_grows_the_term_exponentially_and_saturates() {
-        let s = Sentinel::new(SentinelConfig {
-            probation: 4,
-            flap_multiplier: 2,
-            max_probation: 10,
-            ..SentinelConfig::default()
-        });
-        let terms: Vec<u32> = (0..4)
+        let s = Sentinel::new(SentinelConfig::default());
+        let terms: Vec<u32> = (0..6)
             .map(|_| {
                 let ev = s.report_violation(violation(1)).expect("demotes");
                 for _ in 0..ev.probation {
@@ -626,36 +634,33 @@ mod tests {
                 ev.probation
             })
             .collect();
-        assert_eq!(terms, vec![4, 8, 10, 10], "doubles, then caps");
-        assert_eq!(s.history().iter().filter(|e| !e.healed).count(), 4);
-        assert_eq!(s.history().iter().filter(|e| e.healed).count(), 4);
+        assert_eq!(terms, vec![4, 8, 16, 32, 64, 64], "doubles, then caps");
+        assert_eq!(s.history().iter().filter(|e| !e.healed).count(), 6);
+        assert_eq!(s.history().iter().filter(|e| e.healed).count(), 6);
     }
 
     #[test]
     fn dirty_executions_restart_the_term() {
-        let s = Sentinel::new(SentinelConfig {
-            probation: 2,
-            ..SentinelConfig::default()
-        });
+        let s = Sentinel::new(SentinelConfig::default());
         s.report_violation(violation(9)).expect("demotes");
         assert!(s.section_closed(9, true).is_none());
         // One execution was dirty: progress resets.
         assert!(s.section_closed(9, false).is_none());
-        assert!(s.section_closed(9, true).is_none());
+        for _ in 1..PROBATION {
+            assert!(s.section_closed(9, true).is_none());
+        }
         let heal = s.section_closed(9, true).expect("full term served");
         assert!(heal.healed);
     }
 
     #[test]
     fn probation_violation_restarts_the_term_without_new_ladder_events() {
-        let s = Sentinel::new(SentinelConfig {
-            probation: 3,
-            ..SentinelConfig::default()
-        });
+        let s = Sentinel::new(SentinelConfig::default());
         s.report_violation(violation(7)).expect("demotes");
-        // Two clean executions leave one to serve…
-        assert!(s.section_closed(7, true).is_none());
-        assert!(s.section_closed(7, true).is_none());
+        // All but one clean execution leave one to serve…
+        for _ in 1..PROBATION {
+            assert!(s.section_closed(7, true).is_none());
+        }
         // …then a violation lands during probation (e.g. a nested
         // enter wiped the worker's dirty flag, so the close below
         // reports clean). It must restart the term itself, without
@@ -668,7 +673,9 @@ mod tests {
         );
         // The full term was owed again as of the violation; only its
         // last close heals.
-        assert!(s.section_closed(7, true).is_none());
+        for _ in 2..PROBATION {
+            assert!(s.section_closed(7, true).is_none());
+        }
         let heal = s.section_closed(7, true).expect("term served anew");
         assert!(heal.healed);
         assert_eq!(s.sections_quarantined(), 1);
@@ -701,15 +708,15 @@ mod tests {
 
     #[test]
     fn repairs_activate_on_heal_and_revoke_on_reoffense() {
-        let s = Sentinel::new(SentinelConfig {
-            probation: 1,
-            ..SentinelConfig::default()
-        });
+        let s = Sentinel::new(SentinelConfig::default());
         s.install_repair(4, 2);
         // Dormant until the section heals.
         assert_eq!(s.active_repair(4), None);
         s.report_violation(violation(4)).expect("demotes");
         assert_eq!(s.active_repair(4), None);
+        for _ in 1..PROBATION {
+            assert!(s.section_closed(4, true).is_none());
+        }
         s.section_closed(4, true).expect("heals");
         assert_eq!(s.activate_repair(4), Some(2));
         assert_eq!(s.active_repair(4), Some(2));
@@ -719,9 +726,11 @@ mod tests {
         s.report_violation(violation(4)).expect("re-demotes");
         assert_eq!(s.revoke_repair(4), Some(2));
         assert_eq!(s.active_repair(4), None);
-        // …for good: the next heal (a flap-damped two-execution term)
+        // …for good: the next heal (a flap-damped, twice-as-long term)
         // goes back to the seed scheme.
-        assert!(s.section_closed(4, true).is_none());
+        for _ in 1..PROBATION * FLAP_MULTIPLIER {
+            assert!(s.section_closed(4, true).is_none());
+        }
         s.section_closed(4, true).expect("heals again");
         assert_eq!(s.activate_repair(4), None);
         // Revoking when nothing is active is a no-op.
@@ -774,8 +783,14 @@ mod tests {
         let p = SentinelConfig::sampled_production();
         assert_eq!(p.sample_every, 8);
         assert!(p.should_check(0) && p.should_check(8) && !p.should_check(7));
-        // The quarantine ladder tuning is the default's.
-        assert_eq!(p.probation, SentinelConfig::default().probation);
-        assert_eq!(p.max_probation, SentinelConfig::default().max_probation);
+        // It quarantines, like the default.
+        assert_eq!(p.response, Response::Quarantine);
+    }
+
+    #[test]
+    fn validate_preset_checks_everything_and_fails() {
+        let v = SentinelConfig::validate();
+        assert!((0..16).all(|n| v.should_check(n)));
+        assert_eq!(v.response, Response::Fail);
     }
 }

@@ -9,10 +9,11 @@
 //!
 //! Used by the integration suite to check, over many random programs:
 //!
-//! * the transformed program passes the Validate-mode Theorem-1 checker
-//!   for every `k`;
-//! * Global, MultiGrain, Stm, and Validate execution all compute the
-//!   same result (single-threaded differential equivalence).
+//! * the transformed program passes the Theorem-1 checker (MultiGrain
+//!   under `SentinelConfig::validate`) for every `k`;
+//! * Global, MultiGrain, Stm, and checked MultiGrain execution all
+//!   compute the same result (single-threaded differential
+//!   equivalence).
 
 use crate::RunSpec;
 use std::fmt::Write as _;

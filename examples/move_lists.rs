@@ -5,14 +5,15 @@
 //!
 //! Prints the Figure 1(c) lock set — fine locks on `&(to->head)` and
 //! `&(from->head)` plus the coarse element lock `E` — then runs the
-//! symmetric movers under all four execution disciplines.
+//! symmetric movers under all three execution disciplines, plus the
+//! multi-grain locks again with the Theorem-1 checker armed.
 //!
 //! ```text
 //! cargo run --example move_lists
 //! ```
 
 use atomic_lock_inference::{interp, lockinfer, pointsto};
-use interp::{ExecMode, Machine, Options};
+use interp::{ExecMode, Machine, Options, SentinelConfig};
 use std::sync::Arc;
 
 const SRC: &str = r#"
@@ -80,22 +81,27 @@ fn main() {
     println!();
 
     let elements = 40;
-    for mode in [
-        ExecMode::Global,
-        ExecMode::MultiGrain,
-        ExecMode::Stm,
-        ExecMode::Validate,
+    for (mode, sentinel) in [
+        (ExecMode::Global, None),
+        (ExecMode::MultiGrain, None),
+        (ExecMode::Stm, None),
+        (ExecMode::MultiGrain, Some(SentinelConfig::validate())),
     ] {
         let pt = Arc::new(pointsto::PointsTo::analyze(&program));
-        let machine = Machine::new(Arc::new(transformed.clone()), pt, mode, Options::default());
+        let opts = Options {
+            sentinel,
+            ..Options::default()
+        };
+        let machine = Machine::new(Arc::new(transformed.clone()), pt, mode, opts);
         machine.run_named("setup", &[elements]).expect("setup");
         machine
             .run_threads("mover", 4, |_| vec![50])
             .expect("movers");
         let total = machine.run_named("total", &[]).expect("total");
         println!(
-            "{mode:?}: 4 symmetric movers × 50 rounds — {total} elements survive \
+            "{mode:?}{}: 4 symmetric movers × 50 rounds — {total} elements survive \
              (expected {elements}) {}",
+            if sentinel.is_some() { " (checked)" } else { "" },
             if total == elements { "✓" } else { "✗" }
         );
         assert_eq!(total, elements);

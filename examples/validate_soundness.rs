@@ -1,6 +1,7 @@
-//! Theorem 1, empirically: run a workload in Validate mode — every
-//! heap access inside an atomic section must be licensed, under
-//! Fig. 6, by a lock grant the section holds — then sabotage the
+//! Theorem 1, empirically: run a workload under its inferred locks with
+//! the checker armed — a sentinel whose policy checks every heap access
+//! inside an atomic section and fails the run on the first one no lock
+//! grant the section holds licenses under Fig. 6 — then sabotage the
 //! transformation and watch the checker flag the hole.
 //!
 //! ```text
@@ -8,7 +9,7 @@
 //! ```
 
 use atomic_lock_inference::{interp, lockinfer, pointsto, workloads};
-use interp::{ExecMode, InterpError, Machine, Options};
+use interp::{ExecMode, InterpError, Machine, Options, SentinelConfig};
 use lir::{Instr, LockSpec};
 use std::sync::Arc;
 use workloads::Contention;
@@ -22,11 +23,15 @@ fn main() {
     let transformed = lockinfer::transform(&program, &analysis);
 
     // 1. The inferred locks pass the Theorem-1 checker.
+    let checked = || Options {
+        sentinel: Some(SentinelConfig::validate()),
+        ..Options::default()
+    };
     let machine = Machine::new(
         Arc::new(transformed.clone()),
         Arc::clone(&pt),
-        ExecMode::Validate,
-        Options::default(),
+        ExecMode::MultiGrain,
+        checked(),
     );
     let (init_fn, init_args) = &spec.init;
     machine
@@ -57,7 +62,7 @@ fn main() {
         }
     }
     println!("sabotaged the first section: removed {removed} coarse lock(s)");
-    let machine = Machine::new(Arc::new(broken), pt, ExecMode::Validate, Options::default());
+    let machine = Machine::new(Arc::new(broken), pt, ExecMode::MultiGrain, checked());
     // The prefill already exercises the sabotaged section, so the very
     // first run trips the checker.
     let err = machine

@@ -16,7 +16,7 @@
 //! ```
 
 use atomic_lock_inference::{interp, lockinfer, lockscheme, pointsto};
-use interp::{ExecMode, Machine, Options};
+use interp::{ExecMode, Machine, Options, SentinelConfig};
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -27,6 +27,8 @@ struct Args {
     run: Option<String>,
     threads: usize,
     mode: ExecMode,
+    /// The sentinel the run is checked by (`--mode validate`).
+    sentinel: Option<SentinelConfig>,
     run_args: Vec<i64>,
     virtual_time: bool,
     heap_cells: usize,
@@ -46,7 +48,9 @@ options:
   --run <fn>         execute <fn> in the transformed program
   --args <a,b,..>    integer arguments for --run
   --threads <n>      run <fn> on n threads (default 1)
-  --mode <m>         global | multigrain | stm | validate (default multigrain)
+  --mode <m>         global | multigrain | stm (default multigrain), or
+                     validate: multigrain with every in-section access
+                     checked, the first unlicensed one an error
   --virtual          use the deterministic virtual-time scheduler and
                      report the makespan
   --heap <cells>     heap size in cells (default 4194304)
@@ -60,6 +64,7 @@ fn parse_args() -> Result<Args, String> {
         run: None,
         threads: 1,
         mode: ExecMode::MultiGrain,
+        sentinel: None,
         run_args: Vec::new(),
         virtual_time: false,
         heap_cells: 1 << 22,
@@ -89,11 +94,11 @@ fn parse_args() -> Result<Args, String> {
                     .collect::<Result<_, _>>()?
             }
             "--mode" => {
-                args.mode = match want("--mode")?.as_str() {
-                    "global" => ExecMode::Global,
-                    "multigrain" => ExecMode::MultiGrain,
-                    "stm" => ExecMode::Stm,
-                    "validate" => ExecMode::Validate,
+                (args.mode, args.sentinel) = match want("--mode")?.as_str() {
+                    "global" => (ExecMode::Global, None),
+                    "multigrain" => (ExecMode::MultiGrain, None),
+                    "stm" => (ExecMode::Stm, None),
+                    "validate" => (ExecMode::MultiGrain, Some(SentinelConfig::validate())),
                     other => return Err(format!("unknown mode `{other}`")),
                 }
             }
@@ -184,6 +189,7 @@ fn drive(args: Args) -> Result<(), String> {
         args.mode,
         Options {
             heap_cells: args.heap_cells,
+            sentinel: args.sentinel,
             ..Options::default()
         },
     );

@@ -15,9 +15,9 @@
 //! | [`lockinfer`] | **the paper's contribution**: backward lock inference + transformation |
 //! | [`mglock`] | multi-granularity lock runtime (IS/IX/S/SIX/X) |
 //! | [`tl2`] | TL2-style STM (the optimistic baseline) |
-//! | [`interp`] | concurrent interpreter: Global/MultiGrain/Stm/Validate + virtual time |
+//! | [`interp`] | concurrent interpreter: Global/MultiGrain/Stm + virtual time |
 //! | [`trace`] | event tracing, Eraser-style lockset validation, profiles |
-//! | [`sentinel`] | online lockset sentinel: inline licensing checks, per-section quarantine |
+//! | [`sentinel`] | online lockset sentinel: inline licensing checks; a miss quarantines the section or, as the Theorem-1 checker, fails the run |
 //! | [`sched`] | pluggable deterministic wake policies + convoy detection |
 //! | `reinfer` | quarantine-aware re-inference: diagnose sentinel violations, repair demoted sections (see [`reinfer`](crate::reinfer)) |
 //! | [`workloads`] | the evaluation programs (micro, STAMP-like, SPEC-like) |

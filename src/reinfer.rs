@@ -98,10 +98,7 @@ mod tests {
             quantum: 64,
             stm_abort_budget: 16,
             faults: None,
-            sentinel: Some(SentinelConfig {
-                sample_every: 1,
-                ..SentinelConfig::default()
-            }),
+            sentinel: Some(SentinelConfig::default()),
             weaken: Some(WeakenPlan {
                 section: 0,
                 drop_index: 0,

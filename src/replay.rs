@@ -23,7 +23,9 @@
 //! ```
 
 use crate::eval::{EvalContext, Stamp};
-use interp::{ExecMode, FaultPlan, Options, RepairSpec, SchedConfig, SentinelConfig, WeakenPlan};
+use interp::{
+    ExecMode, FaultPlan, Options, RepairSpec, Response, SchedConfig, SentinelConfig, WeakenPlan,
+};
 use lockscheme::{ConfigMap, SchemeConfig};
 use trace::Trace;
 
@@ -140,9 +142,11 @@ impl RunConfig {
             None => None,
             Some(_) => Some(SentinelConfig {
                 sample_every: meta_int(t, "run.sentinel_sample")?,
-                probation: meta_int(t, "run.sentinel_probation")?,
-                flap_multiplier: meta_int(t, "run.sentinel_flap")?,
-                max_probation: meta_int(t, "run.sentinel_max")?,
+                response: match t.meta_get("run.sentinel_response") {
+                    None => Response::Quarantine,
+                    Some("fail") => Response::Fail,
+                    Some(v) => return Err(format!("replay: bad `run.sentinel_response`: `{v}`")),
+                },
             }),
         };
         let weaken = match t.meta_get("run.weaken_section") {
@@ -250,9 +254,9 @@ impl RunConfig {
         }
         if let Some(s) = self.sentinel {
             t.meta_set("run.sentinel_sample", s.sample_every.to_string());
-            t.meta_set("run.sentinel_probation", s.probation.to_string());
-            t.meta_set("run.sentinel_flap", s.flap_multiplier.to_string());
-            t.meta_set("run.sentinel_max", s.max_probation.to_string());
+            if s.response == Response::Fail {
+                t.meta_set("run.sentinel_response", "fail".to_owned());
+            }
         }
         if let Some(w) = self.weaken {
             t.meta_set("run.weaken_section", w.section.to_string());
@@ -349,7 +353,6 @@ fn parse_mode(s: &str) -> Result<ExecMode, String> {
         "Global" => ExecMode::Global,
         "MultiGrain" => ExecMode::MultiGrain,
         "Stm" => ExecMode::Stm,
-        "Validate" => ExecMode::Validate,
         other => return Err(format!("replay: unknown mode `{other}`")),
     })
 }
@@ -579,9 +582,7 @@ mod tests {
         c.faults = Some(FaultPlan::new(9).with_stm_aborts(40));
         c.sentinel = Some(SentinelConfig {
             sample_every: 2,
-            probation: 3,
-            flap_multiplier: 4,
-            max_probation: 24,
+            response: Response::Fail,
         });
         c.weaken = Some(WeakenPlan {
             section: 1,
@@ -661,7 +662,7 @@ mod tests {
     fn hostile_replay_metadata_is_rejected_with_a_typed_error() {
         let mut c = cfg(ExecMode::MultiGrain);
         c.faults = Some(FaultPlan::new(9).with_stm_aborts(40));
-        c.sentinel = Some(SentinelConfig::default());
+        c.sentinel = Some(SentinelConfig::validate());
         c.weaken = Some(WeakenPlan {
             section: 0,
             drop_index: 0,
@@ -681,9 +682,9 @@ mod tests {
             ("run.fault_stall_pm", (u16_max + 1).to_string()),
             ("run.fault_max_panics", (u32_max + 1).to_string()),
             ("run.sentinel_sample", (u32_max + 1).to_string()),
-            ("run.sentinel_probation", (u32_max + 1).to_string()),
-            ("run.sentinel_flap", (u32_max + 1).to_string()),
-            ("run.sentinel_max", (u32_max + 1).to_string()),
+            ("run.sentinel_response", "warn".into()),
+            // The checker is a sentinel policy, not a discipline.
+            ("run.mode", "Validate".into()),
             ("run.weaken_section", (u32_max + 1).to_string()),
             ("run.weaken_drop", "18446744073709551616".into()),
         ];

@@ -9,7 +9,8 @@
 //!   makespan, printed output, degradation counters), twice;
 //! * locks are **quiescent** afterwards no matter how workers died;
 //! * surviving multi-grain runs pass the Theorem-1 coverage check when
-//!   re-executed under Validate mode with the same plan;
+//!   re-executed with the checker armed (`SentinelConfig::validate`)
+//!   under the same plan;
 //! * an abort storm drives TL2 into its irrevocable fallback within the
 //!   configured abort budget;
 //! * every run records an event trace whose digest reproduces exactly,
@@ -86,16 +87,16 @@ struct Digest {
 /// Runs `spec` once under `mode` with `plan` injected and tracing on,
 /// inside a watchdog: exceeding [`WATCHDOG`] is reported as a hang.
 fn chaos_run(spec: RunSpec, mode: ExecMode, plan: FaultPlan) -> (Digest, ali::trace::Trace) {
-    chaos_run_sched(spec, mode, plan, None)
+    chaos_run_with(spec, mode, plan, Options::default())
 }
 
-/// [`chaos_run`] with an optional wake policy steering the virtual
-/// scheduler's release order.
-fn chaos_run_sched(
+/// [`chaos_run`] on top of `base`'s options: a wake policy steering the
+/// virtual scheduler's release order, or a sentinel checking the run.
+fn chaos_run_with(
     spec: RunSpec,
     mode: ExecMode,
     plan: FaultPlan,
-    sched: Option<ali::interp::SchedConfig>,
+    base: Options,
 ) -> (Digest, ali::trace::Trace) {
     let label = format!("{} [{mode:?}] plan {:#x}", spec.name, plan.seed);
     let (tx, rx) = mpsc::channel();
@@ -105,8 +106,7 @@ fn chaos_run_sched(
             faults: Some(plan),
             stm_abort_budget: 64,
             trace: Some(ali::trace::TraceConfig::default()),
-            sched,
-            ..Options::default()
+            ..base
         };
         let m = build(&spec, mode, opts);
         let (init_fn, init_args) = &spec.init;
@@ -233,14 +233,13 @@ fn chaos_wake_policies_reproduce_under_delayed_wakeups() {
         };
         for spec in specs() {
             let label = format!("{} [MultiGrain] wake {}", spec.name, kind.tag());
-            let (first, trace) = chaos_run_sched(
-                spec.clone(),
-                ExecMode::MultiGrain,
-                plan,
-                Some(sched.clone()),
-            );
-            let (second, _) =
-                chaos_run_sched(spec, ExecMode::MultiGrain, plan, Some(sched.clone()));
+            let steered = || Options {
+                sched: Some(sched.clone()),
+                ..Options::default()
+            };
+            let (first, trace) =
+                chaos_run_with(spec.clone(), ExecMode::MultiGrain, plan, steered());
+            let (second, _) = chaos_run_with(spec, ExecMode::MultiGrain, plan, steered());
             assert_eq!(first, second, "{label}: steered chaos must reproduce");
             if let Some(Err(e)) = &first.outcome {
                 assert_typed(&label, e);
@@ -256,13 +255,17 @@ fn chaos_wake_policies_reproduce_under_delayed_wakeups() {
 
 #[test]
 fn chaos_survivors_pass_theorem_1_coverage() {
-    // Re-run the multi-grain combinations under Validate mode: every
+    // Re-run the multi-grain combinations with the checker armed: every
     // in-section access of a surviving execution must be covered by a
     // held lock (Theorem 1), fault plan and all.
     for plan in plans() {
         for spec in specs() {
-            let label = format!("{} [Validate] plan {:#x}", spec.name, plan.seed);
-            let (digest, trace) = chaos_run(spec, ExecMode::Validate, plan);
+            let label = format!("{} [checked] plan {:#x}", spec.name, plan.seed);
+            let checked = Options {
+                sentinel: Some(SentinelConfig::validate()),
+                ..Options::default()
+            };
+            let (digest, trace) = chaos_run_with(spec, ExecMode::MultiGrain, plan, checked);
             if let Err(e) = &digest.init {
                 assert_typed(&label, e);
             }

@@ -77,7 +77,7 @@ fn corpus_runs_replay_deterministically_when_armed_and_weakened() {
         let text = std::fs::read_to_string(&path).unwrap();
         let t = trace::Trace::from_json(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
         let mut cfg = replay::RunConfig::from_trace(&t).unwrap_or_else(|e| panic!("{name}: {e}"));
-        if !matches!(cfg.mode, ExecMode::MultiGrain | ExecMode::Validate) {
+        if cfg.mode != ExecMode::MultiGrain {
             continue; // no inferred locks to weaken under Global/Stm
         }
         cfg.name.push_str("-armed");

@@ -4,11 +4,21 @@
 //! checked afterwards.
 
 use atomic_lock_inference::{interp, lockinfer, lockscheme, pointsto, workloads};
-use interp::{ExecMode, Machine, Options};
+use interp::{ExecMode, Machine, Options, SentinelConfig};
 use std::sync::Arc;
 use workloads::{Contention, RunSpec};
 
-fn run_spec(spec: &RunSpec, mode: ExecMode, k: usize, threads: usize) {
+/// The Theorem-1 checker: every in-section access checked, a miss fatal.
+const VALIDATE: Option<SentinelConfig> = Some(SentinelConfig::validate());
+
+/// Runs `spec` under `mode`, checked by `sentinel` when one is given.
+fn run_spec(
+    spec: &RunSpec,
+    mode: ExecMode,
+    sentinel: Option<SentinelConfig>,
+    k: usize,
+    threads: usize,
+) {
     let program = lir::compile(&spec.source).unwrap_or_else(|e| panic!("{}: {e}", spec.name));
     let pt = Arc::new(pointsto::PointsTo::analyze(&program));
     let cfg = lockscheme::SchemeConfig::full(k, program.elem_field_opt());
@@ -20,21 +30,22 @@ fn run_spec(spec: &RunSpec, mode: ExecMode, k: usize, threads: usize) {
         mode,
         Options {
             heap_cells: spec.heap_cells,
+            sentinel,
             ..Options::default()
         },
     );
     let (init_fn, init_args) = &spec.init;
     machine
         .run_named(init_fn, init_args)
-        .unwrap_or_else(|e| panic!("{} init ({mode:?}, k={k}): {e}", spec.name));
+        .unwrap_or_else(|e| panic!("{} init ({mode:?} {sentinel:?}, k={k}): {e}", spec.name));
     let (worker_fn, worker_args) = &spec.worker;
     machine
         .run_threads(worker_fn, threads, |_| worker_args.clone())
-        .unwrap_or_else(|e| panic!("{} worker ({mode:?}, k={k}): {e}", spec.name));
+        .unwrap_or_else(|e| panic!("{} worker ({mode:?} {sentinel:?}, k={k}): {e}", spec.name));
     if let Some(check) = spec.check {
         machine
             .run_named(check, &[])
-            .unwrap_or_else(|e| panic!("{} check ({mode:?}, k={k}): {e}", spec.name));
+            .unwrap_or_else(|e| panic!("{} check ({mode:?} {sentinel:?}, k={k}): {e}", spec.name));
     }
 }
 
@@ -43,7 +54,7 @@ fn micro_benchmarks_run_under_all_modes() {
     for c in [Contention::Low, Contention::High] {
         for spec in workloads::micro::all(c, 150, 3) {
             for mode in [ExecMode::Global, ExecMode::MultiGrain, ExecMode::Stm] {
-                run_spec(&spec, mode, 9, 4);
+                run_spec(&spec, mode, None, 9, 4);
             }
         }
     }
@@ -56,7 +67,7 @@ fn micro_benchmarks_validate_at_every_k() {
     for c in [Contention::Low, Contention::High] {
         for spec in workloads::micro::all(c, 120, 0) {
             for k in [0, 1, 2, 9] {
-                run_spec(&spec, ExecMode::Validate, k, 1);
+                run_spec(&spec, ExecMode::MultiGrain, VALIDATE, k, 1);
             }
         }
     }
@@ -66,9 +77,9 @@ fn micro_benchmarks_validate_at_every_k() {
 fn stamp_kernels_run_under_all_modes() {
     for spec in workloads::stamp::all(120, 3) {
         for mode in [ExecMode::Global, ExecMode::MultiGrain, ExecMode::Stm] {
-            run_spec(&spec, mode, 9, 4);
+            run_spec(&spec, mode, None, 9, 4);
         }
-        run_spec(&spec, ExecMode::Validate, 3, 1);
+        run_spec(&spec, ExecMode::MultiGrain, VALIDATE, 3, 1);
     }
 }
 
@@ -79,7 +90,7 @@ fn coarse_only_locks_also_run_concurrently() {
         workloads::micro::hashtable2(Contention::High, 150, 2),
         workloads::micro::th(Contention::Low, 150, 2),
     ] {
-        run_spec(&spec, ExecMode::MultiGrain, 0, 8);
+        run_spec(&spec, ExecMode::MultiGrain, None, 0, 8);
     }
 }
 

@@ -2,10 +2,20 @@
 //! randomly generated runnable programs.
 
 use atomic_lock_inference::{interp, lockinfer, lockscheme, pointsto, workloads};
-use interp::{ExecMode, Machine, Options};
+use interp::{ExecMode, Machine, Options, SentinelConfig};
 use std::sync::Arc;
 
-fn checksum(spec: &workloads::RunSpec, mode: ExecMode, k: usize) -> i64 {
+/// The Theorem-1 checker: every in-section access checked, a miss fatal.
+const VALIDATE: Option<SentinelConfig> = Some(SentinelConfig::validate());
+
+/// `main`'s result under `mode`, checked by `sentinel` when one is
+/// given.
+fn checksum(
+    spec: &workloads::RunSpec,
+    mode: ExecMode,
+    sentinel: Option<SentinelConfig>,
+    k: usize,
+) -> i64 {
     let program = lir::compile(&spec.source).unwrap_or_else(|e| panic!("{}: {e}", spec.name));
     let pt = Arc::new(pointsto::PointsTo::analyze(&program));
     let cfg = lockscheme::SchemeConfig::full(k, program.elem_field_opt());
@@ -17,25 +27,26 @@ fn checksum(spec: &workloads::RunSpec, mode: ExecMode, k: usize) -> i64 {
         mode,
         Options {
             heap_cells: spec.heap_cells,
+            sentinel,
             ..Options::default()
         },
     );
     machine.run_named("main", &[]).unwrap_or_else(|e| {
         panic!(
-            "{} under {mode:?} (k={k}): {e}\n--- source ---\n{}",
+            "{} under {mode:?} {sentinel:?} (k={k}): {e}\n--- source ---\n{}",
             spec.name, spec.source
         )
     })
 }
 
-/// Theorem 1, empirically: for random programs and every k, the
-/// Validate-mode run never reports an unprotected access.
+/// Theorem 1, empirically: for random programs and every k, a run
+/// under the checker never reports an unprotected access.
 #[test]
 fn inferred_locks_cover_all_section_accesses() {
     for seed in 0..60 {
         let spec = workloads::fuzz::runnable(seed, 50);
         for k in [0, 1, 3, 9] {
-            checksum(&spec, ExecMode::Validate, k);
+            checksum(&spec, ExecMode::MultiGrain, VALIDATE, k);
         }
     }
 }
@@ -46,15 +57,18 @@ fn inferred_locks_cover_all_section_accesses() {
 fn all_modes_compute_the_same_result() {
     for seed in 60..110 {
         let spec = workloads::fuzz::runnable(seed, 60);
-        let expect = checksum(&spec, ExecMode::Global, 3);
-        for (mode, k) in [
-            (ExecMode::MultiGrain, 0),
-            (ExecMode::MultiGrain, 9),
-            (ExecMode::Stm, 3),
-            (ExecMode::Validate, 3),
+        let expect = checksum(&spec, ExecMode::Global, None, 3);
+        for (mode, sentinel, k) in [
+            (ExecMode::MultiGrain, None, 0),
+            (ExecMode::MultiGrain, None, 9),
+            (ExecMode::Stm, None, 3),
+            (ExecMode::MultiGrain, VALIDATE, 3),
         ] {
-            let got = checksum(&spec, mode, k);
-            assert_eq!(got, expect, "seed {seed}: {mode:?} k={k} diverged");
+            let got = checksum(&spec, mode, sentinel, k);
+            assert_eq!(
+                got, expect,
+                "seed {seed}: {mode:?} {sentinel:?} k={k} diverged"
+            );
         }
     }
 }

@@ -1,46 +1,36 @@
-//! Validate mode's verdict on every single-lock weakening, pinned.
+//! The Theorem-1 checker's verdict on every single-lock weakening,
+//! pinned.
 //!
 //! For each program below, at k ∈ {0, 3, 9} and on 1 and 4 virtual
 //! threads, every `WeakenPlan { section, drop_index }` the inferred
-//! plan admits is run twice with tracing on: once under Validate mode,
-//! whose outcome is a result or the hard `Unprotected` error naming
-//! the first uncovered access, and once under MultiGrain, whose trace
-//! the offline lockset validator then checks. Both lines of every
-//! configuration are held to `tests/golden/validate_pins.txt`, which
-//! was recorded before Validate mode's coverage check was rewritten;
-//! it is never regenerated to make this test pass.
+//! plan admits is run twice under MultiGrain with tracing on: once
+//! with the checker armed (`SentinelConfig::validate`), whose outcome
+//! is a result or the hard `Unprotected` error naming the earliest
+//! uncovered access, and once unchecked, whose trace the offline
+//! lockset validator then checks. Both lines of every configuration are
+//! held to `tests/golden/validate_pins.txt`, which was recorded before
+//! the checker's coverage test was rewritten; it is never regenerated
+//! to make this test pass. Four of its lines (`hashtable2_mg_k9`, four
+//! threads) were re-pinned once, when a virtual run began reporting its
+//! earliest error rather than that of its lowest failing thread id:
+//! they used to name a later miss of a lower-numbered thread.
 //!
-//! The two checkers must also agree: where Validate stops at an
+//! The two checkers must also agree: where the checker stops at an
 //! uncovered access, the validator's first violation in epoch order is
-//! that same `(section, cell, effect)`, and where Validate runs to the
-//! end, the trace is clean. The tracing makes the two runs follow one
-//! schedule up to Validate's first error (the coverage check charges no
-//! virtual time). [`ORDER_DISAGREEMENTS`] lists the configurations
-//! where the names differ, and why.
+//! that same `(section, cell, effect)`, and where the checker runs to
+//! the end, the trace is clean. The tracing makes the two runs follow
+//! one schedule up to the checker's error (the check charges no virtual
+//! time). The failing access is itself traced, so the checked run's own
+//! trace must name it as its first violation too.
 
 use atomic_lock_inference as ali;
 
-use ali::interp::{ExecMode, InterpError, Machine, Options, WeakenPlan};
+use ali::interp::{ExecMode, InterpError, Machine, Options, SentinelConfig, WeakenPlan};
 use ali::lir;
 use ali::pointsto::PointsTo;
 use ali::replay::RunConfig;
 use std::fmt::Write as _;
 use std::sync::Arc;
-
-/// Four-thread configurations where Validate's error and the
-/// validator's first violation name different accesses, as recorded
-/// before the rewrite. `run_threads_virtual` reports the error of the
-/// lowest failing thread id, not the earliest: in each of these, tid 2
-/// is the first to touch an uncovered cell (the validator's first
-/// violation), Validate ends tid 2 there, and the schedule without it
-/// later stops a lower-numbered thread at a different cell, and that
-/// error is the one returned.
-const ORDER_DISAGREEMENTS: [&str; 4] = [
-    "hashtable2_mg_k9 k=0 t=4 drop 2:2",
-    "hashtable2_mg_k9 k=0 t=4 drop 2:3",
-    "hashtable2_mg_k9 k=3 t=4 drop 2:0",
-    "hashtable2_mg_k9 k=9 t=4 drop 2:0",
-];
 
 /// One program and how to drive it.
 struct Fixture {
@@ -160,12 +150,13 @@ fn effect(write: bool) -> &'static str {
     }
 }
 
-/// Runs `fx` weakened by `weaken` under `mode` with tracing on.
+/// Runs `fx` weakened by `weaken` under MultiGrain with tracing on,
+/// checked by `sentinel` when one is given.
 fn run(
     fx: &Fixture,
     transformed: &Arc<lir::Program>,
     pt: &Arc<PointsTo>,
-    mode: ExecMode,
+    sentinel: Option<SentinelConfig>,
     threads: usize,
     weaken: WeakenPlan,
 ) -> (Result<(Vec<i64>, u64), InterpError>, Machine) {
@@ -174,12 +165,18 @@ fn run(
         seed: fx.seed,
         quantum: fx.quantum,
         weaken: Some(weaken),
+        sentinel,
         trace: Some(ali::trace::TraceConfig::default()),
         ..Options::default()
     };
-    let m = Machine::new(Arc::clone(transformed), Arc::clone(pt), mode, opts);
+    let m = Machine::new(
+        Arc::clone(transformed),
+        Arc::clone(pt),
+        ExecMode::MultiGrain,
+        opts,
+    );
     // The weakening applies to the setup call too, so a setup that
-    // trips Validate ends the run there.
+    // trips the checker ends the run there.
     let outcome = match &fx.init {
         Some((f, args)) => m.run_named(f, args).map(drop),
         None => Ok(()),
@@ -197,8 +194,9 @@ fn configuration(
     threads: usize,
     weaken: WeakenPlan,
 ) -> (String, bool) {
-    let (validate, _) = run(fx, transformed, pt, ExecMode::Validate, threads, weaken);
-    let (mg, m) = run(fx, transformed, pt, ExecMode::MultiGrain, threads, weaken);
+    let checker = Some(SentinelConfig::validate());
+    let (validate, checked) = run(fx, transformed, pt, checker, threads, weaken);
+    let (mg, m) = run(fx, transformed, pt, None, threads, weaken);
     let mut lines = String::new();
     let validate_miss: Option<Miss> = match &validate {
         Ok((results, makespan)) => {
@@ -221,8 +219,22 @@ fn configuration(
             .unwrap();
             Some((section.0, *addr, *write))
         }
-        Err(e) => panic!("{}: Validate failed otherwise: {e}", fx.name),
+        Err(e) => panic!("{}: the checked run failed otherwise: {e}", fx.name),
     };
+    if let Some(miss) = validate_miss {
+        // The failing access was traced before the check ended its
+        // thread, and every access before it in the run's one order
+        // passed the same predicate the validator asks.
+        let own = checked.take_trace().expect("traced");
+        let v = ali::trace::validate(&own).expect("complete trace");
+        let first = v.violations.iter().min_by_key(|v| v.epoch);
+        assert_eq!(
+            first.map(|f| (f.section, f.addr, f.write)),
+            Some(miss),
+            "{}: the checked run's own trace names another first miss",
+            fx.name
+        );
+    }
     let (results, makespan) =
         mg.unwrap_or_else(|e| panic!("{}: weakened MultiGrain: {e}", fx.name));
     let trace = m.take_trace().expect("traced");
@@ -284,16 +296,15 @@ fn validate_outcomes_match_the_pins_and_the_offline_validator() {
             .map(|(a, p)| format!("  pinned: {p}\n  actual: {a}"))
             .collect();
         panic!(
-            "Validate outcomes drifted from tests/golden/validate_pins.txt \
+            "checked outcomes drifted from tests/golden/validate_pins.txt \
              ({} actual vs {} pinned lines):\n{}\n--- actual ---\n{actual}",
             actual.lines().count(),
             pinned.lines().count(),
             drift.join("\n")
         );
     }
-    assert_eq!(
-        disagree, ORDER_DISAGREEMENTS,
-        "Validate and the offline validator name different first misses \
-         in exactly the pinned configurations"
+    assert!(
+        disagree.is_empty(),
+        "the checker and the offline validator name different first misses: {disagree:?}"
     );
 }
