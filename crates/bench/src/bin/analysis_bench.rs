@@ -438,3 +438,99 @@ fn main() {
         println!("wrote {path}");
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// One tier and one SPEC-like row with every precision the report
+    /// uses (`{:.1}`, `{:.2}`, `{:.3}`), rounding up and down.
+    fn fixed_report() -> String {
+        let stats = lockinfer::AnalysisStats {
+            worklist_pops: 523,
+            facts_inserted: 524,
+            peak_point_locks: 7,
+            widenings: 957,
+            summary_cache_hits: 10,
+            summary_cache_misses: 1,
+            summary_functions: 11,
+            summary_queries: 2,
+            contexts: 14,
+            state_points: 171,
+            transfer_memo_hits: 3,
+            interner_locks: 161,
+            interner_paths: 152,
+            threads: 2,
+        };
+        let tier = TierReport {
+            name: "scale-small".to_owned(),
+            kloc: 0.26,
+            sections: 4,
+            functions: 17,
+            reference_ms: 0.9664,
+            optimized_ms: 0.2316,
+            parallel_ms: 0.279,
+            stats: stats.clone(),
+        };
+        let spec = SpecReport {
+            row: &SPEC_ROWS[1],
+            kloc: 71.64,
+            functions: 1189,
+            frontend_ms: 22.1959,
+            pointsto_ms: 6.7061,
+            optimized_ms: 33.4449,
+            stats,
+            peak_rss_mb: 37.25,
+        };
+        encode(&[tier], &[spec])
+    }
+
+    #[test]
+    fn the_report_encoding_is_pinned_to_the_byte() {
+        assert_eq!(
+            fixed_report(),
+            "{\"format\":\"ali-analysis-bench-v1\",\"tiers\":[{\"name\":\"scale-small\",\
+             \"kloc\":0.3,\"sections\":4,\"functions\":17,\"reference_ms\":0.966,\
+             \"optimized_ms\":0.232,\"parallel_ms\":0.279,\"speedup_opt\":4.17,\
+             \"speedup_par\":3.46,\"worklist_pops\":523,\"facts_inserted\":524,\
+             \"peak_point_locks\":7,\"summary_cache_hits\":10,\"summary_cache_misses\":1,\
+             \"summary_functions\":11,\"summary_queries\":2,\"contexts\":14,\
+             \"state_points\":171,\"transfer_memo_hits\":3,\"interner_locks\":161,\
+             \"interner_paths\":152,\"threads\":2}],\
+             \"specs\":[{\"name\":\"spec-70k-k0\",\"kloc\":71.6,\"k\":0,\"sections\":1,\
+             \"functions\":1189,\"frontend_ms\":22.196,\"pointsto_ms\":6.706,\
+             \"optimized_ms\":33.445,\"worklist_pops\":523,\"widenings\":957,\
+             \"contexts\":14,\"state_points\":171,\"transfer_memo_hits\":3,\
+             \"peak_rss_mb\":37.2}]}\n"
+        );
+    }
+
+    /// `--check` compares against every `*_ms` of the committed
+    /// report. Regenerating `BENCH_analysis.json` changes these
+    /// numbers; the list is pinned to catch a reader that drops or
+    /// misreads one.
+    #[test]
+    fn the_committed_report_yields_every_timing() {
+        let committed = include_str!("../../../../BENCH_analysis.json");
+        let expected: Vec<(String, String, f64)> = [
+            ("scale-small", "reference_ms", 0.966),
+            ("scale-small", "optimized_ms", 0.231),
+            ("scale-small", "parallel_ms", 0.279),
+            ("scale-medium", "reference_ms", 22.276),
+            ("scale-medium", "optimized_ms", 1.191),
+            ("scale-medium", "parallel_ms", 1.500),
+            ("scale-large", "reference_ms", 171.301),
+            ("scale-large", "optimized_ms", 2.755),
+            ("scale-large", "parallel_ms", 3.072),
+            ("spec-2k", "frontend_ms", 0.705),
+            ("spec-2k", "pointsto_ms", 0.176),
+            ("spec-2k", "optimized_ms", 94.180),
+            ("spec-70k-k0", "frontend_ms", 22.196),
+            ("spec-70k-k0", "pointsto_ms", 6.706),
+            ("spec-70k-k0", "optimized_ms", 33.445),
+        ]
+        .map(|(row, key, ms)| (row.to_owned(), key.to_owned(), ms))
+        .into();
+        assert_eq!(extract_baseline(committed), expected);
+    }
+}
