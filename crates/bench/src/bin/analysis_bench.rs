@@ -48,8 +48,8 @@
 //! but catches real algorithmic regressions.
 
 use lockscheme::SchemeConfig;
-use std::fmt::Write as _;
 use std::time::Instant;
+use trace::json::Writer;
 use workloads::{scale, spec_like};
 
 /// Allowed slowdown versus the committed baseline before `--check`
@@ -218,100 +218,75 @@ fn peak_rss_mb() -> f64 {
 
 fn encode(tiers: &[TierReport], specs: &[SpecReport]) -> String {
     let mut out = String::new();
-    out.push_str("{\"format\":\"ali-analysis-bench-v1\",\"tiers\":[");
-    for (i, t) in tiers.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+    let mut w = Writer::new(&mut out);
+    w.object().key("format").str("ali-analysis-bench-v1");
+    w.key("tiers").array();
+    for t in tiers {
         let s = &t.stats;
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}\",\"kloc\":{:.1},\"sections\":{},\"functions\":{},\
-             \"reference_ms\":{:.3},\"optimized_ms\":{:.3},\"parallel_ms\":{:.3},\
-             \"speedup_opt\":{:.2},\"speedup_par\":{:.2},\
-             \"worklist_pops\":{},\"facts_inserted\":{},\"peak_point_locks\":{},\
-             \"summary_cache_hits\":{},\"summary_cache_misses\":{},\
-             \"summary_functions\":{},\"summary_queries\":{},\
-             \"contexts\":{},\"state_points\":{},\"transfer_memo_hits\":{},\
-             \"interner_locks\":{},\"interner_paths\":{},\"threads\":{}}}",
-            t.name,
-            t.kloc,
-            t.sections,
-            t.functions,
-            t.reference_ms,
-            t.optimized_ms,
-            t.parallel_ms,
-            t.reference_ms / t.optimized_ms,
-            t.reference_ms / t.parallel_ms,
-            s.worklist_pops,
-            s.facts_inserted,
-            s.peak_point_locks,
-            s.summary_cache_hits,
-            s.summary_cache_misses,
-            s.summary_functions,
-            s.summary_queries,
-            s.contexts,
-            s.state_points,
-            s.transfer_memo_hits,
-            s.interner_locks,
-            s.interner_paths,
-            s.threads,
-        );
+        let speedup = |ms| t.reference_ms / ms;
+        w.object().key("name").str(&t.name);
+        w.key("kloc").fixed(t.kloc, 1);
+        w.key("sections").u64(t.sections as u64);
+        w.key("functions").u64(t.functions as u64);
+        w.key("reference_ms").fixed(t.reference_ms, 3);
+        w.key("optimized_ms").fixed(t.optimized_ms, 3);
+        w.key("parallel_ms").fixed(t.parallel_ms, 3);
+        w.key("speedup_opt").fixed(speedup(t.optimized_ms), 2);
+        w.key("speedup_par").fixed(speedup(t.parallel_ms), 2);
+        w.key("worklist_pops").u64(s.worklist_pops);
+        w.key("facts_inserted").u64(s.facts_inserted);
+        w.key("peak_point_locks").u64(s.peak_point_locks as u64);
+        w.key("summary_cache_hits").u64(s.summary_cache_hits);
+        w.key("summary_cache_misses").u64(s.summary_cache_misses);
+        w.key("summary_functions").u64(s.summary_functions as u64);
+        w.key("summary_queries").u64(s.summary_queries as u64);
+        w.key("contexts").u64(s.contexts);
+        w.key("state_points").u64(s.state_points);
+        w.key("transfer_memo_hits").u64(s.transfer_memo_hits);
+        w.key("interner_locks").u64(s.interner_locks as u64);
+        w.key("interner_paths").u64(s.interner_paths as u64);
+        w.key("threads").u64(s.threads as u64).end_object();
     }
-    out.push_str("],\"specs\":[");
-    for (i, spec) in specs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+    w.end_array().key("specs").array();
+    for spec in specs {
         let s = &spec.stats;
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}\",\"kloc\":{:.1},\"k\":{},\"sections\":1,\
-             \"functions\":{},\"frontend_ms\":{:.3},\"pointsto_ms\":{:.3},\
-             \"optimized_ms\":{:.3},\"worklist_pops\":{},\"widenings\":{},\
-             \"contexts\":{},\"state_points\":{},\"transfer_memo_hits\":{},\
-             \"peak_rss_mb\":{:.1}}}",
-            spec.row.name,
-            spec.kloc,
-            spec.row.k,
-            spec.functions,
-            spec.frontend_ms,
-            spec.pointsto_ms,
-            spec.optimized_ms,
-            s.worklist_pops,
-            s.widenings,
-            s.contexts,
-            s.state_points,
-            s.transfer_memo_hits,
-            spec.peak_rss_mb,
-        );
+        w.object().key("name").str(spec.row.name);
+        w.key("kloc").fixed(spec.kloc, 1);
+        w.key("k").u64(spec.row.k as u64);
+        w.key("sections").u64(1);
+        w.key("functions").u64(spec.functions as u64);
+        w.key("frontend_ms").fixed(spec.frontend_ms, 3);
+        w.key("pointsto_ms").fixed(spec.pointsto_ms, 3);
+        w.key("optimized_ms").fixed(spec.optimized_ms, 3);
+        w.key("worklist_pops").u64(s.worklist_pops);
+        w.key("widenings").u64(s.widenings);
+        w.key("contexts").u64(s.contexts);
+        w.key("state_points").u64(s.state_points);
+        w.key("transfer_memo_hits").u64(s.transfer_memo_hits);
+        w.key("peak_rss_mb").fixed(spec.peak_rss_mb, 1).end_object();
     }
-    out.push_str("]}\n");
+    w.end_array().end_object();
+    out.push('\n');
     out
 }
 
-/// Pulls `(row name, key, ms)` for every `*_ms` key out of a committed
-/// report with a plain scan — the encoding is canonical and its rows
-/// are flat objects, so this stays trivial.
-fn extract_baseline(json: &str) -> Vec<(String, String, f64)> {
+/// `(row name, key, ms)` for every `*_ms` member of a report's rows,
+/// tiers first, in document order.
+fn committed_ms(json: &str) -> Result<Vec<(String, String, f64)>, String> {
+    // Report object → row array → row object.
+    let report = trace::json::parse(json, 3)?;
     let mut out = Vec::new();
-    let mut rest = json;
-    while let Some(i) = rest.find("\"name\":\"") {
-        rest = &rest[i + 8..];
-        let Some(end) = rest.find('"') else { break };
-        let name = &rest[..end];
-        let row = &rest[..rest.find('}').unwrap_or(rest.len())];
-        for field in row.split(',') {
-            let Some((key, val)) = field.split_once(':') else {
-                continue;
-            };
-            let key = key.trim_matches('"');
-            if let (true, Ok(ms)) = (key.ends_with("_ms"), val.parse::<f64>()) {
-                out.push((name.to_owned(), key.to_owned(), ms));
+    for rows in ["tiers", "specs"] {
+        for row in report.field(rows)?.as_arr(rows)? {
+            let name = row.field("name")?.as_str("name")?;
+            for (key, v) in row.as_obj("row")? {
+                if key.ends_with("_ms") {
+                    out.push((name.to_owned(), key.clone(), v.as_f64(key)?));
+                }
             }
         }
     }
-    out
+    Ok(out)
 }
 
 fn main() {
@@ -389,7 +364,7 @@ fn main() {
     if let Some(path) = &check_path {
         let committed =
             std::fs::read_to_string(path).unwrap_or_else(|e| panic!("--check {path}: {e}"));
-        let baseline = extract_baseline(&committed);
+        let baseline = committed_ms(&committed).unwrap_or_else(|e| panic!("--check {path}: {e}"));
         let mut failed = false;
         let measured = reports
             .iter()
@@ -531,6 +506,6 @@ mod tests {
         ]
         .map(|(row, key, ms)| (row.to_owned(), key.to_owned(), ms))
         .into();
-        assert_eq!(extract_baseline(committed), expected);
+        assert_eq!(committed_ms(committed), Ok(expected));
     }
 }

@@ -4,6 +4,7 @@
 
 use std::path::Path;
 use std::process::Command;
+use trace::json::{parse, Value};
 
 fn trace_dump(args: &[&str]) -> String {
     let out = Command::new(env!("CARGO_BIN_EXE_trace-dump"))
@@ -14,33 +15,27 @@ fn trace_dump(args: &[&str]) -> String {
     String::from_utf8(out.stdout).expect("utf-8 output")
 }
 
-/// Every `["ali_…", [labels], value…]` series of a canonical snapshot,
-/// as the bytes it was written with.
-fn series(json: &str) -> Vec<&str> {
-    json.match_indices("[\"ali_")
-        .map(|(start, _)| {
-            let mut depth = 0usize;
-            for (i, c) in json[start..].char_indices() {
-                match c {
-                    '[' => depth += 1,
-                    ']' if depth == 1 => return &json[start..=start + i],
-                    ']' => depth -= 1,
-                    _ => {}
-                }
-            }
-            panic!("unbalanced series at byte {start}");
-        })
-        .collect()
+/// Every `[name, [labels], value…]` series of a canonical snapshot.
+fn series(snapshot: &Value) -> Vec<&[Value]> {
+    let mut out = Vec::new();
+    for kind in ["counters", "gauges", "hists"] {
+        for s in snapshot
+            .field(kind)
+            .and_then(|s| s.as_arr(kind))
+            .expect(kind)
+        {
+            out.push(s.as_arr("series").expect("a series"));
+        }
+    }
+    out
 }
 
-fn gauge(json: &str, name: &str) -> u64 {
-    let key = format!("[\"{name}\",[],");
-    let at = json.find(&key).unwrap_or_else(|| panic!("{name} missing")) + key.len();
-    let digits: String = json[at..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().expect("a gauge value")
+fn gauge(snapshot: &Value, name: &str) -> u64 {
+    let key = [Value::Str(name.to_owned()), Value::Arr(Vec::new())];
+    let gauge = series(snapshot).into_iter().find(|s| s[..2] == key);
+    gauge.unwrap_or_else(|| panic!("{name} missing"))[2]
+        .as_u64(name)
+        .expect("a gauge value")
 }
 
 #[test]
@@ -60,25 +55,28 @@ fn record_metrics_is_the_registry_merged_with_the_derived_snapshot() {
         trace,
     ]);
     let merged = std::fs::read_to_string(metrics).expect("the snapshot was written");
-    let derived = trace_dump(&["metrics", trace]);
+    let merged = parse(&merged, 5).expect("a canonical snapshot");
+    let derived = parse(&trace_dump(&["metrics", trace]), 5).expect("a canonical snapshot");
 
     let derived_series = series(&derived);
     assert!(derived_series.len() > 40, "{} series", derived_series.len());
     for s in &derived_series {
         assert!(
-            merged.contains(s),
-            "derived series {s} is not in the merged snapshot"
+            series(&merged).contains(s),
+            "derived series {s:?} is not in the merged snapshot"
         );
     }
     // What only the live machine knew rides along, and nothing else.
     assert!(gauge(&merged, "ali_run_mg_batches") > 0);
     assert!(gauge(&merged, "ali_run_sim_yield_points") > 0);
-    let extra: Vec<&str> = series(&merged)
+    let extra: Vec<&[Value]> = series(&merged)
         .into_iter()
         .filter(|s| !derived_series.contains(s))
         .collect();
     assert!(
-        extra.iter().all(|s| s.starts_with("[\"ali_run_")),
+        extra
+            .iter()
+            .all(|s| s[0].as_str("name").unwrap().starts_with("ali_run_")),
         "{extra:?}"
     );
     assert_eq!(extra.len(), 13, "{extra:?}");

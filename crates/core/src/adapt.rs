@@ -19,8 +19,7 @@
 use lockscheme::{ConfigMap, SchemeConfig};
 use sched::convoy::ConvoyPolicy;
 use sched::PolicyKind;
-use std::fmt::Write as _;
-use trace::json::push_escaped;
+use trace::json::Writer;
 use trace::SectionProfile;
 
 /// Thresholds steering candidate generation. All comparisons are pure
@@ -306,46 +305,52 @@ impl EvalStatus {
         matches!(self, EvalStatus::Replayed)
     }
 
-    pub(crate) fn push_json(&self, out: &mut String) {
+    /// The `status` member, and `est` / `note` where it has one.
+    pub(crate) fn write_json(&self, w: &mut Writer) {
         match self {
-            EvalStatus::Replayed => out.push_str("\"status\":\"replayed\""),
-            EvalStatus::Pruned { est } => {
-                let _ = write!(out, "\"status\":\"pruned\",\"est\":{est}");
-            }
+            EvalStatus::Replayed => w.key("status").str("replayed"),
+            EvalStatus::Pruned { est } => w.key("status").str("pruned").key("est").u64(*est),
             EvalStatus::Skipped { reason } => {
-                out.push_str("\"status\":\"skipped\",\"note\":");
-                push_escaped(out, reason);
+                w.key("status").str("skipped").key("note").str(reason)
             }
-        }
+        };
     }
 }
 
 /// Opens a decision report: `{"name":…,"mode":…,"baseline":{…}`. The
-/// name arrives from outside (`run.name` trace metadata), so the
-/// strings go through the workspace's one JSON escaper.
-pub(crate) fn push_header(out: &mut String, name: &str, mode: &str, baseline: PlanCost) {
-    out.push_str("{\"name\":");
-    push_escaped(out, name);
-    out.push_str(",\"mode\":");
-    push_escaped(out, mode);
-    out.push_str(",\"baseline\":");
-    push_cost(out, baseline);
+/// name arrives from outside (`run.name` trace metadata); the writer
+/// escapes it.
+pub(crate) fn write_header(w: &mut Writer, name: &str, mode: &str, baseline: PlanCost) {
+    w.object();
+    w.key("name").str(name);
+    w.key("mode").str(mode);
+    write_cost(w.key("baseline"), baseline);
 }
 
-pub(crate) fn push_cost(out: &mut String, c: PlanCost) {
-    let _ = write!(
-        out,
-        "{{\"wait\":{},\"hold\":{},\"revalidations\":{},\"makespan\":{}}}",
-        c.total_wait, c.total_hold, c.total_revalidations, c.makespan
-    );
+pub(crate) fn write_cost(w: &mut Writer, c: PlanCost) {
+    w.object();
+    w.key("wait").u64(c.total_wait);
+    w.key("hold").u64(c.total_hold);
+    w.key("revalidations").u64(c.total_revalidations);
+    w.key("makespan").u64(c.makespan);
+    w.end_object();
 }
 
-pub(crate) fn push_config(out: &mut String, c: SchemeConfig) {
-    let _ = write!(
-        out,
-        "{{\"k\":{},\"expr\":{},\"pts\":{},\"eff\":{}}}",
-        c.k, c.use_expr, c.use_pts, c.use_eff
-    );
+pub(crate) fn write_config(w: &mut Writer, c: SchemeConfig) {
+    w.object();
+    w.key("k").u64(c.k as u64);
+    w.key("expr").bool(c.use_expr);
+    w.key("pts").bool(c.use_pts);
+    w.key("eff").bool(c.use_eff);
+    w.end_object();
+}
+
+/// An index into a report's candidates, or `null`.
+pub(crate) fn write_index(w: &mut Writer, i: Option<usize>) {
+    match i {
+        Some(i) => w.u64(i as u64),
+        None => w.null(),
+    };
 }
 
 /// One evaluated candidate: the proposal plus its measured replay cost
@@ -378,38 +383,25 @@ impl DecisionReport {
         self.selected.map(|i| &self.candidates[i])
     }
 
-    /// Canonical JSON encoding (hand-rolled — the build environment
-    /// has no serde; fixed key order, no whitespace).
+    /// Canonical JSON encoding: fixed key order, no whitespace.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        push_header(&mut out, &self.name, &self.mode, self.baseline);
-        out.push_str(",\"candidates\":[");
-        for (i, d) in self.candidates.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"section\":{},\"adjustment\":\"{}\",\"trigger\":\"{}\",\"config\":",
-                d.candidate.section,
-                d.candidate.adjustment.tag(),
-                d.candidate.trigger.tag()
-            );
-            push_config(&mut out, d.candidate.config);
-            out.push_str(",\"cost\":");
-            push_cost(&mut out, d.cost);
-            out.push(',');
-            d.status.push_json(&mut out);
-            out.push('}');
+        let mut w = Writer::new(&mut out);
+        write_header(&mut w, &self.name, &self.mode, self.baseline);
+        w.key("candidates").array();
+        for d in &self.candidates {
+            let c = &d.candidate;
+            w.object();
+            w.key("section").u64(c.section.into());
+            w.key("adjustment").str(&c.adjustment.tag());
+            w.key("trigger").str(c.trigger.tag());
+            write_config(w.key("config"), c.config);
+            write_cost(w.key("cost"), d.cost);
+            d.status.write_json(&mut w);
+            w.end_object();
         }
-        out.push_str("],\"selected\":");
-        match self.selected {
-            Some(i) => {
-                let _ = write!(out, "{i}");
-            }
-            None => out.push_str("null"),
-        }
-        out.push('}');
+        write_index(w.end_array().key("selected"), self.selected);
+        w.end_object();
         out
     }
 }

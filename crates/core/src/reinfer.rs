@@ -31,9 +31,10 @@ use lockscheme::{ConfigMap, SchemeConfig};
 use mglock::{FineAddr, NodeKey};
 use pointsto::{PointsTo, PtsClass};
 use sentinel::Violation;
+use trace::json::Writer;
 use trace::lockset::mode_grants;
 
-use crate::adapt::{self, push_config, push_cost, push_header};
+use crate::adapt::{self, write_config, write_cost, write_header, write_index};
 pub use crate::adapt::{EvalStatus, PlanCost};
 
 /// One violation plus the accessed cell's allocation extent, resolved
@@ -399,51 +400,32 @@ impl RepairReport {
             .collect()
     }
 
-    /// Canonical JSON encoding (hand-rolled — the build environment
-    /// has no serde; fixed key order, no whitespace).
+    /// Canonical JSON encoding: fixed key order, no whitespace.
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
         let mut out = String::new();
-        push_header(&mut out, &self.name, &self.mode, self.baseline);
-        out.push_str(",\"sections\":[");
-        for (i, s) in self.sections.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        let mut w = Writer::new(&mut out);
+        write_header(&mut w, &self.name, &self.mode, self.baseline);
+        w.key("sections").array();
+        for s in &self.sections {
+            w.object();
+            w.key("section").u64(s.section.into());
+            w.key("violations").u64(s.violations);
+            write_cost(w.key("demoted"), s.demoted);
+            w.key("candidates").array();
+            for d in &s.candidates {
+                w.object();
+                w.key("repair").str(d.candidate.repair.tag());
+                w.key("diagnosis").str(&d.candidate.diagnosis.tag());
+                write_config(w.key("config"), d.candidate.config);
+                w.key("clean").bool(d.clean);
+                write_cost(w.key("cost"), d.cost);
+                d.status.write_json(&mut w);
+                w.end_object();
             }
-            let _ = write!(
-                out,
-                "{{\"section\":{},\"violations\":{},\"demoted\":",
-                s.section, s.violations
-            );
-            push_cost(&mut out, s.demoted);
-            out.push_str(",\"candidates\":[");
-            for (j, d) in s.candidates.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"repair\":\"{}\",\"diagnosis\":\"{}\",\"config\":",
-                    d.candidate.repair.tag(),
-                    d.candidate.diagnosis.tag()
-                );
-                push_config(&mut out, d.candidate.config);
-                let _ = write!(out, ",\"clean\":{},\"cost\":", d.clean);
-                push_cost(&mut out, d.cost);
-                out.push(',');
-                d.status.push_json(&mut out);
-                out.push('}');
-            }
-            out.push_str("],\"admitted\":");
-            match s.admitted {
-                Some(j) => {
-                    let _ = write!(out, "{j}");
-                }
-                None => out.push_str("null"),
-            }
-            out.push('}');
+            write_index(w.end_array().key("admitted"), s.admitted);
+            w.end_object();
         }
-        out.push_str("]}");
+        w.end_array().end_object();
         out
     }
 }
@@ -781,7 +763,7 @@ mod tests {
             reason: "ring \"full\"".into(),
         };
         let mut escaped = String::new();
-        trace::json::push_escaped(&mut escaped, name);
+        Writer::new(&mut escaped).str(name);
 
         let decisions = DecisionReport {
             name: name.into(),

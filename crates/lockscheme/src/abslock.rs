@@ -311,6 +311,46 @@ impl SchemeConfig {
     }
 }
 
+/// The scheme's one text form, `k=9,expr=true,pts=false,eff=true`,
+/// which trace metadata stamps for a per-section override.
+/// `elem_field` is program metadata, not a scheme component, and is
+/// not part of it.
+impl fmt::Display for SchemeConfig {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "k={},expr={},pts={},eff={}",
+            self.k, self.use_expr, self.use_pts, self.use_eff
+        )
+    }
+}
+
+/// Reads the [`Display`](fmt::Display) form back, every field in its
+/// place; `elem_field` is `None`.
+impl std::str::FromStr for SchemeConfig {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<SchemeConfig, String> {
+        let bad = || format!("bad scheme `{s}`: expected `k=N,expr=B,pts=B,eff=B`");
+        let mut fields = s.split(',').map(|f| f.split_once('='));
+        let mut next = |key: &str| match fields.next() {
+            Some(Some((k, v))) if k == key => Ok(v),
+            _ => Err(bad()),
+        };
+        let cfg = SchemeConfig {
+            k: next("k")?.parse().map_err(|_| bad())?,
+            use_expr: next("expr")?.parse().map_err(|_| bad())?,
+            use_pts: next("pts")?.parse().map_err(|_| bad())?,
+            use_eff: next("eff")?.parse().map_err(|_| bad())?,
+            elem_field: None,
+        };
+        match fields.next() {
+            None => Ok(cfg),
+            Some(_) => Err(bad()),
+        }
+    }
+}
+
 /// Per-section scheme configuration: one global default plus overrides
 /// for individual static sections.
 ///
@@ -745,5 +785,33 @@ mod tests {
                 eff: Eff::Rw
             }
         );
+    }
+
+    #[test]
+    fn a_scheme_reads_back_from_its_text() {
+        let cfg = SchemeConfig {
+            use_pts: false,
+            ..SchemeConfig::full(9, None)
+        };
+        assert_eq!(cfg.to_string(), "k=9,expr=true,pts=false,eff=true");
+        assert_eq!(cfg.to_string().parse(), Ok(cfg));
+        // `elem_field` is not part of the text.
+        let with_elem = SchemeConfig::full(3, Some(lir::FieldId(4)));
+        assert_eq!(
+            with_elem.to_string().parse(),
+            Ok(SchemeConfig::full(3, None))
+        );
+        for bad in [
+            "",
+            "k=9",
+            "k=9,expr=true,pts=false",
+            "k=9,expr=true,pts=false,eff=true,",
+            "k=9,pts=false,expr=true,eff=true",
+            "k=-1,expr=true,pts=false,eff=true",
+            "k=9,expr=1,pts=false,eff=true",
+            "k 9,expr=true,pts=false,eff=true",
+        ] {
+            assert!(bad.parse::<SchemeConfig>().is_err(), "accepted: {bad}");
+        }
     }
 }

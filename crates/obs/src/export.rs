@@ -8,7 +8,7 @@
 use crate::{Key, Snapshot};
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use trace::json::push_escaped;
+use trace::json::Writer;
 use trace::sections::{Cursor, Step};
 use trace::{EventKind, Histogram, Trace};
 
@@ -170,48 +170,44 @@ pub fn speedscope(t: &Trace) -> String {
     }
 
     let mut out = String::new();
-    out.push_str("{\"$schema\":\"https://www.speedscope.app/file-format-schema.json\",");
-    out.push_str("\"shared\":{\"frames\":[");
-    for (i, name) in frames.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"name\":");
-        push_escaped(&mut out, name);
-        out.push('}');
+    let mut w = Writer::new(&mut out);
+    w.object();
+    w.key("$schema")
+        .str("https://www.speedscope.app/file-format-schema.json");
+    w.key("shared").object().key("frames").array();
+    for name in &frames {
+        w.object().key("name").str(name).end_object();
     }
-    out.push_str("]},\"profiles\":[");
-    for (i, (tid, th)) in threads.iter_mut().enumerate() {
+    w.end_array().end_object();
+    w.key("profiles").array();
+    for (tid, th) in &mut threads {
         // A truncated or crashed thread leaves frames open; close them
         // at its final clock so the profile stays well-formed.
         let last = th.last;
         while !th.stack.is_empty() {
             th.close_top(last);
         }
-        if i > 0 {
-            out.push(',');
+        w.object();
+        w.key("type").str("evented");
+        w.key("name").str(&format!("thread {tid}"));
+        w.key("unit").str("none");
+        w.key("startValue").u64(th.start.unwrap_or(0));
+        w.key("endValue").u64(th.last);
+        w.key("events").array();
+        for &(open, frame, at) in &th.events {
+            w.object();
+            w.key("type").str(if open { "O" } else { "C" });
+            w.key("frame").u64(frame as u64);
+            w.key("at").u64(at);
+            w.end_object();
         }
-        let _ = write!(
-            out,
-            "{{\"type\":\"evented\",\"name\":\"thread {tid}\",\"unit\":\"none\",\
-             \"startValue\":{},\"endValue\":{},\"events\":[",
-            th.start.unwrap_or(0),
-            th.last
-        );
-        for (j, (open, frame, at)) in th.events.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"type\":\"{}\",\"frame\":{frame},\"at\":{at}}}",
-                if *open { 'O' } else { 'C' }
-            );
-        }
-        out.push_str("]}");
+        w.end_array().end_object();
     }
-    out.push_str("],\"name\":\"ali section wait/hold profile\",");
-    out.push_str("\"exporter\":\"ali-obs\",\"activeProfileIndex\":0}");
+    w.end_array();
+    w.key("name").str("ali section wait/hold profile");
+    w.key("exporter").str("ali-obs");
+    w.key("activeProfileIndex").u64(0);
+    w.end_object();
     out
 }
 

@@ -11,21 +11,21 @@
 //!
 //! A [`Snapshot`] is the deterministic export surface: metrics sorted
 //! by `(name, labels)`, rendered as canonical JSON ([`Snapshot::to_json`],
-//! fixed key order, byte equality ⇔ metric equality — the same
-//! contract as `trace::json`), as Prometheus text exposition
-//! ([`export::prometheus`]), or — for the per-section wait/hold
-//! profiles — as a speedscope-compatible flamegraph
-//! ([`export::speedscope`]).
+//! fixed key order, byte equality ⇔ metric equality), as Prometheus
+//! text exposition ([`export::prometheus`]), or — for the per-section
+//! wait/hold profiles — as a speedscope-compatible flamegraph
+//! ([`export::speedscope`]). Both JSON forms are written with the
+//! workspace's one JSON writer, `trace::json::Writer`.
 
 pub mod derive;
 pub mod export;
-mod json;
 
 pub use derive::from_trace;
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use trace::json::Writer;
 
 /// A monotone event counter. Cheap to clone (shares the cell).
 #[derive(Clone)]
@@ -193,10 +193,42 @@ impl Snapshot {
         self.sort();
     }
 
-    /// Canonical JSON (`ali-metrics-v1`): fixed key order, sorted
-    /// series, no whitespace — byte equality is snapshot equality.
+    /// Canonical JSON (`ali-metrics-v1`): fixed key order, no
+    /// whitespace, series `[name,[[label,value],…],n]` (a histogram's
+    /// `n` is `[bucket,…],count,sum,max`) in the order held — sorted on
+    /// every path that builds a snapshot. Byte equality is snapshot
+    /// equality.
     pub fn to_json(&self) -> String {
-        json::encode(self)
+        /// Opens a series: its name and labels.
+        fn key(w: &mut Writer, key: &Key) {
+            w.array().str(&key.name).array();
+            for (k, v) in &key.labels {
+                w.array().str(k).str(v).end_array();
+            }
+            w.end_array();
+        }
+        let mut out = String::new();
+        let mut w = Writer::new(&mut out);
+        w.object().key("format").str("ali-metrics-v1");
+        for (name, series) in [("counters", &self.counters), ("gauges", &self.gauges)] {
+            w.key(name).array();
+            for (k, v) in series {
+                key(&mut w, k);
+                w.u64(*v).end_array();
+            }
+            w.end_array();
+        }
+        w.key("hists").array();
+        for (k, h) in &self.hists {
+            key(&mut w, k);
+            w.array();
+            for &b in &h.buckets {
+                w.u64(b);
+            }
+            w.end_array().u64(h.count).u64(h.sum).u64(h.max).end_array();
+        }
+        w.end_array().end_object();
+        out
     }
 }
 

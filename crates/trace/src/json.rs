@@ -1,15 +1,32 @@
-//! JSON export/import of traces.
+//! The workspace's one JSON writer and one JSON reader, and the trace
+//! codec built on them. There is no serde: the build environment has
+//! no registry access (see `shims/README.md`).
 //!
-//! The build environment has no registry access (see
-//! `shims/README.md`), so instead of serde this module hand-rolls a
-//! canonical encoder and a small recursive-descent parser for the
-//! subset of JSON the trace format uses: objects, arrays, strings
-//! (with escapes — trace metadata embeds program source), and
-//! unsigned integers.
+//! [`Writer`] writes every JSON artifact: traces (below), metric
+//! snapshots and flamegraphs (`obs`), adapt and repair reports
+//! (`lockinfer`) and `BENCH_analysis.json`. It streams into the
+//! caller's `String`, builds no tree, places every separator, escapes
+//! every string and renders every number. The caller fixes the key
+//! order and nothing writes whitespace, so byte equality of two
+//! encodings is equality of what they encode.
 //!
-//! The encoding is canonical — no optional whitespace, fixed key
-//! order — so byte equality of two exports is exactly trace equality,
-//! which the determinism tests rely on.
+//! [`parse`] reads every JSON the workspace reads back, and only what
+//! some caller reads (whitespace is allowed between tokens):
+//!
+//! ```text
+//! value  := object | array | string | number
+//! object := '{' [ string ':' value { ',' string ':' value } ] '}'
+//! array  := '[' [ value { ',' value } ] ']'
+//! string := '"' { char | '\' ( '"' | '\' | '/' | 'n' | 'r' | 't' | 'u' hex4 ) } '"'
+//! number := digit { digit } [ '.' digit { digit } ]
+//! ```
+//!
+//! An integer is read exactly into a `u64`, and a wider one is refused.
+//! There are no signs or exponents, and `true`, `false` and `null` are
+//! refused: reports write them, nothing reads them. Nesting deeper than
+//! the caller's bound is refused before it is recursed into.
+//!
+//! The trace format (`ali-trace-v1`):
 //!
 //! ```text
 //! {"format":"ali-trace-v1",
@@ -37,176 +54,289 @@ use std::fmt::Write as _;
 const FORMAT: &str = "ali-trace-v1";
 
 // ----------------------------------------------------------------------
-// Encoding
+// Writing
 
-/// Appends `s` as a JSON string literal — the one escaper behind
-/// every canonical encoding in the workspace (traces here, metric
-/// snapshots and flamegraphs in `obs`).
-pub fn push_escaped(out: &mut String, s: &str) {
+/// Appends `s` as a JSON string literal, copying the runs between
+/// escapes whole. Every byte that needs an escape is ASCII, so each
+/// run ends on a character boundary.
+fn push_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
-/// A lock mode as its JSON string (the tags need no escaping).
-fn push_mode(out: &mut String, m: Mode) {
-    out.push('"');
-    out.push_str(m.tag());
-    out.push('"');
+/// A streaming JSON writer over the caller's `String`.
+///
+/// Each method appends one token and returns the writer, so a record
+/// reads as a chain: `w.object().key("k").u64(3).end_object()`. The
+/// writer places every `,` and `:`; the caller closes what it opens
+/// and puts a [`Writer::key`] before each object member.
+pub struct Writer<'a> {
+    out: &'a mut String,
+    /// Whether the next token follows a sibling and needs a `,`.
+    comma: bool,
 }
 
-fn push_node(out: &mut String, n: NodeKey) {
-    out.push_str("[\"");
-    out.push_str(n.class());
-    out.push('"');
+impl<'a> Writer<'a> {
+    pub fn new(out: &'a mut String) -> Writer<'a> {
+        Writer { out, comma: false }
+    }
+
+    /// Appends a value (or a key, or an opening bracket) after a `,`
+    /// when it follows a sibling.
+    fn token(&mut self, write: impl FnOnce(&mut String)) -> &mut Self {
+        if self.comma {
+            self.out.push(',');
+        }
+        write(self.out);
+        self.comma = true;
+        self
+    }
+
+    fn open(&mut self, bracket: char) -> &mut Self {
+        self.token(|out| out.push(bracket)).comma = false;
+        self
+    }
+
+    fn close(&mut self, bracket: char) -> &mut Self {
+        self.out.push(bracket);
+        self.comma = true;
+        self
+    }
+
+    pub fn object(&mut self) -> &mut Self {
+        self.open('{')
+    }
+
+    pub fn end_object(&mut self) -> &mut Self {
+        self.close('}')
+    }
+
+    pub fn array(&mut self) -> &mut Self {
+        self.open('[')
+    }
+
+    pub fn end_array(&mut self) -> &mut Self {
+        self.close(']')
+    }
+
+    /// Names the next object member.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        self.token(|out| {
+            push_escaped(out, key);
+            out.push(':');
+        })
+        .comma = false;
+        self
+    }
+
+    pub fn str(&mut self, s: &str) -> &mut Self {
+        self.token(|out| push_escaped(out, s))
+    }
+
+    pub fn u64(&mut self, n: u64) -> &mut Self {
+        // Writing to a `String` cannot fail.
+        self.token(|out| write!(out, "{n}").unwrap_or_default())
+    }
+
+    /// A decimal with exactly `places` digits after the point, as
+    /// `format!("{x:.places$}")` renders it.
+    pub fn fixed(&mut self, x: f64, places: usize) -> &mut Self {
+        self.token(|out| write!(out, "{x:.places$}").unwrap_or_default())
+    }
+
+    pub fn bool(&mut self, b: bool) -> &mut Self {
+        self.token(|out| out.push_str(if b { "true" } else { "false" }))
+    }
+
+    pub fn null(&mut self) -> &mut Self {
+        self.token(|out| out.push_str("null"))
+    }
+}
+
+fn write_node(w: &mut Writer, n: NodeKey) {
+    w.array().str(n.class());
     match n {
         NodeKey::Root => {}
         NodeKey::Pts(p) => {
-            let _ = write!(out, ",{p}");
+            w.u64(p.into());
         }
         NodeKey::Fine(p, FineAddr::Cell(a) | FineAddr::Range(a)) => {
-            let _ = write!(out, ",{p},{a}");
+            w.u64(p.into()).u64(a);
         }
     }
-    out.push(']');
+    w.end_array();
 }
 
-fn push_kind(out: &mut String, k: EventKind) {
+fn write_kind(w: &mut Writer, k: EventKind) {
+    w.array();
     match k {
-        EventKind::SectionEnter { section } => {
-            let _ = write!(out, "[\"enter\",{section}]");
+        EventKind::SectionEnter { section } => w.str("enter").u64(section.into()),
+        EventKind::SectionExit { section } => w.str("exit").u64(section.into()),
+        EventKind::LockAcquire { node, mode } | EventKind::LockRelease { node, mode } => {
+            let acquire = matches!(k, EventKind::LockAcquire { .. });
+            w.str(if acquire { "acq" } else { "rel" });
+            write_node(w, node);
+            w.str(mode.tag())
         }
-        EventKind::SectionExit { section } => {
-            let _ = write!(out, "[\"exit\",{section}]");
-        }
-        EventKind::LockAcquire { node, mode } => {
-            out.push_str("[\"acq\",");
-            push_node(out, node);
-            out.push(',');
-            push_mode(out, mode);
-            out.push(']');
-        }
-        EventKind::LockRelease { node, mode } => {
-            out.push_str("[\"rel\",");
-            push_node(out, node);
-            out.push(',');
-            push_mode(out, mode);
-            out.push(']');
-        }
-        EventKind::PlanComplete => out.push_str("[\"pc\"]"),
-        EventKind::Read { addr } => {
-            let _ = write!(out, "[\"rd\",{addr}]");
-        }
-        EventKind::Write { addr } => {
-            let _ = write!(out, "[\"wr\",{addr}]");
-        }
-        EventKind::Alloc { base, len } => {
-            let _ = write!(out, "[\"al\",{base},{len}]");
-        }
-        EventKind::StmCommit { reads, writes } => {
-            let _ = write!(out, "[\"cmt\",{reads},{writes}]");
-        }
-        EventKind::StmAbort => out.push_str("[\"ab\"]"),
-        EventKind::StmFallback => out.push_str("[\"fb\"]"),
-        EventKind::Fault { class } => {
-            out.push_str("[\"flt\",");
-            push_escaped(out, class.tag());
-            out.push(']');
-        }
+        EventKind::PlanComplete => w.str("pc"),
+        EventKind::Read { addr } => w.str("rd").u64(addr),
+        EventKind::Write { addr } => w.str("wr").u64(addr),
+        EventKind::Alloc { base, len } => w.str("al").u64(base).u64(len),
+        EventKind::StmCommit { reads, writes } => w.str("cmt").u64(reads).u64(writes),
+        EventKind::StmAbort => w.str("ab"),
+        EventKind::StmFallback => w.str("fb"),
+        EventKind::Fault { class } => w.str("flt").str(class.tag()),
+        // The reader has no booleans: flags are written as 0/1.
         EventKind::Quarantine {
             section,
             healed,
             probation,
-        } => {
-            // The parser's number grammar has no booleans; `healed`
-            // encodes as 0/1.
-            let _ = write!(out, "[\"qr\",{section},{},{probation}]", u64::from(healed));
-        }
+        } => w
+            .str("qr")
+            .u64(section.into())
+            .u64(healed.into())
+            .u64(probation.into()),
         EventKind::WakeDecision {
             node,
             mode,
             depth,
             woken,
         } => {
-            out.push_str("[\"wk\",");
-            push_node(out, node);
-            out.push(',');
-            push_mode(out, mode);
-            let _ = write!(out, ",{depth},{woken}]");
+            w.str("wk");
+            write_node(w, node);
+            w.str(mode.tag()).u64(depth.into()).u64(woken.into())
         }
         EventKind::Reinfer {
             section,
             candidate,
             accepted,
-        } => {
-            // `accepted` encodes as 0/1, like the qr healed flag.
-            let _ = write!(
-                out,
-                "[\"ri\",{section},{candidate},{}]",
-                u64::from(accepted)
-            );
-        }
-    }
+        } => w
+            .str("ri")
+            .u64(section.into())
+            .u64(candidate.into())
+            .u64(accepted.into()),
+    };
+    w.end_array();
 }
 
 /// Canonical JSON encoding of a trace.
 pub fn encode(t: &Trace) -> String {
     let mut out = String::with_capacity(64 + t.events.len() * 24);
-    out.push_str("{\"format\":");
-    push_escaped(&mut out, FORMAT);
-    let _ = write!(out, ",\"dropped\":{},\"meta\":[", t.dropped);
-    for (i, (k, v)) in t.meta.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('[');
-        push_escaped(&mut out, k);
-        out.push(',');
-        push_escaped(&mut out, v);
-        out.push(']');
+    let mut w = Writer::new(&mut out);
+    w.object().key("format").str(FORMAT);
+    w.key("dropped").u64(t.dropped).key("meta").array();
+    for (k, v) in &t.meta {
+        w.array().str(k).str(v).end_array();
     }
-    out.push_str("],\"allocs\":[");
-    for (i, a) in t.allocs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "[{},{},{}]", a.base, a.len, a.class);
+    w.end_array().key("allocs").array();
+    for a in &t.allocs {
+        w.array().u64(a.base).u64(a.len);
+        w.u64(a.class.into()).end_array();
     }
-    out.push_str("],\"events\":[");
-    for (i, e) in t.events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "[{},{},{},", e.epoch, e.tid, e.clock);
-        push_kind(&mut out, e.kind);
-        out.push(']');
+    w.end_array().key("events").array();
+    for e in &t.events {
+        w.array().u64(e.epoch).u64(e.tid.into()).u64(e.clock);
+        write_kind(&mut w, e.kind);
+        w.end_array();
     }
-    out.push_str("]}");
+    w.end_array().end_object();
     out
 }
 
 // ----------------------------------------------------------------------
-// Decoding
+// Reading
 
-/// A parsed JSON value (the subset the trace format uses: no floats,
-/// no booleans, no null).
-enum Value {
-    Num(u64),
+/// A parsed JSON value: the subset [`parse`] reads.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Value {
+    /// A number without a fractional part, exact.
+    Int(u64),
+    /// A number with a fractional part.
+    Dec(f64),
     Str(String),
     Arr(Vec<Value>),
+    /// Members in document order.
     Obj(Vec<(String, Value)>),
+}
+
+type PResult<T> = Result<T, String>;
+
+/// Typed accessors: each names `what` it expected in its error.
+impl Value {
+    pub fn as_u64(&self, what: &str) -> PResult<u64> {
+        match self {
+            Value::Int(n) => Ok(*n),
+            _ => Err(format!("json: {what} must be an integer")),
+        }
+    }
+
+    /// Refuses an integer wider than 32 bits rather than truncating it.
+    fn as_u32(&self, what: &str) -> PResult<u32> {
+        u32::try_from(self.as_u64(what)?)
+            .map_err(|_| format!("json: {what} does not fit in 32 bits"))
+    }
+
+    /// An integer or a decimal.
+    pub fn as_f64(&self, what: &str) -> PResult<f64> {
+        match self {
+            Value::Int(n) => Ok(*n as f64),
+            Value::Dec(x) => Ok(*x),
+            _ => Err(format!("json: {what} must be a number")),
+        }
+    }
+
+    pub fn as_str(&self, what: &str) -> PResult<&str> {
+        match self {
+            Value::Str(s) => Ok(s),
+            _ => Err(format!("json: {what} must be a string")),
+        }
+    }
+
+    pub fn as_arr(&self, what: &str) -> PResult<&[Value]> {
+        match self {
+            Value::Arr(items) => Ok(items),
+            _ => Err(format!("json: {what} must be an array")),
+        }
+    }
+
+    pub fn as_obj(&self, what: &str) -> PResult<&[(String, Value)]> {
+        match self {
+            Value::Obj(members) => Ok(members),
+            _ => Err(format!("json: {what} must be an object")),
+        }
+    }
+
+    /// The first member named `name` of this object.
+    pub fn field(&self, name: &str) -> PResult<&Value> {
+        let Value::Obj(members) = self else {
+            return Err(format!("json: `{name}` must be read from an object"));
+        };
+        members
+            .iter()
+            .find(|(k, _)| k == name)
+            .map(|(_, v)| v)
+            .ok_or_else(|| format!("json: missing `{name}`"))
+    }
 }
 
 /// A cursor over the input. `pos` is always a character boundary of
@@ -214,29 +344,21 @@ enum Value {
 struct Parser<'a> {
     src: &'a str,
     pos: usize,
-    /// Containers currently open around `pos`.
+    /// Containers open around `pos`, and the caller's bound on them.
+    /// [`Parser::value`] recurses once per level, so the bound is also
+    /// what keeps hostile input off the call stack.
     depth: usize,
+    max_depth: usize,
 }
 
-/// The deepest nesting the format uses: object → `events` array →
-/// event → kind → node. [`Parser::value`] recurses once per level, so
-/// the bound is also what keeps hostile input off the call stack.
-const MAX_DEPTH: usize = 5;
-
-type PResult<T> = Result<T, String>;
-
-impl<'a> Parser<'a> {
+impl Parser<'_> {
     fn err<T>(&self, what: &str) -> PResult<T> {
-        Err(format!("trace json: {what} at byte {}", self.pos))
+        Err(format!("json: {what} at byte {}", self.pos))
     }
 
     fn skip_ws(&mut self) {
-        while let Some(b) = self.peek() {
-            if b.is_ascii_whitespace() {
-                self.pos += 1;
-            } else {
-                break;
-            }
+        while self.peek().is_some_and(|b| b.is_ascii_whitespace()) {
+            self.pos += 1;
         }
     }
 
@@ -257,34 +379,72 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> PResult<Value> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{' | b'[') if self.depth == MAX_DEPTH => self.err("nesting too deep"),
-            Some(open @ (b'{' | b'[')) => {
-                self.depth += 1;
-                let v = if open == b'{' {
-                    self.object()
-                } else {
-                    self.array()
-                };
-                self.depth -= 1;
-                v
-            }
+            Some(b'{' | b'[') if self.depth == self.max_depth => self.err("nesting too deep"),
+            Some(b'[') => self.items(b']', Parser::value).map(Value::Arr),
+            Some(b'{') => self.items(b'}', Parser::member).map(Value::Obj),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b) if b.is_ascii_digit() => Ok(Value::Num(self.number()?)),
+            Some(b) if b.is_ascii_digit() => self.number(),
             _ => self.err("expected a value"),
         }
     }
 
-    fn number(&mut self) -> PResult<u64> {
-        let start = self.pos;
+    fn member(&mut self) -> PResult<(String, Value)> {
+        self.skip_ws();
+        let key = self.string()?;
+        self.expect(b':')?;
+        Ok((key, self.value()?))
+    }
+
+    /// At an opening bracket: the `,`-separated items up to `close`,
+    /// one level deeper.
+    fn items<T>(&mut self, close: u8, item: fn(&mut Self) -> PResult<T>) -> PResult<Vec<T>> {
+        self.pos += 1;
+        self.depth += 1;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() != Some(close) {
+            loop {
+                items.push(item(self)?);
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(b) if b == close => break,
+                    _ => return self.err(&format!("expected `,` or `{}`", close as char)),
+                }
+            }
+        }
+        self.pos += 1;
+        self.depth -= 1;
+        Ok(items)
+    }
+
+    fn digits(&mut self) {
         while self.peek().is_some_and(|b| b.is_ascii_digit()) {
             self.pos += 1;
         }
-        if self.pos == start {
-            return self.err("expected a number");
+    }
+
+    /// At a digit: an integer, or a decimal when a `.` and at least one
+    /// more digit follow.
+    fn number(&mut self) -> PResult<Value> {
+        let start = self.pos;
+        self.digits();
+        if self.peek() != Some(b'.') {
+            return self.src[start..self.pos]
+                .parse()
+                .map(Value::Int)
+                .map_err(|_| format!("json: integer wider than 64 bits at byte {start}"));
+        }
+        self.pos += 1;
+        let fraction = self.pos;
+        self.digits();
+        if self.pos == fraction {
+            return self.err("expected a digit after `.`");
         }
         self.src[start..self.pos]
             .parse()
-            .map_err(|_| format!("trace json: bad number at byte {start}"))
+            .map(Value::Dec)
+            .map_err(|_| format!("json: bad decimal at byte {start}"))
     }
 
     fn string(&mut self) -> PResult<String> {
@@ -310,20 +470,13 @@ impl<'a> Parser<'a> {
                         b'r' => out.push('\r'),
                         b't' => out.push('\t'),
                         b'u' => {
-                            if self.pos + 4 > self.src.len() {
-                                return self.err("truncated \\u escape");
-                            }
-                            let hex = self
-                                .src
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| "trace json: bad \\u escape".to_owned())?;
-                            let cp = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "trace json: bad \\u escape".to_owned())?;
+                            let hex = self.src.get(self.pos..self.pos + 4);
+                            let cp = hex.and_then(|h| u32::from_str_radix(h, 16).ok());
+                            let Some(c) = cp.and_then(char::from_u32) else {
+                                return self.err("bad \\u escape");
+                            };
+                            out.push(c);
                             self.pos += 4;
-                            out.push(
-                                char::from_u32(cp)
-                                    .ok_or_else(|| "trace json: bad codepoint".to_owned())?,
-                            );
                         }
                         _ => return self.err("unknown escape"),
                     }
@@ -339,99 +492,59 @@ impl<'a> Parser<'a> {
             }
         }
     }
-
-    fn array(&mut self) -> PResult<Value> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return self.err("expected `,` or `]`"),
-            }
-        }
-    }
-
-    fn object(&mut self) -> PResult<Value> {
-        self.expect(b'{')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Obj(items));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            items.push((key, self.value()?));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Obj(items));
-                }
-                _ => return self.err("expected `,` or `}`"),
-            }
-        }
-    }
 }
 
-fn as_num(v: &Value, what: &str) -> PResult<u64> {
-    match v {
-        Value::Num(n) => Ok(*n),
-        _ => Err(format!("trace json: {what} must be a number")),
+/// Parses one JSON document (see the module docs for the grammar),
+/// refusing containers nested more than `max_depth` deep.
+///
+/// # Errors
+///
+/// Returns a rendered message, with the byte offset where it applies,
+/// on input outside the grammar.
+pub fn parse(text: &str, max_depth: usize) -> Result<Value, String> {
+    let mut p = Parser {
+        src: text,
+        pos: 0,
+        depth: 0,
+        max_depth,
+    };
+    let v = p.value()?;
+    p.skip_ws();
+    if p.pos != p.src.len() {
+        return p.err("trailing content");
     }
+    Ok(v)
 }
 
-/// A field the trace model stores in 32 bits: a wider number is
-/// refused, not truncated onto some other thread or section.
-fn as_u32(v: &Value, what: &str) -> PResult<u32> {
-    u32::try_from(as_num(v, what)?)
-        .map_err(|_| format!("trace json: {what} does not fit in 32 bits"))
-}
+/// The deepest nesting the trace format uses: object → `events` array
+/// → event → kind → node.
+const MAX_DEPTH: usize = 5;
 
 fn as_mode(v: &Value) -> PResult<Mode> {
-    as_str(v, "mode")?
-        .parse()
-        .map_err(|e| format!("trace json: {e}"))
+    v.as_str("mode")?.parse().map_err(|e| format!("json: {e}"))
 }
 
-fn as_str<'v>(v: &'v Value, what: &str) -> PResult<&'v str> {
-    match v {
-        Value::Str(s) => Ok(s),
-        _ => Err(format!("trace json: {what} must be a string")),
-    }
-}
-
-fn as_arr<'v>(v: &'v Value, what: &str) -> PResult<&'v [Value]> {
-    match v {
-        Value::Arr(items) => Ok(items),
-        _ => Err(format!("trace json: {what} must be an array")),
+fn as_flag(v: &Value, what: &str) -> PResult<bool> {
+    match v.as_u64(what)? {
+        0 => Ok(false),
+        1 => Ok(true),
+        _ => Err(format!("json: {what} must be 0 or 1")),
     }
 }
 
 fn node_from(v: &Value) -> PResult<NodeKey> {
-    let items = as_arr(v, "node")?;
-    let tag = as_str(items.first().ok_or("trace json: empty node")?, "node tag")?;
+    let items = v.as_arr("node")?;
+    let tag = items
+        .first()
+        .ok_or("json: empty node")?
+        .as_str("node tag")?;
     // The class names are `mglock`'s: build the nodes of this shape and
     // keep the one whose class is the tag.
     let shaped = match items.len() {
         1 => [Some(NodeKey::Root), None],
-        2 => [Some(NodeKey::Pts(as_u32(&items[1], "pts")?)), None],
+        2 => [Some(NodeKey::Pts(items[1].as_u32("pts")?)), None],
         3 => {
-            let (pts, at) = (as_u32(&items[1], "pts")?, as_num(&items[2], "addr")?);
+            let (pts, at) = (items[1].as_u32("pts")?, items[2].as_u64("addr")?);
             [FineAddr::Cell(at), FineAddr::Range(at)].map(|a| Some(NodeKey::Fine(pts, a)))
         }
         _ => [None, None],
@@ -440,14 +553,17 @@ fn node_from(v: &Value) -> PResult<NodeKey> {
         .into_iter()
         .flatten()
         .find(|n| n.class() == tag)
-        .ok_or_else(|| format!("trace json: unknown node `{tag}`"))
+        .ok_or_else(|| format!("json: unknown node `{tag}`"))
 }
 
 fn kind_from(v: &Value) -> PResult<EventKind> {
-    let items = as_arr(v, "event kind")?;
-    let tag = as_str(items.first().ok_or("trace json: empty kind")?, "kind tag")?;
-    let num = |i: usize| as_num(&items[i], tag);
-    let num32 = |i: usize| as_u32(&items[i], tag);
+    let items = v.as_arr("event kind")?;
+    let tag = items
+        .first()
+        .ok_or("json: empty kind")?
+        .as_str("kind tag")?;
+    let num = |i: usize| items[i].as_u64(tag);
+    let num32 = |i: usize| items[i].as_u32(tag);
     Ok(match (tag, items.len()) {
         ("enter", 2) => EventKind::SectionEnter { section: num32(1)? },
         ("exit", 2) => EventKind::SectionExit { section: num32(1)? },
@@ -474,16 +590,12 @@ fn kind_from(v: &Value) -> PResult<EventKind> {
         ("ab", 1) => EventKind::StmAbort,
         ("fb", 1) => EventKind::StmFallback,
         ("flt", 2) => EventKind::Fault {
-            class: FaultClass::from_tag(as_str(&items[1], "fault class")?)
-                .ok_or_else(|| "trace json: unknown fault class".to_owned())?,
+            class: FaultClass::from_tag(items[1].as_str("fault class")?)
+                .ok_or_else(|| "json: unknown fault class".to_owned())?,
         },
         ("qr", 4) => EventKind::Quarantine {
             section: num32(1)?,
-            healed: match num(2)? {
-                0 => false,
-                1 => true,
-                _ => return Err("trace json: qr healed flag must be 0 or 1".into()),
-            },
+            healed: as_flag(&items[2], "qr healed flag")?,
             probation: num32(3)?,
         },
         ("wk", 5) => EventKind::WakeDecision {
@@ -495,80 +607,59 @@ fn kind_from(v: &Value) -> PResult<EventKind> {
         ("ri", 4) => EventKind::Reinfer {
             section: num32(1)?,
             candidate: num32(2)?,
-            accepted: match num(3)? {
-                0 => false,
-                1 => true,
-                _ => return Err("trace json: ri accepted flag must be 0 or 1".into()),
-            },
+            accepted: as_flag(&items[3], "ri accepted flag")?,
         },
-        _ => return Err(format!("trace json: unknown event kind `{tag}`")),
+        _ => return Err(format!("json: unknown event kind `{tag}`")),
     })
+}
+
+fn trace_from(root: &Value) -> PResult<Trace> {
+    let format = root.field("format")?.as_str("format")?;
+    if format != FORMAT {
+        return Err(format!("json: unsupported format `{format}`"));
+    }
+    let mut t = Trace {
+        dropped: root.field("dropped")?.as_u64("dropped")?,
+        ..Trace::default()
+    };
+    for pair in root.field("meta")?.as_arr("meta")? {
+        let [k, v] = pair.as_arr("meta entry")? else {
+            return Err("json: meta entries are [key,value]".into());
+        };
+        t.meta.push((
+            k.as_str("meta key")?.to_owned(),
+            v.as_str("meta value")?.to_owned(),
+        ));
+    }
+    for rec in root.field("allocs")?.as_arr("allocs")? {
+        let [base, len, class] = rec.as_arr("alloc record")? else {
+            return Err("json: alloc records are [base,len,class]".into());
+        };
+        t.allocs.push(AllocRecord {
+            base: base.as_u64("base")?,
+            len: len.as_u64("len")?,
+            class: class.as_u32("class")?,
+        });
+    }
+    for rec in root.field("events")?.as_arr("events")? {
+        let [epoch, tid, clock, kind] = rec.as_arr("event")? else {
+            return Err("json: events are [epoch,tid,clock,kind]".into());
+        };
+        t.events.push(Event {
+            epoch: epoch.as_u64("epoch")?,
+            tid: tid.as_u32("tid")?,
+            clock: clock.as_u64("clock")?,
+            kind: kind_from(kind)?,
+        });
+    }
+    Ok(t)
 }
 
 /// Parses a trace from its canonical JSON encoding.
 pub fn decode(s: &str) -> Result<Trace, String> {
-    let mut p = Parser {
-        src: s,
-        pos: 0,
-        depth: 0,
-    };
-    let root = p.value()?;
-    p.skip_ws();
-    if p.pos != p.src.len() {
-        return Err("trace json: trailing content".into());
-    }
-    let Value::Obj(fields) = root else {
-        return Err("trace json: top level must be an object".into());
-    };
-    let field = |name: &str| {
-        fields
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("trace json: missing `{name}`"))
-    };
-    let format = as_str(field("format")?, "format")?;
-    if format != FORMAT {
-        return Err(format!("trace json: unsupported format `{format}`"));
-    }
-    let mut t = Trace {
-        dropped: as_num(field("dropped")?, "dropped")?,
-        ..Trace::default()
-    };
-    for pair in as_arr(field("meta")?, "meta")? {
-        let kv = as_arr(pair, "meta entry")?;
-        if kv.len() != 2 {
-            return Err("trace json: meta entries are [key,value]".into());
-        }
-        t.meta.push((
-            as_str(&kv[0], "meta key")?.to_owned(),
-            as_str(&kv[1], "meta value")?.to_owned(),
-        ));
-    }
-    for rec in as_arr(field("allocs")?, "allocs")? {
-        let a = as_arr(rec, "alloc record")?;
-        if a.len() != 3 {
-            return Err("trace json: alloc records are [base,len,class]".into());
-        }
-        t.allocs.push(AllocRecord {
-            base: as_num(&a[0], "base")?,
-            len: as_num(&a[1], "len")?,
-            class: as_u32(&a[2], "class")?,
-        });
-    }
-    for rec in as_arr(field("events")?, "events")? {
-        let e = as_arr(rec, "event")?;
-        if e.len() != 4 {
-            return Err("trace json: events are [epoch,tid,clock,kind]".into());
-        }
-        t.events.push(Event {
-            epoch: as_num(&e[0], "epoch")?,
-            tid: as_u32(&e[1], "tid")?,
-            clock: as_num(&e[2], "clock")?,
-            kind: kind_from(&e[3])?,
-        });
-    }
-    Ok(t)
+    parse(s, MAX_DEPTH)
+        .and_then(|root| trace_from(&root))
+        .map_err(|e| format!("trace {e}"))
 }
 
 #[cfg(test)]
@@ -801,5 +892,113 @@ mod tests {
             .expect("decode of a 1 MiB string finishes within 5 s")
             .expect("decode");
         assert_eq!(t, back);
+    }
+
+    #[test]
+    fn numbers_outside_the_grammar_are_typed_errors() {
+        let doc = |dropped: &str| {
+            format!(
+                "{{\"format\":\"ali-trace-v1\",\"dropped\":{dropped},\"meta\":[],\
+                 \"allocs\":[],\"events\":[]}}"
+            )
+        };
+        // A decimal where the trace wants an integer.
+        let err = decode(&doc("1.5")).unwrap_err();
+        assert!(err.contains("dropped must be an integer"), "{err}");
+        // One past u64::MAX is refused, not wrapped; u64::MAX is exact.
+        let err = decode(&doc("18446744073709551616")).unwrap_err();
+        assert!(err.contains("wider than 64 bits"), "{err}");
+        assert_eq!(
+            decode(&doc("18446744073709551615")).unwrap().dropped,
+            u64::MAX
+        );
+        for (bad, why) in [
+            ("1.", "expected a digit after `.`"),
+            (".5", "expected a value"),
+            ("-1", "expected a value"),
+            ("+1", "expected a value"),
+            ("1e5", "expected `,` or `}`"),
+            ("true", "expected a value"),
+            ("null", "expected a value"),
+        ] {
+            let err = decode(&doc(bad)).unwrap_err();
+            assert!(err.contains(why), "{bad}: {err}");
+        }
+        assert_eq!(
+            parse("[0.966, 2.0]", 1),
+            Ok(Value::Arr(vec![Value::Dec(0.966), Value::Dec(2.0)]))
+        );
+        assert_eq!(parse("2.0", 0).unwrap().as_f64("x"), Ok(2.0));
+        assert_eq!(parse("7", 0).unwrap().as_f64("x"), Ok(7.0));
+    }
+
+    /// What the writer can say that the reader reads: no booleans or
+    /// nulls, decimals at three places.
+    fn write_value(w: &mut Writer, v: &Value) {
+        match v {
+            Value::Int(n) => {
+                w.u64(*n);
+            }
+            Value::Dec(x) => {
+                w.fixed(*x, 3);
+            }
+            Value::Str(s) => {
+                w.str(s);
+            }
+            Value::Arr(items) => {
+                w.array();
+                for item in items {
+                    write_value(w, item);
+                }
+                w.end_array();
+            }
+            Value::Obj(members) => {
+                w.object();
+                for (k, v) in members {
+                    w.key(k);
+                    write_value(w, v);
+                }
+                w.end_object();
+            }
+        }
+    }
+
+    fn text() -> impl proptest::strategy::Strategy<Value = String> {
+        use proptest::prelude::*;
+        let chars = vec![
+            'a', ' ', '/', 'é', '€', '𝄞', '"', '\\', '\n', '\r', '\t', '\u{1}', '\u{1f}',
+        ];
+        prop::collection::vec(prop::sample::select(chars), 0..6)
+            .prop_map(|cs| cs.into_iter().collect())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn written_values_read_back_and_rewrite_to_the_same_bytes(
+            v in {
+                use proptest::prelude::*;
+                prop_oneof![
+                    any::<u64>().prop_map(Value::Int),
+                    (0u64..1 << 40).prop_map(|n| Value::Dec(n as f64 / 1000.0)),
+                    text().prop_map(Value::Str),
+                ]
+                .prop_recursive(4, 32, 4, |inner| {
+                    prop_oneof![
+                        prop::collection::vec(inner.clone(), 0..4).prop_map(Value::Arr),
+                        prop::collection::vec((text(), inner), 0..4).prop_map(Value::Obj),
+                    ]
+                })
+            }
+        ) {
+            let mut json = String::new();
+            write_value(&mut Writer::new(&mut json), &v);
+            let back = parse(&json, 5).expect("the writer's output parses");
+            proptest::prop_assert_eq!(&back, &v);
+            let mut again = String::new();
+            write_value(&mut Writer::new(&mut again), &back);
+            proptest::prop_assert_eq!(again, json);
+        }
     }
 }

@@ -27,9 +27,9 @@
 //!   ladder (`["qr", …]` transitions) from a trace, with a truncation
 //!   guard that drops half-open quarantines instead of fabricating
 //!   state;
-//! * [`json`] — a self-contained JSON export/import of traces (the
-//!   build environment has no registry access, so the codec is
-//!   hand-rolled rather than serde-derived — see `shims/README.md`).
+//! * [`json`] — the workspace's one JSON writer and reader, and the
+//!   trace codec built on them (the build environment has no registry
+//!   access, so there is no serde — see `shims/README.md`).
 //!
 //! Under the deterministic virtual-time scheduler (`interp::sim`)
 //! exactly one thread executes at any moment, so the epoch stamps give

@@ -283,13 +283,7 @@ impl EvalContext {
                 trace.meta_set("adapt.name", cfg.name.clone());
                 trace.meta_set("adapt.base_k", cfg.k.to_string());
                 for (section, c) in map.overrides() {
-                    trace.meta_set(
-                        &format!("adapt.section.{section}"),
-                        format!(
-                            "k={},expr={},pts={},eff={}",
-                            c.k, c.use_expr, c.use_pts, c.use_eff
-                        ),
-                    );
+                    trace.meta_set(&format!("adapt.section.{section}"), c.to_string());
                 }
                 if let Some(s) = &cfg.sched {
                     trace.meta_set("adapt.wake_policy", s.policy.tag().to_owned());

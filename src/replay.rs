@@ -272,19 +272,10 @@ impl RunConfig {
             }
         }
         for &(section, candidate, c) in &self.repairs {
+            let elem = c.elem_field.map_or("none".to_owned(), |f| f.0.to_string());
             t.meta_set(
                 &format!("run.repair.{section}"),
-                format!(
-                    "{candidate}:k={},expr={},pts={},eff={},elem={}",
-                    c.k,
-                    c.use_expr,
-                    c.use_pts,
-                    c.use_eff,
-                    match c.elem_field {
-                        Some(f) => f.0.to_string(),
-                        None => "none".to_owned(),
-                    }
-                ),
+                format!("{candidate}:{c},elem={elem}"),
             );
         }
     }
@@ -326,25 +317,14 @@ where
 /// (the inverse of the [`RunConfig::stamp`] encoding).
 fn parse_repair(section: u32, v: &str) -> Result<RepairEntry, String> {
     let bad = || format!("replay: bad `run.repair.{section}`: `{v}`");
-    let (candidate, fields) = v.split_once(':').ok_or_else(bad)?;
+    let (candidate, rest) = v.split_once(':').ok_or_else(bad)?;
+    let (scheme, elem) = rest.rsplit_once(",elem=").ok_or_else(bad)?;
     let candidate = candidate.parse::<u32>().map_err(|_| bad())?;
-    let mut cfg = SchemeConfig::full(0, None);
-    for field in fields.split(',') {
-        let (key, val) = field.split_once('=').ok_or_else(bad)?;
-        match key {
-            "k" => cfg.k = val.parse().map_err(|_| bad())?,
-            "expr" => cfg.use_expr = val.parse().map_err(|_| bad())?,
-            "pts" => cfg.use_pts = val.parse().map_err(|_| bad())?,
-            "eff" => cfg.use_eff = val.parse().map_err(|_| bad())?,
-            "elem" => {
-                cfg.elem_field = match val {
-                    "none" => None,
-                    n => Some(lir::FieldId(n.parse().map_err(|_| bad())?)),
-                };
-            }
-            _ => return Err(bad()),
-        }
-    }
+    let mut cfg: SchemeConfig = scheme.parse().map_err(|e| format!("{}: {e}", bad()))?;
+    cfg.elem_field = match elem {
+        "none" => None,
+        n => Some(lir::FieldId(n.parse().map_err(|_| bad())?)),
+    };
     Ok((section, candidate, cfg))
 }
 
@@ -667,10 +647,11 @@ mod tests {
             section: 0,
             drop_index: 0,
         });
+        c.repairs = vec![(0, 0, SchemeConfig::full(3, None))];
         let good = record(&c).unwrap().trace;
         assert!(replay(&good).is_ok(), "the undoctored trace replays");
         // Past each field's own width: u16, u32, usize.
-        let (u16_max, u32_max) = (u64::from(u16::MAX), u64::from(u32::MAX));
+        let (u16_max, u32_max, u64_max) = (u64::from(u16::MAX), u64::from(u32::MAX), u64::MAX);
         let cases: &[(&str, String)] = &[
             ("run.threads", "100000".into()),
             ("run.threads", "-1".into()),
@@ -687,6 +668,34 @@ mod tests {
             ("run.mode", "Validate".into()),
             ("run.weaken_section", (u32_max + 1).to_string()),
             ("run.weaken_drop", "18446744073709551616".into()),
+            // `SchemeConfig`'s one text form, between a candidate and
+            // an `elem` field: nothing missing, extra or out of place.
+            (
+                "run.repair.0",
+                "0:k=3,expr=true,pts=true,eff=yes,elem=none".into(),
+            ),
+            (
+                "run.repair.0",
+                "0:k=3,pts=true,expr=true,eff=true,elem=none".into(),
+            ),
+            ("run.repair.0", "0:k=3,expr=true,pts=true,elem=none".into()),
+            (
+                "run.repair.0",
+                "0:k=3,expr=true,pts=true,eff=true,x=1,elem=none".into(),
+            ),
+            ("run.repair.0", "0:k=3,expr=true,pts=true,eff=true".into()),
+            (
+                "run.repair.0",
+                "0:k=3,expr=true,pts=true,eff=true,elem=-1".into(),
+            ),
+            (
+                "run.repair.0",
+                "-1:k=3,expr=true,pts=true,eff=true,elem=none".into(),
+            ),
+            (
+                "run.repair.0",
+                format!("0:k={u64_max}0,expr=true,pts=true,eff=true,elem=none"),
+            ),
         ];
         for (key, value) in cases {
             let mut t = good.clone();

@@ -12,6 +12,7 @@ use atomic_lock_inference as ali;
 
 use ali::interp::{ExecMode, FaultPlan};
 use ali::replay::{record, RunConfig};
+use ali::trace::json::{parse, Value};
 use ali::trace::{Event, EventKind, Trace};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -42,32 +43,28 @@ fn flamegraph(t: &Trace) -> Flamegraph {
     }
     let json = ali::obs::export::speedscope(&marked);
 
-    let field = |s: &str, key: &str| -> u64 {
-        let at = s.find(key).unwrap_or_else(|| panic!("{key} in {s}")) + key.len();
-        let digits: String = s[at..].chars().take_while(char::is_ascii_digit).collect();
-        digits.parse().expect("a number")
-    };
-    // `{"name":"section 3"}` or `{"name":"section 3 wait"}`, in id order.
-    let (shared, profiles) = json.split_once("\"profiles\":[").expect("profiles");
-    let frames: Vec<Option<u32>> = shared
-        .split("{\"name\":\"")
-        .skip(1)
+    fn get<'v>(v: &'v Value, key: &str) -> &'v Value {
+        v.field(key).expect(key)
+    }
+    let list = |v, key| get(v, key).as_arr(key).expect(key);
+    let doc = parse(&json, 5).expect("speedscope output parses");
+    // `section 3` or `section 3 wait`, in id order.
+    let frames: Vec<Option<u32>> = list(get(&doc, "shared"), "frames")
+        .iter()
         .map(|f| {
-            let name = &f[..f.find('"').expect("closing quote")];
+            let name = get(f, "name").as_str("name").expect("a frame name");
             name.strip_prefix("section ")?.parse().ok()
         })
         .collect();
     let mut out = Flamegraph::default();
-    for p in profiles
-        .split("{\"type\":\"evented\",\"name\":\"thread ")
-        .skip(1)
-    {
-        let tid = field(p, "") as u32;
-        let (_, events) = p.split_once("\"events\":[").expect("events");
+    for p in list(&doc, "profiles") {
+        let name = get(p, "name").as_str("thread").unwrap();
+        let tid: u32 = name["thread ".len()..].parse().expect("a thread id");
         let mut depth = 0u32;
-        for ev in events.split("{\"type\":\"").skip(1) {
-            let (frame, at) = (field(ev, "\"frame\":") as usize, field(ev, "\"at\":"));
-            if ev.starts_with('O') {
+        for ev in list(p, "events") {
+            let num = |key| get(ev, key).as_u64(key).expect(key);
+            let (frame, at) = (num("frame") as usize, num("at"));
+            if get(ev, "type").as_str("type") == Ok("O") {
                 depth += 1;
                 continue;
             }
