@@ -376,10 +376,14 @@ impl Parser<'_> {
         }
     }
 
+    fn at(&mut self, b: u8) -> bool {
+        self.skip_ws();
+        self.peek() == Some(b)
+    }
+
     fn value(&mut self) -> PResult<Value> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{' | b'[') if self.depth == self.max_depth => self.err("nesting too deep"),
             Some(b'[') => self.items(b']', Parser::value).map(Value::Arr),
             Some(b'{') => self.items(b'}', Parser::member).map(Value::Obj),
             Some(b'"') => Ok(Value::Str(self.string()?)),
@@ -388,23 +392,34 @@ impl Parser<'_> {
         }
     }
 
-    fn member(&mut self) -> PResult<(String, Value)> {
+    /// An object member's key and the `:` after it.
+    fn key(&mut self) -> PResult<String> {
         self.skip_ws();
         let key = self.string()?;
-        self.expect(b':')?;
-        Ok((key, self.value()?))
+        self.expect(b':').map(|()| key)
+    }
+
+    fn member(&mut self) -> PResult<(String, Value)> {
+        Ok((self.key()?, self.value()?))
     }
 
     /// At an opening bracket: the `,`-separated items up to `close`,
     /// one level deeper.
-    fn items<T>(&mut self, close: u8, item: fn(&mut Self) -> PResult<T>) -> PResult<Vec<T>> {
+    fn items<T>(
+        &mut self,
+        close: u8,
+        mut f: impl FnMut(&mut Self) -> PResult<T>,
+    ) -> PResult<Vec<T>> {
+        if self.depth == self.max_depth {
+            return self.err("nesting too deep");
+        }
         self.pos += 1;
         self.depth += 1;
         let mut items = Vec::new();
         self.skip_ws();
         if self.peek() != Some(close) {
             loop {
-                items.push(item(self)?);
+                items.push(f(self)?);
                 self.skip_ws();
                 match self.peek() {
                     Some(b',') => self.pos += 1,
@@ -502,13 +517,22 @@ impl Parser<'_> {
 /// Returns a rendered message, with the byte offset where it applies,
 /// on input outside the grammar.
 pub fn parse(text: &str, max_depth: usize) -> Result<Value, String> {
+    document(text, max_depth, Parser::value)
+}
+
+/// The one value `read` reads from `text`, and nothing after it.
+fn document<'a, T>(
+    text: &'a str,
+    max_depth: usize,
+    read: impl FnOnce(&mut Parser<'a>) -> PResult<T>,
+) -> PResult<T> {
     let mut p = Parser {
         src: text,
         pos: 0,
         depth: 0,
         max_depth,
     };
-    let v = p.value()?;
+    let v = read(&mut p)?;
     p.skip_ws();
     if p.pos != p.src.len() {
         return p.err("trailing content");
@@ -613,7 +637,8 @@ fn kind_from(v: &Value) -> PResult<EventKind> {
     })
 }
 
-fn trace_from(root: &Value) -> PResult<Trace> {
+/// The trace `root` holds, with the events [`decode`] streamed.
+fn trace_from(root: &Value, events: Vec<PResult<Event>>) -> PResult<Trace> {
     let format = root.field("format")?.as_str("format")?;
     if format != FORMAT {
         return Err(format!("json: unsupported format `{format}`"));
@@ -641,25 +666,45 @@ fn trace_from(root: &Value) -> PResult<Trace> {
             class: class.as_u32("class")?,
         });
     }
-    for rec in root.field("events")?.as_arr("events")? {
-        let [epoch, tid, clock, kind] = rec.as_arr("event")? else {
-            return Err("json: events are [epoch,tid,clock,kind]".into());
-        };
-        t.events.push(Event {
-            epoch: epoch.as_u64("epoch")?,
-            tid: tid.as_u32("tid")?,
-            clock: clock.as_u64("clock")?,
-            kind: kind_from(kind)?,
-        });
-    }
+    // Streamed `events` stand in the tree as an empty array.
+    root.field("events")?.as_arr("events")?;
+    t.events = events.into_iter().collect::<PResult<_>>()?;
     Ok(t)
 }
 
-/// Parses a trace from its canonical JSON encoding.
+fn event_from(v: &Value) -> PResult<Event> {
+    let [epoch, tid, clock, kind] = v.as_arr("event")? else {
+        return Err("json: events are [epoch,tid,clock,kind]".into());
+    };
+    Ok(Event {
+        epoch: epoch.as_u64("epoch")?,
+        tid: tid.as_u32("tid")?,
+        clock: clock.as_u64("clock")?,
+        kind: kind_from(kind)?,
+    })
+}
+
+/// Parses a trace from its canonical JSON encoding. The first `events`
+/// array is converted as it streams, so no tree holds more than one
+/// event; its errors still come last, as if the whole tree had been
+/// read first.
 pub fn decode(s: &str) -> Result<Trace, String> {
-    parse(s, MAX_DEPTH)
-        .and_then(|root| trace_from(&root))
-        .map_err(|e| format!("trace {e}"))
+    let mut events = None;
+    let root = document(s, MAX_DEPTH, |p| {
+        if !p.at(b'{') {
+            return p.value();
+        }
+        p.items(b'}', |p| match p.key()? {
+            key if key == "events" && events.is_none() && p.at(b'[') => {
+                events = Some(p.items(b']', |p| Ok(event_from(&p.value()?)))?);
+                Ok((key, Value::Arr(Vec::new())))
+            }
+            key => Ok((key, p.value()?)),
+        })
+        .map(Value::Obj)
+    });
+    let trace = root.and_then(|root| trace_from(&root, events.unwrap_or_default()));
+    trace.map_err(|e| format!("trace {e}"))
 }
 
 #[cfg(test)]
@@ -892,6 +937,55 @@ mod tests {
             .expect("decode of a 1 MiB string finishes within 5 s")
             .expect("decode");
         assert_eq!(t, back);
+    }
+
+    #[test]
+    fn streamed_events_report_their_errors_where_the_whole_tree_would() {
+        let doc = |format: &str, events: &str, tail: &str| {
+            format!(
+                "{{\"format\":\"{format}\",\"dropped\":0,\"meta\":[],\
+                 \"allocs\":[],\"events\":{events}{tail}}}"
+            )
+        };
+        let bad = "[[0,0,0,[\"??\"]]]";
+        for (json, why) in [
+            // A syntax error after a bad event comes first …
+            (doc(FORMAT, bad, ",\"x\":"), "expected a value"),
+            (doc(FORMAT, bad, "} trailing"), "trailing content"),
+            // … then the members before `events`, checked in order …
+            (doc("nope", bad, ""), "unsupported format `nope`"),
+            (
+                doc(FORMAT, bad, "").replace("\"dropped\":0", "\"dropped\":\"0\""),
+                "dropped must be an integer",
+            ),
+            (
+                doc(FORMAT, bad, "").replace("[],\"events", "[[1,2]],\"events"),
+                "alloc records are",
+            ),
+            // … then the first bad event.
+            (
+                doc(FORMAT, "[[0,0,0,[\"??\"]],[0,0,0,[\"!!\"]]]", ""),
+                "unknown event kind `??`",
+            ),
+            // Only the first `events` member counts, as in the tree.
+            (
+                doc(FORMAT, "\"x\"", ",\"events\":[]"),
+                "events must be an array",
+            ),
+            (
+                doc(FORMAT, "[]", "").replace("\"events\":[]", "\"evts\":[]"),
+                "missing `events`",
+            ),
+        ] {
+            let err = decode(&json).unwrap_err();
+            assert!(err.contains(why), "{json}: {err}");
+        }
+        let t = decode(&doc(
+            FORMAT,
+            "[[0,0,0,[\"pc\"]]]",
+            &format!(",\"events\":{bad}"),
+        ));
+        assert_eq!(t.expect("the first `events` decodes").events.len(), 1);
     }
 
     #[test]
