@@ -116,6 +116,11 @@ fn report(t: &trace::Trace) -> bool {
         t.allocs.len(),
         t.dropped
     );
+    let bytes = t.events.byte_len();
+    println!(
+        "log: {bytes} bytes ({:.2} B/event)",
+        bytes as f64 / t.events.len().max(1) as f64
+    );
     println!("digest: {}", t.digest());
     print!("{}", trace::profile::render(&trace::profile::profile(t)));
     let qh = trace::quarantine_history(t);
@@ -444,17 +449,25 @@ fn cmd_reinfer(args: &[String]) -> Result<ExitCode, String> {
             // Zero post-repair violations: once a section's repair is
             // accepted (`ri` event), it must never demote again.
             let quiet = admitted.iter().all(|&(section, _)| {
-                let events = &healed.trace.events;
-                match events.iter().rposition(|e| {
-                    matches!(e.kind,
-                        trace::EventKind::Reinfer { section: s, accepted: true, .. } if s == section)
-                }) {
-                    Some(at) => !events[at..].iter().any(|e| {
-                        matches!(e.kind,
-                            trace::EventKind::Quarantine { section: s, healed: false, .. } if s == section)
-                    }),
-                    None => false,
+                // Unset until the section's repair is accepted, then
+                // whether no demotion followed the last acceptance.
+                let mut quiet = None;
+                for e in &healed.trace.events {
+                    match e.kind {
+                        trace::EventKind::Reinfer {
+                            section: s,
+                            accepted: true,
+                            ..
+                        } if s == section => quiet = Some(true),
+                        trace::EventKind::Quarantine {
+                            section: s,
+                            healed: false,
+                            ..
+                        } if s == section => quiet = quiet.map(|_| false),
+                        _ => {}
+                    }
                 }
+                quiet == Some(true)
             });
             let replayed = replay::replay(&healed.trace)
                 .map(|again| again.trace.digest() == healed.trace.digest())

@@ -35,7 +35,7 @@ pub fn from_trace(t: &Trace) -> Snapshot {
         }
         makespan = makespan.max(e.clock);
         kinds[e.kind.index()] += 1;
-        profiler.step(e);
+        profiler.step(&e);
         match e.kind {
             EventKind::LockAcquire { mode, .. } => {
                 acquires[ALL_MODES.iter().position(|&m| m == mode).unwrap()] += 1;

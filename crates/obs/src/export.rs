@@ -140,7 +140,7 @@ pub fn speedscope(t: &Trace) -> String {
         let th = threads.entry(e.tid).or_default();
         th.start.get_or_insert(e.clock);
         th.last = th.last.max(e.clock);
-        match th.sections.step(e) {
+        match th.sections.step(&e) {
             step @ (Step::EnteredOutermost { section } | Step::EnteredNested { section }) => {
                 let f = frame_of(format!("section {section}"));
                 th.open(f, e.clock);
@@ -255,7 +255,8 @@ mod tests {
                 ev(1, 0, 15, EventKind::PlanComplete),
                 ev(2, 0, 30, EventKind::SectionExit { section: 3 }),
                 ev(3, 1, 5, EventKind::SectionEnter { section: 3 }),
-            ],
+            ]
+            .into(),
             ..Trace::default()
         };
         let s = speedscope(&t);

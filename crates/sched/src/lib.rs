@@ -459,7 +459,8 @@ mod tests {
                 wk(NodeKey::Pts(1), 3),
                 wk(NodeKey::Pts(1), 5),
                 wk(NodeKey::Root, 1),
-            ],
+            ]
+            .into(),
             ..Trace::default()
         };
         let qp = queue_profiles(&t);

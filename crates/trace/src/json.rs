@@ -46,7 +46,7 @@
 //! MODE := "IS" | "IX" | "S" | "SIX" | "X"
 //! ```
 
-use crate::event::{Event, EventKind, FaultClass};
+use crate::event::{Event, EventKind, EventLog, FaultClass};
 use crate::{AllocRecord, Trace};
 use mglock::{FineAddr, Mode, NodeKey};
 use std::fmt::Write as _;
@@ -637,8 +637,9 @@ fn kind_from(v: &Value) -> PResult<EventKind> {
     })
 }
 
-/// The trace `root` holds, with the events [`decode`] streamed.
-fn trace_from(root: &Value, events: Vec<PResult<Event>>) -> PResult<Trace> {
+/// The trace `root` holds, with the events [`decode`] streamed (or the
+/// first of them that did not convert).
+fn trace_from(root: &Value, events: PResult<EventLog>) -> PResult<Trace> {
     let format = root.field("format")?.as_str("format")?;
     if format != FORMAT {
         return Err(format!("json: unsupported format `{format}`"));
@@ -668,7 +669,7 @@ fn trace_from(root: &Value, events: Vec<PResult<Event>>) -> PResult<Trace> {
     }
     // Streamed `events` stand in the tree as an empty array.
     root.field("events")?.as_arr("events")?;
-    t.events = events.into_iter().collect::<PResult<_>>()?;
+    t.events = events?;
     Ok(t)
 }
 
@@ -685,9 +686,9 @@ fn event_from(v: &Value) -> PResult<Event> {
 }
 
 /// Parses a trace from its canonical JSON encoding. The first `events`
-/// array is converted as it streams, so no tree holds more than one
-/// event; its errors still come last, as if the whole tree had been
-/// read first.
+/// array is pushed onto the trace's [`EventLog`] as it streams, so no
+/// tree holds more than one event; its first conversion error still
+/// comes last, as if the whole tree had been read first.
 pub fn decode(s: &str) -> Result<Trace, String> {
     let mut events = None;
     let root = document(s, MAX_DEPTH, |p| {
@@ -696,14 +697,25 @@ pub fn decode(s: &str) -> Result<Trace, String> {
         }
         p.items(b'}', |p| match p.key()? {
             key if key == "events" && events.is_none() && p.at(b'[') => {
-                events = Some(p.items(b']', |p| Ok(event_from(&p.value()?)))?);
+                let (mut log, mut bad) = (EventLog::new(), None);
+                p.items(b']', |p| {
+                    match event_from(&p.value()?) {
+                        Ok(e) if bad.is_none() => log.push(e),
+                        Ok(_) => {}
+                        Err(e) => {
+                            bad.get_or_insert(e);
+                        }
+                    }
+                    Ok(())
+                })?;
+                events = Some(bad.map_or(Ok(log), Err));
                 Ok((key, Value::Arr(Vec::new())))
             }
             key => Ok((key, p.value()?)),
         })
         .map(Value::Obj)
     });
-    let trace = root.and_then(|root| trace_from(&root, events.unwrap_or_default()));
+    let trace = root.and_then(|root| trace_from(&root, events.unwrap_or(Ok(EventLog::new()))));
     trace.map_err(|e| format!("trace {e}"))
 }
 
@@ -865,14 +877,15 @@ mod tests {
         }
         // The 64-bit fields keep their width.
         let t = decode(&doc("", &format!("[{WIDE},0,{WIDE},[\"rd\",{WIDE}]]"))).expect("decode");
-        assert_eq!(t.events[0].kind, EventKind::Read { addr: WIDE });
+        let e = t.events.iter().next().expect("one event");
+        assert_eq!(e.kind, EventKind::Read { addr: WIDE });
     }
 
     fn meta_only(meta: Vec<(String, String)>) -> Trace {
         Trace {
             meta,
             allocs: Vec::new(),
-            events: Vec::new(),
+            events: EventLog::new(),
             dropped: 0,
         }
     }

@@ -14,7 +14,8 @@
 //!
 //! * [`event`] — the event vocabulary (section boundaries, lock
 //!   grants/releases with modes, shared reads/writes, STM lifecycle,
-//!   injected faults);
+//!   injected faults) and [`EventLog`], the byte-coded sequence a trace
+//!   stores them in (5.3–6.4 bytes an event; every reader decodes it);
 //! * [`recorder`] — one event log per machine, written in epoch order
 //!   under one lock; [`Recorder::take`] hands it over as the
 //!   totally-ordered [`Trace`], with no merge;
@@ -45,7 +46,7 @@ pub mod quarantine;
 pub mod recorder;
 pub mod sections;
 
-pub use event::{Event, EventKind, FaultClass};
+pub use event::{Event, EventKind, EventLog, FaultClass};
 pub use lockset::{validate, Validation, ValidationError, Violation};
 pub use profile::{profile, Histogram, SectionProfile};
 pub use quarantine::{quarantine_history, QuarantineHistory, QuarantineTransition};
@@ -72,8 +73,10 @@ pub struct Trace {
     pub meta: Vec<(String, String)>,
     /// Allocation table snapshot (sorted by base).
     pub allocs: Vec<AllocRecord>,
-    /// Events in epoch order, as they were recorded.
-    pub events: Vec<Event>,
+    /// Events in epoch order, as they were recorded, byte-coded: a
+    /// reader decodes them on every pass with `events.iter()`, and
+    /// `events.len()` is the event count.
+    pub events: EventLog,
     /// Events discarded because their thread registration had already
     /// kept [`TraceConfig::capacity`] events. Each still used up an
     /// epoch, so a truncated trace shows gaps in the sequence.
@@ -177,7 +180,8 @@ mod tests {
     #[test]
     fn epochs_are_monotone_in_the_log() {
         let t = sample();
-        assert!(t.events.windows(2).all(|w| w[0].epoch < w[1].epoch));
+        let epochs: Vec<u64> = t.events.iter().map(|e| e.epoch).collect();
+        assert!(epochs.windows(2).all(|w| w[0] < w[1]));
         assert_eq!(t.dropped, 0);
     }
 

@@ -28,7 +28,6 @@ use crate::event::EventKind;
 use crate::sections::{Cursor, Step};
 use crate::Trace;
 use mglock::{FineAddr, Mode, NodeKey};
-use std::collections::HashMap;
 
 /// One uncovered in-section access.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -162,10 +161,23 @@ pub fn validate(trace: &Trace) -> Result<Validation, ValidationError> {
     // STM traces have no lock grants; accesses are covered by the
     // transaction itself. Check section structure only.
     let stm = trace.meta_get("mode") == Some("Stm");
-    let mut threads: HashMap<u32, ThreadState> = HashMap::new();
+    // A trace names a handful of threads and mostly runs one of them
+    // for many events in a row: a scan from the last one found beats
+    // hashing every event's tid.
+    let mut threads: Vec<(u32, ThreadState)> = Vec::new();
+    let mut at = 0;
     let mut v = Validation::default();
     for e in &trace.events {
-        let st = threads.entry(e.tid).or_default();
+        if threads.get(at).is_none_or(|&(tid, _)| tid != e.tid) {
+            at = match threads.iter().position(|&(tid, _)| tid == e.tid) {
+                Some(i) => i,
+                None => {
+                    threads.push((e.tid, ThreadState::default()));
+                    threads.len() - 1
+                }
+            };
+        }
+        let st = &mut threads[at].1;
         match e.kind {
             EventKind::LockAcquire { node, mode } => st.held.push((node, mode)),
             EventKind::LockRelease { node, mode } => {
@@ -212,7 +224,7 @@ pub fn validate(trace: &Trace) -> Result<Validation, ValidationError> {
                 // Private allocations live as long as the outermost
                 // execution: a commit publishes them, an aborted
                 // attempt's are unreachable.
-                if let Step::ExitedOutermost(_) | Step::Aborted { .. } = st.sections.step(e) {
+                if let Step::ExitedOutermost(_) | Step::Aborted { .. } = st.sections.step(&e) {
                     st.allocs.clear();
                 }
             }
@@ -221,7 +233,7 @@ pub fn validate(trace: &Trace) -> Result<Validation, ValidationError> {
     let mut crashed: Vec<u32> = threads
         .iter()
         .filter(|(_, st)| st.sections.crashed())
-        .map(|(&tid, _)| tid)
+        .map(|&(tid, _)| tid)
         .collect();
     crashed.sort_unstable();
     v.crashed = crashed;
@@ -258,7 +270,7 @@ mod tests {
                     class: 2,
                 },
             ],
-            events,
+            events: events.into(),
             dropped: 0,
         }
     }
@@ -421,7 +433,8 @@ mod tests {
                         class: crate::event::FaultClass::Panic,
                     },
                 ),
-            ],
+            ]
+            .into(),
             dropped: 0,
         };
         let v = validate(&t).unwrap();

@@ -196,7 +196,7 @@ impl Profiler {
 pub fn profile(trace: &Trace) -> Vec<SectionProfile> {
     let mut p = Profiler::default();
     for e in &trace.events {
-        p.step(e);
+        p.step(&e);
     }
     p.finish()
 }
@@ -279,7 +279,8 @@ mod tests {
                 ev(2, 0, 110, acq(NodeKey::Pts(1), Mode::X)),
                 ev(3, 0, 110, EventKind::PlanComplete),
                 ev(4, 0, 130, EventKind::SectionExit { section: 3 }),
-            ],
+            ]
+            .into(),
             ..Trace::default()
         };
         let ps = profile(&t);
@@ -311,7 +312,8 @@ mod tests {
                 ev(7, 0, 135, acq(NodeKey::Pts(3), Mode::X)),
                 ev(8, 0, 140, EventKind::PlanComplete),
                 ev(9, 0, 200, EventKind::SectionExit { section: 5 }),
-            ],
+            ]
+            .into(),
             ..Trace::default()
         };
         let ps = profile(&t);
@@ -340,7 +342,8 @@ mod tests {
                     },
                 ),
                 ev(4, 0, 20, EventKind::SectionExit { section: 1 }),
-            ],
+            ]
+            .into(),
             ..Trace::default()
         };
         let ps = profile(&t);
@@ -359,7 +362,8 @@ mod tests {
                 ev(1, 0, 2, EventKind::SectionEnter { section: 2 }),
                 ev(2, 0, 4, EventKind::SectionExit { section: 2 }),
                 ev(3, 0, 6, EventKind::SectionExit { section: 1 }),
-            ],
+            ]
+            .into(),
             ..Trace::default()
         };
         let ps = profile(&t);
@@ -388,7 +392,8 @@ mod tests {
                 ev(6, 0, 30, EventKind::SectionEnter { section: 1 }),
                 ev(7, 0, 33, EventKind::PlanComplete),
                 ev(8, 0, 40, EventKind::SectionExit { section: 1 }),
-            ],
+            ]
+            .into(),
             dropped: 1,
             ..Trace::default()
         };

@@ -146,7 +146,7 @@ pub fn quarantine_history(trace: &Trace) -> QuarantineHistory {
                 });
             }
             _ => {
-                threads.entry(e.tid).or_default().step(e);
+                threads.entry(e.tid).or_default().step(&e);
             }
         }
     }
@@ -213,7 +213,7 @@ mod tests {
         Trace {
             meta: vec![("mode".into(), "MultiGrain".into())],
             allocs: Vec::new(),
-            events,
+            events: events.into(),
             dropped,
         }
     }

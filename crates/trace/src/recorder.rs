@@ -1,19 +1,20 @@
 //! Low-overhead event recording: one epoch-ordered log per machine,
 //! and observer adapters for the `mglock` and `tl2` runtimes.
 //!
-//! Every event is appended to a single log under one mutex, and its
-//! epoch is assigned under that same lock, so the log is in epoch order
-//! by construction: a trace is one total order, written once, and
-//! [`Recorder::take`] hands it over without merging or sorting. Under
-//! the virtual-time scheduler (`interp::sim`) only one thread runs at a
-//! time, so the mutex is never contended; under real threads it is the
-//! serialization point that gives their events one order.
+//! Every event is appended to a single byte-coded [`EventLog`] under
+//! one mutex, and its epoch is assigned under that same lock, so the
+//! log is in epoch order by construction: a trace is one total order,
+//! written once, and [`Recorder::take`] hands it over without merging
+//! or sorting. Under the virtual-time scheduler (`interp::sim`) only
+//! one thread runs at a time, so the mutex is never contended; under
+//! real threads it is the serialization point that gives their events
+//! one order.
 //!
 //! Each worker registers a [`ThreadRecorder`]: a handle naming its
 //! thread, its registration slot (whose events count against
 //! [`TraceConfig::capacity`]) and its published virtual clock.
 
-use crate::event::{Event, EventKind};
+use crate::event::{Event, EventKind, EventLog};
 use crate::{AllocRecord, Trace};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -40,7 +41,7 @@ impl Default for TraceConfig {
 /// The events since the last take, in epoch order.
 #[derive(Default)]
 struct Log {
-    events: Vec<Event>,
+    events: EventLog,
     /// The epoch the next event gets, kept or dropped.
     next_epoch: u64,
     /// Events kept per registration slot since the last take.
@@ -205,6 +206,10 @@ mod tests {
         t.events.iter().map(|e| (e.epoch, e.tid)).collect()
     }
 
+    fn clock(t: &Trace, i: usize) -> u64 {
+        t.events.iter().nth(i).expect("the event was kept").clock
+    }
+
     #[test]
     fn capacity_counts_per_registration_and_resets_at_take() {
         let rec = Recorder::new(TraceConfig { capacity: 2 });
@@ -256,12 +261,12 @@ mod tests {
         t1.record(EventKind::StmAbort);
         let t = rec.take(Vec::new(), Vec::new());
         assert_eq!(epochs(&t), [(0, 0), (1, 1)]);
-        assert_eq!(t.events[0].clock, 3);
+        assert_eq!(clock(&t, 0), 3);
         t1.record(EventKind::StmAbort);
         t0.record(EventKind::StmAbort);
         let t = rec.take(Vec::new(), Vec::new());
         assert_eq!(epochs(&t), [(2, 1), (3, 0)]);
-        assert_eq!(t.events[1].clock, 3, "the published clock survives a take");
+        assert_eq!(clock(&t, 1), 3, "the published clock survives a take");
     }
 
     #[test]
@@ -278,7 +283,7 @@ mod tests {
         first.record(EventKind::StmAbort);
         let t = rec.take(Vec::new(), Vec::new());
         assert_eq!(epochs(&t), [(0, 0), (1, 0)]);
-        assert_eq!(t.events[1].clock, 9);
+        assert_eq!(clock(&t, 1), 9);
         assert_eq!(t.dropped, 2);
     }
 }

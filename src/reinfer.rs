@@ -149,7 +149,7 @@ mod tests {
             })
             .expect("healed trace carries the ri-accepted ledger entry");
         assert!(
-            !events[accept..].iter().any(|e| matches!(
+            !events.iter().skip(accept).any(|e| matches!(
                 e.kind,
                 EventKind::Quarantine {
                     section: 0,

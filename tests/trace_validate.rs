@@ -9,7 +9,8 @@
 //!   one inferred lock from an `acquireAll` is *caught*: the validator
 //!   flags the now-unlicensed access;
 //! * **replay** — a trace written to disk re-executes to the same
-//!   digest, twice, including a run that crashed under fault injection.
+//!   digest, twice, including a run that crashed under fault injection;
+//! * **size** — a recorded event is stored in at most eight bytes.
 
 use atomic_lock_inference as ali;
 
@@ -65,6 +66,30 @@ fn every_workload_validates_clean_under_every_runtime() {
 /// dropping the lock descriptor at `drop_spec` = (section occurrence,
 /// index) from its `acquireAll`, and returns the validated trace
 /// verdict.
+#[test]
+fn recorded_events_cost_at_most_eight_bytes_each() {
+    // The byte-coded log's size is a function of the events alone, so
+    // this bound is the same on every machine.
+    for spec in [
+        micro::hashtable2(Contention::High, 60, 5),
+        micro::th(Contention::High, 60, 5),
+        stamp::kmeans(60, 5),
+        stamp::genome(60, 5),
+    ] {
+        for mode in [ExecMode::MultiGrain, ExecMode::Stm] {
+            let cfg = RunConfig::from_spec(&spec, 9, mode, THREADS);
+            let t = replay::record(&cfg).expect("records").trace;
+            let per_event = t.events.byte_len() as f64 / t.events.len() as f64;
+            assert!(
+                per_event <= 8.0,
+                "{} [{mode:?}]: {per_event:.2} B/event over {} events",
+                spec.name,
+                t.events.len()
+            );
+        }
+    }
+}
+
 fn run_weakened(source: &str, k: usize, drop_spec: Option<usize>) -> ali::trace::Validation {
     let program = lir::compile(source).expect("fixture compiles");
     let pt = Arc::new(PointsTo::analyze(&program));
@@ -270,8 +295,9 @@ fn traced_real_threads_record_one_ordered_log() {
             .unwrap_or_else(|e| panic!("{mode:?}: {e}"));
         let t = m.take_trace().expect("tracing on");
         assert_eq!(t.dropped, 0, "{mode:?}");
+        let epochs: Vec<u64> = t.events.iter().map(|e| e.epoch).collect();
         assert!(
-            t.events.windows(2).all(|w| w[0].epoch < w[1].epoch),
+            epochs.windows(2).all(|w| w[0] < w[1]),
             "{mode:?}: epochs must strictly increase"
         );
         // Each thread completes its two sections alternately, `ITERS`
@@ -279,7 +305,7 @@ fn traced_real_threads_record_one_ordered_log() {
         let mut threads: BTreeMap<u32, (Cursor, Vec<u32>)> = BTreeMap::new();
         for e in &t.events {
             let (cursor, done) = threads.entry(e.tid).or_default();
-            if let Step::ExitedOutermost(x) = cursor.step(e) {
+            if let Step::ExitedOutermost(x) = cursor.step(&e) {
                 done.push(x.section);
             }
         }
