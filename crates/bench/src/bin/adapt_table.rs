@@ -18,7 +18,6 @@
 use atomic_lock_inference::replay::RunConfig;
 use atomic_lock_inference::Pipeline;
 use bench::cli::delta_pct;
-use bench::harness::ops;
 use interp::ExecMode;
 use lockinfer::adapt::{select, AdaptPolicy, Adjustment, Decision, DecisionReport, PlanCost};
 use std::process::ExitCode;
@@ -31,13 +30,13 @@ fn specs() -> Vec<(usize, RunSpec)> {
     // read-heavy low-contention rows are ReaderBatch's turf:
     // shared-mode waiters batch behind occasional writers.
     vec![
-        (9, micro::list(Contention::High, ops(300), 20)),
-        (9, micro::list(Contention::Low, ops(300), 20)),
-        (9, micro::hashtable(Contention::High, ops(300), 20)),
-        (9, micro::hashtable2(Contention::High, ops(300), 20)),
-        (9, micro::rbtree(Contention::Low, ops(300), 20)),
-        (9, micro::th(Contention::High, ops(300), 20)),
-        (3, stamp::kmeans(ops(200), 20)),
+        (9, micro::list(Contention::High, 300, 20)),
+        (9, micro::list(Contention::Low, 300, 20)),
+        (9, micro::hashtable(Contention::High, 300, 20)),
+        (9, micro::hashtable2(Contention::High, 300, 20)),
+        (9, micro::rbtree(Contention::Low, 300, 20)),
+        (9, micro::th(Contention::High, 300, 20)),
+        (3, stamp::kmeans(200, 20)),
     ]
 }
 
@@ -64,7 +63,6 @@ fn wake_cell(report: &DecisionReport) -> String {
 
 fn main() -> ExitCode {
     let threads = 8;
-    let policy = AdaptPolicy::default();
     println!("Per-section adaptive granularity: baseline vs adapted (8 threads, MultiGrain)");
     println!("wait/hold/reval are totals in virtual ticks across all outermost sections;");
     println!("`wake` is the best replayed wake-policy candidate and its Δwait% (- = none waits");
@@ -79,7 +77,7 @@ fn main() -> ExitCode {
     let mut improved = 0usize;
     for (k, spec) in specs() {
         let cfg = RunConfig::from_spec(&spec, k, ExecMode::MultiGrain, threads);
-        let run = match Pipeline::new(cfg).adapt(&policy) {
+        let run = match Pipeline::new(cfg).adapt(&AdaptPolicy) {
             Ok(r) => r,
             Err(e) => {
                 println!("{:<18} ERROR: {e}", spec.name);

@@ -59,8 +59,8 @@ fn harness_opts(threads: usize) -> EvalOptions {
     }
 }
 
-fn adapt(cfg: &RunConfig, policy: &AdaptPolicy, opts: EvalOptions) -> Result<AdaptRun, String> {
-    Pipeline::new(cfg.clone()).options(opts).adapt(policy)
+fn adapt(cfg: &RunConfig, opts: EvalOptions) -> Result<AdaptRun, String> {
+    Pipeline::new(cfg.clone()).options(opts).adapt(&AdaptPolicy)
 }
 
 fn specs() -> Vec<RunSpec> {
@@ -117,7 +117,7 @@ struct Row {
 }
 
 /// Runs one workload through every mode.
-fn run_row(cfg: &RunConfig, policy: &AdaptPolicy) -> Result<Row, String> {
+fn run_row(cfg: &RunConfig) -> Result<Row, String> {
     // Baseline recording cost, shared by every mode: subtracted so the
     // table speaks about the candidate loop itself.
     let t = Instant::now();
@@ -125,14 +125,13 @@ fn run_row(cfg: &RunConfig, policy: &AdaptPolicy) -> Result<Row, String> {
     let base_ms = t.elapsed().as_secs_f64() * 1e3;
 
     let t = Instant::now();
-    let seq = adapt(cfg, policy, seq_opts())?;
+    let seq = adapt(cfg, seq_opts())?;
     let seq_ms = (t.elapsed().as_secs_f64() * 1e3 - base_ms).max(0.1);
 
     // Determinism: the exact parallel harness must reproduce the
     // legacy report byte for byte.
     let exact_par = adapt(
         cfg,
-        policy,
         EvalOptions {
             eval_threads: 8,
             ..EvalOptions::default()
@@ -143,7 +142,7 @@ fn run_row(cfg: &RunConfig, policy: &AdaptPolicy) -> Result<Row, String> {
     }
 
     let t = Instant::now();
-    let pruned = adapt(cfg, policy, harness_opts(8))?;
+    let pruned = adapt(cfg, harness_opts(8))?;
     let har_ms = (t.elapsed().as_secs_f64() * 1e3 - base_ms).max(0.1);
 
     // Estimator soundness: the pruned run must keep and select the
@@ -191,13 +190,12 @@ fn smoke() -> ExitCode {
         3,
     );
     let cfg = RunConfig::from_spec(&spec, 9, ExecMode::MultiGrain, 8);
-    let policy = AdaptPolicy::default();
 
     // Byte-identical adapt runs across eval thread counts, with
     // pruning on.
     let mut runs: Vec<AdaptRun> = Vec::new();
     for eval_threads in [1usize, 2, 7] {
-        match adapt(&cfg, &policy, harness_opts(eval_threads)) {
+        match adapt(&cfg, harness_opts(eval_threads)) {
             Ok(r) => runs.push(r),
             Err(e) => {
                 println!("EVAL SMOKE: FAIL ({eval_threads} eval threads: {e})");
@@ -222,7 +220,7 @@ fn smoke() -> ExitCode {
     }
 
     // Estimator soundness against the exact evaluation.
-    let exact = match adapt(&cfg, &policy, EvalOptions::default()) {
+    let exact = match adapt(&cfg, EvalOptions::default()) {
         Ok(r) => r,
         Err(e) => {
             println!("EVAL SMOKE: FAIL (exact run: {e})");
@@ -248,10 +246,10 @@ fn smoke() -> ExitCode {
         let _ = record(&cfg)?;
         let base_ms = t.elapsed().as_secs_f64() * 1e3;
         let t = Instant::now();
-        let _ = adapt(&cfg, &policy, seq_opts())?;
+        let _ = adapt(&cfg, seq_opts())?;
         let seq_ms = (t.elapsed().as_secs_f64() * 1e3 - base_ms).max(0.1);
         let t = Instant::now();
-        let _ = adapt(&cfg, &policy, harness_opts(8))?;
+        let _ = adapt(&cfg, harness_opts(8))?;
         let har_ms = (t.elapsed().as_secs_f64() * 1e3 - base_ms).max(0.1);
         Ok((base_ms, seq_ms, har_ms))
     })() {
@@ -299,7 +297,6 @@ fn main() -> ExitCode {
         return smoke();
     }
 
-    let policy = AdaptPolicy::default();
     println!("Shared candidate-evaluation harness vs the legacy sequential loop");
     println!("(adaptation over generated scale programs, k=9, 8 virtual threads, MultiGrain).");
     println!("Times are the candidate loop only (baseline recording subtracted). seq =");
@@ -315,7 +312,7 @@ fn main() -> ExitCode {
     let mut rows = Vec::new();
     for spec in specs() {
         let cfg = RunConfig::from_spec(&spec, 9, ExecMode::MultiGrain, 8);
-        match run_row(&cfg, &policy) {
+        match run_row(&cfg) {
             Ok(r) => rows.push(r),
             Err(e) => {
                 println!("{:<16} ERROR: {e}", spec.name);
@@ -357,7 +354,7 @@ fn main() -> ExitCode {
         let cfg = RunConfig::from_spec(spec, 9, ExecMode::MultiGrain, 8);
         let mut jsons = Vec::new();
         for eval_threads in [1usize, 2, 7] {
-            match adapt(&cfg, &policy, harness_opts(eval_threads)) {
+            match adapt(&cfg, harness_opts(eval_threads)) {
                 Ok(r) => jsons.push((r.report.to_json(), r.baseline.trace.digest())),
                 Err(e) => {
                     println!("EVAL TABLE: FAIL ({eval_threads} eval threads: {e})");

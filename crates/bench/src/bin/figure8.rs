@@ -8,13 +8,13 @@
 //! cargo run -p bench --release --bin figure8
 //! ```
 
-use bench::harness::{ops, run, Config};
+use bench::harness::{run, Config};
 use workloads::{micro, stamp, Contention, RunSpec};
 
 const NOPK: i64 = 200;
 
 fn specs(threads: usize) -> Vec<RunSpec> {
-    let per = |total: i64| (ops(total) / threads as i64).max(1);
+    let per = |total: i64| (total / threads as i64).max(1);
     vec![
         micro::rbtree(Contention::Low, per(48000), NOPK),
         micro::rbtree(Contention::High, per(48000), NOPK),

@@ -3,10 +3,9 @@
 //!
 //! ```text
 //! cargo run -p bench --release --bin table2
-//! REPRO_SCALE=0.2 cargo run -p bench --release --bin table2   # quicker
 //! ```
 
-use bench::harness::{ops, run, Config};
+use bench::harness::{run, Config};
 use workloads::{micro, stamp, Contention, RunSpec};
 
 const THREADS: usize = 8;
@@ -14,18 +13,18 @@ const NOPK: i64 = 200;
 
 fn specs() -> Vec<RunSpec> {
     let mut v = vec![
-        stamp::genome(ops(4000), 60),
-        stamp::vacation(ops(1500), 60),
-        stamp::kmeans(ops(6000), 60),
-        stamp::bayes(ops(2500), 120),
-        stamp::labyrinth(ops(1200), 60),
+        stamp::genome(4000, 60),
+        stamp::vacation(1500, 60),
+        stamp::kmeans(6000, 60),
+        stamp::bayes(2500, 120),
+        stamp::labyrinth(1200, 60),
     ];
     for c in [Contention::High, Contention::Low] {
-        v.push(micro::hashtable(c, ops(6000), NOPK));
-        v.push(micro::rbtree(c, ops(6000), NOPK));
-        v.push(micro::list(c, ops(4000), NOPK));
-        v.push(micro::hashtable2(c, ops(8000), NOPK));
-        v.push(micro::th(c, ops(6000), NOPK));
+        v.push(micro::hashtable(c, 6000, NOPK));
+        v.push(micro::rbtree(c, 6000, NOPK));
+        v.push(micro::list(c, 4000, NOPK));
+        v.push(micro::hashtable2(c, 8000, NOPK));
+        v.push(micro::th(c, 6000, NOPK));
     }
     v
 }

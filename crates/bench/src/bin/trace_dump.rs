@@ -204,10 +204,7 @@ fn cmd_record(args: &[String]) -> Result<ExitCode, String> {
     // byte-identical to the plain path either way.
     let registry = metrics.as_ref().map(|_| Arc::new(obs::Registry::new()));
     let rec = match &registry {
-        Some(reg) => Pipeline::new(cfg)
-            .analysis_threads(0)
-            .metrics(Arc::clone(reg))
-            .record()?,
+        Some(reg) => Pipeline::new(cfg).metrics(Arc::clone(reg)).record()?,
         None => replay::record(&cfg)?,
     };
     println!(
@@ -288,8 +285,7 @@ fn cmd_adapt(args: &[String]) -> Result<ExitCode, String> {
         }
     }
     let cfg = ra.config("adapt", name)?;
-    let policy = AdaptPolicy::default();
-    let run = Pipeline::new(cfg).adapt(&policy)?;
+    let run = Pipeline::new(cfg).adapt(&AdaptPolicy)?;
     let b = run.report.baseline;
     println!(
         "{name} mode={:?} k={} threads={} ops={}",
@@ -300,7 +296,7 @@ fn cmd_adapt(args: &[String]) -> Result<ExitCode, String> {
         b.total_wait, b.total_hold, b.total_revalidations, b.makespan
     );
     // The evidence behind the `wake:*` candidates below.
-    for c in sched::detect(&trace::profile(&run.baseline.trace), &policy.convoy) {
+    for c in sched::detect(&trace::profile(&run.baseline.trace)) {
         println!(
             "convoy: section={} depth={:.1} hold={:.1} pressure={:.1}",
             c.section, c.depth, c.mean_hold, c.pressure

@@ -143,20 +143,6 @@ pub mod harness {
             degradation: machine.degradation_report(),
         }
     }
-
-    /// Scale factor for benchmark sizes: set `REPRO_SCALE` (default 1.0)
-    /// to trade fidelity for wall-clock time.
-    pub fn scale() -> f64 {
-        std::env::var("REPRO_SCALE")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(1.0)
-    }
-
-    /// Ops-per-thread helper honoring `REPRO_SCALE`.
-    pub fn ops(base: i64) -> i64 {
-        ((base as f64) * scale()).max(1.0) as i64
-    }
 }
 
 #[cfg(test)]

@@ -17,57 +17,39 @@
 //! crate (`src/adapt.rs`), which can see the interpreter.
 
 use lockscheme::{ConfigMap, SchemeConfig};
-use sched::convoy::ConvoyPolicy;
 use sched::PolicyKind;
 use trace::json::Writer;
 use trace::SectionProfile;
 
-/// Thresholds steering candidate generation. All comparisons are pure
-/// arithmetic on the profile's integer counters, so a policy value
-/// fully determines the candidate set for a given profile.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct AdaptPolicy {
-    /// Sections with fewer completed executions are left alone — too
-    /// little evidence to steer on.
-    pub min_entries: u64,
-    /// A section is *contended* when `mean(wait) >= ratio ×
-    /// max(mean(hold), 1)`: it spends much longer blocking on (and
-    /// negotiating) its lock plan than holding it, so the plan itself
-    /// is the cost — coarsen toward `Σ≡`/global to shrink it.
-    pub coarsen_wait_hold_ratio: f64,
-    /// A section is *drifting* when `mean(revalidations) >= threshold`:
-    /// its fine descriptors keep moving while it waits (the TH resize
-    /// pattern), so each entry re-runs the acquire protocol — a
-    /// candidate for coarser locking (ROADMAP: descriptor-drift
-    /// telemetry).
-    pub drift_reval_mean: f64,
-    /// A section is *uncontended* when `mean(wait) <= ratio ×
-    /// mean(hold)`: its locks are essentially free, so a larger `k`
-    /// (finer expression locks) may pay for itself.
-    pub uncontended_wait_hold_ratio: f64,
-    /// How much to raise `k` for uncontended fine sections.
-    pub raise_k_step: usize,
-    /// Upper bound on the raised `k`.
-    pub max_k: usize,
-    /// Convoy thresholds: sections whose estimated queue depth × hold
-    /// pressure exceeds these get wake-policy candidates — the lock
-    /// *plan* stands, only the wake order at release changes.
-    pub convoy: ConvoyPolicy,
-}
+/// The adapt loop's policy. It has nothing to set: the thresholds
+/// [`candidates`] applies are this module's constants. The type remains
+/// only as the parameter of `Pipeline::adapt` (callers pass
+/// `&AdaptPolicy`, or `&AdaptPolicy::default()`).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct AdaptPolicy;
 
-impl Default for AdaptPolicy {
-    fn default() -> AdaptPolicy {
-        AdaptPolicy {
-            min_entries: 2,
-            coarsen_wait_hold_ratio: 4.0,
-            drift_reval_mean: 0.5,
-            uncontended_wait_hold_ratio: 0.05,
-            raise_k_step: 3,
-            max_k: 9,
-            convoy: ConvoyPolicy::default(),
-        }
-    }
-}
+/// A section is *contended* when `mean(wait) >= ratio × max(mean(hold),
+/// 1)`: it spends much longer blocking on (and negotiating) its lock
+/// plan than holding it, so the plan itself is the cost; coarsen toward
+/// `Σ≡`/global to shrink it.
+const COARSEN_WAIT_HOLD_RATIO: f64 = 4.0;
+
+/// A section is *drifting* when `mean(revalidations) >= threshold`: its
+/// fine descriptors keep moving while it waits (the TH resize pattern),
+/// so each entry re-runs the acquire protocol, and coarser locks are a
+/// candidate.
+const DRIFT_REVAL_MEAN: f64 = 0.5;
+
+/// A section is *uncontended* when `mean(wait) <= ratio × mean(hold)`:
+/// its locks are essentially free, so a larger `k` (finer expression
+/// locks) may pay for itself.
+const UNCONTENDED_WAIT_HOLD_RATIO: f64 = 0.05;
+
+/// How much to raise `k` for uncontended fine sections.
+const RAISE_K_STEP: usize = 3;
+
+/// Upper bound on the raised `k`.
+const MAX_K: usize = 9;
 
 /// What a candidate override changes relative to the section's current
 /// configuration.
@@ -149,27 +131,25 @@ impl Candidate {
 }
 
 /// Maps measured section profiles to candidate overrides, one
-/// [`ConfigMap`] override per candidate.
+/// [`ConfigMap`] override per candidate. Sections with fewer than
+/// [`sched::convoy::MIN_ENTRIES`] completed executions get none.
 ///
 /// Deterministic: profiles are processed in their given (section-id)
 /// order and rules fire in a fixed order, so identical inputs yield an
-/// identical candidate vector.
-pub fn candidates(
-    profiles: &[SectionProfile],
-    base: &ConfigMap,
-    policy: &AdaptPolicy,
-) -> Vec<Candidate> {
+/// identical candidate vector. All comparisons are pure arithmetic on
+/// the profile's integer counters.
+pub fn candidates(profiles: &[SectionProfile], base: &ConfigMap) -> Vec<Candidate> {
     let mut out = Vec::new();
     for p in profiles {
-        if p.entries < policy.min_entries {
+        if p.entries < sched::convoy::MIN_ENTRIES {
             continue;
         }
         let current = base.for_section(p.section);
         let wait = p.wait.mean();
         let hold = p.hold.mean();
-        let contended = wait >= policy.coarsen_wait_hold_ratio * hold.max(1.0);
-        let drifting = p.revalidations.mean() >= policy.drift_reval_mean;
-        let uncontended = wait <= policy.uncontended_wait_hold_ratio * hold;
+        let contended = wait >= COARSEN_WAIT_HOLD_RATIO * hold.max(1.0);
+        let drifting = p.revalidations.mean() >= DRIFT_REVAL_MEAN;
+        let uncontended = wait <= UNCONTENDED_WAIT_HOLD_RATIO * hold;
         if contended || drifting {
             let trigger = if contended {
                 Trigger::Contention
@@ -199,8 +179,8 @@ pub fn candidates(
                     trigger,
                 });
             }
-        } else if uncontended && current.use_expr && current.k < policy.max_k {
-            let k = (current.k + policy.raise_k_step).min(policy.max_k);
+        } else if uncontended && current.use_expr && current.k < MAX_K {
+            let k = (current.k + RAISE_K_STEP).min(MAX_K);
             out.push(Candidate {
                 section: p.section,
                 config: SchemeConfig { k, ..current },
@@ -214,7 +194,7 @@ pub fn candidates(
     // candidate vector deterministic). The scheme config is the
     // section's *current* one — the orchestration layer evaluates
     // these by steering the scheduler, not by re-planning locks.
-    for flag in sched::convoy::detect(profiles, &policy.convoy) {
+    for flag in sched::convoy::detect(profiles) {
         for kind in PolicyKind::ALL {
             out.push(Candidate {
                 section: flag.section,
@@ -440,7 +420,7 @@ mod tests {
         // convoy-flagged (depth 33, pressure 500), so the granularity
         // candidates are followed by the wake-policy ones.
         let profiles = vec![prof(1, &[400, 600], &[10, 20], &[0, 0])];
-        let cs = candidates(&profiles, &base(), &AdaptPolicy::default());
+        let cs = candidates(&profiles, &base());
         assert_eq!(cs.len(), 4);
         assert_eq!(cs[0].adjustment, Adjustment::Coarsen);
         assert!(!cs[0].config.use_expr && cs[0].config.use_pts);
@@ -467,7 +447,7 @@ mod tests {
         // Mean wait 600 over mean hold 300: ratio 2 (< 4, not
         // contended), but depth 2 and pressure 600 flag a convoy.
         let profiles = vec![prof(5, &[500, 700], &[290, 310], &[0, 0])];
-        let cs = candidates(&profiles, &base(), &AdaptPolicy::default());
+        let cs = candidates(&profiles, &base());
         assert_eq!(cs.len(), 2);
         assert!(cs
             .iter()
@@ -479,7 +459,7 @@ mod tests {
     #[test]
     fn drifting_sections_coarsen_without_globalizing() {
         let profiles = vec![prof(2, &[50, 60], &[100, 120], &[2, 3])];
-        let cs = candidates(&profiles, &base(), &AdaptPolicy::default());
+        let cs = candidates(&profiles, &base());
         assert_eq!(cs.len(), 1);
         assert_eq!(cs[0].adjustment, Adjustment::Coarsen);
         assert_eq!(cs[0].trigger, Trigger::Drift);
@@ -488,7 +468,7 @@ mod tests {
     #[test]
     fn uncontended_fine_sections_raise_k() {
         let profiles = vec![prof(3, &[0, 1], &[100, 100], &[0, 0])];
-        let cs = candidates(&profiles, &base(), &AdaptPolicy::default());
+        let cs = candidates(&profiles, &base());
         assert_eq!(cs.len(), 1);
         assert_eq!(cs[0].adjustment, Adjustment::RaiseK(6));
         assert_eq!(cs[0].config.k, 6);
@@ -498,7 +478,7 @@ mod tests {
     #[test]
     fn thin_evidence_is_ignored() {
         let profiles = vec![prof(1, &[1000], &[1], &[0])];
-        assert!(candidates(&profiles, &base(), &AdaptPolicy::default()).is_empty());
+        assert!(candidates(&profiles, &base()).is_empty());
     }
 
     #[test]

@@ -86,14 +86,6 @@ impl FaultPlan {
         self.stall_ticks = ticks;
         self
     }
-
-    /// True when the plan can inject anything at all.
-    pub fn is_active(&self) -> bool {
-        self.panic_per_mille > 0
-            || self.stm_abort_per_mille > 0
-            || self.wakeup_delay_per_mille > 0
-            || self.stall_per_mille > 0
-    }
 }
 
 /// Fault-injected *weakened inference*: drops the `drop_index`-th lock
@@ -239,7 +231,6 @@ mod tests {
     #[test]
     fn zero_plan_injects_nothing() {
         let mut inj = Injector::new(FaultPlan::new(1), 0);
-        assert!(!FaultPlan::new(1).is_active());
         assert!((0..1000).all(|_| {
             !inj.take_panic()
                 && !inj.take_stm_abort()

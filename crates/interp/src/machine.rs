@@ -400,16 +400,6 @@ impl Machine {
         self.sentinel.as_deref()
     }
 
-    /// Execution mode.
-    pub fn mode(&self) -> ExecMode {
-        self.mode
-    }
-
-    /// True when this machine was built with tracing enabled.
-    pub fn tracing(&self) -> bool {
-        self.tracer.is_some()
-    }
-
     /// Hands over the recorded events as one epoch-ordered trace
     /// stamped with this machine's mode/seed metadata and the current
     /// allocation-table snapshot (the bump allocator never reuses

@@ -84,36 +84,6 @@ pub fn atomic_regions(body: &[Instr]) -> Vec<AtomicRegion> {
     out
 }
 
-/// All functions transitively callable from the instructions in
-/// `[start, end)` of `func`, including `func` itself. Used to determine
-/// the interprocedural extent of an atomic section.
-pub fn reachable_callees(program: &Program, func: FnId, start: u32, end: u32) -> Vec<FnId> {
-    let mut seen = vec![false; program.functions.len()];
-    let mut stack = Vec::new();
-    let body = &program.func(func).body;
-    for ins in &body[start as usize..end as usize] {
-        if let Instr::Assign(_, Rvalue::Call(f, _)) = ins {
-            if !seen[f.0 as usize] {
-                seen[f.0 as usize] = true;
-                stack.push(*f);
-            }
-        }
-    }
-    let mut out: Vec<FnId> = vec![func];
-    while let Some(f) = stack.pop() {
-        out.push(f);
-        for ins in &program.func(f).body {
-            if let Instr::Assign(_, Rvalue::Call(g, _)) = ins {
-                if !seen[g.0 as usize] {
-                    seen[g.0 as usize] = true;
-                    stack.push(*g);
-                }
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,20 +122,6 @@ mod tests {
         let outer = regions.iter().find(|r| r.id == SectionId(0)).unwrap();
         let inner = regions.iter().find(|r| r.id == SectionId(1)).unwrap();
         assert!(outer.contains(inner.enter) && outer.contains(inner.exit));
-    }
-
-    #[test]
-    fn callee_closure() {
-        let p = compile(
-            "fn main() { atomic { let x = a(); } }
-             fn a() { return b(); }
-             fn b() { return null; }
-             fn unused() { return null; }",
-        )
-        .unwrap();
-        let r = atomic_regions(&p.functions[0].body)[0];
-        let fns = reachable_callees(&p, FnId(0), r.enter, r.exit + 1);
-        assert_eq!(fns.len(), 3); // main, a, b — not unused
     }
 
     #[test]

@@ -340,24 +340,6 @@ pub struct Function {
     pub body: Vec<Instr>,
 }
 
-impl Function {
-    /// The exit program point (after the last instruction).
-    pub fn exit_point(&self) -> Point {
-        Point {
-            func: self.id,
-            idx: self.body.len() as u32,
-        }
-    }
-
-    /// The entry program point.
-    pub fn entry_point(&self) -> Point {
-        Point {
-            func: self.id,
-            idx: 0,
-        }
-    }
-}
-
 /// A struct layout declared in the surface syntax.
 #[derive(Clone, Debug)]
 pub struct StructInfo {

@@ -414,34 +414,16 @@ impl ConfigMap {
 
     /// Quarantines `section`: overrides its configuration with the
     /// [`SchemeConfig::trivially_sound`] degraded scheme (preserving
-    /// the default's `elem_field`). The sentinel's offline corrective
-    /// path — re-inferring under the demoted map yields a section whose
-    /// every lock is the global lock.
+    /// the default's `elem_field`), so re-inferring under the demoted
+    /// map yields a section whose every lock is the global lock.
+    /// `Pipeline::reinfer` demotes each quarantined section this way
+    /// for its reference run: the global-lock cost a repair candidate
+    /// is admitted against.
     pub fn demote_to_global(&mut self, section: u32) {
         self.set_override(
             section,
             SchemeConfig::trivially_sound(self.default.elem_field),
         );
-    }
-
-    /// Lifts a [`ConfigMap::demote_to_global`] demotion: the section
-    /// returns to the map's default configuration (the canonical form
-    /// drops the override entirely).
-    pub fn restore(&mut self, section: u32) {
-        self.set_override(section, self.default);
-    }
-
-    /// Every distinct configuration the map can assign, default first,
-    /// in deterministic (first-use) order — one Phase A summary pass
-    /// runs per entry.
-    pub fn distinct_configs(&self) -> Vec<SchemeConfig> {
-        let mut out = vec![self.default];
-        for &(_, cfg) in &self.overrides {
-            if !out.contains(&cfg) {
-                out.push(cfg);
-            }
-        }
-        out
     }
 }
 
@@ -651,7 +633,7 @@ mod tests {
     }
 
     #[test]
-    fn demote_and_restore_keep_the_map_canonical() {
+    fn demotion_keeps_the_map_canonical() {
         let base = SchemeConfig::full(9, None);
         let mut map = ConfigMap::uniform(base);
         map.demote_to_global(4);
@@ -661,11 +643,12 @@ mod tests {
         // Demoting twice is idempotent.
         map.demote_to_global(4);
         assert_eq!(map.overrides().len(), 1);
-        // Restoring drops the override entirely (canonical form).
-        map.restore(4);
+        // Setting the default back drops the override entirely
+        // (canonical form).
+        map.set_override(4, base);
         assert_eq!(map, ConfigMap::uniform(base));
-        // Restoring a never-demoted section is a no-op.
-        map.restore(9);
+        // So does setting a never-demoted section to the default.
+        map.set_override(9, base);
         assert_eq!(map.overrides().len(), 0);
     }
 

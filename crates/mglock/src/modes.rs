@@ -73,11 +73,6 @@ impl Mode {
         }
     }
 
-    /// True for modes that license writing the covered locations.
-    pub fn allows_write(self) -> bool {
-        matches!(self, Mode::X)
-    }
-
     /// The mode's one spelling: what [`fmt::Display`] prints, what
     /// [`FromStr`] accepts, and the `MODE` tag of the trace format.
     pub fn tag(self) -> &'static str {

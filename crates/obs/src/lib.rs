@@ -32,13 +32,7 @@ use trace::json::Writer;
 pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
-    /// Adds one. Relaxed: totals are read only at snapshot time.
-    #[inline]
-    pub fn inc(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Adds `n`.
+    /// Adds `n`. Relaxed: totals are read only at snapshot time.
     #[inline]
     pub fn add(&self, n: u64) {
         self.0.fetch_add(n, Ordering::Relaxed);
@@ -241,9 +235,9 @@ mod tests {
         let reg = Registry::new();
         let b = reg.counter("bbb");
         let a = reg.counter("aaa");
-        a.inc();
+        a.add(1);
         b.add(3);
-        reg.counter("aaa").inc(); // same handle cell
+        reg.counter("aaa").add(1); // same handle cell
         let snap = reg.snapshot();
         let names: Vec<&str> = snap.counters.iter().map(|(k, _)| k.name.as_str()).collect();
         assert_eq!(names, ["aaa", "bbb"]);

@@ -397,12 +397,6 @@ impl PointsTo {
             .map(|&c| VarId(c))
             .collect()
     }
-
-    /// Number of memory cells (variables + allocation sites) in class
-    /// `s`; a size proxy for how coarse the corresponding lock is.
-    pub fn class_size(&self, s: PtsClass) -> usize {
-        self.members(s).len()
-    }
 }
 
 /// Computes which variables may ever hold a memory location: the least

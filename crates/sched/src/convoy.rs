@@ -20,31 +20,18 @@
 
 use trace::SectionProfile;
 
-/// Thresholds steering convoy detection. Pure arithmetic on the
-/// profile counters: a policy value fully determines the flag set for
-/// a given profile vector.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct ConvoyPolicy {
-    /// Sections with fewer completed executions are ignored — too
-    /// little evidence.
-    pub min_entries: u64,
-    /// Minimum estimated steady-state queue depth (`mean wait / mean
-    /// hold`): below this there is no queue to re-order.
-    pub min_depth: f64,
-    /// Minimum pressure (`depth × mean hold`, in ticks) — queues on
-    /// cheap locks are not worth steering.
-    pub min_pressure: f64,
-}
+/// Sections with fewer completed executions are left alone: too
+/// little evidence to steer on. `lockinfer::adapt` applies the same
+/// rule to its granularity candidates.
+pub const MIN_ENTRIES: u64 = 2;
 
-impl Default for ConvoyPolicy {
-    fn default() -> ConvoyPolicy {
-        ConvoyPolicy {
-            min_entries: 2,
-            min_depth: 1.5,
-            min_pressure: 200.0,
-        }
-    }
-}
+/// Minimum estimated steady-state queue depth (`mean wait / mean
+/// hold`): below this there is no queue to re-order.
+const MIN_DEPTH: f64 = 1.5;
+
+/// Minimum pressure (`depth × mean hold`, in ticks): queues on cheap
+/// locks are not worth steering.
+const MIN_PRESSURE: f64 = 200.0;
 
 /// One flagged section.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -60,17 +47,18 @@ pub struct ConvoyFlag {
 }
 
 /// Flags convoy-prone sections, in section-id order (profiles arrive
-/// sorted from [`trace::profile`]).
-pub fn detect(profiles: &[SectionProfile], policy: &ConvoyPolicy) -> Vec<ConvoyFlag> {
+/// sorted from [`trace::profile`]). Pure arithmetic on the profile
+/// counters against the thresholds above.
+pub fn detect(profiles: &[SectionProfile]) -> Vec<ConvoyFlag> {
     let mut out = Vec::new();
     for p in profiles {
-        if p.entries < policy.min_entries {
+        if p.entries < MIN_ENTRIES {
             continue;
         }
         let mean_hold = p.hold.mean();
         let depth = p.wait.mean() / mean_hold.max(1.0);
         let pressure = depth * mean_hold.max(1.0);
-        if depth >= policy.min_depth && pressure >= policy.min_pressure {
+        if depth >= MIN_DEPTH && pressure >= MIN_PRESSURE {
             out.push(ConvoyFlag {
                 section: p.section,
                 depth,
@@ -109,7 +97,7 @@ mod tests {
     fn deep_queues_on_expensive_locks_are_flagged() {
         // Mean wait 600 behind mean hold 100: depth 6, pressure 600.
         let ps = vec![prof(1, &[500, 700], &[90, 110])];
-        let flags = detect(&ps, &ConvoyPolicy::default());
+        let flags = detect(&ps);
         assert_eq!(flags.len(), 1);
         assert_eq!(flags[0].section, 1);
         assert!((flags[0].depth - 6.0).abs() < 1e-9);
@@ -127,6 +115,6 @@ mod tests {
             entries: 1,
             ..prof(3, &[10_000], &[100])
         };
-        assert!(detect(&[shallow, cheap, thin], &ConvoyPolicy::default()).is_empty());
+        assert!(detect(&[shallow, cheap, thin]).is_empty());
     }
 }

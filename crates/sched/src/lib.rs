@@ -43,7 +43,7 @@ use mglock::{Mode, NodeKey};
 use std::collections::BTreeMap;
 use trace::{EventKind, Histogram, SectionProfile, Trace};
 
-pub use convoy::{detect, ConvoyFlag, ConvoyPolicy};
+pub use convoy::{detect, ConvoyFlag};
 
 /// Snapshot of one blocked thread, recorded when it parks on a lock.
 /// Everything a policy may consult; all fields come from recorded

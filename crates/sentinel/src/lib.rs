@@ -465,17 +465,6 @@ impl Sentinel {
         self.inner.lock().history.clone()
     }
 
-    /// Sections currently serving a quarantine, ascending.
-    pub fn quarantined_sections(&self) -> Vec<u32> {
-        self.inner
-            .lock()
-            .sections
-            .iter()
-            .filter(|(_, s)| matches!(s.health, Health::Quarantined { .. }))
-            .map(|(&id, _)| id)
-            .collect()
-    }
-
     /// Total unlicensed accesses recorded.
     pub fn sentinel_violations(&self) -> u64 {
         self.inner.lock().violations
@@ -490,23 +479,11 @@ impl Sentinel {
     pub fn sections_healed(&self) -> u64 {
         self.inner.lock().healed
     }
-
-    /// Folds the currently quarantined sections into `map` via
-    /// [`lockscheme::ConfigMap::demote_to_global`] — the offline
-    /// corrective path: re-inferring under the demoted map yields a
-    /// program whose offending sections take the global lock, matching
-    /// what the online override already does at plan time.
-    pub fn demote_map(&self, map: &mut lockscheme::ConfigMap) {
-        for section in self.quarantined_sections() {
-            map.demote_to_global(section);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lockscheme::{ConfigMap, SchemeConfig};
 
     fn violation(section: u32) -> Violation {
         Violation::new(
@@ -744,20 +721,21 @@ mod tests {
         let s = Sentinel::new(SentinelConfig::default());
         s.report_violation(violation(1));
         s.report_violation(violation(3));
-        assert_eq!(s.quarantined_sections(), vec![1, 3]);
-        assert!(!s.is_quarantined(2));
         // Closing a healthy section is a no-op.
         assert!(s.section_closed(2, true).is_none());
-    }
-
-    #[test]
-    fn demote_map_folds_open_quarantines() {
-        let s = Sentinel::new(SentinelConfig::default());
-        s.report_violation(violation(2));
-        let mut map = ConfigMap::uniform(SchemeConfig::full(9, None));
-        s.demote_map(&mut map);
-        assert!(map.for_section(2).is_trivially_sound());
-        assert!(!map.for_section(0).is_trivially_sound());
+        // Exactly the reported sections are quarantined, each demoted
+        // once, in report order.
+        let quarantined: Vec<u32> = [1, 2, 3]
+            .into_iter()
+            .filter(|&id| s.is_quarantined(id))
+            .collect();
+        assert_eq!(quarantined, vec![1, 3]);
+        let demoted = |section| LadderEvent {
+            section,
+            healed: false,
+            probation: PROBATION,
+        };
+        assert_eq!(s.history(), vec![demoted(1), demoted(3)]);
     }
 
     #[test]

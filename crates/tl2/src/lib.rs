@@ -280,9 +280,9 @@ impl Space {
     /// commit for its lifetime. This is the degradation path for
     /// transactions starved by repeated conflicts. Fails (returning
     /// `None`) while another irrevocable transaction or an optimistic
-    /// commit holds the gate; callers on a virtual-time scheduler must
-    /// use this non-blocking form and charge the retry delay to their
-    /// own clock, or they would stall the scheduler for real.
+    /// commit holds the gate; a caller on a virtual-time scheduler
+    /// charges the retry delay to its own clock, where a blocking wait
+    /// would stall the scheduler for real.
     pub fn try_begin_irrevocable(&self) -> Option<Txn<'_>> {
         let guard = self.commit_gate.try_write().ok()?;
         self.fallbacks.fetch_add(1, Ordering::Relaxed);
@@ -293,24 +293,6 @@ impl Space {
             writes: HashMap::new(),
             irrevocable: Some(guard),
         })
-    }
-
-    /// Blocking form of [`Space::try_begin_irrevocable`] for real-time
-    /// callers. Do not use under a cooperative scheduler: it parks the
-    /// OS thread until the gate frees.
-    pub fn begin_irrevocable(&self) -> Txn<'_> {
-        let guard = self
-            .commit_gate
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        self.fallbacks.fetch_add(1, Ordering::Relaxed);
-        Txn {
-            space: self,
-            rv: self.clock.load(Ordering::Acquire),
-            reads: Vec::new(),
-            writes: HashMap::new(),
-            irrevocable: Some(guard),
-        }
     }
 
     /// Records an abort for the global statistics (used by explicit
@@ -798,7 +780,12 @@ mod tests {
                 let mut v = 0i64;
                 while stop.load(Ordering::Relaxed) == 0 {
                     v += 1;
-                    let mut t = s.begin_irrevocable();
+                    let mut t = loop {
+                        match s.try_begin_irrevocable() {
+                            Some(t) => break t,
+                            None => std::thread::yield_now(),
+                        }
+                    };
                     t.write(0, v);
                     t.write(1, v);
                     t.commit().unwrap();
@@ -827,7 +814,7 @@ mod tests {
     #[test]
     fn irrevocable_reads_see_own_writes() {
         let s = Space::new(4);
-        let mut t = s.begin_irrevocable();
+        let mut t = s.try_begin_irrevocable().expect("the gate is free");
         t.write(2, 9);
         assert_eq!(t.read(2).unwrap(), 9);
         t.commit().unwrap();

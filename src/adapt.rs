@@ -110,10 +110,10 @@ mod tests {
         }
     }
 
-    fn adapt(analysis_threads: usize) -> AdaptRun {
+    fn adapt(eval_threads: usize) -> AdaptRun {
         Pipeline::new(cfg())
-            .analysis_threads(analysis_threads)
-            .adapt(&AdaptPolicy::default())
+            .eval_threads(eval_threads)
+            .adapt(&AdaptPolicy)
             .unwrap()
     }
 
@@ -134,7 +134,7 @@ mod tests {
     }
 
     #[test]
-    fn adapt_is_deterministic_across_analysis_thread_counts() {
+    fn adapt_is_deterministic_across_eval_thread_counts() {
         let runs: Vec<AdaptRun> = [1usize, 2, 8].iter().map(|&t| adapt(t)).collect();
         for r in &runs[1..] {
             assert_eq!(r.report.to_json(), runs[0].report.to_json());
@@ -167,8 +167,7 @@ mod tests {
         let rec = crate::replay::record(&cfg()).unwrap();
         let from_trace = Pipeline::from_trace(&rec.trace)
             .unwrap()
-            .analysis_threads(1)
-            .adapt(&AdaptPolicy::default())
+            .adapt(&AdaptPolicy)
             .unwrap();
         assert_eq!(from_trace.report.to_json(), adapt(1).report.to_json());
     }
@@ -178,11 +177,7 @@ mod tests {
         let exact = adapt(1);
         let n = exact.report.candidates.len();
         assert!(n >= 2, "need at least two candidates to prune");
-        let pruned = Pipeline::new(cfg())
-            .analysis_threads(1)
-            .prune(1)
-            .adapt(&AdaptPolicy::default())
-            .unwrap();
+        let pruned = Pipeline::new(cfg()).prune(1).adapt(&AdaptPolicy).unwrap();
         let replayed = pruned
             .report
             .candidates
@@ -247,9 +242,8 @@ mod tests {
             let base_map = ctx.base_map(&cfg);
             for eval_threads in [1, 2, 7] {
                 let run = Pipeline::new(cfg.clone())
-                    .analysis_threads(1)
                     .eval_threads(eval_threads)
-                    .adapt(&AdaptPolicy::default())
+                    .adapt(&AdaptPolicy)
                     .unwrap();
                 let label = format!("{} at {eval_threads} eval threads", cfg.name);
                 let winner = run.report.winner().expect("a candidate wins");
@@ -259,7 +253,6 @@ mod tests {
                         &EvalContext::candidate_cfg(&cfg, &winner.candidate, &profiles),
                         &winner.candidate.config_map(&base_map),
                         Stamp::Adapt,
-                        1,
                     )
                     .unwrap();
                 let kept = run.adapted.expect("the winner's recording is kept");

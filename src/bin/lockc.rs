@@ -15,7 +15,7 @@
 //! lockc program.atc --run worker --threads 8 --virtual   # virtual-time makespan
 //! ```
 
-use atomic_lock_inference::{interp, lockinfer, lockscheme, pointsto};
+use atomic_lock_inference::{interp, lockinfer, lockscheme, pointsto, replay};
 use interp::{ExecMode, Machine, Options, SentinelConfig};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -183,6 +183,7 @@ fn drive(args: Args) -> Result<(), String> {
         return Ok(());
     };
 
+    replay::check_run_size(args.threads, args.heap_cells, program.globals.len())?;
     let machine = Machine::new(
         Arc::new(transformed),
         pt,

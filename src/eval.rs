@@ -39,10 +39,7 @@
 //! contributing a bogus profile; the baseline overflowing is still a
 //! hard error, since every candidate's evidence derives from it.
 
-use crate::replay::{
-    execute, options_for, stamp_outcome, Recording, RunConfig, MAX_REPLAY_HEAP_CELLS,
-    MAX_REPLAY_THREADS,
-};
+use crate::replay::{check_run_size, execute, options_for, stamp_outcome, Recording, RunConfig};
 use interp::Machine;
 use lockinfer::adapt::{rank, Adjustment, Rank};
 use lockinfer::estimate;
@@ -54,12 +51,11 @@ use trace::SectionProfile;
 
 /// Knobs of one harness evaluation. [`Default`] is the exact,
 /// fully-parallel configuration: every candidate replayed, eval
-/// workers one per core, invariants hoisted.
+/// workers one per core, invariants hoisted. The lock inference inside
+/// each run is not a knob: it always runs one Phase B worker per core,
+/// and its outcome is the same at every worker count.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct EvalOptions {
-    /// Phase B worker count for lock inference (`0` = one per core).
-    /// The outcome is identical for every value.
-    pub analysis_threads: usize,
     /// Concurrent candidate replays (`0` = one per core). The outcome
     /// is identical for every value — results merge in candidate
     /// order.
@@ -80,7 +76,6 @@ pub struct EvalOptions {
 impl Default for EvalOptions {
     fn default() -> EvalOptions {
         EvalOptions {
-            analysis_threads: 0,
             eval_threads: 0,
             prune: None,
             hoist: true,
@@ -161,12 +156,6 @@ impl EvalContext {
         ConfigMap::uniform(SchemeConfig::full(cfg.k, self.program.elem_field_opt()))
     }
 
-    /// Distinct scheme configurations whose Phase A summaries have
-    /// been computed so far.
-    pub fn summary_configs(&self) -> usize {
-        self.store.len()
-    }
-
     /// Executes `cfg` with locks inferred under `map` — the one
     /// recording primitive behind [`crate::replay::record`], baselines,
     /// adapt candidates and repaired re-runs.
@@ -181,9 +170,8 @@ impl EvalContext {
         cfg: &RunConfig,
         map: &ConfigMap,
         stamp: Stamp,
-        analysis_threads: usize,
     ) -> Result<Recording, String> {
-        Ok(self.run_one_ledger(cfg, map, stamp, analysis_threads)?.0)
+        Ok(self.run_one_ledger(cfg, map, stamp)?.0)
     }
 
     /// [`Self::run_one`] plus the sentinel's canonical violation
@@ -193,27 +181,16 @@ impl EvalContext {
     ///
     /// Every recording goes through here, and `cfg` can come from a
     /// trace file or a command line, so this is where a run no machine
-    /// or worker state should be built for is refused: a thread count or
-    /// heap bound over the limits, a heap that cannot hold the
-    /// program's globals, and a section configuration — base, override
-    /// or repair — that is not [`SchemeConfig::is_executable`].
+    /// or worker state should be built for is refused: a size
+    /// [`check_run_size`] refuses, and a section configuration — base,
+    /// override or repair — that is not [`SchemeConfig::is_executable`].
     pub(crate) fn run_one_ledger(
         &self,
         cfg: &RunConfig,
         map: &ConfigMap,
         stamp: Stamp,
-        analysis_threads: usize,
     ) -> Result<(Recording, Vec<sentinel::Violation>), String> {
-        for (key, value, limit) in [
-            ("threads", cfg.threads, MAX_REPLAY_THREADS),
-            ("heap_cells", cfg.heap_cells, MAX_REPLAY_HEAP_CELLS),
-        ] {
-            if value > limit {
-                return Err(format!(
-                    "run: bad `{key}`: {value} exceeds the limit of {limit}"
-                ));
-            }
-        }
+        check_run_size(cfg.threads, cfg.heap_cells, self.program.globals.len())?;
         let overrides = map.overrides().iter().map(|&(_, c)| c);
         let repairs = cfg.repairs.iter().map(|&(_, _, c)| c);
         if let Some(c) = std::iter::once(map.default)
@@ -234,37 +211,15 @@ impl EvalContext {
             let pt = pointsto::PointsTo::analyze(&p);
             (Arc::new(p), Arc::new(pt))
         };
-        // `Machine::new` gives every global its own cell after the
-        // null cell and panics when they do not fit; `heap_cells` can
-        // come from trace metadata, so refuse it here instead.
-        if cfg.heap_cells <= program.globals.len() {
-            return Err(format!(
-                "run: heap_cells = {} cannot hold the program's {} globals",
-                cfg.heap_cells,
-                program.globals.len()
-            ));
-        }
         let store = if self.hoist { Some(&self.store) } else { None };
-        let analysis = lockinfer::analyze_program_with_configs(
-            &program,
-            &pt,
-            map,
-            &self.lib,
-            analysis_threads,
-            store,
-        );
+        // `0`: one Phase B worker per core.
+        let analysis =
+            lockinfer::analyze_program_with_configs(&program, &pt, map, &self.lib, 0, store);
         let transformed = lockinfer::transform(&program, &analysis);
         let mut opts = options_for(cfg);
         if !cfg.repairs.is_empty() {
-            opts.repairs = crate::replay::repair_specs(
-                &cfg.repairs,
-                &program,
-                &pt,
-                map,
-                &self.lib,
-                analysis_threads,
-                store,
-            );
+            opts.repairs =
+                crate::replay::repair_specs(&cfg.repairs, &program, &pt, map, &self.lib, store);
         }
         let m = Machine::new(Arc::new(transformed), pt, cfg.mode, opts);
         let (outcome, mut trace) = execute(&m, cfg);
@@ -301,9 +256,8 @@ impl EvalContext {
         &self,
         cfg: &RunConfig,
         map: &ConfigMap,
-        analysis_threads: usize,
     ) -> Result<CandidateRun, String> {
-        let rec = self.run_one(cfg, map, Stamp::Adapt, analysis_threads)?;
+        let rec = self.run_one(cfg, map, Stamp::Adapt)?;
         if rec.trace.dropped > 0 {
             return Ok(CandidateRun::Skipped(format!(
                 "candidate trace dropped {} events - raise trace_capacity",
@@ -503,8 +457,7 @@ pub(crate) fn eval_singles(scope: &EvalScope<'_>, cands: &[Candidate]) -> Result
         par_map(keep.len(), opts.eval_threads, |j| {
             let rep = &reps[keep[j]];
             let cand_cfg = EvalContext::candidate_cfg(cfg, rep, profiles);
-            let run =
-                ctx.eval_candidate(&cand_cfg, &rep.config_map(base_map), opts.analysis_threads)?;
+            let run = ctx.eval_candidate(&cand_cfg, &rep.config_map(base_map))?;
             Ok(match run {
                 CandidateRun::Done(cost, rec) => {
                     if let Some(r) = rank(base_cost, cost, groups[keep[j]][0]) {

@@ -14,9 +14,8 @@
 //! use atomic_lock_inference as ali;
 //! # fn cfg() -> ali::replay::RunConfig { unimplemented!() }
 //! let run = ali::Pipeline::new(cfg())
-//!     .analysis_threads(1)
 //!     .prune(4)
-//!     .adapt(&ali::lockinfer::adapt::AdaptPolicy::default())?;
+//!     .adapt(&ali::lockinfer::adapt::AdaptPolicy)?;
 //! # Ok::<(), String>(())
 //! ```
 //!
@@ -82,13 +81,6 @@ impl Pipeline {
         self
     }
 
-    /// Phase B worker count for lock inference (`0` = one per core);
-    /// the outcome is identical for every value.
-    pub fn analysis_threads(mut self, n: usize) -> Pipeline {
-        self.opts.analysis_threads = n;
-        self
-    }
-
     /// Concurrent candidate replays (`0` = one per core); reports are
     /// byte-identical at every value.
     pub fn eval_threads(mut self, n: usize) -> Pipeline {
@@ -110,11 +102,6 @@ impl Pipeline {
         self
     }
 
-    /// The effective harness options.
-    pub fn eval_options(&self) -> &EvalOptions {
-        &self.opts
-    }
-
     /// The run configuration this pipeline measures.
     pub fn config(&self) -> &RunConfig {
         &self.cfg
@@ -132,16 +119,12 @@ impl Pipeline {
     // Terminals
 
     /// **Baseline only**: records the configuration once, stamped with
-    /// full `run.*` metadata — [`crate::replay::record`], but
-    /// metrics-armed when the pipeline is.
-    ///
-    /// # Errors
-    ///
-    /// See [`crate::replay::record`].
+    /// full `run.*` metadata. This is [`crate::replay::record`], with
+    /// the same errors, but metrics-armed when the pipeline is.
     pub fn record(&self) -> Result<Recording, String> {
         let ctx = self.context(&self.cfg)?;
         let base_map = ctx.base_map(&self.cfg);
-        ctx.run_one(&self.cfg, &base_map, Stamp::Run, self.opts.analysis_threads)
+        ctx.run_one(&self.cfg, &base_map, Stamp::Run)
     }
 
     /// Profile-guided per-section adaptation: baseline → wait/hold
@@ -153,12 +136,12 @@ impl Pipeline {
     ///
     /// Returns a message on compile failure or when the recorded
     /// baseline trace is unusable (capacity overflow).
-    pub fn adapt(&self, policy: &AdaptPolicy) -> Result<AdaptRun, String> {
+    pub fn adapt(&self, _policy: &AdaptPolicy) -> Result<AdaptRun, String> {
         let cfg = &self.cfg;
         let opts = &self.opts;
         let ctx = self.context(cfg)?;
         let base_map = ctx.base_map(cfg);
-        let baseline = ctx.run_one(cfg, &base_map, Stamp::Run, opts.analysis_threads)?;
+        let baseline = ctx.run_one(cfg, &base_map, Stamp::Run)?;
         if baseline.trace.dropped > 0 {
             return Err(format!(
                 "adapt: baseline trace dropped {} events — raise trace_capacity",
@@ -166,7 +149,7 @@ impl Pipeline {
             ));
         }
         let profiles = trace::profile(&baseline.trace);
-        let cands = adapt_candidates(&profiles, &base_map, policy);
+        let cands = adapt_candidates(&profiles, &base_map);
         let base_cost = PlanCost::from_profiles(&profiles, baseline.outcome.makespan);
 
         let scope = EvalScope {
@@ -242,8 +225,7 @@ impl Pipeline {
         }
         let ctx = self.context(cfg)?;
         let base_map = ctx.base_map(cfg);
-        let (baseline, ledger) =
-            ctx.run_one_ledger(cfg, &base_map, Stamp::Run, opts.analysis_threads)?;
+        let (baseline, ledger) = ctx.run_one_ledger(cfg, &base_map, Stamp::Run)?;
         if baseline.trace.dropped > 0 {
             return Err(format!(
                 "reinfer: baseline trace dropped {} events — raise trace_capacity",
@@ -290,7 +272,7 @@ impl Pipeline {
             .collect();
         let runs: Vec<Result<(Recording, Vec<Violation>), String>> =
             par_map(maps.len(), opts.eval_threads, |i| {
-                ctx.run_one_ledger(&ecfg, &maps[i], Stamp::Adapt, opts.analysis_threads)
+                ctx.run_one_ledger(&ecfg, &maps[i], Stamp::Adapt)
             });
         ctx.count("ali_eval_candidates_evaluated_total", maps.len() as u64);
         let mut assessed: Vec<(bool, PlanCost, EvalStatus)> = Vec::with_capacity(runs.len());
@@ -391,7 +373,7 @@ impl Pipeline {
                     (section, j as u32, s.candidates[j].candidate.config)
                 })
                 .collect();
-            Some(ctx.run_one(&fcfg, &base_map, Stamp::Run, opts.analysis_threads)?)
+            Some(ctx.run_one(&fcfg, &base_map, Stamp::Run)?)
         };
         Ok(ReinferRun {
             report,
@@ -447,7 +429,7 @@ mod tests {
 
     #[test]
     fn record_terminal_matches_replay_record_bytes() {
-        let a = Pipeline::new(cfg()).analysis_threads(1).record().unwrap();
+        let a = Pipeline::new(cfg()).record().unwrap();
         let b = crate::replay::record(&cfg()).unwrap();
         assert_eq!(a.trace.digest(), b.trace.digest());
         assert_eq!(a.trace.to_json(), b.trace.to_json());
@@ -464,11 +446,10 @@ mod tests {
     fn metrics_armed_runs_count_sections_and_leave_traces_untouched() {
         let reg = Arc::new(obs::Registry::new());
         let armed = Pipeline::new(cfg())
-            .analysis_threads(1)
             .metrics(Arc::clone(&reg))
             .record()
             .unwrap();
-        let unarmed = Pipeline::new(cfg()).analysis_threads(1).record().unwrap();
+        let unarmed = Pipeline::new(cfg()).record().unwrap();
         assert_eq!(
             armed.trace.digest(),
             unarmed.trace.digest(),
@@ -501,7 +482,6 @@ mod tests {
         let sim_gauges = |threads: usize| {
             let reg = Arc::new(obs::Registry::new());
             Pipeline::new(RunConfig { threads, ..cfg() })
-                .analysis_threads(1)
                 .metrics(Arc::clone(&reg))
                 .record()
                 .unwrap();
@@ -532,9 +512,8 @@ mod tests {
     fn metrics_armed_adapt_counts_harness_candidates() {
         let reg = Arc::new(obs::Registry::new());
         let run = Pipeline::new(cfg())
-            .analysis_threads(1)
             .metrics(Arc::clone(&reg))
-            .adapt(&AdaptPolicy::default())
+            .adapt(&AdaptPolicy)
             .unwrap();
         assert!(!run.report.candidates.is_empty());
         let snap = reg.snapshot();

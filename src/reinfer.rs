@@ -114,7 +114,7 @@ mod tests {
 
     #[test]
     fn a_weakened_section_heals_onto_an_admitted_nonglobal_repair() {
-        let run = Pipeline::new(cfg()).analysis_threads(1).reinfer().unwrap();
+        let run = Pipeline::new(cfg()).reinfer().unwrap();
         // The seeded fault produced violations and the ledger reached
         // the diagnosis.
         let sec = run
@@ -174,13 +174,7 @@ mod tests {
     fn reports_and_healed_digests_are_identical_at_every_eval_thread_count() {
         let runs: Vec<ReinferRun> = [1usize, 2, 7]
             .iter()
-            .map(|&t| {
-                Pipeline::new(cfg())
-                    .analysis_threads(1)
-                    .eval_threads(t)
-                    .reinfer()
-                    .unwrap()
-            })
+            .map(|&t| Pipeline::new(cfg()).eval_threads(t).reinfer().unwrap())
             .collect();
         for r in &runs[1..] {
             assert_eq!(r.report.to_json(), runs[0].report.to_json());
@@ -197,7 +191,7 @@ mod tests {
     fn clean_armed_runs_are_left_untouched() {
         let mut c = cfg();
         c.weaken = None;
-        let run = Pipeline::new(c).analysis_threads(1).reinfer().unwrap();
+        let run = Pipeline::new(c).reinfer().unwrap();
         assert!(run.report.sections.is_empty());
         assert!(run.healed.is_none());
         // And the baseline stays fully replayable.

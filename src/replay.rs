@@ -285,8 +285,8 @@ impl RunConfig {
 /// on the calling thread: frames, a lock session, a fault stream and,
 /// when tracing, a recorder handle. A recorded or replayed thread
 /// count caps how many of those one run builds, and is checked before
-/// any is (`EvalContext::run_one_ledger`). The paper and every
-/// committed workload stay at or below 16.
+/// any is ([`check_run_size`]). The paper and every committed workload
+/// stay at or below 16.
 pub(crate) const MAX_REPLAY_THREADS: usize = 1024;
 
 /// The heap commits a page the first time one of its cells is touched,
@@ -294,6 +294,36 @@ pub(crate) const MAX_REPLAY_THREADS: usize = 1024;
 /// occupy, not what a machine costs to build. It is bounded all the
 /// same: 1 GiB, 16× the largest committed workload.
 pub(crate) const MAX_REPLAY_HEAP_CELLS: usize = 1 << 26;
+
+/// Refuses a run size no machine should be built for: a thread count or
+/// heap bound over the limits above, or a heap that cannot hold the
+/// program's `globals` (`Machine::new` gives every global its own cell
+/// after the null cell and panics when they do not fit). Every
+/// recording checks it before building a machine, and so does
+/// `lockc --run`: the sizes can come from a trace file or a command
+/// line.
+///
+/// # Errors
+///
+/// Names the value that is out of bounds.
+pub fn check_run_size(threads: usize, heap_cells: usize, globals: usize) -> Result<(), String> {
+    for (key, value, limit) in [
+        ("threads", threads, MAX_REPLAY_THREADS),
+        ("heap_cells", heap_cells, MAX_REPLAY_HEAP_CELLS),
+    ] {
+        if value > limit {
+            return Err(format!(
+                "run: bad `{key}`: {value} exceeds the limit of {limit}"
+            ));
+        }
+    }
+    if heap_cells <= globals {
+        return Err(format!(
+            "run: heap_cells = {heap_cells} cannot hold the program's {globals} globals"
+        ));
+    }
+    Ok(())
+}
 
 fn meta(t: &Trace, k: &str) -> Result<String, String> {
     t.meta_get(k)
@@ -393,22 +423,21 @@ pub struct Recording {
 /// configuration the runtime cannot execute.
 pub fn record(cfg: &RunConfig) -> Result<Recording, String> {
     let ctx = EvalContext::new(cfg, true)?;
-    ctx.run_one(cfg, &ctx.base_map(cfg), Stamp::Run, 0)
+    ctx.run_one(cfg, &ctx.base_map(cfg), Stamp::Run)
 }
 
 /// Derives the concrete lock specs each [`RepairEntry`] installs:
 /// re-runs the inference with the repaired configuration overriding
 /// the entry's section on top of `base` and extracts that section's
-/// `acquireAll` plan. Deterministic at every `analysis_threads` count
-/// (the engine's Phase B guarantee), and incremental when `store`
-/// memoizes Phase A summaries across candidate configs.
+/// `acquireAll` plan. Deterministic (the engine's Phase B guarantee),
+/// and incremental when `store` memoizes Phase A summaries across
+/// candidate configs.
 pub(crate) fn repair_specs(
     repairs: &[RepairEntry],
     program: &lir::Program,
     pt: &pointsto::PointsTo,
     base: &ConfigMap,
     lib: &lockinfer::library::LibrarySpec,
-    analysis_threads: usize,
     store: Option<&lockinfer::SummaryStore>,
 ) -> Vec<RepairSpec> {
     repairs
@@ -416,14 +445,9 @@ pub(crate) fn repair_specs(
         .map(|&(section, candidate, config)| {
             let mut map = base.clone();
             map.set_override(section, config);
-            let analysis = lockinfer::analyze_program_with_configs(
-                program,
-                pt,
-                &map,
-                lib,
-                analysis_threads,
-                store,
-            );
+            // `0`: one Phase B worker per core.
+            let analysis =
+                lockinfer::analyze_program_with_configs(program, pt, &map, lib, 0, store);
             let specs = analysis
                 .sections
                 .iter()

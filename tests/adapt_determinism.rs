@@ -1,8 +1,8 @@
 //! Determinism properties of the profile-guided adaptation loop
 //! (DESIGN.md §5.4): for one recorded trace and candidate set, the
 //! decision — every candidate, every replayed cost, the selected
-//! override, the report bytes — must be identical at every analysis
-//! thread count, on every run. A selected override must also strictly
+//! override, the report bytes — must be identical at every eval thread
+//! count, on every run. A selected override must also strictly
 //! reduce total replayed wait.
 
 use atomic_lock_inference::replay::RunConfig;
@@ -25,10 +25,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// The whole loop — record, profile, propose, replay, select — is a
-    /// pure function of the run configuration: analysis parallelism
-    /// must never leak into the decision.
+    /// pure function of the run configuration: the exact (unpruned)
+    /// loop's eval parallelism must never leak into the decision.
     #[test]
-    fn decision_is_identical_at_every_analysis_thread_count(
+    fn decision_is_identical_at_every_eval_thread_count(
         which in 0usize..3,
         seed in any::<u64>(),
         threads in 2usize..5,
@@ -41,8 +41,8 @@ proptest! {
             .iter()
             .map(|&t| {
                 Pipeline::new(cfg.clone())
-                    .analysis_threads(t)
-                    .adapt(&AdaptPolicy::default())
+                    .eval_threads(t)
+                    .adapt(&AdaptPolicy)
                     .unwrap()
             })
             .collect();
@@ -53,7 +53,7 @@ proptest! {
             match (&r.adapted, &first.adapted) {
                 (Some(a), Some(b)) => prop_assert_eq!(a.trace.digest(), b.trace.digest()),
                 (None, None) => {}
-                _ => prop_assert!(false, "selection diverged across analysis thread counts"),
+                _ => prop_assert!(false, "selection diverged across eval thread counts"),
             }
         }
     }
@@ -78,9 +78,8 @@ proptest! {
             9,
             lir::compile(&cfg.source).unwrap().elem_field_opt(),
         ));
-        let policy = AdaptPolicy::default();
-        let a = candidates(&profiles, &base, &policy);
-        let b = candidates(&profiles, &base, &policy);
+        let a = candidates(&profiles, &base);
+        let b = candidates(&profiles, &base);
         prop_assert_eq!(&a, &b);
         for c in &a {
             if let Adjustment::WakePolicy(_) = c.adjustment {
@@ -105,7 +104,7 @@ fn selected_candidate_strictly_reduces_wait() {
     let spec = micro::list(Contention::High, 120, 20);
     let cfg = RunConfig::from_spec(&spec, 9, ExecMode::MultiGrain, 8);
     let pipeline = Pipeline::new(cfg);
-    let run = pipeline.adapt(&AdaptPolicy::default()).unwrap();
+    let run = pipeline.adapt(&AdaptPolicy).unwrap();
     let base: PlanCost = run.report.baseline;
     if let Some(w) = run.report.winner() {
         assert!(
@@ -116,6 +115,6 @@ fn selected_candidate_strictly_reduces_wait() {
         );
     }
     // And repeated runs agree byte for byte.
-    let again = pipeline.adapt(&AdaptPolicy::default()).unwrap();
+    let again = pipeline.adapt(&AdaptPolicy).unwrap();
     assert_eq!(run.report.to_json(), again.report.to_json());
 }

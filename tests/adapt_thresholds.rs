@@ -9,9 +9,9 @@
 
 use atomic_lock_inference as ali;
 
-use ali::lockinfer::{candidates, AdaptPolicy};
+use ali::lockinfer::candidates;
 use ali::lockscheme::{ConfigMap, SchemeConfig};
-use ali::sched::convoy::{detect, ConvoyPolicy};
+use ali::sched::convoy::detect;
 use ali::trace::SectionProfile;
 
 /// `n` entries, each waiting `wait` and holding `hold` ticks; the
@@ -35,11 +35,11 @@ fn prof(n: u64, wait: u64, hold: u64, revalidated: u64) -> SectionProfile {
 fn run(k: usize, p: &SectionProfile) -> (Vec<String>, bool) {
     let base = ConfigMap::uniform(SchemeConfig::full(k, None));
     let ps = std::slice::from_ref(p);
-    let tags = candidates(ps, &base, &AdaptPolicy::default())
+    let tags = candidates(ps, &base)
         .iter()
         .map(|c| format!("{}/{}", c.adjustment.tag(), c.trigger.tag()))
         .collect();
-    (tags, !detect(ps, &ConvoyPolicy::default()).is_empty())
+    (tags, !detect(ps).is_empty())
 }
 
 /// Asserts `p`'s tags at base `k`, and that the detector flags exactly

@@ -30,9 +30,7 @@ fn spec_for(which: usize, ops: i64) -> RunSpec {
 }
 
 fn pipeline(cfg: &RunConfig, eval_threads: usize) -> Pipeline {
-    Pipeline::new(cfg.clone())
-        .analysis_threads(1)
-        .eval_threads(eval_threads)
+    Pipeline::new(cfg.clone()).eval_threads(eval_threads)
 }
 
 proptest! {
@@ -54,7 +52,7 @@ proptest! {
         cfg.seed = seed;
         let runs: Vec<AdaptRun> = [1usize, 2, 7]
             .iter()
-            .map(|&t| pipeline(&cfg, t).prune(4).adapt(&AdaptPolicy::default()).unwrap())
+            .map(|&t| pipeline(&cfg, t).prune(4).adapt(&AdaptPolicy).unwrap())
             .collect();
         let first = &runs[0];
         for r in &runs[1..] {
@@ -81,8 +79,8 @@ proptest! {
         let spec = spec_for(which, ops);
         let mut cfg = RunConfig::from_spec(&spec, 9, ExecMode::MultiGrain, 4);
         cfg.seed = seed;
-        let exact = pipeline(&cfg, 0).adapt(&AdaptPolicy::default()).unwrap();
-        let pruned = pipeline(&cfg, 0).prune(4).adapt(&AdaptPolicy::default()).unwrap();
+        let exact = pipeline(&cfg, 0).adapt(&AdaptPolicy).unwrap();
+        let pruned = pipeline(&cfg, 0).prune(4).adapt(&AdaptPolicy).unwrap();
         if let Some(i) = exact.report.selected {
             let kept = &pruned.report.candidates[i];
             prop_assert!(
@@ -144,7 +142,7 @@ fn overflowing_candidate_traces_surface_as_skips() {
             m
         });
     cfg.trace_capacity = per_thread.values().copied().max().unwrap_or(0);
-    let run = pipeline(&cfg, 1).adapt(&AdaptPolicy::default()).unwrap();
+    let run = pipeline(&cfg, 1).adapt(&AdaptPolicy).unwrap();
     let wake: Vec<(usize, &Decision)> = run
         .report
         .candidates
@@ -170,10 +168,7 @@ fn overflowing_candidate_traces_surface_as_skips() {
 fn decision_json_carries_statuses() {
     let spec = micro::list(Contention::High, 80, 10);
     let cfg = RunConfig::from_spec(&spec, 9, ExecMode::MultiGrain, 4);
-    let run = pipeline(&cfg, 0)
-        .prune(1)
-        .adapt(&AdaptPolicy::default())
-        .unwrap();
+    let run = pipeline(&cfg, 0).prune(1).adapt(&AdaptPolicy).unwrap();
     let json = run.report.to_json();
     assert!(json.contains("\"status\":\"replayed\""), "{json}");
     // Whenever the harness pruned anything, the estimate travels in

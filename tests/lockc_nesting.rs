@@ -1,6 +1,8 @@
-//! `lockc` at the source door: a source nested past the parser's bound
-//! exits 1 with a parse error on every path that reads source, where it
-//! used to abort with a stack overflow (exit 134).
+//! `lockc` at its doors: a source nested past the parser's bound exits
+//! 1 with a parse error on every path that reads source, where it used
+//! to abort with a stack overflow (exit 134); and a run size a recording
+//! refuses exits 1 with a one-line error, where it used to panic
+//! (exit 101) or abort on the allocation (exit 134).
 
 use std::path::Path;
 use std::process::Command;
@@ -50,5 +52,40 @@ fn lockc_rejects_over_deep_sources_with_a_message() {
                 "{name} --emit {emit}"
             );
         }
+    }
+}
+
+#[test]
+fn lockc_refuses_run_sizes_a_recording_refuses() {
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join("lockc_run_size.atc");
+    std::fs::write(&path, "global c;\nfn main() { c = 1; return c; }\n").unwrap();
+    for (args, message) in [
+        (
+            &["--heap", "0"][..],
+            "error: run: heap_cells = 0 cannot hold the program's 1 globals",
+        ),
+        (
+            &["--heap", "99999999999999"][..],
+            "error: run: bad `heap_cells`: 99999999999999 exceeds the limit of 67108864",
+        ),
+        (
+            &["--threads", "100000000", "--virtual"][..],
+            "error: run: bad `threads`: 100000000 exceeds the limit of 1024",
+        ),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_lockc"))
+            .arg(&path)
+            .args(["--run", "main"])
+            .args(args)
+            .output()
+            .expect("lockc runs");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            !stdout.contains("panicked") && !stderr.contains("panicked"),
+            "{args:?}: {stderr}"
+        );
+        assert_eq!(stderr.trim_end(), message, "{args:?}");
     }
 }

@@ -8,10 +8,14 @@
 
 use atomic_lock_inference as ali;
 
-use ali::interp::ExecMode;
+use ali::interp::{ExecMode, Machine, Options};
+use ali::lockinfer::library::LibrarySpec;
+use ali::lockscheme::SchemeConfig;
+use ali::pointsto::PointsTo;
 use ali::replay::RunConfig;
 use ali::{obs, Pipeline};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// A writer section, a read-mostly section, and a short counter
 /// section: enough shape for nonzero wait/hold histograms, lock-mode
@@ -57,6 +61,36 @@ fn cfg(seed: u64, threads: usize, iters: i64) -> RunConfig {
     }
 }
 
+/// Records `c`'s worker phase with the inference run at
+/// `analysis_threads` Phase B workers. A pipeline always runs one per
+/// core, so this builds the machine itself.
+fn record_at(c: &RunConfig, analysis_threads: usize) -> ali::trace::Trace {
+    let program = ali::lir::compile(&c.source).expect("source compiles");
+    let pt = Arc::new(PointsTo::analyze(&program));
+    let analysis = ali::lockinfer::analyze_program_with_opts(
+        &program,
+        &pt,
+        SchemeConfig::full(c.k, program.elem_field_opt()),
+        &LibrarySpec::new(),
+        analysis_threads,
+    );
+    let transformed = Arc::new(ali::lockinfer::transform(&program, &analysis));
+    let opts = Options {
+        heap_cells: c.heap_cells,
+        seed: c.seed,
+        quantum: c.quantum,
+        trace: Some(ali::trace::TraceConfig {
+            capacity: c.trace_capacity,
+        }),
+        ..Options::default()
+    };
+    let m = Machine::new(transformed, pt, c.mode, opts);
+    m.run_named(&c.init.0, &c.init.1).expect("init");
+    m.run_threads_virtual(&c.worker.0, c.threads, |_| c.worker.1.clone())
+        .expect("workers");
+    m.take_trace().expect("the machine traces")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -73,13 +107,7 @@ proptest! {
         let c = cfg(seed, threads, iters);
         let snaps: Vec<String> = [1usize, 2, 7]
             .iter()
-            .map(|&t| {
-                let rec = Pipeline::new(c.clone())
-                    .analysis_threads(t)
-                    .record()
-                    .expect("recording succeeds");
-                obs::from_trace(&rec.trace).to_json()
-            })
+            .map(|&t| obs::from_trace(&record_at(&c, t)).to_json())
             .collect();
         prop_assert_eq!(&snaps[1], &snaps[0], "snapshot bytes diverged at 2 threads");
         prop_assert_eq!(&snaps[2], &snaps[0], "snapshot bytes diverged at 7 threads");
@@ -100,12 +128,10 @@ proptest! {
         let c = cfg(seed, threads, iters);
         let reg = std::sync::Arc::new(obs::Registry::new());
         let armed = Pipeline::new(c.clone())
-            .analysis_threads(1)
             .metrics(std::sync::Arc::clone(&reg))
             .record()
             .expect("armed recording succeeds");
         let plain = Pipeline::new(c)
-            .analysis_threads(1)
             .record()
             .expect("plain recording succeeds");
         prop_assert_eq!(armed.trace.to_json(), plain.trace.to_json());
@@ -132,7 +158,6 @@ proptest! {
 /// frozen down to the byte.
 fn golden_trace() -> ali::trace::Trace {
     Pipeline::new(cfg(0x0B5, 4, 6))
-        .analysis_threads(1)
         .record()
         .expect("golden recording succeeds")
         .trace

@@ -143,9 +143,7 @@ fn a_wake_policy_wins_the_adapt_loop_and_matches_its_steered_recording() {
         trace_capacity: 1 << 20,
         ..RunConfig::from_spec(&spec, 9, ExecMode::MultiGrain, 8)
     };
-    let run = ali::Pipeline::new(cfg.clone())
-        .adapt(&AdaptPolicy::default())
-        .unwrap();
+    let run = ali::Pipeline::new(cfg.clone()).adapt(&AdaptPolicy).unwrap();
     let winner = run.report.winner().expect("a candidate wins");
     assert_eq!(
         winner.candidate.adjustment,

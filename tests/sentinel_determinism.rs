@@ -3,8 +3,7 @@
 //! entire observable outcome — every violation, every quarantine and
 //! heal transition, the trace bytes — must be identical at every
 //! *analysis* thread count. The inference's parallel per-section phase
-//! must never leak into the runtime's quarantine decisions, exactly as
-//! `tests/adapt_determinism.rs` demands of the adaptation loop.
+//! must never leak into the runtime's quarantine decisions.
 
 use atomic_lock_inference as ali;
 

@@ -158,10 +158,7 @@ fn record_all() -> (Vec<(&'static str, Trace)>, String) {
         section: 0,
         drop_index: 0,
     });
-    let run = Pipeline::new(pair)
-        .analysis_threads(1)
-        .reinfer()
-        .expect("re-inference runs");
+    let run = Pipeline::new(pair).reinfer().expect("re-inference runs");
     keep("pair-reinfer-baseline", run.baseline);
     keep(
         "pair-reinfer-healed",
@@ -186,7 +183,7 @@ fn record_all() -> (Vec<(&'static str, Trace)>, String) {
     adapt.trace_capacity = 1 << 20;
     let run = Pipeline::new(adapt)
         .eval_threads(1)
-        .adapt(&AdaptPolicy::default())
+        .adapt(&AdaptPolicy)
         .expect("adapt reaches a decision");
     let report = fnv(&run.report.to_json());
     keep("adapt-scale-d4w6s12-baseline", run.baseline);
