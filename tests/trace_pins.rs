@@ -4,7 +4,8 @@
 //! was stored byte-coded. Together the configurations cover every
 //! [`EventKind::NAMES`] entry and every [`NodeKey::CLASSES`] entry, so
 //! a change to how events are stored or read that alters any kind or
-//! node shape fails here.
+//! node shape fails here. The JSON reports of the re-inference and
+//! adapt runs among them are pinned by FNV-1a digest too.
 //!
 //! A change that moves a pin on purpose prints the new values with
 //! `PRINT_PINS=1 cargo test --release --test trace_pins -- --nocapture`.
@@ -98,14 +99,20 @@ fn source_config(name: &str, src: &str, threads: usize, seed: u64, iters: i64) -
     cfg
 }
 
-/// Every pinned trace, by name, and the adapt report's FNV digest,
-/// recorded once for both tests.
-fn recorded() -> &'static (Vec<(&'static str, Trace)>, String) {
-    static RECORDED: OnceLock<(Vec<(&'static str, Trace)>, String)> = OnceLock::new();
+/// FNV digests of the repair report and the adapt report.
+struct Reports {
+    repair: String,
+    adapt: String,
+}
+
+/// Every pinned trace, by name, and the FNV digests of the two loops'
+/// reports, recorded once for both tests.
+fn recorded() -> &'static (Vec<(&'static str, Trace)>, Reports) {
+    static RECORDED: OnceLock<(Vec<(&'static str, Trace)>, Reports)> = OnceLock::new();
     RECORDED.get_or_init(record_all)
 }
 
-fn record_all() -> (Vec<(&'static str, Trace)>, String) {
+fn record_all() -> (Vec<(&'static str, Trace)>, Reports) {
     let mut traces = Vec::new();
     let mut keep = |name, rec: ali::replay::Recording| traces.push((name, rec.trace));
 
@@ -159,6 +166,7 @@ fn record_all() -> (Vec<(&'static str, Trace)>, String) {
         drop_index: 0,
     });
     let run = Pipeline::new(pair).reinfer().expect("re-inference runs");
+    let repair = fnv(&run.report.to_json());
     keep("pair-reinfer-baseline", run.baseline);
     keep(
         "pair-reinfer-healed",
@@ -185,15 +193,16 @@ fn record_all() -> (Vec<(&'static str, Trace)>, String) {
         .eval_threads(1)
         .adapt(&AdaptPolicy)
         .expect("adapt reaches a decision");
-    let report = fnv(&run.report.to_json());
+    let adapt = fnv(&run.report.to_json());
     keep("adapt-scale-d4w6s12-baseline", run.baseline);
     keep(
         "adapt-scale-d4w6s12-adapted",
         run.adapted.expect("a candidate beats the baseline"),
     );
-    (traces, report)
+    (traces, Reports { repair, adapt })
 }
 
+const REPAIR_REPORT_FNV: &str = "169f8ea6fd1d2db9";
 const ADAPT_REPORT_FNV: &str = "701df6592f653a78";
 
 const PINS: &[Pin] = &[
@@ -338,9 +347,10 @@ const PINS: &[Pin] = &[
 
 #[test]
 fn recorded_traces_match_their_pins() {
-    let (traces, report) = recorded();
+    let (traces, reports) = recorded();
     if std::env::var_os("PRINT_PINS").is_some() {
-        println!("report {report}");
+        println!("repair report {}", reports.repair);
+        println!("adapt report {}", reports.adapt);
         for (name, t) in traces {
             println!(
                 "Pin {{ name: {name:?}, digest: {:?}, events: {}, counts: &{:?} }},",
@@ -350,7 +360,14 @@ fn recorded_traces_match_their_pins() {
             );
         }
     }
-    assert_eq!(report, ADAPT_REPORT_FNV, "adapt-scale-d4w6s12 report");
+    assert_eq!(
+        reports.repair, REPAIR_REPORT_FNV,
+        "weakened-pair repair report"
+    );
+    assert_eq!(
+        reports.adapt, ADAPT_REPORT_FNV,
+        "adapt-scale-d4w6s12 report"
+    );
     assert_eq!(
         traces.iter().map(|(n, _)| *n).collect::<Vec<_>>(),
         PINS.iter().map(|p| p.name).collect::<Vec<_>>()
