@@ -15,11 +15,12 @@
 //! cargo run -p bench --release --bin adapt-table
 //! ```
 
+use atomic_lock_inference::adapt::{select, Adjustment, Decision, DecisionReport, PlanCost};
 use atomic_lock_inference::replay::RunConfig;
 use atomic_lock_inference::Pipeline;
 use bench::cli::delta_pct;
 use interp::ExecMode;
-use lockinfer::adapt::{select, AdaptPolicy, Adjustment, Decision, DecisionReport, PlanCost};
+use lockinfer::AdaptPolicy;
 use std::process::ExitCode;
 use workloads::{micro, stamp, Contention, RunSpec};
 

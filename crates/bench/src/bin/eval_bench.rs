@@ -33,7 +33,7 @@ use atomic_lock_inference::eval::EvalOptions;
 use atomic_lock_inference::replay::{record, RunConfig};
 use atomic_lock_inference::Pipeline;
 use interp::ExecMode;
-use lockinfer::adapt::AdaptPolicy;
+use lockinfer::AdaptPolicy;
 use std::process::ExitCode;
 use std::time::Instant;
 use workloads::scale::{self, ScaleParams};

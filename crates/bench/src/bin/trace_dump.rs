@@ -76,7 +76,7 @@
 use atomic_lock_inference::{replay, Pipeline};
 use bench::cli::{self, Flags, RunArgs};
 use interp::{FaultPlan, SentinelConfig};
-use lockinfer::adapt::AdaptPolicy;
+use lockinfer::AdaptPolicy;
 use std::process::ExitCode;
 use std::sync::Arc;
 use workloads::Contention;

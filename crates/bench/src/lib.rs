@@ -89,7 +89,7 @@ pub mod harness {
         /// Every degradation-ladder counter for the run (poisoning,
         /// unwind releases, injections — all zero in healthy benchmark
         /// runs).
-        pub degradation: lockinfer::DegradationReport,
+        pub degradation: interp::DegradationReport,
     }
 
     /// Compiles, transforms, runs `spec` under `config` with `threads`

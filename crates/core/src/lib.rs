@@ -32,34 +32,31 @@
 //! # Ok::<(), lir::lower::FrontendError>(())
 //! ```
 
-pub mod adapt;
 pub mod dataflow;
-pub mod estimate;
 pub mod library;
 mod par;
 pub mod reference;
-pub mod reinfer;
 pub mod report;
 pub mod transfer;
 pub mod transform;
 
-pub use adapt::{
-    candidates, select, AdaptPolicy, Candidate, Decision, DecisionReport, EvalStatus, PlanCost,
-};
 pub use dataflow::{
     analyze_program, analyze_program_with_configs, analyze_program_with_opts, AnalysisStats,
     ProgramAnalysis, SectionResult, SummaryStore,
 };
 pub use par::{par_map, worker_count};
 pub use reference::{analyze_program_reference, analyze_program_reference_with_configs};
-pub use reinfer::{
-    admit, alias_merge_collapse, diagnose, Diagnosis, Repair, RepairCandidate, RepairDecision,
-    RepairOutcome, RepairReport, SectionReport, Witness,
-};
-pub use report::{DegradationReport, LockCounts};
+pub use report::LockCounts;
 pub use transform::transform;
 
 use lockscheme::SchemeConfig;
+
+/// The parameter of the root crate's `Pipeline::adapt`. It has nothing
+/// to set: the adapt loop's thresholds are constants beside the loop,
+/// in the root crate's `adapt` module. Callers pass `&AdaptPolicy` or
+/// `&AdaptPolicy::default()`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct AdaptPolicy;
 
 /// One-call convenience: parse, analyze with the full `Σ_k × Σ≡ × Σ_ε`
 /// scheme, and transform.

@@ -35,29 +35,23 @@ mod worker;
 
 pub use error::InterpError;
 pub use fault::{FaultPlan, FaultStats, WeakenPlan};
-pub use machine::{ExecMode, Machine, Options, RepairSpec};
+pub use machine::{DegradationReport, ExecMode, Machine, Options, RepairSpec};
 pub use sched::{PolicyKind, ReaderBatch, SchedConfig};
 pub use sentinel::{Response, SentinelConfig};
 
-use std::sync::Arc;
-
-/// End-to-end convenience for tests and examples: compile `src`, infer
-/// locks at `k`, transform, and build a machine in `mode`.
-///
-/// # Errors
-///
-/// Returns the rendered frontend error message on parse/lowering
-/// failure.
-pub fn machine_for(src: &str, k: usize, mode: ExecMode, opts: Options) -> Result<Machine, String> {
-    let (program, _analysis, transformed) =
-        lockinfer::compile_with_locks(src, k).map_err(|e| e.to_string())?;
-    let pt = Arc::new(pointsto::PointsTo::analyze(&program));
-    Ok(Machine::new(Arc::new(transformed), pt, mode, opts))
-}
+// The test support names this crate `interp`, as an integration test
+// does.
+#[cfg(test)]
+extern crate self as interp;
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod common;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use common::machine_for;
+    use std::sync::Arc;
 
     /// A discipline, and the sentinel policy a run of it is checked by.
     type Run = (ExecMode, Option<SentinelConfig>);

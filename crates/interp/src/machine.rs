@@ -6,6 +6,7 @@ use lir::{FnId, Instr, Program, Rvalue, VarId};
 use parking_lot::{Mutex, RwLock};
 use pointsto::{AllocSite, PointsTo, PtsClass};
 use std::collections::HashMap;
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -23,7 +24,7 @@ pub enum ExecMode {
 }
 
 /// A staged repaired lock plan for one section, produced by
-/// quarantine-aware re-inference (`lockinfer::reinfer`): once the
+/// quarantine-aware re-inference (the root crate's `reinfer` loop): once the
 /// section has healed, the worker plans `specs` — derived from the
 /// admitted repair candidate's refined `SchemeConfig` under this
 /// machine's own program and points-to result — instead of the seed
@@ -37,6 +38,104 @@ pub struct RepairSpec {
     pub candidate: u32,
     /// The repaired lock specs the worker plans after the heal.
     pub specs: Vec<lir::LockSpec>,
+}
+
+/// Runtime degradation counters from one execution, aggregated across
+/// the locking runtimes ([`Machine::degradation_report`]).
+///
+/// "Degradation" covers everything on the graceful-degradation ladder:
+/// STM starvation fallbacks to irrevocable mode, lock sessions poisoned
+/// by unwinding workers, and deliberately injected faults.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct DegradationReport {
+    /// STM: committed transactions.
+    pub stm_commits: u64,
+    /// STM: aborted attempts (conflicts plus injected).
+    pub stm_aborts: u64,
+    /// STM: transactions that escalated to irrevocable global mode.
+    pub stm_fallbacks: u64,
+    /// Lock sessions that unwound while holding locks.
+    pub poisoned_sessions: u64,
+    /// Lock modes released by unwind (drop) instead of protocol order.
+    pub unwind_releases: u64,
+    /// Lock batches released and re-acquired because a fine-grained
+    /// descriptor drifted while the session waited (the guarded
+    /// structure moved between evaluation and grant). Informational —
+    /// revalidation is the protocol *working*, not degrading — so it
+    /// does not affect [`DegradationReport::is_clean`].
+    pub lock_revalidations: u64,
+    /// Faults injected by the active plan, by class.
+    pub injected_panics: u64,
+    pub injected_aborts: u64,
+    pub injected_delays: u64,
+    pub injected_stalls: u64,
+    /// In-section accesses the online sentinel found unlicensed by the
+    /// live held-mode set (a real protection gap — never clean).
+    pub sentinel_violations: u64,
+    /// Sections the sentinel's quarantine ladder demoted to the
+    /// trivially sound global scheme. Informational, like
+    /// [`DegradationReport::lock_revalidations`]: quarantine is the
+    /// *remedy* working, while the gap itself is already counted in
+    /// [`DegradationReport::sentinel_violations`].
+    pub sections_quarantined: u64,
+    /// Quarantined sections re-admitted to their original
+    /// configuration after serving their probation of consecutive
+    /// clean executions. Informational.
+    pub sections_healed: u64,
+}
+
+impl DegradationReport {
+    /// True when nothing degraded: no fallbacks, no poisoning, no
+    /// sentinel violations, no injections — the run stayed on the happy
+    /// path end to end.
+    pub fn is_clean(&self) -> bool {
+        let DegradationReport {
+            stm_commits: _,
+            stm_aborts: _,
+            lock_revalidations: _,
+            sections_quarantined: _,
+            sections_healed: _,
+            stm_fallbacks,
+            poisoned_sessions,
+            unwind_releases,
+            injected_panics,
+            injected_aborts,
+            injected_delays,
+            injected_stalls,
+            sentinel_violations,
+        } = *self;
+        stm_fallbacks == 0
+            && poisoned_sessions == 0
+            && unwind_releases == 0
+            && injected_panics == 0
+            && injected_aborts == 0
+            && injected_delays == 0
+            && injected_stalls == 0
+            && sentinel_violations == 0
+    }
+}
+
+impl fmt::Display for DegradationReport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "stm {}c/{}a/{}f  poisoned {}  unwound {}  revalidated {}  \
+             injected p{}/a{}/d{}/s{}  sentinel {}v/{}q/{}h",
+            self.stm_commits,
+            self.stm_aborts,
+            self.stm_fallbacks,
+            self.poisoned_sessions,
+            self.unwind_releases,
+            self.lock_revalidations,
+            self.injected_panics,
+            self.injected_aborts,
+            self.injected_delays,
+            self.injected_stalls,
+            self.sentinel_violations,
+            self.sections_quarantined,
+            self.sections_healed
+        )
+    }
 }
 
 /// Machine construction options. (`Clone` but not `Copy`: the wake
@@ -363,7 +462,7 @@ impl Machine {
     /// Snapshot of every degradation-ladder counter: STM
     /// commits/aborts/irrevocable fallbacks, lock-session poisoning and
     /// unwind releases, and injected faults by class.
-    pub fn degradation_report(&self) -> lockinfer::DegradationReport {
+    pub fn degradation_report(&self) -> DegradationReport {
         let stm = self.space.global_stats();
         let mg = self.mg.stats();
         let fs = &self.fault_stats;
@@ -376,7 +475,7 @@ impl Machine {
             ),
             None => (0, 0, 0),
         };
-        lockinfer::DegradationReport {
+        DegradationReport {
             stm_commits: stm.commits,
             stm_aborts: stm.aborts,
             stm_fallbacks: stm.fallbacks,

@@ -3,6 +3,8 @@
 //! the host stack, so neither a deep recursion nor the refusal of a
 //! deeper one depends on how much stack the calling thread has.
 
+mod common;
+
 use interp::{ExecMode, InterpError, Machine, Options};
 
 /// `down(n)` stacks `n + 1` frames.
@@ -17,7 +19,7 @@ const DEEPEST: i64 = 3_999;
 const TOO_DEEP: i64 = 4_001;
 
 fn machine() -> Machine {
-    interp::machine_for(SRC, 3, ExecMode::Global, Options::default()).expect("fixture compiles")
+    common::machine_for(SRC, 3, ExecMode::Global, Options::default()).expect("fixture compiles")
 }
 
 fn assert_overflow(r: Result<impl std::fmt::Debug, InterpError>) {

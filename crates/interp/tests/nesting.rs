@@ -3,7 +3,10 @@
 //! or unwinds with all lock modes released — never a leaked mode, never
 //! a hang, never an untyped crash.
 
-use interp::{machine_for, ExecMode, FaultPlan, InterpError, Options, SentinelConfig};
+mod common;
+
+use common::machine_for;
+use interp::{ExecMode, FaultPlan, InterpError, Options, SentinelConfig};
 use proptest::prelude::*;
 use std::sync::atomic::Ordering;
 

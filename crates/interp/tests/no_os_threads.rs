@@ -3,6 +3,8 @@
 //! test of its binary, so no other test's thread comes or goes while
 //! it counts.)
 
+mod common;
+
 use interp::{ExecMode, Options};
 
 const SRC: &str = r#"
@@ -29,7 +31,7 @@ fn eight_virtual_threads_run_on_the_calling_thread() {
     let Some(before) = os_threads() else {
         return; // no procfs here: nothing to count
     };
-    let m = interp::machine_for(SRC, 3, ExecMode::MultiGrain, Options::default())
+    let m = common::machine_for(SRC, 3, ExecMode::MultiGrain, Options::default())
         .expect("fixture compiles");
     // The argument callback runs inside the call, once per thread.
     let during = std::sync::Mutex::new(Vec::new());

@@ -10,6 +10,8 @@
 //! process can still catch is state that leaks from a run into the
 //! next — a static, an address or a hash order in a result.
 
+mod common;
+
 use interp::{ExecMode, FaultPlan, InterpError, Options, PolicyKind, SchedConfig};
 
 const THREADS: usize = 8;
@@ -54,7 +56,7 @@ fn run(policy: Option<PolicyKind>, faults: Option<FaultPlan>, traced: bool) -> O
         trace: traced.then(trace::TraceConfig::default),
         ..Options::default()
     };
-    let m = interp::machine_for(SRC, 3, ExecMode::MultiGrain, opts).expect("fixture compiles");
+    let m = common::machine_for(SRC, 3, ExecMode::MultiGrain, opts).expect("fixture compiles");
     let outcome = m.run_threads_virtual("work", THREADS, |tid| vec![12, tid as i64]);
     (outcome, m.take_trace().map(|t| t.digest()))
 }
@@ -108,7 +110,7 @@ fn an_injected_panic_under_virtual_time_leaves_the_rest_running() {
         trace: Some(trace::TraceConfig::default()),
         ..Options::default()
     };
-    let m = interp::machine_for(SRC, 3, ExecMode::MultiGrain, opts).expect("fixture compiles");
+    let m = common::machine_for(SRC, 3, ExecMode::MultiGrain, opts).expect("fixture compiles");
     let err = m
         .run_threads_virtual("work", THREADS, |tid| vec![ITERS as i64, tid as i64])
         .unwrap_err();

@@ -6,6 +6,8 @@
 //! table's lock and swaps in a new array, so the element they planned
 //! is stale by the time they are granted.
 
+mod common;
+
 use interp::{ExecMode, Options};
 
 const THREADS: usize = 8;
@@ -46,7 +48,7 @@ const SRC: &str = r#"
 
 #[test]
 fn a_plan_that_waited_is_revalidated() {
-    let m = interp::machine_for(SRC, 9, ExecMode::MultiGrain, Options::default())
+    let m = common::machine_for(SRC, 9, ExecMode::MultiGrain, Options::default())
         .expect("fixture compiles");
     m.run_named("init", &[]).unwrap();
     m.run_threads_virtual("work", THREADS, |tid| vec![ITERS, tid as i64])

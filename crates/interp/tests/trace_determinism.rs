@@ -4,6 +4,8 @@
 //! the property that makes [`trace::Trace::digest`] a fingerprint of a
 //! concurrent execution and record/replay possible at all.
 
+mod common;
+
 use interp::{ExecMode, FaultPlan, Options};
 use proptest::prelude::*;
 
@@ -45,7 +47,7 @@ fn traced_json(seed: u64, plan: FaultPlan, mode: ExecMode, threads: usize) -> St
         trace: Some(trace::TraceConfig::default()),
         ..Options::default()
     };
-    let m = interp::machine_for(SRC, 3, mode, opts).expect("fixture compiles");
+    let m = common::machine_for(SRC, 3, mode, opts).expect("fixture compiles");
     m.run_named("setup", &[8]).expect("setup is fault-free");
     // Chaos plans may kill the run; the trace up to the failure still
     // has to reproduce.

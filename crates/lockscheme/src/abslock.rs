@@ -356,7 +356,7 @@ impl std::str::FromStr for SchemeConfig {
 ///
 /// The paper picks a single `Σ_k × Σ≡ × Σ_ε` point for the whole
 /// program; §6 shows no single point wins everywhere. The adaptive
-/// loop (`lockinfer::adapt`) instead assigns each section the
+/// loop (`ali::adapt` in the root package) instead assigns each section the
 /// configuration its measured contention profile asks for, and the
 /// engine runs one shared Phase A summary pass per *distinct* config
 /// so candidate maps stay affordable.

@@ -16,13 +16,14 @@
 //! Policy-steered traces additionally record measured per-lock queue
 //! depths ([`crate::queue_profiles`]); the estimator here is the
 //! *trigger* side used on baseline recordings: flagged sections get
-//! `lockinfer::adapt`'s wake-policy candidates.
+//! wake-policy candidates from `ali::adapt::candidates` in the root
+//! package.
 
 use trace::SectionProfile;
 
 /// Sections with fewer completed executions are left alone: too
-/// little evidence to steer on. `lockinfer::adapt` applies the same
-/// rule to its granularity candidates.
+/// little evidence to steer on. `ali::adapt::candidates` applies the
+/// same rule to its granularity candidates.
 pub const MIN_ENTRIES: u64 = 2;
 
 /// Minimum estimated steady-state queue depth (`mean wait / mean

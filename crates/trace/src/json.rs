@@ -3,8 +3,8 @@
 //! no registry access (see `shims/README.md`).
 //!
 //! [`Writer`] writes every JSON artifact: traces (below), metric
-//! snapshots and flamegraphs (`obs`), adapt and repair reports
-//! (`lockinfer`) and `BENCH_analysis.json`. It streams into the
+//! snapshots and flamegraphs (`obs`), adapt and repair reports (the
+//! root package's `adapt` and `reinfer`) and `BENCH_analysis.json`. It streams into the
 //! caller's `String`, builds no tree, places every separator, escapes
 //! every string and renders every number. The caller fixes the key
 //! order and nothing writes whitespace, so byte equality of two

@@ -1,11 +1,16 @@
-//! Profile-guided per-section adaptation — the *measurement* half of
-//! the adaptive loop (DESIGN.md §5.4).
+//! Profile-guided per-section granularity adaptation (DESIGN.md §5.4):
+//! the policy and the loop that measures it.
 //!
-//! [`lockinfer::adapt`] is the pure policy: corrected wait/hold
-//! profiles in, candidate per-section [`lockscheme::ConfigMap`] overrides out. This
-//! module documents the loop [`crate::Pipeline::adapt`] closes against the
-//! deterministic interpreter through the shared evaluation harness
-//! ([`crate::eval`]), and owns its result type:
+//! The paper fixes one `Σ_k × Σ≡ × Σ_ε` point for the whole program;
+//! §6 shows no single point wins everywhere. This module closes the
+//! loop from runtime evidence back into the static analysis: given the
+//! corrected per-section wait/hold/revalidation histograms from
+//! [`trace::profile()`], [`candidates`] proposes per-section
+//! [`SchemeConfig`] overrides, and [`select`] picks the override whose
+//! *replayed* cost, measured on the same recorded execution, reduces
+//! total virtual-time wait. [`crate::Pipeline::adapt`] runs the loop
+//! against the deterministic interpreter through the shared evaluation
+//! harness ([`crate::eval`]):
 //!
 //! 1. **Record** the baseline under the uniform configuration and
 //!    profile its trace — wait split from hold at the first
@@ -15,28 +20,28 @@
 //! 2. **Propose** candidate overrides from those profiles — and, for
 //!    convoy-flagged sections, wake-policy candidates that keep the
 //!    lock plan and steer the scheduler (DESIGN.md §5.6).
-//! 3. **Prune** (optionally) by the trace-analytic estimator
-//!    ([`lockinfer::estimate`]): only the estimated top-k candidates
-//!    are replayed, the rest carry [`lockinfer::EvalStatus::Pruned`].
+//! 3. **Prune** (optionally) by the harness's trace-analytic estimator:
+//!    only the estimated top-k candidates are replayed, the rest carry
+//!    [`EvalStatus::Pruned`].
 //! 4. **Replay** the identical `RunConfig` (same seed, same virtual
 //!    scheduler, same fault plan) under each kept candidate's locks —
 //!    **concurrently**, on the harness's eval-thread pool — and
-//!    measure the replayed [`lockinfer::PlanCost`]. Of the candidate
-//!    recordings only the best ranked so far is kept (O(1) memory in
-//!    candidate count); a candidate whose trace overflowed its
-//!    capacity is surfaced as [`lockinfer::EvalStatus::Skipped`], not a
-//!    silently bogus cost.
+//!    measure the replayed [`PlanCost`]. Of the candidate recordings
+//!    only the best ranked so far is kept (O(1) memory in candidate
+//!    count); a candidate whose trace overflowed its capacity is
+//!    surfaced as [`EvalStatus::Skipped`], not a silently bogus cost.
 //! 5. **Select** the candidate with the lowest total virtual-time wait,
 //!    strictly below the baseline, and emit a machine-readable
 //!    [`DecisionReport`]. The winner was recorded once, by its
 //!    evaluation run: that kept recording is the one returned, and
 //!    nothing is re-executed.
 //!
-//! Everything downstream of the recorded trace is deterministic: the
-//! policy is pure, inference is byte-identical at any analysis thread
-//! count, each replay is an exact virtual-time re-execution, and the
-//! harness merges results in candidate order — so two runs over the
-//! same config produce byte-identical reports and
+//! The policy — [`candidates`], `rank`, [`select`] — is a pure
+//! function of its arguments: no clocks, no randomness, no
+//! thread-count dependence. Inference is byte-identical at any
+//! analysis thread count, each replay is an exact virtual-time
+//! re-execution, and the harness merges results in candidate order —
+//! so two runs over the same config produce byte-identical reports and
 //! adapted-trace digests **at every eval thread count**.
 //!
 //! An adapted trace is deliberately **not** stamped with `run.*`
@@ -45,7 +50,368 @@
 //! describing the applied overrides instead.
 
 use crate::replay::Recording;
-use lockinfer::adapt::DecisionReport;
+use lockscheme::{ConfigMap, SchemeConfig};
+use sched::PolicyKind;
+use trace::json::Writer;
+use trace::SectionProfile;
+
+/// A section is *contended* when `mean(wait) >= ratio × max(mean(hold),
+/// 1)`: it spends much longer blocking on (and negotiating) its lock
+/// plan than holding it, so the plan itself is the cost; coarsen toward
+/// `Σ≡`/global to shrink it.
+const COARSEN_WAIT_HOLD_RATIO: f64 = 4.0;
+
+/// A section is *drifting* when `mean(revalidations) >= threshold`: its
+/// fine descriptors keep moving while it waits (the TH resize pattern),
+/// so each entry re-runs the acquire protocol, and coarser locks are a
+/// candidate.
+const DRIFT_REVAL_MEAN: f64 = 0.5;
+
+/// A section is *uncontended* when `mean(wait) <= ratio × mean(hold)`:
+/// its locks are essentially free, so a larger `k` (finer expression
+/// locks) may pay for itself.
+const UNCONTENDED_WAIT_HOLD_RATIO: f64 = 0.05;
+
+/// How much to raise `k` for uncontended fine sections.
+const RAISE_K_STEP: usize = 3;
+
+/// Upper bound on the raised `k`.
+const MAX_K: usize = 9;
+
+/// What a candidate override changes relative to the section's current
+/// configuration.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Adjustment {
+    /// Drop the expression component: the section's locks degrade to
+    /// the coarse per-class `Σ≡` locks.
+    Coarsen,
+    /// Drop expression *and* points-to: the section takes the global
+    /// lock.
+    Globalize,
+    /// Raise the expression bound to the given `k` (finer locks).
+    RaiseK(usize),
+    /// Keep the lock plan, change the wake order: run the section's
+    /// workload under the given contention-aware wake policy. The
+    /// scheme configuration is untouched, so candidate evaluation
+    /// reuses the base inference (a `SummaryStore` cache hit).
+    WakePolicy(PolicyKind),
+}
+
+impl Adjustment {
+    /// Stable machine-readable tag (used in the decision report).
+    pub fn tag(&self) -> String {
+        match self {
+            Adjustment::Coarsen => "coarsen".into(),
+            Adjustment::Globalize => "globalize".into(),
+            Adjustment::RaiseK(k) => format!("raise-k:{k}"),
+            Adjustment::WakePolicy(kind) => format!("wake:{}", kind.tag()),
+        }
+    }
+}
+
+/// Which profile signal fired.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Trigger {
+    /// Long wait relative to hold.
+    Contention,
+    /// Frequent acquire-time revalidation retries.
+    Drift,
+    /// Negligible wait: room for finer locks.
+    NoContention,
+    /// A waiter queue that never drains (estimated depth × hold over
+    /// the convoy thresholds) — re-ordering wakes can recover wait
+    /// that re-planning the locks cannot.
+    Convoy,
+}
+
+impl Trigger {
+    /// Stable machine-readable tag (used in the decision report).
+    pub fn tag(&self) -> &'static str {
+        match self {
+            Trigger::Contention => "contention",
+            Trigger::Drift => "drift",
+            Trigger::NoContention => "no-contention",
+            Trigger::Convoy => "convoy",
+        }
+    }
+}
+
+/// One proposed per-section override.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub struct Candidate {
+    /// Static section id the override applies to.
+    pub section: u32,
+    /// The overriding configuration.
+    pub config: SchemeConfig,
+    pub adjustment: Adjustment,
+    pub trigger: Trigger,
+}
+
+impl Candidate {
+    /// The candidate's full configuration map: `base` plus this one
+    /// override.
+    pub fn config_map(&self, base: &ConfigMap) -> ConfigMap {
+        let mut m = base.clone();
+        m.set_override(self.section, self.config);
+        m
+    }
+}
+
+/// Maps measured section profiles to candidate overrides, one
+/// [`ConfigMap`] override per candidate. Sections with fewer than
+/// [`sched::convoy::MIN_ENTRIES`] completed executions get none.
+///
+/// Deterministic: profiles are processed in their given (section-id)
+/// order and rules fire in a fixed order, so identical inputs yield an
+/// identical candidate vector. All comparisons are pure arithmetic on
+/// the profile's integer counters.
+pub fn candidates(profiles: &[SectionProfile], base: &ConfigMap) -> Vec<Candidate> {
+    let mut out = Vec::new();
+    for p in profiles {
+        if p.entries < sched::convoy::MIN_ENTRIES {
+            continue;
+        }
+        let current = base.for_section(p.section);
+        let wait = p.wait.mean();
+        let hold = p.hold.mean();
+        let contended = wait >= COARSEN_WAIT_HOLD_RATIO * hold.max(1.0);
+        let drifting = p.revalidations.mean() >= DRIFT_REVAL_MEAN;
+        let uncontended = wait <= UNCONTENDED_WAIT_HOLD_RATIO * hold;
+        if contended || drifting {
+            let trigger = if contended {
+                Trigger::Contention
+            } else {
+                Trigger::Drift
+            };
+            if current.use_expr {
+                out.push(Candidate {
+                    section: p.section,
+                    config: SchemeConfig {
+                        use_expr: false,
+                        ..current
+                    },
+                    adjustment: Adjustment::Coarsen,
+                    trigger,
+                });
+            }
+            if current.use_pts && contended {
+                out.push(Candidate {
+                    section: p.section,
+                    config: SchemeConfig {
+                        use_expr: false,
+                        use_pts: false,
+                        ..current
+                    },
+                    adjustment: Adjustment::Globalize,
+                    trigger,
+                });
+            }
+        } else if uncontended && current.use_expr && current.k < MAX_K {
+            let k = (current.k + RAISE_K_STEP).min(MAX_K);
+            out.push(Candidate {
+                section: p.section,
+                config: SchemeConfig { k, ..current },
+                adjustment: Adjustment::RaiseK(k),
+                trigger: Trigger::NoContention,
+            });
+        }
+    }
+    // Convoy-flagged sections additionally get wake-policy candidates,
+    // appended after all granularity proposals (fixed order keeps the
+    // candidate vector deterministic). The scheme config is the
+    // section's *current* one — the harness evaluates these by
+    // steering the scheduler, not by re-planning locks.
+    for flag in sched::convoy::detect(profiles) {
+        for kind in PolicyKind::ALL {
+            out.push(Candidate {
+                section: flag.section,
+                config: base.for_section(flag.section),
+                adjustment: Adjustment::WakePolicy(kind),
+                trigger: Trigger::Convoy,
+            });
+        }
+    }
+    out
+}
+
+/// Total cost of one (baseline or candidate) execution, summed over
+/// every section profile of its trace.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct PlanCost {
+    /// Σ wait ticks across all outermost section executions.
+    pub total_wait: u64,
+    /// Σ hold ticks.
+    pub total_hold: u64,
+    /// Σ revalidation retries.
+    pub total_revalidations: u64,
+    /// Virtual makespan of the worker phase.
+    pub makespan: u64,
+}
+
+impl PlanCost {
+    /// Sums the profile histograms of one trace.
+    pub fn from_profiles(profiles: &[SectionProfile], makespan: u64) -> PlanCost {
+        let mut c = PlanCost {
+            makespan,
+            ..PlanCost::default()
+        };
+        for p in profiles {
+            c.total_wait = c.total_wait.saturating_add(p.wait.sum);
+            c.total_hold = c.total_hold.saturating_add(p.hold.sum);
+            c.total_revalidations = c.total_revalidations.saturating_add(p.revalidations.sum);
+        }
+        c
+    }
+}
+
+/// A candidate's place in the selection order, lowest first: total
+/// replayed wait, then makespan, then candidate index.
+pub(crate) type Rank = (u64, u64, usize);
+
+/// Where candidate `index` with measured `cost` ranks, or `None` when
+/// it does not wait strictly less than the baseline and so can never
+/// be selected. The one comparator of the decision loop: [`select`]
+/// ranks a finished cost vector with it, and the candidate loop keeps
+/// the best-ranked recording with it as the candidates finish.
+pub(crate) fn rank(baseline: PlanCost, cost: PlanCost, index: usize) -> Option<Rank> {
+    (cost.total_wait < baseline.total_wait).then_some((cost.total_wait, cost.makespan, index))
+}
+
+/// Picks the winning candidate: the lowest `rank` — strictly lower
+/// total replayed wait than the baseline, ties broken by lower
+/// makespan, then by candidate order. Returns `None` when no candidate
+/// improves on the baseline (the global configuration stands).
+pub fn select(baseline: PlanCost, outcomes: &[PlanCost]) -> Option<usize> {
+    outcomes
+        .iter()
+        .enumerate()
+        .filter_map(|(i, &c)| rank(baseline, c, i))
+        .min()
+        .map(|(_, _, i)| i)
+}
+
+/// How (whether) one candidate's cost was obtained.
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
+pub enum EvalStatus {
+    /// Replayed exactly; the cost is measured.
+    #[default]
+    Replayed,
+    /// Ranked out by the trace-analytic estimator before any replay;
+    /// the cost is zeroed and `est` carries the estimated total wait
+    /// that ranked it.
+    Pruned { est: u64 },
+    /// Scheduled for replay but the recording was unusable (e.g. the
+    /// candidate trace overflowed its capacity); the cost is zeroed and
+    /// the reason is surfaced instead of a silently bogus profile.
+    Skipped { reason: String },
+}
+
+impl EvalStatus {
+    /// True when the decision's cost is an exact replayed measurement.
+    pub fn is_replayed(&self) -> bool {
+        matches!(self, EvalStatus::Replayed)
+    }
+
+    /// The `status` member, and `est` / `note` where it has one.
+    pub(crate) fn write_json(&self, w: &mut Writer) {
+        match self {
+            EvalStatus::Replayed => w.key("status").str("replayed"),
+            EvalStatus::Pruned { est } => w.key("status").str("pruned").key("est").u64(*est),
+            EvalStatus::Skipped { reason } => {
+                w.key("status").str("skipped").key("note").str(reason)
+            }
+        };
+    }
+}
+
+/// Opens a decision report: `{"name":…,"mode":…,"baseline":{…}`. The
+/// name arrives from outside (`run.name` trace metadata); the writer
+/// escapes it.
+pub(crate) fn write_header(w: &mut Writer, name: &str, mode: &str, baseline: PlanCost) {
+    w.object();
+    w.key("name").str(name);
+    w.key("mode").str(mode);
+    write_cost(w.key("baseline"), baseline);
+}
+
+pub(crate) fn write_cost(w: &mut Writer, c: PlanCost) {
+    w.object();
+    w.key("wait").u64(c.total_wait);
+    w.key("hold").u64(c.total_hold);
+    w.key("revalidations").u64(c.total_revalidations);
+    w.key("makespan").u64(c.makespan);
+    w.end_object();
+}
+
+pub(crate) fn write_config(w: &mut Writer, c: SchemeConfig) {
+    w.object();
+    w.key("k").u64(c.k as u64);
+    w.key("expr").bool(c.use_expr);
+    w.key("pts").bool(c.use_pts);
+    w.key("eff").bool(c.use_eff);
+    w.end_object();
+}
+
+/// An index into a report's candidates, or `null`.
+pub(crate) fn write_index(w: &mut Writer, i: Option<usize>) {
+    match i {
+        Some(i) => w.u64(i as u64),
+        None => w.null(),
+    };
+}
+
+/// One evaluated candidate: the proposal plus its measured replay cost
+/// (zeroed when `status` says it was never replayed).
+#[derive(Clone, PartialEq, Debug)]
+pub struct Decision {
+    pub candidate: Candidate,
+    pub cost: PlanCost,
+    pub status: EvalStatus,
+}
+
+/// The machine-readable outcome of one adaptation run.
+#[derive(Clone, PartialEq, Debug)]
+pub struct DecisionReport {
+    /// Workload / run name.
+    pub name: String,
+    /// Execution mode of the recorded run.
+    pub mode: String,
+    /// Cost of the recorded baseline execution.
+    pub baseline: PlanCost,
+    /// Every candidate evaluated, in generation order.
+    pub candidates: Vec<Decision>,
+    /// Index into `candidates` of the selected override, if any.
+    pub selected: Option<usize>,
+}
+
+impl DecisionReport {
+    /// The selected decision, if any candidate won.
+    pub fn winner(&self) -> Option<&Decision> {
+        self.selected.map(|i| &self.candidates[i])
+    }
+
+    /// Canonical JSON encoding: fixed key order, no whitespace.
+    pub fn to_json(&self) -> String {
+        let mut out = String::new();
+        let mut w = Writer::new(&mut out);
+        write_header(&mut w, &self.name, &self.mode, self.baseline);
+        w.key("candidates").array();
+        for d in &self.candidates {
+            let c = &d.candidate;
+            w.object();
+            w.key("section").u64(c.section.into());
+            w.key("adjustment").str(&c.adjustment.tag());
+            w.key("trigger").str(c.trigger.tag());
+            write_config(w.key("config"), c.config);
+            write_cost(w.key("cost"), d.cost);
+            d.status.write_json(&mut w);
+            w.end_object();
+        }
+        write_index(w.end_array().key("selected"), self.selected);
+        w.end_object();
+        out
+    }
+}
 
 /// The full result of one adaptation loop.
 #[derive(Clone, Debug)]
@@ -65,7 +431,167 @@ mod tests {
     use crate::replay::RunConfig;
     use crate::Pipeline;
     use interp::ExecMode;
-    use lockinfer::adapt::{AdaptPolicy, EvalStatus};
+    use lockinfer::AdaptPolicy;
+    use trace::Histogram;
+
+    fn hist(samples: &[u64]) -> Histogram {
+        let mut h = Histogram::default();
+        for &s in samples {
+            h.add(s);
+        }
+        h
+    }
+
+    fn prof(section: u32, wait: &[u64], hold: &[u64], reval: &[u64]) -> SectionProfile {
+        SectionProfile {
+            section,
+            entries: wait.len() as u64,
+            aborts: 0,
+            wait: hist(wait),
+            hold: hist(hold),
+            revalidations: hist(reval),
+        }
+    }
+
+    fn base() -> ConfigMap {
+        ConfigMap::uniform(SchemeConfig::full(3, None))
+    }
+
+    #[test]
+    fn contended_sections_get_coarsen_and_globalize_candidates() {
+        // Mean wait 500 over mean hold 15: contended (ratio 33) *and*
+        // convoy-flagged (depth 33, pressure 500), so the granularity
+        // candidates are followed by the wake-policy ones.
+        let profiles = vec![prof(1, &[400, 600], &[10, 20], &[0, 0])];
+        let cs = candidates(&profiles, &base());
+        assert_eq!(cs.len(), 4);
+        assert_eq!(cs[0].adjustment, Adjustment::Coarsen);
+        assert!(!cs[0].config.use_expr && cs[0].config.use_pts);
+        assert_eq!(cs[1].adjustment, Adjustment::Globalize);
+        assert!(!cs[1].config.use_pts);
+        assert_eq!(cs[0].trigger, Trigger::Contention);
+        assert_eq!(
+            cs[2].adjustment,
+            Adjustment::WakePolicy(PolicyKind::ShortestExpectedHold)
+        );
+        assert_eq!(
+            cs[3].adjustment,
+            Adjustment::WakePolicy(PolicyKind::ReaderBatch)
+        );
+        assert!(cs[2..].iter().all(|c| c.trigger == Trigger::Convoy));
+        // Wake candidates leave the lock plan untouched.
+        assert_eq!(cs[2].config, base().for_section(1));
+        assert_eq!(cs[2].adjustment.tag(), "wake:seh");
+        assert_eq!(cs[2].trigger.tag(), "convoy");
+    }
+
+    #[test]
+    fn convoy_without_contention_gets_only_wake_candidates() {
+        // Mean wait 600 over mean hold 300: ratio 2 (< 4, not
+        // contended), but depth 2 and pressure 600 flag a convoy.
+        let profiles = vec![prof(5, &[500, 700], &[290, 310], &[0, 0])];
+        let cs = candidates(&profiles, &base());
+        assert_eq!(cs.len(), 2);
+        assert!(cs
+            .iter()
+            .all(|c| matches!(c.adjustment, Adjustment::WakePolicy(_))));
+        assert!(cs.iter().all(|c| c.trigger == Trigger::Convoy));
+        assert!(cs.iter().all(|c| c.section == 5));
+    }
+
+    #[test]
+    fn drifting_sections_coarsen_without_globalizing() {
+        let profiles = vec![prof(2, &[50, 60], &[100, 120], &[2, 3])];
+        let cs = candidates(&profiles, &base());
+        assert_eq!(cs.len(), 1);
+        assert_eq!(cs[0].adjustment, Adjustment::Coarsen);
+        assert_eq!(cs[0].trigger, Trigger::Drift);
+    }
+
+    #[test]
+    fn uncontended_fine_sections_raise_k() {
+        let profiles = vec![prof(3, &[0, 1], &[100, 100], &[0, 0])];
+        let cs = candidates(&profiles, &base());
+        assert_eq!(cs.len(), 1);
+        assert_eq!(cs[0].adjustment, Adjustment::RaiseK(6));
+        assert_eq!(cs[0].config.k, 6);
+        assert_eq!(cs[0].trigger, Trigger::NoContention);
+    }
+
+    #[test]
+    fn thin_evidence_is_ignored() {
+        let profiles = vec![prof(1, &[1000], &[1], &[0])];
+        assert!(candidates(&profiles, &base()).is_empty());
+    }
+
+    #[test]
+    fn select_requires_strict_wait_improvement() {
+        let b = PlanCost {
+            total_wait: 100,
+            makespan: 50,
+            ..PlanCost::default()
+        };
+        let worse = PlanCost {
+            total_wait: 120,
+            ..PlanCost::default()
+        };
+        let tie = PlanCost {
+            total_wait: 100,
+            ..PlanCost::default()
+        };
+        let better = PlanCost {
+            total_wait: 80,
+            makespan: 60,
+            ..PlanCost::default()
+        };
+        let best = PlanCost {
+            total_wait: 80,
+            makespan: 55,
+            ..PlanCost::default()
+        };
+        assert_eq!(select(b, &[worse, tie]), None);
+        assert_eq!(select(b, &[worse, better, best]), Some(2));
+        assert_eq!(select(b, &[best, better]), Some(0));
+    }
+
+    #[test]
+    fn report_json_is_canonical() {
+        let c = Candidate {
+            section: 4,
+            config: SchemeConfig::full(9, None),
+            adjustment: Adjustment::RaiseK(9),
+            trigger: Trigger::NoContention,
+        };
+        let r = DecisionReport {
+            name: "list".into(),
+            mode: "MultiGrain".into(),
+            baseline: PlanCost {
+                total_wait: 10,
+                total_hold: 20,
+                total_revalidations: 0,
+                makespan: 99,
+            },
+            candidates: vec![Decision {
+                candidate: c,
+                cost: PlanCost::default(),
+                status: EvalStatus::Replayed,
+            }],
+            selected: Some(0),
+        };
+        let j = r.to_json();
+        assert_eq!(
+            j,
+            "{\"name\":\"list\",\"mode\":\"MultiGrain\",\
+             \"baseline\":{\"wait\":10,\"hold\":20,\"revalidations\":0,\"makespan\":99},\
+             \"candidates\":[{\"section\":4,\"adjustment\":\"raise-k:9\",\
+             \"trigger\":\"no-contention\",\
+             \"config\":{\"k\":9,\"expr\":true,\"pts\":true,\"eff\":true},\
+             \"cost\":{\"wait\":0,\"hold\":0,\"revalidations\":0,\"makespan\":0},\
+             \"status\":\"replayed\"}],\
+             \"selected\":0}"
+        );
+        assert_eq!(r.to_json(), j);
+    }
 
     /// Two sections with opposite temperaments: `hot` hammers one
     /// global under long critical sections (wait ≫ hold per entry once

@@ -19,15 +19,21 @@
 //! | [`trace`] | event tracing, Eraser-style lockset validation, profiles |
 //! | [`sentinel`] | online lockset sentinel: inline licensing checks; a miss quarantines the section or, as the Theorem-1 checker, fails the run |
 //! | [`sched`] | pluggable deterministic wake policies + convoy detection |
-//! | `reinfer` | quarantine-aware re-inference: diagnose sentinel violations, repair demoted sections (see [`reinfer`](crate::reinfer)) |
+//! | [`obs`] | observability: trace-derived metric snapshots, a counter/gauge registry, exporters |
 //! | [`workloads`] | the evaluation programs (micro, STAMP-like, SPEC-like) |
 //!
-//! plus [`replay`], this crate's own deterministic record/replay layer
-//! over traced executions, [`obs`], the unified observability layer
-//! (trace-derived metric snapshots, a counter/gauge registry, exporters),
-//! and [`Pipeline`], the builder whose three terminals are the only
-//! entry points to the measurement loops (baseline → profile →
-//! propose → evaluate → select).
+//! and holds the measurement loops, each one module with its policy:
+//!
+//! | module | role |
+//! |---|---|
+//! | [`adapt`] | profile-guided adaptation: candidates from wait/hold profiles, ranking, selection |
+//! | [`reinfer`] | quarantine-aware re-inference: diagnose sentinel violations, repair demoted sections, admission |
+//! | [`eval`] | the shared candidate harness both loops replay through, with its trace-analytic estimator |
+//! | [`replay`] | deterministic record/replay over traced executions |
+//!
+//! [`Pipeline`] is the builder whose three terminals are the only entry
+//! points to the loops (baseline → profile → propose → evaluate →
+//! select).
 //!
 //! ## Quickstart
 //!

@@ -15,7 +15,7 @@
 //! # fn cfg() -> ali::replay::RunConfig { unimplemented!() }
 //! let run = ali::Pipeline::new(cfg())
 //!     .prune(4)
-//!     .adapt(&ali::lockinfer::adapt::AdaptPolicy)?;
+//!     .adapt(&ali::lockinfer::AdaptPolicy)?;
 //! # Ok::<(), String>(())
 //! ```
 //!
@@ -27,18 +27,17 @@
 //! a recorded trace; a run's section, lock, fault, wake and STM
 //! metrics are [`obs::from_trace`] of its recording.
 
-use crate::adapt::AdaptRun;
+use crate::adapt::{
+    candidates as adapt_candidates, select as adapt_select, AdaptRun, Decision, DecisionReport,
+    EvalStatus, PlanCost,
+};
 use crate::eval::{eval_singles, EvalContext, EvalOptions, EvalScope, Singles, Stamp};
-use crate::reinfer::ReinferRun;
+use crate::reinfer::{
+    admit, candidates as repair_candidates, ReinferRun, RepairDecision, RepairOutcome,
+    RepairReport, SectionReport, Witness,
+};
 use crate::replay::{Recording, RunConfig};
-use lockinfer::adapt::{
-    candidates as adapt_candidates, select as adapt_select, AdaptPolicy, Decision, DecisionReport,
-};
-use lockinfer::reinfer::{
-    admit, candidates as repair_candidates, RepairDecision, RepairOutcome, RepairReport,
-    SectionReport, Witness,
-};
-use lockinfer::{par_map, EvalStatus, PlanCost};
+use lockinfer::{par_map, AdaptPolicy};
 use lockscheme::ConfigMap;
 use sentinel::Violation;
 use std::sync::Arc;

@@ -295,8 +295,9 @@ pub(crate) const MAX_REPLAY_THREADS: usize = 1024;
 /// same: 1 GiB, 16× the largest committed workload.
 pub(crate) const MAX_REPLAY_HEAP_CELLS: usize = 1 << 26;
 
-/// Refuses a run size no machine should be built for: a thread count or
-/// heap bound over the limits above, or a heap that cannot hold the
+/// Refuses a run size no machine should be built for: no threads at
+/// all, a thread count or heap bound over the limits above, or a heap
+/// that cannot hold the
 /// program's `globals` (`Machine::new` gives every global its own cell
 /// after the null cell and panics when they do not fit). Every
 /// recording checks it before building a machine, and so does
@@ -307,6 +308,9 @@ pub(crate) const MAX_REPLAY_HEAP_CELLS: usize = 1 << 26;
 ///
 /// Names the value that is out of bounds.
 pub fn check_run_size(threads: usize, heap_cells: usize, globals: usize) -> Result<(), String> {
+    if threads == 0 {
+        return Err("run: bad `threads`: 0 runs nothing, a run needs at least one".into());
+    }
     for (key, value, limit) in [
         ("threads", threads, MAX_REPLAY_THREADS),
         ("heap_cells", heap_cells, MAX_REPLAY_HEAP_CELLS),
@@ -678,6 +682,7 @@ mod tests {
         let (u16_max, u32_max, u64_max) = (u64::from(u16::MAX), u64::from(u32::MAX), u64::MAX);
         let cases: &[(&str, String)] = &[
             ("run.threads", "100000".into()),
+            ("run.threads", "0".into()),
             ("run.threads", "-1".into()),
             ("run.heap_cells", "1".into()),
             ("run.heap_cells", u64::MAX.to_string()),
@@ -744,13 +749,15 @@ mod tests {
         assert!(err.contains("cannot be executed"), "{err}");
     }
 
-    /// The bounds guard the door every run enters by, not only the
-    /// trace-metadata parser.
+    /// The bounds, zero threads included, guard the door every run enters
+    /// by, not only the trace-metadata parser.
     #[test]
     fn record_refuses_thread_and_heap_counts_over_the_limits() {
-        let mut c = cfg(ExecMode::MultiGrain);
-        c.threads = MAX_REPLAY_THREADS + 1;
-        assert!(record(&c).unwrap_err().contains("threads"));
+        for threads in [0, MAX_REPLAY_THREADS + 1] {
+            let mut c = cfg(ExecMode::MultiGrain);
+            c.threads = threads;
+            assert!(record(&c).unwrap_err().contains("threads"), "{threads}");
+        }
         let mut c = cfg(ExecMode::MultiGrain);
         c.heap_cells = MAX_REPLAY_HEAP_CELLS + 1;
         assert!(record(&c).unwrap_err().contains("heap_cells"));

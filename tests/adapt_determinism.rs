@@ -5,10 +5,11 @@
 //! count, on every run. A selected override must also strictly
 //! reduce total replayed wait.
 
+use atomic_lock_inference::adapt::{candidates, Adjustment, PlanCost};
 use atomic_lock_inference::replay::RunConfig;
 use atomic_lock_inference::Pipeline;
 use interp::ExecMode;
-use lockinfer::adapt::{candidates, AdaptPolicy, Adjustment, PlanCost};
+use lockinfer::AdaptPolicy;
 use lockscheme::{ConfigMap, SchemeConfig};
 use proptest::prelude::*;
 use workloads::{micro, Contention, RunSpec};

@@ -1,6 +1,6 @@
 //! Boundary pins of the adapt loop's and the convoy detector's
 //! thresholds: for each one, a profile just below it, one exactly at it
-//! and one just above it, run through `lockinfer::candidates` and
+//! and one just above it, run through `ali::adapt::candidates` and
 //! `sched::convoy::detect`, with the candidate tags each produces.
 //!
 //! Each profile is built so that only the threshold under test is near
@@ -9,7 +9,7 @@
 
 use atomic_lock_inference as ali;
 
-use ali::lockinfer::candidates;
+use ali::adapt::candidates;
 use ali::lockscheme::{ConfigMap, SchemeConfig};
 use ali::sched::convoy::detect;
 use ali::trace::SectionProfile;

@@ -19,9 +19,11 @@
 
 use atomic_lock_inference as ali;
 
-use ali::interp::{ExecMode, FaultPlan, InterpError, Machine, Options, SentinelConfig, WeakenPlan};
+use ali::interp::{
+    DegradationReport, ExecMode, FaultPlan, InterpError, Machine, Options, SentinelConfig,
+    WeakenPlan,
+};
 use ali::lir;
-use ali::lockinfer::DegradationReport;
 use ali::lockscheme::SchemeConfig;
 use ali::pointsto::PointsTo;
 use ali::workloads::{micro, Contention, RunSpec};
@@ -326,8 +328,10 @@ fn sentinel_run(weaken: Option<WeakenPlan>) -> (SentinelDigest, ali::trace::Trac
             trace: Some(ali::trace::TraceConfig::default()),
             ..Options::default()
         };
-        let m = ali::interp::machine_for(SENTINEL_SRC, K, ExecMode::MultiGrain, opts)
-            .expect("sentinel source compiles");
+        let (program, _, transformed) =
+            ali::lockinfer::compile_with_locks(SENTINEL_SRC, K).expect("sentinel source compiles");
+        let pt = Arc::new(PointsTo::analyze(&program));
+        let m = Machine::new(Arc::new(transformed), pt, ExecMode::MultiGrain, opts);
         m.run_named("setup", &[0]).expect("sentinel init");
         let outcome = m.run_threads_virtual("work", THREADS, |_| vec![SENTINEL_ITERS]);
         let probe = m.run_named("probe", &[]).expect("sentinel probe");

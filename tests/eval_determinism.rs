@@ -13,11 +13,11 @@
 //!   becomes a per-candidate `Skipped` marker, never an error and
 //!   never a bogus cost.
 
-use atomic_lock_inference::adapt::AdaptRun;
+use atomic_lock_inference::adapt::{AdaptRun, Adjustment, Decision, EvalStatus, PlanCost};
 use atomic_lock_inference::replay::RunConfig;
 use atomic_lock_inference::Pipeline;
 use interp::ExecMode;
-use lockinfer::adapt::{AdaptPolicy, Adjustment, Decision, EvalStatus, PlanCost};
+use lockinfer::AdaptPolicy;
 use proptest::prelude::*;
 use workloads::{micro, Contention, RunSpec};
 

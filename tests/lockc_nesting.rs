@@ -72,6 +72,14 @@ fn lockc_refuses_run_sizes_a_recording_refuses() {
             &["--threads", "100000000", "--virtual"][..],
             "error: run: bad `threads`: 100000000 exceeds the limit of 1024",
         ),
+        (
+            &["--threads", "0", "--virtual"][..],
+            "error: run: bad `threads`: 0 runs nothing, a run needs at least one",
+        ),
+        (
+            &["--threads", "0"][..],
+            "error: run: bad `threads`: 0 runs nothing, a run needs at least one",
+        ),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_lockc"))
             .arg(&path)

@@ -10,8 +10,9 @@
 
 use atomic_lock_inference as ali;
 
+use ali::adapt::{Adjustment, PlanCost};
 use ali::interp::{ExecMode, SchedConfig};
-use ali::lockinfer::adapt::{AdaptPolicy, Adjustment, PlanCost};
+use ali::lockinfer::AdaptPolicy;
 use ali::replay::{record, replay, Recording, RunConfig};
 use ali::sched::{queue_profiles, PolicyKind};
 use ali::trace::{EventKind, Trace};
