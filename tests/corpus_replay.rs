@@ -119,3 +119,140 @@ fn corpus_traces_pass_lockset_validation() {
         assert!(v.passed(), "{name}: {:?}", v.violations);
     }
 }
+
+/// What decoding each hostile spelling of one event, written in place
+/// of the first lock acquisition past the middle of
+/// `hashtable2_mg_k9.json`'s log, yields: the trace digest where the
+/// reader accepts it, the whole error (byte offset included) where it
+/// refuses it. `PRINT_PINS=1 cargo test --release --test corpus_replay
+/// hostile -- --nocapture` prints the values.
+const HOSTILE_PINS: &[(&str, &str)] = &[
+    ("canonical", "ok 9247069ae330e3c8"),
+    ("tid 2^32+1", "err trace json: tid does not fit in 32 bits"),
+    ("tid u32::MAX", "ok 1948e523bbf4477f"),
+    (
+        "epoch u64::MAX+1",
+        "err trace json: integer wider than 64 bits at byte 112111",
+    ),
+    ("epoch 1.5", "err trace json: epoch must be an integer"),
+    ("epoch with a leading zero", "ok 9247069ae330e3c8"),
+    ("escaped acq tag", "ok 9247069ae330e3c8"),
+    ("whitespace inside", "ok 9247069ae330e3c8"),
+    ("qr flag 2", "err trace json: qr healed flag must be 0 or 1"),
+    ("unknown node class", "err trace json: unknown node `leaf`"),
+    ("unknown mode", "err trace json: unknown lock mode `XX`"),
+    ("unknown kind", "err trace json: unknown event kind `??`"),
+    ("unknown fault class", "err trace json: unknown fault class"),
+    (
+        "three fields",
+        "err trace json: events are [epoch,tid,clock,kind]",
+    ),
+    (
+        "acq without a mode",
+        "err trace json: unknown event kind `acq`",
+    ),
+    ("rd u64::MAX", "ok 8e2cc95113032a1e"),
+    (
+        "bad event then a syntax error",
+        "err trace json: expected a value at byte 112131",
+    ),
+];
+
+#[test]
+fn hostile_events_deep_in_a_corpus_trace_decode_as_pinned() {
+    use trace::{EventKind, Trace};
+    let text = std::fs::read_to_string(corpus_dir().join("hashtable2_mg_k9.json")).unwrap();
+    let t = Trace::from_json(&text).expect("the corpus trace decodes");
+    let e = t
+        .events
+        .iter()
+        .skip(t.events.len() / 2)
+        .find(|e| matches!(e.kind, EventKind::LockAcquire { .. }))
+        .expect("an acquisition past the middle");
+    // The event's canonical spelling, from a trace holding only it.
+    let alone = Trace {
+        events: vec![e].into(),
+        ..Trace::default()
+    }
+    .to_json();
+    let event = alone
+        .split_once("\"events\":[")
+        .and_then(|(_, rest)| rest.strip_suffix("]}"))
+        .expect("one event");
+    assert_eq!(text.matches(event).count(), 1, "{event} is unique");
+    let (epoch, tid, clock) = (e.epoch, e.tid, e.clock);
+    let kind = event
+        .strip_prefix(&format!("[{epoch},{tid},{clock},"))
+        .and_then(|k| k.strip_suffix(']'))
+        .expect("[epoch,tid,clock,kind]");
+    let EventKind::LockAcquire { node, mode } = e.kind else {
+        unreachable!()
+    };
+    let with = |kind: &str| format!("[{epoch},{tid},{clock},{kind}]");
+    let variants = [
+        ("canonical", event.to_owned()),
+        ("tid 2^32+1", format!("[{epoch},4294967297,{clock},{kind}]")),
+        (
+            "tid u32::MAX",
+            format!("[{epoch},4294967295,{clock},{kind}]"),
+        ),
+        (
+            "epoch u64::MAX+1",
+            format!("[18446744073709551616,{tid},{clock},{kind}]"),
+        ),
+        ("epoch 1.5", format!("[1.5,{tid},{clock},{kind}]")),
+        (
+            "epoch with a leading zero",
+            format!("[0{epoch},{tid},{clock},{kind}]"),
+        ),
+        (
+            "escaped acq tag",
+            with(&kind.replacen("\"acq\"", "\"\\u0061cq\"", 1)),
+        ),
+        (
+            "whitespace inside",
+            format!(
+                "[ {epoch} ,\n{tid},\t{clock}, {} ]",
+                kind.replace(',', " , ")
+            ),
+        ),
+        ("qr flag 2", with("[\"qr\",1,2,4]")),
+        (
+            "unknown node class",
+            with(&kind.replacen(&format!("[\"{}\"", node.class()), "[\"leaf\"", 1)),
+        ),
+        (
+            "unknown mode",
+            with(&kind.replacen(&format!("\"{}\"]", mode.tag()), "\"XX\"]", 1)),
+        ),
+        ("unknown kind", with("[\"??\"]")),
+        ("unknown fault class", with("[\"flt\",\"gremlin\"]")),
+        ("three fields", format!("[{epoch},{tid},{clock}]")),
+        ("acq without a mode", with("[\"acq\",[\"root\"]]")),
+        ("rd u64::MAX", with("[\"rd\",18446744073709551615]")),
+    ];
+    let decode = |json: String| match Trace::from_json(&json) {
+        Ok(t) => format!("ok {}", t.digest()),
+        Err(e) => format!("err {e}"),
+    };
+    let mut seen: Vec<(&str, String)> = variants
+        .into_iter()
+        .map(|(name, spelling)| (name, decode(text.replacen(event, &spelling, 1))))
+        .collect();
+    // A bad event followed by a syntax error: the syntax error wins.
+    let bad = with("[\"??\"]");
+    seen.push((
+        "bad event then a syntax error",
+        decode(text.replacen(&format!("{event},"), &format!("{bad},,"), 1)),
+    ));
+    if std::env::var_os("PRINT_PINS").is_some() {
+        for (name, result) in &seen {
+            println!("    ({name:?}, {result:?}),");
+        }
+    }
+    let pinned: Vec<(&str, String)> = HOSTILE_PINS
+        .iter()
+        .map(|&(n, r)| (n, r.to_owned()))
+        .collect();
+    assert_eq!(seen, pinned);
+}
