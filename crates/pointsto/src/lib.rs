@@ -291,33 +291,6 @@ impl PointsTo {
         &self.members[self.member_start[k] as usize..self.member_start[k + 1] as usize]
     }
 
-    /// Incremental refinement: a new analysis result identical to this
-    /// one except classes `a` and `b` are unified — with Steensgaard's
-    /// recursive successor join, so the result is again a closed
-    /// fixpoint. This is how quarantine-aware re-inference adds a
-    /// may-alias edge a runtime violation witnessed (the abstraction
-    /// kept two regions apart that the execution proved can denote the
-    /// same cell) without re-running the whole-program analysis cold:
-    /// the frozen `canon`/`succ` tables are already a valid union-find
-    /// snapshot, so the cost is O(cells), not O(program).
-    ///
-    /// Class ids are renumbered by the same first-cell rule
-    /// [`PointsTo::analyze`] uses, so the result is deterministic.
-    pub fn merged(&self, a: PtsClass, b: PtsClass) -> PointsTo {
-        let mut builder = Builder {
-            // `canon` is fully path-compressed (roots map to
-            // themselves) and `succ` holds canonical representatives —
-            // a resumable union-find state.
-            parent: self.canon.clone(),
-            succ: self.succ.clone(),
-            work: Vec::new(),
-        };
-        let ra = self.canon[self.members(a)[0] as usize];
-        let rb = self.canon[self.members(b)[0] as usize];
-        builder.unify(ra, rb);
-        PointsTo::freeze(builder, self.n_vars, self.sites.clone())
-    }
-
     /// Number of points-to classes.
     pub fn n_classes(&self) -> u32 {
         self.n_classes
@@ -809,64 +782,6 @@ mod tests {
         assert_eq!(pt.class_of_path(&deref_x), None);
         // Syntactically equal paths still alias themselves.
         assert!(pt.may_alias_paths(&deref_x, &deref_x));
-    }
-
-    #[test]
-    fn merged_unifies_the_witnessed_classes_and_their_successors() {
-        // Two structures the analysis keeps apart (the TH shape)…
-        let p = compile(
-            "struct node { next; }
-             global tree, table;
-             fn main() {
-                 tree = new node;
-                 table = new node;
-                 tree->next = new node;
-                 table->next = new node;
-             }",
-        )
-        .unwrap();
-        let pt = PointsTo::analyze(&p);
-        let tree = p.globals[0];
-        let table = p.globals[1];
-        let (ct, cb) = (
-            pt.deref(pt.class_of_var(tree)).unwrap(),
-            pt.deref(pt.class_of_var(table)).unwrap(),
-        );
-        assert_ne!(ct, cb);
-        // …merge on the violation witness: the refined result unifies
-        // them, and Steensgaard's join carries the successors along.
-        let refined = pt.merged(ct, cb);
-        assert_eq!(
-            refined.deref(refined.class_of_var(tree)),
-            refined.deref(refined.class_of_var(table))
-        );
-        let st = refined.deref(refined.class_of_var(tree)).unwrap();
-        assert_eq!(
-            refined.sites_in_class(st).len(),
-            2,
-            "both head allocation sites land in the merged class"
-        );
-        // The original result is untouched (refinement is a new value).
-        assert_ne!(
-            pt.deref(pt.class_of_var(tree)),
-            pt.deref(pt.class_of_var(table))
-        );
-        // Class count shrinks and the numbering stays dense.
-        assert!(refined.n_classes() < pt.n_classes());
-        for v in 0..p.vars.len() as u32 {
-            assert!(refined.class_of_var(VarId(v)).0 < refined.n_classes());
-        }
-    }
-
-    #[test]
-    fn merged_is_idempotent_on_aliased_classes() {
-        let p = compile("fn main(a, b) { a = b; }").unwrap();
-        let pt = PointsTo::analyze(&p);
-        let a = var(&p, 0, "a");
-        let c = pt.class_of_var(a);
-        let refined = pt.merged(c, c);
-        assert_eq!(refined.n_classes(), pt.n_classes());
-        assert_eq!(refined.class_of_var(a), c);
     }
 
     #[test]

@@ -639,8 +639,62 @@ mod tests {
         (t, json)
     }
 
+    /// Text with every character the encoder escapes, and the
+    /// separators [`respaced`] must leave alone inside a string.
+    fn text() -> impl Strategy<Value = String> {
+        let chars = vec![
+            'a', ',', '[', ' ', '/', 'é', '𝄞', '"', '\\', '\n', '\r', '\t', '\u{1}', '\u{1f}',
+        ];
+        prop::collection::vec(prop::sample::select(chars), 0..8)
+            .prop_map(|cs| cs.into_iter().collect())
+    }
+
+    /// `json` with a space after every `,` and `[` outside a string:
+    /// still the same document, but no event in its canonical spelling.
+    fn respaced(json: &str) -> String {
+        let (mut out, mut in_string, mut escaped) = (String::new(), false, false);
+        for c in json.chars() {
+            out.push(c);
+            match c {
+                _ if escaped => escaped = false,
+                '\\' if in_string => escaped = true,
+                '"' => in_string = !in_string,
+                ',' | '[' if !in_string => out.push(' '),
+                _ => {}
+            }
+        }
+        out
+    }
+
+    /// FNV-1a over `bytes`, folded here rather than by the library.
+    fn fnv(bytes: &[u8]) -> String {
+        let h = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        format!("{h:016x}")
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn the_digest_hashes_the_json_and_both_readers_agree(
+            events in prop::collection::vec(event(), 0..40),
+            meta in prop::collection::vec((text(), text()), 0..3),
+        ) {
+            let t = Trace {
+                meta,
+                events: events.into(),
+                ..Trace::default()
+            };
+            let json = t.to_json();
+            prop_assert_eq!(t.digest(), fnv(json.as_bytes()));
+            // Canonical events take the typed reader, respaced ones the
+            // tree: both read back the trace.
+            prop_assert_eq!(&Trace::from_json(&json).expect("canonical"), &t);
+            let spaced = respaced(&json);
+            prop_assert_eq!(&Trace::from_json(&spaced).expect("respaced"), &t);
+        }
 
         #[test]
         fn pushed_events_read_back_and_code_canonically(

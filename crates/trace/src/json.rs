@@ -4,10 +4,12 @@
 //!
 //! [`Writer`] writes every JSON artifact: traces (below), metric
 //! snapshots and flamegraphs (`obs`), adapt and repair reports (the
-//! root package's `adapt` and `reinfer`) and `BENCH_analysis.json`. It streams into the
-//! caller's `String`, builds no tree, places every separator, escapes
-//! every string and renders every number. The caller fixes the key
-//! order and nothing writes whitespace, so byte equality of two
+//! root package's `adapt` and `reinfer`) and `BENCH_analysis.json`. It
+//! streams into a sink — the caller's `String` by default, any
+//! [`fmt::Write`] otherwise: [`crate::Trace::digest`] hashes a trace as
+//! [`write_trace`] writes it — builds no tree, places every separator,
+//! escapes every string and renders every number. The caller fixes the
+//! key order and nothing writes whitespace, so byte equality of two
 //! encodings is equality of what they encode.
 //!
 //! [`parse`] reads every JSON the workspace reads back, and only what
@@ -45,22 +47,33 @@
 //! NODE := ["root"] | ["pts",p] | ["cell",p,addr] | ["range",p,base]
 //! MODE := "IS" | "IX" | "S" | "SIX" | "X"
 //! ```
+//!
+//! [`decode`] reads the `events` array one event at a time, straight
+//! onto the trace's [`EventLog`]. A typed reader takes an event in the
+//! spelling [`write_trace`] gives it — no whitespace, no escape, no
+//! decimal, every number within its field, a known tag with its fields
+//! — borrowing its strings from the input and building no tree. On
+//! anything else it gives up, and the event is read again from its
+//! first byte as a [`Value`] tree. Every error is made on that path,
+//! so what the reader accepts and what it reports do not depend on
+//! which path an event took. Both paths turn fields into a kind
+//! through one table, `kind_from` (and `node_from` for a lock node).
 
 use crate::event::{Event, EventKind, EventLog, FaultClass};
 use crate::{AllocRecord, Trace};
 use mglock::{FineAddr, Mode, NodeKey};
-use std::fmt::Write as _;
+use std::fmt;
 
 const FORMAT: &str = "ali-trace-v1";
 
 // ----------------------------------------------------------------------
 // Writing
 
-/// Appends `s` as a JSON string literal, copying the runs between
+/// Writes `s` as a JSON string literal, copying the runs between
 /// escapes whole. Every byte that needs an escape is ASCII, so each
 /// run ends on a character boundary.
-fn push_escaped(out: &mut String, s: &str) {
-    out.push('"');
+fn push_escaped<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
+    out.write_char('"')?;
     let mut run = 0;
     for (i, b) in s.bytes().enumerate() {
         let escape = match b {
@@ -72,53 +85,57 @@ fn push_escaped(out: &mut String, s: &str) {
             0..=0x1f => "",
             _ => continue,
         };
-        out.push_str(&s[run..i]);
+        out.write_str(&s[run..i])?;
         if escape.is_empty() {
-            let _ = write!(out, "\\u{b:04x}");
+            write!(out, "\\u{b:04x}")?;
         } else {
-            out.push_str(escape);
+            out.write_str(escape)?;
         }
         run = i + 1;
     }
-    out.push_str(&s[run..]);
-    out.push('"');
+    out.write_str(&s[run..])?;
+    out.write_char('"')
 }
 
-/// A streaming JSON writer over the caller's `String`.
+/// A streaming JSON writer into a sink: the caller's `String` by
+/// default, or any other [`fmt::Write`] (the trace digest hashes what
+/// it is given).
 ///
-/// Each method appends one token and returns the writer, so a record
+/// Each method writes one token and returns the writer, so a record
 /// reads as a chain: `w.object().key("k").u64(3).end_object()`. The
 /// writer places every `,` and `:`; the caller closes what it opens
-/// and puts a [`Writer::key`] before each object member.
-pub struct Writer<'a> {
-    out: &'a mut String,
+/// and puts a [`Writer::key`] before each object member. A sink's
+/// errors are dropped: the sinks written to, a `String` and the
+/// digest's hash, cannot fail.
+pub struct Writer<'a, W: fmt::Write = String> {
+    out: &'a mut W,
     /// Whether the next token follows a sibling and needs a `,`.
     comma: bool,
 }
 
-impl<'a> Writer<'a> {
-    pub fn new(out: &'a mut String) -> Writer<'a> {
+impl<'a, W: fmt::Write> Writer<'a, W> {
+    pub fn new(out: &'a mut W) -> Writer<'a, W> {
         Writer { out, comma: false }
     }
 
-    /// Appends a value (or a key, or an opening bracket) after a `,`
+    /// Writes a value (or a key, or an opening bracket) after a `,`
     /// when it follows a sibling.
-    fn token(&mut self, write: impl FnOnce(&mut String)) -> &mut Self {
+    fn token(&mut self, write: impl FnOnce(&mut W) -> fmt::Result) -> &mut Self {
         if self.comma {
-            self.out.push(',');
+            let _ = self.out.write_char(',');
         }
-        write(self.out);
+        let _ = write(self.out);
         self.comma = true;
         self
     }
 
     fn open(&mut self, bracket: char) -> &mut Self {
-        self.token(|out| out.push(bracket)).comma = false;
+        self.token(|out| out.write_char(bracket)).comma = false;
         self
     }
 
     fn close(&mut self, bracket: char) -> &mut Self {
-        self.out.push(bracket);
+        let _ = self.out.write_char(bracket);
         self.comma = true;
         self
     }
@@ -142,8 +159,8 @@ impl<'a> Writer<'a> {
     /// Names the next object member.
     pub fn key(&mut self, key: &str) -> &mut Self {
         self.token(|out| {
-            push_escaped(out, key);
-            out.push(':');
+            push_escaped(out, key)?;
+            out.write_char(':')
         })
         .comma = false;
         self
@@ -154,26 +171,38 @@ impl<'a> Writer<'a> {
     }
 
     pub fn u64(&mut self, n: u64) -> &mut Self {
-        // Writing to a `String` cannot fail.
-        self.token(|out| write!(out, "{n}").unwrap_or_default())
+        // The digits are rendered here: `write!` costs more than they do.
+        let mut digits = [0u8; 20];
+        let mut start = digits.len();
+        let mut rest = n;
+        loop {
+            start -= 1;
+            digits[start] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                break;
+            }
+        }
+        let digits = std::str::from_utf8(&digits[start..]).unwrap_or_default();
+        self.token(|out| out.write_str(digits))
     }
 
     /// A decimal with exactly `places` digits after the point, as
     /// `format!("{x:.places$}")` renders it.
     pub fn fixed(&mut self, x: f64, places: usize) -> &mut Self {
-        self.token(|out| write!(out, "{x:.places$}").unwrap_or_default())
+        self.token(|out| write!(out, "{x:.places$}"))
     }
 
     pub fn bool(&mut self, b: bool) -> &mut Self {
-        self.token(|out| out.push_str(if b { "true" } else { "false" }))
+        self.token(|out| out.write_str(if b { "true" } else { "false" }))
     }
 
     pub fn null(&mut self) -> &mut Self {
-        self.token(|out| out.push_str("null"))
+        self.token(|out| out.write_str("null"))
     }
 }
 
-fn write_node(w: &mut Writer, n: NodeKey) {
+fn write_node<W: fmt::Write>(w: &mut Writer<W>, n: NodeKey) {
     w.array().str(n.class());
     match n {
         NodeKey::Root => {}
@@ -187,7 +216,7 @@ fn write_node(w: &mut Writer, n: NodeKey) {
     w.end_array();
 }
 
-fn write_kind(w: &mut Writer, k: EventKind) {
+fn write_kind<W: fmt::Write>(w: &mut Writer<W>, k: EventKind) {
     w.array();
     match k {
         EventKind::SectionEnter { section } => w.str("enter").u64(section.into()),
@@ -239,10 +268,9 @@ fn write_kind(w: &mut Writer, k: EventKind) {
     w.end_array();
 }
 
-/// Canonical JSON encoding of a trace.
-pub fn encode(t: &Trace) -> String {
-    let mut out = String::with_capacity(64 + t.events.len() * 24);
-    let mut w = Writer::new(&mut out);
+/// Writes the canonical JSON encoding of `t` into `out`.
+pub fn write_trace<W: fmt::Write>(out: &mut W, t: &Trace) {
+    let mut w = Writer::new(out);
     w.object().key("format").str(FORMAT);
     w.key("dropped").u64(t.dropped).key("meta").array();
     for (k, v) in &t.meta {
@@ -260,7 +288,6 @@ pub fn encode(t: &Trace) -> String {
         w.end_array();
     }
     w.end_array().end_object();
-    out
 }
 
 // ----------------------------------------------------------------------
@@ -288,12 +315,6 @@ impl Value {
             Value::Int(n) => Ok(*n),
             _ => Err(format!("json: {what} must be an integer")),
         }
-    }
-
-    /// Refuses an integer wider than 32 bits rather than truncating it.
-    fn as_u32(&self, what: &str) -> PResult<u32> {
-        u32::try_from(self.as_u64(what)?)
-            .map_err(|_| format!("json: {what} does not fit in 32 bits"))
     }
 
     /// An integer or a decimal.
@@ -544,31 +565,95 @@ fn document<'a, T>(
 /// → event → kind → node.
 const MAX_DEPTH: usize = 5;
 
-fn as_mode(v: &Value) -> PResult<Mode> {
-    v.as_str("mode")?.parse().map_err(|e| format!("json: {e}"))
+/// A field of an event kind or of a node as a reader holds it: a tree
+/// [`Value`], or a [`Token`] the typed reader read in place. Both go
+/// through [`kind_from`] and [`node_from`], the format's one statement
+/// of which tag carries which fields.
+trait Field {
+    fn u64(&self, what: &str) -> PResult<u64>;
+    fn str(&self, what: &str) -> PResult<&str>;
+    fn node(&self) -> PResult<NodeKey>;
+
+    /// Refuses an integer wider than 32 bits rather than truncating it.
+    fn u32(&self, what: &str) -> PResult<u32> {
+        u32::try_from(self.u64(what)?).map_err(|_| format!("json: {what} does not fit in 32 bits"))
+    }
 }
 
-fn as_flag(v: &Value, what: &str) -> PResult<bool> {
-    match v.as_u64(what)? {
+impl Field for Value {
+    fn u64(&self, what: &str) -> PResult<u64> {
+        self.as_u64(what)
+    }
+
+    fn str(&self, what: &str) -> PResult<&str> {
+        self.as_str(what)
+    }
+
+    fn node(&self) -> PResult<NodeKey> {
+        let items = self.as_arr("node")?;
+        let tag = items
+            .first()
+            .ok_or("json: empty node")?
+            .as_str("node tag")?;
+        node_from(tag, &items[1..])
+    }
+}
+
+/// A field the typed reader read: borrowed from the input, never
+/// allocated.
+#[derive(Clone, Copy)]
+enum Token<'a> {
+    Int(u64),
+    Str(&'a str),
+    Node(NodeKey),
+}
+
+/// The typed reader drops a field's error and rereads the event as a
+/// tree, which names it, so a mismatch here says nothing.
+impl Field for Token<'_> {
+    fn u64(&self, _: &str) -> PResult<u64> {
+        match *self {
+            Token::Int(n) => Ok(n),
+            _ => Err(String::new()),
+        }
+    }
+
+    fn str(&self, _: &str) -> PResult<&str> {
+        match *self {
+            Token::Str(s) => Ok(s),
+            _ => Err(String::new()),
+        }
+    }
+
+    fn node(&self) -> PResult<NodeKey> {
+        match *self {
+            Token::Node(n) => Ok(n),
+            _ => Err(String::new()),
+        }
+    }
+}
+
+fn mode_from(f: &impl Field) -> PResult<Mode> {
+    f.str("mode")?.parse().map_err(|e| format!("json: {e}"))
+}
+
+fn flag_from(f: &impl Field, what: &str) -> PResult<bool> {
+    match f.u64(what)? {
         0 => Ok(false),
         1 => Ok(true),
         _ => Err(format!("json: {what} must be 0 or 1")),
     }
 }
 
-fn node_from(v: &Value) -> PResult<NodeKey> {
-    let items = v.as_arr("node")?;
-    let tag = items
-        .first()
-        .ok_or("json: empty node")?
-        .as_str("node tag")?;
+/// The node `tag` names, from the fields after the tag.
+fn node_from(tag: &str, fields: &[impl Field]) -> PResult<NodeKey> {
     // The class names are `mglock`'s: build the nodes of this shape and
     // keep the one whose class is the tag.
-    let shaped = match items.len() {
-        1 => [Some(NodeKey::Root), None],
-        2 => [Some(NodeKey::Pts(items[1].as_u32("pts")?)), None],
-        3 => {
-            let (pts, at) = (items[1].as_u32("pts")?, items[2].as_u64("addr")?);
+    let shaped = match fields {
+        [] => [Some(NodeKey::Root), None],
+        [pts] => [Some(NodeKey::Pts(pts.u32("pts")?)), None],
+        [pts, at] => {
+            let (pts, at) = (pts.u32("pts")?, at.u64("addr")?);
             [FineAddr::Cell(at), FineAddr::Range(at)].map(|a| Some(NodeKey::Fine(pts, a)))
         }
         _ => [None, None],
@@ -580,58 +665,54 @@ fn node_from(v: &Value) -> PResult<NodeKey> {
         .ok_or_else(|| format!("json: unknown node `{tag}`"))
 }
 
-fn kind_from(v: &Value) -> PResult<EventKind> {
-    let items = v.as_arr("event kind")?;
-    let tag = items
-        .first()
-        .ok_or("json: empty kind")?
-        .as_str("kind tag")?;
-    let num = |i: usize| items[i].as_u64(tag);
-    let num32 = |i: usize| items[i].as_u32(tag);
-    Ok(match (tag, items.len()) {
-        ("enter", 2) => EventKind::SectionEnter { section: num32(1)? },
-        ("exit", 2) => EventKind::SectionExit { section: num32(1)? },
-        ("acq", 3) | ("rel", 3) => {
-            let node = node_from(&items[1])?;
-            let mode = as_mode(&items[2])?;
+/// The event kind `tag` names, from the fields after the tag.
+fn kind_from(tag: &str, fields: &[impl Field]) -> PResult<EventKind> {
+    let num = |i: usize| fields[i].u64(tag);
+    let num32 = |i: usize| fields[i].u32(tag);
+    Ok(match (tag, fields.len()) {
+        ("enter", 1) => EventKind::SectionEnter { section: num32(0)? },
+        ("exit", 1) => EventKind::SectionExit { section: num32(0)? },
+        ("acq", 2) | ("rel", 2) => {
+            let node = fields[0].node()?;
+            let mode = mode_from(&fields[1])?;
             if tag == "acq" {
                 EventKind::LockAcquire { node, mode }
             } else {
                 EventKind::LockRelease { node, mode }
             }
         }
-        ("pc", 1) => EventKind::PlanComplete,
-        ("rd", 2) => EventKind::Read { addr: num(1)? },
-        ("wr", 2) => EventKind::Write { addr: num(1)? },
-        ("al", 3) => EventKind::Alloc {
-            base: num(1)?,
-            len: num(2)?,
+        ("pc", 0) => EventKind::PlanComplete,
+        ("rd", 1) => EventKind::Read { addr: num(0)? },
+        ("wr", 1) => EventKind::Write { addr: num(0)? },
+        ("al", 2) => EventKind::Alloc {
+            base: num(0)?,
+            len: num(1)?,
         },
-        ("cmt", 3) => EventKind::StmCommit {
-            reads: num(1)?,
-            writes: num(2)?,
+        ("cmt", 2) => EventKind::StmCommit {
+            reads: num(0)?,
+            writes: num(1)?,
         },
-        ("ab", 1) => EventKind::StmAbort,
-        ("fb", 1) => EventKind::StmFallback,
-        ("flt", 2) => EventKind::Fault {
-            class: FaultClass::from_tag(items[1].as_str("fault class")?)
+        ("ab", 0) => EventKind::StmAbort,
+        ("fb", 0) => EventKind::StmFallback,
+        ("flt", 1) => EventKind::Fault {
+            class: FaultClass::from_tag(fields[0].str("fault class")?)
                 .ok_or_else(|| "json: unknown fault class".to_owned())?,
         },
-        ("qr", 4) => EventKind::Quarantine {
-            section: num32(1)?,
-            healed: as_flag(&items[2], "qr healed flag")?,
-            probation: num32(3)?,
+        ("qr", 3) => EventKind::Quarantine {
+            section: num32(0)?,
+            healed: flag_from(&fields[1], "qr healed flag")?,
+            probation: num32(2)?,
         },
-        ("wk", 5) => EventKind::WakeDecision {
-            node: node_from(&items[1])?,
-            mode: as_mode(&items[2])?,
-            depth: num32(3)?,
-            woken: num32(4)?,
+        ("wk", 4) => EventKind::WakeDecision {
+            node: fields[0].node()?,
+            mode: mode_from(&fields[1])?,
+            depth: num32(2)?,
+            woken: num32(3)?,
         },
-        ("ri", 4) => EventKind::Reinfer {
-            section: num32(1)?,
-            candidate: num32(2)?,
-            accepted: as_flag(&items[3], "ri accepted flag")?,
+        ("ri", 3) => EventKind::Reinfer {
+            section: num32(0)?,
+            candidate: num32(1)?,
+            accepted: flag_from(&fields[2], "ri accepted flag")?,
         },
         _ => return Err(format!("json: unknown event kind `{tag}`")),
     })
@@ -664,7 +745,7 @@ fn trace_from(root: &Value, events: PResult<EventLog>) -> PResult<Trace> {
         t.allocs.push(AllocRecord {
             base: base.as_u64("base")?,
             len: len.as_u64("len")?,
-            class: class.as_u32("class")?,
+            class: class.u32("class")?,
         });
     }
     // Streamed `events` stand in the tree as an empty array.
@@ -677,18 +758,114 @@ fn event_from(v: &Value) -> PResult<Event> {
     let [epoch, tid, clock, kind] = v.as_arr("event")? else {
         return Err("json: events are [epoch,tid,clock,kind]".into());
     };
+    let fields = kind.as_arr("event kind")?;
+    let tag = fields
+        .first()
+        .ok_or("json: empty kind")?
+        .as_str("kind tag")?;
     Ok(Event {
         epoch: epoch.as_u64("epoch")?,
-        tid: tid.as_u32("tid")?,
+        tid: tid.u32("tid")?,
         clock: clock.as_u64("clock")?,
-        kind: kind_from(kind)?,
+        kind: kind_from(tag, &fields[1..])?,
     })
 }
 
+impl<'a> Parser<'a> {
+    /// Reads one event in its canonical spelling — no whitespace, no
+    /// escape, no decimal, every number within its field, a known tag
+    /// with its fields — without building a tree or a string. `None`
+    /// on anything else, wherever it stopped: the caller rewinds to the
+    /// event's first byte and reads it as a tree, which names the
+    /// error, if there is one.
+    fn event(&mut self) -> Option<Event> {
+        self.eat(b'[')?;
+        let epoch = self.int()?;
+        self.eat(b',')?;
+        let tid = u32::try_from(self.int()?).ok()?;
+        self.eat(b',')?;
+        let clock = self.int()?;
+        self.eat(b',')?;
+        self.eat(b'[')?;
+        let tag = self.tag()?;
+        let mut fields = [Token::Int(0); 4];
+        let n = self.fields(&mut fields, Parser::token)?;
+        self.eat(b']')?;
+        let kind = kind_from(tag, &fields[..n]).ok()?;
+        Some(Event {
+            epoch,
+            tid,
+            clock,
+            kind,
+        })
+    }
+
+    /// Steps over `b` if it is next.
+    fn eat(&mut self, b: u8) -> Option<()> {
+        (self.peek() == Some(b)).then(|| self.pos += 1)
+    }
+
+    /// Digits, as a `u64`; `None` when there are none or they overflow.
+    fn int(&mut self) -> Option<u64> {
+        let start = self.pos;
+        let mut n = 0u64;
+        while let Some(d) = self.peek().filter(u8::is_ascii_digit) {
+            n = n.checked_mul(10)?.checked_add(u64::from(d - b'0'))?;
+            self.pos += 1;
+        }
+        (self.pos > start).then_some(n)
+    }
+
+    /// The raw text up to the next `"`, borrowed from the input. An
+    /// escape is not undone: no name in the format has a `\` in it, so
+    /// an escaped name matches none and the event goes to the tree.
+    fn tag(&mut self) -> Option<&'a str> {
+        self.eat(b'"')?;
+        let start = self.pos;
+        self.pos += self.src.as_bytes()[start..]
+            .iter()
+            .position(|&b| b == b'"')?;
+        let tag = &self.src[start..self.pos];
+        self.pos += 1;
+        Some(tag)
+    }
+
+    /// `,`-led fields up to the closing `]`, into `buf`; their count.
+    fn fields<T>(
+        &mut self,
+        buf: &mut [T],
+        mut read: impl FnMut(&mut Self) -> Option<T>,
+    ) -> Option<usize> {
+        let mut n = 0;
+        while self.eat(b',').is_some() {
+            *buf.get_mut(n)? = read(self)?;
+            n += 1;
+        }
+        self.eat(b']')?;
+        Some(n)
+    }
+
+    /// A kind's field: an integer, a string or a node.
+    fn token(&mut self) -> Option<Token<'a>> {
+        match self.peek()? {
+            b'"' => self.tag().map(Token::Str),
+            b'[' => {
+                self.pos += 1;
+                let tag = self.tag()?;
+                let mut fields = [Token::Int(0); 2];
+                let n = self.fields(&mut fields, |p| p.int().map(Token::Int))?;
+                node_from(tag, &fields[..n]).ok().map(Token::Node)
+            }
+            _ => self.int().map(Token::Int),
+        }
+    }
+}
+
 /// Parses a trace from its canonical JSON encoding. The first `events`
-/// array is pushed onto the trace's [`EventLog`] as it streams, so no
-/// tree holds more than one event; its first conversion error still
-/// comes last, as if the whole tree had been read first.
+/// array is pushed onto the trace's [`EventLog`] as it streams, each
+/// event read by the typed reader or, where that gives up, as a tree of
+/// that event alone; its first conversion error still comes last, as
+/// if the whole tree had been read first.
 pub fn decode(s: &str) -> Result<Trace, String> {
     let mut events = None;
     let root = document(s, MAX_DEPTH, |p| {
@@ -699,7 +876,17 @@ pub fn decode(s: &str) -> Result<Trace, String> {
             key if key == "events" && events.is_none() && p.at(b'[') => {
                 let (mut log, mut bad) = (EventLog::new(), None);
                 p.items(b']', |p| {
-                    match event_from(&p.value()?) {
+                    let start = p.pos;
+                    let event = match p.event() {
+                        Some(e) => Ok(e),
+                        // Not in its canonical spelling: read it again
+                        // as a tree, which names what is wrong.
+                        None => {
+                            p.pos = start;
+                            event_from(&p.value()?)
+                        }
+                    };
+                    match event {
                         Ok(e) if bad.is_none() => log.push(e),
                         Ok(_) => {}
                         Err(e) => {
@@ -809,10 +996,56 @@ mod tests {
                 .collect(),
             dropped: 0,
         };
-        let json = encode(&t);
+        let json = t.to_json();
         let back = decode(&json).expect("decode");
         assert_eq!(t, back);
-        assert_eq!(json, encode(&back), "canonical encoding is stable");
+        assert_eq!(json, back.to_json(), "canonical encoding is stable");
+        // Every canonical event takes the typed reader, not the tree.
+        for e in &t.events {
+            let one = Trace {
+                events: vec![e].into(),
+                ..Trace::default()
+            }
+            .to_json();
+            let src = &one[one.find("[[").expect("an event") + 1..one.len() - 2];
+            let mut p = parser(src);
+            assert_eq!(p.event(), Some(e), "{src}");
+            assert_eq!(p.pos, src.len(), "{src}");
+        }
+    }
+
+    fn parser(src: &str) -> Parser<'_> {
+        Parser {
+            src,
+            pos: 0,
+            depth: 0,
+            max_depth: MAX_DEPTH,
+        }
+    }
+
+    #[test]
+    fn the_typed_reader_leaves_every_other_spelling_to_the_tree() {
+        for src in [
+            "[0, 0,0,[\"pc\"]]",
+            "[0,0,0,[\"pc\"] ]",
+            "[0,0,0,[\"p\\u0063\"]]",
+            "[1.5,0,0,[\"pc\"]]",
+            "[0,4294967296,0,[\"pc\"]]",
+            "[18446744073709551616,0,0,[\"pc\"]]",
+            "[0,0,0,[\"enter\",4294967296]]",
+            "[0,0,0,[\"??\"]]",
+            "[0,0,0,[\"pc\",1]]",
+            "[0,0,0,[\"rd\"]]",
+            "[0,0,0,[\"qr\",1,2,4]]",
+            "[0,0,0,[\"acq\",[\"leaf\"],\"X\"]]",
+            "[0,0,0,[\"acq\",[\"cell\",1],\"X\"]]",
+            "[0,0,0,[\"acq\",[\"root\"],\"XX\"]]",
+            "[0,0,0,[\"flt\",\"gremlin\"]]",
+            "[0,0,0,[\"wk\",[\"root\"],\"S\",1,2,3]]",
+            "[0,0,0]",
+        ] {
+            assert_eq!(parser(src).event(), None, "{src}");
+        }
     }
 
     #[test]
@@ -909,10 +1142,10 @@ mod tests {
             ("source".into(), text.clone()),
             ("ends wide €".into(), "𝄞".into()),
         ]);
-        let json = encode(&t);
+        let json = t.to_json();
         let back = decode(&json).expect("decode");
         assert_eq!(t, back);
-        assert_eq!(json, encode(&back), "canonical encoding is stable");
+        assert_eq!(json, back.to_json(), "canonical encoding is stable");
         // Escapes the encoder never emits still decode beside them.
         let foreign = decode(&json.replace("plain", "é\\/€\\u00e9𝄞")).expect("decode");
         assert_eq!(foreign.meta[0].1, "é/€é𝄞");
@@ -940,7 +1173,7 @@ mod tests {
             .take(1 << 20)
             .collect();
         let t = meta_only(vec![("source".into(), source)]);
-        let json = encode(&t);
+        let json = t.to_json();
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
             let _ = tx.send(decode(&json));

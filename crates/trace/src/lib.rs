@@ -114,7 +114,9 @@ impl Trace {
 
     /// Canonical JSON encoding (see [`json`]).
     pub fn to_json(&self) -> String {
-        json::encode(self)
+        let mut out = String::with_capacity(64 + self.events.len() * 24);
+        json::write_trace(&mut out, self);
+        out
     }
 
     /// Parses a trace from its JSON encoding.
@@ -128,13 +130,12 @@ impl Trace {
 
     /// FNV-1a digest of the canonical JSON — the identity used by the
     /// replay determinism checks (same digest ⇔ byte-identical trace).
+    /// The writer feeds the hash as it encodes: the digest covers
+    /// exactly [`Trace::to_json`]'s bytes without building that string.
     pub fn digest(&self) -> String {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in self.to_json().bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        format!("{h:016x}")
+        let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
+        json::write_trace(&mut h, self);
+        format!("{:016x}", h.0)
     }
 
     /// Event counts by kind ([`EventKind::name`]), for summaries.
@@ -144,6 +145,18 @@ impl Trace {
             *m.entry(e.kind.name()).or_insert(0) += 1;
         }
         m
+    }
+}
+
+/// A 64-bit FNV-1a hash as a JSON sink: each byte written is folded in.
+struct Fnv1a(u64);
+
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for b in s.bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        Ok(())
     }
 }
 

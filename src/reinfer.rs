@@ -65,7 +65,6 @@ use crate::adapt::{
 use crate::replay::Recording;
 use lockscheme::{ConfigMap, SchemeConfig};
 use mglock::{FineAddr, NodeKey};
-use pointsto::{PointsTo, PtsClass};
 use sentinel::Violation;
 use trace::json::Writer;
 use trace::lockset::mode_grants;
@@ -194,26 +193,6 @@ fn diagnose(w: &Witness) -> Diagnosis {
         }
     }
     Diagnosis::NoCover
-}
-
-/// Checks a [`Diagnosis::MissedAlias`] witness against the points-to
-/// abstraction by *applying* the refinement it proposes: unify the
-/// held and accessed classes with [`PointsTo::merged`] (an incremental
-/// re-freeze of the frozen union-find, not a cold re-analysis) and
-/// report how many classes the refined abstraction loses. A collapse
-/// of `1` means the witnessed edge is local — exactly the two classes
-/// fuse; a larger collapse means the edge cascades through successor
-/// unification and a coarse repair will cover correspondingly more
-/// unrelated state. Returns `None` when either class is out of range
-/// or the classes already coincide (the abstraction did not miss the
-/// edge — the violation came from a weakened *plan*, not a wrong
-/// *analysis*, and the repair report records it as such).
-pub fn alias_merge_collapse(pt: &PointsTo, held: u32, accessed: u32) -> Option<u32> {
-    if held == accessed || held >= pt.n_classes() || accessed >= pt.n_classes() {
-        return None;
-    }
-    let refined = pt.merged(PtsClass(held), PtsClass(accessed));
-    Some(pt.n_classes() - refined.n_classes())
 }
 
 /// What a repair changes relative to the section's current
@@ -713,30 +692,6 @@ mod tests {
             Some(2)
         );
         assert_eq!(admit(demoted, &[clean_cheapest_tie, clean_cheap]), Some(0));
-    }
-
-    #[test]
-    fn alias_merge_collapse_measures_the_refinement_locally() {
-        let program = lir::compile(
-            r#"
-            struct node { next; val; }
-            fn f(a, b) {
-                atomic { a->next = b; }
-            }
-            fn g(c) {
-                atomic { c->val = 1; }
-            }
-        "#,
-        )
-        .unwrap();
-        let pt = PointsTo::analyze(&program);
-        assert!(pt.n_classes() >= 2);
-        // Merging two distinct live classes loses at least one class;
-        // the same pair is a no-op (`None`), as are out-of-range ids.
-        let collapse = alias_merge_collapse(&pt, 0, 1).expect("distinct classes merge");
-        assert!(collapse >= 1);
-        assert_eq!(alias_merge_collapse(&pt, 1, 1), None);
-        assert_eq!(alias_merge_collapse(&pt, 0, pt.n_classes()), None);
     }
 
     #[test]
