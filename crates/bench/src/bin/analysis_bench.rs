@@ -39,7 +39,10 @@
 //! ```
 //!
 //! `--smoke` runs only the smallest tier and the two SPEC-like rows
-//! (for CI).
+//! (for CI). An unknown argument, or `--out` / `--check` without a
+//! file, prints the usage line and exits 2 before anything runs; a
+//! `--check` file that cannot be read or parsed exits 1 with a
+//! one-line error, also before anything runs.
 //! `--out` writes the JSON report (default `BENCH_analysis.json` when
 //! omitted along with `--check`). `--check FILE` compares against a committed report and
 //! exits non-zero if any measured wall time (every row's `optimized_ms`,
@@ -289,16 +292,60 @@ fn committed_ms(json: &str) -> Result<Vec<(String, String, f64)>, String> {
     Ok(out)
 }
 
+const USAGE: &str = "usage: analysis-bench [--smoke] [--out FILE] [--check FILE]";
+
+/// The command line, read in full before anything runs.
+#[derive(Default)]
+struct Args {
+    smoke: bool,
+    out: Option<String>,
+    check: Option<String>,
+}
+
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut parsed = Args::default();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let slot = match arg.as_str() {
+            "--smoke" => {
+                parsed.smoke = true;
+                continue;
+            }
+            "--out" => &mut parsed.out,
+            "--check" => &mut parsed.check,
+            _ => return Err(format!("unknown argument `{arg}`")),
+        };
+        match args.next() {
+            Some(file) if !file.starts_with("--") => *slot = Some(file.clone()),
+            _ => return Err(format!("`{arg}` needs a file")),
+        }
+    }
+    Ok(parsed)
+}
+
+/// The committed report `--check` holds this run to.
+fn read_baseline(path: &str) -> Result<Vec<(String, String, f64)>, String> {
+    let committed = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
+    committed_ms(&committed)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let flag_val = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let out_path = flag_val("--out");
-    let check_path = flag_val("--check");
+    let Args {
+        smoke,
+        out: out_path,
+        check: check_path,
+    } = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("analysis-bench: {e}\n{USAGE}");
+        std::process::exit(2)
+    });
+    let check = check_path.map(|path| {
+        let baseline = read_baseline(&path).unwrap_or_else(|e| {
+            eprintln!("analysis-bench: --check {path}: {e}");
+            std::process::exit(1)
+        });
+        (path, baseline)
+    });
 
     let mut tiers = scale::tiers();
     if smoke {
@@ -361,10 +408,7 @@ fn main() {
         })
         .collect();
 
-    if let Some(path) = &check_path {
-        let committed =
-            std::fs::read_to_string(path).unwrap_or_else(|e| panic!("--check {path}: {e}"));
-        let baseline = committed_ms(&committed).unwrap_or_else(|e| panic!("--check {path}: {e}"));
+    if let Some((path, baseline)) = &check {
         let mut failed = false;
         let measured = reports
             .iter()
@@ -401,7 +445,7 @@ fn main() {
     }
 
     let write_to = out_path.or_else(|| {
-        if check_path.is_none() {
+        if check.is_none() {
             Some("BENCH_analysis.json".to_owned())
         } else {
             None

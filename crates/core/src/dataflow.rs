@@ -33,18 +33,22 @@
 //!   [`SummaryCache`], a Phase B engine imports the entries it is
 //!   handed (sharing the term, not copying it), and everything is
 //!   freed with the analysis or the [`SummaryStore`] holding it.
-//! * **Facts-sized state.** Per `(context, point)` the state is one
-//!   small list of local ids in arrival order ([`PointState`]): the
+//! * **Facts-sized state in two flat arrays.** Per `(context, point)`
+//!   the state is one small list of local ids in arrival order: the
 //!   untagged entries are the lock antichain — at most [`WIDTH_LIMIT`]
 //!   of them — and the tail past a cursor is the frontier not yet
-//!   propagated. A context gets a table of its function's points on
-//!   its first fact and a point gets a state on its own, so memory is
-//!   proportional to facts, not to `contexts × points × lock universe`.
-//!   The worklist holds each *point* at most once, and a pop propagates
-//!   the whole frontier of that point. A lock removed by subsumption is
-//!   tagged, not dropped, until it has propagated: like the triple
-//!   worklist this replaces, a subsumed fact that was already scheduled
-//!   still propagates.
+//!   propagated. All of an engine's state is two arrays
+//!   ([`PointStates`]): 8-byte [`PointState`] records, one contiguous
+//!   run per context of its function's points from its first fact on,
+//!   and one `u32` pool that holds every list in a block sized to it,
+//!   recycled through free lists by size. No state allocates, so
+//!   memory is proportional to facts — not to `contexts × points × lock
+//!   universe`, nor to an allocation per state — and dropping an engine
+//!   frees a few vectors. The worklist holds each *point* at most once,
+//!   and a pop propagates the whole frontier of that point. A lock
+//!   removed by subsumption is tagged, not dropped, until it has
+//!   propagated: like the triple worklist this replaces, a subsumed
+//!   fact that was already scheduled still propagates.
 //! * **Id-level transfer.** Pushing lock `lid` across instruction
 //!   `(func, q)` — and unmapping entry lock `e` at a call site — is a
 //!   pure function of those ids, and Phase A asks the same question
@@ -809,23 +813,248 @@ enum Ctx {
 /// A call site awaiting summary results.
 type Site = (u32, u32);
 
-/// Tag on a [`PointState`] entry that was subsumed by a later arrival.
+/// Tag on a fact-list entry that was subsumed by a later arrival.
 const DEAD: u32 = 1 << 31;
 
-/// "No state yet" in a context's point table.
-const NO_STATE: u32 = u32::MAX;
+/// "No states yet" in [`Engine::ctx_states`].
+const NO_STATES: u32 = u32::MAX;
 
 /// Dataflow state of one `(context, point)`: every local lock id that
-/// was inserted here, in arrival order. The entries without the `DEAD`
-/// tag are the current antichain; `facts[drained..]` is the frontier
-/// not yet propagated. An antichain member is only ever removed by a
-/// larger arrival, which keeps covering it, so no id is inserted twice
-/// and the frontier needs no dedup. Dead entries are dropped once
-/// propagated, which bounds the list by twice `WIDTH_LIMIT`.
-#[derive(Default)]
+/// was inserted here, in arrival order, as the first `len` slots of a
+/// [`block_size`]`(len)`-slot block at offset `at` of its engine's fact
+/// pool ([`PointStates`]). The entries without the `DEAD` tag are the
+/// current antichain; those from `drained` on are the frontier not yet
+/// propagated. An antichain member is only ever removed by a larger
+/// arrival, which keeps covering it, so no id is inserted twice and the
+/// frontier needs no dedup. Dead entries are dropped once propagated;
+/// no list on the pinned SPEC-like programs, `syn-gzip` included, ever
+/// holds more than 28. An 8-byte record that owns no allocation;
+/// `len == 0` until the point's first fact, and never again after it
+/// (the latest arrival is live).
+#[derive(Clone, Copy, Default)]
 struct PointState {
-    facts: Vec<u32>,
-    drained: u32,
+    at: u32,
+    len: u16,
+    drained: u16,
+}
+
+const _: () = assert!(std::mem::size_of::<PointState>() == 8);
+
+/// Slots of the pool block that holds a list of `len` entries: the
+/// least of 1, 2, 3, 4, 6, 8, 12, 16, … — powers of two and their
+/// halfway points — that is at least `len` (none for an empty list).
+/// Final lists are mostly short: on Table 1's `syn-gzip` at k = 9
+/// these sizes hold 15.7 M entries in 16.8 M slots, where powers of two
+/// from 4 took 24.1 M.
+fn block_size(len: u32) -> u32 {
+    if len <= 2 {
+        return len;
+    }
+    let p = len.next_power_of_two();
+    if p / 4 * 3 >= len {
+        p / 4 * 3
+    } else {
+        p
+    }
+}
+
+/// Free-list index of a block of `size` slots (a [`block_size`]).
+fn size_class(size: u32) -> usize {
+    (2 * size.ilog2() + u32::from(!size.is_power_of_two())) as usize
+}
+
+/// What [`PointStates::add`] did with an arriving lock.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Arrival {
+    /// A live entry covers it; nothing changed.
+    Covered,
+    /// The antichain is at [`WIDTH_LIMIT`]; nothing changed, and the
+    /// caller widens the lock.
+    Widened,
+    /// Appended, with the live entries below it tagged `DEAD`. `live`
+    /// is the antichain's new size; `first` says the frontier was empty
+    /// before, so the point must be scheduled.
+    Inserted { live: usize, first: bool },
+}
+
+/// All point states of one engine, and the one pool their fact lists
+/// live in. A context's states are one contiguous run of its
+/// function's points ([`Engine::ctx_states`]); a fact list is a block of
+/// the pool sized by [`block_size`]. A full block is copied into one of
+/// the next size — taken from the free list of that size, or from the
+/// end of the pool — and goes onto the free list of its own size; a
+/// drain that shortens a list gives back the sizes it no longer needs.
+/// Nothing is allocated per state, and dropping an engine frees a
+/// handful of vectors.
+#[derive(Default)]
+struct PointStates {
+    states: Vec<PointState>,
+    pool: Vec<u32>,
+    /// Offsets of free blocks, by [`size_class`].
+    free: Vec<Vec<u32>>,
+}
+
+impl PointStates {
+    /// Appends `n` states without facts; returns the first one's index.
+    fn reserve(&mut self, n: usize) -> u32 {
+        let base = self.states.len();
+        assert!(
+            u32::try_from(base + n).is_ok(),
+            "point states fit u32 indices"
+        );
+        self.states.resize(base + n, PointState::default());
+        base as u32
+    }
+
+    /// Whether state `s` has received a fact.
+    fn has_facts(&self, s: u32) -> bool {
+        self.states[s as usize].len != 0
+    }
+
+    /// The fact list of state `s`, `DEAD` tags included.
+    fn facts(&self, s: u32) -> &[u32] {
+        let st = self.states[s as usize];
+        &self.pool[st.at as usize..][..st.len as usize]
+    }
+
+    /// Subsumption insert of lock `id` into state `s`, in one scan: it
+    /// returns as soon as a live entry covers the arrival and otherwise
+    /// marks the live entries below it. Those are tagged only once the
+    /// arrival is known to be neither covered nor widened. In an
+    /// antichain no entry can both cover the arrival and lie below it
+    /// (ids are unique), so this is the cover scan followed by the
+    /// tagging scan, entry for entry.
+    fn add(&mut self, recs: &[LockRec], s: u32, id: u32) -> Arrival {
+        let st = self.states[s as usize];
+        let at = st.at as usize;
+        let len = st.len as usize;
+        let rec = recs[id as usize];
+        let mut live = 0;
+        // Live entries below the arrival: a mask over the first 64
+        // slots, and whether any lies past them.
+        let mut below = 0u64;
+        let mut below_past = false;
+        for (i, &e) in self.pool[at..at + len].iter().enumerate() {
+            if e & DEAD != 0 {
+                continue;
+            }
+            let r = recs[e as usize];
+            if rec.leq(r) {
+                return Arrival::Covered;
+            }
+            live += 1;
+            if r.leq(rec) {
+                match 1u64.checked_shl(i as u32) {
+                    Some(bit) => below |= bit,
+                    None => below_past = true,
+                }
+            }
+        }
+        // Widening: past the width bound the caller falls back to the
+        // lock's own class.
+        if live >= WIDTH_LIMIT {
+            return Arrival::Widened;
+        }
+        // Subsumed locks leave the antichain but keep their place in
+        // the frontier: if they were scheduled, they still propagate
+        // (the triple worklist of the reference engine behaves the same
+        // way).
+        live -= below.count_ones() as usize;
+        while below != 0 {
+            self.pool[at + below.trailing_zeros() as usize] |= DEAD;
+            below &= below - 1;
+        }
+        if below_past {
+            for e in &mut self.pool[at + 64..at + len] {
+                if *e & DEAD == 0 && recs[*e as usize].leq(rec) {
+                    *e |= DEAD;
+                    live -= 1;
+                }
+            }
+        }
+        debug_assert!(
+            self.facts(s).iter().all(|&e| e & !DEAD != id),
+            "a lock is inserted at most once per (context, point)"
+        );
+        self.push(s, id);
+        Arrival::Inserted {
+            live: live + 1,
+            first: st.drained == st.len,
+        }
+    }
+
+    /// Appends `id` to state `s`'s list, moving the list to a block of
+    /// the next size when its block is full.
+    fn push(&mut self, s: u32, id: u32) {
+        let mut st = self.states[s as usize];
+        let len = u32::from(st.len);
+        let size = block_size(len);
+        if len == size {
+            let at = self.take_block(block_size(len + 1));
+            let old = st.at as usize;
+            self.pool.copy_within(old..old + len as usize, at as usize);
+            if size != 0 {
+                self.give_block(st.at, size);
+            }
+            st.at = at;
+        }
+        self.pool[(st.at + len) as usize] = id;
+        st.len = u16::try_from(len + 1).expect("a fact list fits u16 slots");
+        self.states[s as usize] = st;
+    }
+
+    /// A free block of `size` slots: a recycled one, or a new one at
+    /// the end of the pool.
+    fn take_block(&mut self, size: u32) -> u32 {
+        if let Some(at) = self.free.get_mut(size_class(size)).and_then(Vec::pop) {
+            return at;
+        }
+        let at = self.pool.len();
+        assert!(
+            u32::try_from(at + size as usize).is_ok(),
+            "the fact pool fits u32 offsets"
+        );
+        self.pool.resize(at + size as usize, 0);
+        at as u32
+    }
+
+    /// Puts the `size`-slot block at `at` on its free list.
+    fn give_block(&mut self, at: u32, size: u32) {
+        let c = size_class(size);
+        if self.free.len() <= c {
+            self.free.resize_with(c + 1, Vec::new);
+        }
+        self.free[c].push(at);
+    }
+
+    /// Moves state `s`'s frontier into `ids`, in ascending id, and
+    /// drops its dead entries, compacting the list in place.
+    fn drain(&mut self, s: u32, ids: &mut Vec<u32>) {
+        let st = &mut self.states[s as usize];
+        let list = &mut self.pool[st.at as usize..][..st.len as usize];
+        ids.clear();
+        ids.extend(list[st.drained as usize..].iter().map(|e| e & !DEAD));
+        ids.sort_unstable();
+        let mut n = 0;
+        for i in 0..list.len() {
+            if list[i] & DEAD == 0 {
+                list[n] = list[i];
+                n += 1;
+            }
+        }
+        debug_assert!(n > 0 || list.is_empty(), "the latest arrival is live");
+        let (at, size) = (st.at, block_size(u32::from(st.len)));
+        st.len = n as u16;
+        st.drained = st.len;
+        // Give back the tail the shorter list no longer needs, as the
+        // differences between consecutive block sizes (all sizes too).
+        let mut kept = block_size(n as u32);
+        while kept < size {
+            let next = block_size(kept + 1);
+            self.give_block(at + kept, next - kept);
+            kept = next;
+        }
+    }
 }
 
 /// Where a memoised result lives in [`Engine::memo_ids`].
@@ -847,10 +1076,11 @@ struct Engine<'a> {
     locks: LockCache,
     ctxdb: Vec<Ctx>,
     ctx_ids: IdMap<Ctx, u32>,
-    /// Per context, the index into `states` of each program point of
-    /// its function (`NO_STATE` until a fact arrives). A context's
-    /// table is sized on its first fact, a state on its own.
-    points: Vec<Vec<u32>>,
+    /// Per context, the index in `points` of the state of its
+    /// function's point 0 (`NO_STATES` until a fact arrives): on its
+    /// first fact a context gets one state per point, contiguous and
+    /// indexed by point.
+    ctx_states: Vec<u32>,
     /// Per context, the entry locks a `Gen` or `Query` context has
     /// found so far.
     summaries: Vec<SummarySet>,
@@ -858,7 +1088,7 @@ struct Engine<'a> {
     /// [`LockRec::pathless_key`]`)`: one engine-wide map, so a set
     /// without such members allocates nothing for them.
     pathless: IdMap<(u32, u32), u32>,
-    states: Vec<PointState>,
+    points: PointStates,
     queue: Vec<(u32, u32)>,
     /// Results of pushing lock `lid` backward across instruction
     /// `(func, q)`, as local ids in `memo_ids`. A pure function of the
@@ -899,10 +1129,10 @@ impl<'a> Engine<'a> {
             locks: LockCache::default(),
             ctxdb: Vec::new(),
             ctx_ids: IdMap::default(),
-            points: Vec::new(),
+            ctx_states: Vec::new(),
             summaries: Vec::new(),
             pathless: IdMap::default(),
-            states: Vec::new(),
+            points: PointStates::default(),
             queue: Vec::new(),
             transfer_memo: IdMap::default(),
             unmap_memo: IdMap::default(),
@@ -981,7 +1211,7 @@ impl<'a> Engine<'a> {
         let id = self.ctxdb.len() as u32;
         self.ctxdb.push(ctx);
         self.ctx_ids.insert(ctx, id);
-        self.points.push(Vec::new());
+        self.ctx_states.push(NO_STATES);
         self.summaries.push(SummarySet::default());
         self.stats.contexts += 1;
         id
@@ -1044,13 +1274,8 @@ impl<'a> Engine<'a> {
     fn drain(&mut self) {
         let mut ids: Vec<u32> = Vec::new();
         while let Some((ctx, idx)) = self.queue.pop() {
-            let slot = self.points[ctx as usize][idx as usize];
-            let st = &mut self.states[slot as usize];
-            ids.clear();
-            ids.extend(st.facts[st.drained as usize..].iter().map(|e| e & !DEAD));
-            ids.sort_unstable();
-            st.facts.retain(|e| e & DEAD == 0);
-            st.drained = st.facts.len() as u32;
+            let s = self.ctx_states[ctx as usize] + idx;
+            self.points.drain(s, &mut ids);
             for &lid in &ids {
                 self.stats.pops += 1;
                 self.process(ctx, idx, lid);
@@ -1076,56 +1301,34 @@ impl<'a> Engine<'a> {
     }
 
     fn add_fact_id(&mut self, ctx: u32, idx: u32, id: u32) {
-        if self.points[ctx as usize].is_empty() {
+        let mut base = self.ctx_states[ctx as usize];
+        if base == NO_STATES {
             let n_points = self.program.func(self.ctx_fn(ctx)).body.len() + 1;
-            self.points[ctx as usize].resize(n_points, NO_STATE);
+            base = self.points.reserve(n_points);
+            self.ctx_states[ctx as usize] = base;
         }
-        let slot = &mut self.points[ctx as usize][idx as usize];
-        if *slot == NO_STATE {
-            *slot = self.states.len() as u32;
-            self.states.push(PointState::default());
+        let s = base + idx;
+        if !self.points.has_facts(s) {
             self.stats.state_points += 1;
         }
-        let st = &mut self.states[*slot as usize];
-        let recs = &self.locks.recs;
-        let rec = recs[id as usize];
-        let mut live = 0;
-        for &e in &st.facts {
-            if e & DEAD == 0 {
-                if rec.leq(recs[e as usize]) {
-                    return;
+        match self.points.add(&self.locks.recs, s, id) {
+            Arrival::Covered => {}
+            // Widening: fall back to the lock's own class (sent
+            // straight to the terminal).
+            Arrival::Widened => {
+                self.stats.widenings += 1;
+                let coarse = self.locks.arcs[id as usize].coarsen();
+                let cid = self.locks.intern(&coarse);
+                self.record_terminal(ctx, cid);
+            }
+            Arrival::Inserted { live, first } => {
+                if first {
+                    self.queue.push((ctx, idx));
                 }
-                live += 1;
+                self.stats.facts += 1;
+                self.stats.peak = self.stats.peak.max(live);
             }
         }
-        // Widening: past the width bound, fall back to the lock's own
-        // class (sent straight to the terminal).
-        if live >= WIDTH_LIMIT {
-            self.stats.widenings += 1;
-            let coarse = self.locks.arcs[id as usize].coarsen();
-            let cid = self.locks.intern(&coarse);
-            return self.record_terminal(ctx, cid);
-        }
-        // Subsumed locks leave the antichain but keep their place in
-        // the frontier: if they were scheduled, they still propagate
-        // (the triple worklist of the reference engine behaves the same
-        // way).
-        for e in &mut st.facts {
-            if *e & DEAD == 0 && recs[*e as usize].leq(rec) {
-                *e |= DEAD;
-                live -= 1;
-            }
-        }
-        if st.drained as usize == st.facts.len() {
-            self.queue.push((ctx, idx));
-        }
-        debug_assert!(
-            st.facts.iter().all(|&e| e & !DEAD != id),
-            "a lock is inserted at most once per (context, point)"
-        );
-        st.facts.push(id);
-        self.stats.facts += 1;
-        self.stats.peak = self.stats.peak.max(live + 1);
     }
 
     fn process(&mut self, ctx: u32, idx: u32, lid: u32) {
@@ -1588,7 +1791,172 @@ mod tests {
         assert_eq!(count_distinct(table.arcs.iter().chain(&local.arcs)), (2, 1));
     }
 
+    /// The subsumption insert [`PointStates::add`] replaced, on one
+    /// `Vec` per point: a cover scan, then a tagging scan.
+    fn vec_add(recs: &[LockRec], list: &mut Vec<u32>, drained: usize, id: u32) -> Arrival {
+        let rec = recs[id as usize];
+        let mut live = 0;
+        for &e in list.iter() {
+            if e & DEAD == 0 {
+                if rec.leq(recs[e as usize]) {
+                    return Arrival::Covered;
+                }
+                live += 1;
+            }
+        }
+        if live >= WIDTH_LIMIT {
+            return Arrival::Widened;
+        }
+        for e in list.iter_mut() {
+            if *e & DEAD == 0 && recs[*e as usize].leq(rec) {
+                *e |= DEAD;
+                live -= 1;
+            }
+        }
+        let first = drained == list.len();
+        list.push(id);
+        Arrival::Inserted {
+            live: live + 1,
+            first,
+        }
+    }
+
+    /// The drain [`PointStates::drain`] replaced: the sorted frontier,
+    /// then a `retain` of the live entries.
+    fn vec_drain(list: &mut Vec<u32>, drained: &mut usize, ids: &mut Vec<u32>) {
+        ids.clear();
+        ids.extend(list[*drained..].iter().map(|e| e & !DEAD));
+        ids.sort_unstable();
+        list.retain(|e| e & DEAD == 0);
+        *drained = list.len();
+    }
+
+    #[test]
+    fn full_blocks_move_and_freed_blocks_are_reused() {
+        let mut table = LockCache::default();
+        let ids: Vec<u32> = (0..8)
+            .map(|b| table.intern(&fine(b, vec![PathOp::Deref], 0, Eff::Rw)))
+            .collect();
+        let mut store = PointStates::default();
+        let s = store.reserve(2);
+        for &id in &ids[..5] {
+            store.add(&table.recs, s, id);
+        }
+        // The list moved through blocks of 1, 2, 3 and 4 slots into
+        // one of 6 after them; the four it left are free.
+        let st = store.states[s as usize];
+        assert_eq!((st.at, st.len), (10, 5));
+        assert_eq!(store.facts(s), &ids[..5]);
+        assert_eq!(store.pool.len(), 16);
+        for &id in &ids[5..] {
+            store.add(&table.recs, s + 1, id);
+        }
+        // The other point's list grows through the freed blocks: the
+        // pool does not.
+        let st = store.states[s as usize + 1];
+        assert_eq!((st.at, st.len), (3, 3));
+        assert_eq!(store.facts(s + 1), &ids[5..]);
+        assert_eq!(store.pool.len(), 16);
+    }
+
+    /// Past 64 entries a list still matches the `Vec` it replaced: no
+    /// drain between 72 arrivals, the last two killing entries past
+    /// slot 64 and on both sides of it.
+    #[test]
+    fn a_list_past_64_slots_matches_the_vec() {
+        let mut table = LockCache::default();
+        let mut arrivals = Vec::new();
+        for (class, fine) in [(0, 23), (1, 22), (2, 21)] {
+            for b in 0..fine {
+                arrivals.push(fine_lock(b, class, Eff::Ro));
+            }
+            arrivals.push(class_lock(Some(class), Eff::Ro));
+        }
+        arrivals.push(class_lock(Some(2), Eff::Rw));
+        arrivals.push(fine_lock(30, 1, Eff::Rw));
+        arrivals.push(class_lock(None, Eff::Rw));
+        let mut store = PointStates::default();
+        let s = store.reserve(1);
+        let (mut list, mut drained) = (Vec::new(), 0);
+        for lock in &arrivals {
+            let id = table.intern(lock);
+            assert_eq!(
+                store.add(&table.recs, s, id),
+                vec_add(&table.recs, &mut list, drained, id)
+            );
+            assert_eq!(store.facts(s), &list[..]);
+        }
+        let sizes = [1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64, 96];
+        assert_eq!((list.len(), store.pool.len()), (72, sizes.iter().sum()));
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        store.drain(s, &mut got);
+        vec_drain(&mut list, &mut drained, &mut want);
+        assert_eq!((got.len(), &got), (72, &want));
+        assert_eq!(store.facts(s), &list[..]);
+    }
+
+    fn fine_lock(base: u32, class: u32, eff: Eff) -> AbsLock {
+        fine(base, vec![PathOp::Deref], class, eff)
+    }
+
+    fn class_lock(class: Option<u32>, eff: Eff) -> AbsLock {
+        AbsLock {
+            path: None,
+            pts: class.map(PtsClass),
+            eff,
+        }
+    }
+
     proptest::proptest! {
+        /// The pooled point states are the per-point lists they
+        /// replaced, step by step: the same decision (covered, inserted
+        /// or widened) for every arrival, the same entries with the same
+        /// `DEAD` tags after it, and the same frontier from every drain.
+        /// Arrivals at three points of one store mix fine locks (equal
+        /// paths under different classes, `ro` below `rw`), `x̄`, class
+        /// and global locks, and repeats; lists widen, and blocks move
+        /// and are recycled between the points.
+        #[test]
+        fn pooled_point_states_match_vec_lists(
+            use_pts in proptest::arbitrary::any::<bool>(),
+            steps in proptest::collection::vec(
+                (0u32..3, 0u8..24, 0u32..12, 0u32..3, proptest::arbitrary::any::<bool>()),
+                0..600,
+            ),
+        ) {
+            let mut table = LockCache::default();
+            let mut store = PointStates::default();
+            let base = store.reserve(3);
+            let mut lists: [(Vec<u32>, usize); 3] = Default::default();
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            for (point, shape, var, class, rw) in steps {
+                let s = base + point;
+                let (list, drained) = &mut lists[point as usize];
+                if shape < 3 {
+                    store.drain(s, &mut got);
+                    vec_drain(list, drained, &mut want);
+                    proptest::prop_assert_eq!(&got, &want);
+                } else {
+                    let eff = if rw { Eff::Rw } else { Eff::Ro };
+                    let pts = use_pts.then_some(PtsClass(class));
+                    let path = |ops| Some(PathExpr { base: VarId(var), ops });
+                    let lock = match shape {
+                        3..=9 => AbsLock { path: path(vec![PathOp::Deref]), pts, eff },
+                        10..=16 => AbsLock { path: path(vec![PathOp::Deref; 2]), pts, eff },
+                        17..=19 => AbsLock { path: path(Vec::new()), pts, eff },
+                        20..=22 => AbsLock { path: None, pts, eff },
+                        _ => AbsLock { path: None, pts: None, eff },
+                    };
+                    let id = table.intern(&lock);
+                    proptest::prop_assert_eq!(
+                        store.add(&table.recs, s, id),
+                        vec_add(&table.recs, list, *drained, id)
+                    );
+                }
+                proptest::prop_assert_eq!(store.facts(s), &list[..]);
+            }
+        }
+
         /// The indexed insert is the scan it replaced, step by step: the
         /// same answers and the same `ids` in the same order, over two
         /// sets sharing the engine-wide index, for arrivals of every
