@@ -28,8 +28,8 @@
 //!   `--metrics FILE` writes the run's whole metric snapshot as
 //!   canonical metrics JSON: everything `metrics` below derives from
 //!   the trace just recorded, merged with the `ali_run_*` end-of-run
-//!   gauges only the live machine knows (scraped into an
-//!   [`obs::Registry`] by [`atomic_lock_inference::Pipeline`]); the
+//!   gauges only the live machine knew, which the recording carries
+//!   ([`atomic_lock_inference::replay::Recording::gauges`]); the
 //!   recorded trace is byte-identical either way.
 //! * `validate` re-checks a trace file against the Eraser-style
 //!   lockset discipline (every in-section access licensed by a held
@@ -78,7 +78,6 @@ use bench::cli::{self, Flags, RunArgs};
 use interp::{FaultPlan, SentinelConfig};
 use lockinfer::AdaptPolicy;
 use std::process::ExitCode;
-use std::sync::Arc;
 use workloads::Contention;
 
 fn usage() -> ExitCode {
@@ -199,14 +198,7 @@ fn cmd_record(args: &[String]) -> Result<ExitCode, String> {
         cfg.sentinel.get_or_insert_with(SentinelConfig::default);
     }
     cfg.weaken = weaken;
-    // A metrics-armed run goes through the Pipeline so a registry
-    // collects the machine's end-of-run gauges; the recorded trace is
-    // byte-identical to the plain path either way.
-    let registry = metrics.as_ref().map(|_| Arc::new(obs::Registry::new()));
-    let rec = match &registry {
-        Some(reg) => Pipeline::new(cfg).metrics(Arc::clone(reg)).record()?,
-        None => replay::record(&cfg)?,
-    };
+    let rec = replay::record(&cfg)?;
     println!(
         "{name} mode={:?} k={} threads={} ops={}: makespan={} ticks{}",
         ra.mode,
@@ -220,9 +212,9 @@ fn cmd_record(args: &[String]) -> Result<ExitCode, String> {
         }
     );
     let ok = report(&rec.trace);
-    if let (Some(path), Some(reg)) = (&metrics, &registry) {
-        let mut snap = reg.snapshot();
-        snap.merge(obs::from_trace(&rec.trace));
+    if let Some(path) = &metrics {
+        let mut snap = obs::from_trace(&rec.trace);
+        snap.merge(rec.gauges.clone());
         cli::write_text(path, &snap.to_json())?;
     }
     if let Some(path) = out {

@@ -8,7 +8,7 @@
 //! contract — `"<cmd>: <flag> needs <what>"`, `"<flag>: <parse error>"`
 //! — so scripts grepping stderr keep working across bins.
 
-use atomic_lock_inference::replay::RunConfig;
+use atomic_lock_inference::replay::{parse_exec_mode, RunConfig};
 use interp::{ExecMode, Response, SentinelConfig, WeakenPlan};
 use workloads::{micro, stamp, Contention, RunSpec};
 
@@ -38,19 +38,6 @@ pub fn workload(name: &str, ops: i64, c: Contention) -> Option<RunSpec> {
         "genome" => stamp::genome(ops, 1),
         "vacation" => stamp::vacation(ops, 1),
         "kmeans" => stamp::kmeans(ops, 1),
-        _ => return None,
-    })
-}
-
-/// Parses an execution-mode name (`global`, `multigrain`/`mg`, `stm`,
-/// `validate`) into a discipline and the sentinel it is checked by:
-/// `validate` is MultiGrain under [`SentinelConfig::validate`].
-pub fn parse_exec_mode(s: &str) -> Option<(ExecMode, Option<SentinelConfig>)> {
-    Some(match s {
-        "global" => (ExecMode::Global, None),
-        "multigrain" | "mg" => (ExecMode::MultiGrain, None),
-        "stm" => (ExecMode::Stm, None),
-        "validate" => (ExecMode::MultiGrain, Some(SentinelConfig::validate())),
         _ => return None,
     })
 }

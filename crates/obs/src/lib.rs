@@ -4,10 +4,11 @@
 //! implementation: [`from_trace`], a pure function of the recorded
 //! trace bytes, so snapshots are byte-identical at every analysis and
 //! eval thread count. The interpreter emits events and nothing else.
-//! What no trace carries — the end-of-run totals only a live machine
-//! knows (`ali_run_*` gauges) and the harness's candidate counts
-//! (`ali_eval_*`) — goes through a [`Registry`] of named counters and
-//! gauges, written once per run, off every hot path.
+//! The few end-of-run totals no trace carries (`ali_run_*` gauges:
+//! heap, scheduler hand-offs, sentinel violations, unwound lock
+//! sessions) are read off the machine once per run and returned on the
+//! recording as a [`Snapshot`] of their own, which [`Snapshot::merge`]
+//! joins to the trace's.
 //!
 //! A [`Snapshot`] is the deterministic export surface: metrics sorted
 //! by `(name, labels)`, rendered as canonical JSON ([`Snapshot::to_json`],
@@ -22,118 +23,7 @@ pub mod export;
 
 pub use derive::from_trace;
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 use trace::json::Writer;
-
-/// A monotone event counter. Cheap to clone (shares the cell).
-#[derive(Clone)]
-pub struct Counter(Arc<AtomicU64>);
-
-impl Counter {
-    /// Adds `n`. Relaxed: totals are read only at snapshot time.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current total.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A last-writer-wins level (queue depths, end-of-run totals).
-#[derive(Clone)]
-pub struct Gauge(Arc<AtomicU64>);
-
-impl Gauge {
-    /// Overwrites the level.
-    #[inline]
-    pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Current level.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-enum Slot {
-    Counter(Counter),
-    Gauge(Gauge),
-}
-
-/// A named set of counters and gauges. Handle resolution takes a
-/// mutex; the handles themselves are relaxed atomics.
-#[derive(Default)]
-pub struct Registry {
-    slots: Mutex<BTreeMap<String, Slot>>,
-}
-
-impl std::fmt::Debug for Registry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Registry")
-            .field("metrics", &self.slots.lock().unwrap().len())
-            .finish()
-    }
-}
-
-impl Registry {
-    pub fn new() -> Registry {
-        Registry::default()
-    }
-
-    /// The counter named `name`, created on first use.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `name` is already registered as a different kind.
-    pub fn counter(&self, name: &str) -> Counter {
-        let mut slots = self.slots.lock().unwrap();
-        match slots
-            .entry(name.to_owned())
-            .or_insert_with(|| Slot::Counter(Counter(Arc::new(AtomicU64::new(0)))))
-        {
-            Slot::Counter(c) => c.clone(),
-            _ => panic!("metric `{name}` is not a counter"),
-        }
-    }
-
-    /// The gauge named `name`, created on first use.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `name` is already registered as a different kind.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        let mut slots = self.slots.lock().unwrap();
-        match slots
-            .entry(name.to_owned())
-            .or_insert_with(|| Slot::Gauge(Gauge(Arc::new(AtomicU64::new(0)))))
-        {
-            Slot::Gauge(g) => g.clone(),
-            _ => panic!("metric `{name}` is not a gauge"),
-        }
-    }
-
-    /// A deterministic snapshot: metrics sorted by name (the registry
-    /// map is ordered), labels empty (labelled series and histograms
-    /// come from [`from_trace`]).
-    pub fn snapshot(&self) -> Snapshot {
-        let slots = self.slots.lock().unwrap();
-        let mut snap = Snapshot::default();
-        for (name, slot) in slots.iter() {
-            let key = Key::plain(name);
-            match slot {
-                Slot::Counter(c) => snap.counters.push((key, c.get())),
-                Slot::Gauge(g) => snap.gauges.push((key, g.get())),
-            }
-        }
-        snap
-    }
-}
 
 /// A metric series identity: name plus (possibly empty) label pairs.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
@@ -179,7 +69,7 @@ impl Snapshot {
 
     /// Adds every series of `other` and restores the canonical order.
     /// The two sides are expected to name disjoint series — a
-    /// registry's `ali_run_*` / `ali_eval_*` and [`from_trace`]'s.
+    /// recording's `ali_run_*` gauges and [`from_trace`]'s.
     pub fn merge(&mut self, other: Snapshot) {
         self.counters.extend(other.counters);
         self.gauges.extend(other.gauges);
@@ -229,38 +119,6 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counters_accumulate_and_snapshot_in_name_order() {
-        let reg = Registry::new();
-        let b = reg.counter("bbb");
-        let a = reg.counter("aaa");
-        a.add(1);
-        b.add(3);
-        reg.counter("aaa").add(1); // same handle cell
-        let snap = reg.snapshot();
-        let names: Vec<&str> = snap.counters.iter().map(|(k, _)| k.name.as_str()).collect();
-        assert_eq!(names, ["aaa", "bbb"]);
-        assert_eq!(snap.counters[0].1, 2);
-        assert_eq!(snap.counters[1].1, 3);
-    }
-
-    #[test]
-    fn gauges_are_last_writer_wins() {
-        let reg = Registry::new();
-        let g = reg.gauge("depth");
-        g.set(5);
-        g.set(2);
-        assert_eq!(reg.snapshot().gauges[0].1, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "not a counter")]
-    fn kind_clashes_are_programming_errors() {
-        let reg = Registry::new();
-        reg.gauge("x");
-        reg.counter("x");
-    }
 
     #[test]
     fn snapshot_json_is_stable_under_resorting() {

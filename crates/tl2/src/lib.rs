@@ -51,8 +51,10 @@ pub struct TxnStats {
     pub commits: u64,
     /// Aborted attempts before the successful one.
     pub aborts: u64,
-    /// Transactions that exhausted their abort budget and completed as
-    /// irrevocable global-mode executions.
+    /// Transactions that completed as irrevocable global-mode
+    /// executions ([`Space::try_begin_irrevocable_by`]). Always 0 for
+    /// one [`Space::atomically`] call, which only retries; counted by
+    /// [`Space::global_stats`] for a driver with its own escalation.
     pub fallbacks: u64,
 }
 
@@ -278,14 +280,18 @@ impl Space {
     /// Attempts to begin an irrevocable transaction: one that executes
     /// in global mode, can never abort, and excludes every optimistic
     /// commit for its lifetime. This is the degradation path for
-    /// transactions starved by repeated conflicts. Fails (returning
+    /// transactions starved by repeated conflicts; the driver that
+    /// counts the aborts decides when to take it. Fails (returning
     /// `None`) while another irrevocable transaction or an optimistic
     /// commit holds the gate; a caller on a virtual-time scheduler
     /// charges the retry delay to its own clock, where a blocking wait
-    /// would stall the scheduler for real.
-    pub fn try_begin_irrevocable(&self) -> Option<Txn<'_>> {
+    /// would stall the scheduler for real. On success, counts a
+    /// fallback and notifies the observer with the driver's thread
+    /// token.
+    pub fn try_begin_irrevocable_by(&self, token: u64) -> Option<Txn<'_>> {
         let guard = self.commit_gate.try_write().ok()?;
         self.fallbacks.fetch_add(1, Ordering::Relaxed);
+        self.with_observer(|o| o.txn_fallback(token));
         Some(Txn {
             space: self,
             rv: self.clock.load(Ordering::Acquire),
@@ -295,83 +301,38 @@ impl Space {
         })
     }
 
-    /// Records an abort for the global statistics (used by explicit
-    /// begin/commit drivers; [`Space::atomically`] does this itself).
-    pub fn note_abort(&self) {
-        self.aborts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a commit for the global statistics (used by explicit
-    /// begin/commit drivers).
-    pub fn note_commit(&self) {
-        self.commits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Like [`Space::note_abort`], additionally notifying the observer
-    /// with the driver's thread token.
+    /// Records an aborted attempt of an explicit begin/commit driver
+    /// for the global statistics and notifies the observer with the
+    /// driver's thread token.
     pub fn note_abort_by(&self, token: u64) {
-        self.note_abort();
+        self.aborts.fetch_add(1, Ordering::Relaxed);
         self.with_observer(|o| o.txn_abort(token));
     }
 
-    /// Like [`Space::note_commit`], additionally notifying the observer
-    /// with the driver's thread token and the committed read/write set
-    /// sizes.
+    /// Records a commit of an explicit begin/commit driver for the
+    /// global statistics and notifies the observer with the driver's
+    /// thread token and the committed read/write set sizes.
     pub fn note_commit_by(&self, token: u64, reads: u64, writes: u64) {
-        self.note_commit();
+        self.commits.fetch_add(1, Ordering::Relaxed);
         self.with_observer(|o| o.txn_commit(token, reads, writes));
     }
 
-    /// Like [`Space::try_begin_irrevocable`], additionally notifying
-    /// the observer (on success) with the driver's thread token.
-    pub fn try_begin_irrevocable_by(&self, token: u64) -> Option<Txn<'_>> {
-        let txn = self.try_begin_irrevocable()?;
-        self.with_observer(|o| o.txn_fallback(token));
-        Some(txn)
-    }
-
-    /// Runs `body` transactionally, retrying on conflict until it
-    /// commits. The closure must be re-executable: all its side effects
-    /// should go through the transaction (the paper's argument for
-    /// pessimistic sections is precisely that irreversible actions
-    /// cannot).
+    /// Runs `body` transactionally, retrying on conflict (with capped
+    /// backoff) until it commits. The closure must be re-executable:
+    /// all its side effects should go through the transaction (the
+    /// paper's argument for pessimistic sections is precisely that
+    /// irreversible actions cannot).
     pub fn atomically<T>(
         &self,
-        body: impl FnMut(&mut Txn<'_>) -> Result<T, TxnError>,
-    ) -> (T, TxnStats) {
-        self.atomically_budgeted(u64::MAX, body)
-    }
-
-    /// Like [`Space::atomically`], but after `budget` aborted attempts
-    /// the transaction escalates to irrevocable global-mode execution
-    /// (the graceful-degradation ladder's last rung), which cannot
-    /// abort. Inside an irrevocable attempt `body` sees a transaction
-    /// whose reads are infallible; returning `Err` from there is treated
-    /// as a retryable condition and re-enters the irrevocable loop.
-    pub fn atomically_budgeted<T>(
-        &self,
-        budget: u64,
         mut body: impl FnMut(&mut Txn<'_>) -> Result<T, TxnError>,
     ) -> (T, TxnStats) {
         let mut stats = TxnStats::default();
         let mut backoff = Backoff::new();
         loop {
-            let mut txn = if stats.aborts >= budget {
-                match self.try_begin_irrevocable() {
-                    Some(t) => t,
-                    None => {
-                        backoff.spin();
-                        continue;
-                    }
-                }
-            } else {
-                self.begin()
-            };
-            let irrevocable = txn.is_irrevocable();
+            let mut txn = self.begin();
             if let Ok(out) = body(&mut txn) {
                 if txn.commit().is_ok() {
                     stats.commits = 1;
-                    stats.fallbacks = u64::from(irrevocable);
                     self.commits.fetch_add(1, Ordering::Relaxed);
                     return (out, stats);
                 }
@@ -747,26 +708,6 @@ mod tests {
     }
 
     #[test]
-    fn abort_budget_escalates_to_irrevocable() {
-        let s = Space::new(2);
-        let (out, st) = s.atomically_budgeted(4, |t| {
-            if t.is_irrevocable() {
-                let v = t.read(0)?;
-                t.write(0, v + 7);
-                Ok(42)
-            } else {
-                // Simulate a transaction that always conflicts.
-                Err(TxnError)
-            }
-        });
-        assert_eq!(out, 42);
-        assert_eq!(st.aborts, 4, "exactly the budget is spent optimistically");
-        assert_eq!(st.fallbacks, 1, "then the fallback engages");
-        assert_eq!(s.read_direct(0), 7);
-        assert_eq!(s.global_stats().fallbacks, 1);
-    }
-
-    #[test]
     fn irrevocable_writer_keeps_optimistic_readers_consistent() {
         // Same invariant as readers_see_consistent_snapshots, but the
         // writer runs irrevocably: its write-through protocol must still
@@ -781,7 +722,7 @@ mod tests {
                 while stop.load(Ordering::Relaxed) == 0 {
                     v += 1;
                     let mut t = loop {
-                        match s.try_begin_irrevocable() {
+                        match s.try_begin_irrevocable_by(0) {
                             Some(t) => break t,
                             None => std::thread::yield_now(),
                         }
@@ -789,7 +730,7 @@ mod tests {
                     t.write(0, v);
                     t.write(1, v);
                     t.commit().unwrap();
-                    s.note_commit();
+                    s.note_commit_by(0, 0, 2);
                 }
             })
         };
@@ -814,7 +755,7 @@ mod tests {
     #[test]
     fn irrevocable_reads_see_own_writes() {
         let s = Space::new(4);
-        let mut t = s.try_begin_irrevocable().expect("the gate is free");
+        let mut t = s.try_begin_irrevocable_by(0).expect("the gate is free");
         t.write(2, 9);
         assert_eq!(t.read(2).unwrap(), 9);
         t.commit().unwrap();

@@ -48,7 +48,7 @@ options:
   --run <fn>         execute <fn> in the transformed program
   --args <a,b,..>    integer arguments for --run
   --threads <n>      run <fn> on n threads (default 1)
-  --mode <m>         global | multigrain | stm (default multigrain), or
+  --mode <m>         global | multigrain (or mg) | stm (default multigrain), or
                      validate: multigrain with every in-section access
                      checked, the first unlicensed one an error
   --virtual          use the deterministic virtual-time scheduler and
@@ -94,13 +94,9 @@ fn parse_args() -> Result<Args, String> {
                     .collect::<Result<_, _>>()?
             }
             "--mode" => {
-                (args.mode, args.sentinel) = match want("--mode")?.as_str() {
-                    "global" => (ExecMode::Global, None),
-                    "multigrain" => (ExecMode::MultiGrain, None),
-                    "stm" => (ExecMode::Stm, None),
-                    "validate" => (ExecMode::MultiGrain, Some(SentinelConfig::validate())),
-                    other => return Err(format!("unknown mode `{other}`")),
-                }
+                let mode = want("--mode")?;
+                (args.mode, args.sentinel) = replay::parse_exec_mode(&mode)
+                    .ok_or_else(|| format!("unknown mode `{mode}`"))?;
             }
             "--virtual" => args.virtual_time = true,
             "-h" | "--help" => return Err(String::new()),

@@ -141,7 +141,7 @@ pub(crate) enum Stamp {
 pub(crate) enum CandidateRun {
     /// Replayed clean; the measured cost and the recording it came
     /// from.
-    Done(PlanCost, Recording),
+    Done(PlanCost, Box<Recording>),
     /// The recording was unusable; the reason to surface.
     Skipped(String),
 }
@@ -154,10 +154,6 @@ pub struct EvalContext {
     store: SummaryStore,
     lib: LibrarySpec,
     hoist: bool,
-    /// Metrics registry ([`crate::pipeline::Pipeline::metrics`]): each
-    /// run's end-of-run totals land in `ali_run_*` gauges and the
-    /// harness counts `ali_eval_*` candidate totals. `None` = off.
-    metrics: Option<Arc<obs::Registry>>,
 }
 
 impl EvalContext {
@@ -175,20 +171,7 @@ impl EvalContext {
             store: SummaryStore::new(),
             lib: LibrarySpec::new(),
             hoist,
-            metrics: None,
         })
-    }
-
-    /// Arms every run this context executes with a registry.
-    pub(crate) fn arm_metrics(&mut self, reg: Arc<obs::Registry>) {
-        self.metrics = Some(reg);
-    }
-
-    /// Bumps a harness counter on the armed registry, if any.
-    pub(crate) fn count(&self, name: &str, n: u64) {
-        if let Some(reg) = &self.metrics {
-            reg.counter(name).add(n);
-        }
     }
 
     /// The uniform configuration map `cfg` prescribes — the baseline
@@ -199,38 +182,25 @@ impl EvalContext {
 
     /// Executes `cfg` with locks inferred under `map` — the one
     /// recording primitive behind [`crate::replay::record`], baselines,
-    /// adapt candidates and repaired re-runs.
+    /// adapt candidates and repaired re-runs. Before the machine is
+    /// dropped, the recording takes its end-of-run gauges and the
+    /// sentinel's violation ledger (the evidence `crate::reinfer`
+    /// diagnoses).
     ///
     /// # Errors
     ///
     /// Returns a message on compile failure (legacy-emulation mode
-    /// recompiles per run) and for every run no machine can be built
-    /// for: see [`Self::run_one_ledger`].
+    /// recompiles per run) and for every run no machine or worker state
+    /// should be built for: `cfg` can come from a trace file or a
+    /// command line, so a size [`check_run_size`] refuses, and a section
+    /// configuration — base, override or repair — that is not
+    /// [`SchemeConfig::is_executable`], are refused here.
     pub(crate) fn run_one(
         &self,
         cfg: &RunConfig,
         map: &ConfigMap,
         stamp: Stamp,
     ) -> Result<Recording, String> {
-        Ok(self.run_one_ledger(cfg, map, stamp)?.0)
-    }
-
-    /// [`Self::run_one`] plus the sentinel's canonical violation
-    /// ledger, snapshotted before the machine is dropped — the
-    /// evidence the re-inference pass (`crate::reinfer`) diagnoses.
-    /// Empty for machines built without a sentinel.
-    ///
-    /// Every recording goes through here, and `cfg` can come from a
-    /// trace file or a command line, so this is where a run no machine
-    /// or worker state should be built for is refused: a size
-    /// [`check_run_size`] refuses, and a section configuration — base,
-    /// override or repair — that is not [`SchemeConfig::is_executable`].
-    pub(crate) fn run_one_ledger(
-        &self,
-        cfg: &RunConfig,
-        map: &ConfigMap,
-        stamp: Stamp,
-    ) -> Result<(Recording, Vec<sentinel::Violation>), String> {
         check_run_size(cfg.threads, cfg.heap_cells, self.program.globals.len())?;
         let overrides = map.overrides().iter().map(|&(_, c)| c);
         let repairs = cfg.repairs.iter().map(|&(_, _, c)| c);
@@ -264,11 +234,7 @@ impl EvalContext {
         }
         let m = Machine::new(Arc::new(transformed), pt, cfg.mode, opts);
         let (outcome, mut trace) = execute(&m, cfg);
-        // Counters accumulate across the evaluation; gauges reflect
-        // the most recent run's end-of-run totals.
-        if let Some(reg) = &self.metrics {
-            publish_run_gauges(reg, &m);
-        }
+        let gauges = run_gauges(&m);
         let ledger = m
             .sentinel()
             .map(sentinel::Sentinel::violations)
@@ -287,7 +253,12 @@ impl EvalContext {
             }
         }
         stamp_outcome(&outcome, &mut trace);
-        Ok((Recording { outcome, trace }, ledger))
+        Ok(Recording {
+            outcome,
+            trace,
+            gauges,
+            ledger,
+        })
     }
 
     /// [`Self::run_one`] for a candidate: profiles the recording into
@@ -307,7 +278,7 @@ impl EvalContext {
         }
         let prof = trace::profile(&rec.trace);
         let cost = PlanCost::from_profiles(&prof, rec.outcome.makespan);
-        Ok(CandidateRun::Done(cost, rec))
+        Ok(CandidateRun::Done(cost, Box::new(rec)))
     }
 
     /// The [`RunConfig`] a candidate runs under: `cfg` plus the frozen
@@ -326,46 +297,40 @@ impl EvalContext {
     }
 }
 
-/// Scrapes what only the live machine knows at the end of a run —
-/// multi-grain lock runtime, STM space, sentinel ladder, heap,
-/// virtual-time scheduler — into `ali_run_*` gauges. Everything a
-/// trace carries (sections, grants, faults, wake decisions, commits)
-/// is [`obs::from_trace`]'s instead. Gauges are set, not accumulated.
-fn publish_run_gauges(reg: &obs::Registry, m: &Machine) {
+/// Reads what only the live machine knows at the end of a run — heap,
+/// virtual-time scheduler, sentinel, unwound lock sessions — as
+/// `ali_run_*` gauges, in name order. Everything a trace carries
+/// (sections, grants, faults, wake decisions, commits, quarantine) is
+/// [`obs::from_trace`]'s instead.
+fn run_gauges(m: &Machine) -> obs::Snapshot {
     use std::sync::atomic::Ordering::Relaxed;
-    let set = |name: &str, v: u64| reg.gauge(name).set(v);
     let mg = m.mg_stats();
-    set("ali_run_mg_batches", mg.batches.load(Relaxed));
-    set(
-        "ali_run_mg_node_acquisitions",
-        mg.node_acquisitions.load(Relaxed),
-    );
-    set(
-        "ali_run_mg_poisoned_sessions",
-        mg.poisoned_sessions.load(Relaxed),
-    );
-    set(
-        "ali_run_mg_unwind_releases",
-        mg.unwind_releases.load(Relaxed),
-    );
-    let stm = m.stm_stats();
-    set("ali_run_stm_commits", stm.commits);
-    set("ali_run_stm_aborts", stm.aborts);
-    set("ali_run_stm_fallbacks", stm.fallbacks);
-    let (violations, quarantined, healed) = m.sentinel().map_or((0, 0, 0), |s| {
-        (
-            s.sentinel_violations(),
-            s.sections_quarantined(),
-            s.sections_healed(),
-        )
-    });
-    set("ali_run_sentinel_violations", violations);
-    set("ali_run_sections_quarantined", quarantined);
-    set("ali_run_sections_healed", healed);
-    set("ali_run_heap_used", m.heap_used());
     let (yield_points, handoffs) = m.sim_counts();
-    set("ali_run_sim_yield_points", yield_points);
-    set("ali_run_sim_handoffs", handoffs);
+    let gauges = [
+        ("ali_run_heap_used", m.heap_used()),
+        (
+            "ali_run_mg_poisoned_sessions",
+            mg.poisoned_sessions.load(Relaxed),
+        ),
+        (
+            "ali_run_mg_unwind_releases",
+            mg.unwind_releases.load(Relaxed),
+        ),
+        (
+            "ali_run_sentinel_violations",
+            m.sentinel()
+                .map_or(0, sentinel::Sentinel::sentinel_violations),
+        ),
+        ("ali_run_sim_handoffs", handoffs),
+        ("ali_run_sim_yield_points", yield_points),
+    ];
+    obs::Snapshot {
+        gauges: gauges
+            .into_iter()
+            .map(|(name, v)| (obs::Key::plain(name), v))
+            .collect(),
+        ..obs::Snapshot::default()
+    }
 }
 
 /// The wake policy a single-override candidate steers, if any.
@@ -571,7 +536,7 @@ pub(crate) fn eval_singles(scope: &EvalScope<'_>, cands: &[Candidate]) -> Result
             Ok(match run {
                 CandidateRun::Done(cost, rec) => {
                     if let Some(r) = rank(base_cost, cost, groups[keep[j]][0]) {
-                        best.offer(r, rec);
+                        best.offer(r, *rec);
                     }
                     (cost, EvalStatus::Replayed)
                 }
@@ -580,17 +545,6 @@ pub(crate) fn eval_singles(scope: &EvalScope<'_>, cands: &[Candidate]) -> Result
                 }
             })
         });
-    ctx.count("ali_eval_candidates_evaluated_total", keep.len() as u64);
-    ctx.count(
-        "ali_eval_candidates_pruned_total",
-        (reps.len() - keep.len()) as u64,
-    );
-    ctx.count(
-        "ali_eval_candidates_skipped_total",
-        runs.iter()
-            .filter(|r| matches!(r, Ok((_, EvalStatus::Skipped { .. }))))
-            .count() as u64,
-    );
     let mut out: Vec<(PlanCost, EvalStatus)> = cands
         .iter()
         .zip(&ests)

@@ -19,7 +19,7 @@
 //! | [`trace`] | event tracing, Eraser-style lockset validation, profiles |
 //! | [`sentinel`] | online lockset sentinel: inline licensing checks; a miss quarantines the section or, as the Theorem-1 checker, fails the run |
 //! | [`sched`] | pluggable deterministic wake policies + convoy detection |
-//! | [`obs`] | observability: trace-derived metric snapshots, a counter/gauge registry, exporters |
+//! | [`obs`] | observability: trace-derived metric snapshots, merged with a recording's end-of-run gauges; exporters |
 //! | [`workloads`] | the evaluation programs (micro, STAMP-like, SPEC-like) |
 //!
 //! and holds the measurement loops, each one module with its policy:
@@ -31,9 +31,9 @@
 //! | [`eval`] | the shared candidate harness both loops replay through, with its trace-analytic estimator |
 //! | [`replay`] | deterministic record/replay over traced executions |
 //!
-//! [`Pipeline`] is the builder whose three terminals are the only entry
+//! [`Pipeline`] is the builder whose two terminals are the only entry
 //! points to the loops (baseline → profile → propose → evaluate →
-//! select).
+//! select); one run is [`replay::record`].
 //!
 //! ## Quickstart
 //!

@@ -14,18 +14,16 @@
 //! use atomic_lock_inference as ali;
 //! # fn cfg() -> ali::replay::RunConfig { unimplemented!() }
 //! let run = ali::Pipeline::new(cfg())
-//!     .prune(4)
+//!     .prune(0)
 //!     .adapt(&ali::lockinfer::AdaptPolicy)?;
 //! # Ok::<(), String>(())
 //! ```
 //!
-//! A pipeline can also be armed with an [`obs::Registry`]
-//! ([`Pipeline::metrics`]) for the numbers no trace carries: every run
-//! it executes then leaves its end-of-run totals in `ali_run_*` gauges
-//! and the harness counts `ali_eval_*` candidate totals. Both are
-//! written after a run returns, so arming cannot touch the schedule or
-//! a recorded trace; a run's section, lock, fault, wake and STM
-//! metrics are [`obs::from_trace`] of its recording.
+//! A single run is [`crate::replay::record`]. Every [`Recording`] a
+//! loop returns carries its own end-of-run gauges
+//! ([`Recording::gauges`]); a run's section, lock, fault, wake and STM
+//! metrics are [`obs::from_trace`] of its trace, and a loop's candidate
+//! counts are the statuses in its report.
 
 use crate::adapt::{
     candidates as adapt_candidates, select as adapt_select, AdaptRun, Decision, DecisionReport,
@@ -39,8 +37,6 @@ use crate::reinfer::{
 use crate::replay::{Recording, RunConfig};
 use lockinfer::{par_map, AdaptPolicy};
 use lockscheme::ConfigMap;
-use sentinel::Violation;
-use std::sync::Arc;
 use trace::Trace;
 
 /// Builder over one run configuration and one set of harness knobs;
@@ -49,18 +45,16 @@ use trace::Trace;
 pub struct Pipeline {
     cfg: RunConfig,
     opts: EvalOptions,
-    metrics: Option<Arc<obs::Registry>>,
 }
 
 impl Pipeline {
     /// A pipeline over `cfg` with default [`EvalOptions`]: exact (no
     /// pruning), one eval worker and one analysis worker per core,
-    /// invariants hoisted, metrics off.
+    /// invariants hoisted.
     pub fn new(cfg: RunConfig) -> Pipeline {
         Pipeline {
             cfg,
             opts: EvalOptions::default(),
-            metrics: None,
         }
     }
 
@@ -93,38 +87,13 @@ impl Pipeline {
         self
     }
 
-    /// Arms every run this pipeline executes with a metrics registry:
-    /// `ali_run_*` end-of-run gauges scraped from each machine,
-    /// `ali_eval_*` candidate totals from the harness.
-    pub fn metrics(mut self, reg: Arc<obs::Registry>) -> Pipeline {
-        self.metrics = Some(reg);
-        self
-    }
-
     /// The run configuration this pipeline measures.
     pub fn config(&self) -> &RunConfig {
         &self.cfg
     }
 
-    fn context(&self, cfg: &RunConfig) -> Result<EvalContext, String> {
-        let mut ctx = EvalContext::new(cfg, self.opts.hoist)?;
-        if let Some(reg) = &self.metrics {
-            ctx.arm_metrics(Arc::clone(reg));
-        }
-        Ok(ctx)
-    }
-
     // ------------------------------------------------------------------
     // Terminals
-
-    /// **Baseline only**: records the configuration once, stamped with
-    /// full `run.*` metadata. This is [`crate::replay::record`], with
-    /// the same errors, but metrics-armed when the pipeline is.
-    pub fn record(&self) -> Result<Recording, String> {
-        let ctx = self.context(&self.cfg)?;
-        let base_map = ctx.base_map(&self.cfg);
-        ctx.run_one(&self.cfg, &base_map, Stamp::Run)
-    }
 
     /// Profile-guided per-section adaptation: baseline → wait/hold
     /// profiles → policy candidates → replayed evaluation (optionally
@@ -138,7 +107,7 @@ impl Pipeline {
     pub fn adapt(&self, _policy: &AdaptPolicy) -> Result<AdaptRun, String> {
         let cfg = &self.cfg;
         let opts = &self.opts;
-        let ctx = self.context(cfg)?;
+        let ctx = EvalContext::new(cfg, opts.hoist)?;
         let base_map = ctx.base_map(cfg);
         let baseline = ctx.run_one(cfg, &base_map, Stamp::Run)?;
         if baseline.trace.dropped > 0 {
@@ -222,9 +191,9 @@ impl Pipeline {
         if cfg.sentinel.is_none() {
             return Err("reinfer: the run must be sentinel-armed (set RunConfig::sentinel)".into());
         }
-        let ctx = self.context(cfg)?;
+        let ctx = EvalContext::new(cfg, opts.hoist)?;
         let base_map = ctx.base_map(cfg);
-        let (baseline, ledger) = ctx.run_one_ledger(cfg, &base_map, Stamp::Run)?;
+        let baseline = ctx.run_one(cfg, &base_map, Stamp::Run)?;
         if baseline.trace.dropped > 0 {
             return Err(format!(
                 "reinfer: baseline trace dropped {} events — raise trace_capacity",
@@ -238,7 +207,8 @@ impl Pipeline {
         // resolving each address through the baseline's
         // allocation-table snapshot yields the witnesses the policy
         // diagnoses.
-        let witnesses: Vec<Witness> = ledger
+        let witnesses: Vec<Witness> = baseline
+            .ledger
             .iter()
             .map(|v| Witness {
                 violation: v.clone(),
@@ -269,16 +239,13 @@ impl Pipeline {
             })
             .chain(cands.iter().map(|c| c.config_map(&base_map)))
             .collect();
-        let runs: Vec<Result<(Recording, Vec<Violation>), String>> =
-            par_map(maps.len(), opts.eval_threads, |i| {
-                ctx.run_one_ledger(&ecfg, &maps[i], Stamp::Adapt)
-            });
-        ctx.count("ali_eval_candidates_evaluated_total", maps.len() as u64);
+        let runs: Vec<Result<Recording, String>> = par_map(maps.len(), opts.eval_threads, |i| {
+            ctx.run_one(&ecfg, &maps[i], Stamp::Adapt)
+        });
         let mut assessed: Vec<(bool, PlanCost, EvalStatus)> = Vec::with_capacity(runs.len());
         for run in runs {
-            let (rec, cand_ledger) = run?;
+            let rec = run?;
             if rec.trace.dropped > 0 {
-                ctx.count("ali_eval_candidates_skipped_total", 1);
                 assessed.push((
                     false,
                     PlanCost::default(),
@@ -293,7 +260,7 @@ impl Pipeline {
             }
             let cost = PlanCost::from_profiles(&trace::profile(&rec.trace), rec.outcome.makespan);
             let clean = rec.outcome.error.is_none()
-                && cand_ledger.is_empty()
+                && rec.ledger.is_empty()
                 && trace::validate(&rec.trace)
                     .map(|v| v.passed())
                     .unwrap_or(false);
@@ -427,35 +394,24 @@ mod tests {
     }
 
     #[test]
-    fn record_terminal_matches_replay_record_bytes() {
-        let a = Pipeline::new(cfg()).record().unwrap();
-        let b = crate::replay::record(&cfg()).unwrap();
-        assert_eq!(a.trace.digest(), b.trace.digest());
-        assert_eq!(a.trace.to_json(), b.trace.to_json());
-        assert_eq!(a.outcome, b.outcome);
-    }
-
-    #[test]
     fn unarmed_reinfer_is_rejected_with_the_legacy_message() {
         let err = Pipeline::new(cfg()).reinfer().unwrap_err();
         assert!(err.contains("sentinel-armed"), "{err}");
     }
 
+    fn gauge(snap: &obs::Snapshot, name: &str) -> u64 {
+        snap.gauges
+            .iter()
+            .find(|(k, _)| k.name == name)
+            .map(|(_, v)| *v)
+            .unwrap_or_else(|| panic!("{name} missing from the gauges"))
+    }
+
     #[test]
-    fn metrics_armed_runs_count_sections_and_leave_traces_untouched() {
-        let reg = Arc::new(obs::Registry::new());
-        let armed = Pipeline::new(cfg())
-            .metrics(Arc::clone(&reg))
-            .record()
-            .unwrap();
-        let unarmed = Pipeline::new(cfg()).record().unwrap();
-        assert_eq!(
-            armed.trace.digest(),
-            unarmed.trace.digest(),
-            "metrics must not perturb the deterministic schedule"
-        );
+    fn recordings_carry_their_run_gauges() {
+        let rec = crate::replay::record(&cfg()).unwrap();
         // Sections and grants are counted from the recording.
-        let derived = obs::from_trace(&armed.trace);
+        let derived = obs::from_trace(&rec.trace);
         let counter = |name: &str, label: &str| {
             derived
                 .counters
@@ -468,33 +424,31 @@ mod tests {
         assert_eq!(counter("ali_trace_events_total", "section_enter"), 240);
         assert_eq!(counter("ali_section_entries_total", "1"), 120);
         assert!(counter("ali_lock_acquires_total", "X") > 0);
-        // End-of-run gauges were published.
-        let snap = reg.snapshot();
-        assert!(snap.counters.is_empty() && snap.hists.is_empty());
-        assert!(snap
-            .gauges
-            .iter()
-            .any(|(k, v)| k.name == "ali_run_mg_batches" && *v > 0));
+        // What only the machine knew rides on the recording: six
+        // gauges in name order, and no ledger without a sentinel.
+        let names: Vec<&str> = rec.gauges.gauges.iter().map(|(k, _)| &k.name[..]).collect();
+        assert_eq!(
+            names,
+            [
+                "ali_run_heap_used",
+                "ali_run_mg_poisoned_sessions",
+                "ali_run_mg_unwind_releases",
+                "ali_run_sentinel_violations",
+                "ali_run_sim_handoffs",
+                "ali_run_sim_yield_points",
+            ]
+        );
+        assert!(rec.gauges.counters.is_empty() && rec.gauges.hists.is_empty());
+        assert!(gauge(&rec.gauges, "ali_run_heap_used") > 0);
+        assert!(rec.ledger.is_empty());
         // The scheduler's hand-offs are a lookup: a lone virtual
         // thread never gives the turn away, and eight give it away at
         // some — not more than all — of their scheduling points.
         let sim_gauges = |threads: usize| {
-            let reg = Arc::new(obs::Registry::new());
-            Pipeline::new(RunConfig { threads, ..cfg() })
-                .metrics(Arc::clone(&reg))
-                .record()
-                .unwrap();
-            let snap = reg.snapshot();
-            let gauge = |name: &str| {
-                snap.gauges
-                    .iter()
-                    .find(|(k, _)| k.name == name)
-                    .map(|(_, v)| *v)
-                    .unwrap_or_else(|| panic!("{name} missing from snapshot"))
-            };
+            let rec = crate::replay::record(&RunConfig { threads, ..cfg() }).unwrap();
             (
-                gauge("ali_run_sim_yield_points"),
-                gauge("ali_run_sim_handoffs"),
+                gauge(&rec.gauges, "ali_run_sim_yield_points"),
+                gauge(&rec.gauges, "ali_run_sim_handoffs"),
             )
         };
         let (yield_points, handoffs) = sim_gauges(1);
@@ -507,21 +461,30 @@ mod tests {
         );
     }
 
+    /// Each recording carries its own gauges, so what an adapt run
+    /// reports does not depend on which candidate finished last.
     #[test]
-    fn metrics_armed_adapt_counts_harness_candidates() {
-        let reg = Arc::new(obs::Registry::new());
-        let run = Pipeline::new(cfg())
-            .metrics(Arc::clone(&reg))
-            .adapt(&AdaptPolicy)
-            .unwrap();
-        assert!(!run.report.candidates.is_empty());
-        let snap = reg.snapshot();
-        let evaluated = snap
-            .counters
-            .iter()
-            .find(|(k, _)| k.name == "ali_eval_candidates_evaluated_total")
-            .map(|(_, v)| *v)
-            .unwrap();
-        assert!(evaluated > 0, "harness counted its replays");
+    fn adapt_gauges_and_status_counts_are_identical_at_every_eval_thread_count() {
+        let facts = |threads: usize| {
+            let run = Pipeline::new(cfg())
+                .eval_threads(threads)
+                .adapt(&AdaptPolicy)
+                .unwrap();
+            let mut statuses = [0usize; 3];
+            for d in &run.report.candidates {
+                statuses[match d.status {
+                    EvalStatus::Replayed => 0,
+                    EvalStatus::Pruned { .. } => 1,
+                    EvalStatus::Skipped { .. } => 2,
+                }] += 1;
+            }
+            let adapted = run.adapted.map(|rec| rec.gauges);
+            (run.baseline.gauges, adapted, statuses)
+        };
+        let one = facts(1);
+        assert!(one.1.is_some(), "a candidate was selected");
+        assert!(one.2[0] > 1, "candidates were replayed: {:?}", one.2);
+        assert_eq!(facts(2), one, "at 2 eval threads");
+        assert_eq!(facts(7), one, "at 7 eval threads");
     }
 }

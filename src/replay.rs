@@ -329,6 +329,21 @@ pub fn check_run_size(threads: usize, heap_cells: usize, globals: usize) -> Resu
     Ok(())
 }
 
+/// Parses a command-line execution-mode name (`global`,
+/// `multigrain`/`mg`, `stm`, `validate`) into a discipline and the
+/// sentinel it is checked by: `validate` is MultiGrain under
+/// [`SentinelConfig::validate`]. `lockc` and the bench binaries share
+/// it; a trace's own `run.mode` spelling is read by [`RunConfig::from_trace`].
+pub fn parse_exec_mode(s: &str) -> Option<(ExecMode, Option<SentinelConfig>)> {
+    Some(match s {
+        "global" => (ExecMode::Global, None),
+        "multigrain" | "mg" => (ExecMode::MultiGrain, None),
+        "stm" => (ExecMode::Stm, None),
+        "validate" => (ExecMode::MultiGrain, Some(SentinelConfig::validate())),
+        _ => return None,
+    })
+}
+
 fn meta(t: &Trace, k: &str) -> Result<String, String> {
     t.meta_get(k)
         .map(str::to_owned)
@@ -403,12 +418,22 @@ pub struct RunOutcome {
     pub error: Option<String>,
 }
 
-/// The result of [`record`] or [`replay`]: the outcome plus the merged
-/// event trace with the config stamped into its metadata.
+/// The result of [`record`] or [`replay`]: the outcome, the event trace
+/// with the config stamped into its metadata, and the few numbers only
+/// the machine knew at the end of the run.
 #[derive(Clone, Debug)]
 pub struct Recording {
     pub outcome: RunOutcome,
     pub trace: Trace,
+    /// The end-of-run totals no trace carries, as `ali_run_*` gauges:
+    /// heap cells used, the virtual scheduler's yield points and
+    /// hand-offs, sentinel violations, and lock sessions poisoned and
+    /// grants released by unwinding. Everything else a run measures is
+    /// `obs::from_trace` of [`Recording::trace`].
+    pub gauges: obs::Snapshot,
+    /// The sentinel's canonical violation ledger (`(clock, tid, seq)`
+    /// order); empty for a run without a sentinel.
+    pub ledger: Vec<sentinel::Violation>,
 }
 
 /// Compiles, transforms, and executes `cfg` with tracing on, returning

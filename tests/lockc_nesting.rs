@@ -2,7 +2,8 @@
 //! 1 with a parse error on every path that reads source, where it used
 //! to abort with a stack overflow (exit 134); and a run size a recording
 //! refuses exits 1 with a one-line error, where it used to panic
-//! (exit 101) or abort on the allocation (exit 134).
+//! (exit 101) or abort on the allocation (exit 134). `--mode` takes the
+//! names `trace-dump` takes, `mg` included, through the same parser.
 
 use std::path::Path;
 use std::process::Command;
@@ -96,4 +97,33 @@ fn lockc_refuses_run_sizes_a_recording_refuses() {
         );
         assert_eq!(stderr.trim_end(), message, "{args:?}");
     }
+}
+
+#[test]
+fn lockc_reads_mode_names_as_the_bench_binaries_do() {
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join("lockc_modes.atc");
+    std::fs::write(
+        &path,
+        "global c;\nfn main() { atomic { c = c + 2; } return c; }\n",
+    )
+    .unwrap();
+    let run = |mode: &str| {
+        Command::new(env!("CARGO_BIN_EXE_lockc"))
+            .arg(&path)
+            .args(["--run", "main", "--mode", mode])
+            .output()
+            .expect("lockc runs")
+    };
+    let multigrain = run("multigrain");
+    assert_eq!(multigrain.status.code(), Some(0), "{multigrain:?}");
+    for mode in ["mg", "global", "stm", "validate"] {
+        let out = run(mode);
+        assert_eq!(out.status.code(), Some(0), "--mode {mode}: {out:?}");
+        if mode == "mg" {
+            assert_eq!(out.stdout, multigrain.stdout, "mg is multigrain");
+        }
+    }
+    let out = run("fine");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stderr).starts_with("error: unknown mode `fine`"));
 }

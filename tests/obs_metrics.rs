@@ -11,9 +11,9 @@ use atomic_lock_inference as ali;
 use ali::interp::{ExecMode, Machine, Options};
 use ali::lockinfer::library::LibrarySpec;
 use ali::lockscheme::SchemeConfig;
+use ali::obs;
 use ali::pointsto::PointsTo;
-use ali::replay::RunConfig;
-use ali::{obs, Pipeline};
+use ali::replay::{record, RunConfig};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -117,38 +117,30 @@ proptest! {
         );
     }
 
-    /// A metrics registry riding the run never perturbs the recorded
-    /// trace: armed and unarmed recordings are byte-identical.
+    /// A recording's end-of-run gauges are a function of the run, like
+    /// its trace: two recordings of one configuration carry the same
+    /// trace bytes and the same gauges, and the scheduler handed the
+    /// turn on at no more of its scheduling points than there were.
     #[test]
-    fn live_metrics_never_perturb_the_trace(
+    fn run_gauges_repeat_with_the_trace(
         seed in any::<u64>(),
         threads in 2usize..5,
         iters in 4i64..8,
     ) {
         let c = cfg(seed, threads, iters);
-        let reg = std::sync::Arc::new(obs::Registry::new());
-        let armed = Pipeline::new(c.clone())
-            .metrics(std::sync::Arc::clone(&reg))
-            .record()
-            .expect("armed recording succeeds");
-        let plain = Pipeline::new(c)
-            .record()
-            .expect("plain recording succeeds");
-        prop_assert_eq!(armed.trace.to_json(), plain.trace.to_json());
-        prop_assert_eq!(&armed.outcome, &plain.outcome);
-        // And the registry really was armed: the machine's end-of-run
-        // totals were scraped into it.
-        let snap = reg.snapshot();
+        let first = record(&c).expect("recording succeeds");
+        let again = record(&c).expect("recording succeeds");
+        prop_assert_eq!(first.trace.to_json(), again.trace.to_json());
+        prop_assert_eq!(&first.outcome, &again.outcome);
+        prop_assert_eq!(&first.gauges, &again.gauges);
         let gauge = |name: &str| {
-            snap.gauges
+            first
+                .gauges
+                .gauges
                 .iter()
                 .find(|(k, _)| k.name == name)
                 .map(|(_, v)| *v)
         };
-        prop_assert!(
-            gauge("ali_run_mg_batches") > Some(0),
-            "armed run must publish its batches"
-        );
         prop_assert!(gauge("ali_run_sim_yield_points") > Some(0));
         prop_assert!(gauge("ali_run_sim_handoffs") <= gauge("ali_run_sim_yield_points"));
     }
@@ -157,8 +149,7 @@ proptest! {
 /// Golden recording: fixed seed and shape, so the exporters' output is
 /// frozen down to the byte.
 fn golden_trace() -> ali::trace::Trace {
-    Pipeline::new(cfg(0x0B5, 4, 6))
-        .record()
+    record(&cfg(0x0B5, 4, 6))
         .expect("golden recording succeeds")
         .trace
 }

@@ -3,10 +3,11 @@
 //! irrevocable fallback. `crates/bench/tests/run_gauges.rs` covers the
 //! runs the command line can make.
 //!
-//! Every gauge a run reports equals its pin in
-//! `tests/golden/run_gauges_chaos.txt`, and the gauges a trace series
-//! also counts equal that series of `obs::from_trace`. The pins are the
-//! values of the metrics registry that collected these gauges before a
+//! Every gauge a recording carries equals its pin in
+//! `tests/golden/run_gauges_chaos.txt`, and the seven pinned gauges a
+//! trace also counts — no longer collected, since the trace has them —
+//! equal that series of `obs::from_trace`. The pins are the values of
+//! the metrics registry that collected all thirteen gauges before a
 //! recording carried them; do not re-pin them.
 
 use atomic_lock_inference as ali;
@@ -15,8 +16,6 @@ use ali::interp::{ExecMode, FaultPlan};
 use ali::obs;
 use ali::replay::RunConfig;
 use ali::workloads::{micro, Contention};
-use ali::Pipeline;
-use std::sync::Arc;
 
 /// Each gauge that a trace also counts: the derived series, and the
 /// `kind` label it is read at (`None`: summed over its labels).
@@ -116,19 +115,15 @@ fn pins() -> Vec<(String, Vec<(String, u64)>)> {
 fn chaos_run_gauges_match_their_pins_and_trace_series() {
     let pins = pins();
     for (label, cfg) in runs() {
-        let reg = Arc::new(obs::Registry::new());
-        let rec = Pipeline::new(cfg)
-            .metrics(Arc::clone(&reg))
-            .record()
-            .expect("the run records");
+        let rec = ali::replay::record(&cfg).expect("the run records");
         assert_eq!(rec.trace.dropped, 0, "{label}: the trace is whole");
-        let gauges: Vec<(String, u64)> = reg
-            .snapshot()
+        let carried: Vec<(&str, u64)> = rec
             .gauges
-            .into_iter()
-            .map(|(k, v)| (k.name, v))
+            .gauges
+            .iter()
+            .map(|(k, v)| (&k.name[..], *v))
             .collect();
-        let line: Vec<String> = gauges.iter().map(|(n, v)| format!("{n}={v}")).collect();
+        let line: Vec<String> = carried.iter().map(|(n, v)| format!("{n}={v}")).collect();
         let pinned = &pins
             .iter()
             .find(|(l, _)| l == label)
@@ -141,9 +136,14 @@ fn chaos_run_gauges_match_their_pins_and_trace_series() {
                 .map(|&(_, v)| v)
                 .unwrap_or_else(|| panic!("{label}: {name} is not pinned"))
         };
-        for (name, v) in &gauges {
-            assert_eq!(*v, pin(name), "{label}: {name}");
-        }
+        // The recording carries exactly the pinned gauges no trace
+        // counts, at their pinned values.
+        let untraced: Vec<(&str, u64)> = pinned
+            .iter()
+            .filter(|(n, _)| AGREEMENT.iter().all(|&(g, _, _)| g != n))
+            .map(|(n, v)| (&n[..], *v))
+            .collect();
+        assert_eq!(carried, untraced, "{label}");
         let derived = obs::from_trace(&rec.trace);
         for (gauge, series, kind) in AGREEMENT {
             let v: u64 = derived
