@@ -190,11 +190,11 @@ impl EvalContext {
     /// # Errors
     ///
     /// Returns a message on compile failure (legacy-emulation mode
-    /// recompiles per run) and for every run no machine or worker state
-    /// should be built for: `cfg` can come from a trace file or a
-    /// command line, so a size [`check_run_size`] refuses, and a section
-    /// configuration — base, override or repair — that is not
-    /// [`SchemeConfig::is_executable`], are refused here.
+    /// recompiles per run) and for a run no machine or worker state
+    /// should be built for: a size [`check_run_size`] refuses, or a
+    /// section configuration — base, override or repair — that is not
+    /// [`SchemeConfig::is_executable`]. Every recording goes through
+    /// here, and `cfg` can come from a trace file or a command line.
     pub(crate) fn run_one(
         &self,
         cfg: &RunConfig,

@@ -14,7 +14,7 @@
 //! use atomic_lock_inference as ali;
 //! # fn cfg() -> ali::replay::RunConfig { unimplemented!() }
 //! let run = ali::Pipeline::new(cfg())
-//!     .prune(0)
+//!     .prune(4)
 //!     .adapt(&ali::lockinfer::AdaptPolicy)?;
 //! # Ok::<(), String>(())
 //! ```

@@ -333,7 +333,8 @@ pub fn check_run_size(threads: usize, heap_cells: usize, globals: usize) -> Resu
 /// `multigrain`/`mg`, `stm`, `validate`) into a discipline and the
 /// sentinel it is checked by: `validate` is MultiGrain under
 /// [`SentinelConfig::validate`]. `lockc` and the bench binaries share
-/// it; a trace's own `run.mode` spelling is read by [`RunConfig::from_trace`].
+/// it; [`RunConfig::from_trace`] reads a trace's own `run.mode`
+/// spelling.
 pub fn parse_exec_mode(s: &str) -> Option<(ExecMode, Option<SentinelConfig>)> {
     Some(match s {
         "global" => (ExecMode::Global, None),
