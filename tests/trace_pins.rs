@@ -5,7 +5,9 @@
 //! [`EventKind::NAMES`] entry and every [`NodeKey::CLASSES`] entry, so
 //! a change to how events are stored or read that alters any kind or
 //! node shape fails here. The JSON reports of the re-inference and
-//! adapt runs among them are pinned by FNV-1a digest too.
+//! adapt runs among them are pinned by FNV-1a digest too, and so are
+//! the repair report and healed trace of the scale twin CI's heal gate
+//! re-infers.
 //!
 //! A change that moves a pin on purpose prints the new values with
 //! `PRINT_PINS=1 cargo test --release --test trace_pins -- --nocapture`.
@@ -398,4 +400,56 @@ fn the_pins_cover_every_kind_and_node_class() {
     }
     assert_eq!(kinds, EventKind::NAMES.into_iter().collect());
     assert_eq!(classes, NodeKey::CLASSES.into_iter().collect());
+}
+
+/// The repair report and healed-recording digest of the run CI's heal
+/// gate makes, `trace-dump reinfer scale --threads 8 --ops 4 --weaken
+/// 5:0`: a scale twin whose weakened section 5 heals onto a widened
+/// repair.
+const SCALE_REPAIR_REPORT_FNV: &str = "35c1aa6d6d43b1db";
+const SCALE_HEALED_DIGEST: &str = "eac236561f5e1810";
+
+#[test]
+fn the_scale_twin_heal_gate_matches_its_pins() {
+    // `trace-dump`'s `scale` workload under its `reinfer` defaults:
+    // k 9, MultiGrain, a default quarantine sentinel.
+    let p = ScaleParams {
+        depth: 3,
+        width: 4,
+        sections: 12,
+        stmts_per_fn: 10,
+        seed: 11,
+    };
+    let mut cfg = RunConfig::from_spec(&scale::smoke("scale", p, 4), 9, ExecMode::MultiGrain, 8);
+    cfg.sentinel = Some(SentinelConfig::default());
+    cfg.weaken = Some(WeakenPlan {
+        section: 5,
+        drop_index: 0,
+    });
+    for threads in [1, 7] {
+        let run = Pipeline::new(cfg.clone())
+            .eval_threads(threads)
+            .reinfer()
+            .expect("re-inference runs");
+        let report = run.report.to_json();
+        let healed = run.healed.expect("the weakened section heals").trace;
+        if std::env::var_os("PRINT_PINS").is_some() {
+            println!(
+                "scale repair report {} healed {}",
+                fnv(&report),
+                healed.digest()
+            );
+        }
+        assert!(report.contains("\"admitted\":0"), "{report}");
+        assert_eq!(
+            fnv(&report),
+            SCALE_REPAIR_REPORT_FNV,
+            "scale repair report at {threads} eval threads"
+        );
+        assert_eq!(
+            healed.digest(),
+            SCALE_HEALED_DIGEST,
+            "scale healed digest at {threads} eval threads"
+        );
+    }
 }
