@@ -15,7 +15,7 @@
 //! cargo run -p bench --release --bin adapt-table
 //! ```
 
-use atomic_lock_inference::adapt::{select, Adjustment, Decision, DecisionReport, PlanCost};
+use atomic_lock_inference::adapt::{select, Adjustment, DecisionReport};
 use atomic_lock_inference::replay::RunConfig;
 use atomic_lock_inference::Pipeline;
 use bench::cli::delta_pct;
@@ -44,20 +44,23 @@ fn specs() -> Vec<(usize, RunSpec)> {
 /// The `wake` cell: the best replayed wake-policy candidate's tag and
 /// Δwait % against the baseline, `-` when none waits strictly less.
 fn wake_cell(report: &DecisionReport) -> String {
-    let wake: Vec<&Decision> = report
+    let wake = report
         .candidates
         .iter()
-        .filter(|d| {
+        .enumerate()
+        .filter(|(_, d)| {
             matches!(d.candidate.adjustment, Adjustment::WakePolicy(_)) && d.status.is_replayed()
         })
-        .collect();
-    let costs: Vec<PlanCost> = wake.iter().map(|d| d.cost).collect();
-    match select(report.baseline, &costs) {
-        Some(i) => format!(
-            "{} {:+.1}",
-            wake[i].candidate.adjustment.tag(),
-            delta_pct(report.baseline.total_wait, costs[i].total_wait)
-        ),
+        .map(|(i, d)| (i, d.cost));
+    match select(report.baseline, wake) {
+        Some(i) => {
+            let d = &report.candidates[i];
+            format!(
+                "{} {:+.1}",
+                d.candidate.adjustment.tag(),
+                delta_pct(report.baseline.total_wait, d.cost.total_wait)
+            )
+        }
         None => "-".to_string(),
     }
 }

@@ -277,15 +277,20 @@ pub(crate) fn rank(baseline: PlanCost, cost: PlanCost, index: usize) -> Option<R
     (cost.total_wait < baseline.total_wait).then_some((cost.total_wait, cost.makespan, index))
 }
 
-/// Picks the winning candidate: the lowest `rank` — strictly lower
-/// total replayed wait than the baseline, ties broken by lower
-/// makespan, then by candidate order. Returns `None` when no candidate
-/// improves on the baseline (the global configuration stands).
-pub fn select(baseline: PlanCost, outcomes: &[PlanCost]) -> Option<usize> {
-    outcomes
-        .iter()
-        .enumerate()
-        .filter_map(|(i, &c)| rank(baseline, c, i))
+/// Picks the winner among the eligible `(candidate index, measured
+/// cost)` pairs: the lowest `rank` — strictly lower total replayed wait
+/// than the baseline, ties broken by lower makespan, then by candidate
+/// index. Returns `None` when no eligible candidate improves on the
+/// baseline (the baseline stands). Both loops select with it: adapt
+/// over its replayed candidates against the baseline, re-inference over
+/// a section's clean repairs against the global demotion.
+pub fn select(
+    baseline: PlanCost,
+    eligible: impl IntoIterator<Item = (usize, PlanCost)>,
+) -> Option<usize> {
+    eligible
+        .into_iter()
+        .filter_map(|(i, c)| rank(baseline, c, i))
         .min()
         .map(|(_, _, i)| i)
 }
@@ -549,9 +554,15 @@ mod tests {
             makespan: 55,
             ..PlanCost::default()
         };
-        assert_eq!(select(b, &[worse, tie]), None);
-        assert_eq!(select(b, &[worse, better, best]), Some(2));
-        assert_eq!(select(b, &[best, better]), Some(0));
+        assert_eq!(select(b, [worse, tie].into_iter().enumerate()), None);
+        assert_eq!(
+            select(b, [worse, better, best].into_iter().enumerate()),
+            Some(2)
+        );
+        assert_eq!(select(b, [best, better].into_iter().enumerate()), Some(0));
+        // The index returned is the pair's own, not its position among
+        // the eligible.
+        assert_eq!(select(b, [(3, better), (5, best)]), Some(5));
     }
 
     #[test]
@@ -762,7 +773,7 @@ mod tests {
     /// equal, at every eval thread count.
     #[test]
     fn the_kept_recording_equals_a_rerun_of_the_selected_candidate() {
-        use crate::eval::{EvalContext, Stamp};
+        use crate::eval::{CandidateRun, EvalContext};
         for cfg in [cfg(), scale_cfg()] {
             let ctx = EvalContext::new(&cfg, true).unwrap();
             let base_map = ctx.base_map(&cfg);
@@ -775,12 +786,15 @@ mod tests {
                 let winner = run.report.winner().expect("a candidate wins");
                 let profiles = trace::profile(&run.baseline.trace);
                 let again = ctx
-                    .run_one(
+                    .eval_candidate(
                         &EvalContext::candidate_cfg(&cfg, &winner.candidate, &profiles),
                         &winner.candidate.config_map(&base_map),
-                        Stamp::Adapt,
                     )
                     .unwrap();
+                let CandidateRun::Done(cost, again) = again else {
+                    panic!("{label}: the winner's rerun was skipped");
+                };
+                assert_eq!(cost, winner.cost, "{label}");
                 let kept = run.adapted.expect("the winner's recording is kept");
                 assert_eq!(kept.trace.digest(), again.trace.digest(), "{label}");
                 assert_eq!(kept.outcome, again.outcome, "{label}");

@@ -87,6 +87,7 @@ use interp::Machine;
 use lockinfer::library::LibrarySpec;
 use lockinfer::{par_map, SummaryStore};
 use lockscheme::{ConfigMap, SchemeConfig};
+use std::borrow::Cow;
 use std::sync::{Arc, Mutex, PoisonError};
 use trace::SectionProfile;
 
@@ -157,6 +158,32 @@ pub struct EvalContext {
 }
 
 impl EvalContext {
+    /// The step both loops start from: compile `cfg`'s program, then
+    /// record its baseline under the uniform map — returned with the
+    /// context and the map. `terminal` names the loop in the errors.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message on compile failure, and when the baseline
+    /// trace overflowed its capacity: every candidate's evidence
+    /// derives from it.
+    pub(crate) fn baseline(
+        cfg: &RunConfig,
+        hoist: bool,
+        terminal: &str,
+    ) -> Result<(EvalContext, ConfigMap, Recording), String> {
+        let ctx = EvalContext::new(cfg, hoist)?;
+        let base_map = ctx.base_map(cfg);
+        let baseline = ctx.run_one(cfg, &base_map, Stamp::Run)?;
+        if baseline.trace.dropped > 0 {
+            return Err(format!(
+                "{terminal}: baseline trace dropped {} events — raise trace_capacity",
+                baseline.trace.dropped
+            ));
+        }
+        Ok((ctx, base_map, baseline))
+    }
+
     /// Compiles `cfg`'s program and runs points-to, once.
     ///
     /// # Errors
@@ -279,6 +306,32 @@ impl EvalContext {
         let prof = trace::profile(&rec.trace);
         let cost = PlanCost::from_profiles(&prof, rec.outcome.makespan);
         Ok(CandidateRun::Done(cost, Box::new(rec)))
+    }
+
+    /// Evaluates every `(run configuration, lock map)` job through
+    /// [`Self::eval_candidate`], concurrently on `threads` eval workers
+    /// (`0` = one per core) — the candidate loop of both terminals.
+    /// `fold(i, run)` reduces job `i`'s run in its worker, so a
+    /// recording outlives its evaluation only where `fold` keeps it.
+    /// Results come back in job order, whatever order the runs finish
+    /// in.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first job, in job order, whose execution failed
+    /// outright.
+    pub(crate) fn eval_candidates<T: Send>(
+        &self,
+        jobs: &[(Cow<'_, RunConfig>, ConfigMap)],
+        threads: usize,
+        fold: impl Fn(usize, CandidateRun) -> T + Sync,
+    ) -> Result<Vec<T>, String> {
+        par_map(jobs.len(), threads, |i| {
+            let (cfg, map) = &jobs[i];
+            self.eval_candidate(cfg, map).map(|run| fold(i, run))
+        })
+        .into_iter()
+        .collect()
     }
 
     /// The [`RunConfig`] a candidate runs under: `cfg` plus the frozen
@@ -527,31 +580,29 @@ pub(crate) fn eval_singles(scope: &EvalScope<'_>, cands: &[Candidate]) -> Result
         Some(top_k) => prune(&reps, profiles, base_cost, top_k),
         None => (0..reps.len()).collect(),
     };
-    let best = Best::new();
-    let runs: Vec<Result<(PlanCost, EvalStatus), String>> =
-        par_map(keep.len(), opts.eval_threads, |j| {
-            let rep = &reps[keep[j]];
-            let cand_cfg = EvalContext::candidate_cfg(cfg, rep, profiles);
-            let run = ctx.eval_candidate(&cand_cfg, &rep.config_map(base_map))?;
-            Ok(match run {
-                CandidateRun::Done(cost, rec) => {
-                    if let Some(r) = rank(base_cost, cost, groups[keep[j]][0]) {
-                        best.offer(r, *rec);
-                    }
-                    (cost, EvalStatus::Replayed)
-                }
-                CandidateRun::Skipped(reason) => {
-                    (PlanCost::default(), EvalStatus::Skipped { reason })
-                }
-            })
-        });
-    let mut out: Vec<(PlanCost, EvalStatus)> = cands
+    let jobs: Vec<(Cow<'_, RunConfig>, ConfigMap)> = keep
         .iter()
-        .zip(&ests)
-        .map(|(_, &est)| (PlanCost::default(), EvalStatus::Pruned { est }))
+        .map(|&g| {
+            let rep = &reps[g];
+            let cand_cfg = EvalContext::candidate_cfg(cfg, rep, profiles);
+            (Cow::Owned(cand_cfg), rep.config_map(base_map))
+        })
         .collect();
-    for (j, run) in runs.into_iter().enumerate() {
-        let shared = run?;
+    let best = Best::new();
+    let runs = ctx.eval_candidates(&jobs, opts.eval_threads, |j, run| match run {
+        CandidateRun::Done(cost, rec) => {
+            if let Some(r) = rank(base_cost, cost, groups[keep[j]][0]) {
+                best.offer(r, *rec);
+            }
+            (cost, EvalStatus::Replayed)
+        }
+        CandidateRun::Skipped(reason) => (PlanCost::default(), EvalStatus::Skipped { reason }),
+    })?;
+    let mut out: Vec<(PlanCost, EvalStatus)> = ests
+        .iter()
+        .map(|&est| (PlanCost::default(), EvalStatus::Pruned { est }))
+        .collect();
+    for (j, shared) in runs.into_iter().enumerate() {
         for &i in &groups[keep[j]] {
             out[i] = shared.clone();
         }
@@ -721,7 +772,10 @@ mod tests {
                     best.offer(r, i);
                 }
             }
-            prop_assert_eq!(best.into_inner().map(|(_, i)| i), select(baseline, &costs));
+            prop_assert_eq!(
+                best.into_inner().map(|(_, i)| i),
+                select(baseline, costs.iter().copied().enumerate())
+            );
         }
     }
 }

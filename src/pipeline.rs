@@ -26,17 +26,20 @@
 //! counts are the statuses in its report.
 
 use crate::adapt::{
-    candidates as adapt_candidates, select as adapt_select, AdaptRun, Decision, DecisionReport,
-    EvalStatus, PlanCost,
+    candidates as adapt_candidates, select, AdaptRun, Decision, DecisionReport, EvalStatus,
+    PlanCost,
 };
-use crate::eval::{eval_singles, EvalContext, EvalOptions, EvalScope, Singles, Stamp};
+use crate::eval::{
+    eval_singles, CandidateRun, EvalContext, EvalOptions, EvalScope, Singles, Stamp,
+};
 use crate::reinfer::{
-    admit, candidates as repair_candidates, ReinferRun, RepairDecision, RepairOutcome,
-    RepairReport, SectionReport, Witness,
+    candidates as repair_candidates, is_clean, ReinferRun, RepairDecision, RepairReport,
+    SectionReport, Witness,
 };
-use crate::replay::{Recording, RunConfig};
-use lockinfer::{par_map, AdaptPolicy};
+use crate::replay::RunConfig;
+use lockinfer::AdaptPolicy;
 use lockscheme::ConfigMap;
+use std::borrow::Cow;
 use trace::Trace;
 
 /// Builder over one run configuration and one set of harness knobs;
@@ -107,15 +110,7 @@ impl Pipeline {
     pub fn adapt(&self, _policy: &AdaptPolicy) -> Result<AdaptRun, String> {
         let cfg = &self.cfg;
         let opts = &self.opts;
-        let ctx = EvalContext::new(cfg, opts.hoist)?;
-        let base_map = ctx.base_map(cfg);
-        let baseline = ctx.run_one(cfg, &base_map, Stamp::Run)?;
-        if baseline.trace.dropped > 0 {
-            return Err(format!(
-                "adapt: baseline trace dropped {} events — raise trace_capacity",
-                baseline.trace.dropped
-            ));
-        }
+        let (ctx, base_map, baseline) = EvalContext::baseline(cfg, opts.hoist, "adapt")?;
         let profiles = trace::profile(&baseline.trace);
         let cands = adapt_candidates(&profiles, &base_map);
         let base_cost = PlanCost::from_profiles(&profiles, baseline.outcome.makespan);
@@ -131,30 +126,22 @@ impl Pipeline {
         let Singles { costs, kept } = eval_singles(&scope, &cands)?;
         let decisions: Vec<Decision> = cands
             .iter()
-            .zip(&costs)
+            .zip(costs)
             .map(|(cand, (cost, status))| Decision {
                 candidate: *cand,
-                cost: *cost,
-                status: status.clone(),
+                cost,
+                status,
             })
             .collect();
-        // Selection runs over the replayed subset only (pruned/skipped
-        // candidates have no measured cost), mapped back to canonical
-        // candidate indices.
-        let replayed: Vec<usize> = decisions
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| d.status.is_replayed())
-            .map(|(i, _)| i)
-            .collect();
-        let selected = adapt_select(
+        // Pruned and skipped candidates have no measured cost.
+        let selected = select(
             base_cost,
-            &replayed
+            decisions
                 .iter()
-                .map(|&i| decisions[i].cost)
-                .collect::<Vec<_>>(),
-        )
-        .map(|j| replayed[j]);
+                .enumerate()
+                .filter(|(_, d)| d.status.is_replayed())
+                .map(|(i, d)| (i, d.cost)),
+        );
         let report = DecisionReport {
             name: cfg.name.clone(),
             mode: format!("{:?}", cfg.mode),
@@ -187,19 +174,10 @@ impl Pipeline {
     /// unusable (capacity overflow).
     pub fn reinfer(&self) -> Result<ReinferRun, String> {
         let cfg = &self.cfg;
-        let opts = &self.opts;
         if cfg.sentinel.is_none() {
             return Err("reinfer: the run must be sentinel-armed (set RunConfig::sentinel)".into());
         }
-        let ctx = EvalContext::new(cfg, opts.hoist)?;
-        let base_map = ctx.base_map(cfg);
-        let baseline = ctx.run_one(cfg, &base_map, Stamp::Run)?;
-        if baseline.trace.dropped > 0 {
-            return Err(format!(
-                "reinfer: baseline trace dropped {} events — raise trace_capacity",
-                baseline.trace.dropped
-            ));
-        }
+        let (ctx, base_map, baseline) = EvalContext::baseline(cfg, self.opts.hoist, "reinfer")?;
         let base_cost =
             PlanCost::from_profiles(&trace::profile(&baseline.trace), baseline.outcome.makespan);
 
@@ -223,14 +201,14 @@ impl Pipeline {
         };
         let cands = repair_candidates(&witnesses, &base_map);
 
-        // Candidate and reference runs replay the steady state the
-        // repair would install: the weaken fault (the modeled
-        // inference bug) is off, the sentinel stays armed so
-        // cleanliness is measured, and the schedule is otherwise
-        // identical.
+        // Reference and repair runs replay the steady state the repair
+        // would install: the weaken fault (the modeled inference bug)
+        // is off, the sentinel stays armed so cleanliness is measured,
+        // and the schedule is otherwise identical. One reference per
+        // offending section comes first, then every repair candidate.
         let mut ecfg = cfg.clone();
         ecfg.weaken = None;
-        let maps: Vec<ConfigMap> = sections
+        let jobs: Vec<(Cow<'_, RunConfig>, ConfigMap)> = sections
             .iter()
             .map(|&s| {
                 let mut m = base_map.clone();
@@ -238,34 +216,14 @@ impl Pipeline {
                 m
             })
             .chain(cands.iter().map(|c| c.config_map(&base_map)))
+            .map(|m| (Cow::Borrowed(&ecfg), m))
             .collect();
-        let runs: Vec<Result<Recording, String>> = par_map(maps.len(), opts.eval_threads, |i| {
-            ctx.run_one(&ecfg, &maps[i], Stamp::Adapt)
-        });
-        let mut assessed: Vec<(bool, PlanCost, EvalStatus)> = Vec::with_capacity(runs.len());
-        for run in runs {
-            let rec = run?;
-            if rec.trace.dropped > 0 {
-                assessed.push((
-                    false,
-                    PlanCost::default(),
-                    EvalStatus::Skipped {
-                        reason: format!(
-                            "candidate trace dropped {} events - raise trace_capacity",
-                            rec.trace.dropped
-                        ),
-                    },
-                ));
-                continue;
+        let assessed = ctx.eval_candidates(&jobs, self.opts.eval_threads, |_, run| match run {
+            CandidateRun::Done(cost, rec) => (is_clean(&rec), cost, EvalStatus::Replayed),
+            CandidateRun::Skipped(reason) => {
+                (false, PlanCost::default(), EvalStatus::Skipped { reason })
             }
-            let cost = PlanCost::from_profiles(&trace::profile(&rec.trace), rec.outcome.makespan);
-            let clean = rec.outcome.error.is_none()
-                && rec.ledger.is_empty()
-                && trace::validate(&rec.trace)
-                    .map(|v| v.passed())
-                    .unwrap_or(false);
-            assessed.push((clean, cost, EvalStatus::Replayed));
-        }
+        })?;
 
         let mut reports: Vec<SectionReport> = Vec::with_capacity(sections.len());
         for (si, &section) in sections.iter().enumerate() {
@@ -275,40 +233,35 @@ impl Pipeline {
                     "reinfer: global-demotion reference for section {section} was unusable"
                 ));
             }
-            let demoted = *demoted;
-            let members: Vec<usize> = cands
+            let decisions: Vec<RepairDecision> = cands
                 .iter()
-                .enumerate()
-                .filter(|(_, c)| c.section == section)
-                .map(|(i, _)| i)
-                .collect();
-            let decisions: Vec<RepairDecision> = members
-                .iter()
-                .map(|&i| {
-                    let (clean, cost, status) = assessed[sections.len() + i].clone();
-                    RepairDecision {
-                        candidate: cands[i],
-                        clean,
-                        cost,
-                        status,
-                    }
+                .zip(&assessed[sections.len()..])
+                .filter(|(c, _)| c.section == section)
+                .map(|(c, (clean, cost, status))| RepairDecision {
+                    candidate: *c,
+                    clean: *clean,
+                    cost: *cost,
+                    status: status.clone(),
                 })
                 .collect();
-            let outcomes: Vec<RepairOutcome> = decisions
-                .iter()
-                .map(|d| RepairOutcome {
-                    clean: d.clean && d.status.is_replayed(),
-                    cost: d.cost,
-                })
-                .collect();
-            let admitted = admit(demoted, &outcomes);
+            // A repair is admitted only when its replay was clean (a
+            // skipped replay never is) and it waits strictly less than
+            // the demotion it replaces.
+            let admitted = select(
+                *demoted,
+                decisions
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, d)| d.clean)
+                    .map(|(i, d)| (i, d.cost)),
+            );
             reports.push(SectionReport {
                 section,
                 violations: witnesses
                     .iter()
                     .filter(|w| w.violation.section == section)
                     .count() as u64,
-                demoted,
+                demoted: *demoted,
                 candidates: decisions,
                 admitted,
             });

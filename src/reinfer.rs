@@ -59,9 +59,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::adapt::{
-    rank, write_config, write_cost, write_header, write_index, EvalStatus, PlanCost,
-};
+use crate::adapt::{write_config, write_cost, write_header, write_index, EvalStatus, PlanCost};
 use crate::replay::Recording;
 use lockscheme::{ConfigMap, SchemeConfig};
 use mglock::{FineAddr, NodeKey};
@@ -326,32 +324,13 @@ pub(crate) fn candidates(witnesses: &[Witness], base: &ConfigMap) -> Vec<RepairC
     out
 }
 
-/// Outcome of replaying one repair candidate (step 4 of the
-/// module docs).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) struct RepairOutcome {
-    /// The replayed trace validated lockset-clean with zero sentinel
-    /// violations.
-    pub clean: bool,
-    /// The replayed cost.
-    pub cost: PlanCost,
-}
-
-/// The acceptance rule: a repair is admitted only if its replay is
-/// lockset-clean **and** strictly cheaper (total virtual-time wait)
-/// than `demoted` — the measured cost of leaving the section on the
-/// quarantine ladder's global demotion. Among those, the lowest
-/// [`rank`] wins: ties break by lower makespan, then generation
-/// order. `None` means the demotion stands (always sound, never wrong
-/// — just slow).
-pub(crate) fn admit(demoted: PlanCost, outcomes: &[RepairOutcome]) -> Option<usize> {
-    outcomes
-        .iter()
-        .enumerate()
-        .filter(|(_, o)| o.clean)
-        .filter_map(|(i, o)| rank(demoted, o.cost, i))
-        .min()
-        .map(|(_, _, i)| i)
+/// The cleanliness verdict on one replayed repair or reference run
+/// (step 4 of the module docs): it ran to completion, the sentinel
+/// recorded no violation, and the offline validator passed its trace.
+pub(crate) fn is_clean(rec: &Recording) -> bool {
+    rec.outcome.error.is_none()
+        && rec.ledger.is_empty()
+        && trace::validate(&rec.trace).is_ok_and(|v| v.passed())
 }
 
 /// One evaluated repair candidate: the proposal plus its measured
@@ -650,48 +629,40 @@ mod tests {
 
     #[test]
     fn admit_requires_clean_and_strictly_cheaper_than_the_demotion() {
+        use crate::adapt::select;
         let demoted = PlanCost {
             total_wait: 100,
             makespan: 50,
             ..PlanCost::default()
         };
-        let cheap_dirty = RepairOutcome {
-            clean: false,
-            cost: PlanCost {
-                total_wait: 10,
-                ..PlanCost::default()
-            },
+        let cost = |total_wait, makespan| PlanCost {
+            total_wait,
+            makespan,
+            ..PlanCost::default()
         };
-        let clean_tie = RepairOutcome {
-            clean: true,
-            cost: PlanCost {
-                total_wait: 100,
-                ..PlanCost::default()
-            },
-        };
-        let clean_cheap = RepairOutcome {
-            clean: true,
-            cost: PlanCost {
-                total_wait: 80,
-                makespan: 60,
-                ..PlanCost::default()
-            },
-        };
-        let clean_cheapest_tie = RepairOutcome {
-            clean: true,
-            cost: PlanCost {
-                total_wait: 80,
-                makespan: 55,
-                ..PlanCost::default()
-            },
+        // `(clean, cost)` per repair, in generation order.
+        let cheap_dirty = (false, cost(10, 0));
+        let clean_tie = (true, cost(100, 0));
+        let clean_cheap = (true, cost(80, 60));
+        let clean_cheapest_tie = (true, cost(80, 55));
+        // The loop's admission: `select` over the clean repairs only.
+        let admit = |repairs: &[(bool, PlanCost)]| {
+            select(
+                demoted,
+                repairs
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, r)| r.0)
+                    .map(|(i, r)| (i, r.1)),
+            )
         };
         // A lockset-dirty replay never wins, however cheap.
-        assert_eq!(admit(demoted, &[cheap_dirty, clean_tie]), None);
+        assert_eq!(admit(&[cheap_dirty, clean_tie]), None);
         assert_eq!(
-            admit(demoted, &[cheap_dirty, clean_cheap, clean_cheapest_tie]),
+            admit(&[cheap_dirty, clean_cheap, clean_cheapest_tie]),
             Some(2)
         );
-        assert_eq!(admit(demoted, &[clean_cheapest_tie, clean_cheap]), Some(0));
+        assert_eq!(admit(&[clean_cheapest_tie, clean_cheap]), Some(0));
     }
 
     #[test]
