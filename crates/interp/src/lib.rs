@@ -936,4 +936,35 @@ mod tests {
         m.run_threads("work", 4, |_| vec![50]).unwrap();
         assert_eq!(m.run_named("main", &[]).unwrap(), 200);
     }
+
+    #[test]
+    fn every_entry_point_checks_the_argument_count() {
+        // `work` takes one argument; three, or none, do not fit under
+        // either scheduler, and no thread runs.
+        let m = machine_for(COUNTER_SRC, 3, ExecMode::MultiGrain, Options::default()).unwrap();
+        let mismatch = |got| InterpError::ArityMismatch {
+            func: "work".into(),
+            want: 1,
+            got,
+        };
+        for argv in [vec![5, 6, 7], vec![]] {
+            let got = argv.len();
+            let virt = m.run_threads_virtual("work", 2, |_| argv.clone());
+            assert_eq!(virt.unwrap_err(), mismatch(got));
+            let real = m.run_threads("work", 2, |_| argv.clone());
+            assert_eq!(real.unwrap_err(), mismatch(got));
+            assert_eq!(m.run_named("work", &argv).unwrap_err(), mismatch(got));
+        }
+        // One thread's misfit fails the whole run before it starts.
+        let odd = |tid| if tid == 1 { vec![] } else { vec![5] };
+        assert_eq!(
+            m.run_threads_virtual("work", 3, odd).unwrap_err(),
+            mismatch(0)
+        );
+        assert_eq!(m.run_named("main", &[]).unwrap(), 0);
+        assert_eq!(
+            m.run_threads_virtual("missing", 2, |_| vec![]).unwrap_err(),
+            InterpError::NoSuchFunction("missing".into())
+        );
+    }
 }

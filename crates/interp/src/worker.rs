@@ -1798,11 +1798,46 @@ impl Machine {
     ///
     /// Returns any runtime error raised during execution.
     pub fn run_named(&self, name: &str, args: &[i64]) -> Result<i64, InterpError> {
-        let f = self
-            .program
+        self.run_fn(self.entry(name)?, args, 0)
+    }
+
+    /// The function a run named `name` enters: the one lookup of
+    /// [`Machine::run_named`], [`Machine::run_threads`] and
+    /// [`Machine::run_threads_virtual`].
+    fn entry(&self, name: &str) -> Result<FnId, InterpError> {
+        self.program
             .function_named(name)
-            .ok_or_else(|| InterpError::NoSuchFunction(name.to_owned()))?;
-        self.run_fn(f, args, 0)
+            .ok_or_else(|| InterpError::NoSuchFunction(name.to_owned()))
+    }
+
+    /// Checks `args` against `f`'s parameter list: the one arity check
+    /// of every entry point, made before any thread starts.
+    fn check_arity(&self, f: FnId, args: &[i64]) -> Result<(), InterpError> {
+        let want = self.program.func(f).params.len();
+        if want != args.len() {
+            return Err(InterpError::ArityMismatch {
+                func: self.program.fn_name(f).to_owned(),
+                want,
+                got: args.len(),
+            });
+        }
+        Ok(())
+    }
+
+    /// The argument vector of each of `n` threads, once each has been
+    /// checked against `f`'s parameter list.
+    fn thread_args(
+        &self,
+        f: FnId,
+        n: usize,
+        args: impl Fn(u32) -> Vec<i64>,
+    ) -> Result<Vec<Vec<i64>>, InterpError> {
+        (0..n as u32)
+            .map(|tid| {
+                let argv = args(tid);
+                self.check_arity(f, &argv).map(|()| argv)
+            })
+            .collect()
     }
 
     /// The id of a named function — convenience for harnesses that
@@ -1823,14 +1858,7 @@ impl Machine {
     ///
     /// Returns any runtime error raised during execution.
     pub fn run_fn(&self, f: FnId, args: &[i64], tid: u32) -> Result<i64, InterpError> {
-        let want = self.program.func(f).params.len();
-        if want != args.len() {
-            return Err(InterpError::ArityMismatch {
-                func: self.program.fn_name(f).to_owned(),
-                want,
-                got: args.len(),
-            });
-        }
+        self.check_arity(f, args)?;
         let mut w = Worker::new(self, tid, None, f, args);
         let step = resume_contained(tid, &mut w);
         // Drop the worker before reporting: a panicking or erroring
@@ -1855,7 +1883,9 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Returns the earliest thread error — the first one the
+    /// Returns [`InterpError::NoSuchFunction`] or
+    /// [`InterpError::ArityMismatch`] before any thread starts, and
+    /// otherwise the earliest thread error — the first one the
     /// `(clock, rank, tid)` resume loop meets, not the lowest failing
     /// thread id: a run is one total order.
     pub fn run_threads_virtual(
@@ -1864,13 +1894,12 @@ impl Machine {
         n: usize,
         args: impl Fn(u32) -> Vec<i64> + Sync,
     ) -> Result<(Vec<i64>, u64), InterpError> {
-        let f = self
-            .program
-            .function_named(name)
-            .ok_or_else(|| InterpError::NoSuchFunction(name.to_owned()))?;
+        let f = self.entry(name)?;
+        let argvs = self.thread_args(f, n, args)?;
         let sim = RefCell::new(Sim::with_policy(n, self.sched.as_ref().map(|c| c.build())));
         let mut workers: Vec<Option<Worker<'_>>> = (0..n as u32)
-            .map(|tid| Some(Worker::new(self, tid, Some(&sim), f, &args(tid))))
+            .zip(&argvs)
+            .map(|(tid, argv)| Some(Worker::new(self, tid, Some(&sim), f, argv)))
             .collect();
         let mut results: Vec<Option<i64>> = vec![None; n];
         let mut first_err = None;
@@ -1920,7 +1949,9 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Returns the error of the lowest failing thread id: OS threads
+    /// Returns [`InterpError::NoSuchFunction`] or
+    /// [`InterpError::ArityMismatch`] before any thread starts, and
+    /// otherwise the error of the lowest failing thread id: OS threads
     /// share no clock to order their failures by.
     pub fn run_threads(
         &self,
@@ -1928,14 +1959,11 @@ impl Machine {
         n: usize,
         args: impl Fn(u32) -> Vec<i64> + Sync,
     ) -> Result<Vec<i64>, InterpError> {
-        let f = self
-            .program
-            .function_named(name)
-            .ok_or_else(|| InterpError::NoSuchFunction(name.to_owned()))?;
+        let f = self.entry(name)?;
+        let argvs = self.thread_args(f, n, args)?;
         std::thread::scope(|scope| {
             let mut handles = Vec::new();
-            for tid in 0..n as u32 {
-                let argv = args(tid);
+            for (tid, argv) in (0..n as u32).zip(argvs) {
                 handles.push(scope.spawn(move || self.run_fn(f, &argv, tid)));
             }
             handles

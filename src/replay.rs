@@ -679,6 +679,26 @@ mod tests {
         assert_eq!(rec.trace.digest(), rep.trace.digest());
     }
 
+    /// A worker argument list that does not fit the worker's
+    /// parameters is the run's error under the virtual scheduler too:
+    /// no thread runs and no result is made up.
+    #[test]
+    fn a_worker_argument_count_mismatch_is_the_recorded_error() {
+        for worker_args in [vec![25, 26, 27], vec![]] {
+            let mut c = cfg(ExecMode::MultiGrain);
+            let got = worker_args.len();
+            c.worker.1 = worker_args;
+            let rec = record(&c).unwrap();
+            assert_eq!(
+                rec.outcome.error.as_deref(),
+                Some(&*format!("worker: `work` expects 1 arguments, got {got}"))
+            );
+            assert!(rec.outcome.results.is_empty());
+            assert_eq!(rec.outcome.makespan, 0);
+            assert_eq!(rec.outcome.check, None);
+        }
+    }
+
     #[test]
     fn recorded_lock_traces_validate_clean() {
         for mode in [ExecMode::Global, ExecMode::MultiGrain] {

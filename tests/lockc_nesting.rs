@@ -2,8 +2,11 @@
 //! 1 with a parse error on every path that reads source, where it used
 //! to abort with a stack overflow (exit 134); and a run size a recording
 //! refuses exits 1 with a one-line error, where it used to panic
-//! (exit 101) or abort on the allocation (exit 134). `--mode` takes the
-//! names `trace-dump` takes, `mg` included, through the same parser.
+//! (exit 101) or abort on the allocation (exit 134). An argument list
+//! the entry function does not take exits 1 with a one-line error on
+//! every scheduler, where `--virtual` used to run it anyway. `--mode`
+//! takes the names `trace-dump` takes, `mg` included, through the same
+//! parser.
 
 use std::path::Path;
 use std::process::Command;
@@ -96,6 +99,37 @@ fn lockc_refuses_run_sizes_a_recording_refuses() {
             "{args:?}: {stderr}"
         );
         assert_eq!(stderr.trim_end(), message, "{args:?}");
+    }
+}
+
+#[test]
+fn lockc_checks_the_argument_count_on_every_scheduler() {
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join("lockc_arity.atc");
+    std::fs::write(
+        &path,
+        "global c;\nfn worker(n) { atomic { c = c + n; } return n; }\n",
+    )
+    .unwrap();
+    for (args, got) in [(&["--args", "5,6,7"][..], 3), (&[][..], 0)] {
+        for scheduler in [&["--virtual"][..], &[][..]] {
+            let out = Command::new(env!("CARGO_BIN_EXE_lockc"))
+                .arg(&path)
+                .args(["--run", "worker", "--threads", "2"])
+                .args(args)
+                .args(scheduler)
+                .output()
+                .expect("lockc runs");
+            let label = format!("{args:?} {scheduler:?}");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{label}: {stdout}{stderr}");
+            assert!(!stdout.contains("returned"), "{label}: {stdout}");
+            assert_eq!(
+                stderr.trim_end(),
+                format!("error: `worker` expects 1 arguments, got {got}"),
+                "{label}"
+            );
+        }
     }
 }
 
