@@ -221,7 +221,6 @@ struct RepairState {
 struct State {
     sections: BTreeMap<u32, SectionState>,
     log: Vec<Violation>,
-    history: Vec<LadderEvent>,
     repairs: BTreeMap<u32, RepairState>,
     /// Totals live under the same mutex as the ledger they summarize:
     /// the old relaxed atomics could be read torn against `log`
@@ -341,13 +340,11 @@ impl Sentinel {
                 };
                 sec.next_probation = probation.saturating_mul(FLAP_MULTIPLIER).min(MAX_PROBATION);
                 st.quarantined += 1;
-                let ev = LadderEvent {
+                Some(LadderEvent {
                     section,
                     healed: false,
                     probation,
-                };
-                st.history.push(ev);
-                Some(ev)
+                })
             }
         }
     }
@@ -386,13 +383,11 @@ impl Sentinel {
         }
         sec.health = Health::Healthy;
         st.healed += 1;
-        let ev = LadderEvent {
+        Some(LadderEvent {
             section,
             healed: true,
             probation,
-        };
-        st.history.push(ev);
-        Some(ev)
+        })
     }
 
     /// Stages a repaired scheme for `section`. The repair lies dormant
@@ -458,11 +453,6 @@ impl Sentinel {
         let mut log = self.inner.lock().log.clone();
         log.sort_by_key(|v| (v.clock, v.tid, v.seq));
         log
-    }
-
-    /// Every ladder transition, in order.
-    pub fn history(&self) -> Vec<LadderEvent> {
-        self.inner.lock().history.clone()
     }
 
     /// Total unlicensed accesses recorded.
@@ -601,19 +591,27 @@ mod tests {
     #[test]
     fn flap_damping_grows_the_term_exponentially_and_saturates() {
         let s = Sentinel::new(SentinelConfig::default());
+        let mut events = Vec::new();
         let terms: Vec<u32> = (0..6)
             .map(|_| {
                 let ev = s.report_violation(violation(1)).expect("demotes");
+                events.push(ev);
                 for _ in 0..ev.probation {
-                    s.section_closed(1, true);
+                    events.extend(s.section_closed(1, true));
                 }
                 assert!(!s.is_quarantined(1));
                 ev.probation
             })
             .collect();
         assert_eq!(terms, vec![4, 8, 16, 32, 64, 64], "doubles, then caps");
-        assert_eq!(s.history().iter().filter(|e| !e.healed).count(), 6);
-        assert_eq!(s.history().iter().filter(|e| e.healed).count(), 6);
+        // Each term ends in exactly one heal, with the term it served.
+        let heals: Vec<u32> = events
+            .iter()
+            .filter(|e| e.healed)
+            .map(|e| e.probation)
+            .collect();
+        assert_eq!(heals, terms);
+        assert_eq!(events.len(), 12);
     }
 
     #[test]
@@ -633,7 +631,7 @@ mod tests {
     #[test]
     fn probation_violation_restarts_the_term_without_new_ladder_events() {
         let s = Sentinel::new(SentinelConfig::default());
-        s.report_violation(violation(7)).expect("demotes");
+        let demote = s.report_violation(violation(7)).expect("demotes");
         // All but one clean execution leave one to serve…
         for _ in 1..PROBATION {
             assert!(s.section_closed(7, true).is_none());
@@ -655,13 +653,11 @@ mod tests {
         }
         let heal = s.section_closed(7, true).expect("term served anew");
         assert!(heal.healed);
+        assert!(!demote.healed);
+        // Exactly one demote and one heal, no spurious events: every
+        // other call above returned `None`.
         assert_eq!(s.sections_quarantined(), 1);
         assert_eq!(s.sections_healed(), 1);
-        assert_eq!(
-            s.history().len(),
-            2,
-            "exactly one demote and one heal, no spurious events"
-        );
     }
 
     #[test]
@@ -719,8 +715,10 @@ mod tests {
     #[test]
     fn sections_quarantine_independently() {
         let s = Sentinel::new(SentinelConfig::default());
-        s.report_violation(violation(1));
-        s.report_violation(violation(3));
+        let events: Vec<LadderEvent> = [1, 3]
+            .into_iter()
+            .filter_map(|section| s.report_violation(violation(section)))
+            .collect();
         // Closing a healthy section is a no-op.
         assert!(s.section_closed(2, true).is_none());
         // Exactly the reported sections are quarantined, each demoted
@@ -735,7 +733,7 @@ mod tests {
             healed: false,
             probation: PROBATION,
         };
-        assert_eq!(s.history(), vec![demoted(1), demoted(3)]);
+        assert_eq!(events, vec![demoted(1), demoted(3)]);
     }
 
     #[test]

@@ -309,7 +309,8 @@ struct SentinelDigest {
     outcome: Result<(Vec<i64>, u64), InterpError>,
     probe: i64,
     report: DegradationReport,
-    /// The ladder history as `(section, healed, probation)` triples.
+    /// The ladder history read off the trace's `["qr", …]` events, as
+    /// `(section, healed, probation)` triples.
     history: Vec<(u32, bool, u32)>,
     quiescent: bool,
     trace_digest: String,
@@ -335,13 +336,12 @@ fn sentinel_run(weaken: Option<WeakenPlan>) -> (SentinelDigest, ali::trace::Trac
         m.run_named("setup", &[0]).expect("sentinel init");
         let outcome = m.run_threads_virtual("work", THREADS, |_| vec![SENTINEL_ITERS]);
         let probe = m.run_named("probe", &[]).expect("sentinel probe");
-        let sent = m.sentinel().expect("machine built with a sentinel");
-        let history = sent
-            .history()
-            .iter()
-            .map(|e| (e.section, e.healed, e.probation))
-            .collect();
         let trace = m.take_trace().expect("sentinel machines trace");
+        let history = ali::trace::quarantine_history(&trace)
+            .transitions
+            .iter()
+            .map(|t| (t.section, t.healed, t.probation))
+            .collect();
         let digest = SentinelDigest {
             outcome,
             probe,
@@ -416,17 +416,9 @@ fn weakened_inference_is_caught_quarantined_and_healed() {
         "the section must be re-admitted after clean executions: {r}"
     );
     assert_eq!(r.sections_quarantined, demote_terms.len() as u64);
-    // The `["qr", …]` events in the trace reconstruct the same ladder.
+    // The ladder read off the trace's `["qr", …]` events agrees with
+    // the sentinel's own counts.
     let h = ali::trace::quarantine_history(&trace);
-    let replayed: Vec<(u32, bool, u32)> = h
-        .transitions
-        .iter()
-        .map(|t| (t.section, t.healed, t.probation))
-        .collect();
-    assert_eq!(
-        replayed, digest.history,
-        "trace and sentinel ladders diverged"
-    );
     assert_eq!(h.demotions(), r.sections_quarantined);
     assert_eq!(h.heals(), r.sections_healed);
     assert_eq!(h.sections(), vec![weaken.section]);

@@ -71,13 +71,6 @@ fn ledger(
     m.run_named("setup", &[0]).expect("init");
     m.run_threads_virtual("work", workers, |_| vec![iters])
         .expect("weakened runs still complete");
-    let history = m
-        .sentinel()
-        .expect("machine built with a sentinel")
-        .history()
-        .iter()
-        .map(|e| (e.section, e.healed, e.probation))
-        .collect();
     let violations = m
         .sentinel()
         .expect("machine built with a sentinel")
@@ -95,6 +88,11 @@ fn ledger(
         .map(|v| format!("clock={} seq={} {v}", v.clock, v.seq))
         .collect();
     let trace = m.take_trace().expect("tracing on");
+    let history = ali::trace::quarantine_history(&trace)
+        .transitions
+        .iter()
+        .map(|t| (t.section, t.healed, t.probation))
+        .collect();
     (
         trace.digest(),
         history,
