@@ -217,22 +217,12 @@ pub struct ProgramAnalysis {
 /// assert!(!result.sections[0].locks.is_empty());
 /// ```
 pub fn analyze_program(program: &Program, pt: &PointsTo, config: SchemeConfig) -> ProgramAnalysis {
-    analyze_program_with_library(program, pt, config, &LibrarySpec::new())
+    analyze_program_with_opts(program, pt, config, &LibrarySpec::new(), 0)
 }
 
-/// Like [`analyze_program`], but treats functions with entries in `lib`
-/// as pre-compiled: their bodies are not analyzed; their specifications
-/// stand in (§4.3).
-pub fn analyze_program_with_library(
-    program: &Program,
-    pt: &PointsTo,
-    config: SchemeConfig,
-    lib: &LibrarySpec,
-) -> ProgramAnalysis {
-    analyze_program_with_opts(program, pt, config, lib, 0)
-}
-
-/// Full-control single-config entry point: `threads` is the worker
+/// Full-control single-config entry point: functions with entries in
+/// `lib` are treated as pre-compiled — their bodies are not analyzed,
+/// their specifications stand in (§4.3) — and `threads` is the worker
 /// count for the per-section phase (`0` = one per available core). The
 /// result is identical for every thread count — sections are pure
 /// functions of the program and the frozen summary cache, and the
@@ -414,7 +404,7 @@ pub fn analyze_program_with_configs(
 
     // Phase B: solve each section's root region against its config's
     // frozen cache, in parallel, and merge deterministically.
-    let n_threads = crate::worker_count(threads, secs.len());
+    let n_threads = crate::par::worker_count(threads, secs.len());
     let solved = crate::par_map(secs.len(), n_threads, |i| {
         let (f, region) = secs[i];
         let env = EngineEnv {

@@ -44,8 +44,8 @@ pub use dataflow::{
     analyze_program, analyze_program_with_configs, analyze_program_with_opts, AnalysisStats,
     ProgramAnalysis, SectionResult, SummaryStore,
 };
-pub use par::{par_map, worker_count};
-pub use reference::{analyze_program_reference, analyze_program_reference_with_configs};
+pub use par::par_map;
+pub use reference::analyze_program_reference;
 pub use report::LockCounts;
 pub use transform::transform;
 

@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// How many workers `threads` resolves to for `n` items: `0` asks for
 /// one per core, and no more workers than items are ever started.
-pub fn worker_count(threads: usize, n: usize) -> usize {
+pub(crate) fn worker_count(threads: usize, n: usize) -> usize {
     if threads == 0 {
         std::thread::available_parallelism()
             .map(|n| n.get())
@@ -16,7 +16,7 @@ pub fn worker_count(threads: usize, n: usize) -> usize {
     .clamp(1, n.max(1))
 }
 
-/// Runs `f(0..n)` on [`worker_count`]`(threads, n)` scoped workers
+/// Runs `f(0..n)` on `worker_count(threads, n)` scoped workers
 /// pulling indices from an atomic queue, and merges the results **in
 /// index order** — the canonical merge that keeps every downstream
 /// report byte-identical at every thread count. One worker (or a

@@ -48,7 +48,7 @@ pub fn analyze_program_reference(
 /// [`crate::dataflow::analyze_program_with_configs`]. Each `RefEngine`
 /// already carries its own config, so the oracle stays the naive,
 /// obviously-correct baseline the differential tests compare against.
-pub fn analyze_program_reference_with_configs(
+fn analyze_program_reference_with_configs(
     program: &Program,
     pt: &PointsTo,
     configs: &ConfigMap,

@@ -2,7 +2,7 @@
 //! and on targeted interprocedural scenarios.
 
 use lir::{Eff, PathOp, Program, VarId};
-use lockinfer::dataflow::{analyze_program_with_library, SectionResult};
+use lockinfer::dataflow::{analyze_program_with_opts, SectionResult};
 use lockinfer::library::{ExternalSummary, LibrarySpec};
 use lockinfer::{analyze_program, compile_with_locks};
 use lockscheme::{AbsLock, SchemeConfig};
@@ -486,7 +486,7 @@ fn library_specifications() {
             modifies: vec![list_class],
         },
     );
-    let analysis = analyze_program_with_library(&p, &pt, cfg, &lib);
+    let analysis = analyze_program_with_opts(&p, &pt, cfg, &lib, 1);
     let sec = &analysis.sections[0];
     // The spec's coarse lock is present.
     assert!(
