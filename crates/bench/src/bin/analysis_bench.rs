@@ -48,16 +48,35 @@
 //! exits non-zero if any measured wall time (every row's `optimized_ms`,
 //! and the SPEC-like rows' `frontend_ms` and `pointsto_ms`) regressed
 //! more than 2× — a coarse gate that survives machine-to-machine noise
-//! but catches real algorithmic regressions.
+//! but catches real algorithmic regressions. Each committed time is
+//! first scaled by the run's host factor: the median, over the checked
+//! values, of measured / committed, floored at 1. A host uniformly
+//! slower than the committing one moves every ratio and so the median;
+//! one regressed value moves only itself. A host at least as fast as
+//! the committing one is gated on the committed times as they are.
 
 use lockscheme::SchemeConfig;
 use std::time::Instant;
 use trace::json::Writer;
 use workloads::{scale, spec_like};
 
-/// Allowed slowdown versus the committed baseline before `--check`
-/// fails.
+/// Allowed slowdown versus the committed baseline, once scaled by the
+/// host factor, before `--check` fails.
 const CHECK_FACTOR: f64 = 2.0;
+
+/// How much slower this host runs than the one that committed the
+/// baseline: the median of the `measured / committed` ratios, floored
+/// at 1 (a faster host keeps the committed times).
+fn host_factor(ratios: &[f64]) -> f64 {
+    let mut r = ratios.to_vec();
+    r.sort_by(f64::total_cmp);
+    let median = match r.len() {
+        0 => 1.0,
+        n if n % 2 == 1 => r[n / 2],
+        n => (r[n / 2 - 1] + r[n / 2]) / 2.0,
+    };
+    median.max(1.0)
+}
 
 struct TierReport {
     name: String,
@@ -420,13 +439,21 @@ fn main() {
                     (s.row.name, "optimized_ms", s.optimized_ms),
                 ]
             }));
+        let mut checked = Vec::new();
         for (name, key, ms) in measured {
-            let Some((_, _, base_ms)) = baseline.iter().find(|(n, k, _)| n == name && k == key)
-            else {
-                println!("check: {name} {key} absent from {path}, skipping");
-                continue;
-            };
-            let limit = base_ms * CHECK_FACTOR;
+            match baseline.iter().find(|(n, k, _)| n == name && k == key) {
+                Some(&(_, _, base_ms)) => checked.push((name, key, ms, base_ms)),
+                None => println!("check: {name} {key} absent from {path}, skipping"),
+            }
+        }
+        let ratios: Vec<f64> = checked.iter().map(|&(_, _, ms, base)| ms / base).collect();
+        let host = host_factor(&ratios);
+        println!(
+            "check: host factor {host:.2} (median measured/committed over {} values, floored at 1)",
+            ratios.len()
+        );
+        for (name, key, ms, base_ms) in checked {
+            let limit = base_ms * host * CHECK_FACTOR;
             let verdict = if ms > limit {
                 failed = true;
                 "REGRESSED"
@@ -439,7 +466,10 @@ fn main() {
             );
         }
         if failed {
-            eprintln!("analysis-bench: wall time regressed more than {CHECK_FACTOR}x");
+            eprintln!(
+                "analysis-bench: wall time regressed more than {CHECK_FACTOR}x \
+                 the host-scaled committed time"
+            );
             std::process::exit(1);
         }
     }
@@ -522,6 +552,19 @@ mod tests {
              \"contexts\":14,\"state_points\":171,\"transfer_memo_hits\":3,\
              \"peak_rss_mb\":37.2}]}\n"
         );
+    }
+
+    #[test]
+    fn the_host_factor_is_the_median_ratio_floored_at_one() {
+        // A uniformly slower host: the median follows it.
+        assert_eq!(host_factor(&[1.5, 1.4, 1.6]), 1.5);
+        // One regressed value cannot drag the median with it.
+        assert_eq!(host_factor(&[1.1, 1.2, 2.3, 1.15, 1.05]), 1.15);
+        // An even count averages the middle two.
+        assert_eq!(host_factor(&[1.2, 1.6, 3.0, 1.0]), 1.4);
+        // A faster host, or nothing to compare, is gated as committed.
+        assert_eq!(host_factor(&[0.5, 0.7, 0.6]), 1.0);
+        assert_eq!(host_factor(&[]), 1.0);
     }
 
     /// `--check` compares against every `*_ms` of the committed
