@@ -270,7 +270,7 @@ pub(crate) type Rank = (u64, u64, usize);
 
 /// Where candidate `index` with measured `cost` ranks, or `None` when
 /// it does not wait strictly less than the baseline and so can never
-/// be selected. The one comparator of the decision loop: [`select`]
+/// be selected. The one comparator of both decision loops: [`select`]
 /// ranks a finished cost vector with it, and the candidate loop keeps
 /// the best-ranked recording with it as the candidates finish.
 pub(crate) fn rank(baseline: PlanCost, cost: PlanCost, index: usize) -> Option<Rank> {
@@ -278,12 +278,10 @@ pub(crate) fn rank(baseline: PlanCost, cost: PlanCost, index: usize) -> Option<R
 }
 
 /// Picks the winner among the eligible `(candidate index, measured
-/// cost)` pairs: the lowest `rank` — strictly lower total replayed wait
-/// than the baseline, ties broken by lower makespan, then by candidate
-/// index. Returns `None` when no eligible candidate improves on the
-/// baseline (the baseline stands). Both loops select with it: adapt
-/// over its replayed candidates against the baseline, re-inference over
-/// a section's clean repairs against the global demotion.
+/// cost)` pairs — adapt's replayed candidates, or a section's clean
+/// repairs against its global demotion: the lowest `rank`, strictly
+/// lower total replayed wait than `baseline`, ties broken by lower
+/// makespan, then by index. `None`: the baseline stands.
 pub fn select(
     baseline: PlanCost,
     eligible: impl IntoIterator<Item = (usize, PlanCost)>,
@@ -773,7 +771,7 @@ mod tests {
     /// equal, at every eval thread count.
     #[test]
     fn the_kept_recording_equals_a_rerun_of_the_selected_candidate() {
-        use crate::eval::{CandidateRun, EvalContext};
+        use crate::eval::EvalContext;
         for cfg in [cfg(), scale_cfg()] {
             let ctx = EvalContext::new(&cfg, true).unwrap();
             let base_map = ctx.base_map(&cfg);
@@ -791,10 +789,8 @@ mod tests {
                         &winner.candidate.config_map(&base_map),
                     )
                     .unwrap();
-                let CandidateRun::Done(cost, again) = again else {
-                    panic!("{label}: the winner's rerun was skipped");
-                };
-                assert_eq!(cost, winner.cost, "{label}");
+                assert_eq!(again.cost, winner.cost, "{label}");
+                let again = again.rec.expect("the winner's rerun replayed");
                 let kept = run.adapted.expect("the winner's recording is kept");
                 assert_eq!(kept.trace.digest(), again.trace.digest(), "{label}");
                 assert_eq!(kept.outcome, again.outcome, "{label}");

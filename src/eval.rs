@@ -1,11 +1,15 @@
 //! Shared what-if candidate-evaluation harness (DESIGN.md §5.7).
 //!
-//! The adaptive loop ([`crate::adapt`]) measures every candidate —
-//! lock-plan overrides and wake policies alike — the same way: record
-//! a baseline, derive candidates from its profiles, re-run the
-//! identical deterministic schedule once per candidate, select by
-//! strict measured wait reduction. This module is that shape, factored
-//! out and made fast, in three layers:
+//! Both decision loops measure every candidate the same way: record a
+//! baseline, derive candidates from its evidence, re-run the identical
+//! deterministic schedule once per candidate, select by strict measured
+//! wait reduction. The adaptive loop ([`crate::adapt`]) does so for
+//! lock-plan overrides and wake policies alike, re-inference
+//! ([`crate::reinfer`]) for repairs and their global-demotion
+//! references. This module is that shape, factored out once —
+//! `EvalContext::baseline` records the baseline for both loops and
+//! `EvalContext::eval_candidates` runs both loops' candidates — and
+//! made fast, in three layers:
 //!
 //! 1. **Hoisted invariants.** The program is compiled and the
 //!    points-to analysis run **once per evaluation**, shared as
@@ -17,7 +21,8 @@
 //!    dedup — is kept reachable (`hoist: false`) so `eval-bench` can
 //!    measure exactly what the harness buys.
 //! 2. **Parallel evaluation.** Candidates replay concurrently through
-//!    [`lockinfer::par_map`] on `eval_threads` workers, and results are
+//!    [`lockinfer::par_map`] on `eval_threads` workers (this module is
+//!    its one caller in the crate), and results are
 //!    merged **by candidate index** — so every report is byte-identical
 //!    at every eval thread count, the same guarantee (and the same
 //!    function) as the analysis engine's Phase B.
@@ -137,14 +142,13 @@ pub(crate) enum Stamp {
     Adapt,
 }
 
-/// What one candidate evaluation produced.
-#[derive(Debug)]
-pub(crate) enum CandidateRun {
-    /// Replayed clean; the measured cost and the recording it came
-    /// from.
-    Done(PlanCost, Box<Recording>),
-    /// The recording was unusable; the reason to surface.
-    Skipped(String),
+/// What one candidate evaluation produced: the measured cost and the
+/// recording it came from, or a zeroed cost, no recording and the
+/// reason as an [`EvalStatus::Skipped`].
+pub(crate) struct CandidateRun {
+    pub cost: PlanCost,
+    pub status: EvalStatus,
+    pub rec: Option<Recording>,
 }
 
 /// The per-evaluation invariants every candidate shares: one compiled
@@ -159,14 +163,12 @@ pub struct EvalContext {
 
 impl EvalContext {
     /// The step both loops start from: compile `cfg`'s program, then
-    /// record its baseline under the uniform map — returned with the
-    /// context and the map. `terminal` names the loop in the errors.
+    /// record its baseline under the uniform map.
     ///
     /// # Errors
     ///
-    /// Returns a message on compile failure, and when the baseline
-    /// trace overflowed its capacity: every candidate's evidence
-    /// derives from it.
+    /// Returns a message on compile failure, and (naming `terminal`)
+    /// when the baseline trace overflowed: all evidence derives from it.
     pub(crate) fn baseline(
         cfg: &RunConfig,
         hoist: bool,
@@ -298,14 +300,22 @@ impl EvalContext {
     ) -> Result<CandidateRun, String> {
         let rec = self.run_one(cfg, map, Stamp::Adapt)?;
         if rec.trace.dropped > 0 {
-            return Ok(CandidateRun::Skipped(format!(
+            let reason = format!(
                 "candidate trace dropped {} events - raise trace_capacity",
                 rec.trace.dropped
-            )));
+            );
+            return Ok(CandidateRun {
+                cost: PlanCost::default(),
+                status: EvalStatus::Skipped { reason },
+                rec: None,
+            });
         }
-        let prof = trace::profile(&rec.trace);
-        let cost = PlanCost::from_profiles(&prof, rec.outcome.makespan);
-        Ok(CandidateRun::Done(cost, Box::new(rec)))
+        let cost = PlanCost::from_profiles(&trace::profile(&rec.trace), rec.outcome.makespan);
+        Ok(CandidateRun {
+            cost,
+            status: EvalStatus::Replayed,
+            rec: Some(rec),
+        })
     }
 
     /// Evaluates every `(run configuration, lock map)` job through
@@ -589,14 +599,12 @@ pub(crate) fn eval_singles(scope: &EvalScope<'_>, cands: &[Candidate]) -> Result
         })
         .collect();
     let best = Best::new();
-    let runs = ctx.eval_candidates(&jobs, opts.eval_threads, |j, run| match run {
-        CandidateRun::Done(cost, rec) => {
-            if let Some(r) = rank(base_cost, cost, groups[keep[j]][0]) {
-                best.offer(r, *rec);
-            }
-            (cost, EvalStatus::Replayed)
+    let runs = ctx.eval_candidates(&jobs, opts.eval_threads, |j, run| {
+        let rank = rank(base_cost, run.cost, groups[keep[j]][0]);
+        if let (Some(r), Some(rec)) = (rank, run.rec) {
+            best.offer(r, rec);
         }
-        CandidateRun::Skipped(reason) => (PlanCost::default(), EvalStatus::Skipped { reason }),
+        (run.cost, run.status)
     })?;
     let mut out: Vec<(PlanCost, EvalStatus)> = ests
         .iter()

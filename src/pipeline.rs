@@ -5,8 +5,11 @@
 //! **baseline** (record the run deterministically) → **profile**
 //! (derive per-section wait/hold evidence or a violation ledger) →
 //! **propose** (pure policy: candidates from evidence) → **evaluate**
-//! (replay each candidate on the identical schedule, via
-//! [`crate::eval`]) → **select** (strict measured improvement).
+//! (replay each candidate on the identical schedule) → **select**
+//! (strict measured improvement). The baseline, evaluate and select
+//! steps have one implementation each, shared by both terminals:
+//! `EvalContext::baseline` and `EvalContext::eval_candidates` in
+//! [`crate::eval`], and [`crate::adapt::select`].
 //! [`Pipeline`] is the builder that names the shared knobs once and
 //! offers each loop as a terminal — the only way into them:
 //!
@@ -19,19 +22,18 @@
 //! # Ok::<(), String>(())
 //! ```
 //!
-//! A single run is [`crate::replay::record`]. Every [`Recording`] a
-//! loop returns carries its own end-of-run gauges
-//! ([`Recording::gauges`]); a run's section, lock, fault, wake and STM
-//! metrics are [`obs::from_trace`] of its trace, and a loop's candidate
-//! counts are the statuses in its report.
+//! A single run is [`crate::replay::record`]. Every
+//! [`Recording`](crate::replay::Recording) a loop returns carries its
+//! own end-of-run gauges
+//! ([`Recording::gauges`](crate::replay::Recording::gauges)); a run's
+//! section, lock, fault, wake and STM metrics are [`obs::from_trace`]
+//! of its trace, and a loop's candidate counts are the statuses in its
+//! report.
 
 use crate::adapt::{
-    candidates as adapt_candidates, select, AdaptRun, Decision, DecisionReport, EvalStatus,
-    PlanCost,
+    candidates as adapt_candidates, select, AdaptRun, Decision, DecisionReport, PlanCost,
 };
-use crate::eval::{
-    eval_singles, CandidateRun, EvalContext, EvalOptions, EvalScope, Singles, Stamp,
-};
+use crate::eval::{eval_singles, EvalContext, EvalOptions, EvalScope, Singles, Stamp};
 use crate::reinfer::{
     candidates as repair_candidates, is_clean, ReinferRun, RepairDecision, RepairReport,
     SectionReport, Witness,
@@ -193,12 +195,9 @@ impl Pipeline {
                 extent: baseline.trace.alloc_of(v.addr).map(|a| (a.base, a.class)),
             })
             .collect();
-        let sections: Vec<u32> = {
-            let mut s: Vec<u32> = witnesses.iter().map(|w| w.violation.section).collect();
-            s.sort_unstable();
-            s.dedup();
-            s
-        };
+        let mut sections: Vec<u32> = witnesses.iter().map(|w| w.violation.section).collect();
+        sections.sort_unstable();
+        sections.dedup();
         let cands = repair_candidates(&witnesses, &base_map);
 
         // Reference and repair runs replay the steady state the repair
@@ -218,11 +217,8 @@ impl Pipeline {
             .chain(cands.iter().map(|c| c.config_map(&base_map)))
             .map(|m| (Cow::Borrowed(&ecfg), m))
             .collect();
-        let assessed = ctx.eval_candidates(&jobs, self.opts.eval_threads, |_, run| match run {
-            CandidateRun::Done(cost, rec) => (is_clean(&rec), cost, EvalStatus::Replayed),
-            CandidateRun::Skipped(reason) => {
-                (false, PlanCost::default(), EvalStatus::Skipped { reason })
-            }
+        let assessed = ctx.eval_candidates(&jobs, self.opts.eval_threads, |_, run| {
+            (run.rec.as_ref().is_some_and(is_clean), run.cost, run.status)
         })?;
 
         let mut reports: Vec<SectionReport> = Vec::with_capacity(sections.len());
@@ -276,22 +272,21 @@ impl Pipeline {
         // Re-record the original armed configuration with the admitted
         // repairs installed dormant: the offending sections heal onto
         // the repaired schemes instead of the seed scheme.
-        let admitted = report.admitted();
-        let healed = if admitted.is_empty() {
+        let repairs: Vec<_> = report
+            .sections
+            .iter()
+            .filter_map(|s| {
+                s.admitted
+                    .map(|j| (s.section, j as u32, s.candidates[j].candidate.config))
+            })
+            .collect();
+        let healed = if repairs.is_empty() {
             None
         } else {
-            let mut fcfg = cfg.clone();
-            fcfg.repairs = admitted
-                .iter()
-                .map(|&(section, j)| {
-                    let s = report
-                        .sections
-                        .iter()
-                        .find(|s| s.section == section)
-                        .expect("admitted section is reported");
-                    (section, j as u32, s.candidates[j].candidate.config)
-                })
-                .collect();
+            let fcfg = RunConfig {
+                repairs,
+                ..cfg.clone()
+            };
             Some(ctx.run_one(&fcfg, &base_map, Stamp::Run)?)
         };
         Ok(ReinferRun {
@@ -305,6 +300,7 @@ impl Pipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adapt::EvalStatus;
     use interp::ExecMode;
 
     const SRC: &str = r#"

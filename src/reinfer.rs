@@ -12,18 +12,19 @@
 //! under-approximated effect in `Σ_ε`, or a fine `Σ_k` expression that
 //! pinned the wrong cell of the right class. `candidates` maps the
 //! per-section diagnosis set to repaired [`SchemeConfig`] overrides,
-//! and `admit` applies the acceptance rule: a repair is installed
-//! only if its replayed execution is lockset-clean **and** strictly
-//! cheaper (total virtual-time wait) than the global demotion it
-//! replaces — otherwise the ladder's demotion stands, which is always
-//! sound.
+//! and the acceptance rule installs a repair only if its replayed
+//! execution is lockset-clean (`is_clean`) **and** strictly cheaper
+//! (total virtual-time wait) than the global demotion it replaces —
+//! otherwise the ladder's demotion stands, which is always sound.
 //!
 //! [`crate::Pipeline::reinfer`] runs the loop against the
 //! deterministic interpreter through the shared evaluation harness
-//! ([`crate::eval`]):
+//! ([`crate::eval`]), the same baseline step, candidate replay and
+//! selection [`crate::Pipeline::adapt`] uses:
 //!
 //! 1. **Record** the armed run (sentinel on, typically with a seeded
-//!    [`interp::WeakenPlan`] fault) and snapshot the sentinel's
+//!    [`interp::WeakenPlan`] fault) with `EvalContext::baseline`, and
+//!    snapshot the sentinel's
 //!    canonical violation ledger — sorted by `(clock, tid, seq)`, so
 //!    every downstream decision is thread-count independent.
 //! 2. **Resolve** each violation address through the trace's
@@ -34,14 +35,17 @@
 //!    the quarantine ladder's *status quo* — the run with that section
 //!    permanently demoted to the global lock
 //!    ([`lockscheme::ConfigMap::demote_to_global`], weaken off).
-//! 4. **Replay** every repair candidate on the identical deterministic
-//!    schedule (weaken off, sentinel still armed), concurrently on the
-//!    harness's eval-thread pool, and check each for *cleanliness*:
-//!    zero sentinel violations **and** a lockset-clean validator
-//!    verdict.
-//! 5. **Admit** per section (`admit`): the cheapest clean candidate
-//!    strictly below the demotion reference's total wait, or nothing
-//!    (the demotion stands — sound, just slow).
+//! 4. **Replay** the references and every repair candidate on the
+//!    identical deterministic schedule (weaken off, sentinel still
+//!    armed) in one `EvalContext::eval_candidates` call — concurrently
+//!    on the harness's eval-thread pool, with its skip rule and cost —
+//!    and check each recording for *cleanliness* (`is_clean`): no
+//!    run error, zero sentinel violations **and** a lockset-clean
+//!    validator verdict.
+//! 5. **Admit** per section: [`crate::adapt::select`] over the clean
+//!    candidates with the demotion reference as the baseline — the
+//!    cheapest clean candidate strictly below the reference's total
+//!    wait, or nothing (the demotion stands — sound, just slow).
 //! 6. **Heal**: re-run the original armed configuration with the
 //!    admitted repairs installed dormant ([`crate::replay::RunConfig::repairs`]). The
 //!    section offends, demotes, serves its probation, and heals *onto
