@@ -344,19 +344,21 @@ impl EvalContext {
         .collect()
     }
 
-    /// The [`RunConfig`] a candidate runs under: `cfg` plus the frozen
-    /// wake-policy configuration when the candidate steers the
-    /// scheduler.
-    pub(crate) fn candidate_cfg(
-        cfg: &RunConfig,
+    /// The [`RunConfig`] a candidate runs under: `cfg` itself, or a
+    /// copy with the frozen wake-policy configuration when the
+    /// candidate steers the scheduler.
+    pub(crate) fn candidate_cfg<'c>(
+        cfg: &'c RunConfig,
         cand: &Candidate,
         profiles: &[SectionProfile],
-    ) -> RunConfig {
-        let mut c = cfg.clone();
-        if let Some(kind) = wake_of(cand) {
-            c.sched = Some(interp::SchedConfig::from_profiles(kind, profiles));
+    ) -> Cow<'c, RunConfig> {
+        match wake_of(cand) {
+            None => Cow::Borrowed(cfg),
+            Some(kind) => Cow::Owned(RunConfig {
+                sched: Some(interp::SchedConfig::from_profiles(kind, profiles)),
+                ..cfg.clone()
+            }),
         }
-        c
     }
 }
 
@@ -594,8 +596,10 @@ pub(crate) fn eval_singles(scope: &EvalScope<'_>, cands: &[Candidate]) -> Result
         .iter()
         .map(|&g| {
             let rep = &reps[g];
-            let cand_cfg = EvalContext::candidate_cfg(cfg, rep, profiles);
-            (Cow::Owned(cand_cfg), rep.config_map(base_map))
+            (
+                EvalContext::candidate_cfg(cfg, rep, profiles),
+                rep.config_map(base_map),
+            )
         })
         .collect();
     let best = Best::new();
