@@ -318,18 +318,15 @@ impl EvalContext {
         })
     }
 
-    /// Evaluates every `(run configuration, lock map)` job through
-    /// [`Self::eval_candidate`], concurrently on `threads` eval workers
-    /// (`0` = one per core) — the candidate loop of both terminals.
-    /// `fold(i, run)` reduces job `i`'s run in its worker, so a
-    /// recording outlives its evaluation only where `fold` keeps it.
-    /// Results come back in job order, whatever order the runs finish
-    /// in.
+    /// The candidate loop of both terminals: every `(run configuration,
+    /// lock map)` job through [`Self::eval_candidate`] on `threads` eval
+    /// workers (`0` = one per core), `fold(i, run)` reducing job `i` in
+    /// its worker (a recording outlives its run only if `fold` keeps
+    /// it), results in job order whatever order the runs finish in.
     ///
     /// # Errors
     ///
-    /// Propagates the first job, in job order, whose execution failed
-    /// outright.
+    /// The first job, in job order, whose execution failed outright.
     pub(crate) fn eval_candidates<T: Send>(
         &self,
         jobs: &[(Cow<'_, RunConfig>, ConfigMap)],
