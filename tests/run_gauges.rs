@@ -9,6 +9,11 @@
 //! equal that series of `obs::from_trace`. The pins are the values of
 //! the metrics registry that collected all thirteen gauges before a
 //! recording carried them; do not re-pin them.
+//!
+//! Each run's trace is pinned too (digest, event count, per-kind
+//! counts): the panic runs are the pinned virtual-time traces in which
+//! a worker dies holding lock nodes, so their `lock_release` counts
+//! include the releases of its unwinding session.
 
 use atomic_lock_inference as ali;
 
@@ -156,5 +161,94 @@ fn chaos_run_gauges_match_their_pins_and_trace_series() {
                 .sum();
             assert_eq!(v, pin(gauge), "{label}: {gauge}'s trace series {series}");
         }
+    }
+}
+
+/// One chaos run's trace, as pinned: its digest, its event count and
+/// its per-kind counts.
+struct TracePin {
+    label: &'static str,
+    digest: &'static str,
+    events: usize,
+    counts: &'static [(&'static str, u64)],
+}
+
+const TRACE_PINS: [TracePin; 3] = [
+    TracePin {
+        label: "panics-multigrain",
+        digest: "9893cf10252a2780",
+        events: 7190,
+        counts: &[
+            ("alloc", 247),
+            ("fault", 5),
+            ("lock_acquire", 1969),
+            ("lock_release", 1969),
+            ("plan_complete", 277),
+            ("read", 1178),
+            ("section_enter", 277),
+            ("section_exit", 275),
+            ("write", 993),
+        ],
+    },
+    TracePin {
+        label: "panics-global",
+        digest: "c69b80db5f6f63c4",
+        events: 3789,
+        counts: &[
+            ("alloc", 244),
+            ("fault", 29),
+            ("lock_acquire", 274),
+            ("lock_release", 274),
+            ("plan_complete", 274),
+            ("read", 1163),
+            ("section_enter", 274),
+            ("section_exit", 272),
+            ("write", 985),
+        ],
+    },
+    TracePin {
+        label: "fallbacks-stm",
+        digest: "473f4e12fa5c0d80",
+        events: 7909,
+        counts: &[
+            ("alloc", 524),
+            ("fault", 992),
+            ("read", 2095),
+            ("section_enter", 1240),
+            ("section_exit", 248),
+            ("stm_abort", 992),
+            ("stm_commit", 248),
+            ("stm_fallback", 248),
+            ("write", 1322),
+        ],
+    },
+];
+
+/// The traces of the chaos runs, unwind releases included: a worker
+/// that panics while holding nodes logs their releases as its session
+/// unwinds, under virtual time. `PRINT_PINS=1` prints them.
+#[test]
+fn chaos_traces_match_their_pins() {
+    let runs = runs();
+    for (label, cfg) in &runs {
+        let rec = ali::replay::record(cfg).expect("the run records");
+        let t = &rec.trace;
+        if std::env::var_os("PRINT_PINS").is_some() {
+            println!(
+                "TracePin {{ label: {label:?}, digest: {:?}, events: {}, counts: &{:?} }},",
+                t.digest(),
+                t.events.len(),
+                t.counts().into_iter().collect::<Vec<_>>()
+            );
+            continue;
+        }
+        let pin = TRACE_PINS
+            .iter()
+            .find(|p| p.label == *label)
+            .unwrap_or_else(|| panic!("no trace pin for `{label}`"));
+        assert_eq!(t.digest(), pin.digest, "{label} digest");
+        assert_eq!(t.events.len(), pin.events, "{label} event count");
+        let counts: Vec<(&str, u64)> = t.counts().into_iter().collect();
+        assert_eq!(counts, pin.counts, "{label} counts");
     }
 }
