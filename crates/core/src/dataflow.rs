@@ -26,19 +26,19 @@
 //! The engine is built for SPECint-sized inputs:
 //!
 //! * **Hash-consed locks.** Each engine owns a table of the lock terms
-//!   it has met ([`LockCache`]): a term is stored once, named by a
+//!   it has met (`LockCache`): a term is stored once, named by a
 //!   dense local id in first-seen order, and shadowed by a [`LockRec`]
 //!   on which the lattice order `≤` is a handful of integer compares.
 //!   There is no table outside an engine: Phase A's is frozen into its
-//!   [`SummaryCache`], a Phase B engine imports the entries it is
+//!   `SummaryCache`, a Phase B engine imports the entries it is
 //!   handed (sharing the term, not copying it), and everything is
 //!   freed with the analysis or the [`SummaryStore`] holding it.
 //! * **Facts-sized state in two flat arrays.** Per `(context, point)`
 //!   the state is one small list of local ids in arrival order: the
-//!   untagged entries are the lock antichain — at most [`WIDTH_LIMIT`]
+//!   untagged entries are the lock antichain — at most `WIDTH_LIMIT`
 //!   of them — and the tail past a cursor is the frontier not yet
 //!   propagated. All of an engine's state is two arrays
-//!   ([`PointStates`]): 8-byte [`PointState`] records, one contiguous
+//!   (`PointStates`): 8-byte `PointState` records, one contiguous
 //!   run per context of its function's points from its first fact on,
 //!   and one `u32` pool that holds every list in a block sized to it,
 //!   recycled through free lists by size. No state allocates, so
@@ -63,12 +63,12 @@
 //!   pre-pass (Phase A) solves the `Gen` context of every function any
 //!   section can reach, plus all summary queries that flow demands,
 //!   and freezes them — structurally sorted — into a read-only
-//!   [`SummaryCache`]. Per-section engines (Phase B) only solve their
+//!   `SummaryCache`. Per-section engines (Phase B) only solve their
 //!   own root region, injecting cached summaries at call sites;
 //!   queries the pre-pass never saw are solved locally with the same
 //!   machinery.
 //! * **Summary sets indexed by class.** A `Gen` or `Query` context's
-//!   entry locks are an antichain in arrival order ([`SummarySet`]),
+//!   entry locks are an antichain in arrival order (`SummarySet`),
 //!   which its dependents replay. Its path-`⊤` members — class locks
 //!   `(⊤, P, ε)` and the global lock, at most one per class because
 //!   `ro ≤ rw` — are also indexed engine-wide by `(context, class)`, so

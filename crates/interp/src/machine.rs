@@ -232,6 +232,13 @@ struct AllocMeta {
     class: PtsClass,
 }
 
+/// The bump allocator: the next free cell, and every extent handed out,
+/// in base order — one lock for both, so an allocation takes one.
+struct Heap {
+    brk: u64,
+    extents: Vec<AllocMeta>,
+}
+
 /// The shared interpreter state. `Machine` is `Sync`; spawn one
 /// worker per thread (see `Machine::run_threads`).
 pub struct Machine {
@@ -239,8 +246,7 @@ pub struct Machine {
     pub(crate) pt: Arc<PointsTo>,
     pub(crate) mode: ExecMode,
     pub(crate) space: tl2::Space,
-    brk: AtomicU64,
-    allocs: RwLock<Vec<AllocMeta>>,
+    heap: RwLock<Heap>,
     pub(crate) mg: Arc<mglock::Runtime>,
     pub(crate) storage: Vec<Storage>,
     pub(crate) layouts: Vec<FnLayout>,
@@ -259,7 +265,7 @@ pub struct Machine {
     /// when each run returns.
     pub(crate) sim_yield_points: AtomicU64,
     pub(crate) sim_handoffs: AtomicU64,
-    pub(crate) tracer: Option<Arc<trace::Recorder>>,
+    pub(crate) tracer: Option<trace::Recorder>,
     pub(crate) sentinel: Option<Arc<sentinel::Sentinel>>,
     pub(crate) weaken: Option<crate::fault::WeakenPlan>,
     pub(crate) sched: Option<sched::SchedConfig>,
@@ -340,19 +346,16 @@ impl Machine {
         }
         let field_offset = program.fields.iter().map(|fi| fi.offset).collect();
         let elem_field = program.elem_field_opt();
-        let tracer = opts.trace.map(|cfg| Arc::new(trace::Recorder::new(cfg)));
-        let space = tl2::Space::new(opts.heap_cells);
-        if let Some(t) = &tracer {
-            space.set_observer(Some(Arc::clone(t) as Arc<dyn tl2::StmObserver>));
-        }
         let mut m = Machine {
             program,
             pt,
             mode,
-            space,
+            space: tl2::Space::new(opts.heap_cells),
             // Address 0 is null; start allocating at 1.
-            brk: AtomicU64::new(1),
-            allocs: RwLock::new(Vec::new()),
+            heap: RwLock::new(Heap {
+                brk: 1,
+                extents: Vec::new(),
+            }),
             mg: Arc::new(mglock::Runtime::new()),
             storage,
             layouts,
@@ -368,7 +371,7 @@ impl Machine {
             fault_stats: crate::fault::FaultStats::default(),
             sim_yield_points: AtomicU64::new(0),
             sim_handoffs: AtomicU64::new(0),
-            tracer,
+            tracer: opts.trace.map(trace::Recorder::new),
             sentinel: opts
                 .sentinel
                 .map(|cfg| Arc::new(sentinel::Sentinel::new(cfg))),
@@ -401,16 +404,16 @@ impl Machine {
     pub(crate) fn alloc(&self, n: usize, class: PtsClass) -> Result<u64, Exc> {
         let n = n.max(1) as u64;
         let limit = self.space.len() as u64;
-        // The table lock spans the reservation so extents are pushed in
-        // base order, which `alloc_meta_of` binary-searches.
-        let mut allocs = self.allocs.write();
-        let base = self
-            .brk
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |brk| {
-                brk.checked_add(n).filter(|&end| end <= limit)
-            })
-            .map_err(|_| InterpError::OutOfMemory)?;
-        allocs.push(AllocMeta {
+        // The bump pointer moves under the extent table's lock, so
+        // extents are pushed in base order, which `alloc_meta_of`
+        // binary-searches.
+        let mut heap = self.heap.write();
+        let base = heap.brk;
+        heap.brk = base
+            .checked_add(n)
+            .filter(|&end| end <= limit)
+            .ok_or(InterpError::OutOfMemory)?;
+        heap.extents.push(AllocMeta {
             base,
             len: n,
             class,
@@ -420,7 +423,7 @@ impl Machine {
 
     /// Heap cells allocated so far.
     pub fn heap_used(&self) -> u64 {
-        self.brk.load(Ordering::Relaxed)
+        self.heap.read().brk
     }
 
     /// Lines written by `print` intrinsics, in arrival order.
@@ -508,8 +511,9 @@ impl Machine {
     pub fn take_trace(&self) -> Option<trace::Trace> {
         let rec = self.tracer.as_ref()?;
         let allocs = self
-            .allocs
+            .heap
             .read()
+            .extents
             .iter()
             .map(|a| trace::AllocRecord {
                 base: a.base,
@@ -532,7 +536,7 @@ impl Machine {
     }
 
     fn alloc_meta_of(&self, loc: u64) -> Option<AllocMeta> {
-        let allocs = self.allocs.read();
+        let allocs = &self.heap.read().extents;
         // Allocation bases are monotonically increasing: binary search.
         let idx = allocs.partition_point(|a| a.base <= loc);
         if idx == 0 {

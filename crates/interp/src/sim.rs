@@ -23,20 +23,26 @@
 //! # The driver loop
 //!
 //! A virtual thread is not an OS thread: it is a resumable `Worker`
-//! whose `resume` runs until its call returns, fails, or reaches a *scheduling point* — [`Sim::advance`],
-//! [`Sim::begin_wait`] — at which another thread has become the
-//! minimum. `Machine::run_threads_virtual` owns the [`Sim`] and the
-//! workers and, on the calling thread, resumes whichever thread
-//! [`Sim::next_runner`] names until none is left. A `Sim` is plain
-//! single-owner state; each scheduling point reports who runs next,
-//! and a thread that is still the minimum simply keeps running.
+//! whose `resume` runs until its call returns, fails, or reaches a
+//! *scheduling point* — `Sim::advance`, `Sim::begin_wait`,
+//! `Sim::finish` — at which another thread has become the minimum.
+//! `Machine::run_threads_virtual` owns the `Sim` and the workers and,
+//! on the calling thread, resumes whichever thread `Sim::next_runner`
+//! names until none is left. A `Sim` is plain single-owner state; each
+//! scheduling point scans the threads once and reports who runs next,
+//! and a thread that is still the minimum simply keeps running. The
+//! `Sim` keeps that decision, and the driver's next `next_runner`
+//! hands it over without a second scan: a hand-off costs one scan. Only
+//! the driver's first call, and one after a release that nothing has
+//! rescheduled since, scans for itself.
 //!
-//! [`Sim::on_release_with`] and [`Sim::end_wait`] are not scheduling
+//! `Sim::on_release_with` and `Sim::end_wait` are not scheduling
 //! points: a release promotes the waiters (clock jump, ranks,
-//! [`WakeGrant`]s) and the releaser runs on until its next scheduling
+//! `WakeGrant`s) and the releaser runs on until its next scheduling
 //! point, where a promoted waiter with a smaller key takes over.
 //! Exactly one virtual thread executes at a time because exactly one
-//! `resume` is on the stack.
+//! `resume` is on the stack — which is also why a traced worker may
+//! hold the event log from one scheduling point to the next.
 //!
 //! A *wedge* is the driver finding no `Ready` thread while some are
 //! `Waiting` (none left to release anything): the condition is sticky,
@@ -143,6 +149,11 @@ pub(crate) struct Sim {
     /// remains to release anything, so the run can never progress.
     /// Sticky — once wedged, all waiters drain out with an error.
     wedged: bool,
+    /// The runner the last scheduling point named, for the driver's
+    /// next [`Sim::next_runner`]: set by every scheduling point, taken
+    /// by the driver, cleared by a release (whose promotions may have
+    /// made a waiter the minimum).
+    decided: Option<usize>,
     /// Wake policy for lock releases. `None` is the legacy path: no
     /// ranking pass runs, no wake decisions are reported, and the
     /// schedule is the historical `(clock, tid)` order.
@@ -169,33 +180,59 @@ impl Sim {
             yield_points: 0,
             handoffs: 0,
             wedged: false,
+            decided: None,
             policy,
         }
     }
 
-    /// The `Ready` thread with the smallest `(clock, rank, tid)`.
+    /// The `Ready` thread with the smallest `(clock, rank, tid)`, in one
+    /// pass: a thread replaces the best so far only with a strictly
+    /// smaller `(clock, rank)`, so the lowest tid wins a tie.
     fn ready_min(&self) -> Option<usize> {
+        let mut best: Option<(u64, u64, usize)> = None;
+        for (j, &st) in self.state.iter().enumerate() {
+            if st != St::Ready {
+                continue;
+            }
+            let key = (self.clocks[j], self.ranks[j]);
+            if best.is_none_or(|(clock, rank, _)| key < (clock, rank)) {
+                best = Some((key.0, key.1, j));
+            }
+        }
+        best.map(|(.., j)| j)
+    }
+
+    /// [`Sim::ready_min`] by definition: the oracle its one pass is
+    /// held to.
+    #[cfg(test)]
+    fn ready_min_reference(&self) -> Option<usize> {
         (0..self.state.len())
             .filter(|&j| self.state[j] == St::Ready)
             .min_by_key(|&j| (self.clocks[j], self.ranks[j], j))
     }
 
     /// The scheduling decision at a scheduling point of `tid`, whose
-    /// own state and clock are already updated: who runs next.
+    /// own state and clock are already updated: who runs next. Kept for
+    /// the driver's [`Sim::next_runner`].
     fn schedule(&mut self, tid: usize) -> Option<usize> {
         let next = self.ready_min();
         if !self.wedged {
             self.yield_points += 1;
             self.handoffs += u64::from(next.is_some_and(|next| next != tid));
         }
+        self.decided = next;
         next
     }
 
-    /// The thread the driver resumes next: the `Ready` minimum. With
-    /// none `Ready` but waiters left, the schedule is wedged and the
-    /// waiters are handed out in thread order to fail. `None` when
-    /// every thread is done.
+    /// The thread the driver resumes next: the `Ready` minimum — the
+    /// runner the last scheduling point reported, when one is pending,
+    /// so a hand-off costs one scan, not two. With none `Ready` but
+    /// waiters left, the schedule is wedged and the waiters are handed
+    /// out in thread order to fail. `None` when every thread is done.
     pub fn next_runner(&mut self) -> Option<usize> {
+        if let Some(next) = self.decided.take() {
+            return Some(next);
+        }
         self.ready_min().or_else(|| {
             let waiter = self.state.iter().position(|&s| s == St::Waiting)?;
             self.wedged = true;
@@ -267,6 +304,9 @@ impl Sim {
     /// `["wk", …]` events with epochs strictly ahead of whatever the
     /// woken threads record next.
     pub fn on_release_with(&mut self, tid: usize, mut decision: impl FnMut(WakeGrant)) {
+        // A promoted waiter may now be the minimum: the driver's next
+        // runner is the next scheduling point's to name, or a scan's.
+        self.decided = None;
         let now = self.clocks[tid];
         let epoch = self.release_epoch;
         self.release_epoch += 1;
@@ -551,6 +591,102 @@ mod tests {
         order.extend(sim.finish(1));
         assert_eq!(order, vec![0, 1, 0]);
         assert_eq!(sim.finish(0), None);
+    }
+
+    /// One call the running thread makes, from a generated transcript:
+    /// `(kind, ticks, section, hand back)`. Kinds 0–2 advance by
+    /// `ticks` (a scheduling point), 3 blocks on a lock from `section`
+    /// (one), 4 releases, promoting every waiter — and, with `hand
+    /// back`, ends the slice there, so the driver must see the
+    /// promotions — and 5 finishes.
+    type Op = (u8, u64, u32, bool);
+
+    /// Drives `ops` through a `Sim` of `n` threads the way
+    /// `run_threads_virtual` does, asserting that every runner the
+    /// driver resumes, and every scheduling point's answer, is what the
+    /// reference scan says at that moment. Once the transcript is spent
+    /// each resumed thread finishes; a wedged schedule fails each thread
+    /// it hands out (release, then finish), as the driver does.
+    fn check_transcript(n: usize, ranked: bool, ops: &[Op]) {
+        use sched::{PolicyKind, SchedConfig};
+        let policy = ranked.then(|| {
+            SchedConfig {
+                policy: PolicyKind::ShortestExpectedHold,
+                expected_hold: vec![(0, 0), (1, 5), (2, 5), (3, 50)],
+                aging: 0,
+            }
+            .build()
+        });
+        let mut sim = Sim::with_policy(n, policy);
+        let mut ops = ops.iter();
+        loop {
+            let want = sim
+                .ready_min_reference()
+                .or_else(|| sim.state.iter().position(|&s| s == St::Waiting));
+            let runner = sim.next_runner();
+            assert_eq!(runner, want, "the driver resumes the reference minimum");
+            let Some(r) = runner else { break };
+            if sim.wedged() {
+                sim.on_release(r);
+                sim.finish(r);
+                continue;
+            }
+            loop {
+                let Some(&(kind, ticks, section, hand_back)) = ops.next() else {
+                    sim.finish(r);
+                    break;
+                };
+                match kind {
+                    0..=2 => {
+                        let next = sim.advance(r, ticks);
+                        assert_eq!(Some(next), sim.ready_min_reference());
+                        if next != r {
+                            break;
+                        }
+                    }
+                    3 => {
+                        let waiter = waiter(r as u32, section);
+                        let next = sim.begin_wait(r, Some(waiter));
+                        assert_eq!(next, sim.ready_min_reference());
+                        break;
+                    }
+                    4 => {
+                        sim.on_release_with(r, |_| {});
+                        if hand_back {
+                            break;
+                        }
+                    }
+                    _ => {
+                        let next = sim.finish(r);
+                        assert_eq!(next, sim.ready_min_reference());
+                        break;
+                    }
+                }
+            }
+        }
+        assert!(sim.state.iter().all(|&s| s == St::Done));
+        let (yield_points, handoffs) = sim.yield_counts();
+        assert!(handoffs <= yield_points);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+        /// The driver resumes exactly the thread the reference scan
+        /// names, whether the last scheduling point's decision hands it
+        /// over or the driver scans: ties on `(clock, rank)` go to the
+        /// lowest tid, ranks break clock ties, a release's promotions
+        /// are seen, and a wedge hands out the waiters.
+        #[test]
+        fn the_driver_resumes_the_reference_minimum(
+            n in 1usize..6,
+            ranked in proptest::arbitrary::any::<bool>(),
+            ops in proptest::collection::vec(
+                (0u8..6, 0u64..4, 0u32..4, proptest::arbitrary::any::<bool>()),
+                0..120,
+            ),
+        ) {
+            check_transcript(n, ranked, &ops);
+        }
     }
 
     #[test]

@@ -239,8 +239,18 @@ pub(crate) struct Worker<'m> {
     section_aborts: u64,
     /// Next STM section entry begins irrevocably (starvation fallback).
     escalate: bool,
-    /// This thread's event sink (None = machine not built with tracing).
-    tracer: Option<Arc<trace::ThreadRecorder>>,
+    /// This thread's handle on the machine's event log (None = machine
+    /// not built with tracing). The worker is its events' only
+    /// producer: lock grants and releases and STM lifecycle events are
+    /// recorded here, not inside the runtimes.
+    tracer: Option<trace::ThreadRecorder<'m>>,
+    /// The clock the thread's events are stamped with: [`Worker::now`]
+    /// as of the last event or [`Worker::stamp_clock`].
+    stamp: u64,
+    /// Entries of the session's held list whose grants are logged: the
+    /// grants of an acquisition batch are logged as each walk step
+    /// returns.
+    grants_logged: usize,
     /// Set while lock descriptors are re-evaluated *under* the freshly
     /// acquired grants (drift detection): those path reads are part of
     /// the acquisition protocol, not of the section body, so they are
@@ -266,14 +276,11 @@ impl<'m> Worker<'m> {
         f: FnId,
         args: &[i64],
     ) -> Worker<'m> {
-        let tracer = m.tracer.as_ref().map(|r| r.register(tid));
-        let mut session = Session::new(Arc::clone(&m.mg));
-        session.set_observer(tracer.clone().map(|t| t as Arc<dyn mglock::LockObserver>));
         Worker {
             m,
             tid,
             rng: splitmix(m.seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(tid as u64 + 1))),
-            session,
+            session: Session::new(Arc::clone(&m.mg)),
             txn: None,
             sec_depth: 0,
             frames: Vec::new(),
@@ -304,7 +311,9 @@ impl<'m> Worker<'m> {
             injector: m.faults.map(|plan| Injector::new(plan, tid)),
             section_aborts: 0,
             escalate: false,
-            tracer,
+            tracer: m.tracer.as_ref().map(|r| r.register(tid)),
+            stamp: 0,
+            grants_logged: 0,
             revalidating: false,
             accesses: 0,
             section_violated: false,
@@ -365,15 +374,19 @@ impl<'m> Worker<'m> {
     /// No-op in real time.
     fn sim_release(&mut self) -> Result<(), Exc> {
         let Some(sim) = self.sim else { return Ok(()) };
-        self.sync_trace_clock();
+        self.stamp_clock();
+        let stamp = self.stamp;
         sim.borrow_mut().on_release_with(self.tid as usize, |g| {
-            if let Some(t) = &self.tracer {
-                t.record(trace::EventKind::WakeDecision {
-                    node: g.node,
-                    mode: g.mode,
-                    depth: g.depth,
-                    woken: g.woken,
-                });
+            if let Some(t) = &mut self.tracer {
+                t.record(
+                    stamp,
+                    trace::EventKind::WakeDecision {
+                        node: g.node,
+                        mode: g.mode,
+                        depth: g.depth,
+                        woken: g.woken,
+                    },
+                );
             }
         });
         if self.tracer.is_some() {
@@ -395,13 +408,25 @@ impl<'m> Worker<'m> {
 
     /// Runs until the entry call returns, fails, or a scheduling point
     /// makes another virtual thread the runner (never, in real time).
+    ///
+    /// Under virtual time nobody else runs until this returns, so a
+    /// traced worker holds the event log for the whole slice and
+    /// records through that one lock; a real-time worker takes it per
+    /// event. (A panic leaves the log held until the worker is dropped,
+    /// which its driver does next.)
     pub(crate) fn resume(&mut self) -> Result<Step, Exc> {
         self.resumes += 1;
+        if let (Some(t), Some(_)) = (&mut self.tracer, self.sim) {
+            t.hold();
+        }
         // The slots leave `self` while instructions run, so the running
         // frame stays borrowed across `&mut self` calls.
         let mut slots = std::mem::take(&mut self.slots);
         let step = self.run(&mut slots);
         self.slots = slots;
+        if let Some(t) = &mut self.tracer {
+            t.release();
+        }
         match step {
             Err(Exc::Yield) => Ok(Step::Yield),
             step => step,
@@ -584,8 +609,9 @@ impl<'m> Worker<'m> {
         // (the allocator never reuses addresses); drop their Lemma 2
         // exemptions.
         self.my_allocs.clear();
-        self.sync_trace_clock();
-        m.space.note_abort_by(self.tid as u64);
+        self.stamp_clock();
+        m.space.note_abort();
+        self.record(trace::EventKind::StmAbort);
         self.section_aborts += 1;
         if self.section_aborts >= m.stm_abort_budget {
             // Starving: the next attempt runs irrevocably (see
@@ -928,20 +954,57 @@ impl<'m> Worker<'m> {
         self.vclock + self.vticks
     }
 
-    /// Publishes the current clock to the recorder so runtime-side
-    /// observer callbacks (lock grants, STM lifecycle) stamp correctly.
-    fn sync_trace_clock(&self) {
-        if let Some(t) = &self.tracer {
-            t.set_clock(self.now());
+    /// Stamps the thread's next events with the current clock: called
+    /// before a runtime call whose outcome is logged (a lock walk, an
+    /// STM commit, abort or fallback).
+    fn stamp_clock(&mut self) {
+        self.stamp = self.now();
+    }
+
+    /// Records one event with the last stamped clock.
+    fn record(&mut self, kind: trace::EventKind) {
+        if let Some(t) = &mut self.tracer {
+            t.record(self.stamp, kind);
         }
     }
 
     /// Records one event stamped with the current clock.
-    fn trace_event(&self, kind: trace::EventKind) {
-        if let Some(t) = &self.tracer {
-            t.set_clock(self.now());
-            t.record(kind);
+    fn trace_event(&mut self, kind: trace::EventKind) {
+        if self.tracer.is_some() {
+            self.stamp_clock();
+            self.record(kind);
         }
+    }
+
+    /// Logs the grants a walk step added to the session's held list, in
+    /// grant order.
+    fn trace_grants(&mut self) {
+        if let Some(t) = &mut self.tracer {
+            for (node, mode) in self.session.held_modes().skip(self.grants_logged) {
+                t.record(self.stamp, trace::EventKind::LockAcquire { node, mode });
+            }
+        }
+        self.grants_logged = self.session.held_count();
+    }
+
+    /// Logs the release of every held node, children before ancestors —
+    /// the order the session releases them in. Called just before the
+    /// session lets them go: on real threads a waiter's grant is then
+    /// logged after the release it waited for.
+    fn trace_releases(&mut self) {
+        if let Some(t) = &mut self.tracer {
+            for (node, mode) in self.session.held_modes().rev() {
+                t.record(self.stamp, trace::EventKind::LockRelease { node, mode });
+            }
+        }
+    }
+
+    /// *release-all*, logging the releases of the outermost level.
+    fn release_all(&mut self) {
+        if self.session.nesting_level() == 1 {
+            self.trace_releases();
+        }
+        self.session.release_all();
     }
 
     /// Records an in-section shared access. Accesses outside any
@@ -949,7 +1012,7 @@ impl<'m> Worker<'m> {
     /// `acquire_all` at nesting level 0, and post-acquisition descriptor
     /// revalidation) are not part of the lockset discipline and are
     /// skipped.
-    fn trace_access(&self, addr: u64, write: bool) {
+    fn trace_access(&mut self, addr: u64, write: bool) {
         if self.tracer.is_none() || self.revalidating {
             return;
         }
@@ -1093,7 +1156,7 @@ impl<'m> Worker<'m> {
         }
     }
 
-    fn trace_quarantine(&self, ev: sentinel::LadderEvent) {
+    fn trace_quarantine(&mut self, ev: sentinel::LadderEvent) {
         self.trace_event(trace::EventKind::Quarantine {
             section: ev.section,
             healed: ev.healed,
@@ -1106,7 +1169,7 @@ impl<'m> Worker<'m> {
 
     /// Accounts for one injected fault everywhere it is counted: the
     /// machine's [`FaultStats`](crate::FaultStats) and the trace.
-    fn note_fault(&self, class: FaultClass) {
+    fn note_fault(&mut self, class: FaultClass) {
         let stats = &self.m.fault_stats;
         let fired = match class {
             FaultClass::Panic => &stats.injected_panics,
@@ -1321,7 +1384,7 @@ impl<'m> Worker<'m> {
                     m.fault_stats
                         .lock_revalidations
                         .fetch_add(1, Ordering::Relaxed);
-                    self.session.release_all();
+                    self.release_all();
                     self.enter = Enter::Plan;
                     self.sim_release()?;
                 }
@@ -1350,8 +1413,9 @@ impl<'m> Worker<'m> {
                     // the scheduler: this thread charges its own clock
                     // until the gate holder (whose clock then becomes
                     // the minimum) runs and releases it.
-                    self.sync_trace_clock();
-                    if let Some(txn) = m.space.try_begin_irrevocable_by(self.tid as u64) {
+                    self.stamp_clock();
+                    if let Some(txn) = m.space.try_begin_irrevocable() {
+                        self.record(trace::EventKind::StmFallback);
                         self.txn = Some(txn);
                         return self.entered(true);
                     }
@@ -1448,13 +1512,15 @@ impl<'m> Worker<'m> {
                 }
                 Acquire::Stalled => {
                     self.held_before = self.session.held_count();
+                    self.grants_logged = self.held_before;
                     self.waited = false;
                     if self.sim.is_some() {
                         self.acquire = Acquire::Charged;
                         self.tick(m.costs.lock_desc * n_descriptors)?;
                     } else {
-                        self.sync_trace_clock();
+                        self.stamp_clock();
                         self.session.acquire_all();
+                        self.trace_grants();
                         self.acquire = Acquire::Granted;
                     }
                 }
@@ -1464,8 +1530,10 @@ impl<'m> Worker<'m> {
                 }
                 Acquire::Step => {
                     let sim = self.sim.expect("stepping is the scheduler's way");
-                    self.sync_trace_clock();
-                    match self.session.acquire_all_step() {
+                    self.stamp_clock();
+                    let step = self.session.acquire_all_step();
+                    self.trace_grants();
+                    match step {
                         mglock::StepResult::Done => {
                             if self.waited {
                                 sim.borrow_mut().end_wait(self.tid as usize);
@@ -1565,7 +1633,7 @@ impl<'m> Worker<'m> {
                     // release events trail the section like the
                     // runtime's own order.
                     self.trace_event(trace::EventKind::SectionExit { section: sid.0 });
-                    self.session.release_all();
+                    self.release_all();
                     if self.session.nesting_level() > 0 {
                         return self.left(false);
                     }
@@ -1583,12 +1651,13 @@ impl<'m> Worker<'m> {
                 }
                 (Exit::Commit, _) => {
                     self.exit = Exit::Start;
-                    self.sync_trace_clock();
+                    self.stamp_clock();
                     let (reads, writes) = self.txn_sizes()?;
                     let txn = self.txn.take().expect("sized just above");
                     return match txn.commit() {
                         Ok(()) => {
-                            m.space.note_commit_by(self.tid as u64, reads, writes);
+                            m.space.note_commit();
+                            self.record(trace::EventKind::StmCommit { reads, writes });
                             self.trace_event(trace::EventKind::SectionExit { section: sid.0 });
                             self.my_allocs.clear();
                             self.note_section_closed(sid.0);
@@ -1736,6 +1805,15 @@ impl<'m> Worker<'m> {
             Some(e) => Err(e),
             None => Ok(current && seen == self.planned.len()),
         }
+    }
+}
+
+/// A worker dropped while its session holds nodes — one that failed
+/// or panicked inside a section — logs their releases here, before the
+/// session's own drop unwinds the grants.
+impl Drop for Worker<'_> {
+    fn drop(&mut self) {
+        self.trace_releases();
     }
 }
 

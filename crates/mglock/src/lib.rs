@@ -11,7 +11,7 @@
 //! [`Mode::compatible`], acquire-all is one resumable walk in
 //! [`Session`] behind its two entry points — blocking for real threads,
 //! step-wise for virtual time — and the mode / node-class
-//! spellings that traces and metrics carry are [`Mode`]'s
+//! spellings that recorded runs and metrics carry are [`Mode`]'s
 //! `Display`/`FromStr` and [`NodeKey::class`].
 //!
 //! ```
@@ -39,9 +39,7 @@ pub mod runtime;
 
 pub use modelock::ModeLock;
 pub use modes::Mode;
-pub use runtime::{
-    Access, Descriptor, FineAddr, LockObserver, NodeKey, Runtime, Session, Stats, StepResult,
-};
+pub use runtime::{Access, Descriptor, FineAddr, NodeKey, Runtime, Session, Stats, StepResult};
 
 #[cfg(test)]
 mod tests {
@@ -372,26 +370,6 @@ mod tests {
         s.release_all();
     }
 
-    /// Records the grant lifecycle as the runtime reports it: `true`
-    /// for a grant, `false` for a release.
-    #[derive(Default)]
-    struct Log(std::sync::Mutex<Vec<(bool, NodeKey, Mode)>>);
-
-    impl Log {
-        fn take(&self) -> Vec<(bool, NodeKey, Mode)> {
-            std::mem::take(&mut self.0.lock().unwrap())
-        }
-    }
-
-    impl LockObserver for Log {
-        fn lock_acquired(&self, node: NodeKey, mode: Mode) {
-            self.0.lock().unwrap().push((true, node, mode));
-        }
-        fn lock_released(&self, node: NodeKey, mode: Mode) {
-            self.0.lock().unwrap().push((false, node, mode));
-        }
-    }
-
     fn descriptor() -> impl Strategy<Value = Descriptor> {
         (0u32..3, 0u64..3, any::<bool>(), 0u8..4).prop_map(|(pts, at, write, kind)| {
             let access = if write { Access::Write } else { Access::Read };
@@ -463,8 +441,8 @@ mod tests {
 
         /// Blocking and step-wise acquisition are one walk:
         /// uncontended, they grant the same nodes in the same modes in
-        /// the same order, account for them identically, and release in
-        /// exact reverse.
+        /// the same order, account for them identically, and release
+        /// every one of them.
         #[test]
         fn the_two_entry_points_walk_one_plan(
             plan in proptest::collection::vec(descriptor(), 0..7),
@@ -472,9 +450,7 @@ mod tests {
             let mut walks = Vec::new();
             for entry in ["blocking", "stepwise"] {
                 let rt = Arc::new(Runtime::new());
-                let log = Arc::new(Log::default());
                 let mut s = Session::new(Arc::clone(&rt));
-                s.set_observer(Some(Arc::clone(&log) as Arc<dyn LockObserver>));
                 for &d in &plan {
                     s.to_acquire(d);
                 }
@@ -483,12 +459,6 @@ mod tests {
                     _ => prop_assert_eq!(s.acquire_all_step(), StepResult::Done),
                 }
                 let held: Vec<(NodeKey, Mode)> = s.held_modes().collect();
-                let grants = log.take();
-                prop_assert_eq!(
-                    &grants,
-                    &held.iter().map(|&(k, m)| (true, k, m)).collect::<Vec<_>>(),
-                    "{}: grants are reported in held order", entry
-                );
                 prop_assert!(held.windows(2).all(|w| w[0].0 < w[1].0), "{}: top-down", entry);
                 prop_assert_eq!(s.nesting_level(), 1);
                 prop_assert_eq!(rt.stats().batches.load(Ordering::Relaxed), 1);
@@ -497,11 +467,6 @@ mod tests {
                     held.len() as u64
                 );
                 s.release_all();
-                prop_assert_eq!(
-                    log.take(),
-                    held.iter().rev().map(|&(k, m)| (false, k, m)).collect::<Vec<_>>(),
-                    "{}: released in exact reverse", entry
-                );
                 prop_assert!(rt.quiescent() && s.held_count() == 0);
                 walks.push(held);
             }

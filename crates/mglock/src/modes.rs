@@ -74,7 +74,7 @@ impl Mode {
     }
 
     /// The mode's one spelling: what [`fmt::Display`] prints, what
-    /// [`FromStr`] accepts, and the `MODE` tag of the trace format.
+    /// [`FromStr`] accepts, and the `MODE` tag of a recorded event.
     pub fn tag(self) -> &'static str {
         match self {
             Mode::Is => "IS",

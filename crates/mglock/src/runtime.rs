@@ -82,7 +82,8 @@ pub enum Descriptor {
 
 /// A node in the lock tree, in the global acquisition order: root
 /// first, then partitions, then fine nodes grouped by partition.
-/// Public so tracing observers can name the node a grant refers to.
+/// Public so a session's caller can name the node a grant refers to
+/// ([`Session::held_modes`]).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub enum NodeKey {
     Root,
@@ -91,8 +92,8 @@ pub enum NodeKey {
 }
 
 impl NodeKey {
-    /// Every node class, in tree order (the `NODE` tags of the trace
-    /// format, the `node` label of the wake-decision metrics).
+    /// Every node class, in tree order (the `NODE` tags of a recorded
+    /// run's events, the `node` label of the wake-decision metrics).
     pub const CLASSES: [&'static str; 4] = ["root", "pts", "cell", "range"];
 
     /// Which of [`NodeKey::CLASSES`] this node belongs to.
@@ -104,17 +105,6 @@ impl NodeKey {
             NodeKey::Fine(_, FineAddr::Range(_)) => 3,
         }]
     }
-}
-
-/// Observer of a [`Session`]'s grant lifecycle. Implemented by tracing
-/// backends (the `trace` crate's per-thread recorder); the runtime
-/// calls it synchronously on the granting/releasing thread, including
-/// for unwind releases from [`Session`]'s drop glue.
-pub trait LockObserver: Send + Sync {
-    /// `node` was granted to the session in `mode`.
-    fn lock_acquired(&self, node: NodeKey, mode: Mode);
-    /// The session released its `mode` grant on `node`.
-    fn lock_released(&self, node: NodeKey, mode: Mode);
 }
 
 /// Counters exposed for benchmarks and tests.
@@ -280,8 +270,6 @@ pub struct Session {
     /// (popped from the back). Non-empty exactly while a walk is in
     /// flight.
     cursor: Vec<(NodeKey, u32, Mode)>,
-    /// Grant-lifecycle observer (tracing); `None` costs nothing.
-    observer: Option<Arc<dyn LockObserver>>,
 }
 
 impl fmt::Debug for Session {
@@ -303,14 +291,7 @@ impl Session {
             held: Vec::new(),
             nlevel: 0,
             cursor: Vec::new(),
-            observer: None,
         }
-    }
-
-    /// Installs (or clears) a grant-lifecycle observer. Grants already
-    /// held are not replayed to a newly installed observer.
-    pub fn set_observer(&mut self, observer: Option<Arc<dyn LockObserver>>) {
-        self.observer = observer;
     }
 
     /// Turns the pending descriptors into the walk's cursor: one step
@@ -384,9 +365,6 @@ impl Session {
             if !take(rt.lock(id), mode) {
                 break true;
             }
-            if let Some(obs) = &self.observer {
-                obs.lock_acquired(key, mode);
-            }
             self.held.push((key, id, mode));
             self.cursor.pop();
             taken += 1;
@@ -406,11 +384,8 @@ impl Session {
 
     /// Releases every held node, children before ancestors.
     fn release_held(&mut self) {
-        for (key, id, mode) in self.held.drain(..).rev() {
+        for (_, id, mode) in self.held.drain(..).rev() {
             self.rt.lock(id).release(mode);
-            if let Some(obs) = &self.observer {
-                obs.lock_released(key, mode);
-            }
         }
     }
 
@@ -455,11 +430,15 @@ impl Session {
     }
 
     /// The session's live held-mode set: every granted `(node, mode)`
-    /// pair, in acquisition order. This is the introspection hook the
-    /// online sentinel evaluates the Fig. 6 licensing predicate
-    /// against on each in-section access — the same set the trace
-    /// validator reconstructs post hoc from grant/release events.
-    pub fn held_modes(&self) -> impl Iterator<Item = (NodeKey, Mode)> + '_ {
+    /// pair, in acquisition order — the order a batch's nodes are
+    /// granted in, and the reverse of the order `release_all` and the
+    /// unwind in `Drop` release them in. The online sentinel evaluates
+    /// the Fig. 6 licensing predicate against it on each in-section
+    /// access, and the caller that logs grants and releases reads them
+    /// here.
+    pub fn held_modes(
+        &self,
+    ) -> impl DoubleEndedIterator<Item = (NodeKey, Mode)> + ExactSizeIterator + '_ {
         self.held.iter().map(|&(key, _, mode)| (key, mode))
     }
 

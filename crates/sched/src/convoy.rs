@@ -48,7 +48,7 @@ pub struct ConvoyFlag {
 }
 
 /// Flags convoy-prone sections, in section-id order (profiles arrive
-/// sorted from [`trace::profile`]). Pure arithmetic on the profile
+/// sorted from [`trace::profile()`]). Pure arithmetic on the profile
 /// counters against the thresholds above.
 pub fn detect(profiles: &[SectionProfile]) -> Vec<ConvoyFlag> {
     let mut out = Vec::new();

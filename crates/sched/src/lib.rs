@@ -11,7 +11,7 @@
 //!   the blocked [`Waiter`] snapshots (who waits, on which lock-tree
 //!   node, in which mode, for which static section) plus a frozen
 //!   per-section expected-hold table derived from
-//!   [`trace::profile`] histograms of a prior run. No clocks, no
+//!   [`trace::profile()`] histograms of a prior run. No clocks, no
 //!   randomness, no thread-count dependence — identical release
 //!   batches rank identically on any machine, at any parallelism,
 //!   which is what keeps policy-steered runs replayable.

@@ -52,7 +52,7 @@ pub struct TxnStats {
     /// Aborted attempts before the successful one.
     pub aborts: u64,
     /// Transactions that completed as irrevocable global-mode
-    /// executions ([`Space::try_begin_irrevocable_by`]). Always 0 for
+    /// executions ([`Space::try_begin_irrevocable`]). Always 0 for
     /// one [`Space::atomically`] call, which only retries; counted by
     /// [`Space::global_stats`] for a driver with its own escalation.
     pub fallbacks: u64,
@@ -111,21 +111,6 @@ impl Default for Backoff {
     }
 }
 
-/// Observer of transaction lifecycle transitions, for tracing backends.
-/// Callbacks carry the thread token the driver passed to the tagged
-/// notification methods ([`Space::note_commit_by`] and friends), so a
-/// machine-wide observer can route the event to the right per-thread
-/// buffer.
-pub trait StmObserver: Send + Sync {
-    /// The token's outermost transaction committed with the given
-    /// read/write set sizes.
-    fn txn_commit(&self, token: u64, reads: u64, writes: u64);
-    /// The token's current attempt aborted (it will retry).
-    fn txn_abort(&self, token: u64);
-    /// The token's transaction escalated to irrevocable global mode.
-    fn txn_fallback(&self, token: u64);
-}
-
 const LOCK_BIT: u64 = 1;
 
 struct Cell {
@@ -154,9 +139,6 @@ pub struct Space {
     /// it exclusively for its whole lifetime, so the two write paths can
     /// never interleave on a cell.
     commit_gate: std::sync::RwLock<()>,
-    /// Lifecycle observer for the tagged notification methods; `None`
-    /// costs one relaxed load per notification.
-    observer: std::sync::RwLock<Option<std::sync::Arc<dyn StmObserver>>>,
 }
 
 impl std::fmt::Debug for Space {
@@ -181,26 +163,6 @@ impl Space {
             aborts: AtomicU64::new(0),
             fallbacks: AtomicU64::new(0),
             commit_gate: std::sync::RwLock::new(()),
-            observer: std::sync::RwLock::new(None),
-        }
-    }
-
-    /// Installs (or clears) the lifecycle observer used by the tagged
-    /// notification methods.
-    pub fn set_observer(&self, observer: Option<std::sync::Arc<dyn StmObserver>>) {
-        *self
-            .observer
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = observer;
-    }
-
-    fn with_observer(&self, f: impl FnOnce(&dyn StmObserver)) {
-        let g = self
-            .observer
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(obs) = g.as_deref() {
-            f(obs);
         }
     }
 
@@ -286,12 +248,10 @@ impl Space {
     /// commit holds the gate; a caller on a virtual-time scheduler
     /// charges the retry delay to its own clock, where a blocking wait
     /// would stall the scheduler for real. On success, counts a
-    /// fallback and notifies the observer with the driver's thread
-    /// token.
-    pub fn try_begin_irrevocable_by(&self, token: u64) -> Option<Txn<'_>> {
+    /// fallback.
+    pub fn try_begin_irrevocable(&self) -> Option<Txn<'_>> {
         let guard = self.commit_gate.try_write().ok()?;
         self.fallbacks.fetch_add(1, Ordering::Relaxed);
-        self.with_observer(|o| o.txn_fallback(token));
         Some(Txn {
             space: self,
             rv: self.clock.load(Ordering::Acquire),
@@ -302,19 +262,15 @@ impl Space {
     }
 
     /// Records an aborted attempt of an explicit begin/commit driver
-    /// for the global statistics and notifies the observer with the
-    /// driver's thread token.
-    pub fn note_abort_by(&self, token: u64) {
+    /// for the global statistics.
+    pub fn note_abort(&self) {
         self.aborts.fetch_add(1, Ordering::Relaxed);
-        self.with_observer(|o| o.txn_abort(token));
     }
 
     /// Records a commit of an explicit begin/commit driver for the
-    /// global statistics and notifies the observer with the driver's
-    /// thread token and the committed read/write set sizes.
-    pub fn note_commit_by(&self, token: u64, reads: u64, writes: u64) {
+    /// global statistics.
+    pub fn note_commit(&self) {
         self.commits.fetch_add(1, Ordering::Relaxed);
-        self.with_observer(|o| o.txn_commit(token, reads, writes));
     }
 
     /// Runs `body` transactionally, retrying on conflict (with capped
@@ -722,7 +678,7 @@ mod tests {
                 while stop.load(Ordering::Relaxed) == 0 {
                     v += 1;
                     let mut t = loop {
-                        match s.try_begin_irrevocable_by(0) {
+                        match s.try_begin_irrevocable() {
                             Some(t) => break t,
                             None => std::thread::yield_now(),
                         }
@@ -730,7 +686,7 @@ mod tests {
                     t.write(0, v);
                     t.write(1, v);
                     t.commit().unwrap();
-                    s.note_commit_by(0, 0, 2);
+                    s.note_commit();
                 }
             })
         };
@@ -755,7 +711,7 @@ mod tests {
     #[test]
     fn irrevocable_reads_see_own_writes() {
         let s = Space::new(4);
-        let mut t = s.try_begin_irrevocable_by(0).expect("the gate is free");
+        let mut t = s.try_begin_irrevocable().expect("the gate is free");
         t.write(2, 9);
         assert_eq!(t.read(2).unwrap(), 9);
         t.commit().unwrap();

@@ -22,7 +22,7 @@
 //! * [`sections`] — the per-thread enter / exit / plan-completion /
 //!   abort nesting protocol, read by everything below;
 //! * [`lockset`] — the validator;
-//! * [`profile`] — per-section contention/hold-time histograms derived
+//! * [`profile`](mod@profile) — per-section contention/hold-time histograms derived
 //!   from a trace;
 //! * [`quarantine`] — reconstruction of the sentinel's quarantine
 //!   ladder (`["qr", …]` transitions) from a trace, with a truncation
@@ -167,19 +167,24 @@ mod tests {
 
     fn sample() -> Trace {
         let rec = Recorder::new(TraceConfig { capacity: 16 });
-        let t0 = rec.register(0);
-        t0.set_clock(5);
-        t0.record(EventKind::SectionEnter { section: 1 });
-        t0.record(EventKind::LockAcquire {
-            node: NodeKey::Fine(2, FineAddr::Cell(40)),
-            mode: Mode::X,
-        });
-        t0.record(EventKind::Write { addr: 40 });
-        t0.record(EventKind::LockRelease {
-            node: NodeKey::Fine(2, FineAddr::Cell(40)),
-            mode: Mode::X,
-        });
-        t0.record(EventKind::SectionExit { section: 1 });
+        let mut t0 = rec.register(0);
+        t0.record(5, EventKind::SectionEnter { section: 1 });
+        t0.record(
+            5,
+            EventKind::LockAcquire {
+                node: NodeKey::Fine(2, FineAddr::Cell(40)),
+                mode: Mode::X,
+            },
+        );
+        t0.record(5, EventKind::Write { addr: 40 });
+        t0.record(
+            5,
+            EventKind::LockRelease {
+                node: NodeKey::Fine(2, FineAddr::Cell(40)),
+                mode: Mode::X,
+            },
+        );
+        t0.record(5, EventKind::SectionExit { section: 1 });
         rec.take(
             vec![("mode".into(), "MultiGrain".into())],
             vec![AllocRecord {
@@ -201,9 +206,9 @@ mod tests {
     #[test]
     fn capacity_overflow_counts_dropped() {
         let rec = Recorder::new(TraceConfig { capacity: 2 });
-        let t0 = rec.register(0);
+        let mut t0 = rec.register(0);
         for _ in 0..5 {
-            t0.record(EventKind::StmAbort);
+            t0.record(0, EventKind::StmAbort);
         }
         let t = rec.take(Vec::new(), Vec::new());
         assert_eq!(t.events.len(), 2);
@@ -213,8 +218,8 @@ mod tests {
     #[test]
     fn take_drains() {
         let rec = Recorder::new(TraceConfig::default());
-        let t0 = rec.register(0);
-        t0.record(EventKind::StmAbort);
+        let mut t0 = rec.register(0);
+        t0.record(0, EventKind::StmAbort);
         assert_eq!(rec.take(Vec::new(), Vec::new()).events.len(), 1);
         assert_eq!(rec.take(Vec::new(), Vec::new()).events.len(), 0);
     }

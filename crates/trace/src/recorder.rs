@@ -1,25 +1,25 @@
-//! Low-overhead event recording: one epoch-ordered log per machine,
-//! and observer adapters for the `mglock` and `tl2` runtimes.
+//! Low-overhead event recording: one epoch-ordered log per machine.
 //!
 //! Every event is appended to a single byte-coded [`EventLog`] under
 //! one mutex, and its epoch is assigned under that same lock, so the
 //! log is in epoch order by construction: a trace is one total order,
 //! written once, and [`Recorder::take`] hands it over without merging
-//! or sorting. Under the virtual-time scheduler (`interp::sim`) only
-//! one thread runs at a time, so the mutex is never contended; under
-//! real threads it is the serialization point that gives their events
-//! one order.
+//! or sorting. Under real threads the mutex is the serialization point
+//! that gives their events one order, taken once per event.
 //!
 //! Each worker registers a [`ThreadRecorder`]: a handle naming its
-//! thread, its registration slot (whose events count against
-//! [`TraceConfig::capacity`]) and its published virtual clock.
+//! thread and its registration slot (whose events count against
+//! [`TraceConfig::capacity`]). The worker is its events' only
+//! producer — lock grants and releases, STM commits and aborts
+//! included — and stamps each with its own clock. Under the
+//! virtual-time scheduler (`interp::sim`) only one worker runs at a
+//! time, between two scheduling points, so it holds the log for that
+//! whole slice ([`ThreadRecorder::hold`]) and pays for the lock once
+//! per slice, not once per event.
 
 use crate::event::{Event, EventKind, EventLog};
 use crate::{AllocRecord, Trace};
-use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use parking_lot::{Mutex, MutexGuard};
 
 /// Recorder construction options (kept `Copy` so it can ride inside
 /// `interp::Options`).
@@ -50,114 +50,99 @@ struct Log {
     dropped: u64,
 }
 
-/// What the recorder and its thread handles share.
-struct Shared {
-    capacity: usize,
-    log: Mutex<Log>,
-}
-
-impl Shared {
-    fn record(&self, slot: usize, tid: u32, clock: u64, kind: EventKind) {
-        let mut log = self.log.lock();
-        let epoch = log.next_epoch;
-        log.next_epoch += 1;
-        if log.kept[slot] < self.capacity {
-            log.kept[slot] += 1;
-            log.events.push(Event {
-                epoch,
-                tid,
-                clock,
-                kind,
-            });
+impl Log {
+    fn record(&mut self, capacity: usize, slot: usize, event: Event) {
+        let epoch = self.next_epoch;
+        self.next_epoch += 1;
+        if self.kept[slot] < capacity {
+            self.kept[slot] += 1;
+            self.events.push(Event { epoch, ..event });
         } else {
-            log.dropped += 1;
+            self.dropped += 1;
         }
     }
 }
 
 /// One thread registration's handle on the machine's log.
-pub struct ThreadRecorder {
+pub struct ThreadRecorder<'r> {
     tid: u32,
     slot: usize,
-    shared: Arc<Shared>,
-    /// The owning worker's virtual clock, published before each batch
-    /// of events so observer callbacks (which fire inside the lock and
-    /// STM runtimes, without access to the worker) stamp correctly.
-    clock: AtomicU64,
+    rec: &'r Recorder,
+    /// The log, while this thread holds it for a slice.
+    held: Option<MutexGuard<'r, Log>>,
 }
 
-impl ThreadRecorder {
-    /// Publishes the thread's current virtual clock for subsequent
-    /// events.
-    pub fn set_clock(&self, clock: u64) {
-        self.clock.store(clock, Ordering::Relaxed);
+impl ThreadRecorder<'_> {
+    /// Appends an event stamped with the next epoch and `clock`: through
+    /// the held log, or under one lock of the log.
+    pub fn record(&mut self, clock: u64, kind: EventKind) {
+        let event = Event {
+            epoch: 0,
+            tid: self.tid,
+            clock,
+            kind,
+        };
+        let capacity = self.rec.capacity;
+        match &mut self.held {
+            Some(log) => log.record(capacity, self.slot, event),
+            None => self.rec.log.lock().record(capacity, self.slot, event),
+        }
     }
 
-    /// Appends an event stamped with the next epoch and the last
-    /// published clock.
-    pub fn record(&self, kind: EventKind) {
-        let clock = self.clock.load(Ordering::Relaxed);
-        self.shared.record(self.slot, self.tid, clock, kind);
+    /// Holds the log until [`ThreadRecorder::release`]: events are
+    /// recorded without taking its lock again. No other handle on the
+    /// same recorder may record, register or take in the meantime — a
+    /// virtual-time worker holds it for its slice, while nobody else
+    /// runs.
+    pub fn hold(&mut self) {
+        if self.held.is_none() {
+            self.held = Some(self.rec.log.lock());
+        }
+    }
+
+    /// Lets go of a log taken by [`ThreadRecorder::hold`].
+    pub fn release(&mut self) {
+        self.held = None;
     }
 }
 
-/// Lock-runtime adapter: grants and releases observed by a session are
-/// recorded with the node and Fig. 6 mode.
-impl mglock::LockObserver for ThreadRecorder {
-    fn lock_acquired(&self, node: mglock::NodeKey, mode: mglock::Mode) {
-        self.record(EventKind::LockAcquire { node, mode });
-    }
-
-    fn lock_released(&self, node: mglock::NodeKey, mode: mglock::Mode) {
-        self.record(EventKind::LockRelease { node, mode });
-    }
-}
-
-/// The machine-wide recorder: owns the log and routes runtime-side
-/// events to the thread that caused them.
+/// The machine-wide recorder: owns the log.
 pub struct Recorder {
-    shared: Arc<Shared>,
-    /// The live registration per tid, for routing runtime-side events
-    /// (`tl2` observer callbacks carry only a thread token).
-    current: Mutex<HashMap<u32, Arc<ThreadRecorder>>>,
+    capacity: usize,
+    log: Mutex<Log>,
 }
 
 impl Recorder {
     /// Creates an empty recorder.
     pub fn new(cfg: TraceConfig) -> Recorder {
         Recorder {
-            shared: Arc::new(Shared {
-                capacity: cfg.capacity,
-                log: Mutex::new(Log::default()),
-            }),
-            current: Mutex::new(HashMap::new()),
+            capacity: cfg.capacity,
+            log: Mutex::new(Log::default()),
         }
     }
 
-    /// Registers (or re-registers) thread `tid`, returning its handle.
-    /// A re-registration — e.g. the init, worker, and check phases all
-    /// running as thread 0 — gets a fresh capacity allowance.
-    pub fn register(&self, tid: u32) -> Arc<ThreadRecorder> {
+    /// Registers thread `tid`, returning its handle. A re-registration —
+    /// e.g. the init, worker, and check phases all running as thread 0 —
+    /// gets a fresh capacity allowance.
+    pub fn register(&self, tid: u32) -> ThreadRecorder<'_> {
         let slot = {
-            let mut log = self.shared.log.lock();
+            let mut log = self.log.lock();
             log.kept.push(0);
             log.kept.len() - 1
         };
-        let t = Arc::new(ThreadRecorder {
+        ThreadRecorder {
             tid,
             slot,
-            shared: Arc::clone(&self.shared),
-            clock: AtomicU64::new(0),
-        });
-        self.current.lock().insert(tid, Arc::clone(&t));
-        t
+            rec: self,
+            held: None,
+        }
     }
 
     /// Hands over the log as one epoch-ordered [`Trace`]. Later events
     /// start a fresh log (continuing the epoch sequence), and every
     /// registration's capacity allowance starts over.
     pub fn take(&self, meta: Vec<(String, String)>, allocs: Vec<AllocRecord>) -> Trace {
-        let mut log = self.shared.log.lock();
+        let mut log = self.log.lock();
         log.kept.fill(0);
         let mut events = std::mem::take(&mut log.events);
         // The log grew by doubling. A trace often outlives its machine
@@ -168,32 +153,6 @@ impl Recorder {
             allocs,
             events,
             dropped: std::mem::take(&mut log.dropped),
-        }
-    }
-}
-
-/// STM adapter: `tl2` reports transaction lifecycle transitions with a
-/// thread token, routed to that thread's live registration (stamped
-/// with its last published clock).
-impl tl2::StmObserver for Recorder {
-    fn txn_commit(&self, token: u64, reads: u64, writes: u64) {
-        self.to_thread(token, EventKind::StmCommit { reads, writes });
-    }
-
-    fn txn_abort(&self, token: u64) {
-        self.to_thread(token, EventKind::StmAbort);
-    }
-
-    fn txn_fallback(&self, token: u64) {
-        self.to_thread(token, EventKind::StmFallback);
-    }
-}
-
-impl Recorder {
-    fn to_thread(&self, token: u64, kind: EventKind) {
-        let t = self.current.lock().get(&(token as u32)).cloned();
-        if let Some(t) = t {
-            t.record(kind);
         }
     }
 }
@@ -215,22 +174,22 @@ mod tests {
         let rec = Recorder::new(TraceConfig { capacity: 2 });
         // Thread 0 registers twice (init phase, then worker phase):
         // each registration has its own allowance.
-        let first = rec.register(0);
-        let second = rec.register(0);
-        let other = rec.register(1);
+        let mut first = rec.register(0);
+        let mut second = rec.register(0);
+        let mut other = rec.register(1);
         for _ in 0..3 {
-            first.record(EventKind::StmAbort);
+            first.record(0, EventKind::StmAbort);
         }
         for _ in 0..3 {
-            second.record(EventKind::StmAbort);
+            second.record(0, EventKind::StmAbort);
         }
-        other.record(EventKind::StmAbort);
+        other.record(0, EventKind::StmAbort);
         let t = rec.take(Vec::new(), Vec::new());
         assert_eq!(epochs(&t), [(0, 0), (1, 0), (3, 0), (4, 0), (6, 1)]);
         assert_eq!(t.dropped, 2);
         // A take gives every registration its full allowance back.
         for _ in 0..2 {
-            first.record(EventKind::StmAbort);
+            first.record(0, EventKind::StmAbort);
         }
         let t = rec.take(Vec::new(), Vec::new());
         assert_eq!(epochs(&t), [(7, 0), (8, 0)]);
@@ -240,12 +199,12 @@ mod tests {
     #[test]
     fn a_dropped_event_uses_up_an_epoch() {
         let rec = Recorder::new(TraceConfig { capacity: 1 });
-        let t0 = rec.register(0);
-        let t1 = rec.register(1);
-        t0.record(EventKind::StmAbort);
-        t0.record(EventKind::StmAbort);
-        t1.record(EventKind::StmAbort);
-        t0.record(EventKind::StmAbort);
+        let mut t0 = rec.register(0);
+        let mut t1 = rec.register(1);
+        t0.record(0, EventKind::StmAbort);
+        t0.record(0, EventKind::StmAbort);
+        t1.record(0, EventKind::StmAbort);
+        t0.record(0, EventKind::StmAbort);
         let t = rec.take(Vec::new(), Vec::new());
         assert_eq!(epochs(&t), [(0, 0), (2, 1)]);
         assert_eq!(t.dropped, 2);
@@ -254,36 +213,44 @@ mod tests {
     #[test]
     fn a_second_take_continues_the_epoch_sequence() {
         let rec = Recorder::new(TraceConfig::default());
-        let t0 = rec.register(0);
-        let t1 = rec.register(1);
-        t0.set_clock(3);
-        t0.record(EventKind::StmAbort);
-        t1.record(EventKind::StmAbort);
+        let mut t0 = rec.register(0);
+        let mut t1 = rec.register(1);
+        t0.record(3, EventKind::StmAbort);
+        t1.record(0, EventKind::StmAbort);
         let t = rec.take(Vec::new(), Vec::new());
         assert_eq!(epochs(&t), [(0, 0), (1, 1)]);
         assert_eq!(clock(&t, 0), 3);
-        t1.record(EventKind::StmAbort);
-        t0.record(EventKind::StmAbort);
+        t1.record(0, EventKind::StmAbort);
+        t0.record(3, EventKind::StmAbort);
         let t = rec.take(Vec::new(), Vec::new());
         assert_eq!(epochs(&t), [(2, 1), (3, 0)]);
-        assert_eq!(clock(&t, 1), 3, "the published clock survives a take");
+        assert_eq!(clock(&t, 1), 3);
     }
 
     #[test]
-    fn runtime_events_route_to_the_latest_registration() {
-        let rec = Recorder::new(TraceConfig { capacity: 1 });
-        let first = rec.register(0);
-        first.record(EventKind::StmAbort);
-        let second = rec.register(0);
-        second.set_clock(9);
-        tl2::StmObserver::txn_abort(&rec, 0);
-        tl2::StmObserver::txn_abort(&rec, 0);
-        // A token no thread registered is ignored and takes no epoch.
-        tl2::StmObserver::txn_abort(&rec, 5);
-        first.record(EventKind::StmAbort);
-        let t = rec.take(Vec::new(), Vec::new());
-        assert_eq!(epochs(&t), [(0, 0), (1, 0)]);
-        assert_eq!(clock(&t, 1), 9);
-        assert_eq!(t.dropped, 2);
+    fn a_held_log_records_what_per_event_locking_records() {
+        // Slices of two threads, each held for its slice, against the
+        // same events recorded one lock at a time: one log, one epoch
+        // sequence, one capacity account.
+        let run = |hold: bool| {
+            let rec = Recorder::new(TraceConfig { capacity: 3 });
+            let mut ts = [rec.register(0), rec.register(1)];
+            for (slice, n) in [(0, 2), (1, 1), (0, 2), (1, 1)] {
+                let t = &mut ts[slice];
+                if hold {
+                    t.hold();
+                }
+                for c in 0..n {
+                    t.record(c, EventKind::StmAbort);
+                }
+                t.release();
+            }
+            let t = rec.take(Vec::new(), Vec::new());
+            (t.digest(), epochs(&t), t.dropped)
+        };
+        let held = run(true);
+        assert_eq!(held, run(false));
+        assert_eq!(held.1, [(0, 0), (1, 0), (2, 1), (3, 0), (5, 1)]);
+        assert_eq!(held.2, 1);
     }
 }

@@ -326,7 +326,7 @@ pub mod collection {
     use crate::test_runner::TestRng;
     use std::ops::Range;
 
-    /// Length bounds for [`vec`], converted from `usize` ranges.
+    /// Length bounds for [`vec()`], converted from `usize` ranges.
     #[derive(Clone, Debug)]
     pub struct SizeRange {
         lo: usize,
@@ -349,7 +349,7 @@ pub mod collection {
         }
     }
 
-    /// The strategy returned by [`vec`].
+    /// The strategy returned by [`vec()`].
     #[derive(Clone)]
     pub struct VecStrategy<S> {
         element: S,

@@ -16,7 +16,7 @@
 //!    [`Arc`]s across every candidate; Phase A summary caches are
 //!    memoized per distinct [`SchemeConfig`] in one concurrent
 //!    [`SummaryStore`], and candidates naming the same effective run
-//!    configuration replay once (see [`eval_singles`]). The
+//!    configuration replay once (see `eval_singles`). The
 //!    pre-harness behavior — re-deriving all three per candidate, no
 //!    dedup — is kept reachable (`hoist: false`) so `eval-bench` can
 //!    measure exactly what the harness buys.

@@ -32,7 +32,7 @@ use trace::Trace;
 /// One installed repair, at configuration level: `(section, candidate
 /// id, repaired scheme configuration)`. The concrete per-section lock
 /// specs are **derived** deterministically at machine-build time (see
-/// [`repair_specs`]), so a trace stamped with repairs stays
+/// `repair_specs`), so a trace stamped with repairs stays
 /// self-describing — replaying re-derives the identical specs from the
 /// embedded source.
 pub type RepairEntry = (u32, u32, SchemeConfig);
