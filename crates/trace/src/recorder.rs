@@ -51,12 +51,19 @@ struct Log {
 }
 
 impl Log {
-    fn record(&mut self, capacity: usize, slot: usize, event: Event) {
+    /// Appends an event with the next epoch, or counts it dropped once
+    /// registration `slot` has kept `capacity` events.
+    fn record(&mut self, capacity: usize, slot: usize, tid: u32, clock: u64, kind: EventKind) {
         let epoch = self.next_epoch;
         self.next_epoch += 1;
         if self.kept[slot] < capacity {
             self.kept[slot] += 1;
-            self.events.push(Event { epoch, ..event });
+            self.events.push(Event {
+                epoch,
+                tid,
+                clock,
+                kind,
+            });
         } else {
             self.dropped += 1;
         }
@@ -76,16 +83,10 @@ impl ThreadRecorder<'_> {
     /// Appends an event stamped with the next epoch and `clock`: through
     /// the held log, or under one lock of the log.
     pub fn record(&mut self, clock: u64, kind: EventKind) {
-        let event = Event {
-            epoch: 0,
-            tid: self.tid,
-            clock,
-            kind,
-        };
-        let capacity = self.rec.capacity;
+        let (capacity, slot, tid) = (self.rec.capacity, self.slot, self.tid);
         match &mut self.held {
-            Some(log) => log.record(capacity, self.slot, event),
-            None => self.rec.log.lock().record(capacity, self.slot, event),
+            Some(log) => log.record(capacity, slot, tid, clock, kind),
+            None => self.rec.log.lock().record(capacity, slot, tid, clock, kind),
         }
     }
 
