@@ -436,9 +436,7 @@ impl Session {
     /// the Fig. 6 licensing predicate against it on each in-section
     /// access, and the caller that logs grants and releases reads them
     /// here.
-    pub fn held_modes(
-        &self,
-    ) -> impl DoubleEndedIterator<Item = (NodeKey, Mode)> + ExactSizeIterator + '_ {
+    pub fn held_modes(&self) -> impl DoubleEndedIterator<Item = (NodeKey, Mode)> + '_ {
         self.held.iter().map(|&(key, _, mode)| (key, mode))
     }
 
