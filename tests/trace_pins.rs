@@ -7,7 +7,9 @@
 //! node shape fails here. The JSON reports of the re-inference and
 //! adapt runs among them are pinned by FNV-1a digest too, and so are
 //! the repair report and healed trace of the scale twin CI's heal gate
-//! re-infers.
+//! re-infers. The weakened pair's sentinel ledger is pinned entry by
+//! entry (section, tid, address, effect, clock, seq and held set),
+//! with its violation, demotion and heal totals.
 //!
 //! A change that moves a pin on purpose prints the new values with
 //! `PRINT_PINS=1 cargo test --release --test trace_pins -- --nocapture`.
@@ -450,6 +452,76 @@ fn the_scale_twin_heal_gate_matches_its_pins() {
             healed.digest(),
             SCALE_HEALED_DIGEST,
             "scale healed digest at {threads} eval threads"
+        );
+    }
+}
+
+/// FNV-1a of the weakened pair's baseline ledger, one line per
+/// violation: section, tid, addr, write, clock, seq and the held set.
+const PAIR_LEDGER_FNV: &str = "96e5ff9daf66ee8a";
+/// `(sentinel_violations, sections_quarantined, sections_healed)` of
+/// the same run: the violation gauge and the ladder's demotions and
+/// heals as traced.
+const PAIR_LADDER_TOTALS: (u64, u64, u64) = (33, 6, 5);
+
+#[test]
+fn the_weakened_pair_ledger_matches_its_pin() {
+    let mut pair = source_config("weakened-pair", PAIR_SRC, 6, 13, 24);
+    pair.sentinel = Some(SentinelConfig::default());
+    pair.weaken = Some(WeakenPlan {
+        section: 0,
+        drop_index: 0,
+    });
+    for threads in [1, 7] {
+        let run = Pipeline::new(pair.clone())
+            .eval_threads(threads)
+            .reinfer()
+            .expect("re-inference runs");
+        let rec = &run.baseline;
+        let ledger: String = rec
+            .ledger
+            .iter()
+            .map(|v| {
+                format!(
+                    "{} {} {} {} {} {} {:?}\n",
+                    v.section, v.tid, v.addr, v.write, v.clock, v.seq, v.held
+                )
+            })
+            .collect();
+        let violations = rec
+            .gauges
+            .gauges
+            .iter()
+            .find(|(k, _)| k.name == "ali_run_sentinel_violations")
+            .map(|&(_, v)| v)
+            .expect("the run reports its violations");
+        let (mut quarantined, mut healed) = (0, 0);
+        for e in &rec.trace.events {
+            if let EventKind::Quarantine { healed: h, .. } = e.kind {
+                if h {
+                    healed += 1;
+                } else {
+                    quarantined += 1;
+                }
+            }
+        }
+        let totals = (violations, quarantined, healed);
+        if std::env::var_os("PRINT_PINS").is_some() {
+            println!("pair ledger {} totals {totals:?}", fnv(&ledger));
+        }
+        assert_eq!(
+            violations,
+            rec.ledger.len() as u64,
+            "one entry per violation"
+        );
+        assert_eq!(
+            fnv(&ledger),
+            PAIR_LEDGER_FNV,
+            "pair ledger at {threads} eval threads"
+        );
+        assert_eq!(
+            totals, PAIR_LADDER_TOTALS,
+            "pair ladder totals at {threads} eval threads"
         );
     }
 }
