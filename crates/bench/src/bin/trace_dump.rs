@@ -42,7 +42,9 @@
 //!   heal in epoch order, sections still serving probation at trace
 //!   end, and half-open transitions dropped by the truncation guard.
 //!   `record --sentinel` arms the sentinel for the run; `--weaken S:I`
-//!   drops inferred lock `I` from section `S` to provoke it.
+//!   drops inferred lock `I` from section `S` to provoke it. A plan
+//!   that names no lock spec of a MultiGrain `acquireAll` drops
+//!   nothing, and `record` refuses it with one line and exit 1.
 //!   `--mode validate` is MultiGrain under the Theorem-1 checker, which
 //!   is the run's sentinel: it takes no `--sentinel` or
 //!   `--sentinel-preset`.
@@ -198,7 +200,16 @@ fn cmd_record(args: &[String]) -> Result<ExitCode, String> {
         cfg.sentinel.get_or_insert_with(SentinelConfig::default);
     }
     cfg.weaken = weaken;
-    let rec = replay::record(&cfg)?;
+    // A configuration the run refuses (a size over its limit, a weaken
+    // plan that names no lock spec) is a failed recording, not a usage
+    // error: one line, exit 1.
+    let rec = match replay::record(&cfg) {
+        Ok(rec) => rec,
+        Err(e) => {
+            eprintln!("trace-dump: {e}");
+            return Ok(ExitCode::FAILURE);
+        }
+    };
     println!(
         "{name} mode={:?} k={} threads={} ops={}: makespan={} ticks{}",
         ra.mode,
@@ -419,7 +430,7 @@ fn cmd_reinfer(args: &[String]) -> Result<ExitCode, String> {
             if run.report.sections.is_empty() {
                 println!("reinfer check: clean armed run, nothing to repair: OK");
             } else {
-                println!("reinfer check: violations on an unweakened run — see ledger above");
+                println!("reinfer check: violations on an unweakened run — see the sections above");
             }
             run.report.sections.iter().all(|s| s.winner().is_some())
                 || run.report.sections.is_empty()

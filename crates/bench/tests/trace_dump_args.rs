@@ -1,0 +1,49 @@
+//! `trace-dump record` refuses a weaken plan that would drop nothing —
+//! a section the program does not have, an index past the section's
+//! lock specs, or any plan under STM — with one line and exit 1,
+//! before it records or writes anything.
+
+use std::path::PathBuf;
+use std::process::Command;
+
+#[test]
+fn a_weaken_plan_that_drops_nothing_is_one_line_and_exit_1() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("trace-dump-weaken");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create the working directory");
+    for (weaken, mode, why) in [
+        ("99:0", "multigrain", "no section 99 plans any"),
+        ("0:99", "multigrain", "section 0 plans 3"),
+        ("0:0", "stm", "Stm plans none"),
+    ] {
+        let args = [
+            "record",
+            "list",
+            "--threads",
+            "2",
+            "--ops",
+            "20",
+            "--mode",
+            mode,
+            "--weaken",
+            weaken,
+            "--out",
+            "t.json",
+        ];
+        let out = Command::new(env!("CARGO_BIN_EXE_trace-dump"))
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("trace-dump runs");
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: recorded before refusing");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            format!(
+                "trace-dump: run: bad `weaken` {weaken}: it names no lock spec to drop ({why})\n"
+            ),
+            "{args:?}"
+        );
+        assert!(!dir.join("t.json").exists(), "{args:?}: wrote a trace");
+    }
+}

@@ -128,7 +128,7 @@ pub struct FaultStats {
 /// all drop glue) without triggering the global panic hook's backtrace.
 #[derive(Debug)]
 pub(crate) struct FaultPanic {
-    pub tid: u32,
+    pub(crate) tid: u32,
 }
 
 /// Per-worker injection state: the plan plus this thread's stream.
@@ -139,7 +139,7 @@ pub(crate) struct Injector {
 }
 
 impl Injector {
-    pub fn new(plan: FaultPlan, tid: u32) -> Injector {
+    pub(crate) fn new(plan: FaultPlan, tid: u32) -> Injector {
         Injector {
             plan,
             rng: splitmix(plan.seed ^ splitmix(0xFA17 ^ (tid as u64) << 17)),
@@ -160,7 +160,7 @@ impl Injector {
     }
 
     /// Should an in-section instruction panic here?
-    pub fn take_panic(&mut self) -> bool {
+    pub(crate) fn take_panic(&mut self) -> bool {
         if self.panics_left == 0 || !self.roll(self.plan.panic_per_mille) {
             return false;
         }
@@ -169,18 +169,18 @@ impl Injector {
     }
 
     /// Should this transactional access spuriously abort?
-    pub fn take_stm_abort(&mut self) -> bool {
+    pub(crate) fn take_stm_abort(&mut self) -> bool {
         self.roll(self.plan.stm_abort_per_mille)
     }
 
     /// Extra ticks for this wakeup, if it is one of the delayed ones.
-    pub fn take_wakeup_delay(&mut self) -> Option<u64> {
+    pub(crate) fn take_wakeup_delay(&mut self) -> Option<u64> {
         self.roll(self.plan.wakeup_delay_per_mille)
             .then_some(self.plan.wakeup_delay_ticks)
     }
 
     /// Extra ticks before this acquisition batch, if it stalls.
-    pub fn take_stall(&mut self) -> Option<u64> {
+    pub(crate) fn take_stall(&mut self) -> Option<u64> {
         self.roll(self.plan.stall_per_mille)
             .then_some(self.plan.stall_ticks)
     }

@@ -28,16 +28,17 @@
 //! ```
 
 mod error;
-pub mod fault;
+mod fault;
 mod machine;
-pub mod sim;
+mod sentinel;
+mod sim;
 mod worker;
 
 pub use error::InterpError;
 pub use fault::{FaultPlan, FaultStats, WeakenPlan};
 pub use machine::{DegradationReport, ExecMode, Machine, Options, RepairSpec};
 pub use sched::{PolicyKind, ReaderBatch, SchedConfig};
-pub use sentinel::{Response, SentinelConfig};
+pub use sentinel::{Response, Sentinel, SentinelConfig, Violation};
 
 // The test support names this crate `interp`, as an integration test
 // does.

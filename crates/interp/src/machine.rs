@@ -2,6 +2,7 @@
 //! execution-mode configuration.
 
 use crate::error::{Exc, InterpError};
+use crate::sentinel::{Sentinel, SentinelConfig};
 use lir::{FnId, Instr, Program, Rvalue, VarId};
 use parking_lot::{Mutex, RwLock};
 use pointsto::{AllocSite, PointsTo, PtsClass};
@@ -148,10 +149,11 @@ pub struct Options {
     pub heap_cells: usize,
     /// Base PRNG seed (each thread derives its own stream).
     pub seed: u64,
-    /// Virtual-time scheduling quantum, in ticks (see [`crate::sim`]).
+    /// Virtual-time scheduling quantum, in ticks (see
+    /// [`Machine::run_threads_virtual`]).
     pub quantum: u64,
     /// Deterministic fault-injection plan (`None` = no injection).
-    pub faults: Option<crate::fault::FaultPlan>,
+    pub faults: Option<crate::FaultPlan>,
     /// STM degradation: aborts one section may suffer before its next
     /// retry runs irrevocably in global mode (see `tl2`). High enough
     /// by default that healthy workloads never escalate.
@@ -164,11 +166,11 @@ pub struct Options {
     /// Fig. 6 licensing checks on in-section accesses; a miss demotes
     /// the section to the global scheme until it serves probation, or
     /// is a hard [`InterpError::Unprotected`] (`Response::Fail`).
-    pub sentinel: Option<sentinel::SentinelConfig>,
+    pub sentinel: Option<SentinelConfig>,
     /// Fault-injected weakened inference (`None` = sound plans): drops
     /// one lock spec from one section so the sentinel has a real
-    /// soundness gap to catch. See [`crate::fault::WeakenPlan`].
-    pub weaken: Option<crate::fault::WeakenPlan>,
+    /// soundness gap to catch. See [`crate::WeakenPlan`].
+    pub weaken: Option<crate::WeakenPlan>,
     /// Wake policy for the virtual-time scheduler (`None` = the legacy
     /// `(clock, tid)` FIFO order, zero overhead, no `["wk", …]`
     /// events). A policy's decisions are a pure function of recorded
@@ -177,8 +179,8 @@ pub struct Options {
     /// the replayer).
     pub sched: Option<sched::SchedConfig>,
     /// Staged section repairs from quarantine-aware re-inference
-    /// (empty = none). Installed dormant into the sentinel at
-    /// construction; inert without one.
+    /// (empty = none). Dormant until their section heals; inert
+    /// without a sentinel.
     pub repairs: Vec<RepairSpec>,
 }
 
@@ -266,13 +268,14 @@ pub struct Machine {
     pub(crate) sim_yield_points: AtomicU64,
     pub(crate) sim_handoffs: AtomicU64,
     pub(crate) tracer: Option<trace::Recorder>,
-    pub(crate) sentinel: Option<Arc<sentinel::Sentinel>>,
+    pub(crate) sentinel: Option<Sentinel>,
     pub(crate) weaken: Option<crate::fault::WeakenPlan>,
     pub(crate) sched: Option<sched::SchedConfig>,
-    /// Repaired lock plans by section (see [`RepairSpec`]); the worker
-    /// consults these only while the sentinel reports the section's
-    /// repair as active.
-    pub(crate) repairs: std::collections::BTreeMap<u32, Vec<lir::LockSpec>>,
+    /// The one record of what is staged: each repaired section's
+    /// admitted candidate index and its lock specs (see
+    /// [`RepairSpec`]). The worker plans the specs only while the
+    /// sentinel reports the section's repair as active.
+    pub(crate) repairs: std::collections::BTreeMap<u32, (u32, Vec<lir::LockSpec>)>,
 }
 
 impl std::fmt::Debug for Machine {
@@ -372,19 +375,15 @@ impl Machine {
             sim_yield_points: AtomicU64::new(0),
             sim_handoffs: AtomicU64::new(0),
             tracer: opts.trace.map(trace::Recorder::new),
-            sentinel: opts
-                .sentinel
-                .map(|cfg| Arc::new(sentinel::Sentinel::new(cfg))),
+            sentinel: opts.sentinel.map(Sentinel::new),
             weaken: opts.weaken,
             sched: opts.sched,
-            repairs: std::collections::BTreeMap::new(),
+            repairs: opts
+                .repairs
+                .into_iter()
+                .map(|r| (r.section, (r.candidate, r.specs)))
+                .collect(),
         };
-        for r in opts.repairs {
-            if let Some(s) = &m.sentinel {
-                s.install_repair(r.section, r.candidate);
-            }
-            m.repairs.insert(r.section, r.specs);
-        }
         // Allocate the globals' cells.
         let globals = m.program.globals.clone();
         for g in globals {
@@ -470,14 +469,8 @@ impl Machine {
         let mg = self.mg.stats();
         let fs = &self.fault_stats;
         let ld = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let (sentinel_violations, sections_quarantined, sections_healed) = match &self.sentinel {
-            Some(s) => (
-                s.sentinel_violations(),
-                s.sections_quarantined(),
-                s.sections_healed(),
-            ),
-            None => (0, 0, 0),
-        };
+        let (sentinel_violations, sections_quarantined, sections_healed) =
+            self.sentinel.as_ref().map_or((0, 0, 0), Sentinel::totals);
         DegradationReport {
             stm_commits: stm.commits,
             stm_aborts: stm.aborts,
@@ -498,8 +491,8 @@ impl Machine {
     /// The online lockset sentinel, when the machine was built with
     /// one (see [`Options::sentinel`]): violations, quarantine state,
     /// ladder history.
-    pub fn sentinel(&self) -> Option<&sentinel::Sentinel> {
-        self.sentinel.as_deref()
+    pub fn sentinel(&self) -> Option<&Sentinel> {
+        self.sentinel.as_ref()
     }
 
     /// Hands over the recorded events as one epoch-ordered trace

@@ -1,18 +1,19 @@
-//! # sentinel — the online lockset soundness monitor
+//! The online lockset sentinel.
 //!
 //! The inference guarantee (Theorem 1) only holds if the locks the
 //! runtime actually takes license every in-section access. The trace
-//! validator (`trace::lockset`) checks that *post hoc*; this crate
+//! validator (`trace::lockset`) checks that *post hoc*; the sentinel
 //! evaluates the same Fig. 6 licensing predicate **inline**, against a
 //! worker's live held-mode set (`mglock::Session::held_modes`), on
 //! each in-section access — sampling-capable, so production runs can
-//! trade coverage for overhead.
+//! trade coverage for overhead. The worker asks it at one site,
+//! `Worker::sentinel_check`.
 //!
 //! Under [`Response::Fail`] ([`SentinelConfig::validate`], the
 //! Theorem-1 checker) a miss is a hard error. Under
 //! [`Response::Quarantine`] the sentinel records a structured
-//! [`Violation`] (section, access, missing mode, held set), lets the
-//! section complete, and feeds a **per-section quarantine ladder**:
+//! [`Violation`] (section, access, held set), lets the section
+//! complete, and feeds a **per-section quarantine ladder**:
 //!
 //! * first offense demotes the section to the trivially sound global
 //!   scheme (`lockscheme::SchemeConfig::trivially_sound` — at
@@ -23,11 +24,15 @@
 //! * a healed section that re-offends gets an exponentially longer
 //!   probation (flap damping), capped.
 //!
-//! Every ladder transition is reported back to the caller so the
-//! worker can emit a `["qr", …]` trace event — replay and the corpus
-//! digests capture quarantine behavior deterministically. Under the
+//! Every ladder transition is reported back to the worker so it can
+//! emit a `["qr", …]` trace event — replay and the corpus digests
+//! capture quarantine behavior deterministically. Under the
 //! virtual-time scheduler exactly one worker runs at a time, so the
 //! mutex-serialized transitions happen in a deterministic order.
+//!
+//! A repair staged for a section is the machine's
+//! (`Machine::repairs`); the sentinel keeps only where the section
+//! stands with it — healed onto it, or revoked for good.
 
 use mglock::{FineAddr, Mode, NodeKey};
 use parking_lot::Mutex;
@@ -74,7 +79,7 @@ impl SentinelConfig {
     /// Should the `n`-th in-section access of a worker be checked?
     /// (`n` is a per-worker monotone counter, so the decision is
     /// deterministic under the virtual-time scheduler.)
-    pub fn should_check(&self, n: u64) -> bool {
+    pub(crate) fn should_check(&self, n: u64) -> bool {
         self.sample_every != 0 && n.is_multiple_of(u64::from(self.sample_every))
     }
 
@@ -123,64 +128,20 @@ pub struct Violation {
     /// `(clock, tid)` ties (one worker, several accesses per step) and
     /// is unique per `(tid, seq)` by construction.
     pub seq: u64,
-    /// The weakest Fig. 6 mode that would have licensed the effect
-    /// (`X` for writes, `S` for reads) — what the inference should
-    /// have planned on some covering node.
-    pub missing: Mode,
     /// The modes actually held at the access, for diagnosis.
     pub held: Vec<(NodeKey, Mode)>,
 }
 
-impl Violation {
-    /// Builds a violation record, deriving the missing mode from the
-    /// effect.
-    pub fn new(
-        section: u32,
-        tid: u32,
-        addr: u64,
-        write: bool,
-        clock: u64,
-        seq: u64,
-        held: Vec<(NodeKey, Mode)>,
-    ) -> Violation {
-        Violation {
-            section,
-            tid,
-            addr,
-            write,
-            clock,
-            seq,
-            missing: if write { Mode::X } else { Mode::S },
-            held,
-        }
-    }
-}
-
-impl std::fmt::Display for Violation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "tid {}: unlicensed {} of cell {} in section {} (missing {:?}, held {:?})",
-            self.tid,
-            if self.write { "write" } else { "read" },
-            self.addr,
-            self.section,
-            self.missing,
-            self.held
-        )
-    }
-}
-
 /// One quarantine-ladder transition, in the order it happened.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct LadderEvent {
+pub(crate) struct LadderEvent {
     /// The section whose effective configuration changed.
-    pub section: u32,
+    pub(crate) section: u32,
     /// `false` = demoted to the global scheme, `true` = re-admitted.
-    pub healed: bool,
+    pub(crate) healed: bool,
     /// The probation term attached: executions to serve (demotion) or
     /// just served (heal).
-    pub probation: u32,
+    pub(crate) probation: u32,
 }
 
 #[derive(Clone, Copy, Debug)]
@@ -194,6 +155,16 @@ enum Health {
     },
 }
 
+/// Where a section stands with the repair staged for it: not yet
+/// healed onto it (or none staged), running it, or withdrawn for good
+/// after the repaired scheme itself drew a violation.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum RepairPhase {
+    Dormant,
+    Active,
+    Revoked,
+}
+
 #[derive(Debug)]
 struct SectionState {
     health: Health,
@@ -202,31 +173,16 @@ struct SectionState {
     /// demotion, so a section that heals and re-offends serves an
     /// exponentially longer sentence (saturating at the cap).
     next_probation: u32,
+    repair: RepairPhase,
 }
 
-/// A repaired lock scheme staged for one section. Installed dormant;
-/// the worker switches the section onto it only once the section has
-/// served out its quarantine (the heal is the proof the run is back in
-/// a known-clean state to cut over in).
-#[derive(Clone, Copy, Debug)]
-struct RepairState {
-    /// Index of the admitted repair candidate, for the `["ri", …]`
-    /// ledger.
-    candidate: u32,
-    /// Set at heal time; a violation under an active repair revokes it.
-    active: bool,
-}
-
+/// The ledger and the ladder, under one mutex: the totals are read
+/// against the same lock that appends to `log`, so a report is never
+/// torn between a counter and its entry.
 #[derive(Default)]
 struct State {
     sections: BTreeMap<u32, SectionState>,
     log: Vec<Violation>,
-    repairs: BTreeMap<u32, RepairState>,
-    /// Totals live under the same mutex as the ledger they summarize:
-    /// the old relaxed atomics could be read torn against `log`
-    /// (counter bumped, entry not yet pushed), which made reports
-    /// thread-count-dependent.
-    violations: u64,
     quarantined: u64,
     healed: u64,
 }
@@ -242,7 +198,7 @@ impl std::fmt::Debug for Sentinel {
         let st = self.inner.lock();
         f.debug_struct("Sentinel")
             .field("cfg", &self.cfg)
-            .field("violations", &st.violations)
+            .field("violations", &st.log.len())
             .field("quarantined", &st.quarantined)
             .field("healed", &st.healed)
             .finish()
@@ -259,7 +215,7 @@ impl std::fmt::Debug for Sentinel {
 /// resolving it costs an allocation-table lookup on the interpreter's
 /// hot path while the common grants (Root, exact cell) decide without
 /// it.
-pub fn licensed(
+pub(crate) fn licensed(
     held: impl Iterator<Item = (NodeKey, Mode)>,
     addr: u64,
     write: bool,
@@ -284,7 +240,7 @@ pub fn licensed(
 
 impl Sentinel {
     /// Creates a monitor with the given policy.
-    pub fn new(cfg: SentinelConfig) -> Sentinel {
+    pub(crate) fn new(cfg: SentinelConfig) -> Sentinel {
         Sentinel {
             cfg,
             inner: Mutex::new(State::default()),
@@ -292,14 +248,14 @@ impl Sentinel {
     }
 
     /// The active policy.
-    pub fn config(&self) -> SentinelConfig {
+    pub(crate) fn config(&self) -> SentinelConfig {
         self.cfg
     }
 
     /// Is `section` currently serving a quarantine (so the worker must
     /// plan the trivially sound global scheme instead of its inferred
     /// locks)?
-    pub fn is_quarantined(&self, section: u32) -> bool {
+    pub(crate) fn is_quarantined(&self, section: u32) -> bool {
         matches!(
             self.inner.lock().sections.get(&section).map(|s| s.health),
             Some(Health::Quarantined { .. })
@@ -309,14 +265,14 @@ impl Sentinel {
     /// Records an unlicensed access. Returns the demotion transition
     /// when this violation quarantines the section (first offense of a
     /// healthy section); `None` when the section is already serving.
-    pub fn report_violation(&self, v: Violation) -> Option<LadderEvent> {
+    pub(crate) fn report_violation(&self, v: Violation) -> Option<LadderEvent> {
         let mut st = self.inner.lock();
-        st.violations += 1;
         let section = v.section;
         st.log.push(v);
         let sec = st.sections.entry(section).or_insert(SectionState {
             health: Health::Healthy,
             next_probation: PROBATION,
+            repair: RepairPhase::Dormant,
         });
         match sec.health {
             Health::Quarantined { probation, .. } => {
@@ -353,7 +309,7 @@ impl Sentinel {
     /// `clean` iff the sentinel saw no violation during it. Returns
     /// the heal transition when this execution completes the
     /// section's probation.
-    pub fn section_closed(&self, section: u32, clean: bool) -> Option<LadderEvent> {
+    pub(crate) fn section_closed(&self, section: u32, clean: bool) -> Option<LadderEvent> {
         let mut st = self.inner.lock();
         let sec = st.sections.get_mut(&section)?;
         let Health::Quarantined {
@@ -390,58 +346,45 @@ impl Sentinel {
         })
     }
 
-    /// Stages a repaired scheme for `section`. The repair lies dormant
-    /// until the section heals ([`Sentinel::activate_repair`]); a
-    /// re-install overwrites any previous repair for the section.
-    pub fn install_repair(&self, section: u32, candidate: u32) {
-        self.inner.lock().repairs.insert(
-            section,
-            RepairState {
-                candidate,
-                active: false,
-            },
-        );
-    }
-
-    /// The candidate index of `section`'s *active* repair, if the
-    /// section has healed onto one — the worker plans the repaired
-    /// specs instead of the seed scheme while this is `Some`.
-    pub fn active_repair(&self, section: u32) -> Option<u32> {
+    /// Does `section` run its staged repair? The worker plans the
+    /// repaired specs instead of the seed scheme while this holds.
+    pub(crate) fn repair_active(&self, section: u32) -> bool {
         let st = self.inner.lock();
-        let r = st.repairs.get(&section)?;
-        r.active.then_some(r.candidate)
+        st.sections
+            .get(&section)
+            .is_some_and(|s| s.repair == RepairPhase::Active)
     }
 
-    /// Switches a healed `section` onto its staged repair. Called by
-    /// the worker when [`Sentinel::section_closed`] returns a heal
-    /// event; returns the candidate index so the worker can ledger
-    /// `["ri", section, candidate, 1]`. `None` when no repair is
-    /// staged (plain heal back onto the seed scheme) or it is already
-    /// active.
-    pub fn activate_repair(&self, section: u32) -> Option<u32> {
+    /// Switches a healed `section` onto the repair staged for it.
+    /// Called by the worker, for a section with a staged repair, when
+    /// [`Sentinel::section_closed`] returns a heal event. `true` when
+    /// the section switched, so the worker ledgers `["ri", section,
+    /// candidate, 1]` once; `false` when it already runs the repair or
+    /// the repair was revoked.
+    pub(crate) fn activate_repair(&self, section: u32) -> bool {
         let mut st = self.inner.lock();
-        let r = st.repairs.get_mut(&section)?;
-        if r.active {
-            return None;
+        match st.sections.get_mut(&section) {
+            Some(sec) if sec.repair == RepairPhase::Dormant => {
+                sec.repair = RepairPhase::Active;
+                true
+            }
+            _ => false,
         }
-        r.active = true;
-        Some(r.candidate)
     }
 
-    /// Withdraws `section`'s active repair — the repaired scheme
-    /// itself drew a violation, so the section falls back to the
-    /// ordinary demote→probation→seed ladder. Returns the revoked
-    /// candidate index for the `["ri", section, candidate, 0]` ledger
-    /// entry; `None` when no repair was active.
-    pub fn revoke_repair(&self, section: u32) -> Option<u32> {
+    /// Withdraws `section`'s active repair for good — the repaired
+    /// scheme itself drew a violation, so the section falls back to the
+    /// ordinary demote→probation→seed ladder. `true` when a repair was
+    /// active, so the worker ledgers `["ri", section, candidate, 0]`.
+    pub(crate) fn revoke_repair(&self, section: u32) -> bool {
         let mut st = self.inner.lock();
-        let r = st.repairs.get(&section)?;
-        if !r.active {
-            return None;
+        match st.sections.get_mut(&section) {
+            Some(sec) if sec.repair == RepairPhase::Active => {
+                sec.repair = RepairPhase::Revoked;
+                true
+            }
+            _ => false,
         }
-        let candidate = r.candidate;
-        st.repairs.remove(&section);
-        Some(candidate)
     }
 
     /// Every recorded violation, in the canonical `(clock, tid, seq)`
@@ -455,19 +398,11 @@ impl Sentinel {
         log
     }
 
-    /// Total unlicensed accesses recorded.
-    pub fn sentinel_violations(&self) -> u64 {
-        self.inner.lock().violations
-    }
-
-    /// Total demotion transitions.
-    pub fn sections_quarantined(&self) -> u64 {
-        self.inner.lock().quarantined
-    }
-
-    /// Total heal transitions.
-    pub fn sections_healed(&self) -> u64 {
-        self.inner.lock().healed
+    /// `(violations, demotions, heals)` so far, read under one lock:
+    /// the totals of [`crate::DegradationReport`].
+    pub(crate) fn totals(&self) -> (u64, u64, u64) {
+        let st = self.inner.lock();
+        (st.log.len() as u64, st.quarantined, st.healed)
     }
 }
 
@@ -476,15 +411,15 @@ mod tests {
     use super::*;
 
     fn violation(section: u32) -> Violation {
-        Violation::new(
+        Violation {
             section,
-            0,
-            42,
-            true,
-            0,
-            0,
-            vec![(NodeKey::Pts(1), Mode::Ix)],
-        )
+            tid: 0,
+            addr: 42,
+            write: true,
+            clock: 0,
+            seq: 0,
+            held: vec![(NodeKey::Pts(1), Mode::Ix)],
+        }
     }
 
     #[test]
@@ -567,8 +502,7 @@ mod tests {
         assert!(s.is_quarantined(5));
         // Further violations while serving do not re-demote.
         assert!(s.report_violation(violation(5)).is_none());
-        assert_eq!(s.sentinel_violations(), 2);
-        assert_eq!(s.sections_quarantined(), 1);
+        assert_eq!(s.totals(), (2, 1, 0));
         // One clean execution short of the term: still serving.
         for _ in 1..PROBATION {
             assert!(s.section_closed(5, true).is_none());
@@ -585,7 +519,7 @@ mod tests {
             }
         );
         assert!(!s.is_quarantined(5));
-        assert_eq!(s.sections_healed(), 1);
+        assert_eq!(s.totals(), (2, 1, 1));
     }
 
     #[test]
@@ -641,7 +575,7 @@ mod tests {
         // reports clean). It must restart the term itself, without
         // re-demoting or double-counting.
         assert!(s.report_violation(violation(7)).is_none());
-        assert_eq!(s.sections_quarantined(), 1);
+        assert_eq!(s.totals(), (2, 1, 0));
         assert!(
             s.section_closed(7, true).is_none(),
             "the poisoned execution must not complete the term"
@@ -656,15 +590,18 @@ mod tests {
         assert!(!demote.healed);
         // Exactly one demote and one heal, no spurious events: every
         // other call above returned `None`.
-        assert_eq!(s.sections_quarantined(), 1);
-        assert_eq!(s.sections_healed(), 1);
+        assert_eq!(s.totals(), (2, 1, 1));
     }
 
     #[test]
     fn ledger_is_sorted_by_clock_tid_seq_not_arrival() {
         let s = Sentinel::new(SentinelConfig::default());
-        let v = |tid: u32, clock: u64, seq: u64| {
-            Violation::new(1, tid, 42, true, clock, seq, Vec::new())
+        let v = |tid: u32, clock: u64, seq: u64| Violation {
+            tid,
+            clock,
+            seq,
+            held: Vec::new(),
+            ..violation(1)
         };
         // Arrival order scrambled relative to the schedule order.
         s.report_violation(v(2, 9, 0));
@@ -682,34 +619,32 @@ mod tests {
     #[test]
     fn repairs_activate_on_heal_and_revoke_on_reoffense() {
         let s = Sentinel::new(SentinelConfig::default());
-        s.install_repair(4, 2);
         // Dormant until the section heals.
-        assert_eq!(s.active_repair(4), None);
+        assert!(!s.repair_active(4));
         s.report_violation(violation(4)).expect("demotes");
-        assert_eq!(s.active_repair(4), None);
+        assert!(!s.repair_active(4));
         for _ in 1..PROBATION {
             assert!(s.section_closed(4, true).is_none());
         }
         s.section_closed(4, true).expect("heals");
-        assert_eq!(s.activate_repair(4), Some(2));
-        assert_eq!(s.active_repair(4), Some(2));
+        assert!(s.activate_repair(4));
+        assert!(s.repair_active(4));
         // Activation is edge-triggered: the worker ledgers it once.
-        assert_eq!(s.activate_repair(4), None);
+        assert!(!s.activate_repair(4));
         // A violation under the repaired scheme withdraws it…
         s.report_violation(violation(4)).expect("re-demotes");
-        assert_eq!(s.revoke_repair(4), Some(2));
-        assert_eq!(s.active_repair(4), None);
+        assert!(s.revoke_repair(4));
+        assert!(!s.repair_active(4));
         // …for good: the next heal (a flap-damped, twice-as-long term)
         // goes back to the seed scheme.
         for _ in 1..PROBATION * FLAP_MULTIPLIER {
             assert!(s.section_closed(4, true).is_none());
         }
         s.section_closed(4, true).expect("heals again");
-        assert_eq!(s.activate_repair(4), None);
+        assert!(!s.activate_repair(4));
+        assert!(!s.repair_active(4));
         // Revoking when nothing is active is a no-op.
-        assert_eq!(s.revoke_repair(4), None);
-        // Sections without a staged repair never activate one.
-        assert_eq!(s.activate_repair(9), None);
+        assert!(!s.revoke_repair(4));
     }
 
     #[test]

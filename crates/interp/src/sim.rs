@@ -68,29 +68,29 @@ use sched::{rank_batch, Waiter, WakeGrant, WakePolicy};
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct CostModel {
     /// Per lock-tree node acquired at `acquire_all`.
-    pub lock_node: u64,
+    pub(crate) lock_node: u64,
     /// Per lock descriptor evaluated at section entry.
-    pub lock_desc: u64,
+    pub(crate) lock_desc: u64,
     /// Per release batch.
-    pub lock_release: u64,
+    pub(crate) lock_release: u64,
     /// STM: beginning a transaction.
-    pub txn_start: u64,
+    pub(crate) txn_start: u64,
     /// STM: per transactional read (instrumentation).
-    pub stm_read: u64,
+    pub(crate) stm_read: u64,
     /// STM: per transactional write (buffering).
-    pub stm_write: u64,
+    pub(crate) stm_write: u64,
     /// STM: commit base cost.
-    pub stm_commit_base: u64,
+    pub(crate) stm_commit_base: u64,
     /// STM: per write-back at commit (write-set locking + publish).
-    pub stm_commit_per_write: u64,
+    pub(crate) stm_commit_per_write: u64,
     /// STM: per read-set entry validated at commit (writing txns only).
-    pub stm_commit_per_read: u64,
+    pub(crate) stm_commit_per_read: u64,
     /// STM: abort/rollback penalty (plus the wasted section work,
     /// which is charged naturally by re-execution).
-    pub stm_abort: u64,
+    pub(crate) stm_abort: u64,
     /// STM: escalating to irrevocable global mode after the abort
     /// budget (acquiring the commit gate serially).
-    pub stm_fallback: u64,
+    pub(crate) stm_fallback: u64,
 }
 
 impl Default for CostModel {
@@ -163,13 +163,13 @@ pub(crate) struct Sim {
 impl Sim {
     /// A policy-free scheduler: the historical `(clock, tid)` order.
     #[cfg(test)]
-    pub fn new(n: usize) -> Sim {
+    pub(crate) fn new(n: usize) -> Sim {
         Sim::with_policy(n, None)
     }
 
     /// A scheduler for `n` threads, all `Ready` at clock 0 — so thread
     /// 0 is the minimum and runs first.
-    pub fn with_policy(n: usize, policy: Option<Box<dyn WakePolicy>>) -> Sim {
+    pub(crate) fn with_policy(n: usize, policy: Option<Box<dyn WakePolicy>>) -> Sim {
         Sim {
             clocks: vec![0; n],
             state: vec![St::Ready; n],
@@ -229,7 +229,7 @@ impl Sim {
     /// so a hand-off costs one scan, not two. With none `Ready` but
     /// waiters left, the schedule is wedged and the waiters are handed
     /// out in thread order to fail. `None` when every thread is done.
-    pub fn next_runner(&mut self) -> Option<usize> {
+    pub(crate) fn next_runner(&mut self) -> Option<usize> {
         if let Some(next) = self.decided.take() {
             return Some(next);
         }
@@ -242,13 +242,13 @@ impl Sim {
 
     /// Whether the schedule wedged: a resumed waiter must abandon its
     /// wait with [`crate::InterpError::SchedulerStalled`].
-    pub fn wedged(&self) -> bool {
+    pub(crate) fn wedged(&self) -> bool {
         self.wedged
     }
 
     /// `tid`'s clock: what its last scheduling point left it at, or
     /// the release time a promotion jumped it to.
-    pub fn clock(&self, tid: usize) -> u64 {
+    pub(crate) fn clock(&self, tid: usize) -> u64 {
         self.clocks[tid]
     }
 
@@ -256,7 +256,7 @@ impl Sim {
     /// while it is still the scheduling minimum. Reaching a scheduling
     /// point retires any wake rank: the thread has consumed its
     /// preferential slot and competes on `(clock, tid)` again.
-    pub fn advance(&mut self, tid: usize, ticks: u64) -> usize {
+    pub(crate) fn advance(&mut self, tid: usize, ticks: u64) -> usize {
         self.clocks[tid] += ticks;
         self.ranks[tid] = 0;
         self.schedule(tid).expect("the advancing thread is ready")
@@ -269,7 +269,7 @@ impl Sim {
     /// wake policy: what the thread blocked on, in which mode, from
     /// which section; `None` (or a `None` policy) ranks the thread 0,
     /// the FIFO slot.
-    pub fn begin_wait(&mut self, tid: usize, waiter: Option<Waiter>) -> Option<usize> {
+    pub(crate) fn begin_wait(&mut self, tid: usize, waiter: Option<Waiter>) -> Option<usize> {
         self.state[tid] = St::Waiting;
         self.waiters[tid] = waiter;
         // Waiting again after an unsuccessful promotion continues the same
@@ -282,7 +282,7 @@ impl Sim {
     /// Ends `tid`'s wait streak: the blocked acquisition went through,
     /// so the next wait starts aging from zero again. Called by the
     /// acquire loop after its final successful step.
-    pub fn end_wait(&mut self, tid: usize) {
+    pub(crate) fn end_wait(&mut self, tid: usize) {
         self.wait_epoch[tid] = None;
     }
 
@@ -292,7 +292,7 @@ impl Sim {
     /// wedge detection sound: a policy only *ranks* the batch (who
     /// retries first among equal clocks), it never leaves anyone
     /// waiting.
-    pub fn on_release(&mut self, tid: usize) {
+    pub(crate) fn on_release(&mut self, tid: usize) {
         self.on_release_with(tid, |_| {});
     }
 
@@ -303,7 +303,7 @@ impl Sim {
     /// before any promoted waiter resumes. A tracing caller stamps the
     /// `["wk", …]` events with epochs strictly ahead of whatever the
     /// woken threads record next.
-    pub fn on_release_with(&mut self, tid: usize, mut decision: impl FnMut(WakeGrant)) {
+    pub(crate) fn on_release_with(&mut self, tid: usize, mut decision: impl FnMut(WakeGrant)) {
         // A promoted waiter may now be the minimum: the driver's next
         // runner is the next scheduling point's to name, or a scan's.
         self.decided = None;
@@ -346,18 +346,18 @@ impl Sim {
     /// only waiters, the schedule is wedged (a finished thread releases
     /// its locks first, so any still-waiting thread waits on something
     /// no one holds — a bug surfaced as an error, not a hang).
-    pub fn finish(&mut self, tid: usize) -> Option<usize> {
+    pub(crate) fn finish(&mut self, tid: usize) -> Option<usize> {
         self.state[tid] = St::Done;
         self.schedule(tid)
     }
 
     /// The virtual makespan so far (max clock).
-    pub fn makespan(&self) -> u64 {
+    pub(crate) fn makespan(&self) -> u64 {
         self.clocks.iter().copied().max().unwrap_or(0)
     }
 
     /// `(scheduling points, hand-offs)` so far.
-    pub fn yield_counts(&self) -> (u64, u64) {
+    pub(crate) fn yield_counts(&self) -> (u64, u64) {
         (self.yield_points, self.handoffs)
     }
 }

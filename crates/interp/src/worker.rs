@@ -29,6 +29,7 @@
 use crate::error::{Exc, InterpError};
 use crate::fault::{splitmix, FaultPanic, Injector};
 use crate::machine::{ExecMode, Machine, Storage};
+use crate::sentinel::{self, LadderEvent, Response, Violation};
 use crate::sim::Sim;
 use lir::{ArithOp, CmpOp, FnId, Instr, Intrinsic, LockSpec, PathOp, Rvalue, SectionId, VarId};
 use mglock::{Access, Descriptor, FineAddr, Session};
@@ -1083,7 +1084,7 @@ impl<'m> Worker<'m> {
         if !cfg.should_check(n) || self.licensed(addr, write) {
             return Ok(());
         }
-        if cfg.response == sentinel::Response::Fail {
+        if cfg.response == Response::Fail {
             return Err(InterpError::Unprotected {
                 func: self.m.program.fn_name(at.f).to_owned(),
                 pc: at.pc,
@@ -1099,26 +1100,22 @@ impl<'m> Worker<'m> {
         // `(clock, tid, seq)` — both are schedule state, not
         // OS-thread-arrival state, so re-inference input is
         // deterministic at every thread count.
-        let v = sentinel::Violation::new(
-            self.current_section.0,
-            self.tid,
+        let v = Violation {
+            section: self.current_section.0,
+            tid: self.tid,
             addr,
             write,
-            self.now(),
-            n,
+            clock: self.now(),
+            seq: n,
             held,
-        );
+        };
         if let Some(ev) = sent.report_violation(v) {
             self.trace_quarantine(ev);
             // A demotion of a section running its repaired scheme
             // revokes the repair: it did not hold up, so the section
             // falls back to the ordinary quarantine ladder.
-            if let Some(candidate) = sent.revoke_repair(ev.section) {
-                self.trace_event(trace::EventKind::Reinfer {
-                    section: ev.section,
-                    candidate,
-                    accepted: false,
-                });
+            if sent.revoke_repair(ev.section) {
+                self.trace_repair(ev.section, false);
             }
         }
         Ok(())
@@ -1144,23 +1141,28 @@ impl<'m> Worker<'m> {
             self.trace_quarantine(ev);
             // A heal with a staged repair re-admits the section onto
             // the repaired scheme rather than the seed scheme.
-            if ev.healed {
-                if let Some(candidate) = sent.activate_repair(section) {
-                    self.trace_event(trace::EventKind::Reinfer {
-                        section,
-                        candidate,
-                        accepted: true,
-                    });
-                }
+            if ev.healed && self.m.repairs.contains_key(&section) && sent.activate_repair(section) {
+                self.trace_repair(section, true);
             }
         }
     }
 
-    fn trace_quarantine(&mut self, ev: sentinel::LadderEvent) {
+    fn trace_quarantine(&mut self, ev: LadderEvent) {
         self.trace_event(trace::EventKind::Quarantine {
             section: ev.section,
             healed: ev.healed,
             probation: ev.probation,
+        });
+    }
+
+    /// Ledgers `section`'s staged repair as switched on (`accepted`) or
+    /// revoked, with the candidate index [`Machine::repairs`] holds.
+    fn trace_repair(&mut self, section: u32, accepted: bool) {
+        let candidate = self.m.repairs[&section].0;
+        self.trace_event(trace::EventKind::Reinfer {
+            section,
+            candidate,
+            accepted,
         });
     }
 
@@ -1464,11 +1466,8 @@ impl<'m> Worker<'m> {
         // A healed section with an active repair plans the repaired
         // specs instead of the seed scheme — decided here, once: a
         // repair activated while this entry waits is the next entry's.
-        self.repaired = m
-            .sentinel
-            .as_ref()
-            .and_then(|s| s.active_repair(sid.0))
-            .is_some_and(|_| m.repairs.contains_key(&sid.0));
+        self.repaired = m.repairs.contains_key(&sid.0)
+            && m.sentinel.as_ref().is_some_and(|s| s.repair_active(sid.0));
         Enter::Plan
     }
 
@@ -1480,7 +1479,7 @@ impl<'m> Worker<'m> {
     fn specs_to_plan(&self, ins: &'m Instr, sid: SectionId) -> (&'m [LockSpec], bool) {
         let m = self.m;
         match (ins, m.repairs.get(&sid.0)) {
-            (_, Some(repair)) if self.repaired => (repair, false),
+            (_, Some((_, repair))) if self.repaired => (repair, false),
             (Instr::AcquireAll(_, specs), _) => (specs, true),
             _ => (&[], true),
         }

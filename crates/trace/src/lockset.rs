@@ -114,9 +114,9 @@ struct ThreadState {
 /// given effect?
 ///
 /// This is the Fig. 6 licensing core, shared between the post-hoc
-/// trace validator here and the online sentinel (`crates/sentinel`),
-/// which evaluates the same predicate against a worker's live held-
-/// mode set.
+/// trace validator here and the interpreter's online sentinel
+/// (`interp::Sentinel`, in `crates/interp/src/sentinel.rs`), which
+/// evaluates the same predicate against a worker's live held-mode set.
 pub fn licenses(
     node: NodeKey,
     mode: Mode,

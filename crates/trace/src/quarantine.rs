@@ -1,6 +1,7 @@
 //! Reconstruction of the sentinel's quarantine ladder from a trace.
 //!
-//! The online sentinel (`crates/sentinel`) emits a `["qr", section,
+//! The interpreter's online sentinel (`crates/interp/src/sentinel.rs`)
+//! has its worker emit a `["qr", section,
 //! healed, probation]` event on every ladder transition: a demotion
 //! (`healed == 0`) when a section's first uncovered access demotes it
 //! to the trivially sound global scheme, and a heal (`healed == 1`)

@@ -256,6 +256,9 @@ impl EvalContext {
         let analysis =
             lockinfer::analyze_program_with_configs(&program, &pt, map, &self.lib, 0, store);
         let transformed = lockinfer::transform(&program, &analysis);
+        if stamp == Stamp::Run {
+            check_weaken(cfg, &transformed)?;
+        }
         let mut opts = options_for(cfg);
         if !cfg.repairs.is_empty() {
             opts.repairs =
@@ -266,7 +269,7 @@ impl EvalContext {
         let gauges = run_gauges(&m);
         let ledger = m
             .sentinel()
-            .map(sentinel::Sentinel::violations)
+            .map(interp::Sentinel::violations)
             .unwrap_or_default();
         match stamp {
             Stamp::Run => cfg.stamp(&mut trace),
@@ -359,6 +362,35 @@ impl EvalContext {
     }
 }
 
+/// Refuses a weaken plan that would drop nothing: the fault removes
+/// one spec from a section's `acquireAll`, which only MultiGrain plans,
+/// so the plan must name an existing spec of one in `program` (the
+/// transformed program the run executes). Checked where a config's
+/// own run is recorded; candidate runs inherit the baseline's verdict.
+fn check_weaken(cfg: &RunConfig, program: &lir::Program) -> Result<(), String> {
+    let Some(w) = cfg.weaken else {
+        return Ok(());
+    };
+    let specs = program
+        .functions
+        .iter()
+        .flat_map(|f| &f.body)
+        .find_map(|ins| match ins {
+            lir::Instr::AcquireAll(sid, specs) if sid.0 == w.section => Some(specs.len()),
+            _ => None,
+        });
+    let why = match (cfg.mode, specs) {
+        (interp::ExecMode::MultiGrain, Some(n)) if w.drop_index < n => return Ok(()),
+        (interp::ExecMode::MultiGrain, Some(n)) => format!("section {} plans {n}", w.section),
+        (interp::ExecMode::MultiGrain, None) => format!("no section {} plans any", w.section),
+        (mode, _) => format!("{mode:?} plans none"),
+    };
+    Err(format!(
+        "run: bad `weaken` {}:{}: it names no lock spec to drop ({why})",
+        w.section, w.drop_index
+    ))
+}
+
 /// Reads what only the live machine knows at the end of a run — heap,
 /// virtual-time scheduler, sentinel, unwound lock sessions — as
 /// `ali_run_*` gauges, in name order. Everything a trace carries
@@ -380,8 +412,7 @@ fn run_gauges(m: &Machine) -> obs::Snapshot {
         ),
         (
             "ali_run_sentinel_violations",
-            m.sentinel()
-                .map_or(0, sentinel::Sentinel::sentinel_violations),
+            m.degradation_report().sentinel_violations,
         ),
         ("ali_run_sim_handoffs", handoffs),
         ("ali_run_sim_yield_points", yield_points),

@@ -15,9 +15,8 @@
 //! | [`lockinfer`] | **the paper's contribution**: backward lock inference + transformation |
 //! | [`mglock`] | multi-granularity lock runtime (IS/IX/S/SIX/X) |
 //! | [`tl2`] | TL2-style STM (the optimistic baseline) |
-//! | [`interp`] | concurrent interpreter: Global/MultiGrain/Stm + virtual time |
+//! | [`interp`] | concurrent interpreter: Global/MultiGrain/Stm + virtual time, and its online lockset sentinel (inline licensing checks; a miss quarantines the section or, as the Theorem-1 checker, fails the run) |
 //! | [`trace`] | event tracing, Eraser-style lockset validation, profiles |
-//! | [`sentinel`] | online lockset sentinel: inline licensing checks; a miss quarantines the section or, as the Theorem-1 checker, fails the run |
 //! | [`sched`] | pluggable deterministic wake policies + convoy detection |
 //! | [`obs`] | observability: trace-derived metric snapshots, merged with a recording's end-of-run gauges; exporters |
 //! | [`workloads`] | the evaluation programs (micro, STAMP-like, SPEC-like) |
@@ -72,7 +71,6 @@ pub use mglock;
 pub use obs;
 pub use pointsto;
 pub use sched;
-pub use sentinel;
 pub use tl2;
 pub use trace;
 pub use workloads;

@@ -55,7 +55,7 @@
 //!
 //! The policy is a pure function of its arguments — no clocks, no
 //! randomness, no thread-count dependence — and the ledger it reads is
-//! canonical ([`sentinel::Sentinel::violations`] sorts by
+//! canonical ([`interp::Sentinel::violations`] sorts by
 //! `(clock, tid, seq)`, all schedule properties). Everything
 //! downstream of the recorded trace is deterministic, so two runs over
 //! the same config produce byte-identical [`RepairReport`] JSON and
@@ -65,9 +65,9 @@ use std::collections::BTreeMap;
 
 use crate::adapt::{write_config, write_cost, write_header, write_index, EvalStatus, PlanCost};
 use crate::replay::Recording;
+use interp::Violation;
 use lockscheme::{ConfigMap, SchemeConfig};
 use mglock::{FineAddr, NodeKey};
-use sentinel::Violation;
 use trace::json::Writer;
 use trace::lockset::mode_grants;
 
@@ -456,7 +456,15 @@ mod tests {
         extent: Option<(u64, u32)>,
     ) -> Witness {
         Witness {
-            violation: Violation::new(section, 0, addr, write, 0, 0, held),
+            violation: Violation {
+                section,
+                tid: 0,
+                addr,
+                write,
+                clock: 0,
+                seq: 0,
+                held,
+            },
             extent,
         }
     }

@@ -434,7 +434,7 @@ pub struct Recording {
     pub gauges: obs::Snapshot,
     /// The sentinel's canonical violation ledger (`(clock, tid, seq)`
     /// order); empty for a run without a sentinel.
-    pub ledger: Vec<sentinel::Violation>,
+    pub ledger: Vec<interp::Violation>,
 }
 
 /// Compiles, transforms, and executes `cfg` with tracing on, returning
@@ -807,6 +807,39 @@ mod tests {
         let mut c = cfg(ExecMode::MultiGrain);
         c.heap_cells = MAX_REPLAY_HEAP_CELLS + 1;
         assert!(record(&c).unwrap_err().contains("heap_cells"));
+    }
+
+    /// A weaken plan drops one spec of a MultiGrain `acquireAll`; a
+    /// plan that names none would record a fault never planted, so the
+    /// run refuses it.
+    #[test]
+    fn a_weaken_plan_that_drops_nothing_is_refused() {
+        for (mode, section, drop_index, why) in [
+            (ExecMode::MultiGrain, 9, 0, "no section 9 plans any"),
+            (ExecMode::MultiGrain, 0, 1, "section 0 plans 1"),
+            (ExecMode::Stm, 0, 0, "Stm plans none"),
+        ] {
+            let mut c = cfg(mode);
+            c.sentinel = Some(SentinelConfig::default());
+            c.weaken = Some(WeakenPlan {
+                section,
+                drop_index,
+            });
+            assert_eq!(
+                record(&c).unwrap_err(),
+                format!(
+                    "run: bad `weaken` {section}:{drop_index}: it names no lock spec to drop ({why})"
+                )
+            );
+        }
+        // The last spec of the section is still a plan.
+        let mut c = cfg(ExecMode::MultiGrain);
+        c.sentinel = Some(SentinelConfig::default());
+        c.weaken = Some(WeakenPlan {
+            section: 0,
+            drop_index: 0,
+        });
+        assert!(record(&c).is_ok());
     }
 
     #[test]

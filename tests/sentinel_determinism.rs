@@ -83,10 +83,7 @@ fn ledger(
             .all(|w| (w[0].clock, w[0].tid, w[0].seq) < (w[1].clock, w[1].tid, w[1].seq)),
         "violation ledger must be strictly ordered by (clock, tid, seq)"
     );
-    let rendered = violations
-        .iter()
-        .map(|v| format!("clock={} seq={} {v}", v.clock, v.seq))
-        .collect();
+    let rendered = violations.iter().map(|v| format!("{v:?}")).collect();
     let trace = m.take_trace().expect("tracing on");
     let history = ali::trace::quarantine_history(&trace)
         .transitions
