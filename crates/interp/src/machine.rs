@@ -489,8 +489,9 @@ impl Machine {
     }
 
     /// The online lockset sentinel, when the machine was built with
-    /// one (see [`Options::sentinel`]): violations, quarantine state,
-    /// ladder history.
+    /// one (see [`Options::sentinel`]), for its violation ledger; its
+    /// totals are in [`Machine::degradation_report`] and its ladder
+    /// transitions in the trace.
     pub fn sentinel(&self) -> Option<&Sentinel> {
         self.sentinel.as_ref()
     }
