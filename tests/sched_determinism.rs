@@ -121,6 +121,34 @@ fn steered_traces_record_wake_decisions_fifo_records_none() {
     }
 }
 
+/// Each steered recording, pinned by its trace digest and its count of
+/// `wk` events — `seh` over the baseline's hold table, `rbatch` at the
+/// default aging bound of 4 grants. Replay only shows that a run agrees
+/// with itself; these hold the policies' ranking, aging and wake
+/// reporting to what they were when pinned.
+#[test]
+fn steered_recordings_are_pinned() {
+    let (_, steered) = convoy_recordings();
+    let got: Vec<(&str, Option<&str>, String, usize)> = steered
+        .iter()
+        .map(|(kind, rec)| {
+            (
+                kind.tag(),
+                rec.trace.meta_get("run.sched_aging"),
+                rec.trace.digest(),
+                wake_decisions(&rec.trace),
+            )
+        })
+        .collect();
+    assert_eq!(
+        got,
+        vec![
+            ("seh", None, "d109d5a168342717".to_owned(), 349),
+            ("rbatch", Some("4"), "94233ba6d7a9e2fd".to_owned(), 397),
+        ]
+    );
+}
+
 /// The one committed input where a wake policy *is* the selected plan
 /// (the benchmark's `adapt-scale-d4w6s12`): the winner reaches the
 /// scheduler through the adapt loop, is stamped as an adapted — not a
