@@ -75,7 +75,7 @@
 //! Exit status is nonzero on a validation failure or digest mismatch,
 //! so all subcommands double as CI checks.
 
-use atomic_lock_inference::{replay, Pipeline};
+use atomic_lock_inference::{adapt, obs, replay, Pipeline};
 use bench::cli::{self, Flags, RunArgs};
 use interp::{FaultPlan, SentinelConfig};
 use lockinfer::AdaptPolicy;
@@ -299,7 +299,7 @@ fn cmd_adapt(args: &[String]) -> Result<ExitCode, String> {
         b.total_wait, b.total_hold, b.total_revalidations, b.makespan
     );
     // The evidence behind the `wake:*` candidates below.
-    for c in sched::detect(&trace::profile(&run.baseline.trace)) {
+    for c in adapt::detect_convoys(&trace::profile(&run.baseline.trace)) {
         println!(
             "convoy: section={} depth={:.1} hold={:.1} pressure={:.1}",
             c.section, c.depth, c.mean_hold, c.pressure

@@ -30,6 +30,7 @@
 mod error;
 mod fault;
 mod machine;
+mod sched;
 mod sentinel;
 mod sim;
 mod worker;
@@ -37,7 +38,7 @@ mod worker;
 pub use error::InterpError;
 pub use fault::{FaultPlan, FaultStats, WeakenPlan};
 pub use machine::{DegradationReport, ExecMode, Machine, Options, RepairSpec};
-pub use sched::{PolicyKind, ReaderBatch, SchedConfig};
+pub use sched::{PolicyKind, SchedConfig};
 pub use sentinel::{Response, Sentinel, SentinelConfig, Violation};
 
 // The test support names this crate `interp`, as an integration test

@@ -177,7 +177,7 @@ pub struct Options {
     /// state, so policy-steered runs stay deterministic and replayable
     /// (the configuration is stamped into `run.sched_*` metadata by
     /// the replayer).
-    pub sched: Option<sched::SchedConfig>,
+    pub sched: Option<crate::SchedConfig>,
     /// Staged section repairs from quarantine-aware re-inference
     /// (empty = none). Dormant until their section heals; inert
     /// without a sentinel.
@@ -270,7 +270,7 @@ pub struct Machine {
     pub(crate) tracer: Option<trace::Recorder>,
     pub(crate) sentinel: Option<Sentinel>,
     pub(crate) weaken: Option<crate::fault::WeakenPlan>,
-    pub(crate) sched: Option<sched::SchedConfig>,
+    pub(crate) sched: Option<crate::SchedConfig>,
     /// The one record of what is staged: each repaired section's
     /// admitted candidate index and its lock specs (see
     /// [`RepairSpec`]). The worker plans the specs only while the

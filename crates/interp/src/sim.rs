@@ -52,16 +52,16 @@
 //!
 //! # Wake ordering
 //!
-//! Wake ordering is pluggable (`sched`): each waiter carries a *rank*
-//! assigned by the configured [`WakePolicy`] at the release that
-//! promotes it, and the scheduling order compares `(clock, rank, tid)`.
+//! Each waiter carries a *rank* assigned by the configured wake policy
+//! ([`SchedConfig::rank`]) at the release that promotes it, and the
+//! scheduling order compares `(clock, rank, tid)`.
 //! Ranks never touch clocks — only the acquisition order among waiters
 //! promoted at the same release time changes — and every thread's rank
 //! resets to 0 at its next scheduling point. With no policy no ranking
 //! pass runs, every rank stays 0, and the order is the historical
 //! `(clock, tid)` — the one way to get it; there is no FIFO policy.
 
-use sched::{rank_batch, Waiter, WakeGrant, WakePolicy};
+use crate::sched::{rank_batch, SchedConfig, Waiter, WakeGrant};
 
 /// Virtual-time costs of runtime operations, in ticks (one tick ≈ one
 /// interpreted instruction ≈ 1 ns of the reported time).
@@ -137,7 +137,7 @@ pub(crate) struct Sim {
     /// The release epoch at which each thread's current *wait streak*
     /// began. A promoted waiter that fails to acquire waits again without
     /// clearing this, so aging policies see how many release grants it
-    /// has sat through ([`sched::Waiter::age`]); cleared by
+    /// has sat through ([`Waiter::age`]); cleared by
     /// [`Sim::end_wait`] when the acquisition finally succeeds.
     wait_epoch: Vec<Option<u64>>,
     release_epoch: u64,
@@ -157,7 +157,7 @@ pub(crate) struct Sim {
     /// Wake policy for lock releases. `None` is the legacy path: no
     /// ranking pass runs, no wake decisions are reported, and the
     /// schedule is the historical `(clock, tid)` order.
-    policy: Option<Box<dyn WakePolicy>>,
+    policy: Option<SchedConfig>,
 }
 
 impl Sim {
@@ -169,7 +169,7 @@ impl Sim {
 
     /// A scheduler for `n` threads, all `Ready` at clock 0 — so thread
     /// 0 is the minimum and runs first.
-    pub(crate) fn with_policy(n: usize, policy: Option<Box<dyn WakePolicy>>) -> Sim {
+    pub(crate) fn with_policy(n: usize, policy: Option<SchedConfig>) -> Sim {
         Sim {
             clocks: vec![0; n],
             state: vec![St::Ready; n],
@@ -326,7 +326,7 @@ impl Sim {
                 })
                 .collect();
             if !queue.is_empty() {
-                let (ranks, grants) = rank_batch(policy.as_ref(), &queue);
+                let (ranks, grants) = rank_batch(policy, &queue);
                 for (w, r) in queue.iter().zip(&ranks) {
                     self.ranks[w.tid as usize] = *r;
                 }
@@ -369,7 +369,6 @@ mod tests {
     //! scheduling point's answer to "who runs next" asserted.
 
     use super::*;
-    use parking_lot::Mutex;
 
     #[test]
     fn threads_interleave_by_clock() {
@@ -436,7 +435,6 @@ mod tests {
     fn waiter(tid: u32, section: u32) -> Waiter {
         Waiter {
             tid,
-            since: 0,
             section,
             node: mglock::NodeKey::Root,
             mode: mglock::Mode::X,
@@ -446,8 +444,8 @@ mod tests {
 
     #[test]
     fn policy_ranks_break_clock_ties_among_promoted_waiters() {
+        use crate::sched::PolicyKind;
         use mglock::{Mode, NodeKey};
-        use sched::{PolicyKind, SchedConfig};
         // Section 1 is expected to hold for 100 ticks, section 2 for
         // 5: shortest-expected-hold must wake tid 2 (section 2) ahead
         // of tid 1 despite the lower thread id waiting too.
@@ -456,7 +454,7 @@ mod tests {
             expected_hold: vec![(1, 100), (2, 5)],
             aging: 0,
         };
-        let mut sim = Sim::with_policy(3, Some(cfg.build()));
+        let mut sim = Sim::with_policy(3, Some(cfg));
         // Thread 0 "holds the lock": its advance to 500 lets both
         // waiters park, then it releases.
         assert_eq!(sim.advance(0, 500), 1);
@@ -489,44 +487,47 @@ mod tests {
     }
 
     #[test]
-    fn waiter_age_accumulates_across_reparks_and_resets_on_end_wait() {
-        /// Records the age of every waiter it is asked to rank.
-        struct AgeSpy(Mutex<Vec<u64>>);
-        impl sched::WakePolicy for &'static AgeSpy {
-            fn name(&self) -> &'static str {
-                "age-spy"
-            }
-            fn rank(&self, waiter: &Waiter, _queue: &[Waiter]) -> u64 {
-                self.0.lock().push(waiter.age);
-                0
-            }
+    fn a_writer_joins_the_read_batch_at_exactly_aging_grants() {
+        use crate::sched::PolicyKind;
+        use mglock::Mode;
+        let cfg = SchedConfig {
+            policy: PolicyKind::ReaderBatch,
+            expected_hold: Vec::new(),
+            aging: 2,
+        };
+        let mut sim = Sim::with_policy(3, Some(cfg));
+        let writer = Some(waiter(1, 1));
+        let reader = Some(Waiter {
+            mode: Mode::S,
+            ..waiter(2, 1)
+        });
+        let mut grants = Vec::new();
+        // Thread 0 releases three times. The writer (thread 1) parks
+        // once and re-parks after each promotion, as a failed acquisition
+        // does, so its streak ages 0, 1, 2; the reader (thread 2)
+        // acquires after each promotion and parks afresh, at age 0.
+        assert_eq!(sim.advance(0, 10), 1);
+        assert_eq!(sim.begin_wait(1, writer), Some(2));
+        assert_eq!(sim.begin_wait(2, reader), Some(0));
+        sim.on_release_with(0, |g| grants.push((g.mode, g.depth, g.woken)));
+        for _ in 0..2 {
+            assert_eq!(sim.advance(0, 10), 2, "the reader ranks first");
+            sim.end_wait(2);
+            assert_eq!(sim.begin_wait(2, reader), Some(1));
+            assert_eq!(sim.begin_wait(1, writer), Some(0));
+            sim.on_release_with(0, |g| grants.push((g.mode, g.depth, g.woken)));
         }
-
-        static SPY: AgeSpy = AgeSpy(Mutex::new(Vec::new()));
-        let mut sim = Sim::with_policy(2, Some(Box::new(&SPY)));
-        let w = Some(waiter(1, 1));
-        // Thread 0 advances and releases three times; each advance
-        // makes thread 1 (whose clock trails) the runner until it
-        // waits again. Thread 1 parks, sits through two releases
-        // (re-parking after the first promotion fails to acquire),
-        // then succeeds and parks afresh.
-        assert_eq!(sim.advance(0, 10), 1);
-        assert_eq!(sim.begin_wait(1, w), Some(0));
-        sim.on_release_with(0, |_| {});
-        assert_eq!(sim.advance(0, 10), 1);
-        assert_eq!(sim.begin_wait(1, w), Some(0));
-        sim.on_release_with(0, |_| {});
+        assert_eq!(
+            grants,
+            vec![(Mode::S, 2, 1), (Mode::S, 2, 1), (Mode::X, 2, 2)],
+            "one grant short of the bound the writer still waits behind the batch"
+        );
+        // Ranked with the batch, the writer wins the tie on its tid.
         assert_eq!(sim.advance(0, 10), 1);
         sim.end_wait(1);
-        assert_eq!(sim.begin_wait(1, w), Some(0));
-        sim.on_release_with(0, |_| {});
-        assert_eq!(sim.finish(0), Some(1));
-        assert_eq!(sim.finish(1), None);
-        assert_eq!(
-            SPY.0.lock().clone(),
-            vec![0, 1, 0],
-            "age counts releases survived per wait streak"
-        );
+        assert_eq!(sim.finish(1), Some(2));
+        assert_eq!(sim.finish(2), Some(0));
+        assert_eq!(sim.finish(0), None);
     }
 
     #[test]
@@ -608,14 +609,11 @@ mod tests {
     /// each resumed thread finishes; a wedged schedule fails each thread
     /// it hands out (release, then finish), as the driver does.
     fn check_transcript(n: usize, ranked: bool, ops: &[Op]) {
-        use sched::{PolicyKind, SchedConfig};
-        let policy = ranked.then(|| {
-            SchedConfig {
-                policy: PolicyKind::ShortestExpectedHold,
-                expected_hold: vec![(0, 0), (1, 5), (2, 5), (3, 50)],
-                aging: 0,
-            }
-            .build()
+        use crate::sched::PolicyKind;
+        let policy = ranked.then(|| SchedConfig {
+            policy: PolicyKind::ShortestExpectedHold,
+            expected_hold: vec![(0, 0), (1, 5), (2, 5), (3, 50)],
+            aging: 0,
         });
         let mut sim = Sim::with_policy(n, policy);
         let mut ops = ops.iter();

@@ -29,6 +29,7 @@
 use crate::error::{Exc, InterpError};
 use crate::fault::{splitmix, FaultPanic, Injector};
 use crate::machine::{ExecMode, Machine, Storage};
+use crate::sched::Waiter;
 use crate::sentinel::{self, LadderEvent, Response, Violation};
 use crate::sim::Sim;
 use lir::{ArithOp, CmpOp, FnId, Instr, Intrinsic, LockSpec, PathOp, Rvalue, SectionId, VarId};
@@ -1547,15 +1548,13 @@ impl<'m> Worker<'m> {
                             // wake policy (ignored on the legacy path).
                             // Age is filled in by the scheduler at each
                             // release from the streak's first wait.
-                            let waiter =
-                                self.session.blocked_on().map(|(node, mode)| sched::Waiter {
-                                    tid: self.tid,
-                                    since: self.now(),
-                                    section: self.current_section.0,
-                                    node,
-                                    mode,
-                                    age: 0,
-                                });
+                            let waiter = self.session.blocked_on().map(|(node, mode)| Waiter {
+                                tid: self.tid,
+                                section: self.current_section.0,
+                                node,
+                                mode,
+                                age: 0,
+                            });
                             self.acquire = Acquire::Woken;
                             sim.borrow_mut().begin_wait(self.tid as usize, waiter);
                             return Err(Exc::Yield);
@@ -1973,7 +1972,7 @@ impl Machine {
     ) -> Result<(Vec<i64>, u64), InterpError> {
         let f = self.entry(name)?;
         let argvs = self.thread_args(f, n, args)?;
-        let sim = RefCell::new(Sim::with_policy(n, self.sched.as_ref().map(|c| c.build())));
+        let sim = RefCell::new(Sim::with_policy(n, self.sched.clone()));
         let mut workers: Vec<Option<Worker<'_>>> = (0..n as u32)
             .zip(&argvs)
             .map(|(tid, argv)| Some(Worker::new(self, tid, Some(&sim), f, argv)))

@@ -50,8 +50,8 @@
 //! describing the applied overrides instead.
 
 use crate::replay::Recording;
+use interp::PolicyKind;
 use lockscheme::{ConfigMap, SchemeConfig};
-use sched::PolicyKind;
 use trace::json::Writer;
 use trace::SectionProfile;
 
@@ -71,6 +71,18 @@ const DRIFT_REVAL_MEAN: f64 = 0.5;
 /// its locks are essentially free, so a larger `k` (finer expression
 /// locks) may pay for itself.
 const UNCONTENDED_WAIT_HOLD_RATIO: f64 = 0.05;
+
+/// Sections with fewer completed executions get no candidate, and no
+/// convoy flag: too little evidence to act on.
+const MIN_ENTRIES: u64 = 2;
+
+/// Minimum estimated steady-state queue depth (`mean wait / mean
+/// hold`) of a convoy: below it there is no queue to re-order.
+const MIN_DEPTH: f64 = 1.5;
+
+/// Minimum convoy pressure (`depth × mean hold`, in ticks): queues on
+/// cheap locks are not worth steering.
+const MIN_PRESSURE: f64 = 200.0;
 
 /// How much to raise `k` for uncontended fine sections.
 const RAISE_K_STEP: usize = 3;
@@ -159,7 +171,7 @@ impl Candidate {
 
 /// Maps measured section profiles to candidate overrides, one
 /// [`ConfigMap`] override per candidate. Sections with fewer than
-/// [`sched::convoy::MIN_ENTRIES`] completed executions get none.
+/// two completed executions get none.
 ///
 /// Deterministic: profiles are processed in their given (section-id)
 /// order and rules fire in a fixed order, so identical inputs yield an
@@ -168,7 +180,7 @@ impl Candidate {
 pub fn candidates(profiles: &[SectionProfile], base: &ConfigMap) -> Vec<Candidate> {
     let mut out = Vec::new();
     for p in profiles {
-        if p.entries < sched::convoy::MIN_ENTRIES {
+        if p.entries < MIN_ENTRIES {
             continue;
         }
         let current = base.for_section(p.section);
@@ -221,13 +233,57 @@ pub fn candidates(profiles: &[SectionProfile], base: &ConfigMap) -> Vec<Candidat
     // candidate vector deterministic). The scheme config is the
     // section's *current* one — the harness evaluates these by
     // steering the scheduler, not by re-planning locks.
-    for flag in sched::convoy::detect(profiles) {
+    for flag in detect_convoys(profiles) {
         for kind in PolicyKind::ALL {
             out.push(Candidate {
                 section: flag.section,
                 config: base.for_section(flag.section),
                 adjustment: Adjustment::WakePolicy(kind),
                 trigger: Trigger::Convoy,
+            });
+        }
+    }
+    out
+}
+
+/// One convoy-prone section: a queue that never drains. Waiters pile
+/// up behind a long-hold (or frequently re-granted) lock faster than
+/// releases retire them, so measured wait grows with queue depth × hold
+/// time even though each hold is modest.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub struct ConvoyFlag {
+    pub section: u32,
+    /// Estimated steady-state queue depth (`mean wait / mean hold`).
+    pub depth: f64,
+    /// Mean hold ticks.
+    pub mean_hold: f64,
+    /// `depth × mean_hold`: the per-entry wait a perfect wake policy
+    /// could attack.
+    pub pressure: f64,
+}
+
+/// Flags convoy-prone sections, in section-id order — the trigger of
+/// the wake-policy candidates. Baseline traces carry no `["wk", …]`
+/// wake decisions, so the queue depth is estimated from the wait/hold
+/// histograms: by Little's law an entry that waits `W` ticks behind
+/// holders occupying the lock `H` ticks at a time has `W / H`
+/// predecessors queued ahead of it. Re-ordering a queue shallower than
+/// 1.5 buys nothing, however long its waits.
+pub fn detect_convoys(profiles: &[SectionProfile]) -> Vec<ConvoyFlag> {
+    let mut out = Vec::new();
+    for p in profiles {
+        if p.entries < MIN_ENTRIES {
+            continue;
+        }
+        let mean_hold = p.hold.mean();
+        let depth = p.wait.mean() / mean_hold.max(1.0);
+        let pressure = depth * mean_hold.max(1.0);
+        if depth >= MIN_DEPTH && pressure >= MIN_PRESSURE {
+            out.push(ConvoyFlag {
+                section: p.section,
+                depth,
+                mean_hold,
+                pressure,
             });
         }
     }
@@ -500,6 +556,27 @@ mod tests {
             .all(|c| matches!(c.adjustment, Adjustment::WakePolicy(_))));
         assert!(cs.iter().all(|c| c.trigger == Trigger::Convoy));
         assert!(cs.iter().all(|c| c.section == 5));
+    }
+
+    #[test]
+    fn deep_convoys_on_expensive_locks_are_flagged() {
+        // Mean wait 600 behind mean hold 100: depth 6, pressure 600.
+        let flags = detect_convoys(&[prof(1, &[500, 700], &[90, 110], &[0, 0])]);
+        assert_eq!(flags.len(), 1);
+        assert_eq!(flags[0].section, 1);
+        assert!((flags[0].depth - 6.0).abs() < 1e-9);
+        assert!((flags[0].pressure - 600.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn shallow_or_cheap_convoys_are_not_flagged() {
+        // Depth 0.5: waiters drain faster than they arrive.
+        let shallow = prof(1, &[50, 50], &[100, 100], &[0, 0]);
+        // Depth 10 but pressure 100: a convoy on a trivial lock.
+        let cheap = prof(2, &[100, 100], &[10, 10], &[0, 0]);
+        // Plenty of pressure but a single entry: no evidence.
+        let thin = prof(3, &[10_000], &[100], &[0]);
+        assert!(detect_convoys(&[shallow, cheap, thin]).is_empty());
     }
 
     #[test]

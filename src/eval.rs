@@ -222,8 +222,11 @@ impl EvalContext {
     /// recompiles per run) and for a run no machine or worker state
     /// should be built for: a size [`check_run_size`] refuses, or a
     /// section configuration — base, override or repair — that is not
-    /// [`SchemeConfig::is_executable`]. Every recording goes through
-    /// here, and `cfg` can come from a trace file or a command line.
+    /// [`SchemeConfig::is_executable`]. A config's own run (`Stamp::Run`)
+    /// also refuses a weaken plan that drops nothing and a wake policy
+    /// whose expected-hold table does not strictly increase by section.
+    /// Every recording goes through here, and `cfg` can come from a
+    /// trace file or a command line.
     pub(crate) fn run_one(
         &self,
         cfg: &RunConfig,
@@ -231,6 +234,9 @@ impl EvalContext {
         stamp: Stamp,
     ) -> Result<Recording, String> {
         check_run_size(cfg.threads, cfg.heap_cells, self.program.globals.len())?;
+        if let (Stamp::Run, Some(s)) = (stamp, &cfg.sched) {
+            s.check_holds().map_err(|e| format!("run: {e}"))?;
+        }
         let overrides = map.overrides().iter().map(|&(_, c)| c);
         let repairs = cfg.repairs.iter().map(|&(_, _, c)| c);
         if let Some(c) = std::iter::once(map.default)
@@ -266,7 +272,7 @@ impl EvalContext {
         }
         let m = Machine::new(Arc::new(transformed), pt, cfg.mode, opts);
         let (outcome, mut trace) = execute(&m, cfg);
-        let gauges = run_gauges(&m);
+        let gauges = crate::obs::run_gauges(&m);
         let ledger = m
             .sentinel()
             .map(interp::Sentinel::violations)
@@ -389,41 +395,6 @@ fn check_weaken(cfg: &RunConfig, program: &lir::Program) -> Result<(), String> {
         "run: bad `weaken` {}:{}: it names no lock spec to drop ({why})",
         w.section, w.drop_index
     ))
-}
-
-/// Reads what only the live machine knows at the end of a run — heap,
-/// virtual-time scheduler, sentinel, unwound lock sessions — as
-/// `ali_run_*` gauges, in name order. Everything a trace carries
-/// (sections, grants, faults, wake decisions, commits, quarantine) is
-/// [`obs::from_trace`]'s instead.
-fn run_gauges(m: &Machine) -> obs::Snapshot {
-    use std::sync::atomic::Ordering::Relaxed;
-    let mg = m.mg_stats();
-    let (yield_points, handoffs) = m.sim_counts();
-    let gauges = [
-        ("ali_run_heap_used", m.heap_used()),
-        (
-            "ali_run_mg_poisoned_sessions",
-            mg.poisoned_sessions.load(Relaxed),
-        ),
-        (
-            "ali_run_mg_unwind_releases",
-            mg.unwind_releases.load(Relaxed),
-        ),
-        (
-            "ali_run_sentinel_violations",
-            m.degradation_report().sentinel_violations,
-        ),
-        ("ali_run_sim_handoffs", handoffs),
-        ("ali_run_sim_yield_points", yield_points),
-    ];
-    obs::Snapshot {
-        gauges: gauges
-            .into_iter()
-            .map(|(name, v)| (obs::Key::plain(name), v))
-            .collect(),
-        ..obs::Snapshot::default()
-    }
 }
 
 /// The wake policy a single-override candidate steers, if any.

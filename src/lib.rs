@@ -15,20 +15,20 @@
 //! | [`lockinfer`] | **the paper's contribution**: backward lock inference + transformation |
 //! | [`mglock`] | multi-granularity lock runtime (IS/IX/S/SIX/X) |
 //! | [`tl2`] | TL2-style STM (the optimistic baseline) |
-//! | [`interp`] | concurrent interpreter: Global/MultiGrain/Stm + virtual time, and its online lockset sentinel (inline licensing checks; a miss quarantines the section or, as the Theorem-1 checker, fails the run) |
+//! | [`interp`] | concurrent interpreter: Global/MultiGrain/Stm + virtual time with its deterministic wake policies, and its online lockset sentinel (inline licensing checks; a miss quarantines the section or, as the Theorem-1 checker, fails the run) |
 //! | [`trace`] | event tracing, Eraser-style lockset validation, profiles |
-//! | [`sched`] | pluggable deterministic wake policies + convoy detection |
-//! | [`obs`] | observability: trace-derived metric snapshots, merged with a recording's end-of-run gauges; exporters |
 //! | [`workloads`] | the evaluation programs (micro, STAMP-like, SPEC-like) |
 //!
-//! and holds the measurement loops, each one module with its policy:
+//! and holds the measurement loops, each one module with its policy, and
+//! the metrics that read their runs:
 //!
 //! | module | role |
 //! |---|---|
-//! | [`adapt`] | profile-guided adaptation: candidates from wait/hold profiles, ranking, selection |
+//! | [`adapt`] | profile-guided adaptation: candidates (and convoy detection) from wait/hold profiles, ranking, selection |
 //! | [`reinfer`] | quarantine-aware re-inference: diagnose sentinel violations, repair demoted sections, admission |
 //! | [`eval`] | the shared candidate harness both loops replay through, with its trace-analytic estimator |
 //! | [`replay`] | deterministic record/replay over traced executions |
+//! | [`obs`] | metrics: trace-derived snapshots, merged with a recording's end-of-run gauges; exporters |
 //!
 //! [`Pipeline`] is the builder whose two terminals are the only entry
 //! points to the loops (baseline → profile → propose → evaluate →
@@ -57,6 +57,7 @@
 
 pub mod adapt;
 pub mod eval;
+pub mod obs;
 pub mod pipeline;
 pub mod reinfer;
 pub mod replay;
@@ -68,9 +69,7 @@ pub use lir;
 pub use lockinfer;
 pub use lockscheme;
 pub use mglock;
-pub use obs;
 pub use pointsto;
-pub use sched;
 pub use tl2;
 pub use trace;
 pub use workloads;

@@ -5,7 +5,7 @@
 //! trace's total event order — so equal inputs export to equal bytes
 //! (the golden-file tests pin both formats).
 
-use crate::{Key, Snapshot};
+use super::{Key, Snapshot};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use trace::json::Writer;

@@ -26,7 +26,7 @@
 //! [`Recording`](crate::replay::Recording) a loop returns carries its
 //! own end-of-run gauges
 //! ([`Recording::gauges`](crate::replay::Recording::gauges)); a run's
-//! section, lock, fault, wake and STM metrics are [`obs::from_trace`]
+//! section, lock, fault, wake and STM metrics are [`crate::obs::from_trace`]
 //! of its trace, and a loop's candidate counts are the statuses in its
 //! report.
 
@@ -301,6 +301,7 @@ impl Pipeline {
 mod tests {
     use super::*;
     use crate::adapt::EvalStatus;
+    use crate::obs;
     use interp::ExecMode;
 
     const SRC: &str = r#"

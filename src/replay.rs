@@ -161,20 +161,22 @@ impl RunConfig {
             Some(tag) => {
                 let policy = interp::PolicyKind::from_tag(tag)
                     .ok_or_else(|| format!("replay: unknown wake policy `{tag}`"))?;
-                let expected_hold =
-                    SchedConfig::parse_holds(t.meta_get("run.sched_holds").unwrap_or(""))
-                        .ok_or_else(|| "replay: bad `run.sched_holds`".to_owned())?;
+                let holds = meta(t, "run.sched_holds")?;
+                let expected_hold = SchedConfig::parse_holds(&holds)
+                    .ok_or_else(|| format!("replay: bad `run.sched_holds`: `{holds}`"))?;
                 // Absent on traces recorded before the aging knob
                 // existed: those ran with aging off.
                 let aging = match t.meta_get("run.sched_aging") {
                     None => 0,
                     Some(_) => meta_int(t, "run.sched_aging")?,
                 };
-                Some(SchedConfig {
+                let s = SchedConfig {
                     policy,
                     expected_hold,
                     aging,
-                })
+                };
+                s.check_holds().map_err(|e| format!("replay: {e}"))?;
+                Some(s)
             }
         };
         let mut repair_keys: Vec<u32> = t
@@ -431,7 +433,7 @@ pub struct Recording {
     /// hand-offs, sentinel violations, and lock sessions poisoned and
     /// grants released by unwinding. Everything else a run measures is
     /// `obs::from_trace` of [`Recording::trace`].
-    pub gauges: obs::Snapshot,
+    pub gauges: crate::obs::Snapshot,
     /// The sentinel's canonical violation ledger (`(clock, tid, seq)`
     /// order); empty for a run without a sentinel.
     pub ledger: Vec<interp::Violation>,
@@ -840,6 +842,47 @@ mod tests {
             drop_index: 0,
         });
         assert!(record(&c).is_ok());
+    }
+
+    /// `from_profiles` writes an expected-hold table strictly
+    /// increasing by section, and every armed wake policy stamps one. A
+    /// table it could not have written is refused at both doors — a
+    /// config's own run and a trace's metadata — and so is an armed
+    /// policy whose table key is missing, as for any other armed group.
+    #[test]
+    fn a_hold_table_from_profiles_could_not_write_is_refused() {
+        let steered = |expected_hold: Vec<(u32, u64)>| RunConfig {
+            sched: Some(SchedConfig {
+                policy: interp::PolicyKind::ShortestExpectedHold,
+                expected_hold,
+                aging: 0,
+            }),
+            ..cfg(ExecMode::MultiGrain)
+        };
+        let refusal =
+            |holds: &str| format!("bad `sched_holds` `{holds}`: sections must strictly increase");
+        for (table, holds) in [
+            (vec![(1, 9), (0, 5), (0, 7)], "1:9,0:5,0:7"),
+            (vec![(0, 5), (0, 7)], "0:5,0:7"),
+        ] {
+            let err = record(&steered(table)).unwrap_err();
+            assert_eq!(err, format!("run: {}", refusal(holds)));
+        }
+        let good = record(&steered(vec![(0, 5), (1, 9)])).unwrap().trace;
+        assert_eq!(good.meta_get("run.sched_holds"), Some("0:5,1:9"));
+        assert!(replay(&good).is_ok(), "the undoctored trace replays");
+        for holds in ["1:9,0:5,0:7", "0:5,0:7"] {
+            let mut t = good.clone();
+            t.meta_set("run.sched_holds", holds);
+            let err = RunConfig::from_trace(&t).unwrap_err();
+            assert_eq!(err, format!("replay: {}", refusal(holds)));
+        }
+        let mut t = good;
+        t.meta.retain(|(k, _)| k != "run.sched_holds");
+        assert_eq!(
+            replay(&t).unwrap_err(),
+            "replay: trace metadata missing `run.sched_holds`"
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Boundary pins of the adapt loop's and the convoy detector's
 //! thresholds: for each one, a profile just below it, one exactly at it
 //! and one just above it, run through `ali::adapt::candidates` and
-//! `sched::convoy::detect`, with the candidate tags each produces.
+//! `ali::adapt::detect_convoys`, with the candidate tags each produces.
 //!
 //! Each profile is built so that only the threshold under test is near
 //! its boundary; the others sit far on one side of theirs. A tag is
@@ -9,9 +9,8 @@
 
 use atomic_lock_inference as ali;
 
-use ali::adapt::candidates;
+use ali::adapt::{candidates, detect_convoys};
 use ali::lockscheme::{ConfigMap, SchemeConfig};
-use ali::sched::convoy::detect;
 use ali::trace::SectionProfile;
 
 /// `n` entries, each waiting `wait` and holding `hold` ticks; the
@@ -39,7 +38,7 @@ fn run(k: usize, p: &SectionProfile) -> (Vec<String>, bool) {
         .iter()
         .map(|c| format!("{}/{}", c.adjustment.tag(), c.trigger.tag()))
         .collect();
-    (tags, !detect(ps).is_empty())
+    (tags, !detect_convoys(ps).is_empty())
 }
 
 /// Asserts `p`'s tags at base `k`, and that the detector flags exactly

@@ -225,13 +225,8 @@ fn chaos_wake_policies_reproduce_under_delayed_wakeups() {
         // A fixed frozen hold table (what a prior profile would have
         // produced) — the decisions must be pure functions of it.
         let sched = ali::interp::SchedConfig {
-            policy: kind,
             expected_hold: vec![(0, 60), (1, 15), (2, 40)],
-            aging: if kind == ali::interp::PolicyKind::ReaderBatch {
-                ali::interp::ReaderBatch::DEFAULT_AGING
-            } else {
-                0
-            },
+            ..ali::interp::SchedConfig::from_profiles(kind, &[])
         };
         for spec in specs() {
             let label = format!("{} [MultiGrain] wake {}", spec.name, kind.tag());

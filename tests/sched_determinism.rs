@@ -11,10 +11,9 @@
 use atomic_lock_inference as ali;
 
 use ali::adapt::{Adjustment, PlanCost};
-use ali::interp::{ExecMode, SchedConfig};
+use ali::interp::{ExecMode, PolicyKind, SchedConfig};
 use ali::lockinfer::AdaptPolicy;
 use ali::replay::{record, replay, Recording, RunConfig};
-use ali::sched::{queue_profiles, PolicyKind};
 use ali::trace::{EventKind, Trace};
 use ali::workloads::scale::{self, ScaleParams};
 
@@ -111,11 +110,6 @@ fn steered_traces_record_wake_decisions_fifo_records_none() {
         assert!(
             wake_decisions(&rec.trace) > 0,
             "{}: steered runs trace their decisions",
-            kind.tag()
-        );
-        assert!(
-            !queue_profiles(&rec.trace).is_empty(),
-            "{}: wake decisions aggregate into per-lock queue profiles",
             kind.tag()
         );
     }
