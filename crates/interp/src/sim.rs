@@ -522,11 +522,24 @@ mod tests {
             vec![(Mode::S, 2, 1), (Mode::S, 2, 1), (Mode::X, 2, 2)],
             "one grant short of the bound the writer still waits behind the batch"
         );
-        // Ranked with the batch, the writer wins the tie on its tid.
+        // Ranked with the batch, the writer wins the tie on its tid and
+        // acquires, which ends its streak. Parked again beside a fresh
+        // reader, it ages from 0: the next grant is the read batch's.
         assert_eq!(sim.advance(0, 10), 1);
         sim.end_wait(1);
-        assert_eq!(sim.finish(1), Some(2));
-        assert_eq!(sim.finish(2), Some(0));
+        assert_eq!(sim.begin_wait(1, writer), Some(2));
+        sim.end_wait(2);
+        assert_eq!(sim.begin_wait(2, reader), Some(0));
+        grants.clear();
+        sim.on_release_with(0, |g| grants.push((g.mode, g.depth, g.woken)));
+        assert_eq!(
+            grants,
+            vec![(Mode::S, 2, 1)],
+            "a finished wait starts the next streak at age 0"
+        );
+        assert_eq!(sim.advance(0, 10), 2, "the reader ranks first");
+        assert_eq!(sim.finish(2), Some(1));
+        assert_eq!(sim.finish(1), Some(0));
         assert_eq!(sim.finish(0), None);
     }
 
