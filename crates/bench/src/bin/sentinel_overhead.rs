@@ -35,8 +35,11 @@ use workloads::scale::{self, ScaleParams};
 
 const THREADS: usize = 4;
 /// Repetitions, each running the three arms back to back; an armed
-/// arm scores the median of its per-repetition ratios.
-const REPS: usize = 5;
+/// arm scores the median of its per-repetition ratios. On a shared
+/// 2-vCPU host five repetitions spread the full arm's median over
+/// about 0.2× from one invocation to the next; 25 (about 2 s in all)
+/// hold it within about 0.1×.
+const REPS: usize = 25;
 
 fn main() -> ExitCode {
     let mut check = false;

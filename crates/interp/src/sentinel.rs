@@ -3,11 +3,12 @@
 //! The inference guarantee (Theorem 1) only holds if the locks the
 //! runtime actually takes license every in-section access. The trace
 //! validator (`trace::lockset`) checks that *post hoc*; the sentinel
-//! evaluates the same Fig. 6 licensing predicate **inline**, against a
-//! worker's live held-mode set (`mglock::Session::held_modes`), on
-//! each in-section access — sampling-capable, so production runs can
-//! trade coverage for overhead. The worker asks it at one site,
-//! `Worker::sentinel_check`.
+//! evaluates the same Fig. 6 licensing predicate
+//! (`trace::lockset::licensed`, asked by `Worker::licensed`) **inline**,
+//! against a worker's live held-mode set
+//! (`mglock::Session::held_modes`), on each in-section access —
+//! sampling-capable, so production runs can trade coverage for
+//! overhead. The worker asks it at one site, `Worker::sentinel_check`.
 //!
 //! Under [`Response::Fail`] ([`SentinelConfig::validate`], the
 //! Theorem-1 checker) a miss is a hard error. Under
@@ -34,7 +35,7 @@
 //! (`Machine::repairs`); the sentinel keeps only where the section
 //! stands with it — healed onto it, or revoked for good.
 
-use mglock::{FineAddr, Mode, NodeKey};
+use mglock::{Mode, NodeKey};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 
@@ -203,39 +204,6 @@ impl std::fmt::Debug for Sentinel {
             .field("healed", &st.healed)
             .finish()
     }
-}
-
-/// Does any grant in `held` license an access of `addr` with the given
-/// effect? Delegates to the Fig. 6 core shared with the post-hoc trace
-/// validator, so online and offline verdicts can never diverge.
-///
-/// `extent` resolves the accessed cell's allocation `(base, points-to
-/// class)`, when known. It is called lazily — at most once, and only if
-/// a Pts- or Range-granular grant survives the mode filter — because
-/// resolving it costs an allocation-table lookup on the interpreter's
-/// hot path while the common grants (Root, exact cell) decide without
-/// it.
-pub(crate) fn licensed(
-    held: impl Iterator<Item = (NodeKey, Mode)>,
-    addr: u64,
-    write: bool,
-    extent: impl FnOnce() -> Option<(u64, u32)>,
-) -> bool {
-    let mut held = held;
-    let mut extent = Some(extent);
-    let mut memo = None;
-    held.any(|(node, mode)| {
-        if !trace::lockset::mode_grants(mode, write) {
-            return false;
-        }
-        let needs_extent = matches!(node, NodeKey::Pts(_) | NodeKey::Fine(_, FineAddr::Range(_)));
-        let ext = if needs_extent {
-            *memo.get_or_insert_with(|| extent.take().and_then(|f| f()))
-        } else {
-            None
-        };
-        trace::lockset::licenses(node, mode, addr, write, ext)
-    })
 }
 
 impl Sentinel {
@@ -420,70 +388,6 @@ mod tests {
             seq: 0,
             held: vec![(NodeKey::Pts(1), Mode::Ix)],
         }
-    }
-
-    #[test]
-    fn licensed_agrees_with_the_validator_core() {
-        let fine = NodeKey::Fine(1, FineAddr::Cell(42));
-        // X licenses the write…
-        assert!(licensed([(fine, Mode::X)].into_iter(), 42, true, || None));
-        // …S does not, and intention modes license nothing.
-        assert!(!licensed([(fine, Mode::S)].into_iter(), 42, true, || None));
-        assert!(!licensed(
-            [(NodeKey::Pts(1), Mode::Ix)].into_iter(),
-            42,
-            true,
-            || Some((40, 1))
-        ));
-        // Root covers everything; Pts covers by class.
-        assert!(licensed(
-            [(NodeKey::Root, Mode::X)].into_iter(),
-            7,
-            true,
-            || None
-        ));
-        assert!(licensed(
-            [(NodeKey::Pts(3), Mode::S)].into_iter(),
-            7,
-            false,
-            || Some((0, 3))
-        ));
-        assert!(!licensed(
-            [(NodeKey::Pts(3), Mode::S)].into_iter(),
-            7,
-            false,
-            || Some((0, 4))
-        ));
-    }
-
-    #[test]
-    fn extent_is_resolved_lazily_and_at_most_once() {
-        use std::cell::Cell;
-        let calls = Cell::new(0u32);
-        let counting = || {
-            calls.set(calls.get() + 1);
-            Some((40, 1))
-        };
-        // An exact-cell grant decides without the extent.
-        let fine = NodeKey::Fine(1, FineAddr::Cell(42));
-        assert!(licensed([(fine, Mode::X)].into_iter(), 42, true, counting));
-        assert_eq!(calls.get(), 0);
-        // Intention modes are filtered before the extent is touched.
-        assert!(!licensed(
-            [(NodeKey::Pts(1), Mode::Ix)].into_iter(),
-            42,
-            true,
-            counting
-        ));
-        assert_eq!(calls.get(), 0);
-        // Two extent-hungry grants share one resolution.
-        assert!(!licensed(
-            [(NodeKey::Pts(7), Mode::X), (NodeKey::Pts(8), Mode::X)].into_iter(),
-            42,
-            true,
-            counting
-        ));
-        assert_eq!(calls.get(), 1);
     }
 
     #[test]

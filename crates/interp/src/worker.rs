@@ -30,7 +30,7 @@ use crate::error::{Exc, InterpError};
 use crate::fault::{splitmix, FaultPanic, Injector};
 use crate::machine::{ExecMode, Machine, Storage};
 use crate::sched::Waiter;
-use crate::sentinel::{self, LadderEvent, Response, Violation};
+use crate::sentinel::{LadderEvent, Response, Violation};
 use crate::sim::Sim;
 use lir::{ArithOp, CmpOp, FnId, Instr, Intrinsic, LockSpec, PathOp, Rvalue, SectionId, VarId};
 use mglock::{Access, Descriptor, FineAddr, Session};
@@ -1035,9 +1035,10 @@ impl<'m> Worker<'m> {
     /// the sentinel's, whatever its policy: a cell this thread
     /// allocated inside the open section is exempt (Lemma 2); otherwise,
     /// under locks, a live grant must license the access under Fig. 6
-    /// (`trace::lockset::licenses`, which the offline validator asks of
-    /// a recorded trace); under STM, the transaction must track the cell
-    /// (or run irrevocably under the commit gate).
+    /// (`trace::lockset::licensed`, which the offline validator asks of
+    /// a recorded trace; the cell's allocation extent is looked up only
+    /// if a `Pts` or `Range` grant needs it); under STM, the transaction
+    /// must track the cell (or run irrevocably under the commit gate).
     fn licensed(&self, addr: u64, write: bool) -> bool {
         // `my_allocs` bases are monotone (allocation order), so the
         // Lemma 2 exemption is a binary search — sections that allocate
@@ -1054,7 +1055,7 @@ impl<'m> Worker<'m> {
                 .txn
                 .as_ref()
                 .is_some_and(|t| t.is_tracked(addr as usize)),
-            _ => sentinel::licensed(self.session.held_modes(), addr, write, || {
+            _ => trace::lockset::licensed(self.session.held_modes(), addr, write, || {
                 self.m.extent_class(addr)
             }),
         }

@@ -22,9 +22,9 @@
 //!
 //! What a lock protects *at run time* — §3.2's concrete semantics — is
 //! not restated here: it is what the lock's grant licenses under
-//! Fig. 6, one predicate (`trace::lockset::licenses`) that the online
-//! sentinel — the Theorem-1 checker among its policies — and the
-//! offline trace validator share.
+//! Fig. 6, one predicate (`trace::lockset::licensed`) that the online
+//! sentinel — the Theorem-1 checker among its policies — the offline
+//! trace validator and re-inference's diagnosis share.
 
 pub mod abslock;
 pub mod scheme;

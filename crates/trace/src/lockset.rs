@@ -4,7 +4,8 @@
 //! event stream, tracking per thread the set of held lock-tree nodes
 //! with their granted modes and the open section's private allocations
 //! (which section is open is [`crate::sections::Cursor`]'s to say).
-//! Every in-section shared access must be *licensed* by some held node:
+//! Every in-section shared access must be *licensed* by some held node
+//! ([`licensed`], the one statement of the predicate):
 //!
 //! * the node must **cover** the location — `Root` covers everything,
 //!   `Pts(p)` covers every cell whose allocation site has points-to
@@ -109,24 +110,47 @@ struct ThreadState {
     allocs: Vec<(u64, u64)>,
 }
 
-/// Does a granted `(node, mode)` license an access of `addr` (whose
-/// allocation, if any, is `extent = (base, points-to class)`) with the
-/// given effect?
+/// Does any grant in `held` license an access of `addr` with the given
+/// effect? This is the Fig. 6 licensing predicate, stated here once: a
+/// grant licenses the access when its mode grants the effect
+/// ([`mode_grants`]) and its node covers the cell ([`covers`]). The
+/// post-hoc validator below asks it of a recorded trace's grants, and
+/// the interpreter's online sentinel (`Worker::licensed`, in
+/// `crates/interp/src/worker.rs`) of a worker's live held-mode set, so
+/// their verdicts cannot diverge.
 ///
-/// This is the Fig. 6 licensing core, shared between the post-hoc
-/// trace validator here and the interpreter's online sentinel
-/// (`interp::Sentinel`, in `crates/interp/src/sentinel.rs`), which
-/// evaluates the same predicate against a worker's live held-mode set.
-pub fn licenses(
-    node: NodeKey,
-    mode: Mode,
+/// `extent` resolves the accessed cell's allocation `(base, points-to
+/// class)`, when known. It is called lazily — at most once, and only
+/// if a `Pts` or `Range` grant survives the mode filter — because
+/// resolving it costs an allocation-table lookup per access while the
+/// common grants (`Root`, an exact cell) decide without it.
+pub fn licensed(
+    held: impl IntoIterator<Item = (NodeKey, Mode)>,
     addr: u64,
     write: bool,
-    extent: Option<(u64, u32)>,
+    extent: impl FnOnce() -> Option<(u64, u32)>,
 ) -> bool {
-    if !mode_grants(mode, write) {
-        return false;
-    }
+    let mut extent = Some(extent);
+    let mut memo = None;
+    held.into_iter().any(|(node, mode)| {
+        mode_grants(mode, write) && {
+            let ext = match node {
+                NodeKey::Root | NodeKey::Fine(_, FineAddr::Cell(_)) => None,
+                NodeKey::Pts(_) | NodeKey::Fine(_, FineAddr::Range(_)) => {
+                    *memo.get_or_insert_with(|| extent.take().and_then(|f| f()))
+                }
+            };
+            covers(node, addr, ext)
+        }
+    })
+}
+
+/// Does `node` cover the cell `addr` (whose allocation, if any, is
+/// `extent = (base, points-to class)`), whatever its mode? `Root`
+/// covers everything, `Pts(p)` every cell of class `p`, a `Cell` node
+/// exactly its cell, and a `Range` node every cell of the allocation it
+/// is based at.
+pub fn covers(node: NodeKey, addr: u64, extent: Option<(u64, u32)>) -> bool {
     match node {
         NodeKey::Root => true,
         NodeKey::Pts(p) => extent.is_some_and(|(_, class)| class == p),
@@ -137,8 +161,7 @@ pub fn licenses(
 
 /// Fig. 6's effect filter alone: X is the only mode granting writes; S
 /// and SIX additionally grant reads; the intention modes IS/IX grant no
-/// access of their own. Exposed so the online sentinel can skip its
-/// lazy extent lookup for grants that cannot license the effect anyway.
+/// access of their own.
 pub fn mode_grants(mode: Mode, write: bool) -> bool {
     if write {
         mode == Mode::X
@@ -202,12 +225,10 @@ pub fn validate(trace: &Trace) -> Result<Validation, ValidationError> {
                     // The access is covered by the open transaction.
                     open.is_some()
                 } else {
-                    let extent = trace.alloc_of(addr).map(|a| (a.base, a.class));
                     open.is_some()
-                        && st
-                            .held
-                            .iter()
-                            .any(|&(n, m)| licenses(n, m, addr, write, extent))
+                        && licensed(st.held.iter().copied(), addr, write, || {
+                            trace.alloc_of(addr).map(|a| (a.base, a.class))
+                        })
                 };
                 if !covered {
                     v.violations.push(Violation {
@@ -245,6 +266,7 @@ mod tests {
     use super::*;
     use crate::event::Event;
     use crate::AllocRecord;
+    use proptest::prelude::*;
 
     fn ev(epoch: u64, tid: u32, kind: EventKind) -> Event {
         Event {
@@ -272,6 +294,124 @@ mod tests {
             ],
             events: events.into(),
             dropped: 0,
+        }
+    }
+
+    #[test]
+    fn licensed_agrees_with_the_validator_core() {
+        let fine = NodeKey::Fine(1, FineAddr::Cell(42));
+        // X licenses the write…
+        assert!(licensed([(fine, Mode::X)], 42, true, || None));
+        // …S does not, and intention modes license nothing.
+        assert!(!licensed([(fine, Mode::S)], 42, true, || None));
+        assert!(!licensed([(NodeKey::Pts(1), Mode::Ix)], 42, true, || {
+            Some((40, 1))
+        }));
+        // Root covers everything; Pts covers by class.
+        assert!(licensed([(NodeKey::Root, Mode::X)], 7, true, || None));
+        assert!(licensed([(NodeKey::Pts(3), Mode::S)], 7, false, || {
+            Some((0, 3))
+        }));
+        assert!(!licensed([(NodeKey::Pts(3), Mode::S)], 7, false, || {
+            Some((0, 4))
+        }));
+    }
+
+    #[test]
+    fn extent_is_resolved_lazily_and_at_most_once() {
+        use std::cell::Cell;
+        let calls = Cell::new(0u32);
+        let counting = || {
+            calls.set(calls.get() + 1);
+            Some((40, 1))
+        };
+        // An exact-cell grant decides without the extent.
+        let fine = NodeKey::Fine(1, FineAddr::Cell(42));
+        assert!(licensed([(fine, Mode::X)], 42, true, counting));
+        assert_eq!(calls.get(), 0);
+        // Intention modes are filtered before the extent is touched.
+        assert!(!licensed([(NodeKey::Pts(1), Mode::Ix)], 42, true, counting));
+        assert_eq!(calls.get(), 0);
+        // Two extent-hungry grants share one resolution.
+        assert!(!licensed(
+            [(NodeKey::Pts(7), Mode::X), (NodeKey::Pts(8), Mode::X)],
+            42,
+            true,
+            counting
+        ));
+        assert_eq!(calls.get(), 1);
+    }
+
+    /// Three allocations of four cells at bases 0, 4 and 8; cells 12..16
+    /// belong to none.
+    const BASES: [u64; 3] = [0, 4, 8];
+    const LEN: u64 = 4;
+
+    fn node() -> impl Strategy<Value = NodeKey> {
+        prop_oneof![
+            Just(NodeKey::Root),
+            (0u32..3).prop_map(NodeKey::Pts),
+            (0u32..3, 0u64..16).prop_map(|(p, a)| NodeKey::Fine(p, FineAddr::Cell(a))),
+            // Base 2 is no allocation's: such a node covers nothing.
+            (0u32..3, prop::sample::select(vec![0u64, 2, 4, 8]))
+                .prop_map(|(p, b)| NodeKey::Fine(p, FineAddr::Range(b))),
+        ]
+    }
+
+    fn mode() -> impl Strategy<Value = Mode> {
+        prop::sample::select(vec![Mode::Is, Mode::Ix, Mode::S, Mode::Six, Mode::X])
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The lazy predicate is the eager one, grant by grant, and
+        /// resolves the extent at most once, only for a grant that
+        /// needs it; coverage is what each node names in the
+        /// allocation table.
+        #[test]
+        fn lazy_licensing_is_the_eager_predicate(
+            held in prop::collection::vec((node(), mode()), 0..5),
+            classes in prop::collection::vec(0u32..3, 3..4),
+            addr in 0u64..16,
+            write in any::<bool>(),
+        ) {
+            let eager = BASES
+                .iter()
+                .zip(&classes)
+                .find(|&(&b, _)| (b..b + LEN).contains(&addr))
+                .map(|(&b, &class)| (b, class));
+            let calls = std::cell::Cell::new(0u32);
+            let lazy = licensed(held.iter().copied(), addr, write, || {
+                calls.set(calls.get() + 1);
+                eager
+            });
+            let want = held
+                .iter()
+                .any(|&(n, m)| mode_grants(m, write) && covers(n, addr, eager));
+            prop_assert_eq!(lazy, want);
+            prop_assert!(calls.get() <= 1);
+            let needs = |n: NodeKey| {
+                matches!(n, NodeKey::Pts(_) | NodeKey::Fine(_, FineAddr::Range(_)))
+            };
+            prop_assert!(
+                calls.get() == 0 || held.iter().any(|&(n, m)| needs(n) && mode_grants(m, write))
+            );
+            // Each node covers exactly the cells it names: its class's
+            // allocations, its cell, or the allocation it is based at.
+            for &(n, _) in &held {
+                let in_alloc = |b: u64| BASES.contains(&b) && (b..b + LEN).contains(&addr);
+                let named = match n {
+                    NodeKey::Root => true,
+                    NodeKey::Pts(p) => BASES
+                        .iter()
+                        .zip(&classes)
+                        .any(|(&b, &c)| c == p && in_alloc(b)),
+                    NodeKey::Fine(_, FineAddr::Cell(a)) => a == addr,
+                    NodeKey::Fine(_, FineAddr::Range(b)) => in_alloc(b),
+                };
+                prop_assert_eq!(covers(n, addr, eager), named, "{:?} at {}", n, addr);
+            }
         }
     }
 

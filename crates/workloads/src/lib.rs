@@ -27,6 +27,25 @@ pub mod scale;
 pub mod spec_like;
 pub mod stamp;
 
+/// The generators' one PRNG (splitmix64): a program is a pure function
+/// of its seed, so the pinned corpora depend on this exact sequence. A
+/// private item of the crate root, which every generator module sees.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
 /// Contention setting of the micro-benchmark harness (§6.3).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Contention {

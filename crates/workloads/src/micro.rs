@@ -38,7 +38,7 @@ fn worker(ops, putw, getw, totw, keyspace) {{
 
 /// Weights `(put, get, total)` for a contention setting; the remainder
 /// of the budget is removes.
-pub fn weights(c: Contention) -> (i64, i64, i64) {
+fn weights(c: Contention) -> (i64, i64, i64) {
     match c {
         // Gets four times more common than all mutations combined.
         Contention::Low => (1, 8, 10),

@@ -18,24 +18,8 @@
 //! The output is for the compiler + analysis only (its `main` is the
 //! nominal entry; nothing is meant to be interpreted under load).
 
-use crate::RunSpec;
+use crate::{Rng, RunSpec};
 use std::fmt::Write as _;
-
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-}
 
 const N_STRUCTS: usize = 3;
 const FIELDS_PER_STRUCT: usize = 3;

@@ -96,6 +96,14 @@ use std::borrow::Cow;
 use std::sync::{Arc, Mutex, PoisonError};
 use trace::SectionProfile;
 
+/// The most virtual ticks an injected lock stall or delayed wake-up may
+/// idle a worker. A run's setup has no scheduler (`Machine::run_named`),
+/// so there an idle worker spins once per tick: on a 2-vCPU host a small
+/// `hashtable2` recording stalled at this bound takes 0.3 s, at 10⁶
+/// ticks seconds, and at `u64::MAX / 2` it never finishes. Every
+/// committed fault plan stays at or below 500 ticks.
+const MAX_FAULT_TICKS: u64 = 100_000;
+
 /// Knobs of one harness evaluation. [`Default`] is the exact,
 /// fully-parallel configuration: every candidate replayed, eval
 /// workers one per core, invariants hoisted. The lock inference inside
@@ -223,8 +231,10 @@ impl EvalContext {
     /// should be built for: a size [`check_run_size`] refuses, or a
     /// section configuration — base, override or repair — that is not
     /// [`SchemeConfig::is_executable`]. A config's own run (`Stamp::Run`)
-    /// also refuses a weaken plan that drops nothing and a wake policy
-    /// whose expected-hold table does not strictly increase by section.
+    /// also refuses a weaken plan that drops nothing, a wake policy
+    /// whose expected-hold table does not strictly increase by section,
+    /// and a fault plan that idles a worker for more than
+    /// [`MAX_FAULT_TICKS`] at a time.
     /// Every recording goes through here, and `cfg` can come from a
     /// trace file or a command line.
     pub(crate) fn run_one(
@@ -236,6 +246,18 @@ impl EvalContext {
         check_run_size(cfg.threads, cfg.heap_cells, self.program.globals.len())?;
         if let (Stamp::Run, Some(s)) = (stamp, &cfg.sched) {
             s.check_holds().map_err(|e| format!("run: {e}"))?;
+        }
+        if let (Stamp::Run, Some(f)) = (stamp, &cfg.faults) {
+            for (key, ticks) in [
+                ("fault_wakeup_ticks", f.wakeup_delay_ticks),
+                ("fault_stall_ticks", f.stall_ticks),
+            ] {
+                if ticks > MAX_FAULT_TICKS {
+                    return Err(format!(
+                        "run: bad `{key}`: {ticks} exceeds the limit of {MAX_FAULT_TICKS}"
+                    ));
+                }
+            }
         }
         let overrides = map.overrides().iter().map(|&(_, c)| c);
         let repairs = cfg.repairs.iter().map(|&(_, _, c)| c);

@@ -67,9 +67,9 @@ use crate::adapt::{write_config, write_cost, write_header, write_index, EvalStat
 use crate::replay::Recording;
 use interp::Violation;
 use lockscheme::{ConfigMap, SchemeConfig};
-use mglock::{FineAddr, NodeKey};
+use mglock::NodeKey;
 use trace::json::Writer;
-use trace::lockset::mode_grants;
+use trace::lockset::{covers, mode_grants};
 
 /// One violation plus the accessed cell's allocation extent, resolved
 /// by the loop (step 2 of the module docs) from the recorded trace's
@@ -140,17 +140,6 @@ impl Diagnosis {
             Diagnosis::MissedAlias { .. } => 2,
             Diagnosis::NoCover => 3,
         }
-    }
-}
-
-/// Does `node` cover the accessed cell, ignoring mode? (The coverage
-/// half of `trace::lockset::licenses`.)
-fn covers(node: NodeKey, addr: u64, extent: Option<(u64, u32)>) -> bool {
-    match node {
-        NodeKey::Root => true,
-        NodeKey::Pts(p) => extent.is_some_and(|(_, class)| class == p),
-        NodeKey::Fine(_, FineAddr::Cell(a)) => addr == a,
-        NodeKey::Fine(_, FineAddr::Range(b)) => extent.is_some_and(|(base, _)| base == b),
     }
 }
 
@@ -445,7 +434,7 @@ mod tests {
     use crate::replay::RunConfig;
     use crate::Pipeline;
     use interp::{ExecMode, SentinelConfig, WeakenPlan};
-    use mglock::Mode;
+    use mglock::{FineAddr, Mode};
     use trace::EventKind;
 
     fn witness(

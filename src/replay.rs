@@ -451,7 +451,8 @@ pub struct Recording {
 ///
 /// Returns a message on compile failure, when [`RunConfig::threads`] or
 /// [`RunConfig::heap_cells`] exceeds its limit, when the heap cannot
-/// hold the program's globals, and when a repair names a scheme
+/// hold the program's globals, when a fault plan's stall or wake-up
+/// delay is too long to run, and when a repair names a scheme
 /// configuration the runtime cannot execute.
 pub fn record(cfg: &RunConfig) -> Result<Recording, String> {
     let ctx = EvalContext::new(cfg, true)?;
@@ -739,6 +740,9 @@ mod tests {
             ("run.fault_wakeup_pm", (u16_max + 1).to_string()),
             ("run.fault_stall_pm", (u16_max + 1).to_string()),
             ("run.fault_max_panics", (u32_max + 1).to_string()),
+            // In range for a `u64`, but a run would spin on them.
+            ("run.fault_wakeup_ticks", u64_max.to_string()),
+            ("run.fault_stall_ticks", u64_max.to_string()),
             ("run.sentinel_sample", (u32_max + 1).to_string()),
             ("run.sentinel_response", "warn".into()),
             // The checker is a sentinel policy, not a discipline.

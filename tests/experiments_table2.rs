@@ -10,12 +10,19 @@
 //!   `results_table1.txt`;
 //! * Figure 7's concurrent-benchmark rows — the five lock counts at
 //!   each k, a `3–9` row standing for every k it spans — to
-//!   `results_figure7.txt`.
+//!   `results_figure7.txt`;
+//! * the Ablation table — each scheme's five lock counts, row by row —
+//!   to `results_ablation.txt`;
+//! * every `a → b` endpoint the Figure 8 section quotes — a program's
+//!   time at 1 and at 8 threads under the bullet's scheme, at the
+//!   decimals quoted — to `results_figure8.txt`.
 
 const EXPERIMENTS: &str = include_str!("../EXPERIMENTS.md");
 const RESULTS: &str = include_str!("../results_table2.txt");
 const TABLE1: &str = include_str!("../results_table1.txt");
 const FIGURE7: &str = include_str!("../results_figure7.txt");
+const ABLATION: &str = include_str!("../results_ablation.txt");
+const FIGURE8: &str = include_str!("../results_figure8.txt");
 
 /// The body of the report section whose heading starts with `title`.
 fn report_section(title: &str) -> &'static str {
@@ -190,4 +197,125 @@ fn figure7_report_rows_match_the_results_file() {
         (0..=9).collect::<Vec<u64>>(),
         "the report quotes every k once"
     );
+}
+
+#[test]
+fn ablation_report_rows_match_the_results_file() {
+    // `Scheme fine-ro fine-rw coarse-ro coarse-rw total` under a header
+    // line; the scheme name is the words before the five counts.
+    let results: Vec<Vec<u64>> = ABLATION
+        .lines()
+        .skip(2)
+        .map(|l| {
+            let cols: Vec<&str> = l.split_whitespace().collect();
+            cols[cols.len() - 5..]
+                .iter()
+                .map(|c| c.parse().unwrap())
+                .collect()
+        })
+        .collect();
+    let report = table_rows(report_section("Ablation"));
+    assert_eq!(results.len(), 5, "the results file has 5 schemes");
+    assert_eq!(report.len(), results.len(), "the report quotes every one");
+    for (row, measured) in report.iter().zip(&results) {
+        let counts: Vec<u64> = row[1..].iter().map(|c| c.parse().unwrap()).collect();
+        assert_eq!(
+            &counts, measured,
+            "{}: EXPERIMENTS.md quotes {counts:?}, results_ablation.txt reads {measured:?}",
+            row[0]
+        );
+    }
+}
+
+/// A quoted time and the decimals it is quoted at (`0.03` → 2).
+fn quoted(cell: &str) -> (i64, i32) {
+    let decimals = cell.split_once('.').map_or(0, |(_, f)| f.len() as i32);
+    (fixed(cell, decimals), decimals)
+}
+
+#[test]
+fn figure8_report_endpoints_match_the_results_file() {
+    // `== Scheme ==` blocks of `program t1 t2 t4 t8` rows.
+    let blocks: Vec<(&str, Vec<Vec<&str>>)> = FIGURE8
+        .split("== ")
+        .skip(1)
+        .map(|b| {
+            let (scheme, body) = b.split_once(" ==").expect("a block names its scheme");
+            let rows = body
+                .lines()
+                .skip(2)
+                .take_while(|l| !l.trim().is_empty() && !l.starts_with('('))
+                .map(|l| l.split_whitespace().collect())
+                .collect();
+            (scheme, rows)
+        })
+        .collect();
+    assert_eq!(blocks.len(), 4, "the results file has four schemes");
+    let programs: Vec<&str> = blocks[0].1.iter().map(|r| r[0]).collect();
+    let mut endpoints = 0;
+    // One bullet per scheme: `* **Coarse (k=0)**: …`.
+    for bullet in report_section("Figure 8").split("\n* **").skip(1) {
+        let (label, text) = bullet.split_once("**").expect("a bullet names its scheme");
+        let scheme = label.replace(" (", "(");
+        let (_, rows) = blocks
+            .iter()
+            .find(|(s, _)| *s == scheme)
+            .unwrap_or_else(|| panic!("`{label}`: no such block in results_figure8.txt"));
+        // Each `a → b` is the last program named before it, or the
+        // last `x and y`; a name like `rbtree` stands for every row it
+        // prefixes.
+        let mut named: Vec<&str> = Vec::new();
+        let mut rest = text;
+        while let Some((before, after)) = rest.split_once(" → ") {
+            let (mut and, mut chained) = (false, false);
+            for word in before
+                .split(|c: char| !(c.is_alphanumeric() || c == '-'))
+                .filter(|w| !w.is_empty())
+            {
+                let rows = programs.iter().copied().filter(|p| {
+                    *p == word || p.strip_prefix(word).is_some_and(|s| s.starts_with('-'))
+                });
+                let rows: Vec<&str> = rows.collect();
+                if rows.is_empty() {
+                    and = chained && word == "and";
+                    chained = false;
+                    continue;
+                }
+                if !and {
+                    named.clear();
+                }
+                named.extend(rows);
+                (and, chained) = (false, true);
+            }
+            let from = before
+                .rsplit(|c: char| !(c.is_ascii_digit() || c == '.'))
+                .next()
+                .unwrap();
+            let to = after
+                .split(|c: char| !(c.is_ascii_digit() || c == '.'))
+                .next()
+                .unwrap();
+            let to = to.trim_end_matches('.');
+            assert!(
+                !named.is_empty(),
+                "{label}: `{from} → {to}` names no program"
+            );
+            for program in &named {
+                let row = rows.iter().find(|r| r[0] == *program).unwrap();
+                for (cell, at, threads) in [(from, 1, 1), (to, 4, 8)] {
+                    let (want, decimals) = quoted(cell);
+                    assert_eq!(
+                        want,
+                        fixed(row[at], decimals),
+                        "{label} {program}, {threads}-thread time: EXPERIMENTS.md quotes {cell}, \
+                         results_figure8.txt reads {}",
+                        row[at]
+                    );
+                }
+            }
+            endpoints += 1;
+            rest = after;
+        }
+    }
+    assert_eq!(endpoints, 5, "the report quotes five endpoints");
 }
