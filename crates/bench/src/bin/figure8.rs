@@ -43,8 +43,8 @@ fn main() {
             for (i, spec) in specs(threads).iter().enumerate() {
                 let out = run(spec, config, threads);
                 table[i].push(out.seconds);
-                aborts += out.aborts;
-                fallbacks += out.fallbacks;
+                aborts += out.degradation.stm_aborts;
+                fallbacks += out.degradation.stm_fallbacks;
             }
         }
         for (name, row) in names.iter().zip(&table) {

@@ -46,8 +46,8 @@ fn main() {
             let out = run(&spec, config, THREADS);
             cells.push(out.seconds);
             if config == Config::Stm {
-                aborts = out.aborts;
-                fallbacks = out.fallbacks;
+                aborts = out.degradation.stm_aborts;
+                fallbacks = out.degradation.stm_fallbacks;
             }
             if config == Config::FineCoarse {
                 // Lock batches re-planned because a fine descriptor

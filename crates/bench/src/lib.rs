@@ -77,18 +77,13 @@ pub mod harness {
     /// Result of one timed run.
     #[derive(Clone, Copy, Debug)]
     pub struct Outcome {
-        /// Wall-clock seconds of the worker phase.
+        /// Seconds of the worker phase: its virtual makespan at 1 ns a
+        /// tick.
         pub seconds: f64,
-        /// STM commits (0 for lock configs).
-        pub commits: u64,
-        /// STM aborts (0 for lock configs).
-        pub aborts: u64,
-        /// STM transactions that escalated to irrevocable global mode
-        /// after exhausting the abort budget (0 for lock configs).
-        pub fallbacks: u64,
-        /// Every degradation-ladder counter for the run (poisoning,
-        /// unwind releases, injections — all zero in healthy benchmark
-        /// runs).
+        /// Every degradation-ladder counter for the run: the STM's
+        /// commits, aborts and irrevocable fallbacks (0 for lock
+        /// configs), and poisoning, unwind releases and injections (all
+        /// zero in healthy benchmark runs).
         pub degradation: interp::DegradationReport,
     }
 
@@ -134,12 +129,8 @@ pub mod harness {
                 .run_named(check, &[])
                 .unwrap_or_else(|e| panic!("{} check ({}): {e}", spec.name, config.label()));
         }
-        let stats = machine.stm_stats();
         Outcome {
             seconds,
-            commits: stats.commits,
-            aborts: stats.aborts,
-            fallbacks: stats.fallbacks,
             degradation: machine.degradation_report(),
         }
     }
@@ -157,7 +148,7 @@ mod tests {
             let out = run(&spec, config, 4);
             assert!(out.seconds >= 0.0);
             if config == Config::Stm {
-                assert!(out.commits > 0);
+                assert!(out.degradation.stm_commits > 0);
             }
         }
     }

@@ -599,6 +599,44 @@ mod tests {
         w.join().unwrap();
     }
 
+    /// Write skew, scripted on one thread: each transaction reads both
+    /// cells and writes the one the other did not. The second commit
+    /// finds its read of `x` overwritten, which only commit-time
+    /// read-set validation sees: neither transaction writes a cell it
+    /// must lock against the other.
+    #[test]
+    fn write_skew_aborts_the_second_commit() {
+        let s = Space::new(2);
+        let (x, y) = (0, 1);
+        let mut t1 = s.begin();
+        let mut t2 = s.begin();
+        for t in [&mut t1, &mut t2] {
+            assert_eq!((t.read(x), t.read(y)), (Ok(0), Ok(0)));
+        }
+        t1.write(x, 1);
+        assert_eq!(t1.commit(), Ok(()));
+        t2.write(y, 1);
+        assert_eq!(t2.commit(), Err(TxnError));
+        assert_eq!((s.read_direct(x), s.read_direct(y)), (1, 0));
+    }
+
+    /// A torn snapshot, scripted on one thread: a transaction that read
+    /// `x` before another committed `x` and `y` must not read the new
+    /// `y` beside the old `x`. The read itself fails, before any commit
+    /// could catch it (opacity).
+    #[test]
+    fn a_read_after_a_newer_commit_fails_at_read_time() {
+        let s = Space::new(2);
+        let (x, y) = (0, 1);
+        let mut t1 = s.begin();
+        assert_eq!(t1.read(x), Ok(0));
+        let mut t2 = s.begin();
+        t2.write(x, 1);
+        t2.write(y, 1);
+        assert_eq!(t2.commit(), Ok(()));
+        assert_eq!(t1.read(y), Err(TxnError));
+    }
+
     #[test]
     fn conflicting_transactions_abort_and_retry() {
         use std::sync::atomic::AtomicBool;

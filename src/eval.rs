@@ -87,22 +87,14 @@
 //! machine, at any parallelism.
 
 use crate::adapt::{rank, Adjustment, Candidate, EvalStatus, PlanCost, Rank};
-use crate::replay::{check_run_size, execute, options_for, stamp_outcome, Recording, RunConfig};
-use interp::Machine;
+use crate::replay::{execute, stamp_outcome, Recording, RepairEntry, RunConfig};
+use interp::{Machine, Options, RepairSpec};
 use lockinfer::library::LibrarySpec;
 use lockinfer::{par_map, SummaryStore};
 use lockscheme::{ConfigMap, SchemeConfig};
 use std::borrow::Cow;
 use std::sync::{Arc, Mutex, PoisonError};
 use trace::SectionProfile;
-
-/// The most virtual ticks an injected lock stall or delayed wake-up may
-/// idle a worker. A run's setup has no scheduler (`Machine::run_named`),
-/// so there an idle worker spins once per tick: on a 2-vCPU host a small
-/// `hashtable2` recording stalled at this bound takes 0.3 s, at 10⁶
-/// ticks seconds, and at `u64::MAX / 2` it never finishes. Every
-/// committed fault plan stays at or below 500 ticks.
-const MAX_FAULT_TICKS: u64 = 100_000;
 
 /// Knobs of one harness evaluation. [`Default`] is the exact,
 /// fully-parallel configuration: every candidate replayed, eval
@@ -138,11 +130,13 @@ impl Default for EvalOptions {
     }
 }
 
-/// How a harness recording is stamped.
+/// How a harness recording is stamped. Every recording passes
+/// [`RunConfig::check`] whatever its stamp.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum Stamp {
     /// Full `run.*` metadata: the recording is self-describing and
-    /// replayable (baselines, steered wake-policy runs).
+    /// replayable (baselines, steered wake-policy runs), and its weaken
+    /// plan passes [`RunConfig::check_weaken`].
     Run,
     /// `adapt.*` metadata only: the recording ran under a candidate
     /// [`ConfigMap`], so `replay()` must reject it rather than
@@ -219,7 +213,9 @@ impl EvalContext {
 
     /// Executes `cfg` with locks inferred under `map` — the one
     /// recording primitive behind [`crate::replay::record`], baselines,
-    /// adapt candidates and repaired re-runs. Before the machine is
+    /// adapt candidates and repaired re-runs. [`RunConfig::check`] comes
+    /// first; `stamp` picks only the metadata the trace carries and
+    /// whether [`RunConfig::check_weaken`] runs. Before the machine is
     /// dropped, the recording takes its end-of-run gauges and the
     /// sentinel's violation ledger (the evidence `crate::reinfer`
     /// diagnoses).
@@ -227,51 +223,14 @@ impl EvalContext {
     /// # Errors
     ///
     /// Returns a message on compile failure (legacy-emulation mode
-    /// recompiles per run) and for a run no machine or worker state
-    /// should be built for: a size [`check_run_size`] refuses, or a
-    /// section configuration — base, override or repair — that is not
-    /// [`SchemeConfig::is_executable`]. A config's own run (`Stamp::Run`)
-    /// also refuses a weaken plan that drops nothing, a wake policy
-    /// whose expected-hold table does not strictly increase by section,
-    /// and a fault plan that idles a worker for more than
-    /// [`MAX_FAULT_TICKS`] at a time.
-    /// Every recording goes through here, and `cfg` can come from a
-    /// trace file or a command line.
+    /// recompiles per run) and the `run:` line of a rule `cfg` breaks.
     pub(crate) fn run_one(
         &self,
         cfg: &RunConfig,
         map: &ConfigMap,
         stamp: Stamp,
     ) -> Result<Recording, String> {
-        check_run_size(cfg.threads, cfg.heap_cells, self.program.globals.len())?;
-        if let (Stamp::Run, Some(s)) = (stamp, &cfg.sched) {
-            s.check_holds().map_err(|e| format!("run: {e}"))?;
-        }
-        if let (Stamp::Run, Some(f)) = (stamp, &cfg.faults) {
-            for (key, ticks) in [
-                ("fault_wakeup_ticks", f.wakeup_delay_ticks),
-                ("fault_stall_ticks", f.stall_ticks),
-            ] {
-                if ticks > MAX_FAULT_TICKS {
-                    return Err(format!(
-                        "run: bad `{key}`: {ticks} exceeds the limit of {MAX_FAULT_TICKS}"
-                    ));
-                }
-            }
-        }
-        let overrides = map.overrides().iter().map(|&(_, c)| c);
-        let repairs = cfg.repairs.iter().map(|&(_, _, c)| c);
-        if let Some(c) = std::iter::once(map.default)
-            .chain(overrides)
-            .chain(repairs)
-            .find(|c| !c.is_executable())
-        {
-            return Err(format!(
-                "run: a scheme with expression locks (k={}) but no points-to component \
-                 cannot be executed: fine locks need their points-to partition",
-                c.k
-            ));
-        }
+        cfg.check(map, self.program.globals.len())?;
         let (program, pt) = if self.hoist {
             (Arc::clone(&self.program), Arc::clone(&self.pt))
         } else {
@@ -285,13 +244,23 @@ impl EvalContext {
             lockinfer::analyze_program_with_configs(&program, &pt, map, &self.lib, 0, store);
         let transformed = lockinfer::transform(&program, &analysis);
         if stamp == Stamp::Run {
-            check_weaken(cfg, &transformed)?;
+            cfg.check_weaken(&transformed)?;
         }
-        let mut opts = options_for(cfg);
-        if !cfg.repairs.is_empty() {
-            opts.repairs =
-                crate::replay::repair_specs(&cfg.repairs, &program, &pt, map, &self.lib, store);
-        }
+        // The machine options `cfg` prescribes, tracing always on.
+        let opts = Options {
+            heap_cells: cfg.heap_cells,
+            seed: cfg.seed,
+            quantum: cfg.quantum,
+            faults: cfg.faults,
+            sentinel: cfg.sentinel,
+            weaken: cfg.weaken,
+            sched: cfg.sched.clone(),
+            stm_abort_budget: cfg.stm_abort_budget,
+            trace: Some(trace::TraceConfig {
+                capacity: cfg.trace_capacity,
+            }),
+            repairs: repair_specs(&cfg.repairs, &program, &pt, map, &self.lib, store),
+        };
         let m = Machine::new(Arc::new(transformed), pt, cfg.mode, opts);
         let (outcome, mut trace) = execute(&m, cfg);
         let gauges = crate::obs::run_gauges(&m);
@@ -390,33 +359,41 @@ impl EvalContext {
     }
 }
 
-/// Refuses a weaken plan that would drop nothing: the fault removes
-/// one spec from a section's `acquireAll`, which only MultiGrain plans,
-/// so the plan must name an existing spec of one in `program` (the
-/// transformed program the run executes). Checked where a config's
-/// own run is recorded; candidate runs inherit the baseline's verdict.
-fn check_weaken(cfg: &RunConfig, program: &lir::Program) -> Result<(), String> {
-    let Some(w) = cfg.weaken else {
-        return Ok(());
-    };
-    let specs = program
-        .functions
+/// Derives the concrete lock specs each [`RepairEntry`] installs:
+/// re-runs the inference with the repaired configuration overriding
+/// the entry's section on top of `base` and extracts that section's
+/// `acquireAll` plan. Deterministic (the engine's Phase B guarantee),
+/// and incremental when `store` memoizes Phase A summaries across
+/// candidate configs.
+fn repair_specs(
+    repairs: &[RepairEntry],
+    program: &lir::Program,
+    pt: &pointsto::PointsTo,
+    base: &ConfigMap,
+    lib: &lockinfer::library::LibrarySpec,
+    store: Option<&lockinfer::SummaryStore>,
+) -> Vec<RepairSpec> {
+    repairs
         .iter()
-        .flat_map(|f| &f.body)
-        .find_map(|ins| match ins {
-            lir::Instr::AcquireAll(sid, specs) if sid.0 == w.section => Some(specs.len()),
-            _ => None,
-        });
-    let why = match (cfg.mode, specs) {
-        (interp::ExecMode::MultiGrain, Some(n)) if w.drop_index < n => return Ok(()),
-        (interp::ExecMode::MultiGrain, Some(n)) => format!("section {} plans {n}", w.section),
-        (interp::ExecMode::MultiGrain, None) => format!("no section {} plans any", w.section),
-        (mode, _) => format!("{mode:?} plans none"),
-    };
-    Err(format!(
-        "run: bad `weaken` {}:{}: it names no lock spec to drop ({why})",
-        w.section, w.drop_index
-    ))
+        .map(|&(section, candidate, config)| {
+            let mut map = base.clone();
+            map.set_override(section, config);
+            // `0`: one Phase B worker per core.
+            let analysis =
+                lockinfer::analyze_program_with_configs(program, pt, &map, lib, 0, store);
+            let specs = analysis
+                .sections
+                .iter()
+                .find(|s| s.id.0 == section)
+                .map(|s| s.locks.iter().map(|l| l.to_spec()).collect())
+                .unwrap_or_default();
+            RepairSpec {
+                section,
+                candidate,
+                specs,
+            }
+        })
+        .collect()
 }
 
 /// The wake policy a single-override candidate steers, if any.

@@ -23,16 +23,14 @@
 //! ```
 
 use crate::eval::{EvalContext, Stamp};
-use interp::{
-    ExecMode, FaultPlan, Options, RepairSpec, Response, SchedConfig, SentinelConfig, WeakenPlan,
-};
+use interp::{ExecMode, FaultPlan, Options, Response, SchedConfig, SentinelConfig, WeakenPlan};
 use lockscheme::{ConfigMap, SchemeConfig};
 use trace::Trace;
 
 /// One installed repair, at configuration level: `(section, candidate
 /// id, repaired scheme configuration)`. The concrete per-section lock
 /// specs are **derived** deterministically at machine-build time (see
-/// `repair_specs`), so a trace stamped with repairs stays
+/// `eval::repair_specs`), so a trace stamped with repairs stays
 /// self-describing — replaying re-derives the identical specs from the
 /// embedded source.
 pub type RepairEntry = (u32, u32, SchemeConfig);
@@ -122,8 +120,9 @@ impl RunConfig {
     ///
     /// Returns a message when a required `run.*` metadata key is
     /// missing or malformed — e.g. a trace that was not produced by
-    /// [`record`]. Whether the values describe a run a machine can be
-    /// built for is decided where every run starts, in [`record`].
+    /// [`record`]. This only parses: whether the values describe a run
+    /// a machine can be built for is `RunConfig::check`'s to decide,
+    /// and every recording, [`replay`] included, asks it first.
     pub fn from_trace(t: &Trace) -> Result<RunConfig, String> {
         let faults = match t.meta_get("run.fault_seed") {
             None => None,
@@ -170,13 +169,11 @@ impl RunConfig {
                     None => 0,
                     Some(_) => meta_int(t, "run.sched_aging")?,
                 };
-                let s = SchedConfig {
+                Some(SchedConfig {
                     policy,
                     expected_hold,
                     aging,
-                };
-                s.check_holds().map_err(|e| format!("replay: {e}"))?;
-                Some(s)
+                })
             }
         };
         let mut repair_keys: Vec<u32> = t
@@ -297,14 +294,20 @@ pub(crate) const MAX_REPLAY_THREADS: usize = 1024;
 /// same: 1 GiB, 16× the largest committed workload.
 pub(crate) const MAX_REPLAY_HEAP_CELLS: usize = 1 << 26;
 
+/// The most virtual ticks an injected lock stall or delayed wake-up may
+/// idle a worker. A run's setup has no scheduler (`Machine::run_named`),
+/// so there an idle worker spins once per tick: on a 2-vCPU host a small
+/// `hashtable2` recording stalled at this bound takes 0.3 s, at 10⁶
+/// ticks seconds, and at `u64::MAX / 2` it never finishes. Every
+/// committed fault plan stays at or below 500 ticks.
+const MAX_FAULT_TICKS: u64 = 100_000;
+
 /// Refuses a run size no machine should be built for: no threads at
 /// all, a thread count or heap bound over the limits above, or a heap
-/// that cannot hold the
-/// program's `globals` (`Machine::new` gives every global its own cell
-/// after the null cell and panics when they do not fit). Every
-/// recording checks it before building a machine, and so does
-/// `lockc --run`: the sizes can come from a trace file or a command
-/// line.
+/// that cannot hold the program's `globals` (`Machine::new` gives every
+/// global its own cell after the null cell and panics when they do not
+/// fit). `RunConfig::check` asks it first, and `lockc --run` asks it
+/// too: the sizes can come from a trace file or a command line.
 ///
 /// # Errors
 ///
@@ -329,6 +332,82 @@ pub fn check_run_size(threads: usize, heap_cells: usize, globals: usize) -> Resu
         ));
     }
     Ok(())
+}
+
+impl RunConfig {
+    /// The door every recording enters by, whether the config came from
+    /// a trace file, a command line or a candidate loop. It refuses, in
+    /// order: a size [`check_run_size`] refuses for a program of
+    /// `globals` globals, a hold table that does not strictly increase
+    /// by section, a fault plan that idles a worker for more than
+    /// [`MAX_FAULT_TICKS`] at a time, and a section configuration —
+    /// `map`'s default, an override or a repair — that is not
+    /// [`SchemeConfig::is_executable`].
+    ///
+    /// # Errors
+    ///
+    /// A `run:` line naming the first value out of bounds.
+    pub(crate) fn check(&self, map: &ConfigMap, globals: usize) -> Result<(), String> {
+        check_run_size(self.threads, self.heap_cells, globals)?;
+        if let Some(s) = &self.sched {
+            s.check_holds().map_err(|e| format!("run: {e}"))?;
+        }
+        if let Some(f) = &self.faults {
+            for (key, ticks) in [
+                ("fault_wakeup_ticks", f.wakeup_delay_ticks),
+                ("fault_stall_ticks", f.stall_ticks),
+            ] {
+                if ticks > MAX_FAULT_TICKS {
+                    return Err(format!(
+                        "run: bad `{key}`: {ticks} exceeds the limit of {MAX_FAULT_TICKS}"
+                    ));
+                }
+            }
+        }
+        let overrides = map.overrides().iter().map(|&(_, c)| c);
+        let repairs = self.repairs.iter().map(|&(_, _, c)| c);
+        match std::iter::once(map.default)
+            .chain(overrides)
+            .chain(repairs)
+            .find(|c| !c.is_executable())
+        {
+            None => Ok(()),
+            Some(c) => Err(format!(
+                "run: a scheme with expression locks (k={}) but no points-to component \
+                 cannot be executed: fine locks need their points-to partition",
+                c.k
+            )),
+        }
+    }
+
+    /// Refuses a weaken plan that would drop nothing: the fault removes
+    /// one spec from a section's `acquireAll`, which only MultiGrain
+    /// plans, so the plan must name an existing spec of one in
+    /// `program`, the transformed program the run executes — the one
+    /// rule that needs it. Candidate runs inherit the baseline's verdict.
+    pub(crate) fn check_weaken(&self, program: &lir::Program) -> Result<(), String> {
+        let Some(w) = self.weaken else {
+            return Ok(());
+        };
+        let specs = program
+            .functions
+            .iter()
+            .flat_map(|f| &f.body)
+            .find_map(|ins| match ins {
+                lir::Instr::AcquireAll(sid, specs) if sid.0 == w.section => Some(specs.len()),
+                _ => None,
+            });
+        let why = match (self.mode, specs) {
+            (ExecMode::MultiGrain, Some(n)) if w.drop_index < n => return Ok(()),
+            (ExecMode::MultiGrain, Some(n)) => format!("section {} plans {n}", w.section),
+            (ExecMode::MultiGrain, None) => format!("no section {} plans any", w.section),
+            (mode, _) => format!("{mode:?} plans none"),
+        };
+        Err(format!(
+            "run: bad `weaken` {}:{}: it names no lock spec to drop ({why})",
+            w.section, w.drop_index
+        ))
+    }
 }
 
 /// Parses a command-line execution-mode name (`global`,
@@ -449,69 +528,12 @@ pub struct Recording {
 ///
 /// # Errors
 ///
-/// Returns a message on compile failure, when [`RunConfig::threads`] or
-/// [`RunConfig::heap_cells`] exceeds its limit, when the heap cannot
-/// hold the program's globals, when a fault plan's stall or wake-up
-/// delay is too long to run, and when a repair names a scheme
-/// configuration the runtime cannot execute.
+/// Returns a message on compile failure, and the `run:` line of the
+/// first rule the config breaks: `RunConfig::check`, then
+/// `RunConfig::check_weaken`.
 pub fn record(cfg: &RunConfig) -> Result<Recording, String> {
     let ctx = EvalContext::new(cfg, true)?;
     ctx.run_one(cfg, &ctx.base_map(cfg), Stamp::Run)
-}
-
-/// Derives the concrete lock specs each [`RepairEntry`] installs:
-/// re-runs the inference with the repaired configuration overriding
-/// the entry's section on top of `base` and extracts that section's
-/// `acquireAll` plan. Deterministic (the engine's Phase B guarantee),
-/// and incremental when `store` memoizes Phase A summaries across
-/// candidate configs.
-pub(crate) fn repair_specs(
-    repairs: &[RepairEntry],
-    program: &lir::Program,
-    pt: &pointsto::PointsTo,
-    base: &ConfigMap,
-    lib: &lockinfer::library::LibrarySpec,
-    store: Option<&lockinfer::SummaryStore>,
-) -> Vec<RepairSpec> {
-    repairs
-        .iter()
-        .map(|&(section, candidate, config)| {
-            let mut map = base.clone();
-            map.set_override(section, config);
-            // `0`: one Phase B worker per core.
-            let analysis =
-                lockinfer::analyze_program_with_configs(program, pt, &map, lib, 0, store);
-            let specs = analysis
-                .sections
-                .iter()
-                .find(|s| s.id.0 == section)
-                .map(|s| s.locks.iter().map(|l| l.to_spec()).collect())
-                .unwrap_or_default();
-            RepairSpec {
-                section,
-                candidate,
-                specs,
-            }
-        })
-        .collect()
-}
-
-/// The machine options a [`RunConfig`] prescribes (tracing always on).
-pub(crate) fn options_for(cfg: &RunConfig) -> Options {
-    Options {
-        heap_cells: cfg.heap_cells,
-        seed: cfg.seed,
-        quantum: cfg.quantum,
-        faults: cfg.faults,
-        sentinel: cfg.sentinel,
-        weaken: cfg.weaken,
-        sched: cfg.sched.clone(),
-        stm_abort_budget: cfg.stm_abort_budget,
-        trace: Some(trace::TraceConfig {
-            capacity: cfg.trace_capacity,
-        }),
-        ..Options::default()
-    }
 }
 
 /// Runs `cfg`'s init/worker/check phases on an already-built machine
@@ -815,6 +837,78 @@ mod tests {
         assert!(record(&c).unwrap_err().contains("heap_cells"));
     }
 
+    /// Each bound of the door passes at its limit and is refused one
+    /// past it, checked on the config alone: no machine is built.
+    #[test]
+    fn the_door_admits_each_limit_and_refuses_one_past_it() {
+        let map = ConfigMap::uniform(SchemeConfig::full(3, None));
+        let globals = 1;
+        let with = |edit: &dyn Fn(&mut RunConfig)| {
+            let mut c = cfg(ExecMode::MultiGrain);
+            edit(&mut c);
+            c
+        };
+        let ticks = |wakeup_delay_ticks, stall_ticks| {
+            Some(FaultPlan {
+                wakeup_delay_ticks,
+                stall_ticks,
+                ..FaultPlan::new(9)
+            })
+        };
+        let holds = |expected_hold| {
+            Some(SchedConfig {
+                policy: interp::PolicyKind::ShortestExpectedHold,
+                expected_hold,
+                aging: 0,
+            })
+        };
+        let cases = [
+            (
+                "threads",
+                with(&|c| c.threads = 1),
+                with(&|c| c.threads = 0),
+            ),
+            (
+                "threads",
+                with(&|c| c.threads = 1024),
+                with(&|c| c.threads = 1025),
+            ),
+            (
+                "heap_cells",
+                with(&|c| c.heap_cells = globals + 1),
+                with(&|c| c.heap_cells = globals),
+            ),
+            (
+                "heap_cells",
+                with(&|c| c.heap_cells = 1 << 26),
+                with(&|c| c.heap_cells = (1 << 26) + 1),
+            ),
+            (
+                "fault_wakeup_ticks",
+                with(&|c| c.faults = ticks(100_000, 0)),
+                with(&|c| c.faults = ticks(100_001, 0)),
+            ),
+            (
+                "fault_stall_ticks",
+                with(&|c| c.faults = ticks(0, 100_000)),
+                with(&|c| c.faults = ticks(0, 100_001)),
+            ),
+            (
+                "sched_holds",
+                with(&|c| c.sched = holds(vec![(0, 5), (1, 9)])),
+                with(&|c| c.sched = holds(vec![(0, 5), (0, 9)])),
+            ),
+        ];
+        for (key, at_limit, past) in cases {
+            assert_eq!(at_limit.check(&map, globals), Ok(()), "{key}");
+            let err = past.check(&map, globals).unwrap_err();
+            assert!(
+                err.starts_with("run: ") && err.contains(key),
+                "{key}: {err}"
+            );
+        }
+    }
+
     /// A weaken plan drops one spec of a MultiGrain `acquireAll`; a
     /// plan that names none would record a fault never planted, so the
     /// run refuses it.
@@ -850,9 +944,11 @@ mod tests {
 
     /// `from_profiles` writes an expected-hold table strictly
     /// increasing by section, and every armed wake policy stamps one. A
-    /// table it could not have written is refused at both doors — a
-    /// config's own run and a trace's metadata — and so is an armed
-    /// policy whose table key is missing, as for any other armed group.
+    /// table it could not have written is refused by the one door every
+    /// run enters, with the same line whether it was built in-process or
+    /// read from a trace (which parses it as it stands), and so is an
+    /// armed policy whose table key is missing, as for any other armed
+    /// group.
     #[test]
     fn a_hold_table_from_profiles_could_not_write_is_refused() {
         let steered = |expected_hold: Vec<(u32, u64)>| RunConfig {
@@ -878,8 +974,8 @@ mod tests {
         for holds in ["1:9,0:5,0:7", "0:5,0:7"] {
             let mut t = good.clone();
             t.meta_set("run.sched_holds", holds);
-            let err = RunConfig::from_trace(&t).unwrap_err();
-            assert_eq!(err, format!("replay: {}", refusal(holds)));
+            assert!(RunConfig::from_trace(&t).is_ok(), "parsing is not checking");
+            assert_eq!(replay(&t).unwrap_err(), format!("run: {}", refusal(holds)));
         }
         let mut t = good;
         t.meta.retain(|(k, _)| k != "run.sched_holds");

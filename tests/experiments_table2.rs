@@ -9,7 +9,8 @@
 //!   decimal), k=0 seconds (three) and k=9 seconds (one) — to
 //!   `results_table1.txt`;
 //! * Figure 7's concurrent-benchmark rows — the five lock counts at
-//!   each k, a `3–9` row standing for every k it spans — to
+//!   each k, a `3–9` row standing for every k it spans — and the
+//!   synthetic block's totals its prose quotes for k = 3..9 to
 //!   `results_figure7.txt`;
 //! * the Ablation table — each scheme's five lock counts, row by row —
 //!   to `results_ablation.txt`;
@@ -151,14 +152,13 @@ fn table1_report_cells_match_the_results_file() {
     }
 }
 
-#[test]
-fn figure7_report_rows_match_the_results_file() {
-    // The first block of the results file: `k fine-ro fine-rw coarse-ro
-    // coarse-rw total`, one line per k.
-    let results: Vec<[u64; 6]> = FIGURE7
+/// The block of `results_figure7.txt` headed `heading`: `k fine-ro
+/// fine-rw coarse-ro coarse-rw total`, one row per k = 0..9.
+fn figure7_block(heading: &str) -> Vec<[u64; 6]> {
+    let rows: Vec<[u64; 6]> = FIGURE7
         .split("\n\n")
-        .find(|b| b.starts_with("Concurrent benchmarks"))
-        .expect("results_figure7.txt has a concurrent-benchmarks block")
+        .find(|b| b.starts_with(heading))
+        .unwrap_or_else(|| panic!("results_figure7.txt has a `{heading}` block"))
         .lines()
         .skip(2)
         .map(|l| {
@@ -168,10 +168,16 @@ fn figure7_report_rows_match_the_results_file() {
         })
         .collect();
     assert_eq!(
-        results.iter().map(|r| r[0]).collect::<Vec<_>>(),
+        rows.iter().map(|r| r[0]).collect::<Vec<_>>(),
         (0..=9).collect::<Vec<u64>>(),
-        "the results file has one row per k = 0..9"
+        "the `{heading}` block has one row per k = 0..9"
     );
+    rows
+}
+
+#[test]
+fn figure7_report_rows_match_the_results_file() {
+    let results = figure7_block("Concurrent benchmarks");
     let mut quoted = Vec::new();
     for row in table_rows(report_section("Figure 7")) {
         // `k` or a `lo–hi` range, then the five counts.
@@ -197,6 +203,39 @@ fn figure7_report_rows_match_the_results_file() {
         (0..=9).collect::<Vec<u64>>(),
         "the report quotes every k once"
     );
+    // The prose quotes the synthetic block's totals as `(T at k = K,
+    // then a / b / … for k = LO..HI)`, across a line break.
+    let synthetic = figure7_block("Synthetic SPEC-like");
+    let prose = report_section("Figure 7")
+        .split_whitespace()
+        .collect::<Vec<_>>()
+        .join(" ");
+    let (first, after) = prose
+        .split('(')
+        .find_map(|q| {
+            let (first, after) = q.split_once(" at k = ")?;
+            Some((first.parse::<u64>().ok()?, after))
+        })
+        .expect("the Figure 7 prose quotes `(T at k = K, then …)`");
+    let (k, rest) = after.split_once(", then ").unwrap();
+    let (totals, range) = rest.split_once(" for k = ").unwrap();
+    let (lo, hi) = range.split(')').next().unwrap().split_once("..").unwrap();
+    let k: u64 = k.parse().unwrap();
+    let (lo, hi): (u64, u64) = (lo.parse().unwrap(), hi.parse().unwrap());
+    assert_eq!(lo, k + 1, "the quoted ranges are contiguous");
+    let totals: Vec<u64> = totals.split(" / ").map(|t| t.parse().unwrap()).collect();
+    assert_eq!(
+        totals.len() as u64,
+        hi - lo + 1,
+        "one total per k in {lo}..{hi}: {totals:?}"
+    );
+    for (k, total) in std::iter::once((k, first)).chain((lo..=hi).zip(totals)) {
+        let measured = synthetic[k as usize][5];
+        assert_eq!(
+            total, measured,
+            "synthetic k={k}: EXPERIMENTS.md quotes {total}, results_figure7.txt reads {measured}"
+        );
+    }
 }
 
 #[test]
