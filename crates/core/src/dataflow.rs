@@ -57,12 +57,21 @@
 //!   ([`leaves_untouched`]); the rest go once through
 //!   `transfer_lock` → `normalize` → intern and are replayed as ids from
 //!   a per-engine memo. Flow-insensitive locks are invariant under both
-//!   operations and never enter a memo.
+//!   operations and never enter a memo; replaying one through a summary
+//!   reuses its id unless the dependent asked for another effect.
+//! * **Program tables built once, or when first read.** Predecessors
+//!   are one flat table per function ([`lir::cfg::Predecessors`]: one
+//!   `u32` list and where each point's slice starts), not a `Vec` per
+//!   point. Mod sets are built when the first fine lock crosses a
+//!   call, by whichever engine meets one first (Phase A, or any Phase B
+//!   thread: they are a pure function of the program), and at k = 0
+//!   never.
 //! * **Shared summaries (Phase A / Phase B).** Function summaries are
 //!   computed *once per program*, not once per section: a sequential
 //!   pre-pass (Phase A) solves the `Gen` context of every function any
 //!   section can reach, plus all summary queries that flow demands,
-//!   and freezes them — structurally sorted — into a read-only
+//!   and freezes them — structurally sorted, by each id's rank in one
+//!   structural sort of the lock table — into a read-only
 //!   `SummaryCache`. Per-section engines (Phase B) only solve their
 //!   own root region, injecting cached summaries at call sites;
 //!   queries the pre-pass never saw are solved locally with the same
@@ -75,10 +84,12 @@
 //!   an arriving class lock is checked against two keys (`P` and `⊤`)
 //!   instead of the whole set and, in a set without fine members,
 //!   replaces at most the old `(⊤, P, ro)`. At k = 0 every lock is a
-//!   class lock and Phase A is nothing but these inserts: on the
-//!   71.6-kloc `spec70k-k0` program 227 105 of them used to scan
-//!   38.2 M set entries, and now scan none. A set with fine members
-//!   keeps the scan.
+//!   class lock and Phase A is nothing but these inserts and the
+//!   replays they trigger: on the 71.6-kloc `spec70k-k0` program
+//!   227 105 of them used to scan 38.2 M set entries, and now scan
+//!   none; a replay neither clones a term nor re-hashes one, nor
+//!   copies the dependents it walks, and no predecessor list or mod
+//!   set is read. A set with fine members keeps the scan.
 //! * **Parallel sections.** Because a Phase B engine is a pure,
 //!   deterministic function of the program and the frozen cache,
 //!   independent sections are solved on a [`std::thread::scope`] pool
@@ -107,6 +118,7 @@
 //!   terminal.
 //! * Calls apply *mod-ref filtering*: a lock whose expression reads
 //!   nothing the callee may overwrite bypasses the summary machinery.
+//!   The mod sets it reads are computed on its first use.
 //! * Summary queries are canonicalized to the `rw` effect (transfer
 //!   functions never change an effect), halving the query space.
 //! * Per program point, expression-lock variants are *widened*: past a
@@ -117,14 +129,14 @@
 
 use crate::library::LibrarySpec;
 use crate::transfer::{leaves_untouched, TransferCtx, Transferred};
-use lir::cfg::{atomic_regions, predecessors, AtomicRegion};
+use lir::cfg::{atomic_regions, predecessors, AtomicRegion, Predecessors};
 use lir::{Eff, FnId, Instr, PathExpr, PathOp, Program, Rvalue, SectionId, VarId, VarKind};
 use lockscheme::abslock::prune_redundant;
 use lockscheme::{AbsLock, ConfigMap, LockRec, SchemeConfig};
 use pointsto::{PointsTo, PtsClass};
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Locks inferred for one atomic section.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -327,8 +339,10 @@ pub fn analyze_program_with_configs(
     threads: usize,
     store: Option<&SummaryStore>,
 ) -> ProgramAnalysis {
-    let modsets = compute_modsets(program, pt, lib);
-    let preds: Vec<Vec<Vec<u32>>> = program
+    // Only a fine lock crossing a call reads the mod sets; at k = 0
+    // there is none, and they are never built.
+    let modsets = OnceLock::new();
+    let preds: Vec<Predecessors> = program
         .functions
         .iter()
         .map(|f| predecessors(&f.body))
@@ -681,9 +695,11 @@ struct EngineEnv<'a> {
     pt: &'a PointsTo,
     config: SchemeConfig,
     lib: &'a LibrarySpec,
-    modsets: &'a [ModSet],
-    /// Predecessor tables, indexed by function id then program point.
-    preds: &'a [Vec<Vec<u32>>],
+    /// Built by the first engine that needs them: a pure function of
+    /// the program, so which engine that is changes no output.
+    modsets: &'a OnceLock<Vec<ModSet>>,
+    /// Predecessor tables, indexed by function id.
+    preds: &'a [Predecessors],
 }
 
 /// Per-engine work counters; merged into [`AnalysisStats`].
@@ -1059,8 +1075,8 @@ struct Engine<'a> {
     config: SchemeConfig,
     tctx: TransferCtx<'a>,
     lib: &'a LibrarySpec,
-    modsets: &'a [ModSet],
-    preds: &'a [Vec<Vec<u32>>],
+    modsets: &'a OnceLock<Vec<ModSet>>,
+    preds: &'a [Predecessors],
     cache: Option<&'a SummaryCache>,
     root: Option<(FnId, AtomicRegion)>,
     locks: LockCache,
@@ -1152,10 +1168,10 @@ impl<'a> Engine<'a> {
     /// function and every *started* query gets an entry, so Phase B can
     /// distinguish "solved, empty" from "never solved".
     fn freeze(self, gen_fns: &[FnId]) -> (SummaryCache, EngineStats) {
-        let arcs = &self.locks.arcs;
+        let rank = structural_ranks(&self.locks.arcs);
         let sorted = |ctx: Ctx| {
             let mut ids = self.summary_ids(ctx);
-            ids.sort_by(|&a, &b| arcs[a as usize].cmp(&arcs[b as usize]));
+            ids.sort_unstable_by_key(|&id| rank[id as usize]);
             ids
         };
         let gen = gen_fns.iter().map(|&f| (f, sorted(Ctx::Gen(f)))).collect();
@@ -1330,11 +1346,10 @@ impl<'a> Engine<'a> {
         let program = self.program;
         let func = self.ctx_fn(ctx);
         let preds = self.preds;
-        let fpreds = &preds[func.0 as usize];
         let body = &program.func(func).body;
         let is_root = matches!(self.ctxdb[ctx as usize], Ctx::Root);
         let region = self.root.map(|(_, r)| r);
-        for &q in &fpreds[idx as usize] {
+        for &q in preds[func.0 as usize].at(idx) {
             let ins = &body[q as usize];
             // Stop at (and record) the section's own entry.
             if is_root {
@@ -1419,19 +1434,19 @@ impl<'a> Engine<'a> {
             && self.summaries[ctx as usize].add(&self.locks.recs, &mut self.pathless, ctx, id);
         match summary {
             Ctx::Root => self.record_result(id),
+            // Dependent lists only grow by appending, so an index loop
+            // to the starting length visits the sites a snapshot would.
             Ctx::Gen(f) if fresh => {
-                let deps = self.gen_dependents.get(&f).cloned().unwrap_or_default();
-                for site in deps {
+                let n = self.gen_dependents.get(&f).map_or(0, Vec::len);
+                for i in 0..n {
+                    let site = self.gen_dependents[&f][i];
                     self.inject_unmapped(site, f, id, None);
                 }
             }
             Ctx::Query(f, q) if fresh => {
-                let deps = self
-                    .query_dependents
-                    .get(&(f, q))
-                    .cloned()
-                    .unwrap_or_default();
-                for (site, eff) in deps {
+                let n = self.query_dependents.get(&(f, q)).map_or(0, Vec::len);
+                for i in 0..n {
+                    let (site, eff) = self.query_dependents[&(f, q)][i];
                     self.inject_unmapped(site, f, id, Some(eff));
                 }
             }
@@ -1470,7 +1485,7 @@ impl<'a> Engine<'a> {
             let needs_summary = !m.is_flow_insensitive()
                 && m.path
                     .as_ref()
-                    .is_some_and(|p| must_route(program, self.pt, self.modsets, callee, p));
+                    .is_some_and(|p| must_route(program, self.pt, self.modsets(), callee, p));
             if !needs_summary {
                 self.add_fact(ctx, call_idx, m);
                 continue;
@@ -1596,12 +1611,19 @@ impl<'a> Engine<'a> {
         };
         if self.locks.flow_insensitive[entry_lock as usize] {
             // The prologue's copies leave coarse and `x̄` locks alone:
-            // at most the effect changes, and no memo is needed.
-            let entry = entry_term(self);
-            if !entry.path.as_ref().is_some_and(|p| callee_only(p.base)) {
-                let id = self.locks.intern(&entry);
-                self.record_terminal(ctx, id);
+            // at most the effect changes, and no memo is needed. An
+            // unchanged effect is the entry lock itself, already
+            // interned.
+            let entry = &self.locks.arcs[entry_lock as usize];
+            if entry.path.as_ref().is_some_and(|p| callee_only(p.base)) {
+                return;
             }
+            let id = match eff_override {
+                Some(eff) if eff != entry.eff => self.locks.intern(&entry_term(self)),
+                _ => entry_lock,
+            };
+            debug_assert_eq!(id, self.locks.intern(&entry_term(self)));
+            self.record_terminal(ctx, id);
             return;
         }
         let key = (site_fn, call_idx, entry_lock, eff_override);
@@ -1651,6 +1673,24 @@ impl<'a> Engine<'a> {
             self.result.push(id);
         }
     }
+
+    /// The program's mod sets, built on first use.
+    fn modsets(&self) -> &'a [ModSet] {
+        self.modsets
+            .get_or_init(|| compute_modsets(self.program, self.pt, self.lib))
+    }
+}
+
+/// Each term's position in the structural order of `arcs`. Terms are
+/// distinct, so sorting ids by rank is sorting them by term.
+fn structural_ranks(arcs: &[Arc<AbsLock>]) -> Vec<u32> {
+    let mut order: Vec<u32> = (0..arcs.len() as u32).collect();
+    order.sort_unstable_by(|&a, &b| arcs[a as usize].cmp(&arcs[b as usize]));
+    let mut rank = vec![0; arcs.len()];
+    for (r, &id) in order.iter().enumerate() {
+        rank[id as usize] = r as u32;
+    }
+    rank
 }
 
 /// The entry locks of one summary context: an antichain in arrival
@@ -1945,6 +1985,48 @@ mod tests {
                 }
                 proptest::prop_assert_eq!(store.facts(s), &list[..]);
             }
+        }
+
+        /// Sorting ids by [`structural_ranks`] is sorting them by term,
+        /// as `freeze` did before it ranked: for random lock tables of
+        /// every shape — fine paths of several steps and bases, `x̄`,
+        /// class and global locks, `ro` and `rw`, with and without
+        /// `Σ≡` — and any subset of their ids, in any order.
+        #[test]
+        fn rank_order_is_the_structural_order(
+            use_pts in proptest::arbitrary::any::<bool>(),
+            locks in proptest::collection::vec(
+                (0u8..5, 0u32..4, 0u32..3, proptest::arbitrary::any::<bool>()),
+                0..64,
+            ),
+            picks in proptest::collection::vec(0usize..64, 0..48),
+        ) {
+            let mut table = LockCache::default();
+            for (shape, base, class, rw) in locks {
+                let eff = if rw { Eff::Rw } else { Eff::Ro };
+                let pts = use_pts.then_some(PtsClass(class));
+                let path = |ops| Some(PathExpr { base: VarId(base), ops });
+                let lock = match shape {
+                    0 => AbsLock { path: path(vec![PathOp::Deref]), pts, eff },
+                    1 => AbsLock { path: path(vec![PathOp::Deref, PathOp::Field(lir::FieldId(class))]), pts, eff },
+                    2 => AbsLock { path: path(Vec::new()), pts, eff },
+                    3 => AbsLock { path: None, pts, eff },
+                    _ => AbsLock { path: None, pts: None, eff },
+                };
+                table.intern(&lock);
+            }
+            let mut picked = vec![false; table.arcs.len()];
+            let mut ids: Vec<u32> = picks
+                .into_iter()
+                .filter(|&i| i < picked.len() && !std::mem::replace(&mut picked[i], true))
+                .map(|i| i as u32)
+                .collect();
+            let rank = structural_ranks(&table.arcs);
+            let mut by_rank = ids.clone();
+            by_rank.sort_unstable_by_key(|&id| rank[id as usize]);
+            let arcs = &table.arcs;
+            ids.sort_by(|&a, &b| arcs[a as usize].cmp(&arcs[b as usize]));
+            proptest::prop_assert_eq!(by_rank, ids);
         }
 
         /// The indexed insert is the scan it replaced, step by step: the

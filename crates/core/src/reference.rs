@@ -23,7 +23,7 @@
 use crate::dataflow::{compute_modsets, ModSet, SectionResult, WIDTH_LIMIT};
 use crate::library::LibrarySpec;
 use crate::transfer::{TransferCtx, Transferred};
-use lir::cfg::{atomic_regions, predecessors, AtomicRegion};
+use lir::cfg::{atomic_regions, predecessors, AtomicRegion, Predecessors};
 use lir::{Eff, FnId, Instr, Program, Rvalue, VarId, VarKind};
 use lockscheme::abslock::prune_redundant;
 use lockscheme::{AbsLock, ConfigMap, SchemeConfig};
@@ -103,7 +103,7 @@ struct RefEngine<'a> {
     region: AtomicRegion,
     modsets: &'a [ModSet],
     bodies: HashMap<FnId, Rc<Vec<Instr>>>,
-    preds: HashMap<FnId, Rc<Vec<Vec<u32>>>>,
+    preds: HashMap<FnId, Rc<Predecessors>>,
     // Interners.
     lockdb: Vec<AbsLock>,
     lock_ids: HashMap<AbsLock, LockId>,
@@ -322,7 +322,7 @@ impl<'a> RefEngine<'a> {
         let preds = Rc::clone(&self.preds[&func]);
         let body = Rc::clone(&self.bodies[&func]);
         let is_root = matches!(self.ctxdb[ctx as usize], Ctx::Root);
-        for &q in &preds[idx as usize] {
+        for &q in preds.at(idx) {
             let ins = &body[q as usize];
             // Stop at (and record) the section's own entry.
             if is_root && q == self.region.enter {
