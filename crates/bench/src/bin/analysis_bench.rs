@@ -43,8 +43,8 @@
 //! file, prints the usage line and exits 2 before anything runs; a
 //! `--check` file that cannot be read or parsed exits 1 with a
 //! one-line error, also before anything runs.
-//! `--out` writes the JSON report (default `BENCH_analysis.json` when
-//! omitted along with `--check`). `--check FILE` compares against a committed report and
+//! `--out FILE` writes the JSON report; without it nothing is written.
+//! `--check FILE` compares against a committed report and
 //! exits non-zero if any measured wall time (every row's `optimized_ms`,
 //! and the SPEC-like rows' `frontend_ms` and `pointsto_ms`) regressed
 //! more than 2× — a coarse gate that survives machine-to-machine noise
@@ -474,14 +474,7 @@ fn main() {
         }
     }
 
-    let write_to = out_path.or_else(|| {
-        if check.is_none() {
-            Some("BENCH_analysis.json".to_owned())
-        } else {
-            None
-        }
-    });
-    if let Some(path) = write_to {
+    if let Some(path) = out_path {
         std::fs::write(&path, encode(&reports, &specs))
             .unwrap_or_else(|e| panic!("write {path}: {e}"));
         println!("wrote {path}");

@@ -25,8 +25,8 @@
 //!
 //! `--smoke` swaps the table for the CI gate: one smaller scale twin,
 //! byte-identical adapt reports at eval thread counts 1/2/7 (pruning
-//! on), estimator soundness, and a relaxed 2× speedup floor. `--check` is accepted for CI symmetry
-//! with the other gates (the smoke assertions are always on).
+//! on), estimator soundness, and a relaxed 2× speedup floor. Any other
+//! flag exits 2.
 
 use atomic_lock_inference::adapt::AdaptRun;
 use atomic_lock_inference::eval::EvalOptions;
@@ -284,11 +284,8 @@ fn main() -> ExitCode {
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--smoke" => smoke_mode = true,
-            // The smoke assertions are always on; accepted so the CI
-            // invocation matches the other gates.
-            "--check" => {}
             other => {
-                eprintln!("eval-bench: unknown flag `{other}` (only --smoke / --check)");
+                eprintln!("eval-bench: unknown flag `{other}` (only --smoke)");
                 return ExitCode::from(2);
             }
         }

@@ -8,8 +8,8 @@
 //! contract — `"<cmd>: <flag> needs <what>"`, `"<flag>: <parse error>"`
 //! — so scripts grepping stderr keep working across bins.
 
-use atomic_lock_inference::replay::{parse_exec_mode, RunConfig};
-use interp::{ExecMode, Response, SentinelConfig, WeakenPlan};
+use atomic_lock_inference::replay::{parse_exec_mode, RunConfig, WeakenPlan};
+use interp::{ExecMode, Response, SentinelConfig};
 use workloads::{micro, stamp, Contention, RunSpec};
 
 /// Every workload name the binaries accept, for usage strings.

@@ -1,6 +1,7 @@
 //! `analysis-bench` refuses a command line it does not understand
 //! before it runs anything: a mistyped flag must not run the full
-//! benchmark and overwrite the report in the working directory.
+//! benchmark and overwrite the report in the working directory. A run
+//! it does understand writes a report only to the `--out` file.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -73,4 +74,16 @@ fn a_bad_check_file_is_one_line_and_exit_1() {
         assert_eq!(stderr.lines().count(), 1, "{file}: {stderr}");
     }
     assert_eq!(files(&dir), ["garbled.json"]);
+}
+
+/// A smoke run without `--out` (about 7 s in a debug build) prints its
+/// table and leaves the working directory as it found it: the committed
+/// report is written only when a file is named.
+#[test]
+fn a_run_without_out_writes_nothing() {
+    let dir = workdir("no-out");
+    let out = run(&dir, &["--smoke"]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert!(!out.stdout.is_empty(), "the smoke run printed nothing");
+    assert_eq!(files(&dir), Vec::<String>::new());
 }

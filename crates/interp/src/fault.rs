@@ -88,38 +88,22 @@ impl FaultPlan {
     }
 }
 
-/// Fault-injected *weakened inference*: drops the `drop_index`-th lock
-/// spec from `section`'s `acquireAll` at plan time, simulating a
-/// compiler that under-inferred that section's footprint. Both the
-/// planning pass and the post-acquisition revalidation pass skip the
-/// spec (they must agree, or revalidation would retry forever), so the
-/// weakened plan is stable — and the executed section has a genuine
-/// soundness gap for the online sentinel to catch, without corrupting
-/// the analysis itself.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WeakenPlan {
-    /// The section whose plan is weakened.
-    pub section: u32,
-    /// Index into the section's `acquireAll` spec list to drop.
-    pub drop_index: usize,
-}
-
 /// Machine-wide injection counters (what actually fired, as opposed to
-/// the plan's rates).
+/// the plan's rates), read out through [`crate::DegradationReport`].
 #[derive(Debug, Default)]
-pub struct FaultStats {
+pub(crate) struct FaultStats {
     /// Panics injected (each unwound one worker).
-    pub injected_panics: AtomicU64,
+    pub(crate) injected_panics: AtomicU64,
     /// Spurious transactional aborts injected.
-    pub injected_aborts: AtomicU64,
+    pub(crate) injected_aborts: AtomicU64,
     /// Wakeups delayed.
-    pub injected_delays: AtomicU64,
+    pub(crate) injected_delays: AtomicU64,
     /// Acquisition batches stalled.
-    pub injected_stalls: AtomicU64,
+    pub(crate) injected_stalls: AtomicU64,
     /// Not an injection: lock batches released and re-acquired because
     /// a fine descriptor drifted during the wait. Lives here because
     /// this is the machine's bucket of cross-thread runtime counters.
-    pub lock_revalidations: AtomicU64,
+    pub(crate) lock_revalidations: AtomicU64,
 }
 
 /// Panic payload used by injected panics; the harness recognizes it and

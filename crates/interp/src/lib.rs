@@ -36,7 +36,7 @@ mod sim;
 mod worker;
 
 pub use error::InterpError;
-pub use fault::{FaultPlan, FaultStats, WeakenPlan};
+pub use fault::FaultPlan;
 pub use machine::{DegradationReport, ExecMode, Machine, Options, RepairSpec};
 pub use sched::{PolicyKind, SchedConfig};
 pub use sentinel::{Response, Sentinel, SentinelConfig, Violation};
@@ -851,10 +851,7 @@ mod tests {
         let m = machine_for(COUNTER_SRC, 3, ExecMode::Stm, opts).unwrap();
         m.run_threads("work", 4, |_| vec![100]).unwrap();
         assert_eq!(m.run_named("main", &[]).unwrap(), 400);
-        let injected = m
-            .fault_stats()
-            .injected_aborts
-            .load(std::sync::atomic::Ordering::Relaxed);
+        let injected = m.degradation_report().injected_aborts;
         assert!(injected > 0, "the plan should have fired");
         assert!(
             m.stm_stats().aborts >= injected,

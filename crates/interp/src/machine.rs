@@ -139,7 +139,11 @@ impl fmt::Display for DegradationReport {
     }
 }
 
-/// Machine construction options. (`Clone` but not `Copy`: the wake
+/// Machine construction options: how the machine runs the transformed
+/// program it is given, never what that program plans. A planted plan
+/// fault is a rewrite of the program before [`Machine::new`], so a
+/// worker plans and revalidates exactly the `acquireAll` specs it
+/// finds (or a staged repair's). (`Clone` but not `Copy`: the wake
 /// policy carries a frozen expected-hold table.)
 #[derive(Clone, Debug)]
 pub struct Options {
@@ -167,10 +171,6 @@ pub struct Options {
     /// the section to the global scheme until it serves probation, or
     /// is a hard [`InterpError::Unprotected`] (`Response::Fail`).
     pub sentinel: Option<SentinelConfig>,
-    /// Fault-injected weakened inference (`None` = sound plans): drops
-    /// one lock spec from one section so the sentinel has a real
-    /// soundness gap to catch. See [`crate::WeakenPlan`].
-    pub weaken: Option<crate::WeakenPlan>,
     /// Wake policy for the virtual-time scheduler (`None` = the legacy
     /// `(clock, tid)` FIFO order, zero overhead, no `["wk", …]`
     /// events). A policy's decisions are a pure function of recorded
@@ -194,7 +194,6 @@ impl Default for Options {
             stm_abort_budget: 1024,
             trace: None,
             sentinel: None,
-            weaken: None,
             sched: None,
             repairs: Vec::new(),
         }
@@ -269,7 +268,6 @@ pub struct Machine {
     pub(crate) sim_handoffs: AtomicU64,
     pub(crate) tracer: Option<trace::Recorder>,
     pub(crate) sentinel: Option<Sentinel>,
-    pub(crate) weaken: Option<crate::fault::WeakenPlan>,
     pub(crate) sched: Option<crate::SchedConfig>,
     /// The one record of what is staged: each repaired section's
     /// admitted candidate index and its lock specs (see
@@ -376,7 +374,6 @@ impl Machine {
             sim_handoffs: AtomicU64::new(0),
             tracer: opts.trace.map(trace::Recorder::new),
             sentinel: opts.sentinel.map(Sentinel::new),
-            weaken: opts.weaken,
             sched: opts.sched,
             repairs: opts
                 .repairs
@@ -448,11 +445,6 @@ impl Machine {
             self.sim_yield_points.load(Ordering::Relaxed),
             self.sim_handoffs.load(Ordering::Relaxed),
         )
-    }
-
-    /// Counters of faults actually injected (all zero without a plan).
-    pub fn fault_stats(&self) -> &crate::fault::FaultStats {
-        &self.fault_stats
     }
 
     /// True when every lock node is fully released — no session still

@@ -1123,15 +1123,6 @@ impl<'m> Worker<'m> {
         Ok(())
     }
 
-    /// Is this lock spec dropped by the weakened-inference fault plan?
-    /// Consulted by both the planning pass and the quiet revalidation
-    /// pass: the two must agree, or revalidation would retry forever.
-    fn spec_dropped(&self, section: u32, index: usize) -> bool {
-        self.m
-            .weaken
-            .is_some_and(|w| w.section == section && w.drop_index == index)
-    }
-
     /// Reports one finished outermost section execution to the
     /// quarantine ladder; a completed probation re-admits the section,
     /// traced as a heal `["qr", …]` event.
@@ -1172,7 +1163,7 @@ impl<'m> Worker<'m> {
     // Fault injection points (all no-ops without a plan)
 
     /// Accounts for one injected fault everywhere it is counted: the
-    /// machine's [`FaultStats`](crate::FaultStats) and the trace.
+    /// machine's [`FaultStats`](crate::fault::FaultStats) and the trace.
     fn note_fault(&mut self, class: FaultClass) {
         let stats = &self.m.fault_stats;
         let fired = match class {
@@ -1344,13 +1335,9 @@ impl<'m> Worker<'m> {
                     return self.entered(false);
                 }
                 Enter::Plan => {
-                    let (specs, filter_dropped) = self.specs_to_plan(ins, sid);
                     self.planned.clear();
                     self.planned_in = self.resumes;
-                    for (i, spec) in specs.iter().enumerate() {
-                        if filter_dropped && self.spec_dropped(sid.0, i) {
-                            continue;
-                        }
+                    for spec in self.specs_to_plan(ins, sid) {
                         if let Some(d) = self.eval_spec(spec, frame, at)? {
                             self.session.to_acquire(d);
                             self.planned.push(d);
@@ -1381,8 +1368,8 @@ impl<'m> Worker<'m> {
                     if self.sim.is_some() && self.planned_in == self.resumes {
                         return self.entered(false);
                     }
-                    let (specs, filter_dropped) = self.specs_to_plan(ins, sid);
-                    if self.plan_still_current(specs, frame, at, filter_dropped)? {
+                    let specs = self.specs_to_plan(ins, sid);
+                    if self.plan_still_current(specs, frame, at)? {
                         return self.entered(false);
                     }
                     m.fault_stats
@@ -1473,17 +1460,16 @@ impl<'m> Worker<'m> {
         Enter::Plan
     }
 
-    /// The specs this entry plans and whether the weakened-seed fault
-    /// filters them. The repaired plan is a fresh inference artifact,
-    /// so the fault does not apply to it — planning and quiet
-    /// revalidation skip the drop filter together (they must agree, or
-    /// revalidation retries forever).
-    fn specs_to_plan(&self, ins: &'m Instr, sid: SectionId) -> (&'m [LockSpec], bool) {
+    /// The specs this entry plans: the section's repair while it is
+    /// active, else its `acquireAll`'s. Planning and quiet revalidation
+    /// both ask here, so they agree (or revalidation would retry
+    /// forever).
+    fn specs_to_plan(&self, ins: &'m Instr, sid: SectionId) -> &'m [LockSpec] {
         let m = self.m;
         match (ins, m.repairs.get(&sid.0)) {
-            (_, Some((_, repair))) if self.repaired => (repair, false),
-            (Instr::AcquireAll(_, specs), _) => (specs, true),
-            _ => (&[], true),
+            (_, Some((_, repair))) if self.repaired => repair,
+            (Instr::AcquireAll(_, specs), _) => specs,
+            _ => &[],
         }
     }
 
@@ -1776,17 +1762,12 @@ impl<'m> Worker<'m> {
         specs: &[LockSpec],
         frame: &[i64],
         at: At,
-        filter_dropped: bool,
     ) -> Result<bool, Exc> {
         self.revalidating = true;
         let mut current = true;
         let mut seen = 0;
         let mut err = None;
-        let section = self.current_section.0;
-        for (i, spec) in specs.iter().enumerate() {
-            if filter_dropped && self.spec_dropped(section, i) {
-                continue;
-            }
+        for spec in specs {
             match self.eval_spec(spec, frame, at) {
                 Ok(Some(d)) => {
                     current &= self.planned.get(seen) == Some(&d);

@@ -8,7 +8,6 @@ mod common;
 use common::machine_for;
 use interp::{ExecMode, FaultPlan, InterpError, Options, SentinelConfig};
 use proptest::prelude::*;
-use std::sync::atomic::Ordering;
 
 /// `inner` runs both as a nested section (from `outer`) and as an
 /// outermost section of its own (from `flat`) — the paper's `nlevel`
@@ -81,8 +80,7 @@ proptest! {
             // The ladder's core guarantee: whatever happened, no lock
             // mode outlives its session.
             assert!(m.locks_quiescent(), "{mode:?} {sentinel:?}: lock mode leaked past a fault");
-            let injected_panics =
-                m.fault_stats().injected_panics.load(Ordering::Relaxed);
+            let injected_panics = m.degradation_report().injected_panics;
             if injected_panics == 0 {
                 // Spurious aborts alone must be invisible: retries (or
                 // the irrevocable fallback) land every increment.

@@ -135,8 +135,8 @@ impl Default for EvalOptions {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum Stamp {
     /// Full `run.*` metadata: the recording is self-describing and
-    /// replayable (baselines, steered wake-policy runs), and its weaken
-    /// plan passes [`RunConfig::check_weaken`].
+    /// replayable (baselines, steered wake-policy runs), and a weaken
+    /// plan that dropped nothing is refused ([`RunConfig::check_weaken`]).
     Run,
     /// `adapt.*` metadata only: the recording ran under a candidate
     /// [`ConfigMap`], so `replay()` must reject it rather than
@@ -214,8 +214,10 @@ impl EvalContext {
     /// Executes `cfg` with locks inferred under `map` — the one
     /// recording primitive behind [`crate::replay::record`], baselines,
     /// adapt candidates and repaired re-runs. [`RunConfig::check`] comes
-    /// first; `stamp` picks only the metadata the trace carries and
-    /// whether [`RunConfig::check_weaken`] runs. Before the machine is
+    /// first; [`RunConfig::check_weaken`] weakens the transformed
+    /// program, and `stamp` picks only the metadata the trace carries
+    /// and whether a weaken plan that dropped nothing is refused
+    /// (candidates inherit the baseline's verdict). Before the machine is
     /// dropped, the recording takes its end-of-run gauges and the
     /// sentinel's violation ledger (the evidence `crate::reinfer`
     /// diagnoses).
@@ -242,9 +244,10 @@ impl EvalContext {
         // `0`: one Phase B worker per core.
         let analysis =
             lockinfer::analyze_program_with_configs(&program, &pt, map, &self.lib, 0, store);
-        let transformed = lockinfer::transform(&program, &analysis);
+        let mut transformed = lockinfer::transform(&program, &analysis);
+        let weakened = cfg.check_weaken(&mut transformed);
         if stamp == Stamp::Run {
-            cfg.check_weaken(&transformed)?;
+            weakened?;
         }
         // The machine options `cfg` prescribes, tracing always on.
         let opts = Options {
@@ -253,7 +256,6 @@ impl EvalContext {
             quantum: cfg.quantum,
             faults: cfg.faults,
             sentinel: cfg.sentinel,
-            weaken: cfg.weaken,
             sched: cfg.sched.clone(),
             stm_abort_budget: cfg.stm_abort_budget,
             trace: Some(trace::TraceConfig {

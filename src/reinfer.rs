@@ -23,7 +23,7 @@
 //! selection [`crate::Pipeline::adapt`] uses:
 //!
 //! 1. **Record** the armed run (sentinel on, typically with a seeded
-//!    [`interp::WeakenPlan`] fault) with `EvalContext::baseline`, and
+//!    [`crate::replay::WeakenPlan`] fault) with `EvalContext::baseline`, and
 //!    snapshot the sentinel's
 //!    canonical violation ledger — sorted by `(clock, tid, seq)`, so
 //!    every downstream decision is thread-count independent.
@@ -114,7 +114,7 @@ pub enum Diagnosis {
     },
     /// Nothing held licenses anything relevant — the plan simply never
     /// named the location (the dropped-spec shape a seeded
-    /// [`interp::WeakenPlan`] produces). Only the conservative repairs
+    /// [`crate::replay::WeakenPlan`] produces). Only the conservative repairs
     /// apply.
     NoCover,
 }
@@ -431,9 +431,9 @@ pub struct ReinferRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::replay::RunConfig;
+    use crate::replay::{RunConfig, WeakenPlan};
     use crate::Pipeline;
-    use interp::{ExecMode, SentinelConfig, WeakenPlan};
+    use interp::{ExecMode, SentinelConfig};
     use mglock::{FineAddr, Mode};
     use trace::EventKind;
 

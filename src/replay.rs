@@ -23,7 +23,7 @@
 //! ```
 
 use crate::eval::{EvalContext, Stamp};
-use interp::{ExecMode, FaultPlan, Options, Response, SchedConfig, SentinelConfig, WeakenPlan};
+use interp::{ExecMode, FaultPlan, Options, Response, SchedConfig, SentinelConfig};
 use lockscheme::{ConfigMap, SchemeConfig};
 use trace::Trace;
 
@@ -34,6 +34,43 @@ use trace::Trace;
 /// self-describing — replaying re-derives the identical specs from the
 /// embedded source.
 pub type RepairEntry = (u32, u32, SchemeConfig);
+
+/// Fault-injected *weakened inference*: drops the `drop_index`-th lock
+/// spec from `section`'s `acquireAll`, modeling a compiler that
+/// under-inferred that section's footprint. It is a rewrite of the
+/// transformed program, made before the machine is built, so the
+/// interpreter plans and revalidates the specs it is given and the
+/// executed section has a genuine soundness gap for the online
+/// sentinel to catch, without corrupting the analysis itself.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct WeakenPlan {
+    /// The section whose plan is weakened.
+    pub section: u32,
+    /// Index into the section's `acquireAll` spec list to drop.
+    pub drop_index: usize,
+}
+
+impl WeakenPlan {
+    /// Drops spec `drop_index` from every `acquireAll` of `section` in
+    /// `program`, keeping the other specs in their order. Returns how
+    /// many specs the section planned before the drop (`None`: no
+    /// `acquireAll` of `section`), so a spec was dropped iff
+    /// `drop_index` is below it.
+    pub fn apply(self, program: &mut lir::Program) -> Option<usize> {
+        let mut planned = None;
+        for ins in program.functions.iter_mut().flat_map(|f| &mut f.body) {
+            if let lir::Instr::AcquireAll(sid, specs) = ins {
+                if sid.0 == self.section {
+                    planned = Some(specs.len());
+                    if self.drop_index < specs.len() {
+                        specs.remove(self.drop_index);
+                    }
+                }
+            }
+        }
+        planned
+    }
+}
 
 /// Everything needed to reproduce one traced execution.
 #[derive(Clone, PartialEq, Debug)]
@@ -380,24 +417,17 @@ impl RunConfig {
         }
     }
 
-    /// Refuses a weaken plan that would drop nothing: the fault removes
-    /// one spec from a section's `acquireAll`, which only MultiGrain
-    /// plans, so the plan must name an existing spec of one in
-    /// `program`, the transformed program the run executes — the one
-    /// rule that needs it. Candidate runs inherit the baseline's verdict.
-    pub(crate) fn check_weaken(&self, program: &lir::Program) -> Result<(), String> {
+    /// Applies the weaken plan to `program`, the transformed program
+    /// the run executes, and refuses a plan that dropped nothing: the
+    /// fault removes one spec from a section's `acquireAll`, which only
+    /// MultiGrain plans, so the plan must name an existing spec of one.
+    /// The rule and its effect are this one call, so they cannot
+    /// disagree.
+    pub(crate) fn check_weaken(&self, program: &mut lir::Program) -> Result<(), String> {
         let Some(w) = self.weaken else {
             return Ok(());
         };
-        let specs = program
-            .functions
-            .iter()
-            .flat_map(|f| &f.body)
-            .find_map(|ins| match ins {
-                lir::Instr::AcquireAll(sid, specs) if sid.0 == w.section => Some(specs.len()),
-                _ => None,
-            });
-        let why = match (self.mode, specs) {
+        let why = match (self.mode, w.apply(program)) {
             (ExecMode::MultiGrain, Some(n)) if w.drop_index < n => return Ok(()),
             (ExecMode::MultiGrain, Some(n)) => format!("section {} plans {n}", w.section),
             (ExecMode::MultiGrain, None) => format!("no section {} plans any", w.section),
@@ -940,6 +970,100 @@ mod tests {
             drop_index: 0,
         });
         assert!(record(&c).is_ok());
+    }
+
+    /// Two sections: the first plans a lock on each of `a` and `b`,
+    /// the second one on `c`.
+    const TWO_SECTIONS: &str = r#"
+        global a, b, c;
+        fn work() {
+            atomic { a = a + 1; b = b + a; }
+            atomic { c = c + 1; }
+            return 0;
+        }
+    "#;
+
+    /// Every `acquireAll` of `program`, as (section, specs).
+    fn plans(program: &lir::Program) -> Vec<(u32, Vec<lir::LockSpec>)> {
+        program
+            .functions
+            .iter()
+            .flat_map(|f| &f.body)
+            .filter_map(|ins| match ins {
+                lir::Instr::AcquireAll(sid, specs) => Some((sid.0, specs.clone())),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// `apply` drops spec `i` from every `acquireAll` of section `s`,
+    /// keeps the section's other specs in their order and leaves every
+    /// other section alone.
+    #[test]
+    fn a_weaken_plan_drops_one_spec_of_one_section() {
+        let (_, _, transformed) = lockinfer::compile_with_locks(TWO_SECTIONS, 3).unwrap();
+        let before = plans(&transformed);
+        assert!(
+            before.iter().any(|(_, specs)| specs.len() >= 2),
+            "{before:?}"
+        );
+        for (section, specs) in &before {
+            for drop_index in 0..specs.len() {
+                let mut p = transformed.clone();
+                let w = WeakenPlan {
+                    section: *section,
+                    drop_index,
+                };
+                assert_eq!(w.apply(&mut p), Some(specs.len()), "{w:?}");
+                let expected: Vec<_> = before
+                    .iter()
+                    .map(|(s, specs)| {
+                        let mut specs = specs.clone();
+                        if s == section {
+                            specs.remove(drop_index);
+                        }
+                        (*s, specs)
+                    })
+                    .collect();
+                assert_eq!(plans(&p), expected, "{w:?}");
+            }
+        }
+    }
+
+    /// An index past the section's specs, a section with no
+    /// `acquireAll` and an untransformed (Global) program leave the
+    /// program as it was.
+    #[test]
+    fn a_weaken_plan_that_names_no_spec_drops_nothing() {
+        let (program, _, transformed) = lockinfer::compile_with_locks(TWO_SECTIONS, 3).unwrap();
+        let n = plans(&transformed)[0].1.len();
+        for (w, planned) in [
+            (
+                WeakenPlan {
+                    section: 0,
+                    drop_index: n,
+                },
+                Some(n),
+            ),
+            (
+                WeakenPlan {
+                    section: 9,
+                    drop_index: 0,
+                },
+                None,
+            ),
+        ] {
+            let mut p = transformed.clone();
+            assert_eq!(w.apply(&mut p), planned, "{w:?}");
+            assert_eq!(p.to_string(), transformed.to_string(), "{w:?}");
+        }
+        let mut p = program.clone();
+        let w = WeakenPlan {
+            section: 0,
+            drop_index: 0,
+        };
+        assert_eq!(w.apply(&mut p), None);
+        assert_eq!(p.to_string(), program.to_string());
     }
 
     /// `from_profiles` writes an expected-hold table strictly

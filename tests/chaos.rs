@@ -21,11 +21,11 @@ use atomic_lock_inference as ali;
 
 use ali::interp::{
     DegradationReport, ExecMode, FaultPlan, InterpError, Machine, Options, SentinelConfig,
-    WeakenPlan,
 };
 use ali::lir;
 use ali::lockscheme::SchemeConfig;
 use ali::pointsto::PointsTo;
+use ali::replay::WeakenPlan;
 use ali::workloads::{micro, Contention, RunSpec};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -320,12 +320,14 @@ fn sentinel_run(weaken: Option<WeakenPlan>) -> (SentinelDigest, ali::trace::Trac
         let opts = Options {
             heap_cells: 1 << 12,
             sentinel: Some(SentinelConfig::default()),
-            weaken,
             trace: Some(ali::trace::TraceConfig::default()),
             ..Options::default()
         };
-        let (program, _, transformed) =
+        let (program, _, mut transformed) =
             ali::lockinfer::compile_with_locks(SENTINEL_SRC, K).expect("sentinel source compiles");
+        if let Some(w) = weaken {
+            w.apply(&mut transformed);
+        }
         let pt = Arc::new(PointsTo::analyze(&program));
         let m = Machine::new(Arc::new(transformed), pt, ExecMode::MultiGrain, opts);
         m.run_named("setup", &[0]).expect("sentinel init");

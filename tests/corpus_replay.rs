@@ -11,8 +11,8 @@
 //! regenerated on purpose. The recorded locksets are also re-validated
 //! against the Eraser-style discipline on every run.
 
-use atomic_lock_inference::interp::{ExecMode, SentinelConfig, WeakenPlan};
-use atomic_lock_inference::replay;
+use atomic_lock_inference::interp::{ExecMode, SentinelConfig};
+use atomic_lock_inference::replay::{self, WeakenPlan};
 
 fn corpus_dir() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/corpus")

@@ -7,11 +7,12 @@
 
 use atomic_lock_inference as ali;
 
-use ali::interp::{ExecMode, Machine, Options, SentinelConfig, WeakenPlan};
+use ali::interp::{ExecMode, Machine, Options, SentinelConfig};
 use ali::lir;
 use ali::lockinfer::library::LibrarySpec;
 use ali::lockscheme::SchemeConfig;
 use ali::pointsto::PointsTo;
+use ali::replay::WeakenPlan;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -58,16 +59,16 @@ fn ledger(
         &LibrarySpec::new(),
         analysis_threads,
     );
-    let transformed = Arc::new(ali::lockinfer::transform(&program, &analysis));
+    let mut transformed = ali::lockinfer::transform(&program, &analysis);
+    weaken.apply(&mut transformed);
     let opts = Options {
         heap_cells: 1 << 12,
         seed,
         sentinel: Some(SentinelConfig::default()),
-        weaken: Some(weaken),
         trace: Some(ali::trace::TraceConfig::default()),
         ..Options::default()
     };
-    let m = Machine::new(transformed, pt, ExecMode::MultiGrain, opts);
+    let m = Machine::new(Arc::new(transformed), pt, ExecMode::MultiGrain, opts);
     m.run_named("setup", &[0]).expect("init");
     m.run_threads_virtual("work", workers, |_| vec![iters])
         .expect("weakened runs still complete");

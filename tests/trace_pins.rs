@@ -16,10 +16,10 @@
 
 use atomic_lock_inference as ali;
 
-use ali::interp::{ExecMode, FaultPlan, PolicyKind, SchedConfig, SentinelConfig, WeakenPlan};
+use ali::interp::{ExecMode, FaultPlan, PolicyKind, SchedConfig, SentinelConfig};
 use ali::lockinfer::AdaptPolicy;
 use ali::mglock::NodeKey;
-use ali::replay::{record, RunConfig};
+use ali::replay::{record, RunConfig, WeakenPlan};
 use ali::trace::{EventKind, Trace};
 use ali::workloads::scale::{self, ScaleParams};
 use ali::workloads::{micro, stamp, Contention, RunSpec};

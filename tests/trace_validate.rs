@@ -14,10 +14,10 @@
 
 use atomic_lock_inference as ali;
 
-use ali::interp::{ExecMode, FaultPlan, Machine, Options, SentinelConfig, WeakenPlan};
+use ali::interp::{ExecMode, FaultPlan, Machine, Options, SentinelConfig};
 use ali::lir;
 use ali::pointsto::PointsTo;
-use ali::replay::{self, RunConfig};
+use ali::replay::{self, RunConfig, WeakenPlan};
 use ali::workloads::{micro, stamp, Contention, RunSpec};
 use std::sync::Arc;
 
@@ -97,18 +97,15 @@ fn run_weakened(source: &str, k: usize, drop_spec: Option<usize>) -> ali::trace:
     let analysis = ali::lockinfer::analyze_program(&program, &pt, cfg);
     let mut transformed = ali::lockinfer::transform(&program, &analysis);
     if let Some(i) = drop_spec {
-        let mut dropped = false;
-        for func in &mut transformed.functions {
-            for ins in &mut func.body {
-                if let lir::Instr::AcquireAll(_, specs) = ins {
-                    if i < specs.len() {
-                        specs.remove(i);
-                        dropped = true;
-                    }
-                }
-            }
-        }
-        assert!(dropped, "nothing to drop at index {i}");
+        let weaken = WeakenPlan {
+            section: 0,
+            drop_index: i,
+        };
+        let planned = weaken.apply(&mut transformed);
+        assert!(
+            planned.is_some_and(|n| i < n),
+            "nothing to drop at index {i}"
+        );
     }
     let opts = Options {
         heap_cells: 1 << 16,

@@ -25,10 +25,10 @@
 
 use atomic_lock_inference as ali;
 
-use ali::interp::{ExecMode, InterpError, Machine, Options, SentinelConfig, WeakenPlan};
+use ali::interp::{ExecMode, InterpError, Machine, Options, SentinelConfig};
 use ali::lir;
 use ali::pointsto::PointsTo;
-use ali::replay::RunConfig;
+use ali::replay::{RunConfig, WeakenPlan};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -121,8 +121,9 @@ fn fixtures() -> Vec<Fixture> {
     all
 }
 
-/// Every single-spec weakening of `transformed`, in section order.
-fn weakenings(transformed: &lir::Program) -> Vec<WeakenPlan> {
+/// Every single-spec weakening of `transformed`, in section order,
+/// with the program it leaves.
+fn weakenings(transformed: &lir::Program) -> Vec<(WeakenPlan, Arc<lir::Program>)> {
     let mut plans = Vec::new();
     for func in &transformed.functions {
         for ins in &func.body {
@@ -137,6 +138,13 @@ fn weakenings(transformed: &lir::Program) -> Vec<WeakenPlan> {
     plans.sort_by_key(|w| (w.section, w.drop_index));
     plans.dedup();
     plans
+        .into_iter()
+        .map(|w| {
+            let mut weakened = transformed.clone();
+            w.apply(&mut weakened);
+            (w, Arc::new(weakened))
+        })
+        .collect()
 }
 
 /// An uncovered access as both checkers name it.
@@ -150,27 +158,25 @@ fn effect(write: bool) -> &'static str {
     }
 }
 
-/// Runs `fx` weakened by `weaken` under MultiGrain with tracing on,
+/// Runs `fx`'s `weakened` program under MultiGrain with tracing on,
 /// checked by `sentinel` when one is given.
 fn run(
     fx: &Fixture,
-    transformed: &Arc<lir::Program>,
+    weakened: &Arc<lir::Program>,
     pt: &Arc<PointsTo>,
     sentinel: Option<SentinelConfig>,
     threads: usize,
-    weaken: WeakenPlan,
 ) -> (Result<(Vec<i64>, u64), InterpError>, Machine) {
     let opts = Options {
         heap_cells: fx.heap_cells,
         seed: fx.seed,
         quantum: fx.quantum,
-        weaken: Some(weaken),
         sentinel,
         trace: Some(ali::trace::TraceConfig::default()),
         ..Options::default()
     };
     let m = Machine::new(
-        Arc::clone(transformed),
+        Arc::clone(weakened),
         Arc::clone(pt),
         ExecMode::MultiGrain,
         opts,
@@ -189,14 +195,13 @@ fn run(
 /// named the same first miss.
 fn configuration(
     fx: &Fixture,
-    transformed: &Arc<lir::Program>,
+    weakened: &Arc<lir::Program>,
     pt: &Arc<PointsTo>,
     threads: usize,
-    weaken: WeakenPlan,
 ) -> (String, bool) {
     let checker = Some(SentinelConfig::validate());
-    let (validate, checked) = run(fx, transformed, pt, checker, threads, weaken);
-    let (mg, m) = run(fx, transformed, pt, None, threads, weaken);
+    let (validate, checked) = run(fx, weakened, pt, checker, threads);
+    let (mg, m) = run(fx, weakened, pt, None, threads);
     let mut lines = String::new();
     let validate_miss: Option<Miss> = match &validate {
         Ok((results, makespan)) => {
@@ -267,16 +272,16 @@ fn validate_outcomes_match_the_pins_and_the_offline_validator() {
         for k in [0, 3, 9] {
             let cfg = ali::lockscheme::SchemeConfig::full(k, program.elem_field_opt());
             let analysis = ali::lockinfer::analyze_program(&program, &pt, cfg);
-            let transformed = Arc::new(ali::lockinfer::transform(&program, &analysis));
+            let transformed = ali::lockinfer::transform(&program, &analysis);
             let plans = weakenings(&transformed);
             assert!(!plans.is_empty(), "{} k={k}: no lock to drop", fx.name);
             for threads in [1, 4] {
-                for &w in &plans {
+                for (w, weakened) in &plans {
                     let head = format!(
                         "{} k={k} t={threads} drop {}:{}",
                         fx.name, w.section, w.drop_index
                     );
-                    let (lines, agree) = configuration(&fx, &transformed, &pt, threads, w);
+                    let (lines, agree) = configuration(&fx, weakened, &pt, threads);
                     writeln!(actual, "{head}").unwrap();
                     actual.push_str(&lines);
                     if !agree {
