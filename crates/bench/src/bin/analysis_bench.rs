@@ -582,7 +582,7 @@ mod tests {
             ("spec-2k", "optimized_ms", 94.180),
             ("spec-70k-k0", "frontend_ms", 22.196),
             ("spec-70k-k0", "pointsto_ms", 6.706),
-            ("spec-70k-k0", "optimized_ms", 33.445),
+            ("spec-70k-k0", "optimized_ms", 18.183),
         ]
         .map(|(row, key, ms)| (row.to_owned(), key.to_owned(), ms))
         .into();

@@ -2,31 +2,27 @@
 //! (DESIGN.md §5.7) vs the legacy sequential candidate loop.
 //!
 //! For each generated `workloads::scale` program the bench runs the
-//! same adaptation loop three ways:
+//! same adaptation loop two ways, each replaying every candidate:
 //!
 //! * **seq** — the pre-harness shape: invariant hoisting off (program
 //!   compiled and points-to analyzed once per candidate), one eval
-//!   worker, every candidate replayed exactly.
+//!   worker.
 //! * **har8** — the full harness: invariants hoisted once, 8 eval
-//!   workers, trace-analytic pruning (top-4 plus the estimator's
-//!   family-diversity guard).
-//! * an exact parallel run (hoist on, no pruning) whose report must be
-//!   **byte-identical** to seq's — the harness's determinism claim.
+//!   workers. Its report must be **byte-identical** to seq's — the
+//!   harness's determinism claim.
 //!
 //! The table reports wall-clock of the *candidate loop* (total minus
 //! the baseline recording both paths share) and asserts, over the
 //! scale rows in aggregate, the har8 loop is at least **3×** faster
-//! than seq, that pruning never discarded the winner seq selected, and
-//! that the pruned run selects that same winner.
+//! than seq.
 //!
 //! ```text
 //! cargo run -p bench --release --bin eval-bench
 //! ```
 //!
 //! `--smoke` swaps the table for the CI gate: one smaller scale twin,
-//! byte-identical adapt reports at eval thread counts 1/2/7 (pruning
-//! on), estimator soundness, and a relaxed 2× speedup floor. Any other
-//! flag exits 2.
+//! byte-identical adapt reports at eval thread counts 1/2/7, and a
+//! relaxed 2× speedup floor. Any other flag exits 2.
 
 use atomic_lock_inference::adapt::AdaptRun;
 use atomic_lock_inference::eval::EvalOptions;
@@ -39,28 +35,21 @@ use std::time::Instant;
 use workloads::scale::{self, ScaleParams};
 use workloads::RunSpec;
 
-const TOP_K: usize = 4;
-
-/// The legacy sequential candidate loop, as `EvalOptions`.
-fn seq_opts() -> EvalOptions {
-    EvalOptions {
-        eval_threads: 1,
-        hoist: false,
-        ..EvalOptions::default()
-    }
+/// The legacy sequential candidate loop: hoisting off, one eval worker.
+fn seq(cfg: &RunConfig) -> Result<AdaptRun, String> {
+    Pipeline::new(cfg.clone())
+        .options(EvalOptions {
+            eval_threads: 1,
+            hoist: false,
+        })
+        .adapt(&AdaptPolicy)
 }
 
-/// The full harness at `threads` eval workers with pruning on.
-fn harness_opts(threads: usize) -> EvalOptions {
-    EvalOptions {
-        eval_threads: threads,
-        prune: Some(TOP_K),
-        ..EvalOptions::default()
-    }
-}
-
-fn adapt(cfg: &RunConfig, opts: EvalOptions) -> Result<AdaptRun, String> {
-    Pipeline::new(cfg.clone()).options(opts).adapt(&AdaptPolicy)
+/// The full harness at `threads` eval workers.
+fn harness(cfg: &RunConfig, threads: usize) -> Result<AdaptRun, String> {
+    Pipeline::new(cfg.clone())
+        .eval_threads(threads)
+        .adapt(&AdaptPolicy)
 }
 
 fn specs() -> Vec<RunSpec> {
@@ -112,7 +101,6 @@ struct Row {
     /// Candidate-loop wall-clock, milliseconds.
     seq_ms: f64,
     har_ms: f64,
-    sound: bool,
     winner: String,
 }
 
@@ -125,39 +113,23 @@ fn run_row(cfg: &RunConfig) -> Result<Row, String> {
     let base_ms = t.elapsed().as_secs_f64() * 1e3;
 
     let t = Instant::now();
-    let seq = adapt(cfg, seq_opts())?;
+    let seq = seq(cfg)?;
     let seq_ms = (t.elapsed().as_secs_f64() * 1e3 - base_ms).max(0.1);
 
-    // Determinism: the exact parallel harness must reproduce the
-    // legacy report byte for byte.
-    let exact_par = adapt(
-        cfg,
-        EvalOptions {
-            eval_threads: 8,
-            ..EvalOptions::default()
-        },
-    )?;
-    if exact_par.report.to_json() != seq.report.to_json() {
-        return Err("exact parallel report diverged from sequential".into());
-    }
-
     let t = Instant::now();
-    let pruned = adapt(cfg, harness_opts(8))?;
+    let har = harness(cfg, 8)?;
     let har_ms = (t.elapsed().as_secs_f64() * 1e3 - base_ms).max(0.1);
 
-    // Estimator soundness: the pruned run must keep and select the
-    // winner the exact run measured.
-    let sound = match seq.report.selected {
-        Some(i) => {
-            pruned.report.candidates[i].status.is_replayed() && pruned.report.selected == Some(i)
-        }
-        None => pruned.report.selected.is_none(),
-    };
+    // Determinism: the parallel harness must reproduce the legacy
+    // report byte for byte.
+    if har.report.to_json() != seq.report.to_json() {
+        return Err("har8 report diverged from sequential".into());
+    }
 
     Ok(Row {
         name: cfg.name.clone(),
         cands: seq.report.candidates.len(),
-        replayed: pruned
+        replayed: har
             .report
             .candidates
             .iter()
@@ -165,7 +137,6 @@ fn run_row(cfg: &RunConfig) -> Result<Row, String> {
             .count(),
         seq_ms,
         har_ms,
-        sound,
         winner: seq
             .report
             .winner()
@@ -175,8 +146,8 @@ fn run_row(cfg: &RunConfig) -> Result<Row, String> {
 }
 
 /// The CI smoke gate: one smaller scale twin; byte-identical adapt
-/// reports (pruning on) at eval thread counts 1/2/7; estimator
-/// soundness; a relaxed 2× candidate-loop speedup floor.
+/// reports at eval thread counts 1/2/7; a relaxed 2× candidate-loop
+/// speedup floor.
 fn smoke() -> ExitCode {
     let spec = scale::smoke(
         "eval-smoke",
@@ -191,11 +162,10 @@ fn smoke() -> ExitCode {
     );
     let cfg = RunConfig::from_spec(&spec, 9, ExecMode::MultiGrain, 8);
 
-    // Byte-identical adapt runs across eval thread counts, with
-    // pruning on.
+    // Byte-identical adapt runs across eval thread counts.
     let mut runs: Vec<AdaptRun> = Vec::new();
     for eval_threads in [1usize, 2, 7] {
-        match adapt(&cfg, harness_opts(eval_threads)) {
+        match harness(&cfg, eval_threads) {
             Ok(r) => runs.push(r),
             Err(e) => {
                 println!("EVAL SMOKE: FAIL ({eval_threads} eval threads: {e})");
@@ -219,25 +189,6 @@ fn smoke() -> ExitCode {
         }
     }
 
-    // Estimator soundness against the exact evaluation.
-    let exact = match adapt(&cfg, EvalOptions::default()) {
-        Ok(r) => r,
-        Err(e) => {
-            println!("EVAL SMOKE: FAIL (exact run: {e})");
-            return ExitCode::FAILURE;
-        }
-    };
-    let sound = match exact.report.selected {
-        Some(i) => {
-            first.report.candidates[i].status.is_replayed() && first.report.selected == Some(i)
-        }
-        None => first.report.selected.is_none(),
-    };
-    if !sound {
-        println!("EVAL SMOKE: FAIL (pruning discarded or changed the exact winner)");
-        return ExitCode::FAILURE;
-    }
-
     // Wall-clock floor: the full harness vs the legacy loop. The full
     // table asserts 3×; the smoke gate relaxes to 2× for noisy CI
     // runners.
@@ -246,11 +197,14 @@ fn smoke() -> ExitCode {
         let _ = record(&cfg)?;
         let base_ms = t.elapsed().as_secs_f64() * 1e3;
         let t = Instant::now();
-        let _ = adapt(&cfg, seq_opts())?;
+        let seq = seq(&cfg)?;
         let seq_ms = (t.elapsed().as_secs_f64() * 1e3 - base_ms).max(0.1);
         let t = Instant::now();
-        let _ = adapt(&cfg, harness_opts(8))?;
+        let har = harness(&cfg, 8)?;
         let har_ms = (t.elapsed().as_secs_f64() * 1e3 - base_ms).max(0.1);
+        if har.report.to_json() != seq.report.to_json() {
+            return Err("har8 report diverged from sequential".into());
+        }
         Ok((base_ms, seq_ms, har_ms))
     })() {
         Ok(v) => v,
@@ -267,7 +221,7 @@ fn smoke() -> ExitCode {
         return ExitCode::FAILURE;
     }
     println!(
-        "EVAL SMOKE: OK ({} candidates, {} replayed after pruning, loop speedup {speedup:.2}x, reports byte-identical at eval threads 1/2/7)",
+        "EVAL SMOKE: OK ({} candidates, {} replayed, loop speedup {speedup:.2}x, reports byte-identical at eval threads 1/2/7)",
         first.report.candidates.len(),
         first
             .report
@@ -296,15 +250,14 @@ fn main() -> ExitCode {
 
     println!("Shared candidate-evaluation harness vs the legacy sequential loop");
     println!("(adaptation over generated scale programs, k=9, 8 virtual threads, MultiGrain).");
-    println!("Times are the candidate loop only (baseline recording subtracted). seq =");
-    println!("hoisting off, 1 eval worker, exact; har8 = invariants hoisted, 8 eval");
-    println!("workers, top-{TOP_K} pruning + family guard. `replay` counts candidates whose");
-    println!("cost was measured (deduped configurations share one run); `sound` checks the");
-    println!("pruned run kept and selected the exact winner.");
+    println!("Times are the candidate loop only (baseline recording subtracted). Both");
+    println!("replay every candidate: seq = hoisting off, 1 eval worker; har8 = invariants");
+    println!("hoisted, 8 eval workers. `replay` counts candidates whose cost was measured");
+    println!("(deduped configurations share one run).");
     println!();
     println!(
-        "{:<16} {:>5} {:>6} {:>9} {:>9} {:>8} {:>6}  winner",
-        "Program", "cand", "replay", "seq-ms", "har8-ms", "speedup", "sound"
+        "{:<16} {:>5} {:>6} {:>9} {:>9} {:>8}  winner",
+        "Program", "cand", "replay", "seq-ms", "har8-ms", "speedup"
     );
     let mut rows = Vec::new();
     for spec in specs() {
@@ -320,19 +273,15 @@ fn main() -> ExitCode {
     let mut failed = false;
     for r in &rows {
         println!(
-            "{:<16} {:>5} {:>6} {:>9.1} {:>9.1} {:>7.2}x {:>6}  {}",
+            "{:<16} {:>5} {:>6} {:>9.1} {:>9.1} {:>7.2}x  {}",
             r.name,
             r.cands,
             r.replayed,
             r.seq_ms,
             r.har_ms,
             r.seq_ms / r.har_ms,
-            if r.sound { "yes" } else { "NO" },
             r.winner
         );
-        if !r.sound {
-            failed = true;
-        }
     }
     let total_seq: f64 = rows.iter().map(|r| r.seq_ms).sum();
     let total_har: f64 = rows.iter().map(|r| r.har_ms).sum();
@@ -341,17 +290,16 @@ fn main() -> ExitCode {
     println!(
         "total candidate-loop wall-clock: seq {total_seq:.1}ms, har8 {total_har:.1}ms ({speedup:.2}x)"
     );
-    println!("exact parallel reports matched the sequential bytes on every row; pruning");
-    println!("is advisory (replayed costs exact, estimates recorded per pruned candidate).");
-    // Thread-count determinism, shown on the artifact: the pruned
-    // harness byte-for-byte agrees with itself at eval thread counts
-    // 1, 2, and 7.
+    println!("har8 reports matched the sequential bytes on every row.");
+    // Thread-count determinism, shown on the artifact: the harness
+    // byte-for-byte agrees with itself at eval thread counts 1, 2,
+    // and 7.
     {
         let spec = &specs()[0];
         let cfg = RunConfig::from_spec(spec, 9, ExecMode::MultiGrain, 8);
         let mut jsons = Vec::new();
         for eval_threads in [1usize, 2, 7] {
-            match adapt(&cfg, harness_opts(eval_threads)) {
+            match harness(&cfg, eval_threads) {
                 Ok(r) => jsons.push((r.report.to_json(), r.baseline.trace.digest())),
                 Err(e) => {
                     println!("EVAL TABLE: FAIL ({eval_threads} eval threads: {e})");
@@ -361,7 +309,7 @@ fn main() -> ExitCode {
         }
         if jsons[1..].iter().all(|j| *j == jsons[0]) {
             println!(
-                "reports byte-identical at eval threads 1/2/7 ({}, pruning on).",
+                "reports byte-identical at eval threads 1/2/7 ({}).",
                 cfg.name
             );
         } else {

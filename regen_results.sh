@@ -21,11 +21,10 @@ cargo build --release -q --workspace
 
 # Shared candidate-evaluation harness (DESIGN.md §5.7): the
 # `hoist: false` emulation of the pre-harness sequential candidate
-# loop vs the hoisted, parallel, pruned harness on generated scale
-# programs. The binary exits nonzero when the
-# aggregate candidate-loop speedup drops below 3x, an exact parallel
-# report diverges from the sequential bytes, or pruning discards an
-# exact winner.
+# loop vs the hoisted, parallel harness on generated scale programs,
+# both replaying every candidate. The binary exits nonzero when the
+# aggregate candidate-loop speedup drops below 3x or a harness report
+# diverges from the sequential bytes.
 ./target/release/eval-bench > results_eval.txt
 
 # Analysis-engine throughput: prints the naive-vs-optimized table and

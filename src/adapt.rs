@@ -20,17 +20,14 @@
 //! 2. **Propose** candidate overrides from those profiles — and, for
 //!    convoy-flagged sections, wake-policy candidates that keep the
 //!    lock plan and steer the scheduler (DESIGN.md §5.6).
-//! 3. **Prune** (optionally) by the harness's trace-analytic estimator:
-//!    only the estimated top-k candidates are replayed, the rest carry
-//!    [`EvalStatus::Pruned`].
-//! 4. **Replay** the identical `RunConfig` (same seed, same virtual
-//!    scheduler, same fault plan) under each kept candidate's locks —
+//! 3. **Replay** the identical `RunConfig` (same seed, same virtual
+//!    scheduler, same fault plan) under each candidate's locks —
 //!    **concurrently**, on the harness's eval-thread pool — and
 //!    measure the replayed [`PlanCost`]. Of the candidate recordings
 //!    only the best ranked so far is kept (O(1) memory in candidate
 //!    count); a candidate whose trace overflowed its capacity is
 //!    surfaced as [`EvalStatus::Skipped`], not a silently bogus cost.
-//! 5. **Select** the candidate with the lowest total virtual-time wait,
+//! 4. **Select** the candidate with the lowest total virtual-time wait,
 //!    strictly below the baseline, and emit a machine-readable
 //!    [`DecisionReport`]. The winner was recorded once, by its
 //!    evaluation run: that kept recording is the one returned, and
@@ -349,19 +346,15 @@ pub fn select(
         .map(|(_, _, i)| i)
 }
 
-/// How (whether) one candidate's cost was obtained.
+/// How one candidate's cost was obtained.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub enum EvalStatus {
     /// Replayed exactly; the cost is measured.
     #[default]
     Replayed,
-    /// Ranked out by the trace-analytic estimator before any replay;
-    /// the cost is zeroed and `est` carries the estimated total wait
-    /// that ranked it.
-    Pruned { est: u64 },
-    /// Scheduled for replay but the recording was unusable (e.g. the
-    /// candidate trace overflowed its capacity); the cost is zeroed and
-    /// the reason is surfaced instead of a silently bogus profile.
+    /// Run, but the recording was unusable (e.g. the candidate trace
+    /// overflowed its capacity); the cost is zeroed and the reason is
+    /// surfaced instead of a silently bogus profile.
     Skipped { reason: String },
 }
 
@@ -371,11 +364,10 @@ impl EvalStatus {
         matches!(self, EvalStatus::Replayed)
     }
 
-    /// The `status` member, and `est` / `note` where it has one.
+    /// The `status` member, and `note` where it has one.
     pub(crate) fn write_json(&self, w: &mut Writer) {
         match self {
             EvalStatus::Replayed => w.key("status").str("replayed"),
-            EvalStatus::Pruned { est } => w.key("status").str("pruned").key("est").u64(*est),
             EvalStatus::Skipped { reason } => {
                 w.key("status").str("skipped").key("note").str(reason)
             }
@@ -782,43 +774,6 @@ mod tests {
             .adapt(&AdaptPolicy)
             .unwrap();
         assert_eq!(from_trace.report.to_json(), adapt(1).report.to_json());
-    }
-
-    #[test]
-    fn pruned_adaptation_marks_unreplayed_candidates() {
-        let exact = adapt(1);
-        let n = exact.report.candidates.len();
-        assert!(n >= 2, "need at least two candidates to prune");
-        let pruned = Pipeline::new(cfg()).prune(1).adapt(&AdaptPolicy).unwrap();
-        let replayed = pruned
-            .report
-            .candidates
-            .iter()
-            .filter(|d| d.status.is_replayed())
-            .count();
-        // top-1 plus the diversity guard's family bests: strictly
-        // fewer replays than the exact run when any family has more
-        // than one member.
-        assert!(replayed >= 1 && replayed <= n);
-        if replayed < n {
-            assert!(pruned
-                .report
-                .candidates
-                .iter()
-                .any(|d| matches!(d.status, EvalStatus::Pruned { .. })));
-        }
-        // Pruning is advisory: replayed candidates keep their exact
-        // measured costs.
-        for (p, e) in pruned
-            .report
-            .candidates
-            .iter()
-            .zip(&exact.report.candidates)
-        {
-            if p.status.is_replayed() {
-                assert_eq!(p.cost, e.cost);
-            }
-        }
     }
 
     /// The benchmark's `adapt-scale-d4w6s12` configuration, where a

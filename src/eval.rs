@@ -9,7 +9,7 @@
 //! references. This module is that shape, factored out once —
 //! `EvalContext::baseline` records the baseline for both loops and
 //! `EvalContext::eval_candidates` runs both loops' candidates — and
-//! made fast, in three layers:
+//! made fast, in two layers:
 //!
 //! 1. **Hoisted invariants.** The program is compiled and the
 //!    points-to analysis run **once per evaluation**, shared as
@@ -26,10 +26,8 @@
 //!    merged **by candidate index** — so every report is byte-identical
 //!    at every eval thread count, the same guarantee (and the same
 //!    function) as the analysis engine's Phase B.
-//! 3. **Trace-analytic pruning.** `estimate` scores every candidate
-//!    from the baseline profiles alone; only the estimated `top_k` are
-//!    replayed, the rest are marked [`EvalStatus::Pruned`] in the
-//!    report (see *Trace-analytic estimation* below).
+//!
+//! Every candidate is replayed.
 //!
 //! Memory is O(1) in candidate count: each worker profiles its
 //! recording and keeps the [`PlanCost`]; of the recordings, only the
@@ -41,50 +39,6 @@
 //! surfaced as [`EvalStatus::Skipped`] instead of silently
 //! contributing a bogus profile; the baseline overflowing is still a
 //! hard error, since every candidate's evidence derives from it.
-//!
-//! ## Trace-analytic estimation
-//!
-//! Replaying a candidate configuration measures its cost *exactly* but
-//! pays a full deterministic re-execution. `estimate` scores a
-//! candidate **analytically from the baseline trace alone** — a pure
-//! integer function of the recorded wait/hold/revalidation profiles —
-//! so the harness can rank candidates first and replay only the most
-//! promising `top_k`.
-//!
-//! The model is deliberately coarse; it only has to *rank*, not
-//! predict. Per adjustment, the recoverable share of the target
-//! section's recorded wait `W` (with `R` total revalidation retries):
-//!
-//! * **Globalize** — the plan collapses to one lock: no multi-lock
-//!   negotiation, no descriptor drift, so most of the blocked time is
-//!   recoverable: `3W/4`.
-//! * **Coarsen** — the expression locks go, the points-to locks stay:
-//!   `W/2`, plus a drift bonus `min(W/4, 100·R)` because every retry
-//!   re-ran the acquire protocol the coarse plan does not have.
-//! * **RaiseK** — finer expression locks shave residual interference
-//!   on an *uncontended* section: `W/8`.
-//! * **WakePolicy** — wake candidates only exist for convoy-flagged
-//!   sections, where the queue never drains and most recorded wait is
-//!   queueing behind an unfortunate wake order: `W/2`.
-//!
-//! The model ranks candidates *within* one adjustment family reliably
-//! (same formula, ordered by the target section's recorded wait) but
-//! across families the constant factors are guesses. `prune`
-//! therefore carries a **diversity guard**: besides the overall
-//! `top_k`, every family's best-estimated candidates (including exact
-//! ties — the model cannot distinguish the two wake policies of one
-//! section) are always kept, so a family the constants under-rate
-//! still gets its strongest member replayed.
-//!
-//! The estimate is **advisory**: pruning with it never changes a
-//! replayed cost, and `prune: None` keeps exact behavior. The
-//! `eval-bench` gate asserts the pruned set always contains the
-//! replay-selected winner on every bench workload, which is the
-//! empirical soundness statement this model is held to.
-//!
-//! Everything is integer arithmetic on `u64` counters — no floats, no
-//! clocks — so identical profiles produce identical scores on any
-//! machine, at any parallelism.
 
 use crate::adapt::{rank, Adjustment, Candidate, EvalStatus, PlanCost, Rank};
 use crate::replay::{execute, stamp_outcome, Recording, RepairEntry, RunConfig};
@@ -96,20 +50,17 @@ use std::borrow::Cow;
 use std::sync::{Arc, Mutex, PoisonError};
 use trace::SectionProfile;
 
-/// Knobs of one harness evaluation. [`Default`] is the exact,
-/// fully-parallel configuration: every candidate replayed, eval
-/// workers one per core, invariants hoisted. The lock inference inside
-/// each run is not a knob: it always runs one Phase B worker per core,
-/// and its outcome is the same at every worker count.
+/// Knobs of one harness evaluation. [`Default`] is the fully-parallel
+/// configuration: eval workers one per core, invariants hoisted. The
+/// lock inference inside each run is not a knob: it always runs one
+/// Phase B worker per core, and its outcome is the same at every worker
+/// count.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct EvalOptions {
     /// Concurrent candidate replays (`0` = one per core). The outcome
     /// is identical for every value — results merge in candidate
     /// order.
     pub eval_threads: usize,
-    /// Replay only the estimator's `top_k` candidates (`None` = exact:
-    /// replay everything).
-    pub prune: Option<usize>,
     /// Share one compiled program / points-to result / summary store
     /// across all candidates and deduplicate candidates naming the
     /// same effective run configuration. `false` re-derives everything
@@ -124,7 +75,6 @@ impl Default for EvalOptions {
     fn default() -> EvalOptions {
         EvalOptions {
             eval_threads: 0,
-            prune: None,
             hoist: true,
         }
     }
@@ -406,75 +356,6 @@ fn wake_of(c: &Candidate) -> Option<interp::PolicyKind> {
     }
 }
 
-/// Recorded wait/revalidation totals of one section, the estimator's
-/// entire view of it.
-fn section_totals(profiles: &[SectionProfile], section: u32) -> (u64, u64) {
-    profiles
-        .iter()
-        .find(|p| p.section == section)
-        .map(|p| (p.wait.sum, p.revalidations.sum))
-        .unwrap_or((0, 0))
-}
-
-/// Estimated wait ticks `adjustment` recovers on a section that
-/// recorded `wait` total wait and `reval` revalidation retries.
-fn recoverable(adjustment: Adjustment, wait: u64, reval: u64) -> u64 {
-    let r = match adjustment {
-        Adjustment::Globalize => wait / 4 * 3,
-        Adjustment::Coarsen => wait / 2 + (wait / 4).min(reval.saturating_mul(100)),
-        Adjustment::RaiseK(_) => wait / 8,
-        Adjustment::WakePolicy(_) => wait / 2,
-    };
-    r.min(wait)
-}
-
-/// Estimated total wait after applying `c`, per the model above: the
-/// baseline's total wait minus the target section's recoverable share.
-fn estimate(c: &Candidate, profiles: &[SectionProfile], base: PlanCost) -> u64 {
-    let (wait, reval) = section_totals(profiles, c.section);
-    base.total_wait
-        .saturating_sub(recoverable(c.adjustment, wait, reval))
-}
-
-/// The candidate indices worth replaying: the `top_k` lowest estimated
-/// post-change total waits (ties broken by candidate order), plus the
-/// diversity guard — every adjustment family's best-estimated
-/// candidates, including exact ties. Returned **in canonical candidate
-/// order** so the evaluation merge stays byte-identical at every eval
-/// thread count. `top_k >= cands.len()` keeps everything (pruning
-/// off).
-fn prune(
-    cands: &[Candidate],
-    profiles: &[SectionProfile],
-    base: PlanCost,
-    top_k: usize,
-) -> Vec<usize> {
-    let ests: Vec<u64> = cands.iter().map(|c| estimate(c, profiles, base)).collect();
-    let mut ranked: Vec<(u64, usize)> = ests.iter().copied().zip(0..).collect();
-    ranked.sort_unstable();
-    ranked.truncate(top_k);
-    let mut keep: Vec<usize> = ranked.into_iter().map(|(_, i)| i).collect();
-    // Diversity guard: the constants comparing families are guesses,
-    // so each family's strongest members always get replayed.
-    let family = |a: &Adjustment| std::mem::discriminant(a);
-    let mut best: Vec<(std::mem::Discriminant<Adjustment>, u64)> = Vec::new();
-    for (c, &e) in cands.iter().zip(&ests) {
-        let f = family(&c.adjustment);
-        match best.iter_mut().find(|(bf, _)| *bf == f) {
-            Some((_, be)) => *be = (*be).min(e),
-            None => best.push((f, e)),
-        }
-    }
-    for (i, (c, &e)) in cands.iter().zip(&ests).enumerate() {
-        let f = family(&c.adjustment);
-        if best.iter().any(|&(bf, be)| bf == f && be == e) && !keep.contains(&i) {
-            keep.push(i);
-        }
-    }
-    keep.sort_unstable();
-    keep
-}
-
 /// Everything one candidate round evaluates against: the hoisted
 /// context, the run being adapted, its baseline map/profiles/cost, and
 /// the harness knobs.
@@ -518,25 +399,21 @@ pub(crate) struct Singles {
     pub kept: Option<(Rank, Recording)>,
 }
 
-/// Evaluates one set of single-override candidates through the pruned,
+/// Evaluates one set of single-override candidates through the
 /// parallel pipeline, keeping the winner's recording ([`Singles`]).
-///
-/// Each group's recording ranks at its first member's index, the one
-/// selection names: the group's members describe one run, so ties
-/// between groups break exactly as [`select`](crate::adapt::select) breaks
-/// them over the expanded per-candidate costs.
 ///
 /// Candidates naming the same *effective run configuration* — the same
 /// override set and wake policy, e.g. one wake policy proposed for two
 /// different convoy sections (steering is global, so both describe the
-/// identical run) — are **deduplicated**: the configuration replays
-/// once and every duplicate carries the shared measured cost as
-/// [`EvalStatus::Replayed`]. Pruning and the estimator's diversity
-/// guard operate on the deduplicated groups, each represented by its
-/// best-estimated member, so a group is kept or pruned as a whole.
-/// The legacy-emulation mode (`hoist: false`) skips the dedup and
-/// replays each candidate individually; determinism makes the
-/// resulting report byte-identical either way.
+/// identical run) — are **deduplicated**: the group's first member
+/// replays once and every member carries the shared measured cost as
+/// [`EvalStatus::Replayed`]. The group's recording ranks at that first
+/// member's index, the one selection names, so ties between groups
+/// break exactly as [`select`](crate::adapt::select) breaks them over
+/// the expanded per-candidate costs. The legacy-emulation mode
+/// (`hoist: false`) skips the dedup and replays each candidate
+/// individually; determinism makes the resulting report byte-identical
+/// either way.
 ///
 /// # Errors
 ///
@@ -552,75 +429,48 @@ pub(crate) fn eval_singles(scope: &EvalScope<'_>, cands: &[Candidate]) -> Result
         base_cost,
         opts,
     } = scope;
-    let ests: Vec<u64> = cands
-        .iter()
-        .map(|c| estimate(c, profiles, base_cost))
-        .collect();
-    // Group by effective configuration, preserving first-seen order.
-    // The legacy-emulation mode (`hoist: false`) replays every
-    // candidate individually instead.
+    // Group by effective configuration, preserving first-seen order:
+    // `group[i]` is candidate `i`'s group, `firsts[g]` group `g`'s
+    // first member. The legacy-emulation mode (`hoist: false`) gives
+    // every candidate a group of its own.
     type Key = (Vec<(u32, SchemeConfig)>, Option<interp::PolicyKind>);
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    if opts.hoist {
-        let mut keys: Vec<Key> = Vec::new();
-        for (i, c) in cands.iter().enumerate() {
+    let mut keys: Vec<Key> = Vec::new();
+    let mut firsts: Vec<usize> = Vec::new();
+    let mut group: Vec<usize> = Vec::with_capacity(cands.len());
+    for (i, c) in cands.iter().enumerate() {
+        let seen = if opts.hoist {
             let key: Key = (c.config_map(base_map).overrides().to_vec(), wake_of(c));
-            match keys.iter().position(|k| *k == key) {
-                Some(g) => groups[g].push(i),
-                None => {
-                    keys.push(key);
-                    groups.push(vec![i]);
-                }
+            let seen = keys.iter().position(|k| *k == key);
+            if seen.is_none() {
+                keys.push(key);
             }
-        }
-    } else {
-        groups = (0..cands.len()).map(|i| vec![i]).collect();
+            seen
+        } else {
+            None
+        };
+        group.push(seen.unwrap_or_else(|| {
+            firsts.push(i);
+            firsts.len() - 1
+        }));
     }
-    // One representative per group: the member the estimator rates
-    // best (ties by candidate order — deterministic).
-    let reps: Vec<Candidate> = groups
+    let jobs: Vec<(Cow<'_, RunConfig>, ConfigMap)> = firsts
         .iter()
-        .map(|members| {
-            let &best = members
-                .iter()
-                .min_by_key(|&&i| (ests[i], i))
-                .expect("groups are non-empty");
-            cands[best]
-        })
-        .collect();
-    let keep: Vec<usize> = match opts.prune {
-        Some(top_k) => prune(&reps, profiles, base_cost, top_k),
-        None => (0..reps.len()).collect(),
-    };
-    let jobs: Vec<(Cow<'_, RunConfig>, ConfigMap)> = keep
-        .iter()
-        .map(|&g| {
-            let rep = &reps[g];
+        .map(|&i| {
             (
-                EvalContext::candidate_cfg(cfg, rep, profiles),
-                rep.config_map(base_map),
+                EvalContext::candidate_cfg(cfg, &cands[i], profiles),
+                cands[i].config_map(base_map),
             )
         })
         .collect();
     let best = Best::new();
-    let runs = ctx.eval_candidates(&jobs, opts.eval_threads, |j, run| {
-        let rank = rank(base_cost, run.cost, groups[keep[j]][0]);
-        if let (Some(r), Some(rec)) = (rank, run.rec) {
+    let runs = ctx.eval_candidates(&jobs, opts.eval_threads, |g, run| {
+        if let (Some(r), Some(rec)) = (rank(base_cost, run.cost, firsts[g]), run.rec) {
             best.offer(r, rec);
         }
         (run.cost, run.status)
     })?;
-    let mut out: Vec<(PlanCost, EvalStatus)> = ests
-        .iter()
-        .map(|&est| (PlanCost::default(), EvalStatus::Pruned { est }))
-        .collect();
-    for (j, shared) in runs.into_iter().enumerate() {
-        for &i in &groups[keep[j]] {
-            out[i] = shared.clone();
-        }
-    }
     Ok(Singles {
-        costs: out,
+        costs: group.iter().map(|&g| runs[g].clone()).collect(),
         kept: best.into_inner(),
     })
 }
@@ -628,122 +478,8 @@ pub(crate) fn eval_singles(scope: &EvalScope<'_>, cands: &[Candidate]) -> Result
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adapt::{select, Trigger};
-    use interp::PolicyKind;
+    use crate::adapt::select;
     use proptest::prelude::*;
-    use trace::Histogram;
-
-    fn hist(samples: &[u64]) -> Histogram {
-        let mut h = Histogram::default();
-        for &s in samples {
-            h.add(s);
-        }
-        h
-    }
-
-    fn prof(section: u32, wait: &[u64], reval: &[u64]) -> SectionProfile {
-        SectionProfile {
-            section,
-            entries: wait.len() as u64,
-            aborts: 0,
-            wait: hist(wait),
-            hold: hist(&[10; 4][..wait.len().min(4)]),
-            revalidations: hist(reval),
-        }
-    }
-
-    fn cand(section: u32, adjustment: Adjustment) -> Candidate {
-        Candidate {
-            section,
-            config: SchemeConfig::full(3, None),
-            adjustment,
-            trigger: Trigger::Contention,
-        }
-    }
-
-    #[test]
-    fn globalize_recovers_more_than_raise_k() {
-        let profiles = vec![prof(1, &[400, 400], &[0, 0])];
-        let base = PlanCost {
-            total_wait: 800,
-            ..PlanCost::default()
-        };
-        let g = estimate(&cand(1, Adjustment::Globalize), &profiles, base);
-        let r = estimate(&cand(1, Adjustment::RaiseK(6)), &profiles, base);
-        assert!(g < r, "globalize {g} must rank ahead of raise-k {r}");
-        assert_eq!(g, 800 - 600);
-        assert_eq!(r, 800 - 100);
-    }
-
-    #[test]
-    fn drift_bonus_prefers_coarsening_reval_heavy_sections() {
-        let profiles = vec![prof(1, &[100, 100], &[0, 0]), prof(2, &[100, 100], &[3, 4])];
-        let base = PlanCost {
-            total_wait: 400,
-            ..PlanCost::default()
-        };
-        let calm = estimate(&cand(1, Adjustment::Coarsen), &profiles, base);
-        let drifty = estimate(&cand(2, Adjustment::Coarsen), &profiles, base);
-        assert!(drifty < calm, "{drifty} !< {calm}");
-    }
-
-    #[test]
-    fn recoverable_never_exceeds_the_section_wait() {
-        // A huge drift bonus cannot fabricate more recovery than the
-        // section ever waited.
-        let profiles = vec![prof(1, &[8], &[1000])];
-        let base = PlanCost {
-            total_wait: 1000,
-            ..PlanCost::default()
-        };
-        let e = estimate(&cand(1, Adjustment::Coarsen), &profiles, base);
-        assert!(e >= 1000 - 8, "recovered more than the section waited");
-    }
-
-    #[test]
-    fn unknown_sections_estimate_as_no_change() {
-        let base = PlanCost {
-            total_wait: 500,
-            ..PlanCost::default()
-        };
-        assert_eq!(estimate(&cand(9, Adjustment::Globalize), &[], base), 500);
-    }
-
-    #[test]
-    fn prune_keeps_top_k_in_canonical_order() {
-        let profiles = vec![
-            prof(1, &[10, 10], &[0, 0]),
-            prof(2, &[500, 500], &[0, 0]),
-            prof(3, &[200, 200], &[0, 0]),
-        ];
-        let base = PlanCost {
-            total_wait: 1420,
-            ..PlanCost::default()
-        };
-        let cands = vec![
-            cand(1, Adjustment::RaiseK(6)),
-            cand(2, Adjustment::Globalize),
-            cand(3, Adjustment::Coarsen),
-            cand(2, Adjustment::Coarsen),
-        ];
-        let keep = prune(&cands, &profiles, base, 2);
-        // Section 2's candidates recover the most (top-2 = 1 and 3);
-        // the diversity guard keeps the raise-k family's only member
-        // too. Candidate 2 — a coarsen beaten by candidate 3 within
-        // its own family — is the one pruned. Indices stay sorted.
-        assert_eq!(keep, vec![0, 1, 3]);
-        // top_k >= len keeps everything.
-        assert_eq!(prune(&cands, &profiles, base, 10), vec![0, 1, 2, 3]);
-        // The guard keeps exact ties within a family: two wake
-        // policies on the same section are indistinguishable to the
-        // model, so both survive a top-1 prune.
-        let wakes = vec![
-            cand(2, Adjustment::WakePolicy(PolicyKind::ShortestExpectedHold)),
-            cand(2, Adjustment::WakePolicy(PolicyKind::ReaderBatch)),
-            cand(3, Adjustment::WakePolicy(PolicyKind::ShortestExpectedHold)),
-        ];
-        assert_eq!(prune(&wakes, &profiles, base, 1), vec![0, 1]);
-    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]

@@ -26,7 +26,7 @@
 //! |---|---|
 //! | [`adapt`] | profile-guided adaptation: candidates (and convoy detection) from wait/hold profiles, ranking, selection |
 //! | [`reinfer`] | quarantine-aware re-inference: diagnose sentinel violations, repair demoted sections, admission |
-//! | [`eval`] | the shared candidate harness both loops replay through, with its trace-analytic estimator |
+//! | [`eval`] | the shared candidate harness both loops replay every candidate through |
 //! | [`replay`] | deterministic record/replay over traced executions |
 //! | [`obs`] | metrics: trace-derived snapshots, merged with a recording's end-of-run gauges; exporters |
 //!

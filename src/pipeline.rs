@@ -17,7 +17,7 @@
 //! use atomic_lock_inference as ali;
 //! # fn cfg() -> ali::replay::RunConfig { unimplemented!() }
 //! let run = ali::Pipeline::new(cfg())
-//!     .prune(4)
+//!     .eval_threads(4)
 //!     .adapt(&ali::lockinfer::AdaptPolicy)?;
 //! # Ok::<(), String>(())
 //! ```
@@ -53,9 +53,8 @@ pub struct Pipeline {
 }
 
 impl Pipeline {
-    /// A pipeline over `cfg` with default [`EvalOptions`]: exact (no
-    /// pruning), one eval worker and one analysis worker per core,
-    /// invariants hoisted.
+    /// A pipeline over `cfg` with default [`EvalOptions`]: one eval
+    /// worker and one analysis worker per core, invariants hoisted.
     pub fn new(cfg: RunConfig) -> Pipeline {
         Pipeline {
             cfg,
@@ -86,12 +85,6 @@ impl Pipeline {
         self
     }
 
-    /// Replay only the estimator's `top_k` candidates.
-    pub fn prune(mut self, top_k: usize) -> Pipeline {
-        self.opts.prune = Some(top_k);
-        self
-    }
-
     /// The run configuration this pipeline measures.
     pub fn config(&self) -> &RunConfig {
         &self.cfg
@@ -101,8 +94,8 @@ impl Pipeline {
     // Terminals
 
     /// Profile-guided per-section adaptation: baseline → wait/hold
-    /// profiles → policy candidates → replayed evaluation (optionally
-    /// pruned) → strict-improvement selection. See [`crate::adapt`]
+    /// profiles → policy candidates → replayed evaluation →
+    /// strict-improvement selection. See [`crate::adapt`]
     /// for the loop's full contract.
     ///
     /// # Errors
@@ -135,7 +128,7 @@ impl Pipeline {
                 status,
             })
             .collect();
-        // Pruned and skipped candidates have no measured cost.
+        // Skipped candidates have no measured cost.
         let selected = select(
             base_cost,
             decisions
@@ -420,12 +413,11 @@ mod tests {
                 .eval_threads(threads)
                 .adapt(&AdaptPolicy)
                 .unwrap();
-            let mut statuses = [0usize; 3];
+            let mut statuses = [0usize; 2];
             for d in &run.report.candidates {
                 statuses[match d.status {
                     EvalStatus::Replayed => 0,
-                    EvalStatus::Pruned { .. } => 1,
-                    EvalStatus::Skipped { .. } => 2,
+                    EvalStatus::Skipped { .. } => 1,
                 }] += 1;
             }
             let adapted = run.adapted.map(|rec| rec.gauges);

@@ -26,8 +26,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// The whole loop — record, profile, propose, replay, select — is a
-    /// pure function of the run configuration: the exact (unpruned)
-    /// loop's eval parallelism must never leak into the decision.
+    /// pure function of the run configuration: the loop's eval
+    /// parallelism must never leak into the decision.
     #[test]
     fn decision_is_identical_at_every_eval_thread_count(
         which in 0usize..3,

@@ -193,14 +193,42 @@ fn a_wake_policy_wins_the_adapt_loop_and_matches_its_steered_recording() {
     };
     assert_eq!(cost_of(adapted), winner.cost);
 
+    // Steering is global, so every wake candidate — the winner and
+    // the rest, whichever section proposed it — describes its policy's
+    // one steered run and carries that recording's cost.
     let profiles = ali::trace::profile(&run.baseline.trace);
-    let steered = record(&RunConfig {
-        sched: Some(SchedConfig::from_profiles(
-            PolicyKind::ReaderBatch,
-            &profiles,
-        )),
-        ..cfg
-    })
-    .expect("steered run");
-    assert_eq!(cost_of(&steered), winner.cost);
+    let mut steered: Vec<(PolicyKind, PlanCost)> = Vec::new();
+    let mut wakes = 0;
+    for (i, d) in run.report.candidates.iter().enumerate() {
+        let Adjustment::WakePolicy(kind) = d.candidate.adjustment else {
+            continue;
+        };
+        wakes += 1;
+        let cost = match steered.iter().find(|(k, _)| *k == kind) {
+            Some(&(_, cost)) => cost,
+            None => {
+                let cost = cost_of(
+                    &record(&RunConfig {
+                        sched: Some(SchedConfig::from_profiles(kind, &profiles)),
+                        ..cfg.clone()
+                    })
+                    .expect("steered run"),
+                );
+                steered.push((kind, cost));
+                cost
+            }
+        };
+        assert_eq!(
+            d.cost, cost,
+            "candidate {i} (section {})",
+            d.candidate.section
+        );
+    }
+    // 18 wake candidates over two policies: two effective
+    // configurations.
+    assert_eq!(
+        (run.report.candidates.len(), wakes, steered.len()),
+        (19, 18, 2),
+        "candidates, wake candidates, steered runs"
+    );
 }
