@@ -59,13 +59,13 @@
 //!   a per-engine memo. Flow-insensitive locks are invariant under both
 //!   operations and never enter a memo; replaying one through a summary
 //!   reuses its id unless the dependent asked for another effect.
-//! * **Program tables built once, or when first read.** Predecessors
-//!   are one flat table per function ([`lir::cfg::Predecessors`]: one
-//!   `u32` list and where each point's slice starts), not a `Vec` per
-//!   point. Mod sets are built when the first fine lock crosses a
-//!   call, by whichever engine meets one first (Phase A, or any Phase B
-//!   thread: they are a pure function of the program), and at k = 0
-//!   never.
+//! * **Program tables built when first read.** Predecessors are one
+//!   flat table per function ([`lir::cfg::Predecessors`]: one `u32`
+//!   list and where each point's slice starts), not a `Vec` per point,
+//!   built when the first fact is popped. Mod sets are built when the
+//!   first fine lock crosses a call. Either is built by whichever
+//!   engine needs it first (Phase A, or any Phase B thread: both are a
+//!   pure function of the program), and at k = 0 neither is.
 //! * **Shared summaries (Phase A / Phase B).** Function summaries are
 //!   computed *once per program*, not once per section: a sequential
 //!   pre-pass (Phase A) solves the `Gen` context of every function any
@@ -80,16 +80,19 @@
 //!   entry locks are an antichain in arrival order (`SummarySet`),
 //!   which its dependents replay. Its path-`⊤` members — class locks
 //!   `(⊤, P, ε)` and the global lock, at most one per class because
-//!   `ro ≤ rw` — are also indexed engine-wide by `(context, class)`, so
-//!   an arriving class lock is checked against two keys (`P` and `⊤`)
-//!   instead of the whole set and, in a set without fine members,
-//!   replaces at most the old `(⊤, P, ro)`. At k = 0 every lock is a
-//!   class lock and Phase A is nothing but these inserts and the
-//!   replays they trigger: on the 71.6-kloc `spec70k-k0` program
-//!   227 105 of them used to scan 38.2 M set entries, and now scan
-//!   none; a replay neither clones a term nor re-hashes one, nor
-//!   copies the dependents it walks, and no predecessor list or mod
-//!   set is read. A set with fine members keeps the scan.
+//!   `ro ≤ rw` — are also indexed engine-wide by context and class
+//!   (`ClassIndex`: classes numbered densely as the engine meets them,
+//!   one row of slots per context in one flat array), so an arriving
+//!   class lock is checked against two slots (`P` and `⊤`) instead of
+//!   the whole set and, in a set without fine members, replaces at
+//!   most the old `(⊤, P, ro)`. At k = 0 every lock is a class lock
+//!   and Phase A is nothing but these inserts and the replays they
+//!   trigger: on the 71.6-kloc `spec70k-k0` program 227 105 of them
+//!   used to scan 38.2 M set entries, then probed a 91 k-key hash map
+//!   twice each, and now read two slots; a replay neither clones a
+//!   term nor re-hashes one, nor copies the dependents it walks, and
+//!   no predecessor table or mod set is built. A set with fine members
+//!   keeps the scan.
 //! * **Parallel sections.** Because a Phase B engine is a pure,
 //!   deterministic function of the program and the frozen cache,
 //!   independent sections are solved on a [`std::thread::scope`] pool
@@ -339,14 +342,11 @@ pub fn analyze_program_with_configs(
     threads: usize,
     store: Option<&SummaryStore>,
 ) -> ProgramAnalysis {
-    // Only a fine lock crossing a call reads the mod sets; at k = 0
-    // there is none, and they are never built.
+    // Only a fine lock crossing a call reads the mod sets, and only a
+    // popped fact the predecessor tables; at k = 0 there is neither,
+    // and neither is built.
     let modsets = OnceLock::new();
-    let preds: Vec<Predecessors> = program
-        .functions
-        .iter()
-        .map(|f| predecessors(&f.body))
-        .collect();
+    let preds = OnceLock::new();
     let mut secs: Vec<(FnId, AtomicRegion)> = Vec::new();
     for func in &program.functions {
         for region in atomic_regions(&func.body) {
@@ -698,8 +698,9 @@ struct EngineEnv<'a> {
     /// Built by the first engine that needs them: a pure function of
     /// the program, so which engine that is changes no output.
     modsets: &'a OnceLock<Vec<ModSet>>,
-    /// Predecessor tables, indexed by function id.
-    preds: &'a [Predecessors],
+    /// Predecessor tables, indexed by function id; built like
+    /// `modsets`, by the first engine to pop a fact.
+    preds: &'a OnceLock<Vec<Predecessors>>,
 }
 
 /// Per-engine work counters; merged into [`AnalysisStats`].
@@ -1076,7 +1077,7 @@ struct Engine<'a> {
     tctx: TransferCtx<'a>,
     lib: &'a LibrarySpec,
     modsets: &'a OnceLock<Vec<ModSet>>,
-    preds: &'a [Predecessors],
+    preds: &'a OnceLock<Vec<Predecessors>>,
     cache: Option<&'a SummaryCache>,
     root: Option<(FnId, AtomicRegion)>,
     locks: LockCache,
@@ -1090,10 +1091,10 @@ struct Engine<'a> {
     /// Per context, the entry locks a `Gen` or `Query` context has
     /// found so far.
     summaries: Vec<SummarySet>,
-    /// The path-`⊤` member of every summary set, by `(context,`
-    /// [`LockRec::pathless_key`]`)`: one engine-wide map, so a set
-    /// without such members allocates nothing for them.
-    pathless: IdMap<(u32, u32), u32>,
+    /// The path-`⊤` member of every summary set, by context and class:
+    /// one engine-wide flat index, so a set without such members
+    /// allocates nothing for them.
+    pathless: ClassIndex,
     points: PointStates,
     queue: Vec<(u32, u32)>,
     /// Results of pushing lock `lid` backward across instruction
@@ -1137,7 +1138,7 @@ impl<'a> Engine<'a> {
             ctx_ids: IdMap::default(),
             ctx_states: Vec::new(),
             summaries: Vec::new(),
-            pathless: IdMap::default(),
+            pathless: ClassIndex::default(),
             points: PointStates::default(),
             queue: Vec::new(),
             transfer_memo: IdMap::default(),
@@ -1168,10 +1169,10 @@ impl<'a> Engine<'a> {
     /// function and every *started* query gets an entry, so Phase B can
     /// distinguish "solved, empty" from "never solved".
     fn freeze(self, gen_fns: &[FnId]) -> (SummaryCache, EngineStats) {
-        let rank = structural_ranks(&self.locks.arcs);
+        let order = StructuralOrder::of(&self.locks.arcs);
         let sorted = |ctx: Ctx| {
             let mut ids = self.summary_ids(ctx);
-            ids.sort_unstable_by_key(|&id| rank[id as usize]);
+            order.sort(&mut ids);
             ids
         };
         let gen = gen_fns.iter().map(|&f| (f, sorted(Ctx::Gen(f)))).collect();
@@ -1279,12 +1280,14 @@ impl<'a> Engine<'a> {
     /// in ascending local id.
     fn drain(&mut self) {
         let mut ids: Vec<u32> = Vec::new();
+        let mut preds = None;
         while let Some((ctx, idx)) = self.queue.pop() {
+            let preds = *preds.get_or_insert_with(|| self.preds());
             let s = self.ctx_states[ctx as usize] + idx;
             self.points.drain(s, &mut ids);
             for &lid in &ids {
                 self.stats.pops += 1;
-                self.process(ctx, idx, lid);
+                self.process(ctx, idx, lid, preds);
             }
         }
     }
@@ -1337,7 +1340,7 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn process(&mut self, ctx: u32, idx: u32, lid: u32) {
+    fn process(&mut self, ctx: u32, idx: u32, lid: u32, preds: &[Predecessors]) {
         debug_assert!(!self.locks.flow_insensitive[lid as usize]);
         if idx == 0 {
             self.record_terminal(ctx, lid);
@@ -1345,7 +1348,6 @@ impl<'a> Engine<'a> {
         }
         let program = self.program;
         let func = self.ctx_fn(ctx);
-        let preds = self.preds;
         let body = &program.func(func).body;
         let is_root = matches!(self.ctxdb[ctx as usize], Ctx::Root);
         let region = self.root.map(|(_, r)| r);
@@ -1679,18 +1681,159 @@ impl<'a> Engine<'a> {
         self.modsets
             .get_or_init(|| compute_modsets(self.program, self.pt, self.lib))
     }
+
+    /// The program's predecessor tables, built on first use.
+    fn preds(&self) -> &'a [Predecessors] {
+        let functions = &self.program.functions;
+        self.preds
+            .get_or_init(|| functions.iter().map(|f| predecessors(&f.body)).collect())
+    }
 }
 
-/// Each term's position in the structural order of `arcs`. Terms are
-/// distinct, so sorting ids by rank is sorting them by term.
-fn structural_ranks(arcs: &[Arc<AbsLock>]) -> Vec<u32> {
-    let mut order: Vec<u32> = (0..arcs.len() as u32).collect();
-    order.sort_unstable_by(|&a, &b| arcs[a as usize].cmp(&arcs[b as usize]));
-    let mut rank = vec![0; arcs.len()];
-    for (r, &id) in order.iter().enumerate() {
-        rank[id as usize] = r as u32;
+/// The structural order of one lock table's terms. Terms are distinct,
+/// so sorting ids by rank is sorting them by term.
+struct StructuralOrder {
+    /// Each id's position in the order.
+    rank: Vec<u32>,
+    /// The id at each position.
+    ids: Vec<u32>,
+}
+
+impl StructuralOrder {
+    fn of(arcs: &[Arc<AbsLock>]) -> Self {
+        let mut ids: Vec<u32> = (0..arcs.len() as u32).collect();
+        ids.sort_unstable_by(|&a, &b| arcs[a as usize].cmp(&arcs[b as usize]));
+        let mut rank = vec![0; arcs.len()];
+        for (r, &id) in ids.iter().enumerate() {
+            rank[id as usize] = r as u32;
+        }
+        StructuralOrder { rank, ids }
     }
-    rank
+
+    /// Sorts distinct ids of the table structurally: as their ranks,
+    /// which compare without reading the table.
+    fn sort(&self, ids: &mut [u32]) {
+        for id in ids.iter_mut() {
+            *id = self.rank[*id as usize];
+        }
+        ids.sort_unstable();
+        for r in ids.iter_mut() {
+            *r = self.ids[*r as usize];
+        }
+    }
+}
+
+/// An empty slot of [`ClassIndex`], or a lock id not yet numbered.
+const NO_MEMBER: u32 = u32::MAX;
+
+/// The path-`⊤` members of every summary set of one engine — class
+/// locks `(⊤, P, ε)` and the global lock, at most one per class in a
+/// set — by context and class. Classes are numbered densely in the
+/// order the engine meets them (the global lock's is 0), and each
+/// context with such a member owns one row of `width` slots in one flat
+/// array, so a lookup is two loads and no hash. Rows widen together,
+/// by doubling, when a class past the width arrives.
+#[derive(Default)]
+struct ClassIndex {
+    /// Per lock id, its class's number (`NO_MEMBER` until asked).
+    class_of: Vec<u32>,
+    /// The number of each [`LockRec::pathless_key`] but `TOP` met so
+    /// far, from 1.
+    numbers: IdMap<u32, u32>,
+    /// Per context, its row (`NO_MEMBER` until its first member).
+    rows: Vec<u32>,
+    /// Slots per row, a power of two above every class number.
+    width: u32,
+    /// The rows: each slot the member's lock id, or `NO_MEMBER`.
+    slots: Vec<u32>,
+}
+
+impl ClassIndex {
+    /// The number of path-`⊤` lock `id`'s class `key`.
+    fn class(&mut self, id: u32, key: u32) -> u32 {
+        let id = id as usize;
+        if id >= self.class_of.len() {
+            self.class_of.resize(id + 1, NO_MEMBER);
+        }
+        if self.class_of[id] == NO_MEMBER {
+            let next = self.numbers.len() as u32 + 1;
+            self.class_of[id] = match key {
+                LockRec::TOP => 0,
+                _ => *self.numbers.entry(key).or_insert(next),
+            };
+        }
+        self.class_of[id]
+    }
+
+    /// The member of class `class` in context `ctx`'s set.
+    fn get(&self, ctx: u32, class: u32) -> Option<u32> {
+        let row = *self.rows.get(ctx as usize)?;
+        if row == NO_MEMBER || class >= self.width {
+            return None;
+        }
+        let id = self.slots[self.at(row, class)];
+        (id != NO_MEMBER).then_some(id)
+    }
+
+    fn slot(&mut self, ctx: u32, class: u32) -> &mut u32 {
+        if class >= self.width {
+            self.widen((class + 1).next_power_of_two().max(16));
+        }
+        if ctx as usize >= self.rows.len() {
+            self.rows.resize(ctx as usize + 1, NO_MEMBER);
+        }
+        if self.rows[ctx as usize] == NO_MEMBER {
+            self.rows[ctx as usize] = self.slots.len() as u32 / self.width;
+            let len = self.slots.len() + self.width as usize;
+            self.slots.resize(len, NO_MEMBER);
+        }
+        let at = self.at(self.rows[ctx as usize], class);
+        &mut self.slots[at]
+    }
+
+    /// Where slot `class` of row `row` lies in `slots`.
+    fn at(&self, row: u32, class: u32) -> usize {
+        row as usize * self.width as usize + class as usize
+    }
+
+    fn widen(&mut self, width: u32) {
+        let old = std::mem::take(&mut self.slots);
+        let n_rows = if self.width == 0 {
+            0
+        } else {
+            old.len() / self.width as usize
+        };
+        self.slots = vec![NO_MEMBER; n_rows * width as usize];
+        for r in 0..n_rows {
+            let from = &old[r * self.width as usize..][..self.width as usize];
+            self.slots[r * width as usize..][..from.len()].copy_from_slice(from);
+        }
+        self.width = width;
+    }
+
+    fn insert(&mut self, ctx: u32, class: u32, id: u32) {
+        *self.slot(ctx, class) = id;
+    }
+
+    fn remove(&mut self, ctx: u32, class: u32) {
+        *self.slot(ctx, class) = NO_MEMBER;
+    }
+
+    /// The member of class `key` in context `ctx`'s set.
+    #[cfg(test)]
+    fn member(&self, ctx: u32, key: u32) -> Option<u32> {
+        let class = match key {
+            LockRec::TOP => 0,
+            _ => *self.numbers.get(&key)?,
+        };
+        self.get(ctx, class)
+    }
+
+    /// How many members the index holds.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.slots.iter().filter(|&&id| id != NO_MEMBER).count()
+    }
 }
 
 /// The entry locks of one summary context: an antichain in arrival
@@ -1710,30 +1853,24 @@ impl SummarySet {
     /// path-`⊤` arrival — the one of its class or the global one, two
     /// lookups — and in a set without fine members only its class's old
     /// member can lie below it.
-    fn add(
-        &mut self,
-        recs: &[LockRec],
-        pathless: &mut IdMap<(u32, u32), u32>,
-        ctx: u32,
-        id: u32,
-    ) -> bool {
+    fn add(&mut self, recs: &[LockRec], pathless: &mut ClassIndex, ctx: u32, id: u32) -> bool {
         let rec = recs[id as usize];
-        let key = rec.pathless_key();
-        let covers = |k| {
+        let class = rec.pathless_key().map(|k| pathless.class(id, k));
+        let covers = |c| {
             pathless
-                .get(&(ctx, k))
-                .is_some_and(|&m| rec.leq(recs[m as usize]))
+                .get(ctx, c)
+                .is_some_and(|m| rec.leq(recs[m as usize]))
         };
-        let covered = match key {
-            Some(k) => covers(k) || covers(LockRec::TOP),
+        let covered = match class {
+            Some(c) => covers(c) || covers(0),
             None => self.ids.iter().any(|&l| rec.leq(recs[l as usize])),
         };
         if covered {
             return false;
         }
-        match key {
-            Some(k) if self.fine == 0 && k != LockRec::TOP => {
-                if let Some(&old) = pathless.get(&(ctx, k)) {
+        match class {
+            Some(c) if self.fine == 0 && c != 0 => {
+                if let Some(old) = pathless.get(ctx, c) {
                     debug_assert!(recs[old as usize].leq(rec));
                     let at = self.ids.iter().position(|&l| l == old);
                     self.ids.remove(at.expect("indexed members are in the set"));
@@ -1746,17 +1883,16 @@ impl SummarySet {
                 }
                 match below.pathless_key() {
                     Some(k) => {
-                        pathless.remove(&(ctx, k));
+                        let c = pathless.class(l, k);
+                        pathless.remove(ctx, c);
                     }
                     None => self.fine -= 1,
                 }
                 false
             }),
         }
-        match key {
-            Some(k) => {
-                pathless.insert((ctx, k), id);
-            }
+        match class {
+            Some(c) => pathless.insert(ctx, c, id),
             None => self.fine += 1,
         }
         self.ids.push(id);
@@ -1789,6 +1925,34 @@ mod tests {
             pts: Some(PtsClass(pts)),
             eff,
         }
+    }
+
+    /// Widening the rows keeps every member where it was: the index
+    /// agrees with a map over many classes met in an interleaved order
+    /// across contexts, removals included.
+    #[test]
+    fn the_class_index_keeps_its_members_as_it_widens() {
+        let mut index = ClassIndex::default();
+        let mut model = HashMap::new();
+        for step in 0..600u32 {
+            let (ctx, key) = (step % 7, (step * 37) % 300);
+            let id = step;
+            let class = index.class(id, key);
+            if step % 5 == 4 {
+                index.remove(ctx, class);
+                model.remove(&(ctx, key));
+            } else {
+                index.insert(ctx, class, id);
+                model.insert((ctx, key), id);
+            }
+        }
+        assert!(index.width >= 256, "the rows widened past 300 classes");
+        for ctx in 0..7 {
+            for key in 0..300 {
+                assert_eq!(index.member(ctx, key), model.get(&(ctx, key)).copied());
+            }
+        }
+        assert_eq!(index.len(), model.len());
     }
 
     #[test]
@@ -1987,7 +2151,7 @@ mod tests {
             }
         }
 
-        /// Sorting ids by [`structural_ranks`] is sorting them by term,
+        /// Sorting ids by [`StructuralOrder`] is sorting them by term,
         /// as `freeze` did before it ranked: for random lock tables of
         /// every shape — fine paths of several steps and bases, `x̄`,
         /// class and global locks, `ro` and `rw`, with and without
@@ -2021,9 +2185,8 @@ mod tests {
                 .filter(|&i| i < picked.len() && !std::mem::replace(&mut picked[i], true))
                 .map(|i| i as u32)
                 .collect();
-            let rank = structural_ranks(&table.arcs);
             let mut by_rank = ids.clone();
-            by_rank.sort_unstable_by_key(|&id| rank[id as usize]);
+            StructuralOrder::of(&table.arcs).sort(&mut by_rank);
             let arcs = &table.arcs;
             ids.sort_by(|&a, &b| arcs[a as usize].cmp(&arcs[b as usize]));
             proptest::prop_assert_eq!(by_rank, ids);
@@ -2043,7 +2206,7 @@ mod tests {
             ),
         ) {
             let mut table = LockCache::default();
-            let mut pathless = IdMap::default();
+            let mut pathless = ClassIndex::default();
             let mut sets = [SummarySet::default(), SummarySet::default()];
             let mut scans: [Vec<u32>; 2] = Default::default();
             for (shape, base, class, rw, ctx) in arrivals {
@@ -2072,7 +2235,7 @@ mod tests {
             for (ctx, scan) in scans.iter().enumerate() {
                 for &l in scan {
                     if let Some(k) = table.recs[l as usize].pathless_key() {
-                        proptest::prop_assert_eq!(pathless.get(&(ctx as u32, k)), Some(&l));
+                        proptest::prop_assert_eq!(pathless.member(ctx as u32, k), Some(l));
                         members += 1;
                     }
                 }

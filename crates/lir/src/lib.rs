@@ -9,8 +9,11 @@
 //! The pipeline is:
 //!
 //! 1. [`parser::parse`] — C-like surface syntax → [`ast::SModule`]. The
-//!    lexer ([`lexer::lex`]) interns every identifier into the module's
-//!    [`Interner`] as it scans, so tokens and AST names are [`Symbol`]s,
+//!    parser pulls one token at a time from a [`lexer::Lexer`], which
+//!    interns every identifier into the module's [`Interner`] as it
+//!    scans, so tokens and AST names are [`Symbol`]s and no token list
+//!    is built. The tree is `Copy` nodes linked by `u32` ids into three
+//!    arenas of the module (expressions, statements, call arguments),
 //!    and the parser bounds nesting at [`parser::MAX_DEPTH`] levels;
 //! 2. [`lower::lower`] — AST → canonical three-address [`ir::Program`]
 //!    (exactly the statement forms the paper's transfer functions

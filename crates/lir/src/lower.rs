@@ -78,6 +78,7 @@ pub fn lower(module: &SModule) -> Result<Program, LowerError> {
     // Reserve the dynamic pseudo-field first so tests get stable ids.
     program.elem_field();
     let mut lw = Lowerer {
+        ast: module,
         tables: Tables::new(&module.names),
         bindings: vec![UNBOUND; module.names.len()],
         program,
@@ -167,7 +168,9 @@ struct LoopCtx {
     break_patches: Vec<usize>,
 }
 
-struct Lowerer {
+struct Lowerer<'a> {
+    /// The module being lowered: its arenas hold the bodies.
+    ast: &'a SModule,
     program: Program,
     tables: Tables,
     /// The innermost local each source name is bound to. Scopes are
@@ -190,7 +193,7 @@ struct Lowerer {
     n_temps: u32,
 }
 
-impl Lowerer {
+impl Lowerer<'_> {
     fn text(&self, name: Symbol) -> &str {
         self.program.interner.resolve(name)
     }
@@ -278,12 +281,14 @@ impl Lowerer {
         for &p in &f.params {
             params.push(self.declare(p, VarKind::Param)?);
         }
-        self.stmts(&f.body)?;
+        self.stmts(f.body)?;
         self.instrs.push(Instr::Ret);
         self.unbind_to(0);
-        let mut locals = std::mem::take(&mut self.locals);
-        locals.push(ret);
-        let body = std::mem::take(&mut self.instrs);
+        // The scratch vectors keep their capacity for the next function;
+        // the function gets exactly what it holds.
+        self.locals.push(ret);
+        let locals = self.locals.drain(..).collect();
+        let body = self.instrs.drain(..).collect();
         self.program.add_function(Function {
             id,
             name: f.name,
@@ -367,14 +372,15 @@ impl Lowerer {
         }
     }
 
-    fn stmts(&mut self, body: &[SStmt]) -> Result<(), LowerError> {
-        for s in body {
+    fn stmts(&mut self, body: Run) -> Result<(), LowerError> {
+        let ast = self.ast;
+        for &s in ast.block(body) {
             self.stmt(s)?;
         }
         Ok(())
     }
 
-    fn scoped(&mut self, body: &[SStmt]) -> Result<(), LowerError> {
+    fn scoped(&mut self, body: Run) -> Result<(), LowerError> {
         let mark = self.undo.len();
         self.scope += 1;
         let r = self.stmts(body);
@@ -382,10 +388,10 @@ impl Lowerer {
         self.unbind_to(mark);
         r
     }
-    fn stmt(&mut self, s: &SStmt) -> Result<(), LowerError> {
+    fn stmt(&mut self, s: SStmt) -> Result<(), LowerError> {
         match s {
             SStmt::Let(name, init) => {
-                let v = self.declare(*name, VarKind::Local)?;
+                let v = self.declare(name, VarKind::Local)?;
                 match init {
                     Some(e) => self.lower_into(e, v)?,
                     None => {
@@ -394,9 +400,9 @@ impl Lowerer {
                 }
                 Ok(())
             }
-            SStmt::Assign(lv, e) => match lv {
+            SStmt::Assign(lv, e) => match self.ast.expr(lv) {
                 SExpr::Var(name) => {
-                    let v = self.resolve(*name)?;
+                    let v = self.resolve(name)?;
                     self.lower_into(e, v)
                 }
                 _ => {
@@ -424,7 +430,7 @@ impl Lowerer {
                 let br = self.emit(Instr::Branch(cv, 0, 0));
                 let then_start = self.here();
                 self.scoped(then)?;
-                if els.is_empty() {
+                if els.len == 0 {
                     let end = self.here();
                     self.instrs[br] = Instr::Branch(cv, then_start, end);
                 } else {
@@ -539,14 +545,14 @@ impl Lowerer {
 
     /// Lowers `e` directly into destination variable `dest` where
     /// possible (avoiding a temp + copy).
-    fn lower_into(&mut self, e: &SExpr, dest: VarId) -> Result<(), LowerError> {
-        match e {
+    fn lower_into(&mut self, e: ExprId, dest: VarId) -> Result<(), LowerError> {
+        match self.ast.expr(e) {
             SExpr::Var(name) => {
-                let v = self.resolve(*name)?;
+                let v = self.resolve(name)?;
                 self.emit(Instr::Assign(dest, Rvalue::Copy(v)));
             }
             SExpr::Int(n) => {
-                self.emit(Instr::Assign(dest, Rvalue::ConstInt(*n)));
+                self.emit(Instr::Assign(dest, Rvalue::ConstInt(n)));
             }
             SExpr::Null => {
                 self.emit(Instr::Assign(dest, Rvalue::Null));
@@ -564,13 +570,13 @@ impl Lowerer {
                 self.emit(Instr::Assign(dest, rv));
             }
             SExpr::NewStruct(name) => {
-                let Some(si) = lookup(&self.tables.structs, *name) else {
-                    return err(format!("unknown struct `{}`", self.text(*name)));
+                let Some(si) = lookup(&self.tables.structs, name) else {
+                    return err(format!("unknown struct `{}`", self.text(name)));
                 };
                 let size = self.program.structs[si as usize].fields.len().max(1);
                 self.emit(Instr::Assign(dest, Rvalue::Alloc(size)));
             }
-            SExpr::NewArray(n) => match **n {
+            SExpr::NewArray(n) => match self.ast.expr(n) {
                 SExpr::Int(k) if k >= 0 => {
                     self.emit(Instr::Assign(dest, Rvalue::Alloc(k as usize)));
                 }
@@ -580,10 +586,10 @@ impl Lowerer {
                 }
             },
             SExpr::Call(name, args) => {
-                let rv = self.call_rvalue(*name, args)?;
+                let rv = self.call_rvalue(name, args)?;
                 self.emit(Instr::Assign(dest, rv));
             }
-            SExpr::Binop(kind, a, b) => match binop_class(*kind) {
+            SExpr::Binop(kind, a, b) => match binop_class(kind) {
                 OpClass::Arith(op) => {
                     let va = self.lower_val(a)?;
                     let vb = self.lower_val(b)?;
@@ -614,9 +620,9 @@ impl Lowerer {
     }
 
     /// Lowers `e` to a variable holding its value.
-    fn lower_val(&mut self, e: &SExpr) -> Result<VarId, LowerError> {
-        if let SExpr::Var(name) = e {
-            return self.resolve(*name);
+    fn lower_val(&mut self, e: ExprId) -> Result<VarId, LowerError> {
+        if let SExpr::Var(name) = self.ast.expr(e) {
+            return self.resolve(name);
         }
         let t = self.temp();
         self.lower_into(e, t)?;
@@ -625,7 +631,7 @@ impl Lowerer {
 
     /// Lowers an lvalue to a variable holding the *address* of the
     /// denoted cell.
-    fn lower_addr(&mut self, lv: &SExpr) -> Result<VarId, LowerError> {
+    fn lower_addr(&mut self, lv: ExprId) -> Result<VarId, LowerError> {
         let rv = self.addr_rvalue(lv)?;
         if let Rvalue::Copy(v) = rv {
             return Ok(v);
@@ -636,10 +642,10 @@ impl Lowerer {
     }
 
     /// The rvalue computing the address of an lvalue.
-    fn addr_rvalue(&mut self, lv: &SExpr) -> Result<Rvalue, LowerError> {
-        match lv {
+    fn addr_rvalue(&mut self, lv: ExprId) -> Result<Rvalue, LowerError> {
+        match self.ast.expr(lv) {
             SExpr::Var(name) => {
-                let v = self.resolve(*name)?;
+                let v = self.resolve(name)?;
                 self.program.vars[v.0 as usize].addr_taken = true;
                 Ok(Rvalue::AddrOf(v))
             }
@@ -649,10 +655,10 @@ impl Lowerer {
             }
             SExpr::Arrow(base, fname) => {
                 let b = self.lower_val(base)?;
-                let Some(f) = lookup(&self.tables.fields, *fname) else {
+                let Some(f) = lookup(&self.tables.fields, fname) else {
                     return err(format!(
                         "unknown field `{}` in `{}`",
-                        self.text(*fname),
+                        self.text(fname),
                         self.text(self.fn_name)
                     ));
                 };
@@ -667,9 +673,10 @@ impl Lowerer {
         }
     }
 
-    fn call_rvalue(&mut self, name: Symbol, args: &[SExpr]) -> Result<Rvalue, LowerError> {
-        let mut vals = Vec::with_capacity(args.len());
-        for a in args {
+    fn call_rvalue(&mut self, name: Symbol, args: Run) -> Result<Rvalue, LowerError> {
+        let ast = self.ast;
+        let mut vals = Vec::with_capacity(args.len as usize);
+        for &a in ast.args(args) {
             vals.push(self.lower_val(a)?);
         }
         if let Some((intr, n)) = self.tables.intrinsics[name.0 as usize] {
@@ -699,8 +706,8 @@ impl Lowerer {
     /// Short-circuit `&&` (is_and) / `||`, producing 0/1 into `dest`.
     fn lower_short_circuit(
         &mut self,
-        a: &SExpr,
-        b: &SExpr,
+        a: ExprId,
+        b: ExprId,
         is_and: bool,
         dest: VarId,
     ) -> Result<(), LowerError> {

@@ -19,13 +19,20 @@
 //! `<`/`<=`/`>`/`>=`, `+`/`-`, `*`/`/`/`%`, unary (`!` `-` `*` `&`),
 //! postfix (`->f`, `[e]`, `(args)`).
 //!
-//! Nesting is bounded by [`MAX_DEPTH`]: every pass over the tree
-//! (parsing, lowering, printing, dropping) recurses once per level, so
-//! the bound is what keeps a hostile source from overflowing the stack.
+//! The parser pulls tokens from a [`Lexer`] one at a time and builds
+//! the module's arenas bottom-up: a node is pushed when its parent is
+//! built, and a block's statements (a call's arguments) wait on a
+//! scratch stack until the block (list) closes and then move to the
+//! arena as one run.
+//!
+//! Nesting is bounded by [`MAX_DEPTH`]: parsing, lowering and printing
+//! recurse once per level, so the bound is what keeps a hostile source
+//! from overflowing the stack. Dropping a module frees its vectors and
+//! recurses into nothing.
 
 use crate::ast::*;
-use crate::intern::{Interner, Symbol};
-use crate::lexer::{lex, LexError, Spanned, Tok};
+use crate::intern::Symbol;
+use crate::lexer::{LexError, Lexer, Spanned, Tok};
 use std::fmt;
 
 /// The deepest a module may nest. The levels on a path from a function
@@ -34,7 +41,8 @@ use std::fmt;
 /// parentheses and each expression node (operators, `->f`, `[e]`,
 /// calls, `new(n)`, and the leaf itself); parsing rejects a module with
 /// a longer path. A left-deep chain like `a + b + c` is one level per
-/// operator.
+/// operator. Parsing, lowering and printing recurse once per level;
+/// dropping a module frees its arenas and recurses into nothing.
 pub const MAX_DEPTH: u32 = 256;
 
 /// A parse error with a source line.
@@ -65,8 +73,9 @@ impl From<LexError> for ParseError {
 ///
 /// # Errors
 ///
-/// Returns the first lexical or syntactic error encountered, or a
-/// nesting error past [`MAX_DEPTH`].
+/// Returns the source's first lexical error, wherever it lies;
+/// otherwise the first syntactic error, or a nesting error past
+/// [`MAX_DEPTH`].
 ///
 /// # Examples
 ///
@@ -78,44 +87,89 @@ impl From<LexError> for ParseError {
 /// # Ok::<(), lir::parser::ParseError>(())
 /// ```
 pub fn parse(src: &str) -> Result<SModule, ParseError> {
-    let mut names = Interner::new();
-    let toks = lex(src, &mut names)?;
     let mut p = Parser {
-        toks,
-        pos: 0,
-        names,
+        lexer: Lexer::new(src),
+        cur: Spanned {
+            tok: Tok::Eof,
+            line: 1,
+        },
+        lex_error: None,
         depth: 0,
+        m: SModule::default(),
+        open_stmts: Vec::new(),
+        open_args: Vec::new(),
     };
-    p.module()
+    p.bump();
+    let parsed = p.module();
+    // A lex error anywhere in the source beats a parse error before it,
+    // so a failed parse lexes on to the end.
+    if let Some(e) = p.lex_rest() {
+        return Err(e.into());
+    }
+    parsed?;
+    let mut m = p.m;
+    m.names = p.lexer.into_names();
+    Ok(m)
 }
 
-/// An expression and its height: the levels from it down to its
-/// deepest leaf, counted as [`MAX_DEPTH`] counts them.
+/// An expression not yet in the arena, and its height: the levels
+/// from it down to its deepest leaf, counted as [`MAX_DEPTH`] counts
+/// them. The parent that takes it as an operand pushes it, so a name
+/// that turns out to be a callee never becomes a node.
 type Expr = (SExpr, u32);
 
-struct Parser {
-    toks: Vec<Spanned>,
-    pos: usize,
-    names: Interner,
+struct Parser<'a> {
+    lexer: Lexer<'a>,
+    /// The current token: the parser's one token of lookahead.
+    cur: Spanned,
+    /// The lexer's error, once it has met one; the current token is
+    /// then `Eof`.
+    lex_error: Option<LexError>,
     /// Levels open above the current token.
     depth: u32,
+    /// The module being built; its interner is the lexer's until
+    /// [`parse`] is done.
+    m: SModule,
+    /// The statements of every block still open, innermost last.
+    open_stmts: Vec<SStmt>,
+    /// The arguments of every call still open, innermost last.
+    open_args: Vec<ExprId>,
 }
 
-impl Parser {
+impl Parser<'_> {
     fn peek(&self) -> Tok {
-        self.toks[self.pos].tok
+        self.cur.tok
     }
 
     fn line(&self) -> u32 {
-        self.toks[self.pos].line
+        self.cur.line
     }
 
-    /// Advances past the current token; the cursor stays on the final
-    /// `Eof`.
+    /// Pulls the next token. A lex error is kept for [`parse`] to
+    /// report, and ends the token stream.
     fn bump(&mut self) {
-        if self.pos + 1 < self.toks.len() {
-            self.pos += 1;
+        if self.lex_error.is_some() {
+            return;
         }
+        match self.lexer.token() {
+            Ok(t) => self.cur = t,
+            Err(e) => {
+                self.cur.tok = Tok::Eof;
+                self.lex_error = Some(e);
+            }
+        }
+    }
+
+    /// Lexes the rest of the source; its first error, if any.
+    fn lex_rest(&mut self) -> Option<LexError> {
+        while self.lex_error.is_none() && self.peek() != Tok::Eof {
+            self.bump();
+        }
+        self.lex_error.take()
+    }
+
+    fn push(&mut self, e: SExpr) -> ExprId {
+        self.m.push_expr(e)
     }
 
     fn err<T>(&self, msg: impl Into<String>) -> Result<T, ParseError> {
@@ -126,7 +180,7 @@ impl Parser {
     }
 
     fn found(&self) -> String {
-        self.peek().describe(&self.names)
+        self.peek().describe(self.lexer.names())
     }
 
     fn expect(&mut self, t: Tok) -> Result<(), ParseError> {
@@ -134,7 +188,7 @@ impl Parser {
             self.bump();
             Ok(())
         } else {
-            let want = t.describe(&self.names);
+            let want = t.describe(self.lexer.names());
             self.err(format!("expected {want}, found {}", self.found()))
         }
     }
@@ -186,8 +240,7 @@ impl Parser {
         Ok(h)
     }
 
-    fn module(&mut self) -> Result<SModule, ParseError> {
-        let mut m = SModule::default();
+    fn module(&mut self) -> Result<(), ParseError> {
         loop {
             match self.peek() {
                 Tok::Eof => break,
@@ -200,12 +253,13 @@ impl Parser {
                         fields.push(self.ident()?);
                         self.expect(Tok::Semi)?;
                     }
-                    m.structs.push(SStruct { name, fields });
+                    self.m.structs.push(SStruct { name, fields });
                 }
                 Tok::Global => {
                     self.bump();
                     loop {
-                        m.globals.push(self.ident()?);
+                        let g = self.ident()?;
+                        self.m.globals.push(g);
                         if !self.eat(Tok::Comma) {
                             break;
                         }
@@ -228,7 +282,7 @@ impl Parser {
                         }
                     }
                     let body = self.block()?;
-                    m.funcs.push(SFunc {
+                    self.m.funcs.push(SFunc {
                         name,
                         params,
                         body,
@@ -238,18 +292,18 @@ impl Parser {
                 _ => return self.err(format!("expected item, found {}", self.found())),
             }
         }
-        m.names = std::mem::take(&mut self.names);
-        Ok(m)
+        Ok(())
     }
 
-    fn block(&mut self) -> Result<Vec<SStmt>, ParseError> {
+    fn block(&mut self) -> Result<Run, ParseError> {
         self.expect(Tok::LBrace)?;
         self.nested(|p| {
-            let mut stmts = Vec::new();
+            let open = p.open_stmts.len();
             while !p.eat(Tok::RBrace) {
-                stmts.push(p.stmt()?);
+                let s = p.stmt()?;
+                p.open_stmts.push(s);
             }
-            Ok(stmts)
+            Ok(p.m.push_block(p.open_stmts.drain(open..)))
         })
     }
 
@@ -259,7 +313,8 @@ impl Parser {
                 self.bump();
                 let name = self.ident()?;
                 let init = if self.eat(Tok::Assign) {
-                    Some(self.expr()?)
+                    let e = self.expr()?;
+                    Some(self.push(e))
                 } else {
                     None
                 };
@@ -275,6 +330,7 @@ impl Parser {
                 self.bump();
                 self.expect(Tok::LParen)?;
                 let cond = self.expr()?;
+                let cond = self.push(cond);
                 self.expect(Tok::RParen)?;
                 Ok(SStmt::While(cond, self.block()?))
             }
@@ -283,7 +339,8 @@ impl Parser {
                 let val = if self.peek() == Tok::Semi {
                     None
                 } else {
-                    Some(self.expr()?)
+                    let e = self.expr()?;
+                    Some(self.push(e))
                 };
                 self.expect(Tok::Semi)?;
                 Ok(SStmt::Return(val))
@@ -307,11 +364,11 @@ impl Parser {
                     if !is_lvalue(&e) {
                         return self.err("left-hand side of `=` is not assignable");
                     }
-                    Ok(SStmt::Assign(e, rhs))
+                    Ok(SStmt::Assign(self.push(e), self.push(rhs)))
                 } else {
                     self.expect(Tok::Semi)?;
                     match e {
-                        SExpr::Call(..) => Ok(SStmt::Expr(e)),
+                        SExpr::Call(..) => Ok(SStmt::Expr(self.push(e))),
                         _ => self.err("only calls may be used as expression statements"),
                     }
                 }
@@ -323,16 +380,18 @@ impl Parser {
         self.expect(Tok::If)?;
         self.expect(Tok::LParen)?;
         let cond = self.expr()?;
+        let cond = self.push(cond);
         self.expect(Tok::RParen)?;
         let then = self.block()?;
         let els = if self.eat(Tok::Else) {
             if self.peek() == Tok::If {
-                vec![self.nested(Self::if_stmt)?]
+                let chained = self.nested(Self::if_stmt)?;
+                self.m.push_block([chained])
             } else {
                 self.block()?
             }
         } else {
-            Vec::new()
+            Run::default()
         };
         Ok(SStmt::If(cond, then, els))
     }
@@ -359,13 +418,13 @@ impl Parser {
             self.bump();
             let (rhs, rh) = self.nested(|p| p.binary(prec + 1))?;
             h = self.node(1 + h.max(rh))?;
-            lhs = SExpr::Binop(op, Box::new(lhs), Box::new(rhs));
+            lhs = SExpr::Binop(op, self.push(lhs), self.push(rhs));
         }
         Ok((lhs, h))
     }
 
     fn unary(&mut self) -> Result<Expr, ParseError> {
-        let wrap: fn(Box<SExpr>) -> SExpr = match self.peek() {
+        let wrap: fn(ExprId) -> SExpr = match self.peek() {
             Tok::Bang => SExpr::Not,
             Tok::Minus => SExpr::Neg,
             Tok::Star => SExpr::Deref,
@@ -378,7 +437,7 @@ impl Parser {
         if addr_of && !is_lvalue(&inner) {
             return self.err("`&` requires an lvalue operand");
         }
-        Ok((wrap(Box::new(inner)), self.node(h + 1)?))
+        Ok((wrap(self.push(inner)), self.node(h + 1)?))
     }
 
     fn postfix(&mut self) -> Result<Expr, ParseError> {
@@ -389,26 +448,27 @@ impl Parser {
                     self.bump();
                     let f = self.ident()?;
                     h = self.node(h + 1)?;
-                    e = SExpr::Arrow(Box::new(e), f);
+                    e = SExpr::Arrow(self.push(e), f);
                 }
                 Tok::LBracket => {
                     self.bump();
                     let (idx, ih) = self.sub_expr()?;
                     self.expect(Tok::RBracket)?;
                     h = self.node(1 + h.max(ih))?;
-                    e = SExpr::Index(Box::new(e), Box::new(idx));
+                    e = SExpr::Index(self.push(e), self.push(idx));
                 }
                 Tok::LParen => {
                     let SExpr::Var(name) = e else {
                         return self.err("only named functions can be called");
                     };
                     self.bump();
-                    let mut args = Vec::new();
+                    let open = self.open_args.len();
                     let mut ah = 0;
                     if !self.eat(Tok::RParen) {
                         loop {
                             let (arg, h) = self.sub_expr()?;
-                            args.push(arg);
+                            let arg = self.push(arg);
+                            self.open_args.push(arg);
                             ah = ah.max(h);
                             if self.eat(Tok::RParen) {
                                 break;
@@ -417,7 +477,7 @@ impl Parser {
                         }
                     }
                     h = self.node(1 + ah)?;
-                    e = SExpr::Call(name, args);
+                    e = SExpr::Call(name, self.m.push_args(self.open_args.drain(open..)));
                 }
                 _ => break,
             }
@@ -441,7 +501,7 @@ impl Parser {
                         self.bump();
                         let (n, h) = self.sub_expr()?;
                         self.expect(Tok::RParen)?;
-                        Ok((SExpr::NewArray(Box::new(n)), self.node(h + 1)?))
+                        Ok((SExpr::NewArray(self.push(n)), self.node(h + 1)?))
                     }
                     _ => self.err(format!(
                         "expected struct name or `(` after `new`, found {}",
@@ -524,26 +584,26 @@ mod tests {
             .map(|p| m.names.resolve(*p))
             .collect();
         assert_eq!(params, ["from", "to"]);
-        assert!(matches!(m.funcs[0].body[0], SStmt::Atomic(_)));
+        assert!(matches!(m.block(m.funcs[0].body)[0], SStmt::Atomic(_)));
     }
 
     #[test]
     fn parses_precedence() {
         let m = parse("fn f() { let x = 1 + 2 * 3 < 4 && 5 == 6; }").unwrap();
-        let SStmt::Let(_, Some(e)) = &m.funcs[0].body[0] else {
+        let SStmt::Let(_, Some(e)) = m.block(m.funcs[0].body)[0] else {
             panic!()
         };
         // && binds loosest here.
-        assert!(matches!(e, SExpr::Binop(BinKind::And, ..)));
+        assert!(matches!(m.expr(e), SExpr::Binop(BinKind::And, ..)));
     }
 
     #[test]
     fn parses_postfix_chains() {
         let m = parse("fn f(p) { let x = p->a->b[3]; }").unwrap();
-        let SStmt::Let(_, Some(e)) = &m.funcs[0].body[0] else {
+        let SStmt::Let(_, Some(e)) = m.block(m.funcs[0].body)[0] else {
             panic!()
         };
-        assert!(matches!(e, SExpr::Index(..)));
+        assert!(matches!(m.expr(e), SExpr::Index(..)));
     }
 
     #[test]
@@ -551,7 +611,7 @@ mod tests {
         let m = parse("global g, h; struct s { f; } fn f() { g = new s; h = new(10); }").unwrap();
         let globals: Vec<&str> = m.globals.iter().map(|g| m.names.resolve(*g)).collect();
         assert_eq!(globals, ["g", "h"]);
-        assert_eq!(m.funcs[0].body.len(), 2);
+        assert_eq!(m.funcs[0].body.len, 2);
     }
 
     #[test]
@@ -564,10 +624,10 @@ mod tests {
     #[test]
     fn parses_else_if_chain() {
         let m = parse("fn f(x) { if (x == 1) { } else if (x == 2) { } else { } }").unwrap();
-        let SStmt::If(_, _, els) = &m.funcs[0].body[0] else {
+        let SStmt::If(_, _, els) = m.block(m.funcs[0].body)[0] else {
             panic!()
         };
-        assert!(matches!(els[0], SStmt::If(..)));
+        assert!(matches!(m.block(els), [SStmt::If(..)]));
     }
 
     #[test]
@@ -584,5 +644,48 @@ mod tests {
     fn reports_line_numbers() {
         let err = parse("fn f() {\n let x = ;\n}").unwrap_err();
         assert_eq!(err.line, 2);
+    }
+
+    /// The arenas hold exactly the tree: each node is some parent's
+    /// operand or a statement's root, and a callee's name is no node.
+    #[test]
+    fn the_arenas_hold_exactly_the_tree() {
+        let m =
+            parse("fn f(a) { g(a, h(1)); if (a) { a = -a; } } fn g(x, y) { } fn h(z) { }").unwrap();
+        // g(a, h(1)): a, 1, h(1), g(..); the condition a; a = -a: the
+        // operand a, -a, the left-hand a.
+        assert_eq!(m.exprs.len(), 8);
+        assert_eq!(m.args.len(), 3);
+        // g(..); if | a = -a;
+        assert_eq!(m.stmts.len(), 3);
+        assert_eq!(m.to_source().matches("(-a)").count(), 1);
+    }
+
+    /// Lexing finishes before a parse error is reported: a lex error
+    /// later in the source wins over a parse error earlier in it.
+    #[test]
+    fn a_later_lex_error_beats_an_earlier_parse_error() {
+        let src = "fn f() {\n let x = ;\n}\nfn g() { let y = 1 $ 2; }";
+        let err = parse(src).unwrap_err();
+        assert_eq!(
+            (err.line, err.message.as_str()),
+            (4, "unexpected character `$`")
+        );
+        // Without the lex error, the parse error stands.
+        let err = parse(&src.replace('$', "+")).unwrap_err();
+        assert_eq!(
+            (err.line, err.message.as_str()),
+            (2, "expected expression, found `;`")
+        );
+        // So does a nesting error.
+        let deep = format!(
+            "fn f(x) {{ return {}x{}; }} $",
+            "(".repeat(300),
+            ")".repeat(300)
+        );
+        assert_eq!(
+            parse(&deep).unwrap_err().message,
+            "unexpected character `$`"
+        );
     }
 }

@@ -1,8 +1,8 @@
 //! The nesting bound at the source door. Each shape below once
-//! overflowed the host stack (parsing, lowering or dropping recursed
-//! once per level, unbounded); past [`MAX_DEPTH`] each is now a typed
-//! parse error, and a module exactly at the bound compiles on a default
-//! 2 MiB spawned thread.
+//! overflowed the host stack (parsing, lowering or dropping the boxed
+//! tree recursed once per level, unbounded); past [`MAX_DEPTH`] each is
+//! now a typed parse error, and a module exactly at the bound compiles
+//! on a default 2 MiB spawned thread.
 
 use lir::lower::FrontendError;
 use lir::parser::MAX_DEPTH;
@@ -82,6 +82,26 @@ fn a_module_at_the_bound_compiles_on_a_2mib_thread() {
             assert_eq!(program.functions.len(), 1);
         });
     }
+}
+
+/// Every shape at the bound in one module: it parses, lowers, and its
+/// arenas are dropped on the small thread (dropping recurses into
+/// nothing, so only parsing and lowering need the stack).
+#[test]
+fn a_module_at_the_bound_parses_lowers_and_drops_on_a_2mib_thread() {
+    let src: String = shapes()
+        .iter()
+        .enumerate()
+        .map(|(i, (_, shape, n))| shape(*n).replacen("fn f(", &format!("fn f{i}("), 1))
+        .collect();
+    on_2mib_thread(move || {
+        let module = lir::parser::parse(&src).expect("parses");
+        assert_eq!(module.funcs.len(), 5);
+        let program = lir::lower::lower(&module).expect("lowers");
+        assert_eq!(program.functions.len(), 5);
+        drop(module);
+        drop(program);
+    });
 }
 
 #[test]

@@ -57,8 +57,9 @@ pub struct PointsTo {
     /// Union-find parents (frozen after `analyze`; queries use the
     /// compressed `canon` table instead).
     canon: Vec<u32>,
-    /// Points-to successor per canonical cell (by raw cell index).
-    succ: Vec<Option<u32>>,
+    /// Points-to successor per canonical cell (by raw cell index),
+    /// `NO_SUCC` if none.
+    succ: Vec<u32>,
     /// First cell index of the allocation-site block.
     n_vars: usize,
     /// Allocation sites in discovery order, which is sorted; cell of
@@ -73,9 +74,13 @@ pub struct PointsTo {
     members: Vec<u32>,
 }
 
+/// "No successor" in a successor table.
+const NO_SUCC: u32 = u32::MAX;
+
 struct Builder {
     parent: Vec<u32>,
-    succ: Vec<Option<u32>>,
+    /// Each cell's successor, `NO_SUCC` if none.
+    succ: Vec<u32>,
     /// `unify`'s pending pairs, kept between calls for its capacity.
     work: Vec<(u32, u32)>,
 }
@@ -84,7 +89,7 @@ impl Builder {
     fn new(n: usize) -> Self {
         Builder {
             parent: (0..n as u32).collect(),
-            succ: vec![None; n],
+            succ: vec![NO_SUCC; n],
             work: Vec::new(),
         }
     }
@@ -92,7 +97,7 @@ impl Builder {
     fn fresh(&mut self) -> u32 {
         let id = self.parent.len() as u32;
         self.parent.push(id);
-        self.succ.push(None);
+        self.succ.push(NO_SUCC);
         id
     }
 
@@ -116,9 +121,9 @@ impl Builder {
             }
             self.parent[rb as usize] = ra;
             match (self.succ[ra as usize], self.succ[rb as usize]) {
-                (Some(sa), Some(sb)) => self.work.push((sa, sb)),
-                (None, Some(sb)) => self.succ[ra as usize] = Some(sb),
-                _ => {}
+                (_, NO_SUCC) => {}
+                (NO_SUCC, sb) => self.succ[ra as usize] = sb,
+                (sa, sb) => self.work.push((sa, sb)),
             }
         }
     }
@@ -127,12 +132,12 @@ impl Builder {
     fn deref(&mut self, x: u32) -> u32 {
         let r = self.find(x);
         match self.succ[r as usize] {
-            Some(s) => self.find(s),
-            None => {
+            NO_SUCC => {
                 let s = self.fresh();
-                self.succ[r as usize] = Some(s);
+                self.succ[r as usize] = s;
                 s
             }
+            s => self.find(s),
         }
     }
 }
@@ -247,30 +252,34 @@ impl PointsTo {
     /// rewrite successors to canonical representatives.
     fn freeze(mut b: Builder, n_vars: usize, sites: Vec<AllocSite>) -> PointsTo {
         let total = b.parent.len();
-        let mut canon = vec![0u32; total];
         let mut class_of_cell = vec![u32::MAX; total];
         let mut n_classes = 0u32;
+        // Pointing each cell straight at its root leaves a union-find
+        // whose parent table is the canonical one.
         for c in 0..total as u32 {
             let r = b.find(c);
-            canon[c as usize] = r;
+            b.parent[c as usize] = r;
             if class_of_cell[r as usize] == u32::MAX {
                 class_of_cell[r as usize] = n_classes;
                 n_classes += 1;
             }
         }
+        let canon = b.parent;
         let (member_start, members) = group(
             n_classes as usize,
             total,
             |c| class_of_cell[canon[c] as usize] as usize,
             |c| c as u32,
         );
-        // Rewrite succ to canonical representatives.
-        let mut succ = vec![None; total];
-        for r in 0..total as u32 {
-            if canon[r as usize] == r {
-                if let Some(s) = b.succ[r as usize] {
-                    succ[r as usize] = Some(b.find(s));
-                }
+        // Rewrite succ to canonical representatives, in place.
+        let mut succ = b.succ;
+        for (r, s) in succ.iter_mut().enumerate() {
+            if *s != NO_SUCC {
+                *s = if canon[r] == r as u32 {
+                    canon[*s as usize]
+                } else {
+                    NO_SUCC
+                };
             }
         }
         PointsTo {
@@ -321,7 +330,10 @@ impl PointsTo {
         // Find a representative cell of the class.
         let rep = self.members(s)[0];
         let r = self.canon[rep as usize];
-        self.succ[r as usize].map(|t| self.class_of_raw(t))
+        match self.succ[r as usize] {
+            NO_SUCC => None,
+            t => Some(self.class_of_raw(t)),
+        }
     }
 
     /// The class of locations denoted by a lock path expression

@@ -28,7 +28,10 @@ cargo build --release -q --workspace
 ./target/release/eval-bench > results_eval.txt
 
 # Analysis-engine throughput: prints the naive-vs-optimized table and
-# refreshes the committed baseline the CI smoke job checks against.
+# refreshes the committed baseline the CI smoke job checks against. A
+# full run measures every row in three sweeps and records each row from
+# its fastest sweep, so one slow moment of the host does not become a
+# committed time (and a gate).
 ./target/release/analysis-bench --out BENCH_analysis.json \
     | tee results_analysis_bench.txt
 echo DONE
