@@ -42,9 +42,10 @@
 //!   heal in epoch order, sections still serving probation at trace
 //!   end, and half-open transitions dropped by the truncation guard.
 //!   `record --sentinel` arms the sentinel for the run; `--weaken S:I`
-//!   drops inferred lock `I` from section `S` to provoke it. A plan
-//!   that names no lock spec of a MultiGrain `acquireAll` drops
-//!   nothing, and `record` refuses it with one line and exit 1.
+//!   drops inferred lock `I` from section `S` to provoke it. A sentinel
+//!   checks a lock plan, so it is MultiGrain only, and a plan that
+//!   names no lock spec of a MultiGrain `acquireAll` drops nothing:
+//!   `record` refuses either with one line and exit 1.
 //!   `--mode validate` is MultiGrain under the Theorem-1 checker, which
 //!   is the run's sentinel: it takes no `--sentinel` or
 //!   `--sentinel-preset`.
@@ -77,7 +78,7 @@
 
 use atomic_lock_inference::{adapt, obs, replay, Pipeline};
 use bench::cli::{self, Flags, RunArgs};
-use interp::{FaultPlan, SentinelConfig};
+use interp::{ExecMode, FaultPlan, SentinelConfig};
 use lockinfer::AdaptPolicy;
 use std::process::ExitCode;
 use workloads::Contention;
@@ -194,15 +195,16 @@ fn cmd_record(args: &[String]) -> Result<ExitCode, String> {
     }
     let mut cfg = ra.config("record", name)?;
     cfg.faults = faults;
-    // A weakened run is sentinel-armed: the checker if `--mode
-    // validate` armed it, else the default quarantine sentinel.
-    if weaken.is_some() {
+    // A weakened MultiGrain run is sentinel-armed: the checker if
+    // `--mode validate` armed it, else the default quarantine sentinel.
+    // Under another mode the plan drops nothing, and is refused for it.
+    if weaken.is_some() && ra.mode == ExecMode::MultiGrain {
         cfg.sentinel.get_or_insert_with(SentinelConfig::default);
     }
     cfg.weaken = weaken;
     // A configuration the run refuses (a size over its limit, a weaken
-    // plan that names no lock spec) is a failed recording, not a usage
-    // error: one line, exit 1.
+    // plan that names no lock spec, a sentinel outside MultiGrain) is a
+    // failed recording, not a usage error: one line, exit 1.
     let rec = match replay::record(&cfg) {
         Ok(rec) => rec,
         Err(e) => {

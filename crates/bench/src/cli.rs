@@ -295,9 +295,17 @@ mod tests {
         ra.arm_sentinel("record", sampled).unwrap();
         assert_eq!(apply(&mut ra, &["--mode", "validate"]), Err(refusal));
         assert_eq!(ra.sentinel, Some(sampled));
-        // Another mode keeps an armed quarantine sentinel…
+        // Another mode keeps an armed quarantine sentinel, whose run the
+        // door refuses: a sentinel checks a lock plan…
         apply(&mut ra, &["--mode", "stm"]).unwrap();
-        assert_eq!((ra.mode, ra.sentinel), (ExecMode::Stm, Some(sampled)));
+        let cfg = ra.config("record", "list").unwrap();
+        let err = atomic_lock_inference::replay::record(&cfg)
+            .err()
+            .unwrap_or_default();
+        assert!(
+            err.ends_with("bad `sentinel`: it checks a lock plan, and Stm plans none"),
+            "{err}"
+        );
         // …and disarms the checker.
         let mut ra = RunArgs::new(4, Contention::Low);
         apply(&mut ra, &["--mode", "validate"]).unwrap();

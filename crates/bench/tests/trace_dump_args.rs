@@ -1,7 +1,8 @@
 //! `trace-dump record` refuses a weaken plan that would drop nothing —
 //! a section the program does not have, an index past the section's
-//! lock specs, or any plan under STM — with one line and exit 1,
-//! before it records or writes anything.
+//! lock specs, or any plan under STM — and a sentinel outside
+//! MultiGrain with one line and exit 1, before it records or writes
+//! anything.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -41,6 +42,45 @@ fn a_weaken_plan_that_drops_nothing_is_one_line_and_exit_1() {
             String::from_utf8_lossy(&out.stderr),
             format!(
                 "trace-dump: run: bad `weaken` {weaken}: it names no lock spec to drop ({why})\n"
+            ),
+            "{args:?}"
+        );
+        assert!(!dir.join("t.json").exists(), "{args:?}: wrote a trace");
+    }
+}
+
+/// A sentinel checks a lock plan: `record --sentinel` under a mode that
+/// plans none is refused the same way, one line and exit 1.
+#[test]
+fn a_sentinel_outside_multigrain_is_one_line_and_exit_1() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("trace-dump-sentinel");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create the working directory");
+    for (mode, name) in [("global", "Global"), ("stm", "Stm")] {
+        let args = [
+            "record",
+            "list",
+            "--threads",
+            "2",
+            "--ops",
+            "20",
+            "--mode",
+            mode,
+            "--sentinel",
+            "--out",
+            "t.json",
+        ];
+        let out = Command::new(env!("CARGO_BIN_EXE_trace-dump"))
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("trace-dump runs");
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: recorded before refusing");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            format!(
+                "trace-dump: run: bad `sentinel`: it checks a lock plan, and {name} plans none\n"
             ),
             "{args:?}"
         );

@@ -792,6 +792,25 @@ mod tests {
         (ExecMode::MultiGrain, Some(SentinelConfig::validate())),
     ];
 
+    /// A sentinel checks a lock plan: a machine arms none under Global
+    /// or STM, where no grant can miss, nor one that samples no access.
+    #[test]
+    fn only_a_sentinel_that_can_act_is_armed() {
+        for (mode, sample_every, arms) in [
+            (ExecMode::MultiGrain, 1, true),
+            (ExecMode::MultiGrain, 0, false),
+            (ExecMode::Global, 1, false),
+            (ExecMode::Stm, 1, false),
+        ] {
+            let sentinel = Some(SentinelConfig {
+                sample_every,
+                ..SentinelConfig::default()
+            });
+            let m = machine_for(COUNTER_SRC, 3, mode, armed(sentinel)).unwrap();
+            assert_eq!(m.sentinel().is_some(), arms, "{mode:?} {sample_every}");
+        }
+    }
+
     #[test]
     fn real_threads_run_the_blocking_walk() {
         // Real-time workers block in `acquire_all`: four OS threads

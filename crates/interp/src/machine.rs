@@ -166,10 +166,14 @@ pub struct Options {
     /// When set, every worker registers with the machine's one event
     /// log, and the trace is available from [`Machine::take_trace`].
     pub trace: Option<trace::TraceConfig>,
-    /// Online lockset sentinel (`None` = off, zero overhead): inline
-    /// Fig. 6 licensing checks on in-section accesses; a miss demotes
-    /// the section to the global scheme until it serves probation, or
-    /// is a hard [`InterpError::Unprotected`] (`Response::Fail`).
+    /// Online lockset sentinel (`None` = off, zero overhead), MultiGrain
+    /// only: inline Fig. 6 licensing checks of the held grants on
+    /// in-section accesses; a miss demotes the section to the global
+    /// scheme until it serves probation, or is a hard
+    /// [`InterpError::Unprotected`] (`Response::Fail`). A sentinel that
+    /// cannot act is not armed: under Global (whose `⊤` in `X` licenses
+    /// every access), under STM (which holds no grant), or at
+    /// `sample_every` 0.
     pub sentinel: Option<SentinelConfig>,
     /// Wake policy for the virtual-time scheduler (`None` = the legacy
     /// `(clock, tid)` FIFO order, zero overhead, no `["wk", …]`
@@ -179,8 +183,8 @@ pub struct Options {
     /// the replayer).
     pub sched: Option<crate::SchedConfig>,
     /// Staged section repairs from quarantine-aware re-inference
-    /// (empty = none). Dormant until their section heals; inert
-    /// without a sentinel.
+    /// (empty = none). Dormant until their section heals on the
+    /// sentinel's quarantine ladder.
     pub repairs: Vec<RepairSpec>,
 }
 
@@ -240,8 +244,10 @@ struct Heap {
     extents: Vec<AllocMeta>,
 }
 
-/// The shared interpreter state. `Machine` is `Sync`; spawn one
-/// worker per thread (see `Machine::run_threads`).
+/// The shared interpreter state. `Machine` is `Sync`:
+/// [`Machine::run_threads`] shares it between OS threads, and
+/// [`Machine::run_threads_virtual`] resumes its virtual threads on the
+/// calling one.
 pub struct Machine {
     pub(crate) program: Arc<Program>,
     pub(crate) pt: Arc<PointsTo>,
@@ -373,7 +379,10 @@ impl Machine {
             sim_yield_points: AtomicU64::new(0),
             sim_handoffs: AtomicU64::new(0),
             tracer: opts.trace.map(trace::Recorder::new),
-            sentinel: opts.sentinel.map(Sentinel::new),
+            sentinel: opts
+                .sentinel
+                .filter(|s| mode == ExecMode::MultiGrain && s.sample_every > 0)
+                .map(Sentinel::new),
             sched: opts.sched,
             repairs: opts
                 .repairs

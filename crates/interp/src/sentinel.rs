@@ -1,4 +1,4 @@
-//! The online lockset sentinel.
+//! The online lockset sentinel, MultiGrain only: it checks a lock plan.
 //!
 //! The inference guarantee (Theorem 1) only holds if the locks the
 //! runtime actually takes license every in-section access. The trace
@@ -60,8 +60,7 @@ pub enum Response {
 pub struct SentinelConfig {
     /// Check every `sample_every`-th in-section access per worker
     /// (1 = check every access, i.e. sampling off; larger values
-    /// sample; 0 disables the access checks entirely while keeping
-    /// the quarantine bookkeeping live).
+    /// sample). At least 1: 0 checks nothing, so a run refuses it.
     pub sample_every: u32,
     /// What a miss does.
     pub response: Response,
@@ -81,7 +80,7 @@ impl SentinelConfig {
     /// (`n` is a per-worker monotone counter, so the decision is
     /// deterministic under the virtual-time scheduler.)
     pub(crate) fn should_check(&self, n: u64) -> bool {
-        self.sample_every != 0 && n.is_multiple_of(u64::from(self.sample_every))
+        n.is_multiple_of(u64::from(self.sample_every))
     }
 
     /// The production sampling preset. The `sentinel-overhead --check`
@@ -579,11 +578,6 @@ mod tests {
     fn sampling_schedule_is_deterministic() {
         let every = SentinelConfig::default();
         assert!(every.should_check(0) && every.should_check(1));
-        let off = SentinelConfig {
-            sample_every: 0,
-            ..SentinelConfig::default()
-        };
-        assert!(!off.should_check(0));
         let tenth = SentinelConfig {
             sample_every: 10,
             ..SentinelConfig::default()

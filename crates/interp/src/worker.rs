@@ -607,10 +607,6 @@ impl<'m> Worker<'m> {
         self.done = 0;
         self.txn = None;
         self.sec_depth = 0;
-        // The aborted attempt's private allocations are unreachable
-        // (the allocator never reuses addresses); drop their Lemma 2
-        // exemptions.
-        self.my_allocs.clear();
         self.stamp_clock();
         m.space.note_abort();
         self.record(trace::EventKind::StmAbort);
@@ -1033,12 +1029,11 @@ impl<'m> Worker<'m> {
 
     /// Is this in-section access covered? The one coverage predicate,
     /// the sentinel's, whatever its policy: a cell this thread
-    /// allocated inside the open section is exempt (Lemma 2); otherwise,
-    /// under locks, a live grant must license the access under Fig. 6
+    /// allocated inside the open section is exempt (Lemma 2); otherwise
+    /// a live grant must license the access under Fig. 6
     /// (`trace::lockset::licensed`, which the offline validator asks of
     /// a recorded trace; the cell's allocation extent is looked up only
-    /// if a `Pts` or `Range` grant needs it); under STM, the transaction
-    /// must track the cell (or run irrevocably under the commit gate).
+    /// if a `Pts` or `Range` grant needs it).
     fn licensed(&self, addr: u64, write: bool) -> bool {
         // `my_allocs` bases are monotone (allocation order), so the
         // Lemma 2 exemption is a binary search — sections that allocate
@@ -1050,21 +1045,14 @@ impl<'m> Worker<'m> {
                 return true;
             }
         }
-        match self.m.mode {
-            ExecMode::Stm => self
-                .txn
-                .as_ref()
-                .is_some_and(|t| t.is_tracked(addr as usize)),
-            _ => trace::lockset::licensed(self.session.held_modes(), addr, write, || {
-                self.m.extent_class(addr)
-            }),
-        }
+        trace::lockset::licensed(self.session.held_modes(), addr, write, || {
+            self.m.extent_class(addr)
+        })
     }
 
     /// The one coverage check: [`Worker::licensed`] of the in-section
     /// access at `at`, on the sampling schedule. Runs *after* the access
-    /// completed and was traced, so an STM footprint already contains
-    /// the cell it just touched. Exempt, like the post-hoc validator:
+    /// completed and was traced. Exempt, like the post-hoc validator:
     /// protocol reads (descriptor revalidation) and accesses outside
     /// any section.
     ///
@@ -1315,8 +1303,6 @@ impl<'m> Worker<'m> {
                             if self.sec_depth > 1 {
                                 return Ok(false);
                             }
-                            self.current_section = sid;
-                            self.section_violated = false;
                             self.enter = Enter::TxnCharged;
                             self.tick(m.costs.txn_start)?;
                         }
@@ -1386,12 +1372,9 @@ impl<'m> Worker<'m> {
                     self.flush_ticks()?;
                 }
                 Enter::TxnFlushed => {
-                    // A quarantined section runs irrevocably — the
-                    // commit gate serializes it, the STM counterpart of
-                    // the lock modes' global-scheme demotion. So does
-                    // one that starved (see `roll_back`).
-                    let quarantined = m.sentinel.as_ref().is_some_and(|s| s.is_quarantined(sid.0));
-                    if !(self.escalate || quarantined) {
+                    // A section that starved runs irrevocably, under
+                    // the commit gate (see `roll_back`).
+                    if !self.escalate {
                         self.txn = Some(m.space.begin());
                         return self.entered(true);
                     }
@@ -1644,8 +1627,6 @@ impl<'m> Worker<'m> {
                             m.space.note_commit();
                             self.record(trace::EventKind::StmCommit { reads, writes });
                             self.trace_event(trace::EventKind::SectionExit { section: sid.0 });
-                            self.my_allocs.clear();
-                            self.note_section_closed(sid.0);
                             Ok(true)
                         }
                         Err(_) => Err(Exc::Abort),

@@ -368,15 +368,6 @@ impl Txn<'_> {
         self.irrevocable.is_some()
     }
 
-    /// Introspection hook for online monitors: is cell `i` covered by
-    /// this transaction — buffered in the write set, validated in the
-    /// read set, or executed under the irrevocable gate (which excludes
-    /// every concurrent writer, so any access is trivially covered)?
-    /// The STM analogue of `mglock::Session::held_modes`.
-    pub fn is_tracked(&self, i: usize) -> bool {
-        self.irrevocable.is_some() || self.writes.contains_key(&i) || self.reads.contains(&i)
-    }
-
     /// Transactional write (buffered until commit in both modes — an
     /// irrevocable transaction still publishes its whole write set
     /// atomically under the lock-bit protocol, or concurrent optimistic

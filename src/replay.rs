@@ -95,7 +95,7 @@ pub struct RunConfig {
     pub stm_abort_budget: u64,
     /// Fault-injection plan, if any.
     pub faults: Option<FaultPlan>,
-    /// Online lockset sentinel, if enabled.
+    /// Online lockset sentinel, if enabled: MultiGrain only.
     pub sentinel: Option<SentinelConfig>,
     /// Weakened-inference injection, if any.
     pub weaken: Option<WeakenPlan>,
@@ -377,9 +377,11 @@ impl RunConfig {
     /// order: a size [`check_run_size`] refuses for a program of
     /// `globals` globals, a hold table that does not strictly increase
     /// by section, a fault plan that idles a worker for more than
-    /// [`MAX_FAULT_TICKS`] at a time, and a section configuration —
+    /// [`MAX_FAULT_TICKS`] at a time, a section configuration —
     /// `map`'s default, an override or a repair — that is not
-    /// [`SchemeConfig::is_executable`].
+    /// [`SchemeConfig::is_executable`], and a sentinel that cannot act:
+    /// one outside MultiGrain (it checks a lock plan), one that samples
+    /// no access, or none for a repair, which only its ladder installs.
     ///
     /// # Errors
     ///
@@ -403,18 +405,29 @@ impl RunConfig {
         }
         let overrides = map.overrides().iter().map(|&(_, c)| c);
         let repairs = self.repairs.iter().map(|&(_, _, c)| c);
-        match std::iter::once(map.default)
+        if let Some(c) = std::iter::once(map.default)
             .chain(overrides)
             .chain(repairs)
             .find(|c| !c.is_executable())
         {
-            None => Ok(()),
-            Some(c) => Err(format!(
+            return Err(format!(
                 "run: a scheme with expression locks (k={}) but no points-to component \
                  cannot be executed: fine locks need their points-to partition",
                 c.k
-            )),
+            ));
         }
+        let why = match (self.mode, self.sentinel) {
+            (_, Some(s)) if s.sample_every == 0 => "`sentinel_sample`: 0 checks no access".into(),
+            (ExecMode::MultiGrain, Some(_)) => return Ok(()),
+            (mode, Some(_)) => {
+                format!("`sentinel`: it checks a lock plan, and {mode:?} plans none")
+            }
+            (_, None) if !self.repairs.is_empty() => {
+                "`repair`: no sentinel heals a section onto it".into()
+            }
+            (_, None) => return Ok(()),
+        };
+        Err(format!("run: bad {why}"))
     }
 
     /// Applies the weaken plan to `program`, the transformed program
@@ -796,6 +809,7 @@ mod tests {
             ("run.fault_wakeup_ticks", u64_max.to_string()),
             ("run.fault_stall_ticks", u64_max.to_string()),
             ("run.sentinel_sample", (u32_max + 1).to_string()),
+            ("run.sentinel_sample", "0".into()),
             ("run.sentinel_response", "warn".into()),
             // The checker is a sentinel policy, not a discipline.
             ("run.mode", "Validate".into()),
@@ -892,6 +906,15 @@ mod tests {
                 aging: 0,
             })
         };
+        // A sentinel needs MultiGrain's lock plan and a sampling period
+        // of at least 1; a repair needs a sentinel to heal onto it.
+        let sentinel = |sample_every| {
+            Some(SentinelConfig {
+                sample_every,
+                ..SentinelConfig::default()
+            })
+        };
+        let repair = || vec![(0, 0, SchemeConfig::full(3, None))];
         let cases = [
             (
                 "threads",
@@ -928,6 +951,31 @@ mod tests {
                 with(&|c| c.sched = holds(vec![(0, 5), (1, 9)])),
                 with(&|c| c.sched = holds(vec![(0, 5), (0, 9)])),
             ),
+            (
+                "sentinel",
+                with(&|c| c.sentinel = sentinel(1)),
+                with(&|c| (c.mode, c.sentinel) = (ExecMode::Global, sentinel(1))),
+            ),
+            (
+                "sentinel",
+                with(&|c| c.sentinel = sentinel(1)),
+                with(&|c| (c.mode, c.sentinel) = (ExecMode::Stm, sentinel(1))),
+            ),
+            (
+                "sentinel_sample",
+                with(&|c| c.sentinel = sentinel(1)),
+                with(&|c| c.sentinel = sentinel(0)),
+            ),
+            (
+                "repair",
+                with(&|c| (c.sentinel, c.repairs) = (sentinel(1), repair())),
+                with(&|c| c.repairs = repair()),
+            ),
+            (
+                "repair",
+                with(&|c| (c.sentinel, c.repairs) = (sentinel(1), repair())),
+                with(&|c| (c.mode, c.repairs) = (ExecMode::Stm, repair())),
+            ),
         ];
         for (key, at_limit, past) in cases {
             assert_eq!(at_limit.check(&map, globals), Ok(()), "{key}");
@@ -950,7 +998,7 @@ mod tests {
             (ExecMode::Stm, 0, 0, "Stm plans none"),
         ] {
             let mut c = cfg(mode);
-            c.sentinel = Some(SentinelConfig::default());
+            c.sentinel = (mode == ExecMode::MultiGrain).then(SentinelConfig::default);
             c.weaken = Some(WeakenPlan {
                 section,
                 drop_index,
