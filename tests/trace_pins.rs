@@ -7,9 +7,9 @@
 //! node shape fails here. The JSON reports of the re-inference and
 //! adapt runs among them are pinned by FNV-1a digest too, and so are
 //! the repair report and healed trace of the scale twin CI's heal gate
-//! re-infers. The weakened pair's sentinel ledger is pinned entry by
-//! entry (section, tid, address, effect, clock, seq and held set),
-//! with its violation, demotion and heal totals.
+//! re-infers. The weakened pair's violations are pinned entry by entry
+//! (section, tid, address, effect, clock and sorted held set), with
+//! its violation, demotion and heal totals.
 //!
 //! A change that moves a pin on purpose prints the new values with
 //! `PRINT_PINS=1 cargo test --release --test trace_pins -- --nocapture`.
@@ -455,16 +455,17 @@ fn the_scale_twin_heal_gate_matches_its_pins() {
     }
 }
 
-/// FNV-1a of the weakened pair's baseline ledger, one line per
-/// violation: section, tid, addr, write, clock, seq and the held set.
-const PAIR_LEDGER_FNV: &str = "96e5ff9daf66ee8a";
+/// FNV-1a of the weakened pair's baseline violations in `(clock, tid,
+/// epoch)` order, one line per violation: section, tid, addr, write,
+/// clock and the held set, sorted — the fields a trace carries.
+const PAIR_VIOLATIONS_FNV: &str = "815ffdc585c2e701";
 /// `(sentinel_violations, sections_quarantined, sections_healed)` of
 /// the same run: the violation gauge and the ladder's demotions and
 /// heals as traced.
 const PAIR_LADDER_TOTALS: (u64, u64, u64) = (33, 6, 5);
 
 #[test]
-fn the_weakened_pair_ledger_matches_its_pin() {
+fn the_weakened_pair_violations_match_their_pin() {
     let mut pair = source_config("weakened-pair", PAIR_SRC, 6, 13, 24);
     pair.sentinel = Some(SentinelConfig::default());
     pair.weaken = Some(WeakenPlan {
@@ -477,13 +478,15 @@ fn the_weakened_pair_ledger_matches_its_pin() {
             .reinfer()
             .expect("re-inference runs");
         let rec = &run.baseline;
-        let ledger: String = rec
+        let lines: Vec<String> = rec
             .ledger
             .iter()
             .map(|v| {
+                let mut held = v.held.clone();
+                held.sort_unstable();
                 format!(
-                    "{} {} {} {} {} {} {:?}\n",
-                    v.section, v.tid, v.addr, v.write, v.clock, v.seq, v.held
+                    "{} {} {} {} {} {:?}\n",
+                    v.section, v.tid, v.addr, v.write, v.clock, held
                 )
             })
             .collect();
@@ -505,18 +508,14 @@ fn the_weakened_pair_ledger_matches_its_pin() {
             }
         }
         let totals = (violations, quarantined, healed);
+        let digest = fnv(&lines.concat());
         if std::env::var_os("PRINT_PINS").is_some() {
-            println!("pair ledger {} totals {totals:?}", fnv(&ledger));
+            println!("pair violations {digest} totals {totals:?}");
         }
+        assert_eq!(violations, lines.len() as u64, "one entry per violation");
         assert_eq!(
-            violations,
-            rec.ledger.len() as u64,
-            "one entry per violation"
-        );
-        assert_eq!(
-            fnv(&ledger),
-            PAIR_LEDGER_FNV,
-            "pair ledger at {threads} eval threads"
+            digest, PAIR_VIOLATIONS_FNV,
+            "pair violations at {threads} eval threads"
         );
         assert_eq!(
             totals, PAIR_LADDER_TOTALS,
