@@ -63,9 +63,10 @@
 //!   fails the `adapted wait <= baseline wait` invariant.
 //! * `reinfer` runs quarantine-aware re-inference (DESIGN.md §5.8):
 //!   record a sentinel-armed baseline (with `--weaken S:I` seeding the
-//!   modeled inference bug), diagnose the canonical violation ledger,
-//!   replay every repair candidate and the global-demotion reference
-//!   on the same deterministic schedule, and print the repair ledger —
+//!   modeled inference bug), diagnose the violations the validator
+//!   finds in its trace, replay every repair candidate and the
+//!   global-demotion reference on the same deterministic schedule, and
+//!   print the repair report —
 //!   per offending section: the diagnosis-tagged candidates, their
 //!   cleanliness and cost, and which (if any) was admitted. When a
 //!   fault was seeded, exits nonzero unless at least one section heals
@@ -74,7 +75,10 @@
 //!   `ri`-accepted event, and replays to the same digest.
 //!
 //! Exit status is nonzero on a validation failure or digest mismatch,
-//! so all subcommands double as CI checks.
+//! so all subcommands double as CI checks: 1 for a failed check or a
+//! run that `record`, `adapt` or `reinfer` could not make (one
+//! `trace-dump: run: …` line for a configuration the run refuses), 2
+//! for a usage or flag error.
 
 use atomic_lock_inference::{adapt, obs, replay, Pipeline};
 use bench::cli::{self, Flags, RunArgs};
@@ -154,6 +158,15 @@ fn report(t: &trace::Trace) -> bool {
     }
 }
 
+/// A run the pipeline could not make — a configuration the run door
+/// refuses (a size over its limit, a weaken plan that names no lock
+/// spec, a sentinel outside MultiGrain) or a baseline trace that
+/// overflowed — is a failed run, not a usage error: one line, exit 1.
+fn failed(e: &str) -> ExitCode {
+    eprintln!("trace-dump: {e}");
+    ExitCode::FAILURE
+}
+
 fn cmd_record(args: &[String]) -> Result<ExitCode, String> {
     let name = args.first().ok_or("record: missing workload name")?;
     let mut ra = RunArgs::new(4, Contention::Low);
@@ -202,15 +215,9 @@ fn cmd_record(args: &[String]) -> Result<ExitCode, String> {
         cfg.sentinel.get_or_insert_with(SentinelConfig::default);
     }
     cfg.weaken = weaken;
-    // A configuration the run refuses (a size over its limit, a weaken
-    // plan that names no lock spec, a sentinel outside MultiGrain) is a
-    // failed recording, not a usage error: one line, exit 1.
     let rec = match replay::record(&cfg) {
         Ok(rec) => rec,
-        Err(e) => {
-            eprintln!("trace-dump: {e}");
-            return Ok(ExitCode::FAILURE);
-        }
+        Err(e) => return Ok(failed(&e)),
     };
     println!(
         "{name} mode={:?} k={} threads={} ops={}: makespan={} ticks{}",
@@ -290,7 +297,10 @@ fn cmd_adapt(args: &[String]) -> Result<ExitCode, String> {
         }
     }
     let cfg = ra.config("adapt", name)?;
-    let run = Pipeline::new(cfg).adapt(&AdaptPolicy)?;
+    let run = match Pipeline::new(cfg).adapt(&AdaptPolicy) {
+        Ok(run) => run,
+        Err(e) => return Ok(failed(&e)),
+    };
     let b = run.report.baseline;
     println!(
         "{name} mode={:?} k={} threads={} ops={}",
@@ -373,7 +383,10 @@ fn cmd_reinfer(args: &[String]) -> Result<ExitCode, String> {
     let mut cfg = ra.config("reinfer", name)?;
     cfg.sentinel.get_or_insert_with(SentinelConfig::default);
     cfg.weaken = weaken;
-    let run = Pipeline::new(cfg).reinfer()?;
+    let run = match Pipeline::new(cfg).reinfer() {
+        Ok(run) => run,
+        Err(e) => return Ok(failed(&e)),
+    };
     let b = run.report.baseline;
     println!(
         "{name} mode={:?} k={} threads={} ops={}",
@@ -427,7 +440,7 @@ fn cmd_reinfer(args: &[String]) -> Result<ExitCode, String> {
         cli::write_text(&path, &run.report.to_json())?;
     }
     let ok = match (&weaken, &run.healed) {
-        // No fault seeded: a quiet ledger is the expected outcome.
+        // No fault seeded: no violation is the expected outcome.
         (None, _) => {
             if run.report.sections.is_empty() {
                 println!("reinfer check: clean armed run, nothing to repair: OK");

@@ -2,7 +2,7 @@
 //! a section the program does not have, an index past the section's
 //! lock specs, or any plan under STM — and a sentinel outside
 //! MultiGrain with one line and exit 1, before it records or writes
-//! anything.
+//! anything; `adapt` and `reinfer` refuse a run the same way.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -85,5 +85,42 @@ fn a_sentinel_outside_multigrain_is_one_line_and_exit_1() {
             "{args:?}"
         );
         assert!(!dir.join("t.json").exists(), "{args:?}: wrote a trace");
+    }
+}
+
+/// The loops enter by the same door: `adapt` and `reinfer` print a
+/// configuration the run refuses as one line and exit 1, as `record`
+/// does, while a flag they do not know stays a usage error, exit 2.
+#[test]
+fn the_loops_refuse_a_run_with_one_line_and_exit_1() {
+    for (args, code, line) in [
+        (
+            &["reinfer", "list", "--threads", "0"][..],
+            1,
+            "trace-dump: run: bad `threads`: 0 runs nothing, a run needs at least one\n",
+        ),
+        (
+            &["reinfer", "list", "--mode", "stm"][..],
+            1,
+            "trace-dump: run: bad `sentinel`: it checks a lock plan, and Stm plans none\n",
+        ),
+        (
+            &["adapt", "list", "--threads", "0"][..],
+            1,
+            "trace-dump: run: bad `threads`: 0 runs nothing, a run needs at least one\n",
+        ),
+        (
+            &["reinfer", "list", "--bogus"][..],
+            2,
+            "trace-dump: reinfer: unknown flag `--bogus`\n",
+        ),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_trace-dump"))
+            .args(args)
+            .output()
+            .expect("trace-dump runs");
+        assert_eq!(out.status.code(), Some(code), "{args:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: ran before refusing");
+        assert_eq!(String::from_utf8_lossy(&out.stderr), line, "{args:?}");
     }
 }

@@ -39,7 +39,7 @@ pub use error::InterpError;
 pub use fault::FaultPlan;
 pub use machine::{DegradationReport, ExecMode, Machine, Options, RepairSpec};
 pub use sched::{PolicyKind, SchedConfig};
-pub use sentinel::{Response, Sentinel, SentinelConfig, Violation};
+pub use sentinel::{Response, SentinelConfig};
 
 // The test support names this crate `interp`, as an integration test
 // does.
@@ -807,7 +807,7 @@ mod tests {
                 ..SentinelConfig::default()
             });
             let m = machine_for(COUNTER_SRC, 3, mode, armed(sentinel)).unwrap();
-            assert_eq!(m.sentinel().is_some(), arms, "{mode:?} {sample_every}");
+            assert_eq!(m.sentinel.is_some(), arms, "{mode:?} {sample_every}");
         }
     }
 

@@ -35,7 +35,7 @@ pub enum ExecMode {
 pub struct RepairSpec {
     /// The section the repair targets.
     pub section: u32,
-    /// The admitted candidate's index, for the `["ri", …]` ledger.
+    /// The admitted candidate's index, for the `["ri", …]` trace event.
     pub candidate: u32,
     /// The repaired lock specs the worker plans after the heal.
     pub specs: Vec<lir::LockSpec>,
@@ -487,14 +487,6 @@ impl Machine {
             sections_quarantined,
             sections_healed,
         }
-    }
-
-    /// The online lockset sentinel, when the machine was built with
-    /// one (see [`Options::sentinel`]), for its violation ledger; its
-    /// totals are in [`Machine::degradation_report`] and its ladder
-    /// transitions in the trace.
-    pub fn sentinel(&self) -> Option<&Sentinel> {
-        self.sentinel.as_ref()
     }
 
     /// Hands over the recorded events as one epoch-ordered trace

@@ -12,9 +12,8 @@
 //!
 //! Under [`Response::Fail`] ([`SentinelConfig::validate`], the
 //! Theorem-1 checker) a miss is a hard error. Under
-//! [`Response::Quarantine`] the sentinel records a structured
-//! [`Violation`] (section, access, held set), lets the section
-//! complete, and feeds a **per-section quarantine ladder**:
+//! [`Response::Quarantine`] the sentinel counts the miss, lets the
+//! section complete, and feeds a **per-section quarantine ladder**:
 //!
 //! * first offense demotes the section to the trivially sound global
 //!   scheme (`lockscheme::SchemeConfig::trivially_sound` — at
@@ -31,11 +30,16 @@
 //! virtual-time scheduler exactly one worker runs at a time, so the
 //! mutex-serialized transitions happen in a deterministic order.
 //!
+//! The sentinel keeps counts, not a record: the trace is the record.
+//! Each miss is an access the trace carries with the grants held at
+//! it, so the offline validator (`trace::lockset::validate`) finds the
+//! same miss, asking the same predicate, with everything re-inference
+//! needs to diagnose it.
+//!
 //! A repair staged for a section is the machine's
 //! (`Machine::repairs`); the sentinel keeps only where the section
 //! stands with it — healed onto it, or revoked for good.
 
-use mglock::{Mode, NodeKey};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 
@@ -46,7 +50,7 @@ const PROBATION: u32 = 4;
 const FLAP_MULTIPLIER: u32 = 2;
 const MAX_PROBATION: u32 = 64;
 
-/// What a [`Sentinel`] does about an access it finds unlicensed.
+/// What a sentinel does about an access it finds unlicensed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Response {
     /// Record it and demote the section on the quarantine ladder.
@@ -55,7 +59,7 @@ pub enum Response {
     Fail,
 }
 
-/// The policy of one [`Sentinel`].
+/// The policy of one sentinel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SentinelConfig {
     /// Check every `sample_every`-th in-section access per worker
@@ -107,31 +111,6 @@ impl SentinelConfig {
     }
 }
 
-/// One in-section access the live held-mode set did not license.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Violation {
-    /// The (outermost) section the access executed under.
-    pub section: u32,
-    /// The accessing worker.
-    pub tid: u32,
-    /// The accessed heap cell.
-    pub addr: u64,
-    /// Write or read.
-    pub write: bool,
-    /// Virtual time of the offending access. Part of the canonical
-    /// ledger key `(clock, tid, seq)`: the virtual clock is a property
-    /// of the schedule, not of which OS thread got the mutex first, so
-    /// sorting by it makes [`Sentinel::violations`] byte-identical at
-    /// every analysis/eval thread count.
-    pub clock: u64,
-    /// The worker's in-section access counter at the offense — breaks
-    /// `(clock, tid)` ties (one worker, several accesses per step) and
-    /// is unique per `(tid, seq)` by construction.
-    pub seq: u64,
-    /// The modes actually held at the access, for diagnosis.
-    pub held: Vec<(NodeKey, Mode)>,
-}
-
 /// One quarantine-ladder transition, in the order it happened.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) struct LadderEvent {
@@ -176,33 +155,21 @@ struct SectionState {
     repair: RepairPhase,
 }
 
-/// The ledger and the ladder, under one mutex: the totals are read
-/// against the same lock that appends to `log`, so a report is never
-/// torn between a counter and its entry.
+/// The ladder and its counts, under one mutex: the totals are read
+/// against the same lock that counts a miss, so a report is never torn
+/// between a miss and the demotion it caused.
 #[derive(Default)]
 struct State {
     sections: BTreeMap<u32, SectionState>,
-    log: Vec<Violation>,
+    violations: u64,
     quarantined: u64,
     healed: u64,
 }
 
 /// The in-process monitor. One per machine; workers share it.
-pub struct Sentinel {
+pub(crate) struct Sentinel {
     cfg: SentinelConfig,
     inner: Mutex<State>,
-}
-
-impl std::fmt::Debug for Sentinel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let st = self.inner.lock();
-        f.debug_struct("Sentinel")
-            .field("cfg", &self.cfg)
-            .field("violations", &st.log.len())
-            .field("quarantined", &st.quarantined)
-            .field("healed", &st.healed)
-            .finish()
-    }
 }
 
 impl Sentinel {
@@ -229,13 +196,13 @@ impl Sentinel {
         )
     }
 
-    /// Records an unlicensed access. Returns the demotion transition
-    /// when this violation quarantines the section (first offense of a
-    /// healthy section); `None` when the section is already serving.
-    pub(crate) fn report_violation(&self, v: Violation) -> Option<LadderEvent> {
+    /// Counts an unlicensed access in `section`. Returns the demotion
+    /// transition when this violation quarantines the section (first
+    /// offense of a healthy section); `None` when the section is
+    /// already serving.
+    pub(crate) fn report_violation(&self, section: u32) -> Option<LadderEvent> {
         let mut st = self.inner.lock();
-        let section = v.section;
-        st.log.push(v);
+        st.violations += 1;
         let sec = st.sections.entry(section).or_insert(SectionState {
             health: Health::Healthy,
             next_probation: PROBATION,
@@ -325,7 +292,7 @@ impl Sentinel {
     /// Switches a healed `section` onto the repair staged for it.
     /// Called by the worker, for a section with a staged repair, when
     /// [`Sentinel::section_closed`] returns a heal event. `true` when
-    /// the section switched, so the worker ledgers `["ri", section,
+    /// the section switched, so the worker traces `["ri", section,
     /// candidate, 1]` once; `false` when it already runs the repair or
     /// the repair was revoked.
     pub(crate) fn activate_repair(&self, section: u32) -> bool {
@@ -342,7 +309,7 @@ impl Sentinel {
     /// Withdraws `section`'s active repair for good — the repaired
     /// scheme itself drew a violation, so the section falls back to the
     /// ordinary demote→probation→seed ladder. `true` when a repair was
-    /// active, so the worker ledgers `["ri", section, candidate, 0]`.
+    /// active, so the worker traces `["ri", section, candidate, 0]`.
     pub(crate) fn revoke_repair(&self, section: u32) -> bool {
         let mut st = self.inner.lock();
         match st.sections.get_mut(&section) {
@@ -354,22 +321,11 @@ impl Sentinel {
         }
     }
 
-    /// Every recorded violation, in the canonical `(clock, tid, seq)`
-    /// ledger order. Arrival order depends on which worker thread wins
-    /// the mutex; the canonical key depends only on the deterministic
-    /// schedule, so re-inference input and reports are byte-identical
-    /// at every thread count.
-    pub fn violations(&self) -> Vec<Violation> {
-        let mut log = self.inner.lock().log.clone();
-        log.sort_by_key(|v| (v.clock, v.tid, v.seq));
-        log
-    }
-
     /// `(violations, demotions, heals)` so far, read under one lock:
     /// the totals of [`crate::DegradationReport`].
     pub(crate) fn totals(&self) -> (u64, u64, u64) {
         let st = self.inner.lock();
-        (st.log.len() as u64, st.quarantined, st.healed)
+        (st.violations, st.quarantined, st.healed)
     }
 }
 
@@ -377,23 +333,11 @@ impl Sentinel {
 mod tests {
     use super::*;
 
-    fn violation(section: u32) -> Violation {
-        Violation {
-            section,
-            tid: 0,
-            addr: 42,
-            write: true,
-            clock: 0,
-            seq: 0,
-            held: vec![(NodeKey::Pts(1), Mode::Ix)],
-        }
-    }
-
     #[test]
     fn first_offense_quarantines_then_probation_heals() {
         let s = Sentinel::new(SentinelConfig::default());
         assert!(!s.is_quarantined(5));
-        let ev = s.report_violation(violation(5)).expect("demotes");
+        let ev = s.report_violation(5).expect("demotes");
         assert_eq!(
             ev,
             LadderEvent {
@@ -404,7 +348,7 @@ mod tests {
         );
         assert!(s.is_quarantined(5));
         // Further violations while serving do not re-demote.
-        assert!(s.report_violation(violation(5)).is_none());
+        assert!(s.report_violation(5).is_none());
         assert_eq!(s.totals(), (2, 1, 0));
         // One clean execution short of the term: still serving.
         for _ in 1..PROBATION {
@@ -431,7 +375,7 @@ mod tests {
         let mut events = Vec::new();
         let terms: Vec<u32> = (0..6)
             .map(|_| {
-                let ev = s.report_violation(violation(1)).expect("demotes");
+                let ev = s.report_violation(1).expect("demotes");
                 events.push(ev);
                 for _ in 0..ev.probation {
                     events.extend(s.section_closed(1, true));
@@ -454,7 +398,7 @@ mod tests {
     #[test]
     fn dirty_executions_restart_the_term() {
         let s = Sentinel::new(SentinelConfig::default());
-        s.report_violation(violation(9)).expect("demotes");
+        s.report_violation(9).expect("demotes");
         assert!(s.section_closed(9, true).is_none());
         // One execution was dirty: progress resets.
         assert!(s.section_closed(9, false).is_none());
@@ -468,7 +412,7 @@ mod tests {
     #[test]
     fn probation_violation_restarts_the_term_without_new_ladder_events() {
         let s = Sentinel::new(SentinelConfig::default());
-        let demote = s.report_violation(violation(7)).expect("demotes");
+        let demote = s.report_violation(7).expect("demotes");
         // All but one clean execution leave one to serve…
         for _ in 1..PROBATION {
             assert!(s.section_closed(7, true).is_none());
@@ -477,7 +421,7 @@ mod tests {
         // enter wiped the worker's dirty flag, so the close below
         // reports clean). It must restart the term itself, without
         // re-demoting or double-counting.
-        assert!(s.report_violation(violation(7)).is_none());
+        assert!(s.report_violation(7).is_none());
         assert_eq!(s.totals(), (2, 1, 0));
         assert!(
             s.section_closed(7, true).is_none(),
@@ -497,34 +441,11 @@ mod tests {
     }
 
     #[test]
-    fn ledger_is_sorted_by_clock_tid_seq_not_arrival() {
-        let s = Sentinel::new(SentinelConfig::default());
-        let v = |tid: u32, clock: u64, seq: u64| Violation {
-            tid,
-            clock,
-            seq,
-            held: Vec::new(),
-            ..violation(1)
-        };
-        // Arrival order scrambled relative to the schedule order.
-        s.report_violation(v(2, 9, 0));
-        s.report_violation(v(0, 3, 5));
-        s.report_violation(v(1, 3, 0));
-        s.report_violation(v(0, 3, 2));
-        let keys: Vec<(u64, u32, u64)> = s
-            .violations()
-            .iter()
-            .map(|v| (v.clock, v.tid, v.seq))
-            .collect();
-        assert_eq!(keys, vec![(3, 0, 2), (3, 0, 5), (3, 1, 0), (9, 2, 0)]);
-    }
-
-    #[test]
     fn repairs_activate_on_heal_and_revoke_on_reoffense() {
         let s = Sentinel::new(SentinelConfig::default());
         // Dormant until the section heals.
         assert!(!s.repair_active(4));
-        s.report_violation(violation(4)).expect("demotes");
+        s.report_violation(4).expect("demotes");
         assert!(!s.repair_active(4));
         for _ in 1..PROBATION {
             assert!(s.section_closed(4, true).is_none());
@@ -532,10 +453,10 @@ mod tests {
         s.section_closed(4, true).expect("heals");
         assert!(s.activate_repair(4));
         assert!(s.repair_active(4));
-        // Activation is edge-triggered: the worker ledgers it once.
+        // Activation is edge-triggered: the worker traces it once.
         assert!(!s.activate_repair(4));
         // A violation under the repaired scheme withdraws it…
-        s.report_violation(violation(4)).expect("re-demotes");
+        s.report_violation(4).expect("re-demotes");
         assert!(s.revoke_repair(4));
         assert!(!s.repair_active(4));
         // …for good: the next heal (a flap-damped, twice-as-long term)
@@ -555,7 +476,7 @@ mod tests {
         let s = Sentinel::new(SentinelConfig::default());
         let events: Vec<LadderEvent> = [1, 3]
             .into_iter()
-            .filter_map(|section| s.report_violation(violation(section)))
+            .filter_map(|section| s.report_violation(section))
             .collect();
         // Closing a healthy section is a no-op.
         assert!(s.section_closed(2, true).is_none());

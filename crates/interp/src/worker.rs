@@ -30,7 +30,7 @@ use crate::error::{Exc, InterpError};
 use crate::fault::{splitmix, FaultPanic, Injector};
 use crate::machine::{ExecMode, Machine, Storage};
 use crate::sched::Waiter;
-use crate::sentinel::{LadderEvent, Response, Violation};
+use crate::sentinel::{LadderEvent, Response};
 use crate::sim::Sim;
 use lir::{ArithOp, CmpOp, FnId, Instr, Intrinsic, LockSpec, PathOp, Rvalue, SectionId, VarId};
 use mglock::{Access, Descriptor, FineAddr, Session};
@@ -1057,10 +1057,12 @@ impl<'m> Worker<'m> {
     /// any section.
     ///
     /// A miss under `Response::Fail` ends the thread with
-    /// [`InterpError::Unprotected`], recording nothing. Under
-    /// `Quarantine` it is recorded, never fatal: the section completes,
-    /// and a first offense demotes it on the quarantine ladder (traced
-    /// as a `["qr", …]` event so replay sees the transition).
+    /// [`InterpError::Unprotected`]. Under `Quarantine` it is counted,
+    /// never fatal: the section completes, and a first offense demotes
+    /// it on the quarantine ladder (traced as a `["qr", …]` event so
+    /// replay sees the transition). The access itself is already in
+    /// the trace, with the grants held at it: that is the record of
+    /// the miss.
     fn sentinel_check(&mut self, addr: u64, write: bool, at: At) -> Result<(), Exc> {
         let Some(sent) = &self.m.sentinel else {
             return Ok(());
@@ -1085,21 +1087,7 @@ impl<'m> Worker<'m> {
             .into());
         }
         self.section_violated = true;
-        let held = self.session.held_modes().collect();
-        // Clock and access counter key the canonical violation ledger
-        // `(clock, tid, seq)` — both are schedule state, not
-        // OS-thread-arrival state, so re-inference input is
-        // deterministic at every thread count.
-        let v = Violation {
-            section: self.current_section.0,
-            tid: self.tid,
-            addr,
-            write,
-            clock: self.now(),
-            seq: n,
-            held,
-        };
-        if let Some(ev) = sent.report_violation(v) {
+        if let Some(ev) = sent.report_violation(self.current_section.0) {
             self.trace_quarantine(ev);
             // A demotion of a section running its repaired scheme
             // revokes the repair: it did not hold up, so the section
@@ -1136,7 +1124,7 @@ impl<'m> Worker<'m> {
         });
     }
 
-    /// Ledgers `section`'s staged repair as switched on (`accepted`) or
+    /// Traces `section`'s staged repair as switched on (`accepted`) or
     /// revoked, with the candidate index [`Machine::repairs`] holds.
     fn trace_repair(&mut self, section: u32, accepted: bool) {
         let candidate = self.m.repairs[&section].0;

@@ -117,7 +117,7 @@ pub enum EventKind {
         depth: u32,
         woken: u32,
     },
-    /// The re-inference repair ledger transitioned for `section`:
+    /// A staged re-inference repair changed phase for `section`:
     /// `accepted == true` means the section healed onto repair
     /// `candidate` (its next executions plan the repaired specs
     /// instead of the seed scheme), `accepted == false` means the

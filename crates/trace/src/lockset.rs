@@ -30,8 +30,9 @@ use crate::sections::{Cursor, Step};
 use crate::Trace;
 use mglock::{FineAddr, Mode, NodeKey};
 
-/// One uncovered in-section access.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+/// One uncovered in-section access: the one record of a violation,
+/// which re-inference diagnoses (`src/reinfer.rs`).
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Violation {
     pub tid: u32,
     pub epoch: u64,
@@ -42,6 +43,12 @@ pub struct Violation {
     /// `acquireAll` plan holds the locks, and the one the sentinel and
     /// the profiler name (0 if none is open).
     pub section: u32,
+    /// The grants the thread held at the access, in the order the
+    /// trace left them.
+    pub held: Vec<(NodeKey, Mode)>,
+    /// The accessed cell's allocation `(base, points-to class)`, when
+    /// the trace's allocation table has one.
+    pub extent: Option<(u64, u32)>,
 }
 
 impl std::fmt::Display for Violation {
@@ -221,14 +228,12 @@ pub fn validate(trace: &Trace) -> Result<Validation, ValidationError> {
                 }
                 v.checked += 1;
                 let open = st.sections.open_section();
+                let extent = || trace.alloc_of(addr).map(|a| (a.base, a.class));
                 let covered = if stm {
                     // The access is covered by the open transaction.
                     open.is_some()
                 } else {
-                    open.is_some()
-                        && licensed(st.held.iter().copied(), addr, write, || {
-                            trace.alloc_of(addr).map(|a| (a.base, a.class))
-                        })
+                    open.is_some() && licensed(st.held.iter().copied(), addr, write, extent)
                 };
                 if !covered {
                     v.violations.push(Violation {
@@ -238,6 +243,8 @@ pub fn validate(trace: &Trace) -> Result<Validation, ValidationError> {
                         addr,
                         write,
                         section: open.unwrap_or(0),
+                        held: st.held.clone(),
+                        extent: extent(),
                     });
                 }
             }
@@ -465,6 +472,10 @@ mod tests {
         let v = validate(&t).unwrap();
         assert_eq!(v.violations.len(), 1);
         assert!(v.violations[0].write);
+        // The violation carries what diagnosing it needs: the grants
+        // held at the access and the cell's allocation.
+        assert_eq!(v.violations[0].held, vec![(node, Mode::S)]);
+        assert_eq!(v.violations[0].extent, Some((10, 1)));
     }
 
     #[test]
@@ -528,6 +539,8 @@ mod tests {
         let v = validate(&t).unwrap();
         assert_eq!(v.violations.len(), 1);
         assert_eq!(v.violations[0].addr, 30);
+        assert_eq!(v.violations[0].extent, None);
+        assert_eq!(v.violations[0].held.len(), 2);
     }
 
     #[test]

@@ -168,9 +168,7 @@ impl EvalContext {
     /// program, and `stamp` picks only the metadata the trace carries
     /// and whether a weaken plan that dropped nothing is refused
     /// (candidates inherit the baseline's verdict). Before the machine is
-    /// dropped, the recording takes its end-of-run gauges and the
-    /// sentinel's violation ledger (the evidence `crate::reinfer`
-    /// diagnoses).
+    /// dropped, the recording takes its end-of-run gauges.
     ///
     /// # Errors
     ///
@@ -216,10 +214,6 @@ impl EvalContext {
         let m = Machine::new(Arc::new(transformed), pt, cfg.mode, opts);
         let (outcome, mut trace) = execute(&m, cfg);
         let gauges = crate::obs::run_gauges(&m);
-        let ledger = m
-            .sentinel()
-            .map(interp::Sentinel::violations)
-            .unwrap_or_default();
         match stamp {
             Stamp::Run => cfg.stamp(&mut trace),
             Stamp::Adapt => {
@@ -238,7 +232,6 @@ impl EvalContext {
             outcome,
             trace,
             gauges,
-            ledger,
         })
     }
 

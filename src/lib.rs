@@ -25,7 +25,7 @@
 //! | module | role |
 //! |---|---|
 //! | [`adapt`] | profile-guided adaptation: candidates (and convoy detection) from wait/hold profiles, ranking, selection |
-//! | [`reinfer`] | quarantine-aware re-inference: diagnose sentinel violations, repair demoted sections, admission |
+//! | [`reinfer`] | quarantine-aware re-inference: diagnose the violations a trace records, repair demoted sections, admission |
 //! | [`eval`] | the shared candidate harness both loops replay every candidate through |
 //! | [`replay`] | deterministic record/replay over traced executions |
 //! | [`obs`] | metrics: trace-derived snapshots, merged with a recording's end-of-run gauges; exporters |

@@ -3,7 +3,7 @@
 //!
 //! Every evaluation subsystem in this crate walks the same arc:
 //! **baseline** (record the run deterministically) → **profile**
-//! (derive per-section wait/hold evidence or a violation ledger) →
+//! (derive per-section wait/hold evidence or the trace's violations) →
 //! **propose** (pure policy: candidates from evidence) → **evaluate**
 //! (replay each candidate on the identical schedule) → **select**
 //! (strict measured improvement). The baseline, evaluate and select
@@ -36,7 +36,7 @@ use crate::adapt::{
 use crate::eval::{eval_singles, EvalContext, EvalOptions, EvalScope, Singles, Stamp};
 use crate::reinfer::{
     candidates as repair_candidates, is_clean, ReinferRun, RepairDecision, RepairReport,
-    SectionReport, Witness,
+    SectionReport,
 };
 use crate::replay::RunConfig;
 use lockinfer::AdaptPolicy;
@@ -157,8 +157,8 @@ impl Pipeline {
         })
     }
 
-    /// Quarantine-aware re-inference: armed baseline → violation
-    /// ledger → diagnosed repair candidates → replayed cleanliness +
+    /// Quarantine-aware re-inference: armed baseline → the validator's
+    /// violations → diagnosed repair candidates → replayed cleanliness +
     /// cost evaluation → per-section admission → healed re-recording.
     /// See [`crate::reinfer`] for the loop's full contract.
     ///
@@ -176,22 +176,17 @@ impl Pipeline {
         let base_cost =
             PlanCost::from_profiles(&trace::profile(&baseline.trace), baseline.outcome.makespan);
 
-        // The ledger is already canonical (`(clock, tid, seq)` order);
-        // resolving each address through the baseline's
-        // allocation-table snapshot yields the witnesses the policy
-        // diagnoses.
-        let witnesses: Vec<Witness> = baseline
-            .ledger
-            .iter()
-            .map(|v| Witness {
-                violation: v.clone(),
-                extent: baseline.trace.alloc_of(v.addr).map(|a| (a.base, a.class)),
-            })
-            .collect();
-        let mut sections: Vec<u32> = witnesses.iter().map(|w| w.violation.section).collect();
+        // The baseline's trace is the record of its misses: each
+        // violation carries the grants held and the cell's allocation,
+        // in the schedule's `(clock, tid, epoch)` order.
+        let mut violations = trace::validate(&baseline.trace)
+            .map_err(|e| format!("reinfer: {e}"))?
+            .violations;
+        violations.sort_by_key(|v| (v.clock, v.tid, v.epoch));
+        let mut sections: Vec<u32> = violations.iter().map(|v| v.section).collect();
         sections.sort_unstable();
         sections.dedup();
-        let cands = repair_candidates(&witnesses, &base_map);
+        let cands = repair_candidates(&violations, &base_map);
 
         // Reference and repair runs replay the steady state the repair
         // would install: the weaken fault (the modeled inference bug)
@@ -246,10 +241,7 @@ impl Pipeline {
             );
             reports.push(SectionReport {
                 section,
-                violations: witnesses
-                    .iter()
-                    .filter(|w| w.violation.section == section)
-                    .count() as u64,
+                violations: violations.iter().filter(|v| v.section == section).count() as u64,
                 demoted: *demoted,
                 candidates: decisions,
                 admitted,
@@ -368,7 +360,7 @@ mod tests {
         assert_eq!(counter("ali_section_entries_total", "1"), 120);
         assert!(counter("ali_lock_acquires_total", "X") > 0);
         // What only the machine knew rides on the recording: six
-        // gauges in name order, and no ledger without a sentinel.
+        // gauges in name order.
         let names: Vec<&str> = rec.gauges.gauges.iter().map(|(k, _)| &k.name[..]).collect();
         assert_eq!(
             names,
@@ -383,7 +375,6 @@ mod tests {
         );
         assert!(rec.gauges.counters.is_empty() && rec.gauges.hists.is_empty());
         assert!(gauge(&rec.gauges, "ali_run_heap_used") > 0);
-        assert!(rec.ledger.is_empty());
         // The scheduler's hand-offs are a lookup: a lone virtual
         // thread never gives the turn away, and eight give it away at
         // some — not more than all — of their scheduling points.

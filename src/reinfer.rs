@@ -4,10 +4,11 @@
 //! The sentinel's quarantine ladder (DESIGN.md §5.5) demotes an
 //! offending section to the trivially sound global scheme and, after a
 //! clean probation, heals it — *back onto the very scheme that
-//! offended*. This module closes that gap: each recorded
-//! [`Violation`] is a counterexample witness against the abstraction
-//! (the held-mode set that failed Fig. 6 licensing, plus the accessed
-//! cell's allocation extent), and `diagnose` reads off *which*
+//! offended*. This module closes that gap: each [`Violation`] the
+//! validator finds in the recorded trace is a counterexample witness
+//! against the abstraction (the held-mode set that failed Fig. 6
+//! licensing, plus the accessed cell's allocation extent), and
+//! `diagnose` reads off *which*
 //! component failed — a missed may-alias edge in `Σ≡`, an
 //! under-approximated effect in `Σ_ε`, or a fine `Σ_k` expression that
 //! pinned the wrong cell of the right class. `candidates` maps the
@@ -23,14 +24,17 @@
 //! selection [`crate::Pipeline::adapt`] uses:
 //!
 //! 1. **Record** the armed run (sentinel on, typically with a seeded
-//!    [`crate::replay::WeakenPlan`] fault) with `EvalContext::baseline`, and
-//!    snapshot the sentinel's
-//!    canonical violation ledger — sorted by `(clock, tid, seq)`, so
-//!    every downstream decision is thread-count independent.
-//! 2. **Resolve** each violation address through the trace's
-//!    allocation-table snapshot into its points-to class
-//!    ([`trace::Trace::alloc_of`]), producing the `Witness`es the
-//!    policy diagnoses.
+//!    [`crate::replay::WeakenPlan`] fault) with `EvalContext::baseline`.
+//!    The trace is the record of its misses.
+//! 2. **Validate** the baseline's trace ([`trace::validate`]) and sort
+//!    its violations by `(clock, tid, epoch)`, so every downstream
+//!    decision is thread-count independent. Each carries the grants
+//!    held at the access and the cell's allocation extent, resolved
+//!    through the trace's allocation-table snapshot
+//!    ([`trace::Trace::alloc_of`]). With a sampled sentinel this is
+//!    every miss the trace records, not only the sampled ones: the
+//!    sentinel counts what it checked, the validator checks every
+//!    access.
 //! 3. **Reference**: for every offending section, measure the cost of
 //!    the quarantine ladder's *status quo* — the run with that section
 //!    permanently demoted to the global lock
@@ -40,8 +44,9 @@
 //!    armed) in one `EvalContext::eval_candidates` call — concurrently
 //!    on the harness's eval-thread pool, with its skip rule and cost —
 //!    and check each recording for *cleanliness* (`is_clean`): no
-//!    run error, zero sentinel violations **and** a lockset-clean
-//!    validator verdict.
+//!    run error **and** a lockset-clean validator verdict (every
+//!    sentinel miss is a validator violation of the same trace, so
+//!    the verdict also says the sentinel saw none).
 //! 5. **Admit** per section: [`crate::adapt::select`] over the clean
 //!    candidates with the demotion reference as the baseline — the
 //!    cheapest clean candidate strictly below the reference's total
@@ -49,14 +54,14 @@
 //! 6. **Heal**: re-run the original armed configuration with the
 //!    admitted repairs installed dormant ([`crate::replay::RunConfig::repairs`]). The
 //!    section offends, demotes, serves its probation, and heals *onto
-//!    the repaired scheme*, ledgered as `["ri",section,candidate,1]`
+//!    the repaired scheme*, traced as `["ri",section,candidate,1]`
 //!    in the trace. The healed recording is stamped with full `run.*`
 //!    metadata (including `run.repair.*`), so it replays byte-for-byte.
 //!
 //! The policy is a pure function of its arguments — no clocks, no
-//! randomness, no thread-count dependence — and the ledger it reads is
-//! canonical ([`interp::Sentinel::violations`] sorts by
-//! `(clock, tid, seq)`, all schedule properties). Everything
+//! randomness, no thread-count dependence — and the violations it reads
+//! are in a canonical order (`(clock, tid, epoch)`, all properties of
+//! the deterministic schedule the trace records). Everything
 //! downstream of the recorded trace is deterministic, so two runs over
 //! the same config produce byte-identical [`RepairReport`] JSON and
 //! healed-trace digests **at every analysis and eval thread count**.
@@ -65,24 +70,10 @@ use std::collections::BTreeMap;
 
 use crate::adapt::{write_config, write_cost, write_header, write_index, EvalStatus, PlanCost};
 use crate::replay::Recording;
-use interp::Violation;
 use lockscheme::{ConfigMap, SchemeConfig};
 use mglock::NodeKey;
 use trace::json::Writer;
-use trace::lockset::{covers, mode_grants};
-
-/// One violation plus the accessed cell's allocation extent, resolved
-/// by the loop (step 2 of the module docs) from the recorded trace's
-/// allocation events: `(base address, points-to class of the
-/// allocation site)`.
-/// `None` when the address falls outside every recorded allocation
-/// (an out-of-extent access no scheme component can name — only the
-/// conservative repairs apply).
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub(crate) struct Witness {
-    pub violation: Violation,
-    pub extent: Option<(u64, u32)>,
-}
+use trace::lockset::{covers, mode_grants, Violation};
 
 /// Which scheme component the witness convicts. Ordered by
 /// specificity: `diagnose` returns the most precise explanation the
@@ -151,21 +142,23 @@ fn class_of(node: NodeKey) -> Option<u32> {
     }
 }
 
-/// Reads the most precise failure explanation off one witness.
+/// Reads the most precise failure explanation off one violation. An
+/// access outside every recorded allocation (`extent` is `None`) is
+/// one no scheme component can name: only the conservative repairs
+/// apply.
 ///
 /// Deterministic: explanations are tried in a fixed specificity order
 /// (wrong mode on a covering node, then wrong cell within the right
 /// class, then a missed alias, then no cover), and the missed-alias
 /// pair picks the smallest-numbered licensing held class.
-fn diagnose(w: &Witness) -> Diagnosis {
-    let v = &w.violation;
+fn diagnose(v: &Violation) -> Diagnosis {
     if v.held
         .iter()
-        .any(|&(node, mode)| covers(node, v.addr, w.extent) && !mode_grants(mode, v.write))
+        .any(|&(node, mode)| covers(node, v.addr, v.extent) && !mode_grants(mode, v.write))
     {
         return Diagnosis::WrongMode;
     }
-    if let Some((_, accessed)) = w.extent {
+    if let Some((_, accessed)) = v.extent {
         let fine_same_class = v.held.iter().any(|&(node, mode)| {
             matches!(node, NodeKey::Fine(p, _) if p == accessed) && mode_grants(mode, v.write)
         });
@@ -208,7 +201,7 @@ pub enum Repair {
 
 impl Repair {
     /// Stable machine-readable tag (used in the repair report and the
-    /// `["ri",…]` ledger documentation).
+    /// `["ri",…]` event documentation).
     pub fn tag(&self) -> &'static str {
         match self {
             Repair::Coarsen => "coarsen",
@@ -248,7 +241,7 @@ pub struct RepairCandidate {
     /// The repaired configuration.
     pub config: SchemeConfig,
     pub repair: Repair,
-    /// The (first, in canonical ledger order) witness diagnosis that
+    /// The (first, in canonical violation order) diagnosis that
     /// motivated this repair.
     pub diagnosis: Diagnosis,
 }
@@ -263,28 +256,28 @@ impl RepairCandidate {
     }
 }
 
-/// Maps a canonical violation ledger (as [`Witness`]es) to repair
-/// candidates, grouped per offending section.
+/// Maps violations in canonical order to repair candidates, grouped
+/// per offending section.
 ///
 /// Deterministic: sections are visited in ascending id order;
-/// per-section, witnesses keep their canonical `(clock, tid, seq)`
-/// ledger order, diagnoses fire candidates in a fixed specificity
+/// per-section, violations keep their canonical `(clock, tid, epoch)`
+/// order, diagnoses fire candidates in a fixed specificity
 /// order ([`Diagnosis::rank`]), and duplicates (by repaired
 /// configuration) are emitted once, first occurrence wins. No-op
 /// repairs (configuration equal to the section's current one) are
 /// dropped — replaying the offending configuration cannot discharge
 /// its own counterexample.
-pub(crate) fn candidates(witnesses: &[Witness], base: &ConfigMap) -> Vec<RepairCandidate> {
-    let mut by_section: BTreeMap<u32, Vec<&Witness>> = BTreeMap::new();
-    for w in witnesses {
-        by_section.entry(w.violation.section).or_default().push(w);
+pub(crate) fn candidates(violations: &[Violation], base: &ConfigMap) -> Vec<RepairCandidate> {
+    let mut by_section: BTreeMap<u32, Vec<&Violation>> = BTreeMap::new();
+    for v in violations {
+        by_section.entry(v.section).or_default().push(v);
     }
     let mut out = Vec::new();
-    for (&section, ws) in &by_section {
+    for (&section, vs) in &by_section {
         let current = base.for_section(section);
         // The section's diagnosis set, most specific first; ties keep
-        // ledger order (stable sort).
-        let mut diags: Vec<Diagnosis> = ws.iter().map(|w| diagnose(w)).collect();
+        // canonical order (stable sort).
+        let mut diags: Vec<Diagnosis> = vs.iter().map(|v| diagnose(v)).collect();
         diags.sort_by_key(Diagnosis::rank);
         let mut section_out: Vec<RepairCandidate> = Vec::new();
         let mut push = |repair: Repair, diagnosis: Diagnosis| {
@@ -318,12 +311,12 @@ pub(crate) fn candidates(witnesses: &[Witness], base: &ConfigMap) -> Vec<RepairC
 }
 
 /// The cleanliness verdict on one replayed repair or reference run
-/// (step 4 of the module docs): it ran to completion, the sentinel
-/// recorded no violation, and the offline validator passed its trace.
+/// (step 4 of the module docs): it ran to completion and the offline
+/// validator passed its trace. The sentinel asks the validator's
+/// predicate of the same accesses the trace records, so a pass also
+/// means the sentinel missed nothing.
 pub(crate) fn is_clean(rec: &Recording) -> bool {
-    rec.outcome.error.is_none()
-        && rec.ledger.is_empty()
-        && trace::validate(&rec.trace).is_ok_and(|v| v.passed())
+    rec.outcome.error.is_none() && trace::validate(&rec.trace).is_ok_and(|v| v.passed())
 }
 
 /// One evaluated repair candidate: the proposal plus its measured
@@ -332,7 +325,7 @@ pub(crate) fn is_clean(rec: &Recording) -> bool {
 #[derive(Clone, PartialEq, Debug)]
 pub struct RepairDecision {
     pub candidate: RepairCandidate,
-    /// Lockset-clean with zero violations on replay.
+    /// Lockset-clean on replay.
     pub clean: bool,
     pub cost: PlanCost,
     pub status: EvalStatus,
@@ -343,7 +336,7 @@ pub struct RepairDecision {
 pub struct SectionReport {
     /// The demoted section.
     pub section: u32,
-    /// Canonical-ledger violations attributed to it.
+    /// The baseline trace's violations attributed to it.
     pub violations: u64,
     /// Measured cost of the global-demotion reference (what healing
     /// back onto the seed scheme under quarantine costs).
@@ -420,7 +413,7 @@ impl RepairReport {
 pub struct ReinferRun {
     /// Machine-readable repair record (all sections, all candidates).
     pub report: RepairReport,
-    /// The armed baseline recording the ledger came from.
+    /// The armed baseline recording whose violations were diagnosed.
     pub baseline: Recording,
     /// The healed re-recording with every admitted repair installed,
     /// when at least one section's repair was admitted. Carries the
@@ -443,17 +436,15 @@ mod tests {
         write: bool,
         held: Vec<(NodeKey, Mode)>,
         extent: Option<(u64, u32)>,
-    ) -> Witness {
-        Witness {
-            violation: Violation {
-                section,
-                tid: 0,
-                addr,
-                write,
-                clock: 0,
-                seq: 0,
-                held,
-            },
+    ) -> Violation {
+        Violation {
+            tid: 0,
+            epoch: 0,
+            clock: 0,
+            addr,
+            write,
+            section,
+            held,
             extent,
         }
     }
@@ -850,8 +841,8 @@ mod tests {
     #[test]
     fn a_weakened_section_heals_onto_an_admitted_nonglobal_repair() {
         let run = Pipeline::new(cfg()).reinfer().unwrap();
-        // The seeded fault produced violations and the ledger reached
-        // the diagnosis.
+        // The seeded fault produced violations and the trace's record
+        // of them reached the diagnosis.
         let sec = run
             .report
             .sections
@@ -866,7 +857,7 @@ mod tests {
         assert!(w.clean);
         assert!(w.cost.total_wait < sec.demoted.total_wait);
         assert!(!w.candidate.config.is_trivially_sound());
-        // The healed run ledgers the re-admission onto the repair and
+        // The healed run traces the re-admission onto the repair and
         // never demotes the section again afterwards.
         let healed = run.healed.as_ref().expect("healed recording exists");
         let events = &healed.trace.events;
@@ -882,7 +873,7 @@ mod tests {
                     }
                 )
             })
-            .expect("healed trace carries the ri-accepted ledger entry");
+            .expect("healed trace carries the ri-accepted event");
         assert!(
             !events.iter().skip(accept).any(|e| matches!(
                 e.kind,

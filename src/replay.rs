@@ -556,9 +556,6 @@ pub struct Recording {
     /// grants released by unwinding. Everything else a run measures is
     /// `obs::from_trace` of [`Recording::trace`].
     pub gauges: crate::obs::Snapshot,
-    /// The sentinel's canonical violation ledger (`(clock, tid, seq)`
-    /// order); empty for a run without a sentinel.
-    pub ledger: Vec<interp::Violation>,
 }
 
 /// Compiles, transforms, and executes `cfg` with tracing on, returning

@@ -1,9 +1,10 @@
-//! Determinism of the online sentinel's quarantine ledger (DESIGN.md
-//! §5.5): for one (program, weaken plan, seed, worker count), the
-//! entire observable outcome — every violation, every quarantine and
-//! heal transition, the trace bytes — must be identical at every
-//! *analysis* thread count. The inference's parallel per-section phase
-//! must never leak into the runtime's quarantine decisions.
+//! Determinism of a sentinel-armed run (DESIGN.md §5.5): for one
+//! (program, weaken plan, seed, worker count), the entire observable
+//! outcome — the trace bytes, every quarantine and heal transition,
+//! the degradation report and every violation the trace records — must
+//! be identical at every *analysis* thread count. The inference's
+//! parallel per-section phase must never leak into the runtime's
+//! quarantine decisions.
 
 use atomic_lock_inference as ali;
 
@@ -36,13 +37,13 @@ const SRC: &str = r#"
 "#;
 
 /// Everything one armed run can be observed by: trace digest, ladder
-/// transitions, rendered degradation report, canonical violation
-/// ledger.
+/// transitions, rendered degradation report, the trace's violations in
+/// `(clock, tid, epoch)` order.
 type Observables = (String, Vec<(u32, bool, u32)>, String, Vec<String>);
 
 /// One full sentinel run with the inference executed at
-/// `analysis_threads`; returns every observable the ledger produces.
-fn ledger(
+/// `analysis_threads`; returns every observable it produces.
+fn observe(
     analysis_threads: usize,
     weaken: WeakenPlan,
     seed: u64,
@@ -72,20 +73,12 @@ fn ledger(
     m.run_named("setup", &[0]).expect("init");
     m.run_threads_virtual("work", workers, |_| vec![iters])
         .expect("weakened runs still complete");
-    let violations = m
-        .sentinel()
-        .expect("machine built with a sentinel")
-        .violations();
-    // The canonical ledger contract: already sorted by the
-    // schedule-derived key `(clock, tid, seq)` — no caller-side sort.
-    assert!(
-        violations
-            .windows(2)
-            .all(|w| (w[0].clock, w[0].tid, w[0].seq) < (w[1].clock, w[1].tid, w[1].seq)),
-        "violation ledger must be strictly ordered by (clock, tid, seq)"
-    );
-    let rendered = violations.iter().map(|v| format!("{v:?}")).collect();
     let trace = m.take_trace().expect("tracing on");
+    let mut violations = ali::trace::validate(&trace)
+        .expect("the trace dropped nothing")
+        .violations;
+    violations.sort_by_key(|v| (v.clock, v.tid, v.epoch));
+    let rendered = violations.iter().map(|v| format!("{v:?}")).collect();
     let history = ali::trace::quarantine_history(&trace)
         .transitions
         .iter()
@@ -102,11 +95,11 @@ fn ledger(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The quarantine/heal ledger is a pure function of the run
-    /// configuration: digests, transitions, and the rendered report
+    /// A quarantined run is a pure function of its configuration:
+    /// digests, transitions, the rendered report and the violations
     /// agree byte for byte at analysis thread counts 1, 2, and 7.
     #[test]
-    fn quarantine_ledger_is_identical_at_every_analysis_thread_count(
+    fn the_quarantine_run_is_identical_at_every_analysis_thread_count(
         seed in any::<u64>(),
         workers in 2usize..5,
         iters in 4i64..10,
@@ -115,7 +108,7 @@ proptest! {
         let weaken = WeakenPlan { section: 0, drop_index };
         let runs: Vec<_> = [1usize, 2, 7]
             .iter()
-            .map(|&t| ledger(t, weaken, seed, workers, iters))
+            .map(|&t| observe(t, weaken, seed, workers, iters))
             .collect();
         let first = &runs[0];
         prop_assert!(
@@ -124,13 +117,13 @@ proptest! {
         );
         prop_assert!(
             !first.3.is_empty(),
-            "dropping a spec from the hot section must ledger violations"
+            "dropping a spec from the hot section must trace violations"
         );
         for r in &runs[1..] {
             prop_assert_eq!(&r.0, &first.0, "trace digests diverged");
             prop_assert_eq!(&r.1, &first.1, "ladder transitions diverged");
             prop_assert_eq!(&r.2, &first.2, "degradation reports diverged");
-            prop_assert_eq!(&r.3, &first.3, "violation ledgers diverged");
+            prop_assert_eq!(&r.3, &first.3, "violations diverged");
         }
     }
 }
